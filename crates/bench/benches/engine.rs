@@ -19,7 +19,7 @@ use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_core::{CombinedDetector, DynamicKConfig};
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
-use icsad_engine::{Engine, EngineConfig, EngineMode, IngestMode};
+use icsad_engine::{Engine, EngineConfig, EngineMode};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -169,24 +169,8 @@ fn bench_engine(c: &mut Criterion) {
     };
     group.bench_function("sharded_engine", |b| {
         b.iter(|| {
-            let mut engine = Engine::start(Arc::clone(&detector), engine_config.clone());
-            engine.ingest_packets(black_box(&packets));
-            engine.finish().alarms()
-        })
-    });
-
-    // The same sharded workload on the async work-stealing runtime: shard
-    // tasks on a fixed worker pool instead of a thread per shard.
-    // Decisions are bit-identical (pinned by the engine's interleaving
-    // tests); the acceptance bar is throughput within 5% of
-    // `sharded_engine`.
-    group.bench_function("sharded_engine_async", |b| {
-        let async_config = EngineConfig {
-            ingest: IngestMode::Async { workers: 0 },
-            ..engine_config.clone()
-        };
-        b.iter(|| {
-            let mut engine = Engine::start(Arc::clone(&detector), async_config.clone());
+            let mut engine =
+                Engine::try_start(Arc::clone(&detector), engine_config.clone()).unwrap();
             engine.ingest_packets(black_box(&packets));
             engine.finish().alarms()
         })
@@ -200,7 +184,8 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("sharded_engine_scalar_kernels", |b| {
         b.iter(|| {
-            let mut engine = Engine::start(Arc::clone(&detector), engine_config.clone());
+            let mut engine =
+                Engine::try_start(Arc::clone(&detector), engine_config.clone()).unwrap();
             engine.ingest_packets(black_box(&packets));
             engine.finish().alarms()
         })
@@ -216,7 +201,8 @@ fn bench_engine(c: &mut Criterion) {
             ..engine_config.clone()
         };
         b.iter(|| {
-            let mut engine = Engine::start(Arc::clone(&detector), adaptive_config.clone());
+            let mut engine =
+                Engine::try_start(Arc::clone(&detector), adaptive_config.clone()).unwrap();
             engine.ingest_packets(black_box(&packets));
             engine.finish().alarms()
         })

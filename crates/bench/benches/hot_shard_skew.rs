@@ -18,10 +18,6 @@
 //! | `ICSAD_SKEW_HOT_FACTOR` | `100` | hot-PLC rate multiplier |
 //! | `ICSAD_SKEW_HIDDEN` | `32` | LSTM stack widths |
 //! | `ICSAD_SKEW_THRESHOLD` | `8` | split threshold for the split variants |
-//!
-//! Note: the engine-level `ICSAD_SPLIT_THRESHOLD` override applies to
-//! *every* engine in the process — leave it unset when running this
-//! bench, or both variants will run the same plan.
 
 use std::sync::Arc;
 
@@ -104,7 +100,7 @@ fn run_once(
     config: &EngineConfig,
     packets: &[Packet],
 ) -> EngineReport {
-    let mut engine = Engine::start(Arc::clone(detector), config.clone());
+    let mut engine = Engine::try_start(Arc::clone(detector), config.clone()).unwrap();
     engine.ingest_packets(black_box(packets));
     engine.finish()
 }

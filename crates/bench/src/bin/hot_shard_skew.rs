@@ -22,10 +22,6 @@
 //! | `ICSAD_SKEW_HIDDEN` | `32` | LSTM stack widths (comma-separated) |
 //! | `ICSAD_SKEW_THRESHOLD` | `8` | split threshold for the split runs |
 //! | `ICSAD_SKEW_WORKERS` | `1,2,4` | worker counts to sweep |
-//!
-//! Leave the engine-level `ICSAD_SPLIT_THRESHOLD` override unset: it
-//! applies to every engine in the process and would collapse the atomic
-//! and split runs onto the same plan.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,7 +102,7 @@ fn run_once(
     split_threshold: usize,
     packets: &[Packet],
 ) -> (EngineReport, f64) {
-    let mut engine = Engine::start(
+    let mut engine = Engine::try_start(
         Arc::clone(detector),
         EngineConfig {
             num_shards: 1, // the whole fleet on one shard: the hot-shard regime
@@ -116,7 +112,8 @@ fn run_once(
             split_threshold,
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     let t0 = Instant::now();
     engine.ingest_packets(packets);
     engine.flush_ingest();

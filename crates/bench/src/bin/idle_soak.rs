@@ -1,12 +1,11 @@
 //! Idle-stream soak probe: how many mostly idle streams one engine can
 //! host on a fixed thread budget, and what that costs the live traffic.
 //!
-//! Spawns an engine in async ingest mode, registers `ICSAD_SOAK_STREAMS`
+//! Spawns an engine on a host-sized pool, registers `ICSAD_SOAK_STREAMS`
 //! streams (two heartbeat frames each — ROADMAP's "thousands of idle
 //! streams" scenario), runs `ICSAD_SOAK_ACTIVE` live PLCs through it, and
 //! reports thread footprint, throughput, and the runtime's scheduling
-//! counters. Run the threads-mode comparison with
-//! `ICSAD_INGEST_MODE=threads` to see the per-shard-thread cost instead.
+//! counters.
 //!
 //! ```sh
 //! cargo run --release -p icsad-bench --bin idle_soak
@@ -67,7 +66,7 @@ fn main() {
     .expect("soak detector training failed");
     let detector = Arc::new(trained.detector);
 
-    let mut engine = Engine::start(
+    let mut engine = Engine::try_start(
         detector,
         EngineConfig {
             num_shards: shards,
@@ -76,7 +75,8 @@ fn main() {
             ingest: IngestMode::Async { workers: 0 },
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     println!(
         "engine up: {} shards as {} mode on {} ingest thread(s) \
          (available_parallelism {})",

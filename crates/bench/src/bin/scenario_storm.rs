@@ -22,8 +22,7 @@
 //! `ICSAD_STORM_FLOOD` (exception frames, default `20000`),
 //! `ICSAD_STORM_GARBAGE` (garbage frames, default `20000`),
 //! `ICSAD_STORM_ROUNDS` × `ICSAD_STORM_LINKS` (churn, default `8`×`8`),
-//! `ICSAD_HIDDEN` (default `32`), plus the engine's `ICSAD_INGEST_MODE`
-//! / `ICSAD_INGEST_WORKERS` overrides.
+//! `ICSAD_HIDDEN` (default `32`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,7 +92,7 @@ fn run(detector: &Arc<CombinedDetector>, events: &[ScenarioEvent]) -> (EngineRep
         ..EngineConfig::default()
     };
     let start = Instant::now();
-    let mut engine = Engine::start(Arc::clone(detector), config);
+    let mut engine = Engine::try_start(Arc::clone(detector), config).unwrap();
     engine.ingest_scenario(events);
     let report = engine.finish();
     (report, start.elapsed().as_secs_f64(), runts)

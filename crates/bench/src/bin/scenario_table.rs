@@ -22,8 +22,7 @@
 //!
 //! Environment: `ICSAD_SCENARIO_EPISODES` (default `6`),
 //! `ICSAD_SCENARIO_QUIET` (default `12` cycles), `ICSAD_SCENARIO_STRIKE`
-//! (default `4` cycles), `ICSAD_HIDDEN` (default `32`), plus the engine's
-//! `ICSAD_INGEST_MODE` / `ICSAD_INGEST_WORKERS` overrides.
+//! (default `4` cycles), `ICSAD_HIDDEN` (default `32`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -229,7 +228,7 @@ fn main() {
             )
             .count() as u64;
 
-        let mut engine = Engine::start(Arc::clone(&detector), EngineConfig::default());
+        let mut engine = Engine::try_start(Arc::clone(&detector), EngineConfig::default()).unwrap();
         engine.ingest_scenario(&events);
         let report = engine.finish();
         assert_eq!(

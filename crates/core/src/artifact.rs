@@ -8,7 +8,7 @@
 //! the chosen `k`) round-trips through one CRC-checked binary blob, so an
 //! engine can cold-start in milliseconds instead of retraining for minutes
 //! ([`crate::CombinedDetector::save`] / [`crate::CombinedDetector::load`],
-//! `icsad_engine::Engine::start_from_artifact`).
+//! `icsad_engine::Engine::try_start`).
 //!
 //! # Format (version 1)
 //!

@@ -18,8 +18,8 @@
 //!                  │   ▼            ▼                               │
 //!                  │ bounded ch   bounded ch      (backpressure)    │
 //!                  │   │            │                               │
-//!                  │ shard 0      shard 1   … (one thread each, or  │
-//!                  │                        a work-stealing pool)   │
+//!                  │ shard 0      shard 1   … (tasks on one         │
+//!                  │                        work-stealing pool)     │
 //!                  │  per-stream lanes → StreamingSession flushes   │
 //!                  │  StreamExtractor → classify_batch → report     │
 //!                  └───────────────┬────────────────────────────────┘
@@ -31,15 +31,15 @@
 //!
 //! | backend | entry point | decision rule |
 //! |---|---|---|
-//! | combined framework | [`Engine::start`] ([`EngineMode::FixedK`]) | fixed top-`k` |
-//! | combined + dynamic-`k` | [`Engine::start`] ([`EngineMode::AdaptiveK`]) | per-stream [`DynamicKController`](icsad_core::DynamicKController) |
-//! | Table IV window baselines | [`Engine::start_backend`] + `icsad_baselines::WindowedBackend` | §VIII-C window protocol |
+//! | combined framework | [`Engine::try_start`] ([`EngineMode::FixedK`]) | fixed top-`k` |
+//! | combined + dynamic-`k` | [`Engine::try_start`] ([`EngineMode::AdaptiveK`]) | per-stream [`DynamicKController`](icsad_core::DynamicKController) |
+//! | Table IV window baselines | [`Engine::try_start_backend`] + `icsad_baselines::WindowedBackend` | §VIII-C window protocol |
 //!
-//! The combined backends can come from an in-process training run
-//! ([`Engine::start`]) or from a commissioning artifact saved by
-//! [`icsad_core::CombinedDetector::save`]
-//! ([`Engine::start_from_artifact`]) — the train-offline / monitor-online
-//! deployment the paper assumes. A *running* engine can additionally
+//! The combined detector can come from an in-process training run or from
+//! a commissioning artifact saved by [`icsad_core::CombinedDetector::save`]
+//! and read back with [`icsad_core::CombinedDetector::load`] — the
+//! train-offline / monitor-online deployment the paper assumes. A
+//! *running* engine can additionally
 //! **hot-reload** a freshly commissioned artifact without dropping
 //! in-flight streams: [`Engine::swap_artifact`] installs the new detector
 //! in every shard at a round boundary (see its docs for the exact
@@ -52,19 +52,17 @@
 //! `windowed_decisions` protocol. The batching and sharding are throughput
 //! optimizations, not semantic changes.
 //!
-//! # Ingest runtimes
+//! # Ingest runtime
 //!
-//! *How* shards are driven is a second, equally semantic-free knob
-//! ([`EngineConfig::ingest`]): [`IngestMode::Threads`] dedicates one OS
-//! thread per shard (lowest latency, but idle shards cost threads), while
-//! [`IngestMode::Async`] multiplexes every shard onto a fixed
-//! work-stealing worker pool from [`icsad_runtime`] — one engine can then
-//! host thousands of mostly idle streams on `available_parallelism`
-//! threads, and a hot shard's batched flush migrates to whichever worker
-//! is free. Both drivers run the same shard core, so decisions are
-//! bit-identical across modes and schedules — pinned by seeded
+//! Shards are cooperative tasks on one fixed work-stealing worker pool
+//! from [`icsad_runtime`] ([`IngestMode::Async`]): one engine hosts
+//! thousands of mostly idle streams on `available_parallelism` threads,
+//! and a hot shard's batched flush migrates to whichever worker is free.
+//! Decisions depend only on per-shard message order, so they are
+//! bit-identical across pool sizes and schedules — pinned by seeded
 //! deterministic-interleaving property tests
-//! ([`IngestMode::AsyncDeterministic`]).
+//! ([`IngestMode::AsyncDeterministic`], the same shard tasks replayed on
+//! one thread).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +72,6 @@ mod shard;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
@@ -90,7 +87,7 @@ use icsad_simulator::{AttackType, Packet};
 pub use frame::{FrameBytes, FRAME_INLINE_CAP};
 pub use icsad_runtime::TestSchedule;
 
-use shard::{run_threaded, EngineUnit, RoundDriver, ShardCore, ShardMsg, ShardTask};
+use shard::{EngineUnit, RoundDriver, ShardCore, ShardMsg, ShardTask};
 
 /// One raw frame on the monitored wire, before feature extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,26 +182,16 @@ pub enum EngineMode {
 
 /// How shard workers are scheduled (see [`EngineConfig::ingest`]).
 ///
-/// Both modes drive the *same* shard core through the same per-shard FIFO
-/// of messages, so decisions are bit-identical across modes — the choice
-/// only trades threads for scheduling:
+/// Both modes drive the *same* shard tasks through the same per-shard FIFO
+/// of messages, so decisions are bit-identical across them — the second
+/// exists only so tests can replay a schedule:
 ///
-/// | mode | OS threads | best for |
+/// | mode | OS threads | for |
 /// |---|---|---|
-/// | [`IngestMode::Threads`] | one per shard | few, uniformly busy shards |
-/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` by default; explicit counts honored, capped at `num_shards`) | many shards, sparse/bursty traffic |
+/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` capped at `num_shards` by default; an explicit count is honored as given) | production |
 /// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
-///
-/// The environment can override the configured mode at
-/// [`Engine::start_backend`] time — `ICSAD_INGEST_MODE=threads|async` plus
-/// `ICSAD_INGEST_WORKERS=n` — so a CI leg can run any suite on either
-/// runtime. [`IngestMode::AsyncDeterministic`] configs are exempt (a seeded
-/// schedule would be meaningless on another runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
-    /// One dedicated OS thread per shard, blocking on its channel.
-    #[default]
-    Threads,
     /// Cooperative shard tasks on a fixed work-stealing worker pool
     /// ([`icsad_runtime`]): idle shards cost no thread, and a hot shard's
     /// flush migrates to an idle worker.
@@ -219,6 +206,13 @@ pub enum IngestMode {
     /// The async runtime on one thread, replaying worker/steal/budget
     /// choices from a seed — the deterministic-interleaving test harness.
     AsyncDeterministic(TestSchedule),
+}
+
+impl Default for IngestMode {
+    /// The host-sized pool: [`IngestMode::Async`] with `workers: 0`.
+    fn default() -> Self {
+        IngestMode::Async { workers: 0 }
+    }
 }
 
 /// Why an [`EngineConfig`] was rejected by [`EngineConfig::validate`].
@@ -287,9 +281,8 @@ impl std::error::Error for EngineConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Worker shards. Streams are pinned to shards by their `(link, unit
-    /// id)` stream key. Under [`IngestMode::Threads`] each shard is an OS
-    /// thread; under [`IngestMode::Async`] shards are tasks and threads are
-    /// the (smaller) worker pool.
+    /// id)` stream key. Shards are tasks; the OS threads are the (usually
+    /// smaller) worker pool ([`IngestMode::Async`]).
     pub num_shards: usize,
     /// Backlog (queued packages across a shard's streams) that triggers a
     /// classification round. Larger backlogs let a round cover more
@@ -308,24 +301,19 @@ pub struct EngineConfig {
     /// CRC sliding-window width for feature extraction (per stream).
     pub crc_window: usize,
     /// Top-`k` mode for the combined backends started through
-    /// [`Engine::start`] / [`Engine::start_from_artifact`]. Ignored by
-    /// [`Engine::start_backend`], whose backend already fixes its own
-    /// decision rule.
+    /// [`Engine::try_start`]. Ignored by [`Engine::try_start_backend`],
+    /// whose backend already fixes its own decision rule.
     pub mode: EngineMode,
     /// How shard workers are scheduled; purely a throughput/footprint
     /// knob, never a decision change.
     pub ingest: IngestMode,
     /// Round width (pending lanes in one classification round) above
-    /// which an async shard *splits* the round: the lanes are partitioned
+    /// which a shard *splits* the round: the lanes are partitioned
     /// into disjoint sub-batches classified concurrently across the
     /// work-stealing pool (fork-join), so one hot shard's wide round can
     /// occupy otherwise-idle workers. At most one partition per pool
     /// worker and no partition narrower than this threshold. `usize::MAX`
-    /// keeps every round atomic; the `ICSAD_SPLIT_THRESHOLD` environment
-    /// variable overrides the configured value (a positive integer, or
-    /// `off`/`max` for `usize::MAX`). Ignored under [`IngestMode::Threads`]
-    /// (one dedicated thread per shard — nobody to share a round with).
-    /// Like `ingest`, purely a throughput knob: decisions are
+    /// keeps every round atomic. Like `ingest`, purely a throughput knob: decisions are
     /// bit-identical at any threshold (see `ARCHITECTURE.md`, "Parallel
     /// rounds").
     pub split_threshold: usize,
@@ -337,7 +325,7 @@ pub struct EngineConfig {
     /// eviction each one leaks a lane forever). Both the sweep trigger
     /// and the idleness test are functions of the per-shard frame counter
     /// only — a pure function of the shard's FIFO message order — so
-    /// eviction is deterministic across runtimes, worker counts and
+    /// eviction is deterministic across worker counts and
     /// schedules, and never changes any decision (an evicted lane's
     /// frames were all classified before the eviction; a stream that
     /// later rejoins classifies bit-identically to a cold start). `None`
@@ -362,7 +350,7 @@ impl Default for EngineConfig {
             channel_capacity: 1024,
             crc_window: DEFAULT_CRC_WINDOW,
             mode: EngineMode::FixedK,
-            ingest: IngestMode::Threads,
+            ingest: IngestMode::default(),
             // Wide enough that narrow rounds never pay fork overhead, low
             // enough that a genuinely hot shard (hundreds of active lanes)
             // spreads across the pool.
@@ -484,8 +472,7 @@ pub struct ShardReport {
     /// the backlog fully drained through the outgoing detector first.
     pub swap_rounds: Vec<u64>,
     /// Flushes this shard forked into parallel sub-batches across the
-    /// pool ([`EngineConfig::split_threshold`]); always 0 under
-    /// [`IngestMode::Threads`].
+    /// pool ([`EngineConfig::split_threshold`]).
     pub split_rounds: u64,
     /// Widest classification round (pending lanes in one flush) this
     /// shard executed — the skew signal: a hot shard's widest round
@@ -499,26 +486,23 @@ pub struct ShardReport {
 /// shards, on how many threads, and how hard the flow control worked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// The resolved ingest mode: `"threads"`, `"async"` or
-    /// `"async-deterministic"` (after any `ICSAD_INGEST_MODE` override).
+    /// The ingest mode: `"async"` or `"async-deterministic"`.
     pub mode: &'static str,
     /// OS threads the engine spawned to drive shards (excludes the caller's
-    /// ingest thread): `num_shards` under [`IngestMode::Threads`], the pool
-    /// size under [`IngestMode::Async`], 1 under
+    /// ingest thread): the pool size under [`IngestMode::Async`], 1 under
     /// [`IngestMode::AsyncDeterministic`].
     pub ingest_threads: usize,
     /// Times [`Engine::ingest`]/[`Engine::flush_ingest`] found a shard's
     /// channel full and had to wait — the backpressure counter. Zero means
     /// the shards always kept ahead of the tap.
     pub blocked_pushes: u64,
-    /// Shard tasks taken from another worker's run queue (async modes
-    /// only): how often a hot shard's work migrated to an idle worker.
+    /// Shard tasks taken from another worker's run queue: how often a hot
+    /// shard's work migrated to an idle worker.
     pub steals: u64,
-    /// Task polls executed (async modes only).
+    /// Task polls executed.
     pub polls: u64,
     /// Classification rounds forked into parallel sub-units on the shared
-    /// round board (async modes only; sum of
-    /// [`ShardReport::split_rounds`]).
+    /// round board (sum of [`ShardReport::split_rounds`]).
     pub split_rounds: u64,
     /// Sub-units those rounds were split into.
     pub round_units: u64,
@@ -579,23 +563,15 @@ impl EngineReport {
     }
 }
 
-/// The running ingest machinery behind an [`Engine`]: either dedicated
-/// per-shard threads or the shared work-stealing pool. Every variant
-/// presents the same per-shard FIFO contract, which is what keeps the two
-/// runtimes decision-identical.
-enum IngestDriver {
-    Threads {
-        queues: Vec<Arc<IngestQueue<ShardMsg>>>,
-        workers: Vec<JoinHandle<ShardReport>>,
-    },
-    Async {
-        queues: Vec<Arc<IngestQueue<ShardMsg>>>,
-        executor: Executor<ShardTask>,
-        /// The pool-shared fork-join board wide rounds split onto; kept
-        /// here so `finish` can report its counters.
-        board: Arc<RoundBoard<EngineUnit>>,
-        mode: &'static str,
-    },
+/// The running ingest machinery behind an [`Engine`]: one bounded FIFO
+/// per shard feeding shard tasks on the work-stealing pool.
+struct IngestDriver {
+    queues: Vec<Arc<IngestQueue<ShardMsg>>>,
+    executor: Executor<ShardTask>,
+    /// The pool-shared fork-join board wide rounds split onto; kept here
+    /// so `finish` can report its counters.
+    board: Arc<RoundBoard<EngineUnit>>,
+    mode: &'static str,
 }
 
 /// A shard's worker terminated (panicked) before the message could be
@@ -603,92 +579,121 @@ enum IngestDriver {
 struct ShardGone;
 
 impl IngestDriver {
-    fn mode(&self) -> &'static str {
-        match self {
-            IngestDriver::Threads { .. } => "threads",
-            IngestDriver::Async { mode, .. } => mode,
+    /// Builds the per-shard queues and shard tasks and starts the pool
+    /// that polls them.
+    fn start(
+        backend: &Arc<dyn StreamingDetector>,
+        config: &EngineConfig,
+        chunk_capacity: usize,
+        recycle: &Arc<RecycleRing<Vec<RawFrame>>>,
+        processed: &Arc<AtomicU64>,
+    ) -> IngestDriver {
+        let num_shards = config.num_shards;
+        let (schedule, mode) = match config.ingest {
+            IngestMode::Async { workers } => {
+                // A fixed pool: `available_parallelism` (capped at the
+                // shard count) by default. An explicit count is honored as
+                // given — a pool *larger* than the shard count is not
+                // pointless, because extra workers claim sub-units of
+                // split rounds.
+                let workers = if workers == 0 {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                        .min(num_shards)
+                } else {
+                    workers
+                };
+                (Schedule::Pool { workers }, "async")
+            }
+            IngestMode::AsyncDeterministic(schedule) => {
+                (Schedule::Deterministic(schedule), "async-deterministic")
+            }
+        };
+        // Rounds can fan out to at most the whole pool. The deterministic
+        // scheduler forks with its virtual worker count — the parent then
+        // runs every sub-unit inline, so seeded replays exercise the exact
+        // split plan a real pool of that size would execute.
+        let fan_out = match &schedule {
+            Schedule::Pool { workers } => *workers,
+            Schedule::Deterministic(test) => test.workers,
+        };
+        let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
+            .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
+            .collect();
+        let board = Arc::new(RoundBoard::new());
+        let tasks: Vec<ShardTask> = queues
+            .iter()
+            .enumerate()
+            .map(|(shard, queue)| {
+                let session = Arc::clone(backend).begin_session();
+                ShardTask::new(
+                    ShardCore::new(
+                        session,
+                        config.clone(),
+                        RoundDriver {
+                            board: Arc::clone(&board),
+                            fan_out,
+                        },
+                        Arc::clone(recycle),
+                        Arc::clone(processed),
+                    ),
+                    Arc::clone(queue),
+                    shard,
+                )
+            })
+            .collect();
+        IngestDriver {
+            queues,
+            executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
+            board,
+            mode,
         }
     }
 
     fn num_shards(&self) -> usize {
-        match self {
-            IngestDriver::Threads { queues, .. } | IngestDriver::Async { queues, .. } => {
-                queues.len()
-            }
-        }
-    }
-
-    fn ingest_threads(&self) -> usize {
-        match self {
-            IngestDriver::Threads { workers, .. } => workers.len(),
-            IngestDriver::Async { executor, .. } => executor.threads(),
-        }
+        self.queues.len()
     }
 
     /// Delivers one message to a shard's FIFO, blocking under backpressure
     /// (counted on `blocked`).
     fn send(&self, shard: usize, msg: ShardMsg, blocked: &AtomicU64) -> Result<(), ShardGone> {
-        let (queues, executor) = match self {
-            IngestDriver::Threads { queues, .. } => (queues, None),
-            IngestDriver::Async {
-                queues, executor, ..
-            } => (queues, Some(executor)),
-        };
-        let pushed = match queues[shard].try_push(msg) {
-            Ok(()) => Ok(()),
+        let queue = &self.queues[shard];
+        match queue.try_push(msg) {
+            Ok(()) => {}
             Err(TryPushError::Full(msg)) => {
                 // ORDERING: Relaxed — monotonic reporting counter, read
                 // only after the run is over; it orders nothing.
                 blocked.fetch_add(1, Ordering::Relaxed);
-                queues[shard].push(msg).map_err(|_| ShardGone)
+                queue.push(msg).map_err(|_| ShardGone)?;
             }
-            Err(TryPushError::Closed(_)) => Err(ShardGone),
-        };
-        if pushed.is_ok() {
-            if let Some(executor) = executor {
-                executor.notify(shard);
-            }
+            Err(TryPushError::Closed(_)) => return Err(ShardGone),
         }
-        pushed
+        self.executor.notify(shard);
+        Ok(())
     }
 
     /// Closes ingest and joins every worker, **even when some panicked**:
-    /// all handles are joined before any result is inspected, so one
-    /// panicking shard can no longer leak the surviving workers. Panics are
-    /// returned as `Err` payloads in shard order, plus the async scheduler
-    /// counters.
+    /// all workers are joined before any result is inspected, so one
+    /// panicking shard cannot leak the surviving workers. Panics are
+    /// returned as `Err` payloads in shard order, plus the scheduler and
+    /// round-board counters.
     fn into_results(self) -> (Vec<std::thread::Result<ShardReport>>, u64, u64, RoundStats) {
-        match self {
-            IngestDriver::Threads { queues, workers } => {
-                for queue in &queues {
-                    queue.close();
-                }
-                let results = workers.into_iter().map(|w| w.join()).collect();
-                (results, 0, 0, RoundStats::default())
-            }
-            IngestDriver::Async {
-                queues,
-                executor,
-                board,
-                ..
-            } => {
-                for (shard, queue) in queues.iter().enumerate() {
-                    queue.close();
-                    executor.notify(shard);
-                }
-                let (results, stats) = executor.join();
-                (results, stats.steals, stats.polls, board.stats())
-            }
+        for (shard, queue) in self.queues.iter().enumerate() {
+            queue.close();
+            self.executor.notify(shard);
         }
+        let (results, stats) = self.executor.join();
+        (results, stats.steals, stats.polls, self.board.stats())
     }
 }
 
 /// The running engine: a router handle over the shard workers.
 ///
-/// Create with [`Engine::start`] (combined framework, fixed or adaptive
-/// `k`), [`Engine::start_from_artifact`] (the same, cold-started from a
-/// commissioning file) or [`Engine::start_backend`] (any
-/// [`StreamingDetector`], e.g. a Table IV window baseline). Feed frames
+/// Create with [`Engine::try_start`] (combined framework, fixed or
+/// adaptive `k`; cold-start from a commissioning file by passing it a
+/// [`CombinedDetector::load`]ed detector) or [`Engine::try_start_backend`]
+/// (any [`StreamingDetector`], e.g. a Table IV window baseline). Feed frames
 /// with [`Engine::ingest`] (or [`Engine::ingest_packets`] from the
 /// simulator), optionally hot-reload with [`Engine::swap_artifact`], then
 /// call [`Engine::finish`] to drain the pipelines and collect the report.
@@ -721,102 +726,19 @@ pub struct Engine {
 /// Frames per channel message (amortizes the per-send synchronization).
 const INGEST_CHUNK: usize = 64;
 
-/// Resolves the effective ingest mode: the `ICSAD_INGEST_MODE` /
-/// `ICSAD_INGEST_WORKERS` environment overrides win over the configured
-/// mode (mirroring `ICSAD_KERNEL_BACKEND`), so a CI leg can run any suite
-/// on either runtime. Deterministic schedules are exempt — a seeded
-/// interleaving test means nothing on a different runtime.
-fn resolve_ingest_mode(configured: IngestMode) -> IngestMode {
-    if matches!(configured, IngestMode::AsyncDeterministic(_)) {
-        return configured;
-    }
-    let workers = match std::env::var("ICSAD_INGEST_WORKERS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("icsad-engine: ignoring unrecognized ICSAD_INGEST_WORKERS={raw:?}");
-                None
-            }
-        },
-        Err(_) => None,
-    };
-    // Without an explicit ICSAD_INGEST_WORKERS, an `async` override keeps a
-    // configured Async pool size (the env var then only confirms the mode);
-    // anything else defaults to host-sized.
-    let configured_workers = match configured {
-        IngestMode::Async { workers } => workers,
-        _ => 0,
-    };
-    match std::env::var("ICSAD_INGEST_MODE") {
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "threads" => IngestMode::Threads,
-            "async" => IngestMode::Async {
-                workers: workers.unwrap_or(configured_workers),
-            },
-            _ => {
-                eprintln!(
-                    "icsad-engine: ignoring unrecognized ICSAD_INGEST_MODE={raw:?} \
-                     (expected \"threads\" or \"async\")"
-                );
-                configured
-            }
-        },
-        Err(_) => match (configured, workers) {
-            // ICSAD_INGEST_WORKERS alone re-sizes an already-async config.
-            (IngestMode::Async { .. }, Some(workers)) => IngestMode::Async { workers },
-            _ => configured,
-        },
-    }
-}
-
-/// Resolves the effective round-split threshold: the
-/// `ICSAD_SPLIT_THRESHOLD` environment override (a positive integer, or
-/// `off`/`max`/`inf` for `usize::MAX`) wins over the configured value, so
-/// a CI leg can run any suite with forced or disabled round splitting.
-/// Safe to apply in every mode — the threshold is a pure throughput knob
-/// and never changes decisions, so even seeded deterministic tests stay
-/// valid under an override.
-fn resolve_split_threshold(configured: usize) -> usize {
-    match std::env::var("ICSAD_SPLIT_THRESHOLD") {
-        Ok(raw) => {
-            let trimmed = raw.trim();
-            match trimmed.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => match trimmed.to_ascii_lowercase().as_str() {
-                    "off" | "max" | "inf" => usize::MAX,
-                    _ => {
-                        eprintln!(
-                            "icsad-engine: ignoring unrecognized ICSAD_SPLIT_THRESHOLD={raw:?} \
-                             (expected a positive integer or \"off\")"
-                        );
-                        configured
-                    }
-                },
-            }
-        }
-        Err(_) => configured,
-    }
-}
-
 impl Engine {
-    /// Spawns the shard workers around the combined framework and returns
+    /// Starts the shard tasks around the combined framework and returns
     /// the ingest handle. [`EngineConfig::mode`] selects the top-`k` rule:
     /// the commissioned fixed `k`, or per-stream dynamic-`k` controllers.
     ///
+    /// # Errors
+    ///
+    /// The [`EngineConfigError`] if the config fails
+    /// [`EngineConfig::validate`]; nothing is spawned on error.
+    ///
     /// # Panics
     ///
-    /// Panics if the config fails [`EngineConfig::validate`] (use
-    /// [`Engine::try_start`] for a typed error) or if an
-    /// [`EngineMode::AdaptiveK`] config is degenerate.
-    pub fn start(detector: Arc<CombinedDetector>, config: EngineConfig) -> Engine {
-        // PANIC: documented contract of `start` — the typed alternative is
-        // `try_start`; nothing has been spawned when this fires.
-        Engine::try_start(detector, config).unwrap_or_else(|e| panic!("invalid EngineConfig: {e}"))
-    }
-
-    /// [`Engine::start`] with the configuration check surfaced as a typed
-    /// [`EngineConfigError`] instead of a panic. Nothing is spawned on
-    /// error.
+    /// Panics if an [`EngineMode::AdaptiveK`] config is degenerate.
     pub fn try_start(
         detector: Arc<CombinedDetector>,
         config: EngineConfig,
@@ -828,34 +750,23 @@ impl Engine {
         Engine::try_start_backend(backend, config)
     }
 
-    /// Spawns the shard workers around an arbitrary streaming backend —
-    /// the combined framework, its dynamic-`k` wrapper, or one of the six
+    /// Starts the shard tasks around an arbitrary streaming backend — the
+    /// combined framework, its dynamic-`k` wrapper, or one of the six
     /// Table IV window baselines (`icsad_baselines::WindowedBackend`) for
     /// apples-to-apples streaming comparisons.
     ///
     /// [`EngineConfig::mode`] is ignored here: the backend itself fixes
     /// the decision rule.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the config fails [`EngineConfig::validate`] (use
-    /// [`Engine::try_start_backend`] for a typed error).
-    pub fn start_backend(backend: Arc<dyn StreamingDetector>, config: EngineConfig) -> Engine {
-        // PANIC: documented contract of `start_backend`; see `start`.
-        Engine::try_start_backend(backend, config)
-            .unwrap_or_else(|e| panic!("invalid EngineConfig: {e}"))
-    }
-
-    /// [`Engine::start_backend`] with the configuration check surfaced as
-    /// a typed [`EngineConfigError`] instead of a panic. Nothing is
-    /// spawned on error.
+    /// The [`EngineConfigError`] if the config fails
+    /// [`EngineConfig::validate`]; nothing is spawned on error.
     pub fn try_start_backend(
         backend: Arc<dyn StreamingDetector>,
         config: EngineConfig,
     ) -> Result<Engine, EngineConfigError> {
         config.validate()?;
-        let mut config = config;
-        config.split_threshold = resolve_split_threshold(config.split_threshold);
 
         // Resolve the SIMD kernel dispatch once, before any shard spawns:
         // every worker inherits the same backend, and the report can name
@@ -872,108 +783,7 @@ impl Engine {
         let recycle: Arc<RecycleRing<Vec<RawFrame>>> =
             Arc::new(RecycleRing::bounded(num_shards * (chunk_capacity + 2)));
         let processed = Arc::new(AtomicU64::new(0));
-        let driver = match resolve_ingest_mode(config.ingest) {
-            IngestMode::Threads => {
-                let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
-                    .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
-                    .collect();
-                let mut workers = Vec::with_capacity(num_shards);
-                for (shard, queue) in queues.iter().enumerate() {
-                    let inbox = Arc::clone(queue);
-                    let backend = Arc::clone(&backend);
-                    let config = config.clone();
-                    let recycle = Arc::clone(&recycle);
-                    let processed = Arc::clone(&processed);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("icsad-shard-{shard}"))
-                        .spawn(move || {
-                            let session = backend.begin_session();
-                            run_threaded(
-                                ShardCore::new(
-                                    session,
-                                    config,
-                                    RoundDriver::Inline,
-                                    recycle,
-                                    processed,
-                                ),
-                                shard,
-                                inbox,
-                            )
-                        })
-                        // PANIC: thread spawn fails only on OS resource
-                        // exhaustion at startup; there is no engine to keep
-                        // alive yet.
-                        .expect("failed to spawn shard worker");
-                    workers.push(handle);
-                }
-                IngestDriver::Threads { queues, workers }
-            }
-            async_mode => {
-                let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
-                    .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
-                    .collect();
-                let (schedule, mode) = match async_mode {
-                    IngestMode::Async { workers } => {
-                        // A fixed pool: `available_parallelism` (capped at
-                        // the shard count) by default. An explicit count is
-                        // honored as given — a pool *larger* than the shard
-                        // count is no longer pointless, because extra
-                        // workers claim sub-units of split rounds.
-                        let workers = if workers == 0 {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1)
-                                .min(num_shards)
-                        } else {
-                            workers
-                        }
-                        .max(1);
-                        (Schedule::Pool { workers }, "async")
-                    }
-                    IngestMode::AsyncDeterministic(schedule) => {
-                        (Schedule::Deterministic(schedule), "async-deterministic")
-                    }
-                    IngestMode::Threads => unreachable!("handled above"),
-                };
-                // Rounds can fan out to at most the whole pool. The
-                // deterministic scheduler forks with its virtual worker
-                // count — the parent then runs every sub-unit inline, so
-                // seeded replays exercise the exact split plan a real pool
-                // of that size would execute.
-                let fan_out = match &schedule {
-                    Schedule::Pool { workers } => *workers,
-                    Schedule::Deterministic(test) => test.workers,
-                };
-                let board = Arc::new(RoundBoard::new());
-                let tasks: Vec<ShardTask> = queues
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, queue)| {
-                        let session = Arc::clone(&backend).begin_session();
-                        ShardTask::new(
-                            ShardCore::new(
-                                session,
-                                config.clone(),
-                                RoundDriver::Board {
-                                    board: Arc::clone(&board),
-                                    fan_out,
-                                },
-                                Arc::clone(&recycle),
-                                Arc::clone(&processed),
-                            ),
-                            Arc::clone(queue),
-                            shard,
-                        )
-                    })
-                    .collect();
-                IngestDriver::Async {
-                    queues,
-                    executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
-                    board,
-                    mode,
-                }
-            }
-        };
+        let driver = IngestDriver::start(&backend, &config, chunk_capacity, &recycle, &processed);
         Ok(Engine {
             backend,
             kernel_backend,
@@ -986,29 +796,6 @@ impl Engine {
             blocked_pushes: AtomicU64::new(0),
             reloads: 0,
         })
-    }
-
-    /// Cold-starts an engine from a commissioning artifact file (see
-    /// [`icsad_core::artifact`]): loads the trained
-    /// [`CombinedDetector`] saved by [`CombinedDetector::save`] and spawns
-    /// the shard workers around it — the train-offline / monitor-online
-    /// split the paper's deployment model assumes.
-    /// [`EngineConfig::mode`] applies exactly as in [`Engine::start`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ArtifactError`] if the file cannot be read or its
-    /// contents are corrupt; no threads are spawned on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero `config` field, exactly like [`Engine::start`].
-    pub fn start_from_artifact(
-        path: impl AsRef<std::path::Path>,
-        config: EngineConfig,
-    ) -> Result<Engine, ArtifactError> {
-        let detector = CombinedDetector::load(path)?;
-        Ok(Engine::start(Arc::new(detector), config))
     }
 
     /// Hot-reloads a freshly commissioned artifact into the running engine
@@ -1197,24 +984,22 @@ impl Engine {
         self.buffers.len()
     }
 
-    /// OS threads the engine spawned to drive its shards: `num_shards`
-    /// under [`IngestMode::Threads`], the pool size under
-    /// [`IngestMode::Async`] (`available_parallelism` when `workers` is
-    /// `0`; an explicit count is honored as given, capped only at
-    /// `num_shards`), and 1 under [`IngestMode::AsyncDeterministic`]. The
-    /// idle-stream soak test pins the async engine's thread footprint
-    /// with this.
+    /// OS threads the engine spawned to drive its shards: the pool size
+    /// under [`IngestMode::Async`] (`available_parallelism` capped at
+    /// `num_shards` when `workers` is `0`; an explicit count is honored as
+    /// given, uncapped), and 1 under [`IngestMode::AsyncDeterministic`].
+    /// The idle-stream soak test pins the engine's thread footprint with
+    /// this.
     pub fn ingest_threads(&self) -> usize {
         self.driver
             .as_ref()
-            .map(|d| d.ingest_threads())
+            .map(|d| d.executor.threads())
             .unwrap_or(0)
     }
 
-    /// The resolved ingest mode: `"threads"`, `"async"` or
-    /// `"async-deterministic"` (after any `ICSAD_INGEST_MODE` override).
+    /// The ingest mode: `"async"` or `"async-deterministic"`.
     pub fn ingest_mode(&self) -> &'static str {
-        self.driver.as_ref().map(|d| d.mode()).unwrap_or("finished")
+        self.driver.as_ref().map(|d| d.mode).unwrap_or("finished")
     }
 
     /// The shard a single-link (link `0`) unit id is pinned to.
@@ -1406,8 +1191,8 @@ impl Engine {
         // PANIC: `finish` consumes `self`, so the driver can only have been
         // taken by a previous `finish` — unreachable.
         let driver = self.driver.take().expect("finish called once");
-        let mode = driver.mode();
-        let ingest_threads = driver.ingest_threads();
+        let mode = driver.mode;
+        let ingest_threads = driver.executor.threads();
         let (results, steals, polls, round_stats) = driver.into_results();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(results.len());
         let mut panic = None;
@@ -1554,7 +1339,7 @@ mod tests {
         }
 
         // Engine: sharded + batched.
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 2,
@@ -1562,7 +1347,8 @@ mod tests {
                 channel_capacity: 64,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_packets(&packets);
         assert_eq!(engine.ingested(), packets.len() as u64);
         assert_eq!(engine.kernel_backend(), icsad_simd::current().label());
@@ -1610,7 +1396,7 @@ mod tests {
         }
 
         let run = |shards: usize, batch: usize| {
-            let mut engine = Engine::start(
+            let mut engine = Engine::try_start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: shards,
@@ -1619,7 +1405,8 @@ mod tests {
                     mode: EngineMode::AdaptiveK(k_config),
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             assert!(engine.backend_name().contains("dynamic k"));
             engine.ingest_packets(&packets);
             engine.finish()
@@ -1684,7 +1471,7 @@ mod tests {
             theta: 0.05,
         };
         let run = |mode: EngineMode| {
-            let mut engine = Engine::start(
+            let mut engine = Engine::try_start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: 1,
@@ -1693,7 +1480,8 @@ mod tests {
                     mode,
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             engine.ingest_packets(&packets);
             engine.finish()
         };
@@ -1711,7 +1499,7 @@ mod tests {
         let detector = small_detector(32);
         let packets = multi_plc_capture(&[1, 2, 3, 4], 300, 32);
         let run = |shards: usize, batch: usize| {
-            let mut engine = Engine::start(
+            let mut engine = Engine::try_start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: shards,
@@ -1719,7 +1507,8 @@ mod tests {
                     channel_capacity: 16,
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             engine.ingest_packets(&packets);
             engine.finish()
         };
@@ -1744,7 +1533,7 @@ mod tests {
     fn single_stream_traffic_degrades_to_per_record_flushes() {
         let detector = small_detector(33);
         let packets = multi_plc_capture(&[4], 200, 33);
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 1,
@@ -1752,7 +1541,8 @@ mod tests {
                 channel_capacity: 8,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_packets(&packets);
         let report = engine.finish();
         assert_eq!(report.frames(), 200);
@@ -1765,7 +1555,7 @@ mod tests {
     fn tiny_channels_apply_backpressure_without_deadlock() {
         let detector = small_detector(34);
         let packets = multi_plc_capture(&[2, 5], 400, 34);
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 2,
@@ -1773,7 +1563,8 @@ mod tests {
                 channel_capacity: 1,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_packets(&packets);
         let report = engine.finish();
         assert_eq!(report.frames(), 800);
@@ -1785,7 +1576,7 @@ mod tests {
         let packets = multi_plc_capture(&[4, 7], 300, 36);
 
         let run = |with_garbage: bool| {
-            let mut engine = Engine::start(
+            let mut engine = Engine::try_start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: 2,
@@ -1793,7 +1584,8 @@ mod tests {
                     channel_capacity: 64,
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             let mut malformed = 0u64;
             for (i, p) in packets.iter().enumerate() {
                 engine.ingest(RawFrame::from(p));
@@ -1837,7 +1629,7 @@ mod tests {
         let packets = multi_plc_capture(&[3, 6], 300, 38);
 
         let run = |with_bad_times: bool| {
-            let mut engine = Engine::start(
+            let mut engine = Engine::try_start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: 2,
@@ -1845,7 +1637,8 @@ mod tests {
                     channel_capacity: 64,
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             let mut injected = 0u64;
             for (i, p) in packets.iter().enumerate() {
                 engine.ingest(RawFrame::from(p));
@@ -1902,7 +1695,11 @@ mod tests {
         detector_b.save(&path_b).unwrap();
 
         // Live engine: run on A, swap to B mid-shift, keep running.
-        let mut live = Engine::start_from_artifact(&path_a, config.clone()).unwrap();
+        let mut live = Engine::try_start(
+            Arc::new(CombinedDetector::load(&path_a).unwrap()),
+            config.clone(),
+        )
+        .unwrap();
         live.ingest_packets(&capture_1);
         live.swap_artifact(&path_b).unwrap();
         assert_eq!(live.reloads(), 1);
@@ -1911,10 +1708,14 @@ mod tests {
 
         // References: A over capture 1 alone, B cold-started over capture 2
         // alone.
-        let mut ref_a = Engine::start(Arc::clone(&detector_a), config.clone());
+        let mut ref_a = Engine::try_start(Arc::clone(&detector_a), config.clone()).unwrap();
         ref_a.ingest_packets(&capture_1);
         let ref_a = ref_a.finish();
-        let mut ref_b = Engine::start_from_artifact(&path_b, config.clone()).unwrap();
+        let mut ref_b = Engine::try_start(
+            Arc::new(CombinedDetector::load(&path_b).unwrap()),
+            config.clone(),
+        )
+        .unwrap();
         ref_b.ingest_packets(&capture_2);
         let ref_b = ref_b.finish();
         std::fs::remove_file(&path_a).ok();
@@ -1957,7 +1758,7 @@ mod tests {
         ));
         detector.save(&path).unwrap();
 
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 2,
@@ -1965,7 +1766,8 @@ mod tests {
                 channel_capacity: 64,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         let third = packets.len() / 3;
         engine.ingest_packets(&packets[..third]);
         engine.swap_artifact(&path).unwrap();
@@ -2010,16 +1812,16 @@ mod tests {
         ));
         detector_b.save(&path_b).unwrap();
 
-        let mut live = Engine::start(Arc::clone(&detector_a), config.clone());
+        let mut live = Engine::try_start(Arc::clone(&detector_a), config.clone()).unwrap();
         live.ingest_packets(&capture_1);
         live.swap_artifact(&path_b).unwrap();
         live.ingest_packets(&capture_2);
         let live_report = live.finish();
 
-        let mut ref_a = Engine::start(Arc::clone(&detector_a), config.clone());
+        let mut ref_a = Engine::try_start(Arc::clone(&detector_a), config.clone()).unwrap();
         ref_a.ingest_packets(&capture_1);
         let ref_a = ref_a.finish();
-        let mut ref_b = Engine::start(Arc::clone(&detector_b), config.clone());
+        let mut ref_b = Engine::try_start(Arc::clone(&detector_b), config.clone()).unwrap();
         ref_b.ingest_packets(&capture_2);
         let ref_b = ref_b.finish();
         std::fs::remove_file(&path_b).ok();
@@ -2061,7 +1863,7 @@ mod tests {
             }
         }
 
-        let mut engine = Engine::start_backend(
+        let mut engine = Engine::try_start_backend(
             Arc::clone(&backend) as Arc<dyn StreamingDetector>,
             EngineConfig {
                 num_shards: 2,
@@ -2069,7 +1871,8 @@ mod tests {
                 channel_capacity: 64,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(engine.backend_name(), "IF");
         engine.ingest_packets(&packets);
         let report = engine.finish();
@@ -2100,7 +1903,7 @@ mod tests {
         detector.save(&path).unwrap();
 
         let packets = multi_plc_capture(&[2, 7], 100, 52);
-        let mut engine = Engine::start_backend(
+        let mut engine = Engine::try_start_backend(
             Arc::new(WindowedBackend::new(forest)),
             EngineConfig {
                 num_shards: 1,
@@ -2108,7 +1911,8 @@ mod tests {
                 channel_capacity: 64,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_packets(&packets[..50]);
         let err = engine
             .swap_artifact(&path)
@@ -2137,7 +1941,7 @@ mod tests {
             std::env::temp_dir().join(format!("icsad-swap-corrupt-{}.icsa", std::process::id()));
         std::fs::write(&path, b"definitely not an artifact").unwrap();
 
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 2,
@@ -2145,7 +1949,8 @@ mod tests {
                 channel_capacity: 64,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_packets(&packets[..50]);
         let err = engine.swap_artifact(&path).expect_err("corrupt artifact");
         assert!(matches!(
@@ -2176,11 +1981,12 @@ mod tests {
         ));
         detector.save(&path).unwrap();
 
-        let mut live = Engine::start(Arc::clone(&detector), config.clone());
+        let mut live = Engine::try_start(Arc::clone(&detector), config.clone()).unwrap();
         live.ingest_packets(&packets);
         let live_report = live.finish();
 
-        let mut cold = Engine::start_from_artifact(&path, config).unwrap();
+        let mut cold =
+            Engine::try_start(Arc::new(CombinedDetector::load(&path).unwrap()), config).unwrap();
         cold.ingest_packets(&packets);
         let cold_report = cold.finish();
         std::fs::remove_file(&path).ok();
@@ -2200,25 +2006,9 @@ mod tests {
     }
 
     #[test]
-    fn start_from_artifact_surfaces_artifact_errors() {
-        let path = std::env::temp_dir().join(format!(
-            "icsad-engine-badartifact-{}.icsa",
-            std::process::id()
-        ));
-        std::fs::write(&path, b"definitely not an artifact").unwrap();
-        let result = Engine::start_from_artifact(&path, EngineConfig::default());
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(result, Err(ArtifactError::BadMagic)));
-        assert!(matches!(
-            Engine::start_from_artifact("/nonexistent/icsad.icsa", EngineConfig::default()),
-            Err(ArtifactError::Io(_))
-        ));
-    }
-
-    #[test]
     fn unit_id_routing_is_stable() {
         let detector = small_detector(35);
-        let engine = Engine::start(detector, EngineConfig::default());
+        let engine = Engine::try_start(detector, EngineConfig::default()).unwrap();
         let shards = engine.num_shards();
         assert!(shards >= 1);
         for unit in 0..=255u8 {

@@ -1,18 +1,14 @@
-//! The shard loop, split into a runtime-agnostic core and two drivers.
+//! The shard loop, split into a scheduling-agnostic core and its task.
 //!
 //! [`ShardCore`] owns everything a shard does between scheduling points:
 //! per-stream extraction and queueing, round-based batched classification
 //! through a [`StreamingSession`], label FIFOs pairing deferred decisions
 //! back with their packages, and the round-boundary hot-swap protocol. It
-//! never blocks and never touches a channel — *when* it runs is entirely
-//! the driver's business, which is what makes the two drivers
-//! decision-equivalent by construction:
-//!
-//! * [`run_threaded`] — the classic one-OS-thread-per-shard loop over a
-//!   blocking `std::sync::mpsc` receiver ([`IngestMode::Threads`]).
-//! * [`ShardTask`] — the same core as a cooperatively scheduled
-//!   [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled by the
-//!   work-stealing pool ([`IngestMode::Async`]).
+//! never blocks and never touches a queue — *when* it runs is entirely the
+//! scheduler's business. [`ShardTask`] wraps it as a cooperatively
+//! scheduled [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled
+//! by the work-stealing pool (or by the seeded single-thread replay
+//! scheduler the tests use as the schedule oracle).
 //!
 //! Per-stream decisions depend only on the per-shard message order (frames
 //! and swaps arrive through one FIFO per shard) and on each lane's record
@@ -21,10 +17,9 @@
 //! behind the engine's schedule-invariance tests; `ARCHITECTURE.md` spells
 //! it out.
 //!
-//! **Split rounds extend, not weaken, that argument.** Under an async
-//! [`RoundDriver::Board`], a round wider than
+//! **Split rounds extend, not weaken, that argument.** A round wider than
 //! [`EngineConfig::split_threshold`] forks into disjoint lane partitions
-//! classified concurrently on the pool:
+//! classified concurrently on the pool ([`RoundDriver`]):
 //!
 //! * *No aliasing*: each partition owns the moved-out mutable state of its
 //!   lanes (LSTM cells, controller, batch scratch) and shares only the
@@ -71,20 +66,13 @@ impl RoundUnit for EngineUnit {
     }
 }
 
-/// How a shard executes its classification rounds.
-pub(crate) enum RoundDriver {
-    /// Every round runs atomically on the shard's own thread/task
-    /// ([`IngestMode::Threads`](crate::IngestMode::Threads), which has one
-    /// dedicated thread per shard and nobody to share a round with).
-    Inline,
-    /// Rounds wider than [`EngineConfig::split_threshold`] fork into
-    /// stealable sub-units on the pool's shared [`RoundBoard`] (async
-    /// modes). `fan_out` is the pool size — the most workers a round
-    /// could occupy, and so the most partitions worth forking.
-    Board {
-        board: Arc<RoundBoard<EngineUnit>>,
-        fan_out: usize,
-    },
+/// Where a shard's wide rounds fork to: rounds wider than
+/// [`EngineConfig::split_threshold`] become stealable sub-units on the
+/// pool's shared [`RoundBoard`]. `fan_out` is the pool size — the most
+/// workers a round could occupy, and so the most partitions worth forking.
+pub(crate) struct RoundDriver {
+    pub(crate) board: Arc<RoundBoard<EngineUnit>>,
+    pub(crate) fan_out: usize,
 }
 
 /// Control-plane message to a shard: a chunk of routed frames, a
@@ -96,14 +84,14 @@ pub(crate) enum ShardMsg {
     /// Retire every lane of `link` (`unit: None`), or just the one stream
     /// `(link, unit)`. Ordered through the same FIFO as frames, so a
     /// retirement takes effect exactly between the frames that preceded it
-    /// and any that follow — on every runtime, under every schedule.
+    /// and any that follow — under every schedule.
     Retire {
         link: u32,
         unit: Option<u8>,
     },
 }
 
-/// The runtime-agnostic shard state machine: per-stream extraction and
+/// The scheduling-agnostic shard state machine: per-stream extraction and
 /// queueing, round-based batched classification through a
 /// [`StreamingSession`].
 ///
@@ -135,7 +123,7 @@ pub(crate) struct ShardCore {
     /// Per lane, the value of `frames` when the lane last received a
     /// frame — a pure function of the shard's FIFO message order, so
     /// idle-eviction decisions keyed on it replay identically across
-    /// runtimes and schedules.
+    /// worker counts and schedules.
     last_seen: Vec<u64>,
     /// Cumulative distinct stream *activations* (a stream that leaves and
     /// rejoins counts twice); equals the resident-lane count when nothing
@@ -266,7 +254,7 @@ impl ShardCore {
         if self.queues[lane].is_empty() {
             // Empty→non-empty transition: the lane joins the round sweep.
             // Activation order is a pure function of the shard's FIFO
-            // message order, so it is identical across runtimes and
+            // message order, so it is identical across worker counts and
             // schedules (and cross-lane order within a round is
             // semantically free anyway — see the module doc).
             self.active_lanes.push(lane);
@@ -285,7 +273,7 @@ impl ShardCore {
     /// frames. Both the trigger and the idleness test are pure functions
     /// of the per-shard frame counter — itself a pure function of the
     /// shard's FIFO message order — so eviction points are identical
-    /// across runtimes, worker counts and schedules, and evicted lanes'
+    /// across worker counts and schedules, and evicted lanes'
     /// decisions are unchanged (each decision depends only on its own
     /// lane's record prefix, fully delivered before the eviction).
     fn sweep_idle_lanes(&mut self) {
@@ -416,26 +404,24 @@ impl ShardCore {
     fn classify_pending(&mut self) {
         let width = self.pending_lanes.len();
         self.widest_round = self.widest_round.max(width);
-        if let RoundDriver::Board { board, fan_out } = &self.rounds {
-            if width > self.config.split_threshold && *fan_out >= 2 {
-                // At most one partition per pool worker, and no partition
-                // narrower than the threshold (a sliver would pay fork
-                // overhead for a handful of lanes).
-                let parts = (*fan_out).min(width.div_ceil(self.config.split_threshold));
-                if parts >= 2 {
-                    if let Some(forked) = self.session.fork_round(
-                        &self.pending_lanes,
-                        &mut self.pending_records,
-                        parts,
-                    ) {
-                        let units = board.fork_join(forked.into_iter().map(EngineUnit).collect());
-                        self.session.join_round(
-                            units.into_iter().map(|u| u.0).collect(),
-                            &mut self.decisions,
-                        );
-                        self.split_rounds += 1;
-                        return;
-                    }
+        let RoundDriver { board, fan_out } = &self.rounds;
+        if width > self.config.split_threshold && *fan_out >= 2 {
+            // At most one partition per pool worker, and no partition
+            // narrower than the threshold (a sliver would pay fork
+            // overhead for a handful of lanes).
+            let parts = (*fan_out).min(width.div_ceil(self.config.split_threshold));
+            if parts >= 2 {
+                if let Some(forked) =
+                    self.session
+                        .fork_round(&self.pending_lanes, &mut self.pending_records, parts)
+                {
+                    let units = board.fork_join(forked.into_iter().map(EngineUnit).collect());
+                    self.session.join_round(
+                        units.into_iter().map(|u| u.0).collect(),
+                        &mut self.decisions,
+                    );
+                    self.split_rounds += 1;
+                    return;
                 }
             }
         }
@@ -554,66 +540,8 @@ impl ShardCore {
     }
 }
 
-/// The [`IngestMode::Threads`](crate::IngestMode::Threads) driver: one
-/// dedicated OS thread blocking on its shard's [`IngestQueue`] inbox,
-/// draining buffered bursts in one lock acquisition apiece.
-pub(crate) fn run_threaded(
-    mut core: ShardCore,
-    shard: usize,
-    inbox: Arc<IngestQueue<ShardMsg>>,
-) -> ShardReport {
-    // If the core panics mid-round, producers blocked on a full inbox
-    // would wait forever: poison the queue on the way out so
-    // `Engine::ingest` fails fast with `ShardGone` instead. On the normal
-    // path `into_results` already closed the queue and this is a no-op.
-    struct CloseOnExit(Arc<IngestQueue<ShardMsg>>);
-    impl Drop for CloseOnExit {
-        fn drop(&mut self) {
-            self.0.close();
-        }
-    }
-    let _guard = CloseOnExit(Arc::clone(&inbox));
-    let mut msgs: Vec<ShardMsg> = Vec::new();
-    'ingest: loop {
-        // Soak whatever is already buffered so rounds see a backlog of
-        // streams, flushing whenever the backlog is deep enough.
-        loop {
-            match inbox.drain_into(&mut msgs, usize::MAX) {
-                Drain::Items(_) => {
-                    for msg in msgs.drain(..) {
-                        core.handle(msg);
-                    }
-                }
-                Drain::Empty => break,
-                Drain::Closed => break 'ingest,
-            }
-        }
-        // Queue momentarily empty: work through the backlog, then block
-        // for the next burst.
-        core.flush_round();
-        if !core.has_backlog() {
-            match inbox.drain_wait(&mut msgs, usize::MAX) {
-                Drain::Items(_) => {
-                    for msg in msgs.drain(..) {
-                        core.handle(msg);
-                    }
-                }
-                Drain::Closed => break 'ingest,
-                // PANIC: `drain_wait` blocks while the queue is empty and
-                // open; `Empty` is unreachable by its contract.
-                Drain::Empty => unreachable!("drain_wait never returns Empty"),
-            }
-        }
-    }
-    // Ingest closed: drain everything still queued, then let the backend
-    // resolve decisions it deferred (window tails).
-    core.end_of_stream();
-    core.into_report(shard)
-}
-
-/// The [`IngestMode::Async`](crate::IngestMode::Async) driver: the same
-/// [`ShardCore`] as a cooperatively scheduled task over an [`IngestQueue`]
-/// inbox, polled by the work-stealing pool.
+/// A [`ShardCore`] as a cooperatively scheduled task over an
+/// [`IngestQueue`] inbox, polled by the work-stealing pool.
 pub(crate) struct ShardTask {
     /// `Some` until [`Task::complete`] takes it (`Option` only because the
     /// `Drop` impl below forbids moving fields out of `self`).
@@ -651,10 +579,10 @@ impl Task for ShardTask {
                 Poll::Runnable
             }
             Drain::Empty => {
-                // Mirror the threaded loop's drain-on-quiet: when the
-                // inbox momentarily empties, work through the backlog
-                // one round at a time (yielding between rounds so a
-                // steal can migrate the drain) before going idle.
+                // Drain-on-quiet: when the inbox momentarily empties,
+                // work through the backlog one round at a time (yielding
+                // between rounds so a steal can migrate the drain) before
+                // going idle.
                 if core.has_backlog() {
                     core.flush_round();
                     if core.has_backlog() {

@@ -1,7 +1,7 @@
-//! Deterministic-interleaving equivalence: the async engine's decisions are
-//! bit-identical to the threaded engine's and to the per-record offline
-//! path, under *every* seeded worker/steal/budget schedule tested —
-//! including mid-run `swap_artifact` at arbitrary ingest boundaries.
+//! Deterministic-interleaving equivalence: the engine's decisions are
+//! bit-identical to the per-record offline path under *every* seeded
+//! worker/steal/budget schedule tested and on the real work-stealing pool
+//! — including mid-run `swap_artifact` at arbitrary ingest boundaries.
 //!
 //! The harness is [`IngestMode::AsyncDeterministic`]: one scheduler thread
 //! replays (acting worker, steal victim order, poll budget) choices from a
@@ -150,7 +150,7 @@ fn reference_at(fx: &Fixture, swap_at: usize) -> Reference {
 
 /// Runs an engine over the capture with an optional mid-run swap.
 fn run_engine(fx: &Fixture, config: EngineConfig, swap_at: Option<usize>) -> EngineReport {
-    let mut engine = Engine::start(Arc::clone(&fx.detector_a), config);
+    let mut engine = Engine::try_start(Arc::clone(&fx.detector_a), config).unwrap();
     match swap_at {
         None => engine.ingest_packets(&fx.capture),
         Some(at) => {
@@ -172,8 +172,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     /// The headline property: for any (schedule seed, shard count, batch
     /// size, worker count, steal granularity, swap boundary), the
-    /// deterministically scheduled async engine, the threaded engine, and
-    /// the per-record path all agree bit-for-bit.
+    /// deterministically scheduled engine, the real pool, and the
+    /// per-record path all agree bit-for-bit.
     #[test]
     fn every_seeded_interleaving_is_decision_identical(
         seed in any::<u64>(),
@@ -197,11 +197,12 @@ proptest! {
             ..EngineConfig::default()
         };
 
-        let threaded = run_engine(fx, EngineConfig {
-            ingest: IngestMode::Threads,
+        let pool = run_engine(fx, EngineConfig {
+            ingest: IngestMode::Async { workers },
             ..base.clone()
         }, swap_at);
-        check(&threaded, &reference, n, "threaded");
+        prop_assert_eq!(pool.runtime.mode, "async");
+        check(&pool, &reference, n, "pool");
 
         let async_det = run_engine(fx, EngineConfig {
             ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, workers, max_budget }),
@@ -212,11 +213,11 @@ proptest! {
         prop_assert!(async_det.runtime.polls > 0);
         check(&async_det, &reference, n, "async-deterministic");
 
-        // Async ≡ threaded shard-by-shard too (routing is mode-invariant):
-        // everything decision-derived matches; only flush/steal timing may
-        // differ.
-        prop_assert_eq!(threaded.shards.len(), async_det.shards.len());
-        for (t, a) in threaded.shards.iter().zip(async_det.shards.iter()) {
+        // Replayed schedule ≡ real pool shard-by-shard too (routing is
+        // schedule-invariant): everything decision-derived matches; only
+        // flush/steal timing may differ.
+        prop_assert_eq!(pool.shards.len(), async_det.shards.len());
+        for (t, a) in pool.shards.iter().zip(async_det.shards.iter()) {
             prop_assert_eq!(t.shard, a.shard);
             prop_assert_eq!(t.frames, a.frames);
             prop_assert_eq!(t.streams, a.streams);
@@ -258,14 +259,9 @@ fn real_pool_schedules_are_decision_identical() {
                 n,
                 &format!("pool workers={workers} trial={trial}"),
             );
-            // `ICSAD_INGEST_WORKERS` (the CI matrix) legitimately resizes
-            // the pool; the bound against this test's own `workers` only
-            // holds when no override is in play. (An explicit worker count
-            // is honored as given — no longer capped at the shard count —
-            // since extra workers now help split rounds.)
-            if std::env::var("ICSAD_INGEST_WORKERS").is_err() {
-                assert!(report.runtime.ingest_threads <= workers);
-            }
+            // An explicit worker count is honored as given — not capped at
+            // the shard count, since extra workers help split rounds.
+            assert_eq!(report.runtime.ingest_threads, workers);
             let swapped = run_engine(fx, config, Some(n / 2));
             check(
                 &swapped,
@@ -296,10 +292,6 @@ proptest! {
         let n = fx.capture.len();
         let swap_at = if swap_quarter == 4 { None } else { Some(swap_quarter * n / 4) };
         let reference = reference_at(fx, swap_at.unwrap_or(n));
-        // The CI matrix legitimately overrides the configured threshold;
-        // the counter expectations below only hold without an override
-        // (decision equality holds regardless — that is the point).
-        let no_override = std::env::var("ICSAD_SPLIT_THRESHOLD").is_err();
 
         for workers in [1usize, 2, 5] {
             for split_threshold in [1usize, 8, usize::MAX] {
@@ -324,16 +316,14 @@ proptest! {
                     report.runtime.round_units >= 2 * report.runtime.split_rounds,
                     "every split round has at least two sub-units ({})", &context
                 );
-                if no_override {
-                    if split_threshold == 1 && workers >= 2 {
-                        // Three interleaved streams with threshold 1: the
-                        // multi-lane rounds must have forked.
-                        prop_assert!(shard_splits > 0, "no round split ({})", &context);
-                    }
-                    if workers == 1 || split_threshold == usize::MAX {
-                        // Nothing to fan out to, or splitting disabled.
-                        prop_assert_eq!(shard_splits, 0u64, "unexpected split ({})", &context);
-                    }
+                if split_threshold == 1 && workers >= 2 {
+                    // Three interleaved streams with threshold 1: the
+                    // multi-lane rounds must have forked.
+                    prop_assert!(shard_splits > 0, "no round split ({})", &context);
+                }
+                if workers == 1 || split_threshold == usize::MAX {
+                    // Nothing to fan out to, or splitting disabled.
+                    prop_assert_eq!(shard_splits, 0u64, "unexpected split ({})", &context);
                 }
                 if swap_at.is_some() {
                     prop_assert_eq!(report.reloads, 1);
@@ -364,12 +354,10 @@ fn real_pool_split_rounds_are_decision_identical() {
         };
         let report = run_engine(fx, config.clone(), None);
         check(&report, &reference, n, &format!("pool split trial={trial}"));
-        if std::env::var("ICSAD_SPLIT_THRESHOLD").is_err() {
-            assert!(
-                report.runtime.split_rounds > 0,
-                "trial {trial}: wide rounds never split on the pool"
-            );
-        }
+        assert!(
+            report.runtime.split_rounds > 0,
+            "trial {trial}: wide rounds never split on the pool"
+        );
         let swapped = run_engine(fx, config, Some(n / 2));
         check(
             &swapped,

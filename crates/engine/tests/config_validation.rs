@@ -1,8 +1,7 @@
 //! Up-front `EngineConfig` validation: every capacity/sizing field is
 //! checked before anything spawns, with a typed [`EngineConfigError`] from
-//! the `try_` constructors — instead of relying on `sync_channel`'s
-//! semantics (a zero-capacity rendezvous channel would deadlock the
-//! chunked ingest) or panicking deep inside a worker.
+//! the constructors — instead of deadlocking the chunked ingest on a
+//! zero-capacity queue or panicking deep inside a worker.
 
 use std::sync::Arc;
 
@@ -138,26 +137,19 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
 fn valid_configs_pass_validation() {
     assert_eq!(base().validate(), Ok(()));
     assert_eq!(EngineConfig::default().validate(), Ok(()));
-    // `workers: 0` in pool mode means "size to the host", not "no workers".
+    // The default is the host-sized pool: `workers: 0` means "size to the
+    // host (capped at the shard count)", not "no workers".
     assert_eq!(
-        EngineConfig {
-            ingest: IngestMode::Async { workers: 0 },
-            ..base()
-        }
-        .validate(),
-        Ok(())
+        EngineConfig::default().ingest,
+        IngestMode::Async { workers: 0 }
     );
-    let engine = Engine::try_start_backend(
-        Arc::new(StubBackend),
-        EngineConfig {
-            ingest: IngestMode::Async { workers: 0 },
-            ..base()
-        },
-    )
-    .unwrap();
+    let engine = Engine::try_start_backend(Arc::new(StubBackend), EngineConfig::default()).unwrap();
+    let shards = engine.num_shards();
     assert!(engine.ingest_threads() >= 1);
     let report = engine.finish();
     assert_eq!(report.frames(), 0);
+    assert_eq!(report.runtime.mode, "async");
+    assert!(report.runtime.ingest_threads <= shards);
 }
 
 #[test]
@@ -177,18 +169,4 @@ fn errors_name_the_offending_field() {
             "{rendered:?} should mention {needle:?}"
         );
     }
-}
-
-/// The panicking constructors keep their documented contract, now phrased
-/// through the same validation.
-#[test]
-#[should_panic(expected = "invalid EngineConfig")]
-fn start_backend_panics_on_invalid_config() {
-    let _ = Engine::start_backend(
-        Arc::new(StubBackend),
-        EngineConfig {
-            channel_capacity: 0,
-            ..base()
-        },
-    );
 }

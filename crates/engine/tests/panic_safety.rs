@@ -108,19 +108,26 @@ fn frame(unit: u8, i: u32) -> RawFrame {
     }
 }
 
-fn drive_to_panic(ingest: IngestMode) {
+/// Split thresholds the real-pool cases run at: rounds atomic, and every
+/// multi-lane round offered to the fork-join board (the stub backend
+/// declines to fork, so `1` pins the classify-atomically fallback).
+const SPLITS: [usize; 2] = [usize::MAX, 1];
+
+fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
     let (backend, live_sessions) = FailingBackend::new(50);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut engine = Engine::start_backend(
+        let mut engine = Engine::try_start_backend(
             backend,
             EngineConfig {
                 num_shards: 3,
                 batch_size: 4,
                 channel_capacity: 16,
                 ingest,
+                split_threshold,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         // Traffic for every shard; one shard's session blows its fuse
         // mid-run. Depending on timing the panic surfaces as a dead-shard
         // ingest failure or out of `finish` — either way it must escape as
@@ -143,22 +150,22 @@ fn drive_to_panic(ingest: IngestMode) {
 }
 
 #[test]
-fn threaded_engine_survives_a_panicking_shard() {
-    drive_to_panic(IngestMode::Threads);
-}
-
-#[test]
 fn async_engine_survives_a_panicking_shard() {
-    drive_to_panic(IngestMode::Async { workers: 2 });
+    for split_threshold in SPLITS {
+        drive_to_panic(IngestMode::Async { workers: 2 }, split_threshold);
+    }
 }
 
 #[test]
 fn deterministic_engine_survives_a_panicking_shard() {
-    drive_to_panic(IngestMode::AsyncDeterministic(TestSchedule {
-        seed: 13,
-        workers: 2,
-        max_budget: 3,
-    }));
+    drive_to_panic(
+        IngestMode::AsyncDeterministic(TestSchedule {
+            seed: 13,
+            workers: 2,
+            max_budget: 3,
+        }),
+        usize::MAX,
+    );
 }
 
 /// Dropping an engine without `finish` — e.g. during a caller's unwind —
@@ -166,27 +173,27 @@ fn deterministic_engine_survives_a_panicking_shard() {
 /// handle.
 #[test]
 fn dropping_an_unfinished_engine_joins_all_workers() {
-    for ingest in [
-        IngestMode::Threads,
-        IngestMode::Async { workers: 2 },
-        IngestMode::AsyncDeterministic(TestSchedule {
-            seed: 1,
-            workers: 2,
-            max_budget: 2,
-        }),
-    ] {
+    let pool = IngestMode::Async { workers: 2 };
+    let replay = IngestMode::AsyncDeterministic(TestSchedule {
+        seed: 1,
+        workers: 2,
+        max_budget: 2,
+    });
+    for (ingest, split_threshold) in [(pool, SPLITS[0]), (pool, SPLITS[1]), (replay, usize::MAX)] {
         let (backend, live_sessions) = FailingBackend::new(usize::MAX);
         {
-            let mut engine = Engine::start_backend(
+            let mut engine = Engine::try_start_backend(
                 backend,
                 EngineConfig {
                     num_shards: 4,
                     batch_size: 8,
                     channel_capacity: 16,
                     ingest,
+                    split_threshold,
                     ..EngineConfig::default()
                 },
-            );
+            )
+            .unwrap();
             for i in 0..500u32 {
                 engine.ingest(frame((i % 8) as u8, i));
             }
@@ -195,7 +202,7 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
         assert_eq!(
             live_sessions.load(Ordering::SeqCst),
             0,
-            "drop joined every worker under {ingest:?}"
+            "drop joined every worker under {ingest:?} split {split_threshold}"
         );
     }
 }
@@ -208,16 +215,17 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
 fn surviving_shards_complete_their_work_before_the_panic_resurfaces() {
     let (backend, live_sessions) = FailingBackend::new(120);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut engine = Engine::start_backend(
+        let mut engine = Engine::try_start_backend(
             backend,
             EngineConfig {
                 num_shards: 2,
                 batch_size: 4,
                 channel_capacity: 64,
-                ingest: IngestMode::Threads,
+                ingest: IngestMode::Async { workers: 2 },
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         for i in 0..400u32 {
             engine.ingest(frame((i % 4) as u8, i));
         }

@@ -1,6 +1,6 @@
 //! Topology-churn correctness: a PLC that leaves and rejoins classifies
-//! bit-identically to a cold start, across ingest modes and across a
-//! mid-churn detector hot-swap — and idle-lane eviction is invisible to
+//! bit-identically to a cold start, with rounds atomic or force-split
+//! across the pool, and across a mid-churn detector hot-swap — and idle-lane eviction is invisible to
 //! decision totals when evicted streams stay gone.
 //!
 //! The invariant under test is the lane-lifecycle contract: retiring a
@@ -63,42 +63,39 @@ fn capture(seed: u64, n: usize) -> Vec<Packet> {
     generator.generate(n)
 }
 
-fn config(ingest: IngestMode) -> EngineConfig {
+/// Round-split plans the churn runs cover on the two-worker pool: every
+/// round atomic, and every multi-lane round forked across the pool.
+const SPLITS: [usize; 2] = [usize::MAX, 1];
+
+fn config(split_threshold: usize) -> EngineConfig {
     EngineConfig {
         num_shards: 2,
         batch_size: 16,
-        ingest,
+        ingest: IngestMode::Async { workers: 2 },
+        split_threshold,
         ..EngineConfig::default()
     }
 }
 
-fn cold_run(
-    detector: Arc<CombinedDetector>,
-    ingest: IngestMode,
-    packets: &[Packet],
-) -> EngineReport {
-    let mut engine = Engine::start(detector, config(ingest));
+/// The cold-start reference: a fresh engine with atomic rounds.
+fn cold_run(detector: Arc<CombinedDetector>, packets: &[Packet]) -> EngineReport {
+    let mut engine = Engine::try_start(detector, config(usize::MAX)).unwrap();
     engine.ingest_packets(packets);
     engine.finish()
-}
-
-fn modes() -> [IngestMode; 2] {
-    [IngestMode::Threads, IngestMode::Async { workers: 2 }]
 }
 
 #[test]
 fn plc_leave_rejoin_classifies_bit_identically_to_cold_start() {
     let packets = capture(83, 900);
     let (first, second) = packets.split_at(packets.len() / 2);
-    for ingest in modes() {
-        // Reference: two cold engines, one per connection lifetime.
-        let r1 = cold_run(detector_a(), ingest, first);
-        let r2 = cold_run(detector_a(), ingest, second);
-        let mut expected = r1.total.clone();
-        expected.merge(&r2.total);
-
+    // Reference: two cold engines, one per connection lifetime.
+    let r1 = cold_run(detector_a(), first);
+    let r2 = cold_run(detector_a(), second);
+    let mut expected = r1.total.clone();
+    expected.merge(&r2.total);
+    for split in SPLITS {
         // Churn: one engine, the PLC leaves and rejoins on the same link.
-        let mut engine = Engine::start(detector_a(), config(ingest));
+        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
         engine.ingest_packets(first);
         engine.retire_link(0);
         engine.ingest_packets(second);
@@ -106,7 +103,7 @@ fn plc_leave_rejoin_classifies_bit_identically_to_cold_start() {
 
         assert_eq!(
             report.total, expected,
-            "rejoined stream must classify exactly like a cold start ({ingest:?})"
+            "rejoined stream must classify exactly like a cold start (split {split})"
         );
         assert!(report.retired_lanes() >= 1, "the leave must retire lanes");
         // Rejoining reactivates the streams: cumulative activations count
@@ -129,13 +126,12 @@ fn rejoin_across_swap_artifact_matches_cold_start_with_new_detector() {
     ));
     detector_b().save(&artifact).unwrap();
 
-    for ingest in modes() {
-        let r1 = cold_run(detector_a(), ingest, first);
-        let r2 = cold_run(detector_b(), ingest, second);
-        let mut expected = r1.total.clone();
-        expected.merge(&r2.total);
-
-        let mut engine = Engine::start(detector_a(), config(ingest));
+    let r1 = cold_run(detector_a(), first);
+    let r2 = cold_run(detector_b(), second);
+    let mut expected = r1.total.clone();
+    expected.merge(&r2.total);
+    for split in SPLITS {
+        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
         engine.ingest_packets(first);
         engine.retire_link(0);
         engine.swap_artifact(&artifact).unwrap();
@@ -145,7 +141,7 @@ fn rejoin_across_swap_artifact_matches_cold_start_with_new_detector() {
         assert_eq!(
             report.total, expected,
             "rejoin across a hot-swap must match a cold start on the new \
-             detector ({ingest:?})"
+             detector (split {split})"
         );
         assert_eq!(report.reloads, 1);
         assert!(report.retired_lanes() >= 1);
@@ -170,14 +166,14 @@ fn retire_stream_only_resets_the_named_unit() {
 
     // Reference: link 1 runs uninterrupted; link 0 runs as two cold halves.
     let (a1, a2) = a.split_at(a.len() / 2);
-    let ra1 = cold_run(detector_a(), IngestMode::Threads, a1);
-    let ra2 = cold_run(detector_a(), IngestMode::Threads, a2);
-    let rb = cold_run(detector_a(), IngestMode::Threads, &b);
+    let ra1 = cold_run(detector_a(), a1);
+    let ra2 = cold_run(detector_a(), a2);
+    let rb = cold_run(detector_a(), &b);
     let mut expected = ra1.total.clone();
     expected.merge(&ra2.total);
     expected.merge(&rb.total);
 
-    let mut engine = Engine::start(detector_a(), config(IngestMode::Threads));
+    let mut engine = Engine::try_start(detector_a(), config(usize::MAX)).unwrap();
     ingest(&mut engine, a1, 0);
     ingest(&mut engine, &b[..b.len() / 2], 1);
     // Retire exactly link 0's PLC stream (slave address 4).
@@ -200,7 +196,7 @@ fn idle_eviction_is_invisible_when_evicted_streams_stay_gone() {
         bursts.push(capture(100 + i, 120));
     }
     let run = |lane_idle_frames: Option<u64>| {
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             detector_a(),
             EngineConfig {
                 num_shards: 2,
@@ -208,7 +204,8 @@ fn idle_eviction_is_invisible_when_evicted_streams_stay_gone() {
                 lane_idle_frames,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         for (i, burst) in bursts.iter().enumerate() {
             engine.ingest_batch(burst.iter().map(|p| {
                 let mut frame = icsad_engine::RawFrame::from(p);
@@ -280,22 +277,22 @@ fn scenario_event_streams_drive_the_engine_end_to_end() {
         .count() as u64;
     assert!(garbage > 0, "the storm must contain runt frames");
 
-    let run = |ingest: IngestMode| {
-        let mut engine = Engine::start(detector_a(), config(ingest));
+    let run = |split: usize| {
+        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
         engine.ingest_scenario(&events);
         engine.finish()
     };
-    let threaded = run(IngestMode::Threads);
-    let pooled = run(IngestMode::Async { workers: 2 });
+    let [atomic, forked] = SPLITS.map(run);
 
-    assert_eq!(threaded.total, pooled.total, "mode-invariant decisions");
-    assert_eq!(threaded.quarantined, garbage);
-    assert_eq!(pooled.quarantined, garbage);
+    assert_eq!(atomic.total, forked.total, "split-invariant decisions");
+    assert!(forked.runtime.split_rounds > 0, "threshold 1 must fork");
+    assert_eq!(atomic.quarantined, garbage);
+    assert_eq!(forked.quarantined, garbage);
     assert!(
-        threaded.retired_lanes() >= 1,
+        atomic.retired_lanes() >= 1,
         "the link-down must retire the storm link's junk lanes"
     );
     // Every well-formed frame was classified; quarantined ones never
     // entered the shard counters.
-    assert_eq!(threaded.frames(), events.len() as u64 - 1 - garbage);
+    assert_eq!(atomic.frames(), events.len() as u64 - 1 - garbage);
 }

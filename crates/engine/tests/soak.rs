@@ -1,11 +1,11 @@
-//! Idle-stream soak: one async engine hosts 10,000 streams — three of them
+//! Idle-stream soak: one engine hosts 10,000 streams — three of them
 //! live, the rest idle — on no more than `available_parallelism` + 1
 //! threads, with the backpressure counters accounting for every stall.
 //!
-//! This is the scaling scenario the async runtime exists for: under
-//! [`IngestMode::Threads`] the same shard count would cost one OS thread
-//! per shard whether or not traffic arrives; under [`IngestMode::Async`]
-//! idle shards are idle *tasks*, costing a queue and a state byte.
+//! This is the scaling scenario the work-stealing runtime exists for: a
+//! thread per shard would cost one OS thread per shard whether or not
+//! traffic arrives; under [`IngestMode::Async`] idle shards are idle
+//! *tasks*, costing a queue and a state byte.
 
 use std::sync::{Arc, OnceLock};
 
@@ -63,27 +63,20 @@ fn ten_thousand_streams_fit_on_a_fixed_worker_pool() {
     const ACTIVE_FRAMES: usize = 1_200;
 
     let detector = tiny_detector();
-    let mut engine = Engine::start(
+    let mut engine = Engine::try_start(
         detector,
         EngineConfig {
-            // Far more shards than any sane thread count: under the async
-            // runtime, shards are tasks, and the pool stays at
-            // available_parallelism.
+            // Far more shards than any sane thread count: shards are
+            // tasks, and the pool stays at available_parallelism.
             num_shards: 64,
             batch_size: 64,
             channel_capacity: 512,
             ingest: IngestMode::Async { workers: 0 },
             ..EngineConfig::default()
         },
-    );
-    // An environment override (e.g. a CI leg forcing `threads`) may
-    // legitimately re-route the engine off the async runtime; the
-    // thread-count bound only makes sense for the runtime this test pins,
-    // so skip rather than fail. Checking the *resolved* mode is robust to
-    // however the resolver normalizes the env value.
-    if engine.ingest_mode() != "async" {
-        return;
-    }
+    )
+    .unwrap();
+    assert_eq!(engine.ingest_mode(), "async");
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -199,7 +192,7 @@ fn backpressure_run(ingest: IngestMode) -> u64 {
     let backend = Arc::new(SlowBackend {
         delay: std::time::Duration::from_millis(2),
     });
-    let mut engine = Engine::start_backend(
+    let mut engine = Engine::try_start_backend(
         backend,
         EngineConfig {
             num_shards: 1,
@@ -210,7 +203,8 @@ fn backpressure_run(ingest: IngestMode) -> u64 {
             ingest,
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     // ~40 chunks of traffic for unit 1, pushed as fast as the channel
     // accepts them; each chunk costs the shard ≥ 2 ms to classify, while
     // the producer needs microseconds — the ring must fill.
@@ -230,22 +224,23 @@ fn backpressure_run(ingest: IngestMode) -> u64 {
 
 /// Saturation behavior (documented on `EngineConfig::channel_capacity`):
 /// a full channel blocks ingest rather than dropping frames, and every
-/// stall lands on `RuntimeStats::blocked_pushes` — in both runtimes.
+/// stall lands on `RuntimeStats::blocked_pushes` — on the real pool and
+/// under a replayed schedule.
 #[test]
 fn backpressure_is_counted_on_the_report() {
-    let blocked_threads = backpressure_run(IngestMode::Threads);
+    let blocked_pool = backpressure_run(IngestMode::Async { workers: 2 });
     assert!(
-        blocked_threads > 0,
-        "threads mode: expected blocked pushes against a slow shard"
+        blocked_pool > 0,
+        "pool: expected blocked pushes against a slow shard"
     );
-    let blocked_async = backpressure_run(IngestMode::AsyncDeterministic(TestSchedule {
+    let blocked_replay = backpressure_run(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 5,
         workers: 2,
         max_budget: 2,
     }));
     assert!(
-        blocked_async > 0,
-        "async mode: expected blocked pushes against a slow shard"
+        blocked_replay > 0,
+        "replayed schedule: expected blocked pushes against a slow shard"
     );
 }
 
@@ -258,7 +253,7 @@ fn seeded_schedules_record_steals() {
     let backend = Arc::new(SlowBackend {
         delay: std::time::Duration::ZERO,
     });
-    let mut engine = Engine::start_backend(
+    let mut engine = Engine::try_start_backend(
         backend,
         EngineConfig {
             num_shards: 8,
@@ -271,7 +266,8 @@ fn seeded_schedules_record_steals() {
             }),
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     for i in 0..4_096u32 {
         engine.ingest(RawFrame {
             time: f64::from(i) * 0.01,
@@ -290,22 +286,26 @@ fn seeded_schedules_record_steals() {
     );
 }
 
-/// The same idle-heavy workload gives identical decisions on both
-/// runtimes (frame/stream conservation at soak scale, cheap model).
+/// The same idle-heavy workload gives identical decisions on the
+/// host-sized pool, with every multi-lane round force-split across two
+/// workers, and under a replayed schedule (frame/stream conservation at
+/// soak scale, cheap model).
 #[test]
-fn soak_decisions_match_across_runtimes() {
+fn soak_decisions_match_across_schedules() {
     let detector = tiny_detector();
-    let run = |ingest: IngestMode| {
-        let mut engine = Engine::start(
+    let run = |ingest: IngestMode, split_threshold: usize| {
+        let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
                 num_shards: 16,
                 batch_size: 32,
                 channel_capacity: 128,
                 ingest,
+                split_threshold,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         for link in 1..=500u32 {
             engine.ingest(heartbeat(link, 0.05 * f64::from(link)));
             engine.ingest(heartbeat(link, 60.0 + 0.05 * f64::from(link)));
@@ -319,20 +319,24 @@ fn soak_decisions_match_across_runtimes() {
         engine.ingest_packets(&generator.generate(800));
         engine.finish()
     };
-    let threaded = run(IngestMode::Threads);
-    let pooled = run(IngestMode::Async { workers: 0 });
-    let seeded = run(IngestMode::AsyncDeterministic(TestSchedule {
-        seed: 3,
-        workers: 2,
-        max_budget: 3,
-    }));
-    assert_eq!(threaded.total, pooled.total);
-    assert_eq!(threaded.total, seeded.total);
-    assert_eq!(threaded.frames(), pooled.frames());
+    let pooled = run(IngestMode::Async { workers: 0 }, usize::MAX);
+    let forked = run(IngestMode::Async { workers: 2 }, 1);
+    let seeded = run(
+        IngestMode::AsyncDeterministic(TestSchedule {
+            seed: 3,
+            workers: 2,
+            max_budget: 3,
+        }),
+        usize::MAX,
+    );
+    assert!(forked.runtime.split_rounds > 0, "threshold 1 must fork");
+    assert_eq!(pooled.total, forked.total);
+    assert_eq!(pooled.total, seeded.total);
+    assert_eq!(pooled.frames(), forked.frames());
     let streams =
         |r: &icsad_engine::EngineReport| r.shards.iter().map(|s| s.streams).sum::<usize>();
-    assert_eq!(streams(&threaded), 501);
     assert_eq!(streams(&pooled), 501);
+    assert_eq!(streams(&forked), 501);
 }
 
 /// The ISSUE's headline leak: per-connection first-seen link ids plus
@@ -346,7 +350,7 @@ fn reconnect_churn_keeps_resident_lanes_bounded() {
     const LINKS_PER_ROUND: u32 = 16;
 
     let detector = tiny_detector();
-    let mut engine = Engine::start(
+    let mut engine = Engine::try_start(
         detector,
         EngineConfig {
             num_shards: 4,
@@ -354,7 +358,8 @@ fn reconnect_churn_keeps_resident_lanes_bounded() {
             ingest: IngestMode::Async { workers: 2 },
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     // Each round: a fleet of fresh connections chatters, then every one
     // disconnects. Link ids are recycled (as the wire layer does after
     // `drain_closed_links`), so the same small id range hosts 640
@@ -398,7 +403,7 @@ fn idle_eviction_bounds_resident_lanes_under_churn() {
     const STREAMS: u32 = 400;
 
     let detector = tiny_detector();
-    let mut engine = Engine::start(
+    let mut engine = Engine::try_start(
         detector,
         EngineConfig {
             num_shards: 2,
@@ -406,7 +411,8 @@ fn idle_eviction_bounds_resident_lanes_under_churn() {
             lane_idle_frames: Some(64),
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     // Sequential one-shot streams: each link speaks four frames and never
     // returns — the reconnect-storm shape when ids are NOT recycled.
     for link in 0..STREAMS {

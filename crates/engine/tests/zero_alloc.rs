@@ -1,8 +1,7 @@
 //! Proof of line-rate zero-allocation ingest: a counting global allocator
 //! brackets a steady-state ingest window and asserts the **whole pipeline**
 //! — routing, chunking, queue hand-off, extraction, classification,
-//! decision pairing — performs *zero* heap allocations per frame, in both
-//! the threaded and the async ingest modes.
+//! decision pairing — performs *zero* heap allocations per frame.
 //!
 //! The warm-up phase is allowed to allocate freely: lanes are created,
 //! queues and scratch buffers grow to their steady-state capacity, the
@@ -107,27 +106,28 @@ fn drain(engine: &Engine) {
     }
 }
 
-/// Runs warm-up + measured window under `mode`, returning the number of
-/// allocation events observed inside the measured window. The measured
+/// Runs warm-up + measured window on a two-worker pool, returning the
+/// number of allocation events observed inside the measured window. The measured
 /// window ingests the second half of `packets` plus a malformed-frame
 /// `garbage` burst — quarantine is part of the hot path and must be just
 /// as allocation-free as classification.
-fn measured_alloc_events(mode: IngestMode, packets: &[Packet], garbage: &[RawFrame]) -> u64 {
-    let mut engine = Engine::start(
+fn measured_alloc_events(packets: &[Packet], garbage: &[RawFrame]) -> u64 {
+    let mut engine = Engine::try_start(
         tiny_detector(),
         EngineConfig {
             num_shards: 2,
             // Small bound so warm-up saturates the queues and the recycle
             // ring reaches its steady-state population before measuring.
             channel_capacity: 128,
-            ingest: mode,
+            ingest: IngestMode::Async { workers: 2 },
             // Keep every round atomic: fork-join splitting allocates its
             // partition scaffolding by design and is a different test's
             // subject.
             split_threshold: usize::MAX,
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     let half = packets.len() / 2;
     for p in &packets[..half] {
@@ -182,17 +182,8 @@ fn steady_state_ingest_allocates_nothing() {
         .collect();
     assert!(garbage.iter().all(|f| !f.is_well_formed()));
 
-    // Both modes run inside one #[test] so no concurrent test pollutes
-    // the process-wide allocation counter.
-    let threaded = measured_alloc_events(IngestMode::Threads, &packets, &garbage);
-    assert_eq!(
-        threaded, 0,
-        "threaded steady-state ingest allocated {threaded} times"
-    );
-
-    let async_events = measured_alloc_events(IngestMode::Async { workers: 2 }, &packets, &garbage);
-    assert_eq!(
-        async_events, 0,
-        "async steady-state ingest allocated {async_events} times"
-    );
+    // The only #[test] in this binary, so no concurrent test pollutes the
+    // process-wide allocation counter.
+    let events = measured_alloc_events(&packets, &garbage);
+    assert_eq!(events, 0, "steady-state ingest allocated {events} times");
 }

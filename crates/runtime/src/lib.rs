@@ -1,14 +1,13 @@
 //! Cooperative ingest runtime for the streaming engine.
 //!
-//! The engine's original shard loop dedicates one OS thread per shard and
-//! blocks it on a channel (`std::sync::mpsc`), so an engine hosting
-//! thousands of mostly idle streams pays a thread — stack, scheduler slot,
-//! context switches — per shard whether or not traffic arrives. This crate
-//! provides the alternative: a dependency-free cooperative executor that
-//! multiplexes many shard *tasks* onto a **fixed worker pool** (sized to
-//! [`std::thread::available_parallelism`] by default), fed through bounded
-//! [`IngestQueue`] ring buffers, with **work stealing** so a hot shard's
-//! batched flush can migrate to an idle worker.
+//! A shard loop that dedicates one OS thread per shard makes an engine
+//! hosting thousands of mostly idle streams pay a thread — stack, scheduler
+//! slot, context switches — per shard whether or not traffic arrives. This
+//! crate is the engine's one ingest runtime instead: a dependency-free
+//! cooperative executor that multiplexes many shard *tasks* onto a **fixed
+//! worker pool** (sized to [`std::thread::available_parallelism`] by
+//! default), fed through bounded [`IngestQueue`] ring buffers, with **work
+//! stealing** so a hot shard's batched flush can migrate to an idle worker.
 //!
 //! Three pieces:
 //!

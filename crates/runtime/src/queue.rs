@@ -5,31 +5,25 @@
 //! push is counted — while consumers ([`IngestQueue::pop`] /
 //! [`IngestQueue::drain_into`]) never block: the executor parks a worker
 //! instead of parking inside a queue, so one worker can serve many queues.
-//! The thread-per-shard driver instead parks *inside* the queue via
-//! [`IngestQueue::drain_wait`], which blocks the single consumer until items
-//! or close arrive.
 //!
 //! The ring is *mutex-sharded* rather than lock-free: each queue carries its
 //! own mutex, so contention is per shard, and the critical sections are a
 //! `VecDeque` push/pop. The workspace forbids `unsafe`, which rules out the
-//! classic lock-free ring; per-shard mutexes measure within noise of the
-//! `sync_channel` they replace because frames travel in chunks (one lock
-//! round-trip amortizes over up to 64 frames), and the batch operations
-//! ([`IngestQueue::push_batch`], [`IngestQueue::drain_into`]) take one lock
-//! per *chunk of items* rather than one per item.
+//! classic lock-free ring; a per-shard mutex is cheap here because frames
+//! travel in chunks (one lock round-trip amortizes over up to 64 frames),
+//! and [`IngestQueue::drain_into`] takes one lock per *burst of items*
+//! rather than one per item.
 //!
 //! # Wake discipline
 //!
 //! Condvar notifications are edge-triggered, not level-triggered: consumers
 //! notify `not_full` only when a removal crosses the full→not-full edge
-//! *and* a producer is actually recorded as waiting, and producers notify
-//! `not_empty` only when an insertion crosses the empty→non-empty edge with
-//! a consumer waiting. Waiter counts live under the same mutex as the ring,
-//! so the "is anyone waiting" check is exact, not a racy heuristic. A
-//! single-item pop frees one slot and wakes at most one producer; that
-//! producer, after taking its slot, re-notifies if room remains and other
-//! producers still wait (a cascade), so a batch drain that frees many slots
-//! cannot strand the second and later waiters.
+//! *and* a producer is actually recorded as waiting. The waiter count lives
+//! under the same mutex as the ring, so the "is anyone waiting" check is
+//! exact, not a racy heuristic. A single-item pop frees one slot and wakes
+//! at most one producer; that producer, after taking its slot, re-notifies
+//! if room remains and other producers still wait (a cascade), so a batch
+//! drain that frees many slots cannot strand the second and later waiters.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +54,7 @@ pub enum Pop<T> {
     Closed,
 }
 
-/// One [`IngestQueue::drain_into`] / [`IngestQueue::drain_wait`] outcome.
+/// One [`IngestQueue::drain_into`] outcome.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Drain {
     /// This many items (≥ 1) were appended to the caller's buffer.
@@ -78,17 +72,13 @@ struct State<T> {
     /// notify and re-acquiring the mutex). Exact because it is only
     /// touched under the mutex.
     waiting_producers: usize,
-    /// Consumers currently parked in `not_empty.wait`. The queue is MPSC:
-    /// at most one consumer, so this is 0 or 1 in practice.
-    waiting_consumers: usize,
 }
 
 /// A bounded MPSC ring buffer with blocking, counted producer-side
-/// backpressure and (by default) non-blocking consumption.
+/// backpressure and non-blocking consumption.
 pub struct IngestQueue<T> {
     state: Mutex<State<T>>,
     not_full: Condvar,
-    not_empty: Condvar,
     capacity: usize,
     blocked_pushes: AtomicU64,
 }
@@ -108,21 +98,10 @@ impl<T> IngestQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
                 waiting_producers: 0,
-                waiting_consumers: 0,
             }),
             not_full: Condvar::new(),
-            not_empty: Condvar::new(),
             capacity,
             blocked_pushes: AtomicU64::new(0),
-        }
-    }
-
-    /// Wakes the (single) parked consumer if this insertion crossed the
-    /// empty→non-empty edge. `was_empty` is the emptiness *before* the
-    /// insertion, observed under the same mutex hold.
-    fn wake_consumer(&self, state: &State<T>, was_empty: bool) {
-        if was_empty && state.waiting_consumers > 0 {
-            self.not_empty.notify_one();
         }
     }
 
@@ -138,9 +117,7 @@ impl<T> IngestQueue<T> {
         if state.items.len() >= self.capacity {
             return Err(TryPushError::Full(item));
         }
-        let was_empty = state.items.is_empty();
         state.items.push_back(item);
-        self.wake_consumer(&state, was_empty);
         Ok(())
     }
 
@@ -160,9 +137,7 @@ impl<T> IngestQueue<T> {
                 return Err(PushClosed(item));
             }
             if state.items.len() < self.capacity {
-                let was_empty = state.items.is_empty();
                 state.items.push_back(item);
-                self.wake_consumer(&state, was_empty);
                 // Cascade: a drain can free many slots with a single
                 // notification. If this push was woken into one of those
                 // slots and room remains for the next parked producer,
@@ -179,58 +154,6 @@ impl<T> IngestQueue<T> {
             waited = true;
             // PANIC: Condvar::wait only fails on mutex poisoning, which
             // cannot happen here (see `try_push`).
-            state = self.not_full.wait(state).unwrap();
-            state.waiting_producers -= 1;
-        }
-    }
-
-    /// Moves every item out of `batch` into the ring in order, taking the
-    /// lock once per stretch of available space rather than once per item,
-    /// and blocking (counted, like [`IngestQueue::push`]) whenever the ring
-    /// fills mid-batch.
-    ///
-    /// On success `batch` is left empty and ready for reuse — its capacity
-    /// is retained, so a caller recycling the same buffer pushes every
-    /// subsequent chunk without allocating.
-    ///
-    /// # Errors
-    ///
-    /// If the queue is (or becomes, while waiting) closed, the items not
-    /// yet transferred remain in `batch` (in their original order) and are
-    /// handed back to the caller via the error.
-    pub fn push_batch(&self, batch: &mut Vec<T>) -> Result<(), PushClosed<()>> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
-        let mut waited = false;
-        loop {
-            if state.closed {
-                return Err(PushClosed(()));
-            }
-            let room = self.capacity - state.items.len();
-            if room > 0 {
-                let was_empty = state.items.is_empty();
-                let take = room.min(batch.len());
-                for item in batch.drain(..take) {
-                    state.items.push_back(item);
-                }
-                self.wake_consumer(&state, was_empty && take > 0);
-                if batch.is_empty() {
-                    // Cascade (see `push`): more room may remain for the
-                    // next parked producer after a many-slot drain.
-                    if waited && state.items.len() < self.capacity && state.waiting_producers > 0 {
-                        self.not_full.notify_one();
-                    }
-                    return Ok(());
-                }
-            }
-            // ORDERING: Relaxed — monotonic backpressure counter (see `push`).
-            self.blocked_pushes.fetch_add(1, Ordering::Relaxed);
-            state.waiting_producers += 1;
-            waited = true;
-            // PANIC: Condvar::wait only fails on mutex poisoning (see `push`).
             state = self.not_full.wait(state).unwrap();
             state.waiting_producers -= 1;
         }
@@ -291,33 +214,6 @@ impl<T> IngestQueue<T> {
         Drain::Items(take)
     }
 
-    /// Like [`IngestQueue::drain_into`], but blocks while the ring is empty
-    /// and open. Returns [`Drain::Closed`] once the queue is closed *and*
-    /// fully drained; never returns [`Drain::Empty`]. This is the
-    /// thread-per-shard consumer loop: park in the queue itself instead of
-    /// in an executor.
-    pub fn drain_wait(&self, buf: &mut Vec<T>, max: usize) -> Drain {
-        debug_assert!(max > 0, "drain_wait with max == 0 would never return items");
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
-        loop {
-            let len_before = state.items.len();
-            if len_before > 0 {
-                let take = len_before.min(max);
-                buf.extend(state.items.drain(..take));
-                self.wake_producers(&state, len_before, take);
-                return Drain::Items(take);
-            }
-            if state.closed {
-                return Drain::Closed;
-            }
-            state.waiting_consumers += 1;
-            // PANIC: Condvar::wait only fails on mutex poisoning (see `push`).
-            state = self.not_empty.wait(state).unwrap();
-            state.waiting_consumers -= 1;
-        }
-    }
-
     /// Closes the queue: queued items still drain, further pushes fail, and
     /// blocked producers wake with [`PushClosed`]. Used both for orderly
     /// shutdown (producer side, after the last push) and for poisoning
@@ -327,11 +223,9 @@ impl<T> IngestQueue<T> {
         // PANIC: the state mutex is never poisoned (see `try_push`).
         let mut state = self.state.lock().unwrap();
         state.closed = true;
-        // Close is a state change every waiter must observe, on both sides:
-        // producers fail their pushes, a parked consumer drains the backlog
-        // and sees `Closed`.
+        // Close is a state change every parked producer must observe:
+        // their pushes fail.
         self.not_full.notify_all();
-        self.not_empty.notify_all();
     }
 
     /// Whether [`IngestQueue::close`] has been called.
@@ -356,8 +250,8 @@ impl<T> IngestQueue<T> {
         self.capacity
     }
 
-    /// How many times a [`IngestQueue::push`] / [`IngestQueue::push_batch`]
-    /// had to wait for space — the queue-local backpressure counter.
+    /// How many times a [`IngestQueue::push`] had to wait for space — the
+    /// queue-local backpressure counter.
     pub fn blocked_pushes(&self) -> u64 {
         // ORDERING: Relaxed — reporting-only counter (see the fetch_add in
         // `push`); no other memory depends on its value.
@@ -438,74 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_fifo_and_buffer_reuse() {
-        let q = IngestQueue::bounded(8);
-        let mut batch = vec![1, 2, 3];
-        let cap_before = batch.capacity();
-        q.push_batch(&mut batch).unwrap();
-        assert!(batch.is_empty());
-        assert_eq!(batch.capacity(), cap_before, "batch buffer is reusable");
-        batch.extend([4, 5]);
-        q.push_batch(&mut batch).unwrap();
-        for want in 1..=5 {
-            assert!(matches!(q.pop(), Pop::Item(got) if got == want));
-        }
-        assert!(matches!(q.pop(), Pop::Empty));
-    }
-
-    #[test]
-    fn push_batch_blocks_on_full_then_completes() {
-        let q = Arc::new(IngestQueue::bounded(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut batch = (0..10).collect::<Vec<u32>>();
-                q.push_batch(&mut batch).unwrap();
-                assert!(batch.is_empty());
-            })
-        };
-        // Drain everything the producer manages to squeeze in, in order.
-        let mut seen = Vec::new();
-        while seen.len() < 10 {
-            match q.pop() {
-                Pop::Item(v) => seen.push(v),
-                Pop::Empty => std::thread::yield_now(),
-                Pop::Closed => panic!("queue closed early"),
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, (0..10).collect::<Vec<u32>>());
-        assert!(
-            q.blocked_pushes() >= 1,
-            "a 10-item batch through a 2-slot ring must block"
-        );
-    }
-
-    #[test]
-    fn push_batch_close_hands_back_remainder() {
-        let q = Arc::new(IngestQueue::bounded(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut batch = (0..6).collect::<Vec<u32>>();
-                let res = q.push_batch(&mut batch);
-                (res, batch)
-            })
-        };
-        while q.blocked_pushes() == 0 {
-            std::thread::yield_now();
-        }
-        q.close();
-        let (res, rest) = producer.join().unwrap();
-        assert!(matches!(res, Err(PushClosed(()))));
-        // The first two fit; the remainder is handed back in order.
-        assert_eq!(rest, vec![2, 3, 4, 5]);
-        assert!(matches!(q.pop(), Pop::Item(0)));
-        assert!(matches!(q.pop(), Pop::Item(1)));
-        assert!(matches!(q.pop(), Pop::Closed));
-    }
-
-    #[test]
     fn drain_into_appends_up_to_max() {
         let q = IngestQueue::bounded(8);
         for i in 0..5 {
@@ -520,30 +346,6 @@ mod tests {
         q.close();
         assert_eq!(q.drain_into(&mut buf, 10), Drain::Closed);
         assert_eq!(q.drain_into(&mut buf, 0), Drain::Items(0));
-    }
-
-    #[test]
-    fn drain_wait_blocks_until_items_then_closed() {
-        let q = Arc::new(IngestQueue::bounded(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut buf = Vec::new();
-                loop {
-                    match q.drain_wait(&mut buf, 16) {
-                        Drain::Items(_) => {}
-                        Drain::Closed => break,
-                        Drain::Empty => unreachable!("drain_wait never reports Empty"),
-                    }
-                }
-                buf
-            })
-        };
-        for i in 0..20 {
-            q.push(i).unwrap();
-        }
-        q.close();
-        assert_eq!(consumer.join().unwrap(), (0..20).collect::<Vec<u32>>());
     }
 
     /// Satellite pin: `pop` notifies only on the full→not-full edge, and

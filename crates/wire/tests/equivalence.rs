@@ -55,17 +55,19 @@ fn detector() -> &'static Arc<CombinedDetector> {
     })
 }
 
-fn run_engine(frames: &[RawFrame], ingest: IngestMode) -> EngineReport {
-    let mut engine = Engine::start(
+fn run_engine(frames: &[RawFrame], split_threshold: usize) -> EngineReport {
+    let mut engine = Engine::try_start(
         Arc::clone(detector()),
         EngineConfig {
             num_shards: 2,
             batch_size: 8,
             channel_capacity: 64,
-            ingest,
+            ingest: IngestMode::Async { workers: 2 },
+            split_threshold,
             ..EngineConfig::default()
         },
-    );
+    )
+    .unwrap();
     engine.ingest_batch(frames.iter().cloned());
     engine.finish()
 }
@@ -158,7 +160,7 @@ fn replayed_frames_equal_direct_frames() {
 }
 
 /// The headline three-way property: wire replay ≡ direct ingest ≡
-/// per-record reference, in both ingest modes.
+/// per-record reference, with rounds atomic and force-split across the pool.
 #[test]
 fn wire_replay_direct_ingest_and_per_record_agree() {
     let packets = common::fixture_traffic();
@@ -172,12 +174,9 @@ fn wire_replay_direct_ingest_and_per_record_agree() {
 
     let (reference, ref_alarms) = per_record_reference(&packets);
 
-    for (name, ingest) in [
-        ("threads", IngestMode::Threads),
-        ("async", IngestMode::Async { workers: 2 }),
-    ] {
-        let wire_report = run_engine(&replayed, ingest);
-        let direct_report = run_engine(&direct, ingest);
+    for (name, split_threshold) in [("atomic", usize::MAX), ("split", 1)] {
+        let wire_report = run_engine(&replayed, split_threshold);
+        let direct_report = run_engine(&direct, split_threshold);
         for (path, report) in [("wire", &wire_report), ("direct", &direct_report)] {
             assert_eq!(
                 report.total, reference,

@@ -183,12 +183,8 @@ fn engine_quarantines_exactly_the_malformed_frames() {
     let good: Vec<RawFrame> = packets.iter().take(120).map(RawFrame::from).collect();
     assert!(good.iter().all(RawFrame::is_well_formed));
 
-    for (bad_count, mode) in [
-        (0usize, IngestMode::Threads),
-        (7, IngestMode::Threads),
-        (7, IngestMode::Async { workers: 2 }),
-        (23, IngestMode::Async { workers: 2 }),
-    ] {
+    // Rounds atomic, then every multi-lane round force-split on the pool.
+    for (bad_count, split_threshold) in [(0usize, usize::MAX), (7, usize::MAX), (7, 1), (23, 1)] {
         let mut mixed: Vec<RawFrame> = Vec::new();
         for (i, frame) in good.iter().enumerate() {
             mixed.push(frame.clone());
@@ -214,16 +210,18 @@ fn engine_quarantines_exactly_the_malformed_frames() {
                 });
             }
         }
-        let mut engine = Engine::start(
+        let mut engine = Engine::try_start(
             Arc::clone(tiny_detector()),
             EngineConfig {
                 num_shards: 2,
                 batch_size: 8,
                 channel_capacity: 64,
-                ingest: mode,
+                ingest: IngestMode::Async { workers: 2 },
+                split_threshold,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         engine.ingest_batch(mixed.iter().cloned());
         let report = engine.finish();
         assert_eq!(

@@ -4,8 +4,9 @@
 //! 1. **Commission**: train on clean traffic, save the detector as a
 //!    versioned `ICSA` artifact (twice — the second artifact models a
 //!    re-commissioning with a retuned top-`k`).
-//! 2. **Cold-start**: spawn the sharded streaming engine from the first
-//!    artifact ([`icsad::engine::Engine::start_from_artifact`]) in
+//! 2. **Cold-start**: load the first artifact
+//!    ([`icsad::core::CombinedDetector::load`]) and spawn the sharded
+//!    streaming engine around it ([`icsad::engine::Engine::try_start`]) in
 //!    **adaptive-`k` mode** ([`icsad::engine::EngineMode::AdaptiveK`]):
 //!    every PLC stream carries its own dynamic-`k` controller.
 //! 3. **Monitor**: replay an attack-bearing multi-PLC capture as raw
@@ -27,21 +28,16 @@
 //! cargo run --release --example live_monitor
 //! ```
 //!
-//! Pass `--async` to drive the shards on the cooperative work-stealing
-//! ingest runtime ([`icsad::engine::IngestMode::Async`]) instead of one
-//! thread per shard — same decisions, fixed thread footprint; the shift
-//! summary then includes the scheduler's poll/steal/backpressure counters.
+//! The shards run as cooperative tasks on the work-stealing ingest pool
+//! ([`icsad::engine::IngestMode::Async`]); the shift summary includes the
+//! scheduler's poll/steal/backpressure counters.
+
+use std::sync::Arc;
 
 use icsad::prelude::*;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ingest = if std::env::args().any(|a| a == "--async") {
-        // A fixed pool sized to the host; shards become cooperative tasks.
-        IngestMode::Async { workers: 0 }
-    } else {
-        IngestMode::Threads
-    };
     // Train on an anomaly-free commissioning capture covering every PLC
     // the engine will watch ("air-gapped" operation, paper §IV): records
     // are extracted per stream (correct per-stream intervals), then merged
@@ -118,13 +114,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // process restarting in the field would — in adaptive-k mode, so each
     // stream's k follows its own recent prediction ranks (paper §VIII-D).
     let t_cold = std::time::Instant::now();
-    let mut engine = Engine::start_from_artifact(
-        &artifact_v1,
+    let mut engine = Engine::try_start(
+        Arc::new(CombinedDetector::load(&artifact_v1)?),
         EngineConfig {
             num_shards: 2,
             batch_size: 32,
             mode: EngineMode::AdaptiveK(DynamicKConfig::default()),
-            ingest,
             ..EngineConfig::default()
         },
     )?;
