@@ -1,0 +1,242 @@
+//! Engine configuration: the top-`k` mode, the ingest schedule, the
+//! sizing knobs and their up-front validation.
+
+use icsad_core::dynamic_k::DynamicKConfig;
+use icsad_dataset::extract::DEFAULT_CRC_WINDOW;
+use icsad_runtime::TestSchedule;
+
+// Intra-doc link targets only.
+#[cfg(doc)]
+use crate::{Engine, RuntimeStats};
+
+/// How a combined-framework engine applies the top-`k` rule
+/// (see [`EngineConfig::mode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum EngineMode {
+    /// The commissioned fixed `k` of the artifact
+    /// ([`icsad_core::CombinedDetector::classify_batch`]).
+    #[default]
+    FixedK,
+    /// Per-stream dynamic-`k` controllers seeded at the commissioned `k`
+    /// (paper §VIII-D future work;
+    /// [`icsad_core::CombinedDetector::classify_batch_adaptive`]). Each
+    /// stream lane adapts its own `k` to its recent prediction ranks.
+    AdaptiveK(DynamicKConfig),
+}
+
+/// How shard workers are scheduled (see [`EngineConfig::ingest`]).
+///
+/// Both modes drive the *same* shard tasks through the same per-shard FIFO
+/// of messages, so decisions are bit-identical across them — the second
+/// exists only so tests can replay a schedule:
+///
+/// | mode | OS threads | for |
+/// |---|---|---|
+/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` capped at `num_shards` by default; an explicit count is honored as given) | production |
+/// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IngestMode {
+    /// Cooperative shard tasks on a fixed work-stealing worker pool
+    /// ([`icsad_runtime`]): idle shards cost no thread, and a hot shard's
+    /// flush migrates to an idle worker.
+    Async {
+        /// Pool threads; `0` sizes the pool to
+        /// `available_parallelism().min(num_shards)`. An explicit count
+        /// is honored as given — a pool larger than the shard count puts
+        /// the extra workers on split rounds
+        /// ([`EngineConfig::split_threshold`]).
+        workers: usize,
+    },
+    /// The async runtime on one thread, replaying worker/steal/budget
+    /// choices from a seed — the deterministic-interleaving test harness.
+    AsyncDeterministic(TestSchedule),
+}
+
+impl Default for IngestMode {
+    /// The host-sized pool: [`IngestMode::Async`] with `workers: 0`.
+    fn default() -> Self {
+        IngestMode::Async { workers: 0 }
+    }
+}
+
+/// Why an [`EngineConfig`] was rejected by [`EngineConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineConfigError {
+    /// `num_shards` was zero: there would be no worker to route to.
+    ZeroShards,
+    /// `batch_size` was zero: no backlog depth could ever trigger a
+    /// classification round.
+    ZeroBatchSize,
+    /// `channel_capacity` was zero: every ingest would deadlock waiting
+    /// for queue space that cannot exist.
+    ZeroChannelCapacity,
+    /// `crc_window` was zero: the per-stream CRC feature needs at least one
+    /// frame of history.
+    ZeroCrcWindow,
+    /// An [`IngestMode::AsyncDeterministic`] schedule with zero virtual
+    /// workers.
+    ZeroScheduleWorkers,
+    /// An [`IngestMode::AsyncDeterministic`] schedule with a zero poll
+    /// budget.
+    ZeroScheduleBudget,
+    /// A zero [`EngineConfig::split_threshold`] (use `usize::MAX` to
+    /// disable round splitting, not `0`).
+    ZeroSplitThreshold,
+    /// A zero [`EngineConfig::lane_idle_frames`] (use `None` to disable
+    /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
+    /// lane on every frame).
+    ZeroLaneIdleFrames,
+}
+
+impl std::fmt::Display for EngineConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineConfigError::ZeroShards => write!(f, "num_shards must be positive"),
+            EngineConfigError::ZeroBatchSize => write!(f, "batch_size must be positive"),
+            EngineConfigError::ZeroChannelCapacity => {
+                write!(f, "channel_capacity must be positive")
+            }
+            EngineConfigError::ZeroCrcWindow => write!(f, "crc_window must be positive"),
+            EngineConfigError::ZeroScheduleWorkers => {
+                write!(f, "deterministic schedule needs at least one worker")
+            }
+            EngineConfigError::ZeroScheduleBudget => {
+                write!(f, "deterministic schedule needs a positive poll budget")
+            }
+            EngineConfigError::ZeroSplitThreshold => {
+                write!(
+                    f,
+                    "split_threshold must be positive (usize::MAX disables splitting)"
+                )
+            }
+            EngineConfigError::ZeroLaneIdleFrames => {
+                write!(
+                    f,
+                    "lane_idle_frames must be positive (None disables idle eviction)"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for EngineConfigError {}
+
+/// Engine tuning knobs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineConfig {
+    /// Worker shards. Streams are pinned to shards by their `(link, unit
+    /// id)` stream key. Shards are tasks; the OS threads are the (usually
+    /// smaller) worker pool ([`IngestMode::Async`]).
+    pub num_shards: usize,
+    /// Backlog (queued packages across a shard's streams) that triggers a
+    /// classification round. Larger backlogs let a round cover more
+    /// streams, amortizing LSTM weight traffic over more lanes;
+    /// single-stream traffic degrades gracefully to per-record stepping.
+    pub batch_size: usize,
+    /// Approximate bounded depth (in frames) of each shard's ingest
+    /// channel. **Saturation behavior:** a full channel blocks
+    /// [`Engine::ingest`] until the shard drains (backpressure instead of
+    /// unbounded buffering — every such stall is counted on
+    /// [`RuntimeStats::blocked_pushes`]); frames are never dropped. Frames
+    /// travel in chunks of 64, so the effective bound is rounded up to
+    /// whole chunks (at least one — up to ~`channel_capacity + 63` frames
+    /// may be in flight).
+    pub channel_capacity: usize,
+    /// CRC sliding-window width for feature extraction (per stream).
+    pub crc_window: usize,
+    /// Top-`k` mode for the combined backends started through
+    /// [`Engine::try_start`]. Ignored by [`Engine::try_start_backend`],
+    /// whose backend already fixes its own decision rule.
+    pub mode: EngineMode,
+    /// How shard workers are scheduled; purely a throughput/footprint
+    /// knob, never a decision change.
+    pub ingest: IngestMode,
+    /// Round width (pending lanes in one classification round) above
+    /// which a shard *splits* the round: the lanes are partitioned
+    /// into disjoint sub-batches classified concurrently across the
+    /// work-stealing pool (fork-join), so one hot shard's wide round can
+    /// occupy otherwise-idle workers. At most one partition per pool
+    /// worker and no partition narrower than this threshold. `usize::MAX`
+    /// keeps every round atomic. Like `ingest`, purely a throughput knob: decisions are
+    /// bit-identical at any threshold (see `ARCHITECTURE.md`, "Parallel
+    /// rounds").
+    pub split_threshold: usize,
+    /// Idle-lane eviction bound, in per-shard routed frames. When set to
+    /// `Some(n)`, each shard sweeps its resident lanes every `n` of its
+    /// own frames and retires every lane that has gone at least `n`
+    /// frames without traffic — bounding resident per-stream state under
+    /// topology churn (TCP reconnects mint fresh link ids; without
+    /// eviction each one leaks a lane forever). Both the sweep trigger
+    /// and the idleness test are functions of the per-shard frame counter
+    /// only — a pure function of the shard's FIFO message order — so
+    /// eviction is deterministic across worker counts and
+    /// schedules, and never changes any decision (an evicted lane's
+    /// frames were all classified before the eviction; a stream that
+    /// later rejoins classifies bit-identically to a cold start). `None`
+    /// (the default) disables idle eviction; explicit retirement via
+    /// [`Engine::retire_link`] / [`Engine::retire_stream`] works either
+    /// way. Ignored by backends that cannot recycle lanes (the window
+    /// baselines), whose lanes stay resident.
+    pub lane_idle_frames: Option<u64>,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            // One shard per core (capped): sharding buys thread parallelism;
+            // on a single-core host one shard keeps every stream in one
+            // batch, which is strictly better for the LSTM gemm.
+            num_shards: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8),
+            batch_size: 64,
+            channel_capacity: 1024,
+            crc_window: DEFAULT_CRC_WINDOW,
+            mode: EngineMode::FixedK,
+            ingest: IngestMode::default(),
+            // Wide enough that narrow rounds never pay fork overhead, low
+            // enough that a genuinely hot shard (hundreds of active lanes)
+            // spreads across the pool.
+            split_threshold: 128,
+            lane_idle_frames: None,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// Checks every capacity/sizing field up front, so a bad configuration
+    /// is a typed error at startup instead of a deadlock (zero queue
+    /// capacity), a dead engine (zero shards), or a panic deep inside a
+    /// worker. [`Engine::try_start`]/[`Engine::try_start_backend`] run this
+    /// before spawning anything.
+    pub fn validate(&self) -> Result<(), EngineConfigError> {
+        if self.num_shards == 0 {
+            return Err(EngineConfigError::ZeroShards);
+        }
+        if self.batch_size == 0 {
+            return Err(EngineConfigError::ZeroBatchSize);
+        }
+        if self.channel_capacity == 0 {
+            return Err(EngineConfigError::ZeroChannelCapacity);
+        }
+        if self.crc_window == 0 {
+            return Err(EngineConfigError::ZeroCrcWindow);
+        }
+        if let IngestMode::AsyncDeterministic(schedule) = self.ingest {
+            if schedule.workers == 0 {
+                return Err(EngineConfigError::ZeroScheduleWorkers);
+            }
+            if schedule.max_budget == 0 {
+                return Err(EngineConfigError::ZeroScheduleBudget);
+            }
+        }
+        if self.split_threshold == 0 {
+            return Err(EngineConfigError::ZeroSplitThreshold);
+        }
+        if self.lane_idle_frames == Some(0) {
+            return Err(EngineConfigError::ZeroLaneIdleFrames);
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,149 @@
+//! The ingest driver: per-shard bounded queues feeding shard tasks on the
+//! work-stealing pool.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use icsad_core::streaming::StreamingDetector;
+use icsad_runtime::{
+    Executor, IngestQueue, RecycleRing, RoundBoard, RoundStats, Schedule, TryPushError,
+};
+
+use crate::shard::{EngineUnit, RoundDriver, ShardCore, ShardMsg, ShardTask};
+use crate::{EngineConfig, IngestMode, RawFrame, ShardReport};
+
+// Intra-doc link target only.
+#[cfg(doc)]
+use crate::Engine;
+
+/// The running ingest machinery behind an [`Engine`]: one bounded FIFO
+/// per shard feeding shard tasks on the work-stealing pool.
+pub(crate) struct IngestDriver {
+    queues: Vec<Arc<IngestQueue<ShardMsg>>>,
+    pub(crate) executor: Executor<ShardTask>,
+    /// The pool-shared fork-join board wide rounds split onto; kept here
+    /// so `finish` can report its counters.
+    board: Arc<RoundBoard<EngineUnit>>,
+    pub(crate) mode: &'static str,
+}
+
+/// A shard's worker terminated (panicked) before the message could be
+/// delivered.
+pub(crate) struct ShardGone;
+
+impl IngestDriver {
+    /// Builds the per-shard queues and shard tasks and starts the pool
+    /// that polls them.
+    pub(crate) fn start(
+        backend: &Arc<dyn StreamingDetector>,
+        config: &EngineConfig,
+        chunk_capacity: usize,
+        recycle: &Arc<RecycleRing<Vec<RawFrame>>>,
+        processed: &Arc<AtomicU64>,
+    ) -> IngestDriver {
+        let num_shards = config.num_shards;
+        let (schedule, mode) = match config.ingest {
+            IngestMode::Async { workers } => {
+                // A fixed pool: `available_parallelism` (capped at the
+                // shard count) by default. An explicit count is honored as
+                // given — a pool *larger* than the shard count is not
+                // pointless, because extra workers claim sub-units of
+                // split rounds.
+                let workers = if workers == 0 {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                        .min(num_shards)
+                } else {
+                    workers
+                };
+                (Schedule::Pool { workers }, "async")
+            }
+            IngestMode::AsyncDeterministic(schedule) => {
+                (Schedule::Deterministic(schedule), "async-deterministic")
+            }
+        };
+        // Rounds can fan out to at most the whole pool. The deterministic
+        // scheduler forks with its virtual worker count — the parent then
+        // runs every sub-unit inline, so seeded replays exercise the exact
+        // split plan a real pool of that size would execute.
+        let fan_out = match &schedule {
+            Schedule::Pool { workers } => *workers,
+            Schedule::Deterministic(test) => test.workers,
+        };
+        let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
+            .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
+            .collect();
+        let board = Arc::new(RoundBoard::new());
+        let tasks: Vec<ShardTask> = queues
+            .iter()
+            .enumerate()
+            .map(|(shard, queue)| {
+                let session = Arc::clone(backend).begin_session();
+                ShardTask::new(
+                    ShardCore::new(
+                        session,
+                        config.clone(),
+                        RoundDriver {
+                            board: Arc::clone(&board),
+                            fan_out,
+                        },
+                        Arc::clone(recycle),
+                        Arc::clone(processed),
+                    ),
+                    Arc::clone(queue),
+                    shard,
+                )
+            })
+            .collect();
+        IngestDriver {
+            queues,
+            executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
+            board,
+            mode,
+        }
+    }
+
+    pub(crate) fn num_shards(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Delivers one message to a shard's FIFO, blocking under backpressure
+    /// (counted on `blocked`).
+    pub(crate) fn send(
+        &self,
+        shard: usize,
+        msg: ShardMsg,
+        blocked: &AtomicU64,
+    ) -> Result<(), ShardGone> {
+        let queue = &self.queues[shard];
+        match queue.try_push(msg) {
+            Ok(()) => {}
+            Err(TryPushError::Full(msg)) => {
+                // ORDERING: Relaxed — monotonic reporting counter, read
+                // only after the run is over; it orders nothing.
+                blocked.fetch_add(1, Ordering::Relaxed);
+                queue.push(msg).map_err(|_| ShardGone)?;
+            }
+            Err(TryPushError::Closed(_)) => return Err(ShardGone),
+        }
+        self.executor.notify(shard);
+        Ok(())
+    }
+
+    /// Closes ingest and joins every worker, **even when some panicked**:
+    /// all workers are joined before any result is inspected, so one
+    /// panicking shard cannot leak the surviving workers. Panics are
+    /// returned as `Err` payloads in shard order, plus the scheduler and
+    /// round-board counters.
+    pub(crate) fn into_results(
+        self,
+    ) -> (Vec<std::thread::Result<ShardReport>>, u64, u64, RoundStats) {
+        for (shard, queue) in self.queues.iter().enumerate() {
+            queue.close();
+            self.executor.notify(shard);
+        }
+        let (results, stats) = self.executor.join();
+        (results, stats.steals, stats.polls, self.board.stats())
+    }
+}
