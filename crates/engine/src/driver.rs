@@ -42,7 +42,12 @@ impl IngestDriver {
         processed: &Arc<AtomicU64>,
     ) -> IngestDriver {
         let num_shards = config.num_shards;
-        let (schedule, mode) = match config.ingest {
+        // `fan_out` is how many partitions a wide round may fork into: at
+        // most the whole pool. The deterministic scheduler forks with its
+        // virtual worker count — the parent then runs every sub-unit
+        // inline, so seeded replays exercise the exact split plan a real
+        // pool of that size would execute.
+        let (schedule, fan_out, mode) = match config.ingest {
             IngestMode::Async { workers } => {
                 // A fixed pool: `available_parallelism` (capped at the
                 // shard count) by default. An explicit count is honored as
@@ -57,19 +62,13 @@ impl IngestDriver {
                 } else {
                     workers
                 };
-                (Schedule::Pool { workers }, "async")
+                (Schedule::Pool { workers }, workers, "async")
             }
-            IngestMode::AsyncDeterministic(schedule) => {
-                (Schedule::Deterministic(schedule), "async-deterministic")
-            }
-        };
-        // Rounds can fan out to at most the whole pool. The deterministic
-        // scheduler forks with its virtual worker count — the parent then
-        // runs every sub-unit inline, so seeded replays exercise the exact
-        // split plan a real pool of that size would execute.
-        let fan_out = match &schedule {
-            Schedule::Pool { workers } => *workers,
-            Schedule::Deterministic(test) => test.workers,
+            IngestMode::AsyncDeterministic(test) => (
+                Schedule::Deterministic(test),
+                test.workers,
+                "async-deterministic",
+            ),
         };
         let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
             .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))

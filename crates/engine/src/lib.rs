@@ -39,11 +39,10 @@
 //! a commissioning artifact saved by [`icsad_core::CombinedDetector::save`]
 //! and read back with [`icsad_core::CombinedDetector::load`] — the
 //! train-offline / monitor-online deployment the paper assumes. A
-//! *running* engine can additionally
-//! **hot-reload** a freshly commissioned artifact without dropping
-//! in-flight streams: [`Engine::swap_artifact`] installs the new detector
-//! in every shard at a round boundary (see its docs for the exact
-//! protocol).
+//! *running* engine can additionally **hot-reload** a freshly commissioned
+//! artifact without dropping in-flight streams: [`Engine::swap_artifact`]
+//! installs the new detector in every shard at a round boundary (see its
+//! docs for the exact protocol).
 //!
 //! Decisions are identical to running every stream through the backend's
 //! offline path one package at a time — for the combined framework, a

@@ -108,11 +108,10 @@ fn frame(unit: u8, i: u32) -> RawFrame {
     }
 }
 
-/// Split thresholds the real-pool cases run at: rounds atomic, and every
-/// multi-lane round offered to the fork-join board (the stub backend
-/// declines to fork, so `1` pins the classify-atomically fallback).
-const SPLITS: [usize; 2] = [usize::MAX, 1];
-
+/// Real-pool callers run this at `split_threshold` `usize::MAX` (rounds
+/// atomic) and `1` (every multi-lane round offered to the fork-join board;
+/// the stub backend declines to fork, so that pins the
+/// classify-atomically fallback).
 fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
     let (backend, live_sessions) = FailingBackend::new(50);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -151,7 +150,7 @@ fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
 
 #[test]
 fn async_engine_survives_a_panicking_shard() {
-    for split_threshold in SPLITS {
+    for split_threshold in [usize::MAX, 1] {
         drive_to_panic(IngestMode::Async { workers: 2 }, split_threshold);
     }
 }
@@ -179,7 +178,7 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
         workers: 2,
         max_budget: 2,
     });
-    for (ingest, split_threshold) in [(pool, SPLITS[0]), (pool, SPLITS[1]), (replay, usize::MAX)] {
+    for (ingest, split_threshold) in [(pool, usize::MAX), (pool, 1), (replay, usize::MAX)] {
         let (backend, live_sessions) = FailingBackend::new(usize::MAX);
         {
             let mut engine = Engine::try_start_backend(

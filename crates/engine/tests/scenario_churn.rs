@@ -1,7 +1,8 @@
 //! Topology-churn correctness: a PLC that leaves and rejoins classifies
 //! bit-identically to a cold start, with rounds atomic or force-split
-//! across the pool, and across a mid-churn detector hot-swap — and idle-lane eviction is invisible to
-//! decision totals when evicted streams stay gone.
+//! across the pool, and across a mid-churn detector hot-swap — and
+//! idle-lane eviction is invisible to decision totals when evicted streams
+//! stay gone.
 //!
 //! The invariant under test is the lane-lifecycle contract: retiring a
 //! stream resets its lane to the exact state `add_lane` installs, so a

@@ -6,8 +6,8 @@
 //! Ethernet II / IPv4 / TCP with per-connection sequence numbers and
 //! transaction ids (commands mint a fresh transaction id, responses echo
 //! the last command's). The committed test fixture, the robustness
-//! proptests, and the `wire_replay` bench all build captures here, so the
-//! bytes under test are reproducible from source.
+//! proptests, and the perf ledger's wire workloads all build captures
+//! here, so the bytes under test are reproducible from source.
 //!
 //! The builder is byte-deterministic: the same call sequence always
 //! yields the same image, which the fixture self-check test relies on to

@@ -26,7 +26,7 @@
 //!
 //! [`fixture`] builds deterministic capture files (Ethernet/IPv4/TCP
 //! encapsulation) from RTU byte streams — the committed test fixture and
-//! the `wire_replay` bench both come from it.
+//! the perf ledger's wire workloads both come from it.
 //!
 //! [`RawFrame`]: icsad_engine::RawFrame
 //! [`RawFrame::link`]: icsad_engine::RawFrame::link
