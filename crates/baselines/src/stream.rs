@@ -1,6 +1,6 @@
-//! Stream-level adapters: every window baseline is also an
-//! [`icsad_core::Detector`] (offline) and, via [`WindowedBackend`], an
-//! [`icsad_core::StreamingDetector`] the engine can host (online).
+//! Stream-level adapter: via [`WindowedBackend`] every window baseline is
+//! an [`icsad_core::StreamingDetector`] — hosted by the engine online, run
+//! over a finished capture by [`icsad_core::detect_stream`].
 //!
 //! The paper's comparison protocol (§VIII-C) groups four consecutive
 //! packages — one command–response cycle — into one sample for the baseline
@@ -10,29 +10,30 @@
 //! packages. Trailing packages that do not fill a window are conservatively
 //! passed as normal (the windowed models never see them).
 //!
-//! The streaming adapter applies the identical protocol *per lane*: records
-//! buffer until a lane's window completes, then the window's decision
-//! resolves for all of its packages at once (deferred decisions, see
+//! The adapter applies that protocol *per lane*: records buffer until a
+//! lane's window completes, then the window's decision resolves for all of
+//! its packages at once (deferred decisions, see
 //! [`icsad_core::StreamingSession::classify_batch`]), and trailing partial
 //! windows resolve as normal at [`icsad_core::StreamingSession::finish`].
-//! Per stream, the decisions reproduce [`windowed_decisions`] exactly —
-//! Table IV live, through the engine.
+//! Per stream, the decisions reproduce the whole-capture reference
+//! [`windowed_decisions`] exactly — Table IV live, through the engine.
 
 use std::sync::Arc;
 
 use icsad_core::streaming::{LaneDecision, StreamingSession, SwapError};
-use icsad_core::{CombinedDetector, Detector, StreamingDetector};
+use icsad_core::{CombinedDetector, StreamingDetector};
 use icsad_dataset::Record;
 
 use crate::detector::WindowDetector;
 use crate::window::Windows;
-use crate::{BayesianNetwork, Gmm, IsolationForest, PcaSvd, Svdd, WindowBloomFilter};
 
 /// Window width of the paper's baseline protocol (§VIII-C).
 pub const PAPER_WINDOW: usize = 4;
 
 /// Expands per-window decisions of a [`WindowDetector`] to per-record
-/// decisions over `records`, using non-overlapping windows of `width`.
+/// decisions over `records`, using non-overlapping windows of `width`: the
+/// §VIII-C protocol written over a whole capture, kept as the reference the
+/// tests hold [`WindowedBackend`] sessions against.
 pub fn windowed_decisions<D: WindowDetector + ?Sized>(
     detector: &D,
     records: &[Record],
@@ -48,36 +49,13 @@ pub fn windowed_decisions<D: WindowDetector + ?Sized>(
     out
 }
 
-macro_rules! impl_stream_detector {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl Detector for $ty {
-            fn name(&self) -> &'static str {
-                WindowDetector::name(self)
-            }
-
-            fn detect_stream(&self, records: &[Record]) -> Vec<bool> {
-                windowed_decisions(self, records, PAPER_WINDOW)
-            }
-        }
-    )+};
-}
-
-impl_stream_detector!(
-    WindowBloomFilter,
-    BayesianNetwork,
-    Svdd,
-    IsolationForest,
-    Gmm,
-    PcaSvd,
-);
-
 /// Engine adapter: any trained [`WindowDetector`] as a streaming backend.
 ///
 /// Wraps the detector with the §VIII-C window width (default
 /// [`PAPER_WINDOW`]) so the engine can host it per shard exactly like the
 /// combined framework — the apples-to-apples streaming comparison of
-/// Table IV. Decisions per stream are identical to the offline
-/// [`windowed_decisions`] protocol; hot-reload is refused
+/// Table IV. Decisions per stream are identical to the whole-capture
+/// [`windowed_decisions`] reference; hot-reload is refused
 /// ([`SwapError::UnsupportedBackend`]) since there is no `ICSA` artifact a
 /// window baseline could load.
 #[derive(Debug, Clone)]
@@ -183,35 +161,40 @@ impl<D: WindowDetector + Send + Sync + 'static> StreamingSession for WindowedSes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate_fpr;
+    use crate::{calibrate_fpr, IsolationForest};
     use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 
     #[test]
-    fn window_decisions_cover_every_record() {
+    fn one_lane_driver_matches_windowed_decisions() {
         let data = GasPipelineDataset::generate(&DatasetConfig {
-            total_packages: 2_003, // deliberately not a multiple of 4
+            total_packages: 2_003,
             seed: 5,
             attack_probability: 0.1,
             ..DatasetConfig::default()
         });
         let split = data.split_chronological(0.6, 0.2);
+        let test = split.test();
+        assert_ne!(
+            test.len() % PAPER_WINDOW,
+            0,
+            "need a trailing partial window"
+        );
         let train = Windows::over(split.train().records(), PAPER_WINDOW);
         let mut forest = IsolationForest::fit_windows(&train, 25, 64, 9).unwrap();
         calibrate_fpr(&mut forest, &train, 0.05);
 
-        let det: &dyn Detector = &forest;
-        let decisions = det.detect_stream(split.test());
-        assert_eq!(decisions.len(), split.test().len());
+        let backend = Arc::new(WindowedBackend::new(forest));
+        let reference = windowed_decisions(backend.detector(), test, PAPER_WINDOW);
+        assert_eq!(reference.len(), test.len());
         // Decisions are constant within each full window.
-        for chunk in decisions.chunks(PAPER_WINDOW) {
+        for chunk in reference.chunks(PAPER_WINDOW) {
             if chunk.len() == PAPER_WINDOW {
                 assert!(chunk.iter().all(|&d| d == chunk[0]));
             } else {
                 assert!(chunk.iter().all(|&d| !d), "tail must be passed as normal");
             }
         }
-        let report = det.evaluate_stream(split.test());
-        assert_eq!(report.confusion.total(), split.test().len() as u64);
+        assert_eq!(icsad_core::detect_stream(backend, test), reference);
     }
 
     #[test]
@@ -300,26 +283,5 @@ mod tests {
         )
         .unwrap();
         Arc::new(trained.detector)
-    }
-
-    #[test]
-    fn all_six_baselines_expose_names_through_the_trait() {
-        // Compile-time coverage: each baseline type is a Detector.
-        fn name_of<D: Detector>(d: &D) -> &'static str {
-            d.name()
-        }
-        let data = GasPipelineDataset::generate(&DatasetConfig {
-            total_packages: 1_600,
-            seed: 6,
-            attack_probability: 0.05,
-            ..DatasetConfig::default()
-        });
-        let split = data.split_chronological(0.6, 0.2);
-        let train = Windows::over(split.train().records(), PAPER_WINDOW);
-
-        let forest = IsolationForest::fit_windows(&train, 10, 32, 1).unwrap();
-        assert!(!name_of(&forest).is_empty());
-        let pca = PcaSvd::fit_windows(&train, 0.95).unwrap();
-        assert!(!name_of(&pca).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! behind the paper's Fig. 6 training budget (50 epochs in ~35 min).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use icsad_nn::{LstmClassifier, ModelConfig};
+use icsad_nn::{BackwardPack, LstmClassifier, ModelConfig, TrainScratch};
 
 fn model(hidden: Vec<usize>, classes: usize) -> LstmClassifier {
     LstmClassifier::new(&ModelConfig {
@@ -24,13 +24,13 @@ fn bench_lstm(c: &mut Criterion) {
     // The paper's architecture: 2x256 over ~613 classes.
     let paper = model(vec![256, 256], 613);
     let mut state = paper.new_state();
-    let mut probs = vec![0.0f32; 613];
+    let mut logits = vec![0.0f32; 613];
     let mut t = 0usize;
     c.bench_function("lstm_step_2x256_613cls", |b| {
         b.iter(|| {
             t += 1;
-            paper.step(&mut state, black_box(&one_hot_input(t)), &mut probs);
-            black_box(probs[0])
+            paper.step_logits(&mut state, black_box(&one_hot_input(t)), &mut logits);
+            black_box(logits[0])
         })
     });
 
@@ -40,39 +40,36 @@ fn bench_lstm(c: &mut Criterion) {
     c.bench_function("lstm_step_2x64_613cls", |b| {
         b.iter(|| {
             t += 1;
-            small.step(&mut sstate, black_box(&one_hot_input(t)), &mut probs);
-            black_box(probs[0])
+            small.step_logits(&mut sstate, black_box(&one_hot_input(t)), &mut logits);
+            black_box(logits[0])
         })
     });
 
-    // Training: one 32-step truncated-BPTT chunk, forward + backward.
-    let inputs: Vec<Vec<f32>> = (0..32).map(one_hot_input).collect();
-    let targets: Vec<usize> = (0..32).map(|i| (i * 13) % 613).collect();
-    let mut grads = small.zero_gradients();
-    c.bench_function("lstm_bptt_chunk32_2x64", |b| {
-        b.iter(|| {
-            grads.zero();
-            black_box(small.train_sequence(
-                black_box(&inputs),
-                black_box(&targets),
-                &mut grads,
-                1.0 / 32.0,
-            ))
-        })
-    });
-
-    let mut pgrads = paper.zero_gradients();
-    c.bench_function("lstm_bptt_chunk32_2x256", |b| {
-        b.iter(|| {
-            pgrads.zero();
-            black_box(paper.train_sequence(
-                black_box(&inputs),
-                black_box(&targets),
-                &mut pgrads,
-                1.0 / 32.0,
-            ))
-        })
-    });
+    // Training: one 32-step truncated-BPTT chunk, forward + backward, with
+    // the transposed-weight pack and scratch pooled as the trainer does.
+    let chunk: Vec<(Vec<f32>, usize)> = (0..32)
+        .map(|i| (one_hot_input(i), (i * 13) % 613))
+        .collect();
+    let mut scratch = TrainScratch::default();
+    for (name, model) in [
+        ("lstm_bptt_chunk32_2x64", &small),
+        ("lstm_bptt_chunk32_2x256", &paper),
+    ] {
+        let pack = BackwardPack::new(model);
+        let mut grads = model.zero_gradients();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                grads.zero();
+                black_box(model.train_batch(
+                    &pack,
+                    black_box(&[&chunk]),
+                    &mut scratch,
+                    &mut grads,
+                    1.0 / 32.0,
+                ))
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_lstm);

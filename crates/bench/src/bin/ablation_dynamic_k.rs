@@ -4,6 +4,7 @@
 use icsad_bench::{banner, print_table, BenchScale};
 use icsad_core::dynamic_k::{DynamicKConfig, DynamicKController};
 use icsad_core::experiment::train_framework;
+use icsad_core::ClassificationReport;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -41,9 +42,19 @@ fn main() {
                 ..DynamicKConfig::default()
             },
         );
-        let report = trained
-            .detector
-            .evaluate_adaptive(&mut controller, split.test());
+        // The test capture alone on a one-lane batch, every decision
+        // re-decided by the controller from the rank it was made from.
+        let det = &trained.detector;
+        let mut batch = det.begin_batch();
+        let lane = det.add_lane(&mut batch);
+        let mut report = ClassificationReport::default();
+        let mut level = Vec::with_capacity(1);
+        for r in split.test().iter() {
+            level.clear();
+            det.classify_batch(&mut batch, &[lane], std::slice::from_ref(r), &mut level);
+            let level = controller.redecide(level[0], batch.ranks()[0]);
+            report.record(r.label, level.is_anomalous());
+        }
         rows.push(vec![
             format!("dynamic θ={theta} (final k={})", controller.k()),
             format!("{:.3}", report.precision()),

@@ -1,5 +1,6 @@
-//! Quick kernel probe: per-record `step` vs batched `forward_batch`
-//! throughput of the stacked LSTM classifier, isolated from detector
+//! Quick kernel probe: per-record `step_logits` vs batched
+//! `forward_batch_gathered_logits` (with its gather/scatter) throughput of
+//! the stacked LSTM classifier, isolated from detector
 //! training and traffic generation — plus a SIMD-backend comparison
 //! sweep.
 //!
@@ -10,7 +11,7 @@
 //! Environment: `ICSAD_HIDDEN` (default `256,256`), `ICSAD_CLASSES`
 //! (default `600`), `ICSAD_INPUT` (default `104`), and
 //! `ICSAD_COMPARE=1` to sweep every supported kernel backend at
-//! B ∈ {1, 32, 96} instead of the default single-configuration probe
+//! B ∈ {1, 32, 96} instead of the default row-configuration probe
 //! (`ICSAD_KERNEL_BACKEND`/`ICSAD_KERNEL_FMA` force a backend for the
 //! default mode).
 
@@ -36,6 +37,24 @@ fn make_xs(lanes: usize, input_dim: usize, t: usize) -> Vec<f32> {
     xs
 }
 
+/// One batched step of every lane in `states`, the way a detector round
+/// does it: gather, step, scatter.
+fn step_lanes(
+    model: &LstmClassifier,
+    states: &mut [StreamState],
+    scratch: &mut BatchScratch,
+    xs: &[f32],
+    logits: &mut [f32],
+) {
+    for (i, state) in states.iter().enumerate() {
+        model.gather_lane(scratch, i, state);
+    }
+    model.forward_batch_gathered_logits(scratch, states.len(), xs, logits);
+    for (i, state) in states.iter_mut().enumerate() {
+        model.scatter_lane(scratch, i, state);
+    }
+}
+
 /// Steps `lanes` batched lanes `steps` times; returns steps/sec.
 fn batched_throughput(
     model: &LstmClassifier,
@@ -45,12 +64,11 @@ fn batched_throughput(
     steps: usize,
 ) -> f64 {
     let input_dim = model.config().input_dim;
-    let lane_idx: Vec<usize> = (0..lanes).collect();
-    let mut probs = vec![0.0f32; lanes * model.num_classes()];
+    let mut logits = vec![0.0f32; lanes * model.num_classes()];
     let t0 = Instant::now();
     for t in 0..steps {
         let xs = make_xs(lanes, input_dim, t);
-        model.forward_batch(scratch, states, &lane_idx, &xs, &mut probs);
+        step_lanes(model, states, scratch, &xs, &mut logits);
     }
     (lanes * steps) as f64 / t0.elapsed().as_secs_f64()
 }
@@ -119,15 +137,15 @@ fn main() {
 
     // Per-record streaming.
     let mut states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();
-    let mut probs = vec![0.0f32; classes];
+    let mut logits = vec![0.0f32; classes];
     let t0 = Instant::now();
     for t in 0..steps {
         let xs = make_xs(lanes, input_dim, t);
         for (lane, state) in states.iter_mut().enumerate() {
-            model.step(
+            model.step_logits(
                 state,
                 &xs[lane * input_dim..(lane + 1) * input_dim],
-                &mut probs,
+                &mut logits,
             );
         }
     }
@@ -141,13 +159,12 @@ fn main() {
 
     // Batched.
     let mut batch_states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();
-    let lane_idx: Vec<usize> = (0..lanes).collect();
     let mut scratch = model.batch_scratch();
-    let mut bprobs = vec![0.0f32; lanes * classes];
+    let mut rows = vec![0.0f32; lanes * classes];
     let t0 = Instant::now();
     for t in 0..steps {
         let xs = make_xs(lanes, input_dim, t);
-        model.forward_batch(&mut scratch, &mut batch_states, &lane_idx, &xs, &mut bprobs);
+        step_lanes(&model, &mut batch_states, &mut scratch, &xs, &mut rows);
     }
     let batched = t0.elapsed();
     println!(
@@ -158,10 +175,10 @@ fn main() {
     );
 
     // Equality spot check.
-    let mut p1 = vec![0.0f32; classes];
+    let mut row = vec![0.0f32; classes];
     let xs = make_xs(lanes, input_dim, steps);
-    model.step(&mut states[0], &xs[..input_dim], &mut p1);
-    model.forward_batch(&mut scratch, &mut batch_states, &lane_idx, &xs, &mut bprobs);
-    assert_eq!(p1, bprobs[..classes].to_vec(), "batch/stream divergence");
+    model.step_logits(&mut states[0], &xs[..input_dim], &mut row);
+    step_lanes(&model, &mut batch_states, &mut scratch, &xs, &mut rows);
+    assert_eq!(row, rows[..classes].to_vec(), "batch/stream divergence");
     println!("equality   : ok");
 }

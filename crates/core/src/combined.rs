@@ -4,7 +4,6 @@ use icsad_dataset::Record;
 use icsad_features::DiscreteVector;
 use icsad_simulator::AttackType;
 
-use crate::dynamic_k::DynamicKController;
 use crate::metrics::ClassificationReport;
 use crate::package::PackageLevelDetector;
 use crate::timeseries::{TimeSeriesDetector, TsBatchScratch, TsState};
@@ -73,6 +72,16 @@ impl CombinedBatch {
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.states.len()
+    }
+
+    /// The signature ranks behind the last
+    /// [`CombinedDetector::classify_batch`] call, one per entry in entry
+    /// order: the 1-based position of the package's signature in its lane's
+    /// rolling prediction, `None` for a Bloom-level anomaly, a signature
+    /// outside the database or a stream's first package. This is what
+    /// [`crate::dynamic_k::DynamicKController::redecide`] consumes.
+    pub fn ranks(&self) -> &[Option<usize>] {
+        &self.ranks
     }
 
     /// Moves lane `lane`'s stream state out, leaving a hollow placeholder
@@ -149,7 +158,9 @@ impl CombinedDetector {
         }
     }
 
-    /// Classifies one package and feeds it back into the time-series state.
+    /// Classifies one package and feeds it back into the time-series state:
+    /// the per-record oracle [`CombinedDetector::classify_batch`] is tested
+    /// against.
     pub fn classify(&self, state: &mut CombinedState, record: &Record) -> DetectionLevel {
         let vector = self.package.discretizer().discretize(record);
         let sig = icsad_features::signature_of(&vector);
@@ -161,7 +172,7 @@ impl CombinedDetector {
             return DetectionLevel::PackageLevel;
         }
         let id = self.timeseries.vocabulary().id_of(&sig);
-        let anomalous = self.timeseries.process(&mut state.ts, &vector, id, None);
+        let (anomalous, _) = self.timeseries.process(&mut state.ts, &vector, id, None);
         if anomalous {
             DetectionLevel::TimeSeriesLevel
         } else {
@@ -212,7 +223,8 @@ impl CombinedDetector {
     /// advances every lane through the LSTM as one matrix–matrix product
     /// ([`TimeSeriesDetector::process_batch`]). Decisions are appended to
     /// `out` in entry order and match a per-record [`CombinedDetector::classify`]
-    /// loop on each stream exactly.
+    /// loop on each stream exactly; the ranks they were made from stay
+    /// readable on [`CombinedBatch::ranks`] until the next call.
     ///
     /// # Panics
     ///
@@ -235,6 +247,7 @@ impl CombinedDetector {
             &batch.flags,
             &mut batch.ts,
             &mut batch.ts_decisions,
+            &mut batch.ranks,
         );
 
         out.extend(
@@ -252,79 +265,6 @@ impl CombinedDetector {
                     }
                 }),
         );
-    }
-
-    /// Batched [`CombinedDetector::classify_adaptive`]: like
-    /// [`CombinedDetector::classify_batch`], but each lane's top-`k`
-    /// decision uses that lane's [`DynamicKController`] (`controllers[lane]`,
-    /// one per batch lane) instead of the fixed `k`, and every in-bound
-    /// rank feeds back into the lane's controller.
-    ///
-    /// The signature ranks are the ones the batched LSTM step computes
-    /// anyway ([`TimeSeriesDetector::process_batch_with_ranks`]), so the
-    /// adaptive rule adds no extra model work. The LSTM feedback bit stays
-    /// the *fixed*-`k` decision — exactly as in the per-record
-    /// [`CombinedDetector::classify_adaptive`] — so decisions and every
-    /// lane's state are bit-identical to a per-record adaptive loop on each
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `controllers.len() != batch.lanes()`, plus everything
-    /// [`CombinedDetector::classify_batch`] panics on.
-    pub fn classify_batch_adaptive(
-        &self,
-        batch: &mut CombinedBatch,
-        lanes: &[usize],
-        records: &[Record],
-        controllers: &mut [DynamicKController],
-        out: &mut Vec<DetectionLevel>,
-    ) {
-        assert_eq!(
-            controllers.len(),
-            batch.lanes(),
-            "one controller per batch lane"
-        );
-        self.package_stage(batch, lanes, records);
-
-        batch.ranks.clear();
-        self.timeseries.process_batch_with_ranks(
-            &mut batch.states,
-            lanes,
-            &batch.vectors,
-            &batch.ids,
-            &batch.flags,
-            &mut batch.ts,
-            &mut batch.ts_decisions,
-            &mut batch.ranks,
-        );
-
-        for (i, &lane) in lanes.iter().enumerate() {
-            if batch.package_hits[i] {
-                // Bloom-level anomalies bypass the top-k rule entirely; the
-                // controller never sees them (classify_adaptive likewise).
-                out.push(DetectionLevel::PackageLevel);
-                continue;
-            }
-            let controller = &mut controllers[lane];
-            let rank = batch.ranks[i];
-            // Decide with the controller's current k, then feed the rank
-            // back — same order as the per-record path.
-            let anomalous = match rank {
-                Some(rank) => rank > controller.k(),
-                None => batch.ids[i].is_none(),
-            };
-            if let Some(rank) = rank {
-                if rank <= controller.max_k() {
-                    controller.observe_rank(rank);
-                }
-            }
-            out.push(if anomalous {
-                DetectionLevel::TimeSeriesLevel
-            } else {
-                DetectionLevel::Normal
-            });
-        }
     }
 
     /// The package level of one batched flush: discretize, signature,
@@ -346,6 +286,7 @@ impl CombinedDetector {
         batch.flags.clear();
         batch.package_hits.clear();
         batch.ts_decisions.clear();
+        batch.ranks.clear();
         for r in records {
             let vector = disc.discretize(r);
             icsad_features::write_signature(&vector, &mut batch.sig_buf);
@@ -400,63 +341,6 @@ impl CombinedDetector {
             }
         }
         results
-    }
-
-    /// Classifies one package under a dynamic-`k` controller (the paper's
-    /// future-work extension, see [`crate::dynamic_k`]): the controller's
-    /// current `k` replaces the fixed top-`k` rule, and the rank of every
-    /// *accepted* package feeds back into the controller.
-    pub fn classify_adaptive(
-        &self,
-        state: &mut CombinedState,
-        controller: &mut DynamicKController,
-        record: &Record,
-    ) -> DetectionLevel {
-        let vector = self.package.discretizer().discretize(record);
-        let sig = icsad_features::signature_of(&vector);
-        if self.package.signature_is_anomalous(&sig) {
-            self.timeseries
-                .process(&mut state.ts, &vector, None, Some(true));
-            return DetectionLevel::PackageLevel;
-        }
-        let id = self.timeseries.vocabulary().id_of(&sig);
-        let (_, rank) = self
-            .timeseries
-            .process_with_rank(&mut state.ts, &vector, id, None);
-        // Decide with the controller's k rather than the fixed one.
-        let anomalous = match rank {
-            Some(rank) => rank > controller.k(),
-            None => id.is_none(),
-        };
-        // Feed the controller every package whose rank is plausibly normal
-        // (within the controller's bound) — not just packages accepted at
-        // the *current* k, which would self-censor and pin k at its floor.
-        if let Some(rank) = rank {
-            if rank <= controller.max_k() {
-                controller.observe_rank(rank);
-            }
-        }
-        if anomalous {
-            DetectionLevel::TimeSeriesLevel
-        } else {
-            DetectionLevel::Normal
-        }
-    }
-
-    /// Classifies a stream with dynamic `k` and evaluates against ground
-    /// truth.
-    pub fn evaluate_adaptive(
-        &self,
-        controller: &mut DynamicKController,
-        records: &[Record],
-    ) -> ClassificationReport {
-        let mut state = self.begin();
-        let mut report = ClassificationReport::default();
-        for r in records {
-            let level = self.classify_adaptive(&mut state, controller, r);
-            report.record(r.label, level.is_anomalous());
-        }
-        report
     }
 
     /// Classifies a whole record stream, returning one level per package.
@@ -530,7 +414,8 @@ mod tests {
             ..TimeSeriesTrainingConfig::default()
         };
         let (mut ts, _) = TimeSeriesDetector::train(&disc, &vocab, split.train(), &config).unwrap();
-        ts.choose_k(split.validation(), 0.05, 10);
+        let curve = ts.top_k_error_curve(split.validation(), 10);
+        ts.choose_k(&curve, 0.05);
         (CombinedDetector::new(package, ts), split)
     }
 
@@ -597,21 +482,6 @@ mod tests {
         assert!(loose.recall() <= tight.recall() + 1e-12);
         // And false positives can only drop too.
         assert!(loose.confusion.fp <= tight.confusion.fp);
-    }
-
-    #[test]
-    fn adaptive_classification_produces_sane_reports() {
-        use crate::dynamic_k::{DynamicKConfig, DynamicKController};
-        let (det, split) = build(10_000, 8, 5);
-        let mut controller = DynamicKController::new(det.k(), DynamicKConfig::default());
-        let adaptive = det.evaluate_adaptive(&mut controller, split.test());
-        let fixed = det.evaluate(split.test());
-        assert_eq!(adaptive.confusion.total(), fixed.confusion.total());
-        // The controller converged onto some k within bounds and kept a
-        // recall in the same regime as the fixed rule.
-        assert!((1..=10).contains(&controller.k()));
-        assert!(adaptive.recall() > fixed.recall() - 0.25);
-        assert!(controller.observations() > 0);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 
 use std::collections::VecDeque;
 
+use crate::combined::DetectionLevel;
+
 /// Configuration for the dynamic-`k` controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicKConfig {
@@ -89,6 +91,37 @@ impl DynamicKController {
     /// Number of rank observations currently in the window.
     pub fn observations(&self) -> usize {
         self.ranks.len()
+    }
+
+    /// The dynamic-`k` decision rule — the one place it is written. Takes a
+    /// package's fixed-`k` `level` and signature `rank` as
+    /// [`crate::CombinedDetector::classify_batch`] left them
+    /// ([`crate::CombinedBatch::ranks`]) and returns the level under this
+    /// controller's current `k`, then feeds the rank back.
+    ///
+    /// A Bloom-level anomaly bypasses the top-`k` rule and a package
+    /// without a rank (unknown signature, first of its stream) has nothing
+    /// to re-decide: both keep their level and the controller never sees
+    /// them. Otherwise the package is anomalous iff `rank > k()`, decided
+    /// *before* the rank is observed. Every rank within
+    /// [`DynamicKController::max_k`] is observed — not just packages
+    /// accepted at the current `k`, which would self-censor and pin `k` at
+    /// its floor. The LSTM feedback bit is not revisited: it stays the
+    /// fixed-`k` decision the detector already fed back.
+    pub fn redecide(&mut self, level: DetectionLevel, rank: Option<usize>) -> DetectionLevel {
+        let (DetectionLevel::Normal | DetectionLevel::TimeSeriesLevel, Some(rank)) = (level, rank)
+        else {
+            return level;
+        };
+        let anomalous = rank > self.current_k;
+        if rank <= self.config.max_k {
+            self.observe_rank(rank);
+        }
+        if anomalous {
+            DetectionLevel::TimeSeriesLevel
+        } else {
+            DetectionLevel::Normal
+        }
     }
 
     /// Records the rank (1-based position in the sorted prediction) of an
@@ -219,6 +252,37 @@ mod tests {
         assert_eq!(c.observe_rank(11), 1);
         assert_eq!(c.k(), 1, "out-of-contract rank must not move k");
         assert_eq!(c.observations(), before);
+    }
+
+    #[test]
+    fn redecide_applies_the_current_k_then_observes_in_bound_ranks() {
+        use DetectionLevel::{Normal, PackageLevel, TimeSeriesLevel};
+        let mut c = controller(64, 0.05);
+        // Levels the top-k rule never produced pass through unseen.
+        assert_eq!(c.redecide(PackageLevel, None), PackageLevel);
+        assert_eq!(c.redecide(PackageLevel, Some(1)), PackageLevel);
+        assert_eq!(c.redecide(TimeSeriesLevel, None), TimeSeriesLevel);
+        assert_eq!(c.redecide(Normal, None), Normal);
+        assert_eq!(c.observations(), 0);
+        // Ranked packages are re-decided at the controller's k (4), whatever
+        // the fixed-k level said.
+        assert_eq!(c.redecide(TimeSeriesLevel, Some(4)), Normal);
+        assert_eq!(c.redecide(Normal, Some(5)), TimeSeriesLevel);
+        assert_eq!(c.observations(), 2, "rank 5 <= max_k is still observed");
+        // Ranks beyond max_k are anomalous and never feed the window.
+        assert_eq!(c.redecide(Normal, Some(11)), TimeSeriesLevel);
+        assert_eq!(c.observations(), 2);
+        // The decision uses k from *before* this package's rank lands: the
+        // 16th observation (window / 4) re-estimates k from 4 down to 3, so
+        // the package that triggers it is still judged at 4.
+        let mut c = controller(64, 0.05);
+        for _ in 0..15 {
+            assert_eq!(c.redecide(Normal, Some(1)), Normal);
+        }
+        assert_eq!(c.k(), 4);
+        assert_eq!(c.redecide(TimeSeriesLevel, Some(3)), Normal);
+        assert_eq!(c.k(), 3);
+        assert_eq!(c.redecide(Normal, Some(4)), TimeSeriesLevel);
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn train_framework(
     let (mut timeseries, training_stats) =
         TimeSeriesDetector::train(&discretizer, &vocabulary, split.train(), &config.timeseries)?;
     let validation_topk_curve = timeseries.top_k_error_curve(split.validation(), config.max_k);
-    let chosen_k = timeseries.choose_k(split.validation(), config.theta_k, config.max_k);
+    let chosen_k = timeseries.choose_k(&validation_topk_curve, config.theta_k);
     let signature_count = vocabulary.len();
     Ok(TrainedFramework {
         detector: CombinedDetector::new(package, timeseries),

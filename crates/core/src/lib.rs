@@ -25,9 +25,11 @@
 //!   (paper §V),
 //! * [`combined`] — the combined framework with anomaly-bit feedback
 //!   (paper §VI),
-//! * [`streaming`] — the pluggable streaming-backend abstraction the
-//!   engine hosts (fixed-`k`, per-stream dynamic-`k`, window baselines)
-//!   with hot-reload support,
+//! * [`streaming`] — the one detector interface: the pluggable
+//!   streaming-backend abstraction the engine hosts (fixed-`k`, per-stream
+//!   dynamic-`k`, window baselines) with hot-reload support, and
+//!   [`streaming::detect_stream`] to run any backend over a finished
+//!   capture,
 //! * [`metrics`] — precision/recall/accuracy/F1 and per-attack-type recall
 //!   (papers §VIII-B, Tables IV/V),
 //! * [`experiment`] — the end-to-end train-validate-test pipeline used by
@@ -56,7 +58,6 @@
 
 pub mod artifact;
 pub mod combined;
-pub mod detector;
 pub mod dynamic_k;
 mod error;
 pub mod experiment;
@@ -67,12 +68,11 @@ pub mod timeseries;
 
 pub use artifact::{ArtifactError, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use combined::{CombinedBatch, CombinedDetector};
-pub use detector::Detector;
 pub use dynamic_k::{DynamicKConfig, DynamicKController};
 pub use error::CoreError;
 pub use metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall};
 pub use package::PackageLevelDetector;
 pub use streaming::{
-    AdaptiveCombined, LaneDecision, StreamingDetector, StreamingSession, SwapError,
+    detect_stream, AdaptiveCombined, LaneDecision, StreamingDetector, StreamingSession, SwapError,
 };
 pub use timeseries::{NoiseConfig, TimeSeriesDetector, TimeSeriesTrainingConfig};

@@ -1,9 +1,9 @@
-//! The streaming backend abstraction: pluggable detectors for the engine.
+//! The streaming backend abstraction: pluggable detectors for the engine —
+//! and the only detector interface in the workspace.
 //!
-//! The offline [`Detector`](crate::Detector) trait answers "which packages
-//! of this finished capture are anomalous?". An *online* monitor needs the
-//! same question answered incrementally, over many interleaved streams at
-//! once, which adds three requirements the offline trait cannot express:
+//! An online monitor must answer "is this package anomalous?"
+//! incrementally, over many interleaved streams at once, which takes three
+//! things a one-shot "classify this finished capture" call cannot express:
 //!
 //! * **per-stream state** — each monitored PLC carries its own detector
 //!   state (LSTM state, dynamic-k controller, window buffer),
@@ -14,13 +14,16 @@
 //!   only judge a package once its window completes, so a decision may
 //!   resolve several rounds after its package was pushed.
 //!
-//! [`StreamingDetector`] + [`StreamingSession`] pin that contract down.
-//! Three backend families implement it:
+//! [`StreamingDetector`] + [`StreamingSession`] pin that contract down, and
+//! a new detector family implements these two traits and nothing else.
+//! Offline evaluation is the same path on one lane ([`detect_stream`]), so
+//! offline and online decisions agree by construction. Three backend
+//! families implement the traits:
 //!
 //! | backend | built on | decisions |
 //! |---|---|---|
 //! | [`CombinedDetector`] | `classify_batch` | immediate, fixed top-`k` |
-//! | [`AdaptiveCombined`] | `classify_batch_adaptive` | immediate, per-stream dynamic `k` |
+//! | [`AdaptiveCombined`] | `classify_batch` + [`DynamicKController::redecide`] | immediate, per-stream dynamic `k` |
 //! | `icsad_baselines::stream::WindowedBackend` | §VIII-C window protocol | deferred per window |
 //!
 //! Sessions hosting a [`CombinedDetector`] additionally support
@@ -149,23 +152,54 @@ impl RoundPartition {
     /// *where* and *when* this runs cannot change them.
     pub fn run(&mut self) {
         self.levels.clear();
-        if self.controllers.is_empty() {
-            self.detector.classify_batch(
-                &mut self.batch,
-                &self.local,
-                &self.records,
+        self.detector.classify_batch(
+            &mut self.batch,
+            &self.local,
+            &self.records,
+            &mut self.levels,
+        );
+        if !self.controllers.is_empty() {
+            redecide_round(
                 &mut self.levels,
-            );
-        } else {
-            self.detector.classify_batch_adaptive(
-                &mut self.batch,
+                self.batch.ranks(),
                 &self.local,
-                &self.records,
                 &mut self.controllers,
-                &mut self.levels,
             );
         }
     }
+}
+
+/// Dynamic-`k` pass over one fixed-`k` round: entry `i` is re-decided by
+/// its lane's controller (`controllers[lanes[i]]`) from the rank
+/// `classify_batch` left behind.
+fn redecide_round(
+    levels: &mut [DetectionLevel],
+    ranks: &[Option<usize>],
+    lanes: &[usize],
+    controllers: &mut [DynamicKController],
+) {
+    for ((level, &rank), &lane) in levels.iter_mut().zip(ranks).zip(lanes) {
+        *level = controllers[lane].redecide(*level, rank);
+    }
+}
+
+/// Classifies a finished capture with any backend: opens a session, pushes
+/// `records` through it on one lane and calls
+/// [`StreamingSession::finish`]. Returns one decision per record
+/// (`true` = anomalous), in order. This is the offline entry point — it
+/// *is* the online path, so the two cannot disagree.
+pub fn detect_stream<D: StreamingDetector + ?Sized>(
+    backend: Arc<D>,
+    records: &[Record],
+) -> Vec<bool> {
+    let mut session = backend.begin_session();
+    let lane = session.add_lane();
+    let mut out = Vec::with_capacity(records.len());
+    for r in records {
+        session.classify_batch(&[lane], std::slice::from_ref(r), &mut out);
+    }
+    session.finish(&mut out);
+    out.iter().map(|d| d.anomalous).collect()
 }
 
 /// A streaming anomaly-detection backend: the factory for per-shard
@@ -176,8 +210,7 @@ impl RoundPartition {
 /// sessions it opens. One backend is typically shared by every shard of an
 /// engine via `Arc`.
 pub trait StreamingDetector: Send + Sync {
-    /// Short display name (mirrors [`Detector::name`](crate::Detector::name)
-    /// for backends that also implement the offline trait).
+    /// Short display name (as used in Tables IV and V).
     fn name(&self) -> &str;
 
     /// Opens a fresh session with no lanes; add one lane per stream with
@@ -214,9 +247,8 @@ pub trait StreamingSession: Send {
     fn classify_batch(&mut self, lanes: &[usize], records: &[Record], out: &mut Vec<LaneDecision>);
 
     /// End of stream: resolves every still-pending decision (window
-    /// backends pass trailing partial windows as normal, mirroring the
-    /// offline `windowed_decisions` protocol; immediate backends have
-    /// nothing pending).
+    /// backends pass trailing partial windows as normal, per the §VIII-C
+    /// protocol; immediate backends have nothing pending).
     fn finish(&mut self, out: &mut Vec<LaneDecision>);
 
     /// Retires a lane whose stream has left the topology: resets the
@@ -371,17 +403,10 @@ impl StreamingSession for CombinedSession {
         }
         let emitted_from = out.len();
         self.levels.clear();
-        match &mut self.adaptive {
-            None => self
-                .detector
-                .classify_batch(&mut self.batch, lanes, records, &mut self.levels),
-            Some((_, controllers)) => self.detector.classify_batch_adaptive(
-                &mut self.batch,
-                lanes,
-                records,
-                controllers,
-                &mut self.levels,
-            ),
+        self.detector
+            .classify_batch(&mut self.batch, lanes, records, &mut self.levels);
+        if let Some((_, controllers)) = &mut self.adaptive {
+            redecide_round(&mut self.levels, self.batch.ranks(), lanes, controllers);
         }
         out.extend(
             lanes
@@ -547,9 +572,9 @@ impl StreamingDetector for CombinedDetector {
 
 /// The combined framework with per-stream dynamic-`k` controllers: every
 /// lane carries its own [`DynamicKController`] seeded at the detector's
-/// commissioned `k`, and decisions follow
-/// [`CombinedDetector::classify_batch_adaptive`] — bit-identical to a
-/// per-record [`CombinedDetector::classify_adaptive`] loop on each stream.
+/// commissioned `k`, and every [`CombinedDetector::classify_batch`] decision
+/// is re-decided by its lane's [`DynamicKController::redecide`] — so a
+/// stream's decisions do not depend on which lanes share its rounds.
 #[derive(Debug, Clone)]
 pub struct AdaptiveCombined {
     detector: Arc<CombinedDetector>,
@@ -709,6 +734,29 @@ mod tests {
         results
     }
 
+    /// The per-record dynamic-`k` oracle: one stream alone on a one-lane
+    /// batch (whose step is the streaming step) with its own controller.
+    fn adaptive_oracle(
+        detector: &CombinedDetector,
+        config: DynamicKConfig,
+        records: &[Record],
+    ) -> Vec<bool> {
+        let mut batch = detector.begin_batch();
+        let lane = detector.add_lane(&mut batch);
+        let mut controller = DynamicKController::new(detector.k(), config);
+        let mut level = Vec::with_capacity(1);
+        records
+            .iter()
+            .map(|r| {
+                level.clear();
+                detector.classify_batch(&mut batch, &[lane], std::slice::from_ref(r), &mut level);
+                controller
+                    .redecide(level[0], batch.ranks()[0])
+                    .is_anomalous()
+            })
+            .collect()
+    }
+
     /// Slices a capture into `n` round-robin streams.
     fn round_robin(records: &[Record], n: usize) -> Vec<Vec<Record>> {
         let mut streams = vec![Vec::new(); n];
@@ -842,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_matches_per_record_classify_adaptive() {
+    fn adaptive_session_matches_each_stream_alone() {
         let (detector, records) = small_detector(52);
         let third = records.len() / 3;
         let streams: Vec<&[Record]> = vec![
@@ -857,22 +905,36 @@ mod tests {
 
         let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
         assert!(backend.supports_hot_swap());
-        let mut session = backend.begin_session();
+        let mut session = Arc::clone(&backend).begin_session();
         let sessions = drive(session.as_mut(), &streams);
 
         for (stream, session_decisions) in streams.iter().zip(sessions.iter()) {
-            let mut state = detector.begin();
-            let mut controller = DynamicKController::new(detector.k(), config);
-            let reference: Vec<bool> = stream
-                .iter()
-                .map(|r| {
-                    detector
-                        .classify_adaptive(&mut state, &mut controller, r)
-                        .is_anomalous()
-                })
-                .collect();
-            assert_eq!(session_decisions, &reference);
+            assert_eq!(
+                session_decisions,
+                &adaptive_oracle(&detector, config, stream)
+            );
         }
+    }
+
+    #[test]
+    fn detect_stream_is_the_online_path_on_one_lane() {
+        let (detector, records) = small_detector(64);
+        let fixed: Vec<bool> = detector
+            .classify_stream(&records)
+            .iter()
+            .map(|level| level.is_anomalous())
+            .collect();
+        assert_eq!(detect_stream(Arc::clone(&detector), &records), fixed);
+
+        let config = DynamicKConfig {
+            window: 32,
+            ..DynamicKConfig::default()
+        };
+        let adaptive = adaptive_oracle(&detector, config, &records);
+        assert_ne!(adaptive, fixed, "the controller must move some decision");
+        let backend: Arc<dyn StreamingDetector> =
+            Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
+        assert_eq!(detect_stream(backend, &records), adaptive);
     }
 
     /// The `LaneDecision` ordering contract's call-shape half: a repeated
@@ -959,17 +1021,7 @@ mod tests {
         let recycled: Vec<bool> = out.iter().map(|d| d.anomalous).collect();
 
         // Cold reference: fresh state *and* fresh dynamic-k controller.
-        let mut state = detector.begin();
-        let mut controller = DynamicKController::new(detector.k(), config);
-        let reference: Vec<bool> = second
-            .iter()
-            .map(|r| {
-                detector
-                    .classify_adaptive(&mut state, &mut controller, r)
-                    .is_anomalous()
-            })
-            .collect();
-        assert_eq!(recycled, reference);
+        assert_eq!(recycled, adaptive_oracle(&detector, config, second));
     }
 
     #[test]

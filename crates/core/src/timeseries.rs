@@ -358,82 +358,49 @@ impl TimeSeriesDetector {
         &self.model
     }
 
-    /// Computes the top-`k` error `err_k` on anomaly-free fragments: the
+    /// Computes the top-`k` error `err_k` on anomaly-free fragments — the
     /// fraction of next-signature predictions whose true signature is not
-    /// among the `k` most probable (paper §V-2; Fig. 6).
-    pub fn top_k_error(&self, fragments: &Fragments, k: usize) -> f64 {
-        let mut misses = 0usize;
-        let mut total = 0usize;
-        for frag in fragments.iter() {
-            if frag.len() < 2 {
-                continue;
-            }
-            let inputs: Vec<Vec<f32>> = frag[..frag.len() - 1]
-                .iter()
-                .map(|r| self.encoder.encode(&self.discretizer.discretize(r), false))
-                .collect();
-            let probs = self.model.predict_sequence(&inputs);
-            for (p, r) in probs.iter().zip(frag.iter().skip(1)) {
-                total += 1;
-                let target = self.vocabulary.id_of(&self.discretizer.signature(r));
-                match target {
-                    Some(t) if loss::in_top_k(p, t, k) => {}
-                    _ => misses += 1,
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            misses as f64 / total as f64
-        }
-    }
-
-    /// Computes `err_k` for every `k` in `1..=max_k` in one pass (the
-    /// Fig. 6 curve).
+    /// among the `k` most probable (paper §V-2) — for every `k` in
+    /// `1..=max_k` in one pass (the Fig. 6 curve; `err_k` is `curve[k - 1]`).
+    ///
+    /// Each target is ranked once per step on the raw logits, like
+    /// detection itself: a rank-`r` target misses at every `k < r`, a
+    /// signature outside the database at every `k`.
     pub fn top_k_error_curve(&self, fragments: &Fragments, max_k: usize) -> Vec<f64> {
-        let mut misses = vec![0usize; max_k + 1];
+        let mut misses = vec![0usize; max_k];
         let mut total = 0usize;
+        let mut x = vec![0.0f32; self.encoder.dims()];
+        let mut logits = vec![0.0f32; self.model.num_classes()];
         for frag in fragments.iter() {
-            if frag.len() < 2 {
-                continue;
-            }
-            let inputs: Vec<Vec<f32>> = frag[..frag.len() - 1]
-                .iter()
-                .map(|r| self.encoder.encode(&self.discretizer.discretize(r), false))
-                .collect();
-            let probs = self.model.predict_sequence(&inputs);
-            for (p, r) in probs.iter().zip(frag.iter().skip(1)) {
+            let mut state = self.model.new_state();
+            for (r, next) in frag.iter().zip(frag.iter().skip(1)) {
+                self.encoder
+                    .encode_into(&self.discretizer.discretize(r), false, &mut x);
+                self.model.step_logits(&mut state, &x, &mut logits);
                 total += 1;
-                let target = self.vocabulary.id_of(&self.discretizer.signature(r));
-                for (k, miss) in misses.iter_mut().enumerate().skip(1) {
-                    let hit = matches!(target, Some(t) if loss::in_top_k(p, t, k));
-                    if !hit {
-                        *miss += 1;
-                    }
+                let missed_below = self
+                    .vocabulary
+                    .id_of(&self.discretizer.signature(next))
+                    .map_or(max_k, |t| (loss::rank_of(&logits, t) - 1).min(max_k));
+                for miss in &mut misses[..missed_below] {
+                    *miss += 1;
                 }
             }
         }
-        (1..=max_k)
-            .map(|k| {
-                if total == 0 {
-                    0.0
-                } else {
-                    misses[k] as f64 / total as f64
-                }
-            })
-            .collect()
+        // (No targets, no misses: 0 / 1.)
+        let total = total.max(1) as f64;
+        misses.iter().map(|&m| m as f64 / total).collect()
     }
 
-    /// Chooses the minimal `k` with validation `err_k < theta` (paper §V-2)
-    /// and installs it. Falls back to `max_k` if the budget is never met.
-    pub fn choose_k(&mut self, validation: &Fragments, theta: f64, max_k: usize) -> usize {
-        let errors = self.top_k_error_curve(validation, max_k.max(1));
-        let k = errors
+    /// Chooses the minimal `k` whose validation error `curve[k - 1]` is
+    /// below `theta` (paper §V-2; `curve` from
+    /// [`TimeSeriesDetector::top_k_error_curve`]) and installs it. Falls
+    /// back to the largest `k` the curve covers if the budget is never met.
+    pub fn choose_k(&mut self, curve: &[f64], theta: f64) -> usize {
+        let k = curve
             .iter()
             .position(|&e| e < theta)
-            .map(|i| i + 1)
-            .unwrap_or(max_k.max(1));
+            .map_or(curve.len().max(1), |i| i + 1);
         self.k = k;
         k
     }
@@ -448,7 +415,22 @@ impl TimeSeriesDetector {
         }
     }
 
-    /// Processes one package in streaming mode.
+    /// The top-`k` rule on a lane's rolling prediction: `F_t` for a package
+    /// with class id `signature_id`, plus the 1-based rank of its signature
+    /// (`None` for the first package of a stream or an unknown signature).
+    fn decide(&self, state: &TsState, signature_id: Option<usize>) -> (bool, Option<usize>) {
+        match (&state.prediction, signature_id) {
+            (_, None) => (true, None),
+            (None, Some(_)) => (false, None),
+            (Some(pred), Some(id)) => {
+                let rank = loss::rank_of(pred, id);
+                (rank > self.k, Some(rank))
+            }
+        }
+    }
+
+    /// Processes one package in streaming mode — the per-record reference
+    /// [`TimeSeriesDetector::process_batch`] is checked against.
     ///
     /// `vector` is the package's discretized features; `signature_id` its
     /// signature's class id (`None` if the signature is not in the
@@ -456,40 +438,20 @@ impl TimeSeriesDetector {
     /// `flag_noisy` forces the package's noise bit (used by the combined
     /// framework to feed back Bloom-level detections).
     ///
-    /// Returns `F_t` for this package: `true` = anomalous. The very first
-    /// package of a stream cannot be classified (no history) and returns
-    /// `false` unless its signature is unknown.
+    /// Returns `F_t` for this package (`true` = anomalous) and the 1-based
+    /// rank of its signature in the rolling prediction, which feeds the
+    /// dynamic-`k` controller of [`crate::dynamic_k`]. The very first
+    /// package of a stream cannot be classified (no history): it passes
+    /// unless its signature is unknown, and has no rank — nor has an
+    /// unknown signature.
     pub fn process(
         &self,
         state: &mut TsState,
         vector: &DiscreteVector,
         signature_id: Option<usize>,
         flag_noisy: Option<bool>,
-    ) -> bool {
-        self.process_with_rank(state, vector, signature_id, flag_noisy)
-            .0
-    }
-
-    /// Like [`TimeSeriesDetector::process`], additionally returning the
-    /// 1-based rank of the package's signature in the rolling prediction
-    /// (`None` for the first package of a stream or an unknown signature).
-    /// The rank feeds the dynamic-`k` controller of
-    /// [`crate::dynamic_k`].
-    pub fn process_with_rank(
-        &self,
-        state: &mut TsState,
-        vector: &DiscreteVector,
-        signature_id: Option<usize>,
-        flag_noisy: Option<bool>,
     ) -> (bool, Option<usize>) {
-        let (anomalous, rank) = match (&state.prediction, signature_id) {
-            (_, None) => (true, None),
-            (None, Some(_)) => (false, None),
-            (Some(pred), Some(id)) => {
-                let rank = loss::rank_of(pred, id);
-                (rank > self.k, Some(rank))
-            }
-        };
+        let (anomalous, rank) = self.decide(state, signature_id);
         // Feed the package back as input for the next prediction, with its
         // anomaly bit per §V-3 / §VI. Both the one-hot input and the rolling
         // prediction reuse state-owned buffers: the steady-state step is
@@ -523,10 +485,11 @@ impl TimeSeriesDetector {
     /// through the LSTM together as matrix–matrix products.
     ///
     /// Entry `i` of `vectors` / `signature_ids` / `flag_noisy` belongs to
-    /// stream `states[lanes[i]]`; lane indices must be distinct. Decisions
-    /// are appended to `out` (one `F_t` bool per entry, in order) and every
-    /// lane's state ends up bit-identical to processing it alone with
-    /// [`TimeSeriesDetector::process`].
+    /// stream `states[lanes[i]]`; lane indices must be distinct. One `F_t`
+    /// bool per entry is appended to `out` and its pre-step signature rank
+    /// to `ranks`, in order — exactly what [`TimeSeriesDetector::process`]
+    /// returns per record — and every lane's state ends up bit-identical to
+    /// processing it alone.
     ///
     /// # Panics
     ///
@@ -542,66 +505,7 @@ impl TimeSeriesDetector {
         flag_noisy: &[Option<bool>],
         scratch: &mut TsBatchScratch,
         out: &mut Vec<bool>,
-    ) {
-        self.process_batch_inner(
-            states,
-            lanes,
-            vectors,
-            signature_ids,
-            flag_noisy,
-            scratch,
-            out,
-            None,
-        );
-    }
-
-    /// [`TimeSeriesDetector::process_batch`] that additionally appends the
-    /// pre-step 1-based rank of each entry's signature in its lane's
-    /// rolling prediction to `ranks` (`None` for a stream's first package
-    /// or an unknown signature) — exactly the rank
-    /// [`TimeSeriesDetector::process_with_rank`] returns per record. The
-    /// rank is computed once and shared with the fixed-`k` decision, so
-    /// dynamic-`k` callers ([`crate::combined::CombinedDetector::classify_batch_adaptive`])
-    /// pay nothing extra on the hot path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`TimeSeriesDetector::process_batch`].
-    #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
-    pub fn process_batch_with_ranks(
-        &self,
-        states: &mut [TsState],
-        lanes: &[usize],
-        vectors: &[DiscreteVector],
-        signature_ids: &[Option<usize>],
-        flag_noisy: &[Option<bool>],
-        scratch: &mut TsBatchScratch,
-        out: &mut Vec<bool>,
         ranks: &mut Vec<Option<usize>>,
-    ) {
-        self.process_batch_inner(
-            states,
-            lanes,
-            vectors,
-            signature_ids,
-            flag_noisy,
-            scratch,
-            out,
-            Some(ranks),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
-    fn process_batch_inner(
-        &self,
-        states: &mut [TsState],
-        lanes: &[usize],
-        vectors: &[DiscreteVector],
-        signature_ids: &[Option<usize>],
-        flag_noisy: &[Option<bool>],
-        scratch: &mut TsBatchScratch,
-        out: &mut Vec<bool>,
-        mut ranks: Option<&mut Vec<Option<usize>>>,
     ) {
         let batch = lanes.len();
         assert_eq!(vectors.len(), batch, "vectors/lanes mismatch");
@@ -613,16 +517,14 @@ impl TimeSeriesDetector {
         if batch == 1 {
             // A one-lane batch gains nothing from the gemm path (and pays
             // its packing); the streaming step is the same computation.
-            let (anomalous, rank) = self.process_with_rank(
+            let (anomalous, rank) = self.process(
                 &mut states[lanes[0]],
                 &vectors[0],
                 signature_ids[0],
                 flag_noisy[0],
             );
             out.push(anomalous);
-            if let Some(ranks) = ranks {
-                ranks.push(rank);
-            }
+            ranks.push(rank);
             return;
         }
         let dims = self.encoder.dims();
@@ -636,21 +538,12 @@ impl TimeSeriesDetector {
         self.model.reserve_lanes(&mut scratch.nn, batch);
 
         // Per-lane decision from the rolling prediction, then the batched
-        // feedback step (decision order mirrors `process_with_rank`).
+        // feedback step (decision order mirrors `process`).
         for i in 0..batch {
             let state = &states[lanes[i]];
-            let (anomalous, rank) = match (&state.prediction, signature_ids[i]) {
-                (_, None) => (true, None),
-                (None, Some(_)) => (false, None),
-                (Some(pred), Some(id)) => {
-                    let rank = loss::rank_of(pred, id);
-                    (rank > self.k, Some(rank))
-                }
-            };
+            let (anomalous, rank) = self.decide(state, signature_ids[i]);
             out.push(anomalous);
-            if let Some(ranks) = ranks.as_deref_mut() {
-                ranks.push(rank);
-            }
+            ranks.push(rank);
             let noisy = flag_noisy[i].unwrap_or(anomalous);
             self.encoder.encode_into(
                 &vectors[i],
@@ -749,9 +642,8 @@ mod tests {
                 "curve must be non-increasing: {curve:?}"
             );
         }
-        // Consistency with the single-k computation.
-        let e3 = det.top_k_error(split.validation(), 3);
-        assert!((e3 - curve[2]).abs() < 1e-12);
+        // A shorter curve is a prefix of a longer one.
+        assert_eq!(det.top_k_error_curve(split.validation(), 3), curve[..3]);
     }
 
     #[test]
@@ -762,7 +654,7 @@ mod tests {
                 .unwrap();
         let curve = det.top_k_error_curve(split.validation(), 10);
         let theta = (curve[0] + curve[9]) / 2.0; // somewhere inside the range
-        let k = det.choose_k(split.validation(), theta, 10);
+        let k = det.choose_k(&curve, theta);
         assert_eq!(det.k(), k);
         if curve.iter().any(|&e| e < theta) {
             assert!(curve[k - 1] < theta);
@@ -785,7 +677,7 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         // Unknown signature: always anomalous.
-        assert!(det.process(&mut state, &v, None, None));
+        assert_eq!(det.process(&mut state, &v, None, None), (true, None));
         // Known signature right after: depends on prediction, but must not
         // panic and must update state.
         let id = vocab.id_of(&disc.signature(r));
@@ -802,7 +694,7 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         let id = vocab.id_of(&disc.signature(r));
-        assert!(!det.process(&mut state, &v, id, None));
+        assert_eq!(det.process(&mut state, &v, id, None), (false, None));
     }
 
     #[test]
@@ -823,7 +715,7 @@ mod tests {
         let (det, _) =
             TimeSeriesDetector::train(&disc, &vocab, split.train(), &fast_config(16, false))
                 .unwrap();
-        let err = det.top_k_error(split.validation(), 8);
+        let err = det.top_k_error_curve(split.validation(), 8)[7];
         assert!(
             err < oov + 0.15,
             "validation top-8 error {err} too far above the OOV floor {oov}"
@@ -836,7 +728,7 @@ mod tests {
         let (det, stats) =
             TimeSeriesDetector::train(&disc, &vocab, split.train(), &fast_config(6, true)).unwrap();
         assert_eq!(stats.len(), 6);
-        let err = det.top_k_error(split.validation(), 8);
+        let err = det.top_k_error_curve(split.validation(), 8)[7];
         assert!(err < 0.6, "noise-trained validation error {err}");
     }
 

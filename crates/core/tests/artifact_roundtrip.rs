@@ -357,6 +357,37 @@ fn corrupt_section_payload_is_reported_behind_a_valid_checksum() {
 }
 
 #[test]
+fn hostile_lstm_sections_are_corrupt_not_fatal_behind_a_valid_checksum() {
+    let fx = fixture();
+    let boundaries = section_boundaries(&fx.artifact);
+    let (lstm_start, lstm_end) = (boundaries[3], boundaries[4]);
+    let corrupt = |bytes: &mut Vec<u8>| {
+        reseal(bytes);
+        assert!(matches!(
+            CombinedDetector::from_bytes(bytes),
+            Err(ArtifactError::SectionCorrupt { section: "LSTM" })
+        ));
+    };
+
+    // A header promising a 2^40-wide layer (and one whose `4 * h`
+    // overflows) must be refused before anything is allocated from it.
+    // `hidden_dims[0]` sits after the model magic, `input_dim` and the
+    // layer count.
+    let hidden0 = lstm_start + 4 + 8 + 8;
+    for huge in [1u64 << 40, 1 << 62] {
+        let mut bytes = fx.artifact.clone();
+        bytes[hidden0..hidden0 + 8].copy_from_slice(&huge.to_le_bytes());
+        corrupt(&mut bytes);
+    }
+
+    // NaN logits rank every class first, i.e. pass every package: a
+    // non-finite weight is a corrupt model, not a loadable one.
+    let mut bytes = fx.artifact.clone();
+    bytes[lstm_end - 4..lstm_end].copy_from_slice(&f32::NAN.to_le_bytes());
+    corrupt(&mut bytes);
+}
+
+#[test]
 fn duplicate_sections_are_rejected_behind_a_valid_checksum() {
     let fx = fixture();
     let artifact = &fx.artifact;

@@ -83,12 +83,13 @@ proptest! {
         }
     }
 
-    /// `classify_batch_adaptive` over interleaved multi-PLC lanes (uneven
-    /// lengths, so later rounds carry fewer lanes) equals a per-record
-    /// `classify_adaptive` loop with one controller per stream — decisions
-    /// *and* each controller's final k.
+    /// Dynamic `k` over interleaved multi-PLC lanes (uneven lengths, so
+    /// later rounds carry fewer lanes), one controller per lane, equals each
+    /// stream alone on a one-lane batch with its own controller — decisions
+    /// *and* each controller's final k and window fill. A lane's ranks, and
+    /// so its controller, must not depend on who shares its rounds.
     #[test]
-    fn classify_batch_adaptive_equals_per_record_adaptive_loop(
+    fn lockstep_dynamic_k_equals_each_stream_alone(
         num_streams in 1usize..6,
         offset in 0usize..400,
         len in 10usize..600,
@@ -118,46 +119,46 @@ proptest! {
             stream.truncate(keep);
         }
 
-        // Batched: one controller per lane, lockstep rounds.
-        let mut batch = fx.detector.begin_batch();
-        let mut controllers: Vec<DynamicKController> = Vec::new();
-        for _ in 0..num_streams {
-            fx.detector.add_lane(&mut batch);
-            controllers.push(DynamicKController::new(fx.detector.k(), config));
-        }
-        let mut batched: Vec<Vec<DetectionLevel>> = vec![Vec::new(); num_streams];
-        let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut lanes = Vec::new();
-        let mut round = Vec::new();
-        let mut out = Vec::new();
-        for t in 0..max_len {
-            lanes.clear();
-            round.clear();
-            out.clear();
-            for (lane, stream) in streams.iter().enumerate() {
-                if let Some(r) = stream.get(t) {
-                    lanes.push(lane);
-                    round.push(r.clone());
+        // Steps `streams` in lockstep on one batch, lane i = stream i, and
+        // returns per-stream decisions plus the controllers' end state.
+        let run = |streams: &[&[Record]]| {
+            let mut batch = fx.detector.begin_batch();
+            let mut controllers: Vec<DynamicKController> = Vec::new();
+            for _ in streams {
+                fx.detector.add_lane(&mut batch);
+                controllers.push(DynamicKController::new(fx.detector.k(), config));
+            }
+            let mut decided: Vec<Vec<DetectionLevel>> = vec![Vec::new(); streams.len()];
+            let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+            let mut lanes = Vec::new();
+            let mut round = Vec::new();
+            let mut out = Vec::new();
+            for t in 0..max_len {
+                lanes.clear();
+                round.clear();
+                out.clear();
+                for (lane, stream) in streams.iter().enumerate() {
+                    if let Some(r) = stream.get(t) {
+                        lanes.push(lane);
+                        round.push(r.clone());
+                    }
+                }
+                fx.detector.classify_batch(&mut batch, &lanes, &round, &mut out);
+                for ((&lane, &level), &rank) in lanes.iter().zip(&out).zip(batch.ranks()) {
+                    decided[lane].push(controllers[lane].redecide(level, rank));
                 }
             }
-            fx.detector
-                .classify_batch_adaptive(&mut batch, &lanes, &round, &mut controllers, &mut out);
-            for (&lane, &level) in lanes.iter().zip(out.iter()) {
-                batched[lane].push(level);
-            }
-        }
+            let ends: Vec<(usize, usize)> =
+                controllers.iter().map(|c| (c.k(), c.observations())).collect();
+            (decided, ends)
+        };
 
-        // Reference: independent per-record adaptive loops.
-        for (lane, stream) in streams.iter().enumerate() {
-            let mut state = fx.detector.begin();
-            let mut controller = DynamicKController::new(fx.detector.k(), config);
-            let reference: Vec<DetectionLevel> = stream
-                .iter()
-                .map(|r| fx.detector.classify_adaptive(&mut state, &mut controller, r))
-                .collect();
-            prop_assert_eq!(&batched[lane], &reference);
-            prop_assert_eq!(controllers[lane].k(), controller.k());
-            prop_assert_eq!(controllers[lane].observations(), controller.observations());
+        let views: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
+        let (lockstep, lockstep_ends) = run(&views);
+        for (lane, stream) in views.iter().enumerate() {
+            let (alone, alone_ends) = run(std::slice::from_ref(stream));
+            prop_assert_eq!(&lockstep[lane], &alone[0]);
+            prop_assert_eq!(lockstep_ends[lane], alone_ends[0]);
         }
     }
 }

@@ -57,7 +57,7 @@ fn forced_scalar_backend_reproduces_auto_dispatch_bitwise() {
 
     let run = || -> (Vec<Vec<DetectionLevel>>, Vec<Vec<f32>>) {
         let levels = detector.classify_streams(&views);
-        // Also pin raw softmax outputs of the underlying model on a
+        // Also pin the raw logits of the underlying model on a
         // deterministic synthetic stream: stronger than decisions alone.
         let model = detector.time_series_level().model();
         let dim = model.config().input_dim;
@@ -73,7 +73,7 @@ fn forced_scalar_backend_reproduces_auto_dispatch_bitwise() {
                     _ => (((i * 13 + t * 7) % 19) as f32 - 9.0) / 5.0,
                 })
                 .collect();
-            model.step(&mut state, &x, &mut probs_t);
+            model.step_logits(&mut state, &x, &mut probs_t);
             probs.push(probs_t.clone());
         }
         (levels, probs)
@@ -105,7 +105,7 @@ fn forced_scalar_backend_reproduces_auto_dispatch_bitwise() {
             assert_eq!(
                 pa.to_bits(),
                 ps.to_bits(),
-                "probability bits diverge at step {t}, class {i}: {pa} vs {ps}"
+                "logit bits diverge at step {t}, class {i}: {pa} vs {ps}"
             );
         }
     }

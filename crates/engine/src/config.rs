@@ -18,8 +18,8 @@ pub enum EngineMode {
     #[default]
     FixedK,
     /// Per-stream dynamic-`k` controllers seeded at the commissioned `k`
-    /// (paper §VIII-D future work;
-    /// [`icsad_core::CombinedDetector::classify_batch_adaptive`]). Each
+    /// (paper §VIII-D future work): every fixed-`k` decision is re-decided
+    /// by its lane's [`icsad_core::DynamicKController::redecide`]. Each
     /// stream lane adapts its own `k` to its recent prediction ranks.
     AdaptiveK(DynamicKConfig),
 }

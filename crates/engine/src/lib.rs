@@ -44,12 +44,12 @@
 //! installs the new detector in every shard at a round boundary (see its
 //! docs for the exact protocol).
 //!
-//! Decisions are identical to running every stream through the backend's
-//! offline path one package at a time — for the combined framework, a
-//! per-record [`icsad_core::CombinedDetector::classify`] (or
-//! `classify_adaptive`) loop; for the baselines, the offline
-//! `windowed_decisions` protocol. The batching and sharding are throughput
-//! optimizations, not semantic changes.
+//! Decisions are identical to running every stream through the backend
+//! alone, one package at a time ([`icsad_core::detect_stream`]) — for the
+//! fixed-`k` framework that is a per-record
+//! [`icsad_core::CombinedDetector::classify`] loop; for the baselines, the
+//! §VIII-C window protocol over the whole stream. The batching and sharding
+//! are throughput optimizations, not semantic changes.
 //!
 //! # Ingest runtime
 //!

@@ -12,9 +12,9 @@ use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::streaming::StreamingDetector;
+use icsad_core::streaming::{detect_stream, AdaptiveCombined, StreamingDetector};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_core::{DynamicKConfig, DynamicKController};
+use icsad_core::DynamicKConfig;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
 use icsad_engine::{
@@ -127,8 +127,9 @@ fn engine_report_matches_sequential_reference() {
     assert_eq!(stream_count, streams.len());
 }
 
-/// Engine-level dynamic-k: decisions must be bit-identical to a
-/// per-record `classify_adaptive` loop with one controller per stream.
+/// Engine-level dynamic-k: decisions must be bit-identical to every
+/// stream classified alone, one record at a time, with its own controller
+/// (`detect_stream`; core's tests hold that against the per-record oracle).
 #[test]
 fn adaptive_engine_matches_per_record_adaptive_reference() {
     let detector = small_detector(41);
@@ -138,18 +139,17 @@ fn adaptive_engine_matches_per_record_adaptive_reference() {
         ..DynamicKConfig::default()
     };
 
+    let alone = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), k_config));
     let mut reference = ClassificationReport::default();
     let mut reference_alarms = 0u64;
     for stream_packets in by_unit(&packets).values() {
         let records = extract_records(stream_packets, DEFAULT_CRC_WINDOW);
-        let mut state = detector.begin();
-        let mut controller = DynamicKController::new(detector.k(), k_config);
-        for r in &records {
-            let level = detector.classify_adaptive(&mut state, &mut controller, r);
-            if level.is_anomalous() {
+        let decisions = detect_stream(Arc::clone(&alone), &records);
+        for (r, &anomalous) in records.iter().zip(decisions.iter()) {
+            if anomalous {
                 reference_alarms += 1;
             }
-            reference.record(r.label, level.is_anomalous());
+            reference.record(r.label, anomalous);
         }
     }
 
@@ -590,8 +590,8 @@ fn hot_reload_in_adaptive_mode_resets_controllers() {
 }
 
 /// Table IV live: a window baseline hosted by the engine reproduces
-/// its offline `windowed_decisions` output exactly, trailing partial
-/// windows included.
+/// the whole-capture `windowed_decisions` reference exactly, trailing
+/// partial windows included.
 #[test]
 fn baseline_backend_reproduces_offline_windowed_decisions() {
     let data = GasPipelineDataset::generate(&DatasetConfig {

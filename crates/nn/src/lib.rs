@@ -13,7 +13,7 @@
 //!   LSTM needs,
 //! * [`LstmLayer`] — one LSTM layer with full backpropagation through time,
 //! * [`Dense`] — the projection onto signature logits,
-//! * [`loss`] — numerically stable softmax cross-entropy and top-k error,
+//! * [`loss`] — numerically stable softmax cross-entropy and top-k ranks,
 //! * [`LstmClassifier`] — the stacked network with streaming (stateful)
 //!   prediction for online detection, plus (de)serialization,
 //! * [`Adam`] — the Adam optimizer,
@@ -54,18 +54,13 @@
 //! });
 //! trainer.fit(&mut model, &[Sequence::new(steps)]);
 //!
-//! // After "...0, 1" the next symbol must be 2.
+//! // After "...0, 1" the next symbol must be 2: it ranks first in the
+//! // logits (softmax is monotone, so no need to normalize them).
 //! let mut state = model.new_state();
-//! let mut probs = vec![0.0; 3];
-//! model.step(&mut state, &onehot(0), &mut probs);
-//! model.step(&mut state, &onehot(1), &mut probs);
-//! let best = probs
-//!     .iter()
-//!     .enumerate()
-//!     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-//!     .unwrap()
-//!     .0;
-//! assert_eq!(best, 2);
+//! let mut logits = vec![0.0; 3];
+//! model.step_logits(&mut state, &onehot(0), &mut logits);
+//! model.step_logits(&mut state, &onehot(1), &mut logits);
+//! assert_eq!(icsad_nn::loss::rank_of(&logits, 2), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -48,20 +48,11 @@ pub fn top_k(probs: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// Returns `true` if `target` is among the `k` highest-probability classes.
+/// Returns `true` if `target` is among the `k` highest-probability classes:
+/// its [`rank_of`] is at most `k`. Ranks are 1-based, so `k == 0` admits
+/// nothing; an out-of-range `target` is never a member.
 pub fn in_top_k(probs: &[f32], target: usize, k: usize) -> bool {
-    if k == 0 || target >= probs.len() {
-        return false;
-    }
-    let pt = probs[target];
-    // Count classes strictly better, and equal-probability classes with a
-    // lower index (the tie-break used by `top_k`).
-    let better = probs
-        .iter()
-        .enumerate()
-        .filter(|&(i, &p)| p > pt || (p == pt && i < target))
-        .count();
-    better < k
+    target < probs.len() && rank_of(probs, target) <= k
 }
 
 /// The 1-based rank of `target` in the prediction: `1 +` the number of
@@ -79,26 +70,6 @@ pub fn rank_of(probs: &[f32], target: usize) -> usize {
         .enumerate()
         .filter(|&(i, &p)| p > pt || (p == pt && i < target))
         .count()
-}
-
-/// The top-k error over a set of prediction/target pairs: the fraction of
-/// targets not contained in their prediction's top-k (paper §V-2, the
-/// `err_k` used to choose `k`).
-pub fn top_k_error(predictions: &[Vec<f32>], targets: &[usize], k: usize) -> f64 {
-    assert_eq!(
-        predictions.len(),
-        targets.len(),
-        "predictions/targets length mismatch"
-    );
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    let misses = predictions
-        .iter()
-        .zip(targets.iter())
-        .filter(|(p, &t)| !in_top_k(p, t, k))
-        .count();
-    misses as f64 / predictions.len() as f64
 }
 
 #[cfg(test)]
@@ -193,21 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_error_counts_misses() {
-        let preds = vec![
-            vec![0.9f32, 0.1, 0.0], // top-1 = 0
-            vec![0.1f32, 0.2, 0.7], // top-1 = 2
-        ];
-        assert_eq!(top_k_error(&preds, &[0, 2], 1), 0.0);
-        assert_eq!(top_k_error(&preds, &[1, 2], 1), 0.5);
-        assert_eq!(top_k_error(&preds, &[1, 0], 1), 1.0);
-        // k=2: top-2 sets are {0,1} and {2,1}.
-        assert_eq!(top_k_error(&preds, &[1, 1], 2), 0.0);
-        assert_eq!(top_k_error(&preds, &[1, 0], 2), 0.5);
-        assert_eq!(top_k_error(&preds, &[1, 0], 3), 0.0);
-    }
-
-    #[test]
     fn rank_of_matches_in_top_k() {
         let probs = vec![0.1f32, 0.5, 0.15, 0.25];
         assert_eq!(rank_of(&probs, 1), 1);
@@ -220,11 +176,6 @@ mod tests {
             }
         }
         assert_eq!(rank_of(&probs, 9), 5);
-    }
-
-    #[test]
-    fn top_k_error_empty_is_zero() {
-        assert_eq!(top_k_error(&[], &[], 3), 0.0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::activations::softmax_in_place;
 use crate::dense::{Dense, DenseGrad};
 use crate::loss::{in_top_k, softmax_cross_entropy, softmax_cross_entropy_grad};
 use crate::lstm::{BpttScratch, LaneSchedule, LayerTape, LstmLayer, LstmState};
@@ -111,9 +110,10 @@ pub struct StreamState {
     scratch: Vec<Vec<f32>>,
 }
 
-/// Reusable buffers for [`LstmClassifier::forward_batch`]: gathered
-/// per-layer state blocks plus gate scratch, grown on demand so one scratch
-/// serves any batch size up to the high-water mark without reallocating.
+/// Reusable buffers for [`LstmClassifier::forward_batch_gathered_logits`]:
+/// gathered per-layer state blocks plus gate scratch, grown on demand so one
+/// scratch serves any batch size up to the high-water mark without
+/// reallocating.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     /// Per-layer gathered hidden state, `capacity x hidden_dims[l]`.
@@ -216,38 +216,6 @@ pub struct TrainScratch {
     bptt: BpttScratch,
 }
 
-/// One lane of a training minibatch, borrowing the caller's storage.
-enum LaneData<'a> {
-    /// A chunk of [`crate::Sequence`] steps.
-    Packed(&'a [(Vec<f32>, usize)]),
-    /// Parallel input/target slices (the [`LstmClassifier::train_sequence`]
-    /// calling convention).
-    Split(&'a [Vec<f32>], &'a [usize]),
-}
-
-impl LaneData<'_> {
-    fn len(&self) -> usize {
-        match self {
-            LaneData::Packed(steps) => steps.len(),
-            LaneData::Split(inputs, _) => inputs.len(),
-        }
-    }
-
-    fn input(&self, t: usize) -> &[f32] {
-        match self {
-            LaneData::Packed(steps) => &steps[t].0,
-            LaneData::Split(inputs, _) => &inputs[t],
-        }
-    }
-
-    fn target(&self, t: usize) -> usize {
-        match self {
-            LaneData::Packed(steps) => steps[t].1,
-            LaneData::Split(_, targets) => targets[t],
-        }
-    }
-}
-
 impl LstmClassifier {
     /// Builds a randomly initialized classifier.
     ///
@@ -323,21 +291,12 @@ impl LstmClassifier {
     }
 
     /// Feeds one input vector through the network, updating the streaming
-    /// state and writing the class probability distribution into `probs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != input_dim` or `probs.len() != num_classes`.
-    pub fn step(&self, state: &mut StreamState, x: &[f32], probs: &mut [f32]) {
-        self.step_logits(state, x, probs);
-        softmax_in_place(probs);
-    }
-
-    /// Like [`LstmClassifier::step`] but leaves the raw logits in `out`
-    /// (no softmax). Softmax is strictly monotone, so top-`k` membership
-    /// and ranks computed on logits equal those computed on probabilities —
-    /// detection hot paths use this variant and skip `num_classes`
-    /// exponentials per package.
+    /// state and writing the raw class logits into `out` (no softmax): the
+    /// per-record reference every batched path is checked against. Softmax
+    /// is strictly monotone, so top-`k` membership and ranks computed on
+    /// logits equal those computed on probabilities — detection skips
+    /// `num_classes` exponentials per package, and a caller that wants the
+    /// distribution applies [`crate::activations::softmax_in_place`] itself.
     ///
     /// # Panics
     ///
@@ -360,7 +319,8 @@ impl LstmClassifier {
         self.dense.forward(&state.scratch[num_layers - 1], out);
     }
 
-    /// Fresh (empty) scratch for [`LstmClassifier::forward_batch`].
+    /// Fresh (empty) scratch for
+    /// [`LstmClassifier::forward_batch_gathered_logits`].
     pub fn batch_scratch(&self) -> BatchScratch {
         BatchScratch {
             h: vec![Vec::new(); self.layers.len()],
@@ -415,30 +375,17 @@ impl LstmClassifier {
         }
     }
 
-    /// Advances the `batch` lanes already gathered into `scratch` (rows
-    /// `0..batch`) by one timestep; see [`LstmClassifier::forward_batch`]
-    /// for the block layouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if block sizes disagree with `batch` or the scratch is too
-    /// small.
-    pub fn forward_batch_gathered(
-        &self,
-        scratch: &mut BatchScratch,
-        batch: usize,
-        xs: &[f32],
-        probs: &mut [f32],
-    ) {
-        self.forward_batch_gathered_logits(scratch, batch, xs, probs);
-        let nc = self.config.num_classes;
-        for i in 0..batch {
-            softmax_in_place(&mut probs[i * nc..(i + 1) * nc]);
-        }
-    }
-
     /// Batched twin of [`LstmClassifier::step_logits`]: advances the
-    /// gathered lanes and writes raw logits rows (no softmax).
+    /// `batch` lanes already gathered into `scratch` rows `0..batch`
+    /// ([`LstmClassifier::gather_lane`]) by one timestep as matrix–matrix
+    /// products ([`crate::tensor::gemm_acc`]) and writes raw logits rows (no
+    /// softmax).
+    ///
+    /// `xs` is the row-major `batch x input_dim` input block and `logits`
+    /// the row-major `batch x num_classes` output block; row `i` belongs to
+    /// the lane gathered into scratch row `i`. After
+    /// [`LstmClassifier::scatter_lane`] each lane's state and logits are
+    /// bit-identical to calling [`LstmClassifier::step_logits`] on it alone.
     ///
     /// # Panics
     ///
@@ -449,7 +396,7 @@ impl LstmClassifier {
         scratch: &mut BatchScratch,
         batch: usize,
         xs: &[f32],
-        probs: &mut [f32],
+        logits: &mut [f32],
     ) {
         assert_eq!(
             xs.len(),
@@ -457,9 +404,9 @@ impl LstmClassifier {
             "batch input mismatch"
         );
         assert_eq!(
-            probs.len(),
+            logits.len(),
             batch * self.config.num_classes,
-            "batch probs mismatch"
+            "batch logits mismatch"
         );
         if batch == 0 {
             return;
@@ -493,96 +440,7 @@ impl LstmClassifier {
         let top = self.layers.len() - 1;
         let top_hd = self.layers[top].hidden_dim();
         self.dense
-            .forward_batch(batch, &scratch.h[top][..batch * top_hd], probs);
-    }
-
-    /// Advances `lanes.len()` independent streams by one timestep as
-    /// matrix–matrix products.
-    ///
-    /// `xs` is the row-major `lanes.len() x input_dim` input block (row `i`
-    /// is the input for `states[lanes[i]]`); `probs` is the row-major
-    /// `lanes.len() x num_classes` output block receiving each lane's class
-    /// distribution. Lane indices must be distinct. States are gathered
-    /// into `scratch`, stepped through every layer and the dense head as
-    /// batched products ([`crate::tensor::gemm_acc`]), and scattered back —
-    /// each lane's state and distribution end up bit-identical to calling
-    /// [`LstmClassifier::step`] on it alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if block sizes disagree with `lanes.len()`, or a lane index
-    /// is out of bounds.
-    pub fn forward_batch(
-        &self,
-        scratch: &mut BatchScratch,
-        states: &mut [StreamState],
-        lanes: &[usize],
-        xs: &[f32],
-        probs: &mut [f32],
-    ) {
-        let batch = lanes.len();
-        if batch == 0 {
-            assert!(xs.is_empty() && probs.is_empty(), "batch block mismatch");
-            return;
-        }
-        self.reserve_lanes(scratch, batch);
-        for (i, &lane) in lanes.iter().enumerate() {
-            self.gather_lane(scratch, i, &states[lane]);
-        }
-        self.forward_batch_gathered(scratch, batch, xs, probs);
-        for (i, &lane) in lanes.iter().enumerate() {
-            self.scatter_lane(scratch, i, &mut states[lane]);
-        }
-    }
-
-    /// Stateless prediction over a whole sequence: returns the probability
-    /// distribution emitted *after* each input (i.e. the model's prediction
-    /// for the next package's signature).
-    pub fn predict_sequence(&self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut state = self.new_state();
-        let mut out = Vec::with_capacity(inputs.len());
-        let mut probs = vec![0.0f32; self.config.num_classes];
-        for x in inputs {
-            self.step(&mut state, x, &mut probs);
-            out.push(probs.clone());
-        }
-        out
-    }
-
-    /// Runs truncated BPTT on one (sub)sequence: `inputs[t]` predicts
-    /// `targets[t]`. Accumulates parameter gradients scaled by `scale` into
-    /// `grads` and returns the summed cross-entropy loss and the number of
-    /// top-1-correct predictions.
-    ///
-    /// Convenience wrapper over [`LstmClassifier::train_batch`] for a
-    /// single lane; it builds a fresh [`BackwardPack`] and
-    /// [`TrainScratch`] per call, so hot loops should batch chunks and
-    /// pool those instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `targets` lengths differ or dimensions
-    /// mismatch.
-    pub fn train_sequence(
-        &self,
-        inputs: &[Vec<f32>],
-        targets: &[usize],
-        grads: &mut Gradients,
-        scale: f32,
-    ) -> (f32, usize) {
-        assert_eq!(inputs.len(), targets.len(), "inputs/targets mismatch");
-        if inputs.is_empty() {
-            return (0.0, 0);
-        }
-        let pack = BackwardPack::new(self);
-        let mut scratch = TrainScratch::default();
-        self.train_lanes(
-            &pack,
-            &[LaneData::Split(inputs, targets)],
-            &mut scratch,
-            grads,
-            scale,
-        )
+            .forward_batch(batch, &scratch.h[top][..batch * top_hd], logits);
     }
 
     /// Runs truncated BPTT over a minibatch of chunks (lanes) at once:
@@ -611,26 +469,14 @@ impl LstmClassifier {
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
-        let lanes: Vec<LaneData> = chunks.iter().map(|&c| LaneData::Packed(c)).collect();
-        self.train_lanes(pack, &lanes, scratch, grads, scale)
-    }
-
-    fn train_lanes(
-        &self,
-        pack: &BackwardPack,
-        lanes: &[LaneData],
-        scratch: &mut TrainScratch,
-        grads: &mut Gradients,
-        scale: f32,
-    ) -> (f32, usize) {
         // Schedule lanes longest-first. The sort is stable and keys only on
         // the data, so the schedule — and with it every accumulation
         // order below — is a pure function of the chunk set.
         let order = &mut scratch.order;
         order.clear();
-        order.extend(0..lanes.len());
-        order.sort_by(|&a, &b| lanes[b].len().cmp(&lanes[a].len()));
-        let lens: Vec<usize> = order.iter().map(|&i| lanes[i].len()).collect();
+        order.extend(0..chunks.len());
+        order.sort_by(|&a, &b| chunks[b].len().cmp(&chunks[a].len()));
+        let lens: Vec<usize> = order.iter().map(|&i| chunks[i].len()).collect();
         let sched = LaneSchedule::from_sorted_lens(&lens);
         let total = sched.total;
         if total == 0 {
@@ -644,8 +490,8 @@ impl LstmClassifier {
         grow(&mut scratch.x_cat, total * in_dim);
         let x_cat = &mut scratch.x_cat[..total * in_dim];
         for t in 0..sched.steps() {
-            for i in 0..sched.counts[t] {
-                let x = lanes[order[i]].input(t);
+            for (i, &lane) in order[..sched.counts[t]].iter().enumerate() {
+                let (x, _) = &chunks[lane][t];
                 assert_eq!(x.len(), in_dim, "input dim mismatch");
                 let r = sched.offsets[t] + i;
                 x_cat[r * in_dim..(r + 1) * in_dim].copy_from_slice(x);
@@ -680,9 +526,9 @@ impl LstmClassifier {
         let mut loss = 0.0f32;
         let mut correct = 0usize;
         for t in 0..sched.steps() {
-            for i in 0..sched.counts[t] {
+            for (i, &lane) in order[..sched.counts[t]].iter().enumerate() {
                 let r = sched.offsets[t] + i;
-                let target = lanes[order[i]].target(t);
+                let (_, target) = chunks[lane][t];
                 let row = &mut logits[r * nc..(r + 1) * nc];
                 loss += softmax_cross_entropy(row, target);
                 // `row` now holds probabilities.
@@ -798,16 +644,17 @@ impl LstmClassifier {
         let read_u64 = |pos: &mut usize| -> Option<u64> {
             Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
         };
-        let input_dim = read_u64(&mut pos)? as usize;
-        let n_layers = read_u64(&mut pos)? as usize;
+        let read_usize = |pos: &mut usize| usize::try_from(read_u64(pos)?).ok();
+        let input_dim = read_usize(&mut pos)?;
+        let n_layers = read_usize(&mut pos)?;
         if n_layers == 0 || n_layers > 64 {
             return None;
         }
         let mut hidden_dims = Vec::with_capacity(n_layers);
         for _ in 0..n_layers {
-            hidden_dims.push(read_u64(&mut pos)? as usize);
+            hidden_dims.push(read_usize(&mut pos)?);
         }
-        let num_classes = read_u64(&mut pos)? as usize;
+        let num_classes = read_usize(&mut pos)?;
         let seed = read_u64(&mut pos)?;
         let config = ModelConfig {
             input_dim,
@@ -818,11 +665,32 @@ impl LstmClassifier {
         if config.input_dim == 0 || config.num_classes == 0 || config.hidden_dims.contains(&0) {
             return None;
         }
+        // The header is untrusted: size the parameter block with checked
+        // arithmetic and hold it against the bytes actually present before
+        // `new` allocates (or overflows `4 * h`) on its say-so.
+        let mut params = 0usize;
+        let mut in_dim = config.input_dim;
+        for &h in &config.hidden_dims {
+            let gates = h.checked_mul(4)?;
+            let rows = in_dim.checked_add(h)?.checked_add(1)?;
+            params = params.checked_add(gates.checked_mul(rows)?)?;
+            in_dim = h;
+        }
+        let head = in_dim.checked_add(1)?.checked_mul(config.num_classes)?;
+        let param_bytes = params.checked_add(head)?.checked_mul(4)?;
+        if param_bytes != bytes.len() - pos {
+            return None;
+        }
         let mut model = LstmClassifier::new(&config);
+        // Non-finite weights are rejected too: NaN logits rank every class
+        // first, so a corrupt model would pass every package.
         let read_into = |pos: &mut usize, dst: &mut [f32]| -> Option<()> {
             for v in dst.iter_mut() {
                 let raw = take(pos, 4)?;
                 *v = f32::from_le_bytes(raw.try_into().ok()?);
+                if !v.is_finite() {
+                    return None;
+                }
             }
             Some(())
         };
@@ -853,16 +721,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn step_outputs_probability_distribution() {
-        let model = LstmClassifier::new(&small_config());
+    /// Summed cross-entropy of a cold-start pass over `lane`.
+    fn lane_loss(model: &LstmClassifier, lane: &[(Vec<f32>, usize)]) -> f32 {
         let mut state = model.new_state();
-        let mut probs = vec![0.0; 4];
-        let x = vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0];
-        model.step(&mut state, &x, &mut probs);
-        let sum: f32 = probs.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        assert!(probs.iter().all(|&p| p >= 0.0));
+        let mut logits = vec![0.0; model.num_classes()];
+        lane.iter()
+            .map(|(x, target)| {
+                model.step_logits(&mut state, x, &mut logits);
+                softmax_cross_entropy(&mut logits, *target)
+            })
+            .sum()
     }
 
     #[test]
@@ -871,29 +739,10 @@ mod tests {
         let x = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let mut s1 = model.new_state();
         let mut p1 = vec![0.0; 4];
-        model.step(&mut s1, &x, &mut p1);
+        model.step_logits(&mut s1, &x, &mut p1);
         let first = p1.clone();
-        model.step(&mut s1, &x, &mut p1);
+        model.step_logits(&mut s1, &x, &mut p1);
         assert_ne!(first, p1, "recurrent state should change the prediction");
-    }
-
-    #[test]
-    fn predict_sequence_matches_streaming() {
-        let model = LstmClassifier::new(&small_config());
-        let inputs: Vec<Vec<f32>> = (0..5)
-            .map(|t| {
-                let mut v = vec![0.0; 6];
-                v[t % 6] = 1.0;
-                v
-            })
-            .collect();
-        let seq = model.predict_sequence(&inputs);
-        let mut state = model.new_state();
-        let mut probs = vec![0.0; 4];
-        for (t, x) in inputs.iter().enumerate() {
-            model.step(&mut state, x, &mut probs);
-            assert_eq!(seq[t], probs, "step {t}");
-        }
     }
 
     #[test]
@@ -911,21 +760,24 @@ mod tests {
             v[c] = 1.0;
             v
         };
-        let inputs: Vec<Vec<f32>> = (0..40).map(|t| onehot(t % 4)).collect();
-        let targets: Vec<usize> = (0..40).map(|t| (t + 1) % 4).collect();
+        let steps: Vec<(Vec<f32>, usize)> = (0..40).map(|t| (onehot(t % 4), (t + 1) % 4)).collect();
 
         let mut grads = model.zero_gradients();
+        let mut pack = BackwardPack::new(&model);
+        let mut scratch = TrainScratch::default();
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..150 {
             grads.zero();
-            let (loss, _) = model.train_sequence(&inputs, &targets, &mut grads, 1.0 / 40.0);
+            let (loss, _) =
+                model.train_batch(&pack, &[&steps], &mut scratch, &mut grads, 1.0 / 40.0);
             // Plain SGD for this test.
             for (p, g) in model.params_with_grads(&grads) {
                 for (pv, gv) in p.iter_mut().zip(g.iter()) {
                     *pv -= 0.5 * gv;
                 }
             }
+            pack.refresh(&model);
             first_loss.get_or_insert(loss);
             last_loss = loss;
         }
@@ -945,22 +797,23 @@ mod tests {
             seed: 7,
         };
         let mut model = LstmClassifier::new(&config);
-        let inputs: Vec<Vec<f32>> = (0..4)
-            .map(|t| (0..3).map(|i| ((t + i) as f32 * 0.9).cos()).collect())
+        let steps: Vec<(Vec<f32>, usize)> = [0usize, 2, 1, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(t, target)| {
+                let x = (0..3).map(|i| ((t + i) as f32 * 0.9).cos()).collect();
+                (x, target)
+            })
             .collect();
-        let targets = vec![0usize, 2, 1, 0];
 
         let mut grads = model.zero_gradients();
-        model.train_sequence(&inputs, &targets, &mut grads, 1.0);
-
-        let loss_of = |model: &LstmClassifier| -> f32 {
-            let probs = model.predict_sequence(&inputs);
-            probs
-                .iter()
-                .zip(targets.iter())
-                .map(|(p, &t)| -(p[t].max(1e-12)).ln())
-                .sum()
-        };
+        model.train_batch(
+            &BackwardPack::new(&model),
+            &[&steps],
+            &mut TrainScratch::default(),
+            &mut grads,
+            1.0,
+        );
 
         let eps = 1e-2f32;
         // Check a sample of parameters across every block.
@@ -981,9 +834,9 @@ mod tests {
         {
             let mut perturb = |f: &mut dyn FnMut(&mut LstmClassifier, f32)| {
                 f(&mut model, eps);
-                let lp = loss_of(&model);
+                let lp = lane_loss(&model, &steps);
                 f(&mut model, -2.0 * eps);
-                let lm = loss_of(&model);
+                let lm = lane_loss(&model, &steps);
                 f(&mut model, eps);
                 numeric.push((lp - lm) / (2.0 * eps));
             };
@@ -1014,8 +867,8 @@ mod tests {
         let x = vec![0.0, 1.0, 0.0, 0.0, 1.0, 0.0];
         let mut p1 = vec![0.0; 4];
         let mut p2 = vec![0.0; 4];
-        model.step(&mut model.new_state(), &x, &mut p1);
-        back.step(&mut back.new_state(), &x, &mut p2);
+        model.step_logits(&mut model.new_state(), &x, &mut p1);
+        back.step_logits(&mut back.new_state(), &x, &mut p2);
         assert_eq!(p1, p2);
     }
 
@@ -1031,6 +884,42 @@ mod tests {
         assert!(LstmClassifier::from_bytes(&bytes).is_none());
     }
 
+    /// Byte offset of `hidden_dims[0]` in the serialized header: magic,
+    /// `input_dim`, layer count.
+    const HIDDEN0_AT: usize = 4 + 8 + 8;
+
+    #[test]
+    fn deserialization_sizes_the_header_before_allocating() {
+        // A header that promises more parameters than the buffer holds must
+        // be refused up front — `1 << 40` would abort on allocation and
+        // `1 << 62` overflows `4 * h`.
+        let bytes = LstmClassifier::new(&small_config()).to_bytes();
+        for huge in [1u64 << 40, 1 << 62, u64::MAX] {
+            let mut forged = bytes.clone();
+            forged[HIDDEN0_AT..HIDDEN0_AT + 8].copy_from_slice(&huge.to_le_bytes());
+            assert!(LstmClassifier::from_bytes(&forged).is_none(), "{huge:#x}");
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_non_finite_weights() {
+        let model = LstmClassifier::new(&small_config());
+        let bytes = model.to_bytes();
+        let first_weight = bytes.len() - model.memory_bytes();
+        for (at, bad) in [
+            (first_weight, f32::NAN),
+            (first_weight + 40, f32::INFINITY),
+            (bytes.len() - 4, f32::NEG_INFINITY),
+        ] {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            assert!(
+                LstmClassifier::from_bytes(&forged).is_none(),
+                "{bad} at {at}"
+            );
+        }
+    }
+
     #[test]
     fn memory_accounting() {
         let model = LstmClassifier::new(&small_config());
@@ -1043,8 +932,14 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let mut grads = model.zero_gradients();
         assert_eq!(grads.global_norm(), 0.0);
-        let inputs = vec![vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0]];
-        model.train_sequence(&inputs, &[1], &mut grads, 1.0);
+        let steps = vec![(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1)];
+        model.train_batch(
+            &BackwardPack::new(&model),
+            &[&steps],
+            &mut TrainScratch::default(),
+            &mut grads,
+            1.0,
+        );
         let n = grads.global_norm();
         assert!(n > 0.0);
         grads.scale(0.5);
@@ -1055,59 +950,12 @@ mod tests {
     #[should_panic(expected = "input dim mismatch")]
     fn step_rejects_wrong_input_dim() {
         let model = LstmClassifier::new(&small_config());
-        let mut probs = vec![0.0; 4];
-        model.step(&mut model.new_state(), &[1.0], &mut probs);
+        let mut logits = vec![0.0; 4];
+        model.step_logits(&mut model.new_state(), &[1.0], &mut logits);
     }
 
     #[test]
-    fn forward_batch_matches_streaming_steps_bitwise() {
-        let model = LstmClassifier::new(&small_config());
-        let lanes = 5usize;
-        let dim = model.config().input_dim;
-        let nc = model.num_classes();
-
-        let mut batch_states: Vec<StreamState> = (0..lanes).map(|_| model.new_state()).collect();
-        let mut ref_states = batch_states.clone();
-        let mut scratch = model.batch_scratch();
-        let lane_idx: Vec<usize> = (0..lanes).collect();
-        let mut probs = vec![0.0f32; lanes * nc];
-        let mut single = vec![0.0f32; nc];
-
-        for t in 0..11 {
-            // Mix of one-hot and dense inputs across lanes.
-            let xs: Vec<f32> = (0..lanes * dim)
-                .map(|i| {
-                    if (i + t) % dim == t % dim {
-                        1.0
-                    } else if (i + t) % 5 == 0 {
-                        ((i * 7 + t * 3) % 13) as f32 / 13.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            model.forward_batch(&mut scratch, &mut batch_states, &lane_idx, &xs, &mut probs);
-            for lane in 0..lanes {
-                model.step(
-                    &mut ref_states[lane],
-                    &xs[lane * dim..(lane + 1) * dim],
-                    &mut single,
-                );
-                assert_eq!(
-                    &probs[lane * nc..(lane + 1) * nc],
-                    single.as_slice(),
-                    "probs lane {lane} t {t}"
-                );
-            }
-        }
-        // Recurrent state blocks agree exactly too.
-        for (a, b) in batch_states.iter().zip(ref_states.iter()) {
-            assert_eq!(a.layers, b.layers);
-        }
-    }
-
-    #[test]
-    fn forward_batch_supports_sparse_lane_subsets() {
+    fn gathered_rows_map_onto_any_subset_of_states() {
         let model = LstmClassifier::new(&small_config());
         let dim = model.config().input_dim;
         let nc = model.num_classes();
@@ -1116,28 +964,30 @@ mod tests {
 
         // Step lanes 3 and 1 only, in that order.
         let xs = vec![0.5f32; 2 * dim];
-        let mut probs = vec![0.0f32; 2 * nc];
-        model.forward_batch(&mut scratch, &mut states, &[3, 1], &xs, &mut probs);
+        let mut logits = vec![0.0f32; 2 * nc];
+        model.gather_lane(&mut scratch, 0, &states[3]);
+        model.gather_lane(&mut scratch, 1, &states[1]);
+        model.forward_batch_gathered_logits(&mut scratch, 2, &xs, &mut logits);
+        model.scatter_lane(&scratch, 0, &mut states[3]);
+        model.scatter_lane(&scratch, 1, &mut states[1]);
 
         // Lanes 0 and 2 stay untouched; lanes 1 and 3 advanced identically
         // (identical inputs), matching a single-lane reference.
         assert_eq!(states[0], model.new_state());
-        assert_eq!(states[2].layers, model.new_state().layers);
+        assert_eq!(states[2], model.new_state());
         let mut reference = model.new_state();
         let mut single = vec![0.0f32; nc];
-        model.step(&mut reference, &vec![0.5f32; dim], &mut single);
+        model.step_logits(&mut reference, &vec![0.5f32; dim], &mut single);
         assert_eq!(states[1].layers, reference.layers);
         assert_eq!(states[3].layers, reference.layers);
-        assert_eq!(&probs[..nc], single.as_slice());
-        assert_eq!(&probs[nc..], single.as_slice());
+        assert_eq!(&logits[..nc], single.as_slice());
+        assert_eq!(&logits[nc..], single.as_slice());
     }
 
     #[test]
-    fn forward_batch_empty_lane_set_is_noop() {
+    fn empty_batch_is_a_noop() {
         let model = LstmClassifier::new(&small_config());
-        let mut states: Vec<StreamState> = vec![model.new_state()];
         let mut scratch = model.batch_scratch();
-        model.forward_batch(&mut scratch, &mut states, &[], &[], &mut []);
-        assert_eq!(states[0], model.new_state());
+        model.forward_batch_gathered_logits(&mut scratch, 0, &[], &mut []);
     }
 }

@@ -85,10 +85,10 @@ proptest! {
         prop_assert_eq!(back, model);
     }
 
-    /// The streaming step always emits a probability distribution,
-    /// whatever the input values.
+    /// The streaming step emits finite logits whatever the input values
+    /// (`softmax_is_distribution` above turns those into a distribution).
     #[test]
-    fn step_emits_distribution(inputs in proptest::collection::vec(-10f32..10.0, 5)) {
+    fn step_logits_are_finite(inputs in proptest::collection::vec(-10f32..10.0, 5)) {
         let model = LstmClassifier::new(&ModelConfig {
             input_dim: 5,
             hidden_dims: vec![6],
@@ -96,17 +96,16 @@ proptest! {
             seed: 1,
         });
         let mut state = model.new_state();
-        let mut probs = vec![0.0f32; 4];
-        model.step(&mut state, &inputs, &mut probs);
-        let sum: f32 = probs.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-4);
+        let mut logits = vec![0.0f32; 4];
+        model.step_logits(&mut state, &inputs, &mut logits);
+        prop_assert!(logits.iter().all(|l| l.is_finite()));
     }
 
     /// Batched stepping is bit-identical to per-lane streaming steps:
     /// random architectures, random lane counts, random (partly sparse)
     /// inputs, several timesteps deep.
     #[test]
-    fn forward_batch_bitwise_equals_streaming_steps(
+    fn gathered_batch_bitwise_equals_streaming_steps(
         h1 in 1usize..10,
         h2 in 0usize..10,
         input_dim in 1usize..12,
@@ -127,8 +126,7 @@ proptest! {
         let mut batch_states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();
         let mut ref_states = batch_states.clone();
         let mut scratch = model.batch_scratch();
-        let lane_idx: Vec<usize> = (0..lanes).collect();
-        let mut probs = vec![0.0f32; lanes * classes];
+        let mut logits = vec![0.0f32; lanes * classes];
         let mut single = vec![0.0f32; classes];
 
         for t in 0..steps {
@@ -138,15 +136,21 @@ proptest! {
                     if sparsity[j] { 0.0 } else { raw[j] }
                 })
                 .collect();
-            model.forward_batch(&mut scratch, &mut batch_states, &lane_idx, &xs, &mut probs);
+            for (i, state) in batch_states.iter().enumerate() {
+                model.gather_lane(&mut scratch, i, state);
+            }
+            model.forward_batch_gathered_logits(&mut scratch, lanes, &xs, &mut logits);
+            for (i, state) in batch_states.iter_mut().enumerate() {
+                model.scatter_lane(&scratch, i, state);
+            }
             for lane in 0..lanes {
-                model.step(
+                model.step_logits(
                     &mut ref_states[lane],
                     &xs[lane * input_dim..(lane + 1) * input_dim],
                     &mut single,
                 );
                 prop_assert_eq!(
-                    &probs[lane * classes..(lane + 1) * classes],
+                    &logits[lane * classes..(lane + 1) * classes],
                     single.as_slice(),
                     "lane {} step {}", lane, t
                 );

@@ -74,12 +74,11 @@ pub mod prelude {
     pub use icsad_core::{
         artifact::ArtifactError,
         combined::{CombinedBatch, CombinedDetector, DetectionLevel},
-        detector::Detector,
         dynamic_k::{DynamicKConfig, DynamicKController},
         experiment::{train_framework, ExperimentConfig, TrainedFramework},
         metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall},
         package::PackageLevelDetector,
-        streaming::{AdaptiveCombined, StreamingDetector, StreamingSession},
+        streaming::{detect_stream, AdaptiveCombined, StreamingDetector, StreamingSession},
         timeseries::{NoiseConfig, TimeSeriesDetector, TimeSeriesTrainingConfig},
     };
     pub use icsad_dataset::{DatasetConfig, Fragments, GasPipelineDataset, Record, Split};
