@@ -11,9 +11,12 @@
 //! Environment: `ICSAD_HIDDEN` (default `256,256`), `ICSAD_CLASSES`
 //! (default `600`), `ICSAD_INPUT` (default `104`), and
 //! `ICSAD_COMPARE=1` to sweep every supported kernel backend at
-//! B ∈ {1, 32, 96} instead of the default row-configuration probe
-//! (`ICSAD_KERNEL_BACKEND`/`ICSAD_KERNEL_FMA` force a backend for the
-//! default mode).
+//! B ∈ {1, 32, 96} × |S| ∈ {160, 169, 192, 379} instead of the default
+//! row-configuration probe (`ICSAD_KERNEL_BACKEND`/`ICSAD_KERNEL_FMA`
+//! force a backend for the default mode). 160 and 192 are whole numbers
+//! of 32-column weight panels, 169 and 379 (the ledger workloads' head
+//! widths) are not: a ragged head must cost its padded width and no more,
+//! so a returning per-element tail shows as a cliff between neighbours.
 
 use std::time::Instant;
 
@@ -73,8 +76,14 @@ fn batched_throughput(
     (lanes * steps) as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Head widths of the backend sweep: panel multiples next to ragged ones.
+const COMPARE_CLASSES: [usize; 4] = [160, 169, 192, 379];
+
 fn compare_backends(model: &LstmClassifier, steps: usize) {
-    println!("\nbackend comparison (batched steps/s; speedup vs scalar of the same FMA policy):");
+    println!(
+        "\nbackend comparison, |S| = {} (batched steps/s; speedup vs scalar of the same FMA policy):",
+        model.num_classes()
+    );
     for lanes in [1usize, 32, 96] {
         println!("  B = {lanes}:");
         let mut scalar_rate = [None::<f64>; 2]; // per FMA policy
@@ -116,24 +125,38 @@ fn main() {
     let classes = env_usize("ICSAD_CLASSES", 600);
     let input_dim = env_usize("ICSAD_INPUT", 104);
 
-    let model = LstmClassifier::new(&ModelConfig {
-        input_dim,
-        hidden_dims: hidden.clone(),
-        num_classes: classes,
-        seed: 7,
-    });
-    println!(
-        "model: input {input_dim}, hidden {hidden:?}, classes {classes} \
-         ({} params, {} KB); lanes {lanes}, steps {steps}; kernels: {}",
-        model.param_count(),
-        model.memory_bytes() / 1024,
-        icsad_simd::current().label(),
-    );
+    let build = |classes: usize| {
+        let model = LstmClassifier::new(&ModelConfig {
+            input_dim,
+            hidden_dims: hidden.clone(),
+            num_classes: classes,
+            seed: 7,
+        });
+        // As a commissioned detector hands it over: panels built.
+        model.pack_panels();
+        model
+    };
 
     if std::env::var("ICSAD_COMPARE").is_ok_and(|v| v == "1") {
-        compare_backends(&model, steps);
+        println!(
+            "model: input {input_dim}, hidden {hidden:?}; steps {steps}; auto kernels: {}",
+            icsad_simd::current().label()
+        );
+        for classes in COMPARE_CLASSES {
+            compare_backends(&build(classes), steps);
+        }
         return;
     }
+
+    let model = build(classes);
+    println!(
+        "model: input {input_dim}, hidden {hidden:?}, classes {classes} \
+         ({} params, {} KB + {} KB panels); lanes {lanes}, steps {steps}; kernels: {}",
+        model.param_count(),
+        model.memory_bytes() / 1024,
+        model.packed_bytes() / 1024,
+        icsad_simd::current().label(),
+    );
 
     // Per-record streaming.
     let mut states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();

@@ -333,7 +333,11 @@ impl CombinedDetector {
     ///
     /// The restored detector makes **bit-identical decisions** to the one
     /// that was saved: floats round trip via their bit patterns and the
-    /// decision paths share the same code.
+    /// decision paths share the same code. Its model comes back with the
+    /// batched step's weight panels already built
+    /// ([`LstmClassifier::from_bytes`] packs them on the calling thread), so
+    /// a loaded detector — [`CombinedDetector::load`], an engine hot
+    /// reload — never packs or allocates inside a classification round.
     ///
     /// # Errors
     ///

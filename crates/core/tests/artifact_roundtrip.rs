@@ -172,6 +172,12 @@ fn round_trip_decisions_are_bit_identical_on_a_multi_plc_capture() {
     let restored = CombinedDetector::from_bytes(&fx.artifact).unwrap();
     assert_eq!(restored.k(), fx.detector.k());
     assert_eq!(restored.memory_bytes(), fx.detector.memory_bytes());
+    // Both ways of obtaining a detector — commissioning and loading —
+    // hand it over with the inference panels already built, so an engine
+    // shard never packs (or allocates for it) inside a round.
+    let panels = |d: &CombinedDetector| d.time_series_level().model().packed_bytes();
+    assert!(panels(&restored) > 0);
+    assert_eq!(panels(&restored), panels(&fx.detector));
 
     // Per-record streaming path, every stream.
     let mut saw_every_level = [false; 3];

@@ -3,12 +3,14 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::tensor::{axpy, gemm_dense_acc, matvec_acc, matvec_t_acc, outer_acc, Tensor2};
+use crate::tensor::{
+    axpy, gemm_dense_acc, gemm_panels_acc, matvec_acc, matvec_t_acc, outer_acc, Tensor2, Weights,
+};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
-    pub(crate) w: Tensor2,
+    pub(crate) w: Weights,
     pub(crate) b: Vec<f32>,
 }
 
@@ -35,7 +37,7 @@ impl Dense {
             .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
             .collect();
         Dense {
-            w: Tensor2::from_vec(input_dim, output_dim, data),
+            w: Weights::new(Tensor2::from_vec(input_dim, output_dim, data)),
             b: vec![0.0; output_dim],
         }
     }
@@ -77,19 +79,32 @@ impl Dense {
     /// Batched projection: computes `out[b] = W x[b] + b` for every lane of
     /// a `batch x input_dim` block into a `batch x output_dim` block, as one
     /// register-blocked matrix–matrix product (the projection input is a
-    /// dense hidden activation). Results compare equal to per-lane
-    /// [`Dense::forward`].
+    /// dense hidden activation) over the weights' panel-major copy
+    /// ([`crate::tensor::Weights::panels`], packed on first use). Results
+    /// compare equal to per-lane [`Dense::forward`].
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn forward_batch(&self, batch: usize, x: &[f32], out: &mut [f32]) {
+        self.preload_bias(batch, out);
+        gemm_panels_acc(batch, x, &self.w, out);
+    }
+
+    /// [`Dense::forward_batch`] for the training pass: the same product
+    /// and bits, but packing `W` per call instead of keeping panels the
+    /// next optimizer step would throw away.
+    pub(crate) fn forward_batch_train(&self, batch: usize, x: &[f32], out: &mut [f32]) {
+        self.preload_bias(batch, out);
+        gemm_dense_acc(batch, x, &self.w, out);
+    }
+
+    fn preload_bias(&self, batch: usize, out: &mut [f32]) {
         let n = self.b.len();
         assert_eq!(out.len(), batch * n, "dense batch output mismatch");
-        for b in 0..batch {
-            out[b * n..(b + 1) * n].copy_from_slice(&self.b);
+        for row in out.chunks_exact_mut(n) {
+            row.copy_from_slice(&self.b);
         }
-        gemm_dense_acc(batch, x, &self.w, out);
     }
 
     /// Accumulates parameter gradients and writes the input gradient for a
@@ -146,7 +161,7 @@ mod tests {
     #[test]
     fn forward_matches_manual() {
         let mut d = Dense::new(2, 3, &mut rng());
-        d.w = Tensor2::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        d.w = Weights::new(Tensor2::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
         d.b = vec![0.5, 0.5, 0.5];
         let mut out = vec![0.0; 3];
         d.forward(&[1.0, 2.0], &mut out);

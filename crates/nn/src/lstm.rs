@@ -21,14 +21,15 @@ use crate::activations::{
     sigmoid_deriv_from_output, sigmoid_in_place, tanh_deriv_from_output, tanh_in_place,
 };
 use crate::tensor::{
-    axpy, gemm_acc, gemm_dense_acc, grow, matvec_acc, matvec_t_acc, outer_acc, Tensor2,
+    axpy, gemm_acc, gemm_dense_acc, gemm_panels_acc, grow, matvec_acc, matvec_t_acc, outer_acc,
+    Tensor2, Weights,
 };
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmLayer {
-    pub(crate) w: Tensor2,
-    pub(crate) u: Tensor2,
+    pub(crate) w: Weights,
+    pub(crate) u: Weights,
     pub(crate) b: Vec<f32>,
     input_dim: usize,
     hidden_dim: usize,
@@ -175,7 +176,7 @@ impl LstmLayer {
             let data = (0..rows * cols)
                 .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
                 .collect();
-            Tensor2::from_vec(rows, cols, data)
+            Weights::new(Tensor2::from_vec(rows, cols, data))
         };
         let w = init(input_dim, 4 * hidden_dim, scale_w);
         let u = init(hidden_dim, 4 * hidden_dim, scale_u);
@@ -206,6 +207,22 @@ impl LstmLayer {
     /// Number of learnable parameters.
     pub fn param_count(&self) -> usize {
         self.w.len() + self.u.len() + self.b.len()
+    }
+
+    /// Builds the panel-major copies [`LstmLayer::forward_batch`] reads —
+    /// `u` always, `w` only when the layer's input is dense (a one-hot
+    /// stack input goes through the zero-skipping row-major kernel).
+    /// Idempotent.
+    pub(crate) fn pack_panels(&self, sparse_input: bool) {
+        self.u.panels();
+        if !sparse_input {
+            self.w.panels();
+        }
+    }
+
+    /// Heap bytes of the panel-major copies built so far.
+    pub(crate) fn packed_bytes(&self) -> usize {
+        self.w.packed_bytes() + self.u.packed_bytes()
     }
 
     /// Zero gradients shaped like this layer.
@@ -258,7 +275,10 @@ impl LstmLayer {
     /// scratch block. `sparse_input` selects the zero-skipping kernel for
     /// the `W x` product (right for one-hot inputs; lower layers of a
     /// stack should pass `false` so dense activations take the
-    /// register-blocked kernel). Gate preactivations accumulate bias, then
+    /// register-blocked kernel). The dense products read the weights'
+    /// panel-major copies ([`crate::tensor::Weights::panels`]), packed on
+    /// first use if [`LstmLayer::pack_panels`] has not run yet — nothing is
+    /// packed per call. Gate preactivations accumulate bias, then
     /// `W x`, then `U h` in the same order as [`LstmLayer::forward`], so
     /// every lane's result compares equal to stepping it alone.
     ///
@@ -287,9 +307,9 @@ impl LstmLayer {
         if sparse_input {
             gemm_acc(batch, x, &self.w, z);
         } else {
-            gemm_dense_acc(batch, x, &self.w, z);
+            gemm_panels_acc(batch, x, &self.w, z);
         }
-        gemm_dense_acc(batch, h, &self.u, z);
+        gemm_panels_acc(batch, h, &self.u, z);
 
         for b in 0..batch {
             let zr = &mut z[b * 4 * hd..(b + 1) * 4 * hd];

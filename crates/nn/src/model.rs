@@ -259,9 +259,35 @@ impl LstmClassifier {
         self.layers.iter().map(|l| l.param_count()).sum::<usize>() + self.dense.param_count()
     }
 
-    /// Approximate model memory in bytes (parameters only, `f32`).
+    /// The parameter footprint in bytes (`f32` weights and biases): the
+    /// paper's model-size number, and what an artifact stores. It does
+    /// **not** include the derived panel-major copies the batched step
+    /// reads — those are [`LstmClassifier::packed_bytes`].
     pub fn memory_bytes(&self) -> usize {
         self.param_count() * std::mem::size_of::<f32>()
+    }
+
+    /// Heap bytes of the panel-major weight copies held right now (0 on a
+    /// model that has neither been packed nor stepped batched): every `u`,
+    /// `w` of the dense-input layers and the head, each padded to a
+    /// multiple of 32 columns — about the size of the matrices they copy
+    /// (≈ +3.2 MiB at 2×256, |S| = 169). Resident memory is
+    /// `memory_bytes() + packed_bytes()`.
+    pub fn packed_bytes(&self) -> usize {
+        self.layers.iter().map(|l| l.packed_bytes()).sum::<usize>() + self.dense.w.packed_bytes()
+    }
+
+    /// Builds every panel-major weight copy the batched step reads, so the
+    /// first [`LstmClassifier::forward_batch_gathered_logits`] — on
+    /// whatever thread — packs and allocates nothing. Idempotent.
+    /// [`LstmClassifier::from_bytes`] and [`crate::Trainer::fit`] end with
+    /// it; a model assembled any other way packs lazily on first use.
+    pub fn pack_panels(&self) {
+        for (l, layer) in self.layers.iter().enumerate() {
+            // Only the stack input is one-hot.
+            layer.pack_panels(l == 0);
+        }
+        self.dense.w.panels();
     }
 
     /// Zero gradients shaped like this model.
@@ -522,7 +548,7 @@ impl LstmClassifier {
         grow(&mut scratch.dlogits, total * nc);
         let logits = &mut scratch.logits[..total * nc];
         let dlogits = &mut scratch.dlogits[..total * nc];
-        self.dense.forward_batch(total, top_out, logits);
+        self.dense.forward_batch_train(total, top_out, logits);
         let mut loss = 0.0f32;
         let mut correct = 0usize;
         for t in 0..sched.steps() {
@@ -583,7 +609,8 @@ impl LstmClassifier {
     }
 
     /// Pairs every parameter slice with its gradient slice, in a stable
-    /// order (for the optimizer).
+    /// order (for the optimizer). Handing out the weights mutably drops
+    /// their panel-major copies ([`crate::tensor::Weights::as_mut_slice`]).
     pub(crate) fn params_with_grads<'a>(
         &'a mut self,
         grads: &'a Gradients,
@@ -704,6 +731,9 @@ impl LstmClassifier {
         if pos != bytes.len() {
             return None;
         }
+        // A loaded model is about to serve: pack here, on the loading
+        // thread, not inside some shard's first round.
+        model.pack_panels();
         Some(model)
     }
 }
@@ -862,7 +892,11 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let bytes = model.to_bytes();
         let back = LstmClassifier::from_bytes(&bytes).unwrap();
+        // `from_bytes` packs eagerly, `new` does not: the panels are derived
+        // data and take no part in identity — nor in the bytes.
+        assert!(back.packed_bytes() > 0 && model.packed_bytes() == 0);
         assert_eq!(back, model);
+        assert_eq!(back.to_bytes(), bytes);
         // Same predictions.
         let x = vec![0.0, 1.0, 0.0, 0.0, 1.0, 0.0];
         let mut p1 = vec![0.0; 4];
@@ -870,6 +904,69 @@ mod tests {
         model.step_logits(&mut model.new_state(), &x, &mut p1);
         back.step_logits(&mut back.new_state(), &x, &mut p2);
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn clone_and_equality_ignore_pack_state() {
+        let cold = LstmClassifier::new(&small_config());
+        let packed = cold.clone();
+        packed.pack_panels();
+        assert_eq!(cold, packed);
+        assert_eq!(packed.clone(), cold);
+        assert_eq!(format!("{cold:?}"), format!("{packed:?}"));
+        // A clone of a packed model is ready to serve without repacking.
+        assert_eq!(packed.clone().packed_bytes(), packed.packed_bytes());
+    }
+
+    /// Two lanes stepped batched must equal each lane stepped alone, bit
+    /// for bit, on `model`'s current weights.
+    fn assert_batched_equals_streaming(model: &LstmClassifier) {
+        let dim = model.config().input_dim;
+        let nc = model.num_classes();
+        let xs: Vec<f32> = (0..2 * dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut states = [model.new_state(), model.new_state()];
+        let mut scratch = model.batch_scratch();
+        let mut logits = vec![0.0f32; 2 * nc];
+        for (i, state) in states.iter().enumerate() {
+            model.gather_lane(&mut scratch, i, state);
+        }
+        model.forward_batch_gathered_logits(&mut scratch, 2, &xs, &mut logits);
+        for (i, state) in states.iter_mut().enumerate() {
+            model.scatter_lane(&scratch, i, state);
+            let mut reference = model.new_state();
+            let mut single = vec![0.0f32; nc];
+            model.step_logits(&mut reference, &xs[i * dim..(i + 1) * dim], &mut single);
+            assert_eq!(&logits[i * nc..(i + 1) * nc], single.as_slice(), "lane {i}");
+            assert_eq!(state.layers, reference.layers, "lane {i}");
+        }
+    }
+
+    #[test]
+    fn optimizer_step_invalidates_the_panels() {
+        let mut model = LstmClassifier::new(&small_config());
+        assert_batched_equals_streaming(&model);
+        let packed = model.packed_bytes();
+        assert!(packed > 0, "the batched step packs on first use");
+
+        // One optimizer step through the only mutable door to the weights.
+        let steps = vec![(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1)];
+        let mut grads = model.zero_gradients();
+        model.train_batch(
+            &BackwardPack::new(&model),
+            &[&steps],
+            &mut TrainScratch::default(),
+            &mut grads,
+            1.0,
+        );
+        for (p, g) in model.params_with_grads(&grads) {
+            for (pv, gv) in p.iter_mut().zip(g.iter()) {
+                *pv -= 0.5 * gv;
+            }
+        }
+        assert_eq!(model.packed_bytes(), 0, "stale panels must not survive");
+        // A stale pack would reproduce the *old* weights' logits here.
+        assert_batched_equals_streaming(&model);
+        assert_eq!(model.packed_bytes(), packed);
     }
 
     #[test]
@@ -925,6 +1022,18 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         assert_eq!(model.memory_bytes(), model.param_count() * 4);
         assert!(model.param_count() > 0);
+
+        // The derived panels are counted separately, and only once built:
+        // u of both layers (8 x 32), w of the dense-input layer (8 x 32)
+        // and the head (8 x 4, padded to one 32-column panel). The one-hot
+        // layer's w is never packed.
+        assert_eq!(model.packed_bytes(), 0);
+        model.pack_panels();
+        assert_eq!(model.packed_bytes(), 4 * (8 * 32) * 4);
+        // Packing is idempotent and leaves the parameter footprint alone.
+        model.pack_panels();
+        assert_eq!(model.packed_bytes(), 4 * (8 * 32) * 4);
+        assert_eq!(model.memory_bytes(), model.param_count() * 4);
     }
 
     #[test]

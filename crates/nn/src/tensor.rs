@@ -1,6 +1,6 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
-//! The forward (inference) kernels — [`matvec_acc`], [`gemm_acc`],
+//! The forward kernels — [`matvec_acc`], [`gemm_acc`], [`gemm_panels_acc`],
 //! [`gemm_dense_acc`], [`axpy`] — are thin shape-checked fronts over the
 //! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
 //! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
@@ -11,6 +11,16 @@
 //! output columns only — every `y[j]` accumulates its `k` contributions in
 //! ascending order, which keeps batched ≡ per-record bit-identical.
 //!
+//! A layer's parameters are [`Weights`]: the row-major [`Tensor2`] (the
+//! master copy — what is trained, serialized and compared) plus a
+//! panel-major copy of it for the batched inference gemm, built once and
+//! dropped by the only `&mut` door to the data. So there are exactly two
+//! inference products: per-record [`matvec_acc`] over the rows, batched
+//! [`gemm_panels_acc`] over the panels (one-hot stack inputs keep the
+//! zero-skipping [`gemm_acc`]). [`gemm_dense_acc`] — same tile routine, but
+//! packing its operand on every call — is the *training* forward product,
+//! whose weights move every optimizer step.
+//!
 //! The backward (training) kernels — [`matvec_t_acc`], [`outer_acc`] — ride
 //! the same dispatched layer: the data gradient contracts over a packed
 //! **transposed** weight view (see [`transpose_into`]; refreshed once per
@@ -19,6 +29,10 @@
 //! `dW += Xᵀ·dY` with the sparse kernel's zero-skip. Both keep the
 //! ascending-contraction order, so SIMD ≡ scalar stays bitwise for
 //! training too.
+
+use std::sync::OnceLock;
+
+use icsad_simd::PanelsF32;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +129,75 @@ impl Tensor2 {
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
         }
+    }
+}
+
+/// A layer's weight matrix: the row-major [`Tensor2`] plus its lazily
+/// built panel-major copy for [`gemm_panels_acc`].
+///
+/// The tensor is the parameter; the panels are derived data and never
+/// part of the value — `==` and `Debug` see the tensor only, and
+/// serialization never sees the panels. Reads go through `Deref`; the one
+/// way to write is [`Weights::as_mut_slice`], which drops the panels, so a
+/// stale pack cannot be observed: the next [`Weights::panels`] repacks
+/// from the updated rows.
+#[derive(Clone)]
+pub struct Weights {
+    tensor: Tensor2,
+    panels: OnceLock<PanelsF32>,
+}
+
+impl Weights {
+    /// Wraps a row-major matrix; nothing is packed yet.
+    pub fn new(tensor: Tensor2) -> Self {
+        Weights {
+            tensor,
+            panels: OnceLock::new(),
+        }
+    }
+
+    /// Mutable flat row-major data. Drops the panel-major copy: whatever
+    /// the caller writes, the next batched product repacks.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        self.panels.take();
+        self.tensor.as_mut_slice()
+    }
+
+    /// The panel-major copy, packed on first use (≈ 1 ms for a 256 × 1024
+    /// matrix) and shared by every later call.
+    pub fn panels(&self) -> &PanelsF32 {
+        self.panels.get_or_init(|| {
+            PanelsF32::pack(
+                self.tensor.as_slice(),
+                self.tensor.rows(),
+                self.tensor.cols(),
+            )
+        })
+    }
+
+    /// Heap bytes the panel-major copy holds right now (0 until packed).
+    pub fn packed_bytes(&self) -> usize {
+        self.panels.get().map_or(0, PanelsF32::bytes)
+    }
+}
+
+impl std::ops::Deref for Weights {
+    type Target = Tensor2;
+
+    fn deref(&self) -> &Tensor2 {
+        &self.tensor
+    }
+}
+
+impl PartialEq for Weights {
+    fn eq(&self, other: &Self) -> bool {
+        self.tensor == other.tensor
+    }
+}
+
+impl std::fmt::Debug for Weights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.tensor.fmt(f)
     }
 }
 
@@ -238,15 +321,30 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// one store of the output row per `k` step — fine for one-hot inputs
 /// where almost every `k` is skipped, but store-bound for dense inputs
 /// (recurrent state, hidden activations). The dispatched kernel
-/// ([`icsad_simd::gemm_dense_acc_f32`]) holds a register tile of four
-/// lanes × two vectors over a packed weight column block, so each packed
-/// weight vector is loaded once per tile and output stores happen once per
-/// tile instead of once per `k`.
+/// ([`icsad_simd::gemm_panels_acc_f32`]) holds a register tile of four
+/// lanes × two vectors over a 32-column weight panel, so each weight
+/// vector is loaded once per tile and output stores happen once per tile
+/// instead of once per `k`. The panels come from [`Weights::panels`] —
+/// packed once, not per call — which is what makes this the batched
+/// *inference* product.
 ///
 /// Per output element the `k` contributions are still accumulated in one
 /// ascending chain, so results compare equal (`f32 ==`) to per-lane
 /// [`matvec_acc`]; including `xi == 0` terms can only flip the sign of a
 /// zero, which `==` and every downstream consumer treat identically.
+///
+/// # Panics
+///
+/// Panics on dimension mismatch.
+pub fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
+    icsad_simd::gemm_panels_acc_f32(batch, x, w.panels(), y);
+}
+
+/// [`gemm_panels_acc`] for weights that change between calls: the same
+/// tile routine (so the same bits), but over a row-major matrix that the
+/// kernel packs panel by panel on every call. The training forward pass
+/// uses it — its weights move every optimizer step, so a kept pack would
+/// be rebuilt as often as it was read.
 ///
 /// # Panics
 ///
@@ -470,6 +568,50 @@ mod tests {
                 "lane {b}"
             );
         }
+    }
+
+    #[test]
+    fn gemm_panels_matches_per_row_matvec_and_repacks_after_a_write() {
+        // 37 outputs: one full panel plus a ragged one; 6 lanes: one
+        // partial lane tile.
+        let mut w = Weights::new(Tensor2::from_vec(
+            70,
+            37,
+            (0..70 * 37)
+                .map(|i| ((i * 53 % 211) as f32 - 105.0) / 29.0)
+                .collect(),
+        ));
+        let x: Vec<f32> = (0..6 * 70)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => ((i * 41 % 173) as f32 - 86.0) / 23.0,
+            })
+            .collect();
+        let reference: Vec<f32> = (0..6 * 37).map(|i| (i % 5) as f32 - 2.0).collect();
+        let check = |w: &Weights| {
+            let mut batched = reference.clone();
+            gemm_panels_acc(6, &x, w, &mut batched);
+            let mut per_call = reference.clone();
+            gemm_dense_acc(6, &x, w, &mut per_call);
+            assert_eq!(batched, per_call);
+            for b in 0..6 {
+                let mut single = reference[b * 37..(b + 1) * 37].to_vec();
+                matvec_acc(w, &x[b * 70..(b + 1) * 70], &mut single);
+                assert_eq!(
+                    &batched[b * 37..(b + 1) * 37],
+                    single.as_slice(),
+                    "lane {b}"
+                );
+            }
+        };
+        assert_eq!(w.packed_bytes(), 0);
+        check(&w);
+        assert_eq!(w.packed_bytes(), 2 * 70 * 32 * 4);
+        // Any write drops the panels; the next product sees the new rows.
+        w.as_mut_slice()[36] = 9.5;
+        assert_eq!(w.packed_bytes(), 0);
+        check(&w);
     }
 
     #[test]

@@ -200,12 +200,15 @@ impl Trainer {
     }
 
     /// Trains for `config.epochs` passes over `sequences`, returning
-    /// per-epoch statistics.
+    /// per-epoch statistics. The trained model comes back with its
+    /// inference panels built ([`LstmClassifier::pack_panels`]); callers
+    /// driving [`Trainer::fit_epoch`] themselves pack when they are done.
     pub fn fit(&mut self, model: &mut LstmClassifier, sequences: &[Sequence]) -> Vec<EpochStats> {
         let mut stats = Vec::with_capacity(self.config.epochs);
         for epoch in 0..self.config.epochs {
             stats.push(self.fit_epoch(model, sequences, epoch));
         }
+        model.pack_panels();
         stats
     }
 
@@ -474,6 +477,9 @@ mod tests {
             last.mean_loss
         );
         assert!(last.mean_loss < stats[0].mean_loss);
+        // Training never builds panels (every step would drop them);
+        // `fit` hands the model over packed and ready to serve.
+        assert!(model.packed_bytes() > 0);
     }
 
     #[test]

@@ -203,9 +203,14 @@ impl<T: Task> Shared<T> {
         queues: usize,
         rounds: Option<Arc<dyn UnitSource>>,
     ) -> Shared<T> {
+        // A task sits in at most one run queue at a time (IDLE → QUEUED is
+        // a single CAS), so a queue sized for every task never grows —
+        // whichever worker a task first lands on, and however late
+        // (`zero_alloc` caught the lazy first growth inside its window).
+        let task_count = tasks.len();
         Shared {
             rounds,
-            remaining: AtomicUsize::new(tasks.len()),
+            remaining: AtomicUsize::new(task_count),
             slots: tasks
                 .into_iter()
                 .map(|task| Slot {
@@ -214,7 +219,9 @@ impl<T: Task> Shared<T> {
                     output: Mutex::new(None),
                 })
                 .collect(),
-            run_queues: (0..queues).map(|_| Mutex::new(VecDeque::new())).collect(),
+            run_queues: (0..queues)
+                .map(|_| Mutex::new(VecDeque::with_capacity(task_count)))
+                .collect(),
             sync: Mutex::new(SyncState {
                 epoch: 0,
                 sleepers: 0,

@@ -8,8 +8,10 @@
 //! per-element operation sequence is fixed by the lane trait, so for a
 //! given FMA policy every backend produces bitwise-identical results —
 //! including the scalar fallback, which is just the `WIDTH = 1`
-//! instantiation of the same code. Remainder columns (`n mod WIDTH`) run
-//! the element-level ops of the *same* policy.
+//! instantiation of the same code. Remainder columns (`n mod WIDTH`) of
+//! the streaming kernels run the element-level ops of the *same* policy;
+//! the dense gemm has no remainder path at all — it reads zero-padded
+//! weight panels ([`PANEL`]) and runs full vector chains everywhere.
 
 use crate::lanes::{Element, F32Lanes, Lanes};
 use crate::math;
@@ -90,21 +92,104 @@ pub(crate) fn gemm_sparse_body<L: Lanes>(
     }
 }
 
-/// Column-tile width of the scalar (`WIDTH == 1`) instantiation: a plain
-/// element array this wide both amortizes the `x` re-streaming across many
-/// columns and gives LLVM's auto-vectorizer the same shape the historical
-/// hand-tiled scalar kernel had.
-const SCALAR_J_TILE: usize = 32;
-
-/// Register-tiled dense gemm: `y[b] += x[b]ᵀ·W` without the zero skip, the
-/// output tile held in registers across the whole `k` loop.
+/// Columns per weight panel — the one layout the dense gemm reads.
 ///
-/// The weight operand is abstracted by `w_tile(k, j0, dst)`, which copies
-/// `W[k][j0 .. j0+dst.len()]` into a packed column-block buffer — a plain
-/// row slice for the `f32` kernels, a strided transpose read for the `f64`
-/// `batch_matvec` (whose "weights" are the matrix rows). Packing streams
-/// the weights once per call; every lane tile then re-reads the pack from
-/// L1 with exact-width vector loads.
+/// A `k × n` weight matrix is stored **panel-major**: `⌈n / 32⌉` panels,
+/// each `k` rows of 32 consecutive columns, the last panel zero-padded to
+/// full width:
+///
+/// ```text
+///   row-major W (k × n)              panel-major ([⌈n/32⌉][k][32])
+///   ┌──────────────────────┐         panel 0      panel 1     … last
+///   │ w00 w01 …        w0n │         ┌────────┐   ┌────────┐   ┌─────┬───┐
+///   │ w10 w11 …        w1n │   ⇒     │ 32 col │   │ 32 col │   │valid│ 0 │
+///   │  ⋮                ⋮  │         │ k rows │   │ k rows │   │     │ 0 │
+///   └──────────────────────┘         └────────┘   └────────┘   └─────┴───┘
+/// ```
+///
+/// 32 columns is two AVX-512 `f32` vectors — one 4-row × 2-vector register
+/// tile — and a whole number of narrower tiles everywhere else (two 2×8
+/// tiles on AVX2, four 2×4 on SSE2, the 32-wide element-array tile on
+/// scalar; the `f64` lanes halve those widths). Fixing the width for
+/// every backend makes the layout independent of the dispatched
+/// [`crate::Selection`]: panels packed once stay valid under any later
+/// [`crate::force`].
+pub(crate) const PANEL: usize = 32;
+
+/// Element count of the panel-major copy of a `k_dim × n` matrix.
+fn panels_len(k_dim: usize, n: usize) -> usize {
+    n.div_ceil(PANEL) * k_dim * PANEL
+}
+
+/// Fills one `k_dim × PANEL` panel with columns `j0 .. j0 + valid` of the
+/// weight operand, zeroing the padding columns. `w_tile(k, j0, dst)`
+/// copies `W[k][j0 .. j0 + dst.len()]` — a plain row slice for the `f32`
+/// kernels, a strided transpose read for the `f64` `batch_matvec` (whose
+/// "weights" are the matrix rows).
+#[inline(always)]
+fn fill_panel<E: Element>(
+    panel: &mut [E],
+    j0: usize,
+    valid: usize,
+    w_tile: &impl Fn(usize, usize, &mut [E]),
+) {
+    for (k, row) in panel.chunks_exact_mut(PANEL).enumerate() {
+        let (cols, pad) = row.split_at_mut(valid);
+        w_tile(k, j0, cols);
+        pad.fill(E::ZERO);
+    }
+}
+
+/// The `w_tile` of a row-major `k_dim × n` `f32` weight matrix.
+#[inline(always)]
+fn row_major_tile(w: &[f32], n: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+    move |k, j0, dst| dst.copy_from_slice(&w[k * n + j0..k * n + j0 + dst.len()])
+}
+
+/// Packs a row-major `k_dim × n` weight matrix panel-major (see [`PANEL`]).
+pub(crate) fn pack_panels_f32(k_dim: usize, w: &[f32], n: usize) -> Vec<f32> {
+    debug_assert_eq!(w.len(), k_dim * n);
+    let mut out = vec![0.0; panels_len(k_dim, n)];
+    if k_dim > 0 {
+        let w_tile = row_major_tile(w, n);
+        for (p, panel) in out.chunks_exact_mut(k_dim * PANEL).enumerate() {
+            let j0 = p * PANEL;
+            fill_panel(panel, j0, PANEL.min(n - j0), &w_tile);
+        }
+    }
+    out
+}
+
+/// Dense gemm over pre-packed panels: `y[b] += x[b]ᵀ·W` without the zero
+/// skip, `W` given panel-major (see [`PANEL`]). The inference entry: the
+/// weights were packed once, so a call streams them straight from the
+/// panels and copies nothing.
+#[inline(always)]
+pub(crate) fn gemm_panels_body<L: Lanes>(
+    batch: usize,
+    x: &[L::Elem],
+    k_dim: usize,
+    n: usize,
+    y: &mut [L::Elem],
+    panels: &[L::Elem],
+) {
+    debug_assert_eq!(x.len(), batch * k_dim);
+    debug_assert_eq!(y.len(), batch * n);
+    debug_assert_eq!(panels.len(), panels_len(k_dim, n));
+    if k_dim == 0 {
+        return;
+    }
+    for (p, panel) in panels.chunks_exact(k_dim * PANEL).enumerate() {
+        let j0 = p * PANEL;
+        panel_tile::<L>(batch, x, k_dim, n, y, j0, PANEL.min(n - j0), panel);
+    }
+}
+
+/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for a weight operand
+/// that changes between calls (training, the `f64` baselines). Each panel
+/// is packed into the thread's reusable `pack` buffer — streaming the
+/// weights once per call — and handed to the same [`panel_tile`] the
+/// pre-packed entry runs, so the two entries cannot drift apart.
 #[inline(always)]
 pub(crate) fn gemm_dense_body<L: Lanes>(
     batch: usize,
@@ -117,125 +202,171 @@ pub(crate) fn gemm_dense_body<L: Lanes>(
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(y.len(), batch * n);
-    let jt_full = if L::WIDTH == 1 {
-        SCALAR_J_TILE
-    } else {
-        2 * L::WIDTH
-    };
-    if pack.len() < k_dim * jt_full {
-        pack.resize(k_dim * jt_full, L::Elem::ZERO);
+    if pack.len() < k_dim * PANEL {
+        pack.resize(k_dim * PANEL, L::Elem::ZERO);
     }
+    let panel = &mut pack[..k_dim * PANEL];
     let mut j0 = 0;
     while j0 < n {
-        let jb = jt_full.min(n - j0);
-        let packed = &mut pack[..k_dim * jb];
-        for (k, dst) in packed.chunks_exact_mut(jb).enumerate() {
-            w_tile(k, j0, dst);
-        }
-        let packed = &packed[..];
-        if jb == jt_full && L::WIDTH == 1 {
-            gemm_dense_scalar_tile::<L>(batch, x, k_dim, n, y, j0, packed);
-        } else if jb == jt_full {
-            let mut b0 = 0;
-            // Quads of batch rows take the register-tiled fast path.
-            while b0 + LANE_TILE <= batch {
-                let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
-                let (x0, x1) = x01.split_at(k_dim);
-                let (x2, x3) = x23.split_at(k_dim);
-                let mut acc = [[L::splat(L::Elem::ZERO); 2]; LANE_TILE];
-                for (bi, row) in acc.iter_mut().enumerate() {
-                    let yr = &y[(b0 + bi) * n + j0..];
-                    row[0] = L::load(yr);
-                    row[1] = L::load(&yr[L::WIDTH..]);
-                }
-                let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
-                for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(packed.chunks_exact(jt_full)) {
-                    let w0 = L::load(wr);
-                    let w1 = L::load(&wr[L::WIDTH..]);
-                    let v0 = L::splat(a0);
-                    acc[0][0] = acc[0][0].fmac(v0, w0);
-                    acc[0][1] = acc[0][1].fmac(v0, w1);
-                    let v1 = L::splat(a1);
-                    acc[1][0] = acc[1][0].fmac(v1, w0);
-                    acc[1][1] = acc[1][1].fmac(v1, w1);
-                    let v2 = L::splat(a2);
-                    acc[2][0] = acc[2][0].fmac(v2, w0);
-                    acc[2][1] = acc[2][1].fmac(v2, w1);
-                    let v3 = L::splat(a3);
-                    acc[3][0] = acc[3][0].fmac(v3, w0);
-                    acc[3][1] = acc[3][1].fmac(v3, w1);
-                }
-                for (bi, row) in acc.iter().enumerate() {
-                    let yr = &mut y[(b0 + bi) * n + j0..];
-                    row[0].store(yr);
-                    row[1].store(&mut yr[L::WIDTH..]);
-                }
-                b0 += LANE_TILE;
-            }
-            // Leftover batch rows, one at a time on the same column tile.
-            for b in b0..batch {
-                let x_row = &x[b * k_dim..(b + 1) * k_dim];
-                let yr = &y[b * n + j0..];
-                let mut a0 = L::load(yr);
-                let mut a1 = L::load(&yr[L::WIDTH..]);
-                for (&xv, wr) in x_row.iter().zip(packed.chunks_exact(jt_full)) {
-                    let v = L::splat(xv);
-                    a0 = a0.fmac(v, L::load(wr));
-                    a1 = a1.fmac(v, L::load(&wr[L::WIDTH..]));
-                }
-                let yr = &mut y[b * n + j0..];
-                a0.store(yr);
-                a1.store(&mut yr[L::WIDTH..]);
-            }
-        } else {
-            // Ragged trailing columns: per-element chains, same ascending-k
-            // order and fmac policy.
-            for b in 0..batch {
-                let x_row = &x[b * k_dim..(b + 1) * k_dim];
-                for jj in 0..jb {
-                    let mut a = y[b * n + j0 + jj];
-                    for (k, &xv) in x_row.iter().enumerate() {
-                        a = L::fmac_e(a, xv, packed[k * jb + jj]);
-                    }
-                    y[b * n + j0 + jj] = a;
-                }
-            }
-        }
-        j0 += jb;
+        let valid = PANEL.min(n - j0);
+        fill_panel(panel, j0, valid, w_tile);
+        panel_tile::<L>(batch, x, k_dim, n, y, j0, valid, panel);
+        j0 += PANEL;
     }
 }
 
-/// The full-width column tile of [`gemm_dense_body`] for the scalar
-/// backend: [`SCALAR_J_TILE`]-wide element-array accumulators instead of
-/// two one-element "vectors". Per output element the `k` order and `fmac`
-/// policy are identical to the vector tiles, so results stay bitwise equal
-/// — this path exists purely so non-SIMD targets (and the force-scalar CI
-/// job) keep the register-tiled shape the pre-dispatch kernel had.
+/// Loads the two-vector accumulator pair of one output row from `yr`. A
+/// ragged sub-tile (`cols < 2·WIDTH`) is staged through a zero-padded
+/// stack buffer, so the padding lanes start at zero and never read `y`.
 #[inline(always)]
-fn gemm_dense_scalar_tile<L: Lanes>(
+fn load_pair<L: Lanes>(yr: &[L::Elem], cols: usize) -> [L; 2] {
+    if cols == 2 * L::WIDTH {
+        [L::load(yr), L::load(&yr[L::WIDTH..])]
+    } else {
+        let mut buf = [L::Elem::ZERO; PANEL];
+        buf[..cols].copy_from_slice(&yr[..cols]);
+        [L::load(&buf), L::load(&buf[L::WIDTH..])]
+    }
+}
+
+/// Stores an accumulator pair back to `yr`, only its `cols` valid columns:
+/// the padding lanes of a ragged sub-tile die in the stack buffer.
+#[inline(always)]
+fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [L::Elem], cols: usize) {
+    if cols == 2 * L::WIDTH {
+        acc[0].store(yr);
+        acc[1].store(&mut yr[L::WIDTH..]);
+    } else {
+        let mut buf = [L::Elem::ZERO; PANEL];
+        acc[0].store(&mut buf);
+        acc[1].store(&mut buf[L::WIDTH..]);
+        yr[..cols].copy_from_slice(&buf[..cols]);
+    }
+}
+
+/// The one dense-gemm tile routine: accumulates columns
+/// `j0 .. j0 + valid` of `y` over one `k_dim × PANEL` weight panel.
+///
+/// A 4-row × 2-vector register tile holds the outputs across the whole
+/// `k` loop, so each weight vector is loaded once per four batch rows and
+/// `y` is loaded and stored once per tile instead of once per `k`. A
+/// ragged panel (`valid < PANEL`) runs the *same* vector chains over its
+/// zero-padded rows and stores only the valid columns — there is no
+/// per-element tail. Per output element the op sequence is therefore
+/// always "ascending `k`, this lane type's `fmac`", which keeps SIMD ≡
+/// scalar and batched ≡ per-record bitwise.
+///
+/// Do not widen the row tile. Tried for issue 14 on the 2-vCPU
+/// `avx512+fma` reference host: a 12-row × 2-vector tile over a transposed
+/// `x` pack gave +0–7 % on the 96×256×1024 product, −20 % at batch 16 and
+/// −9 % on the ledger's `train_targets_s`; [`LANE_TILE`] stays 4.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel_tile<L: Lanes>(
     batch: usize,
     x: &[L::Elem],
     k_dim: usize,
     n: usize,
     y: &mut [L::Elem],
     j0: usize,
-    packed: &[L::Elem],
+    valid: usize,
+    panel: &[L::Elem],
+) {
+    debug_assert_eq!(panel.len(), k_dim * PANEL);
+    debug_assert!(0 < valid && valid <= PANEL && j0 + valid <= n);
+    if L::WIDTH == 1 {
+        return panel_tile_scalar::<L>(batch, x, k_dim, n, y, j0, valid, panel);
+    }
+    let sub = 2 * L::WIDTH;
+    let mut s = 0;
+    // Sub-tiles that lie wholly in the padding are skipped.
+    while s < valid {
+        // Hoists the per-`k` slice checks out of the loops below.
+        assert!(s + sub <= PANEL, "register tile wider than a panel");
+        let cols = sub.min(valid - s);
+        let mut b0 = 0;
+        // Quads of batch rows take the register-tiled fast path.
+        while b0 + LANE_TILE <= batch {
+            let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
+            let (x0, x1) = x01.split_at(k_dim);
+            let (x2, x3) = x23.split_at(k_dim);
+            let mut acc = [[L::splat(L::Elem::ZERO); 2]; LANE_TILE];
+            for (bi, row) in acc.iter_mut().enumerate() {
+                *row = load_pair::<L>(&y[(b0 + bi) * n + j0 + s..], cols);
+            }
+            let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
+            for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
+                let wr = &wr[s..s + sub];
+                let w0 = L::load(wr);
+                let w1 = L::load(&wr[L::WIDTH..]);
+                let v0 = L::splat(a0);
+                acc[0][0] = acc[0][0].fmac(v0, w0);
+                acc[0][1] = acc[0][1].fmac(v0, w1);
+                let v1 = L::splat(a1);
+                acc[1][0] = acc[1][0].fmac(v1, w0);
+                acc[1][1] = acc[1][1].fmac(v1, w1);
+                let v2 = L::splat(a2);
+                acc[2][0] = acc[2][0].fmac(v2, w0);
+                acc[2][1] = acc[2][1].fmac(v2, w1);
+                let v3 = L::splat(a3);
+                acc[3][0] = acc[3][0].fmac(v3, w0);
+                acc[3][1] = acc[3][1].fmac(v3, w1);
+            }
+            for (bi, row) in acc.iter().enumerate() {
+                store_pair::<L>(*row, &mut y[(b0 + bi) * n + j0 + s..], cols);
+            }
+            b0 += LANE_TILE;
+        }
+        // Leftover batch rows, one at a time on the same sub-tile.
+        for b in b0..batch {
+            let x_row = &x[b * k_dim..(b + 1) * k_dim];
+            let [mut a0, mut a1] = load_pair::<L>(&y[b * n + j0 + s..], cols);
+            for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
+                let wr = &wr[s..s + sub];
+                let v = L::splat(xv);
+                a0 = a0.fmac(v, L::load(wr));
+                a1 = a1.fmac(v, L::load(&wr[L::WIDTH..]));
+            }
+            store_pair::<L>([a0, a1], &mut y[b * n + j0 + s..], cols);
+        }
+        s += sub;
+    }
+}
+
+/// [`panel_tile`] for the scalar backend: [`PANEL`]-wide element-array
+/// accumulators instead of two one-element "vectors". Per output element
+/// the `k` order and `fmac` policy are identical to the vector tiles, so
+/// results stay bitwise equal — this shape exists so non-SIMD targets (and
+/// the force-scalar CI job) amortize the `x` re-streaming across a whole
+/// panel and hand LLVM's auto-vectorizer a fixed-width inner loop.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel_tile_scalar<L: Lanes>(
+    batch: usize,
+    x: &[L::Elem],
+    k_dim: usize,
+    n: usize,
+    y: &mut [L::Elem],
+    j0: usize,
+    valid: usize,
+    panel: &[L::Elem],
 ) {
     const LT: usize = LANE_TILE;
-    const JT: usize = SCALAR_J_TILE;
     let mut b0 = 0;
     while b0 + LT <= batch {
         let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
         let (x0, x1) = x01.split_at(k_dim);
         let (x2, x3) = x23.split_at(k_dim);
-        let mut acc = [[L::Elem::ZERO; JT]; LT];
+        // Padding columns start at zero and are never stored.
+        let mut acc = [[L::Elem::ZERO; PANEL]; LT];
         for (bi, row) in acc.iter_mut().enumerate() {
-            row.copy_from_slice(&y[(b0 + bi) * n + j0..(b0 + bi) * n + j0 + JT]);
+            let at = (b0 + bi) * n + j0;
+            row[..valid].copy_from_slice(&y[at..at + valid]);
         }
         let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
-        for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(packed.chunks_exact(JT)) {
-            // PANIC: `chunks_exact(JT)` yields slices of exactly JT elements.
-            let ws: &[L::Elem; JT] = wr.try_into().expect("packed column tile");
+        for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
+            // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
+            let ws: &[L::Elem; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc[0].iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, a0, wj);
             }
@@ -250,22 +381,24 @@ fn gemm_dense_scalar_tile<L: Lanes>(
             }
         }
         for (bi, row) in acc.iter().enumerate() {
-            y[(b0 + bi) * n + j0..(b0 + bi) * n + j0 + JT].copy_from_slice(row);
+            let at = (b0 + bi) * n + j0;
+            y[at..at + valid].copy_from_slice(&row[..valid]);
         }
         b0 += LT;
     }
     for b in b0..batch {
         let x_row = &x[b * k_dim..(b + 1) * k_dim];
-        let mut acc = [L::Elem::ZERO; JT];
-        acc.copy_from_slice(&y[b * n + j0..b * n + j0 + JT]);
-        for (&xv, wr) in x_row.iter().zip(packed.chunks_exact(JT)) {
-            // PANIC: `chunks_exact(JT)` yields slices of exactly JT elements.
-            let ws: &[L::Elem; JT] = wr.try_into().expect("packed column tile");
+        let at = b * n + j0;
+        let mut acc = [L::Elem::ZERO; PANEL];
+        acc[..valid].copy_from_slice(&y[at..at + valid]);
+        for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
+            // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
+            let ws: &[L::Elem; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc.iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, xv, wj);
             }
         }
-        y[b * n + j0..b * n + j0 + JT].copy_from_slice(&acc);
+        y[at..at + valid].copy_from_slice(&acc[..valid]);
     }
 }
 
@@ -421,9 +554,19 @@ pub(crate) fn gemm_dense_f32<L: Lanes<Elem = f32>>(
     y: &mut [f32],
     pack: &mut Vec<f32>,
 ) {
-    gemm_dense_body::<L>(batch, x, k_dim, n, y, pack, &|k, j0, dst| {
-        dst.copy_from_slice(&w[k * n + j0..k * n + j0 + dst.len()])
-    })
+    gemm_dense_body::<L>(batch, x, k_dim, n, y, pack, &row_major_tile(w, n))
+}
+
+#[inline(always)]
+pub(crate) fn gemm_panels_f32<L: Lanes<Elem = f32>>(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    n: usize,
+    y: &mut [f32],
+    panels: &[f32],
+) {
+    gemm_panels_body::<L>(batch, x, k_dim, n, y, panels)
 }
 
 #[inline(always)]
@@ -541,6 +684,19 @@ pub(crate) mod x86_entries {
                     pack: &mut Vec<f32>,
                 ) {
                     super::super::gemm_dense_f32::<$f32ty>(batch, x, k_dim, w, n, y, pack)
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn gemm_panels_f32(
+                    batch: usize,
+                    x: &[f32],
+                    k_dim: usize,
+                    n: usize,
+                    y: &mut [f32],
+                    panels: &[f32],
+                ) {
+                    super::super::gemm_panels_f32::<$f32ty>(batch, x, k_dim, n, y, panels)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

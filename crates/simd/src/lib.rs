@@ -23,6 +23,30 @@
 //! stack pins in its property tests is preserved by construction, and the
 //! parity proptests in this crate pin SIMD ≡ scalar the same way.
 //!
+//! # Dense gemm: panel-major weights
+//!
+//! The register-tiled dense gemm reads its weight operand **panel-major**:
+//! a `k × n` matrix becomes `⌈n / 32⌉` panels, each `k` rows of 32
+//! consecutive columns, the last one zero-padded to full width
+//! (`[⌈n/32⌉][k][32]`). One tile routine walks a panel with a 4-row ×
+//! 2-vector register tile; a ragged last panel runs the *same* vector
+//! chains over its zero weights and stores only the valid columns, so
+//! there is no per-element tail and a head of 169 classes costs what 192
+//! would, not four times that. 32 columns is one tile on AVX-512 and a
+//! whole number of narrower tiles on every other backend, so the layout
+//! does not depend on the dispatched [`Selection`]: panels stay valid
+//! across [`force`].
+//!
+//! Two entries share that routine. [`gemm_panels_acc_f32`] takes weights
+//! packed once ([`PanelsF32`]) — inference, where `W` never changes and a
+//! per-call pack is a strided copy of all of `W` per product.
+//! [`gemm_dense_acc_f32`] (and [`matvec_t_acc_f32`],
+//! [`batch_matvec_acc_f64`], which ride the same body) packs one
+//! thread-local panel at a time on every call — training and the
+//! baselines, whose operands change between calls. Same tile, same
+//! ascending-`k` chain per output element: the two entries are bitwise
+//! equal to each other and to the scalar backend.
+//!
 //! # FMA policy
 //!
 //! Whether `acc + x·w` contracts to a fused multiply-add used to be decided
@@ -327,10 +351,10 @@ pub fn reset() {
 }
 
 thread_local! {
-    /// Packed weight-tile buffer for the dense f32 gemm (steady-state
-    /// allocation-free).
+    /// One-panel pack buffer for the per-call-pack dense f32 gemm
+    /// (steady-state allocation-free).
     static PACK_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Packed (transposed) tile buffer for the f64 batched matvec.
+    /// One-panel (transposed) pack buffer for the f64 batched matvec.
     static PACK_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -452,6 +476,10 @@ pub fn gemm_acc_f32_with(
 /// activations). Accumulation order and rounding match [`gemm_acc_f32`]
 /// except that zero entries contribute an exact `+±0`.
 ///
+/// Packs `W` into panels on every call — right when the weights change
+/// between calls (training). Weights that stay put should be packed once
+/// ([`PanelsF32`]) and go through [`gemm_panels_acc_f32`].
+///
 /// # Panics
 ///
 /// Panics on block-size mismatch.
@@ -495,6 +523,80 @@ pub fn gemm_dense_acc_f32_with(
         let pack = &mut cell.borrow_mut();
         dispatch_f32!(sel, gemm_dense_f32(batch, x, k_dim, w, n, y, pack))
     })
+}
+
+/// A `k_dim × n` `f32` weight matrix packed **panel-major** for
+/// [`gemm_panels_acc_f32`]: `⌈n / 32⌉` panels of `k_dim` rows × 32
+/// consecutive columns, the last panel zero-padded (see the crate docs).
+///
+/// The layout is the same on every backend, so panels packed once remain
+/// valid under any later [`force`]. The type keeps the shape with the data:
+/// a gemm over it cannot be handed mismatched dimensions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PanelsF32 {
+    k_dim: usize,
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl PanelsF32 {
+    /// Packs a row-major `k_dim × n` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != k_dim * n`.
+    pub fn pack(w: &[f32], k_dim: usize, n: usize) -> Self {
+        assert_eq!(w.len(), k_dim * n, "pack_panels: weight block mismatch");
+        PanelsF32 {
+            k_dim,
+            n,
+            data: kernels::pack_panels_f32(k_dim, w, n),
+        }
+    }
+
+    /// Heap bytes held by the panels, padding included.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.data.as_slice())
+    }
+}
+
+/// Register-tiled dense `y[b] += x[b]ᵀ·W` over weights packed once with
+/// [`PanelsF32::pack`] — the inference entry. Same tile routine, so the
+/// same bits, as [`gemm_dense_acc_f32`] over the row-major matrix; what it
+/// saves is the per-call pack (a strided copy of all of `W`).
+///
+/// # Panics
+///
+/// Panics on block-size mismatch.
+pub fn gemm_panels_acc_f32(batch: usize, x: &[f32], w: &PanelsF32, y: &mut [f32]) {
+    gemm_panels_acc_f32_with(current(), batch, x, w, y)
+}
+
+/// [`gemm_panels_acc_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch or an unsupported selection.
+// SAFETY: see the dispatch module — the expanded unsafe calls only reach
+// backends `clamp` admitted for this CPU.
+#[allow(unsafe_code)]
+pub fn gemm_panels_acc_f32_with(
+    sel: Selection,
+    batch: usize,
+    x: &[f32],
+    w: &PanelsF32,
+    y: &mut [f32],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    let (k_dim, n) = (w.k_dim, w.n);
+    assert_eq!(
+        x.len(),
+        batch * k_dim,
+        "gemm_panels_acc: input block mismatch"
+    );
+    assert_eq!(y.len(), batch * n, "gemm_panels_acc: output block mismatch");
+    let panels = w.data.as_slice();
+    dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, n, y, panels))
 }
 
 /// Transposed-weight backward product `dx[b][i] += Σ_j dy[b][j]·wt[j][i]`

@@ -10,8 +10,9 @@
 
 use icsad_simd::{
     axpy_f32_with, batch_matvec_acc_f64_with, gemm_acc_f32_with, gemm_dense_acc_f32_with,
-    lstm_cell_f32_with, matmul_acc_f64_with, matvec_t_acc_f32_with, outer_acc_f32_with,
-    sigmoid_in_place_with, supported_selections, tanh_in_place_with, Backend, Selection,
+    gemm_panels_acc_f32, gemm_panels_acc_f32_with, lstm_cell_f32_with, matmul_acc_f64_with,
+    matvec_t_acc_f32_with, outer_acc_f32_with, sigmoid_in_place_with, supported_selections,
+    tanh_in_place_with, Backend, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -391,5 +392,157 @@ fn fma_policy_is_explicit_and_scalar_reproduces_it() {
         let mut want = [acc0];
         axpy_f32_with(scalar, x[0], &x, &mut want);
         assert_eq!(got[0].to_bits(), want[0].to_bits(), "{}", sel.label());
+    }
+}
+
+/// Shapes for the panel-gemm grid: column counts on both sides of the
+/// 32-column panel and of every backend's register tile (169 and 379 are
+/// the ledger workloads' head widths), batch sizes on both sides of the
+/// 4-row tile, depths from a single `k` to the paper's 256. Interpreted
+/// runs keep one shape per code path.
+#[cfg(not(miri))]
+const GRID: (&[usize], &[usize], &[usize]) = (
+    &[1, 8, 31, 32, 33, 49, 169, 379],
+    &[1, 3, 4, 5, 13, 96],
+    &[1, 8, 49, 256],
+);
+#[cfg(miri)]
+const GRID: (&[usize], &[usize], &[usize]) = (&[1, 33, 49], &[1, 5], &[1, 8]);
+
+/// Deterministic operand values with exact zeros and ones mixed in.
+fn operand(len: usize, salt: u32) -> Vec<f32> {
+    let mut state = salt.wrapping_mul(0x9E37_79B9) | 1;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            match state >> 29 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => ((state >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0,
+            }
+        })
+        .collect()
+}
+
+/// `y0 + xᵀ·W` the way the contract states it — one ascending-`k` chain
+/// per output element under the given FMA policy — sharing no code with
+/// the kernels.
+fn reference_gemm(
+    fma: bool,
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    y0: &[f32],
+) -> Vec<f32> {
+    let mut y = y0.to_vec();
+    for b in 0..batch {
+        for j in 0..n {
+            let mut acc = y[b * n + j];
+            for k in 0..k_dim {
+                let (xv, wv) = (x[b * k_dim + k], w[k * n + j]);
+                acc = if fma {
+                    xv.mul_add(wv, acc)
+                } else {
+                    acc + xv * wv
+                };
+            }
+            y[b * n + j] = acc;
+        }
+    }
+    y
+}
+
+/// Pre-packed ≡ per-call-pack ≡ scalar, bitwise, on every supported
+/// selection over the whole shape grid.
+#[test]
+fn panel_gemm_entries_agree_with_the_reference_bitwise() {
+    let (ns, batches, ks) = GRID;
+    for &n in ns {
+        for &k_dim in ks {
+            let w = operand(k_dim * n, 1);
+            let panels = PanelsF32::pack(&w, k_dim, n);
+            for &batch in batches {
+                let x = operand(batch * k_dim, 2);
+                let y0 = operand(batch * n, 3);
+                let want =
+                    [false, true].map(|fma| reference_gemm(fma, batch, &x, k_dim, &w, n, &y0));
+                for sel in supported_selections() {
+                    let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
+                    let want = &want[usize::from(sel.fma)];
+                    let mut got = y0.clone();
+                    gemm_panels_acc_f32_with(sel, batch, &x, &panels, &mut got);
+                    assert_bits_eq(&got, want, &format!("pre-packed {what}"));
+                    let mut got = y0.clone();
+                    gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
+                    assert_bits_eq(&got, want, &format!("per-call pack {what}"));
+                }
+            }
+        }
+    }
+}
+
+/// The panel layout does not depend on the dispatched backend: panels
+/// packed once (under whatever selection is current) serve every backend
+/// `force` can install afterwards. The only test in this binary that
+/// touches the process-wide selection; every other one passes its
+/// selection explicitly.
+#[test]
+fn panels_packed_once_serve_every_forced_backend() {
+    let (batch, k_dim, n) = (5, 49, 169);
+    let w = operand(k_dim * n, 4);
+    let x = operand(batch * k_dim, 5);
+    let panels = PanelsF32::pack(&w, k_dim, n);
+    let y0 = operand(batch * n, 3);
+    for sel in supported_selections() {
+        assert_eq!(icsad_simd::force(sel), sel);
+        let mut got = y0.clone();
+        gemm_panels_acc_f32(batch, &x, &panels, &mut got);
+        let want = reference_gemm(sel.fma, batch, &x, k_dim, &w, n, &y0);
+        assert_bits_eq(&got, &want, sel.label());
+    }
+    icsad_simd::reset();
+}
+
+/// Padded columns never reach `y`: each output row sits in a wider buffer
+/// whose bytes past the row's `n` valid columns are poisoned, the kernel
+/// is handed exactly the row, and the poison must survive — on ragged
+/// widths the register tile is wider than what it may store.
+#[test]
+fn padded_columns_never_reach_y() {
+    const POISON: u32 = 0x7fc0_dead;
+    let (batch, k_dim) = (5, 8);
+    for n in [1usize, 9, 31, 33, 49] {
+        let stride = n + 32;
+        let w = operand(k_dim * n, 6);
+        let x = operand(batch * k_dim, 7);
+        let panels = PanelsF32::pack(&w, k_dim, n);
+        for sel in supported_selections() {
+            let y0 = operand(batch * n, 3);
+            let want = reference_gemm(sel.fma, batch, &x, k_dim, &w, n, &y0);
+            for pre_packed in [true, false] {
+                let mut buf = vec![f32::from_bits(POISON); batch * stride];
+                for b in 0..batch {
+                    let row = &mut buf[b * stride..b * stride + n];
+                    row.copy_from_slice(&y0[b * n..(b + 1) * n]);
+                    let x_row = &x[b * k_dim..(b + 1) * k_dim];
+                    if pre_packed {
+                        gemm_panels_acc_f32_with(sel, 1, x_row, &panels, row);
+                    } else {
+                        gemm_dense_acc_f32_with(sel, 1, x_row, k_dim, &w, n, row);
+                    }
+                }
+                for b in 0..batch {
+                    let (row, pad) = buf[b * stride..(b + 1) * stride].split_at(n);
+                    assert_bits_eq(row, &want[b * n..(b + 1) * n], sel.label());
+                    assert!(
+                        pad.iter().all(|v| v.to_bits() == POISON),
+                        "{} n={n} row {b}: padding leaked into y",
+                        sel.label()
+                    );
+                }
+            }
+        }
     }
 }
