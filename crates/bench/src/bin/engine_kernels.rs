@@ -17,10 +17,19 @@
 //! of 32-column weight panels, 169 and 379 (the ledger workloads' head
 //! widths) are not: a ragged head must cost its padded width and no more,
 //! so a returning per-element tail shows as a cliff between neighbours.
+//! The sweep ends with the training shapes at the top layer's width `H`,
+//! on every backend: the recurrent step of one 8-lane gradient task
+//! forward (`h·U`, pre-packed against per-call pack) and backward
+//! (`dz·Uᵀ` over the transposed panels), and the weight gradient
+//! `dU += H_prevᵀ·dZ` over a task's 256 rows, zero-skipping `outer_acc`
+//! against `outer_dense_acc`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use icsad_nn::tensor::{outer_acc, outer_dense_acc, Tensor2};
 use icsad_nn::{BatchScratch, LstmClassifier, ModelConfig, StreamState};
+use icsad_simd::PanelsF32;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -113,6 +122,88 @@ fn compare_backends(model: &LstmClassifier, steps: usize) {
     icsad_simd::reset();
 }
 
+/// Lanes of one gradient task and rows of its 8-lane × 32-step tape.
+const TRAIN_LANES: usize = 8;
+const TRAIN_ROWS: usize = 256;
+
+/// Mean microseconds per call of `f` over `reps` calls (after one warm-up).
+fn mean_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
+/// The products a gradient task spends its time in, at hidden width `hd`:
+/// the recurrent step over pre-packed panels next to the per-call pack it
+/// replaced, and the weight gradient `nn` runs for dense activations next
+/// to the zero-skipping one it keeps for one-hot inputs.
+fn compare_training_shapes(hd: usize, reps: usize) {
+    let gates = 4 * hd;
+    let fill = |len: usize, salt: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i * 37 + salt * 11) % 101) as f32 - 50.0) / 64.0)
+            .collect()
+    };
+    let u = fill(hd * gates, 1);
+    let u_panels = PanelsF32::pack(&u, hd, gates);
+    let ut_panels = PanelsF32::pack_transposed(&u, hd, gates);
+    let h = fill(TRAIN_LANES * hd, 2);
+    let dz_step = fill(TRAIN_LANES * gates, 3);
+    let h_prev = fill(TRAIN_ROWS * hd, 4);
+    let dz = fill(TRAIN_ROWS * gates, 5);
+    let mut z = vec![0.0f32; TRAIN_LANES * gates];
+    let mut dh = vec![0.0f32; TRAIN_LANES * hd];
+    let mut du = Tensor2::zeros(hd, gates);
+    let mut xt = Vec::new();
+
+    println!(
+        "\ntraining shapes, H = {hd} (us/call; recurrent step at B = {TRAIN_LANES}, \
+         dU over {TRAIN_ROWS} rows):"
+    );
+    println!(
+        "    {:<12} {:>9} {:>9} {:>9} {:>10} {:>10} {:>7}",
+        "backend", "h.U pre", "h.U call", "dz.Ut pre", "dU sparse", "dU dense", "GFLOP/s"
+    );
+    for sel in icsad_simd::supported_selections() {
+        assert_eq!(icsad_simd::force(sel), sel);
+        let fwd_pre = mean_us(reps, || {
+            icsad_simd::gemm_panels_acc_f32(TRAIN_LANES, &h, &u_panels, &mut z);
+            black_box(&z);
+        });
+        let fwd_call = mean_us(reps, || {
+            icsad_simd::gemm_dense_acc_f32(TRAIN_LANES, &h, hd, &u, gates, &mut z);
+            black_box(&z);
+        });
+        let bwd_pre = mean_us(reps, || {
+            icsad_simd::gemm_panels_acc_f32(TRAIN_LANES, &dz_step, &ut_panels, &mut dh);
+            black_box(&dh);
+        });
+        let outer_reps = reps / 8 + 1;
+        let sparse = mean_us(outer_reps, || {
+            outer_acc(TRAIN_ROWS, &h_prev, &dz, &mut du);
+            black_box(&du);
+        });
+        let dense = mean_us(outer_reps, || {
+            outer_dense_acc(TRAIN_ROWS, &h_prev, &dz, &mut du, &mut xt);
+            black_box(&du);
+        });
+        println!(
+            "    {:<12} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1} {:>7.1}",
+            sel.label(),
+            fwd_pre,
+            fwd_call,
+            bwd_pre,
+            sparse,
+            dense,
+            (2 * TRAIN_ROWS * hd * gates) as f64 / dense / 1e3,
+        );
+    }
+    icsad_simd::reset();
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let lanes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(13);
@@ -145,6 +236,10 @@ fn main() {
         for classes in COMPARE_CLASSES {
             compare_backends(&build(classes), steps);
         }
+        let top = *hidden
+            .last()
+            .expect("ICSAD_HIDDEN names at least one layer");
+        compare_training_shapes(top, steps);
         return;
     }
 

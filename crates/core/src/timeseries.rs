@@ -234,9 +234,6 @@ impl TimeSeriesDetector {
             };
             stats.push(trainer.fit_epoch(&mut detector.model, &sequences, epoch));
         }
-        // Commissioning ends here: hand over a model whose inference
-        // panels are built, so no engine shard packs inside a round.
-        detector.model.pack_panels();
         Ok((detector, stats))
     }
 

@@ -74,7 +74,7 @@ impl Adam {
         }
         assert_eq!(self.m.len(), slots.len(), "slot count changed");
         self.t += 1;
-        let c = &self.config;
+        let c = self.config;
         let bc1 = 1.0 - c.beta1.powi(self.t as i32);
         let bc2 = 1.0 - c.beta2.powi(self.t as i32);
         for (slot, (m, v)) in slots
@@ -84,13 +84,17 @@ impl Adam {
             let (params, grads) = slot;
             assert_eq!(params.len(), m.len(), "slot length changed");
             assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-            for i in 0..params.len() {
-                let g = grads[i];
-                m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-                v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            // Zipped slices, no indexing: without bounds checks in the body
+            // LLVM emits vector div/sqrt. The per-element operation
+            // sequence is part of the trained weights' bits — divide by the
+            // bias corrections (no reciprocal), no `mul_add`.
+            let moments = m.iter_mut().zip(v.iter_mut());
+            for ((p, &g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
+                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
             }
         }
     }

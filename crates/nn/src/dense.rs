@@ -3,9 +3,9 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::tensor::{
-    axpy, gemm_dense_acc, gemm_panels_acc, matvec_acc, matvec_t_acc, outer_acc, Tensor2, Weights,
-};
+use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
+
+use crate::tensor::{axpy, gemm_panels_acc, matvec_acc, outer_dense_acc, Tensor2, Weights};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,57 +81,49 @@ impl Dense {
     /// register-blocked matrix–matrix product (the projection input is a
     /// dense hidden activation) over the weights' panel-major copy
     /// ([`crate::tensor::Weights::panels`], packed on first use). Results
-    /// compare equal to per-lane [`Dense::forward`].
+    /// compare equal to per-lane [`Dense::forward`]. Inference and the
+    /// training forward pass both call this.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn forward_batch(&self, batch: usize, x: &[f32], out: &mut [f32]) {
-        self.preload_bias(batch, out);
-        gemm_panels_acc(batch, x, &self.w, out);
-    }
-
-    /// [`Dense::forward_batch`] for the training pass: the same product
-    /// and bits, but packing `W` per call instead of keeping panels the
-    /// next optimizer step would throw away.
-    pub(crate) fn forward_batch_train(&self, batch: usize, x: &[f32], out: &mut [f32]) {
-        self.preload_bias(batch, out);
-        gemm_dense_acc(batch, x, &self.w, out);
-    }
-
-    fn preload_bias(&self, batch: usize, out: &mut [f32]) {
         let n = self.b.len();
         assert_eq!(out.len(), batch * n, "dense batch output mismatch");
         for row in out.chunks_exact_mut(n) {
             row.copy_from_slice(&self.b);
         }
+        gemm_panels_acc(batch, x, &self.w, out);
     }
 
     /// Accumulates parameter gradients and writes the input gradient for a
     /// whole batch of rows at once.
     ///
     /// `x` is the `batch x input_dim` activation block, `dy` the
-    /// `batch x output_dim` logits-gradient block, `wt` the packed
-    /// transposed view of `self.w` (see [`crate::model::BackwardPack`]),
-    /// and `dx` receives `dY Wᵀ` (overwritten, not accumulated). Parameter
-    /// gradients run as single batched kernels — `dW += Xᵀ dY` and the bias
-    /// row-sum — streaming the weight matrix once per batch.
+    /// `batch x output_dim` logits-gradient block, `wt` the panels of
+    /// `self.w` transposed (see [`crate::model::BackwardPack`]), and `dx`
+    /// receives `dY Wᵀ` (overwritten, not accumulated). Parameter
+    /// gradients run as single batched kernels — `dW += Xᵀ dY` (dense: `x`
+    /// is a hidden activation, transposed into the pooled `xt`) and the
+    /// bias row-sum — streaming the weight matrix once per batch.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_batch(
         &self,
         batch: usize,
         x: &[f32],
         dy: &[f32],
-        wt: &Tensor2,
+        wt: &PanelsF32,
         grad: &mut DenseGrad,
         dx: &mut [f32],
+        xt: &mut Vec<f32>,
     ) {
-        outer_acc(batch, x, dy, &mut grad.w);
+        outer_dense_acc(batch, x, dy, &mut grad.w, xt);
         // a = 1.0 keeps fused and plain accumulation bitwise identical.
         for row in dy.chunks_exact(self.b.len()) {
             axpy(1.0, row, &mut grad.b);
         }
         dx.fill(0.0);
-        matvec_t_acc(batch, dy, wt, dx);
+        gemm_panels_acc_f32(batch, dy, wt, dx);
     }
 }
 
@@ -182,9 +174,8 @@ mod tests {
         d.forward(&x, &mut y);
         let mut grad = d.zero_grad();
         let mut dx = vec![0.0; 3];
-        let mut wt = Tensor2::zeros(1, 1);
-        crate::tensor::transpose_into(&d.w, &mut wt);
-        d.backward_batch(1, &x, &y, &wt, &mut grad, &mut dx);
+        let wt = PanelsF32::pack_transposed(d.w.as_slice(), 3, 2);
+        d.backward_batch(1, &x, &y, &wt, &mut grad, &mut dx, &mut Vec::new());
 
         let eps = 1e-2f32;
         for idx in 0..d.w.len() {

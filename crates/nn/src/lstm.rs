@@ -14,6 +14,7 @@
 //! The four gate blocks are fused into single `W (in × 4H)`, `U (H × 4H)`
 //! and `b (4H)` parameters in `[i, f, o, g]` order.
 
+use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
@@ -21,8 +22,7 @@ use crate::activations::{
     sigmoid_deriv_from_output, sigmoid_in_place, tanh_deriv_from_output, tanh_in_place,
 };
 use crate::tensor::{
-    axpy, gemm_acc, gemm_dense_acc, gemm_panels_acc, grow, matvec_acc, matvec_t_acc, outer_acc,
-    Tensor2, Weights,
+    axpy, gemm_acc, gemm_panels_acc, grow, matvec_acc, outer_acc, outer_dense_acc, Tensor2, Weights,
 };
 
 /// One LSTM layer's parameters.
@@ -94,26 +94,29 @@ pub(crate) struct LaneSchedule {
 }
 
 impl LaneSchedule {
-    /// Builds the schedule from per-lane lengths sorted descending.
+    #[cfg(test)]
     pub fn from_sorted_lens(lens: &[usize]) -> Self {
+        let mut sched = LaneSchedule::default();
+        sched.rebuild(lens);
+        sched
+    }
+
+    /// Rebuilds the schedule in place from per-lane lengths sorted
+    /// descending, reusing the two vectors (a pooled schedule allocates
+    /// only while it grows).
+    pub fn rebuild(&mut self, lens: &[usize]) {
         debug_assert!(
             lens.windows(2).all(|w| w[0] >= w[1]),
             "lane lengths must be sorted descending"
         );
-        let t_max = lens.first().copied().unwrap_or(0);
-        let mut counts = Vec::with_capacity(t_max);
-        let mut offsets = Vec::with_capacity(t_max);
-        let mut total = 0usize;
-        for t in 0..t_max {
-            offsets.push(total);
+        self.counts.clear();
+        self.offsets.clear();
+        self.total = 0;
+        for t in 0..lens.first().copied().unwrap_or(0) {
+            self.offsets.push(self.total);
             let n = lens.iter().take_while(|&&l| l > t).count();
-            counts.push(n);
-            total += n;
-        }
-        LaneSchedule {
-            counts,
-            offsets,
-            total,
+            self.counts.push(n);
+            self.total += n;
         }
     }
 
@@ -156,6 +159,10 @@ pub(crate) struct BpttScratch {
     dc_next: Vec<f32>,
     /// Gathered previous-hidden rows for the `dU` product, `total x H`.
     h_prev: Vec<f32>,
+    /// The transposed lanes of a dense weight-gradient product
+    /// ([`outer_dense_acc`]), `max(in, H) x total`. The dense head
+    /// borrows it for its own `dW`.
+    pub(crate) xt: Vec<f32>,
 }
 
 impl LstmLayer {
@@ -335,6 +342,10 @@ impl LstmLayer {
     /// ascending index order — exactly the order of stepping one timestep
     /// at a time, so each lane's activations are bitwise those of
     /// [`LstmLayer::forward`] on that lane alone.
+    ///
+    /// The products are [`LstmLayer::forward_batch`]'s, over the same
+    /// panels: what this pass adds to the inference step is the tape. The
+    /// trainer packs after every optimizer step, so nothing packs here.
     pub(crate) fn forward_batch_train(
         &self,
         sched: &LaneSchedule,
@@ -358,7 +369,7 @@ impl LstmLayer {
         if sparse_input {
             gemm_acc(total, x_cat, &self.w, z);
         } else {
-            gemm_dense_acc(total, x_cat, &self.w, z);
+            gemm_panels_acc(total, x_cat, &self.w, z);
         }
 
         // Recurrent half: U h_{t-1} (h_prev ≡ 0 at t = 0, so the product
@@ -368,7 +379,7 @@ impl LstmLayer {
             let r0 = sched.offsets[t];
             if t > 0 {
                 let p0 = sched.offsets[t - 1];
-                gemm_dense_acc(
+                gemm_panels_acc(
                     n,
                     &tape.out[p0 * hd..(p0 + n) * hd],
                     &self.u,
@@ -406,10 +417,15 @@ impl LstmLayer {
     /// Backpropagates through a taped forward pass of a whole minibatch.
     ///
     /// `d_out` is `∂L/∂h` in tape layout (`total x H`, already including
-    /// any direct loss contribution); `wt`/`ut` are the packed transposed
-    /// views of `self.w`/`self.u` (see [`crate::model::BackwardPack`]).
-    /// Parameter gradients accumulate into `grad`; `∂L/∂x` is written
-    /// (overwritten, not accumulated) into `d_inputs` in tape layout.
+    /// any direct loss contribution); `ut` holds the panels of `self.u`
+    /// transposed (see [`crate::model::BackwardPack`]). Parameter gradients
+    /// accumulate into `grad`. With `wt = Some(..)` — the panels of
+    /// `self.w` transposed — `∂L/∂x` is written (overwritten, not
+    /// accumulated) into `d_inputs` in tape layout; the bottom layer of a
+    /// stack passes `None`, because nothing consumes its input gradient,
+    /// and `d_inputs` is left untouched. `sparse_input` is the forward
+    /// pass's flag: a one-hot input keeps the zero-skipping [`outer_acc`]
+    /// for `dW`, a dense one takes [`outer_dense_acc`].
     ///
     /// Only the per-element gate calculus and the recurrent `dz Uᵀ`
     /// product walk time; the parameter gradients `dW += Xᵀ dZ`,
@@ -425,11 +441,12 @@ impl LstmLayer {
         x_cat: &[f32],
         tape: &LayerTape,
         d_out: &[f32],
-        wt: &Tensor2,
-        ut: &Tensor2,
+        wt: Option<&PanelsF32>,
+        ut: &PanelsF32,
         grad: &mut LstmGrad,
         d_inputs: &mut [f32],
         scratch: &mut BpttScratch,
+        sparse_input: bool,
     ) {
         let hd = self.hidden_dim;
         let total = sched.total;
@@ -485,7 +502,7 @@ impl LstmLayer {
             // still zero from the initial fill — exactly the zero gradient
             // those lanes must contribute.
             dh_next[..n * hd].fill(0.0);
-            matvec_t_acc(
+            gemm_panels_acc_f32(
                 n,
                 &dz[r0 * 4 * hd..(r0 + n) * 4 * hd],
                 ut,
@@ -494,7 +511,11 @@ impl LstmLayer {
         }
 
         // Parameter gradients, each as one kernel over the whole chunk.
-        outer_acc(total, x_cat, dz, &mut grad.w);
+        if sparse_input {
+            outer_acc(total, x_cat, dz, &mut grad.w);
+        } else {
+            outer_dense_acc(total, x_cat, dz, &mut grad.w, &mut scratch.xt);
+        }
         let h_prev = &mut scratch.h_prev[..total * hd];
         for t in 0..sched.steps() {
             let n = sched.counts[t];
@@ -506,14 +527,16 @@ impl LstmLayer {
                 h_prev[r0 * hd..(r0 + n) * hd].copy_from_slice(&tape.out[p0 * hd..(p0 + n) * hd]);
             }
         }
-        outer_acc(total, h_prev, dz, &mut grad.u);
+        outer_dense_acc(total, h_prev, dz, &mut grad.u, &mut scratch.xt);
         // a = 1.0 makes fused and plain accumulation identical, so the bias
         // gradient is FMA-policy independent like the plain adds it replaces.
         for row in dz.chunks_exact(4 * hd) {
             axpy(1.0, row, &mut grad.b);
         }
-        d_inputs.fill(0.0);
-        matvec_t_acc(total, dz, wt, d_inputs);
+        if let Some(wt) = wt {
+            d_inputs.fill(0.0);
+            gemm_panels_acc_f32(total, dz, wt, d_inputs);
+        }
     }
 }
 
@@ -706,10 +729,8 @@ mod tests {
         let mut tape = LayerTape::default();
         layer.forward_batch_train(&sched, &x_cat, &mut tape, false);
         let d_out = tape.out[..sched.total * 4].to_vec();
-        let mut wt = Tensor2::zeros(1, 1);
-        let mut ut = Tensor2::zeros(1, 1);
-        crate::tensor::transpose_into(&layer.w, &mut wt);
-        crate::tensor::transpose_into(&layer.u, &mut ut);
+        let wt = PanelsF32::pack_transposed(layer.w.as_slice(), 3, 16);
+        let ut = PanelsF32::pack_transposed(layer.u.as_slice(), 4, 16);
         let mut grad = layer.zero_grad();
         let mut d_inputs = vec![0.0f32; sched.total * 3];
         let mut scratch = BpttScratch::default();
@@ -718,12 +739,36 @@ mod tests {
             &x_cat,
             &tape,
             &d_out,
-            &wt,
+            Some(&wt),
             &ut,
             &mut grad,
             &mut d_inputs,
             &mut scratch,
+            false,
         );
+
+        // The bottom-of-stack flavour — zero-skipping `dW`, no input
+        // gradient — accumulates the same parameter gradients and leaves
+        // `d_inputs` alone.
+        let mut bottom = layer.zero_grad();
+        let mut untouched = vec![f32::NAN; sched.total * 3];
+        layer.backward_batch(
+            &sched,
+            &x_cat,
+            &tape,
+            &d_out,
+            None,
+            &ut,
+            &mut bottom,
+            &mut untouched,
+            &mut scratch,
+            true,
+        );
+        assert_eq!(
+            (&bottom.w, &bottom.u, &bottom.b),
+            (&grad.w, &grad.u, &grad.b)
+        );
+        assert!(untouched.iter().all(|v| v.is_nan()));
 
         // Numerical check on a sample of W, U, b entries.
         let eps = 1e-2f32;

@@ -1,12 +1,13 @@
 //! The stacked LSTM softmax classifier (paper Fig. 2).
 
+use icsad_simd::PanelsF32;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::dense::{Dense, DenseGrad};
 use crate::loss::{in_top_k, softmax_cross_entropy, softmax_cross_entropy_grad};
 use crate::lstm::{BpttScratch, LaneSchedule, LayerTape, LstmLayer, LstmState};
-use crate::tensor::{grow, transpose_into, Tensor2};
+use crate::tensor::{grow, Tensor2};
 
 /// Architecture of the classifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,74 +134,61 @@ impl StreamState {
     }
 }
 
-/// Packed transposed views of every weight matrix, consumed by the
-/// backward kernels (`dX = dY Wᵀ` contracts over weight *columns*; over
-/// the transposed copy it reuses the register-tiled forward gemm).
+/// Panel-major copies of the **transposed** weight matrices, consumed by
+/// the backward products (`dX = dY Wᵀ` contracts over weight *columns*;
+/// over `Wᵀ`'s panels it is the same register-tiled gemm the forward pass
+/// runs). Each is packed straight from the row-major weights
+/// ([`PanelsF32::pack_transposed`]); no transposed matrix is ever stored.
 ///
 /// The pack is intentionally **not** stored inside [`LstmClassifier`]:
-/// it is derived data that must be rebuilt whenever the weights change.
-/// Build one with [`BackwardPack::new`] and call
-/// [`BackwardPack::refresh`] after every optimizer step.
+/// only training reads it. It is derived data: build a new one with
+/// [`BackwardPack::new`] after every optimizer step.
 #[derive(Debug, Clone)]
 pub struct BackwardPack {
     layers: Vec<LayerPack>,
-    dense_wt: Tensor2,
+    dense_wt: PanelsF32,
 }
 
 #[derive(Debug, Clone)]
 struct LayerPack {
-    /// Transpose of the layer's input weights, `4H x in`.
-    wt: Tensor2,
-    /// Transpose of the layer's recurrent weights, `4H x H`.
-    ut: Tensor2,
+    /// Panels of the layer's input weights transposed (`4H x in`). `None`
+    /// for the bottom layer: nothing consumes the stack input's gradient.
+    wt: Option<PanelsF32>,
+    /// Panels of the layer's recurrent weights transposed (`4H x H`).
+    ut: PanelsF32,
 }
 
 impl BackwardPack {
-    /// Builds the transposed views of `model`'s current weights.
+    /// Packs the transposes of `model`'s current weights.
     pub fn new(model: &LstmClassifier) -> Self {
-        let mut pack = BackwardPack {
+        let transposed = |w: &Tensor2| PanelsF32::pack_transposed(w.as_slice(), w.rows(), w.cols());
+        BackwardPack {
             layers: model
                 .layers
                 .iter()
-                .map(|_| LayerPack {
-                    wt: Tensor2::zeros(1, 1),
-                    ut: Tensor2::zeros(1, 1),
+                .enumerate()
+                .map(|(l, layer)| LayerPack {
+                    wt: (l > 0).then(|| transposed(&layer.w)),
+                    ut: transposed(&layer.u),
                 })
                 .collect(),
-            dense_wt: Tensor2::zeros(1, 1),
-        };
-        pack.refresh(model);
-        pack
-    }
-
-    /// Re-packs the transposed views from `model`'s current weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` has a different layer count than the model the
-    /// pack was built from.
-    pub fn refresh(&mut self, model: &LstmClassifier) {
-        assert_eq!(
-            self.layers.len(),
-            model.layers.len(),
-            "layer count mismatch"
-        );
-        for (lp, layer) in self.layers.iter_mut().zip(model.layers.iter()) {
-            transpose_into(&layer.w, &mut lp.wt);
-            transpose_into(&layer.u, &mut lp.ut);
+            dense_wt: transposed(&model.dense.w),
         }
-        transpose_into(&model.dense.w, &mut self.dense_wt);
     }
 }
 
-/// Pooled buffers for [`LstmClassifier::train_batch`]: the concatenated
-/// input block, per-layer BPTT tapes, the logits blocks and the backward
-/// scratch. Grows to the largest minibatch seen and is reused across
-/// chunks, so steady-state training does no allocation.
+/// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
+/// the concatenated input block, per-layer BPTT tapes, the logits blocks
+/// and the backward scratch. Grows to the largest minibatch seen and is
+/// reused across chunks, so steady-state training does no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     /// Lane indices sorted longest-first.
     order: Vec<usize>,
+    /// Lane lengths in `order`.
+    lens: Vec<usize>,
+    /// The time-major schedule of those lanes.
+    sched: LaneSchedule,
     /// Concatenated inputs, `total x input_dim`.
     x_cat: Vec<f32>,
     /// One forward tape per layer.
@@ -280,8 +268,9 @@ impl LstmClassifier {
     /// Builds every panel-major weight copy the batched step reads, so the
     /// first [`LstmClassifier::forward_batch_gathered_logits`] — on
     /// whatever thread — packs and allocates nothing. Idempotent.
-    /// [`LstmClassifier::from_bytes`] and [`crate::Trainer::fit`] end with
-    /// it; a model assembled any other way packs lazily on first use.
+    /// [`LstmClassifier::from_bytes`] ends with it and
+    /// [`crate::Trainer::fit_epoch`] calls it after every optimizer step; a
+    /// model assembled any other way packs lazily on first use.
     pub fn pack_panels(&self) {
         for (l, layer) in self.layers.iter().enumerate() {
             // Only the stack input is one-hot.
@@ -479,8 +468,10 @@ impl LstmClassifier {
     /// data-only order) and processed time-major, so per-lane activations
     /// are bitwise those of training the lane alone while every weight
     /// matrix streams once per *chunk set* instead of once per timestep.
-    /// `pack` must hold the transposed views of the **current** weights
-    /// ([`BackwardPack::refresh`] after every optimizer step); `scratch`
+    /// `pack` must hold the transposed panels of the **current** weights
+    /// (a new [`BackwardPack`] after every optimizer step); the forward
+    /// products read [`crate::tensor::Weights::panels`], packing here only
+    /// if the caller has not ([`LstmClassifier::pack_panels`]). `scratch`
     /// is reusable across calls and grows to the largest minibatch seen.
     ///
     /// # Panics
@@ -502,8 +493,10 @@ impl LstmClassifier {
         order.clear();
         order.extend(0..chunks.len());
         order.sort_by(|&a, &b| chunks[b].len().cmp(&chunks[a].len()));
-        let lens: Vec<usize> = order.iter().map(|&i| chunks[i].len()).collect();
-        let sched = LaneSchedule::from_sorted_lens(&lens);
+        scratch.lens.clear();
+        scratch.lens.extend(order.iter().map(|&i| chunks[i].len()));
+        scratch.sched.rebuild(&scratch.lens);
+        let sched = &scratch.sched;
         let total = sched.total;
         if total == 0 {
             return (0.0, 0);
@@ -535,7 +528,7 @@ impl LstmClassifier {
             };
             // Only the stack input is one-hot; higher layers consume dense
             // activations.
-            self.layers[l].forward_batch_train(&sched, x_block, &mut at[0], l == 0);
+            self.layers[l].forward_batch_train(sched, x_block, &mut at[0], l == 0);
         }
 
         // Dense head: logits for every (timestep, lane) row at once, then
@@ -548,7 +541,7 @@ impl LstmClassifier {
         grow(&mut scratch.dlogits, total * nc);
         let logits = &mut scratch.logits[..total * nc];
         let dlogits = &mut scratch.dlogits[..total * nc];
-        self.dense.forward_batch_train(total, top_out, logits);
+        self.dense.forward_batch(total, top_out, logits);
         let mut loss = 0.0f32;
         let mut correct = 0usize;
         for t in 0..sched.steps() {
@@ -567,7 +560,8 @@ impl LstmClassifier {
 
         // Backward: dense head, then BPTT down the stack. The two hidden-
         // gradient buffers ping-pong between consuming a layer's d_out and
-        // producing its d_inputs.
+        // producing its d_inputs; the bottom layer produces none (its pack
+        // entry is `None`) — nothing would read it.
         let max_dim = self
             .layers
             .iter()
@@ -584,6 +578,7 @@ impl LstmClassifier {
             &pack.dense_wt,
             &mut grads.dense,
             &mut d_out_buf[..total * top_hd],
+            &mut scratch.bptt.xt,
         );
         for l in (0..num_layers).rev() {
             let x_block: &[f32] = if l == 0 {
@@ -592,15 +587,17 @@ impl LstmClassifier {
                 &scratch.tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
             };
             self.layers[l].backward_batch(
-                &sched,
+                sched,
                 x_block,
                 &scratch.tapes[l],
                 &d_out_buf[..total * self.layers[l].hidden_dim()],
-                &pack.layers[l].wt,
+                pack.layers[l].wt.as_ref(),
                 &pack.layers[l].ut,
                 &mut grads.layers[l],
                 &mut d_in_buf[..total * self.layers[l].input_dim()],
                 &mut scratch.bptt,
+                // Only the stack input is one-hot.
+                l == 0,
             );
             std::mem::swap(&mut d_out_buf, &mut d_in_buf);
         }
@@ -807,7 +804,7 @@ mod tests {
                     *pv -= 0.5 * gv;
                 }
             }
-            pack.refresh(&model);
+            pack = BackwardPack::new(&model);
             first_loss.get_or_insert(loss);
             last_loss = loss;
         }
@@ -948,16 +945,33 @@ mod tests {
         let packed = model.packed_bytes();
         assert!(packed > 0, "the batched step packs on first use");
 
+        // Several steps, so the hidden gradient flows back through `Uᵀ`
+        // and down through the upper layer's `Wᵀ`.
+        let steps: Vec<(Vec<f32>, usize)> = (0..5)
+            .map(|t| {
+                (
+                    (0..6).map(|i| ((t * 6 + i) as f32 * 0.9).cos()).collect(),
+                    t % 4,
+                )
+            })
+            .collect();
+        let gradients = |model: &LstmClassifier, pack: &BackwardPack| {
+            let mut grads = model.zero_gradients();
+            model.train_batch(
+                pack,
+                &[&steps],
+                &mut TrainScratch::default(),
+                &mut grads,
+                1.0,
+            );
+            let mut flat = Vec::new();
+            grads.visit(|slice| flat.extend_from_slice(slice));
+            (grads, flat)
+        };
+
         // One optimizer step through the only mutable door to the weights.
-        let steps = vec![(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1)];
-        let mut grads = model.zero_gradients();
-        model.train_batch(
-            &BackwardPack::new(&model),
-            &[&steps],
-            &mut TrainScratch::default(),
-            &mut grads,
-            1.0,
-        );
+        let pack = BackwardPack::new(&model);
+        let (grads, _) = gradients(&model, &pack);
         for (p, g) in model.params_with_grads(&grads) {
             for (pv, gv) in p.iter_mut().zip(g.iter()) {
                 *pv -= 0.5 * gv;
@@ -967,6 +981,12 @@ mod tests {
         // A stale pack would reproduce the *old* weights' logits here.
         assert_batched_equals_streaming(&model);
         assert_eq!(model.packed_bytes(), packed);
+
+        // The backward pack lives outside the model, so nothing drops it:
+        // one that missed the step gives gradients of a network that no
+        // longer exists, and the trainer must build a new one.
+        let (_, fresh) = gradients(&model, &BackwardPack::new(&model));
+        assert_ne!(fresh, gradients(&model, &pack).1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
 //! The forward kernels — [`matvec_acc`], [`gemm_acc`], [`gemm_panels_acc`],
-//! [`gemm_dense_acc`], [`axpy`] — are thin shape-checked fronts over the
+//! [`axpy`] — are thin shape-checked fronts over the
 //! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
 //! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
 //! detection, and every backend produces bitwise-identical results under
@@ -13,20 +13,25 @@
 //!
 //! A layer's parameters are [`Weights`]: the row-major [`Tensor2`] (the
 //! master copy — what is trained, serialized and compared) plus a
-//! panel-major copy of it for the batched inference gemm, built once and
-//! dropped by the only `&mut` door to the data. So there are exactly two
-//! inference products: per-record [`matvec_acc`] over the rows, batched
-//! [`gemm_panels_acc`] over the panels (one-hot stack inputs keep the
-//! zero-skipping [`gemm_acc`]). [`gemm_dense_acc`] — same tile routine, but
-//! packing its operand on every call — is the *training* forward product,
-//! whose weights move every optimizer step.
+//! panel-major copy of it for the batched gemm, built once per value of
+//! the weights and dropped by the only `&mut` door to the data. So there
+//! are exactly two forward products, for inference and training alike:
+//! per-record [`matvec_acc`] over the rows, batched [`gemm_panels_acc`]
+//! over the panels (one-hot stack inputs keep the zero-skipping
+//! [`gemm_acc`]). Weights move once per optimizer step and are read by
+//! every timestep of every gradient task in between, so the trainer packs
+//! right after the step and no product packs per call.
 //!
-//! The backward (training) kernels — [`matvec_t_acc`], [`outer_acc`] — ride
-//! the same dispatched layer: the data gradient contracts over a packed
-//! **transposed** weight view (see [`transpose_into`]; refreshed once per
-//! optimizer step by the trainer) so it reuses the register-tiled dense
-//! gemm, and the weight gradient is the batched outer product
-//! `dW += Xᵀ·dY` with the sparse kernel's zero-skip. Both keep the
+//! The backward (training) products ride the same panel gemm. The data
+//! gradient `dX += dY·Wᵀ` is [`gemm_panels_acc_f32`](icsad_simd::gemm_panels_acc_f32)
+//! over panels of the *transposed* matrix
+//! ([`PanelsF32::pack_transposed`], held by [`crate::BackwardPack`] and
+//! rebuilt once per optimizer step). The weight gradient `dW += Xᵀ·dY`
+//! comes in two flavours, like the forward input product: [`outer_acc`]
+//! with the sparse kernel's zero-skip for the one-hot stack input, and
+//! [`outer_dense_acc`] — the register-tiled gemm over `Xᵀ`, with `dY` as
+//! the one operand that really is new on every call and is therefore
+//! packed per call — for dense activations. All keep the
 //! ascending-contraction order, so SIMD ≡ scalar stays bitwise for
 //! training too.
 
@@ -132,8 +137,8 @@ impl Tensor2 {
     }
 }
 
-/// A layer's weight matrix: the row-major [`Tensor2`] plus its lazily
-/// built panel-major copy for [`gemm_panels_acc`].
+/// A layer's weight matrix: the row-major [`Tensor2`] plus its
+/// panel-major copy for [`gemm_panels_acc`].
 ///
 /// The tensor is the parameter; the panels are derived data and never
 /// part of the value — `==` and `Debug` see the tensor only, and
@@ -163,8 +168,8 @@ impl Weights {
         self.tensor.as_mut_slice()
     }
 
-    /// The panel-major copy, packed on first use (≈ 1 ms for a 256 × 1024
-    /// matrix) and shared by every later call.
+    /// The panel-major copy, packed on first use (≈ 0.1 ms for a
+    /// 256 × 1024 matrix) and shared by every later call.
     pub fn panels(&self) -> &PanelsF32 {
         self.panels.get_or_init(|| {
             PanelsF32::pack(
@@ -222,48 +227,6 @@ pub fn matvec_acc(w: &Tensor2, x: &[f32], y: &mut [f32]) {
     icsad_simd::gemm_acc_f32(1, x, w.rows(), w.as_slice(), w.cols(), y);
 }
 
-/// Writes the transpose of `w` into `wt` (`wt[j][i] = w[i][j]`), resizing
-/// `wt` if its shape differs. The backward kernels contract over weight
-/// *columns*; handing them a packed transposed view keeps their memory
-/// walks contiguous and their vectorization along the independent output
-/// dimension. The trainer refreshes these views once per optimizer step.
-pub fn transpose_into(w: &Tensor2, wt: &mut Tensor2) {
-    if (wt.rows, wt.cols) != (w.cols, w.rows) {
-        *wt = Tensor2::zeros(w.cols, w.rows);
-    }
-    for (i, row) in w.data.chunks_exact(w.cols).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            wt.data[j * w.rows + i] = v;
-        }
-    }
-}
-
-/// Batched transpose product `dx[b] += dy[b] · wᵀ` over a packed
-/// transposed weight view `wt` (`out × in`, as produced by
-/// [`transpose_into`] from the forward `in × out` matrix): row-major
-/// `batch × out` gradients into a `batch × in` block.
-///
-/// This is the data-gradient half of backprop. The historical scalar
-/// version walked one serial dot product per input — an unvectorizable
-/// reduction chain; over the transposed view it becomes the same
-/// register-tiled dense gemm the forward path uses, bitwise-identical
-/// across SIMD backends per FMA policy.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub fn matvec_t_acc(batch: usize, dy: &[f32], wt: &Tensor2, dx: &mut [f32]) {
-    let n = wt.rows();
-    let in_dim = wt.cols();
-    assert_eq!(dy.len(), batch * n, "matvec_t_acc: gradient block mismatch");
-    assert_eq!(
-        dx.len(),
-        batch * in_dim,
-        "matvec_t_acc: output block mismatch"
-    );
-    icsad_simd::matvec_t_acc_f32(batch, dy, n, wt.as_slice(), in_dim, dx);
-}
-
 /// Batched outer-product accumulate `dw += Xᵀ·dY`: `batch` row-major
 /// input rows (`batch × dw.rows()`) against `batch` gradient rows
 /// (`batch × dw.cols()`). With `batch == 1` this is the rank-1 update
@@ -289,6 +252,39 @@ pub fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
     );
     let (rows, cols) = (dw.rows(), dw.cols());
     icsad_simd::outer_acc_f32(batch, x, rows, dy, cols, dw.as_mut_slice());
+}
+
+/// [`outer_acc`] for *dense* inputs (hidden activations): the same
+/// `dw += Xᵀ·dY`, run as the register-tiled gemm with `Xᵀ` as the lanes and
+/// `dY` as the weight operand, so each `dw` tile stays in registers across
+/// the whole batch instead of being loaded and stored once per batch row.
+/// `x` is transposed into the pooled buffer `xt` (grown, never shrunk);
+/// `dY` is new on every call, so this is the one product that packs its
+/// operand per call.
+///
+/// Per element the batch contributions still accumulate in ascending
+/// order, and the terms [`outer_acc`] skips or plain-adds (`x == 0`,
+/// `x == 1`) round identically through the `fmac`, so the two compare
+/// equal on a gradient that starts from zero.
+///
+/// # Panics
+///
+/// Panics on dimension mismatch.
+pub fn outer_dense_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2, xt: &mut Vec<f32>) {
+    let (rows, cols) = (dw.rows(), dw.cols());
+    assert_eq!(
+        x.len(),
+        batch * rows,
+        "outer_dense_acc: input block mismatch"
+    );
+    grow(xt, rows * batch);
+    let xt = &mut xt[..rows * batch];
+    for (b, x_row) in x.chunks_exact(rows).enumerate() {
+        for (i, &xi) in x_row.iter().enumerate() {
+            xt[i * batch + b] = xi;
+        }
+    }
+    icsad_simd::gemm_dense_acc_f32(rows, xt, batch, dy, cols, dw.as_mut_slice());
 }
 
 /// Batched `matvec_acc`: `y[b] += x[b]ᵀ · w` for every row `b` of a
@@ -325,8 +321,8 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// lanes × two vectors over a 32-column weight panel, so each weight
 /// vector is loaded once per tile and output stores happen once per tile
 /// instead of once per `k`. The panels come from [`Weights::panels`] —
-/// packed once, not per call — which is what makes this the batched
-/// *inference* product.
+/// packed once per value of the weights, not per call — so inference and
+/// the training forward pass share this one batched product.
 ///
 /// Per output element the `k` contributions are still accumulated in one
 /// ascending chain, so results compare equal (`f32 ==`) to per-lane
@@ -338,27 +334,6 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// Panics on dimension mismatch.
 pub fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
     icsad_simd::gemm_panels_acc_f32(batch, x, w.panels(), y);
-}
-
-/// [`gemm_panels_acc`] for weights that change between calls: the same
-/// tile routine (so the same bits), but over a row-major matrix that the
-/// kernel packs panel by panel on every call. The training forward pass
-/// uses it — its weights move every optimizer step, so a kept pack would
-/// be rebuilt as often as it was read.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub fn gemm_dense_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
-    let k_dim = w.rows();
-    let n = w.cols();
-    assert_eq!(
-        x.len(),
-        batch * k_dim,
-        "gemm_dense_acc: input block mismatch"
-    );
-    assert_eq!(y.len(), batch * n, "gemm_dense_acc: output block mismatch");
-    icsad_simd::gemm_dense_acc_f32(batch, x, k_dim, w.as_slice(), n, y);
 }
 
 /// `y += a * x` over slices (under the dispatched FMA policy).
@@ -418,32 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn transpose_into_flips_and_resizes() {
+    fn transposed_panels_give_the_data_gradient() {
+        // dx[b] += dy[b] · wᵀ, two rows at once, each on its own.
         let w = w23();
-        let mut wt = Tensor2::zeros(1, 1);
-        transpose_into(&w, &mut wt);
-        assert_eq!((wt.rows(), wt.cols()), (3, 2));
-        assert_eq!(wt.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn matvec_t_matches_manual() {
-        let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
-        let mut dx = vec![0.0; 2];
-        matvec_t_acc(1, &[1.0, 0.0, 1.0], &wt, &mut dx);
-        assert_eq!(dx, vec![4.0, 10.0]);
-    }
-
-    #[test]
-    fn matvec_t_batches_rows_independently() {
-        let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
+        let wt = PanelsF32::pack_transposed(w.as_slice(), 2, 3);
         let dy = [1.0, 0.0, 1.0, 0.0, 2.0, 0.0];
         let mut dx = vec![0.0; 4];
-        matvec_t_acc(2, &dy, &wt, &mut dx);
+        icsad_simd::gemm_panels_acc_f32(2, &dy, &wt, &mut dx);
         assert_eq!(dx, vec![4.0, 10.0, 4.0, 10.0]);
     }
 
@@ -469,17 +425,39 @@ mod tests {
     }
 
     #[test]
+    fn outer_dense_matches_outer_acc() {
+        // 5 batch rows (one partial lane tile of the 7 transposed rows),
+        // 37 gradient columns (a ragged panel), zeros and ones mixed in.
+        let x: Vec<f32> = (0..5 * 7)
+            .map(|i| match i % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => ((i * 29 % 83) as f32 - 41.0) / 7.0,
+            })
+            .collect();
+        let dy: Vec<f32> = (0..5 * 37)
+            .map(|i| ((i * 41 % 173) as f32 - 86.0) / 23.0)
+            .collect();
+        let mut sparse = Tensor2::zeros(7, 37);
+        outer_acc(5, &x, &dy, &mut sparse);
+        let mut dense = Tensor2::zeros(7, 37);
+        // A dirty, oversized pool buffer must not leak into the product.
+        let mut xt = vec![f32::NAN; 100];
+        outer_dense_acc(5, &x, &dy, &mut dense, &mut xt);
+        assert_eq!(dense, sparse);
+    }
+
+    #[test]
     fn transpose_consistency() {
         // <W x, y> == <x, W^T y> for random-ish data.
         let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
+        let wt = PanelsF32::pack_transposed(w.as_slice(), 2, 3);
         let x = [0.3f32, -1.2];
         let y = [2.0f32, -0.5, 0.25];
         let mut wx = vec![0.0; 3];
         matvec_acc(&w, &x, &mut wx);
         let mut wty = vec![0.0; 2];
-        matvec_t_acc(1, &y, &wt, &mut wty);
+        icsad_simd::gemm_panels_acc_f32(1, &y, &wt, &mut wty);
         let lhs: f32 = wx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(wty.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-5);
@@ -538,39 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_dense_matches_per_row_matvec() {
-        // Sizes straddling the tile boundaries: 70 inputs, 37 outputs,
-        // 6 lanes (one partial lane tile, partial j tile).
-        let w = Tensor2::from_vec(
-            70,
-            37,
-            (0..70 * 37)
-                .map(|i| ((i * 53 % 211) as f32 - 105.0) / 29.0)
-                .collect(),
-        );
-        let x: Vec<f32> = (0..6 * 70)
-            .map(|i| match i % 7 {
-                0 => 0.0, // exact zeros exercise the no-skip equivalence
-                1 => 1.0,
-                _ => ((i * 41 % 173) as f32 - 86.0) / 23.0,
-            })
-            .collect();
-        // Non-zero initial contents stand in for a preloaded bias.
-        let mut batched: Vec<f32> = (0..6 * 37).map(|i| (i % 5) as f32 - 2.0).collect();
-        let reference = batched.clone();
-        gemm_dense_acc(6, &x, &w, &mut batched);
-        for b in 0..6 {
-            let mut single = reference[b * 37..(b + 1) * 37].to_vec();
-            matvec_acc(&w, &x[b * 70..(b + 1) * 70], &mut single);
-            assert_eq!(
-                &batched[b * 37..(b + 1) * 37],
-                single.as_slice(),
-                "lane {b}"
-            );
-        }
-    }
-
-    #[test]
     fn gemm_panels_matches_per_row_matvec_and_repacks_after_a_write() {
         // 37 outputs: one full panel plus a ragged one; 6 lanes: one
         // partial lane tile.
@@ -592,9 +537,6 @@ mod tests {
         let check = |w: &Weights| {
             let mut batched = reference.clone();
             gemm_panels_acc(6, &x, w, &mut batched);
-            let mut per_call = reference.clone();
-            gemm_dense_acc(6, &x, w, &mut per_call);
-            assert_eq!(batched, per_call);
             for b in 0..6 {
                 let mut single = reference[b * 37..(b + 1) * 37].to_vec();
                 matvec_acc(w, &x[b * 70..(b + 1) * 70], &mut single);
@@ -615,19 +557,19 @@ mod tests {
     }
 
     #[test]
-    fn gemm_dense_empty_batch_is_noop() {
-        let w = w23();
+    fn gemm_panels_empty_batch_is_noop() {
+        let w = Weights::new(w23());
         let mut y: Vec<f32> = vec![];
-        gemm_dense_acc(0, &[], &w, &mut y);
+        gemm_panels_acc(0, &[], &w, &mut y);
         assert!(y.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "gemm_dense_acc")]
-    fn gemm_dense_rejects_bad_block() {
-        let w = w23();
+    #[should_panic(expected = "gemm_panels_acc")]
+    fn gemm_panels_rejects_bad_block() {
+        let w = Weights::new(w23());
         let mut y = vec![0.0; 3];
-        gemm_dense_acc(2, &[1.0, 2.0, 3.0], &w, &mut y);
+        gemm_panels_acc(2, &[1.0, 2.0, 3.0], &w, &mut y);
     }
 
     #[test]

@@ -200,20 +200,25 @@ impl Trainer {
     }
 
     /// Trains for `config.epochs` passes over `sequences`, returning
-    /// per-epoch statistics. The trained model comes back with its
-    /// inference panels built ([`LstmClassifier::pack_panels`]); callers
-    /// driving [`Trainer::fit_epoch`] themselves pack when they are done.
+    /// per-epoch statistics.
     pub fn fit(&mut self, model: &mut LstmClassifier, sequences: &[Sequence]) -> Vec<EpochStats> {
         let mut stats = Vec::with_capacity(self.config.epochs);
         for epoch in 0..self.config.epochs {
             stats.push(self.fit_epoch(model, sequences, epoch));
         }
-        model.pack_panels();
         stats
     }
 
     /// Runs a single epoch (used by pipelines that regenerate noisy inputs
     /// between epochs); `epoch` only tags the returned stats.
+    ///
+    /// Weights change once per optimizer step and are read by every
+    /// timestep of every gradient task in between, so the epoch packs them
+    /// here, on the calling thread: the forward panels
+    /// ([`LstmClassifier::pack_panels`]) before the first minibatch and
+    /// after each step, the transposed ones ([`BackwardPack`]) at the top
+    /// of each step. No gradient task packs, and the model always comes
+    /// back packed and ready to serve.
     pub fn fit_epoch(
         &mut self,
         model: &mut LstmClassifier,
@@ -230,9 +235,7 @@ impl Trainer {
         let mut total_correct = 0usize;
         let mut total_targets = 0usize;
         let mut grads = model.zero_gradients();
-        // Packed transposed weights for the backward kernels: built once per
-        // epoch, refreshed after every optimizer step.
-        let mut pack = BackwardPack::new(model);
+        model.pack_panels();
         // Task-private (gradients, scratch) buffers, recycled across
         // minibatches; tasks zero the gradients before accumulating.
         let mut pool: Vec<(Gradients, TrainScratch)> = Vec::new();
@@ -244,6 +247,9 @@ impl Trainer {
             }
             let scale = 1.0 / targets_in_batch as f32;
             grads.zero();
+            // The transposed panels of this step's weights, dropped at the
+            // end of the step: two generations never coexist.
+            let pack = BackwardPack::new(model);
             let (loss, correct) = accumulate_batch(
                 model, &pack, sequences, batch, scale, threads, &mut grads, &mut pool,
             );
@@ -257,9 +263,8 @@ impl Trainer {
                     grads.scale(self.config.grad_clip / norm);
                 }
             }
-            let mut slots = model.params_with_grads(&grads);
-            self.adam.step(&mut slots);
-            pack.refresh(model);
+            self.adam.step(&mut model.params_with_grads(&grads));
+            model.pack_panels();
         }
 
         EpochStats {
@@ -477,8 +482,8 @@ mod tests {
             last.mean_loss
         );
         assert!(last.mean_loss < stats[0].mean_loss);
-        // Training never builds panels (every step would drop them);
-        // `fit` hands the model over packed and ready to serve.
+        // Every optimizer step repacks, so the model comes back ready to
+        // serve.
         assert!(model.packed_bytes() > 0);
     }
 
@@ -561,6 +566,8 @@ mod tests {
         let stats = trainer.fit(&mut model, &[]);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].mean_loss, 0.0);
+        // Even an epoch that never steps hands back a packed model.
+        assert!(model.packed_bytes() > 0);
     }
 
     #[test]
@@ -581,6 +588,8 @@ mod tests {
         let mut losses = Vec::new();
         for e in 0..15 {
             losses.push(trainer.fit_epoch(&mut model, &sequences, e).mean_loss);
+            // The last optimizer step's repack: ready to serve as it is.
+            assert!(model.packed_bytes() > 0);
         }
         assert!(losses.last().unwrap() < &(losses[0] * 0.8));
     }

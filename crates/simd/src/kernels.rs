@@ -123,9 +123,9 @@ fn panels_len(k_dim: usize, n: usize) -> usize {
 
 /// Fills one `k_dim × PANEL` panel with columns `j0 .. j0 + valid` of the
 /// weight operand, zeroing the padding columns. `w_tile(k, j0, dst)`
-/// copies `W[k][j0 .. j0 + dst.len()]` — a plain row slice for the `f32`
-/// kernels, a strided transpose read for the `f64` `batch_matvec` (whose
-/// "weights" are the matrix rows).
+/// copies `W[k][j0 .. j0 + dst.len()]` — a plain row slice for a
+/// row-major operand ([`row_major_tile`]), a strided read when the operand
+/// is the transpose of the stored matrix ([`transposed_tile`]).
 #[inline(always)]
 fn fill_panel<E: Element>(
     panel: &mut [E],
@@ -140,30 +140,54 @@ fn fill_panel<E: Element>(
     }
 }
 
-/// The `w_tile` of a row-major `k_dim × n` `f32` weight matrix.
+/// The `w_tile` of a row-major `k_dim × n` weight matrix.
 #[inline(always)]
-fn row_major_tile(w: &[f32], n: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+fn row_major_tile<E: Element>(w: &[E], n: usize) -> impl Fn(usize, usize, &mut [E]) + '_ {
     move |k, j0, dst| dst.copy_from_slice(&w[k * n + j0..k * n + j0 + dst.len()])
 }
 
-/// Packs a row-major `k_dim × n` weight matrix panel-major (see [`PANEL`]).
-pub(crate) fn pack_panels_f32(k_dim: usize, w: &[f32], n: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), k_dim * n);
+/// The `w_tile` of `Aᵀ` for a row-major `n × k_dim` matrix `a`: operand
+/// element `[k][j]` is `a[j][k]`, read with a stride of one row of `a`.
+#[inline(always)]
+fn transposed_tile<E: Element>(a: &[E], k_dim: usize) -> impl Fn(usize, usize, &mut [E]) + '_ {
+    move |k, j0, dst| {
+        for (jj, d) in dst.iter_mut().enumerate() {
+            *d = a[(j0 + jj) * k_dim + k];
+        }
+    }
+}
+
+/// Packs a `k_dim × n` weight operand panel-major (see [`PANEL`]), reading
+/// it through `w_tile`.
+fn pack_panels(k_dim: usize, n: usize, w_tile: &impl Fn(usize, usize, &mut [f32])) -> Vec<f32> {
     let mut out = vec![0.0; panels_len(k_dim, n)];
     if k_dim > 0 {
-        let w_tile = row_major_tile(w, n);
         for (p, panel) in out.chunks_exact_mut(k_dim * PANEL).enumerate() {
             let j0 = p * PANEL;
-            fill_panel(panel, j0, PANEL.min(n - j0), &w_tile);
+            fill_panel(panel, j0, PANEL.min(n - j0), w_tile);
         }
     }
     out
 }
 
+/// Packs a row-major `k_dim × n` weight matrix panel-major.
+pub(crate) fn pack_panels_f32(k_dim: usize, w: &[f32], n: usize) -> Vec<f32> {
+    debug_assert_eq!(w.len(), k_dim * n);
+    pack_panels(k_dim, n, &row_major_tile(w, n))
+}
+
+/// Packs the **transpose** of a row-major `rows × cols` matrix panel-major
+/// — the `cols × rows` operand of `dX += dY·Wᵀ` — straight from `w`'s
+/// rows, without materializing `Wᵀ`.
+pub(crate) fn pack_panels_transposed_f32(rows: usize, w: &[f32], cols: usize) -> Vec<f32> {
+    debug_assert_eq!(w.len(), rows * cols);
+    pack_panels(cols, rows, &transposed_tile(w, cols))
+}
+
 /// Dense gemm over pre-packed panels: `y[b] += x[b]ᵀ·W` without the zero
-/// skip, `W` given panel-major (see [`PANEL`]). The inference entry: the
-/// weights were packed once, so a call streams them straight from the
-/// panels and copies nothing.
+/// skip, `W` given panel-major (see [`PANEL`]). The entry for weights: they
+/// were packed once, so a call streams them straight from the panels and
+/// copies nothing.
 #[inline(always)]
 pub(crate) fn gemm_panels_body<L: Lanes>(
     batch: usize,
@@ -185,8 +209,9 @@ pub(crate) fn gemm_panels_body<L: Lanes>(
     }
 }
 
-/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for a weight operand
-/// that changes between calls (training, the `f64` baselines). Each panel
+/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for an operand that
+/// is new on every call (the gate gradients of the dense weight-gradient
+/// product, the `f64` baselines). Each panel
 /// is packed into the thread's reusable `pack` buffer — streaming the
 /// weights once per call — and handed to the same [`panel_tile`] the
 /// pre-packed entry runs, so the two entries cannot drift apart.
@@ -633,11 +658,7 @@ pub(crate) fn batch_matvec_f64<L: Lanes<Elem = f64>>(
     y: &mut [f64],
     pack: &mut Vec<f64>,
 ) {
-    gemm_dense_body::<L>(batch, xs, k_dim, rows, y, pack, &|k, j0, dst| {
-        for (jj, d) in dst.iter_mut().enumerate() {
-            *d = a[(j0 + jj) * k_dim + k];
-        }
-    })
+    gemm_dense_body::<L>(batch, xs, k_dim, rows, y, pack, &transposed_tile(a, k_dim))
 }
 
 /// The x86 entry points: one module per backend, each compiled with that

@@ -37,13 +37,16 @@
 //! does not depend on the dispatched [`Selection`]: panels stay valid
 //! across [`force`].
 //!
-//! Two entries share that routine. [`gemm_panels_acc_f32`] takes weights
-//! packed once ([`PanelsF32`]) — inference, where `W` never changes and a
-//! per-call pack is a strided copy of all of `W` per product.
-//! [`gemm_dense_acc_f32`] (and [`matvec_t_acc_f32`],
-//! [`batch_matvec_acc_f64`], which ride the same body) packs one
-//! thread-local panel at a time on every call — training and the
-//! baselines, whose operands change between calls. Same tile, same
+//! Two entries share that routine. [`gemm_panels_acc_f32`] takes an
+//! operand packed once ([`PanelsF32`]) — every product over *weights*,
+//! which change at most once per optimizer step and are read many times
+//! in between: inference, the training forward pass, and the backward
+//! data gradient `dX += dY·Wᵀ` over panels of the transposed matrix
+//! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] (and
+//! [`batch_matvec_acc_f64`], which rides the same body) packs one
+//! thread-local panel at a time on every call — for an operand that really
+//! is new every call: the gate gradients `dZ` of the dense weight-gradient
+//! product `dW += Xᵀ·dZ`, and the baselines' matrices. Same tile, same
 //! ascending-`k` chain per output element: the two entries are bitwise
 //! equal to each other and to the scalar backend.
 //!
@@ -476,9 +479,12 @@ pub fn gemm_acc_f32_with(
 /// activations). Accumulation order and rounding match [`gemm_acc_f32`]
 /// except that zero entries contribute an exact `+±0`.
 ///
-/// Packs `W` into panels on every call — right when the weights change
-/// between calls (training). Weights that stay put should be packed once
-/// ([`PanelsF32`]) and go through [`gemm_panels_acc_f32`].
+/// Packs `W` into panels on every call — right when the operand is new on
+/// every call, like the gate gradients `dZ` in the weight-gradient product
+/// `dW += Xᵀ·dZ` (`x` = `Xᵀ`, `w` = `dZ`). An operand that is read more
+/// than once between changes — any weight matrix, in inference and in
+/// training — should be packed once ([`PanelsF32`]) and go through
+/// [`gemm_panels_acc_f32`].
 ///
 /// # Panics
 ///
@@ -554,6 +560,25 @@ impl PanelsF32 {
         }
     }
 
+    /// Packs the **transpose** of a row-major `rows × cols` matrix — the
+    /// `cols × rows` weight operand of the backward product `dX += dY·Wᵀ`
+    /// — straight from `w`'s rows. Equal to [`PanelsF32::pack`] of an
+    /// explicitly transposed copy, which it saves building: over these
+    /// panels [`gemm_panels_acc_f32`] contracts `dY`'s `cols` gate columns
+    /// in ascending order per output element, like every other product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != rows * cols`.
+    pub fn pack_transposed(w: &[f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(w.len(), rows * cols, "pack_panels: weight block mismatch");
+        PanelsF32 {
+            k_dim: cols,
+            n: rows,
+            data: kernels::pack_panels_transposed_f32(rows, w, cols),
+        }
+    }
+
     /// Heap bytes held by the panels, padding included.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.data.as_slice())
@@ -561,9 +586,11 @@ impl PanelsF32 {
 }
 
 /// Register-tiled dense `y[b] += x[b]ᵀ·W` over weights packed once with
-/// [`PanelsF32::pack`] — the inference entry. Same tile routine, so the
-/// same bits, as [`gemm_dense_acc_f32`] over the row-major matrix; what it
-/// saves is the per-call pack (a strided copy of all of `W`).
+/// [`PanelsF32::pack`] (or [`PanelsF32::pack_transposed`], for
+/// `y[b] += x[b]ᵀ·Aᵀ`) — the entry for every product over weights. Same
+/// tile routine, so the same bits, as [`gemm_dense_acc_f32`] over the
+/// row-major matrix; what it saves is the per-call pack (a strided copy
+/// of all of `W`).
 ///
 /// # Panics
 ///
@@ -597,66 +624,6 @@ pub fn gemm_panels_acc_f32_with(
     assert_eq!(y.len(), batch * n, "gemm_panels_acc: output block mismatch");
     let panels = w.data.as_slice();
     dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, n, y, panels))
-}
-
-/// Transposed-weight backward product `dx[b][i] += Σ_j dy[b][j]·wt[j][i]`
-/// for `batch` row-major gradient rows over a row-major `n × in_dim`
-/// **transposed** weight view `wt` (i.e. `dX += dY·Wᵀ` with `wt = Wᵀ`
-/// packed row-major by the caller, typically refreshed once per optimizer
-/// step). This is the register-tiled dense gemm applied to the transposed
-/// operand: vectorization runs along the independent `i` dimension and the
-/// contraction `j` ascends per output element, so SIMD ≡ scalar stays
-/// bitwise per FMA policy — where the historical scalar `matvec_t_acc`
-/// walked serial per-row dot products that no backend could vectorize
-/// without changing the summation order.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch.
-pub fn matvec_t_acc_f32(
-    batch: usize,
-    dy: &[f32],
-    n: usize,
-    wt: &[f32],
-    in_dim: usize,
-    dx: &mut [f32],
-) {
-    matvec_t_acc_f32_with(current(), batch, dy, n, wt, in_dim, dx)
-}
-
-/// [`matvec_t_acc_f32`] with an explicit backend selection.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
-pub fn matvec_t_acc_f32_with(
-    sel: Selection,
-    batch: usize,
-    dy: &[f32],
-    n: usize,
-    wt: &[f32],
-    in_dim: usize,
-    dx: &mut [f32],
-) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(dy.len(), batch * n, "matvec_t_acc: gradient block mismatch");
-    assert_eq!(
-        wt.len(),
-        n * in_dim,
-        "matvec_t_acc: transposed weight block mismatch"
-    );
-    assert_eq!(
-        dx.len(),
-        batch * in_dim,
-        "matvec_t_acc: output block mismatch"
-    );
-    PACK_F32.with(|cell| {
-        let pack = &mut cell.borrow_mut();
-        dispatch_f32!(sel, gemm_dense_f32(batch, dy, n, wt, in_dim, dx, pack))
-    })
 }
 
 /// Batched outer-product gradient accumulation

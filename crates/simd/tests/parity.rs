@@ -11,8 +11,8 @@
 use icsad_simd::{
     axpy_f32_with, batch_matvec_acc_f64_with, gemm_acc_f32_with, gemm_dense_acc_f32_with,
     gemm_panels_acc_f32, gemm_panels_acc_f32_with, lstm_cell_f32_with, matmul_acc_f64_with,
-    matvec_t_acc_f32_with, outer_acc_f32_with, sigmoid_in_place_with, supported_selections,
-    tanh_in_place_with, Backend, PanelsF32, Selection,
+    outer_acc_f32_with, sigmoid_in_place_with, supported_selections, tanh_in_place_with, Backend,
+    PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -145,30 +145,6 @@ proptest! {
             let mut sparse = vec![0.25f32; batch * n];
             gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut sparse);
             assert_bits_eq(&dense, &sparse, sel.label());
-        }
-    }
-
-    /// The BPTT data-gradient kernel: every backend × ragged widths,
-    /// bitwise against the scalar backend of the same FMA policy.
-    #[test]
-    fn matvec_t_acc_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        n in 1usize..=49,
-        in_dim in 1usize..=49,
-        sdy in proptest::collection::vec(0u8..=255, 13 * 49),
-        rdy in proptest::collection::vec(-8f32..8.0, 13 * 49),
-        wt in proptest::collection::vec(-8f32..8.0, 49 * 49),
-        dx0 in proptest::collection::vec(-4f32..4.0, 13 * 49),
-    ) {
-        let dy = mix(&sdy[..batch * n], &rdy[..batch * n]);
-        let wt = &wt[..n * in_dim];
-        let dx0 = &dx0[..batch * in_dim];
-        for (sel, scalar) in pairs() {
-            let mut got = dx0.to_vec();
-            matvec_t_acc_f32_with(sel, batch, &dy, n, wt, in_dim, &mut got);
-            let mut want = dx0.to_vec();
-            matvec_t_acc_f32_with(scalar, batch, &dy, n, wt, in_dim, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
         }
     }
 
@@ -541,6 +517,91 @@ fn padded_columns_never_reach_y() {
                         "{} n={n} row {b}: padding leaked into y",
                         sel.label()
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Row-major transpose of a `rows × cols` matrix.
+fn transposed(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut wt = vec![0.0f32; w.len()];
+    for (i, row) in w.chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            wt[j * rows + i] = v;
+        }
+    }
+    wt
+}
+
+/// The BPTT data-gradient operand: panels of `Wᵀ` packed straight from the
+/// row-major `W` are the panels of an explicitly transposed copy, and
+/// `dX += dY·Wᵀ` over them is the reference chain on every selection.
+#[test]
+fn transposed_panels_match_an_explicit_transpose_bitwise() {
+    let (ns, batches, ks) = GRID;
+    // `W` is `in_dim × n`; the backward operand `Wᵀ` is `n × in_dim`.
+    for &in_dim in ns {
+        for &n in ks {
+            let w = operand(in_dim * n, 8);
+            let wt = transposed(&w, in_dim, n);
+            let panels = PanelsF32::pack_transposed(&w, in_dim, n);
+            assert_eq!(panels, PanelsF32::pack(&wt, n, in_dim), "{in_dim}x{n}");
+            for &batch in batches {
+                let dy = operand(batch * n, 9);
+                let dx0 = operand(batch * in_dim, 3);
+                let want =
+                    [false, true].map(|fma| reference_gemm(fma, batch, &dy, n, &wt, in_dim, &dx0));
+                for sel in supported_selections() {
+                    let mut got = dx0.clone();
+                    gemm_panels_acc_f32_with(sel, batch, &dy, &panels, &mut got);
+                    let what = format!("{} {batch}x{n}x{in_dim}", sel.label());
+                    assert_bits_eq(&got, &want[usize::from(sel.fma)], &what);
+                }
+            }
+        }
+    }
+}
+
+/// Shapes for the weight-gradient grid `dW (k_dim × n) += Xᵀ·dY` over
+/// `batch` rows: the ledger models' input and hidden widths, gate widths on
+/// both sides of a panel, and batch sizes from one row to a whole 8-lane ×
+/// 32-step gradient task.
+#[cfg(not(miri))]
+const OUTER_GRID: (&[usize], &[usize], &[usize]) = (
+    &[1, 8, 169, 256],
+    &[8, 31, 32, 33, 169, 379, 1024],
+    &[1, 3, 8, 256],
+);
+#[cfg(miri)]
+const OUTER_GRID: (&[usize], &[usize], &[usize]) = (&[1, 5], &[8, 33], &[1, 3]);
+
+/// The BPTT weight gradient for dense activations — the dense gemm over
+/// `Xᵀ` with `dY` as its per-call-packed operand — equals the zero-skipping
+/// `outer_acc_f32` and an independent ascending-`b` chain, bitwise, on
+/// every selection: the terms the sparse kernel skips (`x == 0`) or
+/// plain-adds (`x == 1`) round identically through the `fmac`.
+#[test]
+fn dense_outer_product_matches_sparse_and_reference_bitwise() {
+    let (ks, ns, batches) = OUTER_GRID;
+    for &k_dim in ks {
+        for &n in ns {
+            let dw0 = operand(k_dim * n, 10);
+            for &batch in batches {
+                let x = operand(batch * k_dim, 11);
+                let xt = transposed(&x, batch, k_dim);
+                let dy = operand(batch * n, 12);
+                let want =
+                    [false, true].map(|fma| reference_gemm(fma, k_dim, &xt, batch, &dy, n, &dw0));
+                for sel in supported_selections() {
+                    let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
+                    let want = &want[usize::from(sel.fma)];
+                    let mut dense = dw0.clone();
+                    gemm_dense_acc_f32_with(sel, k_dim, &xt, batch, &dy, n, &mut dense);
+                    assert_bits_eq(&dense, want, &format!("dense {what}"));
+                    let mut sparse = dw0.clone();
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut sparse);
+                    assert_bits_eq(&sparse, want, &format!("sparse {what}"));
                 }
             }
         }
