@@ -79,8 +79,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-nondeterminism-in-decisions",
-        summary: "wall-clock reads and default-hasher HashMaps in decision paths need a \
-                  `// NONDET:` justification",
+        summary: "wall-clock reads, environment reads and default-hasher HashMaps in \
+                  decision paths need a `// NONDET:` justification",
         help: "detection decisions must be replayable; justify with `// NONDET:` why this \
                cannot influence a decision, or use a deterministic structure \
                (ARCHITECTURE.md: Static analysis & verification)",
@@ -119,6 +119,7 @@ const NONDET_SCOPE: &[&str] = &[
     "linalg",
     "baselines",
     "bloom",
+    "simd",
 ];
 
 fn in_scope(ctx: &FileCtx, dirs: &[&str]) -> bool {
@@ -262,6 +263,24 @@ pub fn check_file(file: &SourceFile, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                     s,
                     "no-nondeterminism-in-decisions",
                     format!("`{w}::now()` in a decision path without a `// NONDET:` justification"),
+                );
+            }
+            // Environment reads: the product is configured through its
+            // API, so the same inputs decide the same way on every host.
+            if w == "env"
+                && text(s + 1) == ":"
+                && text(s + 2) == ":"
+                && matches!(text(s + 3), "var" | "var_os" | "vars")
+                && !justified(s, "NONDET:")
+            {
+                emit(
+                    out,
+                    s,
+                    "no-nondeterminism-in-decisions",
+                    format!(
+                        "`env::{}` in a decision path without a `// NONDET:` justification",
+                        text(s + 3)
+                    ),
                 );
             }
             // Default-hasher maps: iteration order is seeded per-process.
@@ -463,6 +482,26 @@ mod tests {
             "fn f() -> Instant { Instant::now() }\n",
         );
         assert_eq!(rules_fired(&d), ["no-nondeterminism-in-decisions"]);
+    }
+
+    #[test]
+    fn env_reads_fire_but_other_env_calls_do_not() {
+        for (call, fires) in [
+            ("var(\"K\")", true),
+            ("var_os(\"K\")", true),
+            ("vars()", true),
+            ("temp_dir()", false),
+            ("args()", false),
+        ] {
+            let src = format!("fn f() {{ let _ = std::env::{call}; }}\n");
+            let d = check("crates/simd/src/lib.rs", &src);
+            let want: &[&str] = if fires {
+                &["no-nondeterminism-in-decisions"]
+            } else {
+                &[]
+            };
+            assert_eq!(rules_fired(&d), want, "{call}");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ fn negative_fixture_trips_every_rule() {
         (31, "no-nondeterminism-in-decisions"),
         (34, "no-nondeterminism-in-decisions"),
         (35, "no-nondeterminism-in-decisions"),
+        (39, "no-nondeterminism-in-decisions"),
     ];
     assert_eq!(got, want, "fixture drifted from its expectation table");
 }

@@ -29,6 +29,11 @@ pub fn good_clock() -> Instant {
     Instant::now()
 }
 
+pub fn good_env() -> bool {
+    // NONDET: fixture — resolved once at start-up and recorded in the report.
+    std::env::var_os("FIXTURE_KNOB").is_some()
+}
+
 // NONDET: fixture — lookup-only map in the signature, never iterated.
 pub fn good_map() -> HashMap<u32, u32> {
     HashMap::new() // NONDET: fixture — lookup-only.

@@ -34,3 +34,7 @@ pub fn bad_clock() -> Instant {
 pub fn bad_map() -> HashMap<u32, u32> {
     HashMap::new()
 }
+
+pub fn bad_env() -> bool {
+    std::env::var_os("FIXTURE_KNOB").is_some()
+}

@@ -1,75 +1,58 @@
 //! Idle-stream soak probe: how many mostly idle streams one engine can
 //! host on a fixed thread budget, and what that costs the live traffic.
 //!
-//! Spawns an engine on a host-sized pool, registers `ICSAD_SOAK_STREAMS`
-//! streams (two heartbeat frames each — ROADMAP's "thousands of idle
-//! streams" scenario), runs `ICSAD_SOAK_ACTIVE` live PLCs through it, and
-//! reports thread footprint, throughput, and the runtime's scheduling
-//! counters.
+//! Spawns an engine on a host-sized pool, registers [`STREAMS`] streams
+//! (one polling cycle each — ROADMAP's "thousands of idle streams"
+//! scenario), runs [`ACTIVE`] live PLCs through it, and reports thread
+//! footprint, throughput, and the runtime's scheduling counters.
+//!
+//! The fleet — idle and live — is built the way the perf ledger's
+//! `fleet-paper` workload builds its own
+//! (`icsad_bench::commission_probe_detector`), and the probe fails unless
+//! the live PLCs' clean traffic passes the package level. It reads no
+//! environment.
 //!
 //! ```sh
 //! cargo run --release -p icsad-bench --bin idle_soak
 //! ```
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `ICSAD_SOAK_STREAMS` | `10000` | total streams (distinct `(link, unit)` keys) |
-//! | `ICSAD_SOAK_ACTIVE` | `3` | live PLCs among them |
-//! | `ICSAD_SOAK_FRAMES` | `3000` | packages per live PLC |
-//! | `ICSAD_SOAK_SHARDS` | `64` | engine shards (tasks, not threads) |
-//! | `ICSAD_SOAK_HIDDEN` | `32` | LSTM hidden width |
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use icsad_core::experiment::{train_framework, ExperimentConfig};
-use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_dataset::{DatasetConfig, GasPipelineDataset};
+use icsad_bench::{assert_probe_regime, commission_probe_detector, plc_frames};
 use icsad_engine::{Engine, EngineConfig, IngestMode, RawFrame};
-use icsad_simulator::{TrafficConfig, TrafficGenerator};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Total streams (distinct links).
+const STREAMS: usize = 10_000;
+/// Live PLCs among them.
+const ACTIVE: usize = 3;
+/// Packages per live PLC.
+const FRAMES_PER_ACTIVE: usize = 3_000;
+/// Engine shards (tasks, not threads).
+const SHARDS: usize = 64;
+const IDLE: usize = STREAMS - ACTIVE;
 
 fn main() {
-    let total_streams = env_usize("ICSAD_SOAK_STREAMS", 10_000).max(1);
-    let active = env_usize("ICSAD_SOAK_ACTIVE", 3).clamp(1, total_streams);
-    let frames_per_active = env_usize("ICSAD_SOAK_FRAMES", 3_000);
-    let shards = env_usize("ICSAD_SOAK_SHARDS", 64);
-    let hidden = env_usize("ICSAD_SOAK_HIDDEN", 32);
-    let idle = total_streams - active;
-
-    println!("training a small commissioning detector (hidden {hidden})...");
-    let data = GasPipelineDataset::generate(&DatasetConfig {
-        total_packages: 6_000,
-        seed: 81,
-        attack_probability: 0.0,
-        ..DatasetConfig::default()
-    });
-    let split = data.split_chronological(0.7, 0.2);
-    let trained = train_framework(
-        &split,
-        &ExperimentConfig {
-            timeseries: TimeSeriesTrainingConfig {
-                hidden_dims: vec![hidden],
-                epochs: 1,
-                seed: 81,
-                ..TimeSeriesTrainingConfig::default()
-            },
-            ..ExperimentConfig::default()
-        },
-    )
-    .expect("soak detector training failed");
-    let detector = Arc::new(trained.detector);
+    println!("commissioning a paper-scale (2x256) detector on the fleet's station...");
+    let detector = Arc::new(commission_probe_detector());
+    // Live PLCs take the links after the idle fleet's.
+    let live: Vec<Vec<RawFrame>> = (0..ACTIVE)
+        .map(|i| plc_frames((IDLE + i) as u32, 0.05, FRAMES_PER_ACTIVE))
+        .collect();
+    assert_probe_regime(&detector, &live);
+    // An idle stream is one clean polling cycle (a command and its
+    // response), then silence.
+    let cycle = plc_frames(0, 0.0, 2);
+    let heartbeat = |half: usize, link: u32| RawFrame {
+        time: cycle[half].time + 0.05 * f64::from(link),
+        link,
+        ..cycle[half].clone()
+    };
 
     let mut engine = Engine::try_start(
         detector,
         EngineConfig {
-            num_shards: shards,
+            num_shards: SHARDS,
             batch_size: 96,
             channel_capacity: 1024,
             ingest: IngestMode::Async { workers: 0 },
@@ -77,76 +60,68 @@ fn main() {
         },
     )
     .unwrap();
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!(
         "engine up: {} shards as {} mode on {} ingest thread(s) \
-         (available_parallelism {})",
+         (available_parallelism {cores})",
         engine.num_shards(),
         engine.ingest_mode(),
         engine.ingest_threads(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+    );
+    assert!(
+        engine.ingest_threads() <= cores,
+        "a host-sized pool spawns no more threads than the host has cores"
     );
 
     let t0 = Instant::now();
-    // Idle fleet: a heartbeat pair per stream, then silence.
-    for link in 1..=idle as u32 {
-        engine.ingest(RawFrame {
-            time: 0.05 * f64::from(link),
-            wire: vec![9, 3, 0x10, 0x01, 0xAA, 0x55].into(),
-            is_command: true,
-            label: None,
-            link,
-        });
-    }
-    for link in 1..=idle as u32 {
-        engine.ingest(RawFrame {
-            time: 3_600.0 + 0.05 * f64::from(link),
-            wire: vec![9, 3, 0x10, 0x01, 0xAA, 0x55].into(),
-            is_command: true,
-            label: None,
-            link,
-        });
+    // Idle fleet: every stream's command, then every stream's response.
+    for half in 0..2 {
+        engine.ingest_batch((0..IDLE as u32).map(|link| heartbeat(half, link)));
     }
     let idle_elapsed = t0.elapsed();
 
-    // Live PLCs on link 0, attacker active.
+    // Live PLCs, attacker active.
     let t1 = Instant::now();
-    for i in 0..active {
-        let mut generator = TrafficGenerator::new(TrafficConfig {
-            seed: 80 + i as u64,
-            slave_address: (i + 1) as u8,
-            attack_probability: 0.05,
-            ..TrafficConfig::default()
-        });
-        engine.ingest_packets(&generator.generate(frames_per_active));
+    for stream in live {
+        engine.ingest_batch(stream);
     }
     engine.flush_ingest();
     let live_elapsed = t1.elapsed();
     let report = engine.finish();
     let total_elapsed = t0.elapsed();
 
+    assert_eq!(
+        report.frames(),
+        (2 * IDLE + ACTIVE * FRAMES_PER_ACTIVE) as u64,
+        "every frame of the idle and the live fleet is classified"
+    );
+    assert!(
+        report.resident_lanes() >= STREAMS,
+        "nothing retires a lane here: the idle fleet stays resident"
+    );
     let streams: usize = report.shards.iter().map(|s| s.streams).sum();
     println!(
         "\nsoak: {} streams ({} idle + {} live), {} frames in {:.2}s total",
         streams,
-        idle,
-        active,
+        IDLE,
+        ACTIVE,
         report.frames(),
         total_elapsed.as_secs_f64()
     );
     println!(
         "  idle fleet admission: {} heartbeats in {:.1} ms ({:.0} frames/s)",
-        2 * idle,
+        2 * IDLE,
         idle_elapsed.as_secs_f64() * 1e3,
-        2.0 * idle as f64 / idle_elapsed.as_secs_f64()
+        2.0 * IDLE as f64 / idle_elapsed.as_secs_f64()
     );
     println!(
         "  live traffic: {} frames in {:.1} ms ({:.0} pkg/s) with {} idle streams resident",
-        active * frames_per_active,
+        ACTIVE * FRAMES_PER_ACTIVE,
         live_elapsed.as_secs_f64() * 1e3,
-        (active * frames_per_active) as f64 / live_elapsed.as_secs_f64(),
-        idle
+        (ACTIVE * FRAMES_PER_ACTIVE) as f64 / live_elapsed.as_secs_f64(),
+        IDLE
     );
     println!(
         "  runtime: mode={} threads={} polls={} steals={} blocked_pushes={}",
@@ -159,7 +134,7 @@ fn main() {
     // Rounds sweep the active-lane list, not every lane: with the idle
     // fleet resident, a live shard's round visits its handful of active
     // lanes instead of checking all ~(idle/shards) queues — the live pkg/s
-    // above stays flat as ICSAD_SOAK_STREAMS grows.
+    // above stays flat as `STREAMS` grows.
     let flushes: u64 = report.shards.iter().map(|s| s.flushes).sum();
     let widest = report
         .shards
@@ -172,7 +147,7 @@ fn main() {
          split {} (units {}, helped {})",
         flushes,
         widest,
-        total_streams.div_ceil(shards.max(1)),
+        STREAMS.div_ceil(SHARDS),
         report.runtime.split_rounds,
         report.runtime.round_units,
         report.runtime.rounds_helped

@@ -1,9 +1,11 @@
-//! Shared scaffolding for the experiment binaries that regenerate every
-//! table and figure of the paper (see DESIGN.md §4 for the index).
+//! Shared scaffolding for the experiment binaries that regenerate the
+//! tables and figures of the paper, and for the two engine probes
+//! (`hot_shard_skew`, `idle_soak`). Performance numbers come from the perf
+//! ledger (`src/bin/ledger`, declared in `BENCHMARK.json`) and nowhere
+//! else; ARCHITECTURE.md describes the layers all of these drive.
 //!
-//! Every binary reads its scale from environment variables so the same code
-//! serves quick sanity runs and the full reproduction recorded in
-//! EXPERIMENTS.md:
+//! Every paper-table binary reads its scale from environment variables so
+//! the same code serves quick sanity runs and the full reproduction:
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
@@ -18,9 +20,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use icsad_core::experiment::ExperimentConfig;
+use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::{NoiseConfig, TimeSeriesTrainingConfig};
-use icsad_dataset::{DatasetConfig, GasPipelineDataset, Split};
+use icsad_core::CombinedDetector;
+use icsad_dataset::extract::{StreamExtractor, DEFAULT_CRC_WINDOW};
+use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record, Split};
+use icsad_engine::RawFrame;
+use icsad_simulator::{TrafficConfig, TrafficGenerator};
 
 /// Experiment scale, resolved from the environment.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +132,97 @@ impl BenchScale {
             self.learning_rate
         )
     }
+}
+
+/// PLCs whose clean captures make up a probe's commissioning data: one
+/// PLC's capture misses signatures its neighbours produce every day.
+const PROBE_COMMISSION_PLCS: u64 = 4;
+/// Clean packages per commissioning PLC. A quarter of this (what
+/// `fleet-paper` trains on for its 400-package streams) leaves the probes'
+/// 2,000–3,000-package streams at a 0.6–0.9 pass share.
+const PROBE_COMMISSION_PACKAGES: usize = 6_000;
+/// Share of clean packages that must pass the package level for a probe's
+/// numbers to describe the two-level detector and not Bloom misses.
+const PROBE_MIN_PASS_SHARE: f64 = 0.8;
+const PROBE_COMMISSION_SEED: u64 = 43;
+/// Seed of the monitored PLC on link 0, disjoint from the commissioning
+/// seeds; link `n`'s PLC is seeded `n` above it.
+const PROBE_FLEET_SEED: u64 = 1_000;
+
+/// Commissions the engine probes' detector the way the ledger's
+/// `fleet-paper` workload does: a paper-scale 2×256 model over clean
+/// traffic of the fleet the probe then monitors (every simulated PLC sits
+/// at `TrafficConfig::default`'s station address).
+pub fn commission_probe_detector() -> CombinedDetector {
+    let seed = PROBE_COMMISSION_SEED;
+    let records: Vec<Record> = (0..PROBE_COMMISSION_PLCS)
+        .flat_map(|plc| {
+            GasPipelineDataset::generate(&DatasetConfig {
+                total_packages: PROBE_COMMISSION_PACKAGES,
+                seed: seed + plc,
+                attack_probability: 0.0,
+                ..DatasetConfig::default()
+            })
+            .records()
+            .to_vec()
+        })
+        .collect();
+    let split = GasPipelineDataset::from_records(records).split_chronological(0.7, 0.2);
+    let config = ExperimentConfig {
+        timeseries: TimeSeriesTrainingConfig {
+            hidden_dims: vec![256, 256],
+            epochs: 1,
+            seed,
+            ..TimeSeriesTrainingConfig::default()
+        },
+        ..ExperimentConfig::default()
+    };
+    train_framework(&split, &config)
+        .expect("probe detector training failed")
+        .detector
+}
+
+/// One simulated PLC's traffic as frames on its own `link`.
+pub fn plc_frames(link: u32, attack_probability: f64, count: usize) -> Vec<RawFrame> {
+    let mut generator = TrafficGenerator::new(TrafficConfig {
+        seed: PROBE_FLEET_SEED + u64::from(link),
+        attack_probability,
+        ..TrafficConfig::default()
+    });
+    let packets = generator.generate(count);
+    let on_link = |p| RawFrame {
+        link,
+        ..RawFrame::from(p)
+    };
+    packets.iter().map(on_link).collect()
+}
+
+/// Prints the share of the streams' clean (unlabelled) packages that pass
+/// the package level.
+///
+/// # Panics
+///
+/// Panics below 0.8: the probe would be timing the package level rejecting
+/// its fleet, not the two-level detector.
+pub fn assert_probe_regime(detector: &CombinedDetector, streams: &[Vec<RawFrame>]) {
+    let (mut passed, mut clean) = (0u64, 0u64);
+    for stream in streams {
+        let mut extractor = StreamExtractor::new(DEFAULT_CRC_WINDOW);
+        let records: Vec<Record> = stream
+            .iter()
+            .map(|f| extractor.push(f.time, &f.wire, f.is_command, f.label))
+            .collect();
+        let confusion = detector.evaluate_package_level_only(&records).confusion;
+        passed += confusion.tn;
+        clean += confusion.tn + confusion.fp;
+    }
+    let pass_share = passed as f64 / clean as f64;
+    println!("bloom pass share of the fleet's clean packages: {pass_share:.3}");
+    assert!(
+        pass_share >= PROBE_MIN_PASS_SHARE,
+        "only {pass_share:.3} of clean packages pass the package level \
+         (need {PROBE_MIN_PASS_SHARE}): the detector does not cover the fleet"
+    );
 }
 
 /// Prints a header banner for an experiment binary.

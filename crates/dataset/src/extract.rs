@@ -23,6 +23,11 @@ pub const DEFAULT_CRC_WINDOW: usize = 32;
 /// window and the previous package's timestamp — to persist between
 /// packages. One `StreamExtractor` holds exactly that state.
 ///
+/// A package stamped earlier than one already seen (capture reordering)
+/// gets `time_interval` 0 and does not move the stream's clock back, so
+/// the next in-order package's interval is still measured from the latest
+/// time seen; [`StreamExtractor::clock_regressions`] counts them.
+///
 /// # Examples
 ///
 /// ```
@@ -37,7 +42,9 @@ pub const DEFAULT_CRC_WINDOW: usize = 32;
 pub struct StreamExtractor {
     window: VecDeque<bool>,
     crc_window: usize,
+    /// Latest timestamp seen so far (monotone).
     prev_time: Option<f64>,
+    clock_regressions: u64,
 }
 
 impl StreamExtractor {
@@ -52,7 +59,14 @@ impl StreamExtractor {
             window: VecDeque::with_capacity(crc_window),
             crc_window,
             prev_time: None,
+            clock_regressions: 0,
         }
+    }
+
+    /// Packages pushed so far whose timestamp was earlier than the latest
+    /// one already seen.
+    pub fn clock_regressions(&self) -> u64 {
+        self.clock_regressions
     }
 
     /// Converts one wire package into a feature record, updating the
@@ -80,8 +94,12 @@ impl StreamExtractor {
         let crc_rate =
             self.window.iter().filter(|&&bad| bad).count() as f64 / self.window.len() as f64;
 
+        let prev = self.prev_time.unwrap_or(time);
+        if time < prev {
+            self.clock_regressions += 1;
+        }
         let mut record = Record::empty_at(time);
-        record.time_interval = self.prev_time.map_or(0.0, |p| (time - p).max(0.0));
+        record.time_interval = (time - prev).max(0.0);
         record.length = wire.len() as u16;
         record.crc_ok = crc_ok;
         record.crc_rate = crc_rate;
@@ -94,7 +112,7 @@ impl StreamExtractor {
             fill_payload_features(&mut record, &frame, is_command);
         }
 
-        self.prev_time = Some(time);
+        self.prev_time = Some(prev.max(time));
         record
     }
 
@@ -241,6 +259,20 @@ mod tests {
         for r in &records[1..] {
             assert!(r.time_interval > 0.0);
         }
+    }
+
+    #[test]
+    fn a_reordered_package_does_not_move_the_clock_back() {
+        let mut extractor = StreamExtractor::new(DEFAULT_CRC_WINDOW);
+        let wire = [0x04, 0x03, 0x00, 0x00];
+        let intervals: Vec<f64> = [10.0, 9.0, 10.1]
+            .iter()
+            .map(|&t| extractor.push(t, &wire, true, None).time_interval)
+            .collect();
+        assert_eq!(intervals[..2], [0.0, 0.0]);
+        // Measured from 10.0, the latest time seen — not from 9.0.
+        assert!((intervals[2] - 0.1).abs() < 1e-9, "got {}", intervals[2]);
+        assert_eq!(extractor.clock_regressions(), 1);
     }
 
     #[test]

@@ -72,6 +72,10 @@ pub struct ShardReport {
     /// [`Engine::retire_link`]/[`Engine::retire_stream`] plus
     /// [`EngineConfig::lane_idle_frames`] evictions).
     pub retired_lanes: u64,
+    /// Packages stamped earlier than one their stream had already
+    /// delivered (capture reordering). Each got `time_interval` 0 and left
+    /// its stream's clock where it was.
+    pub clock_regressions: u64,
     /// Classification flushes executed.
     pub flushes: u64,
     /// Alarms raised.
@@ -159,6 +163,12 @@ impl EngineReport {
     /// Streams still holding a lane at finish, across all shards.
     pub fn resident_lanes(&self) -> usize {
         self.shards.iter().map(|s| s.resident_lanes).sum()
+    }
+
+    /// Packages stamped earlier than their stream's latest, across all
+    /// shards ([`ShardReport::clock_regressions`]).
+    pub fn clock_regressions(&self) -> u64 {
+        self.shards.iter().map(|s| s.clock_regressions).sum()
     }
 
     /// Sum of the per-shard resident-lane high-water marks — an upper

@@ -138,6 +138,9 @@ pub(crate) struct ShardCore {
     /// meaningful when `config.lane_idle_frames` is set).
     next_sweep: u64,
     extractors: Vec<StreamExtractor>,
+    /// Clock regressions counted by extractors that have since been reset
+    /// (retired lanes, hot-swaps); the live extractors hold the rest.
+    clock_regressions: u64,
     queues: Vec<VecDeque<Record>>,
     /// Labels of packages pushed into the session whose decisions have not
     /// resolved yet, per lane, in push order.
@@ -195,6 +198,7 @@ impl ShardCore {
             peak_resident: 0,
             next_sweep,
             extractors: Vec::new(),
+            clock_regressions: 0,
             queues: Vec::new(),
             pending_labels: Vec::new(),
             queued: 0,
@@ -333,10 +337,17 @@ impl ShardCore {
             // and `sweep_idle_lanes` both check `lane_keys[lane]`).
             .expect("retired a lane with no stream key");
         self.lanes_by_stream.remove(&key);
-        self.extractors[lane] = StreamExtractor::new(self.config.crc_window);
+        self.reset_extractor(lane);
         self.free_lanes.push(lane);
         self.retired += 1;
         true
+    }
+
+    /// Puts a lane's extractor back to cold-start state, keeping its
+    /// clock-regression count for the report.
+    fn reset_extractor(&mut self, lane: usize) {
+        self.clock_regressions += self.extractors[lane].clock_regressions();
+        self.extractors[lane] = StreamExtractor::new(self.config.crc_window);
     }
 
     /// Explicit stream retirement (a device or TCP link left): retires the
@@ -482,8 +493,8 @@ impl ShardCore {
         // The extractors are part of per-stream state: resetting them makes
         // the post-swap stream identical to a cold start on the new
         // artifact (CRC window and inter-arrival features restart too).
-        for extractor in &mut self.extractors {
-            *extractor = StreamExtractor::new(self.config.crc_window);
+        for lane in 0..self.extractors.len() {
+            self.reset_extractor(lane);
         }
         self.reloads += 1;
         self.swap_rounds.push(self.flushes);
@@ -529,6 +540,12 @@ impl ShardCore {
             resident_lanes: self.lanes_by_stream.len(),
             peak_resident_lanes: self.peak_resident,
             retired_lanes: self.retired,
+            clock_regressions: self.clock_regressions
+                + self
+                    .extractors
+                    .iter()
+                    .map(StreamExtractor::clock_regressions)
+                    .sum::<u64>(),
             flushes: self.flushes,
             alarms: self.alarms,
             reloads: self.reloads,

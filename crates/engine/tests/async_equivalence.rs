@@ -20,7 +20,7 @@ use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::metrics::ClassificationReport;
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
+use icsad_dataset::extract::{extract_records, StreamExtractor, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode, TestSchedule};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
@@ -65,6 +65,17 @@ struct Fixture {
 struct Reference {
     total: ClassificationReport,
     alarms: u64,
+    clock_regressions: u64,
+}
+
+impl Reference {
+    /// This capture's reference followed by `next`'s on cold-started streams.
+    fn then(mut self, next: Reference) -> Reference {
+        self.total.merge(&next.total);
+        self.alarms += next.alarms;
+        self.clock_regressions += next.clock_regressions;
+        self
+    }
 }
 
 fn fixture() -> &'static Fixture {
@@ -110,9 +121,11 @@ fn per_record_reference(detector: &CombinedDetector, packets: &[Packet]) -> Refe
             .push(p.clone());
     }
     let mut total = ClassificationReport::default();
-    let mut alarms = 0u64;
+    let (mut alarms, mut clock_regressions) = (0u64, 0u64);
     for stream in by_unit.values() {
-        let records = extract_records(stream, DEFAULT_CRC_WINDOW);
+        let mut extractor = StreamExtractor::new(DEFAULT_CRC_WINDOW);
+        let records: Vec<_> = stream.iter().map(|p| extractor.push_packet(p)).collect();
+        clock_regressions += extractor.clock_regressions();
         let mut state = detector.begin();
         for r in &records {
             let anomalous = detector.classify(&mut state, r).is_anomalous();
@@ -122,7 +135,11 @@ fn per_record_reference(detector: &CombinedDetector, packets: &[Packet]) -> Refe
             total.record(r.label, anomalous);
         }
     }
-    Reference { total, alarms }
+    Reference {
+        total,
+        alarms,
+        clock_regressions,
+    }
 }
 
 /// The reference for "A up to `swap_at`, then B cold-started" — cached per
@@ -135,14 +152,8 @@ fn reference_at(fx: &Fixture, swap_at: usize) -> Reference {
             if swap_at >= fx.capture.len() {
                 per_record_reference(&fx.detector_a, &fx.capture)
             } else {
-                let pre = per_record_reference(&fx.detector_a, &fx.capture[..swap_at]);
-                let post = per_record_reference(&fx.detector_b, &fx.capture[swap_at..]);
-                let mut total = pre.total.clone();
-                total.merge(&post.total);
-                Reference {
-                    total,
-                    alarms: pre.alarms + post.alarms,
-                }
+                per_record_reference(&fx.detector_a, &fx.capture[..swap_at])
+                    .then(per_record_reference(&fx.detector_b, &fx.capture[swap_at..]))
             }
         })
         .clone()
@@ -166,6 +177,11 @@ fn check(report: &EngineReport, reference: &Reference, frames: usize, context: &
     assert_eq!(report.total, reference.total, "{context}: report diverged");
     assert_eq!(report.alarms(), reference.alarms, "{context}: alarms");
     assert_eq!(report.frames(), frames as u64, "{context}: frames dropped");
+    assert_eq!(
+        report.clock_regressions(),
+        reference.clock_regressions,
+        "{context}: clock regressions"
+    );
 }
 
 proptest! {
@@ -366,6 +382,54 @@ fn real_pool_split_rounds_are_decision_identical() {
             &format!("pool split+swap trial={trial}"),
         );
         assert_eq!(swapped.reloads, 1);
+    }
+}
+
+/// Capture reordering is counted per stream from the shard's FIFO order
+/// alone, so the count — like the decisions — is the same under every
+/// schedule, and a lane's share of it outlives the lane.
+#[test]
+fn clock_regressions_are_schedule_independent() {
+    let fx = fixture();
+    // Every ninth package arrives stamped two seconds early.
+    let mut reordered = fx.capture.clone();
+    reordered.iter_mut().step_by(9).for_each(|p| p.time -= 2.0);
+    // The PLCs leave and rejoin mid-run: half of the count comes from
+    // extractors that were reset when their lanes retired.
+    let (first, second) = reordered.split_at(reordered.len() / 2);
+    let before = per_record_reference(&fx.detector_a, first);
+    let rejoined = per_record_reference(&fx.detector_a, second);
+    assert!(before.clock_regressions > 0 && rejoined.clock_regressions > 0);
+    let reference = before.then(rejoined);
+
+    let replayed = |seed| TestSchedule {
+        seed,
+        workers: 3,
+        max_budget: 2,
+    };
+    let schedules = [
+        IngestMode::Async { workers: 1 },
+        IngestMode::Async { workers: 4 },
+        IngestMode::AsyncDeterministic(replayed(3)),
+        IngestMode::AsyncDeterministic(replayed(8)),
+    ];
+    for ingest in schedules {
+        for split_threshold in [usize::MAX, 1] {
+            let config = EngineConfig {
+                num_shards: 2,
+                batch_size: 8,
+                channel_capacity: 64,
+                ingest,
+                split_threshold,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::try_start(Arc::clone(&fx.detector_a), config).unwrap();
+            engine.ingest_packets(first);
+            engine.retire_link(0);
+            engine.ingest_packets(second);
+            let context = format!("{ingest:?} split {split_threshold}");
+            check(&engine.finish(), &reference, reordered.len(), &context);
+        }
     }
 }
 

@@ -296,4 +296,20 @@ fn scenario_event_streams_drive_the_engine_end_to_end() {
     // Every well-formed frame was classified; quarantined ones never
     // entered the shard counters.
     assert_eq!(atomic.frames(), events.len() as u64 - 1 - garbage);
+
+    // The same accounting with idle eviction sweeping lanes away in the
+    // middle of the flood and the storm.
+    let mut engine = Engine::try_start(
+        detector_a(),
+        EngineConfig {
+            lane_idle_frames: Some(32),
+            ..config(usize::MAX)
+        },
+    )
+    .unwrap();
+    engine.ingest_scenario(&events);
+    let evicting = engine.finish();
+    assert!(evicting.retired_lanes() > atomic.retired_lanes());
+    assert_eq!(evicting.quarantined, garbage);
+    assert_eq!(evicting.frames(), atomic.frames());
 }

@@ -284,7 +284,7 @@ impl LstmLayer {
     /// stack should pass `false` so dense activations take the
     /// register-blocked kernel). The dense products read the weights'
     /// panel-major copies ([`crate::tensor::Weights::panels`]), packed on
-    /// first use if [`LstmLayer::pack_panels`] has not run yet — nothing is
+    /// first use if `LstmLayer::pack_panels` has not run yet — nothing is
     /// packed per call. Gate preactivations accumulate bias, then
     /// `W x`, then `U h` in the same order as [`LstmLayer::forward`], so
     /// every lane's result compares equal to stepping it alone.

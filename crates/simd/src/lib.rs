@@ -74,7 +74,7 @@
 //! * cargo feature `force-scalar` — compile-time scalar default (the CI
 //!   fallback job), env overrides still apply.
 //! * [`force`] / [`reset`] — process-wide programmatic override, used by
-//!   the benches and the scalar-equivalence tests.
+//!   the scalar-equivalence tests.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -280,6 +280,11 @@ pub fn auto() -> Selection {
     if cfg!(feature = "force-scalar") {
         sel.backend = Backend::Scalar;
     }
+    // NONDET: an operator override of the kernel choice. `current`
+    // resolves it once per process, `Engine::try_start_backend` does so
+    // before any shard spawns, and the result is recorded in
+    // `EngineReport::kernel_backend` — so a run names the kernels that
+    // decided it, and backends agree bitwise within an FMA policy.
     if let Ok(v) = std::env::var("ICSAD_KERNEL_BACKEND") {
         match v.trim().to_ascii_lowercase().as_str() {
             "scalar" => sel.backend = Backend::Scalar,
@@ -298,6 +303,9 @@ pub fn auto() -> Selection {
             }
         }
     }
+    // NONDET: as above — resolved once, before shards spawn, and the
+    // `+fma` suffix of `EngineReport::kernel_backend` records the policy,
+    // the one kernel setting that changes decisions bitwise.
     if let Ok(v) = std::env::var("ICSAD_KERNEL_FMA") {
         match v.trim() {
             "0" => sel.fma = false,
@@ -336,7 +344,7 @@ pub fn current() -> Selection {
 
 /// Overrides the process-wide selection (clamped to hardware support) and
 /// returns what was actually installed. Process-global: intended for
-/// benches and equivalence tests, not for concurrent use while kernels run
+/// equivalence tests, not for concurrent use while kernels run
 /// — callers that flip backends mid-process get bitwise-identical numerics
 /// anyway as long as the FMA policy is unchanged.
 pub fn force(sel: Selection) -> Selection {
