@@ -64,6 +64,18 @@ fn all_baselines_train_and_produce_reports() {
             "{} has zero recall",
             det.name()
         );
+        // The three numeric baselines are exact f64 arithmetic over a
+        // seeded capture: their `(tp, fp, tn, fn)` must not move.
+        let pinned = match det.name() {
+            "SVDD" => Some((142, 5, 463, 190)),
+            "GMM" => Some((213, 7, 461, 119)),
+            "PCA-SVD" => Some((209, 0, 468, 123)),
+            _ => None,
+        };
+        if let Some(counts) = pinned {
+            let c = report.confusion;
+            assert_eq!((c.tp, c.fp, c.tn, c.fn_), counts, "{}", det.name());
+        }
     }
 }
 
