@@ -116,7 +116,6 @@ const NONDET_SCOPE: &[&str] = &[
     "core",
     "features",
     "nn",
-    "linalg",
     "baselines",
     "bloom",
     "simd",

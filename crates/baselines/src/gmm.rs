@@ -7,13 +7,13 @@
 //! under the mixture are flagged.
 
 use icsad_dataset::Record;
-use icsad_linalg::stats::Standardizer;
-use icsad_linalg::Matrix;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::detector::WindowDetector;
+use crate::linalg::stats::Standardizer;
+use crate::linalg::Matrix;
 use crate::window::{numeric_window_features, Windows};
 
 /// GMM hyperparameters.

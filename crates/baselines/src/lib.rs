@@ -53,6 +53,7 @@ mod bloom_window;
 mod detector;
 mod gmm;
 mod iforest;
+mod linalg;
 mod pca;
 pub mod stream;
 mod svdd;

@@ -5,8 +5,7 @@ use std::fmt;
 
 /// Errors produced by the decomposition and statistics routines.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum LinalgError {
+pub(crate) enum LinalgError {
     /// Operand dimensions are incompatible for the requested operation.
     DimensionMismatch {
         /// Human-readable description of the operation that failed.
@@ -20,12 +19,6 @@ pub enum LinalgError {
     NotSquare {
         /// Dimensions of the offending matrix.
         dims: (usize, usize),
-    },
-    /// A Cholesky factorization failed because the matrix is not positive
-    /// definite (a non-positive pivot was encountered).
-    NotPositiveDefinite {
-        /// Index of the failing pivot.
-        pivot: usize,
     },
     /// An iterative algorithm failed to converge within its iteration budget.
     NoConvergence {
@@ -52,9 +45,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { dims } => {
                 write!(f, "matrix must be square, got {}x{}", dims.0, dims.1)
             }
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite at pivot {pivot}")
-            }
             LinalgError::NoConvergence {
                 algorithm,
                 iterations,
@@ -76,20 +66,17 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let e = LinalgError::DimensionMismatch {
-            op: "matmul",
+            op: "from_vec",
             left: (2, 3),
             right: (4, 5),
         };
         let msg = e.to_string();
-        assert!(msg.contains("matmul"));
+        assert!(msg.contains("from_vec"));
         assert!(msg.contains("2x3"));
         assert!(msg.contains("4x5"));
 
         let e = LinalgError::NotSquare { dims: (2, 3) };
         assert!(e.to_string().contains("2x3"));
-
-        let e = LinalgError::NotPositiveDefinite { pivot: 1 };
-        assert!(e.to_string().contains("pivot 1"));
 
         let e = LinalgError::NoConvergence {
             algorithm: "jacobi",
@@ -97,8 +84,8 @@ mod tests {
         };
         assert!(e.to_string().contains("jacobi"));
 
-        let e = LinalgError::EmptyInput { op: "mean" };
-        assert!(e.to_string().contains("mean"));
+        let e = LinalgError::EmptyInput { op: "column_means" };
+        assert!(e.to_string().contains("column_means"));
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! still contains unlabelled anomalies.
 
 use icsad_dataset::Record;
-use icsad_linalg::decomp::symmetric_eigen;
-use icsad_linalg::stats::{covariance_matrix, Standardizer};
-use icsad_linalg::Matrix;
 
 use crate::detector::WindowDetector;
+use crate::linalg::decomp::symmetric_eigen;
+use crate::linalg::stats::{covariance_matrix, Standardizer};
+use crate::linalg::Matrix;
 use crate::window::{numeric_window_features, Windows};
 
 /// A fitted PCA reconstruction-error detector.

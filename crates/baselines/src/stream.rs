@@ -51,46 +51,26 @@ pub fn windowed_decisions<D: WindowDetector + ?Sized>(
 
 /// Engine adapter: any trained [`WindowDetector`] as a streaming backend.
 ///
-/// Wraps the detector with the §VIII-C window width (default
-/// [`PAPER_WINDOW`]) so the engine can host it per shard exactly like the
-/// combined framework — the apples-to-apples streaming comparison of
-/// Table IV. Decisions per stream are identical to the whole-capture
-/// [`windowed_decisions`] reference; hot-reload is refused
-/// ([`SwapError::UnsupportedBackend`]) since there is no `ICSA` artifact a
-/// window baseline could load.
+/// Wraps the detector with the §VIII-C window width ([`PAPER_WINDOW`]) so
+/// the engine can host it per shard exactly like the combined framework —
+/// the apples-to-apples streaming comparison of Table IV. Decisions per
+/// stream are identical to the whole-capture [`windowed_decisions`]
+/// reference; hot-reload is refused ([`SwapError::UnsupportedBackend`])
+/// since there is no `ICSA` artifact a window baseline could load.
 #[derive(Debug, Clone)]
 pub struct WindowedBackend<D> {
     detector: D,
-    width: usize,
 }
 
 impl<D: WindowDetector + Send + Sync + 'static> WindowedBackend<D> {
-    /// Wraps `detector` with the paper's window width ([`PAPER_WINDOW`]).
+    /// Wraps `detector`; every lane is windowed at [`PAPER_WINDOW`].
     pub fn new(detector: D) -> Self {
-        WindowedBackend {
-            detector,
-            width: PAPER_WINDOW,
-        }
-    }
-
-    /// Wraps `detector` with an explicit window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn with_width(detector: D, width: usize) -> Self {
-        assert!(width > 0, "window width must be positive");
-        WindowedBackend { detector, width }
+        WindowedBackend { detector }
     }
 
     /// The wrapped window detector.
     pub fn detector(&self) -> &D {
         &self.detector
-    }
-
-    /// The window width applied per lane.
-    pub fn width(&self) -> usize {
-        self.width
     }
 }
 
@@ -115,7 +95,7 @@ struct WindowedSession<D> {
 
 impl<D: WindowDetector + Send + Sync + 'static> StreamingSession for WindowedSession<D> {
     fn add_lane(&mut self) -> usize {
-        self.buffers.push(Vec::with_capacity(self.backend.width));
+        self.buffers.push(Vec::with_capacity(PAPER_WINDOW));
         self.buffers.len() - 1
     }
 
@@ -125,16 +105,18 @@ impl<D: WindowDetector + Send + Sync + 'static> StreamingSession for WindowedSes
 
     fn classify_batch(&mut self, lanes: &[usize], records: &[Record], out: &mut Vec<LaneDecision>) {
         assert_eq!(records.len(), lanes.len(), "records/lanes mismatch");
-        let width = self.backend.width;
         for (&lane, record) in lanes.iter().zip(records.iter()) {
             let buffer = &mut self.buffers[lane];
             buffer.push(record.clone());
-            if buffer.len() == width {
+            if buffer.len() == PAPER_WINDOW {
                 // Window complete: one score decides all of its packages
                 // (the offline protocol attributes the window's decision to
                 // each package, including the earlier ones).
                 let anomalous = self.backend.detector.is_anomalous(buffer);
-                out.extend(std::iter::repeat_n(LaneDecision { lane, anomalous }, width));
+                out.extend(std::iter::repeat_n(
+                    LaneDecision { lane, anomalous },
+                    PAPER_WINDOW,
+                ));
                 buffer.clear();
             }
         }

@@ -6,8 +6,7 @@
 //! clusters (hence k-means) while set point and pressure do not (hence even
 //! intervals); the printed summaries verify the same shape.
 
-use icsad_bench::{banner, sparkline, BenchScale};
-use icsad_linalg::Histogram;
+use icsad_bench::{banner, sparkline, BenchScale, Histogram};
 
 fn print_feature(name: &str, values: &[f64], bins: usize) {
     let hist = Histogram::from_values(values, bins).expect("non-empty feature values");

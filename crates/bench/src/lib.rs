@@ -20,6 +20,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod histogram;
+
+pub use histogram::Histogram;
+
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::{NoiseConfig, TimeSeriesTrainingConfig};
 use icsad_core::CombinedDetector;

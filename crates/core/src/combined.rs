@@ -2,7 +2,6 @@
 
 use icsad_dataset::Record;
 use icsad_features::DiscreteVector;
-use icsad_simulator::AttackType;
 
 use crate::metrics::ClassificationReport;
 use crate::package::PackageLevelDetector;
@@ -372,15 +371,6 @@ impl CombinedDetector {
         }
         report
     }
-
-    /// Convenience per-attack summary from an evaluation.
-    pub fn per_attack_table(&self, records: &[Record]) -> Vec<(AttackType, Option<f64>)> {
-        let report = self.evaluate(records);
-        AttackType::ALL
-            .iter()
-            .map(|&ty| (ty, report.per_attack.ratio(ty)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -457,8 +447,9 @@ mod tests {
     #[test]
     fn evaluation_is_plausible() {
         // At this capture size signature coverage is far from converged
-        // (see EXPERIMENTS.md for paper-scale numbers); assert the sane
-        // lower bounds measured for this configuration.
+        // (`icsad-bench`'s `table4_comparison` bin prints paper-scale
+        // numbers); assert the sane lower bounds measured for this
+        // configuration.
         let (det, split) = build(14_000, 4, 8);
         let report = det.evaluate(split.test());
         assert!(report.recall() > 0.4, "recall {}", report.recall());

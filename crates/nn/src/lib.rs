@@ -6,8 +6,9 @@
 //! ("softmax") loss, which Lapin et al. show to be top-k calibrated — the
 //! property the detector's top-k decision rule relies on.
 //!
-//! The Rust ML ecosystem is too immature to lean on (see DESIGN.md), so this
-//! crate implements the whole stack:
+//! The workspace builds offline with no external numerics crate
+//! (ARCHITECTURE.md, "Offline vendoring"), so this crate implements the
+//! whole stack:
 //!
 //! * [`tensor`] — a minimal `f32` matrix plus the vector/matrix kernels an
 //!   LSTM needs,

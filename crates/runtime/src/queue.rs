@@ -228,12 +228,6 @@ impl<T> IngestQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`IngestQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        self.state.lock().unwrap().closed
-    }
-
     /// Queued items right now.
     pub fn len(&self) -> usize {
         // PANIC: the state mutex is never poisoned (see `try_push`).

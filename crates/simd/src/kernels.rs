@@ -1,7 +1,7 @@
-//! Generic kernel bodies and the per-backend `#[target_feature]` entry
+//! Generic kernels and the per-backend `#[target_feature]` entry
 //! points.
 //!
-//! Every body is written once, generically over [`Lanes`], and vectorizes
+//! Every kernel is written once, generically over [`Lanes`], and vectorizes
 //! **only along the independent output dimension** (`j`, the output column
 //! — or the element index for the pointwise kernels). The contraction
 //! dimension `k` is always walked sequentially in ascending order, and the
@@ -13,7 +13,7 @@
 //! the dense gemm has no remainder path at all — it reads zero-padded
 //! weight panels ([`PANEL`]) and runs full vector chains everywhere.
 
-use crate::lanes::{Element, F32Lanes, Lanes};
+use crate::lanes::Lanes;
 use crate::math;
 
 /// Lanes of the batch dimension processed per register tile in the dense
@@ -35,13 +35,13 @@ const K_BLOCK: usize = 64;
 /// within each block, so every output element still sees one ascending-`k`
 /// chain — bitwise identical to the unblocked loop.
 #[inline(always)]
-pub(crate) fn gemm_sparse_body<L: Lanes>(
+pub(crate) fn gemm_sparse_f32<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
-    w: &[L::Elem],
+    w: &[f32],
     n: usize,
-    y: &mut [L::Elem],
+    y: &mut [f32],
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(w.len(), k_dim * n);
@@ -53,12 +53,12 @@ pub(crate) fn gemm_sparse_body<L: Lanes>(
             let x_row = &x[b * k_dim..(b + 1) * k_dim];
             let y_row = &mut y[b * n..(b + 1) * n];
             for (ko, &xi) in x_row[kb..kend].iter().enumerate() {
-                if xi == L::Elem::ZERO {
+                if xi == 0.0 {
                     continue;
                 }
                 let k = kb + ko;
                 let w_row = &w[k * n..(k + 1) * n];
-                if xi == L::Elem::ONE {
+                if xi == 1.0 {
                     // 1.0 * w rounds to w exactly: the plain add equals the
                     // fmac under either policy.
                     let mut j = 0;
@@ -69,7 +69,12 @@ pub(crate) fn gemm_sparse_body<L: Lanes>(
                         j += L::WIDTH;
                     }
                     while j < n {
-                        y_row[j] = y_row[j].add(w_row[j]);
+                        // Read `y` before `w`, like the vector loop: `+=`
+                        // bounds-checks in the other order, which grew this
+                        // kernel's code and read ≈ 4 % lower on
+                        // `storm-churn` `pkg_s`.
+                        let yj = y_row[j];
+                        y_row[j] = yj + w_row[j];
                         j += 1;
                     }
                 } else {
@@ -110,10 +115,9 @@ pub(crate) fn gemm_sparse_body<L: Lanes>(
 /// 32 columns is two AVX-512 `f32` vectors — one 4-row × 2-vector register
 /// tile — and a whole number of narrower tiles everywhere else (two 2×8
 /// tiles on AVX2, four 2×4 on SSE2, the 32-wide element-array tile on
-/// scalar; the `f64` lanes halve those widths). Fixing the width for
-/// every backend makes the layout independent of the dispatched
-/// [`crate::Selection`]: panels packed once stay valid under any later
-/// [`crate::force`].
+/// scalar). Fixing the width for every backend makes the layout
+/// independent of the dispatched [`crate::Selection`]: panels packed once
+/// stay valid under any later [`crate::force`].
 pub(crate) const PANEL: usize = 32;
 
 /// Element count of the panel-major copy of a `k_dim × n` matrix.
@@ -127,29 +131,29 @@ fn panels_len(k_dim: usize, n: usize) -> usize {
 /// row-major operand ([`row_major_tile`]), a strided read when the operand
 /// is the transpose of the stored matrix ([`transposed_tile`]).
 #[inline(always)]
-fn fill_panel<E: Element>(
-    panel: &mut [E],
+fn fill_panel(
+    panel: &mut [f32],
     j0: usize,
     valid: usize,
-    w_tile: &impl Fn(usize, usize, &mut [E]),
+    w_tile: &impl Fn(usize, usize, &mut [f32]),
 ) {
     for (k, row) in panel.chunks_exact_mut(PANEL).enumerate() {
         let (cols, pad) = row.split_at_mut(valid);
         w_tile(k, j0, cols);
-        pad.fill(E::ZERO);
+        pad.fill(0.0);
     }
 }
 
 /// The `w_tile` of a row-major `k_dim × n` weight matrix.
 #[inline(always)]
-fn row_major_tile<E: Element>(w: &[E], n: usize) -> impl Fn(usize, usize, &mut [E]) + '_ {
+fn row_major_tile(w: &[f32], n: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
     move |k, j0, dst| dst.copy_from_slice(&w[k * n + j0..k * n + j0 + dst.len()])
 }
 
 /// The `w_tile` of `Aᵀ` for a row-major `n × k_dim` matrix `a`: operand
 /// element `[k][j]` is `a[j][k]`, read with a stride of one row of `a`.
 #[inline(always)]
-fn transposed_tile<E: Element>(a: &[E], k_dim: usize) -> impl Fn(usize, usize, &mut [E]) + '_ {
+fn transposed_tile(a: &[f32], k_dim: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
     move |k, j0, dst| {
         for (jj, d) in dst.iter_mut().enumerate() {
             *d = a[(j0 + jj) * k_dim + k];
@@ -189,13 +193,13 @@ pub(crate) fn pack_panels_transposed_f32(rows: usize, w: &[f32], cols: usize) ->
 /// were packed once, so a call streams them straight from the panels and
 /// copies nothing.
 #[inline(always)]
-pub(crate) fn gemm_panels_body<L: Lanes>(
+pub(crate) fn gemm_panels_f32<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
     n: usize,
-    y: &mut [L::Elem],
-    panels: &[L::Elem],
+    y: &mut [f32],
+    panels: &[f32],
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(y.len(), batch * n);
@@ -209,32 +213,34 @@ pub(crate) fn gemm_panels_body<L: Lanes>(
     }
 }
 
-/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for an operand that
-/// is new on every call (the gate gradients of the dense weight-gradient
-/// product, the `f64` baselines). Each panel
-/// is packed into the thread's reusable `pack` buffer — streaming the
-/// weights once per call — and handed to the same [`panel_tile`] the
-/// pre-packed entry runs, so the two entries cannot drift apart.
+/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for a row-major
+/// operand that is new on every call (the gate gradients of the dense
+/// weight-gradient product). Each panel is packed into the thread's
+/// reusable `pack` buffer — streaming the weights once per call — and
+/// handed to the same [`panel_tile`] the pre-packed entry runs, so the two
+/// entries cannot drift apart.
 #[inline(always)]
-pub(crate) fn gemm_dense_body<L: Lanes>(
+pub(crate) fn gemm_dense_f32<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
+    w: &[f32],
     n: usize,
-    y: &mut [L::Elem],
-    pack: &mut Vec<L::Elem>,
-    w_tile: &impl Fn(usize, usize, &mut [L::Elem]),
+    y: &mut [f32],
+    pack: &mut Vec<f32>,
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
+    debug_assert_eq!(w.len(), k_dim * n);
     debug_assert_eq!(y.len(), batch * n);
+    let w_tile = row_major_tile(w, n);
     if pack.len() < k_dim * PANEL {
-        pack.resize(k_dim * PANEL, L::Elem::ZERO);
+        pack.resize(k_dim * PANEL, 0.0);
     }
     let panel = &mut pack[..k_dim * PANEL];
     let mut j0 = 0;
     while j0 < n {
         let valid = PANEL.min(n - j0);
-        fill_panel(panel, j0, valid, w_tile);
+        fill_panel(panel, j0, valid, &w_tile);
         panel_tile::<L>(batch, x, k_dim, n, y, j0, valid, panel);
         j0 += PANEL;
     }
@@ -244,11 +250,11 @@ pub(crate) fn gemm_dense_body<L: Lanes>(
 /// ragged sub-tile (`cols < 2·WIDTH`) is staged through a zero-padded
 /// stack buffer, so the padding lanes start at zero and never read `y`.
 #[inline(always)]
-fn load_pair<L: Lanes>(yr: &[L::Elem], cols: usize) -> [L; 2] {
+fn load_pair<L: Lanes>(yr: &[f32], cols: usize) -> [L; 2] {
     if cols == 2 * L::WIDTH {
         [L::load(yr), L::load(&yr[L::WIDTH..])]
     } else {
-        let mut buf = [L::Elem::ZERO; PANEL];
+        let mut buf = [0.0; PANEL];
         buf[..cols].copy_from_slice(&yr[..cols]);
         [L::load(&buf), L::load(&buf[L::WIDTH..])]
     }
@@ -257,12 +263,12 @@ fn load_pair<L: Lanes>(yr: &[L::Elem], cols: usize) -> [L; 2] {
 /// Stores an accumulator pair back to `yr`, only its `cols` valid columns:
 /// the padding lanes of a ragged sub-tile die in the stack buffer.
 #[inline(always)]
-fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [L::Elem], cols: usize) {
+fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [f32], cols: usize) {
     if cols == 2 * L::WIDTH {
         acc[0].store(yr);
         acc[1].store(&mut yr[L::WIDTH..]);
     } else {
-        let mut buf = [L::Elem::ZERO; PANEL];
+        let mut buf = [0.0; PANEL];
         acc[0].store(&mut buf);
         acc[1].store(&mut buf[L::WIDTH..]);
         yr[..cols].copy_from_slice(&buf[..cols]);
@@ -289,13 +295,13 @@ fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [L::Elem], cols: usize) {
 #[allow(clippy::too_many_arguments)]
 fn panel_tile<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
     n: usize,
-    y: &mut [L::Elem],
+    y: &mut [f32],
     j0: usize,
     valid: usize,
-    panel: &[L::Elem],
+    panel: &[f32],
 ) {
     debug_assert_eq!(panel.len(), k_dim * PANEL);
     debug_assert!(0 < valid && valid <= PANEL && j0 + valid <= n);
@@ -315,7 +321,7 @@ fn panel_tile<L: Lanes>(
             let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
             let (x0, x1) = x01.split_at(k_dim);
             let (x2, x3) = x23.split_at(k_dim);
-            let mut acc = [[L::splat(L::Elem::ZERO); 2]; LANE_TILE];
+            let mut acc = [[L::splat(0.0); 2]; LANE_TILE];
             for (bi, row) in acc.iter_mut().enumerate() {
                 *row = load_pair::<L>(&y[(b0 + bi) * n + j0 + s..], cols);
             }
@@ -368,13 +374,13 @@ fn panel_tile<L: Lanes>(
 #[allow(clippy::too_many_arguments)]
 fn panel_tile_scalar<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
     n: usize,
-    y: &mut [L::Elem],
+    y: &mut [f32],
     j0: usize,
     valid: usize,
-    panel: &[L::Elem],
+    panel: &[f32],
 ) {
     const LT: usize = LANE_TILE;
     let mut b0 = 0;
@@ -383,7 +389,7 @@ fn panel_tile_scalar<L: Lanes>(
         let (x0, x1) = x01.split_at(k_dim);
         let (x2, x3) = x23.split_at(k_dim);
         // Padding columns start at zero and are never stored.
-        let mut acc = [[L::Elem::ZERO; PANEL]; LT];
+        let mut acc = [[0.0; PANEL]; LT];
         for (bi, row) in acc.iter_mut().enumerate() {
             let at = (b0 + bi) * n + j0;
             row[..valid].copy_from_slice(&y[at..at + valid]);
@@ -391,7 +397,7 @@ fn panel_tile_scalar<L: Lanes>(
         let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
         for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
             // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
-            let ws: &[L::Elem; PANEL] = wr.try_into().expect("weight panel row");
+            let ws: &[f32; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc[0].iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, a0, wj);
             }
@@ -414,11 +420,11 @@ fn panel_tile_scalar<L: Lanes>(
     for b in b0..batch {
         let x_row = &x[b * k_dim..(b + 1) * k_dim];
         let at = b * n + j0;
-        let mut acc = [L::Elem::ZERO; PANEL];
+        let mut acc = [0.0; PANEL];
         acc[..valid].copy_from_slice(&y[at..at + valid]);
         for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
             // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
-            let ws: &[L::Elem; PANEL] = wr.try_into().expect("weight panel row");
+            let ws: &[f32; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc.iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, xv, wj);
             }
@@ -430,26 +436,26 @@ fn panel_tile_scalar<L: Lanes>(
 /// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` — the batched outer-product gradient
 /// accumulation `dW += Xᵀ·dY` (with `batch == 1` it is the rank-1
 /// `outer_acc` the scalar backward used per timestep). Implemented by
-/// packing the transpose of `x` and running [`gemm_sparse_body`] over it:
+/// packing the transpose of `x` and running [`gemm_sparse_f32`] over it:
 /// per output element the `b` contributions accumulate in ascending order,
 /// zero entries of `x` are skipped and exact ones take the plain-add path,
 /// so SIMD ≡ scalar stays bitwise per FMA policy under exactly the sparse
 /// gemm's contract — and one-hot training inputs stay nearly free.
 #[inline(always)]
-pub(crate) fn outer_acc_body<L: Lanes>(
+pub(crate) fn outer_acc_f32<L: Lanes>(
     batch: usize,
-    x: &[L::Elem],
+    x: &[f32],
     k_dim: usize,
-    dy: &[L::Elem],
+    dy: &[f32],
     n: usize,
-    dw: &mut [L::Elem],
-    pack: &mut Vec<L::Elem>,
+    dw: &mut [f32],
+    pack: &mut Vec<f32>,
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(dy.len(), batch * n);
     debug_assert_eq!(dw.len(), k_dim * n);
     if pack.len() < k_dim * batch {
-        pack.resize(k_dim * batch, L::Elem::ZERO);
+        pack.resize(k_dim * batch, 0.0);
     }
     let xt = &mut pack[..k_dim * batch];
     for (b, x_row) in x.chunks_exact(k_dim).enumerate() {
@@ -457,12 +463,12 @@ pub(crate) fn outer_acc_body<L: Lanes>(
             xt[i * batch + b] = xi;
         }
     }
-    gemm_sparse_body::<L>(k_dim, xt, batch, dy, n, dw)
+    gemm_sparse_f32::<L>(k_dim, xt, batch, dy, n, dw)
 }
 
 /// `y += a * x` under the lane type's FMA policy.
 #[inline(always)]
-pub(crate) fn axpy_body<L: Lanes>(a: L::Elem, x: &[L::Elem], y: &mut [L::Elem]) {
+pub(crate) fn axpy_f32<L: Lanes>(a: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     let av = L::splat(a);
     let n = y.len();
@@ -482,7 +488,7 @@ pub(crate) fn axpy_body<L: Lanes>(a: L::Elem, x: &[L::Elem], y: &mut [L::Elem]) 
 /// In-place lanewise sigmoid (remainder elements run the scalar
 /// instantiation of the same math, which is bitwise identical).
 #[inline(always)]
-pub(crate) fn sigmoid_body<L: F32Lanes>(xs: &mut [f32]) {
+pub(crate) fn sigmoid_f32<L: Lanes>(xs: &mut [f32]) {
     let n = xs.len();
     let mut j = 0;
     while j + L::WIDTH <= n {
@@ -496,7 +502,7 @@ pub(crate) fn sigmoid_body<L: F32Lanes>(xs: &mut [f32]) {
 
 /// In-place lanewise tanh.
 #[inline(always)]
-pub(crate) fn tanh_body<L: F32Lanes>(xs: &mut [f32]) {
+pub(crate) fn tanh_f32<L: Lanes>(xs: &mut [f32]) {
     let n = xs.len();
     let mut j = 0;
     while j + L::WIDTH <= n {
@@ -513,7 +519,7 @@ pub(crate) fn tanh_body<L: F32Lanes>(xs: &mut [f32]) {
 /// historical scalar cell loop). Optionally writes `tanh(c)` to `tc` (the
 /// training path caches it for backprop).
 #[inline(always)]
-pub(crate) fn lstm_cell_body<L: F32Lanes>(
+pub(crate) fn lstm_cell_f32<L: Lanes>(
     i_g: &[f32],
     f_g: &[f32],
     o_g: &[f32],
@@ -554,115 +560,8 @@ pub(crate) fn lstm_cell_body<L: F32Lanes>(
     }
 }
 
-// Named generic wrappers with the uniform signatures the dispatcher and
-// the `#[target_feature]` entry points share.
-
-#[inline(always)]
-pub(crate) fn gemm_sparse_f32<L: Lanes<Elem = f32>>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-) {
-    gemm_sparse_body::<L>(batch, x, k_dim, w, n, y)
-}
-
-#[inline(always)]
-pub(crate) fn gemm_dense_f32<L: Lanes<Elem = f32>>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-    pack: &mut Vec<f32>,
-) {
-    gemm_dense_body::<L>(batch, x, k_dim, n, y, pack, &row_major_tile(w, n))
-}
-
-#[inline(always)]
-pub(crate) fn gemm_panels_f32<L: Lanes<Elem = f32>>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    n: usize,
-    y: &mut [f32],
-    panels: &[f32],
-) {
-    gemm_panels_body::<L>(batch, x, k_dim, n, y, panels)
-}
-
-#[inline(always)]
-pub(crate) fn outer_acc_f32<L: Lanes<Elem = f32>>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    dy: &[f32],
-    n: usize,
-    dw: &mut [f32],
-    pack: &mut Vec<f32>,
-) {
-    outer_acc_body::<L>(batch, x, k_dim, dy, n, dw, pack)
-}
-
-#[inline(always)]
-pub(crate) fn axpy_f32<L: Lanes<Elem = f32>>(a: f32, x: &[f32], y: &mut [f32]) {
-    axpy_body::<L>(a, x, y)
-}
-
-#[inline(always)]
-pub(crate) fn sigmoid_f32<L: F32Lanes>(xs: &mut [f32]) {
-    sigmoid_body::<L>(xs)
-}
-
-#[inline(always)]
-pub(crate) fn tanh_f32<L: F32Lanes>(xs: &mut [f32]) {
-    tanh_body::<L>(xs)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lstm_cell_f32<L: F32Lanes>(
-    i_g: &[f32],
-    f_g: &[f32],
-    o_g: &[f32],
-    g_g: &[f32],
-    c: &mut [f32],
-    h: &mut [f32],
-    tc: Option<&mut [f32]>,
-) {
-    lstm_cell_body::<L>(i_g, f_g, o_g, g_g, c, h, tc)
-}
-
-#[inline(always)]
-pub(crate) fn gemm_sparse_f64<L: Lanes<Elem = f64>>(
-    batch: usize,
-    x: &[f64],
-    k_dim: usize,
-    w: &[f64],
-    n: usize,
-    y: &mut [f64],
-) {
-    gemm_sparse_body::<L>(batch, x, k_dim, w, n, y)
-}
-
-#[inline(always)]
-pub(crate) fn batch_matvec_f64<L: Lanes<Elem = f64>>(
-    batch: usize,
-    xs: &[f64],
-    k_dim: usize,
-    a: &[f64],
-    rows: usize,
-    y: &mut [f64],
-    pack: &mut Vec<f64>,
-) {
-    gemm_dense_body::<L>(batch, xs, k_dim, rows, y, pack, &transposed_tile(a, k_dim))
-}
-
 /// The x86 entry points: one module per backend, each compiled with that
-/// backend's target features so the intrinsics (and the generic bodies,
+/// backend's target features so the intrinsics (and the generic kernels,
 /// which are `#[inline(always)]`) codegen with the right instruction set
 /// even in portable builds.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -676,7 +575,7 @@ pub(crate) mod x86_entries {
     use crate::x86::*;
 
     macro_rules! backend_entries {
-        ($mod_name:ident, $feat:literal, $f32ty:ty, $f64ty:ty) => {
+        ($mod_name:ident, $feat:literal, $f32ty:ty) => {
             pub(crate) mod $mod_name {
                 use super::*;
 
@@ -766,44 +665,12 @@ pub(crate) mod x86_entries {
                 ) {
                     super::super::lstm_cell_f32::<$f32ty>(i_g, f_g, o_g, g_g, c, h, tc)
                 }
-
-                // The f64 kernels carry no FMA policy, so the dispatcher
-                // routes them through one module per lane width; the
-                // duplicate `sse2_fma` instantiations go unused.
-                // SAFETY: module contract — `$feat` confirmed before dispatch.
-                #[allow(dead_code)]
-                #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn gemm_sparse_f64(
-                    batch: usize,
-                    x: &[f64],
-                    k_dim: usize,
-                    w: &[f64],
-                    n: usize,
-                    y: &mut [f64],
-                ) {
-                    super::super::gemm_sparse_f64::<$f64ty>(batch, x, k_dim, w, n, y)
-                }
-
-                // SAFETY: module contract — `$feat` confirmed before dispatch.
-                #[allow(dead_code)]
-                #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn batch_matvec_f64(
-                    batch: usize,
-                    xs: &[f64],
-                    k_dim: usize,
-                    a: &[f64],
-                    rows: usize,
-                    y: &mut [f64],
-                    pack: &mut Vec<f64>,
-                ) {
-                    super::super::batch_matvec_f64::<$f64ty>(batch, xs, k_dim, a, rows, y, pack)
-                }
             }
         };
     }
 
-    backend_entries!(sse2_plain, "sse2", Sse2F32<false>, Sse2F64);
-    backend_entries!(sse2_fma, "sse2,fma", Sse2F32<true>, Sse2F64);
-    backend_entries!(avx2, "avx2,fma", Avx2F32, Avx2F64);
-    backend_entries!(avx512, "avx512f,fma", Avx512F32, Avx512F64);
+    backend_entries!(sse2_plain, "sse2", Sse2F32<false>);
+    backend_entries!(sse2_fma, "sse2,fma", Sse2F32<true>);
+    backend_entries!(avx2, "avx2,fma", Avx2F32);
+    backend_entries!(avx512, "avx512f,fma", Avx512F32);
 }

@@ -1,7 +1,7 @@
 //! The portable lane abstraction the kernels are generic over.
 //!
-//! A [`Lanes`] type is a fixed-width vector of [`Element`]s (`f32` or
-//! `f64`) with exactly the operations the kernel bodies need. Every backend
+//! A [`Lanes`] type is a fixed-width vector of `f32` with exactly the
+//! operations the kernels and the activation math need. Every backend
 //! — including the scalar fallback, which is simply `WIDTH = 1` — runs the
 //! *same* generic kernel code, so two backends can only differ in how many
 //! elements they process per instruction, never in which floating-point
@@ -11,97 +11,41 @@
 //!
 //! The FMA policy (whether `fmac` contracts `acc + x*w` into a fused
 //! multiply-add) is part of the lane *type*, not of the surrounding code:
-//! `ScalarLane<f32, true>` and the AVX2 lanes both round `fmac` once,
-//! `ScalarLane<f32, false>` and the plain SSE2 lanes round twice. A fused
+//! `ScalarLane<true>` and the AVX2 lanes both round `fmac` once,
+//! `ScalarLane<false>` and the plain SSE2 lanes round twice. A fused
 //! scalar `fmac` uses [`f32::mul_add`], which is correctly rounded whether
 //! it lowers to a hardware FMA or to the libm soft implementation — so a
 //! binary compiled *without* `target-feature=+fma` still reproduces the FMA
 //! backends' results exactly.
 
-/// A scalar element (`f32` or `f64`) with the constants and fallback
-/// arithmetic the generic kernels need for remainder lanes.
-pub trait Element: Copy + PartialEq + std::fmt::Debug + 'static {
-    /// Additive identity.
-    const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
-    /// `acc + x * w` with two roundings (no contraction).
-    fn fmac_plain(acc: Self, x: Self, w: Self) -> Self;
-    /// `x.mul_add(w, acc)`: one rounding, hardware FMA or libm — the result
-    /// is the correctly rounded fused product either way.
-    fn fmac_fused(acc: Self, x: Self, w: Self) -> Self;
-    /// Plain addition.
-    fn add(self, o: Self) -> Self;
-    /// Plain multiplication.
-    fn mul(self, o: Self) -> Self;
-}
-
-impl Element for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    #[inline(always)]
-    fn fmac_plain(acc: Self, x: Self, w: Self) -> Self {
-        acc + x * w
-    }
-    #[inline(always)]
-    fn fmac_fused(acc: Self, x: Self, w: Self) -> Self {
-        x.mul_add(w, acc)
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        self + o
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        self * o
-    }
-}
-
-impl Element for f64 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    #[inline(always)]
-    fn fmac_plain(acc: Self, x: Self, w: Self) -> Self {
-        acc + x * w
-    }
-    #[inline(always)]
-    fn fmac_fused(acc: Self, x: Self, w: Self) -> Self {
-        x.mul_add(w, acc)
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        self + o
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        self * o
-    }
-}
-
-/// A fixed-width vector of elements: the interface the gemm/axpy kernel
-/// bodies are generic over.
+/// A fixed-width vector of `f32`: the interface every kernel and the
+/// activation math are generic over.
+///
+/// NaN caveats (the math code only relies on these exact semantics):
+/// [`Lanes::max`]/[`Lanes::min`] return `o` when `self` is NaN and
+/// must only be called with a non-NaN `o` (the x86 `maxps`/`minps`
+/// source-operand rule, matched by the scalar implementation);
+/// [`Lanes::select_lt`] treats a NaN comparison as *false*.
 pub trait Lanes: Copy {
-    /// Element type.
-    type Elem: Element;
     /// Lanes per vector (1 for the scalar fallback).
     const WIDTH: usize;
     /// Whether `fmac` rounds once (fused) or twice (mul then add).
     const FUSED: bool;
 
     /// Broadcasts one element to every lane.
-    fn splat(v: Self::Elem) -> Self;
+    fn splat(v: f32) -> Self;
     /// Loads `WIDTH` elements from the front of `src`.
     ///
     /// # Panics
     ///
     /// Panics if `src.len() < WIDTH`.
-    fn load(src: &[Self::Elem]) -> Self;
+    fn load(src: &[f32]) -> Self;
     /// Stores the lanes to the front of `dst`.
     ///
     /// # Panics
     ///
     /// Panics if `dst.len() < WIDTH`.
-    fn store(self, dst: &mut [Self::Elem]);
+    fn store(self, dst: &mut [f32]);
     /// Lanewise addition.
     fn add(self, o: Self) -> Self;
     /// Lanewise multiplication.
@@ -109,26 +53,18 @@ pub trait Lanes: Copy {
     /// Lanewise `self + x * w` under this type's FMA policy.
     fn fmac(self, x: Self, w: Self) -> Self;
 
-    /// The element-level `fmac` under the same policy, for remainder lanes.
+    /// The element-level `fmac` under the same policy, for remainder lanes:
+    /// `acc + x * w` with two roundings, or `x.mul_add(w, acc)` with one —
+    /// hardware FMA or libm, the correctly rounded fused product either way.
     #[inline(always)]
-    fn fmac_e(acc: Self::Elem, x: Self::Elem, w: Self::Elem) -> Self::Elem {
+    fn fmac_e(acc: f32, x: f32, w: f32) -> f32 {
         if Self::FUSED {
-            Self::Elem::fmac_fused(acc, x, w)
+            x.mul_add(w, acc)
         } else {
-            Self::Elem::fmac_plain(acc, x, w)
+            acc + x * w
         }
     }
-}
 
-/// Extra `f32` lane operations the activation math needs (the gate
-/// nonlinearities are only evaluated in `f32`).
-///
-/// NaN caveats (the math code only relies on these exact semantics):
-/// [`F32Lanes::max`]/[`F32Lanes::min`] return `o` when `self` is NaN and
-/// must only be called with a non-NaN `o` (the x86 `maxps`/`minps`
-/// source-operand rule, matched by the scalar implementation);
-/// [`F32Lanes::select_lt`] treats a NaN comparison as *false*.
-pub trait F32Lanes: Lanes<Elem = f32> {
     /// Lanewise subtraction.
     fn sub(self, o: Self) -> Self;
     /// Lanewise division.
@@ -154,40 +90,36 @@ pub trait F32Lanes: Lanes<Elem = f32> {
 
 /// The scalar fallback: one element per "vector", FMA policy in the type.
 #[derive(Clone, Copy, Debug)]
-pub struct ScalarLane<E, const FUSED: bool>(pub(crate) E);
+pub struct ScalarLane<const FUSED: bool>(pub(crate) f32);
 
-impl<E: Element, const FUSED: bool> Lanes for ScalarLane<E, FUSED> {
-    type Elem = E;
+impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
     const WIDTH: usize = 1;
     const FUSED: bool = FUSED;
 
     #[inline(always)]
-    fn splat(v: E) -> Self {
+    fn splat(v: f32) -> Self {
         ScalarLane(v)
     }
     #[inline(always)]
-    fn load(src: &[E]) -> Self {
+    fn load(src: &[f32]) -> Self {
         ScalarLane(src[0])
     }
     #[inline(always)]
-    fn store(self, dst: &mut [E]) {
+    fn store(self, dst: &mut [f32]) {
         dst[0] = self.0;
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
-        ScalarLane(self.0.add(o.0))
+        ScalarLane(self.0 + o.0)
     }
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
-        ScalarLane(self.0.mul(o.0))
+        ScalarLane(self.0 * o.0)
     }
     #[inline(always)]
     fn fmac(self, x: Self, w: Self) -> Self {
         ScalarLane(Self::fmac_e(self.0, x.0, w.0))
     }
-}
-
-impl<const FUSED: bool> F32Lanes for ScalarLane<f32, FUSED> {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         ScalarLane(self.0 - o.0)

@@ -1,18 +1,17 @@
 //! Runtime-dispatched SIMD kernel layer for the icsad numeric stack.
 //!
-//! The LSTM forward hot path (`icsad-nn`) and the `f64` substrate of the
-//! statistical baselines (`icsad-linalg`) used to rely on the compiler
-//! auto-vectorizing scalar loops — fast when built with
+//! The LSTM hot paths (`icsad-nn` inference and training) used to rely on
+//! the compiler auto-vectorizing scalar loops — fast when built with
 //! `target-cpu=native`, dead slow on a portable build. This crate makes the
-//! lanes explicit: a portable lane abstraction ([`lanes::Lanes`] /
-//! [`lanes::F32Lanes`]) with four backends —
+//! lanes explicit: a portable `f32` lane abstraction ([`lanes::Lanes`])
+//! with four backends —
 //!
-//! | backend | `f32` lanes | `f64` lanes | requirements |
-//! |---|---|---|---|
-//! | scalar | 1 | 1 | none |
-//! | SSE2 | 4 | 2 | `x86`/`x86_64` (baseline on 64-bit) |
-//! | AVX2 | 8 | 4 | `avx2` **and** `fma` |
-//! | AVX-512 | 16 | 8 | `avx512f` **and** `fma` |
+//! | backend | lanes | requirements |
+//! |---|---|---|
+//! | scalar | 1 | none |
+//! | SSE2 | 4 | `x86`/`x86_64` (baseline on 64-bit) |
+//! | AVX2 | 8 | `avx2` **and** `fma` |
+//! | AVX-512 | 16 | `avx512f` **and** `fma` |
 //!
 //! — selected **once per process** by runtime CPU-feature detection (no
 //! compile-time `target-feature` flags needed) and queried per kernel call
@@ -42,13 +41,12 @@
 //! which change at most once per optimizer step and are read many times
 //! in between: inference, the training forward pass, and the backward
 //! data gradient `dX += dY·Wᵀ` over panels of the transposed matrix
-//! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] (and
-//! [`batch_matvec_acc_f64`], which rides the same body) packs one
+//! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] packs one
 //! thread-local panel at a time on every call — for an operand that really
 //! is new every call: the gate gradients `dZ` of the dense weight-gradient
-//! product `dW += Xᵀ·dZ`, and the baselines' matrices. Same tile, same
-//! ascending-`k` chain per output element: the two entries are bitwise
-//! equal to each other and to the scalar backend.
+//! product `dW += Xᵀ·dZ`. Same tile, same ascending-`k` chain per output
+//! element: the two entries are bitwise equal to each other and to the
+//! scalar backend.
 //!
 //! # FMA policy
 //!
@@ -60,9 +58,7 @@
 //! detected `fma` CPU flag. A fused *scalar* `fmac` uses [`f32::mul_add`],
 //! which rounds identically to the hardware instruction whether or not the
 //! binary was compiled with `+fma` — so forcing the scalar backend on an
-//! FMA machine reproduces the SIMD results bit-for-bit. The `f64` kernels
-//! keep `icsad-linalg`'s historical non-contracted policy on every backend,
-//! so the baselines' numbers are unchanged.
+//! FMA machine reproduces the SIMD results bit-for-bit.
 //!
 //! # Overrides
 //!
@@ -362,18 +358,16 @@ pub fn reset() {
 }
 
 thread_local! {
-    /// One-panel pack buffer for the per-call-pack dense f32 gemm
+    /// One-panel pack buffer for the per-call-pack dense gemm
     /// (steady-state allocation-free).
     static PACK_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// One-panel (transposed) pack buffer for the f64 batched matvec.
-    static PACK_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 // Dispatch plumbing: on non-x86 every selection resolves to the scalar
-// bodies; on x86 the vector selections route to the `#[target_feature]`
+// lanes; on x86 the vector selections route to the `#[target_feature]`
 // entry points, which is sound because `clamp` only admits backends the
 // CPU supports.
-// SAFETY (all `unsafe` blocks in the two macros below): the only safety
+// SAFETY (all `unsafe` blocks in the macro below): the only safety
 // requirement of the `kernels::x86_entries::*` functions is that the CPU
 // supports the backend's target features, which `clamp` guarantees for
 // every selection the dispatcher can see.
@@ -382,8 +376,8 @@ mod dispatch {
         ($sel:expr, $entry:ident ( $($args:expr),* )) => {{
             let sel = $sel;
             match (sel.backend, sel.fma) {
-                (Backend::Scalar, false) => kernels::$entry::<ScalarLane<f32, false>>($($args),*),
-                (Backend::Scalar, true) => kernels::$entry::<ScalarLane<f32, true>>($($args),*),
+                (Backend::Scalar, false) => kernels::$entry::<ScalarLane<false>>($($args),*),
+                (Backend::Scalar, true) => kernels::$entry::<ScalarLane<true>>($($args),*),
                 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
                 // SAFETY: each arm below calls a `#[target_feature]` entry
                 // whose feature `clamp`/`auto` confirmed on this CPU before
@@ -407,43 +401,17 @@ mod dispatch {
                     kernels::x86_entries::avx512::$entry($($args),*)
                 },
                 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-                (_, false) => kernels::$entry::<ScalarLane<f32, false>>($($args),*),
+                (_, false) => kernels::$entry::<ScalarLane<false>>($($args),*),
                 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-                (_, true) => kernels::$entry::<ScalarLane<f32, true>>($($args),*),
-            }
-        }};
-    }
-
-    macro_rules! dispatch_f64 {
-        ($sel:expr, $entry:ident ( $($args:expr),* )) => {{
-            match $sel.backend {
-                Backend::Scalar => kernels::$entry::<ScalarLane<f64, false>>($($args),*),
-                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                // SAFETY: hardware-confirmed backends, as `dispatch_f32`.
-                Backend::Sse2 => unsafe {
-                    kernels::x86_entries::sse2_plain::$entry($($args),*)
-                },
-                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                // SAFETY: as above.
-                Backend::Avx2 => unsafe {
-                    kernels::x86_entries::avx2::$entry($($args),*)
-                },
-                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                // SAFETY: as above.
-                Backend::Avx512 => unsafe {
-                    kernels::x86_entries::avx512::$entry($($args),*)
-                },
-                #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-                _ => kernels::$entry::<ScalarLane<f64, false>>($($args),*),
+                (_, true) => kernels::$entry::<ScalarLane<true>>($($args),*),
             }
         }};
     }
 
     pub(crate) use dispatch_f32;
-    pub(crate) use dispatch_f64;
 }
 
-use dispatch::{dispatch_f32, dispatch_f64};
+use dispatch::dispatch_f32;
 
 /// `y[b] += x[b]ᵀ·W` for `batch` row-major lanes over a `k_dim × n`
 /// row-major weight matrix, skipping zero entries of `x` (one-hot inputs
@@ -787,96 +755,6 @@ pub fn lstm_cell_f32_with(
         assert_eq!(tc.len(), hd, "lstm_cell: tc width mismatch");
     }
     dispatch_f32!(sel, lstm_cell_f32(i_g, f_g, o_g, g_g, c, h, tc))
-}
-
-/// `out[i] += Σ_k a[i][k]·b[k][j]` for a row-major `m × k_dim` matrix `a`
-/// and `k_dim × n` matrix `b`, skipping zero entries of `a`. Plain
-/// (non-contracted) `f64` arithmetic on every backend — results are
-/// bitwise identical to the historical `icsad-linalg` scalar kernel.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch.
-pub fn matmul_acc_f64(m: usize, a: &[f64], k_dim: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    matmul_acc_f64_with(current(), m, a, k_dim, b, n, out)
-}
-
-/// [`matmul_acc_f64`] with an explicit backend selection.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
-pub fn matmul_acc_f64_with(
-    sel: Selection,
-    m: usize,
-    a: &[f64],
-    k_dim: usize,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(a.len(), m * k_dim, "matmul: lhs block mismatch");
-    assert_eq!(b.len(), k_dim * n, "matmul: rhs block mismatch");
-    assert_eq!(out.len(), m * n, "matmul: output block mismatch");
-    dispatch_f64!(sel, gemm_sparse_f64(m, a, k_dim, b, n, out))
-}
-
-/// Batched matrix–vector products: `out[b][r] += Σ_k a[r][k]·xs[b][k]`
-/// for a row-major `rows × k_dim` matrix `a` applied to `batch` row-major
-/// input vectors. Ascending-`k` accumulation per output element (the same
-/// order as a per-row dot product), plain `f64` arithmetic.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch.
-pub fn batch_matvec_acc_f64(
-    batch: usize,
-    xs: &[f64],
-    k_dim: usize,
-    a: &[f64],
-    rows: usize,
-    out: &mut [f64],
-) {
-    batch_matvec_acc_f64_with(current(), batch, xs, k_dim, a, rows, out)
-}
-
-/// [`batch_matvec_acc_f64`] with an explicit backend selection.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
-pub fn batch_matvec_acc_f64_with(
-    sel: Selection,
-    batch: usize,
-    xs: &[f64],
-    k_dim: usize,
-    a: &[f64],
-    rows: usize,
-    out: &mut [f64],
-) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(
-        xs.len(),
-        batch * k_dim,
-        "batch_matvec: input block mismatch"
-    );
-    assert_eq!(a.len(), rows * k_dim, "batch_matvec: matrix block mismatch");
-    assert_eq!(
-        out.len(),
-        batch * rows,
-        "batch_matvec: output block mismatch"
-    );
-    PACK_F64.with(|cell| {
-        let pack = &mut cell.borrow_mut();
-        dispatch_f64!(sel, batch_matvec_f64(batch, xs, k_dim, a, rows, out, pack))
-    })
 }
 
 /// Every selection supported on this CPU, scalar first — the axis the

@@ -3,7 +3,7 @@
 //!
 //! libm's `expf`/`tanhf` cannot be vectorized bit-compatibly, so the gate
 //! nonlinearities are implemented here once, generically over
-//! [`F32Lanes`]: the scalar instantiation (`ScalarLane<f32, _>`) and every
+//! [`Lanes`]: the scalar instantiation (`ScalarLane<_>`) and every
 //! vector instantiation execute the *same sequence of IEEE-754 operations*
 //! per element, which makes SIMD ≡ scalar a bitwise identity — the same
 //! contract the gemm kernels keep. None of the math below uses `fmac`, so
@@ -37,7 +37,7 @@
 //! `inf - inf` in the gate pre-activation — stays visible instead of
 //! being silently clamped into a confident finite activation.
 
-use crate::lanes::{F32Lanes, Lanes, ScalarLane};
+use crate::lanes::{Lanes, ScalarLane};
 
 /// Below this, `exp` flushes to exactly `0.0` (the result would be below
 /// the smallest normal `f32`).
@@ -59,7 +59,7 @@ const TANH_TINY: f32 = 1.0 / 4096.0; // 2^-12
 
 /// `e^r` for `|r| ≤ ln2/2`, degree-6 Taylor (truncation < 2 ulp there).
 #[inline(always)]
-fn exp_poly<L: F32Lanes>(r: L) -> L {
+fn exp_poly<L: Lanes>(r: L) -> L {
     // q = 1/2 + r/6 + r²/24 + r³/120 + r⁴/720
     let mut q = L::splat(1.0 / 720.0);
     q = q.mul(r).add(L::splat(1.0 / 120.0));
@@ -72,7 +72,7 @@ fn exp_poly<L: F32Lanes>(r: L) -> L {
 
 /// Lanewise `exp` over the clamped domain described in the module docs.
 #[inline(always)]
-pub(crate) fn exp_lanes<L: F32Lanes>(x: L) -> L {
+pub(crate) fn exp_lanes<L: Lanes>(x: L) -> L {
     // The maxps clamp would sanitize NaN inputs to the low bound; the
     // final merge_nan puts the NaN (payload intact) back, and sigmoid/tanh
     // inherit the propagation through their arithmetic and ordered
@@ -90,7 +90,7 @@ pub(crate) fn exp_lanes<L: F32Lanes>(x: L) -> L {
 
 /// Lanewise logistic sigmoid, numerically stable at both tails.
 #[inline(always)]
-pub(crate) fn sigmoid_lanes<L: F32Lanes>(x: L) -> L {
+pub(crate) fn sigmoid_lanes<L: Lanes>(x: L) -> L {
     let one = L::splat(1.0);
     let e = exp_lanes::<L>(L::splat(0.0).sub(x.abs()));
     let d = e.add(one);
@@ -100,7 +100,7 @@ pub(crate) fn sigmoid_lanes<L: F32Lanes>(x: L) -> L {
 /// `expm1(y)` for `0 ≤ y < 1` as a direct degree-10 Taylor polynomial —
 /// no range reduction, so no cancellation as `y → 0`.
 #[inline(always)]
-fn expm1_poly<L: F32Lanes>(y: L) -> L {
+fn expm1_poly<L: Lanes>(y: L) -> L {
     // g = Σ_{k=2..10} y^{k-2}/k!
     let mut g = L::splat(1.0 / 3_628_800.0);
     g = g.mul(y).add(L::splat(1.0 / 362_880.0));
@@ -117,7 +117,7 @@ fn expm1_poly<L: F32Lanes>(y: L) -> L {
 
 /// Lanewise hyperbolic tangent.
 #[inline(always)]
-pub(crate) fn tanh_lanes<L: F32Lanes>(x: L) -> L {
+pub(crate) fn tanh_lanes<L: Lanes>(x: L) -> L {
     let one = L::splat(1.0);
     let two = L::splat(2.0);
     let a = x.abs();
@@ -136,19 +136,19 @@ pub(crate) fn tanh_lanes<L: F32Lanes>(x: L) -> L {
 /// (identical operation sequence, so results match any backend bitwise).
 #[inline]
 pub fn exp(x: f32) -> f32 {
-    exp_lanes::<ScalarLane<f32, false>>(ScalarLane::splat(x)).0
+    exp_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0
 }
 
 /// Scalar logistic sigmoid, bitwise identical to the vectorized kernels.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
-    sigmoid_lanes::<ScalarLane<f32, false>>(ScalarLane::splat(x)).0
+    sigmoid_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0
 }
 
 /// Scalar hyperbolic tangent, bitwise identical to the vectorized kernels.
 #[inline]
 pub fn tanh(x: f32) -> f32 {
-    tanh_lanes::<ScalarLane<f32, false>>(ScalarLane::splat(x)).0
+    tanh_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0
 }
 
 #[cfg(test)]
@@ -258,11 +258,11 @@ mod tests {
     fn fma_policy_does_not_affect_math() {
         // The math uses no fmac: both scalar policies are the same function.
         for x in sweep() {
-            let plain = tanh_lanes::<ScalarLane<f32, false>>(ScalarLane::splat(x)).0;
-            let fused = tanh_lanes::<ScalarLane<f32, true>>(ScalarLane::splat(x)).0;
+            let plain = tanh_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0;
+            let fused = tanh_lanes::<ScalarLane<true>>(ScalarLane::splat(x)).0;
             assert_eq!(plain.to_bits(), fused.to_bits());
-            let plain = sigmoid_lanes::<ScalarLane<f32, false>>(ScalarLane::splat(x)).0;
-            let fused = sigmoid_lanes::<ScalarLane<f32, true>>(ScalarLane::splat(x)).0;
+            let plain = sigmoid_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0;
+            let fused = sigmoid_lanes::<ScalarLane<true>>(ScalarLane::splat(x)).0;
             assert_eq!(plain.to_bits(), fused.to_bits());
         }
     }

@@ -9,7 +9,7 @@
 //! every intrinsic call is upheld by construction.
 //!
 //! The lane semantics the generic math relies on (see
-//! [`crate::lanes::F32Lanes`]):
+//! [`crate::lanes::Lanes`]):
 //!
 //! * `max`/`min` follow the `maxps`/`minps` source-operand rule — a NaN in
 //!   `self` yields `o` — which the scalar lanes mirror exactly,
@@ -22,7 +22,7 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use crate::lanes::{F32Lanes, Lanes};
+use crate::lanes::Lanes;
 
 /// 4 × `f32` SSE2 lanes; the FMA policy is a type parameter (`FUSED = true`
 /// uses `vfmadd` on 128-bit registers and is only dispatched on FMA
@@ -31,7 +31,6 @@ use crate::lanes::{F32Lanes, Lanes};
 pub struct Sse2F32<const FUSED: bool>(__m128);
 
 impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
-    type Elem = f32;
     const WIDTH: usize = 4;
     const FUSED: bool = FUSED;
 
@@ -72,9 +71,6 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
             Sse2F32(unsafe { _mm_add_ps(self.0, _mm_mul_ps(x.0, w.0)) })
         }
     }
-}
-
-impl<const FUSED: bool> F32Lanes for Sse2F32<FUSED> {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -144,7 +140,6 @@ impl<const FUSED: bool> F32Lanes for Sse2F32<FUSED> {
 pub struct Avx2F32(__m256);
 
 impl Lanes for Avx2F32 {
-    type Elem = f32;
     const WIDTH: usize = 8;
     const FUSED: bool = true;
 
@@ -180,9 +175,6 @@ impl Lanes for Avx2F32 {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         Avx2F32(unsafe { _mm256_fmadd_ps(x.0, w.0, self.0) })
     }
-}
-
-impl F32Lanes for Avx2F32 {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -253,7 +245,6 @@ impl F32Lanes for Avx2F32 {
 pub struct Avx512F32(__m512);
 
 impl Lanes for Avx512F32 {
-    type Elem = f32;
     const WIDTH: usize = 16;
     const FUSED: bool = true;
 
@@ -289,9 +280,6 @@ impl Lanes for Avx512F32 {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         Avx512F32(unsafe { _mm512_fmadd_ps(x.0, w.0, self.0) })
     }
-}
-
-impl F32Lanes for Avx512F32 {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -351,135 +339,5 @@ impl F32Lanes for Avx512F32 {
             let m = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(src.0, src.0);
             Avx512F32(_mm512_mask_blend_ps(m, self.0, src.0))
         }
-    }
-}
-
-/// 2 × `f64` SSE2 lanes (always plain mul+add: the `f64` kernels keep the
-/// historical non-contracted policy of `icsad-linalg`).
-#[derive(Clone, Copy, Debug)]
-pub struct Sse2F64(__m128d);
-
-impl Lanes for Sse2F64 {
-    type Elem = f64;
-    const WIDTH: usize = 2;
-    const FUSED: bool = false;
-
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Sse2F64(unsafe { _mm_set1_pd(v) })
-    }
-    #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        assert!(src.len() >= Self::WIDTH, "sse2 f64 load out of bounds");
-        // SAFETY: length checked above; unaligned load.
-        Sse2F64(unsafe { _mm_loadu_pd(src.as_ptr()) })
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        assert!(dst.len() >= Self::WIDTH, "sse2 f64 store out of bounds");
-        // SAFETY: length checked above; unaligned store.
-        unsafe { _mm_storeu_pd(dst.as_mut_ptr(), self.0) }
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Sse2F64(unsafe { _mm_add_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Sse2F64(unsafe { _mm_mul_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn fmac(self, x: Self, w: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Sse2F64(unsafe { _mm_add_pd(self.0, _mm_mul_pd(x.0, w.0)) })
-    }
-}
-
-/// 4 × `f64` AVX2 lanes (plain mul+add, see [`Sse2F64`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Avx2F64(__m256d);
-
-impl Lanes for Avx2F64 {
-    type Elem = f64;
-    const WIDTH: usize = 4;
-    const FUSED: bool = false;
-
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx2F64(unsafe { _mm256_set1_pd(v) })
-    }
-    #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        assert!(src.len() >= Self::WIDTH, "avx2 f64 load out of bounds");
-        // SAFETY: length checked above; unaligned load.
-        Avx2F64(unsafe { _mm256_loadu_pd(src.as_ptr()) })
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        assert!(dst.len() >= Self::WIDTH, "avx2 f64 store out of bounds");
-        // SAFETY: length checked above; unaligned store.
-        unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), self.0) }
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx2F64(unsafe { _mm256_add_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx2F64(unsafe { _mm256_mul_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn fmac(self, x: Self, w: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx2F64(unsafe { _mm256_add_pd(self.0, _mm256_mul_pd(x.0, w.0)) })
-    }
-}
-
-/// 8 × `f64` AVX-512 lanes (plain mul+add, see [`Sse2F64`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Avx512F64(__m512d);
-
-impl Lanes for Avx512F64 {
-    type Elem = f64;
-    const WIDTH: usize = 8;
-    const FUSED: bool = false;
-
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx512F64(unsafe { _mm512_set1_pd(v) })
-    }
-    #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        assert!(src.len() >= Self::WIDTH, "avx512 f64 load out of bounds");
-        // SAFETY: length checked above; unaligned load.
-        Avx512F64(unsafe { _mm512_loadu_pd(src.as_ptr()) })
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        assert!(dst.len() >= Self::WIDTH, "avx512 f64 store out of bounds");
-        // SAFETY: length checked above; unaligned store.
-        unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), self.0) }
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx512F64(unsafe { _mm512_add_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx512F64(unsafe { _mm512_mul_pd(self.0, o.0) })
-    }
-    #[inline(always)]
-    fn fmac(self, x: Self, w: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Avx512F64(unsafe { _mm512_add_pd(self.0, _mm512_mul_pd(x.0, w.0)) })
     }
 }

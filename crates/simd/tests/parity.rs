@@ -9,28 +9,15 @@
 //! decision bit.
 
 use icsad_simd::{
-    axpy_f32_with, batch_matvec_acc_f64_with, gemm_acc_f32_with, gemm_dense_acc_f32_with,
-    gemm_panels_acc_f32, gemm_panels_acc_f32_with, lstm_cell_f32_with, matmul_acc_f64_with,
-    outer_acc_f32_with, sigmoid_in_place_with, supported_selections, tanh_in_place_with, Backend,
-    PanelsF32, Selection,
+    axpy_f32_with, gemm_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
+    gemm_panels_acc_f32_with, lstm_cell_f32_with, outer_acc_f32_with, sigmoid_in_place_with,
+    supported_selections, tanh_in_place_with, Backend, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
 /// Interprets selector bytes as a value stream with exact zeros and ones
 /// mixed in (the sparse kernel branches on both).
 fn mix(selectors: &[u8], raw: &[f32]) -> Vec<f32> {
-    selectors
-        .iter()
-        .zip(raw.iter())
-        .map(|(&s, &r)| match s % 5 {
-            0 => 0.0,
-            1 => 1.0,
-            _ => r,
-        })
-        .collect()
-}
-
-fn mix_f64(selectors: &[u8], raw: &[f64]) -> Vec<f64> {
     selectors
         .iter()
         .zip(raw.iter())
@@ -61,16 +48,6 @@ fn pairs() -> Vec<(Selection, Selection)> {
 }
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{what}: element {i} diverges ({g} vs {w})"
-        );
-    }
-}
-
-fn assert_bits_eq_f64(got: &[f64], want: &[f64], what: &str) {
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         assert_eq!(
             g.to_bits(),
@@ -287,42 +264,6 @@ proptest! {
             lstm_cell_f32_with(sel, i_g, f_g, o_g, g_g, &mut c_no, &mut h_no, None);
             assert_bits_eq(&c_no, &c_got, "no-tc cell");
             assert_bits_eq(&h_no, &h_got, "no-tc hidden");
-        }
-    }
-
-    #[test]
-    fn matmul_f64_matches_scalar_bitwise(
-        m in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=27,
-        sa in proptest::collection::vec(0u8..=255, m * k_dim),
-        ra in proptest::collection::vec(-8f64..8.0, m * k_dim),
-        b in proptest::collection::vec(-8f64..8.0, k_dim * n),
-    ) {
-        let a = mix_f64(&sa, &ra);
-        for (sel, scalar) in pairs() {
-            let mut got = vec![0.0f64; m * n];
-            matmul_acc_f64_with(sel, m, &a, k_dim, &b, n, &mut got);
-            let mut want = vec![0.0f64; m * n];
-            matmul_acc_f64_with(scalar, m, &a, k_dim, &b, n, &mut want);
-            assert_bits_eq_f64(&got, &want, sel.label());
-        }
-    }
-
-    #[test]
-    fn batch_matvec_f64_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        rows in 1usize..=27,
-        a in proptest::collection::vec(-8f64..8.0, rows * k_dim),
-        xs in proptest::collection::vec(-8f64..8.0, batch * k_dim),
-    ) {
-        for (sel, scalar) in pairs() {
-            let mut got = vec![0.0f64; batch * rows];
-            batch_matvec_acc_f64_with(sel, batch, &xs, k_dim, &a, rows, &mut got);
-            let mut want = vec![0.0f64; batch * rows];
-            batch_matvec_acc_f64_with(scalar, batch, &xs, k_dim, &a, rows, &mut want);
-            assert_bits_eq_f64(&got, &want, sel.label());
         }
     }
 }

@@ -2,9 +2,8 @@
 //! combined framework against the six baseline detectors on the same
 //! capture.
 //!
-//! For the full-size reproduction (with the paper-vs-measured discussion)
-//! run the `table4_comparison` binary in `crates/bench` and see
-//! EXPERIMENTS.md.
+//! For the full-size reproduction run the `table4_comparison` binary in
+//! `crates/bench`.
 //!
 //! Run with:
 //!

@@ -49,8 +49,9 @@
 //! ```
 //!
 //! For the full two-level framework (Bloom filter + LSTM) use
-//! [`core::experiment::train_framework`]; see the `examples/` directory and
-//! EXPERIMENTS.md for paper-scale runs.
+//! [`core::experiment::train_framework`]; see the `examples/` directory, and
+//! `icsad-bench`'s `table4_comparison` / `fig6_topk_error` bins for
+//! paper-scale runs.
 
 #![forbid(unsafe_code)]
 
@@ -60,12 +61,12 @@ pub use icsad_core as core;
 pub use icsad_dataset as dataset;
 pub use icsad_engine as engine;
 pub use icsad_features as features;
-pub use icsad_linalg as linalg;
 pub use icsad_modbus as modbus;
 pub use icsad_nn as nn;
 pub use icsad_runtime as runtime;
 pub use icsad_simd as simd;
 pub use icsad_simulator as simulator;
+pub use icsad_wire as wire;
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
