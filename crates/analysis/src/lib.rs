@@ -73,7 +73,6 @@ pub fn file_ctx(rel: &str) -> FileCtx {
         .strip_prefix(&format!("{crate_dir}/"))
         .unwrap_or(rel.as_str());
     let is_test_path = tail.starts_with("tests/")
-        || tail.starts_with("benches/")
         || tail.starts_with("examples/")
         || tail.starts_with("src/bin/")
         || tail == "build.rs";
@@ -155,7 +154,7 @@ mod tests {
         assert_eq!(c.crate_dir, "crates/engine");
         assert!(c.is_test_path);
 
-        let c = file_ctx("crates/bench/benches/kernels.rs");
+        let c = file_ctx("crates/bench/src/bin/paper/main.rs");
         assert!(c.is_test_path);
 
         let c = file_ctx("src/lib.rs");

@@ -99,7 +99,7 @@ pub struct FileCtx {
     /// Directory identifying the owning crate (`crates/simd`, or `.` for
     /// the workspace-root package).
     pub crate_dir: String,
-    /// True for integration tests, benches, examples, and generators —
+    /// True for integration tests, examples, binaries and generators —
     /// paths whose code never runs in the monitor itself.
     pub is_test_path: bool,
 }

@@ -78,7 +78,7 @@ fn rules_relax_outside_their_scope() {
 
 #[test]
 fn test_paths_keep_the_universal_rules() {
-    // Integration tests and benches are exempt from panic/ordering/nondet,
+    // Integration tests and examples are exempt from panic/ordering/nondet,
     // but not from the unsafe rule.
     let text = include_str!("fixtures/violations.rs");
     let got: Vec<&str> = check_source("crates/engine/tests/fixture.rs", text)

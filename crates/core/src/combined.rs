@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn evaluation_is_plausible() {
         // At this capture size signature coverage is far from converged
-        // (`icsad-bench`'s `table4_comparison` bin prints paper-scale
+        // (`icsad-bench`'s `paper table4` report prints full-size
         // numbers); assert the sane lower bounds measured for this
         // configuration.
         let (det, split) = build(14_000, 4, 8);

@@ -177,8 +177,8 @@ mod tests {
         let split = split(8_000, 3);
         let trained = train_framework(&split, &ExperimentConfig::fast()).unwrap();
         let report = trained.evaluate(split.test());
-        // Small capture => weak absolute numbers; `icsad-bench`'s
-        // `table4_comparison` bin is the paper-scale reproduction.
+        // Small capture => weak absolute numbers; `icsad-bench`'s `paper`
+        // report (`table4` section) is the full-size reproduction.
         assert!(report.f1_score() > 0.2, "f1 {}", report.f1_score());
     }
 }

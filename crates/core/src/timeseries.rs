@@ -702,8 +702,8 @@ mod tests {
         // The validation top-k error is bounded below by the fraction of
         // validation packages whose signature is absent from the training
         // vocabulary (at this small capture size that floor is large; it
-        // shrinks with capture size — `icsad-bench`'s `fig6_topk_error` bin
-        // prints the curve at paper scale). The trained model must get
+        // shrinks with capture size — `icsad-bench`'s `paper fig6` report
+        // prints the curve at full size). The trained model must get
         // within a modest margin of the floor.
         let (disc, vocab, split) = setup(10_000, 6);
         let oov = split

@@ -178,11 +178,34 @@ fn parse_opt<T: std::str::FromStr>(
     }
 }
 
+/// A float column. `str::parse::<f64>` accepts `NaN`, `inf` and
+/// `-infinity`; no capture measures one, and a non-finite value has no
+/// place in k-means' ordering or a baseline's `score > threshold`, so it
+/// is rejected here the way the wire path quarantines a non-finite
+/// timestamp.
+fn parse_float(field: &str, line: usize, name: &str) -> Result<f64, ArffError> {
+    match parse_field::<f64>(field, line, name)? {
+        value if value.is_finite() => Ok(value),
+        _ => Err(ArffError::BadRow {
+            line,
+            reason: format!("{name} is not finite: {field:?}"),
+        }),
+    }
+}
+
+fn parse_opt_float(field: &str, line: usize, name: &str) -> Result<Option<f64>, ArffError> {
+    match field.trim() {
+        "?" => Ok(None),
+        _ => parse_float(field, line, name).map(Some),
+    }
+}
+
 /// Parses an ARFF string produced by [`write_arff`].
 ///
 /// # Errors
 ///
-/// Returns [`ArffError`] for malformed headers or rows.
+/// Returns [`ArffError`] for malformed headers or rows, including a float
+/// column that is not finite.
 pub fn parse_arff(input: &str) -> Result<Vec<Record>, ArffError> {
     let mut in_data = false;
     let mut attr_count = 0usize;
@@ -242,24 +265,24 @@ pub fn parse_arff(input: &str) -> Result<Vec<Record>, ArffError> {
         })?;
         records.push(Record {
             address: parse_field(fields[0], line_no, "address")?,
-            crc_rate: parse_field(fields[1], line_no, "crc_rate")?,
+            crc_rate: parse_float(fields[1], line_no, "crc_rate")?,
             crc_ok: crc_ok != 0,
             function: parse_field(fields[3], line_no, "function")?,
             length: parse_field(fields[4], line_no, "length")?,
-            setpoint: parse_opt(fields[5], line_no, "setpoint")?,
-            gain: parse_opt(fields[6], line_no, "gain")?,
-            reset_rate: parse_opt(fields[7], line_no, "reset_rate")?,
-            deadband: parse_opt(fields[8], line_no, "deadband")?,
-            cycle_time: parse_opt(fields[9], line_no, "cycle_time")?,
-            rate: parse_opt(fields[10], line_no, "rate")?,
+            setpoint: parse_opt_float(fields[5], line_no, "setpoint")?,
+            gain: parse_opt_float(fields[6], line_no, "gain")?,
+            reset_rate: parse_opt_float(fields[7], line_no, "reset_rate")?,
+            deadband: parse_opt_float(fields[8], line_no, "deadband")?,
+            cycle_time: parse_opt_float(fields[9], line_no, "cycle_time")?,
+            rate: parse_opt_float(fields[10], line_no, "rate")?,
             system_mode: parse_opt(fields[11], line_no, "system_mode")?,
             control_scheme: parse_opt(fields[12], line_no, "control_scheme")?,
             pump: parse_opt(fields[13], line_no, "pump")?,
             solenoid: parse_opt(fields[14], line_no, "solenoid")?,
-            pressure: parse_opt(fields[15], line_no, "pressure_measurement")?,
+            pressure: parse_opt_float(fields[15], line_no, "pressure_measurement")?,
             command_response: command_response != 0,
-            time: parse_field(fields[17], line_no, "time")?,
-            time_interval: parse_field(fields[18], line_no, "time_interval")?,
+            time: parse_float(fields[17], line_no, "time")?,
+            time_interval: parse_float(fields[18], line_no, "time_interval")?,
             label,
         });
     }
@@ -364,6 +387,35 @@ mod tests {
                 .unwrap_or_default()
         );
         assert!(parse_arff(&bad).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_floats_naming_line_and_field() {
+        let records = sample_records();
+        let text = to_arff_string(&records);
+        let (header, row) = text.split_at(text.find("@data\n").unwrap() + 6);
+        let row = row.lines().next().unwrap();
+        let data_line = header.lines().count() + 1;
+        let float_columns = [1, 5, 6, 7, 8, 9, 10, 15, 17, 18];
+        for column in float_columns {
+            for bad in ["NaN", "inf", "-inf", "-infinity"] {
+                let mut fields: Vec<&str> = row.split(',').collect();
+                fields[column] = bad;
+                let err = parse_arff(&format!("{header}{}\n", fields.join(","))).unwrap_err();
+                let ArffError::BadRow { line, reason } = &err else {
+                    panic!("{bad} in {}: {err}", ATTRIBUTES[column]);
+                };
+                assert_eq!(*line, data_line);
+                assert!(reason.contains(ATTRIBUTES[column]), "{reason}");
+            }
+        }
+        // `?` stays "absent" in the optional float columns.
+        let mut fields: Vec<&str> = row.split(',').collect();
+        for column in [5, 6, 7, 8, 9, 10, 15] {
+            fields[column] = "?";
+        }
+        let parsed = parse_arff(&format!("{header}{}\n", fields.join(","))).unwrap();
+        assert_eq!((parsed[0].setpoint, parsed[0].pressure), (None, None));
     }
 
     #[test]

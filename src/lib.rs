@@ -50,8 +50,8 @@
 //!
 //! For the full two-level framework (Bloom filter + LSTM) use
 //! [`core::experiment::train_framework`]; see the `examples/` directory, and
-//! `icsad-bench`'s `table4_comparison` / `fig6_topk_error` bins for
-//! paper-scale runs.
+//! `icsad-bench`'s `paper` report (`table4`, `fig6`, … sections) for the
+//! full evaluation.
 
 #![forbid(unsafe_code)]
 

@@ -103,8 +103,8 @@ fn signature_models_beat_numeric_models_on_signature_attacks() {
 fn signature_models_both_detect_substantially() {
     // Table IV reports identical P/R for BF and BN (both are signature-
     // frequency models). Exact equality only emerges once signature
-    // coverage converges (paper scale: `icsad-bench`'s `table4_comparison`
-    // bin); at this size we assert the shape: both recall a substantial
+    // coverage converges (full size: `icsad-bench`'s `paper table4`
+    // report); at this size we assert the shape: both recall a substantial
     // share of attacks, and the unthresholded BF (which flags *any* unseen
     // window) recalls at least as much as the 2%-FPR-calibrated BN.
     let Setup { split, disc } = setup(3, 20_000);
