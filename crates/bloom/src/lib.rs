@@ -28,6 +28,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Decision-path library code must replay exactly: a clock, environment or
+// default-hasher map read needs an `#[expect(<lint>, reason = "..")]` on its
+// statement (ARCHITECTURE.md, "Static analysis & verification").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 mod bitvec;
 mod filter;

@@ -225,7 +225,10 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, ArtifactError> {
     let mut payload_total = 0usize;
     for i in 0..count {
         let at = 8 + i * 12;
-        // PANIC: slice length is the literal 4 on both sides of try_into.
+        #[expect(
+            clippy::expect_used,
+            reason = "slice length is the literal 4 on both sides of try_into"
+        )]
         let tag: [u8; 4] = bytes[at..at + 4].try_into().expect("4-byte slice");
         if sections_meta.iter().any(|(t, _)| *t == tag) {
             // Two sections with one tag cannot both be honored; accepting
@@ -234,7 +237,10 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, ArtifactError> {
                 reason: format!("duplicate section {}", tag_name(tag)),
             });
         }
-        // PANIC: slice length is the literal 8 on both sides of try_into.
+        #[expect(
+            clippy::expect_used,
+            reason = "slice length is the literal 8 on both sides of try_into"
+        )]
         let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8-byte slice"));
         let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated)?;
         payload_total = payload_total
@@ -253,7 +259,10 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, ArtifactError> {
     }
 
     // Checksum covers everything before the trailing CRC word.
-    // PANIC: bytes.len() == expected was just checked, so the tail is 4 bytes.
+    #[expect(
+        clippy::expect_used,
+        reason = "bytes.len() == expected was just checked, so the tail is 4 bytes"
+    )]
     let stored = u32::from_le_bytes(bytes[expected - 4..].try_into().expect("4-byte slice"));
     if crc32(&bytes[..expected - 4]) != stored {
         return Err(ArtifactError::ChecksumMismatch);

@@ -55,6 +55,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Inline-path library code: a panic is an outage and a decision must replay
+// exactly, so each exception is an `#[expect(<lint>, reason = "..")]` on its
+// statement (ARCHITECTURE.md, "Static analysis & verification").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod artifact;
 pub mod combined;

@@ -42,9 +42,12 @@ impl ConfusionCounts {
             match (a.next(), p.next()) {
                 (Some(x), Some(y)) => counts.record(x, y),
                 (None, None) => break,
-                // PANIC: caller contract — the two label streams come from
-                // the same evaluation split, so unequal lengths are a bug in
-                // the harness, not a data condition to tolerate.
+                #[expect(
+                    clippy::panic,
+                    reason = "caller contract — the two label streams come from the same \
+                              evaluation split, so unequal lengths are a bug in the \
+                              harness, not a data condition to tolerate"
+                )]
                 _ => panic!("actual/predicted length mismatch"),
             }
         }

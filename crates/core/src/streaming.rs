@@ -332,7 +332,7 @@ pub trait StreamingSession: Send {
     /// session's [`StreamingSession::fork_round`]).
     fn join_round(&mut self, parts: Vec<RoundPartition>, out: &mut Vec<LaneDecision>) {
         let _ = (parts, out);
-        // PANIC: unreachable by contract — join_round is only ever called
+        // Unreachable by contract: join_round is only ever called
         // with partitions returned by fork_round, and the default
         // fork_round never returns any.
         unreachable!("join_round on a session that never forks");
@@ -511,7 +511,10 @@ impl StreamingSession for CombinedSession {
                     p.controllers
                         .push(std::mem::replace(&mut controllers[lane], placeholder));
                 }
-                // PANIC: records.len() == lanes.len() was asserted above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "records.len() == lanes.len() was asserted above"
+                )]
                 p.records.push(moved.next().expect("one record per lane"));
             }
             out.push(p);

@@ -176,15 +176,17 @@ impl TimeSeriesDetector {
             .map(|frag| {
                 let vectors: Vec<DiscreteVector> =
                     frag.iter().map(|r| discretizer.discretize(r)).collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the vocabulary was built from this very training set a few \
+                              lines up, so every record's signature has an id"
+                )]
                 let targets: Vec<usize> = frag
                     .iter()
                     .skip(1)
                     .map(|r| {
                         vocabulary
                             .id_of(&discretizer.signature(r))
-                            // PANIC: the vocabulary was built from this very
-                            // training set a few lines up, so every record's
-                            // signature has an id.
                             .expect("training records are in the vocabulary")
                     })
                     .collect();
@@ -495,7 +497,7 @@ impl TimeSeriesDetector {
     ///
     /// Panics if the slice lengths disagree or a lane index is out of
     /// bounds.
-    #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
+    #[allow(clippy::too_many_arguments, reason = "one slice per per-lane input")]
     pub fn process_batch(
         &self,
         states: &mut [TsState],

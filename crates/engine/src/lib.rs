@@ -65,6 +65,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Inline-path library code: a panic is an outage and a decision must replay
+// exactly, so each exception is an `#[expect(<lint>, reason = "..")]` on its
+// statement (ARCHITECTURE.md, "Static analysis & verification").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 mod config;
 mod driver;
@@ -322,18 +336,24 @@ impl Engine {
         // Everything ingested so far must reach the shards ahead of the
         // swap message, so the old detector classifies it.
         self.flush_ingest();
-        // PANIC: `driver` is `None` only after `finish()` consumed `self`,
-        // so it is always present on a live engine.
+        #[expect(
+            clippy::expect_used,
+            reason = "`driver` is `None` only after `finish()` consumed `self`, so it is \
+                      always present on a live engine"
+        )]
         let driver = self.driver.as_ref().expect("engine finished");
         for shard in 0..driver.num_shards() {
+            #[expect(
+                clippy::panic,
+                reason = "a shard dying mid-run means its thread panicked; detection \
+                          coverage is already lost, so fail loudly"
+            )]
             driver
                 .send(
                     shard,
                     ShardMsg::Swap(Arc::clone(&detector)),
                     &self.blocked_pushes,
                 )
-                // PANIC: a shard dying mid-run means its thread panicked;
-                // detection coverage is already lost, so fail loudly.
                 .unwrap_or_else(|_| panic!("shard worker terminated"));
         }
         self.reloads += 1;
@@ -366,17 +386,23 @@ impl Engine {
         // Frames already ingested must precede the retirement in every
         // shard FIFO.
         self.flush_ingest();
-        // PANIC: `driver` is present on every live engine; see `ingest`.
+        #[expect(
+            clippy::expect_used,
+            reason = "`driver` is present on every live engine; see `swap_artifact`"
+        )]
         let driver = self.driver.as_ref().expect("engine finished");
         for shard in 0..driver.num_shards() {
+            #[expect(
+                clippy::panic,
+                reason = "as in `swap_artifact` — a dead shard already lost detection \
+                          coverage; fail loudly"
+            )]
             driver
                 .send(
                     shard,
                     ShardMsg::Retire { link, unit: None },
                     &self.blocked_pushes,
                 )
-                // PANIC: as in `swap_artifact` — a dead shard already lost
-                // detection coverage; fail loudly.
                 .unwrap_or_else(|_| panic!("shard worker terminated"));
         }
     }
@@ -390,9 +416,14 @@ impl Engine {
     pub fn retire_stream(&mut self, link: u32, unit: u8) {
         self.flush_ingest();
         let shard = self.shard_of_stream(link, unit);
+        #[expect(
+            clippy::expect_used,
+            clippy::panic,
+            reason = "as in `swap_artifact`: `driver` is present on every live engine, and \
+                      a dead shard already lost detection coverage"
+        )]
         self.driver
             .as_ref()
-            // PANIC: `driver` is present on every live engine; see `ingest`.
             .expect("engine finished")
             .send(
                 shard,
@@ -402,7 +433,6 @@ impl Engine {
                 },
                 &self.blocked_pushes,
             )
-            // PANIC: as in `swap_artifact`.
             .unwrap_or_else(|_| panic!("shard worker terminated"));
     }
 
@@ -597,14 +627,17 @@ impl Engine {
             .take()
             .unwrap_or_else(|| Vec::with_capacity(INGEST_CHUNK));
         let chunk = std::mem::replace(&mut self.buffers[shard], fresh);
+        #[expect(
+            clippy::expect_used,
+            clippy::panic,
+            reason = "`driver` is present on every live engine (taken only by `finish`, \
+                      which consumes `self`); a dead shard worker already lost detection \
+                      coverage, as `ingest` documents"
+        )]
         self.driver
             .as_ref()
-            // PANIC: `driver` is present on every live engine (taken
-            // only by `finish`, which consumes `self`).
             .expect("engine finished")
             .send(shard, ShardMsg::Frames(chunk), &self.blocked_pushes)
-            // PANIC: documented in the method docs — a dead shard
-            // worker already lost detection coverage.
             .unwrap_or_else(|_| panic!("shard worker terminated"));
     }
 
@@ -621,10 +654,13 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if a shard worker has terminated.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of `flush_ingest`; `finish`/`Drop` use the \
+                  non-panicking inner flush instead"
+    )]
     pub fn flush_ingest(&mut self) {
         if self.flush_ingest_inner().is_err() {
-            // PANIC: documented contract of `flush_ingest`; `finish`/`Drop`
-            // use the non-panicking inner flush instead.
             panic!("shard worker terminated");
         }
     }
@@ -633,7 +669,10 @@ impl Engine {
     /// reported, not panicked over, so its original panic can surface from
     /// the join instead of being masked by a send failure.
     fn flush_ingest_inner(&mut self) -> Result<(), ShardGone> {
-        // PANIC: `driver` is present on every live engine; see `ingest`.
+        #[expect(
+            clippy::expect_used,
+            reason = "`driver` is present on every live engine; see `swap_artifact`"
+        )]
         let driver = self.driver.as_ref().expect("engine finished");
         let mut result = Ok(());
         for (shard, buffer) in self.buffers.iter_mut().enumerate() {
@@ -666,8 +705,11 @@ impl Engine {
         // A dead shard must not abort the flush: the join below surfaces
         // its original panic instead.
         let _ = self.flush_ingest_inner();
-        // PANIC: `finish` consumes `self`, so the driver can only have been
-        // taken by a previous `finish` — unreachable.
+        #[expect(
+            clippy::expect_used,
+            reason = "`finish` consumes `self`, so the driver can only have been taken by \
+                      a previous `finish` — unreachable"
+        )]
         let driver = self.driver.take().expect("finish called once");
         let mode = driver.mode;
         let ingest_threads = driver.executor.threads();

@@ -41,7 +41,7 @@
 //! `split_threshold` × worker-count × seeded schedules and asserts
 //! bit-identical reports.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -109,9 +109,12 @@ pub(crate) struct ShardCore {
     session: Box<dyn StreamingSession>,
     config: EngineConfig,
     /// Stream key (link, unit id) -> lane index.
-    // NONDET: keyed lookup only — lane order is assignment order (the Vecs
-    // below), never HashMap iteration order, so decisions stay replayable.
-    lanes_by_stream: HashMap<(u32, u8), usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only — lane order is assignment order (the Vecs below), \
+                  never HashMap iteration order, so decisions stay replayable"
+    )]
+    lanes_by_stream: std::collections::HashMap<(u32, u8), usize>,
     /// Reverse map: lane index -> its current stream key (`None` for a
     /// retired slot awaiting reuse). Retirement sweeps iterate this Vec in
     /// lane (assignment) order precisely so the HashMap above stays
@@ -188,8 +191,11 @@ impl ShardCore {
             rounds,
             recycle,
             processed,
-            // NONDET: see the field — lookup-only map, never iterated.
-            lanes_by_stream: HashMap::new(),
+            #[expect(
+                clippy::disallowed_types,
+                reason = "see the field — lookup-only map, never iterated"
+            )]
+            lanes_by_stream: std::collections::HashMap::new(),
             lane_keys: Vec::new(),
             free_lanes: Vec::new(),
             last_seen: Vec::new(),
@@ -218,12 +224,13 @@ impl ShardCore {
     }
 
     fn enqueue(&mut self, frame: RawFrame) {
-        // `Engine::ingest` quarantines everything shorter than a minimal
-        // frame, so routed frames always carry an address byte.
+        #[expect(
+            clippy::expect_used,
+            reason = "`Engine::ingest` quarantines everything shorter than a minimal frame, \
+                      so routed frames always carry an address byte"
+        )]
         let unit = frame
             .unit_id()
-            // PANIC: `Engine::ingest` quarantines short frames (the comment
-            // above), so the address byte is always present here.
             .expect("only well-formed frames reach a shard");
         let key = (frame.link, unit);
         let lane = match self.lanes_by_stream.get(&key) {
@@ -281,8 +288,11 @@ impl ShardCore {
     /// decisions are unchanged (each decision depends only on its own
     /// lane's record prefix, fully delivered before the eviction).
     fn sweep_idle_lanes(&mut self) {
-        // PANIC: `enqueue` only calls this when `frames >= next_sweep`,
-        // and `next_sweep` is `u64::MAX` unless the config set a bound.
+        #[expect(
+            clippy::expect_used,
+            reason = "`enqueue` only calls this when `frames >= next_sweep`, and \
+                      `next_sweep` is `u64::MAX` unless the config set a bound"
+        )]
         let idle = self
             .config
             .lane_idle_frames
@@ -308,9 +318,12 @@ impl ShardCore {
             self.pending_lanes.clear();
             self.pending_records.clear();
             self.decisions.clear();
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition guarantees a front record"
+            )]
             let record = self.queues[lane]
                 .pop_front()
-                // PANIC: the loop condition guarantees a front record.
                 .expect("drained lane queue emptied mid-loop");
             self.pending_labels[lane].push_back(record.label);
             self.pending_lanes.push(lane);
@@ -331,10 +344,13 @@ impl ShardCore {
         if !self.session.retire_lane(lane) {
             return false;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "callers retire only key-mapped lanes (`apply_retire` and \
+                      `sweep_idle_lanes` both check `lane_keys[lane]`)"
+        )]
         let key = self.lane_keys[lane]
             .take()
-            // PANIC: callers retire only key-mapped lanes (`apply_retire`
-            // and `sweep_idle_lanes` both check `lane_keys[lane]`).
             .expect("retired a lane with no stream key");
         self.lanes_by_stream.remove(&key);
         self.reset_extractor(lane);
@@ -384,10 +400,12 @@ impl ShardCore {
         let mut keep = 0;
         for i in 0..self.active_lanes.len() {
             let lane = self.active_lanes[i];
+            #[expect(
+                clippy::expect_used,
+                reason = "`active_lanes` invariant — a listed lane has a non-empty queue"
+            )]
             let record = self.queues[lane]
                 .pop_front()
-                // PANIC: `active_lanes` invariant — a listed lane has a
-                // non-empty queue.
                 .expect("active lane with empty queue");
             self.pending_labels[lane].push_back(record.label);
             self.pending_lanes.push(lane);
@@ -449,10 +467,13 @@ impl ShardCore {
         let mut decisions = std::mem::take(&mut self.decisions);
         let resolved = decisions.len() as u64;
         for d in decisions.drain(..) {
+            #[expect(
+                clippy::expect_used,
+                reason = "backend contract — exactly one decision per pushed package, in \
+                          order; an empty queue here is a backend bug"
+            )]
             let label = self.pending_labels[d.lane]
                 .pop_front()
-                // PANIC: backend contract — exactly one decision per pushed
-                // package, in order; an empty queue here is a backend bug.
                 .expect("backend resolved a decision with no pending package");
             if d.anomalous {
                 self.alarms += 1;
@@ -481,10 +502,13 @@ impl ShardCore {
         self.decisions.clear();
         self.session.finish(&mut self.decisions);
         self.absorb_decisions();
+        #[expect(
+            clippy::expect_used,
+            reason = "`Engine::swap_artifact` checks hot-swap support before any Swap \
+                      message is sent"
+        )]
         self.session
             .swap_combined(detector)
-            // PANIC: `Engine::reload_detector` checks hot-swap support
-            // before any Swap message is sent.
             .expect("engine pre-validates hot-swap support");
         debug_assert!(
             self.pending_labels.iter().all(|q| q.is_empty()),
@@ -585,8 +609,11 @@ impl Task for ShardTask {
     type Output = ShardReport;
 
     fn poll(&mut self, budget: usize) -> Poll {
-        // PANIC: executor contract — a task returning `Poll::Complete` is
-        // never polled again.
+        #[expect(
+            clippy::expect_used,
+            reason = "executor contract — a task returning `Poll::Complete` is never \
+                      polled again"
+        )]
         let core = self.core.as_mut().expect("polled after completion");
         match self.inbox.drain_into(&mut self.msgs, budget.max(1)) {
             Drain::Items(_) => {
@@ -618,11 +645,13 @@ impl Task for ShardTask {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`complete` consumes the task; the core is only taken here"
+    )]
     fn complete(mut self) -> ShardReport {
         self.core
             .take()
-            // PANIC: `complete` consumes the task; the core is only taken
-            // here.
             .expect("completed once")
             .into_report(self.shard)
     }

@@ -46,6 +46,7 @@ fn note(size: usize) {
 /// through the trait's default, which calls `alloc`).
 struct MatchingAlloc;
 
+#[allow(unsafe_code, reason = "a global allocator is an `unsafe impl`")]
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the counters have no effect on allocator state.
 unsafe impl GlobalAlloc for MatchingAlloc {

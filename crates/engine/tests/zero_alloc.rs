@@ -30,6 +30,7 @@ static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// [`System`] with an allocation-event counter in front.
 struct CountingAlloc;
 
+#[allow(unsafe_code, reason = "a global allocator is an `unsafe impl`")]
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the counter update has no effect on the
 // allocator state.

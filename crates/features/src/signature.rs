@@ -1,7 +1,6 @@
 //! Package signatures and the signature database.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
 
 use icsad_dataset::Record;
@@ -98,11 +97,14 @@ pub fn write_signature(components: &[u16], buf: &mut String) {
 ///
 /// Class ids index the LSTM softmax output; occurrence counts drive the
 /// probabilistic-noise selection rule `p = λ / (λ + #s)` (paper §V-3).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SignatureVocabulary {
-    // NONDET: lookup-only map; ids are assigned in insertion order and all
-    // iteration happens over `sigs`/`counts`, so replay is deterministic.
-    ids: HashMap<Signature, usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only map; ids are assigned in insertion order and all iteration \
+                  happens over `sigs`/`counts`, so replay is deterministic"
+    )]
+    ids: std::collections::HashMap<Signature, usize>,
     sigs: Vec<Signature>,
     counts: Vec<u64>,
 }

@@ -106,7 +106,7 @@ impl Dense {
     /// gradients run as single batched kernels — `dW += Xᵀ dY` (dense: `x`
     /// is a hidden activation, transposed into the pooled `xt`) and the
     /// bias row-sum — streaming the weight matrix once per batch.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "operands, sinks and scratch")]
     pub(crate) fn backward_batch(
         &self,
         batch: usize,

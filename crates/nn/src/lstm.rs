@@ -434,7 +434,7 @@ impl LstmLayer {
     /// matrix once per chunk instead of once per timestep. Contraction
     /// order per element is the concatenation order, fixed by the
     /// schedule — independent of SIMD backend and worker count.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the BPTT operands and sinks")]
     pub(crate) fn backward_batch(
         &self,
         sched: &LaneSchedule,

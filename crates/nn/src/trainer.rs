@@ -349,7 +349,7 @@ impl Task for GradTask<'_> {
 /// into `grads` through a fixed tree reduction. Returns (summed loss,
 /// correct count). The result is bit-identical for every `threads` value:
 /// the partition and all merge orders depend only on `batch`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "model, batch and grad sinks")]
 fn accumulate_batch(
     model: &LstmClassifier,
     pack: &BackwardPack,

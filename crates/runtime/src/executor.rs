@@ -67,6 +67,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 use crate::rounds::{RoundBoard, RoundUnit, UnitSource};
+use crate::unpoisoned;
 
 /// What a [`Task::poll`] learned about the task's remaining work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,17 +287,15 @@ impl<T: Task> Shared<T> {
                 // Already queued for a poll that has not happened yet, or
                 // finished for good: nothing to do.
                 QUEUED | DIRTY | DONE => return,
-                // PANIC: the state machine has exactly five states; a sixth
-                // value is memory corruption, not a recoverable condition.
+                // The state machine has exactly five states; a sixth value
+                // is memory corruption, not a recoverable condition.
                 _ => unreachable!("invalid task state"),
             }
         }
     }
 
     fn enqueue(&self, worker: usize, id: usize) {
-        // PANIC: run-queue mutexes are only ever poisoned by an executor
-        // bug — task panics are caught before they can unwind through here.
-        self.run_queues[worker].lock().unwrap().push_back(id);
+        unpoisoned(self.run_queues[worker].lock()).push_back(id);
         self.bump_epoch();
     }
 
@@ -305,8 +304,7 @@ impl<T: Task> Shared<T> {
     /// forked — sub-units are pool work that lives outside the run queues,
     /// but parked workers must come help all the same.
     pub(crate) fn bump_epoch(&self) {
-        // PANIC: nothing panics while holding `sync`.
-        let mut sync = self.sync.lock().unwrap();
+        let mut sync = unpoisoned(self.sync.lock());
         sync.epoch += 1;
         if sync.sleepers > 0 {
             self.wakeup.notify_all();
@@ -324,8 +322,7 @@ impl<T: Task> Shared<T> {
     }
 
     pub(crate) fn take_local(&self, worker: usize) -> Option<usize> {
-        // PANIC: run-queue mutexes cannot be poisoned (see `enqueue`).
-        self.run_queues[worker].lock().unwrap().pop_front()
+        unpoisoned(self.run_queues[worker].lock()).pop_front()
     }
 
     /// Steals from the tail of the first non-empty victim queue, visiting
@@ -339,8 +336,7 @@ impl<T: Task> Shared<T> {
             if victim == thief {
                 continue;
             }
-            // PANIC: run-queue mutexes cannot be poisoned (see `enqueue`).
-            if let Some(id) = self.run_queues[victim].lock().unwrap().pop_back() {
+            if let Some(id) = unpoisoned(self.run_queues[victim].lock()).pop_back() {
                 // ORDERING: Relaxed — a monotonic statistics counter, only
                 // aggregated after the worker threads have been joined.
                 self.steals.fetch_add(1, Ordering::Relaxed);
@@ -374,11 +370,12 @@ impl<T: Task> Shared<T> {
         // ORDERING: Relaxed — a monotonic statistics counter, only
         // aggregated after the worker threads have been joined.
         self.polls.fetch_add(1, Ordering::Relaxed);
-        // PANIC: the task mutex is never poisoned — the only code that runs
-        // under it is wrapped in catch_unwind right here.
-        let mut guard = slot.task.lock().unwrap();
-        // PANIC: state was QUEUED, so the task has not completed; only the
-        // Complete/Err arms of `settle` take it out of the slot.
+        let mut guard = unpoisoned(slot.task.lock());
+        #[expect(
+            clippy::expect_used,
+            reason = "state was QUEUED, so the task has not completed; only the \
+                      Complete/Err arms of `settle` take it out of the slot"
+        )]
         let task = guard.as_mut().expect("queued task is present");
         catch_unwind(AssertUnwindSafe(|| task.poll(budget)))
     }
@@ -413,20 +410,17 @@ impl<T: Task> Shared<T> {
                 }
             }
             Ok(Poll::Complete) => {
-                // PANIC: the task mutex is never poisoned (see `poll_task`).
-                let task = slot
-                    .task
-                    .lock()
-                    .unwrap()
+                #[expect(
+                    clippy::expect_used,
+                    reason = "only this arm and the Err arm take the task, and each \
+                              runs at most once — after them the state is DONE and \
+                              nothing is ever dequeued again"
+                )]
+                let task = unpoisoned(slot.task.lock())
                     .take()
-                    // PANIC: only this arm and the Err arm take the task, and
-                    // each runs at most once — after them the state is DONE
-                    // and nothing is ever dequeued again.
                     .expect("completing task is present");
                 let output = catch_unwind(AssertUnwindSafe(move || task.complete()));
-                // PANIC: the output mutex is only locked here and at join,
-                // with no panicking code under it.
-                *slot.output.lock().unwrap() = Some(output);
+                *unpoisoned(slot.output.lock()) = Some(output);
                 // ORDERING: Release — the joining thread's Acquire of DONE
                 // (via `remaining`) sees the stored output.
                 slot.state.store(DONE, Ordering::Release);
@@ -436,11 +430,9 @@ impl<T: Task> Shared<T> {
                 // The poll panicked. Drop the wreckage defensively (its Drop
                 // may poison queues — that is how the engine's shard tasks
                 // unblock producers) and surface the payload at join.
-                // PANIC: the task mutex is never poisoned (see `poll_task`).
-                let task = slot.task.lock().unwrap().take();
+                let task = unpoisoned(slot.task.lock()).take();
                 let _ = catch_unwind(AssertUnwindSafe(move || drop(task)));
-                // PANIC: the output mutex is never poisoned (see above).
-                *slot.output.lock().unwrap() = Some(Err(payload));
+                *unpoisoned(slot.output.lock()) = Some(Err(payload));
                 // ORDERING: Release — as in the Complete arm.
                 slot.state.store(DONE, Ordering::Release);
                 self.task_done();
@@ -456,8 +448,7 @@ impl<T: Task> Shared<T> {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last task finished: wake every parked worker so the pool can
             // exit.
-            // PANIC: nothing panics while holding `sync` (see `enqueue`).
-            let mut sync = self.sync.lock().unwrap();
+            let mut sync = unpoisoned(self.sync.lock());
             sync.epoch += 1;
             self.wakeup.notify_all();
         }
@@ -466,15 +457,12 @@ impl<T: Task> Shared<T> {
     /// Parks until the epoch moves past `seen_epoch` (or everything is
     /// done).
     fn park(&self, seen_epoch: u64) {
-        // PANIC: nothing panics while holding `sync` (see `enqueue`).
-        let mut sync = self.sync.lock().unwrap();
+        let mut sync = unpoisoned(self.sync.lock());
         // ORDERING: Acquire pairs with the Release decrements in
         // `task_done`: a worker that reads zero and exits sees every output.
         while sync.epoch == seen_epoch && self.remaining.load(Ordering::Acquire) != 0 {
             sync.sleepers += 1;
-            // PANIC: Condvar::wait only fails if the mutex is poisoned,
-            // which `sync` never is.
-            sync = self.wakeup.wait(sync).unwrap();
+            sync = unpoisoned(self.wakeup.wait(sync));
             sync.sleepers -= 1;
         }
     }
@@ -499,15 +487,13 @@ impl<T: Task> Shared<T> {
     pub(crate) fn queue_snapshot(&self) -> Vec<Vec<usize>> {
         self.run_queues
             .iter()
-            // PANIC: run-queue mutexes cannot be poisoned (see `enqueue`).
-            .map(|q| q.lock().unwrap().iter().copied().collect())
+            .map(|q| unpoisoned(q.lock()).iter().copied().collect())
             .collect()
     }
 
     /// Takes this task's output after it reached DONE (explorer support).
     pub(crate) fn take_output(&self, id: usize) -> Option<std::thread::Result<T::Output>> {
-        // PANIC: the output mutex is never poisoned (see `settle`).
-        self.slots[id].output.lock().unwrap().take()
+        unpoisoned(self.slots[id].output.lock()).take()
     }
 }
 
@@ -519,8 +505,7 @@ fn pool_worker<T: Task>(shared: &Shared<T>, worker: usize) {
         if shared.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
-        // PANIC: nothing panics while holding `sync` (see `enqueue`).
-        let epoch = shared.sync.lock().unwrap().epoch;
+        let epoch = unpoisoned(shared.sync.lock()).epoch;
         let next = shared
             .take_local(worker)
             .or_else(|| shared.steal(worker, (1..workers).map(|i| (worker + i) % workers)));
@@ -553,8 +538,7 @@ fn deterministic_scheduler<T: Task>(shared: &Shared<T>, schedule: TestSchedule) 
         if shared.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
-        // PANIC: nothing panics while holding `sync` (see `enqueue`).
-        let epoch = shared.sync.lock().unwrap().epoch;
+        let epoch = unpoisoned(shared.sync.lock()).epoch;
         // Seeded choices: which virtual worker acts, in what order it raids
         // victims when its own queue is empty, and how large its quantum is.
         let worker = rng.gen_range(0..workers);
@@ -632,6 +616,11 @@ pub fn run_scoped<T: Task>(
         shared.notify(id);
     }
     std::thread::scope(|scope| {
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawning only fails on OS resource exhaustion; there is \
+                      no useful degraded mode for a pool that cannot exist"
+        )]
         let handles: Vec<_> = (0..threads_wanted)
             .map(|i| {
                 let shared = &shared;
@@ -641,9 +630,6 @@ pub fn run_scoped<T: Task>(
                         Schedule::Pool { .. } => pool_worker(shared, i),
                         Schedule::Deterministic(s) => deterministic_scheduler(shared, s),
                     })
-                    // PANIC: thread spawning only fails on OS resource
-                    // exhaustion; there is no useful degraded mode for a
-                    // pool that cannot exist.
                     .expect("failed to spawn batch worker")
             })
             .collect();
@@ -660,17 +646,16 @@ pub fn run_scoped<T: Task>(
         steals: shared.steals.load(Ordering::Relaxed),
         polls: shared.polls.load(Ordering::Relaxed),
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "contract documented above — every scoped task's input is fully \
+                  present, so each reaches Poll::Complete before its worker exits"
+    )]
     let outputs = shared
         .slots
         .into_iter()
         .map(|slot| {
-            slot.output
-                .into_inner()
-                // PANIC: the output mutex is never poisoned (see `settle`).
-                .unwrap()
-                // PANIC: contract documented above — every scoped task's
-                // input is fully present, so each reaches Poll::Complete
-                // before its worker exits.
+            unpoisoned(slot.output.into_inner())
                 .expect("task never completed — did its poll return Complete?")
         })
         .collect();
@@ -723,6 +708,10 @@ where
                 }
             }));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawning only fails on OS resource exhaustion (see `run_scoped`)"
+        )]
         let threads = (0..threads_wanted)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -732,8 +721,6 @@ where
                         Schedule::Pool { .. } => pool_worker(&shared, i),
                         Schedule::Deterministic(s) => deterministic_scheduler(&shared, s),
                     })
-                    // PANIC: thread spawning only fails on OS resource
-                    // exhaustion (see `run_scoped`).
                     .expect("failed to spawn ingest worker")
             })
             .collect();
@@ -774,20 +761,18 @@ where
             steals: self.shared.steals.load(Ordering::Relaxed),
             polls: self.shared.polls.load(Ordering::Relaxed),
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "contract documented above — the caller closes every task's input \
+                      before joining, so each reaches Poll::Complete before its worker exits"
+        )]
         let outputs = self
             .shared
             .slots
             .iter()
             .map(|slot| {
-                slot.output
-                    .lock()
-                    // PANIC: the output mutex is never poisoned (see
-                    // `settle`).
-                    .unwrap()
+                unpoisoned(slot.output.lock())
                     .take()
-                    // PANIC: contract documented above — the caller closes
-                    // every task's input before joining, so each reaches
-                    // Poll::Complete before its worker exits.
                     .expect("task never completed — was its input closed before join?")
             })
             .collect();

@@ -216,7 +216,7 @@ where
             PathOutcome::Completed(outputs) => at_leaf(&outputs),
             PathOutcome::Deadlocked => report.deadlocks += 1,
         }
-        // PANIC: bound guard — a tree this size means the trial is far
+        // Bound guard: a tree this size means the trial is far
         // bigger than exhaustive exploration can cover; fail loudly rather
         // than burn CI time.
         assert!(
@@ -265,15 +265,16 @@ where
         if shared.remaining() == 0 {
             let outputs = (0..task_count)
                 .map(|id| {
-                    let result = shared
-                        .take_output(id)
-                        // PANIC: remaining() == 0 means every slot reached
-                        // DONE, which always stores an output first.
-                        .expect("done task has an output");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "remaining() == 0 means every slot reached DONE, which \
+                                  always stores an output first"
+                    )]
+                    let result = shared.take_output(id).expect("done task has an output");
                     match result {
                         Ok(output) => output,
-                        // PANIC: a task panic inside an exploration is a
-                        // test failure; resurface its payload.
+                        // A task panic inside an exploration is a test
+                        // failure; resurface its payload.
                         Err(payload) => std::panic::resume_unwind(payload),
                     }
                 })
@@ -313,7 +314,7 @@ where
             return PathOutcome::Deadlocked;
         }
 
-        // PANIC: bound guard against runaway trials, as with max_leaves.
+        // Bound guard against runaway trials, as with max_leaves.
         assert!(
             oracle.depth <= config.max_depth,
             "schedule path exceeds max_depth = {}",
@@ -330,11 +331,13 @@ where
                 }
             }
             Action::PollLocal(worker) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the action was enumerated from a non-empty snapshot and nothing \
+                              ran since — the simulation is single-threaded"
+                )]
                 let id = shared
                     .take_local(worker)
-                    // PANIC: the action was enumerated from a non-empty
-                    // snapshot and nothing ran since — the simulation is
-                    // single-threaded.
                     .expect("local queue emptied between snapshot and pop");
                 poll_one(
                     config,
@@ -350,10 +353,12 @@ where
                 );
             }
             Action::PollSteal { thief, victim } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "as for PollLocal — the snapshot cannot go stale single-threaded"
+                )]
                 let id = shared
                     .steal(thief, std::iter::once(victim))
-                    // PANIC: as for PollLocal — the snapshot cannot go
-                    // stale single-threaded.
                     .expect("victim queue emptied between snapshot and steal");
                 poll_one(
                     config,
@@ -375,7 +380,7 @@ where
 /// One schedule event: budget choice, poll, optional in-window source
 /// injection, settle. Unblocks every source afterwards — the poll may have
 /// freed queue space.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "every piece of explorer state")]
 fn poll_one<T: Task>(
     config: &ExploreConfig,
     shared: &Shared<T>,
@@ -437,9 +442,12 @@ fn check_invariants<T: Task>(shared: &Shared<T>, task_count: usize) {
                 entries, 1,
                 "task {id} is QUEUED with {entries} run-queue entries (must be exactly 1)"
             ),
-            // PANIC: invariant-check harness — RUNNING/DIRTY at a quiescent
-            // point means a poll leaked past `settle`, and the exploration
-            // must abort loudly rather than report a clean tree.
+            #[expect(
+                clippy::panic,
+                reason = "invariant-check harness — RUNNING/DIRTY at a quiescent point means \
+                          a poll leaked past `settle`, and the exploration must abort loudly \
+                          rather than report a clean tree"
+            )]
             other => panic!("task {id} in state {other} at a quiescent point"),
         }
         if state != crate::executor::DONE {

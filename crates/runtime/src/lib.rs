@@ -39,6 +39,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Inline-path library code: a panic is an outage and a decision must replay
+// exactly, so each exception is an `#[expect(<lint>, reason = "..")]` on its
+// statement (ARCHITECTURE.md, "Static analysis & verification").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 mod executor;
 mod explore;
@@ -53,3 +67,16 @@ pub use explore::{explore, ExploreConfig, ExploreReport, Source, SourceStep, Tri
 pub use queue::{Drain, IngestQueue, Pop, PushClosed, TryPushError};
 pub use recycle::RecycleRing;
 pub use rounds::{RoundBoard, RoundId, RoundStats, RoundUnit};
+
+use std::sync::LockResult;
+
+/// Unwraps a `Mutex::lock`, `Condvar::wait` or `Mutex::into_inner` result.
+///
+/// Every lock in this crate guards either code that cannot panic (queue,
+/// counter and slot bookkeeping) or a task poll wrapped in `catch_unwind`,
+/// so a poisoned one is a bug in this crate: panic, rather than carry on
+/// with state that a panic left half-updated.
+#[expect(clippy::expect_used, reason = "the poison policy stated above")]
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.expect("a lock in icsad-runtime was poisoned")
+}

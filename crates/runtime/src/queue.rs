@@ -29,6 +29,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use crate::unpoisoned;
+
 /// The item could not be pushed because the queue was closed; the rejected
 /// item is handed back.
 #[derive(Debug)]
@@ -107,10 +109,7 @@ impl<T> IngestQueue<T> {
 
     /// Appends without blocking, or reports why it cannot.
     pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        // PANIC: the state mutex is never poisoned — no user code runs
-        // under it, only VecDeque/bool/counter operations that cannot panic
-        // (pushes happen strictly below the pre-reserved capacity).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         if state.closed {
             return Err(TryPushError::Closed(item));
         }
@@ -129,8 +128,7 @@ impl<T> IngestQueue<T> {
     /// Hands the item back if the queue is (or becomes, while waiting)
     /// closed — the consumer is gone and the item would never be drained.
     pub fn push(&self, item: T) -> Result<(), PushClosed<T>> {
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         let mut waited = false;
         loop {
             if state.closed {
@@ -152,9 +150,7 @@ impl<T> IngestQueue<T> {
             self.blocked_pushes.fetch_add(1, Ordering::Relaxed);
             state.waiting_producers += 1;
             waited = true;
-            // PANIC: Condvar::wait only fails on mutex poisoning, which
-            // cannot happen here (see `try_push`).
-            state = self.not_full.wait(state).unwrap();
+            state = unpoisoned(self.not_full.wait(state));
             state.waiting_producers -= 1;
         }
     }
@@ -178,8 +174,7 @@ impl<T> IngestQueue<T> {
 
     /// Removes the oldest item, never blocking.
     pub fn pop(&self) -> Pop<T> {
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         let len_before = state.items.len();
         match state.items.pop_front() {
             Some(item) => {
@@ -198,8 +193,7 @@ impl<T> IngestQueue<T> {
         if max == 0 {
             return Drain::Items(0);
         }
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         let len_before = state.items.len();
         if len_before == 0 {
             return if state.closed {
@@ -220,8 +214,7 @@ impl<T> IngestQueue<T> {
     /// (consumer side, when a task dies and its backlog would otherwise
     /// leave producers blocked forever).
     pub fn close(&self) {
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         state.closed = true;
         // Close is a state change every parked producer must observe:
         // their pushes fail.
@@ -230,8 +223,7 @@ impl<T> IngestQueue<T> {
 
     /// Queued items right now.
     pub fn len(&self) -> usize {
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        self.state.lock().unwrap().items.len()
+        unpoisoned(self.state.lock()).items.len()
     }
 
     /// Whether nothing is queued right now.

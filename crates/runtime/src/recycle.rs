@@ -20,6 +20,8 @@
 
 use std::sync::Mutex;
 
+use crate::unpoisoned;
+
 /// A bounded, mutex-protected MPMC stack of reusable buffers.
 pub struct RecycleRing<T> {
     slots: Mutex<Vec<T>>,
@@ -38,17 +40,14 @@ impl<T> RecycleRing<T> {
     /// Takes a recycled buffer, or `None` when the ring is empty and the
     /// caller should allocate fresh (cold start / warmup).
     pub fn take(&self) -> Option<T> {
-        // PANIC: the slots mutex is never poisoned — only Vec push/pop runs
-        // under it, and pushes stay below the pre-reserved capacity.
-        self.slots.lock().unwrap().pop()
+        unpoisoned(self.slots.lock()).pop()
     }
 
     /// Returns a buffer to the ring for reuse. If the ring is already at
     /// capacity the buffer is dropped — memory stays bounded even if more
     /// buffers circulate than the ring was sized for.
     pub fn put(&self, item: T) {
-        // PANIC: the slots mutex is never poisoned (see `take`).
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = unpoisoned(self.slots.lock());
         if slots.len() < self.capacity {
             slots.push(item);
         }
@@ -56,8 +55,7 @@ impl<T> RecycleRing<T> {
 
     /// Buffers currently parked in the ring.
     pub fn len(&self) -> usize {
-        // PANIC: the slots mutex is never poisoned (see `take`).
-        self.slots.lock().unwrap().len()
+        unpoisoned(self.slots.lock()).len()
     }
 
     /// Whether the ring currently holds no buffers.

@@ -39,6 +39,8 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
+use crate::unpoisoned;
+
 /// One stealable sub-unit of a forked round. For the engine this is a
 /// disjoint lane partition of a shard's classification round.
 pub trait RoundUnit: Send {
@@ -153,9 +155,7 @@ impl<U: RoundUnit> RoundBoard<U> {
     pub fn fork(&self, units: Vec<U>) -> RoundId {
         assert!(!units.is_empty(), "cannot fork an empty round");
         let id = {
-            // PANIC: the board mutex is never poisoned — units run outside
-            // the lock, and no code under it panics.
-            let mut state = self.state.lock().unwrap();
+            let mut state = unpoisoned(self.state.lock());
             state.claimable += units.len();
             state.stats.rounds += 1;
             let round = Round {
@@ -175,9 +175,7 @@ impl<U: RoundUnit> RoundBoard<U> {
                 }
             }
         };
-        // PANIC: the waker mutex is never poisoned — the executor's wake
-        // callback only bumps an epoch under its own panic-free lock.
-        if let Some(wake) = self.waker.lock().unwrap().as_ref() {
+        if let Some(wake) = unpoisoned(self.waker.lock()).as_ref() {
             wake();
         }
         id
@@ -187,8 +185,7 @@ impl<U: RoundUnit> RoundBoard<U> {
     /// caller runs it and must check it back in with [`RoundBoard::finish`]
     /// (or [`RoundBoard::finish_panicked`]).
     pub fn claim(&self, round: RoundId) -> Option<(usize, U)> {
-        // PANIC: the board mutex is never poisoned (see `fork`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         let claimed = Self::claim_in(&mut state, round)?;
         state.stats.units += 1;
         Some(claimed)
@@ -199,16 +196,19 @@ impl<U: RoundUnit> RoundBoard<U> {
         if !r.live || r.unclaimed == 0 {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`unclaimed` counts exactly the Unclaimed slots; a mismatch is a \
+                      board bug, not a recoverable condition"
+        )]
         let idx = r
             .units
             .iter()
             .position(|slot| matches!(slot, UnitSlot::Unclaimed(_)))
-            // PANIC: `unclaimed` counts exactly the Unclaimed slots; a
-            // mismatch is a board bug, not a recoverable condition.
             .expect("unclaimed count out of sync with slots");
         let UnitSlot::Unclaimed(unit) = std::mem::replace(&mut r.units[idx], UnitSlot::Running)
         else {
-            // PANIC: `idx` was just found by matching Unclaimed.
+            // `idx` was just found by matching Unclaimed.
             unreachable!("slot changed under the board lock")
         };
         r.unclaimed -= 1;
@@ -237,8 +237,7 @@ impl<U: RoundUnit> RoundBoard<U> {
     }
 
     fn check_in(&self, round: RoundId, idx: usize, slot: UnitSlot<U>) -> bool {
-        // PANIC: the board mutex is never poisoned (see `fork`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         let r = &mut state.rounds[round];
         debug_assert!(
             matches!(r.units[idx], UnitSlot::Running),
@@ -263,8 +262,7 @@ impl<U: RoundUnit> RoundBoard<U> {
     ///
     /// Rethrows the first sub-unit panic, if any.
     pub fn try_join(&self, round: RoundId) -> Option<Vec<U>> {
-        // PANIC: the board mutex is never poisoned (see `fork`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         if !state.rounds[round].complete() {
             return None;
         }
@@ -304,12 +302,9 @@ impl<U: RoundUnit> RoundBoard<U> {
         }
         // Whatever is left is running on helper workers right now; block
         // for their check-ins.
-        // PANIC: the board mutex is never poisoned (see `fork`).
-        let mut state = self.state.lock().unwrap();
+        let mut state = unpoisoned(self.state.lock());
         while !state.rounds[round].complete() {
-            // PANIC: Condvar::wait only fails if the mutex is poisoned,
-            // which the board mutex never is.
-            state = self.joined.wait(state).unwrap();
+            state = unpoisoned(self.joined.wait(state));
         }
         let (units, panic) = Self::collect(&mut state, round);
         drop(state);
@@ -335,7 +330,7 @@ impl<U: RoundUnit> RoundBoard<U> {
                 UnitSlot::Panicked(payload) => {
                     panic.get_or_insert(payload);
                 }
-                // PANIC: `collect` only runs on complete rounds, which by
+                // `collect` only runs on complete rounds, which by
                 // definition have no unclaimed or running slots.
                 UnitSlot::Unclaimed(_) | UnitSlot::Running => {
                     unreachable!("collecting an incomplete round")
@@ -347,29 +342,33 @@ impl<U: RoundUnit> RoundBoard<U> {
 
     /// Fork-join counters so far.
     pub fn stats(&self) -> RoundStats {
-        // PANIC: the board mutex is never poisoned (see `fork`).
-        self.state.lock().unwrap().stats
+        unpoisoned(self.state.lock()).stats
     }
 }
 
 impl<U: RoundUnit> UnitSource for RoundBoard<U> {
     fn claim_and_run(&self) -> bool {
         let (round, idx, mut unit) = {
-            // PANIC: the board mutex is never poisoned (see `fork`).
-            let mut state = self.state.lock().unwrap();
+            let mut state = unpoisoned(self.state.lock());
             if state.claimable == 0 {
                 return false;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`claimable` > 0 implies some live round has unclaimed units; a \
+                          mismatch is a board bug"
+            )]
             let round = state
                 .rounds
                 .iter()
                 .position(|r| r.live && r.unclaimed > 0)
-                // PANIC: `claimable` > 0 implies some live round has
-                // unclaimed units; a mismatch is a board bug.
                 .expect("claimable count out of sync with rounds");
+            #[expect(
+                clippy::expect_used,
+                reason = "the round was just found with unclaimed > 0 and the lock was never \
+                          released"
+            )]
             let (idx, unit) = Self::claim_in(&mut state, round)
-                // PANIC: the round was just found with unclaimed > 0 and
-                // the lock was never released.
                 .expect("round lost its unclaimed units under the lock");
             state.stats.units += 1;
             state.stats.helped += 1;
@@ -384,8 +383,7 @@ impl<U: RoundUnit> UnitSource for RoundBoard<U> {
     }
 
     fn set_waker(&self, waker: Box<dyn Fn() + Send + Sync>) {
-        // PANIC: the waker mutex is never poisoned (see `fork`).
-        *self.waker.lock().unwrap() = Some(waker);
+        *unpoisoned(self.waker.lock()) = Some(waker);
     }
 }
 

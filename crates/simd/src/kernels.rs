@@ -292,7 +292,7 @@ fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [f32], cols: usize) {
 /// `x` pack gave +0–7 % on the 96×256×1024 product, −20 % at batch 16 and
 /// −9 % on the ledger's `train_targets_s`; [`LANE_TILE`] stays 4.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
 fn panel_tile<L: Lanes>(
     batch: usize,
     x: &[f32],
@@ -371,7 +371,7 @@ fn panel_tile<L: Lanes>(
 /// the force-scalar CI job) amortize the `x` re-streaming across a whole
 /// panel and hand LLVM's auto-vectorizer a fixed-width inner loop.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
 fn panel_tile_scalar<L: Lanes>(
     batch: usize,
     x: &[f32],
@@ -396,7 +396,10 @@ fn panel_tile_scalar<L: Lanes>(
         }
         let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
         for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
-            // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
+            #[expect(
+                clippy::expect_used,
+                reason = "`chunks_exact(PANEL)` yields slices of exactly PANEL elements"
+            )]
             let ws: &[f32; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc[0].iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, a0, wj);
@@ -423,7 +426,10 @@ fn panel_tile_scalar<L: Lanes>(
         let mut acc = [0.0; PANEL];
         acc[..valid].copy_from_slice(&y[at..at + valid]);
         for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
-            // PANIC: `chunks_exact(PANEL)` yields slices of exactly PANEL elements.
+            #[expect(
+                clippy::expect_used,
+                reason = "`chunks_exact(PANEL)` yields slices of exactly PANEL elements"
+            )]
             let ws: &[f32; PANEL] = wr.try_into().expect("weight panel row");
             for (a, &wj) in acc.iter_mut().zip(ws.iter()) {
                 *a = L::fmac_e(*a, xv, wj);
@@ -566,7 +572,7 @@ pub(crate) fn lstm_cell_f32<L: Lanes>(
 /// even in portable builds.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 pub(crate) mod x86_entries {
-    #![allow(unsafe_code)]
+    #![allow(unsafe_code, reason = "the `#[target_feature]` kernel entry points")]
     // SAFETY throughout this module: every `pub(crate) unsafe fn` below has
     // the single safety requirement that the CPU supports the module's
     // target features; the dispatcher in `lib.rs` only routes here after
@@ -653,7 +659,7 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
+                #[allow(clippy::too_many_arguments, reason = "mirrors `lstm_cell_f32_with`")]
                 pub(crate) unsafe fn lstm_cell_f32(
                     i_g: &[f32],
                     f_g: &[f32],

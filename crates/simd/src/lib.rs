@@ -74,6 +74,20 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Inline-path library code: a panic is an outage and a decision must replay
+// exactly, so each exception is an `#[expect(<lint>, reason = "..")]` on its
+// statement (ARCHITECTURE.md, "Static analysis & verification").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod lanes;
 pub mod math;
@@ -276,11 +290,14 @@ pub fn auto() -> Selection {
     if cfg!(feature = "force-scalar") {
         sel.backend = Backend::Scalar;
     }
-    // NONDET: an operator override of the kernel choice. `current`
-    // resolves it once per process, `Engine::try_start_backend` does so
-    // before any shard spawns, and the result is recorded in
-    // `EngineReport::kernel_backend` — so a run names the kernels that
-    // decided it, and backends agree bitwise within an FMA policy.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an operator override of the kernel choice. `current` resolves it once \
+                  per process, `Engine::try_start_backend` does so before any shard \
+                  spawns, and the result is recorded in `EngineReport::kernel_backend` — \
+                  so a run names the kernels that decided it, and backends agree bitwise \
+                  within an FMA policy"
+    )]
     if let Ok(v) = std::env::var("ICSAD_KERNEL_BACKEND") {
         match v.trim().to_ascii_lowercase().as_str() {
             "scalar" => sel.backend = Backend::Scalar,
@@ -299,9 +316,12 @@ pub fn auto() -> Selection {
             }
         }
     }
-    // NONDET: as above — resolved once, before shards spawn, and the
-    // `+fma` suffix of `EngineReport::kernel_backend` records the policy,
-    // the one kernel setting that changes decisions bitwise.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "as above — resolved once, before shards spawn, and the `+fma` suffix of \
+                  `EngineReport::kernel_backend` records the policy, the one kernel \
+                  setting that changes decisions bitwise"
+    )]
     if let Ok(v) = std::env::var("ICSAD_KERNEL_FMA") {
         match v.trim() {
             "0" => sel.fma = false,
@@ -432,9 +452,7 @@ pub fn gemm_acc_f32(batch: usize, x: &[f32], k_dim: usize, w: &[f32], n: usize, 
 /// # Panics
 ///
 /// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn gemm_acc_f32_with(
     sel: Selection,
     batch: usize,
@@ -481,9 +499,7 @@ pub fn gemm_dense_acc_f32(
 /// # Panics
 ///
 /// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn gemm_dense_acc_f32_with(
     sel: Selection,
     batch: usize,
@@ -580,9 +596,7 @@ pub fn gemm_panels_acc_f32(batch: usize, x: &[f32], w: &PanelsF32, y: &mut [f32]
 /// # Panics
 ///
 /// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn gemm_panels_acc_f32_with(
     sel: Selection,
     batch: usize,
@@ -624,9 +638,7 @@ pub fn outer_acc_f32(batch: usize, x: &[f32], k_dim: usize, dy: &[f32], n: usize
 /// # Panics
 ///
 /// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn outer_acc_f32_with(
     sel: Selection,
     batch: usize,
@@ -660,9 +672,7 @@ pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if lengths differ or the selection is unsupported.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn axpy_f32_with(sel: Selection, a: f32, x: &[f32], y: &mut [f32]) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
@@ -680,9 +690,7 @@ pub fn sigmoid_in_place(xs: &mut [f32]) {
 /// # Panics
 ///
 /// Panics on an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn sigmoid_in_place_with(sel: Selection, xs: &mut [f32]) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
     dispatch_f32!(sel, sigmoid_f32(xs))
@@ -698,9 +706,7 @@ pub fn tanh_in_place(xs: &mut [f32]) {
 /// # Panics
 ///
 /// Panics on an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
 pub fn tanh_in_place_with(sel: Selection, xs: &mut [f32]) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
     dispatch_f32!(sel, tanh_f32(xs))
@@ -731,10 +737,11 @@ pub fn lstm_cell_f32(
 /// # Panics
 ///
 /// Panics if the slice widths differ or the selection is unsupported.
-#[allow(clippy::too_many_arguments)]
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "one slice per gate; see the `dispatch` module's SAFETY note"
+)]
 pub fn lstm_cell_f32_with(
     sel: Selection,
     i_g: &[f32],

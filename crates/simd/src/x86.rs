@@ -15,7 +15,10 @@
 //!   `self` yields `o` — which the scalar lanes mirror exactly,
 //! * `select_lt` compares ordered (NaN → false) and blends,
 //! * `exp2i` builds `2^n` by integer exponent-field arithmetic.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the crate's home of vector loads, stores and intrinsics"
+)]
 
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;

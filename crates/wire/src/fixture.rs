@@ -143,7 +143,7 @@ impl CaptureBuilder {
             Some(i) => &mut self.conns[i].1,
             None => {
                 self.conns.push((conn, ConnState::default()));
-                // PANIC: the entry was pushed on the line above.
+                // The entry was pushed on the line above.
                 &mut self.conns.last_mut().expect("just pushed").1
             }
         }

@@ -87,7 +87,7 @@ fn u16_at(data: &[u8], off: usize, swapped: bool) -> Result<u16, PcapError> {
         .get(off..off + 2)
         .ok_or(PcapError::Truncated)?
         .try_into()
-        // PANIC: the slice is exactly 2 bytes by construction.
+        // The slice is exactly 2 bytes by construction.
         .expect("2-byte slice");
     Ok(if swapped {
         u16::from_be_bytes(bytes)
@@ -101,7 +101,7 @@ fn u32_at(data: &[u8], off: usize, swapped: bool) -> Result<u32, PcapError> {
         .get(off..off + 4)
         .ok_or(PcapError::Truncated)?
         .try_into()
-        // PANIC: the slice is exactly 4 bytes by construction.
+        // The slice is exactly 4 bytes by construction.
         .expect("4-byte slice");
     Ok(if swapped {
         u32::from_be_bytes(bytes)
@@ -175,7 +175,7 @@ impl<'a> PcapReader<'a> {
     /// open time, matching the classic-pcap behavior.
     fn validate_first_idb(&mut self) -> Result<(), PcapError> {
         let Format::PcapNg { swapped } = self.format else {
-            // PANIC: only called from the pcapng constructor arm.
+            // Only called from the pcapng constructor arm.
             unreachable!("validate_first_idb on classic pcap");
         };
         let mut off = self.offset;

@@ -1,7 +1,8 @@
 //! Capture replay: pcap image → demultiplexed [`RawFrame`] stream.
 //!
 //! [`WireReplay`] walks a capture with [`PcapReader`] (borrowed packets,
-//! no copies), peels Ethernet II / IPv4 / TCP, groups segments into
+//! no copies), peels Ethernet II (through up to two 802.1Q/802.1ad VLAN
+//! tags) / IPv4 / TCP, groups segments into
 //! connections by canonical 4-tuple, and runs one [`MbapDecoder`] per
 //! connection **direction** so interleaved command and response streams
 //! never confuse each other's framing. Each decoded frame becomes a
@@ -16,8 +17,9 @@
 //!   ([`FrameBytes`]) — no allocation for ordinary frame sizes;
 //! * `label` — always `None`; captures carry no ground truth.
 //!
-//! Non-IPv4/TCP packets (ARP, ICMP, IPv6) are counted and skipped, and
-//! TCP segments are consumed in file order — the replayer trusts the
+//! Non-IPv4/TCP packets (ARP, ICMP, IPv6) and IPv4 fragments (there is no
+//! reassembly) are counted and skipped, and TCP segments are consumed in
+//! file order — the replayer trusts the
 //! capture to be in-order, as single-host captures of a polling master
 //! are.
 
@@ -38,7 +40,8 @@ pub struct ReplayStats {
     pub packets: u64,
     /// Modbus frames emitted to the sink.
     pub frames: u64,
-    /// Packets that were not Ethernet/IPv4/TCP (or too short to be).
+    /// Packets that were not Ethernet/IPv4/TCP (or too short to be), and
+    /// IPv4 fragments.
     pub ignored_packets: u64,
     /// Distinct TCP connections observed (cumulative: reconnects count
     /// again).
@@ -60,8 +63,8 @@ struct Connection {
 /// Streaming capture replayer (see the module docs).
 #[derive(Default)]
 pub struct WireReplay {
-    // NONDET: HashMap is used for keyed lookup only; link ids are handed
-    // out in packet arrival order, so iteration order never matters.
+    // Keyed lookup only; link ids are handed out in packet arrival order,
+    // so iteration order never matters.
     conn_ids: HashMap<(Endpoint, Endpoint), usize>,
     conns: Vec<Connection>,
     /// Link ids of closed connections whose decoder slots may be handed
@@ -226,12 +229,28 @@ struct TcpSegment<'a> {
 /// Peels Ethernet II / IPv4 / TCP; `None` for anything that is not a
 /// well-formed Modbus-capable TCP segment.
 fn parse_tcp(data: &[u8]) -> Option<TcpSegment<'_>> {
-    // Ethernet II, IPv4 ethertype.
-    if data.len() < 14 || data[12..14] != [0x08, 0x00] {
+    // Ethernet II: two MACs, then up to two 802.1Q / 802.1ad VLAN tags
+    // (TPID + TCI, 4 bytes each), then the IPv4 ethertype.
+    let mut ethertype = 12;
+    for _ in 0..2 {
+        if matches!(
+            data.get(ethertype..ethertype + 2),
+            Some([0x81, 0x00] | [0x88, 0xA8])
+        ) {
+            ethertype += 4;
+        }
+    }
+    if !matches!(data.get(ethertype..ethertype + 2), Some([0x08, 0x00])) {
         return None;
     }
-    let ip = &data[14..];
+    let ip = &data[ethertype + 2..];
     if ip.len() < 20 || ip[0] >> 4 != 4 {
+        return None;
+    }
+    // A fragment (more-fragments flag or a non-zero offset) carries either
+    // a TCP header with a partial payload or, past the first, no TCP header
+    // at all; without reassembly neither may reach a decoder.
+    if u16::from_be_bytes([ip[6], ip[7]]) & 0x3FFF != 0 {
         return None;
     }
     let ihl = usize::from(ip[0] & 0x0F) * 4;
@@ -419,6 +438,57 @@ mod tests {
         assert_eq!(after.skipped_bytes, before.skipped_bytes);
         assert_eq!(after.resyncs, before.resyncs);
         assert_eq!(after.closed_connections, 1);
+    }
+
+    /// The one link-layer packet a single-command capture holds.
+    fn one_packet(rtu_wire: &[u8]) -> Vec<u8> {
+        let mut builder = CaptureBuilder::new();
+        builder.modbus(1.0, rtu_wire, true);
+        builder.finish()[24 + 16..].to_vec()
+    }
+
+    fn replay_one(packet: &[u8]) -> (Vec<RawFrame>, ReplayStats) {
+        let mut frames = Vec::new();
+        let mut replay = WireReplay::new();
+        replay.handle_packet(1.0, packet, &mut |f| frames.push(f));
+        (frames, replay.stats())
+    }
+
+    #[test]
+    fn ipv4_fragments_are_ignored_not_parsed_as_tcp() {
+        let packet = one_packet(&rtu(4, &[0x03, 0x00, 0x2A]));
+        assert_eq!(replay_one(&packet).0.len(), 1);
+        // Flags/offset word at IPv4 bytes 6..8: more-fragments alone, then
+        // a non-zero offset alone (DF cleared in both).
+        for flags_offset in [0x2000u16, 0x00B9] {
+            let mut fragment = packet.clone();
+            fragment[14 + 6..14 + 8].copy_from_slice(&flags_offset.to_be_bytes());
+            let (frames, stats) = replay_one(&fragment);
+            assert!(frames.is_empty(), "{flags_offset:#06x}");
+            // No connection opened, so no decoder saw a byte.
+            let ignored = ReplayStats {
+                packets: 1,
+                ignored_packets: 1,
+                ..ReplayStats::default()
+            };
+            assert_eq!(stats, ignored, "{flags_offset:#06x}");
+        }
+    }
+
+    #[test]
+    fn vlan_tagged_frames_decode_like_untagged_ones() {
+        let packet = one_packet(&rtu(4, &[0x03, 0x00, 0x2A]));
+        let (plain, plain_stats) = replay_one(&packet);
+        assert_eq!(plain.len(), 1);
+        // One 802.1Q tag (VLAN 5), and an 802.1ad outer tag over it.
+        let one_tag: &[u8] = &[0x81, 0x00, 0x00, 0x05];
+        let two_tags: &[u8] = &[0x88, 0xA8, 0x00, 0x64, 0x81, 0x00, 0x00, 0x05];
+        for tags in [one_tag, two_tags] {
+            let mut tagged = packet[..12].to_vec();
+            tagged.extend_from_slice(tags);
+            tagged.extend_from_slice(&packet[12..]);
+            assert_eq!(replay_one(&tagged), (plain.clone(), plain_stats));
+        }
     }
 
     #[test]
