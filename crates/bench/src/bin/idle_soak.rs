@@ -143,14 +143,10 @@ fn main() {
         .max()
         .unwrap_or(0);
     println!(
-        "  rounds: {} flushes, widest {} of {} resident lanes/shard (O(active-lanes) sweep), \
-         split {} (units {}, helped {})",
+        "  rounds: {} flushes, widest {} of {} resident lanes/shard (O(active-lanes) sweep)",
         flushes,
         widest,
         STREAMS.div_ceil(SHARDS),
-        report.runtime.split_rounds,
-        report.runtime.round_units,
-        report.runtime.rounds_helped
     );
     println!(
         "  {} alarms, {} quarantined, kernels {}",

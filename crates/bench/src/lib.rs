@@ -1,7 +1,6 @@
-//! What the two engine probes (`hot_shard_skew`, `idle_soak`) share: a
-//! detector commissioned the way the perf ledger's `fleet-paper` workload
-//! commissions its own, the fleet's traffic, and the check that the fleet
-//! passes the package level.
+//! What the `idle_soak` engine probe uses: a detector commissioned the way
+//! the perf ledger's `fleet-paper` workload commissions its own, the
+//! fleet's traffic, and the check that the fleet passes the package level.
 //!
 //! Performance numbers come from the perf ledger (`src/bin/ledger`,
 //! declared in `BENCHMARK.json`) and detection quality from the `paper`
@@ -23,8 +22,8 @@ use icsad_simulator::{TrafficConfig, TrafficGenerator};
 /// PLC's capture misses signatures its neighbours produce every day.
 const PROBE_COMMISSION_PLCS: u64 = 4;
 /// Clean packages per commissioning PLC. A quarter of this (what
-/// `fleet-paper` trains on for its 400-package streams) leaves the probes'
-/// 2,000–3,000-package streams at a 0.6–0.9 pass share.
+/// `fleet-paper` trains on for its 400-package streams) leaves the probe's
+/// 3,000-package streams at a 0.6–0.9 pass share.
 const PROBE_COMMISSION_PACKAGES: usize = 6_000;
 /// Share of clean packages that must pass the package level for a probe's
 /// numbers to describe the two-level detector and not Bloom misses.
@@ -34,7 +33,7 @@ const PROBE_COMMISSION_SEED: u64 = 43;
 /// seeds; link `n`'s PLC is seeded `n` above it.
 const PROBE_FLEET_SEED: u64 = 1_000;
 
-/// Commissions the engine probes' detector the way the ledger's
+/// Commissions the engine probe's detector the way the ledger's
 /// `fleet-paper` workload does: a paper-scale 2×256 model over clean
 /// traffic of the fleet the probe then monitors (every simulated PLC sits
 /// at `TrafficConfig::default`'s station address).

@@ -82,34 +82,6 @@ impl CombinedBatch {
     pub fn ranks(&self) -> &[Option<usize>] {
         &self.ranks
     }
-
-    /// Moves lane `lane`'s stream state out, leaving a hollow placeholder
-    /// behind. Used by partitioned rounds
-    /// ([`crate::streaming::RoundPartition`]): the moved-out state is
-    /// stepped inside a partition's own compact batch, then restored with
-    /// [`CombinedBatch::restore_lane_state`] before the lane is used again.
-    pub(crate) fn take_lane_state(&mut self, lane: usize) -> TsState {
-        std::mem::replace(&mut self.states[lane], TsState::hollow())
-    }
-
-    /// Restores a lane state moved out by
-    /// [`CombinedBatch::take_lane_state`].
-    pub(crate) fn restore_lane_state(&mut self, lane: usize, state: TsState) {
-        self.states[lane] = state;
-    }
-
-    /// Appends a moved-in lane state (building a compact partition batch
-    /// whose local lanes `0..n` map onto a subset of another batch's
-    /// lanes).
-    pub(crate) fn push_lane_state(&mut self, state: TsState) {
-        self.states.push(state);
-    }
-
-    /// Drains every lane state in lane order (partition teardown: the
-    /// states travel back to their home batch).
-    pub(crate) fn drain_lane_states(&mut self) -> std::vec::Drain<'_, TsState> {
-        self.states.drain(..)
-    }
 }
 
 impl CombinedDetector {

@@ -91,83 +91,11 @@ impl std::fmt::Display for SwapError {
 
 impl std::error::Error for SwapError {}
 
-/// One disjoint lane partition of a classification round, detached from
-/// its session so it can be classified on any thread.
-///
-/// Produced by [`StreamingSession::fork_round`]: the partition *owns* the
-/// moved-out per-lane mutable state of its lanes (LSTM lane cells,
-/// dynamic-`k` controllers, batch scratch) plus this round's records, and
-/// shares only the `Arc`'d read-only detector weights with its siblings.
-/// Two partitions of one round therefore never alias mutable memory —
-/// [`RoundPartition::run`] needs `&mut self` and nothing else — which is
-/// what lets a work-stealing pool classify them concurrently. (`Send`
-/// holds because every field is owned or `Arc`-shared; the compiler
-/// derives it, no `unsafe` involved.)
-///
-/// The session's lanes stay partitioned until
-/// [`StreamingSession::join_round`] moves every state back; touching a
-/// forked lane through the session in between is a contract violation
-/// (the engine forks and joins within one round, so the window is never
-/// observable).
-pub struct RoundPartition {
-    detector: Arc<CombinedDetector>,
-    /// Global (session) lane ids, in round order.
-    lanes: Vec<usize>,
-    /// Local lane ids `0..lanes.len()` into `batch` (kept as a `Vec` so
-    /// `classify_batch` can borrow it as a slice).
-    local: Vec<usize>,
-    records: Vec<Record>,
-    /// Compact batch: local lane `i` holds the moved-in state of global
-    /// lane `lanes[i]`.
-    batch: CombinedBatch,
-    /// Compacted controllers, one per lane (adaptive mode); empty in
-    /// fixed-`k` mode.
-    controllers: Vec<DynamicKController>,
-    levels: Vec<DetectionLevel>,
-}
-
-impl RoundPartition {
-    fn empty(detector: Arc<CombinedDetector>) -> Self {
-        RoundPartition {
-            batch: detector.begin_batch(),
-            detector,
-            lanes: Vec::new(),
-            local: Vec::new(),
-            records: Vec::new(),
-            controllers: Vec::new(),
-            levels: Vec::new(),
-        }
-    }
-
-    /// Number of lanes (= records) in this partition.
-    pub fn width(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Classifies the partition's records, one per lane, exactly as the
-    /// home session's `classify_batch` would have stepped these lanes.
-    /// Touches only this partition's moved-in state plus the shared
-    /// read-only detector, so disjoint partitions may run concurrently;
-    /// per-lane decisions depend only on that lane's record prefix, so
-    /// *where* and *when* this runs cannot change them.
-    pub fn run(&mut self) {
-        self.levels.clear();
-        self.detector.classify_batch(
-            &mut self.batch,
-            &self.local,
-            &self.records,
-            &mut self.levels,
-        );
-        if !self.controllers.is_empty() {
-            redecide_round(
-                &mut self.levels,
-                self.batch.ranks(),
-                &self.local,
-                &mut self.controllers,
-            );
-        }
-    }
-}
+/// Uninhabited: no session ever forks a round. Kept only because the
+/// frozen perf ledger's session wrapper forwards
+/// [`StreamingSession::fork_round`]/[`StreamingSession::join_round`]; a
+/// benchmark PR removes that wrapper, then this type and both methods.
+pub enum RoundPartition {}
 
 /// Dynamic-`k` pass over one fixed-`k` round: entry `i` is re-decided by
 /// its lane's controller (`controllers[lanes[i]]`) from the rank
@@ -289,27 +217,8 @@ pub trait StreamingSession: Send {
     /// [`StreamingDetector::supports_hot_swap`].
     fn swap_combined(&mut self, detector: Arc<CombinedDetector>) -> Result<(), SwapError>;
 
-    /// Splits one round into up to `parts` disjoint [`RoundPartition`]s
-    /// that can be classified concurrently, each owning the moved-out
-    /// per-lane state of a contiguous chunk of `lanes` plus that chunk's
-    /// `records`.
-    ///
-    /// `lanes`/`records` follow the [`StreamingSession::classify_batch`]
-    /// call shape (one record per distinct lane). On `Some`, `records` has
-    /// been drained into the partitions and the caller must run every
-    /// partition (in any order, on any threads) and then hand all of them
-    /// to [`StreamingSession::join_round`] on this same session before
-    /// touching any forked lane again. On `None` — the backend does not
-    /// support partitioned rounds (the default; window baselines defer
-    /// decisions across rounds, so a partition could not be detached), or
-    /// splitting is pointless (`parts < 2` after clamping to the lane
-    /// count) — `records` is untouched and the caller classifies
-    /// atomically.
-    ///
-    /// The partitioning is a pure function of `(lanes, parts)` — never of
-    /// timing — and per-lane decisions depend only on each lane's record
-    /// prefix, so a forked round's decisions are bit-identical to the
-    /// atomic `classify_batch` over the same round.
+    /// Always `None`: no session forks a round. Kept only for the frozen
+    /// perf ledger (see [`RoundPartition`]); no implementation overrides it.
     fn fork_round(
         &mut self,
         lanes: &[usize],
@@ -320,22 +229,11 @@ pub trait StreamingSession: Send {
         None
     }
 
-    /// Joins the partitions of one forked round after each has
-    /// [`RoundPartition::run`]: restores every moved-out lane state (and
-    /// controller) to its session slot and appends the partitions'
-    /// decisions to `out` in fork order — the exact sequence the atomic
-    /// `classify_batch` would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session cannot fork (`parts` must come from *this*
-    /// session's [`StreamingSession::fork_round`]).
+    /// Nothing to join: [`RoundPartition`] has no values. Kept only for the
+    /// frozen perf ledger (see [`RoundPartition`]).
     fn join_round(&mut self, parts: Vec<RoundPartition>, out: &mut Vec<LaneDecision>) {
+        // `parts` is necessarily empty: there is nothing to join or emit.
         let _ = (parts, out);
-        // Unreachable by contract: join_round is only ever called
-        // with partitions returned by fork_round, and the default
-        // fork_round never returns any.
-        unreachable!("join_round on a session that never forks");
     }
 }
 
@@ -348,11 +246,6 @@ struct CombinedSession {
     /// per lane.
     adaptive: Option<(DynamicKConfig, Vec<DynamicKController>)>,
     levels: Vec<DetectionLevel>,
-    /// Retired [`RoundPartition`]s recycled across forked rounds, so
-    /// steady-state splitting reuses their batch scratch instead of
-    /// reallocating per round. Cleared on hot-swap (their scratch and
-    /// detector handle belong to the outgoing artifact).
-    spares: Vec<RoundPartition>,
 }
 
 impl CombinedSession {
@@ -362,7 +255,6 @@ impl CombinedSession {
             adaptive: adaptive.map(|config| (config, Vec::new())),
             detector,
             levels: Vec::new(),
-            spares: Vec::new(),
         }
     }
 }
@@ -455,107 +347,7 @@ impl StreamingSession for CombinedSession {
         }
         self.batch = batch;
         self.detector = detector;
-        // Spare partitions hold the outgoing detector's Arc and scratch
-        // sized to its model; retire them rather than mixing artifacts.
-        self.spares.clear();
         Ok(())
-    }
-
-    fn fork_round(
-        &mut self,
-        lanes: &[usize],
-        records: &mut Vec<Record>,
-        parts: usize,
-    ) -> Option<Vec<RoundPartition>> {
-        assert_eq!(records.len(), lanes.len(), "records/lanes mismatch");
-        let parts = parts.min(lanes.len());
-        if parts < 2 {
-            return None;
-        }
-        // Same call-shape check as classify_batch: once the round is
-        // partitioned, each partition can only verify distinctness within
-        // itself, so check the whole round here.
-        // Allocation-free distinctness scan, as in `classify_batch` above.
-        #[cfg(debug_assertions)]
-        for (i, &lane) in lanes.iter().enumerate() {
-            assert!(
-                lane < self.batch.lanes(),
-                "lane {lane} out of bounds ({} lanes)",
-                self.batch.lanes()
-            );
-            assert!(
-                !lanes[..i].contains(&lane),
-                "lane {lane} repeated within one round"
-            );
-        }
-        // Near-equal contiguous chunks: a pure function of (lanes, parts),
-        // so the same round always forks the same way regardless of which
-        // threads end up running the partitions.
-        let chunk = lanes.len().div_ceil(parts);
-        let mut out = Vec::with_capacity(parts);
-        let mut moved = records.drain(..);
-        for chunk_lanes in lanes.chunks(chunk) {
-            let mut p = self
-                .spares
-                .pop()
-                .unwrap_or_else(|| RoundPartition::empty(Arc::clone(&self.detector)));
-            for &lane in chunk_lanes {
-                p.local.push(p.lanes.len());
-                p.lanes.push(lane);
-                p.batch.push_lane_state(self.batch.take_lane_state(lane));
-                if let Some((config, controllers)) = &mut self.adaptive {
-                    // Move the controller out too (placeholder is cheap:
-                    // a fresh controller allocates nothing until it
-                    // observes ranks).
-                    let placeholder = DynamicKController::new(self.detector.k(), *config);
-                    p.controllers
-                        .push(std::mem::replace(&mut controllers[lane], placeholder));
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "records.len() == lanes.len() was asserted above"
-                )]
-                p.records.push(moved.next().expect("one record per lane"));
-            }
-            out.push(p);
-        }
-        drop(moved);
-        Some(out)
-    }
-
-    fn join_round(&mut self, parts: Vec<RoundPartition>, out: &mut Vec<LaneDecision>) {
-        for mut p in parts {
-            debug_assert_eq!(
-                p.levels.len(),
-                p.lanes.len(),
-                "every partition must have run before the join"
-            );
-            for (&lane, state) in p.lanes.iter().zip(p.batch.drain_lane_states()) {
-                self.batch.restore_lane_state(lane, state);
-            }
-            if let Some((_, controllers)) = &mut self.adaptive {
-                for (&lane, controller) in p.lanes.iter().zip(p.controllers.drain(..)) {
-                    controllers[lane] = controller;
-                }
-            }
-            // Partitions arrive in fork order and each one's decisions are
-            // in its chunk order, so this extend reproduces the exact
-            // decision sequence of the atomic classify_batch.
-            out.extend(
-                p.lanes
-                    .iter()
-                    .zip(p.levels.iter())
-                    .map(|(&lane, level)| LaneDecision {
-                        lane,
-                        anomalous: level.is_anomalous(),
-                    }),
-            );
-            p.lanes.clear();
-            p.local.clear();
-            p.records.clear();
-            p.levels.clear();
-            self.spares.push(p);
-        }
     }
 }
 
@@ -689,54 +481,6 @@ mod tests {
         results
     }
 
-    /// Like [`drive`], but classifies every round through
-    /// `fork_round`/`join_round` with up to `parts` partitions — running
-    /// the partitions in **reverse** order to prove decisions do not
-    /// depend on partition execution order. Falls back to the atomic path
-    /// when the session declines to fork (round too narrow).
-    fn drive_forked(
-        session: &mut dyn StreamingSession,
-        streams: &[&[Record]],
-        parts: usize,
-    ) -> Vec<Vec<bool>> {
-        let mut results: Vec<Vec<bool>> = streams.iter().map(|_| Vec::new()).collect();
-        for _ in streams {
-            session.add_lane();
-        }
-        let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut out = Vec::new();
-        for t in 0..max_len {
-            let mut lanes = Vec::new();
-            let mut records = Vec::new();
-            for (lane, stream) in streams.iter().enumerate() {
-                if let Some(r) = stream.get(t) {
-                    lanes.push(lane);
-                    records.push(r.clone());
-                }
-            }
-            out.clear();
-            match session.fork_round(&lanes, &mut records, parts) {
-                Some(mut forked) => {
-                    assert!(records.is_empty(), "fork_round drains the records");
-                    for p in forked.iter_mut().rev() {
-                        p.run();
-                    }
-                    session.join_round(forked, &mut out);
-                }
-                None => session.classify_batch(&lanes, &records, &mut out),
-            }
-            for d in &out {
-                results[d.lane].push(d.anomalous);
-            }
-        }
-        out.clear();
-        session.finish(&mut out);
-        for d in &out {
-            results[d.lane].push(d.anomalous);
-        }
-        results
-    }
-
     /// The per-record dynamic-`k` oracle: one stream alone on a one-lane
     /// batch (whose step is the streaming step) with its own controller.
     fn adaptive_oracle(
@@ -758,119 +502,6 @@ mod tests {
                     .is_anomalous()
             })
             .collect()
-    }
-
-    /// Slices a capture into `n` round-robin streams.
-    fn round_robin(records: &[Record], n: usize) -> Vec<Vec<Record>> {
-        let mut streams = vec![Vec::new(); n];
-        for (i, r) in records.iter().enumerate() {
-            streams[i % n].push(r.clone());
-        }
-        streams
-    }
-
-    #[test]
-    fn forked_rounds_match_atomic_rounds_bitwise() {
-        let (detector, records) = small_detector(57);
-        let streams = round_robin(&records[..600], 7);
-        let streams: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
-
-        let mut atomic = Arc::clone(&detector).begin_session();
-        let reference = drive(atomic.as_mut(), &streams);
-        for parts in [2, 3, 5, 16] {
-            let mut forked = Arc::clone(&detector).begin_session();
-            let split = drive_forked(forked.as_mut(), &streams, parts);
-            assert_eq!(split, reference, "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn forked_adaptive_rounds_match_atomic_rounds_bitwise() {
-        let (detector, records) = small_detector(58);
-        let streams = round_robin(&records[..600], 6);
-        let streams: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
-        let config = DynamicKConfig {
-            window: 32,
-            ..DynamicKConfig::default()
-        };
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
-
-        let mut atomic = Arc::clone(&backend).begin_session();
-        let reference = drive(atomic.as_mut(), &streams);
-        for parts in [2, 3, 6] {
-            let mut forked = Arc::clone(&backend).begin_session();
-            let split = drive_forked(forked.as_mut(), &streams, parts);
-            assert_eq!(split, reference, "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn fork_declines_rounds_too_narrow_to_split() {
-        let (detector, records) = small_detector(59);
-        let mut session = Arc::clone(&detector).begin_session();
-        let lane = session.add_lane();
-        let mut round = vec![records[0].clone()];
-        assert!(
-            session.fork_round(&[lane], &mut round, 4).is_none(),
-            "a 1-lane round has nothing to split"
-        );
-        assert_eq!(round.len(), 1, "records untouched on None");
-    }
-
-    #[test]
-    fn forking_across_a_swap_matches_cold_start() {
-        let (detector_a, records) = small_detector(60);
-        let (detector_b, _) = small_detector(61);
-        let streams = round_robin(&records[..400], 4);
-        let streams: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
-
-        // Forked session: half the rounds on A, swap, half on B.
-        let halves: Vec<(Vec<Record>, Vec<Record>)> = streams
-            .iter()
-            .map(|s| {
-                let mid = s.len() / 2;
-                (s[..mid].to_vec(), s[mid..].to_vec())
-            })
-            .collect();
-        let first: Vec<&[Record]> = halves.iter().map(|(a, _)| a.as_slice()).collect();
-        let second: Vec<&[Record]> = halves.iter().map(|(_, b)| b.as_slice()).collect();
-
-        let mut session = Arc::clone(&detector_a).begin_session();
-        let _ = drive_forked(session.as_mut(), &first, 3);
-        session.swap_combined(Arc::clone(&detector_b)).unwrap();
-        // Post-swap forks build fresh partitions against detector B (the
-        // spare pool was retired with A); decisions must match a cold
-        // session on B.
-        let mut out = Vec::new();
-        let max_len = second.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut results: Vec<Vec<bool>> = second.iter().map(|_| Vec::new()).collect();
-        for t in 0..max_len {
-            let mut lanes = Vec::new();
-            let mut records = Vec::new();
-            for (lane, stream) in second.iter().enumerate() {
-                if let Some(r) = stream.get(t) {
-                    lanes.push(lane);
-                    records.push(r.clone());
-                }
-            }
-            out.clear();
-            match session.fork_round(&lanes, &mut records, 2) {
-                Some(mut forked) => {
-                    for p in forked.iter_mut() {
-                        p.run();
-                    }
-                    session.join_round(forked, &mut out);
-                }
-                None => session.classify_batch(&lanes, &records, &mut out),
-            }
-            for d in &out {
-                results[d.lane].push(d.anomalous);
-            }
-        }
-
-        let mut cold = Arc::clone(&detector_b).begin_session();
-        let reference = drive(cold.as_mut(), &second);
-        assert_eq!(results, reference);
     }
 
     #[test]

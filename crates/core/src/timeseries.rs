@@ -119,21 +119,6 @@ pub struct TsState {
     x_buf: Vec<f32>,
 }
 
-impl TsState {
-    /// A hollow placeholder (no LSTM layers, no prediction): what a batch
-    /// lane slot holds while its real state is moved into a round
-    /// partition. Never stepped — partitioned classification moves the
-    /// real state back before the lane is touched again. Allocation-free.
-    pub(crate) fn hollow() -> TsState {
-        TsState {
-            stream: StreamState::default(),
-            prediction: None,
-            scratch: Vec::new(),
-            x_buf: Vec::new(),
-        }
-    }
-}
-
 /// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the gathered
 /// LSTM state blocks plus the batched one-hot input and probability blocks,
 /// grown on demand.

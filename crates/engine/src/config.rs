@@ -32,7 +32,7 @@ pub enum EngineMode {
 ///
 /// | mode | OS threads | for |
 /// |---|---|---|
-/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` capped at `num_shards` by default; an explicit count is honored as given) | production |
+/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` by default, or an explicit count; capped at `num_shards` either way) | production |
 /// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
@@ -40,11 +40,10 @@ pub enum IngestMode {
     /// ([`icsad_runtime`]): idle shards cost no thread, and a hot shard's
     /// flush migrates to an idle worker.
     Async {
-        /// Pool threads; `0` sizes the pool to
-        /// `available_parallelism().min(num_shards)`. An explicit count
-        /// is honored as given — a pool larger than the shard count puts
-        /// the extra workers on split rounds
-        /// ([`EngineConfig::split_threshold`]).
+        /// Pool threads; `0` means `available_parallelism`. Either way the
+        /// pool is capped at `num_shards`: one shard task is polled by one
+        /// worker at a time, so a worker beyond the shard count could
+        /// only park.
         workers: usize,
     },
     /// The async runtime on one thread, replaying worker/steal/budget
@@ -70,6 +69,10 @@ pub enum EngineConfigError {
     /// `channel_capacity` was zero: every ingest would deadlock waiting
     /// for queue space that cannot exist.
     ZeroChannelCapacity,
+    /// `channel_capacity` exceeded [`MAX_CHANNEL_CAPACITY`]: the queues
+    /// and the chunk free-list are preallocated in proportion to it, so a
+    /// huge value would abort the process at startup.
+    ChannelCapacityTooLarge,
     /// `crc_window` was zero: the per-stream CRC feature needs at least one
     /// frame of history.
     ZeroCrcWindow,
@@ -79,9 +82,6 @@ pub enum EngineConfigError {
     /// An [`IngestMode::AsyncDeterministic`] schedule with a zero poll
     /// budget.
     ZeroScheduleBudget,
-    /// A zero [`EngineConfig::split_threshold`] (use `usize::MAX` to
-    /// disable round splitting, not `0`).
-    ZeroSplitThreshold,
     /// A zero [`EngineConfig::lane_idle_frames`] (use `None` to disable
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
@@ -96,18 +96,18 @@ impl std::fmt::Display for EngineConfigError {
             EngineConfigError::ZeroChannelCapacity => {
                 write!(f, "channel_capacity must be positive")
             }
+            EngineConfigError::ChannelCapacityTooLarge => {
+                write!(
+                    f,
+                    "channel_capacity must be at most {MAX_CHANNEL_CAPACITY} frames per shard"
+                )
+            }
             EngineConfigError::ZeroCrcWindow => write!(f, "crc_window must be positive"),
             EngineConfigError::ZeroScheduleWorkers => {
                 write!(f, "deterministic schedule needs at least one worker")
             }
             EngineConfigError::ZeroScheduleBudget => {
                 write!(f, "deterministic schedule needs a positive poll budget")
-            }
-            EngineConfigError::ZeroSplitThreshold => {
-                write!(
-                    f,
-                    "split_threshold must be positive (usize::MAX disables splitting)"
-                )
             }
             EngineConfigError::ZeroLaneIdleFrames => {
                 write!(
@@ -120,6 +120,14 @@ impl std::fmt::Display for EngineConfigError {
 }
 
 impl std::error::Error for EngineConfigError {}
+
+/// Largest [`EngineConfig::channel_capacity`] that
+/// [`EngineConfig::validate`] accepts: 2²⁴ frames per shard. Startup
+/// preallocates each shard's queue and the shared chunk free-list in
+/// proportion to the capacity (that is what keeps steady-state ingest
+/// allocation-free), so the bound keeps a typo'd capacity a typed error
+/// instead of an allocation failure.
+pub const MAX_CHANNEL_CAPACITY: usize = 1 << 24;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +148,7 @@ pub struct EngineConfig {
     /// [`RuntimeStats::blocked_pushes`]); frames are never dropped. Frames
     /// travel in chunks of 64, so the effective bound is rounded up to
     /// whole chunks (at least one — up to ~`channel_capacity + 63` frames
-    /// may be in flight).
+    /// may be in flight). At most [`MAX_CHANNEL_CAPACITY`].
     pub channel_capacity: usize,
     /// CRC sliding-window width for feature extraction (per stream).
     pub crc_window: usize,
@@ -151,16 +159,6 @@ pub struct EngineConfig {
     /// How shard workers are scheduled; purely a throughput/footprint
     /// knob, never a decision change.
     pub ingest: IngestMode,
-    /// Round width (pending lanes in one classification round) above
-    /// which a shard *splits* the round: the lanes are partitioned
-    /// into disjoint sub-batches classified concurrently across the
-    /// work-stealing pool (fork-join), so one hot shard's wide round can
-    /// occupy otherwise-idle workers. At most one partition per pool
-    /// worker and no partition narrower than this threshold. `usize::MAX`
-    /// keeps every round atomic. Like `ingest`, purely a throughput knob: decisions are
-    /// bit-identical at any threshold (see `ARCHITECTURE.md`, "Parallel
-    /// rounds").
-    pub split_threshold: usize,
     /// Idle-lane eviction bound, in per-shard routed frames. When set to
     /// `Some(n)`, each shard sweeps its resident lanes every `n` of its
     /// own frames and retires every lane that has gone at least `n`
@@ -195,10 +193,6 @@ impl Default for EngineConfig {
             crc_window: DEFAULT_CRC_WINDOW,
             mode: EngineMode::FixedK,
             ingest: IngestMode::default(),
-            // Wide enough that narrow rounds never pay fork overhead, low
-            // enough that a genuinely hot shard (hundreds of active lanes)
-            // spreads across the pool.
-            split_threshold: 128,
             lane_idle_frames: None,
         }
     }
@@ -207,9 +201,10 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Checks every capacity/sizing field up front, so a bad configuration
     /// is a typed error at startup instead of a deadlock (zero queue
-    /// capacity), a dead engine (zero shards), or a panic deep inside a
-    /// worker. [`Engine::try_start`]/[`Engine::try_start_backend`] run this
-    /// before spawning anything.
+    /// capacity), a dead engine (zero shards), an allocation failure
+    /// (oversized queue capacity), or a panic deep inside a worker.
+    /// [`Engine::try_start`]/[`Engine::try_start_backend`] run this before
+    /// spawning anything.
     pub fn validate(&self) -> Result<(), EngineConfigError> {
         if self.num_shards == 0 {
             return Err(EngineConfigError::ZeroShards);
@@ -219,6 +214,9 @@ impl EngineConfig {
         }
         if self.channel_capacity == 0 {
             return Err(EngineConfigError::ZeroChannelCapacity);
+        }
+        if self.channel_capacity > MAX_CHANNEL_CAPACITY {
+            return Err(EngineConfigError::ChannelCapacityTooLarge);
         }
         if self.crc_window == 0 {
             return Err(EngineConfigError::ZeroCrcWindow);
@@ -230,9 +228,6 @@ impl EngineConfig {
             if schedule.max_budget == 0 {
                 return Err(EngineConfigError::ZeroScheduleBudget);
             }
-        }
-        if self.split_threshold == 0 {
-            return Err(EngineConfigError::ZeroSplitThreshold);
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);

@@ -5,11 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use icsad_core::streaming::StreamingDetector;
-use icsad_runtime::{
-    Executor, IngestQueue, RecycleRing, RoundBoard, RoundStats, Schedule, TryPushError,
-};
+use icsad_runtime::{ExecStats, Executor, IngestQueue, RecycleRing, Schedule, TryPushError};
 
-use crate::shard::{EngineUnit, RoundDriver, ShardCore, ShardMsg, ShardTask};
+use crate::shard::{ShardCore, ShardMsg, ShardTask};
 use crate::{EngineConfig, IngestMode, RawFrame, ShardReport};
 
 // Intra-doc link target only.
@@ -21,9 +19,6 @@ use crate::Engine;
 pub(crate) struct IngestDriver {
     queues: Vec<Arc<IngestQueue<ShardMsg>>>,
     pub(crate) executor: Executor<ShardTask>,
-    /// The pool-shared fork-join board wide rounds split onto; kept here
-    /// so `finish` can report its counters.
-    board: Arc<RoundBoard<EngineUnit>>,
     pub(crate) mode: &'static str,
 }
 
@@ -42,38 +37,33 @@ impl IngestDriver {
         processed: &Arc<AtomicU64>,
     ) -> IngestDriver {
         let num_shards = config.num_shards;
-        // `fan_out` is how many partitions a wide round may fork into: at
-        // most the whole pool. The deterministic scheduler forks with its
-        // virtual worker count — the parent then runs every sub-unit
-        // inline, so seeded replays exercise the exact split plan a real
-        // pool of that size would execute.
-        let (schedule, fan_out, mode) = match config.ingest {
+        let (schedule, mode) = match config.ingest {
             IngestMode::Async { workers } => {
-                // A fixed pool: `available_parallelism` (capped at the
-                // shard count) by default. An explicit count is honored as
-                // given — a pool *larger* than the shard count is not
-                // pointless, because extra workers claim sub-units of
-                // split rounds.
+                // A fixed pool: `available_parallelism` by default, and
+                // never more workers than shards — a task is polled by one
+                // worker at a time, so a worker beyond the shard count
+                // could only park.
                 let workers = if workers == 0 {
                     std::thread::available_parallelism()
                         .map(|n| n.get())
                         .unwrap_or(1)
-                        .min(num_shards)
                 } else {
                     workers
                 };
-                (Schedule::Pool { workers }, workers, "async")
+                (
+                    Schedule::Pool {
+                        workers: workers.min(num_shards),
+                    },
+                    "async",
+                )
             }
-            IngestMode::AsyncDeterministic(test) => (
-                Schedule::Deterministic(test),
-                test.workers,
-                "async-deterministic",
-            ),
+            IngestMode::AsyncDeterministic(test) => {
+                (Schedule::Deterministic(test), "async-deterministic")
+            }
         };
         let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
             .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
             .collect();
-        let board = Arc::new(RoundBoard::new());
         let tasks: Vec<ShardTask> = queues
             .iter()
             .enumerate()
@@ -83,10 +73,6 @@ impl IngestDriver {
                     ShardCore::new(
                         session,
                         config.clone(),
-                        RoundDriver {
-                            board: Arc::clone(&board),
-                            fan_out,
-                        },
                         Arc::clone(recycle),
                         Arc::clone(processed),
                     ),
@@ -97,8 +83,7 @@ impl IngestDriver {
             .collect();
         IngestDriver {
             queues,
-            executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
-            board,
+            executor: Executor::start(tasks, schedule),
             mode,
         }
     }
@@ -133,16 +118,13 @@ impl IngestDriver {
     /// Closes ingest and joins every worker, **even when some panicked**:
     /// all workers are joined before any result is inspected, so one
     /// panicking shard cannot leak the surviving workers. Panics are
-    /// returned as `Err` payloads in shard order, plus the scheduler and
-    /// round-board counters.
-    pub(crate) fn into_results(
-        self,
-    ) -> (Vec<std::thread::Result<ShardReport>>, u64, u64, RoundStats) {
+    /// returned as `Err` payloads in shard order, plus the scheduler
+    /// counters.
+    pub(crate) fn into_results(self) -> (Vec<std::thread::Result<ShardReport>>, ExecStats) {
         for (shard, queue) in self.queues.iter().enumerate() {
             queue.close();
             self.executor.notify(shard);
         }
-        let (results, stats) = self.executor.join();
-        (results, stats.steals, stats.polls, self.board.stats())
+        self.executor.join()
     }
 }

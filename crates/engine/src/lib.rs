@@ -95,7 +95,7 @@ use icsad_core::streaming::{AdaptiveCombined, StreamingDetector};
 use icsad_runtime::RecycleRing;
 use icsad_simulator::{AttackType, Packet};
 
-pub use config::{EngineConfig, EngineConfigError, EngineMode, IngestMode};
+pub use config::{EngineConfig, EngineConfigError, EngineMode, IngestMode, MAX_CHANNEL_CAPACITY};
 pub use frame::{FrameBytes, FRAME_INLINE_CAP};
 pub use icsad_runtime::TestSchedule;
 pub use report::{EngineReport, ReloadError, RuntimeStats, ShardReport};
@@ -493,9 +493,9 @@ impl Engine {
     }
 
     /// OS threads the engine spawned to drive its shards: the pool size
-    /// under [`IngestMode::Async`] (`available_parallelism` capped at
-    /// `num_shards` when `workers` is `0`; an explicit count is honored as
-    /// given, uncapped), and 1 under [`IngestMode::AsyncDeterministic`].
+    /// under [`IngestMode::Async`] (`workers`, or `available_parallelism`
+    /// when it is `0`, capped at `num_shards` either way), and 1 under
+    /// [`IngestMode::AsyncDeterministic`].
     /// The idle-stream soak test pins the engine's thread footprint with
     /// this.
     pub fn ingest_threads(&self) -> usize {
@@ -712,8 +712,7 @@ impl Engine {
         )]
         let driver = self.driver.take().expect("finish called once");
         let mode = driver.mode;
-        let ingest_threads = driver.executor.threads();
-        let (results, steals, polls, round_stats) = driver.into_results();
+        let (results, stats) = driver.into_results();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(results.len());
         let mut panic = None;
         for result in results {
@@ -742,14 +741,13 @@ impl Engine {
             kernel_backend: self.kernel_backend,
             runtime: RuntimeStats {
                 mode,
-                ingest_threads,
+                ingest_threads: stats.threads,
                 // ORDERING: Relaxed — read post-join, as above.
                 blocked_pushes: self.blocked_pushes.load(Ordering::Relaxed),
-                steals,
-                polls,
-                split_rounds: round_stats.rounds,
-                round_units: round_stats.units,
-                rounds_helped: round_stats.helped,
+                steals: stats.steals,
+                polls: stats.polls,
+                round_units: 0,
+                rounds_helped: 0,
             },
         }
     }

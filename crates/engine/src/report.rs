@@ -86,8 +86,8 @@ pub struct ShardReport {
     /// swap happened on the boundary after round `swap_rounds[i]`, with
     /// the backlog fully drained through the outgoing detector first.
     pub swap_rounds: Vec<u64>,
-    /// Flushes this shard forked into parallel sub-batches across the
-    /// pool ([`EngineConfig::split_threshold`]).
+    /// Always 0: rounds are never split. Kept only because the frozen
+    /// perf ledger reads it; a benchmark PR removes it.
     pub split_rounds: u64,
     /// Widest classification round (pending lanes in one flush) this
     /// shard executed — the skew signal: a hot shard's widest round
@@ -116,13 +116,11 @@ pub struct RuntimeStats {
     pub steals: u64,
     /// Task polls executed.
     pub polls: u64,
-    /// Classification rounds forked into parallel sub-units on the shared
-    /// round board (sum of [`ShardReport::split_rounds`]).
-    pub split_rounds: u64,
-    /// Sub-units those rounds were split into.
+    /// Always 0: rounds are never split. Kept only because the frozen
+    /// perf ledger reads it; a benchmark PR removes it.
     pub round_units: u64,
-    /// Sub-units executed by an idle pool worker's help hook rather than
-    /// the forking shard — realized intra-round parallelism.
+    /// Always 0, like [`RuntimeStats::round_units`] and for the same
+    /// reason.
     pub rounds_helped: u64,
 }
 

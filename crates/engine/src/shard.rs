@@ -16,30 +16,6 @@
 //! large they are, or which worker runs them. That is the ordering argument
 //! behind the engine's schedule-invariance tests; `ARCHITECTURE.md` spells
 //! it out.
-//!
-//! **Split rounds extend, not weaken, that argument.** A round wider than
-//! [`EngineConfig::split_threshold`] forks into disjoint lane partitions
-//! classified concurrently on the pool ([`RoundDriver`]):
-//!
-//! * *No aliasing*: each partition owns the moved-out mutable state of its
-//!   lanes (LSTM cells, controller, batch scratch) and shares only the
-//!   `Arc`'d read-only weights, so concurrent partitions touch disjoint
-//!   memory ([`RoundPartition`]).
-//! * *Same inputs*: a round holds at most one record per lane, and which
-//!   lanes/records form the round is fixed *before* the fork — splitting
-//!   changes who computes, never what is computed.
-//! * *Same outputs*: per-lane decisions depend only on that lane's record
-//!   prefix (the `LaneDecision` contract), and `join_round` re-emits them
-//!   in fork order, so the decision sequence — and hence label pairing,
-//!   which is per-lane FIFO anyway — is bit-identical to the atomic round.
-//! * *Same plan everywhere*: the fork decision and the partition
-//!   boundaries are pure functions of the round width and the config
-//!   (`split_threshold`, pool size), never of timing, so any schedule
-//!   (and the deterministic replay scheduler) forks identically.
-//!
-//! The split-threshold equivalence proptest drives all of this across
-//! `split_threshold` × worker-count × seeded schedules and asserts
-//! bit-identical reports.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,33 +23,13 @@ use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::streaming::{LaneDecision, RoundPartition, StreamingSession};
+use icsad_core::streaming::{LaneDecision, StreamingSession};
 use icsad_dataset::extract::StreamExtractor;
 use icsad_dataset::Record;
-use icsad_runtime::{Drain, IngestQueue, Poll, RecycleRing, RoundBoard, RoundUnit, Task};
+use icsad_runtime::{Drain, IngestQueue, Poll, RecycleRing, Task};
 use icsad_simulator::AttackType;
 
 use crate::{EngineConfig, RawFrame, ShardReport};
-
-/// One stealable sub-unit of a split classification round: a disjoint
-/// lane partition of one shard's round (newtype so the engine can
-/// implement the runtime's [`RoundUnit`] for the core's type).
-pub(crate) struct EngineUnit(pub(crate) RoundPartition);
-
-impl RoundUnit for EngineUnit {
-    fn run(&mut self) {
-        self.0.run();
-    }
-}
-
-/// Where a shard's wide rounds fork to: rounds wider than
-/// [`EngineConfig::split_threshold`] become stealable sub-units on the
-/// pool's shared [`RoundBoard`]. `fan_out` is the pool size — the most
-/// workers a round could occupy, and so the most partitions worth forking.
-pub(crate) struct RoundDriver {
-    pub(crate) board: Arc<RoundBoard<EngineUnit>>,
-    pub(crate) fan_out: usize,
-}
 
 /// Control-plane message to a shard: a chunk of routed frames, a
 /// hot-reload to apply at the next round boundary, or a stream-retirement
@@ -155,7 +111,6 @@ pub(crate) struct ShardCore {
     /// longer pay 10k queue checks per round). Invariant: `lane ∈
     /// active_lanes ⇔ !queues[lane].is_empty()`, no duplicates.
     active_lanes: Vec<usize>,
-    rounds: RoundDriver,
     /// Chunk free-list shared with the engine: drained `Frames` chunk
     /// `Vec`s go back here for the ingest side to refill, closing the
     /// steady-state allocation loop.
@@ -172,7 +127,6 @@ pub(crate) struct ShardCore {
     alarms: u64,
     reloads: u64,
     swap_rounds: Vec<u64>,
-    split_rounds: u64,
     widest_round: usize,
 }
 
@@ -180,7 +134,6 @@ impl ShardCore {
     pub(crate) fn new(
         session: Box<dyn StreamingSession>,
         config: EngineConfig,
-        rounds: RoundDriver,
         recycle: Arc<RecycleRing<Vec<RawFrame>>>,
         processed: Arc<AtomicU64>,
     ) -> Self {
@@ -188,7 +141,6 @@ impl ShardCore {
         ShardCore {
             session,
             config,
-            rounds,
             recycle,
             processed,
             #[expect(
@@ -218,7 +170,6 @@ impl ShardCore {
             alarms: 0,
             reloads: 0,
             swap_rounds: Vec::new(),
-            split_rounds: 0,
             widest_round: 0,
         }
     }
@@ -422,38 +373,9 @@ impl ShardCore {
         self.flushes += 1;
     }
 
-    /// Classifies the gathered round — atomically, or forked across the
-    /// pool's round board when it is wide enough to be worth splitting.
-    ///
-    /// The fork decision (and the partitioning itself) is a pure function
-    /// of the round's width and the engine config — never of timing — and
-    /// per-lane decisions depend only on each lane's record prefix, so
-    /// both paths produce bit-identical decision sequences (pinned by the
-    /// split-threshold equivalence proptest).
+    /// Classifies the gathered round in one session call.
     fn classify_pending(&mut self) {
-        let width = self.pending_lanes.len();
-        self.widest_round = self.widest_round.max(width);
-        let RoundDriver { board, fan_out } = &self.rounds;
-        if width > self.config.split_threshold && *fan_out >= 2 {
-            // At most one partition per pool worker, and no partition
-            // narrower than the threshold (a sliver would pay fork
-            // overhead for a handful of lanes).
-            let parts = (*fan_out).min(width.div_ceil(self.config.split_threshold));
-            if parts >= 2 {
-                if let Some(forked) =
-                    self.session
-                        .fork_round(&self.pending_lanes, &mut self.pending_records, parts)
-                {
-                    let units = board.fork_join(forked.into_iter().map(EngineUnit).collect());
-                    self.session.join_round(
-                        units.into_iter().map(|u| u.0).collect(),
-                        &mut self.decisions,
-                    );
-                    self.split_rounds += 1;
-                    return;
-                }
-            }
-        }
+        self.widest_round = self.widest_round.max(self.pending_lanes.len());
         self.session.classify_batch(
             &self.pending_lanes,
             &self.pending_records,
@@ -574,7 +496,7 @@ impl ShardCore {
             alarms: self.alarms,
             reloads: self.reloads,
             swap_rounds: self.swap_rounds,
-            split_rounds: self.split_rounds,
+            split_rounds: 0,
             widest_round: self.widest_round,
             report: self.report,
         }

@@ -8,7 +8,9 @@ use std::sync::Arc;
 use icsad_core::combined::CombinedDetector;
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
 use icsad_dataset::Record;
-use icsad_engine::{Engine, EngineConfig, EngineConfigError, IngestMode, TestSchedule};
+use icsad_engine::{
+    Engine, EngineConfig, EngineConfigError, IngestMode, TestSchedule, MAX_CHANNEL_CAPACITY,
+};
 
 /// A backend stub: config validation must reject before ever touching it.
 struct StubBackend;
@@ -133,6 +135,31 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
     }
 }
 
+/// Startup preallocates the shard queues and the chunk free-list in
+/// proportion to `channel_capacity`; without the bound, `1 << 40` aborted
+/// the process in `handle_alloc_error` and `usize::MAX` tripped the
+/// capacity-overflow panic.
+#[test]
+fn oversized_channel_capacity_is_rejected_before_anything_is_allocated() {
+    for channel_capacity in [1 << 40, usize::MAX, MAX_CHANNEL_CAPACITY + 1] {
+        let config = EngineConfig {
+            channel_capacity,
+            ..base()
+        };
+        let expected = EngineConfigError::ChannelCapacityTooLarge;
+        assert_eq!(config.validate(), Err(expected), "{channel_capacity}");
+        match Engine::try_start_backend(Arc::new(StubBackend), config) {
+            Err(e) => assert_eq!(e, expected),
+            Ok(_) => panic!("an oversized channel must not start an engine"),
+        }
+    }
+    let at_bound = EngineConfig {
+        channel_capacity: MAX_CHANNEL_CAPACITY,
+        ..base()
+    };
+    assert_eq!(at_bound.validate(), Ok(()));
+}
+
 #[test]
 fn valid_configs_pass_validation() {
     assert_eq!(base().validate(), Ok(()));
@@ -158,6 +185,10 @@ fn errors_name_the_offending_field() {
         (EngineConfigError::ZeroShards, "num_shards"),
         (EngineConfigError::ZeroBatchSize, "batch_size"),
         (EngineConfigError::ZeroChannelCapacity, "channel_capacity"),
+        (
+            EngineConfigError::ChannelCapacityTooLarge,
+            "channel_capacity",
+        ),
         (EngineConfigError::ZeroCrcWindow, "crc_window"),
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
         (EngineConfigError::ZeroScheduleWorkers, "worker"),

@@ -18,7 +18,7 @@ use icsad_core::DynamicKConfig;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
 use icsad_engine::{
-    Engine, EngineConfig, EngineMode, EngineReport, FrameBytes, RawFrame, ReloadError,
+    Engine, EngineConfig, EngineMode, EngineReport, FrameBytes, IngestMode, RawFrame, ReloadError,
 };
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
@@ -326,6 +326,28 @@ fn tiny_channels_apply_backpressure_without_deadlock() {
     engine.ingest_packets(&packets);
     let report = engine.finish();
     assert_eq!(report.frames(), 800);
+}
+
+/// A shard task is polled by one worker at a time, so the pool never
+/// spawns more workers than there are shards — even when asked to.
+#[test]
+fn pool_is_capped_at_the_shard_count() {
+    let detector = small_detector(34);
+    let packets = multi_plc_capture(&[2, 5], 100, 34);
+    let mut engine = Engine::try_start(
+        Arc::clone(&detector),
+        EngineConfig {
+            num_shards: 2,
+            ingest: IngestMode::Async { workers: 4 },
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(engine.ingest_threads(), 2);
+    engine.ingest_packets(&packets);
+    let report = engine.finish();
+    assert_eq!(report.runtime.ingest_threads, 2);
+    assert_eq!(report.frames(), 200);
 }
 
 #[test]

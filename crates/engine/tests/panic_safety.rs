@@ -108,11 +108,7 @@ fn frame(unit: u8, i: u32) -> RawFrame {
     }
 }
 
-/// Real-pool callers run this at `split_threshold` `usize::MAX` (rounds
-/// atomic) and `1` (every multi-lane round offered to the fork-join board;
-/// the stub backend declines to fork, so that pins the
-/// classify-atomically fallback).
-fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
+fn drive_to_panic(ingest: IngestMode) {
     let (backend, live_sessions) = FailingBackend::new(50);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut engine = Engine::try_start_backend(
@@ -122,7 +118,6 @@ fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
                 batch_size: 4,
                 channel_capacity: 16,
                 ingest,
-                split_threshold,
                 ..EngineConfig::default()
             },
         )
@@ -150,21 +145,16 @@ fn drive_to_panic(ingest: IngestMode, split_threshold: usize) {
 
 #[test]
 fn async_engine_survives_a_panicking_shard() {
-    for split_threshold in [usize::MAX, 1] {
-        drive_to_panic(IngestMode::Async { workers: 2 }, split_threshold);
-    }
+    drive_to_panic(IngestMode::Async { workers: 2 });
 }
 
 #[test]
 fn deterministic_engine_survives_a_panicking_shard() {
-    drive_to_panic(
-        IngestMode::AsyncDeterministic(TestSchedule {
-            seed: 13,
-            workers: 2,
-            max_budget: 3,
-        }),
-        usize::MAX,
-    );
+    drive_to_panic(IngestMode::AsyncDeterministic(TestSchedule {
+        seed: 13,
+        workers: 2,
+        max_budget: 3,
+    }));
 }
 
 /// Dropping an engine without `finish` — e.g. during a caller's unwind —
@@ -178,7 +168,7 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
         workers: 2,
         max_budget: 2,
     });
-    for (ingest, split_threshold) in [(pool, usize::MAX), (pool, 1), (replay, usize::MAX)] {
+    for ingest in [pool, replay] {
         let (backend, live_sessions) = FailingBackend::new(usize::MAX);
         {
             let mut engine = Engine::try_start_backend(
@@ -188,7 +178,6 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
                     batch_size: 8,
                     channel_capacity: 16,
                     ingest,
-                    split_threshold,
                     ..EngineConfig::default()
                 },
             )
@@ -201,7 +190,7 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
         assert_eq!(
             live_sessions.load(Ordering::SeqCst),
             0,
-            "drop joined every worker under {ingest:?} split {split_threshold}"
+            "drop joined every worker under {ingest:?}"
         );
     }
 }

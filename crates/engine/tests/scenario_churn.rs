@@ -1,6 +1,6 @@
 //! Topology-churn correctness: a PLC that leaves and rejoins classifies
-//! bit-identically to a cold start, with rounds atomic or force-split
-//! across the pool, and across a mid-churn detector hot-swap — and
+//! bit-identically to a cold start on a two-worker pool, also across a
+//! mid-churn detector hot-swap — and
 //! idle-lane eviction is invisible to decision totals when evicted streams
 //! stay gone.
 //!
@@ -64,23 +64,20 @@ fn capture(seed: u64, n: usize) -> Vec<Packet> {
     generator.generate(n)
 }
 
-/// Round-split plans the churn runs cover on the two-worker pool: every
-/// round atomic, and every multi-lane round forked across the pool.
-const SPLITS: [usize; 2] = [usize::MAX, 1];
-
-fn config(split_threshold: usize) -> EngineConfig {
+/// Two shards on the two-worker pool, so shard tasks migrate between
+/// threads.
+fn config() -> EngineConfig {
     EngineConfig {
         num_shards: 2,
         batch_size: 16,
         ingest: IngestMode::Async { workers: 2 },
-        split_threshold,
         ..EngineConfig::default()
     }
 }
 
-/// The cold-start reference: a fresh engine with atomic rounds.
+/// The cold-start reference: a fresh engine.
 fn cold_run(detector: Arc<CombinedDetector>, packets: &[Packet]) -> EngineReport {
-    let mut engine = Engine::try_start(detector, config(usize::MAX)).unwrap();
+    let mut engine = Engine::try_start(detector, config()).unwrap();
     engine.ingest_packets(packets);
     engine.finish()
 }
@@ -94,27 +91,25 @@ fn plc_leave_rejoin_classifies_bit_identically_to_cold_start() {
     let r2 = cold_run(detector_a(), second);
     let mut expected = r1.total.clone();
     expected.merge(&r2.total);
-    for split in SPLITS {
-        // Churn: one engine, the PLC leaves and rejoins on the same link.
-        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
-        engine.ingest_packets(first);
-        engine.retire_link(0);
-        engine.ingest_packets(second);
-        let report = engine.finish();
+    // Churn: one engine, the PLC leaves and rejoins on the same link.
+    let mut engine = Engine::try_start(detector_a(), config()).unwrap();
+    engine.ingest_packets(first);
+    engine.retire_link(0);
+    engine.ingest_packets(second);
+    let report = engine.finish();
 
-        assert_eq!(
-            report.total, expected,
-            "rejoined stream must classify exactly like a cold start (split {split})"
-        );
-        assert!(report.retired_lanes() >= 1, "the leave must retire lanes");
-        // Rejoining reactivates the streams: cumulative activations count
-        // both lifetimes, while nothing stays resident beyond the second.
-        let cold_streams: usize = r1.shards.iter().map(|s| s.streams).sum::<usize>()
-            + r2.shards.iter().map(|s| s.streams).sum::<usize>();
-        let churn_streams: usize = report.shards.iter().map(|s| s.streams).sum();
-        assert_eq!(churn_streams, cold_streams);
-        assert!(report.resident_lanes() <= churn_streams);
-    }
+    assert_eq!(
+        report.total, expected,
+        "rejoined stream must classify exactly like a cold start"
+    );
+    assert!(report.retired_lanes() >= 1, "the leave must retire lanes");
+    // Rejoining reactivates the streams: cumulative activations count
+    // both lifetimes, while nothing stays resident beyond the second.
+    let cold_streams: usize = r1.shards.iter().map(|s| s.streams).sum::<usize>()
+        + r2.shards.iter().map(|s| s.streams).sum::<usize>();
+    let churn_streams: usize = report.shards.iter().map(|s| s.streams).sum();
+    assert_eq!(churn_streams, cold_streams);
+    assert!(report.resident_lanes() <= churn_streams);
 }
 
 #[test]
@@ -131,22 +126,19 @@ fn rejoin_across_swap_artifact_matches_cold_start_with_new_detector() {
     let r2 = cold_run(detector_b(), second);
     let mut expected = r1.total.clone();
     expected.merge(&r2.total);
-    for split in SPLITS {
-        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
-        engine.ingest_packets(first);
-        engine.retire_link(0);
-        engine.swap_artifact(&artifact).unwrap();
-        engine.ingest_packets(second);
-        let report = engine.finish();
+    let mut engine = Engine::try_start(detector_a(), config()).unwrap();
+    engine.ingest_packets(first);
+    engine.retire_link(0);
+    engine.swap_artifact(&artifact).unwrap();
+    engine.ingest_packets(second);
+    let report = engine.finish();
 
-        assert_eq!(
-            report.total, expected,
-            "rejoin across a hot-swap must match a cold start on the new \
-             detector (split {split})"
-        );
-        assert_eq!(report.reloads, 1);
-        assert!(report.retired_lanes() >= 1);
-    }
+    assert_eq!(
+        report.total, expected,
+        "rejoin across a hot-swap must match a cold start on the new detector"
+    );
+    assert_eq!(report.reloads, 1);
+    assert!(report.retired_lanes() >= 1);
     let _ = std::fs::remove_file(&artifact);
 }
 
@@ -174,7 +166,7 @@ fn retire_stream_only_resets_the_named_unit() {
     expected.merge(&ra2.total);
     expected.merge(&rb.total);
 
-    let mut engine = Engine::try_start(detector_a(), config(usize::MAX)).unwrap();
+    let mut engine = Engine::try_start(detector_a(), config()).unwrap();
     ingest(&mut engine, a1, 0);
     ingest(&mut engine, &b[..b.len() / 2], 1);
     // Retire exactly link 0's PLC stream (slave address 4).
@@ -278,24 +270,18 @@ fn scenario_event_streams_drive_the_engine_end_to_end() {
         .count() as u64;
     assert!(garbage > 0, "the storm must contain runt frames");
 
-    let run = |split: usize| {
-        let mut engine = Engine::try_start(detector_a(), config(split)).unwrap();
-        engine.ingest_scenario(&events);
-        engine.finish()
-    };
-    let [atomic, forked] = SPLITS.map(run);
+    let mut engine = Engine::try_start(detector_a(), config()).unwrap();
+    engine.ingest_scenario(&events);
+    let report = engine.finish();
 
-    assert_eq!(atomic.total, forked.total, "split-invariant decisions");
-    assert!(forked.runtime.split_rounds > 0, "threshold 1 must fork");
-    assert_eq!(atomic.quarantined, garbage);
-    assert_eq!(forked.quarantined, garbage);
+    assert_eq!(report.quarantined, garbage);
     assert!(
-        atomic.retired_lanes() >= 1,
+        report.retired_lanes() >= 1,
         "the link-down must retire the storm link's junk lanes"
     );
     // Every well-formed frame was classified; quarantined ones never
     // entered the shard counters.
-    assert_eq!(atomic.frames(), events.len() as u64 - 1 - garbage);
+    assert_eq!(report.frames(), events.len() as u64 - 1 - garbage);
 
     // The same accounting with idle eviction sweeping lanes away in the
     // middle of the flood and the storm.
@@ -303,13 +289,13 @@ fn scenario_event_streams_drive_the_engine_end_to_end() {
         detector_a(),
         EngineConfig {
             lane_idle_frames: Some(32),
-            ..config(usize::MAX)
+            ..config()
         },
     )
     .unwrap();
     engine.ingest_scenario(&events);
     let evicting = engine.finish();
-    assert!(evicting.retired_lanes() > atomic.retired_lanes());
+    assert!(evicting.retired_lanes() > report.retired_lanes());
     assert_eq!(evicting.quarantined, garbage);
-    assert_eq!(evicting.frames(), atomic.frames());
+    assert_eq!(evicting.frames(), report.frames());
 }

@@ -287,13 +287,12 @@ fn seeded_schedules_record_steals() {
 }
 
 /// The same idle-heavy workload gives identical decisions on the
-/// host-sized pool, with every multi-lane round force-split across two
-/// workers, and under a replayed schedule (frame/stream conservation at
-/// soak scale, cheap model).
+/// host-sized pool, on a two-worker pool, and under a replayed schedule
+/// (frame/stream conservation at soak scale, cheap model).
 #[test]
 fn soak_decisions_match_across_schedules() {
     let detector = tiny_detector();
-    let run = |ingest: IngestMode, split_threshold: usize| {
+    let run = |ingest: IngestMode| {
         let mut engine = Engine::try_start(
             Arc::clone(&detector),
             EngineConfig {
@@ -301,7 +300,6 @@ fn soak_decisions_match_across_schedules() {
                 batch_size: 32,
                 channel_capacity: 128,
                 ingest,
-                split_threshold,
                 ..EngineConfig::default()
             },
         )
@@ -319,24 +317,20 @@ fn soak_decisions_match_across_schedules() {
         engine.ingest_packets(&generator.generate(800));
         engine.finish()
     };
-    let pooled = run(IngestMode::Async { workers: 0 }, usize::MAX);
-    let forked = run(IngestMode::Async { workers: 2 }, 1);
-    let seeded = run(
-        IngestMode::AsyncDeterministic(TestSchedule {
-            seed: 3,
-            workers: 2,
-            max_budget: 3,
-        }),
-        usize::MAX,
-    );
-    assert!(forked.runtime.split_rounds > 0, "threshold 1 must fork");
-    assert_eq!(pooled.total, forked.total);
+    let pooled = run(IngestMode::Async { workers: 0 });
+    let two = run(IngestMode::Async { workers: 2 });
+    let seeded = run(IngestMode::AsyncDeterministic(TestSchedule {
+        seed: 3,
+        workers: 2,
+        max_budget: 3,
+    }));
+    assert_eq!(pooled.total, two.total);
     assert_eq!(pooled.total, seeded.total);
-    assert_eq!(pooled.frames(), forked.frames());
+    assert_eq!(pooled.frames(), two.frames());
     let streams =
         |r: &icsad_engine::EngineReport| r.shards.iter().map(|s| s.streams).sum::<usize>();
     assert_eq!(streams(&pooled), 501);
-    assert_eq!(streams(&forked), 501);
+    assert_eq!(streams(&two), 501);
 }
 
 /// The ISSUE's headline leak: per-connection first-seen link ids plus

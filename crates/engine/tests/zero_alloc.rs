@@ -121,10 +121,6 @@ fn measured_alloc_events(packets: &[Packet], garbage: &[RawFrame]) -> u64 {
             // ring reaches its steady-state population before measuring.
             channel_capacity: 128,
             ingest: IngestMode::Async { workers: 2 },
-            // Keep every round atomic: fork-join splitting allocates its
-            // partition scaffolding by design and is a different test's
-            // subject.
-            split_threshold: usize::MAX,
             ..EngineConfig::default()
         },
     )

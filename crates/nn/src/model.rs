@@ -100,11 +100,7 @@ impl Gradients {
 
 /// Streaming state for online (stateful) prediction: one `(h, c)` pair per
 /// layer.
-///
-/// The `Default` state is a *hollow* placeholder (no layers): callers that
-/// move a real state elsewhere (e.g. into a partitioned classification
-/// round) can leave one behind with `mem::replace` without allocating.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamState {
     layers: Vec<LstmState>,
     /// Scratch buffers reused across steps.

@@ -37,15 +37,6 @@
 //! mutexed `VecDeque`s cost one uncontended lock per schedule event, which
 //! is noise next to a batched LSTM flush).
 //!
-//! # Fork-join rounds
-//!
-//! A pool started with [`Executor::start_with_rounds`] carries a
-//! [`crate::RoundBoard`]: a task may fork N stealable sub-units mid-poll
-//! and join them before its poll returns. Idle workers (empty local queue,
-//! nothing to steal) claim sub-units from the board before parking, and a
-//! fork bumps the park/wake epoch exactly like an enqueue — see the
-//! `rounds` module for the protocol and its explore()-based coverage.
-//!
 //! # Determinism
 //!
 //! Tasks are polled by at most one worker at a time, so task-local state
@@ -66,7 +57,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
-use crate::rounds::{RoundBoard, RoundUnit, UnitSource};
 use crate::unpoisoned;
 
 /// What a [`Task::poll`] learned about the task's remaining work.
@@ -187,30 +177,18 @@ pub(crate) struct Shared<T: Task> {
     wakeup: Condvar,
     /// Tasks not yet DONE; workers exit when it reaches zero.
     remaining: AtomicUsize,
-    /// Fork-join board (type-erased): idle pool workers claim round
-    /// sub-units from here before parking.
-    rounds: Option<Arc<dyn UnitSource>>,
     steals: AtomicU64,
     polls: AtomicU64,
 }
 
 impl<T: Task> Shared<T> {
     pub(crate) fn new(tasks: Vec<T>, queues: usize) -> Shared<T> {
-        Shared::new_with_rounds(tasks, queues, None)
-    }
-
-    fn new_with_rounds(
-        tasks: Vec<T>,
-        queues: usize,
-        rounds: Option<Arc<dyn UnitSource>>,
-    ) -> Shared<T> {
         // A task sits in at most one run queue at a time (IDLE → QUEUED is
         // a single CAS), so a queue sized for every task never grows —
         // whichever worker a task first lands on, and however late
         // (`zero_alloc` caught the lazy first growth inside its window).
         let task_count = tasks.len();
         Shared {
-            rounds,
             remaining: AtomicUsize::new(task_count),
             slots: tasks
                 .into_iter()
@@ -294,30 +272,14 @@ impl<T: Task> Shared<T> {
         }
     }
 
+    /// Queues a task on `worker`'s run queue, then bumps the scheduling
+    /// epoch and wakes parked workers.
     fn enqueue(&self, worker: usize, id: usize) {
         unpoisoned(self.run_queues[worker].lock()).push_back(id);
-        self.bump_epoch();
-    }
-
-    /// Bumps the scheduling epoch and wakes parked workers. Called on
-    /// every enqueue, and by the fork-join board's waker when a round is
-    /// forked — sub-units are pool work that lives outside the run queues,
-    /// but parked workers must come help all the same.
-    pub(crate) fn bump_epoch(&self) {
         let mut sync = unpoisoned(self.sync.lock());
         sync.epoch += 1;
         if sync.sleepers > 0 {
             self.wakeup.notify_all();
-        }
-    }
-
-    /// Claims and runs one forked round sub-unit, if any board is attached
-    /// and has unclaimed work. Pool workers call this after their run
-    /// queues come up empty, before parking.
-    fn help_round(&self) -> bool {
-        match &self.rounds {
-            Some(board) => board.claim_and_run(),
-            None => false,
         }
     }
 
@@ -511,24 +473,15 @@ fn pool_worker<T: Task>(shared: &Shared<T>, worker: usize) {
             .or_else(|| shared.steal(worker, (1..workers).map(|i| (worker + i) % workers)));
         match next {
             Some(id) => shared.run_task(worker, id, POOL_POLL_BUDGET),
-            None => {
-                // No queued task anywhere: steal a forked round's sub-unit
-                // before parking. The epoch snapshot above makes the check
-                // race-free — a fork after the snapshot bumps the epoch,
-                // so the park below returns immediately and this loop
-                // re-scans.
-                if !shared.help_round() {
-                    shared.park(epoch);
-                }
-            }
+            // No queued task anywhere. The epoch snapshot above makes the
+            // park race-free: an enqueue after the snapshot bumps the
+            // epoch, so the park returns immediately and this loop
+            // re-scans.
+            None => shared.park(epoch),
         }
     }
 }
 
-/// The single-threaded deterministic scheduler needs no round-help hook: a
-/// forking task's `fork_join` runs on this same thread and drains every
-/// sub-unit inline before returning, so the board is always empty at
-/// scheduling points.
 fn deterministic_scheduler<T: Task>(shared: &Shared<T>, schedule: TestSchedule) {
     let mut rng = ChaCha12Rng::seed_from_u64(schedule.seed);
     let workers = shared.run_queues.len();
@@ -675,39 +628,9 @@ where
     /// zero budget (the engine validates its config first; these are
     /// programming-error guards).
     pub fn start(tasks: Vec<T>, schedule: Schedule) -> Executor<T> {
-        Self::start_inner(tasks, schedule, None)
-    }
-
-    /// [`Executor::start`] with a fork-join [`RoundBoard`] attached: tasks
-    /// holding a clone of the board may fork rounds from inside their
-    /// polls, and idle workers of *this* pool claim the sub-units. The
-    /// board's waker is wired to the pool's park/wake epoch here.
-    pub fn start_with_rounds<U: RoundUnit + 'static>(
-        tasks: Vec<T>,
-        schedule: Schedule,
-        board: Arc<RoundBoard<U>>,
-    ) -> Executor<T> {
-        Self::start_inner(tasks, schedule, Some(board as Arc<dyn UnitSource>))
-    }
-
-    fn start_inner(
-        tasks: Vec<T>,
-        schedule: Schedule,
-        rounds: Option<Arc<dyn UnitSource>>,
-    ) -> Executor<T> {
         assert!(!tasks.is_empty(), "executor needs at least one task");
         let (queues, threads_wanted) = schedule_shape(schedule);
-        let shared = Arc::new(Shared::new_with_rounds(tasks, queues, rounds.clone()));
-        if let Some(board) = rounds {
-            // Weak, not Arc: the board outliving the executor must not keep
-            // the pool's shared state alive (and a cycle would leak both).
-            let weak = Arc::downgrade(&shared);
-            board.set_waker(Box::new(move || {
-                if let Some(shared) = weak.upgrade() {
-                    shared.bump_epoch();
-                }
-            }));
-        }
+        let shared = Arc::new(Shared::new(tasks, queues));
         #[expect(
             clippy::expect_used,
             reason = "thread spawning only fails on OS resource exhaustion (see `run_scoped`)"

@@ -25,10 +25,6 @@
 //!   [`rand_chacha`] seed, so a property test can drive the engine through
 //!   seeded interleavings and assert that every one of them yields
 //!   bit-identical decisions.
-//! * [`RoundBoard`] / [`RoundUnit`] — fork-join rounds: a task forks N
-//!   stealable sub-units mid-poll (for the engine, disjoint lane partitions
-//!   of one hot shard's classification round) and joins them before the
-//!   poll returns; idle pool workers claim sub-units before parking.
 //!
 //! The scheduling machinery is deliberately semantics-free: a task is only
 //! ever polled by one worker at a time, so per-task state needs no
@@ -58,7 +54,6 @@ mod executor;
 mod explore;
 mod queue;
 mod recycle;
-mod rounds;
 
 pub use executor::{
     run_scoped, ExecStats, Executor, Poll, Schedule, Task, TestSchedule, POOL_POLL_BUDGET,
@@ -66,7 +61,6 @@ pub use executor::{
 pub use explore::{explore, ExploreConfig, ExploreReport, Source, SourceStep, Trial, TrialSource};
 pub use queue::{Drain, IngestQueue, Pop, PushClosed, TryPushError};
 pub use recycle::RecycleRing;
-pub use rounds::{RoundBoard, RoundId, RoundStats, RoundUnit};
 
 use std::sync::LockResult;
 

@@ -55,7 +55,7 @@ fn detector() -> &'static Arc<CombinedDetector> {
     })
 }
 
-fn run_engine(frames: &[RawFrame], split_threshold: usize) -> EngineReport {
+fn run_engine(frames: &[RawFrame]) -> EngineReport {
     let mut engine = Engine::try_start(
         Arc::clone(detector()),
         EngineConfig {
@@ -63,7 +63,6 @@ fn run_engine(frames: &[RawFrame], split_threshold: usize) -> EngineReport {
             batch_size: 8,
             channel_capacity: 64,
             ingest: IngestMode::Async { workers: 2 },
-            split_threshold,
             ..EngineConfig::default()
         },
     )
@@ -160,7 +159,7 @@ fn replayed_frames_equal_direct_frames() {
 }
 
 /// The headline three-way property: wire replay ≡ direct ingest ≡
-/// per-record reference, with rounds atomic and force-split across the pool.
+/// per-record reference, on a two-worker pool.
 #[test]
 fn wire_replay_direct_ingest_and_per_record_agree() {
     let packets = common::fixture_traffic();
@@ -174,25 +173,19 @@ fn wire_replay_direct_ingest_and_per_record_agree() {
 
     let (reference, ref_alarms) = per_record_reference(&packets);
 
-    for (name, split_threshold) in [("atomic", usize::MAX), ("split", 1)] {
-        let wire_report = run_engine(&replayed, split_threshold);
-        let direct_report = run_engine(&direct, split_threshold);
-        for (path, report) in [("wire", &wire_report), ("direct", &direct_report)] {
-            assert_eq!(
-                report.total, reference,
-                "{name}/{path}: decisions diverged from per-record reference"
-            );
-            assert_eq!(report.alarms(), ref_alarms, "{name}/{path}: alarms");
-            assert_eq!(
-                report.frames(),
-                packets.len() as u64,
-                "{name}/{path}: frames"
-            );
-            assert_eq!(report.quarantined, 0, "{name}/{path}: quarantined");
-        }
+    let wire_report = run_engine(&replayed);
+    let direct_report = run_engine(&direct);
+    for (path, report) in [("wire", &wire_report), ("direct", &direct_report)] {
         assert_eq!(
-            wire_report.total, direct_report.total,
-            "{name}: wire vs direct report"
+            report.total, reference,
+            "{path}: decisions diverged from per-record reference"
         );
+        assert_eq!(report.alarms(), ref_alarms, "{path}: alarms");
+        assert_eq!(report.frames(), packets.len() as u64, "{path}: frames");
+        assert_eq!(report.quarantined, 0, "{path}: quarantined");
     }
+    assert_eq!(
+        wire_report.total, direct_report.total,
+        "wire vs direct report"
+    );
 }

@@ -183,8 +183,7 @@ fn engine_quarantines_exactly_the_malformed_frames() {
     let good: Vec<RawFrame> = packets.iter().take(120).map(RawFrame::from).collect();
     assert!(good.iter().all(RawFrame::is_well_formed));
 
-    // Rounds atomic, then every multi-lane round force-split on the pool.
-    for (bad_count, split_threshold) in [(0usize, usize::MAX), (7, usize::MAX), (7, 1), (23, 1)] {
+    for bad_count in [0usize, 7, 23] {
         let mut mixed: Vec<RawFrame> = Vec::new();
         for (i, frame) in good.iter().enumerate() {
             mixed.push(frame.clone());
@@ -217,7 +216,6 @@ fn engine_quarantines_exactly_the_malformed_frames() {
                 batch_size: 8,
                 channel_capacity: 64,
                 ingest: IngestMode::Async { workers: 2 },
-                split_threshold,
                 ..EngineConfig::default()
             },
         )

@@ -160,3 +160,48 @@ fn arff_round_trip_preserves_detection_results() {
     let split2 = reimported.split_chronological(0.6, 0.2);
     assert_eq!(split.test(), split2.test());
 }
+
+#[test]
+fn no_workspace_session_forks_a_round() {
+    // `fork_round` survives only for the perf ledger's session wrapper:
+    // every backend in the workspace declines, even on a multi-lane round,
+    // and leaves the round's records where they were.
+    let split = small_split(7);
+    let trained = icsad_core::experiment::train_framework(
+        &split,
+        &ExperimentConfig {
+            timeseries: TimeSeriesTrainingConfig {
+                hidden_dims: vec![8],
+                epochs: 1,
+                ..TimeSeriesTrainingConfig::default()
+            },
+            ..ExperimentConfig::default()
+        },
+    )
+    .unwrap();
+    let detector = std::sync::Arc::new(trained.detector);
+    let disc = Discretizer::fit(
+        &DiscretizationConfig::paper_defaults(),
+        split.train().records(),
+    )
+    .unwrap();
+    let train = icsad_baselines::window::Windows::over(split.train().records(), 4);
+    let bloom = icsad_baselines::WindowBloomFilter::fit_windows(disc, &train, 0.001).unwrap();
+    let backends: [std::sync::Arc<dyn StreamingDetector>; 3] = [
+        detector.clone(),
+        std::sync::Arc::new(AdaptiveCombined::new(detector, DynamicKConfig::default())),
+        std::sync::Arc::new(WindowedBackend::new(bloom)),
+    ];
+    let round = split.test()[..3].to_vec();
+    for backend in backends {
+        let name = backend.name().to_string();
+        let mut session = backend.begin_session();
+        let lanes: Vec<usize> = (0..round.len()).map(|_| session.add_lane()).collect();
+        let mut records = round.clone();
+        assert!(
+            session.fork_round(&lanes, &mut records, 2).is_none(),
+            "{name}"
+        );
+        assert_eq!(records, round, "{name}");
+    }
+}
