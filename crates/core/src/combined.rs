@@ -283,6 +283,10 @@ impl CombinedDetector {
     /// simply drop out of later batches). Returns one decision sequence per
     /// stream, identical to running [`CombinedDetector::classify`] over each
     /// stream separately.
+    ///
+    /// Round `t` steps the streams still live at `t`, in ascending stream
+    /// order; a stream leaves the live list when it ends, so the pass costs
+    /// O(packages), not O(streams × longest stream).
     pub fn classify_streams(&self, streams: &[&[Record]]) -> Vec<Vec<DetectionLevel>> {
         let mut batch = self.begin_batch();
         for _ in streams {
@@ -292,24 +296,22 @@ impl CombinedDetector {
             .iter()
             .map(|s| Vec::with_capacity(s.len()))
             .collect();
-        let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut lanes: Vec<usize> = Vec::with_capacity(streams.len());
-        let mut records: Vec<Record> = Vec::with_capacity(streams.len());
-        let mut decisions: Vec<DetectionLevel> = Vec::with_capacity(streams.len());
-        for t in 0..max_len {
-            lanes.clear();
+        let mut live: Vec<usize> = (0..streams.len())
+            .filter(|&lane| !streams[lane].is_empty())
+            .collect();
+        let mut records: Vec<Record> = Vec::with_capacity(live.len());
+        let mut decisions: Vec<DetectionLevel> = Vec::with_capacity(live.len());
+        let mut t = 0;
+        while !live.is_empty() {
             records.clear();
             decisions.clear();
-            for (lane, stream) in streams.iter().enumerate() {
-                if let Some(r) = stream.get(t) {
-                    lanes.push(lane);
-                    records.push(r.clone());
-                }
-            }
-            self.classify_batch(&mut batch, &lanes, &records, &mut decisions);
-            for (&lane, &level) in lanes.iter().zip(decisions.iter()) {
+            records.extend(live.iter().map(|&lane| streams[lane][t].clone()));
+            self.classify_batch(&mut batch, &live, &records, &mut decisions);
+            for (&lane, &level) in live.iter().zip(decisions.iter()) {
                 results[lane].push(level);
             }
+            t += 1;
+            live.retain(|&lane| streams[lane].len() > t);
         }
         results
     }

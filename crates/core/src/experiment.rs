@@ -91,11 +91,21 @@ impl TrainedFramework {
 ///
 /// # Errors
 ///
-/// Propagates feature-engineering and training failures.
+/// Returns [`CoreError::InvalidTrainingData`] if the validation set has no
+/// next-package target to choose `k` on (no fragment of two packages: a
+/// zero validation fraction, or one cut by attacks into fragments all
+/// shorter than [`Split::MIN_FRAGMENT_LEN`]) — the top-`k` error curve
+/// would read 0 everywhere and install `k` = 1. Propagates
+/// feature-engineering and training failures.
 pub fn train_framework(
     split: &Split,
     config: &ExperimentConfig,
 ) -> Result<TrainedFramework, CoreError> {
+    if split.validation().iter().all(|frag| frag.len() < 2) {
+        return Err(CoreError::InvalidTrainingData {
+            reason: "the validation set has no next-package target to choose k on".into(),
+        });
+    }
     let discretizer = Discretizer::fit(&config.discretization, split.train().records())?;
     let vocabulary = SignatureVocabulary::build(&discretizer, split.train().records());
     let package = PackageLevelDetector::train(&discretizer, &vocabulary, config.bloom_fpr)?;
@@ -170,6 +180,45 @@ mod tests {
         } else {
             assert_eq!(k, config.max_k);
         }
+    }
+
+    fn assert_no_validation_target(split: &icsad_dataset::Split) {
+        assert!(split.validation().is_empty());
+        match train_framework(split, &tiny_config(1)) {
+            Err(CoreError::InvalidTrainingData { reason }) => {
+                assert!(reason.contains("validation"), "{reason}");
+            }
+            other => panic!("expected InvalidTrainingData, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_validation_fraction_is_refused() {
+        let data = GasPipelineDataset::generate(&DatasetConfig {
+            total_packages: 3_000,
+            seed: 4,
+            ..DatasetConfig::default()
+        });
+        assert_no_validation_target(&data.split_chronological(0.8, 0.0));
+    }
+
+    #[test]
+    fn validation_cut_into_short_fragments_is_refused() {
+        // A clean capture whose validation window carries an attack every
+        // fifth package: each normal run is 4 < MIN_FRAGMENT_LEN long.
+        let clean = GasPipelineDataset::generate(&DatasetConfig {
+            total_packages: 3_000,
+            seed: 5,
+            attack_probability: 0.0,
+            ..DatasetConfig::default()
+        });
+        let mut records = clean.records().to_vec();
+        for r in records[1_800..2_400].iter_mut().step_by(5) {
+            r.label = Some(icsad_simulator::AttackType::Dos);
+        }
+        let split = GasPipelineDataset::from_records(records).split_chronological(0.6, 0.2);
+        assert!(!split.train().is_empty());
+        assert_no_validation_target(&split);
     }
 
     #[test]

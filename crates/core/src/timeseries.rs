@@ -1,11 +1,12 @@
 //! The time-series-level anomaly detector (paper §V): a stacked LSTM
 //! softmax classifier over package signatures with a top-`k` decision rule.
 
-use icsad_dataset::Fragments;
+use icsad_dataset::{Fragments, Record};
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
 use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
 use icsad_nn::{
-    loss, EpochStats, LstmClassifier, ModelConfig, Sequence, StreamState, Trainer, TrainingConfig,
+    loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, Sequence,
+    StreamState, Trainer, TrainingConfig,
 };
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -127,6 +128,21 @@ pub struct TsBatchScratch {
     nn: icsad_nn::BatchScratch,
     xs: Vec<f32>,
     probs: Vec<f32>,
+}
+
+/// Pooled buffers of one validation pass, sized to one block
+/// ([`TimeSeriesDetector::top_k_error_curve`]).
+#[derive(Debug, Default)]
+struct CurveScratch {
+    /// Per-lane steps in the current block, longest first.
+    lens: Vec<usize>,
+    sched: LaneSchedule,
+    /// One-hot inputs, `rows x dims` in schedule order.
+    x_cat: Vec<f32>,
+    /// Each row's next-package class id (`None`: outside the database).
+    targets: Vec<Option<usize>>,
+    fwd: ForwardScratch,
+    sig: String,
 }
 
 impl TimeSeriesDetector {
@@ -345,6 +361,18 @@ impl TimeSeriesDetector {
         &self.model
     }
 
+    /// Timesteps per block of the validation pass
+    /// ([`TimeSeriesDetector::top_k_error_curve`]). Each block reloads
+    /// every layer's weights; at 2×256 (3.6 MB of them, on a Xeon with
+    /// 2 MiB of L2 per core) 128-step blocks cost ≈ 7 % more than one
+    /// unblocked pass over a 1,200-step fragment, 32-step blocks ≈ 15 %.
+    pub const CURVE_BLOCK_STEPS: usize = 128;
+
+    /// Fragments scored together in the validation pass. With
+    /// [`Self::CURVE_BLOCK_STEPS`] this bounds a block at 1,024 rows, the
+    /// size of a default training minibatch (32 chunks of 32 steps).
+    pub const CURVE_BLOCK_LANES: usize = 8;
+
     /// Computes the top-`k` error `err_k` on anomaly-free fragments — the
     /// fraction of next-signature predictions whose true signature is not
     /// among the `k` most probable (paper §V-2) — for every `k` in
@@ -352,31 +380,90 @@ impl TimeSeriesDetector {
     ///
     /// Each target is ranked once per step on the raw logits, like
     /// detection itself: a rank-`r` target misses at every `k < r`, a
-    /// signature outside the database at every `k`.
+    /// signature outside the database at every `k`. With no targets at all
+    /// (no fragment of two packages) every `err_k` is 0;
+    /// [`crate::experiment::train_framework`] refuses such a validation
+    /// set rather than choose `k` from it.
+    ///
+    /// The fragments run through the time-batched forward pass training
+    /// uses ([`LstmClassifier::forward_schedule`]): up to
+    /// [`Self::CURVE_BLOCK_LANES`] fragments at a time as ragged lanes,
+    /// longest first, walked in blocks of [`Self::CURVE_BLOCK_STEPS`]
+    /// timesteps with the LSTM state carried from block to block. Every
+    /// rank equals the per-record [`LstmClassifier::step_logits`] loop's,
+    /// and memory is one block's whatever the fragments' length.
     pub fn top_k_error_curve(&self, fragments: &Fragments, max_k: usize) -> Vec<f64> {
-        let mut misses = vec![0usize; max_k];
-        let mut total = 0usize;
-        let mut x = vec![0.0f32; self.encoder.dims()];
-        let mut logits = vec![0.0f32; self.model.num_classes()];
-        for frag in fragments.iter() {
-            let mut state = self.model.new_state();
-            for (r, next) in frag.iter().zip(frag.iter().skip(1)) {
-                self.encoder
-                    .encode_into(&self.discretizer.discretize(r), false, &mut x);
-                self.model.step_logits(&mut state, &x, &mut logits);
-                total += 1;
-                let missed_below = self
-                    .vocabulary
-                    .id_of(&self.discretizer.signature(next))
-                    .map_or(max_k, |t| (loss::rank_of(&logits, t) - 1).min(max_k));
-                for miss in &mut misses[..missed_below] {
-                    *miss += 1;
-                }
-            }
-        }
+        let (misses, total) = self.top_k_misses(fragments, max_k, &mut CurveScratch::default());
         // (No targets, no misses: 0 / 1.)
         let total = total.max(1) as f64;
         misses.iter().map(|&m| m as f64 / total).collect()
+    }
+
+    /// The miss count below every `k` in `1..=max_k`, and the number of
+    /// targets: [`TimeSeriesDetector::top_k_error_curve`] before the
+    /// division.
+    fn top_k_misses(
+        &self,
+        fragments: &Fragments,
+        max_k: usize,
+        scratch: &mut CurveScratch,
+    ) -> (Vec<usize>, usize) {
+        let dims = self.encoder.dims();
+        let nc = self.model.num_classes();
+        let mut misses = vec![0usize; max_k];
+        let mut total = 0usize;
+        // A fragment of `n` packages is a lane of `n - 1` (input, next)
+        // steps. The sort is stable, so the lane order is a function of the
+        // data alone.
+        let mut lanes: Vec<&[Record]> = fragments.iter().filter(|f| f.len() >= 2).collect();
+        lanes.sort_by_key(|frag| std::cmp::Reverse(frag.len()));
+        for group in lanes.chunks(Self::CURVE_BLOCK_LANES) {
+            let steps = group[0].len() - 1;
+            for t0 in (0..steps).step_by(Self::CURVE_BLOCK_STEPS) {
+                scratch.lens.clear();
+                scratch.lens.extend(group.iter().map(|f| {
+                    (f.len() - 1)
+                        .saturating_sub(t0)
+                        .min(Self::CURVE_BLOCK_STEPS)
+                }));
+                scratch.sched.rebuild(&scratch.lens);
+                let rows = scratch.sched.total();
+                scratch.x_cat.resize(rows * dims, 0.0);
+                scratch.targets.resize(rows, None);
+                for (i, (frag, &len)) in group.iter().zip(&scratch.lens).enumerate() {
+                    if len == 0 {
+                        break; // and so are the shorter lanes after it
+                    }
+                    let mut vector = self.discretizer.discretize(&frag[t0]);
+                    for t in 0..len {
+                        let r = scratch.sched.row(t, i);
+                        self.encoder.encode_into(
+                            &vector,
+                            false,
+                            &mut scratch.x_cat[r * dims..(r + 1) * dims],
+                        );
+                        vector = self.discretizer.discretize(&frag[t0 + t + 1]);
+                        icsad_features::write_signature(&vector, &mut scratch.sig);
+                        scratch.targets[r] = self.vocabulary.id_of_key(&scratch.sig);
+                    }
+                }
+                let logits = self.model.forward_schedule(
+                    &scratch.sched,
+                    &scratch.x_cat,
+                    &mut scratch.fwd,
+                    t0 > 0,
+                );
+                for (row, target) in logits.chunks_exact(nc).zip(&scratch.targets) {
+                    let missed_below =
+                        target.map_or(max_k, |t| (loss::rank_of(row, t) - 1).min(max_k));
+                    for miss in &mut misses[..missed_below] {
+                        *miss += 1;
+                    }
+                }
+                total += rows;
+            }
+        }
+        (misses, total)
     }
 
     /// Chooses the minimal `k` whose validation error `curve[k - 1]` is
@@ -631,6 +718,32 @@ mod tests {
         }
         // A shorter curve is a prefix of a longer one.
         assert_eq!(det.top_k_error_curve(split.validation(), 3), curve[..3]);
+    }
+
+    #[test]
+    fn validation_memory_is_one_block_whatever_the_fragment_length() {
+        let (disc, vocab, split) = setup(4_000, 12);
+        let (det, _) =
+            TimeSeriesDetector::train(&disc, &vocab, split.train(), &fast_config(1, false))
+                .unwrap();
+        let block = TimeSeriesDetector::CURVE_BLOCK_STEPS;
+        let clean: Vec<Record> = split
+            .test()
+            .iter()
+            .map(|r| Record {
+                label: None,
+                ..r.clone()
+            })
+            .collect();
+        for blocks in [2, 5] {
+            let fragment = Fragments::from_labelled(&clean[..blocks * block + 1], 1);
+            let mut scratch = CurveScratch::default();
+            let (_, targets) = det.top_k_misses(&fragment, 4, &mut scratch);
+            assert_eq!(targets, blocks * block);
+            assert_eq!(scratch.fwd.rows(), block, "{blocks} blocks");
+            assert_eq!(scratch.targets.len(), block);
+            assert_eq!(scratch.x_cat.len(), block * det.encoder.dims());
+        }
     }
 
     #[test]

@@ -46,29 +46,57 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The storm-churn shape: `long` as one stream among hundreds of
+/// 1–3-record streams cut from `rest`, with an empty stream in front and
+/// after every fifth short one.
+fn churn_partition(long: &[Record], mut rest: &[Record], salt: u64) -> Vec<Vec<Record>> {
+    let mut streams = vec![Vec::new()];
+    let mut i = salt as usize % 3;
+    while !rest.is_empty() {
+        let (short, tail) = rest.split_at((1 + i % 3).min(rest.len()));
+        streams.push(short.to_vec());
+        rest = tail;
+        if i % 5 == 4 {
+            streams.push(Vec::new());
+        }
+        i += 1;
+    }
+    let at = salt as usize % streams.len();
+    streams.insert(at, long.to_vec());
+    streams
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `classify_streams` over a random partition of the capture into up
-    /// to six streams equals a per-record `classify` loop on each stream.
+    /// `classify_streams` over a random partition of the capture equals a
+    /// per-record `classify` loop on each stream: round-robin into up to
+    /// six streams, or (`churn`) a window as one long stream among hundreds
+    /// of 1–3-record and empty streams cut from the rest of the capture.
     #[test]
     fn classify_batch_equals_per_record_loop(
         num_streams in 1usize..6,
         offset in 0usize..400,
         len in 10usize..600,
         stride_salt in any::<u64>(),
+        churn in any::<bool>(),
     ) {
         let fx = fixture();
         let records = &fx.test_records;
         let end = (offset + len).min(records.len());
         let window = &records[offset.min(end)..end];
 
-        // Deal the window round-robin (with a salted starting stream) into
-        // chronological per-stream substreams.
-        let mut streams: Vec<Vec<Record>> = vec![Vec::new(); num_streams];
-        for (i, r) in window.iter().enumerate() {
-            streams[(i + stride_salt as usize) % num_streams].push(r.clone());
-        }
+        let streams: Vec<Vec<Record>> = if churn {
+            churn_partition(window, &records[end..], stride_salt)
+        } else {
+            // Deal the window round-robin (with a salted starting stream)
+            // into chronological per-stream substreams.
+            let mut streams = vec![Vec::new(); num_streams];
+            for (i, r) in window.iter().enumerate() {
+                streams[(i + stride_salt as usize) % num_streams].push(r.clone());
+            }
+            streams
+        };
         let views: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
 
         let batched = fx.detector.classify_streams(&views);

@@ -89,8 +89,9 @@ mod trainer;
 
 pub use adam::{Adam, AdamConfig};
 pub use dense::Dense;
-pub use lstm::{LstmLayer, LstmState};
+pub use lstm::{LaneSchedule, LstmLayer, LstmState};
 pub use model::{
-    BackwardPack, BatchScratch, Gradients, LstmClassifier, ModelConfig, StreamState, TrainScratch,
+    BackwardPack, BatchScratch, ForwardScratch, Gradients, LstmClassifier, ModelConfig,
+    StreamState, TrainScratch,
 };
 pub use trainer::{EpochStats, Sequence, Trainer, TrainerConfigError, TrainingConfig};

@@ -75,27 +75,29 @@ impl PartialEq for LstmState {
     }
 }
 
-/// Time-major schedule of a ragged training minibatch.
+/// Time-major schedule of ragged lanes run through the stack together
+/// ([`crate::LstmClassifier::forward_schedule`]).
 ///
-/// Lanes (independent subsequences trained together) are sorted by length,
-/// longest first, so the lanes still active at any timestep `t` form a
-/// *prefix* of the lane order. The concatenated tape buffers then lay out
-/// one block of `counts[t]` rows per timestep at `offsets[t]`, and row `i`
-/// of consecutive blocks is always the same lane — recurrent state flows
+/// Lanes (independent sequences: training chunks, validation fragments)
+/// are sorted by length, longest first, so the lanes still active at any
+/// timestep `t` form a *prefix* of the lane order. The concatenated input,
+/// tape and logits blocks then lay out one block of
+/// [`LaneSchedule::lanes_at`]`(t)` rows per timestep, and row `i` of
+/// consecutive blocks is always the same lane — recurrent state flows
 /// between blocks with plain prefix slices, no per-lane gather.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LaneSchedule {
+pub struct LaneSchedule {
     /// Active-lane count per timestep (non-increasing).
-    pub counts: Vec<usize>,
+    counts: Vec<usize>,
     /// Row offset of each timestep's block in the concatenated buffers.
-    pub offsets: Vec<usize>,
+    offsets: Vec<usize>,
     /// Total concatenated rows (`Σ counts`).
-    pub total: usize,
+    total: usize,
 }
 
 impl LaneSchedule {
     #[cfg(test)]
-    pub fn from_sorted_lens(lens: &[usize]) -> Self {
+    pub(crate) fn from_sorted_lens(lens: &[usize]) -> Self {
         let mut sched = LaneSchedule::default();
         sched.rebuild(lens);
         sched
@@ -103,7 +105,7 @@ impl LaneSchedule {
 
     /// Rebuilds the schedule in place from per-lane lengths sorted
     /// descending, reusing the two vectors (a pooled schedule allocates
-    /// only while it grows).
+    /// only while it grows). Trailing zero-length lanes are never active.
     pub fn rebuild(&mut self, lens: &[usize]) {
         debug_assert!(
             lens.windows(2).all(|w| w[0] >= w[1]),
@@ -128,6 +130,32 @@ impl LaneSchedule {
     /// Lanes active at `t = 0` (every non-empty lane).
     pub fn max_lanes(&self) -> usize {
         self.counts.first().copied().unwrap_or(0)
+    }
+
+    /// Total concatenated rows: one per (timestep, active lane).
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Lanes active at timestep `t` — the first `lanes_at(t)` of the lane
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.steps()`.
+    pub fn lanes_at(&self, t: usize) -> usize {
+        self.counts[t]
+    }
+
+    /// The concatenated row holding lane `i` at timestep `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.steps()`; in debug builds also if lane `i` is
+    /// not active at `t`.
+    pub fn row(&self, t: usize, i: usize) -> usize {
+        debug_assert!(i < self.counts[t], "lane {i} is not active at t = {t}");
+        self.offsets[t] + i
     }
 }
 
@@ -331,8 +359,9 @@ impl LstmLayer {
         }
     }
 
-    /// Training forward pass over a whole scheduled minibatch, recording
-    /// the tape for [`LstmLayer::backward_batch`].
+    /// Forward pass over a whole schedule, recording the tape for
+    /// [`LstmLayer::backward_batch`] — the training forward, and the
+    /// time-batched inference of [`crate::LstmClassifier::forward_schedule`].
     ///
     /// `x_cat` is the concatenated `total x input_dim` input block in
     /// schedule order. The input projection `W x` runs as **one** matrix
@@ -343,15 +372,20 @@ impl LstmLayer {
     /// at a time, so each lane's activations are bitwise those of
     /// [`LstmLayer::forward`] on that lane alone.
     ///
+    /// Lanes start from the zero state, or with `init = Some((h, c))` from
+    /// the rows of `h` and `c` (`lanes x H`, at least `max_lanes()` rows)
+    /// — the state a previous time block left them in.
+    ///
     /// The products are [`LstmLayer::forward_batch`]'s, over the same
     /// panels: what this pass adds to the inference step is the tape. The
     /// trainer packs after every optimizer step, so nothing packs here.
-    pub(crate) fn forward_batch_train(
+    pub(crate) fn forward_schedule(
         &self,
         sched: &LaneSchedule,
         x_cat: &[f32],
         tape: &mut LayerTape,
         sparse_input: bool,
+        init: Option<(&[f32], &[f32])>,
     ) {
         let hd = self.hidden_dim;
         let total = sched.total;
@@ -372,30 +406,35 @@ impl LstmLayer {
             gemm_panels_acc(total, x_cat, &self.w, z);
         }
 
-        // Recurrent half: U h_{t-1} (h_prev ≡ 0 at t = 0, so the product
-        // is skipped there), gate nonlinearities, cell update.
+        // Recurrent half: U h_{t-1} (from a zero state, h_prev ≡ 0 at
+        // t = 0, so the product is skipped there), gate nonlinearities,
+        // cell update.
         for t in 0..sched.steps() {
             let n = sched.counts[t];
             let r0 = sched.offsets[t];
-            if t > 0 {
+            let h_prev = if t > 0 {
                 let p0 = sched.offsets[t - 1];
-                gemm_panels_acc(
-                    n,
-                    &tape.out[p0 * hd..(p0 + n) * hd],
-                    &self.u,
-                    &mut z[r0 * 4 * hd..(r0 + n) * 4 * hd],
-                );
+                Some(&tape.out[p0 * hd..(p0 + n) * hd])
+            } else {
+                init.map(|(h, _)| &h[..n * hd])
+            };
+            if let Some(h_prev) = h_prev {
+                gemm_panels_acc(n, h_prev, &self.u, &mut z[r0 * 4 * hd..(r0 + n) * 4 * hd]);
             }
             for i in 0..n {
                 let r = r0 + i;
                 let zr = &mut z[r * 4 * hd..(r + 1) * 4 * hd];
                 sigmoid_in_place(&mut zr[..3 * hd]);
                 tanh_in_place(&mut zr[3 * hd..]);
-                if t == 0 {
-                    tape.c[r * hd..(r + 1) * hd].fill(0.0);
-                } else {
-                    let p = (sched.offsets[t - 1] + i) * hd;
-                    tape.c.copy_within(p..p + hd, r * hd);
+                match (t, init) {
+                    (0, None) => tape.c[r * hd..(r + 1) * hd].fill(0.0),
+                    (0, Some((_, c))) => {
+                        tape.c[r * hd..(r + 1) * hd].copy_from_slice(&c[i * hd..(i + 1) * hd]);
+                    }
+                    _ => {
+                        let p = (sched.offsets[t - 1] + i) * hd;
+                        tape.c.copy_within(p..p + hd, r * hd);
+                    }
                 }
                 let zr = &z[r * 4 * hd..(r + 1) * 4 * hd];
                 let (i_gate, rest) = zr.split_at(hd);
@@ -636,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_train_matches_streaming_forward_bitwise() {
+    fn forward_schedule_matches_streaming_forward_bitwise() {
         let layer = LstmLayer::new(3, 4, &mut rng());
         // Two ragged lanes, lengths 5 and 3 (sorted descending).
         let lane_inputs: Vec<Vec<Vec<f32>>> = [5usize, 3]
@@ -661,7 +700,7 @@ mod tests {
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_batch_train(&sched, &x_cat, &mut tape, false);
+        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
 
         let mut h = vec![0.0f32; 4];
         for (i, inputs) in lane_inputs.iter().enumerate() {
@@ -727,7 +766,7 @@ mod tests {
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_batch_train(&sched, &x_cat, &mut tape, false);
+        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
         let d_out = tape.out[..sched.total * 4].to_vec();
         let wt = PanelsF32::pack_transposed(layer.w.as_slice(), 3, 16);
         let ut = PanelsF32::pack_transposed(layer.u.as_slice(), 4, 16);

@@ -173,10 +173,39 @@ impl BackwardPack {
     }
 }
 
+/// Pooled buffers for [`LstmClassifier::forward_schedule`]: one tape per
+/// layer and the logits block, grown to the largest schedule seen, plus
+/// the `(h, c)` rows a resumed call starts its lanes from.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    /// One forward tape per layer.
+    tapes: Vec<LayerTape>,
+    /// Concatenated logits, `total x num_classes`.
+    logits: Vec<f32>,
+    /// Per-layer hidden rows carried into a resumed call, `lanes x H`.
+    carry_h: Vec<Vec<f32>>,
+    /// Per-layer cell rows carried into a resumed call, `lanes x H`.
+    carry_c: Vec<Vec<f32>>,
+    /// Row offset and lane count of the previous call's last timestep.
+    last_step: Option<(usize, usize)>,
+    /// Largest schedule (`total` rows) run through these buffers.
+    rows: usize,
+}
+
+impl ForwardScratch {
+    /// Rows the buffers are sized for: the largest [`LaneSchedule::total`]
+    /// run through them. A caller that walks long sequences in fixed time
+    /// blocks keeps this at one block, whatever the sequences' length.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+}
+
 /// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
-/// the concatenated input block, per-layer BPTT tapes, the logits blocks
-/// and the backward scratch. Grows to the largest minibatch seen and is
-/// reused across chunks, so steady-state training does no allocation.
+/// the concatenated input block, the forward pass's tapes and logits, the
+/// logits gradient and the backward scratch. Grows to the largest
+/// minibatch seen and is reused across chunks, so steady-state training
+/// does no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     /// Lane indices sorted longest-first.
@@ -187,10 +216,8 @@ pub struct TrainScratch {
     sched: LaneSchedule,
     /// Concatenated inputs, `total x input_dim`.
     x_cat: Vec<f32>,
-    /// One forward tape per layer.
-    tapes: Vec<LayerTape>,
-    /// Concatenated logits / probabilities, `total x num_classes`.
-    logits: Vec<f32>,
+    /// Tapes and logits of the forward pass.
+    fwd: ForwardScratch,
     /// Concatenated logits gradient, `total x num_classes`.
     dlogits: Vec<f32>,
     /// Hidden-gradient ping-pong buffers, `total x max_dim`.
@@ -454,6 +481,92 @@ impl LstmClassifier {
             .forward_batch(batch, &scratch.h[top][..batch * top_hd], logits);
     }
 
+    /// Time-batched twin of [`LstmClassifier::step_logits`]: runs every
+    /// lane of `sched` through the stack and the head and returns the raw
+    /// logits, `total x num_classes` in schedule order (row
+    /// [`LaneSchedule::row`]`(t, i)` is lane `i`'s prediction after its
+    /// `t`-th input). Training ([`LstmClassifier::train_batch`]) and the
+    /// validation top-`k` curve both run this one pass.
+    ///
+    /// `x_cat` is the concatenated `total x input_dim` input block in
+    /// schedule order. Per layer the input projection runs as one gemm
+    /// over every row and only the recurrent half walks time; the head is
+    /// one gemm over every row. Each row compares equal to stepping its
+    /// lane alone through [`LstmClassifier::step_logits`].
+    ///
+    /// Lanes start from the zero state (`resume = false`), or from the
+    /// state the previous call on `scratch` left them in (`resume =
+    /// true`): a long sequence walks in fixed time blocks, carrying `(h,
+    /// c)` from one block to the next, with buffers the size of one block.
+    /// A resumed schedule continues a prefix of the lanes that were active
+    /// at the previous call's last timestep, in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_cat` is not `total x input_dim`, or if `resume` is set
+    /// and the schedule starts more lanes than the previous call ended
+    /// with.
+    pub fn forward_schedule<'s>(
+        &self,
+        sched: &LaneSchedule,
+        x_cat: &[f32],
+        scratch: &'s mut ForwardScratch,
+        resume: bool,
+    ) -> &'s mut [f32] {
+        let total = sched.total();
+        let num_layers = self.layers.len();
+        let nc = self.config.num_classes;
+        assert_eq!(
+            x_cat.len(),
+            total * self.config.input_dim,
+            "input dim mismatch"
+        );
+        scratch.tapes.resize_with(num_layers, LayerTape::default);
+        if resume {
+            let lanes = sched.max_lanes();
+            let (p0, ended) = scratch.last_step.unwrap_or((0, 0));
+            assert!(
+                lanes <= ended,
+                "a resumed schedule starts {lanes} lanes, the previous block ended with {ended}"
+            );
+            scratch.carry_h.resize_with(num_layers, Vec::new);
+            scratch.carry_c.resize_with(num_layers, Vec::new);
+            for (l, layer) in self.layers.iter().enumerate() {
+                let rows = p0 * layer.hidden_dim()..(p0 + lanes) * layer.hidden_dim();
+                let tape = &scratch.tapes[l];
+                scratch.carry_h[l].clear();
+                scratch.carry_h[l].extend_from_slice(&tape.out[rows.clone()]);
+                scratch.carry_c[l].clear();
+                scratch.carry_c[l].extend_from_slice(&tape.c[rows]);
+            }
+        }
+        for l in 0..num_layers {
+            let (below, at) = scratch.tapes.split_at_mut(l);
+            let x_block: &[f32] = if l == 0 {
+                x_cat
+            } else {
+                &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
+            };
+            let init = resume.then(|| (&scratch.carry_h[l][..], &scratch.carry_c[l][..]));
+            // Only the stack input is one-hot; higher layers consume dense
+            // activations.
+            self.layers[l].forward_schedule(sched, x_block, &mut at[0], l == 0, init);
+        }
+        scratch.last_step = sched
+            .steps()
+            .checked_sub(1)
+            .map(|t| (sched.row(t, 0), sched.lanes_at(t)));
+        scratch.rows = scratch.rows.max(total);
+
+        // Dense head: logits for every (timestep, lane) row at once.
+        let top_hd = self.layers[num_layers - 1].hidden_dim();
+        let top_out = &scratch.tapes[num_layers - 1].out[..total * top_hd];
+        grow(&mut scratch.logits, total * nc);
+        let logits = &mut scratch.logits[..total * nc];
+        self.dense.forward_batch(total, top_out, logits);
+        logits
+    }
+
     /// Runs truncated BPTT over a minibatch of chunks (lanes) at once:
     /// within each lane `chunk[t].0` predicts class `chunk[t].1`.
     /// Accumulates parameter gradients scaled by `scale` into `grads` and
@@ -493,7 +606,7 @@ impl LstmClassifier {
         scratch.lens.extend(order.iter().map(|&i| chunks[i].len()));
         scratch.sched.rebuild(&scratch.lens);
         let sched = &scratch.sched;
-        let total = sched.total;
+        let total = sched.total();
         if total == 0 {
             return (0.0, 0);
         }
@@ -505,44 +618,26 @@ impl LstmClassifier {
         grow(&mut scratch.x_cat, total * in_dim);
         let x_cat = &mut scratch.x_cat[..total * in_dim];
         for t in 0..sched.steps() {
-            for (i, &lane) in order[..sched.counts[t]].iter().enumerate() {
+            for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
                 let (x, _) = &chunks[lane][t];
                 assert_eq!(x.len(), in_dim, "input dim mismatch");
-                let r = sched.offsets[t] + i;
+                let r = sched.row(t, i);
                 x_cat[r * in_dim..(r + 1) * in_dim].copy_from_slice(x);
             }
         }
+        let x_cat: &[f32] = x_cat;
 
-        // Forward through the stack, taping every layer.
-        scratch.tapes.resize_with(num_layers, LayerTape::default);
-        for l in 0..num_layers {
-            let (below, at) = scratch.tapes.split_at_mut(l);
-            let x_block: &[f32] = if l == 0 {
-                x_cat
-            } else {
-                &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
-            };
-            // Only the stack input is one-hot; higher layers consume dense
-            // activations.
-            self.layers[l].forward_batch_train(sched, x_block, &mut at[0], l == 0);
-        }
-
-        // Dense head: logits for every (timestep, lane) row at once, then
+        // Forward through the stack (taping every layer) and the head, then
         // loss, accuracy and the logits gradient row by row in schedule
         // order.
-        let top = num_layers - 1;
-        let top_hd = self.layers[top].hidden_dim();
-        let top_out = &scratch.tapes[top].out[..total * top_hd];
-        grow(&mut scratch.logits, total * nc);
+        let logits = self.forward_schedule(sched, x_cat, &mut scratch.fwd, false);
         grow(&mut scratch.dlogits, total * nc);
-        let logits = &mut scratch.logits[..total * nc];
         let dlogits = &mut scratch.dlogits[..total * nc];
-        self.dense.forward_batch(total, top_out, logits);
         let mut loss = 0.0f32;
         let mut correct = 0usize;
         for t in 0..sched.steps() {
-            for (i, &lane) in order[..sched.counts[t]].iter().enumerate() {
-                let r = sched.offsets[t] + i;
+            for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
+                let r = sched.row(t, i);
                 let (_, target) = chunks[lane][t];
                 let row = &mut logits[r * nc..(r + 1) * nc];
                 loss += softmax_cross_entropy(row, target);
@@ -558,6 +653,9 @@ impl LstmClassifier {
         // gradient buffers ping-pong between consuming a layer's d_out and
         // producing its d_inputs; the bottom layer produces none (its pack
         // entry is `None`) — nothing would read it.
+        let tapes = &scratch.fwd.tapes;
+        let top_hd = self.layers[num_layers - 1].hidden_dim();
+        let top_out = &tapes[num_layers - 1].out[..total * top_hd];
         let max_dim = self
             .layers
             .iter()
@@ -580,12 +678,12 @@ impl LstmClassifier {
             let x_block: &[f32] = if l == 0 {
                 x_cat
             } else {
-                &scratch.tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
+                &tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
             };
             self.layers[l].backward_batch(
                 sched,
                 x_block,
-                &scratch.tapes[l],
+                &tapes[l],
                 &d_out_buf[..total * self.layers[l].hidden_dim()],
                 pack.layers[l].wt.as_ref(),
                 &pack.layers[l].ut,
@@ -1107,6 +1205,80 @@ mod tests {
         assert_eq!(states[3].layers, reference.layers);
         assert_eq!(&logits[..nc], single.as_slice());
         assert_eq!(&logits[nc..], single.as_slice());
+    }
+
+    /// The time-batched forward, walked in three-step blocks with `(h, c)`
+    /// carried from block to block, gives every row the logits of stepping
+    /// its lane alone — before, at and after each block boundary — in
+    /// buffers the size of one block.
+    #[test]
+    fn forward_schedule_equals_step_logits_across_blocks() {
+        const BLOCK: usize = 3;
+        let lens = [8usize, 6, 6, 2, 0];
+        let dim = 6;
+        let input = |lane: usize, t: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|j| match (lane + t + j) % 3 {
+                    0 => 0.0,
+                    _ => ((lane * 31 + t * dim + j) as f32 * 0.53).sin(),
+                })
+                .collect()
+        };
+        for hidden_dims in [vec![8], vec![8, 5]] {
+            let model = LstmClassifier::new(&ModelConfig {
+                input_dim: dim,
+                hidden_dims,
+                num_classes: 4,
+                seed: 11,
+            });
+            let nc = model.num_classes();
+            let mut states: Vec<StreamState> = lens.iter().map(|_| model.new_state()).collect();
+            let mut single = vec![0.0f32; nc];
+            let mut scratch = ForwardScratch::default();
+            let mut sched = LaneSchedule::default();
+            for t0 in (0..lens[0]).step_by(BLOCK) {
+                let block: Vec<usize> = lens
+                    .iter()
+                    .map(|&l| l.saturating_sub(t0).min(BLOCK))
+                    .collect();
+                sched.rebuild(&block);
+                let mut x_cat = vec![0.0f32; sched.total() * dim];
+                for t in 0..sched.steps() {
+                    for i in 0..sched.lanes_at(t) {
+                        let r = sched.row(t, i);
+                        x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t0 + t));
+                    }
+                }
+                let logits = model.forward_schedule(&sched, &x_cat, &mut scratch, t0 > 0);
+                for t in 0..sched.steps() {
+                    for (i, state) in states[..sched.lanes_at(t)].iter_mut().enumerate() {
+                        model.step_logits(state, &input(i, t0 + t), &mut single);
+                        let r = sched.row(t, i);
+                        assert_eq!(
+                            &logits[r * nc..(r + 1) * nc],
+                            single.as_slice(),
+                            "lane {i} t {}",
+                            t0 + t
+                        );
+                    }
+                }
+            }
+            // The widest block ([3, 3, 3, 2] rows), not the sequences.
+            assert_eq!(scratch.rows(), 11);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a resumed schedule starts 2 lanes")]
+    fn resume_cannot_revive_a_finished_lane() {
+        let model = LstmClassifier::new(&small_config());
+        let mut scratch = ForwardScratch::default();
+        let dim = model.config().input_dim;
+        let first = LaneSchedule::from_sorted_lens(&[2, 1]);
+        model.forward_schedule(&first, &vec![0.5; 3 * dim], &mut scratch, false);
+        // Lane 1 ended before the first block's last step.
+        let second = LaneSchedule::from_sorted_lens(&[1, 1]);
+        model.forward_schedule(&second, &vec![0.5; 2 * dim], &mut scratch, true);
     }
 
     #[test]
