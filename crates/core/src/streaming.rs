@@ -481,8 +481,8 @@ mod tests {
         results
     }
 
-    /// The per-record dynamic-`k` oracle: one stream alone on a one-lane
-    /// batch (whose step is the streaming step) with its own controller.
+    /// The dynamic-`k` oracle: one stream alone on a one-lane batch with
+    /// its own controller.
     fn adaptive_oracle(
         detector: &CombinedDetector,
         config: DynamicKConfig,

@@ -114,20 +114,20 @@ pub struct TsState {
     /// the first package has been observed.
     prediction: Option<Vec<f32>>,
     scratch: Vec<f32>,
-    /// Reused one-hot input buffer for the single-lane step — allocated
+    /// Reused one-hot input buffer for the per-record step — allocated
     /// once in [`TimeSeriesDetector::begin`], rewritten in place every
     /// package so the streaming step never touches the allocator.
     x_buf: Vec<f32>,
 }
 
-/// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the gathered
-/// LSTM state blocks plus the batched one-hot input and probability blocks,
-/// grown on demand.
+/// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the LSTM
+/// forward's (gathered state rows and tapes) plus the batched one-hot input
+/// and logits blocks, grown on demand.
 #[derive(Debug, Clone)]
 pub struct TsBatchScratch {
-    nn: icsad_nn::BatchScratch,
+    nn: ForwardScratch,
     xs: Vec<f32>,
-    probs: Vec<f32>,
+    logits: Vec<f32>,
 }
 
 /// Pooled buffers of one validation pass, sized to one block
@@ -529,7 +529,7 @@ impl TimeSeriesDetector {
         // Feed the package back as input for the next prediction, with its
         // anomaly bit per §V-3 / §VI. Both the one-hot input and the rolling
         // prediction reuse state-owned buffers: the steady-state step is
-        // allocation-free (asserted by the engine's counting-allocator test).
+        // allocation-free.
         let noisy = flag_noisy.unwrap_or(anomalous);
         if state.x_buf.len() != self.encoder.dims() {
             // Hollow or foreign state (e.g. deserialized): size it once.
@@ -550,13 +550,16 @@ impl TimeSeriesDetector {
         TsBatchScratch {
             nn: self.model.batch_scratch(),
             xs: Vec::new(),
-            probs: Vec::new(),
+            logits: Vec::new(),
         }
     }
 
     /// Batched [`TimeSeriesDetector::process`]: advances `lanes.len()`
     /// independent streams by one package each, stepping all of them
-    /// through the LSTM together as matrix–matrix products.
+    /// through the LSTM together as one gathered
+    /// [`LstmClassifier::forward_batch_gathered_logits`] round — a one-lane
+    /// batch included, so every engine round and every offline
+    /// `detect_stream` call runs the same step.
     ///
     /// Entry `i` of `vectors` / `signature_ids` / `flag_noisy` belongs to
     /// stream `states[lanes[i]]`; lane indices must be distinct. One `F_t`
@@ -588,28 +591,14 @@ impl TimeSeriesDetector {
         if batch == 0 {
             return;
         }
-        if batch == 1 {
-            // A one-lane batch gains nothing from the gemm path (and pays
-            // its packing); the streaming step is the same computation.
-            let (anomalous, rank) = self.process(
-                &mut states[lanes[0]],
-                &vectors[0],
-                signature_ids[0],
-                flag_noisy[0],
-            );
-            out.push(anomalous);
-            ranks.push(rank);
-            return;
-        }
         let dims = self.encoder.dims();
         let nc = self.model.num_classes();
         if scratch.xs.len() < batch * dims {
             scratch.xs.resize(batch * dims, 0.0);
         }
-        if scratch.probs.len() < batch * nc {
-            scratch.probs.resize(batch * nc, 0.0);
+        if scratch.logits.len() < batch * nc {
+            scratch.logits.resize(batch * nc, 0.0);
         }
-        self.model.reserve_lanes(&mut scratch.nn, batch);
 
         // Per-lane decision from the rolling prediction, then the batched
         // feedback step (decision order mirrors `process`).
@@ -631,13 +620,13 @@ impl TimeSeriesDetector {
             &mut scratch.nn,
             batch,
             &scratch.xs[..batch * dims],
-            &mut scratch.probs[..batch * nc],
+            &mut scratch.logits[..batch * nc],
         );
 
         for (i, &lane) in lanes.iter().enumerate() {
             let state = &mut states[lane];
             self.model.scatter_lane(&scratch.nn, i, &mut state.stream);
-            let row = &scratch.probs[i * nc..(i + 1) * nc];
+            let row = &scratch.logits[i * nc..(i + 1) * nc];
             match &mut state.prediction {
                 Some(pred) => pred.copy_from_slice(row),
                 None => state.prediction = Some(row.to_vec()),

@@ -139,7 +139,7 @@ pub struct EngineConfig {
     /// Backlog (queued packages across a shard's streams) that triggers a
     /// classification round. Larger backlogs let a round cover more
     /// streams, amortizing LSTM weight traffic over more lanes;
-    /// single-stream traffic degrades gracefully to per-record stepping.
+    /// single-stream traffic degrades gracefully to one-lane rounds.
     pub batch_size: usize,
     /// Approximate bounded depth (in frames) of each shard's ingest
     /// channel. **Saturation behavior:** a full channel blocks

@@ -91,7 +91,6 @@ pub use adam::{Adam, AdamConfig};
 pub use dense::Dense;
 pub use lstm::{LaneSchedule, LstmLayer, LstmState};
 pub use model::{
-    BackwardPack, BatchScratch, ForwardScratch, Gradients, LstmClassifier, ModelConfig,
-    StreamState, TrainScratch,
+    BackwardPack, ForwardScratch, Gradients, LstmClassifier, ModelConfig, StreamState, TrainScratch,
 };
 pub use trainer::{EpochStats, Sequence, Trainer, TrainerConfigError, TrainingConfig};

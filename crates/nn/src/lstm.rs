@@ -78,8 +78,9 @@ impl PartialEq for LstmState {
 /// Time-major schedule of ragged lanes run through the stack together
 /// ([`crate::LstmClassifier::forward_schedule`]).
 ///
-/// Lanes (independent sequences: training chunks, validation fragments)
-/// are sorted by length, longest first, so the lanes still active at any
+/// Lanes (independent sequences: training chunks, validation fragments,
+/// or the streams of one engine round, one timestep each) are sorted by
+/// length, longest first, so the lanes still active at any
 /// timestep `t` form a *prefix* of the lane order. The concatenated input,
 /// tape and logits blocks then lay out one block of
 /// [`LaneSchedule::lanes_at`]`(t)` rows per timestep, and row `i` of
@@ -120,6 +121,16 @@ impl LaneSchedule {
             self.counts.push(n);
             self.total += n;
         }
+    }
+
+    /// Rebuilds the schedule in place as one timestep of `lanes` lanes —
+    /// an engine round, which steps every lane it holds exactly once.
+    pub(crate) fn rebuild_one_step(&mut self, lanes: usize) {
+        self.counts.clear();
+        self.offsets.clear();
+        self.counts.push(lanes);
+        self.offsets.push(0);
+        self.total = lanes;
     }
 
     /// Number of timesteps (the longest lane's length).
@@ -244,7 +255,7 @@ impl LstmLayer {
         self.w.len() + self.u.len() + self.b.len()
     }
 
-    /// Builds the panel-major copies [`LstmLayer::forward_batch`] reads —
+    /// Builds the panel-major copies [`LstmLayer::forward_schedule`] reads —
     /// `u` always, `w` only when the layer's input is dense (a one-hot
     /// stack input goes through the zero-skipping row-major kernel).
     /// Idempotent.
@@ -301,67 +312,11 @@ impl LstmLayer {
         out_h.copy_from_slice(h);
     }
 
-    /// Batched inference step: advances `batch` independent lanes by one
-    /// timestep as matrix–matrix products.
-    ///
-    /// `x` is the `batch x input_dim` input block; `h` and `c` are the
-    /// `batch x hidden_dim` recurrent state blocks (updated in place, `h`
-    /// holding the lane outputs afterwards); `z` is a `batch x 4*hidden_dim`
-    /// scratch block. `sparse_input` selects the zero-skipping kernel for
-    /// the `W x` product (right for one-hot inputs; lower layers of a
-    /// stack should pass `false` so dense activations take the
-    /// register-blocked kernel). The dense products read the weights'
-    /// panel-major copies ([`crate::tensor::Weights::panels`]), packed on
-    /// first use if `LstmLayer::pack_panels` has not run yet — nothing is
-    /// packed per call. Gate preactivations accumulate bias, then
-    /// `W x`, then `U h` in the same order as [`LstmLayer::forward`], so
-    /// every lane's result compares equal to stepping it alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn forward_batch(
-        &self,
-        batch: usize,
-        x: &[f32],
-        h: &mut [f32],
-        c: &mut [f32],
-        z: &mut [f32],
-        sparse_input: bool,
-    ) {
-        let hd = self.hidden_dim;
-        assert_eq!(x.len(), batch * self.input_dim, "lstm batch input mismatch");
-        assert_eq!(h.len(), batch * hd, "lstm batch hidden mismatch");
-        assert_eq!(c.len(), batch * hd, "lstm batch cell mismatch");
-        assert_eq!(z.len(), batch * 4 * hd, "lstm batch scratch mismatch");
-
-        // z = b + W x + U h_prev, batched.
-        for b in 0..batch {
-            z[b * 4 * hd..(b + 1) * 4 * hd].copy_from_slice(&self.b);
-        }
-        if sparse_input {
-            gemm_acc(batch, x, &self.w, z);
-        } else {
-            gemm_panels_acc(batch, x, &self.w, z);
-        }
-        gemm_panels_acc(batch, h, &self.u, z);
-
-        for b in 0..batch {
-            let zr = &mut z[b * 4 * hd..(b + 1) * 4 * hd];
-            sigmoid_in_place(&mut zr[..3 * hd]);
-            tanh_in_place(&mut zr[3 * hd..]);
-            let (i_gate, rest) = zr.split_at(hd);
-            let (f_gate, rest) = rest.split_at(hd);
-            let (o_gate, g_gate) = rest.split_at(hd);
-            let cr = &mut c[b * hd..(b + 1) * hd];
-            let hr = &mut h[b * hd..(b + 1) * hd];
-            icsad_simd::lstm_cell_f32(i_gate, f_gate, o_gate, g_gate, cr, hr, None);
-        }
-    }
-
     /// Forward pass over a whole schedule, recording the tape for
-    /// [`LstmLayer::backward_batch`] — the training forward, and the
-    /// time-batched inference of [`crate::LstmClassifier::forward_schedule`].
+    /// [`LstmLayer::backward_batch`] — the layer's one batched forward:
+    /// training, the validation curve and every engine round (a
+    /// one-timestep schedule) run it through
+    /// [`crate::LstmClassifier::forward_schedule`].
     ///
     /// `x_cat` is the concatenated `total x input_dim` input block in
     /// schedule order. The input projection `W x` runs as **one** matrix
@@ -374,11 +329,14 @@ impl LstmLayer {
     ///
     /// Lanes start from the zero state, or with `init = Some((h, c))` from
     /// the rows of `h` and `c` (`lanes x H`, at least `max_lanes()` rows)
-    /// — the state a previous time block left them in.
+    /// — the state a previous time block, or a gather of stream states,
+    /// left them in.
     ///
-    /// The products are [`LstmLayer::forward_batch`]'s, over the same
-    /// panels: what this pass adds to the inference step is the tape. The
-    /// trainer packs after every optimizer step, so nothing packs here.
+    /// `sparse_input` selects the zero-skipping kernel over the row-major
+    /// `W` (right for the one-hot stack input); dense inputs and `U h` read
+    /// the weights' panel-major copies ([`crate::tensor::Weights::panels`]),
+    /// packed on first use if [`LstmLayer::pack_panels`] has not run — the
+    /// trainer and the model loader pack up front, so nothing packs here.
     pub(crate) fn forward_schedule(
         &self,
         sched: &LaneSchedule,
@@ -674,51 +632,69 @@ mod tests {
         assert_eq!(empty.max_lanes(), 0);
     }
 
+    /// Every lane of a ragged schedule, and the one-timestep rounds that
+    /// carry a lane on from its `(h, c)` rows, equals [`LstmLayer::forward`]
+    /// on that lane alone — at a width past the gemm's k block, on inputs
+    /// mixing zeros, ones and reals.
     #[test]
     fn forward_schedule_matches_streaming_forward_bitwise() {
-        let layer = LstmLayer::new(3, 4, &mut rng());
+        let (dim, hd) = (5, 40);
+        let layer = LstmLayer::new(dim, hd, &mut rng());
+        let input = |lane: usize, t: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|i| match (i + t + lane) % 4 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => (((i * 13 + t * 7 + lane * 11) % 19) as f32 - 9.0) / 5.0,
+                })
+                .collect()
+        };
         // Two ragged lanes, lengths 5 and 3 (sorted descending).
-        let lane_inputs: Vec<Vec<Vec<f32>>> = [5usize, 3]
-            .iter()
-            .enumerate()
-            .map(|(lane, &len)| {
-                (0..len)
-                    .map(|t| {
-                        (0..3)
-                            .map(|i| ((t * 3 + i + lane * 11) as f32 * 0.7).sin())
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
         let sched = LaneSchedule::from_sorted_lens(&[5, 3]);
-        let mut x_cat = vec![0.0f32; sched.total * 3];
-        for (i, inputs) in lane_inputs.iter().enumerate() {
-            for (t, x) in inputs.iter().enumerate() {
+        let mut x_cat = vec![0.0f32; sched.total * dim];
+        for t in 0..sched.steps() {
+            for i in 0..sched.counts[t] {
                 let r = sched.offsets[t] + i;
-                x_cat[r * 3..(r + 1) * 3].copy_from_slice(x);
+                x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t));
             }
         }
         let mut tape = LayerTape::default();
         layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
 
-        let mut h = vec![0.0f32; 4];
-        for (i, inputs) in lane_inputs.iter().enumerate() {
-            let mut state = LstmState::zeros(4);
-            for (t, x) in inputs.iter().enumerate() {
-                layer.forward(x, &mut state, &mut h);
+        let mut h = vec![0.0f32; hd];
+        let mut states = [LstmState::zeros(hd), LstmState::zeros(hd)];
+        for (i, state) in states.iter_mut().enumerate() {
+            for t in 0..[5, 3][i] {
+                layer.forward(&input(i, t), state, &mut h);
                 let r = sched.offsets[t] + i;
                 assert_eq!(
-                    &tape.out[r * 4..(r + 1) * 4],
+                    &tape.out[r * hd..(r + 1) * hd],
                     h.as_slice(),
                     "lane {i} t {t}"
                 );
                 assert_eq!(
-                    &tape.c[r * 4..(r + 1) * 4],
+                    &tape.c[r * hd..(r + 1) * hd],
                     state.c.as_slice(),
                     "cell lane {i} t {t}"
                 );
             }
+        }
+
+        // Lane 0 alone, one round at a time, from the rows it ended on.
+        let mut round = LaneSchedule::default();
+        round.rebuild_one_step(1);
+        let r = sched.offsets[4];
+        let (mut h0, mut c0) = (
+            tape.out[r * hd..(r + 1) * hd].to_vec(),
+            tape.c[r * hd..(r + 1) * hd].to_vec(),
+        );
+        for t in 5..9 {
+            layer.forward_schedule(&round, &input(0, t), &mut tape, false, Some((&h0, &c0)));
+            layer.forward(&input(0, t), &mut states[0], &mut h);
+            assert_eq!(&tape.out[..hd], h.as_slice(), "round t {t}");
+            assert_eq!(&tape.c[..hd], states[0].c.as_slice(), "round cell t {t}");
+            h0.copy_from_slice(&tape.out[..hd]);
+            c0.copy_from_slice(&tape.c[..hd]);
         }
     }
 
@@ -866,55 +842,5 @@ mod tests {
     #[should_panic(expected = "dims must be positive")]
     fn zero_dims_panic() {
         LstmLayer::new(0, 4, &mut rng());
-    }
-
-    #[test]
-    fn forward_batch_matches_single_lane_steps_bitwise() {
-        let layer = LstmLayer::new(5, 40, &mut rng()); // > gemm k block once stacked
-        let lanes = 6usize;
-        let hd = layer.hidden_dim();
-
-        // Reference: step each lane separately for several timesteps.
-        let mut ref_states: Vec<LstmState> = (0..lanes).map(|_| LstmState::zeros(hd)).collect();
-        // Batched: the same lanes in one state block.
-        let mut h = vec![0.0f32; lanes * hd];
-        let mut c = vec![0.0f32; lanes * hd];
-        let mut z = vec![0.0f32; lanes * 4 * hd];
-
-        for t in 0..9 {
-            let xs: Vec<f32> = (0..lanes * 5)
-                .map(|i| match (i + t) % 4 {
-                    0 => 0.0,
-                    1 => 1.0,
-                    _ => (((i * 13 + t * 7) % 19) as f32 - 9.0) / 5.0,
-                })
-                .collect();
-            // Dense-input path: the test inputs mix zeros and reals.
-            layer.forward_batch(lanes, &xs, &mut h, &mut c, &mut z, false);
-            let mut out = vec![0.0f32; hd];
-            for (lane, state) in ref_states.iter_mut().enumerate() {
-                layer.forward(&xs[lane * 5..(lane + 1) * 5], state, &mut out);
-                assert_eq!(
-                    &h[lane * hd..(lane + 1) * hd],
-                    out.as_slice(),
-                    "h lane {lane} t {t}"
-                );
-                assert_eq!(
-                    &c[lane * hd..(lane + 1) * hd],
-                    state.c.as_slice(),
-                    "c lane {lane} t {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lstm batch input mismatch")]
-    fn forward_batch_rejects_bad_block() {
-        let layer = LstmLayer::new(3, 4, &mut rng());
-        let mut h = vec![0.0; 8];
-        let mut c = vec![0.0; 8];
-        let mut z = vec![0.0; 32];
-        layer.forward_batch(2, &[0.0; 5], &mut h, &mut c, &mut z, true);
     }
 }

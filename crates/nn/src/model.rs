@@ -107,22 +107,6 @@ pub struct StreamState {
     scratch: Vec<Vec<f32>>,
 }
 
-/// Reusable buffers for [`LstmClassifier::forward_batch_gathered_logits`]:
-/// gathered per-layer state blocks plus gate scratch, grown on demand so one
-/// scratch serves any batch size up to the high-water mark without
-/// reallocating.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Per-layer gathered hidden state, `capacity x hidden_dims[l]`.
-    h: Vec<Vec<f32>>,
-    /// Per-layer gathered cell state, `capacity x hidden_dims[l]`.
-    c: Vec<Vec<f32>>,
-    /// Per-layer gate preactivations, `capacity x 4*hidden_dims[l]`.
-    z: Vec<Vec<f32>>,
-    /// Lanes the buffers currently accommodate.
-    capacity: usize,
-}
-
 impl StreamState {
     /// The per-layer recurrent `(h, c)` states, bottom layer first.
     pub fn layer_states(&self) -> &[LstmState] {
@@ -173,19 +157,22 @@ impl BackwardPack {
     }
 }
 
-/// Pooled buffers for [`LstmClassifier::forward_schedule`]: one tape per
-/// layer and the logits block, grown to the largest schedule seen, plus
-/// the `(h, c)` rows a resumed call starts its lanes from.
+/// Pooled buffers for [`LstmClassifier::forward_schedule`] and the
+/// gathered step built on it
+/// ([`LstmClassifier::forward_batch_gathered_logits`]): one tape per layer
+/// and the logits block, grown to the largest schedule seen, plus the
+/// `(h, c)` rows a resumed call or a gathered step starts its lanes from.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// One forward tape per layer.
     tapes: Vec<LayerTape>,
     /// Concatenated logits, `total x num_classes`.
     logits: Vec<f32>,
-    /// Per-layer hidden rows carried into a resumed call, `lanes x H`.
-    carry_h: Vec<Vec<f32>>,
-    /// Per-layer cell rows carried into a resumed call, `lanes x H`.
-    carry_c: Vec<Vec<f32>>,
+    /// Per-layer hidden and cell rows the lanes start from, `lanes x H`
+    /// each.
+    carry: Vec<(Vec<f32>, Vec<f32>)>,
+    /// The one-timestep schedule of a gathered step.
+    round: LaneSchedule,
     /// Row offset and lane count of the previous call's last timestep.
     last_step: Option<(usize, usize)>,
     /// Largest schedule (`total` rows) run through these buffers.
@@ -288,8 +275,8 @@ impl LstmClassifier {
         self.layers.iter().map(|l| l.packed_bytes()).sum::<usize>() + self.dense.w.packed_bytes()
     }
 
-    /// Builds every panel-major weight copy the batched step reads, so the
-    /// first [`LstmClassifier::forward_batch_gathered_logits`] — on
+    /// Builds every panel-major weight copy the batched forward reads, so
+    /// the first [`LstmClassifier::forward_schedule`] or gathered step — on
     /// whatever thread — packs and allocates nothing. Idempotent.
     /// [`LstmClassifier::from_bytes`] ends with it and
     /// [`crate::Trainer::fit_epoch`] calls it after every optimizer step; a
@@ -357,81 +344,68 @@ impl LstmClassifier {
         self.dense.forward(&state.scratch[num_layers - 1], out);
     }
 
-    /// Fresh (empty) scratch for
-    /// [`LstmClassifier::forward_batch_gathered_logits`].
-    pub fn batch_scratch(&self) -> BatchScratch {
-        BatchScratch {
-            h: vec![Vec::new(); self.layers.len()],
-            c: vec![Vec::new(); self.layers.len()],
-            z: vec![Vec::new(); self.layers.len()],
-            capacity: 0,
+    /// Fresh (empty) scratch for the gathered step
+    /// ([`LstmClassifier::forward_batch_gathered_logits`]).
+    pub fn batch_scratch(&self) -> ForwardScratch {
+        ForwardScratch::default()
+    }
+
+    /// Copies one stream's recurrent state into row `i` of the rows the
+    /// next gathered step starts its lanes from (growing them if needed).
+    pub fn gather_lane(&self, scratch: &mut ForwardScratch, i: usize, state: &StreamState) {
+        scratch
+            .carry
+            .resize_with(self.layers.len(), Default::default);
+        for ((h, c), (layer, lane)) in scratch
+            .carry
+            .iter_mut()
+            .zip(self.layers.iter().zip(&state.layers))
+        {
+            let rows = i * layer.hidden_dim()..(i + 1) * layer.hidden_dim();
+            grow(h, rows.end);
+            grow(c, rows.end);
+            h[rows.clone()].copy_from_slice(&lane.h);
+            c[rows].copy_from_slice(&lane.c);
         }
     }
 
-    /// Grows `scratch` to hold at least `lanes` gathered lanes.
-    pub fn reserve_lanes(&self, scratch: &mut BatchScratch, lanes: usize) {
-        if scratch.capacity >= lanes && scratch.h.len() == self.layers.len() {
-            return;
-        }
-        let cap = lanes.max(scratch.capacity);
-        scratch.h.resize(self.layers.len(), Vec::new());
-        scratch.c.resize(self.layers.len(), Vec::new());
-        scratch.z.resize(self.layers.len(), Vec::new());
-        for (l, layer) in self.layers.iter().enumerate() {
-            scratch.h[l].resize(cap * layer.hidden_dim(), 0.0);
-            scratch.c[l].resize(cap * layer.hidden_dim(), 0.0);
-            scratch.z[l].resize(cap * 4 * layer.hidden_dim(), 0.0);
-        }
-        scratch.capacity = cap;
-    }
-
-    /// Copies one stream's recurrent state into scratch row `i`
-    /// (growing the scratch if needed).
-    pub fn gather_lane(&self, scratch: &mut BatchScratch, i: usize, state: &StreamState) {
-        self.reserve_lanes(scratch, i + 1);
-        for (l, layer) in self.layers.iter().enumerate() {
-            let hd = layer.hidden_dim();
-            scratch.h[l][i * hd..(i + 1) * hd].copy_from_slice(&state.layers[l].h);
-            scratch.c[l][i * hd..(i + 1) * hd].copy_from_slice(&state.layers[l].c);
-        }
-    }
-
-    /// Copies scratch row `i` back into a stream's recurrent state.
+    /// Copies lane `i`'s state after the last timestep run on `scratch`
+    /// back into a stream's recurrent state.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is beyond the scratch capacity.
-    pub fn scatter_lane(&self, scratch: &BatchScratch, i: usize, state: &mut StreamState) {
+    /// Panics if lane `i` was not stepped at that timestep.
+    pub fn scatter_lane(&self, scratch: &ForwardScratch, i: usize, state: &mut StreamState) {
+        let (p0, lanes) = scratch.last_step.unwrap_or((0, 0));
+        assert!(i < lanes, "lane {i} was not stepped ({lanes} lanes were)");
         for (l, layer) in self.layers.iter().enumerate() {
-            let hd = layer.hidden_dim();
-            state.layers[l]
-                .h
-                .copy_from_slice(&scratch.h[l][i * hd..(i + 1) * hd]);
-            state.layers[l]
-                .c
-                .copy_from_slice(&scratch.c[l][i * hd..(i + 1) * hd]);
+            let rows = (p0 + i) * layer.hidden_dim()..(p0 + i + 1) * layer.hidden_dim();
+            let tape = &scratch.tapes[l];
+            state.layers[l].h.copy_from_slice(&tape.out[rows.clone()]);
+            state.layers[l].c.copy_from_slice(&tape.c[rows]);
         }
     }
 
-    /// Batched twin of [`LstmClassifier::step_logits`]: advances the
-    /// `batch` lanes already gathered into `scratch` rows `0..batch`
-    /// ([`LstmClassifier::gather_lane`]) by one timestep as matrix–matrix
-    /// products ([`crate::tensor::gemm_acc`]) and writes raw logits rows (no
-    /// softmax).
+    /// One engine round: advances the `batch` lanes gathered into rows
+    /// `0..batch` ([`LstmClassifier::gather_lane`]) by one timestep and
+    /// writes their raw logits (no softmax). The round is a one-timestep
+    /// [`LstmClassifier::forward_schedule`] whose lanes start from the
+    /// gathered rows — the same layer pass, not a second batched step —
+    /// with the head writing straight into `logits`.
     ///
     /// `xs` is the row-major `batch x input_dim` input block and `logits`
     /// the row-major `batch x num_classes` output block; row `i` belongs to
-    /// the lane gathered into scratch row `i`. After
+    /// the lane gathered into row `i`. After
     /// [`LstmClassifier::scatter_lane`] each lane's state and logits are
     /// bit-identical to calling [`LstmClassifier::step_logits`] on it alone.
     ///
     /// # Panics
     ///
-    /// Panics if block sizes disagree with `batch` or the scratch is too
-    /// small.
+    /// Panics if block sizes disagree with `batch` or fewer than `batch`
+    /// rows were ever gathered.
     pub fn forward_batch_gathered_logits(
         &self,
-        scratch: &mut BatchScratch,
+        scratch: &mut ForwardScratch,
         batch: usize,
         xs: &[f32],
         logits: &mut [f32],
@@ -449,44 +423,29 @@ impl LstmClassifier {
         if batch == 0 {
             return;
         }
-        assert!(scratch.capacity >= batch, "scratch smaller than batch");
-
-        // Step the stack: layer l reads the updated hidden block of layer
-        // l-1 (its freshly computed outputs), exactly like the streaming
-        // path.
-        for l in 0..self.layers.len() {
-            let hd = self.layers[l].hidden_dim();
-            let (below, at) = scratch.h.split_at_mut(l);
-            let x_block: &[f32] = if l == 0 {
-                xs
-            } else {
-                &below[l - 1][..batch * self.layers[l - 1].hidden_dim()]
-            };
-            self.layers[l].forward_batch(
-                batch,
-                x_block,
-                &mut at[0][..batch * hd],
-                &mut scratch.c[l][..batch * hd],
-                &mut scratch.z[l][..batch * 4 * hd],
-                // Only the stack input is one-hot; higher layers consume
-                // dense activations.
-                l == 0,
-            );
-        }
-
-        // Dense head.
-        let top = self.layers.len() - 1;
-        let top_hd = self.layers[top].hidden_dim();
-        self.dense
-            .forward_batch(batch, &scratch.h[top][..batch * top_hd], logits);
+        let ForwardScratch {
+            tapes,
+            carry,
+            round,
+            ..
+        } = scratch;
+        round.rebuild_one_step(batch);
+        self.forward_stack(round, xs, tapes, Some(carry));
+        scratch.last_step = Some((0, batch));
+        scratch.rows = scratch.rows.max(batch);
+        let top_hd = self.layers[self.layers.len() - 1].hidden_dim();
+        let top_out = &scratch.tapes[self.layers.len() - 1].out[..batch * top_hd];
+        self.dense.forward_batch(batch, top_out, logits);
     }
 
     /// Time-batched twin of [`LstmClassifier::step_logits`]: runs every
     /// lane of `sched` through the stack and the head and returns the raw
     /// logits, `total x num_classes` in schedule order (row
     /// [`LaneSchedule::row`]`(t, i)` is lane `i`'s prediction after its
-    /// `t`-th input). Training ([`LstmClassifier::train_batch`]) and the
-    /// validation top-`k` curve both run this one pass.
+    /// `t`-th input). It is the one batched forward: training
+    /// ([`LstmClassifier::train_batch`]), the validation top-`k` curve and,
+    /// one timestep at a time, every engine round
+    /// ([`LstmClassifier::forward_batch_gathered_logits`]) run it.
     ///
     /// `x_cat` is the concatenated `total x input_dim` input block in
     /// schedule order. Per layer the input projection runs as one gemm
@@ -521,7 +480,6 @@ impl LstmClassifier {
             total * self.config.input_dim,
             "input dim mismatch"
         );
-        scratch.tapes.resize_with(num_layers, LayerTape::default);
         if resume {
             let lanes = sched.max_lanes();
             let (p0, ended) = scratch.last_step.unwrap_or((0, 0));
@@ -529,29 +487,21 @@ impl LstmClassifier {
                 lanes <= ended,
                 "a resumed schedule starts {lanes} lanes, the previous block ended with {ended}"
             );
-            scratch.carry_h.resize_with(num_layers, Vec::new);
-            scratch.carry_c.resize_with(num_layers, Vec::new);
-            for (l, layer) in self.layers.iter().enumerate() {
+            scratch.carry.resize_with(num_layers, Default::default);
+            for ((h, c), (layer, tape)) in scratch
+                .carry
+                .iter_mut()
+                .zip(self.layers.iter().zip(&scratch.tapes))
+            {
                 let rows = p0 * layer.hidden_dim()..(p0 + lanes) * layer.hidden_dim();
-                let tape = &scratch.tapes[l];
-                scratch.carry_h[l].clear();
-                scratch.carry_h[l].extend_from_slice(&tape.out[rows.clone()]);
-                scratch.carry_c[l].clear();
-                scratch.carry_c[l].extend_from_slice(&tape.c[rows]);
+                h.clear();
+                h.extend_from_slice(&tape.out[rows.clone()]);
+                c.clear();
+                c.extend_from_slice(&tape.c[rows]);
             }
         }
-        for l in 0..num_layers {
-            let (below, at) = scratch.tapes.split_at_mut(l);
-            let x_block: &[f32] = if l == 0 {
-                x_cat
-            } else {
-                &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
-            };
-            let init = resume.then(|| (&scratch.carry_h[l][..], &scratch.carry_c[l][..]));
-            // Only the stack input is one-hot; higher layers consume dense
-            // activations.
-            self.layers[l].forward_schedule(sched, x_block, &mut at[0], l == 0, init);
-        }
+        let init = resume.then_some(&scratch.carry[..]);
+        self.forward_stack(sched, x_cat, &mut scratch.tapes, init);
         scratch.last_step = sched
             .steps()
             .checked_sub(1)
@@ -565,6 +515,33 @@ impl LstmClassifier {
         let logits = &mut scratch.logits[..total * nc];
         self.dense.forward_batch(total, top_out, logits);
         logits
+    }
+
+    /// The stack half of [`LstmClassifier::forward_schedule`]: tapes every
+    /// layer over `sched`, each layer reading the tape of the one below.
+    /// Lanes start from the zero state, or from the per-layer `(h, c)`
+    /// rows of `init`.
+    fn forward_stack(
+        &self,
+        sched: &LaneSchedule,
+        x_cat: &[f32],
+        tapes: &mut Vec<LayerTape>,
+        init: Option<&[(Vec<f32>, Vec<f32>)]>,
+    ) {
+        let total = sched.total();
+        tapes.resize_with(self.layers.len(), LayerTape::default);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (below, at) = tapes.split_at_mut(l);
+            let x_block: &[f32] = if l == 0 {
+                x_cat
+            } else {
+                &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
+            };
+            let init = init.map(|carry| (&carry[l].0[..], &carry[l].1[..]));
+            // Only the stack input is one-hot; higher layers consume dense
+            // activations.
+            layer.forward_schedule(sched, x_block, &mut at[0], l == 0, init);
+        }
     }
 
     /// Runs truncated BPTT over a minibatch of chunks (lanes) at once:
@@ -1279,6 +1256,67 @@ mod tests {
         // Lane 1 ended before the first block's last step.
         let second = LaneSchedule::from_sorted_lens(&[1, 1]);
         model.forward_schedule(&second, &vec![0.5; 2 * dim], &mut scratch, true);
+    }
+
+    /// A round is a one-timestep schedule on the same buffers: lanes a
+    /// time-batched block left off scatter out of its last timestep, and
+    /// gathered rounds carry them on exactly as `step_logits` would — in
+    /// buffers no wider than the widest call.
+    #[test]
+    fn rounds_continue_where_a_schedule_left_off() {
+        let model = LstmClassifier::new(&small_config());
+        let dim = model.config().input_dim;
+        let nc = model.num_classes();
+        let input = |lane: usize, t: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|j| ((lane * 13 + t * dim + j) as f32 * 0.41).cos())
+                .collect()
+        };
+        let mut scratch = model.batch_scratch();
+        let sched = LaneSchedule::from_sorted_lens(&[3, 3, 2]);
+        let mut x_cat = vec![0.0f32; sched.total() * dim];
+        for t in 0..sched.steps() {
+            for i in 0..sched.lanes_at(t) {
+                let r = sched.row(t, i);
+                x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t));
+            }
+        }
+        model.forward_schedule(&sched, &x_cat, &mut scratch, false);
+        // Lanes 0 and 1 were active at the last timestep; lane 2 was not.
+        let mut states = [model.new_state(), model.new_state()];
+        let mut references = [model.new_state(), model.new_state()];
+        let mut single = vec![0.0f32; nc];
+        for (i, (state, reference)) in states.iter_mut().zip(&mut references).enumerate() {
+            model.scatter_lane(&scratch, i, state);
+            for t in 0..3 {
+                model.step_logits(reference, &input(i, t), &mut single);
+            }
+            assert_eq!(state.layers, reference.layers, "lane {i}");
+        }
+        let stepped = std::panic::catch_unwind(|| {
+            model.scatter_lane(&scratch, 2, &mut model.new_state());
+        });
+        assert!(stepped.is_err(), "lane 2 ended before the last timestep");
+
+        let mut logits = vec![0.0f32; 2 * nc];
+        for t in 3..5 {
+            let xs: Vec<f32> = (0..2).flat_map(|i| input(i, t)).collect();
+            for (i, state) in states.iter().enumerate() {
+                model.gather_lane(&mut scratch, i, state);
+            }
+            model.forward_batch_gathered_logits(&mut scratch, 2, &xs, &mut logits);
+            for (i, (state, reference)) in states.iter_mut().zip(&mut references).enumerate() {
+                model.scatter_lane(&scratch, i, state);
+                model.step_logits(reference, &input(i, t), &mut single);
+                assert_eq!(
+                    &logits[i * nc..(i + 1) * nc],
+                    single.as_slice(),
+                    "lane {i} t {t}"
+                );
+                assert_eq!(state.layers, reference.layers, "lane {i} t {t}");
+            }
+        }
+        assert_eq!(scratch.rows(), sched.total());
     }
 
     #[test]
