@@ -124,11 +124,10 @@ fn main() {
         IDLE
     );
     println!(
-        "  runtime: mode={} threads={} polls={} steals={} blocked_pushes={}",
+        "  runtime: mode={} threads={} polls={} blocked_pushes={}",
         report.runtime.mode,
         report.runtime.ingest_threads,
         report.runtime.polls,
-        report.runtime.steals,
         report.runtime.blocked_pushes
     );
     // Rounds sweep the active-lane list, not every lane: with the idle

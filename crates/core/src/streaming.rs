@@ -52,8 +52,8 @@ use crate::dynamic_k::{DynamicKConfig, DynamicKController};
 /// record prefix — never on which other lanes shared its batch, how calls
 /// were sized, or when `classify_batch` ran. This is the invariant that
 /// lets the engine pair decisions with labels through plain per-lane
-/// FIFOs, and the reason its async runtime can reschedule, steal and
-/// re-batch work freely while staying bit-identical to the per-record
+/// FIFOs, and the reason its async runtime can reschedule, move between
+/// workers and re-batch work freely while staying bit-identical to the per-record
 /// path (pinned by the engine's deterministic-interleaving property
 /// tests). Implementations are checked against the call-shape half of the
 /// contract by debug assertions in [`StreamingSession::classify_batch`]

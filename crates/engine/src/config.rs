@@ -36,9 +36,9 @@ pub enum EngineMode {
 /// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
-    /// Cooperative shard tasks on a fixed work-stealing worker pool
-    /// ([`icsad_runtime`]): idle shards cost no thread, and a hot shard's
-    /// flush migrates to an idle worker.
+    /// Cooperative shard tasks on a fixed worker pool sharing one run
+    /// queue ([`icsad_runtime`]): idle shards cost no thread, and whichever
+    /// worker is free polls the next runnable shard.
     Async {
         /// Pool threads; `0` means `available_parallelism`. Either way the
         /// pool is capped at `num_shards`: one shard task is polled by one
@@ -46,8 +46,9 @@ pub enum IngestMode {
         /// only park.
         workers: usize,
     },
-    /// The async runtime on one thread, replaying worker/steal/budget
-    /// choices from a seed — the deterministic-interleaving test harness.
+    /// The async runtime on one thread, replaying (queued shard, poll
+    /// budget) choices from a seed — the deterministic-interleaving test
+    /// harness.
     AsyncDeterministic(TestSchedule),
 }
 
@@ -76,9 +77,6 @@ pub enum EngineConfigError {
     /// `crc_window` was zero: the per-stream CRC feature needs at least one
     /// frame of history.
     ZeroCrcWindow,
-    /// An [`IngestMode::AsyncDeterministic`] schedule with zero virtual
-    /// workers.
-    ZeroScheduleWorkers,
     /// An [`IngestMode::AsyncDeterministic`] schedule with a zero poll
     /// budget.
     ZeroScheduleBudget,
@@ -103,9 +101,6 @@ impl std::fmt::Display for EngineConfigError {
                 )
             }
             EngineConfigError::ZeroCrcWindow => write!(f, "crc_window must be positive"),
-            EngineConfigError::ZeroScheduleWorkers => {
-                write!(f, "deterministic schedule needs at least one worker")
-            }
             EngineConfigError::ZeroScheduleBudget => {
                 write!(f, "deterministic schedule needs a positive poll budget")
             }
@@ -222,9 +217,6 @@ impl EngineConfig {
             return Err(EngineConfigError::ZeroCrcWindow);
         }
         if let IngestMode::AsyncDeterministic(schedule) = self.ingest {
-            if schedule.workers == 0 {
-                return Err(EngineConfigError::ZeroScheduleWorkers);
-            }
             if schedule.max_budget == 0 {
                 return Err(EngineConfigError::ZeroScheduleBudget);
             }

@@ -1,11 +1,11 @@
 //! The ingest driver: per-shard bounded queues feeding shard tasks on the
-//! work-stealing pool.
+//! worker pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use icsad_core::streaming::StreamingDetector;
-use icsad_runtime::{ExecStats, Executor, IngestQueue, RecycleRing, Schedule, TryPushError};
+use icsad_runtime::{ExecStats, Executor, IngestQueue, RecycleRing, Schedule};
 
 use crate::shard::{ShardCore, ShardMsg, ShardTask};
 use crate::{EngineConfig, IngestMode, RawFrame, ShardReport};
@@ -15,7 +15,7 @@ use crate::{EngineConfig, IngestMode, RawFrame, ShardReport};
 use crate::Engine;
 
 /// The running ingest machinery behind an [`Engine`]: one bounded FIFO
-/// per shard feeding shard tasks on the work-stealing pool.
+/// per shard feeding shard tasks on the worker pool.
 pub(crate) struct IngestDriver {
     queues: Vec<Arc<IngestQueue<ShardMsg>>>,
     pub(crate) executor: Executor<ShardTask>,
@@ -93,26 +93,16 @@ impl IngestDriver {
     }
 
     /// Delivers one message to a shard's FIFO, blocking under backpressure
-    /// (counted on `blocked`).
-    pub(crate) fn send(
-        &self,
-        shard: usize,
-        msg: ShardMsg,
-        blocked: &AtomicU64,
-    ) -> Result<(), ShardGone> {
-        let queue = &self.queues[shard];
-        match queue.try_push(msg) {
-            Ok(()) => {}
-            Err(TryPushError::Full(msg)) => {
-                // ORDERING: Relaxed — monotonic reporting counter, read
-                // only after the run is over; it orders nothing.
-                blocked.fetch_add(1, Ordering::Relaxed);
-                queue.push(msg).map_err(|_| ShardGone)?;
-            }
-            Err(TryPushError::Closed(_)) => return Err(ShardGone),
-        }
+    /// (counted by the queue).
+    pub(crate) fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), ShardGone> {
+        self.queues[shard].push(msg).map_err(|_| ShardGone)?;
         self.executor.notify(shard);
         Ok(())
+    }
+
+    /// Sends that had to wait for queue space, summed over the shards.
+    pub(crate) fn blocked_pushes(&self) -> u64 {
+        self.queues.iter().map(|q| q.blocked_pushes()).sum()
     }
 
     /// Closes ingest and joins every worker, **even when some panicked**:

@@ -19,7 +19,7 @@
 //!                  │ bounded ch   bounded ch      (backpressure)    │
 //!                  │   │            │                               │
 //!                  │ shard 0      shard 1   … (tasks on one         │
-//!                  │                        work-stealing pool)     │
+//!                  │                        worker pool)            │
 //!                  │  per-stream lanes → StreamingSession flushes   │
 //!                  │  StreamExtractor → classify_batch → report     │
 //!                  └───────────────┬────────────────────────────────┘
@@ -53,10 +53,11 @@
 //!
 //! # Ingest runtime
 //!
-//! Shards are cooperative tasks on one fixed work-stealing worker pool
-//! from [`icsad_runtime`] ([`IngestMode::Async`]): one engine hosts
-//! thousands of mostly idle streams on `available_parallelism` threads,
-//! and a hot shard's batched flush migrates to whichever worker is free.
+//! Shards are cooperative tasks on one fixed worker pool from
+//! [`icsad_runtime`] ([`IngestMode::Async`]): one engine hosts thousands
+//! of mostly idle streams on `available_parallelism` threads, and the
+//! workers share one run queue, so whichever worker is free polls the
+//! next runnable shard.
 //! Decisions depend only on per-shard message order, so they are
 //! bit-identical across pool sizes and schedules — pinned by seeded
 //! deterministic-interleaving property tests
@@ -210,7 +211,6 @@ pub struct Engine {
     processed: Arc<AtomicU64>,
     ingested: AtomicU64,
     quarantined: AtomicU64,
-    blocked_pushes: AtomicU64,
     reloads: u64,
 }
 
@@ -284,7 +284,6 @@ impl Engine {
             driver: Some(driver),
             ingested: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            blocked_pushes: AtomicU64::new(0),
             reloads: 0,
         })
     }
@@ -349,11 +348,7 @@ impl Engine {
                           coverage is already lost, so fail loudly"
             )]
             driver
-                .send(
-                    shard,
-                    ShardMsg::Swap(Arc::clone(&detector)),
-                    &self.blocked_pushes,
-                )
+                .send(shard, ShardMsg::Swap(Arc::clone(&detector)))
                 .unwrap_or_else(|_| panic!("shard worker terminated"));
         }
         self.reloads += 1;
@@ -398,11 +393,7 @@ impl Engine {
                           coverage; fail loudly"
             )]
             driver
-                .send(
-                    shard,
-                    ShardMsg::Retire { link, unit: None },
-                    &self.blocked_pushes,
-                )
+                .send(shard, ShardMsg::Retire { link, unit: None })
                 .unwrap_or_else(|_| panic!("shard worker terminated"));
         }
     }
@@ -431,7 +422,6 @@ impl Engine {
                     link,
                     unit: Some(unit),
                 },
-                &self.blocked_pushes,
             )
             .unwrap_or_else(|_| panic!("shard worker terminated"));
     }
@@ -637,7 +627,7 @@ impl Engine {
         self.driver
             .as_ref()
             .expect("engine finished")
-            .send(shard, ShardMsg::Frames(chunk), &self.blocked_pushes)
+            .send(shard, ShardMsg::Frames(chunk))
             .unwrap_or_else(|_| panic!("shard worker terminated"));
     }
 
@@ -681,10 +671,7 @@ impl Engine {
                 // allocation-free too (the empty fallback never allocates).
                 let fresh = self.recycle.take().unwrap_or_default();
                 let chunk = std::mem::replace(buffer, fresh);
-                if driver
-                    .send(shard, ShardMsg::Frames(chunk), &self.blocked_pushes)
-                    .is_err()
-                {
+                if driver.send(shard, ShardMsg::Frames(chunk)).is_err() {
                     result = Err(ShardGone);
                 }
             }
@@ -712,6 +699,9 @@ impl Engine {
         )]
         let driver = self.driver.take().expect("finish called once");
         let mode = driver.mode;
+        // Every send has returned (this thread is the only producer), so
+        // the queues' counts are final.
+        let blocked_pushes = driver.blocked_pushes();
         let (results, stats) = driver.into_results();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(results.len());
         let mut panic = None;
@@ -742,9 +732,8 @@ impl Engine {
             runtime: RuntimeStats {
                 mode,
                 ingest_threads: stats.threads,
-                // ORDERING: Relaxed — read post-join, as above.
-                blocked_pushes: self.blocked_pushes.load(Ordering::Relaxed),
-                steals: stats.steals,
+                blocked_pushes,
+                steals: 0,
                 polls: stats.polls,
                 round_units: 0,
                 rounds_helped: 0,

@@ -107,12 +107,14 @@ pub struct RuntimeStats {
     /// ingest thread): the pool size under [`IngestMode::Async`], 1 under
     /// [`IngestMode::AsyncDeterministic`].
     pub ingest_threads: usize,
-    /// Times [`Engine::ingest`]/[`Engine::flush_ingest`] found a shard's
-    /// channel full and had to wait — the backpressure counter. Zero means
+    /// Sends to a shard ([`Engine::ingest`]'s chunks, flushes, swaps and
+    /// retirements) that found its channel full and had to wait — the
+    /// backpressure counter, summed over the shards' queues. Zero means
     /// the shards always kept ahead of the tap.
     pub blocked_pushes: u64,
-    /// Shard tasks taken from another worker's run queue: how often a hot
-    /// shard's work migrated to an idle worker.
+    /// Always 0: the pool's workers share one run queue, so nothing is
+    /// stolen. Kept only because the frozen perf ledger reads it; a
+    /// benchmark PR removes it.
     pub steals: u64,
     /// Task polls executed.
     pub polls: u64,
@@ -143,7 +145,7 @@ pub struct EngineReport {
     /// by runtime CPU detection when the engine started — see
     /// [`icsad_simd::current`]), e.g. `"avx512+fma"` or `"scalar"`.
     pub kernel_backend: &'static str,
-    /// Ingest-runtime accounting (mode, threads, backpressure, stealing).
+    /// Ingest-runtime accounting (mode, threads, backpressure, polls).
     pub runtime: RuntimeStats,
 }
 

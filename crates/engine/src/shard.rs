@@ -7,8 +7,8 @@
 //! never blocks and never touches a queue — *when* it runs is entirely the
 //! scheduler's business. [`ShardTask`] wraps it as a cooperatively
 //! scheduled [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled
-//! by the work-stealing pool (or by the seeded single-thread replay
-//! scheduler the tests use as the schedule oracle).
+//! by the worker pool (or by the seeded single-thread replay scheduler the
+//! tests use as the schedule oracle).
 //!
 //! Per-stream decisions depend only on the per-shard message order (frames
 //! and swaps arrive through one FIFO per shard) and on each lane's record
@@ -504,7 +504,7 @@ impl ShardCore {
 }
 
 /// A [`ShardCore`] as a cooperatively scheduled task over an
-/// [`IngestQueue`] inbox, polled by the work-stealing pool.
+/// [`IngestQueue`] inbox, polled by the worker pool.
 pub(crate) struct ShardTask {
     /// `Some` until [`Task::complete`] takes it (`Option` only because the
     /// `Drop` impl below forbids moving fields out of `self`).
@@ -547,8 +547,9 @@ impl Task for ShardTask {
             Drain::Empty => {
                 // Drain-on-quiet: when the inbox momentarily empties,
                 // work through the backlog one round at a time (yielding
-                // between rounds so a steal can migrate the drain) before
-                // going idle.
+                // between rounds so other runnable shards get a turn and
+                // any free worker can take the next round) before going
+                // idle.
                 if core.has_backlog() {
                     core.flush_round();
                     if core.has_backlog() {

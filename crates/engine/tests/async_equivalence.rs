@@ -1,11 +1,10 @@
 //! Deterministic-interleaving equivalence: the engine's decisions are
 //! bit-identical to the per-record offline path under *every* seeded
-//! worker/steal/budget schedule tested and on the real work-stealing pool
+//! (queued shard, poll budget) schedule tested and on the real worker pool
 //! — including mid-run `swap_artifact` at arbitrary ingest boundaries.
 //!
 //! The harness is [`IngestMode::AsyncDeterministic`]: one scheduler thread
-//! replays (acting worker, steal victim order, poll budget) choices from a
-//! `rand_chacha` seed, so each proptest case drives the engine through a
+//! replays (queued shard, poll budget) choices from a `rand_chacha` seed, so each proptest case drives the engine through a
 //! distinct, reproducible interleaving. The property is schedule
 //! *invariance*: whatever the interleaving, per-stream record order is
 //! preserved (per-shard FIFOs + per-lane queues) and per-stream decisions
@@ -187,7 +186,7 @@ fn check(report: &EngineReport, reference: &Reference, frames: usize, context: &
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     /// The headline property: for any (schedule seed, shard count, batch
-    /// size, worker count, steal granularity, swap boundary), the
+    /// size, pool size, poll budget, swap boundary), the
     /// deterministically scheduled engine, the real pool, and the
     /// per-record path all agree bit-for-bit.
     #[test]
@@ -221,7 +220,7 @@ proptest! {
         check(&pool, &reference, n, "pool");
 
         let async_det = run_engine(fx, EngineConfig {
-            ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, workers, max_budget }),
+            ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, max_budget }),
             ..base
         }, swap_at);
         prop_assert_eq!(async_det.runtime.mode, "async-deterministic");
@@ -231,7 +230,7 @@ proptest! {
 
         // Replayed schedule ≡ real pool shard-by-shard too (routing is
         // schedule-invariant): everything decision-derived matches; only
-        // flush/steal timing may differ.
+        // flush timing may differ.
         prop_assert_eq!(pool.shards.len(), async_det.shards.len());
         for (t, a) in pool.shards.iter().zip(async_det.shards.iter()) {
             prop_assert_eq!(t.shard, a.shard);
@@ -250,7 +249,7 @@ proptest! {
     }
 }
 
-/// The same invariance on the *real* work-stealing pool: the schedule is
+/// The same invariance on the *real* worker pool: the schedule is
 /// now timing-dependent (threads race), but decisions must still match the
 /// per-record reference exactly — across repeated runs and pool sizes.
 #[test]
@@ -309,7 +308,6 @@ fn clock_regressions_are_schedule_independent() {
 
     let replayed = |seed| TestSchedule {
         seed,
-        workers: 3,
         max_budget: 2,
     };
     let schedules = [
@@ -374,7 +372,6 @@ fn engine_matches_classify_streams_lockstep() {
             channel_capacity: 64,
             ingest: IngestMode::AsyncDeterministic(TestSchedule {
                 seed: 99,
-                workers: 3,
                 max_budget: 2,
             }),
             ..EngineConfig::default()

@@ -105,18 +105,6 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
             EngineConfig {
                 ingest: IngestMode::AsyncDeterministic(TestSchedule {
                     seed: 0,
-                    workers: 0,
-                    max_budget: 4,
-                }),
-                ..base()
-            },
-            EngineConfigError::ZeroScheduleWorkers,
-        ),
-        (
-            EngineConfig {
-                ingest: IngestMode::AsyncDeterministic(TestSchedule {
-                    seed: 0,
-                    workers: 2,
                     max_budget: 0,
                 }),
                 ..base()
@@ -191,7 +179,6 @@ fn errors_name_the_offending_field() {
         ),
         (EngineConfigError::ZeroCrcWindow, "crc_window"),
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
-        (EngineConfigError::ZeroScheduleWorkers, "worker"),
         (EngineConfigError::ZeroScheduleBudget, "budget"),
     ] {
         let rendered = error.to_string();

@@ -152,7 +152,6 @@ fn async_engine_survives_a_panicking_shard() {
 fn deterministic_engine_survives_a_panicking_shard() {
     drive_to_panic(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 13,
-        workers: 2,
         max_budget: 3,
     }));
 }
@@ -165,7 +164,6 @@ fn dropping_an_unfinished_engine_joins_all_workers() {
     let pool = IngestMode::Async { workers: 2 };
     let replay = IngestMode::AsyncDeterministic(TestSchedule {
         seed: 1,
-        workers: 2,
         max_budget: 2,
     });
     for ingest in [pool, replay] {

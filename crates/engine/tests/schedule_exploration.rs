@@ -5,7 +5,7 @@
 //! schedule space; this test *enumerates* it. Two shard-style tasks each
 //! classify a stream of real extracted Modbus records through a trained
 //! [`CombinedDetector`], driven by [`icsad_runtime::explore`]'s loom-lite
-//! DFS over (acting worker, steal victim, poll budget). At every leaf the
+//! DFS over (queued task, poll budget). At every leaf the
 //! executor's state-machine invariants have already been checked by the
 //! explorer; here we additionally assert *decision equality* — each leaf's
 //! per-stream decision sequence equals the per-record reference.
@@ -127,7 +127,6 @@ fn every_interleaving_yields_identical_decisions() {
         .collect();
 
     let config = ExploreConfig {
-        workers: 2,
         max_budget: 2,
         ..ExploreConfig::default()
     };

@@ -2,7 +2,7 @@
 //! live, the rest idle — on no more than `available_parallelism` + 1
 //! threads, with the backpressure counters accounting for every stall.
 //!
-//! This is the scaling scenario the work-stealing runtime exists for: a
+//! This is the scaling scenario the cooperative runtime exists for: a
 //! thread per shard would cost one OS thread per shard whether or not
 //! traffic arrives; under [`IngestMode::Async`] idle shards are idle
 //! *tasks*, costing a queue and a state byte.
@@ -235,54 +235,11 @@ fn backpressure_is_counted_on_the_report() {
     );
     let blocked_replay = backpressure_run(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 5,
-        workers: 2,
         max_budget: 2,
     }));
     assert!(
         blocked_replay > 0,
         "replayed schedule: expected blocked pushes against a slow shard"
-    );
-}
-
-/// Work stealing is observable: many hot shards re-queue themselves with a
-/// tiny budget while several virtual workers contend, so the seeded
-/// scheduler must record steals (the count is exactly reproducible for a
-/// fixed seed, pinned here loosely as "nonzero").
-#[test]
-fn seeded_schedules_record_steals() {
-    let backend = Arc::new(SlowBackend {
-        delay: std::time::Duration::ZERO,
-    });
-    let mut engine = Engine::try_start_backend(
-        backend,
-        EngineConfig {
-            num_shards: 8,
-            batch_size: 4,
-            channel_capacity: 1024,
-            ingest: IngestMode::AsyncDeterministic(TestSchedule {
-                seed: 11,
-                workers: 3,
-                max_budget: 1,
-            }),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    for i in 0..4_096u32 {
-        engine.ingest(RawFrame {
-            time: f64::from(i) * 0.01,
-            wire: vec![(i % 8) as u8, 3, 0x00, 0x2A].into(),
-            is_command: true,
-            label: None,
-            link: 0,
-        });
-    }
-    let report = engine.finish();
-    assert_eq!(report.frames(), 4_096);
-    assert!(
-        report.runtime.steals > 0,
-        "expected steals under a 3-worker schedule with 8 hot shards, got {:?}",
-        report.runtime
     );
 }
 
@@ -321,7 +278,6 @@ fn soak_decisions_match_across_schedules() {
     let two = run(IngestMode::Async { workers: 2 });
     let seeded = run(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 3,
-        workers: 2,
         max_budget: 3,
     }));
     assert_eq!(pooled.total, two.total);

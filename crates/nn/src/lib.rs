@@ -20,8 +20,8 @@
 //! * [`Adam`] — the Adam optimizer,
 //! * [`Trainer`] — truncated-BPTT training over variable-length sequences
 //!   with deterministic data-parallel gradient accumulation on the
-//!   `icsad-runtime` work-stealing pool (bit-identical weights for any
-//!   worker count).
+//!   `icsad-runtime` worker pool (bit-identical weights for any worker
+//!   count).
 //!
 //! # Examples
 //!

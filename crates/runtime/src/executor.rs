@@ -1,6 +1,6 @@
-//! The cooperative executor: a fixed worker pool multiplexing many tasks,
-//! with per-worker run queues, work stealing, and a deterministic
-//! seed-replayable scheduler mode for interleaving tests.
+//! The cooperative executor: a fixed worker pool multiplexing many tasks
+//! through one shared run queue, and a deterministic seed-replayable
+//! scheduler mode for interleaving tests.
 //!
 //! # Task state machine
 //!
@@ -19,33 +19,34 @@
 //!                      DONE
 //! ```
 //!
-//! `QUEUED` means *exactly one* entry in *exactly one* run queue — a notify
+//! `QUEUED` means *exactly one* entry in the run queue — a notify
 //! on a queued/dirty task is a no-op, and a notify racing a running task
 //! lands on `DIRTY`, which the worker converts back to `QUEUED` when the
 //! poll returns `Idle`. That closes the classic lost-wakeup window: a
 //! producer that pushes after the consumer's last empty `pop` but before
 //! the consumer goes idle still gets the task re-queued.
 //!
-//! # Stealing
+//! # One run queue
 //!
-//! A finished poll that still has work re-queues the task at the **tail of
-//! the polling worker's own queue**; an idle worker that finds its own queue
-//! empty pops the **tail of a victim's queue**. A hot shard therefore keeps
-//! its cache locality while it is the only busy task, and migrates exactly
-//! when some other worker has nothing better to do — classic work stealing,
-//! minus the lock-free deque (the workspace forbids `unsafe`; per-worker
-//! mutexed `VecDeque`s cost one uncontended lock per schedule event, which
-//! is noise next to a batched LSTM flush).
+//! Every worker shares one FIFO of task ids. A notify and a re-queue push
+//! to its **tail**; an idle worker pops its **head**. Tasks are whole
+//! shards (or whole gradient partitions) and the pool never has more
+//! workers than tasks, so balancing them is the only scheduling job there
+//! is, and a shared FIFO does it by construction: whichever worker is free
+//! takes the oldest runnable task, and a hot task that re-queues itself
+//! after its budget goes behind every task that was waiting. One mutexed
+//! `VecDeque` costs one lock per schedule event, which is noise next to a
+//! batched LSTM flush (the workspace forbids `unsafe`, so no lock-free
+//! queue).
 //!
 //! # Determinism
 //!
 //! Tasks are polled by at most one worker at a time, so task-local state
 //! never needs synchronization and anything invariant to poll timing is
 //! invariant to the schedule. [`Schedule::Deterministic`] makes the
-//! remaining nondeterminism replayable: one thread simulates every virtual
-//! worker, drawing (worker, steal victim order, poll budget) choices from a
-//! seeded [`ChaCha12Rng`], so a test can sweep seeds and assert schedule
-//! invariance.
+//! remaining nondeterminism replayable: one thread runs the pool, drawing
+//! (queued task, poll budget) choices from a seeded [`ChaCha12Rng`], so a
+//! test can sweep seeds and assert schedule invariance.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +54,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -92,21 +92,20 @@ pub trait Task: Send {
     fn complete(self) -> Self::Output;
 }
 
-/// A deterministic, seed-replayable schedule: one scheduler thread simulates
-/// `workers` virtual workers, drawing every (acting worker, steal victim
-/// order, poll budget) decision from a [`ChaCha12Rng`] seeded with `seed`.
-/// Two runs with the same seed and the same notify sequence replay the same
-/// worker/steal orderings — and sweeping seeds explores distinct
-/// interleavings, which is what the engine's equivalence property tests
-/// drive.
+/// A deterministic, seed-replayable schedule: one scheduler thread runs the
+/// pool, drawing every (queued task, poll budget) decision from a
+/// [`ChaCha12Rng`] seeded with `seed`. Each schedule event polls the task
+/// at a seeded position of the run queue rather than its head, so the
+/// replay reaches task orders a FIFO alone would not. Two runs with the
+/// same seed and the same notify sequence replay the same task order — and
+/// sweeping seeds explores distinct interleavings, which is what the
+/// engine's equivalence property tests drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TestSchedule {
     /// Seed for the scheduling RNG.
     pub seed: u64,
-    /// Virtual workers (run queues) to simulate; must be positive.
-    pub workers: usize,
     /// Poll budgets are drawn uniformly from `1..=max_budget`; must be
-    /// positive. Small budgets force frequent preemption and migration.
+    /// positive. Small budgets force frequent preemption.
     pub max_budget: usize,
 }
 
@@ -114,7 +113,6 @@ impl Default for TestSchedule {
     fn default() -> Self {
         TestSchedule {
             seed: 0,
-            workers: 2,
             max_budget: 4,
         }
     }
@@ -123,19 +121,19 @@ impl Default for TestSchedule {
 /// How an [`Executor`] runs its tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// A real pool: `workers` OS threads, each with its own run queue,
-    /// stealing from each other. Polls use [`POOL_POLL_BUDGET`].
+    /// A real pool: `workers` OS threads sharing one run queue. Polls use
+    /// [`POOL_POLL_BUDGET`].
     Pool {
         /// OS threads to spawn; must be positive.
         workers: usize,
     },
-    /// One scheduler thread replaying a seeded schedule over virtual
-    /// workers — for deterministic-interleaving tests.
+    /// One scheduler thread replaying a seeded schedule — for
+    /// deterministic-interleaving tests.
     Deterministic(TestSchedule),
 }
 
 /// Messages a pool worker processes per poll before the task is re-queued
-/// (and thereby exposed to stealing). For the engine each message is a chunk
+/// behind every other runnable task. For the engine each message is a chunk
 /// of up to 64 frames, so this quantum is a few hundred frames.
 pub const POOL_POLL_BUDGET: usize = 8;
 
@@ -145,8 +143,6 @@ pub struct ExecStats {
     /// OS threads the executor ran on (pool size, or 1 for a deterministic
     /// schedule).
     pub threads: usize,
-    /// Tasks taken from another worker's run queue.
-    pub steals: u64,
     /// Total task polls.
     pub polls: u64,
 }
@@ -172,21 +168,20 @@ struct SyncState {
 
 pub(crate) struct Shared<T: Task> {
     slots: Vec<Slot<T>>,
-    run_queues: Vec<Mutex<VecDeque<usize>>>,
+    run_queue: Mutex<VecDeque<usize>>,
     sync: Mutex<SyncState>,
     wakeup: Condvar,
     /// Tasks not yet DONE; workers exit when it reaches zero.
     remaining: AtomicUsize,
-    steals: AtomicU64,
     polls: AtomicU64,
 }
 
 impl<T: Task> Shared<T> {
-    pub(crate) fn new(tasks: Vec<T>, queues: usize) -> Shared<T> {
-        // A task sits in at most one run queue at a time (IDLE → QUEUED is
-        // a single CAS), so a queue sized for every task never grows —
-        // whichever worker a task first lands on, and however late
-        // (`zero_alloc` caught the lazy first growth inside its window).
+    pub(crate) fn new(tasks: Vec<T>) -> Shared<T> {
+        // A task has at most one run-queue entry at a time (IDLE → QUEUED
+        // is a single CAS), so a queue sized for every task never grows,
+        // however late the first notify comes (`zero_alloc` caught the
+        // lazy first growth inside its window).
         let task_count = tasks.len();
         Shared {
             remaining: AtomicUsize::new(task_count),
@@ -198,15 +193,12 @@ impl<T: Task> Shared<T> {
                     output: Mutex::new(None),
                 })
                 .collect(),
-            run_queues: (0..queues)
-                .map(|_| Mutex::new(VecDeque::with_capacity(task_count)))
-                .collect(),
+            run_queue: Mutex::new(VecDeque::with_capacity(task_count)),
             sync: Mutex::new(SyncState {
                 epoch: 0,
                 sleepers: 0,
             }),
             wakeup: Condvar::new(),
-            steals: AtomicU64::new(0),
             polls: AtomicU64::new(0),
         }
     }
@@ -241,7 +233,7 @@ impl<T: Task> Shared<T> {
                         .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        self.enqueue(id % self.run_queues.len(), id);
+                        self.enqueue(id);
                         return;
                     }
                 }
@@ -272,10 +264,10 @@ impl<T: Task> Shared<T> {
         }
     }
 
-    /// Queues a task on `worker`'s run queue, then bumps the scheduling
-    /// epoch and wakes parked workers.
-    fn enqueue(&self, worker: usize, id: usize) {
-        unpoisoned(self.run_queues[worker].lock()).push_back(id);
+    /// Appends a task to the tail of the run queue, then bumps the
+    /// scheduling epoch and wakes parked workers.
+    fn enqueue(&self, id: usize) {
+        unpoisoned(self.run_queue.lock()).push_back(id);
         let mut sync = unpoisoned(self.sync.lock());
         sync.epoch += 1;
         if sync.sleepers > 0 {
@@ -283,37 +275,19 @@ impl<T: Task> Shared<T> {
         }
     }
 
-    pub(crate) fn take_local(&self, worker: usize) -> Option<usize> {
-        unpoisoned(self.run_queues[worker].lock()).pop_front()
-    }
-
-    /// Steals from the tail of the first non-empty victim queue, visiting
-    /// victims in the given order.
-    pub(crate) fn steal(
-        &self,
-        thief: usize,
-        victims: impl Iterator<Item = usize>,
-    ) -> Option<usize> {
-        for victim in victims {
-            if victim == thief {
-                continue;
-            }
-            if let Some(id) = unpoisoned(self.run_queues[victim].lock()).pop_back() {
-                // ORDERING: Relaxed — a monotonic statistics counter, only
-                // aggregated after the worker threads have been joined.
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(id);
-            }
-        }
-        None
+    /// Removes the run-queue entry at `position` (0 is the head), or
+    /// `None` if the queue is shorter. The pool always takes the head; the
+    /// seeded schedule and the explorer choose the position.
+    pub(crate) fn dequeue(&self, position: usize) -> Option<usize> {
+        unpoisoned(self.run_queue.lock()).remove(position)
     }
 
     /// Polls a dequeued task once. Panics inside the task are contained:
     /// the payload is stored as the task's output and the pool keeps
     /// serving every other task.
-    fn run_task(&self, worker: usize, id: usize, budget: usize) {
+    fn run_task(&self, id: usize, budget: usize) {
         let polled = self.poll_task(id, budget);
-        self.settle(worker, id, polled);
+        self.settle(id, polled);
     }
 
     /// First half of a schedule event: transitions the dequeued task to
@@ -344,14 +318,14 @@ impl<T: Task> Shared<T> {
 
     /// Second half of a schedule event: routes the poll result through the
     /// task state machine (re-queue, idle, complete, or contain a panic).
-    pub(crate) fn settle(&self, worker: usize, id: usize, polled: std::thread::Result<Poll>) {
+    pub(crate) fn settle(&self, id: usize, polled: std::thread::Result<Poll>) {
         let slot = &self.slots[id];
         match polled {
             Ok(Poll::Runnable) => {
                 // ORDERING: Release publishes the poll's task-state writes
                 // to whichever worker dequeues the entry pushed below.
                 slot.state.store(QUEUED, Ordering::Release);
-                self.enqueue(worker, id);
+                self.enqueue(id);
             }
             Ok(Poll::Idle) => {
                 // ORDERING: AcqRel — on success the Release half publishes
@@ -368,7 +342,7 @@ impl<T: Task> Shared<T> {
                     // idling.
                     // ORDERING: Release — as in the Runnable arm.
                     slot.state.store(QUEUED, Ordering::Release);
-                    self.enqueue(worker, id);
+                    self.enqueue(id);
                 }
             }
             Ok(Poll::Complete) => {
@@ -444,13 +418,10 @@ impl<T: Task> Shared<T> {
         self.remaining.load(Ordering::Acquire)
     }
 
-    /// Clones the contents of every run queue, in worker order (explorer
-    /// support: invariant checks and enabled-action enumeration).
-    pub(crate) fn queue_snapshot(&self) -> Vec<Vec<usize>> {
-        self.run_queues
-            .iter()
-            .map(|q| unpoisoned(q.lock()).iter().copied().collect())
-            .collect()
+    /// Clones the run queue, head first (explorer support: invariant
+    /// checks and enabled-action enumeration).
+    pub(crate) fn queue_snapshot(&self) -> Vec<usize> {
+        unpoisoned(self.run_queue.lock()).iter().copied().collect()
     }
 
     /// Takes this task's output after it reached DONE (explorer support).
@@ -459,8 +430,7 @@ impl<T: Task> Shared<T> {
     }
 }
 
-fn pool_worker<T: Task>(shared: &Shared<T>, worker: usize) {
-    let workers = shared.run_queues.len();
+fn pool_worker<T: Task>(shared: &Shared<T>) {
     loop {
         // ORDERING: Acquire pairs with the Release decrements in
         // `task_done`: a worker that reads zero and exits sees every output.
@@ -468,15 +438,11 @@ fn pool_worker<T: Task>(shared: &Shared<T>, worker: usize) {
             return;
         }
         let epoch = unpoisoned(shared.sync.lock()).epoch;
-        let next = shared
-            .take_local(worker)
-            .or_else(|| shared.steal(worker, (1..workers).map(|i| (worker + i) % workers)));
-        match next {
-            Some(id) => shared.run_task(worker, id, POOL_POLL_BUDGET),
-            // No queued task anywhere. The epoch snapshot above makes the
-            // park race-free: an enqueue after the snapshot bumps the
-            // epoch, so the park returns immediately and this loop
-            // re-scans.
+        match shared.dequeue(0) {
+            Some(id) => shared.run_task(id, POOL_POLL_BUDGET),
+            // Nothing queued. The epoch snapshot above makes the park
+            // race-free: an enqueue after the snapshot bumps the epoch, so
+            // the park returns immediately and this loop looks again.
             None => shared.park(epoch),
         }
     }
@@ -484,28 +450,28 @@ fn pool_worker<T: Task>(shared: &Shared<T>, worker: usize) {
 
 fn deterministic_scheduler<T: Task>(shared: &Shared<T>, schedule: TestSchedule) {
     let mut rng = ChaCha12Rng::seed_from_u64(schedule.seed);
-    let workers = shared.run_queues.len();
-    let mut victims: Vec<usize> = (0..workers).collect();
     loop {
         // ORDERING: Acquire — as in `pool_worker`.
         if shared.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
         let epoch = unpoisoned(shared.sync.lock()).epoch;
-        // Seeded choices: which virtual worker acts, in what order it raids
-        // victims when its own queue is empty, and how large its quantum is.
-        let worker = rng.gen_range(0..workers);
-        let next = shared.take_local(worker).or_else(|| {
-            victims.shuffle(&mut rng);
-            shared.steal(worker, victims.iter().copied())
-        });
+        // Seeded choices: which queued task runs next, and how large its
+        // quantum is.
+        let next = {
+            let mut queue = unpoisoned(shared.run_queue.lock());
+            match queue.len() {
+                0 => None,
+                queued => queue.remove(rng.gen_range(0..queued)),
+            }
+        };
         match next {
             Some(id) => {
                 let budget = rng.gen_range(1..=schedule.max_budget);
-                shared.run_task(worker, id, budget);
+                shared.run_task(id, budget);
             }
-            // Its own queue plus every victim queue was empty: nothing is
-            // runnable anywhere, park until a notify.
+            // The run queue was empty: nothing is runnable, park until a
+            // notify.
             None => shared.park(epoch),
         }
     }
@@ -522,17 +488,16 @@ pub struct Executor<T: Task> {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// Validates a schedule and returns `(run queues, OS threads)`.
-fn schedule_shape(schedule: Schedule) -> (usize, usize) {
+/// Validates a schedule and returns the OS threads it runs on.
+fn schedule_threads(schedule: Schedule) -> usize {
     match schedule {
         Schedule::Pool { workers } => {
             assert!(workers > 0, "pool needs at least one worker");
-            (workers, workers)
+            workers
         }
         Schedule::Deterministic(s) => {
-            assert!(s.workers > 0, "schedule needs at least one worker");
             assert!(s.max_budget > 0, "schedule needs a positive budget");
-            (s.workers, 1)
+            1
         }
     }
 }
@@ -546,7 +511,7 @@ fn schedule_shape(schedule: Schedule) -> (usize, usize) {
 /// sequences and gradient buffers — because every worker thread provably
 /// exits before this function returns ([`std::thread::scope`]). All tasks
 /// are queued immediately; each should do its work across one or more
-/// polls and return [`Poll::Complete`]. Work stealing and the
+/// polls and return [`Poll::Complete`]. The shared run queue and the
 /// deterministic schedule behave exactly as in the long-lived executor.
 ///
 /// A task that panicked yields `Err(payload)` in its slot; the pool itself
@@ -561,10 +526,10 @@ pub fn run_scoped<T: Task>(
     schedule: Schedule,
 ) -> (Vec<std::thread::Result<T::Output>>, ExecStats) {
     assert!(!tasks.is_empty(), "executor needs at least one task");
-    let (queues, threads_wanted) = schedule_shape(schedule);
-    let shared = Shared::new(tasks, queues);
+    let threads_wanted = schedule_threads(schedule);
+    let shared = Shared::new(tasks);
     // Batch semantics: every task's input already exists, so everything is
-    // runnable from the start (round-robin across the home queues).
+    // runnable from the start, queued in task order.
     for id in 0..shared.slots.len() {
         shared.notify(id);
     }
@@ -580,7 +545,7 @@ pub fn run_scoped<T: Task>(
                 std::thread::Builder::new()
                     .name(format!("icsad-batch-{i}"))
                     .spawn_scoped(scope, move || match schedule {
-                        Schedule::Pool { .. } => pool_worker(shared, i),
+                        Schedule::Pool { .. } => pool_worker(shared),
                         Schedule::Deterministic(s) => deterministic_scheduler(shared, s),
                     })
                     .expect("failed to spawn batch worker")
@@ -596,7 +561,6 @@ pub fn run_scoped<T: Task>(
         // ORDERING: Relaxed — statistics counters, read after every worker
         // thread has been joined (the scope above), so no writes race this.
         threads: threads_wanted,
-        steals: shared.steals.load(Ordering::Relaxed),
         polls: shared.polls.load(Ordering::Relaxed),
     };
     #[expect(
@@ -629,8 +593,8 @@ where
     /// programming-error guards).
     pub fn start(tasks: Vec<T>, schedule: Schedule) -> Executor<T> {
         assert!(!tasks.is_empty(), "executor needs at least one task");
-        let (queues, threads_wanted) = schedule_shape(schedule);
-        let shared = Arc::new(Shared::new(tasks, queues));
+        let threads_wanted = schedule_threads(schedule);
+        let shared = Arc::new(Shared::new(tasks));
         #[expect(
             clippy::expect_used,
             reason = "thread spawning only fails on OS resource exhaustion (see `run_scoped`)"
@@ -641,7 +605,7 @@ where
                 std::thread::Builder::new()
                     .name(format!("icsad-ingest-{i}"))
                     .spawn(move || match schedule {
-                        Schedule::Pool { .. } => pool_worker(&shared, i),
+                        Schedule::Pool { .. } => pool_worker(&shared),
                         Schedule::Deterministic(s) => deterministic_scheduler(&shared, s),
                     })
                     .expect("failed to spawn ingest worker")
@@ -681,7 +645,6 @@ where
             // ORDERING: Relaxed — statistics counters, read after every
             // worker thread has been joined above, so no writes race this.
             threads: stats_threads,
-            steals: self.shared.steals.load(Ordering::Relaxed),
             polls: self.shared.polls.load(Ordering::Relaxed),
         };
         #[expect(
@@ -707,6 +670,8 @@ where
 mod tests {
     use super::*;
     use crate::queue::{IngestQueue, Pop};
+    use crate::test_tasks::{first_poll_order, FirstPoll, SumTask};
+    use std::collections::HashSet;
 
     // Miri interprets every instruction; shrink the hot loops so
     // `cargo miri test -p icsad-runtime` finishes in minutes while the
@@ -727,32 +692,6 @@ mod tests {
     const FEED_ITEMS: u64 = 50;
     #[cfg(miri)]
     const FEED_ITEMS: u64 = 8;
-
-    /// Sums the integers fed through its queue; used as a minimal stand-in
-    /// for a shard task.
-    struct SumTask {
-        inbox: Arc<IngestQueue<u64>>,
-        sum: u64,
-    }
-
-    impl Task for SumTask {
-        type Output = u64;
-
-        fn poll(&mut self, budget: usize) -> Poll {
-            for _ in 0..budget.max(1) {
-                match self.inbox.pop() {
-                    Pop::Item(v) => self.sum += v,
-                    Pop::Empty => return Poll::Idle,
-                    Pop::Closed => return Poll::Complete,
-                }
-            }
-            Poll::Runnable
-        }
-
-        fn complete(self) -> u64 {
-            self.sum
-        }
-    }
 
     fn feed(
         queues: &[Arc<IngestQueue<u64>>],
@@ -782,13 +721,7 @@ mod tests {
             .map(|_| Arc::new(IngestQueue::bounded(4)))
             .collect();
         let executor = Executor::start(
-            queues
-                .iter()
-                .map(|q| SumTask {
-                    inbox: Arc::clone(q),
-                    sum: 0,
-                })
-                .collect(),
+            queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
             schedule,
         );
         let expected = feed(&queues, &executor, items);
@@ -803,13 +736,7 @@ mod tests {
         let queues: Vec<Arc<IngestQueue<u64>>> =
             (0..5).map(|_| Arc::new(IngestQueue::bounded(4))).collect();
         let executor = Executor::start(
-            queues
-                .iter()
-                .map(|q| SumTask {
-                    inbox: Arc::clone(q),
-                    sum: 0,
-                })
-                .collect(),
+            queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
             Schedule::Pool { workers: 2 },
         );
         assert_eq!(executor.threads(), 2);
@@ -827,74 +754,56 @@ mod tests {
             let stats = run(
                 Schedule::Deterministic(TestSchedule {
                     seed,
-                    workers: 3,
                     max_budget: 2,
                 }),
                 6,
                 20,
             );
-            assert_eq!(stats.threads, 1, "one scheduler thread simulates all");
+            assert_eq!(stats.threads, 1, "one scheduler thread runs the pool");
             assert!(stats.polls > 0);
         }
     }
 
-    #[test]
-    fn deterministic_schedule_actually_steals() {
-        // All queues pre-filled before the executor exists, so the whole
-        // schedule is a pure function of the seed; with several hot tasks
-        // homed on worker 0's queue and small budgets, seeded steal
-        // decisions must fire.
-        let queues: Vec<Arc<IngestQueue<u64>>> =
-            (0..6).map(|_| Arc::new(IngestQueue::bounded(64))).collect();
-        for q in &queues {
-            for v in 0..40 {
-                q.push(v).unwrap();
-            }
-            q.close();
-        }
-        let executor = Executor::start(
-            queues
-                .iter()
-                .map(|q| SumTask {
-                    inbox: Arc::clone(q),
-                    sum: 0,
-                })
-                .collect(),
+    /// Task ids in the order a seeded schedule first polled them, with all
+    /// three tasks queued up front.
+    fn seeded_first_poll_order(seed: u64) -> Vec<usize> {
+        let clock = Arc::new(AtomicUsize::new(0));
+        let tasks = (0..3).map(|_| FirstPoll::new(&clock)).collect();
+        let (outputs, _) = run_scoped(
+            tasks,
             Schedule::Deterministic(TestSchedule {
-                seed: 7,
-                workers: 3,
+                seed,
                 max_budget: 1,
             }),
         );
-        for i in 0..queues.len() {
-            executor.notify(i);
-        }
-        let (outputs, stats) = executor.join();
-        for o in outputs {
-            assert_eq!(o.unwrap(), (0..40).sum::<u64>());
-        }
-        assert!(stats.steals > 0, "expected steals, got {stats:?}");
+        let stamps: Vec<usize> = outputs.into_iter().map(|o| o.unwrap()).collect();
+        first_poll_order(&stamps)
     }
 
     #[test]
-    fn pool_steals_when_one_queue_is_hot() {
-        // One very hot task homed on worker 0, plus an idle second worker:
-        // the hot task's re-queued polls are the only work available, so
-        // worker 1 can only ever run it by stealing. With enough chunks the
-        // race is overwhelmingly likely to occur at least once, but the
-        // assertion stays on the *total* (correctness), not the steal count
-        // (timing).
+    fn deterministic_schedule_draws_the_task_order_from_its_seed() {
+        // The seed picks which queued task runs next, so seeds reach task
+        // orders the FIFO alone never would (it polls 0, 1, 2) ...
+        let orders: HashSet<Vec<usize>> = (0..16).map(seeded_first_poll_order).collect();
+        assert!(orders.len() >= 2, "16 seeds gave one first-poll order");
+        // ... and one seed always replays the same order.
+        for seed in 0..16 {
+            assert_eq!(seeded_first_poll_order(seed), seeded_first_poll_order(seed));
+        }
+    }
+
+    #[test]
+    fn a_second_worker_picks_up_a_hot_tasks_requeued_polls() {
+        // One very hot task plus an idle one on two workers: the hot task's
+        // re-queued polls are the only work available, so whichever worker
+        // is free takes the next one and the task's state moves between
+        // threads. Which worker runs which poll is timing, so the assertion
+        // stays on the *totals* (correctness).
         let queues: Vec<Arc<IngestQueue<u64>>> = (0..2)
             .map(|_| Arc::new(IngestQueue::bounded(1024)))
             .collect();
         let executor = Executor::start(
-            queues
-                .iter()
-                .map(|q| SumTask {
-                    inbox: Arc::clone(q),
-                    sum: 0,
-                })
-                .collect(),
+            queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
             Schedule::Pool { workers: 2 },
         );
         for v in 0..HOT_ITEMS {
@@ -1036,7 +945,6 @@ mod tests {
                 tasks,
                 Schedule::Deterministic(TestSchedule {
                     seed,
-                    workers: 3,
                     max_budget: 2,
                 }),
             );
@@ -1076,10 +984,7 @@ mod tests {
         for trial in 0..RACE_TRIALS {
             let q = Arc::new(IngestQueue::bounded(2));
             let executor = Executor::start(
-                vec![SumTask {
-                    inbox: Arc::clone(&q),
-                    sum: 0,
-                }],
+                vec![SumTask::new(Arc::clone(&q))],
                 Schedule::Pool { workers: 1 },
             );
             let mut expected = 0;

@@ -8,7 +8,9 @@
 //! choice tree, where a choice point is
 //!
 //! - which enabled action fires next — an external source step (push +
-//!   notify) or a worker executing a schedule event (pop/steal + poll),
+//!   notify) or a schedule event polling the task at one position of the
+//!   run queue (any position, not just the head — so every order in which
+//!   free workers could take queued tasks is covered),
 //! - for a poll: the poll budget (`1..=max_budget`), and
 //! - whether a source step is injected *inside* the poll's
 //!   notify-while-running window (between [`Shared::poll_task`] and
@@ -16,7 +18,7 @@
 //!
 //! Between actions the world is quiescent, so the executor's state-machine
 //! invariants must hold exactly: every task IDLE/QUEUED/DONE, QUEUED ⇔
-//! exactly one run-queue entry, `remaining` = non-DONE count. Each leaf
+//! exactly one entry in the run queue, `remaining` = non-DONE count. Each leaf
 //! either completes every task (its outputs are handed to the caller for
 //! decision-equality checks) or deadlocks — runnable work exists but
 //! nothing is queued — which is precisely a lost wakeup.
@@ -79,8 +81,6 @@ pub struct Trial<'a, T: Task> {
 /// Exploration bounds and modes.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
-    /// Virtual workers (run queues); tasks are homed `id % workers`.
-    pub workers: usize,
     /// Poll budgets are enumerated over `1..=max_budget`.
     pub max_budget: usize,
     /// Abort if the tree has more than this many leaves — a guard against
@@ -101,7 +101,6 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            workers: 2,
             max_budget: 1,
             max_leaves: 2_000_000,
             max_depth: 10_000,
@@ -183,11 +182,9 @@ impl Oracle {
 enum Action {
     /// Step external source `s`.
     Source(usize),
-    /// Worker pops the head of its own queue and polls it.
-    PollLocal(usize),
-    /// `thief` (with an empty local queue) steals the tail of `victim`'s
-    /// queue and polls it.
-    PollSteal { thief: usize, victim: usize },
+    /// Take the run-queue entry at this position (0 is the head) and poll
+    /// it.
+    Poll(usize),
 }
 
 /// Exhaustively explores every schedule of `build()`'s world, invoking
@@ -204,7 +201,6 @@ where
     F: FnMut() -> Trial<'static, T>,
     L: FnMut(&[T::Output]),
 {
-    assert!(config.workers > 0, "explorer needs at least one worker");
     assert!(config.max_budget > 0, "explorer needs a positive budget");
     let mut oracle = Oracle::new();
     let mut report = ExploreReport::default();
@@ -248,7 +244,7 @@ where
     let trial = build();
     let task_count = trial.tasks.len();
     assert!(task_count > 0, "explorer needs at least one task");
-    let shared = Shared::new(trial.tasks, config.workers);
+    let shared = Shared::new(trial.tasks);
     for &id in &trial.initial_notify {
         shared.notify(id);
     }
@@ -283,28 +279,12 @@ where
         }
 
         // Enumerate the enabled actions, in a fixed order so the choice
-        // tree is stable: sources first, then local polls, then steals.
-        let queues = shared.queue_snapshot();
-        let mut actions: Vec<Action> = Vec::new();
-        for s in 0..sources.len() {
-            if !done[s] && !blocked[s] {
-                actions.push(Action::Source(s));
-            }
-        }
-        for (w, q) in queues.iter().enumerate() {
-            if !q.is_empty() {
-                actions.push(Action::PollLocal(w));
-            }
-        }
-        for thief in 0..config.workers {
-            if queues[thief].is_empty() {
-                for (victim, vq) in queues.iter().enumerate() {
-                    if victim != thief && !vq.is_empty() {
-                        actions.push(Action::PollSteal { thief, victim });
-                    }
-                }
-            }
-        }
+        // tree is stable: sources first, then queue positions head first.
+        let mut actions: Vec<Action> = (0..sources.len())
+            .filter(|&s| !done[s] && !blocked[s])
+            .map(Action::Source)
+            .collect();
+        actions.extend((0..shared.queue_snapshot().len()).map(Action::Poll));
 
         if actions.is_empty() {
             // Tasks remain but nothing is queued and no source can move:
@@ -330,43 +310,21 @@ where
                     SourceStep::Done => done[s] = true,
                 }
             }
-            Action::PollLocal(worker) => {
+            Action::Poll(position) => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "the action was enumerated from a non-empty snapshot and nothing \
+                    reason = "the position was enumerated from the queue's length and nothing \
                               ran since — the simulation is single-threaded"
                 )]
                 let id = shared
-                    .take_local(worker)
-                    .expect("local queue emptied between snapshot and pop");
+                    .dequeue(position)
+                    .expect("run queue shrank between snapshot and dequeue");
                 poll_one(
                     config,
                     &shared,
                     &mut sources,
                     &mut done,
                     &mut blocked,
-                    worker,
-                    id,
-                    dirty_on_running,
-                    oracle,
-                    report,
-                );
-            }
-            Action::PollSteal { thief, victim } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "as for PollLocal — the snapshot cannot go stale single-threaded"
-                )]
-                let id = shared
-                    .steal(thief, std::iter::once(victim))
-                    .expect("victim queue emptied between snapshot and steal");
-                poll_one(
-                    config,
-                    &shared,
-                    &mut sources,
-                    &mut done,
-                    &mut blocked,
-                    thief,
                     id,
                     dirty_on_running,
                     oracle,
@@ -387,7 +345,6 @@ fn poll_one<T: Task>(
     sources: &mut [TrialSource<'static>],
     done: &mut [bool],
     blocked: &mut [bool],
-    worker: usize,
     id: usize,
     dirty_on_running: bool,
     oracle: &mut Oracle,
@@ -414,29 +371,29 @@ fn poll_one<T: Task>(
             }
         }
     }
-    shared.settle(worker, id, polled);
+    shared.settle(id, polled);
     for b in blocked.iter_mut() {
         *b = false;
     }
 }
 
 /// The executor state-machine invariants, checked at every quiescent
-/// point: no task mid-poll, QUEUED ⇔ exactly one run-queue entry, and the
-/// remaining-counter agrees with the states.
+/// point: no task mid-poll, QUEUED ⇔ exactly one entry in the run queue,
+/// and the remaining-counter agrees with the states.
 fn check_invariants<T: Task>(shared: &Shared<T>, task_count: usize) {
-    let queues = shared.queue_snapshot();
     let mut queue_entries = vec![0usize; task_count];
-    for q in &queues {
-        for &id in q {
-            queue_entries[id] += 1;
-        }
+    for id in shared.queue_snapshot() {
+        queue_entries[id] += 1;
     }
     let mut not_done = 0usize;
     for (id, &entries) in queue_entries.iter().enumerate().take(task_count) {
         let state = shared.state(id);
         match state {
             crate::executor::IDLE | crate::executor::DONE => {
-                assert_eq!(entries, 0, "task {id} is idle/done but sits in a run queue")
+                assert_eq!(
+                    entries, 0,
+                    "task {id} is idle/done but sits in the run queue"
+                )
             }
             crate::executor::QUEUED => assert_eq!(
                 entries, 1,
@@ -464,34 +421,11 @@ fn check_invariants<T: Task>(shared: &Shared<T>, task_count: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Poll;
-    use crate::queue::{IngestQueue, Pop};
+    use crate::queue::IngestQueue;
+    use crate::test_tasks::{first_poll_order, FirstPoll, SumTask};
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
-
-    /// The explorer twin of the executor tests' SumTask.
-    struct SumTask {
-        inbox: Arc<IngestQueue<u64>>,
-        sum: u64,
-    }
-
-    impl Task for SumTask {
-        type Output = u64;
-
-        fn poll(&mut self, budget: usize) -> Poll {
-            for _ in 0..budget.max(1) {
-                match self.inbox.pop() {
-                    Pop::Item(v) => self.sum += v,
-                    Pop::Empty => return Poll::Idle,
-                    Pop::Closed => return Poll::Complete,
-                }
-            }
-            Poll::Runnable
-        }
-
-        fn complete(self) -> u64 {
-            self.sum
-        }
-    }
 
     /// A source feeding `items` one at a time into a task's inbox (notify
     /// after every push), then closing it — the close is the final step
@@ -529,13 +463,7 @@ mod tests {
             .iter()
             .map(|_| Arc::new(IngestQueue::bounded(capacity)))
             .collect();
-        let tasks = queues
-            .iter()
-            .map(|q| SumTask {
-                inbox: Arc::clone(q),
-                sum: 0,
-            })
-            .collect();
+        let tasks = queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect();
         let sources = queues
             .iter()
             .zip(items_per_task.iter())
@@ -551,7 +479,7 @@ mod tests {
 
     /// Batch trial: inputs pre-filled and closed before the first action
     /// (the `run_scoped` shape) — the schedule tree is purely the
-    /// interleaving of worker poll/steal/budget choices.
+    /// interleaving of (queued task, poll budget) choices.
     fn prefilled_trial(items_per_task: &'static [&'static [u64]]) -> Trial<'static, SumTask> {
         let tasks: Vec<SumTask> = items_per_task
             .iter()
@@ -561,7 +489,7 @@ mod tests {
                     q.try_push(v).unwrap();
                 }
                 q.close();
-                SumTask { inbox: q, sum: 0 }
+                SumTask::new(q)
             })
             .collect();
         let initial_notify = (0..tasks.len()).collect();
@@ -572,15 +500,15 @@ mod tests {
         }
     }
 
-    /// The acceptance-criteria config: 3 tasks × 2 workers, every
-    /// interleaving of (acting worker, steal victim, poll budget) over
-    /// pre-filled inputs. Every leaf must complete with the same per-task
-    /// sums, and the tree must be free of deadlocks.
+    /// The acceptance-criteria config: 3 tasks, every interleaving of
+    /// (queued task, poll budget) over pre-filled inputs. Every leaf must
+    /// complete with the same per-task sums, and the tree must be free of
+    /// deadlocks.
     #[test]
-    fn exhaustive_three_tasks_two_workers_full_tree() {
-        // Under Miri the same tree shape is kept (3 tasks × 2 workers) but
-        // with one item per task — interpreted execution pays ~two orders
-        // of magnitude per poll, and the invariant checks are what Miri is
+    fn exhaustive_three_tasks_full_tree() {
+        // Under Miri the same tree shape is kept (3 tasks) but with one
+        // item per task — interpreted execution pays ~two orders of
+        // magnitude per poll, and the invariant checks are what Miri is
         // there to scrutinize, not the tree size.
         #[cfg(not(miri))]
         const ITEMS: [&[u64]; 3] = [&[1, 2], &[10, 20], &[100, 200]];
@@ -590,7 +518,6 @@ mod tests {
         let mut completions = 0u64;
         let report = explore(
             &ExploreConfig {
-                workers: 2,
                 max_budget: 2,
                 ..ExploreConfig::default()
             },
@@ -608,7 +535,7 @@ mod tests {
             "suspiciously small tree — exploration is not exhaustive: {report:?}"
         );
         println!(
-            "exhaustive 3x2: {} leaves, {} polls, peak depth {}",
+            "exhaustive 3 tasks: {} leaves, {} polls, peak depth {}",
             report.leaves, report.polls, report.peak_depth
         );
     }
@@ -622,7 +549,6 @@ mod tests {
         let expected: Vec<u64> = ITEMS.iter().map(|it| it.iter().sum()).collect();
         let report = explore(
             &ExploreConfig {
-                workers: 2,
                 max_budget: 1,
                 ..ExploreConfig::default()
             },
@@ -633,15 +559,14 @@ mod tests {
         assert!(report.leaves > 100, "{report:?}");
     }
 
-    /// Single worker: no steals possible, but in-window notifies still
+    /// One task: no choice of queued task, but in-window notifies still
     /// exercise RUNNING→DIRTY — the regression pin for the lost-wakeup
     /// window (every interleaving, not a seed sample).
     #[test]
-    fn exhaustive_single_worker_dirty_window_regression() {
+    fn exhaustive_single_task_dirty_window_regression() {
         const ITEMS: [&[u64]; 1] = [&[5, 6, 7]];
         let report = explore(
             &ExploreConfig {
-                workers: 1,
                 max_budget: 2,
                 ..ExploreConfig::default()
             },
@@ -661,7 +586,6 @@ mod tests {
         const ITEMS: [&[u64]; 1] = [&[5, 6, 7]];
         let report = explore(
             &ExploreConfig {
-                workers: 1,
                 max_budget: 2,
                 simulate_lost_wakeup: true,
                 ..ExploreConfig::default()
@@ -673,6 +597,29 @@ mod tests {
             report.deadlocks > 0,
             "the injected lost-wakeup bug went undetected: {report:?}"
         );
+    }
+
+    /// Choosing any queued position reaches every order in which three
+    /// queued tasks can first be polled — all 3! of them.
+    #[test]
+    fn three_queued_tasks_reach_every_first_poll_order() {
+        let mut orders = HashSet::new();
+        let report = explore(
+            &ExploreConfig::default(),
+            || {
+                let clock = Arc::new(AtomicUsize::new(0));
+                Trial {
+                    tasks: (0..3).map(|_| FirstPoll::new(&clock)).collect(),
+                    sources: Vec::new(),
+                    initial_notify: vec![0, 1, 2],
+                }
+            },
+            |stamps| {
+                orders.insert(first_poll_order(stamps));
+            },
+        );
+        assert_eq!(report.deadlocks, 0, "lost wakeup found: {report:?}");
+        assert_eq!(orders.len(), 6, "first-poll orders reached: {orders:?}");
     }
 
     /// The oracle enumerates a known tree shape exactly once per leaf.

@@ -6,8 +6,9 @@
 //! crate is the engine's one ingest runtime instead: a dependency-free
 //! cooperative executor that multiplexes many shard *tasks* onto a **fixed
 //! worker pool** (sized to [`std::thread::available_parallelism`] by
-//! default), fed through bounded [`IngestQueue`] ring buffers, with **work
-//! stealing** so a hot shard's batched flush can migrate to an idle worker.
+//! default), fed through bounded [`IngestQueue`] ring buffers. The workers
+//! share **one run queue**: whichever worker is free polls the oldest
+//! runnable task, so a hot shard's batched flush goes to an idle worker.
 //!
 //! Three pieces:
 //!
@@ -15,13 +16,13 @@
 //!   block when the ring is full (backpressure, counted); consumers never
 //!   block (the executor parks instead).
 //! * [`Task`] / [`Executor`] — the task abstraction and the pool. A task is
-//!   polled with a *budget* (cooperative quantum); between polls it lives in
-//!   a per-worker run queue from which idle workers steal. [`run_scoped`]
-//!   runs a batch of *borrowing* tasks (no `'static`) on scoped workers and
-//!   returns their outputs — the trainer's data-parallel gradient
-//!   accumulation rides this.
-//! * [`TestSchedule`] — a deterministic scheduler mode: one thread simulates
-//!   the whole pool, replaying worker/steal/budget choices from a
+//!   polled with a *budget* (cooperative quantum); between polls it waits
+//!   in the pool's shared FIFO run queue. [`run_scoped`] runs a batch of
+//!   *borrowing* tasks (no `'static`) on scoped workers and returns their
+//!   outputs — the trainer's data-parallel gradient accumulation rides
+//!   this.
+//! * [`TestSchedule`] — a deterministic scheduler mode: one thread runs the
+//!   whole pool, replaying (queued task, poll budget) choices from a
 //!   [`rand_chacha`] seed, so a property test can drive the engine through
 //!   seeded interleavings and assert that every one of them yields
 //!   bit-identical decisions.
@@ -54,6 +55,8 @@ mod executor;
 mod explore;
 mod queue;
 mod recycle;
+#[cfg(test)]
+mod test_tasks;
 
 pub use executor::{
     run_scoped, ExecStats, Executor, Poll, Schedule, Task, TestSchedule, POOL_POLL_BUDGET,

@@ -1,8 +1,8 @@
 //! Bounded MPSC ring buffers feeding shard tasks.
 //!
 //! One queue per shard task. Producers ([`IngestQueue::push`]) block while
-//! the ring is full — that is the engine's backpressure, and every blocked
-//! push is counted — while consumers ([`IngestQueue::pop`] /
+//! the ring is full — that is the engine's backpressure, and every push
+//! that had to wait is counted once — while consumers ([`IngestQueue::pop`] /
 //! [`IngestQueue::drain_into`]) never block: the executor parks a worker
 //! instead of parking inside a queue, so one worker can serve many queues.
 //!
@@ -120,8 +120,9 @@ impl<T> IngestQueue<T> {
         Ok(())
     }
 
-    /// Appends, blocking while the ring is full (backpressure). Every wait
-    /// episode increments [`IngestQueue::blocked_pushes`].
+    /// Appends, blocking while the ring is full (backpressure). A push that
+    /// has to wait increments [`IngestQueue::blocked_pushes`] once, however
+    /// often it is woken before a slot is its own.
     ///
     /// # Errors
     ///
@@ -145,11 +146,14 @@ impl<T> IngestQueue<T> {
                 }
                 return Ok(());
             }
-            // ORDERING: Relaxed — a monotonic backpressure counter; readers
-            // only ever observe it for reporting, never for synchronization.
-            self.blocked_pushes.fetch_add(1, Ordering::Relaxed);
+            if !waited {
+                // ORDERING: Relaxed — a monotonic backpressure counter;
+                // readers only ever observe it for reporting, never for
+                // synchronization.
+                self.blocked_pushes.fetch_add(1, Ordering::Relaxed);
+                waited = true;
+            }
             state.waiting_producers += 1;
-            waited = true;
             state = unpoisoned(self.not_full.wait(state));
             state.waiting_producers -= 1;
         }
@@ -236,7 +240,7 @@ impl<T> IngestQueue<T> {
         self.capacity
     }
 
-    /// How many times a [`IngestQueue::push`] had to wait for space — the
+    /// How many [`IngestQueue::push`] calls had to wait for space — the
     /// queue-local backpressure counter.
     pub fn blocked_pushes(&self) -> u64 {
         // ORDERING: Relaxed — reporting-only counter (see the fetch_add in
@@ -309,6 +313,45 @@ mod tests {
         }
         q.close();
         assert!(matches!(producer.join().unwrap(), Err(PushClosed(2))));
+    }
+
+    /// A push that waits is counted once, even when a wakeup finds the
+    /// freed slot already taken and it has to wait again. Three producers
+    /// block on a full two-slot ring; one drain frees two slots and wakes
+    /// all three, two pushes land, and the third waits a second time.
+    #[test]
+    fn a_push_that_waits_twice_is_counted_once() {
+        let q = Arc::new(IngestQueue::bounded(2));
+        q.push(0).unwrap();
+        q.push(0).unwrap();
+        let producers: Vec<_> = (1..=3)
+            .map(|v| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.push(v).unwrap())
+            })
+            .collect();
+        while unpoisoned(q.state.lock()).waiting_producers < 3 {
+            std::thread::yield_now();
+        }
+        assert_eq!(q.blocked_pushes(), 3);
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_into(&mut buf, 2), Drain::Items(2));
+        while q.len() < 2 {
+            std::thread::yield_now();
+        }
+        // The third producer's wakeup races this check, and nothing marks
+        // its second wait: give it ample time to be counted twice.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+        while q.blocked_pushes() == 3 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(q.blocked_pushes(), 3, "one waiting push counted twice");
+        assert_eq!(q.drain_into(&mut buf, 2), Drain::Items(2));
+        for p in producers {
+            p.join().unwrap();
+        }
+        assert_eq!(q.blocked_pushes(), 3);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

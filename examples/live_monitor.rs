@@ -28,9 +28,9 @@
 //! cargo run --release --example live_monitor
 //! ```
 //!
-//! The shards run as cooperative tasks on the work-stealing ingest pool
+//! The shards run as cooperative tasks on the ingest pool
 //! ([`icsad::engine::IngestMode::Async`]); the shift summary includes the
-//! scheduler's poll/steal/backpressure counters.
+//! scheduler's poll and backpressure counters.
 
 use std::sync::Arc;
 
@@ -212,11 +212,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.reloads, report.quarantined
     );
     println!(
-        "  ingest runtime: {} on {} thread(s), {} polls, {} steals, {} blocked pushes",
+        "  ingest runtime: {} on {} thread(s), {} polls, {} blocked pushes",
         report.runtime.mode,
         report.runtime.ingest_threads,
         report.runtime.polls,
-        report.runtime.steals,
         report.runtime.blocked_pushes
     );
     std::fs::remove_file(&artifact_v1).ok();
