@@ -2,23 +2,17 @@
 //!
 //! The sigmoid and tanh forward evaluations delegate to
 //! [`icsad_simd::math`], the portable exp-based implementation shared by
-//! the vectorized gate kernels: the scalar functions here and the
-//! slice-level [`sigmoid_in_place`]/[`tanh_in_place`] produce bitwise
-//! identical results on every kernel backend (a per-record step and a
-//! batched step therefore still agree exactly). Accuracy stays within a
-//! few ulps of the `f64` reference — see the tests below, which pin the
-//! same tolerances the old libm-based implementation met.
+//! the vectorized gate-and-cell kernel ([`icsad_simd::lstm_rows_f32`],
+//! which activates an LSTM step's gates): the scalar functions here and
+//! that kernel produce bitwise identical results on every kernel backend.
+//! Accuracy stays within a few ulps of the `f64` reference — see the tests
+//! below, which pin the same tolerances the old libm-based implementation
+//! met.
 
 /// Logistic sigmoid `σ(x) = 1 / (1 + e^{-x})`, computed stably for large
 /// negative inputs (exactly `0.0`/`1.0` at the extremes).
 pub fn sigmoid(x: f32) -> f32 {
     icsad_simd::math::sigmoid(x)
-}
-
-/// In-place [`sigmoid`] over a slice, vectorized on the dispatched kernel
-/// backend (bitwise identical to the scalar function per element).
-pub fn sigmoid_in_place(xs: &mut [f32]) {
-    icsad_simd::sigmoid_in_place(xs);
 }
 
 /// Derivative of the sigmoid expressed through its output `s = σ(x)`.
@@ -36,12 +30,6 @@ pub fn sigmoid_deriv_from_output(s: f32) -> f32 {
 /// ulps).
 pub fn tanh(x: f32) -> f32 {
     icsad_simd::math::tanh(x)
-}
-
-/// In-place [`tanh`] over a slice, vectorized on the dispatched kernel
-/// backend (bitwise identical to the scalar function per element).
-pub fn tanh_in_place(xs: &mut [f32]) {
-    icsad_simd::tanh_in_place(xs);
 }
 
 /// Derivative of tanh expressed through its output `t = tanh(x)`.

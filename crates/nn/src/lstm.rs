@@ -18,9 +18,7 @@ use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::activations::{
-    sigmoid_deriv_from_output, sigmoid_in_place, tanh_deriv_from_output, tanh_in_place,
-};
+use crate::activations::{sigmoid_deriv_from_output, tanh_deriv_from_output};
 use crate::tensor::{
     axpy, gemm_acc, gemm_panels_acc, grow, matvec_acc, outer_acc, outer_dense_acc, Tensor2, Weights,
 };
@@ -298,17 +296,9 @@ impl LstmLayer {
         matvec_acc(&self.w, x, z);
         matvec_acc(&self.u, h, z);
 
-        // Gate nonlinearities in place: [i, f, o] sigmoid, [g] tanh —
-        // vectorized through the same dispatched kernels as the batched
-        // path, so per-record ≡ batched stays bitwise.
-        sigmoid_in_place(&mut z[..3 * hd]);
-        tanh_in_place(&mut z[3 * hd..]);
-
-        let (i_gate, rest) = z.split_at(hd);
-        let (f_gate, rest) = rest.split_at(hd);
-        let (o_gate, g_gate) = rest.split_at(hd);
-
-        icsad_simd::lstm_cell_f32(i_gate, f_gate, o_gate, g_gate, c, h, None);
+        // Gate nonlinearities and the cell update: the batched path's
+        // kernel on one row, so per-record ≡ batched stays bitwise.
+        icsad_simd::lstm_rows_f32(hd, z, c, h, None);
         out_h.copy_from_slice(h);
     }
 
@@ -379,35 +369,22 @@ impl LstmLayer {
             if let Some(h_prev) = h_prev {
                 gemm_panels_acc(n, h_prev, &self.u, &mut z[r0 * 4 * hd..(r0 + n) * 4 * hd]);
             }
-            for i in 0..n {
-                let r = r0 + i;
-                let zr = &mut z[r * 4 * hd..(r + 1) * 4 * hd];
-                sigmoid_in_place(&mut zr[..3 * hd]);
-                tanh_in_place(&mut zr[3 * hd..]);
-                match (t, init) {
-                    (0, None) => tape.c[r * hd..(r + 1) * hd].fill(0.0),
-                    (0, Some((_, c))) => {
-                        tape.c[r * hd..(r + 1) * hd].copy_from_slice(&c[i * hd..(i + 1) * hd]);
-                    }
-                    _ => {
-                        let p = (sched.offsets[t - 1] + i) * hd;
-                        tape.c.copy_within(p..p + hd, r * hd);
-                    }
+            let c = &mut tape.c[..(r0 + n) * hd];
+            match (t, init) {
+                (0, None) => c[r0 * hd..].fill(0.0),
+                (0, Some((_, c0))) => c[r0 * hd..].copy_from_slice(&c0[..n * hd]),
+                _ => {
+                    let p0 = sched.offsets[t - 1];
+                    c.copy_within(p0 * hd..(p0 + n) * hd, r0 * hd);
                 }
-                let zr = &z[r * 4 * hd..(r + 1) * 4 * hd];
-                let (i_gate, rest) = zr.split_at(hd);
-                let (f_gate, rest) = rest.split_at(hd);
-                let (o_gate, g_gate) = rest.split_at(hd);
-                icsad_simd::lstm_cell_f32(
-                    i_gate,
-                    f_gate,
-                    o_gate,
-                    g_gate,
-                    &mut tape.c[r * hd..(r + 1) * hd],
-                    &mut tape.out[r * hd..(r + 1) * hd],
-                    Some(&mut tape.tc[r * hd..(r + 1) * hd]),
-                );
             }
+            icsad_simd::lstm_rows_f32(
+                hd,
+                &mut z[r0 * 4 * hd..(r0 + n) * 4 * hd],
+                &mut c[r0 * hd..],
+                &mut tape.out[r0 * hd..(r0 + n) * hd],
+                Some(&mut tape.tc[r0 * hd..(r0 + n) * hd]),
+            );
         }
     }
 

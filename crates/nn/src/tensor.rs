@@ -313,10 +313,12 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// `y[b] += x[b]ᵀ · w` like [`gemm_acc`], but without the zero-skip and
 /// with the output tile held in registers across the whole `k` loop.
 ///
-/// The axpy formulation of [`matvec_acc`]/[`gemm_acc`] performs one load +
-/// one store of the output row per `k` step — fine for one-hot inputs
-/// where almost every `k` is skipped, but store-bound for dense inputs
-/// (recurrent state, hidden activations). The dispatched kernel
+/// The sparse kernel of [`matvec_acc`]/[`gemm_acc`] first lists the
+/// nonzero entries of each input row and then walks that list once per
+/// column chunk — right for one-hot inputs, where the list is a few
+/// entries long, but a wasted compare-and-list pass for dense inputs
+/// (recurrent state, hidden activations), where it holds every `k` and
+/// each weight vector is reused by one lane only. The dispatched kernel
 /// ([`icsad_simd::gemm_panels_acc_f32`]) holds a register tile of four
 /// lanes × two vectors over a 32-column weight panel, so each weight
 /// vector is loaded once per tile and output stores happen once per tile

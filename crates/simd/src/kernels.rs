@@ -8,10 +8,14 @@
 //! per-element operation sequence is fixed by the lane trait, so for a
 //! given FMA policy every backend produces bitwise-identical results —
 //! including the scalar fallback, which is just the `WIDTH = 1`
-//! instantiation of the same code. Remainder columns (`n mod WIDTH`) of
-//! the streaming kernels run the element-level ops of the *same* policy;
-//! the dense gemm has no remainder path at all — it reads zero-padded
-//! weight panels ([`PANEL`]) and runs full vector chains everywhere.
+//! instantiation of the same code. The streaming kernels finish their
+//! remainder (`n mod WIDTH`) with at most one half-width vector
+//! ([`Lanes::Half`]) and run only what is left after it as element-level
+//! ops of the *same* policy — on AVX-512 an 8-wide hidden layer is one
+//! AVX2 vector, not eight scalar `exp`s. The sparse gemm holds column
+//! chunks in registers across its list of nonzero `x` entries; the dense
+//! gemm has no remainder path at all — it reads zero-padded weight panels
+//! ([`PANEL`]) and runs full vector chains everywhere.
 
 use crate::lanes::Lanes;
 use crate::math;
@@ -23,6 +27,7 @@ const LANE_TILE: usize = 4;
 /// Rows of the `k` dimension kept cache-resident per block of the sparse
 /// gemm: a `KB × n` weight block is re-walked by every batch row before
 /// the sweep moves on (the same blocking both scalar predecessors used).
+/// Also the length of the stack array that lists a block's live entries.
 const K_BLOCK: usize = 64;
 
 /// `y[b] += x[b]ᵀ·W` for every batch row, skipping zero entries of `x`
@@ -31,9 +36,13 @@ const K_BLOCK: usize = 64;
 /// `batch == 1` it is the per-record `matvec_acc`.
 ///
 /// The `k` loop is blocked ([`K_BLOCK`]) so a block of weight rows stays
-/// cache-resident across all batch rows; blocks ascend, and `k` ascends
-/// within each block, so every output element still sees one ascending-`k`
-/// chain — bitwise identical to the unblocked loop.
+/// cache-resident across all batch rows. Per batch row and block, one
+/// vector compare per `WIDTH` entries of `x` lists the entries to apply
+/// ([`live_entries`]); each column chunk of `y` then accumulates in
+/// registers over that list ([`accumulate_live`]) and is stored once.
+/// Blocks ascend, and `k` ascends within each list, so every output
+/// element still sees one ascending-`k` chain, entry for entry the
+/// operation of the unblocked per-`k` axpy loop — bitwise identical to it.
 #[inline(always)]
 pub(crate) fn gemm_sparse_f32<L: Lanes>(
     batch: usize,
@@ -46,55 +55,132 @@ pub(crate) fn gemm_sparse_f32<L: Lanes>(
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(w.len(), k_dim * n);
     debug_assert_eq!(y.len(), batch * n);
+    if n == 0 {
+        return;
+    }
+    let mut live = [0; K_BLOCK];
     let mut kb = 0;
     while kb < k_dim {
         let kend = (kb + K_BLOCK).min(k_dim);
-        for b in 0..batch {
-            let x_row = &x[b * k_dim..(b + 1) * k_dim];
-            let y_row = &mut y[b * n..(b + 1) * n];
-            for (ko, &xi) in x_row[kb..kend].iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let k = kb + ko;
-                let w_row = &w[k * n..(k + 1) * n];
-                if xi == 1.0 {
-                    // 1.0 * w rounds to w exactly: the plain add equals the
-                    // fmac under either policy.
-                    let mut j = 0;
-                    while j + L::WIDTH <= n {
-                        L::load(&y_row[j..])
-                            .add(L::load(&w_row[j..]))
-                            .store(&mut y_row[j..]);
-                        j += L::WIDTH;
-                    }
-                    while j < n {
-                        // Read `y` before `w`, like the vector loop: `+=`
-                        // bounds-checks in the other order, which grew this
-                        // kernel's code and read ≈ 4 % lower on
-                        // `storm-churn` `pkg_s`.
-                        let yj = y_row[j];
-                        y_row[j] = yj + w_row[j];
-                        j += 1;
-                    }
-                } else {
-                    let xv = L::splat(xi);
-                    let mut j = 0;
-                    while j + L::WIDTH <= n {
-                        L::load(&y_row[j..])
-                            .fmac(xv, L::load(&w_row[j..]))
-                            .store(&mut y_row[j..]);
-                        j += L::WIDTH;
-                    }
-                    while j < n {
-                        y_row[j] = L::fmac_e(y_row[j], xi, w_row[j]);
-                        j += 1;
-                    }
-                }
+        let w_block = &w[kb * n..kend * n];
+        for (x_row, y_row) in x.chunks_exact(k_dim).zip(y.chunks_exact_mut(n)) {
+            let xs = &x_row[kb..kend];
+            let live = live_entries::<L>(xs, &mut live);
+            if !live.is_empty() {
+                accumulate_live::<L>(xs, live, w_block, y_row);
             }
         }
         kb = kend;
     }
+}
+
+/// The ascending indices of the entries of `xs` (at most [`K_BLOCK`])
+/// that are not `±0` — NaN included, as `x != 0.0` would keep it —
+/// written to the front of `out`: one [`Lanes::ne_zero_mask`] per `L`
+/// vector, then per `L::Half` vector, then one compare per element.
+#[inline(always)]
+fn live_entries<'a, L: Lanes>(xs: &[f32], out: &'a mut [usize; K_BLOCK]) -> &'a [usize] {
+    debug_assert!(xs.len() <= K_BLOCK);
+    let (k, count) = live_vectors::<L>(xs, out, 0, 0);
+    let (k, mut count) = live_vectors::<L::Half>(xs, out, k, count);
+    for (k, &xk) in xs.iter().enumerate().skip(k) {
+        if xk != 0.0 {
+            out[count] = k;
+            count += 1;
+        }
+    }
+    &out[..count]
+}
+
+/// [`live_entries`] over the whole `V` vectors of `xs` from `k` on, after
+/// `count` entries found; returns where the vectors end and the new count.
+#[inline(always)]
+fn live_vectors<V: Lanes>(
+    xs: &[f32],
+    out: &mut [usize; K_BLOCK],
+    mut k: usize,
+    mut count: usize,
+) -> (usize, usize) {
+    while k + V::WIDTH <= xs.len() {
+        let mut mask = V::load(&xs[k..]).ne_zero_mask();
+        while mask != 0 {
+            out[count] = k + mask.trailing_zeros() as usize;
+            count += 1;
+            mask &= mask - 1;
+        }
+        k += V::WIDTH;
+    }
+    (k, count)
+}
+
+/// `y += Σ xs[k]·w[k]` over the listed entries `live` (ascending) of one
+/// block, for a row `y` of `n` columns and the block's `xs.len() × n`
+/// weight rows `w`. Column chunks of 4, 2 and 1 vectors each hold their
+/// outputs in registers across the whole list; the columns left after
+/// them run element by element.
+#[inline(always)]
+fn accumulate_live<L: Lanes>(xs: &[f32], live: &[usize], w: &[f32], y: &mut [f32]) {
+    let n = y.len();
+    let mut j = 0;
+    while j + 4 * L::WIDTH <= n {
+        j = live_chunk::<L, 4>(xs, live, w, y, j);
+    }
+    if j + 2 * L::WIDTH <= n {
+        j = live_chunk::<L, 2>(xs, live, w, y, j);
+    }
+    if j + L::WIDTH <= n {
+        j = live_chunk::<L, 1>(xs, live, w, y, j);
+    }
+    for (jj, yj) in y.iter_mut().enumerate().skip(j) {
+        let mut acc = *yj;
+        for &k in live {
+            let (xk, wkj) = (xs[k], w[k * n + jj]);
+            acc = if xk == 1.0 {
+                acc + wkj
+            } else {
+                L::fmac_e(acc, xk, wkj)
+            };
+        }
+        *yj = acc;
+    }
+}
+
+/// Columns `j .. j + C·WIDTH` of [`accumulate_live`]: `C` accumulators
+/// loaded from `y` once, one plain add (for an exact `1.0`, which the
+/// `fmac` would round identically) or one `fmac` per listed entry, one
+/// store; returns the next column.
+#[inline(always)]
+fn live_chunk<L: Lanes, const C: usize>(
+    xs: &[f32],
+    live: &[usize],
+    w: &[f32],
+    y: &mut [f32],
+    j: usize,
+) -> usize {
+    let n = y.len();
+    let width = C * L::WIDTH;
+    let mut acc = [L::splat(0.0); C];
+    for (c, a) in acc.iter_mut().enumerate() {
+        *a = L::load(&y[j + c * L::WIDTH..]);
+    }
+    for &k in live {
+        let xk = xs[k];
+        let wr = &w[k * n + j..k * n + j + width];
+        if xk == 1.0 {
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a = a.add(L::load(&wr[c * L::WIDTH..]));
+            }
+        } else {
+            let xv = L::splat(xk);
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a = a.fmac(xv, L::load(&wr[c * L::WIDTH..]));
+            }
+        }
+    }
+    for (c, a) in acc.iter().enumerate() {
+        a.store(&mut y[j + c * L::WIDTH..]);
+    }
+    j + width
 }
 
 /// Columns per weight panel — the one layout the dense gemm reads.
@@ -476,48 +562,69 @@ pub(crate) fn outer_acc_f32<L: Lanes>(
 #[inline(always)]
 pub(crate) fn axpy_f32<L: Lanes>(a: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    let av = L::splat(a);
-    let n = y.len();
-    let mut j = 0;
-    while j + L::WIDTH <= n {
-        L::load(&y[j..])
-            .fmac(av, L::load(&x[j..]))
-            .store(&mut y[j..]);
-        j += L::WIDTH;
-    }
-    while j < n {
-        y[j] = L::fmac_e(y[j], a, x[j]);
-        j += 1;
+    let j = axpy_vectors::<L>(a, x, y, 0);
+    let j = axpy_vectors::<L::Half>(a, x, y, j);
+    for (yj, &xj) in y[j..].iter_mut().zip(&x[j..]) {
+        *yj = L::fmac_e(*yj, a, xj);
     }
 }
 
-/// In-place lanewise sigmoid (remainder elements run the scalar
-/// instantiation of the same math, which is bitwise identical).
+/// [`axpy_f32`] over the whole `V` vectors from `j` on; returns where
+/// they end. Every streaming kernel runs its body like this twice — `L`,
+/// then at most one `L::Half` vector — and only what is left after that
+/// runs element by element.
+#[inline(always)]
+fn axpy_vectors<V: Lanes>(a: f32, x: &[f32], y: &mut [f32], mut j: usize) -> usize {
+    let av = V::splat(a);
+    while j + V::WIDTH <= y.len() {
+        V::load(&y[j..])
+            .fmac(av, V::load(&x[j..]))
+            .store(&mut y[j..]);
+        j += V::WIDTH;
+    }
+    j
+}
+
+/// In-place lanewise sigmoid. Every lane type runs the same operations
+/// per element, so the half vector and the scalar remainder are bitwise
+/// what a full vector would give.
 #[inline(always)]
 pub(crate) fn sigmoid_f32<L: Lanes>(xs: &mut [f32]) {
-    let n = xs.len();
-    let mut j = 0;
-    while j + L::WIDTH <= n {
-        math::sigmoid_lanes::<L>(L::load(&xs[j..])).store(&mut xs[j..]);
-        j += L::WIDTH;
-    }
+    let j = sigmoid_vectors::<L>(xs, 0);
+    let j = sigmoid_vectors::<L::Half>(xs, j);
     for v in &mut xs[j..] {
         *v = math::sigmoid(*v);
     }
 }
 
+/// [`sigmoid_f32`] over the whole `V` vectors from `j` on.
+#[inline(always)]
+fn sigmoid_vectors<V: Lanes>(xs: &mut [f32], mut j: usize) -> usize {
+    while j + V::WIDTH <= xs.len() {
+        math::sigmoid_lanes::<V>(V::load(&xs[j..])).store(&mut xs[j..]);
+        j += V::WIDTH;
+    }
+    j
+}
+
 /// In-place lanewise tanh.
 #[inline(always)]
 pub(crate) fn tanh_f32<L: Lanes>(xs: &mut [f32]) {
-    let n = xs.len();
-    let mut j = 0;
-    while j + L::WIDTH <= n {
-        math::tanh_lanes::<L>(L::load(&xs[j..])).store(&mut xs[j..]);
-        j += L::WIDTH;
-    }
+    let j = tanh_vectors::<L>(xs, 0);
+    let j = tanh_vectors::<L::Half>(xs, j);
     for v in &mut xs[j..] {
         *v = math::tanh(*v);
     }
+}
+
+/// [`tanh_f32`] over the whole `V` vectors from `j` on.
+#[inline(always)]
+fn tanh_vectors<V: Lanes>(xs: &mut [f32], mut j: usize) -> usize {
+    while j + V::WIDTH <= xs.len() {
+        math::tanh_lanes::<V>(V::load(&xs[j..])).store(&mut xs[j..]);
+        j += V::WIDTH;
+    }
+    j
 }
 
 /// The LSTM memory-cell update `c = f⊙c + i⊙g; h = o⊙tanh(c)`, with the
@@ -541,19 +648,9 @@ pub(crate) fn lstm_cell_f32<L: Lanes>(
     if let Some(tc) = tc.as_deref() {
         debug_assert_eq!(tc.len(), hd);
     }
-    let mut j = 0;
-    while j + L::WIDTH <= hd {
-        let cv = L::load(&f_g[j..])
-            .mul(L::load(&c[j..]))
-            .add(L::load(&i_g[j..]).mul(L::load(&g_g[j..])));
-        cv.store(&mut c[j..]);
-        let t = math::tanh_lanes::<L>(cv);
-        if let Some(tc) = tc.as_deref_mut() {
-            t.store(&mut tc[j..]);
-        }
-        L::load(&o_g[j..]).mul(t).store(&mut h[j..]);
-        j += L::WIDTH;
-    }
+    let gates = [i_g, f_g, o_g, g_g];
+    let j = cell_vectors::<L>(gates, c, h, &mut tc, 0);
+    let mut j = cell_vectors::<L::Half>(gates, c, h, &mut tc, j);
     while j < hd {
         let cv = f_g[j] * c[j] + i_g[j] * g_g[j];
         c[j] = cv;
@@ -564,6 +661,60 @@ pub(crate) fn lstm_cell_f32<L: Lanes>(
         h[j] = o_g[j] * t;
         j += 1;
     }
+}
+
+/// One LSTM timestep's gates and cells for `n` rows: row `r` of the
+/// `n × 4hd` pre-activation block `z` is `[i, f, o, g]`; sigmoid activates
+/// `i`, `f` and `o` and tanh activates `g`, in place (the training tape
+/// keeps the activated gates), then the cell update advances row `r` of
+/// `c` and writes row `r` of `h` (and of `tc`, if given) — rows of `hd`.
+#[inline(always)]
+pub(crate) fn lstm_rows_f32<L: Lanes>(
+    hd: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    mut tc: Option<&mut [f32]>,
+) {
+    debug_assert!(hd > 0 && z.len() == 4 * c.len() && h.len() == c.len());
+    let rows = z
+        .chunks_exact_mut(4 * hd)
+        .zip(c.chunks_exact_mut(hd))
+        .zip(h.chunks_exact_mut(hd));
+    for (r, ((zr, cr), hr)) in rows.enumerate() {
+        sigmoid_f32::<L>(&mut zr[..3 * hd]);
+        tanh_f32::<L>(&mut zr[3 * hd..]);
+        let (i_g, rest) = zr.split_at(hd);
+        let (f_g, rest) = rest.split_at(hd);
+        let (o_g, g_g) = rest.split_at(hd);
+        let tcr = tc.as_deref_mut().map(|tc| &mut tc[r * hd..(r + 1) * hd]);
+        lstm_cell_f32::<L>(i_g, f_g, o_g, g_g, cr, hr, tcr);
+    }
+}
+
+/// [`lstm_cell_f32`] over the whole `V` vectors from `j` on; `gates` is
+/// `[i, f, o, g]`.
+#[inline(always)]
+fn cell_vectors<V: Lanes>(
+    [i_g, f_g, o_g, g_g]: [&[f32]; 4],
+    c: &mut [f32],
+    h: &mut [f32],
+    tc: &mut Option<&mut [f32]>,
+    mut j: usize,
+) -> usize {
+    while j + V::WIDTH <= c.len() {
+        let cv = V::load(&f_g[j..])
+            .mul(V::load(&c[j..]))
+            .add(V::load(&i_g[j..]).mul(V::load(&g_g[j..])));
+        cv.store(&mut c[j..]);
+        let t = math::tanh_lanes::<V>(cv);
+        if let Some(tc) = tc.as_deref_mut() {
+            t.store(&mut tc[j..]);
+        }
+        V::load(&o_g[j..]).mul(t).store(&mut h[j..]);
+        j += V::WIDTH;
+    }
+    j
 }
 
 /// The x86 entry points: one module per backend, each compiled with that
@@ -647,14 +798,14 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn sigmoid_f32(xs: &mut [f32]) {
-                    super::super::sigmoid_f32::<$f32ty>(xs)
-                }
-
-                // SAFETY: module contract — `$feat` confirmed before dispatch.
-                #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn tanh_f32(xs: &mut [f32]) {
-                    super::super::tanh_f32::<$f32ty>(xs)
+                pub(crate) unsafe fn lstm_rows_f32(
+                    hd: usize,
+                    z: &mut [f32],
+                    c: &mut [f32],
+                    h: &mut [f32],
+                    tc: Option<&mut [f32]>,
+                ) {
+                    super::super::lstm_rows_f32::<$f32ty>(hd, z, c, h, tc)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
@@ -678,5 +829,5 @@ pub(crate) mod x86_entries {
     backend_entries!(sse2_plain, "sse2", Sse2F32<false>);
     backend_entries!(sse2_fma, "sse2,fma", Sse2F32<true>);
     backend_entries!(avx2, "avx2,fma", Avx2F32);
-    backend_entries!(avx512, "avx512f,fma", Avx512F32);
+    backend_entries!(avx512, "avx512f,avx2,fma", Avx512F32);
 }

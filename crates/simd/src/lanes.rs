@@ -31,6 +31,11 @@ pub trait Lanes: Copy {
     const WIDTH: usize;
     /// Whether `fmac` rounds once (fused) or twice (mul then add).
     const FUSED: bool;
+    /// The half-width lanes of the same FMA policy: AVX-512 → AVX2,
+    /// AVX2 → SSE2 with FMA, SSE2 → scalar, and the scalar lane is its own
+    /// half. A streaming kernel finishes its remainder with at most one
+    /// `Half` vector before it falls back to element-level ops.
+    type Half: Lanes;
 
     /// Broadcasts one element to every lane.
     fn splat(v: f32) -> Self;
@@ -82,6 +87,10 @@ pub trait Lanes: Copy {
     fn exp2i(n: Self) -> Self;
     /// Magnitude of `self` with the sign of `src`.
     fn copysign(self, src: Self) -> Self;
+    /// Bit `l` of the result is set where lane `l` is not equal to zero
+    /// under an unordered compare (`NEQ_UQ`): NaN sets its bit, `±0`
+    /// clears it — exactly the entries `x != 0.0` keeps.
+    fn ne_zero_mask(self) -> u32;
     /// Replaces lanes of `self` with the corresponding lane of `src`
     /// wherever `src` is NaN (payload preserved): NaN propagation for the
     /// math functions, whose clamps would otherwise sanitize NaN inputs.
@@ -95,6 +104,7 @@ pub struct ScalarLane<const FUSED: bool>(pub(crate) f32);
 impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
     const WIDTH: usize = 1;
     const FUSED: bool = FUSED;
+    type Half = Self;
 
     #[inline(always)]
     fn splat(v: f32) -> Self {
@@ -159,6 +169,10 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
         ScalarLane(f32::from_bits(
             (self.0.to_bits() & 0x7fff_ffff) | (src.0.to_bits() & 0x8000_0000),
         ))
+    }
+    #[inline(always)]
+    fn ne_zero_mask(self) -> u32 {
+        u32::from(self.0 != 0.0)
     }
     #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {

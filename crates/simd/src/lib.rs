@@ -202,7 +202,9 @@ fn hw_caps() -> HwCaps {
             HwCaps {
                 sse2: std::arch::is_x86_feature_detected!("sse2"),
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
-                avx512: std::arch::is_x86_feature_detected!("avx512f"),
+                // The AVX-512 kernels finish remainders on AVX2 lanes.
+                avx512: std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
             }
         }
@@ -438,6 +440,12 @@ use dispatch::dispatch_f32;
 /// are nearly free). With `batch == 1` this is the per-record
 /// matrix–vector product; per output element the `k` contributions
 /// accumulate in ascending order on every backend.
+///
+/// Per batch row and block of 64 `k`, one vector compare per vector of
+/// `x` lists the entries that are not `±0` (NaN is kept), and each column
+/// chunk of `y` accumulates over that list in registers, loaded and
+/// stored once — not once per nonzero entry. An exact `1.0` is a plain
+/// add, any other entry one `fmac`.
 ///
 /// # Panics
 ///
@@ -679,37 +687,53 @@ pub fn axpy_f32_with(sel: Selection, a: f32, x: &[f32], y: &mut [f32]) {
     dispatch_f32!(sel, axpy_f32(a, x, y))
 }
 
-/// In-place logistic sigmoid over a slice (see [`math::sigmoid`] for the
-/// exact function; FMA policy does not affect it).
-pub fn sigmoid_in_place(xs: &mut [f32]) {
-    sigmoid_in_place_with(current(), xs)
-}
-
-/// [`sigmoid_in_place`] with an explicit backend selection.
+/// One LSTM timestep for a block of rows, in one call: for each row `r`,
+/// sigmoid on the `i`, `f` and `o` blocks and tanh on the `g` block of
+/// row `r` of `z` (`n × 4hd`, `[i, f, o, g]`, activated in place), then
+/// [`lstm_cell_f32`] on row `r` of `c`, `h` and `tc` (each `n × hd`). The
+/// one gate-and-cell kernel of the per-record and the batched LSTM step;
+/// per element it is [`math::sigmoid`]/[`math::tanh`] and the cell update
+/// on every backend.
 ///
 /// # Panics
 ///
-/// Panics on an unsupported selection.
-#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
-pub fn sigmoid_in_place_with(sel: Selection, xs: &mut [f32]) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    dispatch_f32!(sel, sigmoid_f32(xs))
+/// Panics if `hd == 0`, if the blocks' sizes disagree or the selection is
+/// unsupported.
+pub fn lstm_rows_f32(
+    hd: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    tc: Option<&mut [f32]>,
+) {
+    lstm_rows_f32_with(current(), hd, z, c, h, tc)
 }
 
-/// In-place hyperbolic tangent over a slice (see [`math::tanh`]).
-pub fn tanh_in_place(xs: &mut [f32]) {
-    tanh_in_place_with(current(), xs)
-}
-
-/// [`tanh_in_place`] with an explicit backend selection.
+/// [`lstm_rows_f32`] with an explicit backend selection.
 ///
 /// # Panics
 ///
-/// Panics on an unsupported selection.
+/// As [`lstm_rows_f32`].
 #[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
-pub fn tanh_in_place_with(sel: Selection, xs: &mut [f32]) {
+pub fn lstm_rows_f32_with(
+    sel: Selection,
+    hd: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    tc: Option<&mut [f32]>,
+) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    dispatch_f32!(sel, tanh_f32(xs))
+    assert!(
+        hd > 0 && c.len().is_multiple_of(hd),
+        "lstm_rows: cell block is not whole rows"
+    );
+    assert_eq!(z.len(), 4 * c.len(), "lstm_rows: gate block mismatch");
+    assert_eq!(h.len(), c.len(), "lstm_rows: hidden block mismatch");
+    if let Some(tc) = tc.as_deref() {
+        assert_eq!(tc.len(), c.len(), "lstm_rows: tc block mismatch");
+    }
+    dispatch_f32!(sel, lstm_rows_f32(hd, z, c, h, tc))
 }
 
 /// LSTM memory-cell update over gate slices of equal width:

@@ -6,7 +6,11 @@
 //! `#[target_feature]`-annotated kernel entry point in [`crate::kernels`]
 //! that the dispatcher only selects after `is_x86_feature_detected!`
 //! confirmed hardware support, so the feature-availability contract of
-//! every intrinsic call is upheld by construction.
+//! every intrinsic call is upheld by construction. A lane type's
+//! [`Lanes::Half`] runs inside the wider type's entry points, so those
+//! enable (and the dispatcher requires) the narrower type's features too:
+//! AVX-512 entries enable `avx2`, AVX2 entries `fma` for the fused SSE2
+//! half.
 //!
 //! The lane semantics the generic math relies on (see
 //! [`crate::lanes::Lanes`]):
@@ -14,6 +18,7 @@
 //! * `max`/`min` follow the `maxps`/`minps` source-operand rule — a NaN in
 //!   `self` yields `o` — which the scalar lanes mirror exactly,
 //! * `select_lt` compares ordered (NaN → false) and blends,
+//! * `ne_zero_mask` compares unordered (NaN → set), `cmpneq`/`NEQ_UQ`,
 //! * `exp2i` builds `2^n` by integer exponent-field arithmetic.
 #![allow(
     unsafe_code,
@@ -25,7 +30,7 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use crate::lanes::Lanes;
+use crate::lanes::{Lanes, ScalarLane};
 
 /// 4 × `f32` SSE2 lanes; the FMA policy is a type parameter (`FUSED = true`
 /// uses `vfmadd` on 128-bit registers and is only dispatched on FMA
@@ -36,6 +41,7 @@ pub struct Sse2F32<const FUSED: bool>(__m128);
 impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
     const WIDTH: usize = 4;
     const FUSED: bool = FUSED;
+    type Half = ScalarLane<FUSED>;
 
     #[inline(always)]
     fn splat(v: f32) -> Self {
@@ -128,6 +134,11 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
         }
     }
     #[inline(always)]
+    fn ne_zero_mask(self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { _mm_movemask_ps(_mm_cmpneq_ps(self.0, _mm_setzero_ps())) as u32 }
+    }
+    #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe {
@@ -145,6 +156,7 @@ pub struct Avx2F32(__m256);
 impl Lanes for Avx2F32 {
     const WIDTH: usize = 8;
     const FUSED: bool = true;
+    type Half = Sse2F32<true>;
 
     #[inline(always)]
     fn splat(v: f32) -> Self {
@@ -234,6 +246,14 @@ impl Lanes for Avx2F32 {
         }
     }
     #[inline(always)]
+    fn ne_zero_mask(self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            let m = _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, _mm256_setzero_ps());
+            _mm256_movemask_ps(m) as u32
+        }
+    }
+    #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe {
@@ -250,6 +270,7 @@ pub struct Avx512F32(__m512);
 impl Lanes for Avx512F32 {
     const WIDTH: usize = 16;
     const FUSED: bool = true;
+    type Half = Avx2F32;
 
     #[inline(always)]
     fn splat(v: f32) -> Self {
@@ -334,6 +355,11 @@ impl Lanes for Avx512F32 {
             let sgn = _mm512_and_si512(_mm512_castps_si512(src.0), sign);
             Avx512F32(_mm512_castsi512_ps(_mm512_or_si512(mag, sgn)))
         }
+    }
+    #[inline(always)]
+    fn ne_zero_mask(self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        u32::from(unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, _mm512_setzero_ps()) })
     }
     #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {

@@ -8,10 +8,11 @@
 //! dispatcher may pick any backend at startup without changing a single
 //! decision bit.
 
+use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
     axpy_f32_with, gemm_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
-    gemm_panels_acc_f32_with, lstm_cell_f32_with, outer_acc_f32_with, sigmoid_in_place_with,
-    supported_selections, tanh_in_place_with, Backend, PanelsF32, Selection,
+    gemm_panels_acc_f32_with, lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with,
+    supported_selections, Backend, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -55,6 +56,17 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
             "{what}: element {i} diverges ({g} vs {w})"
         );
     }
+}
+
+/// Runs the gate-and-cell kernel over `z` (`rows × 4hd`) from cells `c0`
+/// and returns its outputs: the activated `z`, `c`, `h` and `tanh(c)`.
+fn gate_rows(sel: Selection, hd: usize, z: &[f32], c0: &[f32]) -> [Vec<f32>; 4] {
+    let mut z = z.to_vec();
+    let mut c = c0.to_vec();
+    let mut h = vec![0.0f32; c0.len()];
+    let mut tc = vec![0.0f32; c0.len()];
+    lstm_rows_f32_with(sel, hd, &mut z, &mut c, &mut h, Some(&mut tc));
+    [z, c, h, tc]
 }
 
 proptest! {
@@ -202,17 +214,21 @@ proptest! {
         }
     }
 
+    /// The gate-and-cell kernel's activated `z` (sigmoid on `i`, `f`, `o`,
+    /// tanh on `g`), cells, hidden rows and cached `tanh(c)`, with the
+    /// non-finite specials of the NaN-propagation contract spliced in.
     #[test]
     fn activations_match_scalar_bitwise(
-        n in 1usize..=49,
-        raw in proptest::collection::vec(-90f32..90.0, n),
-        special in proptest::collection::vec(0u8..=255, n),
+        hd in 1usize..=49,
+        rows in 1usize..=3,
+        raw in proptest::collection::vec(-90f32..90.0, 3 * 4 * 49),
+        special in proptest::collection::vec(0u8..=255, 3 * 4 * 49),
+        c0 in proptest::collection::vec(-2f32..2.0, 3 * 49),
     ) {
-        // Splice in the non-finite specials the NaN-propagation contract
-        // covers (parity must hold bit-for-bit there too).
-        let xs: Vec<f32> = raw
+        let len = rows * 4 * hd;
+        let z: Vec<f32> = raw[..len]
             .iter()
-            .zip(special.iter())
+            .zip(&special[..len])
             .map(|(&r, &s)| match s % 11 {
                 0 => f32::NAN,
                 1 => f32::INFINITY,
@@ -220,18 +236,13 @@ proptest! {
                 _ => r,
             })
             .collect();
+        let c0 = &c0[..rows * hd];
         for (sel, scalar) in pairs() {
-            let mut got = xs.clone();
-            sigmoid_in_place_with(sel, &mut got);
-            let mut want = xs.clone();
-            sigmoid_in_place_with(scalar, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
-
-            let mut got = xs.clone();
-            tanh_in_place_with(sel, &mut got);
-            let mut want = xs.clone();
-            tanh_in_place_with(scalar, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
+            let got = gate_rows(sel, hd, &z, c0);
+            let want = gate_rows(scalar, hd, &z, c0);
+            for (g, w) in got.iter().zip(want.iter()) {
+                assert_bits_eq(g, w, sel.label());
+            }
         }
     }
 
@@ -543,6 +554,290 @@ fn dense_outer_product_matches_sparse_and_reference_bitwise() {
                     let mut sparse = dw0.clone();
                     outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut sparse);
                     assert_bits_eq(&sparse, want, &format!("sparse {what}"));
+                }
+            }
+        }
+    }
+}
+
+/// Special values for the deterministic sweeps: NaN, ±inf, ±0, the
+/// smallest and the largest-magnitude negative subnormal, ±90 (where
+/// `exp` clamps) and a few ordinary values.
+const SPECIALS: [f32; 12] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    f32::from_bits(1),
+    -f32::from_bits(0x007f_ffff),
+    90.0,
+    -90.0,
+    1.0,
+    0.5,
+    -3.25,
+];
+
+/// Deterministic values: a third are [`SPECIALS`], placed so that every
+/// special reaches every lane and tail position over the swept lengths;
+/// the rest are [`operand`]'s.
+fn sweep(len: usize, salt: usize) -> Vec<f32> {
+    let ordinary = operand(len, salt as u32);
+    (0..len)
+        .map(|i| match (i * 7 + salt) % 36 {
+            s if s < SPECIALS.len() => SPECIALS[s],
+            _ => ordinary[i],
+        })
+        .collect()
+}
+
+/// Every remainder class of every backend, with no randomness: lengths
+/// 1..=48 for `axpy_f32` and `lstm_cell_f32`, and the gate-and-cell
+/// kernel at hidden 1..=40 over 1..=5 rows, bitwise against the scalar
+/// lane of the same FMA policy on every supported selection. The scalar
+/// gate kernel is in turn the composition it claims to be: per-element
+/// `math::sigmoid`/`math::tanh`, then `lstm_cell_f32` row by row.
+#[test]
+fn every_tail_length_matches_scalar_bitwise() {
+    #[cfg(not(miri))]
+    let (lens, hds, rows_max) = (1..=48, 1..=40, 5);
+    #[cfg(miri)]
+    let (lens, hds, rows_max) = (1..=9, 1..=9, 2);
+    for (sel, scalar) in pairs() {
+        for len in lens.clone() {
+            let x = sweep(len, 1);
+            let y0 = sweep(len, 2);
+            let mut got = y0.clone();
+            axpy_f32_with(sel, 1.5, &x, &mut got);
+            let mut want = y0.clone();
+            axpy_f32_with(scalar, 1.5, &x, &mut want);
+            assert_bits_eq(&got, &want, &format!("axpy {} len {len}", sel.label()));
+
+            let gates = sweep(4 * len, 3);
+            let g: Vec<&[f32]> = gates.chunks_exact(len).collect();
+            let c0 = sweep(len, 4);
+            let run = |sel| {
+                let (mut c, mut h, mut tc) = (c0.clone(), vec![0.0; len], vec![0.0; len]);
+                lstm_cell_f32_with(sel, g[0], g[1], g[2], g[3], &mut c, &mut h, Some(&mut tc));
+                [c, h, tc]
+            };
+            for (gv, wv) in run(sel).iter().zip(run(scalar).iter()) {
+                assert_bits_eq(gv, wv, &format!("cell {} hd {len}", sel.label()));
+            }
+        }
+        for hd in hds.clone() {
+            for rows in 1..=rows_max {
+                let z = sweep(rows * 4 * hd, 5 + hd);
+                let c0 = sweep(rows * hd, 6);
+                let got = gate_rows(sel, hd, &z, &c0);
+                let want = gate_rows(scalar, hd, &z, &c0);
+                for (gv, wv) in got.iter().zip(want.iter()) {
+                    let what = format!("gates {} hd {hd} rows {rows}", sel.label());
+                    assert_bits_eq(gv, wv, &what);
+                }
+            }
+        }
+    }
+    for hd in hds {
+        let rows = 3;
+        let z = sweep(rows * 4 * hd, 7 + hd);
+        let c0 = sweep(rows * hd, 8);
+        for fma in [false, true] {
+            let scalar = Selection {
+                backend: Backend::Scalar,
+                fma,
+            };
+            let [za, c, h, tc] = gate_rows(scalar, hd, &z, &c0);
+            let mut want_z = z.clone();
+            let (mut want_c, mut want_h) = (c0.clone(), vec![0.0; rows * hd]);
+            let mut want_tc = vec![0.0; rows * hd];
+            for r in 0..rows {
+                let zr = &mut want_z[r * 4 * hd..(r + 1) * 4 * hd];
+                let (sig, g) = zr.split_at_mut(3 * hd);
+                sig.iter_mut()
+                    .for_each(|v| *v = icsad_simd::math::sigmoid(*v));
+                g.iter_mut().for_each(|v| *v = icsad_simd::math::tanh(*v));
+                let gates: Vec<&[f32]> = zr.chunks_exact(hd).collect();
+                let row = r * hd..(r + 1) * hd;
+                lstm_cell_f32_with(
+                    scalar,
+                    gates[0],
+                    gates[1],
+                    gates[2],
+                    gates[3],
+                    &mut want_c[row.clone()],
+                    &mut want_h[row.clone()],
+                    Some(&mut want_tc[row]),
+                );
+            }
+            let what = format!("composition {} hd {hd}", scalar.label());
+            assert_bits_eq(&za, &want_z, &what);
+            assert_bits_eq(&c, &want_c, &what);
+            assert_bits_eq(&h, &want_h, &what);
+            assert_bits_eq(&tc, &want_tc, &what);
+        }
+    }
+}
+
+/// The block of `k` the oracle below walks per batch row.
+const K_BLOCK: usize = 64;
+
+/// The oracle of the sparse product: `gemm_sparse_f32`'s per-`k` axpy body
+/// as it stood before the kernel switched to register accumulators over a
+/// list of live entries, verbatim. Run on the scalar lanes it is one
+/// ascending-`k` chain per element — skip `x == 0`, plain add for
+/// `x == 1`, `fmac` otherwise.
+#[inline(always)]
+fn oracle_gemm_sparse<L: Lanes>(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    y: &mut [f32],
+) {
+    debug_assert_eq!(x.len(), batch * k_dim);
+    debug_assert_eq!(w.len(), k_dim * n);
+    debug_assert_eq!(y.len(), batch * n);
+    let mut kb = 0;
+    while kb < k_dim {
+        let kend = (kb + K_BLOCK).min(k_dim);
+        for b in 0..batch {
+            let x_row = &x[b * k_dim..(b + 1) * k_dim];
+            let y_row = &mut y[b * n..(b + 1) * n];
+            for (ko, &xi) in x_row[kb..kend].iter().enumerate() {
+                if xi == 0.0 {
+                    continue;
+                }
+                let k = kb + ko;
+                let w_row = &w[k * n..(k + 1) * n];
+                if xi == 1.0 {
+                    // 1.0 * w rounds to w exactly: the plain add equals the
+                    // fmac under either policy.
+                    let mut j = 0;
+                    while j + L::WIDTH <= n {
+                        L::load(&y_row[j..])
+                            .add(L::load(&w_row[j..]))
+                            .store(&mut y_row[j..]);
+                        j += L::WIDTH;
+                    }
+                    while j < n {
+                        // Read `y` before `w`, like the vector loop: `+=`
+                        // bounds-checks in the other order, which grew this
+                        // kernel's code and read ≈ 4 % lower on
+                        // `storm-churn` `pkg_s`.
+                        let yj = y_row[j];
+                        y_row[j] = yj + w_row[j];
+                        j += 1;
+                    }
+                } else {
+                    let xv = L::splat(xi);
+                    let mut j = 0;
+                    while j + L::WIDTH <= n {
+                        L::load(&y_row[j..])
+                            .fmac(xv, L::load(&w_row[j..]))
+                            .store(&mut y_row[j..]);
+                        j += L::WIDTH;
+                    }
+                    while j < n {
+                        y_row[j] = L::fmac_e(y_row[j], xi, w_row[j]);
+                        j += 1;
+                    }
+                }
+            }
+        }
+        kb = kend;
+    }
+}
+
+/// [`oracle_gemm_sparse`] on the scalar lane of the given FMA policy.
+fn sparse_oracle(
+    fma: bool,
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    y0: &[f32],
+) -> Vec<f32> {
+    let mut y = y0.to_vec();
+    if fma {
+        oracle_gemm_sparse::<ScalarLane<true>>(batch, x, k_dim, w, n, &mut y);
+    } else {
+        oracle_gemm_sparse::<ScalarLane<false>>(batch, x, k_dim, w, n, &mut y);
+    }
+    y
+}
+
+/// Entries for the sparse product's `x`: both zeros (skipped), exact one
+/// (plain add), an ordinary scale, NaN (kept: `NaN != 0`), ±inf and
+/// subnormals (`fmac`).
+const SPARSE_X: [f32; 9] = [
+    0.0,
+    -0.0,
+    1.0,
+    0.5,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(1),
+    -f32::from_bits(0x007f_ffff),
+];
+
+/// A sparse `x`: mostly exact zeros (of both signs), the rest cycling
+/// through [`SPARSE_X`] and ordinary values.
+fn sparse_x(len: usize, salt: usize) -> Vec<f32> {
+    let ordinary = operand(len, salt as u32);
+    (0..len)
+        .map(|i| match (i * 5 + salt) % 23 {
+            s if s < SPARSE_X.len() => SPARSE_X[s],
+            s if s % 2 == 0 => ordinary[i],
+            s if s % 3 == 0 => -0.0,
+            _ => 0.0,
+        })
+        .collect()
+}
+
+/// Depths on both sides of one vector (16 on AVX-512), of the 64-entry
+/// `k` block, the ledger's 74-wide one-hot input and two blocks; widths on
+/// both sides of each backend's vector and of the 4-vector column chunk,
+/// and the ledger models' 379-class head and 2×256 gate row.
+#[cfg(not(miri))]
+const SPARSE_GRID: (&[usize], &[usize], usize) = (
+    &[1, 15, 16, 17, 63, 64, 65, 74, 130],
+    &[1, 7, 16, 31, 32, 33, 64, 65, 379, 1024],
+    5,
+);
+#[cfg(miri)]
+const SPARSE_GRID: (&[usize], &[usize], usize) = (&[1, 17, 65], &[7, 33], 2);
+
+/// `gemm_acc_f32` and `outer_acc_f32` (which runs the same kernel over
+/// `Xᵀ`) equal the oracle bitwise on every supported selection.
+#[test]
+fn sparse_product_matches_the_per_k_oracle_bitwise() {
+    let (ks, ns, batch_max) = SPARSE_GRID;
+    for &k_dim in ks {
+        for &n in ns {
+            let w = operand(k_dim * n, 13);
+            let dw0 = operand(k_dim * n, 14);
+            for batch in 1..=batch_max {
+                let x = sparse_x(batch * k_dim, k_dim + batch);
+                let y0 = operand(batch * n, 15);
+                let want =
+                    [false, true].map(|fma| sparse_oracle(fma, batch, &x, k_dim, &w, n, &y0));
+                let xt = transposed(&x, batch, k_dim);
+                let dy = operand(batch * n, 16);
+                let want_dw =
+                    [false, true].map(|fma| sparse_oracle(fma, k_dim, &xt, batch, &dy, n, &dw0));
+                for sel in supported_selections() {
+                    let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
+                    let mut got = y0.clone();
+                    gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
+                    assert_bits_eq(&got, &want[usize::from(sel.fma)], &format!("gemm {what}"));
+                    let mut got = dw0.clone();
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
+                    let want = &want_dw[usize::from(sel.fma)];
+                    assert_bits_eq(&got, want, &format!("outer {what}"));
                 }
             }
         }
