@@ -113,7 +113,7 @@ impl Setup {
             "commissioned hidden={hidden:?} λ={lambda} in {wall:.1?} (|S| = {}, k = {})",
             framework.signature_count, framework.chosen_k
         );
-        let test_report = framework.evaluate(self.split.test());
+        let test_report = framework.detector.evaluate(self.split.test());
         assert_eq!(
             test_report.confusion.total() as usize,
             self.split.test().len()

@@ -8,7 +8,6 @@ use icsad_nn::EpochStats;
 
 use crate::combined::CombinedDetector;
 use crate::error::CoreError;
-use crate::metrics::ClassificationReport;
 use crate::package::PackageLevelDetector;
 use crate::timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig};
 
@@ -77,13 +76,6 @@ pub struct TrainedFramework {
     pub training_stats: Vec<EpochStats>,
     /// Size of the signature database (`|S|`).
     pub signature_count: usize,
-}
-
-impl TrainedFramework {
-    /// Evaluates the framework on labelled records.
-    pub fn evaluate(&self, records: &[icsad_dataset::Record]) -> ClassificationReport {
-        self.detector.evaluate(records)
-    }
 }
 
 /// Trains the full framework on a dataset split per the paper's §VIII-A
@@ -160,7 +152,7 @@ mod tests {
         assert_eq!(trained.training_stats.len(), 5);
         assert!(trained.signature_count > 10);
 
-        let report = trained.evaluate(split.test());
+        let report = trained.detector.evaluate(split.test());
         assert!(report.confusion.total() as usize == split.test().len());
         assert!(report.recall() > 0.3);
     }
@@ -225,7 +217,7 @@ mod tests {
     fn fast_config_is_usable() {
         let split = split(8_000, 3);
         let trained = train_framework(&split, &ExperimentConfig::fast()).unwrap();
-        let report = trained.evaluate(split.test());
+        let report = trained.detector.evaluate(split.test());
         // Small capture => weak absolute numbers; `icsad-bench`'s `paper`
         // report (`table4` section) is the full-size reproduction.
         assert!(report.f1_score() > 0.2, "f1 {}", report.f1_score());

@@ -48,7 +48,7 @@
 //! });
 //! let split = data.split_chronological(0.6, 0.2);
 //! let trained = train_framework(&split, &ExperimentConfig::fast())?;
-//! let report = trained.evaluate(split.test());
+//! let report = trained.detector.evaluate(split.test());
 //! println!("F1 = {:.2}", report.f1_score());
 //! # Ok::<(), icsad_core::CoreError>(())
 //! ```

@@ -553,28 +553,13 @@ impl Engine {
     ///
     /// Panics if the target shard worker has terminated.
     pub fn ingest(&mut self, frame: RawFrame) {
-        let shard = match frame.stream_key() {
-            Some((link, unit)) if frame.is_well_formed() => self.shard_of_stream(link, unit),
-            _ => {
-                // ORDERING: Relaxed — reporting counter; the frame is
-                // dropped, nothing downstream observes it.
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        self.buffers[shard].push(frame);
-        if self.buffers[shard].len() >= INGEST_CHUNK {
-            self.ship_chunk(shard);
-        }
-        // ORDERING: Relaxed — reporting counter; shard delivery order is
-        // fixed by the channel, not by this cell.
-        self.ingested.fetch_add(1, Ordering::Relaxed);
+        self.ingest_batch(std::iter::once(frame));
     }
 
-    /// Routes a batch of frames, exactly like calling [`Engine::ingest`]
-    /// per frame (same routing, same quarantine policy, same chunking and
-    /// backpressure) but with the ingest counters updated once per batch
-    /// instead of once per frame.
+    /// Routes a batch of frames, each as [`Engine::ingest`] routes one
+    /// (same routing, same quarantine policy, same chunking and
+    /// backpressure), with the ingest counters updated once per batch
+    /// instead of once per frame. `ingest` is this call on one frame.
     ///
     /// # Panics
     ///
@@ -598,11 +583,13 @@ impl Engine {
             }
         }
         if dropped > 0 {
-            // ORDERING: Relaxed — reporting counter, as `ingest` above.
+            // ORDERING: Relaxed — reporting counter; the frames are
+            // dropped, nothing downstream observes them.
             self.quarantined.fetch_add(dropped, Ordering::Relaxed);
         }
         if routed > 0 {
-            // ORDERING: Relaxed — reporting counter, as `ingest` above.
+            // ORDERING: Relaxed — reporting counter; shard delivery order
+            // is fixed by the channel, not by this cell.
             self.ingested.fetch_add(routed, Ordering::Relaxed);
         }
     }

@@ -225,19 +225,6 @@ impl Discretizer {
         Signature::from_components(&self.discretize(r))
     }
 
-    /// Discretizes a batch of records into a caller-provided buffer
-    /// (cleared first), producing exactly the same vectors as
-    /// [`Discretizer::discretize`] per record.
-    ///
-    /// The streaming engine and the batched classifier reuse one buffer
-    /// across flushes, so the per-record `Vec` growth disappears from the
-    /// hot path.
-    pub fn discretize_batch(&self, records: &[Record], out: &mut Vec<DiscreteVector>) {
-        out.clear();
-        out.reserve(records.len());
-        out.extend(records.iter().map(|r| self.discretize(r)));
-    }
-
     /// Serializes the fitted discretizer — configuration plus every fitted
     /// component (category maps, k-means models, interval partitions) — so
     /// a commissioned deployment can reload it without retraining.
@@ -407,20 +394,6 @@ mod tests {
     #[test]
     fn fit_rejects_empty_input() {
         assert!(Discretizer::fit(&DiscretizationConfig::paper_defaults(), &[]).is_err());
-    }
-
-    #[test]
-    fn discretize_batch_matches_per_record() {
-        let (disc, records) = fitted(1_500, 11);
-        let mut batch = Vec::new();
-        disc.discretize_batch(&records, &mut batch);
-        assert_eq!(batch.len(), records.len());
-        for (r, v) in records.iter().zip(batch.iter()) {
-            assert_eq!(*v, disc.discretize(r));
-        }
-        // Buffer reuse clears stale contents.
-        disc.discretize_batch(&records[..10], &mut batch);
-        assert_eq!(batch.len(), 10);
     }
 
     #[test]

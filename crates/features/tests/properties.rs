@@ -87,42 +87,3 @@ proptest! {
         }
     }
 }
-
-mod batch_equivalence {
-    use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-    use icsad_features::{DiscretizationConfig, Discretizer};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-        /// `discretize_batch` returns exactly the per-record `discretize`
-        /// vectors for arbitrary capture slices.
-        #[test]
-        fn discretize_batch_equals_per_record(
-            seed in 0u64..64,
-            start in 0usize..500,
-            len in 0usize..700,
-        ) {
-            let data = GasPipelineDataset::generate(&DatasetConfig {
-                total_packages: 1_500,
-                seed,
-                attack_probability: 0.1,
-                ..DatasetConfig::default()
-            });
-            let records = data.records();
-            let disc = Discretizer::fit(
-                &DiscretizationConfig::paper_defaults(),
-                &records[..1_000],
-            )
-            .unwrap();
-            let end = (start + len).min(records.len());
-            let slice = &records[start.min(end)..end];
-            let mut batch = Vec::new();
-            disc.discretize_batch(slice, &mut batch);
-            prop_assert_eq!(batch.len(), slice.len());
-            for (r, v) in slice.iter().zip(batch.iter()) {
-                prop_assert_eq!(*v, disc.discretize(r));
-            }
-        }
-    }
-}

@@ -1,31 +1,30 @@
 //! Truncated-BPTT training over variable-length sequences with
 //! deterministic data-parallel gradient accumulation.
 //!
-//! Each optimizer step gathers a minibatch of chunk references, partitions
-//! it into fixed-size lane groups ([`GRAD_TASK_LANES`] chunks each), and
-//! runs one [`icsad_runtime::Task`] per group on scoped workers
-//! ([`icsad_runtime::run_scoped`]). A task batches its chunks as lanes of a
-//! single [`LstmClassifier::train_batch`] call into a task-private gradient
-//! buffer, so the floating-point accumulation order inside a task is a pure
-//! function of the minibatch data. Task outputs come back in task order and
-//! merge through a fixed pairwise tree reduction, so the final gradient —
-//! and therefore the trained weights — is **bit-identical** across worker
-//! counts, including the single-threaded run (pinned by the
-//! `training_parity` proptest suite).
+//! Each optimizer step gathers a minibatch of chunk references and
+//! partitions it into fixed-size lane groups ([`GRAD_TASK_LANES`] chunks
+//! each). A partition batches its chunks as lanes of a single
+//! [`LstmClassifier::train_batch`] call into a partition-private gradient
+//! buffer, so the floating-point accumulation order inside a partition is
+//! a pure function of the minibatch data. The partitions run in contiguous
+//! groups, the first on the calling thread and the rest on
+//! [`std::thread::scope`] threads, and merge in partition order through a
+//! fixed pairwise tree reduction, so the final gradient — and therefore
+//! the trained weights — is **bit-identical** across worker counts,
+//! including the single-threaded run, which spawns no thread (pinned by
+//! the `training_parity` proptest suite).
 
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use icsad_runtime::{run_scoped, Poll, Schedule, Task};
-
 use crate::adam::{Adam, AdamConfig};
 use crate::model::{BackwardPack, Gradients, LstmClassifier, TrainScratch};
 
-/// Chunks (BPTT lanes) handled by one gradient task. Small enough that a
-/// default minibatch (32 chunks) still splits into several tasks for the
-/// pool to balance; large enough that the batched kernels amortize weight
-/// streaming across lanes.
+/// Chunks (BPTT lanes) in one gradient partition. Small enough that a
+/// default minibatch (32 chunks) still splits into several partitions for
+/// the threads to share; large enough that the batched kernels amortize
+/// weight streaming across lanes.
 const GRAD_TASK_LANES: usize = 8;
 
 /// One training sequence: per step, an input vector and the target class
@@ -213,22 +212,19 @@ impl Trainer {
     /// between epochs); `epoch` only tags the returned stats.
     ///
     /// Weights change once per optimizer step and are read by every
-    /// timestep of every gradient task in between, so the epoch packs them
-    /// here, on the calling thread: the forward panels
+    /// timestep of every gradient partition in between, so the epoch packs
+    /// them here, on the calling thread: the forward panels
     /// ([`LstmClassifier::pack_panels`]) before the first minibatch and
     /// after each step, the transposed ones ([`BackwardPack`]) at the top
-    /// of each step. No gradient task packs, and the model always comes
-    /// back packed and ready to serve.
+    /// of each step. No gradient partition packs, and the model always
+    /// comes back packed and ready to serve.
     pub fn fit_epoch(
         &mut self,
         model: &mut LstmClassifier,
         sequences: &[Sequence],
         epoch: usize,
     ) -> EpochStats {
-        let mut chunks = self.chunk_refs(sequences);
-        let mut rng = ChaCha12Rng::seed_from_u64(self.config.shuffle_seed ^ (epoch as u64) << 17);
-        chunks.shuffle(&mut rng);
-
+        let chunks = self.epoch_chunks(sequences, epoch);
         let threads = self.config.resolved_threads();
 
         let mut total_loss = 0.0f64;
@@ -236,8 +232,8 @@ impl Trainer {
         let mut total_targets = 0usize;
         let mut grads = model.zero_gradients();
         model.pack_panels();
-        // Task-private (gradients, scratch) buffers, recycled across
-        // minibatches; tasks zero the gradients before accumulating.
+        // Partition-private (gradients, scratch) buffers, recycled across
+        // minibatches; partitions zero the gradients before accumulating.
         let mut pool: Vec<(Gradients, TrainScratch)> = Vec::new();
 
         for batch in chunks.chunks(self.config.batch_chunks) {
@@ -283,7 +279,9 @@ impl Trainer {
         }
     }
 
-    fn chunk_refs(&self, sequences: &[Sequence]) -> Vec<ChunkRef> {
+    /// The epoch's chunks in training order: every sequence cut into
+    /// `chunk_len`-step pieces, shuffled by `shuffle_seed` and `epoch`.
+    fn epoch_chunks(&self, sequences: &[Sequence], epoch: usize) -> Vec<ChunkRef> {
         let mut out = Vec::new();
         for (si, seq) in sequences.iter().enumerate() {
             let mut start = 0;
@@ -297,58 +295,24 @@ impl Trainer {
                 start += len;
             }
         }
+        let mut rng = ChaCha12Rng::seed_from_u64(self.config.shuffle_seed ^ (epoch as u64) << 17);
+        out.shuffle(&mut rng);
         out
     }
 }
 
-/// One partition's gradient accumulation: batches its chunks as BPTT lanes
-/// of a single [`LstmClassifier::train_batch`] call into a task-private
-/// gradient buffer. The whole partition is one unit of work, so the first
-/// poll completes the task.
-struct GradTask<'a> {
-    model: &'a LstmClassifier,
-    pack: &'a BackwardPack,
-    sequences: &'a [Sequence],
-    chunks: &'a [ChunkRef],
-    scale: f32,
-    state: Option<(Gradients, TrainScratch)>,
-    loss: f32,
-    correct: usize,
-}
-
-impl Task for GradTask<'_> {
-    type Output = (Gradients, TrainScratch, f32, usize);
-
-    fn poll(&mut self, _budget: usize) -> Poll {
-        let (grads, scratch) = self
-            .state
-            .as_mut()
-            .expect("gradient task polled after drain");
-        grads.zero();
-        let lanes: Vec<&[(Vec<f32>, usize)]> = self
-            .chunks
-            .iter()
-            .map(|c| &self.sequences[c.seq].steps()[c.start..c.start + c.len])
-            .collect();
-        let (loss, correct) = self
-            .model
-            .train_batch(self.pack, &lanes, scratch, grads, self.scale);
-        self.loss = loss;
-        self.correct = correct;
-        Poll::Complete
-    }
-
-    fn complete(self) -> Self::Output {
-        let (grads, scratch) = self.state.expect("gradient task completed without state");
-        (grads, scratch, self.loss, self.correct)
-    }
-}
-
-/// Computes gradients for one batch of chunks as one [`GradTask`] per
-/// [`GRAD_TASK_LANES`]-chunk partition on scoped pool workers, accumulating
-/// into `grads` through a fixed tree reduction. Returns (summed loss,
-/// correct count). The result is bit-identical for every `threads` value:
-/// the partition and all merge orders depend only on `batch`.
+/// Computes gradients for one batch of chunks, one [`GRAD_TASK_LANES`]-chunk
+/// partition at a time, accumulating into `grads` through a fixed tree
+/// reduction. Returns (summed loss, correct count). The result is
+/// bit-identical for every `threads` value: the partition and all merge
+/// orders depend only on `batch`.
+///
+/// Partition `i` zeroes and fills its own recycled `pool[i]` and reports
+/// its own `(loss, correct)`. The partitions split into at most `threads`
+/// contiguous groups of equal size (the last may be short): the first runs
+/// on the calling thread, every other on a scoped thread, so one thread
+/// spawns nothing. A panic re-raises the payload of the first panicking
+/// partition in partition order, after every thread has been joined.
 #[allow(clippy::too_many_arguments, reason = "model, batch and grad sinks")]
 fn accumulate_batch(
     model: &LstmClassifier,
@@ -360,38 +324,53 @@ fn accumulate_batch(
     grads: &mut Gradients,
     pool: &mut Vec<(Gradients, TrainScratch)>,
 ) -> (f32, usize) {
-    let n_tasks = batch.len().div_ceil(GRAD_TASK_LANES);
-    let parts = partition(batch, n_tasks);
+    let parts = partition(batch, batch.len().div_ceil(GRAD_TASK_LANES));
     while pool.len() < parts.len() {
         pool.push((model.zero_gradients(), TrainScratch::default()));
     }
-    let tasks: Vec<GradTask> = parts
-        .iter()
-        .zip(pool.drain(..parts.len()))
-        .map(|(&chunks, state)| GradTask {
-            model,
-            pack,
-            sequences,
-            chunks,
-            scale,
-            state: Some(state),
-            loss: 0.0,
-            correct: 0,
-        })
-        .collect();
+    let locals = &mut pool[..parts.len()];
+    let mut sums = vec![(0.0f32, 0usize); parts.len()];
 
-    let workers = threads.min(tasks.len()).max(1);
-    let (outputs, _stats) = run_scoped(tasks, Schedule::Pool { workers });
+    let group = parts.len().div_ceil(threads.clamp(1, parts.len()));
+    let first_panic = std::thread::scope(|scope| {
+        let mut groups = parts
+            .chunks(group)
+            .zip(locals.chunks_mut(group))
+            .zip(sums.chunks_mut(group))
+            .map(|((parts, locals), sums)| {
+                move || {
+                    for ((chunks, (g, scratch)), sum) in parts.iter().zip(locals).zip(sums) {
+                        g.zero();
+                        let lanes: Vec<&[(Vec<f32>, usize)]> = chunks
+                            .iter()
+                            .map(|c| &sequences[c.seq].steps()[c.start..c.start + c.len])
+                            .collect();
+                        *sum = model.train_batch(pack, &lanes, scratch, g, scale);
+                    }
+                }
+            });
+        let on_caller = groups.next();
+        let workers: Vec<_> = groups.map(|run| scope.spawn(run)).collect();
+        // The caller's group holds the first partitions, so if it panics,
+        // its payload is the one to re-raise: the scope joins the workers
+        // and resumes it.
+        if let Some(run) = on_caller {
+            run();
+        }
+        // Join all before picking: an unjoined panicked worker would make
+        // the scope raise its own generic panic instead.
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        joined.into_iter().find_map(Result::err)
+    });
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
 
-    // Outputs arrive in task order regardless of which worker ran what.
     let mut loss = 0.0f32;
     let mut correct = 0usize;
-    let mut locals: Vec<(Gradients, TrainScratch)> = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        let (g, s, l, c) = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    for &(l, c) in &sums {
         loss += l;
         correct += c;
-        locals.push((g, s));
     }
 
     // Pairwise tree reduction with a fixed stride order, so the merge does
@@ -407,7 +386,6 @@ fn accumulate_batch(
         gap *= 2;
     }
     grads.add_assign(&locals[0].0);
-    pool.append(&mut locals);
     (loss, correct)
 }
 
@@ -508,7 +486,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_training_bitwise_identical() {
-        // The task partition and merge order are pure functions of the
+        // The partition and merge order are pure functions of the
         // minibatch data, so worker count cannot change a single bit of the
         // trained weights.
         let sequences = cyclic_sequences(6, 30, 4);
@@ -539,13 +517,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "target class out of range")]
+    fn a_panicking_partition_re_raises_its_own_payload() {
+        // 32 one-step chunks make four partitions; on two threads the third
+        // and fourth run on a scoped worker, so the poisoned step panics off
+        // the calling thread and its payload must cross the join intact.
+        let mut sequences = cyclic_sequences(32, 1, 4);
+        let mut model = LstmClassifier::new(&ModelConfig {
+            input_dim: 4,
+            hidden_dims: vec![4],
+            num_classes: 4,
+            seed: 23,
+        });
+        let mut trainer = Trainer::new(TrainingConfig {
+            chunk_len: 1,
+            batch_chunks: 32,
+            num_threads: 2,
+            ..TrainingConfig::default()
+        });
+        let third = trainer.epoch_chunks(&sequences, 0)[2 * GRAD_TASK_LANES].seq;
+        sequences[third] = Sequence::new(vec![(onehot(4, 0), 4)]);
+        trainer.fit_epoch(&mut model, &sequences, 0);
+    }
+
+    #[test]
     fn chunking_covers_all_steps() {
         let trainer = Trainer::new(TrainingConfig {
             chunk_len: 7,
             ..TrainingConfig::default()
         });
         let seqs = cyclic_sequences(3, 20, 4);
-        let chunks = trainer.chunk_refs(&seqs);
+        let chunks = trainer.epoch_chunks(&seqs, 0);
         let total: usize = chunks.iter().map(|c| c.len).sum();
         assert_eq!(total, 60);
         assert!(chunks.iter().all(|c| c.len <= 7 && c.len > 0));

@@ -30,14 +30,13 @@
 //!
 //! Every worker shares one FIFO of task ids. A notify and a re-queue push
 //! to its **tail**; an idle worker pops its **head**. Tasks are whole
-//! shards (or whole gradient partitions) and the pool never has more
-//! workers than tasks, so balancing them is the only scheduling job there
-//! is, and a shared FIFO does it by construction: whichever worker is free
-//! takes the oldest runnable task, and a hot task that re-queues itself
-//! after its budget goes behind every task that was waiting. One mutexed
-//! `VecDeque` costs one lock per schedule event, which is noise next to a
-//! batched LSTM flush (the workspace forbids `unsafe`, so no lock-free
-//! queue).
+//! shards and the pool never has more workers than tasks, so balancing
+//! them is the only scheduling job there is, and a shared FIFO does it by
+//! construction: whichever worker is free takes the oldest runnable task,
+//! and a hot task that re-queues itself after its budget goes behind every
+//! task that was waiting. One mutexed `VecDeque` costs one lock per
+//! schedule event, which is noise next to a batched LSTM flush (the
+//! workspace forbids `unsafe`, so no lock-free queue).
 //!
 //! # Determinism
 //!
@@ -74,11 +73,11 @@ pub enum Poll {
 }
 
 /// A cooperatively scheduled unit of work — for the engine, one shard's
-/// ingest loop; for the trainer, one partition's gradient accumulation.
+/// ingest loop.
 ///
-/// Tasks may borrow data (no `'static` bound): [`run_scoped`] runs
-/// borrowing tasks on scoped workers, while the long-lived [`Executor`]
-/// additionally requires `'static`.
+/// The trait has no `'static` bound: [`explore`](crate::explore) drives
+/// tasks on the calling thread, so they may borrow, while the long-lived
+/// [`Executor`] requires `'static`.
 pub trait Task: Send {
     /// What [`Task::complete`] yields (for the engine, the shard report).
     type Output: Send;
@@ -502,83 +501,6 @@ fn schedule_threads(schedule: Schedule) -> usize {
     }
 }
 
-/// Runs a fixed set of tasks to completion on scoped workers and returns
-/// the outputs in task order, plus scheduling counters.
-///
-/// The borrowing twin of [`Executor::start`] + [`Executor::join`] for
-/// batch workloads whose input is entirely present up front (the trainer's
-/// gradient partitions): tasks may borrow the caller's data — the model,
-/// sequences and gradient buffers — because every worker thread provably
-/// exits before this function returns ([`std::thread::scope`]). All tasks
-/// are queued immediately; each should do its work across one or more
-/// polls and return [`Poll::Complete`]. The shared run queue and the
-/// deterministic schedule behave exactly as in the long-lived executor.
-///
-/// A task that panicked yields `Err(payload)` in its slot; the pool itself
-/// never unwinds, so every other output is still collected.
-///
-/// # Panics
-///
-/// Panics if `tasks` is empty or the schedule requests zero workers or a
-/// zero budget.
-pub fn run_scoped<T: Task>(
-    tasks: Vec<T>,
-    schedule: Schedule,
-) -> (Vec<std::thread::Result<T::Output>>, ExecStats) {
-    assert!(!tasks.is_empty(), "executor needs at least one task");
-    let threads_wanted = schedule_threads(schedule);
-    let shared = Shared::new(tasks);
-    // Batch semantics: every task's input already exists, so everything is
-    // runnable from the start, queued in task order.
-    for id in 0..shared.slots.len() {
-        shared.notify(id);
-    }
-    std::thread::scope(|scope| {
-        #[expect(
-            clippy::expect_used,
-            reason = "thread spawning only fails on OS resource exhaustion; there is \
-                      no useful degraded mode for a pool that cannot exist"
-        )]
-        let handles: Vec<_> = (0..threads_wanted)
-            .map(|i| {
-                let shared = &shared;
-                std::thread::Builder::new()
-                    .name(format!("icsad-batch-{i}"))
-                    .spawn_scoped(scope, move || match schedule {
-                        Schedule::Pool { .. } => pool_worker(shared),
-                        Schedule::Deterministic(s) => deterministic_scheduler(shared, s),
-                    })
-                    .expect("failed to spawn batch worker")
-            })
-            .collect();
-        for handle in handles {
-            // Worker threads contain task panics; they only unwind on an
-            // executor bug.
-            let _ = handle.join();
-        }
-    });
-    let stats = ExecStats {
-        // ORDERING: Relaxed — statistics counters, read after every worker
-        // thread has been joined (the scope above), so no writes race this.
-        threads: threads_wanted,
-        polls: shared.polls.load(Ordering::Relaxed),
-    };
-    #[expect(
-        clippy::expect_used,
-        reason = "contract documented above — every scoped task's input is fully \
-                  present, so each reaches Poll::Complete before its worker exits"
-    )]
-    let outputs = shared
-        .slots
-        .into_iter()
-        .map(|slot| {
-            unpoisoned(slot.output.into_inner())
-                .expect("task never completed — did its poll return Complete?")
-        })
-        .collect();
-    (outputs, stats)
-}
-
 impl<T: Task + 'static> Executor<T>
 where
     T::Output: 'static,
@@ -597,7 +519,8 @@ where
         let shared = Arc::new(Shared::new(tasks));
         #[expect(
             clippy::expect_used,
-            reason = "thread spawning only fails on OS resource exhaustion (see `run_scoped`)"
+            reason = "thread spawning only fails on OS resource exhaustion; there is \
+                      no useful degraded mode for a pool that cannot exist"
         )]
         let threads = (0..threads_wanted)
             .map(|i| {
@@ -765,18 +688,25 @@ mod tests {
     }
 
     /// Task ids in the order a seeded schedule first polled them, with all
-    /// three tasks queued up front.
+    /// three tasks queued up front. The scheduler runs on the test thread:
+    /// an executor's scheduler thread could take task 0 before task 2 is
+    /// queued, and then one seed would not replay one order.
     fn seeded_first_poll_order(seed: u64) -> Vec<usize> {
         let clock = Arc::new(AtomicUsize::new(0));
-        let tasks = (0..3).map(|_| FirstPoll::new(&clock)).collect();
-        let (outputs, _) = run_scoped(
-            tasks,
-            Schedule::Deterministic(TestSchedule {
+        let shared = Shared::new((0..3).map(|_| FirstPoll::new(&clock)).collect());
+        for id in 0..3 {
+            shared.notify(id);
+        }
+        deterministic_scheduler(
+            &shared,
+            TestSchedule {
                 seed,
                 max_budget: 1,
-            }),
+            },
         );
-        let stamps: Vec<usize> = outputs.into_iter().map(|o| o.unwrap()).collect();
+        let stamps: Vec<usize> = (0..3)
+            .map(|id| shared.take_output(id).unwrap().unwrap())
+            .collect();
         first_poll_order(&stamps)
     }
 
@@ -879,101 +809,6 @@ mod tests {
         assert_eq!(*outputs[0].as_ref().unwrap(), 20);
         assert!(outputs[1].is_err(), "the bomb's panic is surfaced at join");
         assert_eq!(*outputs[2].as_ref().unwrap(), 20);
-    }
-
-    /// A borrowing batch task: sums a borrowed slice in budgeted bites.
-    struct SliceSum<'a> {
-        data: &'a [u64],
-        pos: usize,
-        sum: u64,
-    }
-
-    impl Task for SliceSum<'_> {
-        type Output = u64;
-
-        fn poll(&mut self, budget: usize) -> Poll {
-            for _ in 0..budget.max(1) {
-                match self.data.get(self.pos) {
-                    Some(v) => {
-                        self.sum += v;
-                        self.pos += 1;
-                    }
-                    None => return Poll::Complete,
-                }
-            }
-            Poll::Runnable
-        }
-
-        fn complete(self) -> u64 {
-            self.sum
-        }
-    }
-
-    #[test]
-    fn run_scoped_collects_borrowing_task_outputs_in_order() {
-        let data: Vec<u64> = (0..500).collect();
-        let parts: Vec<&[u64]> = data.chunks(77).collect();
-        let tasks: Vec<SliceSum> = parts
-            .iter()
-            .map(|p| SliceSum {
-                data: p,
-                pos: 0,
-                sum: 0,
-            })
-            .collect();
-        let (outputs, stats) = run_scoped(tasks, Schedule::Pool { workers: 3 });
-        assert_eq!(stats.threads, 3);
-        assert_eq!(outputs.len(), parts.len());
-        for (out, part) in outputs.into_iter().zip(parts.iter()) {
-            assert_eq!(out.unwrap(), part.iter().sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn run_scoped_deterministic_schedule_completes() {
-        let data: Vec<u64> = (0..100).collect();
-        for seed in 0..4 {
-            let tasks: Vec<SliceSum> = data
-                .chunks(13)
-                .map(|p| SliceSum {
-                    data: p,
-                    pos: 0,
-                    sum: 0,
-                })
-                .collect();
-            let (outputs, stats) = run_scoped(
-                tasks,
-                Schedule::Deterministic(TestSchedule {
-                    seed,
-                    max_budget: 2,
-                }),
-            );
-            assert_eq!(stats.threads, 1);
-            let total: u64 = outputs.into_iter().map(|o| o.unwrap()).sum();
-            assert_eq!(total, data.iter().sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn run_scoped_contains_task_panics() {
-        struct MaybeBomb(bool);
-        impl Task for MaybeBomb {
-            type Output = u32;
-            fn poll(&mut self, _budget: usize) -> Poll {
-                assert!(!self.0, "scoped bomb went off");
-                Poll::Complete
-            }
-            fn complete(self) -> u32 {
-                7
-            }
-        }
-        let (outputs, _) = run_scoped(
-            vec![MaybeBomb(false), MaybeBomb(true), MaybeBomb(false)],
-            Schedule::Pool { workers: 2 },
-        );
-        assert_eq!(*outputs[0].as_ref().unwrap(), 7);
-        assert!(outputs[1].is_err());
-        assert_eq!(*outputs[2].as_ref().unwrap(), 7);
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct Trial<'a, T: Task> {
     /// External producers; sources are identified by index in diagnostics.
     pub sources: Vec<TrialSource<'a>>,
     /// Tasks notified before the first action — for batch-style trials
-    /// whose input is pre-filled (and usually closed) up front, mirroring
-    /// [`run_scoped`](crate::run_scoped).
+    /// whose input is pre-filled (and usually closed) up front, so every
+    /// task is already queued when the first schedule choice is made.
     pub initial_notify: Vec<usize>,
 }
 
@@ -477,8 +477,8 @@ mod tests {
         }
     }
 
-    /// Batch trial: inputs pre-filled and closed before the first action
-    /// (the `run_scoped` shape) — the schedule tree is purely the
+    /// Batch trial: inputs pre-filled and closed, and every task queued,
+    /// before the first action — the schedule tree is purely the
     /// interleaving of (queued task, poll budget) choices.
     fn prefilled_trial(items_per_task: &'static [&'static [u64]]) -> Trial<'static, SumTask> {
         let tasks: Vec<SumTask> = items_per_task

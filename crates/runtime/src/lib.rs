@@ -17,10 +17,7 @@
 //!   block (the executor parks instead).
 //! * [`Task`] / [`Executor`] — the task abstraction and the pool. A task is
 //!   polled with a *budget* (cooperative quantum); between polls it waits
-//!   in the pool's shared FIFO run queue. [`run_scoped`] runs a batch of
-//!   *borrowing* tasks (no `'static`) on scoped workers and returns their
-//!   outputs — the trainer's data-parallel gradient accumulation rides
-//!   this.
+//!   in the pool's shared FIFO run queue.
 //! * [`TestSchedule`] — a deterministic scheduler mode: one thread runs the
 //!   whole pool, replaying (queued task, poll budget) choices from a
 //!   [`rand_chacha`] seed, so a property test can drive the engine through
@@ -58,9 +55,7 @@ mod recycle;
 #[cfg(test)]
 mod test_tasks;
 
-pub use executor::{
-    run_scoped, ExecStats, Executor, Poll, Schedule, Task, TestSchedule, POOL_POLL_BUDGET,
-};
+pub use executor::{ExecStats, Executor, Poll, Schedule, Task, TestSchedule, POOL_POLL_BUDGET};
 pub use explore::{explore, ExploreConfig, ExploreReport, Source, SourceStep, Trial, TrialSource};
 pub use queue::{Drain, IngestQueue, Pop, PushClosed, TryPushError};
 pub use recycle::RecycleRing;

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Evaluate on the attack-bearing test capture.
-    let report = trained.evaluate(split.test());
+    let report = trained.detector.evaluate(split.test());
     println!("\ntest-set performance:");
     println!("  precision {:.3}", report.precision());
     println!("  recall    {:.3}", report.recall());

@@ -87,7 +87,7 @@ fn determinism_across_the_whole_stack() {
     let a = {
         let split = small_split(3);
         let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
-        let report = trained.evaluate(split.test());
+        let report = trained.detector.evaluate(split.test());
         (
             trained.chosen_k,
             trained.signature_count,
@@ -98,7 +98,7 @@ fn determinism_across_the_whole_stack() {
     let b = {
         let split = small_split(3);
         let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
-        let report = trained.evaluate(split.test());
+        let report = trained.detector.evaluate(split.test());
         (
             trained.chosen_k,
             trained.signature_count,
@@ -116,7 +116,7 @@ fn signature_based_attacks_are_caught_end_to_end() {
     // reports a 1.0 detected ratio and so should we, at any scale.
     let split = small_split(4);
     let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
-    let report = trained.evaluate(split.test());
+    let report = trained.detector.evaluate(split.test());
     for ty in [AttackType::Mfci, AttackType::Recon] {
         if report.per_attack.count(ty) > 0 {
             let ratio = report.per_attack.ratio(ty).unwrap();
