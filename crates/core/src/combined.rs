@@ -39,10 +39,12 @@ pub struct CombinedDetector {
     timeseries: TimeSeriesDetector,
 }
 
-/// Streaming state for the combined framework.
+/// Streaming state of one stream for [`CombinedDetector::classify`]: a
+/// one-lane [`CombinedBatch`] plus the reused decision buffer.
 #[derive(Debug, Clone)]
 pub struct CombinedState {
-    ts: TsState,
+    batch: CombinedBatch,
+    levels: Vec<DetectionLevel>,
 }
 
 /// A set of independent per-stream lanes plus the scratch buffers that let
@@ -50,10 +52,10 @@ pub struct CombinedState {
 /// framework together.
 ///
 /// Lanes are added with [`CombinedDetector::add_lane`]; each lane carries
-/// one stream's [`CombinedState`]. All per-package scratch (discretized
-/// vectors, signature string, one-hot block, LSTM state blocks) is owned
-/// here and reused across flushes, so steady-state batched classification
-/// allocates nothing.
+/// one stream's LSTM state and rolling prediction. All per-package scratch
+/// (discretized vectors, signature string, one-hot block, LSTM state
+/// blocks) is owned here and reused across flushes, so steady-state batched
+/// classification allocates nothing.
 #[derive(Debug, Clone)]
 pub struct CombinedBatch {
     states: Vec<TsState>,
@@ -122,33 +124,27 @@ impl CombinedDetector {
         self.package.memory_bytes() + self.timeseries.memory_bytes()
     }
 
-    /// Begins a streaming classification pass.
+    /// Begins a streaming classification pass over one stream.
     pub fn begin(&self) -> CombinedState {
+        let mut batch = self.begin_batch();
+        self.add_lane(&mut batch);
         CombinedState {
-            ts: self.timeseries.begin(),
+            batch,
+            levels: Vec::with_capacity(1),
         }
     }
 
     /// Classifies one package and feeds it back into the time-series state:
-    /// the per-record oracle [`CombinedDetector::classify_batch`] is tested
-    /// against.
+    /// a [`CombinedDetector::classify_batch`] round of one lane.
     pub fn classify(&self, state: &mut CombinedState, record: &Record) -> DetectionLevel {
-        let vector = self.package.discretizer().discretize(record);
-        let sig = icsad_features::signature_of(&vector);
-        if self.package.signature_is_anomalous(&sig) {
-            // Bloom-level anomaly: skip the time-series check but still
-            // feed the package into the LSTM with its anomaly bit set.
-            self.timeseries
-                .process(&mut state.ts, &vector, None, Some(true));
-            return DetectionLevel::PackageLevel;
-        }
-        let id = self.timeseries.vocabulary().id_of(&sig);
-        let (anomalous, _) = self.timeseries.process(&mut state.ts, &vector, id, None);
-        if anomalous {
-            DetectionLevel::TimeSeriesLevel
-        } else {
-            DetectionLevel::Normal
-        }
+        state.levels.clear();
+        self.classify_batch(
+            &mut state.batch,
+            &[0],
+            std::slice::from_ref(record),
+            &mut state.levels,
+        );
+        state.levels[0]
     }
 
     /// Begins a batched classification pass with no lanes; add streams with
@@ -182,20 +178,20 @@ impl CombinedDetector {
     ///
     /// Panics if `lane` is out of bounds.
     pub fn reset_lane(&self, batch: &mut CombinedBatch, lane: usize) {
-        batch.states[lane] = self.timeseries.begin();
+        batch.states[lane].reset();
     }
 
-    /// Batched [`CombinedDetector::classify`]: classifies one package for
-    /// each of `lanes.len()` *distinct* stream lanes, in lockstep.
+    /// Classifies one package for each of `lanes.len()` *distinct* stream
+    /// lanes, in lockstep: the framework's one step.
     ///
     /// `records[i]` is the next package of the stream on `batch` lane
     /// `lanes[i]`. The package level (discretization, signature, Bloom
     /// probe) runs per lane with reused scratch; the time-series level then
     /// advances every lane through the LSTM as one matrix–matrix product
     /// ([`TimeSeriesDetector::process_batch`]). Decisions are appended to
-    /// `out` in entry order and match a per-record [`CombinedDetector::classify`]
-    /// loop on each stream exactly; the ranks they were made from stay
-    /// readable on [`CombinedBatch::ranks`] until the next call.
+    /// `out` in entry order and match classifying each stream alone
+    /// ([`CombinedDetector::classify`]) exactly; the ranks they were made
+    /// from stay readable on [`CombinedBatch::ranks`] until the next call.
     ///
     /// # Panics
     ///
@@ -282,7 +278,7 @@ impl CombinedDetector {
     /// lockstep batches (streams may have different lengths; shorter ones
     /// simply drop out of later batches). Returns one decision sequence per
     /// stream, identical to running [`CombinedDetector::classify`] over each
-    /// stream separately.
+    /// stream separately. A single stream is `classify_streams(&[records])`.
     ///
     /// Round `t` steps the streams still live at `t`, in ascending stream
     /// order; a stream leaves the live list when it ends, so the pass costs
@@ -316,19 +312,10 @@ impl CombinedDetector {
         results
     }
 
-    /// Classifies a whole record stream, returning one level per package.
-    pub fn classify_stream(&self, records: &[Record]) -> Vec<DetectionLevel> {
-        let mut state = self.begin();
-        records
-            .iter()
-            .map(|r| self.classify(&mut state, r))
-            .collect()
-    }
-
     /// Classifies a stream and computes the full evaluation report against
     /// ground-truth labels.
     pub fn evaluate(&self, records: &[Record]) -> ClassificationReport {
-        let levels = self.classify_stream(records);
+        let levels = self.classify_streams(&[records]).concat();
         let mut report = ClassificationReport::default();
         for (r, level) in records.iter().zip(levels.iter()) {
             report.record(r.label, level.is_anomalous());
@@ -376,14 +363,14 @@ mod tests {
     #[test]
     fn stream_classification_has_one_decision_per_package() {
         let (det, split) = build(6_000, 1, 3);
-        let levels = det.classify_stream(split.test());
+        let levels = det.classify_streams(&[split.test()]).concat();
         assert_eq!(levels.len(), split.test().len());
     }
 
     #[test]
     fn bloom_misses_are_package_level() {
         let (det, split) = build(6_000, 2, 2);
-        let levels = det.classify_stream(split.test());
+        let levels = det.classify_streams(&[split.test()]).concat();
         for (r, level) in split.test().iter().zip(levels.iter()) {
             if det.package_level().is_anomalous(r) {
                 assert_eq!(*level, DetectionLevel::PackageLevel);
@@ -457,29 +444,9 @@ mod tests {
         let (a, split) = build(6_000, 7, 2);
         let (b, _) = build(6_000, 7, 2);
         assert_eq!(
-            a.classify_stream(&split.test()[..500]),
-            b.classify_stream(&split.test()[..500])
+            a.classify_streams(&[&split.test()[..500]]),
+            b.classify_streams(&[&split.test()[..500]])
         );
-    }
-
-    #[test]
-    fn classify_streams_matches_per_record_loops() {
-        let (det, split) = build(8_000, 9, 2);
-        // Slice the test capture into four unequal "PLC" streams.
-        let test = split.test();
-        let quarter = test.len() / 4;
-        let streams: Vec<&[Record]> = vec![
-            &test[..quarter],
-            &test[quarter..2 * quarter + 7],
-            &test[2 * quarter + 7..3 * quarter],
-            &test[3 * quarter..],
-        ];
-
-        let batched = det.classify_streams(&streams);
-        for (stream, batch_levels) in streams.iter().zip(batched.iter()) {
-            let single = det.classify_stream(stream);
-            assert_eq!(batch_levels, &single);
-        }
     }
 
     #[test]
@@ -495,8 +462,15 @@ mod tests {
             .partition(|(i, _)| i % 2 == 0);
         let even: Vec<Record> = even.into_iter().map(|(_, r)| r).collect();
         let odd: Vec<Record> = odd.into_iter().map(|(_, r)| r).collect();
-        let ref_even = det.classify_stream(&even);
-        let ref_odd = det.classify_stream(&odd);
+        let alone = |stream: &[Record]| {
+            let mut state = det.begin();
+            stream
+                .iter()
+                .map(|r| det.classify(&mut state, r))
+                .collect::<Vec<_>>()
+        };
+        let ref_even = alone(&even);
+        let ref_odd = alone(&odd);
 
         // Batched: one lane per stream, one package per lane per flush.
         let mut batch = det.begin_batch();

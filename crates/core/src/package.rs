@@ -3,7 +3,7 @@
 
 use icsad_bloom::BloomFilter;
 use icsad_dataset::Record;
-use icsad_features::{Discretizer, Signature, SignatureVocabulary};
+use icsad_features::{Discretizer, SignatureVocabulary};
 
 use crate::error::CoreError;
 
@@ -107,30 +107,16 @@ impl PackageLevelDetector {
         self.filter.memory_bytes()
     }
 
-    /// Tests a pre-computed signature against the database.
-    pub fn signature_is_anomalous(&self, signature: &Signature) -> bool {
-        !self.filter.contains(signature)
-    }
-
     /// Tests a raw signature key (see [`icsad_features::write_signature`])
-    /// against the database — the allocation-free twin of
-    /// [`PackageLevelDetector::signature_is_anomalous`] used by the batched
-    /// and streaming hot paths.
+    /// against the database — the allocation-free probe the framework's
+    /// package level runs on every package.
     pub fn key_is_anomalous(&self, key: &str) -> bool {
         !self.filter.contains(key)
     }
 
     /// Classifies one package: `true` = anomalous (`F_p(x) = 1`).
     pub fn is_anomalous(&self, record: &Record) -> bool {
-        self.signature_is_anomalous(&self.discretizer.signature(record))
-    }
-
-    /// Discretizes and classifies in one pass, returning the signature for
-    /// reuse by the time-series level.
-    pub fn check(&self, record: &Record) -> (Signature, bool) {
-        let sig = self.discretizer.signature(record);
-        let anomalous = self.signature_is_anomalous(&sig);
-        (sig, anomalous)
+        !self.filter.contains(self.discretizer.signature(record))
     }
 }
 
@@ -224,13 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn check_returns_signature_consistent_with_classification() {
+    fn key_probe_agrees_with_record_probe() {
         let (det, split) = setup(4_000, 5, 0.1);
+        let mut key = String::new();
+        let mut flagged = 0;
         for r in split.test().iter().take(200) {
-            let (sig, anomalous) = det.check(r);
-            assert_eq!(anomalous, det.signature_is_anomalous(&sig));
-            assert_eq!(anomalous, det.is_anomalous(r));
+            icsad_features::write_signature(&det.discretizer.discretize(r), &mut key);
+            assert_eq!(det.key_is_anomalous(&key), det.is_anomalous(r));
+            flagged += usize::from(det.is_anomalous(r));
         }
+        assert!(flagged > 0, "the sample must include a flagged package");
     }
 
     #[test]

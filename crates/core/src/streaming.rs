@@ -553,10 +553,10 @@ mod tests {
     #[test]
     fn detect_stream_is_the_online_path_on_one_lane() {
         let (detector, records) = small_detector(64);
-        let fixed: Vec<bool> = detector
-            .classify_stream(&records)
+        let mut state = detector.begin();
+        let fixed: Vec<bool> = records
             .iter()
-            .map(|level| level.is_anomalous())
+            .map(|r| detector.classify(&mut state, r).is_anomalous())
             .collect();
         assert_eq!(detect_stream(Arc::clone(&detector), &records), fixed);
 

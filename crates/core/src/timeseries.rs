@@ -103,21 +103,25 @@ pub struct TimeSeriesDetector {
     k: usize,
 }
 
-/// Streaming detection state: the LSTM state plus the rolling prediction
-/// for the *next* package.
+/// Streaming detection state of one stream: the LSTM state plus the
+/// rolling prediction for the *next* package.
 #[derive(Debug, Clone)]
 pub struct TsState {
     stream: StreamState,
     /// Prediction scores for the next package's signature (raw logits —
     /// softmax is strictly monotone, so the top-`k` rank is the same and
-    /// the hot path skips `|S|` exponentials per package); `None` until
+    /// the hot path skips `|S|` exponentials per package); empty until
     /// the first package has been observed.
-    prediction: Option<Vec<f32>>,
-    scratch: Vec<f32>,
-    /// Reused one-hot input buffer for the per-record step — allocated
-    /// once in [`TimeSeriesDetector::begin`], rewritten in place every
-    /// package so the streaming step never touches the allocator.
-    x_buf: Vec<f32>,
+    prediction: Vec<f32>,
+}
+
+impl TsState {
+    /// Returns the stream to the cold start [`TimeSeriesDetector::begin`]
+    /// builds, in place: zero `(h, c)`, no prediction.
+    pub(crate) fn reset(&mut self) {
+        self.stream.reset();
+        self.prediction.clear();
+    }
 }
 
 /// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the LSTM
@@ -390,8 +394,9 @@ impl TimeSeriesDetector {
     /// [`Self::CURVE_BLOCK_LANES`] fragments at a time as ragged lanes,
     /// longest first, walked in blocks of [`Self::CURVE_BLOCK_STEPS`]
     /// timesteps with the LSTM state carried from block to block. Every
-    /// rank equals the per-record [`LstmClassifier::step_logits`] loop's,
-    /// and memory is one block's whatever the fragments' length.
+    /// rank equals that of stepping each fragment one package at a time
+    /// ([`LstmClassifier::step_logits`]), and memory is one block's
+    /// whatever the fragments' length.
     pub fn top_k_error_curve(&self, fragments: &Fragments, max_k: usize) -> Vec<f64> {
         let (misses, total) = self.top_k_misses(fragments, max_k, &mut CurveScratch::default());
         // (No targets, no misses: 0 / 1.)
@@ -483,9 +488,7 @@ impl TimeSeriesDetector {
     pub fn begin(&self) -> TsState {
         TsState {
             stream: self.model.new_state(),
-            prediction: None,
-            scratch: vec![0.0f32; self.model.num_classes()],
-            x_buf: vec![0.0f32; self.encoder.dims()],
+            prediction: Vec::new(),
         }
     }
 
@@ -493,56 +496,14 @@ impl TimeSeriesDetector {
     /// with class id `signature_id`, plus the 1-based rank of its signature
     /// (`None` for the first package of a stream or an unknown signature).
     fn decide(&self, state: &TsState, signature_id: Option<usize>) -> (bool, Option<usize>) {
-        match (&state.prediction, signature_id) {
-            (_, None) => (true, None),
-            (None, Some(_)) => (false, None),
-            (Some(pred), Some(id)) => {
-                let rank = loss::rank_of(pred, id);
+        match signature_id {
+            None => (true, None),
+            Some(_) if state.prediction.is_empty() => (false, None),
+            Some(id) => {
+                let rank = loss::rank_of(&state.prediction, id);
                 (rank > self.k, Some(rank))
             }
         }
-    }
-
-    /// Processes one package in streaming mode — the per-record reference
-    /// [`TimeSeriesDetector::process_batch`] is checked against.
-    ///
-    /// `vector` is the package's discretized features; `signature_id` its
-    /// signature's class id (`None` if the signature is not in the
-    /// database — such packages are anomalous by definition).
-    /// `flag_noisy` forces the package's noise bit (used by the combined
-    /// framework to feed back Bloom-level detections).
-    ///
-    /// Returns `F_t` for this package (`true` = anomalous) and the 1-based
-    /// rank of its signature in the rolling prediction, which feeds the
-    /// dynamic-`k` controller of [`crate::dynamic_k`]. The very first
-    /// package of a stream cannot be classified (no history): it passes
-    /// unless its signature is unknown, and has no rank — nor has an
-    /// unknown signature.
-    pub fn process(
-        &self,
-        state: &mut TsState,
-        vector: &DiscreteVector,
-        signature_id: Option<usize>,
-        flag_noisy: Option<bool>,
-    ) -> (bool, Option<usize>) {
-        let (anomalous, rank) = self.decide(state, signature_id);
-        // Feed the package back as input for the next prediction, with its
-        // anomaly bit per §V-3 / §VI. Both the one-hot input and the rolling
-        // prediction reuse state-owned buffers: the steady-state step is
-        // allocation-free.
-        let noisy = flag_noisy.unwrap_or(anomalous);
-        if state.x_buf.len() != self.encoder.dims() {
-            // Hollow or foreign state (e.g. deserialized): size it once.
-            state.x_buf.resize(self.encoder.dims(), 0.0);
-        }
-        self.encoder.encode_into(vector, noisy, &mut state.x_buf);
-        self.model
-            .step_logits(&mut state.stream, &state.x_buf, &mut state.scratch);
-        match &mut state.prediction {
-            Some(pred) => pred.copy_from_slice(&state.scratch),
-            None => state.prediction = Some(state.scratch.clone()),
-        }
-        (anomalous, rank)
     }
 
     /// Fresh (empty) scratch for [`TimeSeriesDetector::process_batch`].
@@ -554,19 +515,30 @@ impl TimeSeriesDetector {
         }
     }
 
-    /// Batched [`TimeSeriesDetector::process`]: advances `lanes.len()`
-    /// independent streams by one package each, stepping all of them
-    /// through the LSTM together as one gathered
-    /// [`LstmClassifier::forward_batch_gathered_logits`] round — a one-lane
-    /// batch included, so every engine round and every offline
-    /// `detect_stream` call runs the same step.
+    /// Processes one package on each of `lanes.len()` independent streams:
+    /// the time-series level's one step. Every lane is decided on its
+    /// rolling prediction, then all of them step through the LSTM together
+    /// as one gathered [`LstmClassifier::forward_batch_gathered_logits`]
+    /// round — a one-lane batch included, so every engine round, every
+    /// offline `detect_stream` call and every
+    /// [`crate::CombinedDetector::classify`] call runs the same step.
     ///
     /// Entry `i` of `vectors` / `signature_ids` / `flag_noisy` belongs to
-    /// stream `states[lanes[i]]`; lane indices must be distinct. One `F_t`
-    /// bool per entry is appended to `out` and its pre-step signature rank
-    /// to `ranks`, in order — exactly what [`TimeSeriesDetector::process`]
-    /// returns per record — and every lane's state ends up bit-identical to
-    /// processing it alone.
+    /// stream `states[lanes[i]]`; lane indices must be distinct. `vectors`
+    /// holds the packages' discretized features; `signature_ids` their
+    /// signatures' class ids (`None` if the signature is not in the
+    /// database — such packages are anomalous by definition);
+    /// `flag_noisy` forces a package's noise bit (the combined framework
+    /// feeds Bloom-level detections back this way, §VI), and `None` feeds
+    /// the package back with its own verdict (§V-3).
+    ///
+    /// One `F_t` bool per entry (`true` = anomalous) is appended to `out`
+    /// and the 1-based rank of its signature in the pre-step prediction to
+    /// `ranks` (what the dynamic-`k` controller of [`crate::dynamic_k`]
+    /// consumes), in order. The very first package of a stream cannot be
+    /// classified (no history): it passes unless its signature is unknown,
+    /// and has no rank — nor has an unknown signature. Every lane's state
+    /// ends up bit-identical to processing it alone.
     ///
     /// # Panics
     ///
@@ -601,7 +573,7 @@ impl TimeSeriesDetector {
         }
 
         // Per-lane decision from the rolling prediction, then the batched
-        // feedback step (decision order mirrors `process`).
+        // feedback step, each package fed back with its anomaly bit.
         for i in 0..batch {
             let state = &states[lanes[i]];
             let (anomalous, rank) = self.decide(state, signature_ids[i]);
@@ -626,11 +598,10 @@ impl TimeSeriesDetector {
         for (i, &lane) in lanes.iter().enumerate() {
             let state = &mut states[lane];
             self.model.scatter_lane(&scratch.nn, i, &mut state.stream);
-            let row = &scratch.logits[i * nc..(i + 1) * nc];
-            match &mut state.prediction {
-                Some(pred) => pred.copy_from_slice(row),
-                None => state.prediction = Some(row.to_vec()),
-            }
+            state.prediction.clear();
+            state
+                .prediction
+                .extend_from_slice(&scratch.logits[i * nc..(i + 1) * nc]);
         }
     }
 }
@@ -756,6 +727,27 @@ mod tests {
         }
     }
 
+    /// One package through a one-lane [`TimeSeriesDetector::process_batch`].
+    fn step(
+        det: &TimeSeriesDetector,
+        state: &mut TsState,
+        vector: &DiscreteVector,
+        id: Option<usize>,
+    ) -> (bool, Option<usize>) {
+        let (mut out, mut ranks) = (Vec::new(), Vec::new());
+        det.process_batch(
+            std::slice::from_mut(state),
+            &[0],
+            std::slice::from_ref(vector),
+            &[id],
+            &[None],
+            &mut det.batch_scratch(),
+            &mut out,
+            &mut ranks,
+        );
+        (out[0], ranks[0])
+    }
+
     #[test]
     fn streaming_process_flags_unknown_signatures() {
         let (disc, vocab, split) = setup(4_000, 4);
@@ -766,11 +758,15 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         // Unknown signature: always anomalous.
-        assert_eq!(det.process(&mut state, &v, None, None), (true, None));
-        // Known signature right after: depends on prediction, but must not
-        // panic and must update state.
+        assert_eq!(step(&det, &mut state, &v, None), (true, None));
+        // Known signature right after: ranked on the prediction the first
+        // package left behind.
         let id = vocab.id_of(&disc.signature(r));
-        let _ = det.process(&mut state, &v, id, None);
+        let (_, rank) = step(&det, &mut state, &v, id);
+        assert!(rank.is_some_and(|r| (1..=vocab.len()).contains(&r)));
+        // A reset lane is a cold start again: no history, no rank.
+        state.reset();
+        assert_eq!(step(&det, &mut state, &v, id), (false, None));
     }
 
     #[test]
@@ -783,7 +779,7 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         let id = vocab.id_of(&disc.signature(r));
-        assert_eq!(det.process(&mut state, &v, id, None), (false, None));
+        assert_eq!(step(&det, &mut state, &v, id), (false, None));
     }
 
     #[test]

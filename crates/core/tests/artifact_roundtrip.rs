@@ -179,30 +179,21 @@ fn round_trip_decisions_are_bit_identical_on_a_multi_plc_capture() {
     assert!(panels(&restored) > 0);
     assert_eq!(panels(&restored), panels(&fx.detector));
 
-    // Per-record streaming path, every stream.
+    // Every stream, in lockstep.
+    let views: Vec<&[Record]> = fx.streams.iter().map(|s| s.as_slice()).collect();
+    let original = fx.detector.classify_streams(&views);
+    assert_eq!(restored.classify_streams(&views), original);
     let mut saw_every_level = [false; 3];
-    for stream in &fx.streams {
-        let original = fx.detector.classify_stream(stream);
-        let reloaded = restored.classify_stream(stream);
-        assert_eq!(original, reloaded);
-        for level in &original {
-            saw_every_level[match level {
-                DetectionLevel::Normal => 0,
-                DetectionLevel::PackageLevel => 1,
-                DetectionLevel::TimeSeriesLevel => 2,
-            }] = true;
-        }
+    for level in original.iter().flatten() {
+        saw_every_level[match level {
+            DetectionLevel::Normal => 0,
+            DetectionLevel::PackageLevel => 1,
+            DetectionLevel::TimeSeriesLevel => 2,
+        }] = true;
     }
     assert!(
         saw_every_level.iter().all(|&s| s),
         "capture should exercise all three decision levels: {saw_every_level:?}"
-    );
-
-    // Batched lockstep path across all streams at once.
-    let views: Vec<&[Record]> = fx.streams.iter().map(|s| s.as_slice()).collect();
-    assert_eq!(
-        restored.classify_streams(&views),
-        fx.detector.classify_streams(&views)
     );
 }
 

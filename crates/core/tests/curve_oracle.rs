@@ -1,6 +1,6 @@
-//! The validation top-`k` error curve equals its per-record reference: a
-//! cold-start `step_logits` loop over each fragment, ranking every
-//! next-package target on the raw logits.
+//! The validation top-`k` error curve equals its one-package-at-a-time
+//! reference: a cold-start `step_logits` loop (one-lane rounds) over each
+//! fragment, ranking every next-package target on the raw logits.
 //!
 //! `top_k_error_curve` runs the fragments through the time-batched forward
 //! pass in blocks of `CURVE_BLOCK_STEPS` timesteps and groups of
@@ -19,8 +19,8 @@ use icsad_simulator::AttackType;
 const MAX_K: usize = 12;
 const BLOCK: usize = TimeSeriesDetector::CURVE_BLOCK_STEPS;
 
-/// The per-record reference: what `top_k_error_curve` computed before it
-/// was time-batched.
+/// The reference, one package at a time: what `top_k_error_curve`
+/// computed before it was time-batched.
 fn reference_curve(det: &TimeSeriesDetector, fragments: &Fragments, max_k: usize) -> Vec<f64> {
     let disc = det.discretizer();
     let model = det.model();

@@ -46,7 +46,7 @@
 //!
 //! Decisions are identical to running every stream through the backend
 //! alone, one package at a time ([`icsad_core::detect_stream`]) — for the
-//! fixed-`k` framework that is a per-record
+//! fixed-`k` framework that is a
 //! [`icsad_core::CombinedDetector::classify`] loop; for the baselines, the
 //! §VIII-C window protocol over the whole stream. The batching and sharding
 //! are throughput optimizations, not semantic changes.

@@ -5,7 +5,7 @@ use rand_chacha::ChaCha12Rng;
 
 use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
 
-use crate::tensor::{axpy, gemm_panels_acc, matvec_acc, outer_dense_acc, Tensor2, Weights};
+use crate::tensor::{axpy, gemm_panels_acc, outer_dense_acc, Tensor2, Weights};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,24 +65,13 @@ impl Dense {
         }
     }
 
-    /// Computes `out = W x + b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn forward(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.b.len(), "dense output length mismatch");
-        out.copy_from_slice(&self.b);
-        matvec_acc(&self.w, x, out);
-    }
-
     /// Batched projection: computes `out[b] = W x[b] + b` for every lane of
     /// a `batch x input_dim` block into a `batch x output_dim` block, as one
     /// register-blocked matrix–matrix product (the projection input is a
     /// dense hidden activation) over the weights' panel-major copy
-    /// ([`crate::tensor::Weights::panels`], packed on first use). Results
-    /// compare equal to per-lane [`Dense::forward`]. Inference and the
-    /// training forward pass both call this.
+    /// ([`crate::tensor::Weights::panels`], packed on first use). It is the
+    /// head's one forward: inference and the training forward pass both
+    /// call it.
     ///
     /// # Panics
     ///
@@ -138,6 +127,18 @@ impl DenseGrad {
     pub(crate) fn zero(&mut self) {
         self.w.zero();
         self.b.fill(0.0);
+    }
+}
+
+#[cfg(test)]
+impl Dense {
+    /// The head's per-record reference: `out = W x + b` for one row, over
+    /// the row-major weights through the zero-skipping kernel — not the
+    /// panel product [`Dense::forward_batch`] runs, so the two check each
+    /// other.
+    pub(crate) fn forward(&self, x: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(&self.b);
+        crate::tensor::gemm_acc(1, x, &self.w, out);
     }
 }
 

@@ -10,18 +10,19 @@
 //! (ARCHITECTURE.md, "Offline vendoring"), so this crate implements the
 //! whole stack:
 //!
-//! * [`tensor`] — a minimal `f32` matrix plus the vector/matrix kernels an
-//!   LSTM needs,
+//! * [`tensor`] — a minimal `f32` matrix plus the batched kernels an LSTM
+//!   needs,
 //! * [`LstmLayer`] — one LSTM layer with full backpropagation through time,
 //! * [`Dense`] — the projection onto signature logits,
 //! * [`loss`] — numerically stable softmax cross-entropy and top-k ranks,
-//! * [`LstmClassifier`] — the stacked network with streaming (stateful)
-//!   prediction for online detection, plus (de)serialization,
+//! * [`LstmClassifier`] — the stacked network and its one batched forward,
+//!   which steps any number of streams (stateful, one package each) for
+//!   online detection and whole minibatches for training, plus
+//!   (de)serialization,
 //! * [`Adam`] — the Adam optimizer,
 //! * [`Trainer`] — truncated-BPTT training over variable-length sequences
-//!   with deterministic data-parallel gradient accumulation on the
-//!   `icsad-runtime` worker pool (bit-identical weights for any worker
-//!   count).
+//!   with deterministic data-parallel gradient accumulation on scoped
+//!   threads (bit-identical weights for any worker count).
 //!
 //! # Examples
 //!

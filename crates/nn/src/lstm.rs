@@ -20,7 +20,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::activations::{sigmoid_deriv_from_output, tanh_deriv_from_output};
 use crate::tensor::{
-    axpy, gemm_acc, gemm_panels_acc, grow, matvec_acc, outer_acc, outer_dense_acc, Tensor2, Weights,
+    axpy, gemm_acc, gemm_panels_acc, grow, outer_acc, outer_dense_acc, Tensor2, Weights,
 };
 
 /// One LSTM layer's parameters.
@@ -42,15 +42,12 @@ pub struct LstmGrad {
 }
 
 /// The recurrent state `(h, c)` of one layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmState {
     /// Hidden output vector.
     pub h: Vec<f32>,
     /// Cell state vector.
     pub c: Vec<f32>,
-    /// Reusable gate-preactivation scratch for [`LstmLayer::forward`]
-    /// (sized on first use), so stepping a lane allocates nothing.
-    z: Vec<f32>,
 }
 
 impl LstmState {
@@ -59,17 +56,7 @@ impl LstmState {
         LstmState {
             h: vec![0.0; hidden_dim],
             c: vec![0.0; hidden_dim],
-            z: Vec::new(),
         }
-    }
-}
-
-impl PartialEq for LstmState {
-    /// State identity is `(h, c)` only — the gate scratch is transient
-    /// (dead outside one `forward` call) and must not distinguish states
-    /// that stepped through different code paths.
-    fn eq(&self, other: &Self) -> bool {
-        self.h == other.h && self.c == other.c
     }
 }
 
@@ -278,30 +265,6 @@ impl LstmLayer {
         }
     }
 
-    /// Advances the state by one timestep and writes `h_t` into `out_h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on dimension mismatch.
-    pub fn forward(&self, x: &[f32], state: &mut LstmState, out_h: &mut [f32]) {
-        let hd = self.hidden_dim;
-        debug_assert_eq!(x.len(), self.input_dim);
-        debug_assert_eq!(out_h.len(), hd);
-
-        // z = W x + U h_prev + b, built in the state's reusable scratch so
-        // a steady-state step performs zero heap allocations.
-        let LstmState { h, c, z } = state;
-        z.resize(4 * hd, 0.0);
-        z.copy_from_slice(&self.b);
-        matvec_acc(&self.w, x, z);
-        matvec_acc(&self.u, h, z);
-
-        // Gate nonlinearities and the cell update: the batched path's
-        // kernel on one row, so per-record ≡ batched stays bitwise.
-        icsad_simd::lstm_rows_f32(hd, z, c, h, None);
-        out_h.copy_from_slice(h);
-    }
-
     /// Forward pass over a whole schedule, recording the tape for
     /// [`LstmLayer::backward_batch`] — the layer's one batched forward:
     /// training, the validation curve and every engine round (a
@@ -314,8 +277,8 @@ impl LstmLayer {
     /// half walks time. Per gate element every input-projection
     /// contribution precedes every recurrent contribution, each in
     /// ascending index order — exactly the order of stepping one timestep
-    /// at a time, so each lane's activations are bitwise those of
-    /// [`LstmLayer::forward`] on that lane alone.
+    /// at a time, so each lane's activations are bitwise those of stepping
+    /// that lane alone (the tests hold it to a per-record reference step).
     ///
     /// Lanes start from the zero state, or with `init = Some((h, c))` from
     /// the rows of `h` and `c` (`lanes x H`, at least `max_lanes()` rows)
@@ -533,6 +496,23 @@ impl LstmGrad {
 }
 
 #[cfg(test)]
+impl LstmLayer {
+    /// The per-record reference step the batched forward is tested
+    /// against: advances `state` by one timestep and writes `h_t` into
+    /// `out_h`. Both products run through the zero-skipping row-major
+    /// kernel one row at a time — not the panel product
+    /// [`LstmLayer::forward_schedule`] runs for `U h` — so a bug in the
+    /// batched step cannot hide on both sides of the comparison.
+    pub(crate) fn forward(&self, x: &[f32], state: &mut LstmState, out_h: &mut [f32]) {
+        let mut z = self.b.clone();
+        gemm_acc(1, x, &self.w, &mut z);
+        gemm_acc(1, &state.h, &self.u, &mut z);
+        icsad_simd::lstm_rows_f32(self.hidden_dim, &mut z, &mut state.c, &mut state.h, None);
+        out_h.copy_from_slice(&state.h);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand_chacha::rand_core::SeedableRng;
@@ -610,9 +590,9 @@ mod tests {
     }
 
     /// Every lane of a ragged schedule, and the one-timestep rounds that
-    /// carry a lane on from its `(h, c)` rows, equals [`LstmLayer::forward`]
-    /// on that lane alone — at a width past the gemm's k block, on inputs
-    /// mixing zeros, ones and reals.
+    /// carry a lane on from its `(h, c)` rows, equals the reference step
+    /// [`LstmLayer::forward`] on that lane alone — at a width past the
+    /// gemm's k block, on inputs mixing zeros, ones and reals.
     #[test]
     fn forward_schedule_matches_streaming_forward_bitwise() {
         let (dim, hd) = (5, 40);

@@ -100,17 +100,28 @@ impl Gradients {
 
 /// Streaming state for online (stateful) prediction: one `(h, c)` pair per
 /// layer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StreamState {
     layers: Vec<LstmState>,
-    /// Scratch buffers reused across steps.
-    scratch: Vec<Vec<f32>>,
+    /// The buffers of the one-lane round [`LstmClassifier::step_logits`]
+    /// runs: empty until it first runs, so a stream that only ever steps in
+    /// gathered rounds (an engine lane) holds its `(h, c)` and nothing else.
+    round: ForwardScratch,
 }
 
 impl StreamState {
     /// The per-layer recurrent `(h, c)` states, bottom layer first.
     pub fn layer_states(&self) -> &[LstmState] {
         &self.layers
+    }
+
+    /// Zeroes every layer's `(h, c)` in place: the cold-start state
+    /// [`LstmClassifier::new_state`] builds, without allocating.
+    pub fn reset(&mut self) {
+        for layer in &mut self.layers {
+            layer.h.fill(0.0);
+            layer.c.fill(0.0);
+        }
     }
 }
 
@@ -306,22 +317,22 @@ impl LstmClassifier {
                 .iter()
                 .map(|&h| LstmState::zeros(h))
                 .collect(),
-            scratch: self
-                .config
-                .hidden_dims
-                .iter()
-                .map(|&h| vec![0.0; h])
-                .collect(),
+            round: ForwardScratch::default(),
         }
     }
 
     /// Feeds one input vector through the network, updating the streaming
-    /// state and writing the raw class logits into `out` (no softmax): the
-    /// per-record reference every batched path is checked against. Softmax
-    /// is strictly monotone, so top-`k` membership and ranks computed on
-    /// logits equal those computed on probabilities — detection skips
-    /// `num_classes` exponentials per package, and a caller that wants the
-    /// distribution applies [`crate::activations::softmax_in_place`] itself.
+    /// state and writing the raw class logits into `out` (no softmax).
+    /// Softmax is strictly monotone, so top-`k` membership and ranks
+    /// computed on logits equal those computed on probabilities — detection
+    /// skips `num_classes` exponentials per package, and a caller that wants
+    /// the distribution applies [`crate::activations::softmax_in_place`]
+    /// itself.
+    ///
+    /// This is a one-lane round of the gathered step
+    /// ([`LstmClassifier::forward_batch_gathered_logits`]) on buffers the
+    /// state owns: gather, step, scatter. It allocates on its first call
+    /// only.
     ///
     /// # Panics
     ///
@@ -329,19 +340,11 @@ impl LstmClassifier {
     pub fn step_logits(&self, state: &mut StreamState, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.config.input_dim, "input dim mismatch");
         assert_eq!(out.len(), self.config.num_classes, "probs len mismatch");
-        let num_layers = self.layers.len();
-        for l in 0..num_layers {
-            if l == 0 {
-                let h_out = &mut state.scratch[0];
-                self.layers[0].forward(x, &mut state.layers[0], h_out);
-            } else {
-                // scratch[l-1] (the previous layer's output) and scratch[l]
-                // are disjoint borrows.
-                let (below, at) = state.scratch.split_at_mut(l);
-                self.layers[l].forward(&below[l - 1], &mut state.layers[l], &mut at[0]);
-            }
-        }
-        self.dense.forward(&state.scratch[num_layers - 1], out);
+        let mut round = std::mem::take(&mut state.round);
+        self.gather_lane(&mut round, 0, state);
+        self.forward_batch_gathered_logits(&mut round, 1, x, out);
+        self.scatter_lane(&round, 0, state);
+        state.round = round;
     }
 
     /// Fresh (empty) scratch for the gathered step
@@ -397,7 +400,8 @@ impl LstmClassifier {
     /// the row-major `batch x num_classes` output block; row `i` belongs to
     /// the lane gathered into row `i`. After
     /// [`LstmClassifier::scatter_lane`] each lane's state and logits are
-    /// bit-identical to calling [`LstmClassifier::step_logits`] on it alone.
+    /// bit-identical to stepping it alone, in a round of one
+    /// ([`LstmClassifier::step_logits`]).
     ///
     /// # Panics
     ///
@@ -438,20 +442,19 @@ impl LstmClassifier {
         self.dense.forward_batch(batch, top_out, logits);
     }
 
-    /// Time-batched twin of [`LstmClassifier::step_logits`]: runs every
-    /// lane of `sched` through the stack and the head and returns the raw
-    /// logits, `total x num_classes` in schedule order (row
-    /// [`LaneSchedule::row`]`(t, i)` is lane `i`'s prediction after its
-    /// `t`-th input). It is the one batched forward: training
-    /// ([`LstmClassifier::train_batch`]), the validation top-`k` curve and,
-    /// one timestep at a time, every engine round
+    /// The one batched forward: runs every lane of `sched` through the
+    /// stack and the head and returns the raw logits, `total x num_classes`
+    /// in schedule order (row [`LaneSchedule::row`]`(t, i)` is lane `i`'s
+    /// prediction after its `t`-th input). Training ([`LstmClassifier::train_batch`]), the
+    /// validation top-`k` curve and, one timestep at a time, every engine
+    /// round and every [`LstmClassifier::step_logits`]
     /// ([`LstmClassifier::forward_batch_gathered_logits`]) run it.
     ///
     /// `x_cat` is the concatenated `total x input_dim` input block in
     /// schedule order. Per layer the input projection runs as one gemm
     /// over every row and only the recurrent half walks time; the head is
     /// one gemm over every row. Each row compares equal to stepping its
-    /// lane alone through [`LstmClassifier::step_logits`].
+    /// lane alone, one timestep at a time.
     ///
     /// Lanes start from the zero state (`resume = false`), or from the
     /// state the previous call on `scratch` left them in (`resume =
@@ -819,13 +822,26 @@ mod tests {
         }
     }
 
+    /// The per-record reference step every batched forward is held to: the
+    /// layers' and the head's one-row forwards
+    /// ([`LstmLayer::forward`], [`Dense::forward`]), chained.
+    fn reference_step(model: &LstmClassifier, state: &mut StreamState, x: &[f32], out: &mut [f32]) {
+        let mut input = x.to_vec();
+        for (layer, lane) in model.layers.iter().zip(&mut state.layers) {
+            let mut h = vec![0.0; layer.hidden_dim()];
+            layer.forward(&input, lane, &mut h);
+            input = h;
+        }
+        model.dense.forward(&input, out);
+    }
+
     /// Summed cross-entropy of a cold-start pass over `lane`.
     fn lane_loss(model: &LstmClassifier, lane: &[(Vec<f32>, usize)]) -> f32 {
         let mut state = model.new_state();
         let mut logits = vec![0.0; model.num_classes()];
         lane.iter()
             .map(|(x, target)| {
-                model.step_logits(&mut state, x, &mut logits);
+                reference_step(model, &mut state, x, &mut logits);
                 softmax_cross_entropy(&mut logits, *target)
             })
             .sum()
@@ -986,8 +1002,9 @@ mod tests {
         assert_eq!(packed.clone().packed_bytes(), packed.packed_bytes());
     }
 
-    /// Two lanes stepped batched must equal each lane stepped alone, bit
-    /// for bit, on `model`'s current weights.
+    /// Two lanes stepped batched, and each lane stepped alone through
+    /// `step_logits`, must equal the reference step bit for bit, on
+    /// `model`'s current weights.
     fn assert_batched_equals_streaming(model: &LstmClassifier) {
         let dim = model.config().input_dim;
         let nc = model.num_classes();
@@ -1001,11 +1018,17 @@ mod tests {
         model.forward_batch_gathered_logits(&mut scratch, 2, &xs, &mut logits);
         for (i, state) in states.iter_mut().enumerate() {
             model.scatter_lane(&scratch, i, state);
+            let x = &xs[i * dim..(i + 1) * dim];
             let mut reference = model.new_state();
             let mut single = vec![0.0f32; nc];
-            model.step_logits(&mut reference, &xs[i * dim..(i + 1) * dim], &mut single);
+            reference_step(model, &mut reference, x, &mut single);
             assert_eq!(&logits[i * nc..(i + 1) * nc], single.as_slice(), "lane {i}");
             assert_eq!(state.layers, reference.layers, "lane {i}");
+            let mut alone = model.new_state();
+            let mut stepped = vec![0.0f32; nc];
+            model.step_logits(&mut alone, x, &mut stepped);
+            assert_eq!(stepped, single, "lane {i} alone");
+            assert_eq!(alone.layers, reference.layers, "lane {i} alone");
         }
     }
 
@@ -1173,11 +1196,13 @@ mod tests {
 
         // Lanes 0 and 2 stay untouched; lanes 1 and 3 advanced identically
         // (identical inputs), matching a single-lane reference.
-        assert_eq!(states[0], model.new_state());
-        assert_eq!(states[2], model.new_state());
+        assert_eq!(states[0].layers, model.new_state().layers);
+        assert_eq!(states[2].layers, model.new_state().layers);
         let mut reference = model.new_state();
         let mut single = vec![0.0f32; nc];
         model.step_logits(&mut reference, &vec![0.5f32; dim], &mut single);
+        // Only `step_logits` grows a state's own round buffers.
+        assert_eq!((states[1].round.rows(), reference.round.rows()), (0, 1));
         assert_eq!(states[1].layers, reference.layers);
         assert_eq!(states[3].layers, reference.layers);
         assert_eq!(&logits[..nc], single.as_slice());
@@ -1185,9 +1210,9 @@ mod tests {
     }
 
     /// The time-batched forward, walked in three-step blocks with `(h, c)`
-    /// carried from block to block, gives every row the logits of stepping
-    /// its lane alone — before, at and after each block boundary — in
-    /// buffers the size of one block.
+    /// carried from block to block, gives every row the logits of the
+    /// reference step on its lane alone — before, at and after each block
+    /// boundary — in buffers the size of one block.
     #[test]
     fn forward_schedule_equals_step_logits_across_blocks() {
         const BLOCK: usize = 3;
@@ -1229,7 +1254,7 @@ mod tests {
                 let logits = model.forward_schedule(&sched, &x_cat, &mut scratch, t0 > 0);
                 for t in 0..sched.steps() {
                     for (i, state) in states[..sched.lanes_at(t)].iter_mut().enumerate() {
-                        model.step_logits(state, &input(i, t0 + t), &mut single);
+                        reference_step(&model, state, &input(i, t0 + t), &mut single);
                         let r = sched.row(t, i);
                         assert_eq!(
                             &logits[r * nc..(r + 1) * nc],
@@ -1260,8 +1285,8 @@ mod tests {
 
     /// A round is a one-timestep schedule on the same buffers: lanes a
     /// time-batched block left off scatter out of its last timestep, and
-    /// gathered rounds carry them on exactly as `step_logits` would — in
-    /// buffers no wider than the widest call.
+    /// gathered rounds carry them on exactly as the reference step would —
+    /// in buffers no wider than the widest call.
     #[test]
     fn rounds_continue_where_a_schedule_left_off() {
         let model = LstmClassifier::new(&small_config());
@@ -1289,7 +1314,7 @@ mod tests {
         for (i, (state, reference)) in states.iter_mut().zip(&mut references).enumerate() {
             model.scatter_lane(&scratch, i, state);
             for t in 0..3 {
-                model.step_logits(reference, &input(i, t), &mut single);
+                reference_step(&model, reference, &input(i, t), &mut single);
             }
             assert_eq!(state.layers, reference.layers, "lane {i}");
         }
@@ -1307,7 +1332,7 @@ mod tests {
             model.forward_batch_gathered_logits(&mut scratch, 2, &xs, &mut logits);
             for (i, (state, reference)) in states.iter_mut().zip(&mut references).enumerate() {
                 model.scatter_lane(&scratch, i, state);
-                model.step_logits(reference, &input(i, t), &mut single);
+                reference_step(&model, reference, &input(i, t), &mut single);
                 assert_eq!(
                     &logits[i * nc..(i + 1) * nc],
                     single.as_slice(),

@@ -1,7 +1,7 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
-//! The forward kernels — [`matvec_acc`], [`gemm_acc`], [`gemm_panels_acc`],
-//! [`axpy`] — are thin shape-checked fronts over the
+//! The forward kernels — [`gemm_acc`], [`gemm_panels_acc`], [`axpy`] — are
+//! thin shape-checked fronts over the
 //! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
 //! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
 //! detection, and every backend produces bitwise-identical results under
@@ -9,16 +9,17 @@
 //! Weights are stored row-major with the *input* dimension as rows, so
 //! `y += xᵀ·W` walks contiguous weight rows and vectorizes along the
 //! output columns only — every `y[j]` accumulates its `k` contributions in
-//! ascending order, which keeps batched ≡ per-record bit-identical.
+//! ascending order, which keeps a batch of rows bit-identical to each row
+//! run alone.
 //!
 //! A layer's parameters are [`Weights`]: the row-major [`Tensor2`] (the
 //! master copy — what is trained, serialized and compared) plus a
 //! panel-major copy of it for the batched gemm, built once per value of
 //! the weights and dropped by the only `&mut` door to the data. So there
-//! are exactly two forward products, for inference and training alike:
-//! per-record [`matvec_acc`] over the rows, batched [`gemm_panels_acc`]
-//! over the panels (one-hot stack inputs keep the zero-skipping
-//! [`gemm_acc`]). Weights move once per optimizer step and are read by
+//! is one forward product over dense inputs, for inference and training
+//! alike: [`gemm_panels_acc`] over the panels (one-hot stack inputs keep
+//! the zero-skipping [`gemm_acc`] over the rows). Weights move once per
+//! optimizer step and are read by
 //! every timestep of every gradient task in between, so the trainer packs
 //! right after the step and no product packs per call.
 //!
@@ -206,27 +207,6 @@ impl std::fmt::Debug for Weights {
     }
 }
 
-/// `y += xᵀ · w` where `w` is `(in × out)`, `x` has length `in` and `y` has
-/// length `out`.
-///
-/// Skips zero entries of `x`, which makes one-hot inputs nearly free.
-///
-/// Whether `acc + x·w` contracts into a fused multiply-add used to be a
-/// compile-time `cfg!(target_feature = "fma")` decision; it now travels
-/// with the runtime-dispatched backend ([`icsad_simd::current`]), so a
-/// portable binary on FMA hardware rounds identically on the scalar and
-/// SIMD paths (`mul_add` is correctly rounded with or without the
-/// hardware instruction).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub fn matvec_acc(w: &Tensor2, x: &[f32], y: &mut [f32]) {
-    assert_eq!(w.rows(), x.len(), "matvec_acc: input length mismatch");
-    assert_eq!(w.cols(), y.len(), "matvec_acc: output length mismatch");
-    icsad_simd::gemm_acc_f32(1, x, w.rows(), w.as_slice(), w.cols(), y);
-}
-
 /// Batched outer-product accumulate `dw += Xᵀ·dY`: `batch` row-major
 /// input rows (`batch × dw.rows()`) against `batch` gradient rows
 /// (`batch × dw.cols()`). With `batch == 1` this is the rank-1 update
@@ -287,16 +267,15 @@ pub fn outer_dense_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2, xt
     icsad_simd::gemm_dense_acc_f32(rows, xt, batch, dy, cols, dw.as_mut_slice());
 }
 
-/// Batched `matvec_acc`: `y[b] += x[b]ᵀ · w` for every row `b` of a
-/// `batch × w.rows()` input block, accumulating into a `batch × w.cols()`
-/// output block (both row-major slices).
+/// `y[b] += x[b]ᵀ · w` for every row `b` of a `batch × w.rows()` input
+/// block, accumulating into a `batch × w.cols()` output block (both
+/// row-major slices).
 ///
-/// This is the matrix–matrix product that lets `B` in-flight sequences
-/// step through a layer together. Per output element the `k` contributions
-/// are accumulated in the same ascending order as [`matvec_acc`], and zero
-/// entries of `x` are skipped identically, so results are bit-identical to
-/// `B` separate `matvec_acc` calls — on every SIMD backend, which
-/// vectorizes along the output columns only.
+/// Skips zero entries of `x`, which makes one-hot inputs nearly free: this
+/// is the product over the one-hot stack input. Per output element the `k`
+/// contributions are accumulated in ascending order, so results are
+/// bit-identical to `B` separate `gemm_acc(1, …)` calls — on every SIMD
+/// backend, which vectorizes along the output columns only.
 ///
 /// # Panics
 ///
@@ -313,7 +292,7 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// `y[b] += x[b]ᵀ · w` like [`gemm_acc`], but without the zero-skip and
 /// with the output tile held in registers across the whole `k` loop.
 ///
-/// The sparse kernel of [`matvec_acc`]/[`gemm_acc`] first lists the
+/// The sparse kernel of [`gemm_acc`] first lists the
 /// nonzero entries of each input row and then walks that list once per
 /// column chunk — right for one-hot inputs, where the list is a few
 /// entries long, but a wasted compare-and-list pass for dense inputs
@@ -327,8 +306,8 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// the training forward pass share this one batched product.
 ///
 /// Per output element the `k` contributions are still accumulated in one
-/// ascending chain, so results compare equal (`f32 ==`) to per-lane
-/// [`matvec_acc`]; including `xi == 0` terms can only flip the sign of a
+/// ascending chain, so results compare equal (`f32 ==`) to per-row
+/// [`gemm_acc`]; including `xi == 0` terms can only flip the sign of a
 /// zero, which `==` and every downstream consumer treat identically.
 ///
 /// # Panics
@@ -367,28 +346,28 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_manual() {
+    fn gemm_row_matches_manual() {
         let w = w23();
         let mut y = vec![0.0; 3];
-        matvec_acc(&w, &[10.0, 100.0], &mut y);
+        gemm_acc(1, &[10.0, 100.0], &w, &mut y);
         assert_eq!(y, vec![410.0, 520.0, 630.0]);
     }
 
     #[test]
-    fn matvec_accumulates() {
+    fn gemm_row_accumulates() {
         let w = w23();
         let mut y = vec![1.0; 3];
-        matvec_acc(&w, &[1.0, 0.0], &mut y);
+        gemm_acc(1, &[1.0, 0.0], &w, &mut y);
         assert_eq!(y, vec![2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn matvec_skips_zeros_correctly() {
+    fn gemm_row_skips_zeros_correctly() {
         let w = w23();
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 3];
-        matvec_acc(&w, &[0.0, 2.5], &mut a);
-        matvec_acc(&w, &[1e-30, 2.5], &mut b);
+        gemm_acc(1, &[0.0, 2.5], &w, &mut a);
+        gemm_acc(1, &[1e-30, 2.5], &w, &mut b);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-3);
         }
@@ -457,7 +436,7 @@ mod tests {
         let x = [0.3f32, -1.2];
         let y = [2.0f32, -0.5, 0.25];
         let mut wx = vec![0.0; 3];
-        matvec_acc(&w, &x, &mut wx);
+        gemm_acc(1, &x, &w, &mut wx);
         let mut wty = vec![0.0; 2];
         icsad_simd::gemm_panels_acc_f32(1, &y, &wt, &mut wty);
         let lhs: f32 = wx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
@@ -488,11 +467,11 @@ mod tests {
     fn dimension_mismatch_panics() {
         let w = w23();
         let mut y = vec![0.0; 2];
-        matvec_acc(&w, &[1.0, 2.0], &mut y);
+        gemm_acc(1, &[1.0, 2.0], &w, &mut y);
     }
 
     #[test]
-    fn gemm_matches_per_row_matvec_bitwise() {
+    fn gemm_matches_per_row_gemm_bitwise() {
         // 80 input rows > the internal k block, 7 lanes, mixed zeros/ones.
         let w = Tensor2::from_vec(
             80,
@@ -512,13 +491,13 @@ mod tests {
         gemm_acc(7, &x, &w, &mut batched);
         for b in 0..7 {
             let mut single = vec![0.25f32; 5];
-            matvec_acc(&w, &x[b * 80..(b + 1) * 80], &mut single);
+            gemm_acc(1, &x[b * 80..(b + 1) * 80], &w, &mut single);
             assert_eq!(&batched[b * 5..(b + 1) * 5], single.as_slice(), "lane {b}");
         }
     }
 
     #[test]
-    fn gemm_panels_matches_per_row_matvec_and_repacks_after_a_write() {
+    fn gemm_panels_matches_per_row_gemm_and_repacks_after_a_write() {
         // 37 outputs: one full panel plus a ragged one; 6 lanes: one
         // partial lane tile.
         let mut w = Weights::new(Tensor2::from_vec(
@@ -541,7 +520,7 @@ mod tests {
             gemm_panels_acc(6, &x, w, &mut batched);
             for b in 0..6 {
                 let mut single = reference[b * 37..(b + 1) * 37].to_vec();
-                matvec_acc(w, &x[b * 70..(b + 1) * 70], &mut single);
+                gemm_acc(1, &x[b * 70..(b + 1) * 70], w, &mut single);
                 assert_eq!(
                     &batched[b * 37..(b + 1) * 37],
                     single.as_slice(),

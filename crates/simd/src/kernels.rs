@@ -32,8 +32,9 @@ const K_BLOCK: usize = 64;
 
 /// `y[b] += x[b]ᵀ·W` for every batch row, skipping zero entries of `x`
 /// (and taking an exact plain-add path for ones, which rounds identically
-/// under both FMA policies). This is the one-hot / sparse kernel; with
-/// `batch == 1` it is the per-record `matvec_acc`.
+/// under both FMA policies). This is the one-hot / sparse kernel: the
+/// LSTM's input product over the one-hot stack input, every row of a batch
+/// independent of the others.
 ///
 /// The `k` loop is blocked ([`K_BLOCK`]) so a block of weight rows stays
 /// cache-resident across all batch rows. Per batch row and block, one

@@ -437,9 +437,9 @@ use dispatch::dispatch_f32;
 
 /// `y[b] += x[b]ᵀ·W` for `batch` row-major lanes over a `k_dim × n`
 /// row-major weight matrix, skipping zero entries of `x` (one-hot inputs
-/// are nearly free). With `batch == 1` this is the per-record
-/// matrix–vector product; per output element the `k` contributions
-/// accumulate in ascending order on every backend.
+/// are nearly free). Rows are independent: per output element the `k`
+/// contributions accumulate in ascending order on every backend, so a row
+/// gives the same bits in a batch of any size.
 ///
 /// Per batch row and block of 64 `k`, one vector compare per vector of
 /// `x` lists the entries that are not `±0` (NaN is kept), and each column
@@ -691,7 +691,8 @@ pub fn axpy_f32_with(sel: Selection, a: f32, x: &[f32], y: &mut [f32]) {
 /// sigmoid on the `i`, `f` and `o` blocks and tanh on the `g` block of
 /// row `r` of `z` (`n × 4hd`, `[i, f, o, g]`, activated in place), then
 /// [`lstm_cell_f32`] on row `r` of `c`, `h` and `tc` (each `n × hd`). The
-/// one gate-and-cell kernel of the per-record and the batched LSTM step;
+/// one gate-and-cell kernel of the batched LSTM step (and of the tests'
+/// one-row reference step);
 /// per element it is [`math::sigmoid`]/[`math::tanh`] and the cell update
 /// on every backend.
 ///

@@ -9,9 +9,12 @@
 //!   both endiannesses × microsecond/nanosecond timestamps), 16-byte
 //!   per-record headers;
 //! * **pcapng** — Section Header Block (which fixes the byte order),
-//!   Interface Description Blocks (link type), Enhanced Packet Blocks
-//!   (64-bit timestamps, microsecond resolution assumed); other block
-//!   types are skipped, as the format intends.
+//!   Interface Description Blocks (one link type per interface), Enhanced
+//!   Packet Blocks (the interface they arrived on, 64-bit timestamps,
+//!   microsecond resolution assumed); other block types are skipped, as
+//!   the format intends. A packet on a non-Ethernet interface is an
+//!   [`PcapError::UnsupportedLinkType`] error, like a classic capture of
+//!   that link type.
 //!
 //! Malformed input is a value, not a panic: every structural violation
 //! maps to a [`PcapError`], and the robustness proptests drive arbitrary
@@ -35,10 +38,11 @@ pub enum PcapError {
     /// Neither a classic pcap magic nor a pcapng section header.
     BadMagic,
     /// A record or block length field is inconsistent (zero-sized block,
-    /// length smaller than its own header, packet past the image end).
+    /// length smaller than its own header, packet past the image end), or
+    /// a pcapng packet names an interface not described before it.
     BadLength,
-    /// The capture's link type is not Ethernet (the only layout the
-    /// replay layer decapsulates).
+    /// The capture's (or a pcapng packet's interface's) link type is not
+    /// Ethernet (the only layout the replay layer decapsulates).
     UnsupportedLinkType(u32),
 }
 
@@ -80,6 +84,9 @@ pub struct PcapReader<'a> {
     offset: usize,
     format: Format,
     link_type: u32,
+    /// pcapng: the link type of every interface described so far in the
+    /// current section, indexed by interface id.
+    interfaces: Vec<u32>,
 }
 
 fn u16_at(data: &[u8], off: usize, swapped: bool) -> Result<u16, PcapError> {
@@ -142,6 +149,7 @@ impl<'a> PcapReader<'a> {
                         ts_divisor: if nanos { 1e9 } else { 1e6 },
                     },
                     link_type,
+                    interfaces: Vec::new(),
                 })
             }
             // pcapng Section Header Block.
@@ -160,9 +168,12 @@ impl<'a> PcapReader<'a> {
                     data,
                     offset: block_len,
                     format: Format::PcapNg { swapped },
-                    // Fixed once the first Interface Description Block
-                    // arrives; EPBs before any IDB are a BadLength error.
+                    // The first interface's, once `validate_first_idb`
+                    // finds it.
                     link_type: u32::MAX,
+                    // Filled as `next_ng` reaches each IDB, so an EPB
+                    // before the IDB of its interface is a BadLength error.
+                    interfaces: Vec::new(),
                 };
                 reader.validate_first_idb()?;
                 Ok(reader)
@@ -199,7 +210,8 @@ impl<'a> PcapReader<'a> {
         Ok(())
     }
 
-    /// The capture's link type (`LINKTYPE_ETHERNET` once opened).
+    /// The capture's link type (`LINKTYPE_ETHERNET` once opened; for
+    /// pcapng, the first interface's).
     pub fn link_type(&self) -> u32 {
         self.link_type
     }
@@ -260,32 +272,43 @@ impl<'a> PcapReader<'a> {
             }
             let body = self.offset + 8;
             self.offset += block_len;
-            // Enhanced Packet Block; every other block type (IDB already
-            // validated at open, statistics, custom) is skipped.
-            if block_type == 6 {
-                if self.link_type == u32::MAX {
-                    return Err(PcapError::BadLength);
+            match block_type {
+                // A new section numbers its interfaces from 0 again.
+                0x0A0D_0D0A => self.interfaces.clear(),
+                // Interface Description Block: interface ids count them.
+                1 => self
+                    .interfaces
+                    .push(u32::from(u16_at(self.data, body, swapped)?)),
+                // Enhanced Packet Block; every other block type
+                // (statistics, custom) is skipped.
+                6 => {
+                    let interface = u32_at(self.data, body, swapped)? as usize;
+                    let link_type = *self.interfaces.get(interface).ok_or(PcapError::BadLength)?;
+                    if link_type != LINKTYPE_ETHERNET {
+                        return Err(PcapError::UnsupportedLinkType(link_type));
+                    }
+                    let ts_high = u32_at(self.data, body + 4, swapped)?;
+                    let ts_low = u32_at(self.data, body + 8, swapped)?;
+                    let captured = u32_at(self.data, body + 12, swapped)? as usize;
+                    let data_start = body + 20;
+                    let data_end = data_start
+                        .checked_add(captured)
+                        .ok_or(PcapError::BadLength)?;
+                    // Packet data is padded to 4 bytes inside the block.
+                    if data_end > self.offset - 4 {
+                        return Err(PcapError::BadLength);
+                    }
+                    let data = self
+                        .data
+                        .get(data_start..data_end)
+                        .ok_or(PcapError::Truncated)?;
+                    let micros = (u64::from(ts_high) << 32) | u64::from(ts_low);
+                    return Ok(Some(CapturedPacket {
+                        time: micros as f64 / 1e6,
+                        data,
+                    }));
                 }
-                let ts_high = u32_at(self.data, body + 4, swapped)?;
-                let ts_low = u32_at(self.data, body + 8, swapped)?;
-                let captured = u32_at(self.data, body + 12, swapped)? as usize;
-                let data_start = body + 20;
-                let data_end = data_start
-                    .checked_add(captured)
-                    .ok_or(PcapError::BadLength)?;
-                // Packet data is padded to 4 bytes inside the block.
-                if data_end > self.offset - 4 {
-                    return Err(PcapError::BadLength);
-                }
-                let data = self
-                    .data
-                    .get(data_start..data_end)
-                    .ok_or(PcapError::Truncated)?;
-                let micros = (u64::from(ts_high) << 32) | u64::from(ts_low);
-                return Ok(Some(CapturedPacket {
-                    time: micros as f64 / 1e6,
-                    data,
-                }));
+                _ => {}
             }
         }
         Ok(None)
@@ -332,6 +355,108 @@ mod tests {
         image.truncate(image.len() - 7);
         let mut reader = PcapReader::new(&image).unwrap();
         assert_eq!(reader.next().unwrap_err(), PcapError::Truncated);
+    }
+
+    /// A little-endian pcapng block: type, length, body, length.
+    fn block(block_type: u32, body: &[u8]) -> Vec<u8> {
+        let len = (12 + body.len()) as u32;
+        let mut out = block_type.to_le_bytes().to_vec();
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(body);
+        out.extend_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    fn shb() -> Vec<u8> {
+        let mut body = 0x1A2B_3C4Du32.to_le_bytes().to_vec();
+        body.extend_from_slice(&[1, 0, 0, 0]); // version 1.0
+        body.extend_from_slice(&u64::MAX.to_le_bytes()); // length unknown
+        block(0x0A0D_0D0A, &body)
+    }
+
+    fn idb(link_type: u16) -> Vec<u8> {
+        let mut body = link_type.to_le_bytes().to_vec();
+        body.extend_from_slice(&[0, 0]);
+        body.extend_from_slice(&65_535u32.to_le_bytes());
+        block(1, &body)
+    }
+
+    fn epb(interface: u32, micros: u64, data: &[u8]) -> Vec<u8> {
+        let mut body = interface.to_le_bytes().to_vec();
+        body.extend_from_slice(&((micros >> 32) as u32).to_le_bytes());
+        body.extend_from_slice(&(micros as u32).to_le_bytes());
+        body.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        body.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        body.extend_from_slice(data);
+        body.resize(body.len().next_multiple_of(4), 0);
+        block(6, &body)
+    }
+
+    #[test]
+    fn pcapng_round_trips_borrowed_packets() {
+        let image = [
+            shb(),
+            idb(1),
+            epb(0, 1_250_000, &[0xAB; 61]),
+            block(5, &[0; 8]), // a statistics block, skipped
+            epb(0, 2_500_000, &[0xCD; 42]),
+        ]
+        .concat();
+        let mut reader = PcapReader::new(&image).unwrap();
+        assert_eq!(reader.link_type(), LINKTYPE_ETHERNET);
+        let first = reader.next().unwrap().unwrap();
+        assert_eq!(first.data, &[0xAB; 61][..]);
+        assert_eq!(first.time, 1.25);
+        let image_range = image.as_ptr() as usize..image.as_ptr() as usize + image.len();
+        assert!(image_range.contains(&(first.data.as_ptr() as usize)));
+        let second = reader.next().unwrap().unwrap();
+        assert_eq!(second.data, &[0xCD; 42][..]);
+        assert_eq!(second.time, 2.5);
+        assert!(reader.next().unwrap().is_none());
+    }
+
+    #[test]
+    fn pcapng_packet_on_a_non_ethernet_interface_is_rejected() {
+        // LINKTYPE_LINUX_SLL on the second interface: the first
+        // interface's packets decode, then the SLL packet is refused
+        // instead of being decoded as Ethernet.
+        let image = [
+            shb(),
+            idb(1),
+            idb(113),
+            epb(0, 1_000_000, &[0x11; 60]),
+            epb(1, 2_000_000, &[0x22; 60]),
+        ]
+        .concat();
+        let mut reader = PcapReader::new(&image).unwrap();
+        assert_eq!(reader.next().unwrap().unwrap().data, &[0x11; 60][..]);
+        assert_eq!(
+            reader.next().unwrap_err(),
+            PcapError::UnsupportedLinkType(113)
+        );
+        // A non-Ethernet first interface still fails at open.
+        let sll_first = [shb(), idb(113), idb(1)].concat();
+        assert_eq!(
+            PcapReader::new(&sll_first).unwrap_err(),
+            PcapError::UnsupportedLinkType(113)
+        );
+    }
+
+    #[test]
+    fn pcapng_packet_before_its_interface_is_bad_length() {
+        // The open-time scan finds the later IDB; the EPB still comes
+        // before any interface is described.
+        let early = [shb(), epb(0, 0, &[0; 60]), idb(1)].concat();
+        let mut reader = PcapReader::new(&early).unwrap();
+        assert_eq!(reader.next().unwrap_err(), PcapError::BadLength);
+        // Interface 1 is never described.
+        let unknown = [shb(), idb(1), epb(1, 0, &[0; 60])].concat();
+        let mut reader = PcapReader::new(&unknown).unwrap();
+        assert_eq!(reader.next().unwrap_err(), PcapError::BadLength);
+        // A second section numbers its interfaces afresh.
+        let resectioned = [shb(), idb(1), shb(), epb(0, 0, &[0; 60])].concat();
+        let mut reader = PcapReader::new(&resectioned).unwrap();
+        assert_eq!(reader.next().unwrap_err(), PcapError::BadLength);
     }
 
     #[test]

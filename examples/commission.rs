@@ -104,8 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TrafficConfig::default()
     });
     let live = extract_records(&monitor.generate(2_000), DEFAULT_CRC_WINDOW);
-    let original = detector.classify_stream(&live);
-    let reloaded = restored.classify_stream(&live);
+    let original = detector.classify_streams(&[&live]).concat();
+    let reloaded = restored.classify_streams(&[&live]).concat();
     assert_eq!(
         original, reloaded,
         "round-tripped detector must make bit-identical decisions"

@@ -144,7 +144,7 @@ fn framework_recall_dominates_isolation_forest() {
         },
     )
     .unwrap();
-    let levels = trained.detector.classify_stream(split.test());
+    let levels = trained.detector.classify_streams(&[split.test()]).concat();
     let test = Windows::over(split.test(), 4);
     let mut framework = ClassificationReport::default();
     for (i, w) in test.iter().enumerate() {

@@ -57,7 +57,7 @@ fn full_framework_end_to_end() {
     let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
 
     // Streaming and batch classification agree.
-    let levels = trained.detector.classify_stream(split.test());
+    let levels = trained.detector.classify_streams(&[split.test()]).concat();
     let report = trained.detector.evaluate(split.test());
     let flagged = levels.iter().filter(|l| l.is_anomalous()).count() as u64;
     assert_eq!(flagged, report.confusion.tp + report.confusion.fp);
@@ -71,7 +71,7 @@ fn full_framework_end_to_end() {
 fn package_level_and_combined_are_consistent() {
     let split = small_split(2);
     let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
-    let levels = trained.detector.classify_stream(split.test());
+    let levels = trained.detector.classify_streams(&[split.test()]).concat();
     for (r, level) in split.test().iter().zip(levels.iter()) {
         let bloom_says = trained.detector.package_level().is_anomalous(r);
         assert_eq!(
