@@ -64,10 +64,9 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "engine up: {} shards as {} mode on {} ingest thread(s) \
+        "engine up: {} shards on a pool of {} ingest thread(s) \
          (available_parallelism {cores})",
         engine.num_shards(),
-        engine.ingest_mode(),
         engine.ingest_threads(),
     );
     assert!(
@@ -124,11 +123,8 @@ fn main() {
         IDLE
     );
     println!(
-        "  runtime: mode={} threads={} polls={} blocked_pushes={}",
-        report.runtime.mode,
-        report.runtime.ingest_threads,
-        report.runtime.polls,
-        report.runtime.blocked_pushes
+        "  runtime: threads={} polls={} blocked_pushes={}",
+        report.runtime.ingest_threads, report.runtime.polls, report.runtime.blocked_pushes
     );
     // Rounds sweep the active-lane list, not every lane: with the idle
     // fleet resident, a live shard's round visits its handful of active

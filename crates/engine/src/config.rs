@@ -1,9 +1,8 @@
-//! Engine configuration: the top-`k` mode, the ingest schedule, the
+//! Engine configuration: the top-`k` mode, the ingest pool size, the
 //! sizing knobs and their up-front validation.
 
 use icsad_core::dynamic_k::DynamicKConfig;
 use icsad_dataset::extract::DEFAULT_CRC_WINDOW;
-use icsad_runtime::TestSchedule;
 
 // Intra-doc link targets only.
 #[cfg(doc)]
@@ -24,16 +23,12 @@ pub enum EngineMode {
     AdaptiveK(DynamicKConfig),
 }
 
-/// How shard workers are scheduled (see [`EngineConfig::ingest`]).
+/// How shard workers are scheduled (see [`EngineConfig::ingest`]): one
+/// fixed worker pool, `available_parallelism` threads by default or an
+/// explicit count, capped at `num_shards` either way.
 ///
-/// Both modes drive the *same* shard tasks through the same per-shard FIFO
-/// of messages, so decisions are bit-identical across them — the second
-/// exists only so tests can replay a schedule:
-///
-/// | mode | OS threads | for |
-/// |---|---|---|
-/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` by default, or an explicit count; capped at `num_shards` either way) | production |
-/// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
+/// The pool is the only scheduler; decisions depend only on the per-shard
+/// FIFO of messages, so they are bit-identical across pool sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
     /// Cooperative shard tasks on a fixed worker pool sharing one run
@@ -46,10 +41,6 @@ pub enum IngestMode {
         /// only park.
         workers: usize,
     },
-    /// The async runtime on one thread, replaying (queued shard, poll
-    /// budget) choices from a seed — the deterministic-interleaving test
-    /// harness.
-    AsyncDeterministic(TestSchedule),
 }
 
 impl Default for IngestMode {
@@ -77,9 +68,6 @@ pub enum EngineConfigError {
     /// `crc_window` was zero: the per-stream CRC feature needs at least one
     /// frame of history.
     ZeroCrcWindow,
-    /// An [`IngestMode::AsyncDeterministic`] schedule with a zero poll
-    /// budget.
-    ZeroScheduleBudget,
     /// A zero [`EngineConfig::lane_idle_frames`] (use `None` to disable
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
@@ -101,9 +89,6 @@ impl std::fmt::Display for EngineConfigError {
                 )
             }
             EngineConfigError::ZeroCrcWindow => write!(f, "crc_window must be positive"),
-            EngineConfigError::ZeroScheduleBudget => {
-                write!(f, "deterministic schedule needs a positive poll budget")
-            }
             EngineConfigError::ZeroLaneIdleFrames => {
                 write!(
                     f,
@@ -215,11 +200,6 @@ impl EngineConfig {
         }
         if self.crc_window == 0 {
             return Err(EngineConfigError::ZeroCrcWindow);
-        }
-        if let IngestMode::AsyncDeterministic(schedule) = self.ingest {
-            if schedule.max_budget == 0 {
-                return Err(EngineConfigError::ZeroScheduleBudget);
-            }
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);

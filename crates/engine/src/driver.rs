@@ -5,7 +5,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use icsad_core::streaming::StreamingDetector;
-use icsad_runtime::{ExecStats, Executor, IngestQueue, RecycleRing, Schedule};
+use icsad_runtime::{ExecStats, Executor, IngestQueue, RecycleRing};
 
 use crate::shard::{ShardCore, ShardMsg, ShardTask};
 use crate::{EngineConfig, IngestMode, RawFrame, ShardReport};
@@ -19,7 +19,6 @@ use crate::Engine;
 pub(crate) struct IngestDriver {
     queues: Vec<Arc<IngestQueue<ShardMsg>>>,
     pub(crate) executor: Executor<ShardTask>,
-    pub(crate) mode: &'static str,
 }
 
 /// A shard's worker terminated (panicked) before the message could be
@@ -37,29 +36,16 @@ impl IngestDriver {
         processed: &Arc<AtomicU64>,
     ) -> IngestDriver {
         let num_shards = config.num_shards;
-        let (schedule, mode) = match config.ingest {
-            IngestMode::Async { workers } => {
-                // A fixed pool: `available_parallelism` by default, and
-                // never more workers than shards — a task is polled by one
-                // worker at a time, so a worker beyond the shard count
-                // could only park.
-                let workers = if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    workers
-                };
-                (
-                    Schedule::Pool {
-                        workers: workers.min(num_shards),
-                    },
-                    "async",
-                )
-            }
-            IngestMode::AsyncDeterministic(test) => {
-                (Schedule::Deterministic(test), "async-deterministic")
-            }
+        // A fixed pool: `available_parallelism` by default, and never more
+        // workers than shards — a task is polled by one worker at a time,
+        // so a worker beyond the shard count could only park.
+        let IngestMode::Async { workers } = config.ingest;
+        let workers = if workers == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            workers
         };
         let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
             .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
@@ -83,8 +69,7 @@ impl IngestDriver {
             .collect();
         IngestDriver {
             queues,
-            executor: Executor::start(tasks, schedule),
-            mode,
+            executor: Executor::start(tasks, workers.min(num_shards)),
         }
     }
 

@@ -59,10 +59,10 @@
 //! workers share one run queue, so whichever worker is free polls the
 //! next runnable shard.
 //! Decisions depend only on per-shard message order, so they are
-//! bit-identical across pool sizes and schedules — pinned by seeded
-//! deterministic-interleaving property tests
-//! ([`IngestMode::AsyncDeterministic`], the same shard tasks replayed on
-//! one thread).
+//! bit-identical across pool sizes and schedules — pinned by property tests
+//! that compare pool runs of different sizes with the per-record path, and
+//! by [`icsad_runtime::explore`], which enumerates every schedule of a
+//! small shard configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,7 +98,6 @@ use icsad_simulator::{AttackType, Packet};
 
 pub use config::{EngineConfig, EngineConfigError, EngineMode, IngestMode, MAX_CHANNEL_CAPACITY};
 pub use frame::{FrameBytes, FRAME_INLINE_CAP};
-pub use icsad_runtime::TestSchedule;
 pub use report::{EngineReport, ReloadError, RuntimeStats, ShardReport};
 
 use driver::{IngestDriver, ShardGone};
@@ -483,9 +482,8 @@ impl Engine {
     }
 
     /// OS threads the engine spawned to drive its shards: the pool size
-    /// under [`IngestMode::Async`] (`workers`, or `available_parallelism`
-    /// when it is `0`, capped at `num_shards` either way), and 1 under
-    /// [`IngestMode::AsyncDeterministic`].
+    /// of [`IngestMode::Async`] (`workers`, or `available_parallelism`
+    /// when it is `0`, capped at `num_shards` either way).
     /// The idle-stream soak test pins the engine's thread footprint with
     /// this.
     pub fn ingest_threads(&self) -> usize {
@@ -493,11 +491,6 @@ impl Engine {
             .as_ref()
             .map(|d| d.executor.threads())
             .unwrap_or(0)
-    }
-
-    /// The ingest mode: `"async"` or `"async-deterministic"`.
-    pub fn ingest_mode(&self) -> &'static str {
-        self.driver.as_ref().map(|d| d.mode).unwrap_or("finished")
     }
 
     /// The shard a single-link (link `0`) unit id is pinned to.
@@ -685,7 +678,6 @@ impl Engine {
                       a previous `finish` — unreachable"
         )]
         let driver = self.driver.take().expect("finish called once");
-        let mode = driver.mode;
         // Every send has returned (this thread is the only producer), so
         // the queues' counts are final.
         let blocked_pushes = driver.blocked_pushes();
@@ -717,7 +709,6 @@ impl Engine {
             reloads: self.reloads,
             kernel_backend: self.kernel_backend,
             runtime: RuntimeStats {
-                mode,
                 ingest_threads: stats.threads,
                 blocked_pushes,
                 steals: 0,

@@ -97,15 +97,12 @@ pub struct ShardReport {
     pub report: ClassificationReport,
 }
 
-/// Ingest-runtime accounting for one engine run: which scheduler drove the
-/// shards, on how many threads, and how hard the flow control worked.
+/// Ingest-runtime accounting for one engine run: how many threads drove
+/// the shards and how hard the flow control worked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// The ingest mode: `"async"` or `"async-deterministic"`.
-    pub mode: &'static str,
     /// OS threads the engine spawned to drive shards (excludes the caller's
-    /// ingest thread): the pool size under [`IngestMode::Async`], 1 under
-    /// [`IngestMode::AsyncDeterministic`].
+    /// ingest thread): the pool size ([`IngestMode::Async`]).
     pub ingest_threads: usize,
     /// Sends to a shard ([`Engine::ingest`]'s chunks, flushes, swaps and
     /// retirements) that found its channel full and had to wait — the
@@ -145,7 +142,7 @@ pub struct EngineReport {
     /// by runtime CPU detection when the engine started — see
     /// [`icsad_simd::current`]), e.g. `"avx512+fma"` or `"scalar"`.
     pub kernel_backend: &'static str,
-    /// Ingest-runtime accounting (mode, threads, backpressure, polls).
+    /// Ingest-runtime accounting (threads, backpressure, polls).
     pub runtime: RuntimeStats,
 }
 

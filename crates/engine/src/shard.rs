@@ -7,8 +7,7 @@
 //! never blocks and never touches a queue — *when* it runs is entirely the
 //! scheduler's business. [`ShardTask`] wraps it as a cooperatively
 //! scheduled [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled
-//! by the worker pool (or by the seeded single-thread replay scheduler the
-//! tests use as the schedule oracle).
+//! by the worker pool.
 //!
 //! Per-stream decisions depend only on the per-shard message order (frames
 //! and swaps arrive through one FIFO per shard) and on each lane's record

@@ -1,15 +1,16 @@
-//! Deterministic-interleaving equivalence: the engine's decisions are
-//! bit-identical to the per-record offline path under *every* seeded
-//! (queued shard, poll budget) schedule tested and on the real worker pool
-//! — including mid-run `swap_artifact` at arbitrary ingest boundaries.
+//! Pool equivalence: the engine's decisions on the real worker pool are
+//! bit-identical to the per-record offline path across shard counts, batch
+//! sizes, pool sizes and channel capacities — including mid-run
+//! `swap_artifact` at arbitrary ingest boundaries.
 //!
-//! The harness is [`IngestMode::AsyncDeterministic`]: one scheduler thread
-//! replays (queued shard, poll budget) choices from a `rand_chacha` seed, so each proptest case drives the engine through a
-//! distinct, reproducible interleaving. The property is schedule
-//! *invariance*: whatever the interleaving, per-stream record order is
-//! preserved (per-shard FIFOs + per-lane queues) and per-stream decisions
-//! depend only on that order, so every report must equal the per-record
-//! reference exactly.
+//! The pool's schedule is timing, so each run is one interleaving and the
+//! proptest sweeps the shapes that change it: small channels force
+//! backpressure and drain-on-quiet rounds, and two pool sizes run every
+//! case. The property is schedule *invariance*: whatever the interleaving,
+//! per-stream record order is preserved (per-shard FIFOs + per-lane queues)
+//! and per-stream decisions depend only on that order, so every report must
+//! equal the per-record reference exactly. `schedule_exploration.rs`
+//! enumerates every schedule of a small configuration instead.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -21,7 +22,7 @@ use icsad_core::metrics::ClassificationReport;
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::extract::{extract_records, StreamExtractor, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode, TestSchedule};
+use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 use proptest::prelude::*;
 
@@ -185,17 +186,15 @@ fn check(report: &EngineReport, reference: &Reference, frames: usize, context: &
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
-    /// The headline property: for any (schedule seed, shard count, batch
-    /// size, pool size, poll budget, swap boundary), the
-    /// deterministically scheduled engine, the real pool, and the
-    /// per-record path all agree bit-for-bit.
+    /// The headline property: for any (shard count, batch size, channel
+    /// capacity, pool size, swap boundary), two pools of different sizes
+    /// and the per-record path all agree bit-for-bit.
     #[test]
-    fn every_seeded_interleaving_is_decision_identical(
-        seed in any::<u64>(),
+    fn every_pool_shape_is_decision_identical(
         shards in 1usize..5,
         batch in 1usize..33,
+        channel_capacity in 1usize..=256,
         workers in 1usize..5,
-        max_budget in 1usize..7,
         swap_quarter in 0usize..5,
     ) {
         let fx = fixture();
@@ -205,44 +204,44 @@ proptest! {
         let swap_at = if swap_quarter == 4 { None } else { Some(swap_quarter * n / 4) };
         let reference = reference_at(fx, swap_at.unwrap_or(n));
 
+        // 1-4 chunks of 64 frames per shard: small enough that the ingest
+        // thread blocks and the shards see empty inboxes between bursts.
         let base = EngineConfig {
             num_shards: shards,
             batch_size: batch,
-            channel_capacity: 128,
+            channel_capacity,
             ..EngineConfig::default()
         };
+        // A second pool size, always different from the first.
+        let other_workers = 5 - workers;
+        let runs = [workers, other_workers].map(|workers| {
+            run_engine(fx, EngineConfig {
+                ingest: IngestMode::Async { workers },
+                ..base.clone()
+            }, swap_at)
+        });
+        for (report, workers) in runs.iter().zip([workers, other_workers]) {
+            check(report, &reference, n, &format!("pool workers={workers}"));
+            prop_assert_eq!(report.runtime.ingest_threads, workers.min(shards));
+            prop_assert!(report.runtime.polls > 0);
+        }
 
-        let pool = run_engine(fx, EngineConfig {
-            ingest: IngestMode::Async { workers },
-            ..base.clone()
-        }, swap_at);
-        prop_assert_eq!(pool.runtime.mode, "async");
-        check(&pool, &reference, n, "pool");
-
-        let async_det = run_engine(fx, EngineConfig {
-            ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, max_budget }),
-            ..base
-        }, swap_at);
-        prop_assert_eq!(async_det.runtime.mode, "async-deterministic");
-        prop_assert_eq!(async_det.runtime.ingest_threads, 1);
-        prop_assert!(async_det.runtime.polls > 0);
-        check(&async_det, &reference, n, "async-deterministic");
-
-        // Replayed schedule ≡ real pool shard-by-shard too (routing is
+        // The two pools agree shard-by-shard too (routing is
         // schedule-invariant): everything decision-derived matches; only
         // flush timing may differ.
-        prop_assert_eq!(pool.shards.len(), async_det.shards.len());
-        for (t, a) in pool.shards.iter().zip(async_det.shards.iter()) {
-            prop_assert_eq!(t.shard, a.shard);
-            prop_assert_eq!(t.frames, a.frames);
-            prop_assert_eq!(t.streams, a.streams);
-            prop_assert_eq!(t.alarms, a.alarms);
-            prop_assert_eq!(&t.report, &a.report);
-            prop_assert_eq!(t.reloads, a.reloads);
+        let [one, two] = &runs;
+        prop_assert_eq!(one.shards.len(), two.shards.len());
+        for (a, b) in one.shards.iter().zip(two.shards.iter()) {
+            prop_assert_eq!(a.shard, b.shard);
+            prop_assert_eq!(a.frames, b.frames);
+            prop_assert_eq!(a.streams, b.streams);
+            prop_assert_eq!(a.alarms, b.alarms);
+            prop_assert_eq!(&a.report, &b.report);
+            prop_assert_eq!(a.reloads, b.reloads);
         }
         if swap_at.is_some() {
-            prop_assert_eq!(async_det.reloads, 1);
-            for shard in &async_det.shards {
+            prop_assert_eq!(one.reloads, 1);
+            for shard in &one.shards {
                 prop_assert_eq!(shard.reloads, 1, "every shard applies the swap");
             }
         }
@@ -306,17 +305,8 @@ fn clock_regressions_are_schedule_independent() {
     assert!(before.clock_regressions > 0 && rejoined.clock_regressions > 0);
     let reference = before.then(rejoined);
 
-    let replayed = |seed| TestSchedule {
-        seed,
-        max_budget: 2,
-    };
-    let schedules = [
-        IngestMode::Async { workers: 1 },
-        IngestMode::Async { workers: 4 },
-        IngestMode::AsyncDeterministic(replayed(3)),
-        IngestMode::AsyncDeterministic(replayed(8)),
-    ];
-    for ingest in schedules {
+    for workers in [1, 4] {
+        let ingest = IngestMode::Async { workers };
         let config = EngineConfig {
             num_shards: 2,
             batch_size: 8,
@@ -370,10 +360,7 @@ fn engine_matches_classify_streams_lockstep() {
             num_shards: 2,
             batch_size: 16,
             channel_capacity: 64,
-            ingest: IngestMode::AsyncDeterministic(TestSchedule {
-                seed: 99,
-                max_budget: 2,
-            }),
+            ingest: IngestMode::Async { workers: 2 },
             ..EngineConfig::default()
         },
         None,

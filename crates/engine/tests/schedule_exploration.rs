@@ -1,11 +1,12 @@
 //! Engine-level exhaustive schedule exploration: every interleaving of a
 //! small shard configuration yields bit-identical detection decisions.
 //!
-//! The seeded [`icsad_engine::TestSchedule`] equivalence suite samples the
-//! schedule space; this test *enumerates* it. Two shard-style tasks each
-//! classify a stream of real extracted Modbus records through a trained
-//! [`CombinedDetector`], driven by [`icsad_runtime::explore`]'s loom-lite
-//! DFS over (queued task, poll budget). At every leaf the
+//! The pool equivalence suite (`async_equivalence.rs`) samples the schedule
+//! space, one timing-dependent interleaving per run; this test
+//! *enumerates* it. Two shard-style tasks each classify a stream of real
+//! extracted Modbus records through a trained [`CombinedDetector`], driven
+//! by [`icsad_runtime::explore`]'s loom-lite DFS over (queued task, poll
+//! budget). At every leaf the
 //! executor's state-machine invariants have already been checked by the
 //! explorer; here we additionally assert *decision equality* — each leaf's
 //! per-stream decision sequence equals the per-record reference.
@@ -17,7 +18,7 @@ use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
-use icsad_runtime::{explore, ExploreConfig, IngestQueue, Poll, Pop, Task, Trial};
+use icsad_runtime::{explore, Drain, ExploreConfig, IngestQueue, Poll, Task, Trial};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
 /// Records per stream. Depth in the schedule tree is exponential in the
@@ -76,11 +77,12 @@ fn streams() -> &'static Vec<Vec<Record>> {
     })
 }
 
-/// A shard in miniature: pops records off its inbox and classifies each
-/// through its own streaming session, exactly as the engine's shard loop
-/// does per lane.
+/// A shard in miniature: drains up to `budget` records off its inbox per
+/// poll, as the engine's shard task does, and classifies each through its
+/// own detector state, as the shard loop does per lane.
 struct StreamTask {
     inbox: Arc<IngestQueue<Record>>,
+    records: Vec<Record>,
     detector: Arc<CombinedDetector>,
     state: CombinedState,
     decisions: Vec<bool>,
@@ -90,17 +92,17 @@ impl Task for StreamTask {
     type Output = Vec<bool>;
 
     fn poll(&mut self, budget: usize) -> Poll {
-        for _ in 0..budget.max(1) {
-            match self.inbox.pop() {
-                Pop::Item(record) => {
+        match self.inbox.drain_into(&mut self.records, budget.max(1)) {
+            Drain::Items(_) => {
+                for record in self.records.drain(..) {
                     let level = self.detector.classify(&mut self.state, &record);
                     self.decisions.push(level.is_anomalous());
                 }
-                Pop::Empty => return Poll::Idle,
-                Pop::Closed => return Poll::Complete,
+                Poll::Runnable
             }
+            Drain::Empty => Poll::Idle,
+            Drain::Closed => Poll::Complete,
         }
-        Poll::Runnable
     }
 
     fn complete(self) -> Vec<bool> {
@@ -144,6 +146,7 @@ fn every_interleaving_yields_identical_decisions() {
                     inbox.close();
                     StreamTask {
                         inbox,
+                        records: Vec::new(),
                         detector: Arc::clone(&detector),
                         state: detector.begin(),
                         decisions: Vec::new(),

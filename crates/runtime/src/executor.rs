@@ -1,6 +1,5 @@
 //! The cooperative executor: a fixed worker pool multiplexing many tasks
-//! through one shared run queue, and a deterministic seed-replayable
-//! scheduler mode for interleaving tests.
+//! through one shared run queue.
 //!
 //! # Task state machine
 //!
@@ -42,19 +41,16 @@
 //!
 //! Tasks are polled by at most one worker at a time, so task-local state
 //! never needs synchronization and anything invariant to poll timing is
-//! invariant to the schedule. [`Schedule::Deterministic`] makes the
-//! remaining nondeterminism replayable: one thread runs the pool, drawing
-//! (queued task, poll budget) choices from a seeded [`ChaCha12Rng`], so a
-//! test can sweep seeds and assert schedule invariance.
+//! invariant to the schedule. The pool's schedule itself is timing; the
+//! [`explore`](crate::explore) module enumerates every schedule of a small
+//! trial over the same scheduler core instead, so tests can assert schedule
+//! invariance without sampling.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 
 use crate::unpoisoned;
 
@@ -91,46 +87,6 @@ pub trait Task: Send {
     fn complete(self) -> Self::Output;
 }
 
-/// A deterministic, seed-replayable schedule: one scheduler thread runs the
-/// pool, drawing every (queued task, poll budget) decision from a
-/// [`ChaCha12Rng`] seeded with `seed`. Each schedule event polls the task
-/// at a seeded position of the run queue rather than its head, so the
-/// replay reaches task orders a FIFO alone would not. Two runs with the
-/// same seed and the same notify sequence replay the same task order — and
-/// sweeping seeds explores distinct interleavings, which is what the
-/// engine's equivalence property tests drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TestSchedule {
-    /// Seed for the scheduling RNG.
-    pub seed: u64,
-    /// Poll budgets are drawn uniformly from `1..=max_budget`; must be
-    /// positive. Small budgets force frequent preemption.
-    pub max_budget: usize,
-}
-
-impl Default for TestSchedule {
-    fn default() -> Self {
-        TestSchedule {
-            seed: 0,
-            max_budget: 4,
-        }
-    }
-}
-
-/// How an [`Executor`] runs its tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// A real pool: `workers` OS threads sharing one run queue. Polls use
-    /// [`POOL_POLL_BUDGET`].
-    Pool {
-        /// OS threads to spawn; must be positive.
-        workers: usize,
-    },
-    /// One scheduler thread replaying a seeded schedule — for
-    /// deterministic-interleaving tests.
-    Deterministic(TestSchedule),
-}
-
 /// Messages a pool worker processes per poll before the task is re-queued
 /// behind every other runnable task. For the engine each message is a chunk
 /// of up to 64 frames, so this quantum is a few hundred frames.
@@ -139,8 +95,7 @@ pub const POOL_POLL_BUDGET: usize = 8;
 /// Scheduling counters, collected at [`Executor::join`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// OS threads the executor ran on (pool size, or 1 for a deterministic
-    /// schedule).
+    /// OS threads the executor ran on (the pool size).
     pub threads: usize,
     /// Total task polls.
     pub polls: u64,
@@ -276,7 +231,7 @@ impl<T: Task> Shared<T> {
 
     /// Removes the run-queue entry at `position` (0 is the head), or
     /// `None` if the queue is shorter. The pool always takes the head; the
-    /// seeded schedule and the explorer choose the position.
+    /// explorer chooses the position.
     pub(crate) fn dequeue(&self, position: usize) -> Option<usize> {
         unpoisoned(self.run_queue.lock()).remove(position)
     }
@@ -447,35 +402,6 @@ fn pool_worker<T: Task>(shared: &Shared<T>) {
     }
 }
 
-fn deterministic_scheduler<T: Task>(shared: &Shared<T>, schedule: TestSchedule) {
-    let mut rng = ChaCha12Rng::seed_from_u64(schedule.seed);
-    loop {
-        // ORDERING: Acquire — as in `pool_worker`.
-        if shared.remaining.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let epoch = unpoisoned(shared.sync.lock()).epoch;
-        // Seeded choices: which queued task runs next, and how large its
-        // quantum is.
-        let next = {
-            let mut queue = unpoisoned(shared.run_queue.lock());
-            match queue.len() {
-                0 => None,
-                queued => queue.remove(rng.gen_range(0..queued)),
-            }
-        };
-        match next {
-            Some(id) => {
-                let budget = rng.gen_range(1..=schedule.max_budget);
-                shared.run_task(id, budget);
-            }
-            // The run queue was empty: nothing is runnable, park until a
-            // notify.
-            None => shared.park(epoch),
-        }
-    }
-}
-
 /// A running executor over a fixed set of tasks.
 ///
 /// Built by [`Executor::start`]; fed by [`Executor::notify`] whenever a
@@ -487,50 +413,33 @@ pub struct Executor<T: Task> {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// Validates a schedule and returns the OS threads it runs on.
-fn schedule_threads(schedule: Schedule) -> usize {
-    match schedule {
-        Schedule::Pool { workers } => {
-            assert!(workers > 0, "pool needs at least one worker");
-            workers
-        }
-        Schedule::Deterministic(s) => {
-            assert!(s.max_budget > 0, "schedule needs a positive budget");
-            1
-        }
-    }
-}
-
 impl<T: Task + 'static> Executor<T>
 where
     T::Output: 'static,
 {
-    /// Spawns the worker threads (named `icsad-ingest-{i}`) and registers
-    /// the tasks, all initially idle: nothing is polled until notified.
+    /// Spawns `workers` OS threads (named `icsad-ingest-{i}`) sharing one
+    /// run queue and registers the tasks, all initially idle: nothing is
+    /// polled until notified. Polls use [`POOL_POLL_BUDGET`].
     ///
     /// # Panics
     ///
-    /// Panics if `tasks` is empty or the schedule requests zero workers or a
-    /// zero budget (the engine validates its config first; these are
-    /// programming-error guards).
-    pub fn start(tasks: Vec<T>, schedule: Schedule) -> Executor<T> {
+    /// Panics if `tasks` is empty or `workers` is zero (the engine validates
+    /// its config first; these are programming-error guards).
+    pub fn start(tasks: Vec<T>, workers: usize) -> Executor<T> {
         assert!(!tasks.is_empty(), "executor needs at least one task");
-        let threads_wanted = schedule_threads(schedule);
+        assert!(workers > 0, "pool needs at least one worker");
         let shared = Arc::new(Shared::new(tasks));
         #[expect(
             clippy::expect_used,
             reason = "thread spawning only fails on OS resource exhaustion; there is \
                       no useful degraded mode for a pool that cannot exist"
         )]
-        let threads = (0..threads_wanted)
+        let threads = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("icsad-ingest-{i}"))
-                    .spawn(move || match schedule {
-                        Schedule::Pool { .. } => pool_worker(&shared),
-                        Schedule::Deterministic(s) => deterministic_scheduler(&shared, s),
-                    })
+                    .spawn(move || pool_worker(&shared))
                     .expect("failed to spawn ingest worker")
             })
             .collect();
@@ -592,9 +501,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{IngestQueue, Pop};
-    use crate::test_tasks::{first_poll_order, FirstPoll, SumTask};
-    use std::collections::HashSet;
+    use crate::queue::{Drain, IngestQueue};
+    use crate::test_tasks::SumTask;
 
     // Miri interprets every instruction; shrink the hot loops so
     // `cargo miri test -p icsad-runtime` finishes in minutes while the
@@ -639,28 +547,13 @@ mod tests {
         expected
     }
 
-    fn run(schedule: Schedule, tasks: usize, items: u64) -> ExecStats {
-        let queues: Vec<Arc<IngestQueue<u64>>> = (0..tasks)
-            .map(|_| Arc::new(IngestQueue::bounded(4)))
-            .collect();
-        let executor = Executor::start(
-            queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
-            schedule,
-        );
-        let expected = feed(&queues, &executor, items);
-        let (outputs, stats) = executor.join();
-        let total: u64 = outputs.into_iter().map(|o| o.unwrap()).sum();
-        assert_eq!(total, expected);
-        stats
-    }
-
     #[test]
     fn pool_runs_every_task_to_completion() {
         let queues: Vec<Arc<IngestQueue<u64>>> =
             (0..5).map(|_| Arc::new(IngestQueue::bounded(4))).collect();
         let executor = Executor::start(
             queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
-            Schedule::Pool { workers: 2 },
+            2,
         );
         assert_eq!(executor.threads(), 2);
         let expected = feed(&queues, &executor, FEED_ITEMS);
@@ -669,57 +562,6 @@ mod tests {
         assert_eq!(total, expected);
         assert!(stats.polls > 0);
         assert_eq!(stats.threads, 2);
-    }
-
-    #[test]
-    fn deterministic_schedule_completes_and_counts() {
-        for seed in 0..8 {
-            let stats = run(
-                Schedule::Deterministic(TestSchedule {
-                    seed,
-                    max_budget: 2,
-                }),
-                6,
-                20,
-            );
-            assert_eq!(stats.threads, 1, "one scheduler thread runs the pool");
-            assert!(stats.polls > 0);
-        }
-    }
-
-    /// Task ids in the order a seeded schedule first polled them, with all
-    /// three tasks queued up front. The scheduler runs on the test thread:
-    /// an executor's scheduler thread could take task 0 before task 2 is
-    /// queued, and then one seed would not replay one order.
-    fn seeded_first_poll_order(seed: u64) -> Vec<usize> {
-        let clock = Arc::new(AtomicUsize::new(0));
-        let shared = Shared::new((0..3).map(|_| FirstPoll::new(&clock)).collect());
-        for id in 0..3 {
-            shared.notify(id);
-        }
-        deterministic_scheduler(
-            &shared,
-            TestSchedule {
-                seed,
-                max_budget: 1,
-            },
-        );
-        let stamps: Vec<usize> = (0..3)
-            .map(|id| shared.take_output(id).unwrap().unwrap())
-            .collect();
-        first_poll_order(&stamps)
-    }
-
-    #[test]
-    fn deterministic_schedule_draws_the_task_order_from_its_seed() {
-        // The seed picks which queued task runs next, so seeds reach task
-        // orders the FIFO alone never would (it polls 0, 1, 2) ...
-        let orders: HashSet<Vec<usize>> = (0..16).map(seeded_first_poll_order).collect();
-        assert!(orders.len() >= 2, "16 seeds gave one first-poll order");
-        // ... and one seed always replays the same order.
-        for seed in 0..16 {
-            assert_eq!(seeded_first_poll_order(seed), seeded_first_poll_order(seed));
-        }
     }
 
     #[test]
@@ -734,7 +576,7 @@ mod tests {
             .collect();
         let executor = Executor::start(
             queues.iter().map(|q| SumTask::new(Arc::clone(q))).collect(),
-            Schedule::Pool { workers: 2 },
+            2,
         );
         for v in 0..HOT_ITEMS {
             queues[0].push(v).unwrap();
@@ -754,6 +596,7 @@ mod tests {
     /// A task that panics after absorbing a few items.
     struct BombTask {
         inbox: Arc<IngestQueue<u64>>,
+        buf: Vec<u64>,
         seen: u64,
         fuse: u64,
     }
@@ -762,17 +605,16 @@ mod tests {
         type Output = u64;
 
         fn poll(&mut self, budget: usize) -> Poll {
-            for _ in 0..budget.max(1) {
-                match self.inbox.pop() {
-                    Pop::Item(_) => {
-                        self.seen += 1;
-                        assert!(self.seen < self.fuse, "bomb went off");
-                    }
-                    Pop::Empty => return Poll::Idle,
-                    Pop::Closed => return Poll::Complete,
+            match self.inbox.drain_into(&mut self.buf, budget.max(1)) {
+                Drain::Items(n) => {
+                    self.buf.clear();
+                    self.seen += n as u64;
+                    assert!(self.seen < self.fuse, "bomb went off");
+                    Poll::Runnable
                 }
+                Drain::Empty => Poll::Idle,
+                Drain::Closed => Poll::Complete,
             }
-            Poll::Runnable
         }
 
         fn complete(self) -> u64 {
@@ -790,11 +632,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, q)| BombTask {
                     inbox: Arc::clone(q),
+                    buf: Vec::new(),
                     seen: 0,
                     fuse: if i == 1 { 5 } else { u64::MAX },
                 })
                 .collect(),
-            Schedule::Pool { workers: 2 },
+            2,
         );
         for (i, q) in queues.iter().enumerate() {
             for v in 0..20 {
@@ -818,10 +661,7 @@ mod tests {
         // in a queue (the DIRTY state closes the lost-wakeup window).
         for trial in 0..RACE_TRIALS {
             let q = Arc::new(IngestQueue::bounded(2));
-            let executor = Executor::start(
-                vec![SumTask::new(Arc::clone(&q))],
-                Schedule::Pool { workers: 1 },
-            );
+            let executor = Executor::start(vec![SumTask::new(Arc::clone(&q))], 1);
             let mut expected = 0;
             for v in 0..RACE_ITEMS {
                 let v = v + trial;

@@ -1,11 +1,11 @@
 //! Bounded exhaustive schedule exploration — a loom-lite DFS over the
 //! executor's scheduling choice tree.
 //!
-//! [`Schedule::Deterministic`](crate::Schedule) replays *one* seeded
-//! schedule per run; sweeping seeds samples interleavings but proves
-//! nothing. This module instead **enumerates** them: a trial (tasks plus
-//! ordered external event sources) is re-run once per path through the
-//! choice tree, where a choice point is
+//! The pool's schedule is whatever the OS threads' timing makes it, so
+//! repeated pool runs sample interleavings but prove nothing. This module
+//! instead **enumerates** them: a trial (tasks plus ordered external event
+//! sources) is re-run once per path through the choice tree, where a
+//! choice point is
 //!
 //! - which enabled action fires next — an external source step (push +
 //!   notify) or a schedule event polling the task at one position of the
@@ -78,19 +78,18 @@ pub struct Trial<'a, T: Task> {
     pub initial_notify: Vec<usize>,
 }
 
-/// Exploration bounds and modes.
+/// Abort if the tree has more than this many leaves — a guard against
+/// accidentally unbounded trials, not a sampling knob.
+const MAX_LEAVES: u64 = 2_000_000;
+
+/// Abort any single path longer than this many choice points.
+const MAX_DEPTH: usize = 10_000;
+
+/// The poll-budget range to enumerate, and the meta-test's bug injection.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
     /// Poll budgets are enumerated over `1..=max_budget`.
     pub max_budget: usize,
-    /// Abort if the tree has more than this many leaves — a guard against
-    /// accidentally unbounded configs, not a sampling knob.
-    pub max_leaves: u64,
-    /// Abort any single path longer than this many choice points.
-    pub max_depth: usize,
-    /// Also enumerate source steps *inside* the notify-while-running
-    /// window of every poll (doubles down on the DIRTY transition).
-    pub interleave_in_poll: bool,
     /// Bug injection: in-window notifies skip the RUNNING→DIRTY
     /// transition, simulating an executor with the lost-wakeup window
     /// open. Used by the meta-test that proves the explorer would catch
@@ -102,9 +101,6 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             max_budget: 1,
-            max_leaves: 2_000_000,
-            max_depth: 10_000,
-            interleave_in_poll: true,
             simulate_lost_wakeup: false,
         }
     }
@@ -193,9 +189,10 @@ enum Action {
 ///
 /// # Panics
 ///
-/// Panics if a state-machine invariant breaks, a task panics, the
-/// configured bounds are exceeded, or the trial is nondeterministic
-/// (arities must replay identically).
+/// Panics if a state-machine invariant breaks, a task panics, the tree
+/// outgrows its fixed bounds (2,000,000 leaves, 10,000 choice points on one
+/// path), or the trial is nondeterministic (arities must replay
+/// identically).
 pub fn explore<T: Task, F, L>(config: &ExploreConfig, mut build: F, mut at_leaf: L) -> ExploreReport
 where
     F: FnMut() -> Trial<'static, T>,
@@ -216,9 +213,8 @@ where
         // bigger than exhaustive exploration can cover; fail loudly rather
         // than burn CI time.
         assert!(
-            report.leaves <= config.max_leaves,
-            "schedule tree exceeds max_leaves = {}",
-            config.max_leaves
+            report.leaves <= MAX_LEAVES,
+            "schedule tree exceeds {MAX_LEAVES} leaves"
         );
         if !oracle.advance() {
             return report;
@@ -294,11 +290,10 @@ where
             return PathOutcome::Deadlocked;
         }
 
-        // Bound guard against runaway trials, as with max_leaves.
+        // Bound guard against runaway trials, as with MAX_LEAVES.
         assert!(
-            oracle.depth <= config.max_depth,
-            "schedule path exceeds max_depth = {}",
-            config.max_depth
+            oracle.depth <= MAX_DEPTH,
+            "schedule path exceeds {MAX_DEPTH} choice points"
         );
 
         match actions[oracle.choose(actions.len())] {
@@ -353,22 +348,20 @@ fn poll_one<T: Task>(
     let budget = 1 + oracle.choose(config.max_budget);
     report.polls += 1;
     let polled = shared.poll_task(id, budget);
-    if config.interleave_in_poll {
-        // The task is RUNNING right now: enumerate "no injection" plus one
-        // step of each live source *feeding this task* landing inside the
-        // window (see [`TrialSource::target`] for why others are skipped).
-        let eligible: Vec<usize> = (0..sources.len())
-            .filter(|&s| sources[s].target == id && !done[s] && !blocked[s])
-            .collect();
-        let pick = oracle.choose(1 + eligible.len());
-        if pick > 0 {
-            let s = eligible[pick - 1];
-            let stepped = (sources[s].step)(&mut |tid| shared.notify_full(tid, dirty_on_running));
-            match stepped {
-                SourceStep::Ran => {}
-                SourceStep::Blocked => blocked[s] = true,
-                SourceStep::Done => done[s] = true,
-            }
+    // The task is RUNNING right now: enumerate "no injection" plus one step
+    // of each live source *feeding this task* landing inside the window
+    // (see [`TrialSource::target`] for why others are skipped).
+    let eligible: Vec<usize> = (0..sources.len())
+        .filter(|&s| sources[s].target == id && !done[s] && !blocked[s])
+        .collect();
+    let pick = oracle.choose(1 + eligible.len());
+    if pick > 0 {
+        let s = eligible[pick - 1];
+        let stepped = (sources[s].step)(&mut |tid| shared.notify_full(tid, dirty_on_running));
+        match stepped {
+            SourceStep::Ran => {}
+            SourceStep::Blocked => blocked[s] = true,
+            SourceStep::Done => done[s] = true,
         }
     }
     shared.settle(id, polled);
@@ -588,7 +581,6 @@ mod tests {
             &ExploreConfig {
                 max_budget: 2,
                 simulate_lost_wakeup: true,
-                ..ExploreConfig::default()
             },
             || sum_trial(&ITEMS, 1),
             |_| {},

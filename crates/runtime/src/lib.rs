@@ -13,16 +13,15 @@
 //! Three pieces:
 //!
 //! * [`IngestQueue`] — a bounded, mutex-sharded MPSC ring buffer. Producers
-//!   block when the ring is full (backpressure, counted); consumers never
-//!   block (the executor parks instead).
+//!   block when the ring is full (backpressure, counted); the consumer
+//!   never blocks (the executor parks instead).
 //! * [`Task`] / [`Executor`] — the task abstraction and the pool. A task is
 //!   polled with a *budget* (cooperative quantum); between polls it waits
 //!   in the pool's shared FIFO run queue.
-//! * [`TestSchedule`] — a deterministic scheduler mode: one thread runs the
-//!   whole pool, replaying (queued task, poll budget) choices from a
-//!   [`rand_chacha`] seed, so a property test can drive the engine through
-//!   seeded interleavings and assert that every one of them yields
-//!   bit-identical decisions.
+//! * [`explore`] — a bounded exhaustive DFS over every schedule of a small
+//!   trial, driving the same scheduler core on the calling thread, so a
+//!   test can assert that every interleaving yields bit-identical
+//!   decisions.
 //!
 //! The scheduling machinery is deliberately semantics-free: a task is only
 //! ever polled by one worker at a time, so per-task state needs no
@@ -55,9 +54,9 @@ mod recycle;
 #[cfg(test)]
 mod test_tasks;
 
-pub use executor::{ExecStats, Executor, Poll, Schedule, Task, TestSchedule, POOL_POLL_BUDGET};
+pub use executor::{ExecStats, Executor, Poll, Task, POOL_POLL_BUDGET};
 pub use explore::{explore, ExploreConfig, ExploreReport, Source, SourceStep, Trial, TrialSource};
-pub use queue::{Drain, IngestQueue, Pop, PushClosed, TryPushError};
+pub use queue::{Drain, IngestQueue, PushClosed, TryPushError};
 pub use recycle::RecycleRing;
 
 use std::sync::LockResult;

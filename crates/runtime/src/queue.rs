@@ -2,8 +2,8 @@
 //!
 //! One queue per shard task. Producers ([`IngestQueue::push`]) block while
 //! the ring is full — that is the engine's backpressure, and every push
-//! that had to wait is counted once — while consumers ([`IngestQueue::pop`] /
-//! [`IngestQueue::drain_into`]) never block: the executor parks a worker
+//! that had to wait is counted once — while the consumer
+//! ([`IngestQueue::drain_into`]) never blocks: the executor parks a worker
 //! instead of parking inside a queue, so one worker can serve many queues.
 //!
 //! The ring is *mutex-sharded* rather than lock-free: each queue carries its
@@ -20,10 +20,11 @@
 //! notify `not_full` only when a removal crosses the full→not-full edge
 //! *and* a producer is actually recorded as waiting. The waiter count lives
 //! under the same mutex as the ring, so the "is anyone waiting" check is
-//! exact, not a racy heuristic. A single-item pop frees one slot and wakes
-//! at most one producer; that producer, after taking its slot, re-notifies
-//! if room remains and other producers still wait (a cascade), so a batch
-//! drain that frees many slots cannot strand the second and later waiters.
+//! exact, not a racy heuristic. A drain that frees one slot wakes at most
+//! one producer; a drain that frees more wakes them all once, and each
+//! woken producer, after taking its slot, re-notifies if room remains and
+//! other producers still wait (a cascade), so a batch drain that frees
+//! many slots cannot strand the second and later waiters.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,17 +44,6 @@ pub enum TryPushError<T> {
     Full(T),
     /// The queue is closed (consumer finished or was torn down).
     Closed(T),
-}
-
-/// One [`IngestQueue::pop`] outcome.
-#[derive(Debug)]
-pub enum Pop<T> {
-    /// The oldest queued item.
-    Item(T),
-    /// Nothing queued right now, but producers may still push.
-    Empty,
-    /// Nothing queued and the queue is closed: no item will ever arrive.
-    Closed,
 }
 
 /// One [`IngestQueue::drain_into`] outcome.
@@ -162,8 +152,8 @@ impl<T> IngestQueue<T> {
     /// Wakes producers after `removed` items left a ring that held
     /// `len_before` items. Only the full→not-full edge can have parked
     /// producers (they re-check under this mutex before parking), and the
-    /// waiter count is exact, so a not-full pop with no waiters costs no
-    /// syscall at all.
+    /// waiter count is exact, so a drain from a not-full ring or with no
+    /// waiters costs no syscall at all.
     fn wake_producers(&self, state: &State<T>, len_before: usize, removed: usize) {
         if removed > 0 && len_before == self.capacity && state.waiting_producers > 0 {
             if removed == 1 {
@@ -173,20 +163,6 @@ impl<T> IngestQueue<T> {
                 // cascade further wakeups while room remains.
                 self.not_full.notify_all();
             }
-        }
-    }
-
-    /// Removes the oldest item, never blocking.
-    pub fn pop(&self) -> Pop<T> {
-        let mut state = unpoisoned(self.state.lock());
-        let len_before = state.items.len();
-        match state.items.pop_front() {
-            Some(item) => {
-                self.wake_producers(&state, len_before, 1);
-                Pop::Item(item)
-            }
-            None if state.closed => Pop::Closed,
-            None => Pop::Empty,
         }
     }
 
@@ -261,9 +237,11 @@ mod tests {
         q.try_push(2).unwrap();
         assert!(matches!(q.try_push(3), Err(TryPushError::Full(3))));
         assert_eq!(q.len(), 2);
-        assert!(matches!(q.pop(), Pop::Item(1)));
-        assert!(matches!(q.pop(), Pop::Item(2)));
-        assert!(matches!(q.pop(), Pop::Empty));
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
+        assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
+        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(q.drain_into(&mut buf, 1), Drain::Empty);
     }
 
     #[test]
@@ -274,8 +252,10 @@ mod tests {
         assert!(matches!(q.try_push(8), Err(TryPushError::Closed(8))));
         assert!(matches!(q.push(9), Err(PushClosed(9))));
         // The item pushed before the close still drains.
-        assert!(matches!(q.pop(), Pop::Item(7)));
-        assert!(matches!(q.pop(), Pop::Closed));
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_into(&mut buf, 4), Drain::Items(1));
+        assert_eq!(buf, vec![7]);
+        assert_eq!(q.drain_into(&mut buf, 4), Drain::Closed);
     }
 
     #[test]
@@ -287,17 +267,21 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 // Wait until the producer has reported its blocked wait, so
-                // the pop below provably races *after* the block began.
+                // the drain below provably races *after* the block began.
                 while q.blocked_pushes() == 0 {
                     std::thread::yield_now();
                 }
-                assert!(matches!(q.pop(), Pop::Item(1)));
+                let mut buf = Vec::new();
+                assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
+                assert_eq!(buf, vec![1]);
             })
         };
-        q.push(2).unwrap(); // blocks until the consumer pops
+        q.push(2).unwrap(); // blocks until the consumer drains
         consumer.join().unwrap();
         assert!(q.blocked_pushes() >= 1);
-        assert!(matches!(q.pop(), Pop::Item(2)));
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
+        assert_eq!(buf, vec![2]);
     }
 
     #[test]
@@ -377,10 +361,10 @@ mod tests {
         assert_eq!(q.drain_into(&mut buf, 0), Drain::Items(0));
     }
 
-    /// Satellite pin: `pop` notifies only on the full→not-full edge, and
-    /// that discipline must never strand a blocked producer. Many producers
+    /// A drain notifies only on the full→not-full edge, and that
+    /// discipline must never strand a blocked producer. Many producers
     /// block on a tiny ring while a single consumer drains with every
-    /// removal shape (single pops and multi-slot drains); all producers
+    /// removal shape (one-slot drains and multi-slot drains); all producers
     /// must complete.
     #[test]
     fn edge_triggered_wakes_never_strand_producers() {
@@ -399,30 +383,27 @@ mod tests {
             let mut got = 0usize;
             let mut buf = Vec::new();
             while got < 4 * 50 {
-                // Alternate removal shapes so both the notify_one pop edge
-                // and the notify_all batch-drain edge are exercised.
-                if (got + trial).is_multiple_of(3) {
-                    match q.pop() {
-                        Pop::Item(_) => got += 1,
-                        Pop::Empty => std::thread::yield_now(),
-                        Pop::Closed => unreachable!(),
-                    }
+                // Alternate removal shapes so both the notify_one one-slot
+                // edge and the notify_all batch-drain edge are exercised.
+                let max = if (got + trial).is_multiple_of(3) {
+                    1
                 } else {
-                    match q.drain_into(&mut buf, 2) {
-                        Drain::Items(n) => got += n,
-                        Drain::Empty => std::thread::yield_now(),
-                        Drain::Closed => unreachable!(),
-                    }
+                    2
+                };
+                match q.drain_into(&mut buf, max) {
+                    Drain::Items(n) => got += n,
+                    Drain::Empty => std::thread::yield_now(),
+                    Drain::Closed => unreachable!(),
                 }
             }
             for p in producers {
                 p.join().unwrap();
             }
-            assert!(matches!(q.pop(), Pop::Empty));
+            assert_eq!(q.drain_into(&mut buf, 1), Drain::Empty);
         }
     }
 
-    /// A pop from a non-full ring with no waiters must not notify — pinned
+    /// A drain from a non-full ring with no waiters must not notify — pinned
     /// indirectly: a consumer draining a never-full queue leaves the
     /// blocked-push counter at zero (no producer ever parked, so the edge
     /// condition never fired).

@@ -4,18 +4,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::executor::{Poll, Task};
-use crate::queue::{IngestQueue, Pop};
+use crate::queue::{Drain, IngestQueue};
 
 /// Sums the integers fed through its queue; a minimal stand-in for a shard
-/// task.
+/// task. A poll takes up to `budget` items and, if the inbox runs empty
+/// (or closed) first, goes idle (or completes) in the same poll rather
+/// than in a second one, which keeps the explorer's trees small.
 pub(crate) struct SumTask {
     inbox: Arc<IngestQueue<u64>>,
+    buf: Vec<u64>,
     sum: u64,
 }
 
 impl SumTask {
     pub(crate) fn new(inbox: Arc<IngestQueue<u64>>) -> SumTask {
-        SumTask { inbox, sum: 0 }
+        SumTask {
+            inbox,
+            buf: Vec::new(),
+            sum: 0,
+        }
     }
 }
 
@@ -23,12 +30,14 @@ impl Task for SumTask {
     type Output = u64;
 
     fn poll(&mut self, budget: usize) -> Poll {
-        for _ in 0..budget.max(1) {
-            match self.inbox.pop() {
-                Pop::Item(v) => self.sum += v,
-                Pop::Empty => return Poll::Idle,
-                Pop::Closed => return Poll::Complete,
+        let mut left = budget.max(1);
+        while left > 0 {
+            match self.inbox.drain_into(&mut self.buf, left) {
+                Drain::Items(n) => left -= n,
+                Drain::Empty => return Poll::Idle,
+                Drain::Closed => return Poll::Complete,
             }
+            self.sum += self.buf.drain(..).sum::<u64>();
         }
         Poll::Runnable
     }
@@ -61,8 +70,8 @@ impl Task for FirstPoll {
     fn poll(&mut self, _budget: usize) -> Poll {
         match self.first {
             None => {
-                // ORDERING: Relaxed — the callers poll on one scheduler
-                // thread, so the stamps are already sequenced.
+                // ORDERING: Relaxed — the explorer polls on one thread, so
+                // the stamps are already sequenced.
                 self.first = Some(self.clock.fetch_add(1, Ordering::Relaxed));
                 Poll::Runnable
             }

@@ -17,11 +17,12 @@
 //!   ([`FrameBytes`]) — no allocation for ordinary frame sizes;
 //! * `label` — always `None`; captures carry no ground truth.
 //!
-//! Non-IPv4/TCP packets (ARP, ICMP, IPv6) and IPv4 fragments (there is no
-//! reassembly) are counted and skipped, and TCP segments are consumed in
-//! file order — the replayer trusts the
-//! capture to be in-order, as single-host captures of a polling master
-//! are.
+//! Non-IPv4/TCP packets (ARP, ICMP, IPv6), IPv4 fragments (there is no
+//! reassembly) and TCP segments with neither port 502 (HTTPS, SSH or
+//! historian traffic sharing the tap) are counted and skipped: they open
+//! no connection and reach no decoder. TCP segments are consumed in file
+//! order — the replayer trusts the capture to be in-order, as single-host
+//! captures of a polling master are.
 
 use std::collections::HashMap;
 
@@ -40,8 +41,8 @@ pub struct ReplayStats {
     pub packets: u64,
     /// Modbus frames emitted to the sink.
     pub frames: u64,
-    /// Packets that were not Ethernet/IPv4/TCP (or too short to be), and
-    /// IPv4 fragments.
+    /// Packets that were not Ethernet/IPv4/TCP (or too short to be), IPv4
+    /// fragments, and TCP segments with neither port 502.
     pub ignored_packets: u64,
     /// Distinct TCP connections observed (cumulative: reconnects count
     /// again).
@@ -227,7 +228,7 @@ struct TcpSegment<'a> {
 }
 
 /// Peels Ethernet II / IPv4 / TCP; `None` for anything that is not a
-/// well-formed Modbus-capable TCP segment.
+/// well-formed TCP segment to or from port 502.
 fn parse_tcp(data: &[u8]) -> Option<TcpSegment<'_>> {
     // Ethernet II: two MACs, then up to two 802.1Q / 802.1ad VLAN tags
     // (TPID + TCI, 4 bytes each), then the IPv4 ethertype.
@@ -266,6 +267,9 @@ fn parse_tcp(data: &[u8]) -> Option<TcpSegment<'_>> {
     }
     let src_port = u16::from_be_bytes([tcp[0], tcp[1]]);
     let dst_port = u16::from_be_bytes([tcp[2], tcp[3]]);
+    if src_port != crate::MODBUS_TCP_PORT && dst_port != crate::MODBUS_TCP_PORT {
+        return None;
+    }
     let data_off = usize::from(tcp[12] >> 4) * 4;
     if data_off < 20 || data_off > tcp.len() {
         return None;
@@ -438,6 +442,58 @@ mod tests {
         assert_eq!(after.skipped_bytes, before.skipped_bytes);
         assert_eq!(after.resyncs, before.resyncs);
         assert_eq!(after.closed_connections, 1);
+    }
+
+    /// Rewrites the TCP ports of one Ethernet/IPv4/TCP packet (no VLAN
+    /// tags, no IP options, as [`CaptureBuilder`] writes them).
+    fn with_ports(packet: &[u8], src: u16, dst: u16) -> Vec<u8> {
+        let mut packet = packet.to_vec();
+        packet[34..36].copy_from_slice(&src.to_be_bytes());
+        packet[36..38].copy_from_slice(&dst.to_be_bytes());
+        packet
+    }
+
+    #[test]
+    fn tcp_without_the_modbus_port_opens_no_connection() {
+        // Connection 0 (49152 ↔ 502) carries a command and its response;
+        // between them, a 49152 ↔ 443 flow carries a well-formed MBAP frame
+        // and then a FIN, as HTTPS traffic sharing the tap could.
+        let mut builder = CaptureBuilder::new();
+        builder.modbus(1.0, &rtu(4, &[0x03, 0x00, 0x2A]), true);
+        builder.modbus(1.1, &rtu(4, &[0x03, 0x01, 0x2B]), true);
+        builder.close(0, 1.2);
+        builder.modbus(1.3, &rtu(4, &[0x03, 0x02, 0x01, 0x02]), false);
+        let image = builder.finish();
+        let mut reader = crate::pcap::PcapReader::new(&image).unwrap();
+        let mut packets = Vec::new();
+        while let Some(packet) = reader.next().unwrap() {
+            packets.push((packet.time, packet.data.to_vec()));
+        }
+        for (_, packet) in &mut packets[1..3] {
+            *packet = with_ports(packet, 49152, 443);
+        }
+
+        let mut frames = Vec::new();
+        let mut replay = WireReplay::new();
+        for (time, packet) in &packets {
+            replay.handle_packet(*time, packet, &mut |f| frames.push(f));
+        }
+        let stats = replay.stats();
+        assert_eq!(frames.len(), 2, "only the port-502 frames are decoded");
+        assert!(frames.iter().all(|f| f.link == 0));
+        assert_eq!(
+            stats,
+            ReplayStats {
+                packets: 4,
+                frames: 2,
+                ignored_packets: 2,
+                connections: 1,
+                ..ReplayStats::default()
+            }
+        );
+        let mut closed = Vec::new();
+        replay.drain_closed_links(&mut closed);
+        assert!(closed.is_empty(), "the 443 flow's FIN closed a link");
     }
 
     /// The one link-layer packet a single-command capture holds.

@@ -124,11 +124,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     println!(
-        "engine cold-started from artifact in {:.1} ms (backend: {}, kernels: {}, ingest: {} on {} thread(s))\n",
+        "engine cold-started from artifact in {:.1} ms (backend: {}, kernels: {}, ingest: pool of {} thread(s))\n",
         t_cold.elapsed().as_secs_f64() * 1e3,
         engine.backend_name(),
         engine.kernel_backend(),
-        engine.ingest_mode(),
         engine.ingest_threads(),
     );
 
@@ -212,11 +211,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.reloads, report.quarantined
     );
     println!(
-        "  ingest runtime: {} on {} thread(s), {} polls, {} blocked pushes",
-        report.runtime.mode,
-        report.runtime.ingest_threads,
-        report.runtime.polls,
-        report.runtime.blocked_pushes
+        "  ingest runtime: pool of {} thread(s), {} polls, {} blocked pushes",
+        report.runtime.ingest_threads, report.runtime.polls, report.runtime.blocked_pushes
     );
     std::fs::remove_file(&artifact_v1).ok();
     std::fs::remove_file(&artifact_v2).ok();

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use icsad_dataset::{DatasetConfig, Fragments, GasPipelineDataset, Record, Split};
     pub use icsad_engine::{
         Engine, EngineConfig, EngineConfigError, EngineMode, EngineReport, IngestMode, RawFrame,
-        ReloadError, RuntimeStats, TestSchedule,
+        ReloadError, RuntimeStats,
     };
     pub use icsad_features::{DiscretizationConfig, Discretizer, Signature, SignatureVocabulary};
     pub use icsad_simulator::{AttackType, Packet, TrafficConfig, TrafficGenerator};
