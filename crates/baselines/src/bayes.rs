@@ -12,34 +12,35 @@ use icsad_dataset::Record;
 use icsad_features::{Discretizer, FEATURE_COUNT};
 
 use crate::detector::WindowDetector;
-use crate::window::Windows;
+use crate::window::{Windows, PAPER_WINDOW};
 
 /// Tree-structured Bayesian network over discretized window features.
 #[derive(Debug, Clone)]
 pub struct BayesianNetwork {
     discretizer: Discretizer,
-    /// Variable cardinalities (length = window width × FEATURE_COUNT).
+    /// Variable cardinalities (length = PAPER_WINDOW × FEATURE_COUNT).
     cards: Vec<usize>,
     /// Parent of each variable (`usize::MAX` for the root).
     parents: Vec<usize>,
     /// `tables[v][parent_value][child_value]` = P(child | parent); the root
     /// has a single pseudo-parent value.
     tables: Vec<Vec<Vec<f64>>>,
-    window_width: usize,
     threshold: f64,
 }
 
 impl BayesianNetwork {
-    /// Learns structure and parameters from normal training windows.
+    /// Learns structure and parameters from normal training windows: one
+    /// variable per feature of each of the [`PAPER_WINDOW`] records, a
+    /// Chow–Liu tree rooted at variable 0, and conditional tables with
+    /// Laplace smoothing α = 0.5.
     ///
     /// # Panics
     ///
     /// Panics if `train` is empty.
     pub fn fit_windows(discretizer: Discretizer, train: &Windows) -> Self {
         assert!(!train.is_empty(), "bayesian network needs training windows");
-        let width = train.width();
         let per_record: Vec<usize> = discretizer.cardinalities().to_vec();
-        let n_vars = width * FEATURE_COUNT;
+        let n_vars = PAPER_WINDOW * FEATURE_COUNT;
         let cards: Vec<usize> = (0..n_vars).map(|i| per_record[i % FEATURE_COUNT]).collect();
 
         // Discretize all windows once.
@@ -157,7 +158,6 @@ impl BayesianNetwork {
             cards,
             parents,
             tables,
-            window_width: width,
             threshold: f64::INFINITY,
         }
     }
@@ -166,9 +166,9 @@ impl BayesianNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the window width differs from the training width.
+    /// Panics if the window does not hold [`PAPER_WINDOW`] records.
     pub fn neg_log_likelihood(&self, window: &[Record]) -> f64 {
-        assert_eq!(window.len(), self.window_width, "window width mismatch");
+        assert_eq!(window.len(), PAPER_WINDOW, "window width mismatch");
         let mut sample = Vec::with_capacity(self.cards.len());
         for r in window {
             sample.extend_from_slice(&self.discretizer.discretize(r));
@@ -235,8 +235,8 @@ mod tests {
             split.train().records(),
         )
         .unwrap();
-        let train = Windows::over(split.train().records(), 4);
-        let test = Windows::over(split.test(), 4);
+        let train = Windows::over(split.train().records());
+        let test = Windows::over(split.test());
         let bn = BayesianNetwork::fit_windows(disc, &train);
         (bn, train, test)
     }

@@ -13,6 +13,10 @@ use icsad_features::Discretizer;
 use crate::detector::WindowDetector;
 use crate::window::Windows;
 
+/// False-positive budget of the window filter. A hash collision makes an
+/// anomalous window look normal, so it costs recall, not precision.
+const BLOOM_FPR: f64 = 0.001;
+
 /// Window-signature Bloom filter baseline.
 #[derive(Debug, Clone)]
 pub struct WindowBloomFilter {
@@ -22,32 +26,21 @@ pub struct WindowBloomFilter {
 }
 
 impl WindowBloomFilter {
-    /// Builds the filter from normal training windows.
-    ///
-    /// `fpr` is the Bloom filter's internal false-positive budget (hash
-    /// collisions make an anomalous window look normal, i.e. they cost
-    /// recall, not precision).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `train` is empty or `fpr` is out of range.
-    pub fn fit_windows(
-        discretizer: Discretizer,
-        train: &Windows,
-        fpr: f64,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        let mut filter = BloomFilter::with_capacity(train.len().max(1), fpr)?;
+    /// Builds the filter from normal training windows, sized for
+    /// `train.len()` keys at a false-positive rate of 0.001.
+    pub fn fit_windows(discretizer: Discretizer, train: &Windows) -> Self {
+        let filter = BloomFilter::with_capacity(train.len().max(1), BLOOM_FPR)
+            .expect("a positive capacity and a constant fpr in (0, 1)");
         let mut detector = WindowBloomFilter {
             discretizer,
-            filter: filter.clone(),
+            filter,
             threshold: 0.5,
         };
         for window in train.iter() {
             let key = detector.window_key(window);
-            filter.insert(key);
+            detector.filter.insert(key);
         }
-        detector.filter = filter;
-        Ok(detector)
+        detector
     }
 
     /// The concatenated window signature used as the Bloom filter key.
@@ -110,9 +103,9 @@ mod tests {
             split.train().records(),
         )
         .unwrap();
-        let train = Windows::over(split.train().records(), 4);
-        let test = Windows::over(split.test(), 4);
-        let bf = WindowBloomFilter::fit_windows(disc, &train, 0.001).unwrap();
+        let train = Windows::over(split.train().records());
+        let test = Windows::over(split.test());
+        let bf = WindowBloomFilter::fit_windows(disc, &train);
         (bf, train, test)
     }
 

@@ -59,6 +59,7 @@ pub fn calibrate_fpr<D: WindowDetector + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::PAPER_WINDOW;
     use icsad_dataset::Record;
 
     /// A fake detector scoring windows by their first record's address.
@@ -81,17 +82,19 @@ mod tests {
         }
     }
 
+    /// One window per address, each of its records carrying that address.
     fn windows_with_addresses(addresses: &[u8]) -> Windows {
         let records: Vec<Record> = addresses
             .iter()
+            .flat_map(|&a| std::iter::repeat_n(a, PAPER_WINDOW))
             .enumerate()
-            .map(|(i, &a)| {
+            .map(|(i, a)| {
                 let mut r = Record::empty_at(i as f64);
                 r.address = a;
                 r
             })
             .collect();
-        Windows::over(&records, 1)
+        Windows::over(&records)
     }
 
     #[test]

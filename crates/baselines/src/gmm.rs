@@ -12,36 +12,19 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::detector::WindowDetector;
-use crate::linalg::stats::Standardizer;
-use crate::linalg::Matrix;
+use crate::linalg::stats::{standardize, Standardizer};
 use crate::window::{numeric_window_features, Windows};
 
-/// GMM hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GmmConfig {
-    /// Number of mixture components.
-    pub components: usize,
-    /// Maximum EM iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on the mean log-likelihood.
-    pub tolerance: f64,
-    /// Variance floor (standardized units).
-    pub variance_floor: f64,
-    /// Initialization seed.
-    pub seed: u64,
-}
-
-impl Default for GmmConfig {
-    fn default() -> Self {
-        GmmConfig {
-            components: 8,
-            max_iters: 100,
-            tolerance: 1e-5,
-            variance_floor: 1e-4,
-            seed: 0,
-        }
-    }
-}
+/// Mixture components (fewer if there are fewer training samples).
+const COMPONENTS: usize = 8;
+/// Maximum EM iterations.
+const MAX_ITERS: usize = 100;
+/// Convergence tolerance on the mean log-likelihood.
+const TOLERANCE: f64 = 1e-5;
+/// Variance floor, in standardized units.
+const VARIANCE_FLOOR: f64 = 1e-4;
+/// Initialization seed.
+const SEED: u64 = 0;
 
 /// A fitted diagonal-covariance Gaussian mixture.
 #[derive(Debug, Clone)]
@@ -54,44 +37,30 @@ pub struct Gmm {
 }
 
 impl Gmm {
-    /// Fits the mixture on (possibly contaminated) training windows.
+    /// Fits the mixture on (possibly contaminated) training windows: 8
+    /// components, at most 100 EM iterations, a tolerance of 1e-5 on the
+    /// mean log-likelihood, a variance floor of 1e-4 (standardized units),
+    /// seed 0.
     ///
     /// # Errors
     ///
-    /// Returns an error if `train` is empty or the configuration is invalid.
-    pub fn fit_windows(
-        train: &Windows,
-        config: &GmmConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// Returns an error if `train` is empty.
+    pub fn fit_windows(train: &Windows) -> Result<Self, Box<dyn std::error::Error>> {
         let features: Vec<Vec<f64>> = train.iter().map(numeric_window_features).collect();
-        Gmm::fit_vectors(&features, config)
+        Gmm::fit_vectors(&features)
     }
 
-    /// Fits the mixture on raw feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `samples` is empty or `components == 0`.
-    pub fn fit_vectors(
-        samples: &[Vec<f64>],
-        config: &GmmConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// [`Gmm::fit_windows`] over raw feature vectors.
+    fn fit_vectors(samples: &[Vec<f64>]) -> Result<Self, Box<dyn std::error::Error>> {
         if samples.is_empty() {
             return Err("gmm needs training samples".into());
         }
-        if config.components == 0 {
-            return Err("gmm needs at least one component".into());
-        }
-        let dim = samples[0].len();
-        let flat: Vec<f64> = samples.iter().flatten().copied().collect();
-        let data = Matrix::from_vec(samples.len(), dim, flat)?;
-        let standardizer = Standardizer::fit(&data)?;
-        let x = standardizer.transform(&data);
-        let n = x.rows();
-        let k = config.components.min(n);
+        let (standardizer, x) = standardize(samples);
+        let (n, dim) = (x.rows(), x.cols());
+        let k = COMPONENTS.min(n);
 
         // Initialize means on random distinct samples, unit variances.
-        let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
+        let mut rng = ChaCha12Rng::seed_from_u64(SEED);
         let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {
             let j = rng.gen_range(i..n);
@@ -104,7 +73,7 @@ impl Gmm {
         let mut resp = vec![0.0f64; n * k];
         let mut last_ll = f64::NEG_INFINITY;
 
-        for _ in 0..config.max_iters {
+        for _ in 0..MAX_ITERS {
             // E-step (log-space for stability).
             let mut ll = 0.0;
             for i in 0..n {
@@ -146,7 +115,7 @@ impl Gmm {
                         })
                         .sum::<f64>()
                         / nk;
-                    variances[c][d] = var.max(config.variance_floor);
+                    variances[c][d] = var.max(VARIANCE_FLOOR);
                 }
             }
             let wsum: f64 = weights.iter().sum();
@@ -154,7 +123,7 @@ impl Gmm {
                 *w /= wsum;
             }
 
-            if (ll - last_ll).abs() < config.tolerance {
+            if (ll - last_ll).abs() < TOLERANCE {
                 break;
             }
             last_ll = ll;
@@ -244,14 +213,7 @@ mod tests {
     #[test]
     fn fits_bimodal_data() {
         let data = two_blobs(400, 1);
-        let gmm = Gmm::fit_vectors(
-            &data,
-            &GmmConfig {
-                components: 2,
-                ..GmmConfig::default()
-            },
-        )
-        .unwrap();
+        let gmm = Gmm::fit_vectors(&data).unwrap();
         // Points in either blob are likely; a point between blobs is not.
         let in_a = gmm.neg_log_likelihood(&[0.5, 0.5]);
         let in_b = gmm.neg_log_likelihood(&[8.5, 8.5]);
@@ -262,7 +224,7 @@ mod tests {
     #[test]
     fn far_outliers_score_very_high() {
         let data = two_blobs(300, 2);
-        let gmm = Gmm::fit_vectors(&data, &GmmConfig::default()).unwrap();
+        let gmm = Gmm::fit_vectors(&data).unwrap();
         let inlier = gmm.neg_log_likelihood(&data[0]);
         let outlier = gmm.neg_log_likelihood(&[100.0, -100.0]);
         assert!(outlier > inlier + 10.0);
@@ -271,38 +233,22 @@ mod tests {
     #[test]
     fn weights_sum_to_one() {
         let data = two_blobs(200, 3);
-        let gmm = Gmm::fit_vectors(&data, &GmmConfig::default()).unwrap();
+        let gmm = Gmm::fit_vectors(&data).unwrap();
         let sum: f64 = gmm.weights.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
-        assert_eq!(gmm.components(), 8);
+        assert_eq!(gmm.components(), COMPONENTS);
     }
 
     #[test]
     fn component_count_capped_by_samples() {
         let data = two_blobs(4, 4);
-        let gmm = Gmm::fit_vectors(
-            &data,
-            &GmmConfig {
-                components: 16,
-                ..GmmConfig::default()
-            },
-        )
-        .unwrap();
+        let gmm = Gmm::fit_vectors(&data).unwrap();
         assert!(gmm.components() <= 4);
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(Gmm::fit_vectors(&[], &GmmConfig::default()).is_err());
-        let data = two_blobs(10, 5);
-        assert!(Gmm::fit_vectors(
-            &data,
-            &GmmConfig {
-                components: 0,
-                ..GmmConfig::default()
-            }
-        )
-        .is_err());
+        assert!(Gmm::fit_vectors(&[]).is_err());
     }
 
     #[test]
@@ -316,8 +262,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = two_blobs(100, 6);
-        let a = Gmm::fit_vectors(&data, &GmmConfig::default()).unwrap();
-        let b = Gmm::fit_vectors(&data, &GmmConfig::default()).unwrap();
+        let a = Gmm::fit_vectors(&data).unwrap();
+        let b = Gmm::fit_vectors(&data).unwrap();
         assert_eq!(
             a.neg_log_likelihood(&[1.0, 1.0]),
             b.neg_log_likelihood(&[1.0, 1.0])

@@ -12,6 +12,13 @@ use rand_chacha::ChaCha12Rng;
 use crate::detector::WindowDetector;
 use crate::window::{numeric_window_features, Windows};
 
+/// Trees in the forest.
+const TREES: usize = 100;
+/// Training windows each tree is grown on (ψ).
+const SUBSAMPLE: usize = 256;
+/// Subsampling and split seed.
+const SEED: u64 = 7;
+
 #[derive(Debug, Clone)]
 enum Node {
     Internal {
@@ -48,44 +55,28 @@ fn c_factor(n: usize) -> f64 {
 }
 
 impl IsolationForest {
-    /// Fits a forest of `n_trees` trees on subsamples of `subsample` windows.
+    /// Fits a forest of 100 trees, each grown on a subsample of 256
+    /// training windows (fewer if `train` is smaller), seed 7.
     ///
     /// # Errors
     ///
-    /// Returns an error if `train` is empty or parameters are zero.
-    pub fn fit_windows(
-        train: &Windows,
-        n_trees: usize,
-        subsample: usize,
-        seed: u64,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// Returns an error if `train` is empty.
+    pub fn fit_windows(train: &Windows) -> Result<Self, Box<dyn std::error::Error>> {
         let features: Vec<Vec<f64>> = train.iter().map(numeric_window_features).collect();
-        IsolationForest::fit_vectors(&features, n_trees, subsample, seed)
+        IsolationForest::fit_vectors(&features)
     }
 
-    /// Fits a forest on raw feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `samples` is empty or parameters are zero.
-    pub fn fit_vectors(
-        samples: &[Vec<f64>],
-        n_trees: usize,
-        subsample: usize,
-        seed: u64,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// [`IsolationForest::fit_windows`] over raw feature vectors.
+    fn fit_vectors(samples: &[Vec<f64>]) -> Result<Self, Box<dyn std::error::Error>> {
         if samples.is_empty() {
             return Err("isolation forest needs training samples".into());
         }
-        if n_trees == 0 || subsample == 0 {
-            return Err("n_trees and subsample must be positive".into());
-        }
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let psi = subsample.min(samples.len());
+        let mut rng = ChaCha12Rng::seed_from_u64(SEED);
+        let psi = SUBSAMPLE.min(samples.len());
         let height_limit = (psi as f64).log2().ceil().max(1.0) as usize;
         let dim = samples[0].len();
-        let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
+        let mut trees = Vec::with_capacity(TREES);
+        for _ in 0..TREES {
             // Sample ψ rows without replacement.
             let mut idx: Vec<usize> = (0..samples.len()).collect();
             for i in 0..psi {
@@ -234,7 +225,7 @@ mod tests {
     #[test]
     fn outliers_score_higher() {
         let train = blob(500, 1);
-        let forest = IsolationForest::fit_vectors(&train, 100, 256, 2).unwrap();
+        let forest = IsolationForest::fit_vectors(&train).unwrap();
         let inlier = forest.isolation_score(&[0.5, 0.5, 0.5, 0.5]);
         let outlier = forest.isolation_score(&[25.0, -25.0, 25.0, -25.0]);
         assert!(
@@ -247,7 +238,7 @@ mod tests {
     #[test]
     fn scores_are_in_unit_interval() {
         let train = blob(200, 3);
-        let forest = IsolationForest::fit_vectors(&train, 50, 64, 4).unwrap();
+        let forest = IsolationForest::fit_vectors(&train).unwrap();
         for s in &train {
             let score = forest.isolation_score(s);
             assert!((0.0..=1.0).contains(&score));
@@ -267,31 +258,28 @@ mod tests {
     #[test]
     fn forest_shape() {
         let train = blob(100, 5);
-        let forest = IsolationForest::fit_vectors(&train, 25, 64, 6).unwrap();
-        assert_eq!(forest.tree_count(), 25);
+        let forest = IsolationForest::fit_vectors(&train).unwrap();
+        assert_eq!(forest.tree_count(), TREES);
     }
 
     #[test]
     fn constant_data_does_not_crash() {
         let train = vec![vec![1.0, 1.0]; 50];
-        let forest = IsolationForest::fit_vectors(&train, 10, 32, 7).unwrap();
+        let forest = IsolationForest::fit_vectors(&train).unwrap();
         let s = forest.isolation_score(&[1.0, 1.0]);
         assert!(s.is_finite());
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(IsolationForest::fit_vectors(&[], 10, 32, 0).is_err());
-        let train = blob(10, 8);
-        assert!(IsolationForest::fit_vectors(&train, 0, 32, 0).is_err());
-        assert!(IsolationForest::fit_vectors(&train, 10, 0, 0).is_err());
+        assert!(IsolationForest::fit_vectors(&[]).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let train = blob(100, 9);
-        let a = IsolationForest::fit_vectors(&train, 20, 64, 10).unwrap();
-        let b = IsolationForest::fit_vectors(&train, 20, 64, 10).unwrap();
+        let a = IsolationForest::fit_vectors(&train).unwrap();
+        let b = IsolationForest::fit_vectors(&train).unwrap();
         assert_eq!(
             a.isolation_score(&[0.2, 0.4, 0.6, 0.8]),
             b.isolation_score(&[0.2, 0.4, 0.6, 0.8])

@@ -4,7 +4,11 @@
 //! the same gas-pipeline data. To make those models "consider time-series
 //! behaviour", four consecutive packages — one complete command–response
 //! cycle — are combined into a single data sample (paper §VIII-C). This
-//! crate implements that protocol end to end:
+//! crate implements that protocol end to end, under one fixed protocol:
+//! every model is `fit_windows(train)` followed by
+//! [`WindowDetector::score`] per window, over windows of [`PAPER_WINDOW`]
+//! packages, and every hyperparameter is a constant of its model (each
+//! `fit_windows` names its own).
 //!
 //! * [`window`] — windowing and the two featurizers (numeric vectors for
 //!   SVDD/IF/GMM/PCA, discretized categories for BF/BN),
@@ -22,7 +26,7 @@
 //! * [`PcaSvd`] — PCA via SVD with reconstruction-error scoring
 //!   (unsupervised likewise),
 //! * [`WindowDetector`] — the common scoring/threshold interface plus
-//!   false-positive-rate calibration.
+//!   false-positive-rate calibration ([`calibrate_fpr`]).
 //!
 //! # Examples
 //!
@@ -36,10 +40,10 @@
 //!     ..DatasetConfig::default()
 //! });
 //! let split = data.split_chronological(0.6, 0.2);
-//! let train = Windows::over(split.train().records(), 4);
-//! let mut forest = IsolationForest::fit_windows(&train, 50, 128, 9)?;
+//! let train = Windows::over(split.train().records());
+//! let mut forest = IsolationForest::fit_windows(&train)?;
 //! icsad_baselines::calibrate_fpr(&mut forest, &train, 0.05);
-//! let test = Windows::over(split.test(), 4);
+//! let test = Windows::over(split.test());
 //! let flagged = test.iter().filter(|w| forest.is_anomalous(w)).count();
 //! assert!(flagged > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -76,5 +80,6 @@ pub use detector::{calibrate_fpr, WindowDetector};
 pub use gmm::Gmm;
 pub use iforest::IsolationForest;
 pub use pca::PcaSvd;
-pub use stream::{windowed_decisions, WindowedBackend, PAPER_WINDOW};
+pub use stream::{windowed_decisions, WindowedBackend};
 pub use svdd::Svdd;
+pub use window::PAPER_WINDOW;

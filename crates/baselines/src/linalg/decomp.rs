@@ -1,7 +1,6 @@
 //! The symmetric Jacobi eigendecomposition behind the PCA-SVD baseline
 //! (principal components of the feature covariance matrix).
 
-use super::error::LinalgError;
 use super::matrix::Matrix;
 
 /// Result of a symmetric eigendecomposition: `a == v * diag(values) * v^T`.
@@ -21,13 +20,14 @@ pub(crate) struct SymmetricEigen {
 ///
 /// # Errors
 ///
-/// * [`LinalgError::NotSquare`] if `a` is not square.
-/// * [`LinalgError::NoConvergence`] if off-diagonal mass does not vanish
-///   within 100 sweeps (practically unreachable for real symmetric input).
-pub(crate) fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { dims: a.dims() });
-    }
+/// Returns an error if off-diagonal mass does not vanish within 100 sweeps
+/// (practically unreachable for real symmetric input).
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub(crate) fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, &'static str> {
+    assert!(a.is_square(), "eigendecomposition needs a square matrix");
     let n = a.rows();
     let mut m = a.clone();
     let mut v = Matrix::identity(n);
@@ -89,10 +89,7 @@ pub(crate) fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, LinalgError>
             }
         }
     }
-    Err(LinalgError::NoConvergence {
-        algorithm: "jacobi eigendecomposition",
-        iterations: MAX_SWEEPS,
-    })
+    Err("jacobi eigendecomposition did not converge within 100 sweeps")
 }
 
 fn sorted_eigen(m: Matrix, v: Matrix) -> SymmetricEigen {
@@ -114,7 +111,7 @@ mod tests {
     use super::*;
 
     fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
-        assert_eq!(a.dims(), b.dims());
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
         let pairs = a.iter_rows().flatten().zip(b.iter_rows().flatten());
         pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
     }
@@ -129,7 +126,7 @@ mod tests {
 
     #[test]
     fn eigen_of_diagonal() {
-        let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 1.0]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 1.0]);
         let eig = symmetric_eigen(&a).unwrap();
         assert!((eig.values[0] - 3.0).abs() < 1e-12);
         assert!((eig.values[1] - 1.0).abs() < 1e-12);
@@ -137,7 +134,7 @@ mod tests {
 
     #[test]
     fn eigen_of_known_matrix() {
-        let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
         let eig = symmetric_eigen(&a).unwrap();
         assert!((eig.values[0] - 3.0).abs() < 1e-10);
         assert!((eig.values[1] - 1.0).abs() < 1e-10);
@@ -145,22 +142,21 @@ mod tests {
 
     #[test]
     fn eigen_reconstructs_input() {
-        let a = Matrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]).unwrap();
+        let a = Matrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]);
         let eig = symmetric_eigen(&a).unwrap();
         assert!(max_abs_diff(&a, &reconstruct_eigen(&eig)) < 1e-9);
     }
 
     #[test]
     fn eigen_values_sorted_descending() {
-        let a = Matrix::from_vec(3, 3, vec![1.0, 0.3, 0.1, 0.3, 5.0, 0.2, 0.1, 0.2, 3.0]).unwrap();
+        let a = Matrix::from_vec(3, 3, vec![1.0, 0.3, 0.1, 0.3, 5.0, 0.2, 0.1, 0.2, 3.0]);
         let eig = symmetric_eigen(&a).unwrap();
         assert!(eig.values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
     }
 
     #[test]
     fn eigenvectors_are_orthonormal() {
-        let a =
-            Matrix::from_vec(3, 3, vec![2.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0]).unwrap();
+        let a = Matrix::from_vec(3, 3, vec![2.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0]);
         let eig = symmetric_eigen(&a).unwrap();
         let v = &eig.vectors;
         let vtv = Matrix::from_fn(3, 3, |i, j| (0..3).map(|k| v[(k, i)] * v[(k, j)]).sum());
@@ -168,18 +164,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "square matrix")]
     fn eigen_rejects_non_square() {
-        assert!(matches!(
-            symmetric_eigen(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
+        let _ = symmetric_eigen(&Matrix::zeros(2, 3));
     }
 
     #[test]
     fn eigen_trivial_sizes() {
         let e0 = symmetric_eigen(&Matrix::zeros(0, 0)).unwrap();
         assert!(e0.values.is_empty());
-        let e1 = symmetric_eigen(&Matrix::from_vec(1, 1, vec![7.0]).unwrap()).unwrap();
+        let e1 = symmetric_eigen(&Matrix::from_vec(1, 1, vec![7.0])).unwrap();
         assert_eq!(e1.values, vec![7.0]);
     }
 }

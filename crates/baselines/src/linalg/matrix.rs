@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use super::error::LinalgError;
-
 /// A dense matrix of `f64` values stored in row-major order.
 ///
 /// The type is intentionally small: it has only the operations the
@@ -58,18 +56,17 @@ impl Matrix {
 
     /// Creates a matrix from a flat row-major vector.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "from_vec",
-                left: (rows, cols),
-                right: (data.len(), 1),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
+    /// Panics if `data.len() != rows * cols`.
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "a {rows}x{cols} matrix needs {} elements",
+            rows * cols
+        );
+        Matrix { rows, cols, data }
     }
 
     /// Number of rows.
@@ -80,11 +77,6 @@ impl Matrix {
     /// Number of columns.
     pub(crate) fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Dimensions as `(rows, cols)`.
-    pub(crate) fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
     }
 
     /// Returns `true` if the matrix is square.
@@ -185,7 +177,7 @@ mod tests {
     #[test]
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
-        assert_eq!(z.dims(), (2, 3));
+        assert_eq!((z.rows(), z.cols()), (2, 3));
         assert!(z.iter_rows().flatten().all(|&x| x == 0.0));
 
         let i = Matrix::identity(3);
@@ -194,24 +186,21 @@ mod tests {
 
     #[test]
     fn from_vec_and_indexing() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
         assert_eq!(m.col(0), vec![1.0, 3.0]);
     }
 
     #[test]
+    #[should_panic(expected = "a 2x2 matrix needs 4 elements")]
     fn from_vec_checks_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-        assert!(matches!(
-            Matrix::from_vec(2, 2, vec![1.0; 3]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
+        Matrix::from_vec(2, 2, vec![1.0; 3]);
     }
 
     #[test]
     fn frobenius_norm_known() {
-        let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
@@ -230,7 +219,7 @@ mod tests {
 
     #[test]
     fn iter_rows_yields_all_rows() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let rows: Vec<&[f64]> = m.iter_rows().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
     }

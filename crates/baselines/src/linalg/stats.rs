@@ -1,21 +1,18 @@
 //! Descriptive statistics: column means, covariance matrices and z-score
 //! standardization.
 //!
-//! The covariance helpers back the PCA-SVD baseline; [`Standardizer`] backs
-//! all three numeric baselines.
+//! The covariance helpers back the PCA-SVD baseline; [`standardize`] is the
+//! first step of all three numeric baselines.
 
-use super::error::LinalgError;
 use super::matrix::Matrix;
 
 /// Per-column means of a data matrix with one sample per row.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`LinalgError::EmptyInput`] if the matrix has no rows.
-pub(crate) fn column_means(data: &Matrix) -> Result<Vec<f64>, LinalgError> {
-    if data.rows() == 0 {
-        return Err(LinalgError::EmptyInput { op: "column_means" });
-    }
+/// Panics if the matrix has no rows.
+fn column_means(data: &Matrix) -> Vec<f64> {
+    assert!(data.rows() > 0, "column means need at least one row");
     let mut means = vec![0.0; data.cols()];
     for row in data.iter_rows() {
         for (m, &x) in means.iter_mut().zip(row.iter()) {
@@ -26,22 +23,18 @@ pub(crate) fn column_means(data: &Matrix) -> Result<Vec<f64>, LinalgError> {
     for m in means.iter_mut() {
         *m /= n;
     }
-    Ok(means)
+    means
 }
 
 /// Sample covariance matrix (denominator `n - 1`) of a data matrix with one
 /// sample per row.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`LinalgError::EmptyInput`] if the matrix has fewer than two rows.
-pub(crate) fn covariance_matrix(data: &Matrix) -> Result<Matrix, LinalgError> {
-    if data.rows() < 2 {
-        return Err(LinalgError::EmptyInput {
-            op: "covariance_matrix",
-        });
-    }
-    let means = column_means(data)?;
+/// Panics if the matrix has fewer than two rows.
+pub(crate) fn covariance_matrix(data: &Matrix) -> Matrix {
+    assert!(data.rows() >= 2, "a covariance needs at least two rows");
+    let means = column_means(data);
     let d = data.cols();
     let mut cov = Matrix::zeros(d, d);
     for row in data.iter_rows() {
@@ -59,7 +52,26 @@ pub(crate) fn covariance_matrix(data: &Matrix) -> Result<Matrix, LinalgError> {
             cov[(j, i)] = cov[(i, j)];
         }
     }
-    Ok(cov)
+    cov
+}
+
+/// Stacks `samples` (one row each, all of one width) into a [`Matrix`], fits
+/// a [`Standardizer`] on it and returns the standardizer with the
+/// standardized matrix.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub(crate) fn standardize(samples: &[Vec<f64>]) -> (Standardizer, Matrix) {
+    assert!(
+        !samples.is_empty(),
+        "standardization needs at least one row"
+    );
+    let flat: Vec<f64> = samples.iter().flatten().copied().collect();
+    let data = Matrix::from_vec(samples.len(), samples[0].len(), flat);
+    let standardizer = Standardizer::fit(&data);
+    let standardized = standardizer.transform(&data);
+    (standardizer, standardized)
 }
 
 /// Z-score standardizer fit on training data and applied to new samples.
@@ -75,11 +87,11 @@ pub(crate) struct Standardizer {
 impl Standardizer {
     /// Fits per-column mean/standard deviation on `data` (one sample per row).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`LinalgError::EmptyInput`] if `data` has no rows.
-    pub(crate) fn fit(data: &Matrix) -> Result<Self, LinalgError> {
-        let means = column_means(data)?;
+    /// Panics if `data` has no rows.
+    fn fit(data: &Matrix) -> Self {
+        let means = column_means(data);
         let mut stds = vec![0.0; data.cols()];
         if data.rows() > 1 {
             for row in data.iter_rows() {
@@ -97,7 +109,7 @@ impl Standardizer {
                 *s = 1.0;
             }
         }
-        Ok(Standardizer { means, stds })
+        Standardizer { means, stds }
     }
 
     /// Standardizes one sample in place.
@@ -121,7 +133,7 @@ impl Standardizer {
     }
 
     /// Returns a standardized copy of the whole data matrix.
-    pub(crate) fn transform(&self, data: &Matrix) -> Matrix {
+    fn transform(&self, data: &Matrix) -> Matrix {
         let mut out = data.clone();
         for r in 0..out.rows() {
             self.transform_in_place(out.row_mut(r));
@@ -135,15 +147,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_inputs_error() {
-        assert!(column_means(&Matrix::zeros(0, 3)).is_err());
-        assert!(covariance_matrix(&Matrix::zeros(1, 3)).is_err());
+    #[should_panic(expected = "at least one row")]
+    fn column_means_of_no_rows_panics() {
+        column_means(&Matrix::zeros(0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two rows")]
+    fn covariance_of_one_row_panics() {
+        covariance_matrix(&Matrix::zeros(1, 3));
     }
 
     #[test]
     fn covariance_of_independent_columns() {
-        let data = Matrix::from_vec(3, 2, vec![1.0, 10.0, 2.0, 10.0, 3.0, 10.0]).unwrap();
-        let cov = covariance_matrix(&data).unwrap();
+        let data = Matrix::from_vec(3, 2, vec![1.0, 10.0, 2.0, 10.0, 3.0, 10.0]);
+        let cov = covariance_matrix(&data);
         assert!((cov[(0, 0)] - 1.0).abs() < 1e-12);
         assert_eq!(cov[(1, 1)], 0.0);
         assert_eq!(cov[(0, 1)], 0.0);
@@ -152,8 +170,8 @@ mod tests {
 
     #[test]
     fn covariance_of_correlated_columns() {
-        let data = Matrix::from_vec(3, 2, vec![1.0, 2.0, 2.0, 4.0, 3.0, 6.0]).unwrap();
-        let cov = covariance_matrix(&data).unwrap();
+        let data = Matrix::from_vec(3, 2, vec![1.0, 2.0, 2.0, 4.0, 3.0, 6.0]);
+        let cov = covariance_matrix(&data);
         // Perfect correlation: cov(x, y) = 2 * var(x).
         assert!((cov[(0, 1)] - 2.0 * cov[(0, 0)]).abs() < 1e-12);
         assert_eq!(cov[(1, 0)], cov[(0, 1)]);
@@ -161,10 +179,8 @@ mod tests {
 
     #[test]
     fn standardizer_zero_mean_unit_variance() {
-        let data = Matrix::from_vec(3, 2, vec![1.0, 5.0, 2.0, 5.0, 3.0, 5.0]).unwrap();
-        let s = Standardizer::fit(&data).unwrap();
-        let t = s.transform(&data);
-        let m = column_means(&t).unwrap();
+        let (_, t) = standardize(&[vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]]);
+        let m = column_means(&t);
         assert!(m[0].abs() < 1e-12);
         // Constant column stays untouched relative to its mean: all zeros.
         assert!(t.col(1).iter().all(|&x| x == 0.0));
@@ -180,8 +196,8 @@ mod tests {
 
     #[test]
     fn standardizer_transform_new_sample() {
-        let data = Matrix::from_vec(2, 1, vec![0.0, 10.0]).unwrap();
-        let s = Standardizer::fit(&data).unwrap();
+        let data = Matrix::from_vec(2, 1, vec![0.0, 10.0]);
+        let s = Standardizer::fit(&data);
         let mut sample = vec![5.0];
         s.transform_in_place(&mut sample);
         assert!(sample[0].abs() < 1e-12); // 5 is the mean

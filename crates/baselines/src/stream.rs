@@ -25,25 +25,21 @@ use icsad_core::{CombinedDetector, StreamingDetector};
 use icsad_dataset::Record;
 
 use crate::detector::WindowDetector;
-use crate::window::Windows;
-
-/// Window width of the paper's baseline protocol (§VIII-C).
-pub const PAPER_WINDOW: usize = 4;
+use crate::window::{Windows, PAPER_WINDOW};
 
 /// Expands per-window decisions of a [`WindowDetector`] to per-record
-/// decisions over `records`, using non-overlapping windows of `width`: the
-/// §VIII-C protocol written over a whole capture, kept as the reference the
-/// tests hold [`WindowedBackend`] sessions against.
+/// decisions over `records`, using non-overlapping [`PAPER_WINDOW`]-wide
+/// windows: the §VIII-C protocol written over a whole capture, kept as the
+/// reference the tests hold [`WindowedBackend`] sessions against.
 pub fn windowed_decisions<D: WindowDetector + ?Sized>(
     detector: &D,
     records: &[Record],
-    width: usize,
 ) -> Vec<bool> {
     let mut out = vec![false; records.len()];
-    let windows = Windows::over(records, width);
+    let windows = Windows::over(records);
     for i in 0..windows.len() {
         if detector.is_anomalous(windows.window(i)) {
-            out[i * width..(i + 1) * width].fill(true);
+            out[i * PAPER_WINDOW..(i + 1) * PAPER_WINDOW].fill(true);
         }
     }
     out
@@ -161,12 +157,12 @@ mod tests {
             0,
             "need a trailing partial window"
         );
-        let train = Windows::over(split.train().records(), PAPER_WINDOW);
-        let mut forest = IsolationForest::fit_windows(&train, 25, 64, 9).unwrap();
+        let train = Windows::over(split.train().records());
+        let mut forest = IsolationForest::fit_windows(&train).unwrap();
         calibrate_fpr(&mut forest, &train, 0.05);
 
         let backend = Arc::new(WindowedBackend::new(forest));
-        let reference = windowed_decisions(backend.detector(), test, PAPER_WINDOW);
+        let reference = windowed_decisions(backend.detector(), test);
         assert_eq!(reference.len(), test.len());
         // Decisions are constant within each full window.
         for chunk in reference.chunks(PAPER_WINDOW) {
@@ -188,8 +184,8 @@ mod tests {
             ..DatasetConfig::default()
         });
         let split = data.split_chronological(0.6, 0.2);
-        let train = Windows::over(split.train().records(), PAPER_WINDOW);
-        let mut forest = IsolationForest::fit_windows(&train, 25, 64, 9).unwrap();
+        let train = Windows::over(split.train().records());
+        let mut forest = IsolationForest::fit_windows(&train).unwrap();
         calibrate_fpr(&mut forest, &train, 0.05);
 
         // Two interleaved lanes of different lengths.
@@ -228,7 +224,7 @@ mod tests {
         }
 
         for (stream, decisions) in streams.iter().zip(resolved.iter()) {
-            let reference = windowed_decisions(backend.detector(), stream, PAPER_WINDOW);
+            let reference = windowed_decisions(backend.detector(), stream);
             assert_eq!(decisions, &reference);
         }
 

@@ -12,36 +12,18 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::detector::WindowDetector;
-use crate::linalg::stats::Standardizer;
-use crate::linalg::Matrix;
+use crate::linalg::stats::{standardize, Standardizer};
 use crate::window::{numeric_window_features, Windows};
 
-/// SVDD hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SvddConfig {
-    /// Box constraint `C` (fraction of outliers tolerated ≈ `1/(n·C)`).
-    pub c: f64,
-    /// RBF kernel width; `None` chooses `1 / (d · mean_var)` from the data.
-    pub gamma: Option<f64>,
-    /// Maximum training samples (larger training sets are subsampled).
-    pub max_samples: usize,
-    /// SMO pair-update passes.
-    pub passes: usize,
-    /// Subsampling / pair-selection seed.
-    pub seed: u64,
-}
-
-impl Default for SvddConfig {
-    fn default() -> Self {
-        SvddConfig {
-            c: 0.05,
-            gamma: None,
-            max_samples: 1_200,
-            passes: 40,
-            seed: 0,
-        }
-    }
-}
+/// Box constraint `C` (fraction of outliers tolerated ≈ `1/(n·C)`).
+const C: f64 = 0.05;
+/// Training windows kept for the O(n²) kernel matrix; larger training sets
+/// are subsampled.
+const MAX_SAMPLES: usize = 1_200;
+/// SMO pair-update passes.
+const PASSES: usize = 40;
+/// Subsampling and pair-selection seed.
+const SEED: u64 = 0;
 
 /// A fitted SVDD model.
 #[derive(Debug, Clone)]
@@ -67,41 +49,30 @@ fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
 }
 
 impl Svdd {
-    /// Fits the model on normal training windows.
+    /// Fits the model on normal training windows: `C` = 0.05, an RBF width
+    /// of `1 / dim` on standardized features, at most 1,200 windows
+    /// subsampled for the kernel matrix, 40 SMO passes, seed 0.
     ///
     /// # Errors
     ///
-    /// Returns an error if `train` is empty or standardization fails.
-    pub fn fit_windows(
-        train: &Windows,
-        config: &SvddConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// Returns an error if `train` is empty.
+    pub fn fit_windows(train: &Windows) -> Result<Self, Box<dyn std::error::Error>> {
         let features: Vec<Vec<f64>> = train.iter().map(numeric_window_features).collect();
-        Svdd::fit_vectors(&features, config)
+        Svdd::fit_vectors(&features)
     }
 
-    /// Fits the model on raw feature vectors (one sample per row).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `samples` is empty.
-    pub fn fit_vectors(
-        samples: &[Vec<f64>],
-        config: &SvddConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
+    /// [`Svdd::fit_windows`] over raw feature vectors (one sample per row).
+    fn fit_vectors(samples: &[Vec<f64>]) -> Result<Self, Box<dyn std::error::Error>> {
         if samples.is_empty() {
             return Err("svdd needs at least one training sample".into());
         }
-        let dim = samples[0].len();
-        let flat: Vec<f64> = samples.iter().flatten().copied().collect();
-        let data = Matrix::from_vec(samples.len(), dim, flat)?;
-        let standardizer = Standardizer::fit(&data)?;
-        let standardized = standardizer.transform(&data);
+        let (standardizer, standardized) = standardize(samples);
+        let dim = standardized.cols();
 
         // Subsample for the O(n²) kernel matrix.
-        let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
+        let mut rng = ChaCha12Rng::seed_from_u64(SEED);
         let n_total = standardized.rows();
-        let take = config.max_samples.min(n_total).max(1);
+        let take = MAX_SAMPLES.min(n_total).max(1);
         let mut indices: Vec<usize> = (0..n_total).collect();
         for i in 0..take {
             let j = rng.gen_range(i..n_total);
@@ -114,7 +85,7 @@ impl Svdd {
         let n = points.len();
 
         // Kernel width: sklearn-style "scale" default on standardized data.
-        let gamma = config.gamma.unwrap_or(1.0 / dim as f64);
+        let gamma = 1.0 / dim as f64;
 
         // Kernel matrix.
         let mut k = vec![0.0f64; n * n];
@@ -127,7 +98,7 @@ impl Svdd {
         }
 
         // Feasible start: uniform weights (clipped below C).
-        let c = config.c.max(1.0 / n as f64 + 1e-12);
+        let c = C.max(1.0 / n as f64 + 1e-12);
         let mut alphas = vec![1.0 / n as f64; n];
 
         // Cached kernel expansion g[i] = Σ_k α_k K(i,k).
@@ -136,7 +107,7 @@ impl Svdd {
             .collect();
 
         // SMO-style pairwise updates preserving Σα = 1.
-        for _ in 0..config.passes {
+        for _ in 0..PASSES {
             for _ in 0..n {
                 let i = rng.gen_range(0..n);
                 let mut j = rng.gen_range(0..n - 1);
@@ -247,7 +218,7 @@ mod tests {
     #[test]
     fn inliers_score_lower_than_outliers() {
         let train = blob(0.0, 300, 1);
-        let model = Svdd::fit_vectors(&train, &SvddConfig::default()).unwrap();
+        let model = Svdd::fit_vectors(&train).unwrap();
         let inlier = model.distance2(&[0.1, -0.1, 0.0]);
         let outlier = model.distance2(&[10.0, 10.0, 10.0]);
         assert!(
@@ -259,7 +230,7 @@ mod tests {
     #[test]
     fn dual_constraints_hold() {
         let train = blob(0.0, 200, 2);
-        let model = Svdd::fit_vectors(&train, &SvddConfig::default()).unwrap();
+        let model = Svdd::fit_vectors(&train).unwrap();
         let total: f64 = model.alphas.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "Σα = {total}");
         assert!(model.alphas.iter().all(|&a| a >= 0.0));
@@ -269,7 +240,7 @@ mod tests {
     #[test]
     fn distance_roughly_monotone_in_radius() {
         let train = blob(0.0, 300, 3);
-        let model = Svdd::fit_vectors(&train, &SvddConfig::default()).unwrap();
+        let model = Svdd::fit_vectors(&train).unwrap();
         let d1 = model.distance2(&[1.0, 0.0, 0.0]);
         let d3 = model.distance2(&[3.0, 0.0, 0.0]);
         let d9 = model.distance2(&[9.0, 0.0, 0.0]);
@@ -278,28 +249,21 @@ mod tests {
 
     #[test]
     fn subsampling_respected() {
-        let train = blob(0.0, 500, 4);
-        let model = Svdd::fit_vectors(
-            &train,
-            &SvddConfig {
-                max_samples: 50,
-                ..SvddConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(model.support_count() <= 50);
+        let train = blob(0.0, MAX_SAMPLES + 300, 4);
+        let model = Svdd::fit_vectors(&train).unwrap();
+        assert!(model.support_count() <= MAX_SAMPLES);
     }
 
     #[test]
     fn rejects_empty_training() {
-        assert!(Svdd::fit_vectors(&[], &SvddConfig::default()).is_err());
+        assert!(Svdd::fit_vectors(&[]).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let train = blob(0.0, 100, 5);
-        let a = Svdd::fit_vectors(&train, &SvddConfig::default()).unwrap();
-        let b = Svdd::fit_vectors(&train, &SvddConfig::default()).unwrap();
+        let a = Svdd::fit_vectors(&train).unwrap();
+        let b = Svdd::fit_vectors(&train).unwrap();
         assert_eq!(a.distance2(&[0.5, 0.5, 0.5]), b.distance2(&[0.5, 0.5, 0.5]));
     }
 }

@@ -7,7 +7,11 @@ use icsad_simulator::AttackType;
 /// [`numeric_features`].
 pub const NUMERIC_FEATURES_PER_RECORD: usize = 18;
 
-/// A list of fixed-width windows over a record slice.
+/// Window width of the paper's baseline protocol (§VIII-C): four
+/// consecutive packages, one command–response cycle, form one sample.
+pub const PAPER_WINDOW: usize = 4;
+
+/// The [`PAPER_WINDOW`]-wide windows over a record slice.
 ///
 /// Windows are non-overlapping (stride = width), matching the paper's "four
 /// consecutive packages as a single data sample"; a trailing partial window
@@ -15,32 +19,20 @@ pub const NUMERIC_FEATURES_PER_RECORD: usize = 18;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Windows {
     records: Vec<Record>,
-    width: usize,
 }
 
 impl Windows {
-    /// Builds non-overlapping windows of `width` packages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn over(records: &[Record], width: usize) -> Self {
-        assert!(width > 0, "window width must be positive");
-        let full = records.len() / width * width;
+    /// Builds non-overlapping windows of [`PAPER_WINDOW`] packages.
+    pub fn over(records: &[Record]) -> Self {
+        let full = records.len() / PAPER_WINDOW * PAPER_WINDOW;
         Windows {
             records: records[..full].to_vec(),
-            width,
         }
-    }
-
-    /// Window width in packages.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.records.len() / self.width
+        self.records.len() / PAPER_WINDOW
     }
 
     /// Returns `true` if there are no windows.
@@ -50,7 +42,7 @@ impl Windows {
 
     /// Iterates over the windows as record slices.
     pub fn iter(&self) -> impl Iterator<Item = &[Record]> {
-        self.records.chunks_exact(self.width)
+        self.records.chunks_exact(PAPER_WINDOW)
     }
 
     /// The `i`-th window.
@@ -59,7 +51,7 @@ impl Windows {
     ///
     /// Panics if `i >= self.len()`.
     pub fn window(&self, i: usize) -> &[Record] {
-        &self.records[i * self.width..(i + 1) * self.width]
+        &self.records[i * PAPER_WINDOW..(i + 1) * PAPER_WINDOW]
     }
 }
 
@@ -140,7 +132,7 @@ mod tests {
     #[test]
     fn windows_are_nonoverlapping_and_full() {
         let rs = records(103, 0.0);
-        let ws = Windows::over(&rs, 4);
+        let ws = Windows::over(&rs);
         assert_eq!(ws.len(), 25); // 103 / 4
         assert_eq!(ws.iter().count(), 25);
         for w in ws.iter() {
@@ -179,9 +171,9 @@ mod tests {
     #[test]
     fn numeric_window_concatenates() {
         let rs = records(8, 0.0);
-        let ws = Windows::over(&rs, 4);
+        let ws = Windows::over(&rs);
         let f = numeric_window_features(ws.window(0));
-        assert_eq!(f.len(), 4 * NUMERIC_FEATURES_PER_RECORD);
+        assert_eq!(f.len(), PAPER_WINDOW * NUMERIC_FEATURES_PER_RECORD);
         assert_eq!(f[..NUMERIC_FEATURES_PER_RECORD], numeric_features(&rs[0]));
     }
 
@@ -194,11 +186,5 @@ mod tests {
                 assert!(v >= -1.0);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "window width must be positive")]
-    fn zero_width_panics() {
-        Windows::over(&[], 0);
     }
 }

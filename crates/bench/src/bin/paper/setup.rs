@@ -156,22 +156,22 @@ impl Setup {
             let mut reports = vec![self.noise_trained().test_report.clone()];
             let t0 = Instant::now();
             let (split, disc) = (&self.split, &self.discretizer);
-            let train = Windows::over(split.train().records(), 4);
-            let validation = Windows::over(split.validation().records(), 4);
-            let test = Windows::over(split.test(), 4);
+            let train = Windows::over(split.train().records());
+            let validation = Windows::over(split.validation().records());
+            let test = Windows::over(split.test());
             let contaminated = &self.capture.records()[..(PACKAGES as f64 * 0.8) as usize];
-            let contaminated = Windows::over(contaminated, 4);
+            let contaminated = Windows::over(contaminated);
 
-            let bf = WindowBloomFilter::fit_windows(disc.clone(), &train, 0.001).expect("BF");
+            let bf = WindowBloomFilter::fit_windows(disc.clone(), &train);
             let mut bn = BayesianNetwork::fit_windows(disc.clone(), &train);
             calibrate_fpr(&mut bn, &validation, 0.02);
-            let mut svdd = Svdd::fit_windows(&train, &Default::default()).expect("SVDD");
+            let mut svdd = Svdd::fit_windows(&train).expect("SVDD");
             calibrate_fpr(&mut svdd, &validation, 0.02);
-            let mut iforest = IsolationForest::fit_windows(&train, 100, 256, SEED).expect("IF");
+            let mut iforest = IsolationForest::fit_windows(&train).expect("IF");
             calibrate_fpr(&mut iforest, &validation, 0.02);
-            let mut gmm = Gmm::fit_windows(&contaminated, &Default::default()).expect("GMM");
+            let mut gmm = Gmm::fit_windows(&contaminated).expect("GMM");
             calibrate_fpr(&mut gmm, &validation, 0.05);
-            let mut pca = PcaSvd::fit_windows(&contaminated, 0.95).expect("PCA-SVD");
+            let mut pca = PcaSvd::fit_windows(&contaminated).expect("PCA-SVD");
             calibrate_fpr(&mut pca, &validation, 0.05);
 
             let baselines: [&dyn WindowDetector; 6] = [&bf, &bn, &svdd, &iforest, &gmm, &pca];

@@ -81,18 +81,6 @@ impl BitVec {
         self.words.fill(0);
     }
 
-    /// Bitwise OR with another vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
     /// Heap memory used by the vector, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
@@ -157,24 +145,6 @@ mod tests {
         assert_eq!(bv.count_ones(), 70);
         bv.reset();
         assert_eq!(bv.count_ones(), 0);
-    }
-
-    #[test]
-    fn union_combines_bits() {
-        let mut a = BitVec::new(10);
-        let mut b = BitVec::new(10);
-        a.set(1);
-        b.set(8);
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(8));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn union_length_mismatch_panics() {
-        let mut a = BitVec::new(10);
-        a.union_with(&BitVec::new(11));
     }
 
     #[test]

@@ -60,21 +60,28 @@ pub struct BloomFilter {
     items: u64,
 }
 
+/// Most hash functions a filter may use. Every lookup makes `k` probes, so
+/// an unbounded `k` read from a serialized filter would stall each one;
+/// optimal sizing only exceeds 64 for a false-positive target below about
+/// 5e-20.
+const MAX_HASHES: u32 = 64;
+
 impl BloomFilter {
     /// Creates a filter with exactly `m_bits` bits and `k` hash functions.
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::InvalidParameters`] if `m_bits == 0` or `k == 0`.
+    /// Returns [`BloomError::InvalidParameters`] if `m_bits == 0`, `k == 0`
+    /// or `k > 64`.
     pub fn with_params(m_bits: usize, k: u32) -> Result<Self, BloomError> {
         if m_bits == 0 {
             return Err(BloomError::InvalidParameters {
                 reason: "m_bits must be positive",
             });
         }
-        if k == 0 {
+        if k == 0 || k > MAX_HASHES {
             return Err(BloomError::InvalidParameters {
-                reason: "k must be positive",
+                reason: "k must be in 1..=64",
             });
         }
         Ok(BloomFilter {
@@ -90,8 +97,8 @@ impl BloomFilter {
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::InvalidParameters`] if `expected_items == 0` or
-    /// `fpr` is not in `(0, 1)`.
+    /// Returns [`BloomError::InvalidParameters`] if `expected_items == 0`,
+    /// `fpr` is not in `(0, 1)`, or `fpr` is so small that `k` exceeds 64.
     pub fn with_capacity(expected_items: usize, fpr: f64) -> Result<Self, BloomError> {
         if expected_items == 0 {
             return Err(BloomError::InvalidParameters {
@@ -174,23 +181,6 @@ impl BloomFilter {
         self.bits.memory_bytes()
     }
 
-    /// Merges another filter built with identical parameters into this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BloomError::InvalidParameters`] if bit length or hash count
-    /// differ.
-    pub fn union_with(&mut self, other: &BloomFilter) -> Result<(), BloomError> {
-        if self.bits.len() != other.bits.len() || self.k != other.k {
-            return Err(BloomError::InvalidParameters {
-                reason: "union requires identical m and k",
-            });
-        }
-        self.bits.union_with(&other.bits);
-        self.items += other.items;
-        Ok(())
-    }
-
     /// Serializes the filter (k, item count, then the bit vector).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -204,7 +194,8 @@ impl BloomFilter {
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::Corrupt`] if the buffer is malformed.
+    /// Returns [`BloomError::Corrupt`] if the buffer is malformed or its `k`
+    /// is outside `1..=64`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, BloomError> {
         if bytes.len() < 12 {
             return Err(BloomError::Corrupt);
@@ -212,7 +203,7 @@ impl BloomFilter {
         let k = u32::from_le_bytes(bytes[0..4].try_into().map_err(|_| BloomError::Corrupt)?);
         let items = u64::from_le_bytes(bytes[4..12].try_into().map_err(|_| BloomError::Corrupt)?);
         let bits = BitVec::from_bytes(&bytes[12..]).ok_or(BloomError::Corrupt)?;
-        if k == 0 || bits.is_empty() {
+        if k == 0 || k > MAX_HASHES || bits.is_empty() {
             return Err(BloomError::Corrupt);
         }
         Ok(BloomFilter { bits, k, items })
@@ -291,26 +282,9 @@ mod tests {
         assert!(BloomFilter::with_capacity(10, -1.0).is_err());
         assert!(BloomFilter::with_params(0, 3).is_err());
         assert!(BloomFilter::with_params(64, 0).is_err());
-    }
-
-    #[test]
-    fn union_merges_membership() {
-        let mut a = BloomFilter::with_params(1024, 4).unwrap();
-        let mut b = BloomFilter::with_params(1024, 4).unwrap();
-        a.insert("left");
-        b.insert("right");
-        a.union_with(&b).unwrap();
-        assert!(a.contains("left") && a.contains("right"));
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn union_rejects_mismatched_params() {
-        let mut a = BloomFilter::with_params(1024, 4).unwrap();
-        let b = BloomFilter::with_params(2048, 4).unwrap();
-        assert!(a.union_with(&b).is_err());
-        let c = BloomFilter::with_params(1024, 5).unwrap();
-        assert!(a.union_with(&c).is_err());
+        assert!(BloomFilter::with_params(64, MAX_HASHES).is_ok());
+        assert!(BloomFilter::with_params(64, MAX_HASHES + 1).is_err());
+        assert!(BloomFilter::with_capacity(10, 1e-30).is_err());
     }
 
     #[test]
@@ -329,6 +303,9 @@ mod tests {
         assert!(BloomFilter::from_bytes(&[]).is_err());
         assert!(BloomFilter::from_bytes(&[0u8; 11]).is_err());
         assert!(BloomFilter::from_bytes(&[0u8; 64]).is_err());
+        let mut bytes = BloomFilter::with_params(64, 3).unwrap().to_bytes();
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(BloomFilter::from_bytes(&bytes), Err(BloomError::Corrupt));
     }
 
     #[test]

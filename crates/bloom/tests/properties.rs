@@ -19,26 +19,6 @@ proptest! {
         }
     }
 
-    /// Union behaves like inserting both item sets into one filter.
-    #[test]
-    fn union_is_superset_of_both_sides(
-        left in proptest::collection::vec("[a-z]{1,12}", 0..50),
-        right in proptest::collection::vec("[a-z]{1,12}", 0..50),
-    ) {
-        let mut a = BloomFilter::with_params(4096, 4).unwrap();
-        let mut b = BloomFilter::with_params(4096, 4).unwrap();
-        for it in &left {
-            a.insert(it);
-        }
-        for it in &right {
-            b.insert(it);
-        }
-        a.union_with(&b).unwrap();
-        for it in left.iter().chain(right.iter()) {
-            prop_assert!(a.contains(it));
-        }
-    }
-
     /// Serialization round-trips exactly, preserving membership answers.
     #[test]
     fn filter_serialization_round_trip(

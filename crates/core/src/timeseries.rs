@@ -3,7 +3,7 @@
 
 use icsad_dataset::{Fragments, Record};
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
-use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
+use icsad_features::{DiscreteVector, Discretizer, Signature, SignatureVocabulary};
 use icsad_nn::{
     loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, Sequence,
     StreamState, Trainer, TrainingConfig,
@@ -261,7 +261,7 @@ impl TimeSeriesDetector {
                     .map(|(vec, &target)| {
                         let (encoded, _) = match noise {
                             Some(n) => {
-                                let sig = icsad_features::signature_of(vec);
+                                let sig = Signature::from_components(vec);
                                 let count = self
                                     .vocabulary
                                     .id_of(&sig)

@@ -152,6 +152,22 @@ fn swapped_bloom_section_is_rejected_as_inconsistent() {
 }
 
 #[test]
+fn unbounded_bloom_hash_count_is_corrupt_behind_a_valid_checksum() {
+    let fx = fixture();
+    // The BLOM payload (index 2) opens with the filter's hash count `k`.
+    // With `k = u32::MAX` every lookup would make 2^32 probes, stalling
+    // the shard on each package: the loader must refuse the section.
+    let boundaries = section_boundaries(&fx.artifact);
+    let mut bloom = fx.artifact[boundaries[2]..boundaries[3]].to_vec();
+    bloom[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let bytes = replace_section(&fx.artifact, 2, &bloom);
+    assert!(matches!(
+        CombinedDetector::from_bytes(&bytes),
+        Err(ArtifactError::SectionCorrupt { section: "BLOM" })
+    ));
+}
+
+#[test]
 fn implausible_section_count_is_rejected_before_any_table_walk() {
     // Magic and version intact, count = u16::MAX: rejected by the section
     // cap (no quadratic duplicate scan, no checksum pass over the body).

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use icsad_baselines::{
     calibrate_fpr, window::Windows, windowed_decisions, IsolationForest, WindowedBackend,
-    PAPER_WINDOW,
 };
 use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
@@ -623,8 +622,8 @@ fn baseline_backend_reproduces_offline_windowed_decisions() {
         ..DatasetConfig::default()
     });
     let split = data.split_chronological(0.7, 0.2);
-    let train = Windows::over(split.train().records(), PAPER_WINDOW);
-    let mut forest = IsolationForest::fit_windows(&train, 25, 64, 9).unwrap();
+    let train = Windows::over(split.train().records());
+    let mut forest = IsolationForest::fit_windows(&train).unwrap();
     calibrate_fpr(&mut forest, &train, 0.05);
     let backend = Arc::new(WindowedBackend::new(forest));
 
@@ -634,7 +633,7 @@ fn baseline_backend_reproduces_offline_windowed_decisions() {
     let mut reference_alarms = 0u64;
     for stream_packets in by_unit(&packets).values() {
         let records = extract_records(stream_packets, DEFAULT_CRC_WINDOW);
-        let decisions = windowed_decisions(backend.detector(), &records, PAPER_WINDOW);
+        let decisions = windowed_decisions(backend.detector(), &records);
         for (r, &d) in records.iter().zip(decisions.iter()) {
             if d {
                 reference_alarms += 1;
@@ -673,8 +672,8 @@ fn swap_artifact_is_refused_for_baseline_backends() {
         ..DatasetConfig::default()
     });
     let split = data.split_chronological(0.7, 0.2);
-    let train = Windows::over(split.train().records(), PAPER_WINDOW);
-    let mut forest = IsolationForest::fit_windows(&train, 10, 32, 1).unwrap();
+    let train = Windows::over(split.train().records());
+    let mut forest = IsolationForest::fit_windows(&train).unwrap();
     calibrate_fpr(&mut forest, &train, 0.05);
 
     let detector = small_detector(52);

@@ -63,25 +63,8 @@ impl CategoryMap {
         self.map.contains_key(&value)
     }
 
-    /// Serializes the map (observed keys in ascending order; the dense
-    /// indices are implied by position).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_into(&mut out);
-        out
-    }
-
-    /// Deserializes a map produced by [`CategoryMap::to_bytes`].
-    ///
-    /// Returns `None` if the buffer is malformed (wrong length, keys not
-    /// strictly ascending, or more keys than the `u16` index space holds).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let map = Self::read_from(&mut r)?;
-        r.finish()?;
-        Some(map)
-    }
-
+    /// Appends the map (observed keys in ascending order; the dense indices
+    /// are implied by position).
     pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
         put_usize(out, self.map.len());
         for &key in self.map.keys() {
@@ -89,6 +72,9 @@ impl CategoryMap {
         }
     }
 
+    /// Reads a map written by [`CategoryMap::write_into`]; `None` if the
+    /// bytes run out, the keys are not strictly ascending, or there are more
+    /// keys than the `u16` index space holds.
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Option<Self> {
         let n = r.usize_()?;
         // The unknown sentinel is `n as u16`, so n itself must fit.
@@ -147,30 +133,40 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn to_bytes(m: &CategoryMap) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.write_into(&mut out);
+        out
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Option<CategoryMap> {
+        crate::codec::tests::decode_all(bytes, CategoryMap::read_from)
+    }
+
     #[test]
     fn serialization_round_trip() {
         for values in [vec![], vec![7], vec![16, 3, 3, 17, u32::MAX]] {
             let m = CategoryMap::fit(values);
-            assert_eq!(CategoryMap::from_bytes(&m.to_bytes()), Some(m));
+            assert_eq!(from_bytes(&to_bytes(&m)), Some(m));
         }
     }
 
     #[test]
     fn deserialization_rejects_garbage() {
-        assert!(CategoryMap::from_bytes(&[]).is_none());
+        assert!(from_bytes(&[]).is_none());
         // Truncated key list.
-        let mut bytes = CategoryMap::fit(vec![1, 2, 3]).to_bytes();
+        let mut bytes = to_bytes(&CategoryMap::fit(vec![1, 2, 3]));
         bytes.pop();
-        assert!(CategoryMap::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         // Trailing garbage.
-        let mut bytes = CategoryMap::fit(vec![1]).to_bytes();
+        let mut bytes = to_bytes(&CategoryMap::fit(vec![1]));
         bytes.push(0);
-        assert!(CategoryMap::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         // Non-ascending keys (non-canonical encoding).
         let mut out = Vec::new();
         crate::codec::put_usize(&mut out, 2);
         crate::codec::put_u32(&mut out, 9);
         crate::codec::put_u32(&mut out, 9);
-        assert!(CategoryMap::from_bytes(&out).is_none());
+        assert!(from_bytes(&out).is_none());
     }
 }

@@ -82,8 +82,20 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Decodes one component that must fill `bytes` exactly: a `read_from`
+    /// decoder followed by [`Reader::finish`], as outside a DISC section.
+    pub(crate) fn decode_all<T>(
+        bytes: &[u8],
+        read: impl FnOnce(&mut Reader<'_>) -> Option<T>,
+    ) -> Option<T> {
+        let mut r = Reader::new(bytes);
+        let value = read(&mut r)?;
+        r.finish()?;
+        Some(value)
+    }
 
     #[test]
     fn round_trips_scalars() {

@@ -85,25 +85,7 @@ impl DiscretizationConfig {
         Ok(())
     }
 
-    /// Serializes the configuration.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_into(&mut out);
-        out
-    }
-
-    /// Deserializes a configuration produced by
-    /// [`DiscretizationConfig::to_bytes`].
-    ///
-    /// Returns `None` if the buffer is malformed or the configuration fails
-    /// [`DiscretizationConfig::validate`].
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let config = Self::read_from(&mut r)?;
-        r.finish()?;
-        Some(config)
-    }
-
+    /// Appends the configuration.
     pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
         put_usize(out, self.time_interval_clusters);
         put_usize(out, self.crc_rate_clusters);
@@ -114,6 +96,9 @@ impl DiscretizationConfig {
         put_u64(out, self.seed);
     }
 
+    /// Reads a configuration written by
+    /// [`DiscretizationConfig::write_into`]; `None` if the bytes run out or
+    /// the configuration fails [`DiscretizationConfig::validate`].
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Option<Self> {
         let config = DiscretizationConfig {
             time_interval_clusters: r.usize_()?,
@@ -156,15 +141,24 @@ mod tests {
             seed: 0xFEED,
             ..DiscretizationConfig::paper_defaults()
         };
-        assert_eq!(DiscretizationConfig::from_bytes(&c.to_bytes()), Some(c));
-        assert!(DiscretizationConfig::from_bytes(&[]).is_none());
-        let mut bytes = DiscretizationConfig::paper_defaults().to_bytes();
+        let to_bytes = |c: &DiscretizationConfig| {
+            let mut out = Vec::new();
+            c.write_into(&mut out);
+            out
+        };
+        let from_bytes =
+            |bytes: &[u8]| crate::codec::tests::decode_all(bytes, DiscretizationConfig::read_from);
+        assert_eq!(from_bytes(&to_bytes(&c)), Some(c));
+        assert!(from_bytes(&[]).is_none());
+        let mut bytes = to_bytes(&DiscretizationConfig::paper_defaults());
         bytes.pop();
-        assert!(DiscretizationConfig::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
+        bytes.extend_from_slice(&[0; 9]);
+        assert!(from_bytes(&bytes).is_none(), "trailing bytes");
         // A zero granularity is rejected even when well-framed.
         let mut invalid = DiscretizationConfig::paper_defaults();
         invalid.pressure_bins = 0;
-        assert!(DiscretizationConfig::from_bytes(&invalid.to_bytes()).is_none());
+        assert!(from_bytes(&to_bytes(&invalid)).is_none());
     }
 
     #[test]

@@ -105,30 +105,17 @@ impl IntervalPartition {
         Some(idx.min(self.bins - 1))
     }
 
-    /// Serializes the partition (bounds as exact bit patterns).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_into(&mut out);
-        out
-    }
-
-    /// Deserializes a partition produced by [`IntervalPartition::to_bytes`].
-    ///
-    /// Returns `None` if the buffer is malformed or encodes an invalid
-    /// partition (`bins == 0`, non-finite bounds, or `lo > hi`).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let p = Self::read_from(&mut r)?;
-        r.finish()?;
-        Some(p)
-    }
-
+    /// Appends the partition (bounds as exact bit patterns).
     pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
         put_f64(out, self.lo);
         put_f64(out, self.hi);
         put_usize(out, self.bins);
     }
 
+    /// Reads a partition written by [`IntervalPartition::write_into`];
+    /// `None` if the bytes run out or encode an invalid partition
+    /// (`bins == 0` or beyond the `u16` category space, non-finite bounds,
+    /// or `lo > hi`).
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Option<Self> {
         let lo = r.f64()?;
         let hi = r.f64()?;
@@ -221,6 +208,16 @@ mod tests {
         assert_eq!(p.assign(0.0), None);
     }
 
+    fn to_bytes(p: &IntervalPartition) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.write_into(&mut out);
+        out
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Option<IntervalPartition> {
+        crate::codec::tests::decode_all(bytes, IntervalPartition::read_from)
+    }
+
     #[test]
     fn serialization_round_trip() {
         for p in [
@@ -228,32 +225,32 @@ mod tests {
             IntervalPartition::fit(vec![5.0, 5.0], 3).unwrap(),
             IntervalPartition::fit(vec![1e308], 4).unwrap(),
         ] {
-            assert_eq!(IntervalPartition::from_bytes(&p.to_bytes()), Some(p));
+            assert_eq!(from_bytes(&to_bytes(&p)), Some(p));
         }
     }
 
     #[test]
     fn deserialization_rejects_garbage() {
-        assert!(IntervalPartition::from_bytes(&[]).is_none());
+        assert!(from_bytes(&[]).is_none());
         let p = IntervalPartition::new(0.0, 1.0, 2).unwrap();
-        let mut bytes = p.to_bytes();
+        let mut bytes = to_bytes(&p);
         bytes.pop();
-        assert!(IntervalPartition::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         bytes.push(0);
         bytes.push(0);
-        assert!(IntervalPartition::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         // bins == 0.
         let mut out = Vec::new();
         crate::codec::put_f64(&mut out, 0.0);
         crate::codec::put_f64(&mut out, 1.0);
         crate::codec::put_usize(&mut out, 0);
-        assert!(IntervalPartition::from_bytes(&out).is_none());
+        assert!(from_bytes(&out).is_none());
         // lo > hi.
         let mut out = Vec::new();
         crate::codec::put_f64(&mut out, 2.0);
         crate::codec::put_f64(&mut out, 1.0);
         crate::codec::put_usize(&mut out, 2);
-        assert!(IntervalPartition::from_bytes(&out).is_none());
+        assert!(from_bytes(&out).is_none());
         // A bin count beyond the u16 category space (would overflow the
         // cardinality sums / truncate `as u16` casts downstream).
         for bins in [usize::from(u16::MAX), usize::MAX - 1] {
@@ -261,7 +258,7 @@ mod tests {
             crate::codec::put_f64(&mut out, 0.0);
             crate::codec::put_f64(&mut out, 1.0);
             crate::codec::put_usize(&mut out, bins);
-            assert!(IntervalPartition::from_bytes(&out).is_none());
+            assert!(from_bytes(&out).is_none());
         }
     }
 

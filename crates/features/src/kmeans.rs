@@ -247,26 +247,8 @@ impl KMeans {
         self.assign(&[value])
     }
 
-    /// Serializes the fitted model (centroids and outlier radii; floats as
+    /// Appends the fitted model (centroids and outlier radii; floats as
     /// exact bit patterns).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_into(&mut out);
-        out
-    }
-
-    /// Deserializes a model produced by [`KMeans::to_bytes`].
-    ///
-    /// Returns `None` if the buffer is malformed or encodes an invalid
-    /// model (zero clusters/dimensions, non-finite coordinates, or negative
-    /// radii).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let km = Self::read_from(&mut r)?;
-        r.finish()?;
-        Some(km)
-    }
-
     pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
         put_usize(out, self.centroids.len());
         put_usize(out, self.centroids[0].len());
@@ -280,6 +262,10 @@ impl KMeans {
         }
     }
 
+    /// Reads a model written by [`KMeans::write_into`]; `None` if the bytes
+    /// run out or encode an invalid model (zero clusters/dimensions, more
+    /// clusters than the `u16` category space holds, non-finite coordinates,
+    /// or negative radii).
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Option<Self> {
         let k = r.usize_()?;
         let dim = r.usize_()?;
@@ -417,11 +403,21 @@ mod tests {
         km.assign(&[1.0, 2.0]);
     }
 
+    fn to_bytes(km: &KMeans) -> Vec<u8> {
+        let mut out = Vec::new();
+        km.write_into(&mut out);
+        out
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Option<KMeans> {
+        crate::codec::tests::decode_all(bytes, KMeans::read_from)
+    }
+
     #[test]
     fn serialization_round_trip_preserves_assignments() {
         let values: Vec<f64> = (0..120).map(|i| ((i * 13) % 29) as f64 * 0.37).collect();
         let km = KMeans::fit_1d(&values, 5, 100, 11).unwrap();
-        let back = KMeans::from_bytes(&km.to_bytes()).unwrap();
+        let back = from_bytes(&to_bytes(&km)).unwrap();
         assert_eq!(back, km);
         for &v in &values {
             assert_eq!(back.assign_1d(v), km.assign_1d(v));
@@ -431,29 +427,29 @@ mod tests {
             .map(|i| vec![i as f64, (i % 3) as f64, -0.5 * i as f64])
             .collect();
         let km = KMeans::fit(&points, 4, 50, 12).unwrap();
-        assert_eq!(KMeans::from_bytes(&km.to_bytes()), Some(km));
+        assert_eq!(from_bytes(&to_bytes(&km)), Some(km));
     }
 
     #[test]
     fn deserialization_rejects_garbage() {
-        assert!(KMeans::from_bytes(&[]).is_none());
+        assert!(from_bytes(&[]).is_none());
         let km = KMeans::fit_1d(&[1.0, 2.0, 3.0], 2, 50, 0).unwrap();
-        let mut bytes = km.to_bytes();
+        let mut bytes = to_bytes(&km);
         bytes.pop();
-        assert!(KMeans::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         bytes.push(0);
         bytes.push(0);
-        assert!(KMeans::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         // Non-finite centroid coordinate.
-        let mut bytes = km.to_bytes();
+        let mut bytes = to_bytes(&km);
         bytes[16..24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(KMeans::from_bytes(&bytes).is_none());
+        assert!(from_bytes(&bytes).is_none());
         // A header claiming a huge cluster count with no payload behind it
         // must be rejected before anything is allocated for it.
         let mut huge = Vec::new();
         crate::codec::put_usize(&mut huge, 1 << 24);
         crate::codec::put_usize(&mut huge, 1);
-        assert!(KMeans::from_bytes(&huge).is_none());
+        assert!(from_bytes(&huge).is_none());
         // A cluster count beyond the u16 category space is rejected even
         // when the payload bytes are all present.
         let k = usize::from(u16::MAX);
@@ -466,7 +462,7 @@ mod tests {
         for _ in 0..k {
             crate::codec::put_f64(&mut wide, 0.0);
         }
-        assert!(KMeans::from_bytes(&wide).is_none());
+        assert!(from_bytes(&wide).is_none());
     }
 
     #[test]

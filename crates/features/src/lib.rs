@@ -72,4 +72,4 @@ mod signature;
 pub use config::DiscretizationConfig;
 pub use discretizer::{DiscreteVector, Discretizer, FEATURE_COUNT};
 pub use error::FeatureError;
-pub use signature::{signature_of, write_signature, Signature, SignatureVocabulary};
+pub use signature::{write_signature, Signature, SignatureVocabulary};

@@ -6,7 +6,7 @@ use std::fmt;
 use icsad_dataset::Record;
 
 use crate::codec::{put_u32, put_u64, put_usize, Reader};
-use crate::discretizer::{DiscreteVector, Discretizer};
+use crate::discretizer::Discretizer;
 
 /// A package signature: the unique encoding of a discretized feature vector.
 ///
@@ -27,17 +27,6 @@ impl Signature {
     /// The signature as a string (the Bloom filter key).
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// Parses the component indices back out of the signature.
-    pub fn components(&self) -> Vec<u16> {
-        if self.0.is_empty() {
-            return Vec::new();
-        }
-        self.0
-            .split('~')
-            .map(|p| p.parse().expect("signature components are u16"))
-            .collect()
     }
 }
 
@@ -232,20 +221,14 @@ impl SignatureVocabulary {
     }
 }
 
-/// Builds the signature of a discretized vector directly.
-pub fn signature_of(vector: &DiscreteVector) -> Signature {
-    Signature::from_components(vector)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn signature_round_trips_components() {
+    fn signature_encodes_components() {
         let sig = Signature::from_components(&[3, 0, 17, 2]);
         assert_eq!(sig.as_str(), "3~0~17~2");
-        assert_eq!(sig.components(), vec![3, 0, 17, 2]);
     }
 
     #[test]
@@ -259,7 +242,6 @@ mod tests {
     fn empty_signature() {
         let sig = Signature::from_components(&[]);
         assert_eq!(sig.as_str(), "");
-        assert!(sig.components().is_empty());
     }
 
     #[test]

@@ -70,7 +70,6 @@ proptest! {
         let sa = Signature::from_components(&a);
         let sb = Signature::from_components(&b);
         prop_assert_eq!(sa == sb, a == b);
-        prop_assert_eq!(sa.components(), a);
     }
 
     /// The allocation-free signature writer produces exactly the encoding

@@ -6,8 +6,9 @@
 //!
 //! * [`crc`] — the CRC-16/Modbus checksum,
 //! * [`FunctionCode`] / [`ExceptionCode`] — application function codes,
-//! * [`Frame`] — RTU framing with encode/decode and CRC verification,
-//! * [`RegisterMap`] — a holding-register store for the slave device,
+//! * [`Frame`] — RTU framing with encode/decode and CRC verification, and
+//!   [`FrameView`], the same decode borrowing the payload from the wire
+//!   buffer (no allocation per frame),
 //! * [`pipeline`] — the gas-pipeline payload codec mapping PID parameters,
 //!   mode, pump/solenoid state and pressure onto registers.
 //!
@@ -30,8 +31,6 @@ pub mod crc;
 mod frame;
 mod function;
 pub mod pipeline;
-mod registers;
 
 pub use frame::{Frame, FrameError, FrameView, MAX_ADU_LEN};
 pub use function::{ExceptionCode, FunctionCode};
-pub use registers::RegisterMap;

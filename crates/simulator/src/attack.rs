@@ -101,53 +101,29 @@ impl fmt::Display for AttackType {
     }
 }
 
-/// Configuration of the attack scheduler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackConfig {
-    /// Probability of starting an attack episode at an idle cycle boundary.
-    pub episode_probability: f64,
-    /// Inclusive range of episode lengths in polling cycles.
-    pub episode_cycles: (u32, u32),
-    /// Relative frequency of each attack type, indexed by `AttackType::ALL`.
-    pub weights: [f64; 7],
-}
+/// Inclusive range of attack episode lengths, in polling cycles.
+const EPISODE_CYCLES: (u32, u32) = (2, 12);
 
-impl Default for AttackConfig {
-    fn default() -> Self {
-        AttackConfig {
-            episode_probability: 0.05,
-            episode_cycles: (2, 12),
-            weights: [1.0; 7],
-        }
-    }
-}
+/// Relative frequency of each attack type, indexed by `AttackType::ALL`:
+/// uniform.
+const WEIGHTS: [f64; 7] = [1.0; 7];
 
 /// Schedules attack episodes over the polling-cycle timeline, mimicking the
 /// AutoIt script that "randomly chooses to send legal commands or launch
-/// cyber attacks".
+/// cyber attacks": an episode of a uniformly drawn attack type lasts 2 to 12
+/// cycles.
 #[derive(Debug, Clone)]
 pub struct AttackInjector {
-    config: AttackConfig,
+    episode_probability: f64,
     active: Option<(AttackType, u32)>,
 }
 
 impl AttackInjector {
-    /// Creates an injector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all weights are zero or any weight is negative.
-    pub fn new(config: AttackConfig) -> Self {
-        assert!(
-            config.weights.iter().all(|&w| w >= 0.0),
-            "attack weights must be non-negative"
-        );
-        assert!(
-            config.weights.iter().sum::<f64>() > 0.0,
-            "at least one attack weight must be positive"
-        );
+    /// Creates an injector that starts an episode at an idle cycle boundary
+    /// with probability `episode_probability`.
+    pub fn new(episode_probability: f64) -> Self {
         AttackInjector {
-            config,
+            episode_probability,
             active: None,
         }
     }
@@ -168,28 +144,27 @@ impl AttackInjector {
                 // Episode ended; the line returns to normal this cycle.
             }
             None => {
-                if rng.gen::<f64>() < self.config.episode_probability {
-                    let ty = self.sample_type(rng);
-                    let (lo, hi) = self.config.episode_cycles;
-                    let len = rng.gen_range(lo.max(1)..=hi.max(lo.max(1)));
+                if rng.gen::<f64>() < self.episode_probability {
+                    let ty = sample_type(rng);
+                    let len = rng.gen_range(EPISODE_CYCLES.0..=EPISODE_CYCLES.1);
                     self.active = Some((ty, len));
                 }
             }
         }
         self.current()
     }
+}
 
-    fn sample_type(&self, rng: &mut ChaCha12Rng) -> AttackType {
-        let total: f64 = self.config.weights.iter().sum();
-        let mut roll = rng.gen::<f64>() * total;
-        for (ty, &w) in AttackType::ALL.iter().zip(self.config.weights.iter()) {
-            if roll < w {
-                return *ty;
-            }
-            roll -= w;
+fn sample_type(rng: &mut ChaCha12Rng) -> AttackType {
+    let total: f64 = WEIGHTS.iter().sum();
+    let mut roll = rng.gen::<f64>() * total;
+    for (ty, &w) in AttackType::ALL.iter().zip(WEIGHTS.iter()) {
+        if roll < w {
+            return *ty;
         }
-        AttackType::Recon
+        roll -= w;
     }
+    AttackType::Recon
 }
 
 /// Crafts the NMRI payload: a response with uniformly random pressure.
@@ -315,10 +290,7 @@ mod tests {
 
     #[test]
     fn injector_produces_episodes() {
-        let mut inj = AttackInjector::new(AttackConfig {
-            episode_probability: 0.2,
-            ..AttackConfig::default()
-        });
+        let mut inj = AttackInjector::new(0.2);
         let mut r = rng();
         let mut attack_cycles = 0;
         for _ in 0..2_000 {
@@ -332,26 +304,31 @@ mod tests {
 
     #[test]
     fn episodes_have_bounded_length() {
-        let mut inj = AttackInjector::new(AttackConfig {
-            episode_probability: 1.0,
-            episode_cycles: (3, 3),
-            ..AttackConfig::default()
-        });
+        let mut inj = AttackInjector::new(1.0);
         let mut r = rng();
-        // Every episode lasts exactly 3 cycles, then one normal cycle.
-        let first = inj.advance_cycle(&mut r);
-        assert!(first.is_some());
-        assert_eq!(inj.advance_cycle(&mut r), first);
-        assert_eq!(inj.advance_cycle(&mut r), first);
-        assert_eq!(inj.advance_cycle(&mut r), None);
+        // Every idle cycle starts an episode, so episodes are separated by
+        // exactly one normal cycle; each keeps one type for 2 to 12 cycles.
+        let (mut run, mut first) = (0, None);
+        let mut episodes = 0;
+        for _ in 0..2_000 {
+            match inj.advance_cycle(&mut r) {
+                Some(ty) => {
+                    assert_eq!(*first.get_or_insert(ty), ty, "type changed mid-episode");
+                    run += 1;
+                }
+                None => {
+                    assert!((2..=12).contains(&run), "episode of {run} cycles");
+                    (run, first) = (0, None);
+                    episodes += 1;
+                }
+            }
+        }
+        assert!(episodes > 100);
     }
 
     #[test]
     fn zero_probability_never_attacks() {
-        let mut inj = AttackInjector::new(AttackConfig {
-            episode_probability: 0.0,
-            ..AttackConfig::default()
-        });
+        let mut inj = AttackInjector::new(0.0);
         let mut r = rng();
         for _ in 0..500 {
             assert_eq!(inj.advance_cycle(&mut r), None);
@@ -359,46 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn weights_bias_type_selection() {
-        let mut weights = [0.0; 7];
-        weights[4] = 1.0; // only MFCI
-        let mut inj = AttackInjector::new(AttackConfig {
-            episode_probability: 1.0,
-            episode_cycles: (1, 1),
-            weights,
-        });
-        let mut r = rng();
-        for _ in 0..50 {
-            if let Some(ty) = inj.advance_cycle(&mut r) {
-                assert_eq!(ty, AttackType::Mfci);
-            }
-        }
-    }
-
-    #[test]
     fn all_types_sampled_with_uniform_weights() {
-        let mut inj = AttackInjector::new(AttackConfig {
-            episode_probability: 1.0,
-            episode_cycles: (1, 1),
-            ..AttackConfig::default()
-        });
+        let mut inj = AttackInjector::new(1.0);
         let mut r = rng();
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..500 {
+        for _ in 0..2_000 {
             if let Some(ty) = inj.advance_cycle(&mut r) {
                 seen.insert(ty);
             }
         }
         assert_eq!(seen.len(), 7, "saw only {seen:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attack weight")]
-    fn all_zero_weights_panic() {
-        AttackInjector::new(AttackConfig {
-            weights: [0.0; 7],
-            ..AttackConfig::default()
-        });
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::attack::{
     malicious_function_frame, malicious_parameter_command, malicious_state_command,
-    random_pressure_response, stale_pressure_response, AttackConfig, AttackInjector, AttackType,
+    random_pressure_response, stale_pressure_response, AttackInjector, AttackType,
 };
 use crate::master::{OperatorConfig, ScadaMaster};
 use crate::physics::PhysicsConfig;
@@ -58,10 +58,6 @@ pub struct TrafficConfig {
     /// Probability of starting an attack episode at an idle cycle boundary.
     /// Set to `0.0` for a clean (training) capture.
     pub attack_probability: f64,
-    /// Inclusive range of attack episode lengths in polling cycles.
-    pub attack_episode_cycles: (u32, u32),
-    /// Relative frequency of the seven attack types.
-    pub attack_weights: [f64; 7],
     /// Operator behaviour model.
     pub operator: OperatorConfig,
     /// Pipeline physics parameters.
@@ -78,8 +74,6 @@ impl Default for TrafficConfig {
             gap_jitter: 0.08,
             bad_crc_rate: 0.01,
             attack_probability: 0.05,
-            attack_episode_cycles: (2, 12),
-            attack_weights: [1.0; 7],
             operator: OperatorConfig::default(),
             physics: PhysicsConfig::default(),
         }
@@ -119,11 +113,7 @@ impl TrafficGenerator {
             ..*master.command_state()
         };
         let plc = PipelinePlc::new(config.slave_address, initial, config.physics);
-        let injector = AttackInjector::new(AttackConfig {
-            episode_probability: config.attack_probability,
-            episode_cycles: config.attack_episode_cycles,
-            weights: config.attack_weights,
-        });
+        let injector = AttackInjector::new(config.attack_probability);
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
         TrafficGenerator {
             config,
@@ -463,17 +453,24 @@ mod tests {
         assert_ne!(a.generate(1_000), b.generate(1_000));
     }
 
-    #[test]
-    fn dos_episodes_stretch_time_gaps() {
-        let mut weights = [0.0; 7];
-        weights[5] = 1.0; // DoS only
+    /// `cycles` polling cycles of a clean capture with every fifth cycle
+    /// forced to run `attack`.
+    fn every_fifth_cycle(seed: u64, attack: AttackType, cycles: usize) -> Vec<Packet> {
         let mut g = TrafficGenerator::new(TrafficConfig {
-            seed: 11,
-            attack_probability: 0.2,
-            attack_weights: weights,
+            seed,
+            attack_probability: 0.0,
             ..TrafficConfig::default()
         });
-        let packets = g.generate(2_000);
+        let mut packets = Vec::new();
+        for cycle in 0..cycles {
+            g.generate_cycle_forced((cycle % 5 == 0).then_some(attack), &mut packets);
+        }
+        packets
+    }
+
+    #[test]
+    fn dos_episodes_stretch_time_gaps() {
+        let packets = every_fifth_cycle(11, AttackType::Dos, 500);
         let max_gap = packets
             .windows(2)
             .map(|w| w[1].time - w[0].time)
@@ -487,15 +484,7 @@ mod tests {
 
     #[test]
     fn mpci_packets_carry_malicious_parameters() {
-        let mut weights = [0.0; 7];
-        weights[3] = 1.0; // MPCI only
-        let mut g = TrafficGenerator::new(TrafficConfig {
-            seed: 13,
-            attack_probability: 0.2,
-            attack_weights: weights,
-            ..TrafficConfig::default()
-        });
-        let packets = g.generate(5_000);
+        let packets = every_fifth_cycle(13, AttackType::Mpci, 1_250);
         let legal_setpoints = [8.0, 10.0, 12.0];
         let mut saw_illegal = false;
         for p in packets
@@ -518,15 +507,7 @@ mod tests {
 
     #[test]
     fn recon_probes_foreign_addresses() {
-        let mut weights = [0.0; 7];
-        weights[6] = 1.0; // Recon only
-        let mut g = TrafficGenerator::new(TrafficConfig {
-            seed: 15,
-            attack_probability: 0.2,
-            attack_weights: weights,
-            ..TrafficConfig::default()
-        });
-        let packets = g.generate(5_000);
+        let packets = every_fifth_cycle(15, AttackType::Recon, 1_250);
         let mut foreign = false;
         for p in packets
             .iter()

@@ -5,7 +5,7 @@ use icsad::prelude::*;
 use icsad_baselines::window::{window_label, Windows};
 use icsad_baselines::{
     calibrate_fpr, BayesianNetwork, Gmm, IsolationForest, PcaSvd, Svdd, WindowBloomFilter,
-    WindowDetector,
+    WindowDetector, PAPER_WINDOW,
 };
 
 struct Setup {
@@ -40,17 +40,17 @@ fn evaluate(det: &dyn WindowDetector, windows: &Windows) -> ClassificationReport
 #[test]
 fn all_baselines_train_and_produce_reports() {
     let Setup { split, disc } = setup(1, 16_000);
-    let train = Windows::over(split.train().records(), 4);
-    let val = Windows::over(split.validation().records(), 4);
-    let test = Windows::over(split.test(), 4);
+    let train = Windows::over(split.train().records());
+    let val = Windows::over(split.validation().records());
+    let test = Windows::over(split.test());
 
     let mut detectors: Vec<Box<dyn WindowDetector>> = vec![
-        Box::new(WindowBloomFilter::fit_windows(disc.clone(), &train, 0.001).unwrap()),
+        Box::new(WindowBloomFilter::fit_windows(disc.clone(), &train)),
         Box::new(BayesianNetwork::fit_windows(disc.clone(), &train)),
-        Box::new(Svdd::fit_windows(&train, &Default::default()).unwrap()),
-        Box::new(IsolationForest::fit_windows(&train, 50, 128, 3).unwrap()),
-        Box::new(Gmm::fit_windows(&train, &Default::default()).unwrap()),
-        Box::new(PcaSvd::fit_windows(&train, 0.95).unwrap()),
+        Box::new(Svdd::fit_windows(&train).unwrap()),
+        Box::new(IsolationForest::fit_windows(&train).unwrap()),
+        Box::new(Gmm::fit_windows(&train).unwrap()),
+        Box::new(PcaSvd::fit_windows(&train).unwrap()),
     ];
     for det in detectors.iter_mut().skip(1) {
         calibrate_fpr(det.as_mut(), &val, 0.02);
@@ -83,10 +83,10 @@ fn signature_models_beat_numeric_models_on_signature_attacks() {
     // the signature-based detectors (BF/BN) key on directly. The paper's
     // Table V shows BF/BN at 1.0 for both while IF sits near 0.
     let Setup { split, disc } = setup(2, 20_000);
-    let train = Windows::over(split.train().records(), 4);
-    let test = Windows::over(split.test(), 4);
+    let train = Windows::over(split.train().records());
+    let test = Windows::over(split.test());
 
-    let bf = WindowBloomFilter::fit_windows(disc.clone(), &train, 0.001).unwrap();
+    let bf = WindowBloomFilter::fit_windows(disc.clone(), &train);
     let report = evaluate(&bf, &test);
     for ty in [AttackType::Mfci, AttackType::Recon] {
         if report.per_attack.count(ty) > 0 {
@@ -108,11 +108,11 @@ fn signature_models_both_detect_substantially() {
     // share of attacks, and the unthresholded BF (which flags *any* unseen
     // window) recalls at least as much as the 2%-FPR-calibrated BN.
     let Setup { split, disc } = setup(3, 20_000);
-    let train = Windows::over(split.train().records(), 4);
-    let val = Windows::over(split.validation().records(), 4);
-    let test = Windows::over(split.test(), 4);
+    let train = Windows::over(split.train().records());
+    let val = Windows::over(split.validation().records());
+    let test = Windows::over(split.test());
 
-    let bf = WindowBloomFilter::fit_windows(disc.clone(), &train, 0.001).unwrap();
+    let bf = WindowBloomFilter::fit_windows(disc.clone(), &train);
     let mut bn = BayesianNetwork::fit_windows(disc.clone(), &train);
     calibrate_fpr(&mut bn, &val, 0.02);
 
@@ -145,16 +145,18 @@ fn framework_recall_dominates_isolation_forest() {
     )
     .unwrap();
     let levels = trained.detector.classify_streams(&[split.test()]).concat();
-    let test = Windows::over(split.test(), 4);
+    let test = Windows::over(split.test());
     let mut framework = ClassificationReport::default();
     for (i, w) in test.iter().enumerate() {
-        let any = levels[i * 4..(i + 1) * 4].iter().any(|l| l.is_anomalous());
+        let any = levels[i * PAPER_WINDOW..(i + 1) * PAPER_WINDOW]
+            .iter()
+            .any(|l| l.is_anomalous());
         framework.record(window_label(w), any);
     }
 
-    let train = Windows::over(split.train().records(), 4);
-    let val = Windows::over(split.validation().records(), 4);
-    let mut forest = IsolationForest::fit_windows(&train, 100, 256, 5).unwrap();
+    let train = Windows::over(split.train().records());
+    let val = Windows::over(split.validation().records());
+    let mut forest = IsolationForest::fit_windows(&train).unwrap();
     calibrate_fpr(&mut forest, &val, 0.02);
     let forest_report = evaluate(&forest, &test);
 

@@ -185,8 +185,8 @@ fn no_workspace_session_forks_a_round() {
         split.train().records(),
     )
     .unwrap();
-    let train = icsad_baselines::window::Windows::over(split.train().records(), 4);
-    let bloom = icsad_baselines::WindowBloomFilter::fit_windows(disc, &train, 0.001).unwrap();
+    let train = icsad_baselines::window::Windows::over(split.train().records());
+    let bloom = icsad_baselines::WindowBloomFilter::fit_windows(disc, &train);
     let backends: [std::sync::Arc<dyn StreamingDetector>; 3] = [
         detector.clone(),
         std::sync::Arc::new(AdaptiveCombined::new(detector, DynamicKConfig::default())),
