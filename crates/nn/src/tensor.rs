@@ -298,8 +298,10 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// entries long, but a wasted compare-and-list pass for dense inputs
 /// (recurrent state, hidden activations), where it holds every `k` and
 /// each weight vector is reused by one lane only. The dispatched kernel
-/// ([`icsad_simd::gemm_panels_acc_f32`]) holds a register tile of four
-/// lanes × two vectors over a 32-column weight panel, so each weight
+/// ([`icsad_simd::gemm_panels_acc_f32`]) holds a register tile of lanes ×
+/// two vectors over a 32-column weight panel — eight lanes on AVX-512,
+/// whose 32 vector registers hold the 16 accumulators, then four (the
+/// most the 16 registers of SSE2/AVX2 hold), then one — so each weight
 /// vector is loaded once per tile and output stores happen once per tile
 /// instead of once per `k`. The panels come from [`Weights::panels`] —
 /// packed once per value of the weights, not per call — so inference and

@@ -102,18 +102,19 @@ proptest! {
     }
 
     /// Batched stepping is bit-identical to per-lane streaming steps:
-    /// random architectures, random lane counts, random (partly sparse)
-    /// inputs, several timesteps deep.
+    /// random architectures, random lane counts (1–17: 8-row, 4-row and
+    /// single-row gemm tiles, alone and mixed in one round), random
+    /// (partly sparse) inputs, several timesteps deep.
     #[test]
     fn gathered_batch_bitwise_equals_streaming_steps(
         h1 in 1usize..10,
         h2 in 0usize..10,
         input_dim in 1usize..12,
         classes in 1usize..12,
-        lanes in 1usize..9,
+        lanes in 1usize..=17,
         steps in 1usize..6,
-        raw in proptest::collection::vec(-4f32..4.0, 8 * 12 * 6),
-        sparsity in proptest::collection::vec(proptest::bool::ANY, 8 * 12 * 6),
+        raw in proptest::collection::vec(-4f32..4.0, 17 * 12 * 6),
+        sparsity in proptest::collection::vec(proptest::bool::ANY, 17 * 12 * 6),
         seed in any::<u64>(),
     ) {
         let hidden_dims = if h2 == 0 { vec![h1] } else { vec![h1, h2] };

@@ -20,9 +20,17 @@
 use crate::lanes::Lanes;
 use crate::math;
 
-/// Lanes of the batch dimension processed per register tile in the dense
-/// gemm (4 output rows share each loaded weight vector).
+/// Batch rows per register tile of the dense gemm on SSE2 and AVX2, and
+/// per element-array tile on scalar: 4 output rows share each loaded weight
+/// vector. 4 rows × 2 vectors is 8 accumulators, plus 2 weight vectors and
+/// a broadcast — 11 of the 16 vector registers those backends have, where
+/// [`WIDE_TILE`] rows would spill.
 const LANE_TILE: usize = 4;
+
+/// Batch rows per register tile on AVX-512, which has 32 vector registers:
+/// 16 accumulators + 2 weight vectors + 1 broadcast = 19. Batches run 8-row
+/// tiles first, then at most one [`LANE_TILE`], then single rows.
+const WIDE_TILE: usize = 8;
 
 /// Rows of the `k` dimension kept cache-resident per block of the sparse
 /// gemm: a `KB × n` weight block is re-walked by every batch row before
@@ -199,7 +207,7 @@ fn live_chunk<L: Lanes, const C: usize>(
 ///   └──────────────────────┘         └────────┘   └────────┘   └─────┴───┘
 /// ```
 ///
-/// 32 columns is two AVX-512 `f32` vectors — one 4-row × 2-vector register
+/// 32 columns is two AVX-512 `f32` vectors — the width of one register
 /// tile — and a whole number of narrower tiles everywhere else (two 2×8
 /// tiles on AVX2, four 2×4 on SSE2, the 32-wide element-array tile on
 /// scalar). Fixing the width for every backend makes the layout
@@ -333,51 +341,67 @@ pub(crate) fn gemm_dense_f32<L: Lanes>(
     }
 }
 
-/// Loads the two-vector accumulator pair of one output row from `yr`. A
-/// ragged sub-tile (`cols < 2·WIDTH`) is staged through a zero-padded
-/// stack buffer, so the padding lanes start at zero and never read `y`.
+/// Loads the two-vector accumulator pairs of `R` output rows, `n` apart
+/// in `y`. A ragged sub-tile (`cols < 2·WIDTH`) is staged through a
+/// zero-padded stack buffer, so the padding lanes start at zero and never
+/// read `y`; every row is copied in before the first accumulator is
+/// loaded, so the copies spill no live register.
 #[inline(always)]
-fn load_pair<L: Lanes>(yr: &[f32], cols: usize) -> [L; 2] {
+fn load_rows<L: Lanes, const R: usize>(y: &[f32], n: usize, cols: usize) -> [[L; 2]; R] {
     if cols == 2 * L::WIDTH {
-        [L::load(yr), L::load(&yr[L::WIDTH..])]
+        core::array::from_fn(|r| [L::load(&y[r * n..]), L::load(&y[r * n + L::WIDTH..])])
     } else {
-        let mut buf = [0.0; PANEL];
-        buf[..cols].copy_from_slice(&yr[..cols]);
-        [L::load(&buf), L::load(&buf[L::WIDTH..])]
+        let mut buf = [[0.0; PANEL]; R];
+        for (r, row) in buf.iter_mut().enumerate() {
+            row[..cols].copy_from_slice(&y[r * n..r * n + cols]);
+        }
+        core::array::from_fn(|r| [L::load(&buf[r]), L::load(&buf[r][L::WIDTH..])])
     }
 }
 
-/// Stores an accumulator pair back to `yr`, only its `cols` valid columns:
-/// the padding lanes of a ragged sub-tile die in the stack buffer.
+/// Stores `R` rows of accumulator pairs back to `y`, only their `cols`
+/// valid columns: the padding lanes of a ragged sub-tile die in a stack
+/// buffer, which takes every row before the first copy out.
 #[inline(always)]
-fn store_pair<L: Lanes>(acc: [L; 2], yr: &mut [f32], cols: usize) {
+fn store_rows<L: Lanes, const R: usize>(acc: [[L; 2]; R], y: &mut [f32], n: usize, cols: usize) {
     if cols == 2 * L::WIDTH {
-        acc[0].store(yr);
-        acc[1].store(&mut yr[L::WIDTH..]);
+        for (r, [a0, a1]) in acc.into_iter().enumerate() {
+            a0.store(&mut y[r * n..]);
+            a1.store(&mut y[r * n + L::WIDTH..]);
+        }
     } else {
-        let mut buf = [0.0; PANEL];
-        acc[0].store(&mut buf);
-        acc[1].store(&mut buf[L::WIDTH..]);
-        yr[..cols].copy_from_slice(&buf[..cols]);
+        let mut buf = [[0.0; PANEL]; R];
+        for (row, [a0, a1]) in buf.iter_mut().zip(acc) {
+            a0.store(row);
+            a1.store(&mut row[L::WIDTH..]);
+        }
+        for (r, row) in buf.iter().enumerate() {
+            y[r * n..r * n + cols].copy_from_slice(&row[..cols]);
+        }
     }
 }
 
 /// The one dense-gemm tile routine: accumulates columns
 /// `j0 .. j0 + valid` of `y` over one `k_dim × PANEL` weight panel.
 ///
-/// A 4-row × 2-vector register tile holds the outputs across the whole
-/// `k` loop, so each weight vector is loaded once per four batch rows and
-/// `y` is loaded and stored once per tile instead of once per `k`. A
-/// ragged panel (`valid < PANEL`) runs the *same* vector chains over its
+/// Each 2-vector sub-tile of the panel runs [`row_tile`]s down the batch:
+/// [`WIDE_TILE`] rows at a time on AVX-512 (the only backend with 32
+/// vector registers), then [`LANE_TILE`] rows, then single rows. A ragged
+/// panel (`valid < PANEL`) runs the *same* vector chains over its
 /// zero-padded rows and stores only the valid columns — there is no
 /// per-element tail. Per output element the op sequence is therefore
-/// always "ascending `k`, this lane type's `fmac`", which keeps SIMD ≡
-/// scalar and batched ≡ per-record bitwise.
+/// always "ascending `k`, this lane type's `fmac`", whatever the tile
+/// height, which keeps SIMD ≡ scalar and batched ≡ per-record bitwise.
 ///
-/// Do not widen the row tile. Tried for issue 14 on the 2-vCPU
-/// `avx512+fma` reference host: a 12-row × 2-vector tile over a transposed
-/// `x` pack gave +0–7 % on the 96×256×1024 product, −20 % at batch 16 and
-/// −9 % on the ledger's `train_targets_s`; [`LANE_TILE`] stays 4.
+/// History of the row count, on the 2-vCPU `avx512+fma` reference host.
+/// An earlier 12-row × 2-vector tile over a *transposed `x` pack* gave
+/// +0–7 % on the 96×256×1024 product, but −20 % at batch 16 and −9 % on
+/// the ledger's `train_targets_s`, so the tile stayed at 4 rows. The
+/// 8-row tile reads each `x` row in place and packs nothing, which is what
+/// differs: the 96×256×1024 product went from 112 to 127 GFLOP/s, and a
+/// whole 2×256 round ran 1.05–1.11× at 96 lanes, 1.17–1.19× at 16 and
+/// 1.20–1.28× at 8 (the trainer's per-timestep products), level at one
+/// lane.
 #[inline(always)]
 #[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
 fn panel_tile<L: Lanes>(
@@ -399,56 +423,59 @@ fn panel_tile<L: Lanes>(
     let mut s = 0;
     // Sub-tiles that lie wholly in the padding are skipped.
     while s < valid {
-        // Hoists the per-`k` slice checks out of the loops below.
-        assert!(s + sub <= PANEL, "register tile wider than a panel");
         let cols = sub.min(valid - s);
+        let at = j0 + s;
         let mut b0 = 0;
-        // Quads of batch rows take the register-tiled fast path.
+        // Only AVX-512 (16 lanes) has the 32 registers an 8-row tile needs.
+        while L::WIDTH == 16 && b0 + WIDE_TILE <= batch {
+            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
+            row_tile::<L, WIDE_TILE>(xs, ys, n, cols, panel, s);
+            b0 += WIDE_TILE;
+        }
         while b0 + LANE_TILE <= batch {
-            let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
-            let (x0, x1) = x01.split_at(k_dim);
-            let (x2, x3) = x23.split_at(k_dim);
-            let mut acc = [[L::splat(0.0); 2]; LANE_TILE];
-            for (bi, row) in acc.iter_mut().enumerate() {
-                *row = load_pair::<L>(&y[(b0 + bi) * n + j0 + s..], cols);
-            }
-            let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
-            for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
-                let wr = &wr[s..s + sub];
-                let w0 = L::load(wr);
-                let w1 = L::load(&wr[L::WIDTH..]);
-                let v0 = L::splat(a0);
-                acc[0][0] = acc[0][0].fmac(v0, w0);
-                acc[0][1] = acc[0][1].fmac(v0, w1);
-                let v1 = L::splat(a1);
-                acc[1][0] = acc[1][0].fmac(v1, w0);
-                acc[1][1] = acc[1][1].fmac(v1, w1);
-                let v2 = L::splat(a2);
-                acc[2][0] = acc[2][0].fmac(v2, w0);
-                acc[2][1] = acc[2][1].fmac(v2, w1);
-                let v3 = L::splat(a3);
-                acc[3][0] = acc[3][0].fmac(v3, w0);
-                acc[3][1] = acc[3][1].fmac(v3, w1);
-            }
-            for (bi, row) in acc.iter().enumerate() {
-                store_pair::<L>(*row, &mut y[(b0 + bi) * n + j0 + s..], cols);
-            }
+            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
+            row_tile::<L, LANE_TILE>(xs, ys, n, cols, panel, s);
             b0 += LANE_TILE;
         }
-        // Leftover batch rows, one at a time on the same sub-tile.
         for b in b0..batch {
-            let x_row = &x[b * k_dim..(b + 1) * k_dim];
-            let [mut a0, mut a1] = load_pair::<L>(&y[b * n + j0 + s..], cols);
-            for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
-                let wr = &wr[s..s + sub];
-                let v = L::splat(xv);
-                a0 = a0.fmac(v, L::load(wr));
-                a1 = a1.fmac(v, L::load(&wr[L::WIDTH..]));
-            }
-            store_pair::<L>([a0, a1], &mut y[b * n + j0 + s..], cols);
+            row_tile::<L, 1>(&x[b * k_dim..], &mut y[b * n + at..], n, cols, panel, s);
         }
         s += sub;
     }
+}
+
+/// `R` batch rows × 2 vectors of the dense gemm: columns `s .. s + cols`
+/// of one `k_dim × PANEL` panel for the first `R` rows of `x` (each
+/// `k_dim` long, read in place), whose outputs start at `y[0]` with a row
+/// stride of `n`. The `2·R` accumulators are loaded from `y` once, run one
+/// ascending-`k` `fmac` chain each — every loaded weight vector serves all
+/// `R` rows — and are stored once.
+#[inline(always)]
+fn row_tile<L: Lanes, const R: usize>(
+    x: &[f32],
+    y: &mut [f32],
+    n: usize,
+    cols: usize,
+    panel: &[f32],
+    s: usize,
+) {
+    let sub = 2 * L::WIDTH;
+    // Hoists the per-`k` slice checks out of the loop below.
+    assert!(s + sub <= PANEL, "register tile wider than a panel");
+    let k_dim = panel.len() / PANEL;
+    let xs: [&[f32]; R] = core::array::from_fn(|r| &x[r * k_dim..][..k_dim]);
+    let mut acc = load_rows::<L, R>(y, n, cols);
+    for (k, wr) in panel.chunks_exact(PANEL).enumerate() {
+        let wr = &wr[s..s + sub];
+        let w0 = L::load(wr);
+        let w1 = L::load(&wr[L::WIDTH..]);
+        for (a, xr) in acc.iter_mut().zip(xs) {
+            let v = L::splat(xr[k]);
+            a[0] = a[0].fmac(v, w0);
+            a[1] = a[1].fmac(v, w1);
+        }
+    }
+    store_rows::<L, R>(acc, y, n, cols);
 }
 
 /// [`panel_tile`] for the scalar backend: [`PANEL`]-wide element-array

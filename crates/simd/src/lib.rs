@@ -27,8 +27,12 @@
 //! The register-tiled dense gemm reads its weight operand **panel-major**:
 //! a `k × n` matrix becomes `⌈n / 32⌉` panels, each `k` rows of 32
 //! consecutive columns, the last one zero-padded to full width
-//! (`[⌈n/32⌉][k][32]`). One tile routine walks a panel with a 4-row ×
-//! 2-vector register tile; a ragged last panel runs the *same* vector
+//! (`[⌈n/32⌉][k][32]`). One tile routine walks a panel with register
+//! tiles of batch rows × 2 vectors: 8 rows on AVX-512 (16 accumulators, 2
+//! weight vectors and a broadcast fit its 32 vector registers), then 4
+//! rows (what the 16 registers of SSE2 and AVX2 hold), then single rows.
+//! Every tile height runs the same ascending-`k` chain per output element,
+//! so the choice moves no bit. A ragged last panel runs the *same* vector
 //! chains over its zero weights and stores only the valid columns, so
 //! there is no per-element tail and a head of 169 classes costs what 192
 //! would, not four times that. 32 columns is one tile on AVX-512 and a
