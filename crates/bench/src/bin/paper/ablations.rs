@@ -41,26 +41,23 @@ pub fn bloom_fpr(setup: &Setup, report: &mut Report) {
 pub fn dynamic_k(setup: &Setup, report: &mut Report) {
     banner("Ablation — fixed k vs dynamic k");
     let trained = setup.noise_trained();
-    let (chosen_k, signatures) = (
-        trained.framework.chosen_k,
-        trained.framework.signature_count,
-    );
+    let detector = &trained.framework.detector;
+    let (chosen_k, signatures) = (detector.k(), detector.package_level().signature_count());
     let test = setup.split.test();
     println!("validation-chosen fixed k = {chosen_k} (|S| = {signatures})\n");
     report.under("dynamic-k").count("chosen_k", chosen_k as u64);
 
     let mut rows = Vec::new();
     // Fixed k at the extremes and at the chosen value.
-    let mut detector = trained.framework.detector.clone();
+    let mut fixed = detector.clone();
     for (key, k) in [("k1", 1), ("chosen", chosen_k), ("k10", 10)] {
-        detector.set_k(k);
-        let scored = detector.evaluate(test).confusion;
+        fixed.set_k(k);
+        let scored = fixed.evaluate(test).confusion;
         let mut row = report.under(format!("dynamic-k.fixed_{key}"));
         row.confusion(&scored);
         rows.push(format!("fixed k={k}\t{}", quality_cells(&scored, 3)));
     }
     // The controller at three error budgets, starting from the chosen k.
-    let detector = &trained.framework.detector;
     for theta in [0.01f64, 0.05, 0.10] {
         let config = DynamicKConfig {
             theta,
@@ -102,7 +99,7 @@ fn commissioning_sweep(
     for (label, key, hidden, lambda) in variants {
         let trained = setup.framework(hidden, lambda);
         let framework = &trained.framework;
-        let (chosen_k, err_4) = (framework.chosen_k, framework.validation_topk_curve[3]);
+        let (chosen_k, err_4) = (framework.detector.k(), framework.validation_topk_curve[3]);
         let memory = framework.detector.time_series_level().memory_bytes();
         let mut row = report.under(format!("{section}.{key}"));
         row.count("chosen_k", chosen_k as u64);

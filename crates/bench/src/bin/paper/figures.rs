@@ -1,5 +1,6 @@
 //! Figures 4–7 of the paper.
 
+use icsad_core::experiment::{MAX_K, THETA_K};
 use icsad_features::granularity::{select, sweep};
 use icsad_features::DiscretizationConfig;
 
@@ -134,8 +135,6 @@ const NOISE_ARMS: [(&str, &str, f64); 2] = [
 /// k = 1..10, plus the paper's choice-of-k rule (minimal k with validation
 /// err_k < 0.05).
 pub fn fig6(setup: &Setup, report: &mut Report) {
-    const MAX_K: usize = 10;
-    const THETA: f64 = 0.05;
     banner("Figure 6 — top-k error with and without probabilistic noise");
     let split = &setup.split;
     let (n, m, s) = (
@@ -177,13 +176,13 @@ pub fn fig6(setup: &Setup, report: &mut Report) {
 
     // Choice of k (paper: θ = 0.05 on the noise-trained model gives k = 4).
     let noise = setup.noise_trained();
-    let chosen_k = noise.framework.chosen_k;
+    let chosen_k = noise.framework.detector.k();
     let curve = &noise.framework.validation_topk_curve;
-    let meets_theta = curve.iter().position(|&e| e < THETA);
+    let meets_theta = curve.iter().position(|&e| e < THETA_K);
     assert_eq!(meets_theta.map_or(MAX_K, |i| i + 1), chosen_k);
     match meets_theta {
-        Some(_) => println!("choice of k: minimal k with err_k < {THETA} on validation = {chosen_k} (paper: 4)"),
-        None => println!("choice of k: no k ≤ {MAX_K} meets θ = {THETA} (floor = out-of-vocabulary rate); falls back to {chosen_k}"),
+        Some(_) => println!("choice of k: minimal k with err_k < {THETA_K} on validation = {chosen_k} (paper: 4)"),
+        None => println!("choice of k: no k ≤ {MAX_K} meets θ = {THETA_K} (floor = out-of-vocabulary rate); falls back to {chosen_k}"),
     }
     let mut rows = report.under("fig6");
     rows.count("chosen_k", chosen_k as u64)
@@ -198,7 +197,7 @@ pub fn fig7(setup: &Setup, report: &mut Report) {
     let test = setup.split.test();
     for (label, key, lambda) in NOISE_ARMS {
         let trained = setup.framework(&HIDDEN, lambda);
-        let chosen_k = trained.framework.chosen_k;
+        let chosen_k = trained.framework.detector.k();
         println!("\ntrained {label} (validation-chosen k = {chosen_k})");
         let mut detector = trained.framework.detector.clone();
         let mut rows = Vec::new();

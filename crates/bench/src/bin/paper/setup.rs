@@ -15,7 +15,7 @@ use icsad_baselines::{
 };
 use icsad_core::experiment::{train_framework, ExperimentConfig, TrainedFramework};
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::timeseries::{NoiseConfig, TimeSeriesTrainingConfig};
+use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Split};
 use icsad_features::{DiscretizationConfig, Discretizer, SignatureVocabulary};
 
@@ -97,10 +97,7 @@ impl Setup {
                 hidden_dims: hidden.to_vec(),
                 epochs: EPOCHS,
                 learning_rate: LEARNING_RATE,
-                noise: (lambda > 0.0).then_some(NoiseConfig {
-                    lambda,
-                    ..NoiseConfig::default()
-                }),
+                noise_lambda: (lambda > 0.0).then_some(lambda),
                 seed: SEED,
                 ..TimeSeriesTrainingConfig::default()
             },
@@ -111,7 +108,8 @@ impl Setup {
         let wall = t0.elapsed();
         println!(
             "commissioned hidden={hidden:?} λ={lambda} in {wall:.1?} (|S| = {}, k = {})",
-            framework.signature_count, framework.chosen_k
+            framework.detector.package_level().signature_count(),
+            framework.detector.k()
         );
         let test_report = framework.detector.evaluate(self.split.test());
         assert_eq!(

@@ -327,7 +327,7 @@ impl CombinedDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::{NoiseConfig, TimeSeriesTrainingConfig};
+    use crate::timeseries::TimeSeriesTrainingConfig;
     use icsad_dataset::{DatasetConfig, GasPipelineDataset, Split};
     use icsad_features::{DiscretizationConfig, Discretizer, SignatureVocabulary};
 
@@ -350,7 +350,6 @@ mod tests {
             hidden_dims: vec![24],
             epochs,
             learning_rate: 1e-2,
-            noise: Some(NoiseConfig::default()),
             seed,
             ..TimeSeriesTrainingConfig::default()
         };

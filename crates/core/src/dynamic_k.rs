@@ -35,6 +35,26 @@ pub struct DynamicKConfig {
     pub theta: f64,
 }
 
+impl DynamicKConfig {
+    /// Checks the controller's invariants: `min_k ≥ 1`, `min_k ≤ max_k`,
+    /// `window > 0` and θ ∈ (0, 1). The error names the first one broken.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.min_k == 0 {
+            return Err("min_k must be positive");
+        }
+        if self.min_k > self.max_k {
+            return Err("min_k must not exceed max_k");
+        }
+        if self.window == 0 {
+            return Err("window must be positive");
+        }
+        if !(self.theta > 0.0 && self.theta < 1.0) {
+            return Err("theta must be in (0, 1)");
+        }
+        Ok(())
+    }
+}
+
 impl Default for DynamicKConfig {
     fn default() -> Self {
         DynamicKConfig {
@@ -59,16 +79,9 @@ impl DynamicKController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (`min_k == 0`,
-    /// `min_k > max_k`, `window == 0`, or θ ∉ (0, 1)).
+    /// Panics if the configuration fails [`DynamicKConfig::validate`].
     pub fn new(initial_k: usize, config: DynamicKConfig) -> Self {
-        assert!(config.min_k >= 1, "min_k must be positive");
-        assert!(config.min_k <= config.max_k, "min_k must not exceed max_k");
-        assert!(config.window > 0, "window must be positive");
-        assert!(
-            config.theta > 0.0 && config.theta < 1.0,
-            "theta must be in (0, 1)"
-        );
+        assert_eq!(config.validate(), Ok(()), "degenerate dynamic-k config");
         DynamicKController {
             config,
             ranks: VecDeque::with_capacity(config.window),

@@ -19,6 +19,12 @@ pub enum CoreError {
         /// Explanation.
         reason: String,
     },
+    /// A training setting is outside the range a loadable detector can be
+    /// trained from.
+    InvalidConfig {
+        /// Explanation.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -29,6 +35,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidTrainingData { reason } => {
                 write!(f, "invalid training data: {reason}")
             }
+            CoreError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }
@@ -38,7 +45,7 @@ impl Error for CoreError {
         match self {
             CoreError::Feature(e) => Some(e),
             CoreError::Bloom(e) => Some(e),
-            CoreError::InvalidTrainingData { .. } => None,
+            CoreError::InvalidTrainingData { .. } | CoreError::InvalidConfig { .. } => None,
         }
     }
 }

@@ -11,71 +11,50 @@ use crate::error::CoreError;
 use crate::package::PackageLevelDetector;
 use crate::timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig};
 
-/// Full framework training configuration.
+/// The Bloom filter's internal false-positive budget (paper §IV-C).
+pub const BLOOM_FPR: f64 = 0.001;
+
+/// The false-positive budget θ of the choice of `k` (paper §V-2): the
+/// smallest `k` whose validation top-`k` error is below it.
+pub const THETA_K: f64 = 0.05;
+
+/// Largest `k` the choice of `k` considers: the validation curve covers
+/// `err_1..=err_MAX_K` (paper §V-2, Fig. 6).
+pub const MAX_K: usize = 10;
+
+/// Full framework training configuration. The rest of the commissioning
+/// recipe is fixed: Table III's discretization
+/// ([`DiscretizationConfig::paper_defaults`]), [`BLOOM_FPR`] and
+/// [`MAX_K`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
-    /// Feature discretization granularities (Table III).
-    pub discretization: DiscretizationConfig,
-    /// Bloom filter internal false-positive budget.
-    pub bloom_fpr: f64,
     /// Time-series detector training.
     pub timeseries: TimeSeriesTrainingConfig,
-    /// Acceptable false-positive budget θ for choosing `k` (paper: 0.05).
+    /// Acceptable false-positive budget θ for choosing `k` (paper:
+    /// [`THETA_K`]).
     pub theta_k: f64,
-    /// Largest `k` considered by the choice-of-`k` search.
-    pub max_k: usize,
 }
 
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
-            discretization: DiscretizationConfig::paper_defaults(),
-            bloom_fpr: 0.001,
             timeseries: TimeSeriesTrainingConfig::default(),
-            theta_k: 0.05,
-            max_k: 10,
+            theta_k: THETA_K,
         }
     }
 }
 
-impl ExperimentConfig {
-    /// A configuration sized for CI-style runs: a small LSTM and few
-    /// epochs. Detection quality is lower than the default but training
-    /// takes seconds.
-    pub fn fast() -> Self {
-        ExperimentConfig {
-            timeseries: TimeSeriesTrainingConfig {
-                hidden_dims: vec![32],
-                epochs: 6,
-                learning_rate: 1e-2,
-                ..TimeSeriesTrainingConfig::default()
-            },
-            ..ExperimentConfig::default()
-        }
-    }
-
-    /// The paper's architecture (2×256 LSTM, 50 epochs). Slow.
-    pub fn paper_scale() -> Self {
-        ExperimentConfig {
-            timeseries: TimeSeriesTrainingConfig::paper_scale(),
-            ..ExperimentConfig::default()
-        }
-    }
-}
-
-/// A trained framework plus everything produced along the way.
+/// A trained framework plus everything produced along the way. The `k`
+/// chosen on the validation set is `detector.k()`, the size of the
+/// signature database `detector.package_level().signature_count()`.
 #[derive(Debug, Clone)]
 pub struct TrainedFramework {
     /// The assembled two-level detector.
     pub detector: CombinedDetector,
-    /// The `k` chosen on the validation set.
-    pub chosen_k: usize,
-    /// Top-`k` validation error curve (`err_1..=err_max_k`, Fig. 6).
+    /// Top-`k` validation error curve (`err_1..=err_MAX_K`, Fig. 6).
     pub validation_topk_curve: Vec<f64>,
     /// Per-epoch training statistics of the LSTM.
     pub training_stats: Vec<EpochStats>,
-    /// Size of the signature database (`|S|`).
-    pub signature_count: usize,
 }
 
 /// Trains the full framework on a dataset split per the paper's §VIII-A
@@ -88,7 +67,9 @@ pub struct TrainedFramework {
 /// zero validation fraction, or one cut by attacks into fragments all
 /// shorter than [`Split::MIN_FRAGMENT_LEN`]) — the top-`k` error curve
 /// would read 0 everywhere and install `k` = 1. Propagates
-/// feature-engineering and training failures.
+/// feature-engineering and training failures, among them
+/// [`CoreError::InvalidConfig`] for a training setting
+/// [`TimeSeriesDetector::train`] refuses.
 pub fn train_framework(
     split: &Split,
     config: &ExperimentConfig,
@@ -98,20 +79,18 @@ pub fn train_framework(
             reason: "the validation set has no next-package target to choose k on".into(),
         });
     }
-    let discretizer = Discretizer::fit(&config.discretization, split.train().records())?;
-    let vocabulary = SignatureVocabulary::build(&discretizer, split.train().records());
-    let package = PackageLevelDetector::train(&discretizer, &vocabulary, config.bloom_fpr)?;
+    let train = split.train().records();
+    let discretizer = Discretizer::fit(&DiscretizationConfig::paper_defaults(), train)?;
+    let vocabulary = SignatureVocabulary::build(&discretizer, train);
+    let package = PackageLevelDetector::train(&discretizer, &vocabulary, BLOOM_FPR)?;
     let (mut timeseries, training_stats) =
         TimeSeriesDetector::train(&discretizer, &vocabulary, split.train(), &config.timeseries)?;
-    let validation_topk_curve = timeseries.top_k_error_curve(split.validation(), config.max_k);
-    let chosen_k = timeseries.choose_k(&validation_topk_curve, config.theta_k);
-    let signature_count = vocabulary.len();
+    let validation_topk_curve = timeseries.top_k_error_curve(split.validation(), MAX_K);
+    timeseries.choose_k(&validation_topk_curve, config.theta_k);
     Ok(TrainedFramework {
         detector: CombinedDetector::new(package, timeseries),
-        chosen_k,
         validation_topk_curve,
         training_stats,
-        signature_count,
     })
 }
 
@@ -146,11 +125,10 @@ mod tests {
     fn pipeline_produces_working_detector() {
         let split = split(10_000, 1);
         let trained = train_framework(&split, &tiny_config(5)).unwrap();
-        assert!(trained.chosen_k >= 1 && trained.chosen_k <= 10);
-        assert_eq!(trained.detector.k(), trained.chosen_k);
-        assert_eq!(trained.validation_topk_curve.len(), 10);
+        assert!((1..=MAX_K).contains(&trained.detector.k()));
+        assert_eq!(trained.validation_topk_curve.len(), MAX_K);
         assert_eq!(trained.training_stats.len(), 5);
-        assert!(trained.signature_count > 10);
+        assert!(trained.detector.package_level().signature_count() > 10);
 
         let report = trained.detector.evaluate(split.test());
         assert!(report.confusion.total() as usize == split.test().len());
@@ -162,7 +140,7 @@ mod tests {
         let split = split(10_000, 2);
         let config = tiny_config(6);
         let trained = train_framework(&split, &config).unwrap();
-        let k = trained.chosen_k;
+        let k = trained.detector.k();
         if trained
             .validation_topk_curve
             .iter()
@@ -170,7 +148,7 @@ mod tests {
         {
             assert!(trained.validation_topk_curve[k - 1] < config.theta_k);
         } else {
-            assert_eq!(k, config.max_k);
+            assert_eq!(k, MAX_K);
         }
     }
 
@@ -181,6 +159,38 @@ mod tests {
                 assert!(reason.contains("validation"), "{reason}");
             }
             other => panic!("expected InvalidTrainingData, got {other:?}"),
+        }
+    }
+
+    /// Each setting `TimeSeriesDetector::train` cannot train a loadable
+    /// detector from (a panic in the model or trainer, an artifact
+    /// `from_bytes` refuses, or training silently without noise) is
+    /// refused up front with a reason naming the field.
+    #[test]
+    fn untrainable_settings_are_refused() {
+        let split = split(3_000, 6);
+        type Spoil = fn(&mut TimeSeriesTrainingConfig);
+        let cases: [(&str, Spoil); 10] = [
+            ("hidden_dims", |c| c.hidden_dims = vec![]),
+            ("hidden_dims", |c| c.hidden_dims = vec![8, 0]),
+            ("hidden_dims", |c| c.hidden_dims = vec![1; 65]),
+            ("batch_chunks", |c| c.batch_chunks = 0),
+            ("learning_rate", |c| c.learning_rate = f32::NAN),
+            ("learning_rate", |c| c.learning_rate = f32::INFINITY),
+            ("learning_rate", |c| c.learning_rate = 0.0),
+            ("noise_lambda", |c| c.noise_lambda = Some(0.0)),
+            ("noise_lambda", |c| c.noise_lambda = Some(f64::NAN)),
+            ("noise_lambda", |c| c.noise_lambda = Some(f64::INFINITY)),
+        ];
+        for (field, spoil) in cases {
+            let mut config = tiny_config(1);
+            spoil(&mut config.timeseries);
+            match train_framework(&split, &config) {
+                Err(CoreError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(field), "{reason:?} should name {field}");
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
         }
     }
 
@@ -216,7 +226,16 @@ mod tests {
     #[test]
     fn fast_config_is_usable() {
         let split = split(8_000, 3);
-        let trained = train_framework(&split, &ExperimentConfig::fast()).unwrap();
+        let config = ExperimentConfig {
+            timeseries: TimeSeriesTrainingConfig {
+                hidden_dims: vec![32],
+                epochs: 6,
+                learning_rate: 1e-2,
+                ..TimeSeriesTrainingConfig::default()
+            },
+            ..ExperimentConfig::default()
+        };
+        let trained = train_framework(&split, &config).unwrap();
         let report = trained.detector.evaluate(split.test());
         // Small capture => weak absolute numbers; `icsad-bench`'s `paper`
         // report (`table4` section) is the full-size reproduction.

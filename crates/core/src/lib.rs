@@ -39,6 +39,7 @@
 //!
 //! ```no_run
 //! use icsad_core::experiment::{train_framework, ExperimentConfig};
+//! use icsad_core::TimeSeriesTrainingConfig;
 //! use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 //!
 //! let data = GasPipelineDataset::generate(&DatasetConfig {
@@ -47,7 +48,17 @@
 //!     ..DatasetConfig::default()
 //! });
 //! let split = data.split_chronological(0.6, 0.2);
-//! let trained = train_framework(&split, &ExperimentConfig::fast())?;
+//! // A small LSTM trained for a few epochs: seconds, not minutes.
+//! let config = ExperimentConfig {
+//!     timeseries: TimeSeriesTrainingConfig {
+//!         hidden_dims: vec![32],
+//!         epochs: 6,
+//!         learning_rate: 1e-2,
+//!         ..TimeSeriesTrainingConfig::default()
+//!     },
+//!     ..ExperimentConfig::default()
+//! };
+//! let trained = train_framework(&split, &config)?;
 //! let report = trained.detector.evaluate(split.test());
 //! println!("F1 = {:.2}", report.f1_score());
 //! # Ok::<(), icsad_core::CoreError>(())
@@ -89,4 +100,4 @@ pub use package::PackageLevelDetector;
 pub use streaming::{
     detect_stream, AdaptiveCombined, LaneDecision, StreamingDetector, StreamingSession, SwapError,
 };
-pub use timeseries::{NoiseConfig, TimeSeriesDetector, TimeSeriesTrainingConfig};
+pub use timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig};

@@ -13,29 +13,20 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::error::CoreError;
 
-/// Probabilistic-noise training parameters (paper §V-3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseConfig {
-    /// The λ of the selection rule `p = λ / (λ + #s)`: packages with rare
-    /// signatures are more likely to be replaced by noisy versions.
-    pub lambda: f64,
-    /// Upper bound `l` on the number of mutated features per noisy package
-    /// (`d` is drawn uniformly from `[1, l]`).
-    pub max_features: usize,
-}
+/// `k` a freshly trained detector decides with until
+/// [`TimeSeriesDetector::choose_k`] installs the validated one.
+const INITIAL_K: usize = 4;
 
-impl Default for NoiseConfig {
-    fn default() -> Self {
-        NoiseConfig {
-            // The paper uses λ = 10 because its capture is unusually
-            // attack-dense.
-            lambda: 10.0,
-            max_features: 4,
-        }
-    }
-}
+/// The paper's `l` (§V-3): a noisy package has `d` of its features mutated,
+/// `d` drawn uniformly from `[1, l]`.
+const NOISE_MAX_FEATURES: usize = 4;
 
 /// Training hyperparameters for the time-series detector.
+///
+/// [`TimeSeriesDetector::train`] refuses values it could not train a
+/// loadable detector from: 1 to [`LstmClassifier::MAX_LAYERS`] layers of
+/// positive width, a positive `batch_chunks`, and a finite positive
+/// learning rate and λ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeriesTrainingConfig {
     /// LSTM stack widths (paper: `[256, 256]`).
@@ -44,14 +35,13 @@ pub struct TimeSeriesTrainingConfig {
     pub epochs: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Truncated-BPTT chunk length.
-    pub chunk_len: usize,
-    /// Chunks per optimizer step.
+    /// Truncated-BPTT chunks per optimizer step.
     pub batch_chunks: usize,
-    /// Probabilistic-noise injection; `None` trains on clean sequences.
-    pub noise: Option<NoiseConfig>,
-    /// Default `k` before [`TimeSeriesDetector::choose_k`] runs.
-    pub initial_k: usize,
+    /// The λ of the probabilistic-noise rule `p = λ / (λ + #s)` (paper
+    /// §V-3): a package whose signature occurs `#s` times in training is
+    /// replaced by a noisy version with probability `p`, so rare
+    /// signatures are noised more often. `None` trains on clean sequences.
+    pub noise_lambda: Option<f64>,
     /// Worker threads (0 = auto).
     pub num_threads: usize,
     /// Seed for initialization, shuffling and noise sampling.
@@ -64,10 +54,10 @@ impl Default for TimeSeriesTrainingConfig {
             hidden_dims: vec![64, 64],
             epochs: 12,
             learning_rate: 5e-3,
-            chunk_len: 32,
             batch_chunks: 32,
-            noise: Some(NoiseConfig::default()),
-            initial_k: 4,
+            // The paper uses λ = 10 because its capture is unusually
+            // attack-dense.
+            noise_lambda: Some(10.0),
             num_threads: 0,
             seed: 0,
         }
@@ -75,13 +65,34 @@ impl Default for TimeSeriesTrainingConfig {
 }
 
 impl TimeSeriesTrainingConfig {
-    /// The architecture of the paper (2×256 LSTM, 50 epochs, λ=10).
-    /// Substantially slower to train than the default.
-    pub fn paper_scale() -> Self {
-        TimeSeriesTrainingConfig {
-            hidden_dims: vec![256, 256],
-            epochs: 50,
-            ..TimeSeriesTrainingConfig::default()
+    /// Refuses a configuration [`TimeSeriesDetector::train`] could not
+    /// train a loadable detector from.
+    fn validate(&self) -> Result<(), CoreError> {
+        let refuse = |reason: String| Err(CoreError::InvalidConfig { reason });
+        let layers = self.hidden_dims.len();
+        if !(1..=LstmClassifier::MAX_LAYERS).contains(&layers) {
+            let max = LstmClassifier::MAX_LAYERS;
+            return refuse(format!(
+                "hidden_dims must name 1 to {max} layers, not {layers}"
+            ));
+        }
+        if self.hidden_dims.contains(&0) {
+            return refuse("every hidden_dims width must be positive".into());
+        }
+        if self.batch_chunks == 0 {
+            return refuse("batch_chunks must be positive".into());
+        }
+        let lr = self.learning_rate;
+        if !(lr.is_finite() && lr > 0.0) {
+            return refuse(format!(
+                "learning_rate must be finite and positive, not {lr}"
+            ));
+        }
+        match self.noise_lambda {
+            Some(lambda) if !(lambda.is_finite() && lambda > 0.0) => refuse(format!(
+                "noise_lambda must be finite and positive, not {lambda}"
+            )),
+            _ => Ok(()),
         }
     }
 }
@@ -159,7 +170,9 @@ impl TimeSeriesDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidTrainingData`] if there are no usable
+    /// Returns [`CoreError::InvalidConfig`] if `config` is outside the
+    /// bounds [`TimeSeriesTrainingConfig`] lists, before fitting anything,
+    /// and [`CoreError::InvalidTrainingData`] if there are no usable
     /// fragments (each must have ≥ 2 packages).
     pub fn train(
         discretizer: &Discretizer,
@@ -167,6 +180,7 @@ impl TimeSeriesDetector {
         fragments: &Fragments,
         config: &TimeSeriesTrainingConfig,
     ) -> Result<(Self, Vec<EpochStats>), CoreError> {
+        config.validate()?;
         if vocabulary.is_empty() {
             return Err(CoreError::InvalidTrainingData {
                 reason: "signature vocabulary is empty".into(),
@@ -215,29 +229,31 @@ impl TimeSeriesDetector {
             vocabulary: vocabulary.clone(),
             encoder,
             model,
-            k: config.initial_k.max(1),
+            k: INITIAL_K,
         };
 
-        let mut trainer = Trainer::new(TrainingConfig {
+        let mut trainer = Trainer::try_new(TrainingConfig {
             epochs: 1, // driven epoch-by-epoch below
-            chunk_len: config.chunk_len,
             batch_chunks: config.batch_chunks,
             learning_rate: config.learning_rate,
             num_threads: config.num_threads,
             shuffle_seed: config.seed,
             ..TrainingConfig::default()
-        });
+        })
+        .map_err(|e| CoreError::InvalidConfig {
+            reason: e.to_string(),
+        })?;
         let mut noise_rng = ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15);
         let mut stats = Vec::with_capacity(config.epochs);
-        let clean: Option<Vec<Sequence>> = if config.noise.is_none() {
+        let clean: Option<Vec<Sequence>> = if config.noise_lambda.is_none() {
             Some(detector.build_sequences(&prepared, None, &mut noise_rng))
         } else {
             None
         };
         for epoch in 0..config.epochs {
-            let sequences = match (&clean, config.noise) {
+            let sequences = match (&clean, config.noise_lambda) {
                 (Some(seqs), _) => seqs.clone(),
-                (None, noise) => detector.build_sequences(&prepared, noise, &mut noise_rng),
+                (None, lambda) => detector.build_sequences(&prepared, lambda, &mut noise_rng),
             };
             stats.push(trainer.fit_epoch(&mut detector.model, &sequences, epoch));
         }
@@ -247,7 +263,7 @@ impl TimeSeriesDetector {
     fn build_sequences(
         &self,
         prepared: &[(Vec<DiscreteVector>, Vec<usize>)],
-        noise: Option<NoiseConfig>,
+        noise_lambda: Option<f64>,
         rng: &mut ChaCha12Rng,
     ) -> Vec<Sequence> {
         use rand::Rng;
@@ -259,18 +275,18 @@ impl TimeSeriesDetector {
                     .iter()
                     .zip(targets.iter())
                     .map(|(vec, &target)| {
-                        let (encoded, _) = match noise {
-                            Some(n) => {
+                        let (encoded, _) = match noise_lambda {
+                            Some(lambda) => {
                                 let sig = Signature::from_components(vec);
                                 let count = self
                                     .vocabulary
                                     .id_of(&sig)
                                     .map(|id| self.vocabulary.count(id))
                                     .unwrap_or(0);
-                                let p = n.lambda / (n.lambda + count as f64);
+                                let p = lambda / (lambda + count as f64);
                                 if rng.gen::<f64>() < p {
                                     let mut noisy = *vec;
-                                    mutate_noise(&mut noisy, cards, n.max_features, rng);
+                                    mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
                                     (self.encoder.encode(&noisy, true), true)
                                 } else {
                                     (self.encoder.encode(vec, false), false)
@@ -621,11 +637,7 @@ mod tests {
             // production default so the small test captures still get
             // enough Adam updates to converge.
             batch_chunks: 8,
-            noise: if noise {
-                Some(NoiseConfig::default())
-            } else {
-                None
-            },
+            noise_lambda: noise.then_some(10.0),
             seed: 3,
             ..TimeSeriesTrainingConfig::default()
         }

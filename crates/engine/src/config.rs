@@ -72,6 +72,12 @@ pub enum EngineConfigError {
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
     ZeroLaneIdleFrames,
+    /// An [`EngineMode::AdaptiveK`] config failed
+    /// [`DynamicKConfig::validate`]: the controllers could not be built.
+    InvalidDynamicK {
+        /// The broken invariant, as [`DynamicKConfig::validate`] names it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for EngineConfigError {
@@ -94,6 +100,9 @@ impl std::fmt::Display for EngineConfigError {
                     f,
                     "lane_idle_frames must be positive (None disables idle eviction)"
                 )
+            }
+            EngineConfigError::InvalidDynamicK { reason } => {
+                write!(f, "mode: invalid AdaptiveK config: {reason}")
             }
         }
     }
@@ -133,8 +142,9 @@ pub struct EngineConfig {
     /// CRC sliding-window width for feature extraction (per stream).
     pub crc_window: usize,
     /// Top-`k` mode for the combined backends started through
-    /// [`Engine::try_start`]. Ignored by [`Engine::try_start_backend`],
-    /// whose backend already fixes its own decision rule.
+    /// [`Engine::try_start`]. [`Engine::try_start_backend`], whose backend
+    /// already fixes its own decision rule, does not apply it; both
+    /// constructors validate it ([`EngineConfigError::InvalidDynamicK`]).
     pub mode: EngineMode,
     /// How shard workers are scheduled; purely a throughput/footprint
     /// knob, never a decision change.
@@ -179,10 +189,11 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Checks every capacity/sizing field up front, so a bad configuration
-    /// is a typed error at startup instead of a deadlock (zero queue
-    /// capacity), a dead engine (zero shards), an allocation failure
-    /// (oversized queue capacity), or a panic deep inside a worker.
+    /// Checks every capacity/sizing field and the top-`k` mode up front, so
+    /// a bad configuration is a typed error at startup instead of a
+    /// deadlock (zero queue capacity), a dead engine (zero shards), an
+    /// allocation failure (oversized queue capacity), or a panic (a
+    /// degenerate [`EngineMode::AdaptiveK`] config).
     /// [`Engine::try_start`]/[`Engine::try_start_backend`] run this before
     /// spawning anything.
     pub fn validate(&self) -> Result<(), EngineConfigError> {
@@ -203,6 +214,11 @@ impl EngineConfig {
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);
+        }
+        if let EngineMode::AdaptiveK(k_config) = self.mode {
+            k_config
+                .validate()
+                .map_err(|reason| EngineConfigError::InvalidDynamicK { reason })?;
         }
         Ok(())
     }

@@ -224,15 +224,12 @@ impl Engine {
     /// # Errors
     ///
     /// The [`EngineConfigError`] if the config fails
-    /// [`EngineConfig::validate`]; nothing is spawned on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an [`EngineMode::AdaptiveK`] config is degenerate.
+    /// [`EngineConfig::validate`]; nothing is built or spawned on error.
     pub fn try_start(
         detector: Arc<CombinedDetector>,
         config: EngineConfig,
     ) -> Result<Engine, EngineConfigError> {
+        config.validate()?;
         let backend: Arc<dyn StreamingDetector> = match config.mode {
             EngineMode::FixedK => detector,
             EngineMode::AdaptiveK(k_config) => Arc::new(AdaptiveCombined::new(detector, k_config)),
@@ -245,8 +242,8 @@ impl Engine {
     /// Table IV window baselines (`icsad_baselines::WindowedBackend`) for
     /// apples-to-apples streaming comparisons.
     ///
-    /// [`EngineConfig::mode`] is ignored here: the backend itself fixes
-    /// the decision rule.
+    /// [`EngineConfig::mode`] is validated but not applied here: the
+    /// backend itself fixes the decision rule.
     ///
     /// # Errors
     ///

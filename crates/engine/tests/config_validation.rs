@@ -1,14 +1,20 @@
-//! Up-front `EngineConfig` validation: every capacity/sizing field is
-//! checked before anything spawns, with a typed [`EngineConfigError`] from
-//! the constructors — instead of deadlocking the chunked ingest on a
-//! zero-capacity queue or panicking deep inside a worker.
+//! Up-front `EngineConfig` validation: every capacity/sizing field and the
+//! top-`k` mode are checked before anything is built or spawns, with a
+//! typed [`EngineConfigError`] from the constructors — instead of
+//! deadlocking the chunked ingest on a zero-capacity queue or panicking in
+//! a dynamic-`k` controller or deep inside a worker.
 
 use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
+use icsad_core::dynamic_k::DynamicKConfig;
+use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
-use icsad_dataset::Record;
-use icsad_engine::{Engine, EngineConfig, EngineConfigError, IngestMode, MAX_CHANNEL_CAPACITY};
+use icsad_core::timeseries::TimeSeriesTrainingConfig;
+use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
+use icsad_engine::{
+    Engine, EngineConfig, EngineConfigError, EngineMode, IngestMode, MAX_CHANNEL_CAPACITY,
+};
 
 /// A backend stub: config validation must reject before ever touching it.
 struct StubBackend;
@@ -50,6 +56,26 @@ impl StreamingSession for StubSession {
             backend: "stub".to_string(),
         })
     }
+}
+
+/// A small trained framework, for [`Engine::try_start`].
+fn tiny_detector() -> Arc<CombinedDetector> {
+    let split = GasPipelineDataset::generate(&DatasetConfig {
+        total_packages: 2_000,
+        seed: 5,
+        attack_probability: 0.0,
+        ..DatasetConfig::default()
+    })
+    .split_chronological(0.7, 0.2);
+    let config = ExperimentConfig {
+        timeseries: TimeSeriesTrainingConfig {
+            hidden_dims: vec![4],
+            epochs: 1,
+            ..TimeSeriesTrainingConfig::default()
+        },
+        ..ExperimentConfig::default()
+    };
+    Arc::new(train_framework(&split, &config).unwrap().detector)
 }
 
 fn base() -> EngineConfig {
@@ -99,12 +125,43 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
             },
             EngineConfigError::ZeroLaneIdleFrames,
         ),
+        // A degenerate dynamic-`k` config is refused before any controller
+        // is built.
+        (
+            EngineConfig {
+                mode: EngineMode::AdaptiveK(DynamicKConfig {
+                    min_k: 0,
+                    ..DynamicKConfig::default()
+                }),
+                ..base()
+            },
+            EngineConfigError::InvalidDynamicK {
+                reason: "min_k must be positive",
+            },
+        ),
+        // The first broken field wins, not a panic on a later one.
+        (
+            EngineConfig {
+                num_shards: 0,
+                mode: EngineMode::AdaptiveK(DynamicKConfig {
+                    theta: f64::NAN,
+                    ..DynamicKConfig::default()
+                }),
+                ..base()
+            },
+            EngineConfigError::ZeroShards,
+        ),
     ];
+    let detector = tiny_detector();
     for (config, expected) in cases {
         assert_eq!(config.validate(), Err(expected), "{config:?}");
-        // The fallible constructor surfaces the same error without
-        // spawning anything.
-        match Engine::try_start_backend(Arc::new(StubBackend), config) {
+        // Both fallible constructors surface the same error without
+        // building or spawning anything.
+        match Engine::try_start_backend(Arc::new(StubBackend), config.clone()) {
+            Err(e) => assert_eq!(e, expected),
+            Ok(_) => panic!("invalid config must not start an engine"),
+        }
+        match Engine::try_start(Arc::clone(&detector), config) {
             Err(e) => assert_eq!(e, expected),
             Ok(_) => panic!("invalid config must not start an engine"),
         }
@@ -166,6 +223,12 @@ fn errors_name_the_offending_field() {
         ),
         (EngineConfigError::ZeroCrcWindow, "crc_window"),
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
+        (
+            EngineConfigError::InvalidDynamicK {
+                reason: "window must be positive",
+            },
+            "window",
+        ),
     ] {
         let rendered = error.to_string();
         assert!(

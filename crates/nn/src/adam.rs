@@ -1,65 +1,33 @@
 //! The Adam optimizer.
 
-/// Adam hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdamConfig {
-    /// Step size.
-    pub learning_rate: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Denominator fuzz.
-    pub epsilon: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        AdamConfig {
-            learning_rate: 1e-2,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-        }
-    }
-}
+/// First-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Denominator fuzz ε.
+const EPSILON: f32 = 1e-8;
 
 /// Adam optimizer state over a fixed set of parameter slots.
 ///
 /// Moment buffers are allocated lazily on the first [`Adam::step`] call; the
 /// slot structure (count and lengths) must stay identical across calls.
 #[derive(Debug, Clone)]
-pub struct Adam {
-    config: AdamConfig,
+pub(crate) struct Adam {
+    learning_rate: f32,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
     t: u64,
 }
 
 impl Adam {
-    /// Creates an optimizer.
-    pub fn new(config: AdamConfig) -> Self {
+    /// Creates an optimizer with step size `learning_rate`.
+    pub(crate) fn new(learning_rate: f32) -> Self {
         Adam {
-            config,
+            learning_rate,
             m: Vec::new(),
             v: Vec::new(),
             t: 0,
         }
-    }
-
-    /// The hyperparameters.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Changes the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.config.learning_rate = lr;
-    }
-
-    /// Number of optimizer steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Applies one Adam update to every `(param, grad)` slot.
@@ -67,16 +35,16 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if the slot structure changes between calls.
-    pub fn step(&mut self, slots: &mut [(&mut [f32], &[f32])]) {
+    pub(crate) fn step(&mut self, slots: &mut [(&mut [f32], &[f32])]) {
         if self.m.is_empty() {
             self.m = slots.iter().map(|(p, _)| vec![0.0; p.len()]).collect();
             self.v = slots.iter().map(|(p, _)| vec![0.0; p.len()]).collect();
         }
         assert_eq!(self.m.len(), slots.len(), "slot count changed");
         self.t += 1;
-        let c = self.config;
-        let bc1 = 1.0 - c.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - c.beta2.powi(self.t as i32);
+        let lr = self.learning_rate;
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (slot, (m, v)) in slots
             .iter_mut()
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
@@ -90,11 +58,11 @@ impl Adam {
             // bias corrections (no reciprocal), no `mul_add`.
             let moments = m.iter_mut().zip(v.iter_mut());
             for ((p, &g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
-                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                *m = BETA1 * *m + (1.0 - BETA1) * g;
+                *v = BETA2 * *v + (1.0 - BETA2) * g * g;
                 let m_hat = *m / bc1;
                 let v_hat = *v / bc2;
-                *p -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+                *p -= lr * m_hat / (v_hat.sqrt() + EPSILON);
             }
         }
     }
@@ -107,10 +75,7 @@ mod tests {
     /// Minimizes f(x) = (x - 3)^2 with Adam.
     #[test]
     fn converges_on_quadratic() {
-        let mut adam = Adam::new(AdamConfig {
-            learning_rate: 0.1,
-            ..AdamConfig::default()
-        });
+        let mut adam = Adam::new(0.1);
         let mut x = vec![0.0f32];
         for _ in 0..500 {
             let g = vec![2.0 * (x[0] - 3.0)];
@@ -118,15 +83,12 @@ mod tests {
             adam.step(&mut slots);
         }
         assert!((x[0] - 3.0).abs() < 0.05, "x = {}", x[0]);
-        assert_eq!(adam.steps(), 500);
+        assert_eq!(adam.t, 500);
     }
 
     #[test]
     fn handles_multiple_slots() {
-        let mut adam = Adam::new(AdamConfig {
-            learning_rate: 0.2,
-            ..AdamConfig::default()
-        });
+        let mut adam = Adam::new(0.2);
         let mut a = vec![5.0f32, -5.0];
         let mut b = vec![1.0f32];
         for _ in 0..400 {
@@ -146,10 +108,7 @@ mod tests {
     fn first_step_moves_by_about_learning_rate() {
         // With bias correction, the first Adam step is ~lr in the gradient
         // direction regardless of gradient magnitude.
-        let mut adam = Adam::new(AdamConfig {
-            learning_rate: 0.01,
-            ..AdamConfig::default()
-        });
+        let mut adam = Adam::new(0.01);
         let mut x = vec![1.0f32];
         let g = vec![1234.0f32];
         let mut slots = [(x.as_mut_slice(), g.as_slice())];
@@ -159,7 +118,7 @@ mod tests {
 
     #[test]
     fn zero_gradient_is_noop_at_start() {
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::new(1e-2);
         let mut x = vec![2.5f32];
         let g = vec![0.0f32];
         let mut slots = [(x.as_mut_slice(), g.as_slice())];
@@ -170,7 +129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "slot count changed")]
     fn slot_count_change_panics() {
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::new(1e-2);
         let mut x = vec![1.0f32];
         let g = vec![1.0f32];
         adam.step(&mut [(x.as_mut_slice(), g.as_slice())]);
@@ -179,12 +138,5 @@ mod tests {
             (x.as_mut_slice(), g.as_slice()),
             (y.as_mut_slice(), g.as_slice()),
         ]);
-    }
-
-    #[test]
-    fn learning_rate_can_be_changed() {
-        let mut adam = Adam::new(AdamConfig::default());
-        adam.set_learning_rate(0.5);
-        assert_eq!(adam.config().learning_rate, 0.5);
     }
 }

@@ -19,10 +19,9 @@
 //!   which steps any number of streams (stateful, one package each) for
 //!   online detection and whole minibatches for training, plus
 //!   (de)serialization,
-//! * [`Adam`] — the Adam optimizer,
-//! * [`Trainer`] — truncated-BPTT training over variable-length sequences
-//!   with deterministic data-parallel gradient accumulation on scoped
-//!   threads (bit-identical weights for any worker count).
+//! * [`Trainer`] — truncated-BPTT training with Adam over variable-length
+//!   sequences, with deterministic data-parallel gradient accumulation on
+//!   scoped threads (bit-identical weights for any worker count).
 //!
 //! # Examples
 //!
@@ -88,7 +87,6 @@ mod model;
 pub mod tensor;
 mod trainer;
 
-pub use adam::{Adam, AdamConfig};
 pub use dense::Dense;
 pub use lstm::{LaneSchedule, LstmLayer, LstmState};
 pub use model::{

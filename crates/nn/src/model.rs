@@ -226,6 +226,10 @@ pub struct TrainScratch {
 }
 
 impl LstmClassifier {
+    /// Most LSTM layers a serialized model may declare
+    /// ([`LstmClassifier::from_bytes`] rejects deeper stacks).
+    pub const MAX_LAYERS: usize = 64;
+
     /// Builds a randomly initialized classifier.
     ///
     /// # Panics
@@ -745,7 +749,7 @@ impl LstmClassifier {
         let read_usize = |pos: &mut usize| usize::try_from(read_u64(pos)?).ok();
         let input_dim = read_usize(&mut pos)?;
         let n_layers = read_usize(&mut pos)?;
-        if n_layers == 0 || n_layers > 64 {
+        if n_layers == 0 || n_layers > Self::MAX_LAYERS {
             return None;
         }
         let mut hidden_dims = Vec::with_capacity(n_layers);

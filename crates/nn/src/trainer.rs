@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::adam::{Adam, AdamConfig};
+use crate::adam::Adam;
 use crate::model::{BackwardPack, Gradients, LstmClassifier, TrainScratch};
 
 /// Chunks (BPTT lanes) in one gradient partition. Small enough that a
@@ -26,6 +26,10 @@ use crate::model::{BackwardPack, Gradients, LstmClassifier, TrainScratch};
 /// the threads to share; large enough that the batched kernels amortize
 /// weight streaming across lanes.
 const GRAD_TASK_LANES: usize = 8;
+
+/// Global-norm gradient clip: a minibatch gradient longer than this is
+/// scaled down to it before the optimizer step.
+const GRAD_CLIP: f32 = 5.0;
 
 /// One training sequence: per step, an input vector and the target class
 /// the model should predict *at* that step (i.e. the next package's
@@ -68,8 +72,6 @@ pub struct TrainingConfig {
     pub batch_chunks: usize,
     /// Adam step size.
     pub learning_rate: f32,
-    /// Global-norm gradient clip (0 disables clipping).
-    pub grad_clip: f32,
     /// Worker threads for gradient computation (0 = all available cores).
     pub num_threads: usize,
     /// Seed for chunk shuffling.
@@ -83,7 +85,6 @@ impl Default for TrainingConfig {
             chunk_len: 32,
             batch_chunks: 32,
             learning_rate: 5e-3,
-            grad_clip: 5.0,
             num_threads: 0,
             shuffle_seed: 0,
         }
@@ -173,10 +174,7 @@ impl Trainer {
     /// Creates a trainer, validating the configuration.
     pub fn try_new(config: TrainingConfig) -> Result<Self, TrainerConfigError> {
         config.validate()?;
-        let adam = Adam::new(AdamConfig {
-            learning_rate: config.learning_rate,
-            ..AdamConfig::default()
-        });
+        let adam = Adam::new(config.learning_rate);
         Ok(Trainer { config, adam })
     }
 
@@ -253,11 +251,9 @@ impl Trainer {
             total_correct += correct;
             total_targets += targets_in_batch;
 
-            if self.config.grad_clip > 0.0 {
-                let norm = grads.global_norm();
-                if norm > self.config.grad_clip {
-                    grads.scale(self.config.grad_clip / norm);
-                }
+            let norm = grads.global_norm();
+            if norm > GRAD_CLIP {
+                grads.scale(GRAD_CLIP / norm);
             }
             self.adam.step(&mut model.params_with_grads(&grads));
             model.pack_panels();

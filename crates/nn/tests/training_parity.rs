@@ -86,7 +86,6 @@ proptest! {
             learning_rate: 0.01,
             num_threads: 1,
             shuffle_seed,
-            ..TrainingConfig::default()
         };
 
         let (bytes_1, stats_1) = train(&config, &tc, &sequences);

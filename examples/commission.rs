@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let detector = trained.detector;
     println!(
         "  trained: |S| = {}, k = {}, {} KB resident",
-        trained.signature_count,
-        trained.chosen_k,
+        detector.package_level().signature_count(),
+        detector.k(),
         detector.memory_bytes() / 1024
     );
     println!(

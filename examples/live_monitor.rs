@@ -70,10 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let mut detector = trained.detector;
+    let chosen_k = detector.k();
     println!(
-        "  ready: |S| = {}, k = {}, {} KB resident",
-        trained.signature_count,
-        trained.chosen_k,
+        "  ready: |S| = {}, k = {chosen_k}, {} KB resident",
+        detector.package_level().signature_count(),
         detector.memory_bytes() / 1024
     );
 
@@ -85,14 +85,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let artifact_v1 = dir.join(format!("icsad-live-monitor-v1-{}.icsa", std::process::id()));
     let artifact_v2 = dir.join(format!("icsad-live-monitor-v2-{}.icsa", std::process::id()));
     detector.save(&artifact_v1)?;
-    detector.set_k(trained.chosen_k + 1);
+    detector.set_k(chosen_k + 1);
     detector.save(&artifact_v2)?;
     println!(
         "  artifacts saved: {} ({} KB, k={}) and re-commissioned k={}",
         artifact_v1.display(),
         std::fs::metadata(&artifact_v1)?.len() / 1024,
-        trained.chosen_k,
-        trained.chosen_k + 1,
+        chosen_k,
+        chosen_k + 1,
     );
     drop(detector); // the monitor below only knows the artifact files
 

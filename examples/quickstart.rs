@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  trained in {:?}; |S| = {} signatures, chosen k = {}, model memory = {} KB",
         t0.elapsed(),
-        trained.signature_count,
-        trained.chosen_k,
+        trained.detector.package_level().signature_count(),
+        trained.detector.k(),
         trained.detector.memory_bytes() / 1024
     );
 

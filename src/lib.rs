@@ -80,7 +80,7 @@ pub mod prelude {
         metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall},
         package::PackageLevelDetector,
         streaming::{detect_stream, AdaptiveCombined, StreamingDetector, StreamingSession},
-        timeseries::{NoiseConfig, TimeSeriesDetector, TimeSeriesTrainingConfig},
+        timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig},
     };
     pub use icsad_dataset::{DatasetConfig, Fragments, GasPipelineDataset, Record, Split};
     pub use icsad_engine::{

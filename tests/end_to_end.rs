@@ -89,8 +89,8 @@ fn determinism_across_the_whole_stack() {
         let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
         let report = trained.detector.evaluate(split.test());
         (
-            trained.chosen_k,
-            trained.signature_count,
+            trained.detector.k(),
+            trained.detector.package_level().signature_count(),
             report.confusion.tp,
             report.confusion.fp,
         )
@@ -100,8 +100,8 @@ fn determinism_across_the_whole_stack() {
         let trained = icsad_core::experiment::train_framework(&split, &fast_experiment()).unwrap();
         let report = trained.detector.evaluate(split.test());
         (
-            trained.chosen_k,
-            trained.signature_count,
+            trained.detector.k(),
+            trained.detector.package_level().signature_count(),
             report.confusion.tp,
             report.confusion.fp,
         )
