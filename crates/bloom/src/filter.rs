@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::bitvec::BitVec;
-use crate::hash::{double_hash, fnv1a, mix64};
+use crate::hash::{fnv1a, mix64, probes};
 
 /// Errors produced when constructing a [`BloomFilter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct BloomFilter {
 /// an unbounded `k` read from a serialized filter would stall each one;
 /// optimal sizing only exceeds 64 for a false-positive target below about
 /// 5e-20.
-const MAX_HASHES: u32 = 64;
+pub const MAX_HASHES: u32 = 64;
 
 impl BloomFilter {
     /// Creates a filter with exactly `m_bits` bits and `k` hash functions.
@@ -122,11 +122,9 @@ impl BloomFilter {
     pub fn insert(&mut self, item: impl AsRef<[u8]>) -> bool {
         let bytes = item.as_ref();
         let (h1, h2) = (fnv1a(bytes), mix64(bytes));
-        let m = self.bits.len() as u64;
         let mut newly_set = false;
-        for i in 0..u64::from(self.k) {
-            let idx = double_hash(h1, h2, i, m) as usize;
-            if !self.bits.set(idx) {
+        for idx in probes(h1, h2, self.bits.len() as u64).take(self.k as usize) {
+            if !self.bits.set(idx as usize) {
                 newly_set = true;
             }
         }
@@ -138,8 +136,9 @@ impl BloomFilter {
     pub fn contains(&self, item: impl AsRef<[u8]>) -> bool {
         let bytes = item.as_ref();
         let (h1, h2) = (fnv1a(bytes), mix64(bytes));
-        let m = self.bits.len() as u64;
-        (0..u64::from(self.k)).all(|i| self.bits.get(double_hash(h1, h2, i, m) as usize))
+        probes(h1, h2, self.bits.len() as u64)
+            .take(self.k as usize)
+            .all(|idx| self.bits.get(idx as usize))
     }
 
     /// Number of insertions performed (not distinct elements).

@@ -55,6 +55,25 @@ pub fn double_hash(h1: u64, h2: u64, i: u64, m: u64) -> u64 {
     ((u128::from(h1) + u128::from(i) * h2) % u128::from(m)) as u64
 }
 
+/// The probe sequence `double_hash(h1, h2, i, m)` for `i = 0, 1, 2, …`,
+/// walked without a division per probe: it starts at `h1 mod m` and steps
+/// by `(h2 | 1) mod m`, subtracting `m` when a step passes it. Both terms
+/// are below `m`, so the walk never overflows and yields the same indices
+/// as the `u128` remainders.
+///
+/// # Panics
+///
+/// Panics if `m == 0`.
+pub fn probes(h1: u64, h2: u64, m: u64) -> impl Iterator<Item = u64> {
+    assert!(m > 0, "modulus must be positive");
+    let step = (h2 | 1) % m;
+    // `idx + step >= m` exactly when `idx >= m - step`.
+    let wrap = m - step;
+    std::iter::successors(Some(h1 % m), move |&idx| {
+        Some(if idx >= wrap { idx - wrap } else { idx + step })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,4 +45,4 @@ mod filter;
 pub mod hash;
 
 pub use bitvec::BitVec;
-pub use filter::{BloomError, BloomFilter};
+pub use filter::{BloomError, BloomFilter, MAX_HASHES};

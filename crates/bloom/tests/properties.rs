@@ -1,6 +1,7 @@
 //! Property-based tests for the Bloom filter invariants.
 
-use icsad_bloom::{BitVec, BloomFilter};
+use icsad_bloom::hash::{double_hash, probes};
+use icsad_bloom::{BitVec, BloomFilter, MAX_HASHES};
 use proptest::prelude::*;
 
 proptest! {
@@ -17,6 +18,26 @@ proptest! {
         for it in &items {
             prop_assert!(f.contains(it));
         }
+    }
+
+    /// The division-free probe walk yields exactly the `u128` remainders
+    /// of `double_hash`, for moduli from 1 to 2^40 and up to `MAX_HASHES`
+    /// probes. Half the cases draw `m ≤ 64`, where the walk wraps at most
+    /// probes and, when `(h2 | 1) % m == 0` (always at `m = 1`), stands
+    /// still.
+    #[test]
+    fn probe_walk_equals_double_hash(
+        h1 in any::<u64>(),
+        h2 in any::<u64>(),
+        small in any::<bool>(),
+        m_small in 1u64..=64,
+        m_large in 1u64..=1 << 40,
+        k in 1..=MAX_HASHES,
+    ) {
+        let m = if small { m_small } else { m_large };
+        let walked: Vec<u64> = probes(h1, h2, m).take(k as usize).collect();
+        let direct: Vec<u64> = (0..u64::from(k)).map(|i| double_hash(h1, h2, i, m)).collect();
+        prop_assert_eq!(walked, direct);
     }
 
     /// Serialization round-trips exactly, preserving membership answers.

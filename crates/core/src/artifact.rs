@@ -372,9 +372,13 @@ impl CombinedDetector {
         let k = usize::try_from(u64::from_le_bytes(k))
             .map_err(|_| ArtifactError::SectionCorrupt { section: "HYPR" })?;
 
-        let package =
-            PackageLevelDetector::from_parts(discretizer.clone(), filter, vocabulary.len())
-                .map_err(|reason| ArtifactError::Inconsistent { reason })?;
+        // A class outside the discretizer's categories could not be one-hot
+        // encoded into the detector's per-signature table.
+        if !vocabulary.fits_cardinalities(&discretizer.cardinalities()) {
+            return Err(ArtifactError::SectionCorrupt { section: "VOCB" });
+        }
+        let package = PackageLevelDetector::from_parts(discretizer.clone(), filter, &vocabulary)
+            .map_err(|reason| ArtifactError::Inconsistent { reason })?;
         let timeseries = TimeSeriesDetector::from_parts(discretizer, vocabulary, model, k)
             .map_err(|reason| ArtifactError::Inconsistent { reason })?;
         Ok(CombinedDetector::new(package, timeseries))

@@ -33,6 +33,12 @@ impl DetectionLevel {
 /// database signatures). Packages that pass are checked by the LSTM top-`k`
 /// rule. *Every* package — normal or anomalous — is fed back into the LSTM
 /// input with its anomaly bit set accordingly (§V-3).
+///
+/// The Bloom filter holds every signature of the time-series vocabulary
+/// and has no false negatives, so a package whose signature has a class
+/// id passes it by construction: the package level looks the discretized
+/// vector up in the vocabulary first and probes the filter only on a miss.
+/// The decisions are those of probing first.
 #[derive(Debug, Clone)]
 pub struct CombinedDetector {
     package: PackageLevelDetector,
@@ -53,7 +59,7 @@ pub struct CombinedState {
 ///
 /// Lanes are added with [`CombinedDetector::add_lane`]; each lane carries
 /// one stream's LSTM state and rolling prediction. All per-package scratch
-/// (discretized vectors, signature string, one-hot block, LSTM state
+/// (discretized vectors, signature string, gate rows, LSTM state
 /// blocks) is owned here and reused across flushes, so steady-state batched
 /// classification allocates nothing.
 #[derive(Debug, Clone)]
@@ -88,7 +94,21 @@ impl CombinedBatch {
 
 impl CombinedDetector {
     /// Assembles the framework from its two trained levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a signature of the time-series vocabulary does not pass
+    /// the package level's filter: the levels were trained on
+    /// different signature databases, and a known signature would be
+    /// answered differently by the two orders of the package level.
+    /// [`crate::experiment::train_framework`] builds both levels from one
+    /// vocabulary, and [`CombinedDetector::from_bytes`] refuses such an
+    /// artifact with an error.
     pub fn new(package: PackageLevelDetector, timeseries: TimeSeriesDetector) -> Self {
+        assert!(
+            package.passes_every(timeseries.vocabulary()),
+            "the package level's filter must hold every signature of the time-series vocabulary"
+        );
         CombinedDetector {
             package,
             timeseries,
@@ -234,8 +254,9 @@ impl CombinedDetector {
         );
     }
 
-    /// The package level of one batched flush: discretize, signature,
-    /// Bloom probe — filling the batch's per-entry scratch columns.
+    /// The package level of one batched flush: discretize, vocabulary
+    /// lookup and, for a signature outside the vocabulary only, signature
+    /// key and Bloom probe — filling the batch's per-entry scratch columns.
     fn package_stage(&self, batch: &mut CombinedBatch, lanes: &[usize], records: &[Record]) {
         assert_eq!(records.len(), lanes.len(), "records/lanes mismatch");
         // Quadratic on purpose: the check must not allocate (the engine's
@@ -256,17 +277,21 @@ impl CombinedDetector {
         batch.ranks.clear();
         for r in records {
             let vector = disc.discretize(r);
-            icsad_features::write_signature(&vector, &mut batch.sig_buf);
-            let package_hit = self.package.key_is_anomalous(&batch.sig_buf);
+            let id = self.timeseries.vocabulary().id_of_vector(&vector);
+            // A known signature passes the filter (see `new`); anything
+            // else is probed, and one that passes is a Bloom false positive
+            // with no class id.
+            let package_hit = id.is_none() && {
+                icsad_features::write_signature(&vector, &mut batch.sig_buf);
+                self.package.key_is_anomalous(&batch.sig_buf)
+            };
             if package_hit {
                 // Bloom-level anomaly: the LSTM still sees the package,
                 // with its anomaly bit forced (paper §VI).
                 batch.ids.push(None);
                 batch.flags.push(Some(true));
             } else {
-                batch
-                    .ids
-                    .push(self.timeseries.vocabulary().id_of_key(&batch.sig_buf));
+                batch.ids.push(id);
                 batch.flags.push(None);
             }
             batch.package_hits.push(package_hit);

@@ -3,7 +3,7 @@
 
 use icsad_bloom::BloomFilter;
 use icsad_dataset::Record;
-use icsad_features::{Discretizer, SignatureVocabulary};
+use icsad_features::{write_signature, Discretizer, SignatureVocabulary};
 
 use crate::error::CoreError;
 
@@ -50,8 +50,10 @@ impl PackageLevelDetector {
             });
         }
         let mut filter = BloomFilter::with_capacity(vocabulary.len(), bloom_fpr)?;
-        for (_, sig, _) in vocabulary.iter() {
-            filter.insert(sig);
+        let mut key = String::new();
+        for (_, vector, _) in vocabulary.iter() {
+            write_signature(vector, &mut key);
+            filter.insert(&key);
         }
         Ok(PackageLevelDetector {
             discretizer: discretizer.clone(),
@@ -61,12 +63,15 @@ impl PackageLevelDetector {
     }
 
     /// Reassembles a trained detector from its serialized parts (the
-    /// artifact load path; see [`crate::artifact`]).
+    /// artifact load path; see [`crate::artifact`]), checking that the
+    /// filter was built over `vocabulary`: one insertion per signature,
+    /// and every signature passes.
     pub(crate) fn from_parts(
         discretizer: Discretizer,
         filter: BloomFilter,
-        signature_count: usize,
+        vocabulary: &SignatureVocabulary,
     ) -> Result<Self, String> {
+        let signature_count = vocabulary.len();
         if signature_count == 0 {
             return Err("signature database is empty".into());
         }
@@ -80,10 +85,27 @@ impl PackageLevelDetector {
                 signature_count
             ));
         }
-        Ok(PackageLevelDetector {
+        let detector = PackageLevelDetector {
             discretizer,
             filter,
             signature_count,
+        };
+        if !detector.passes_every(vocabulary) {
+            return Err("bloom filter lacks a signature of the vocabulary".into());
+        }
+        Ok(detector)
+    }
+
+    /// Whether every signature of `vocabulary` passes the filter. True by
+    /// construction for the vocabulary [`PackageLevelDetector::train`] was
+    /// given (a Bloom filter has no false negatives), and what lets the
+    /// framework answer the package level of a known signature from the
+    /// vocabulary alone ([`crate::CombinedDetector::new`]).
+    pub(crate) fn passes_every(&self, vocabulary: &SignatureVocabulary) -> bool {
+        let mut key = String::new();
+        vocabulary.iter().all(|(_, vector, _)| {
+            write_signature(vector, &mut key);
+            self.filter.contains(&key)
         })
     }
 

@@ -3,7 +3,7 @@
 
 use icsad_dataset::{Fragments, Record};
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
-use icsad_features::{DiscreteVector, Discretizer, Signature, SignatureVocabulary};
+use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
 use icsad_nn::{
     loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, Sequence,
     StreamState, Trainer, TrainingConfig,
@@ -112,6 +112,12 @@ pub struct TimeSeriesDetector {
     encoder: OneHotEncoder,
     model: LstmClassifier,
     k: usize,
+    /// Layer-0 gate pre-activations of every vocabulary signature with its
+    /// noise bit clear, `|S| x 4 H₀` in class-id order: the bias plus the
+    /// one-hot product, computed once from the weights when the detector
+    /// is built ([`TimeSeriesDetector::signature_table_bytes`]). Derived
+    /// data, never serialized.
+    signature_rows: Vec<f32>,
 }
 
 /// Streaming detection state of one stream: the LSTM state plus the
@@ -136,12 +142,12 @@ impl TsState {
 }
 
 /// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the LSTM
-/// forward's (gathered state rows and tapes) plus the batched one-hot input
-/// and logits blocks, grown on demand.
+/// forward's (gathered state rows and tapes), one one-hot row for a
+/// signature outside the database, and the logits block, grown on demand.
 #[derive(Debug, Clone)]
 pub struct TsBatchScratch {
     nn: ForwardScratch,
-    xs: Vec<f32>,
+    x: Vec<f32>,
     logits: Vec<f32>,
 }
 
@@ -157,7 +163,6 @@ struct CurveScratch {
     /// Each row's next-package class id (`None`: outside the database).
     targets: Vec<Option<usize>>,
     fwd: ForwardScratch,
-    sig: String,
 }
 
 impl TimeSeriesDetector {
@@ -186,6 +191,11 @@ impl TimeSeriesDetector {
                 reason: "signature vocabulary is empty".into(),
             });
         }
+        if !vocabulary.fits_cardinalities(&discretizer.cardinalities()) {
+            return Err(CoreError::InvalidTrainingData {
+                reason: "the vocabulary holds categories the discretizer does not produce".into(),
+            });
+        }
         let encoder = OneHotEncoder::new(discretizer);
 
         // Precompute per-fragment discretized vectors and targets.
@@ -200,12 +210,11 @@ impl TimeSeriesDetector {
                     reason = "the vocabulary was built from this very training set a few \
                               lines up, so every record's signature has an id"
                 )]
-                let targets: Vec<usize> = frag
+                let targets: Vec<usize> = vectors[1..]
                     .iter()
-                    .skip(1)
-                    .map(|r| {
+                    .map(|v| {
                         vocabulary
-                            .id_of(&discretizer.signature(r))
+                            .id_of_vector(v)
                             .expect("training records are in the vocabulary")
                     })
                     .collect();
@@ -218,20 +227,12 @@ impl TimeSeriesDetector {
             });
         }
 
-        let model = LstmClassifier::new(&ModelConfig {
+        let mut model = LstmClassifier::new(&ModelConfig {
             input_dim: encoder.dims(),
             hidden_dims: config.hidden_dims.clone(),
             num_classes: vocabulary.len(),
             seed: config.seed,
         });
-        let mut detector = TimeSeriesDetector {
-            discretizer: discretizer.clone(),
-            vocabulary: vocabulary.clone(),
-            encoder,
-            model,
-            k: INITIAL_K,
-        };
-
         let mut trainer = Trainer::try_new(TrainingConfig {
             epochs: 1, // driven epoch-by-epoch below
             batch_chunks: config.batch_chunks,
@@ -245,67 +246,64 @@ impl TimeSeriesDetector {
         })?;
         let mut noise_rng = ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15);
         let mut stats = Vec::with_capacity(config.epochs);
+        let sequences = |lambda, rng: &mut ChaCha12Rng| {
+            build_sequences(&encoder, vocabulary, &prepared, lambda, rng)
+        };
         let clean: Option<Vec<Sequence>> = if config.noise_lambda.is_none() {
-            Some(detector.build_sequences(&prepared, None, &mut noise_rng))
+            Some(sequences(None, &mut noise_rng))
         } else {
             None
         };
         for epoch in 0..config.epochs {
             let sequences = match (&clean, config.noise_lambda) {
                 (Some(seqs), _) => seqs.clone(),
-                (None, lambda) => detector.build_sequences(&prepared, lambda, &mut noise_rng),
+                (None, lambda) => sequences(lambda, &mut noise_rng),
             };
-            stats.push(trainer.fit_epoch(&mut detector.model, &sequences, epoch));
+            stats.push(trainer.fit_epoch(&mut model, &sequences, epoch));
         }
+        let detector = TimeSeriesDetector::assemble(
+            discretizer.clone(),
+            vocabulary.clone(),
+            encoder,
+            model,
+            INITIAL_K,
+        );
         Ok((detector, stats))
     }
 
-    fn build_sequences(
-        &self,
-        prepared: &[(Vec<DiscreteVector>, Vec<usize>)],
-        noise_lambda: Option<f64>,
-        rng: &mut ChaCha12Rng,
-    ) -> Vec<Sequence> {
-        use rand::Rng;
-        let cards = self.encoder.cardinalities();
-        prepared
-            .iter()
-            .map(|(vectors, targets)| {
-                let steps: Vec<(Vec<f32>, usize)> = vectors[..vectors.len() - 1]
-                    .iter()
-                    .zip(targets.iter())
-                    .map(|(vec, &target)| {
-                        let (encoded, _) = match noise_lambda {
-                            Some(lambda) => {
-                                let sig = Signature::from_components(vec);
-                                let count = self
-                                    .vocabulary
-                                    .id_of(&sig)
-                                    .map(|id| self.vocabulary.count(id))
-                                    .unwrap_or(0);
-                                let p = lambda / (lambda + count as f64);
-                                if rng.gen::<f64>() < p {
-                                    let mut noisy = *vec;
-                                    mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
-                                    (self.encoder.encode(&noisy, true), true)
-                                } else {
-                                    (self.encoder.encode(vec, false), false)
-                                }
-                            }
-                            None => (self.encoder.encode(vec, false), false),
-                        };
-                        (encoded, target)
-                    })
-                    .collect();
-                Sequence::new(steps)
-            })
-            .collect()
+    /// The detector over trained parts, with its per-signature table built
+    /// from the model's weights (the end of training and of artifact load:
+    /// never inside a round).
+    fn assemble(
+        discretizer: Discretizer,
+        vocabulary: SignatureVocabulary,
+        encoder: OneHotEncoder,
+        model: LstmClassifier,
+        k: usize,
+    ) -> Self {
+        let dims = encoder.dims();
+        let mut xs = vec![0.0; vocabulary.len() * dims];
+        for ((_, vector, _), x) in vocabulary.iter().zip(xs.chunks_exact_mut(dims)) {
+            encoder.encode_into(vector, false, x);
+        }
+        let mut signature_rows = vec![0.0; vocabulary.len() * 4 * model.config().hidden_dims[0]];
+        model.input_preactivations(&xs, &mut signature_rows);
+        TimeSeriesDetector {
+            discretizer,
+            vocabulary,
+            encoder,
+            model,
+            k,
+            signature_rows,
+        }
     }
 
     /// Reassembles a trained detector from its serialized parts (the
     /// artifact load path; see [`crate::artifact`]), rebuilding the one-hot
     /// encoder from the discretizer and cross-checking that the model's
-    /// dimensions actually fit the feature layout and vocabulary.
+    /// dimensions actually fit the feature layout and vocabulary. The
+    /// caller has checked that the vocabulary fits the discretizer's
+    /// cardinalities, which building the per-signature table relies on.
     pub(crate) fn from_parts(
         discretizer: Discretizer,
         vocabulary: SignatureVocabulary,
@@ -337,13 +335,13 @@ impl TimeSeriesDetector {
                 encoder.dims()
             ));
         }
-        Ok(TimeSeriesDetector {
+        Ok(TimeSeriesDetector::assemble(
             discretizer,
             vocabulary,
             encoder,
             model,
             k,
-        })
+        ))
     }
 
     /// The signature database this detector predicts over.
@@ -374,6 +372,15 @@ impl TimeSeriesDetector {
     /// Model memory in bytes (LSTM + dense parameters).
     pub fn memory_bytes(&self) -> usize {
         self.model.memory_bytes()
+    }
+
+    /// Heap bytes of the per-signature table of layer-0 pre-activations
+    /// (`|S| x 4 H₀` `f32`). Like the model's
+    /// [`LstmClassifier::packed_bytes`] it is derived from the parameters,
+    /// so it is not part of [`TimeSeriesDetector::memory_bytes`]; resident
+    /// memory is the sum of the three.
+    pub fn signature_table_bytes(&self) -> usize {
+        self.signature_rows.len() * std::mem::size_of::<f32>()
     }
 
     /// The underlying classifier (for serialization or inspection).
@@ -464,8 +471,7 @@ impl TimeSeriesDetector {
                             &mut scratch.x_cat[r * dims..(r + 1) * dims],
                         );
                         vector = self.discretizer.discretize(&frag[t0 + t + 1]);
-                        icsad_features::write_signature(&vector, &mut scratch.sig);
-                        scratch.targets[r] = self.vocabulary.id_of_key(&scratch.sig);
+                        scratch.targets[r] = self.vocabulary.id_of_vector(&vector);
                     }
                 }
                 let logits = self.model.forward_schedule(
@@ -526,7 +532,7 @@ impl TimeSeriesDetector {
     pub fn batch_scratch(&self) -> TsBatchScratch {
         TsBatchScratch {
             nn: self.model.batch_scratch(),
-            xs: Vec::new(),
+            x: vec![0.0; self.encoder.dims()],
             logits: Vec::new(),
         }
     }
@@ -534,7 +540,7 @@ impl TimeSeriesDetector {
     /// Processes one package on each of `lanes.len()` independent streams:
     /// the time-series level's one step. Every lane is decided on its
     /// rolling prediction, then all of them step through the LSTM together
-    /// as one gathered [`LstmClassifier::forward_batch_gathered_logits`]
+    /// as one gathered [`LstmClassifier::forward_batch_gathered_rows`]
     /// round — a one-lane batch included, so every engine round, every
     /// offline `detect_stream` call and every
     /// [`crate::CombinedDetector::classify`] call runs the same step.
@@ -548,6 +554,12 @@ impl TimeSeriesDetector {
     /// feeds Bloom-level detections back this way, §VI), and `None` feeds
     /// the package back with its own verdict (§V-3).
     ///
+    /// A package with a class id starts layer 0 from its signature's row of
+    /// the detector's table, plus the noise bit's weight row if it is fed
+    /// back noisy — the same adds, in the same order, as the one-hot
+    /// product, whose last input is the noise bit. A package outside the
+    /// database is one-hot encoded and projected on its own.
+    ///
     /// One `F_t` bool per entry (`true` = anomalous) is appended to `out`
     /// and the 1-based rank of its signature in the pre-step prediction to
     /// `ranks` (what the dynamic-`k` controller of [`crate::dynamic_k`]
@@ -558,8 +570,8 @@ impl TimeSeriesDetector {
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree or a lane index is out of
-    /// bounds.
+    /// Panics if the slice lengths disagree or a lane index or class id is
+    /// out of bounds.
     #[allow(clippy::too_many_arguments, reason = "one slice per per-lane input")]
     pub fn process_batch(
         &self,
@@ -579,35 +591,44 @@ impl TimeSeriesDetector {
         if batch == 0 {
             return;
         }
-        let dims = self.encoder.dims();
         let nc = self.model.num_classes();
-        if scratch.xs.len() < batch * dims {
-            scratch.xs.resize(batch * dims, 0.0);
-        }
         if scratch.logits.len() < batch * nc {
             scratch.logits.resize(batch * nc, 0.0);
         }
 
         // Per-lane decision from the rolling prediction, then the batched
         // feedback step, each package fed back with its anomaly bit.
-        for i in 0..batch {
-            let state = &states[lanes[i]];
-            let (anomalous, rank) = self.decide(state, signature_ids[i]);
+        let width = 4 * self.model.config().hidden_dims[0];
+        let noise_row = self.model.input_weights_row(self.encoder.dims() - 1);
+        let rows = self.model.round_input_rows(&mut scratch.nn, batch);
+        for (i, row) in rows.chunks_exact_mut(width).enumerate() {
+            let (anomalous, rank) = self.decide(&states[lanes[i]], signature_ids[i]);
             out.push(anomalous);
             ranks.push(rank);
             let noisy = flag_noisy[i].unwrap_or(anomalous);
-            self.encoder.encode_into(
-                &vectors[i],
-                noisy,
-                &mut scratch.xs[i * dims..(i + 1) * dims],
-            );
-            self.model.gather_lane(&mut scratch.nn, i, &state.stream);
+            match signature_ids[i] {
+                Some(id) => {
+                    row.copy_from_slice(&self.signature_rows[id * width..(id + 1) * width]);
+                    if noisy {
+                        for (z, w) in row.iter_mut().zip(noise_row) {
+                            *z += w;
+                        }
+                    }
+                }
+                None => {
+                    self.encoder.encode_into(&vectors[i], noisy, &mut scratch.x);
+                    self.model.input_preactivations(&scratch.x, row);
+                }
+            }
+        }
+        for (i, &lane) in lanes.iter().enumerate() {
+            self.model
+                .gather_lane(&mut scratch.nn, i, &states[lane].stream);
         }
 
-        self.model.forward_batch_gathered_logits(
+        self.model.forward_batch_gathered_rows(
             &mut scratch.nn,
             batch,
-            &scratch.xs[..batch * dims],
             &mut scratch.logits[..batch * nc],
         );
 
@@ -620,6 +641,51 @@ impl TimeSeriesDetector {
                 .extend_from_slice(&scratch.logits[i * nc..(i + 1) * nc]);
         }
     }
+}
+
+/// The training sequences of one epoch: each fragment's packages one-hot
+/// encoded, each step targeting the next package's class id. With
+/// `noise_lambda`, a package whose signature occurs `#s` times is replaced
+/// with probability `λ/(λ+#s)` by a mutated vector with its noise bit set
+/// (§V-3).
+fn build_sequences(
+    encoder: &OneHotEncoder,
+    vocabulary: &SignatureVocabulary,
+    prepared: &[(Vec<DiscreteVector>, Vec<usize>)],
+    noise_lambda: Option<f64>,
+    rng: &mut ChaCha12Rng,
+) -> Vec<Sequence> {
+    use rand::Rng;
+    let cards = encoder.cardinalities();
+    prepared
+        .iter()
+        .map(|(vectors, targets)| {
+            let steps: Vec<(Vec<f32>, usize)> = vectors[..vectors.len() - 1]
+                .iter()
+                .zip(targets.iter())
+                .map(|(vec, &target)| {
+                    let encoded = match noise_lambda {
+                        Some(lambda) => {
+                            let count = vocabulary
+                                .id_of_vector(vec)
+                                .map_or(0, |id| vocabulary.count(id));
+                            let p = lambda / (lambda + count as f64);
+                            if rng.gen::<f64>() < p {
+                                let mut noisy = *vec;
+                                mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
+                                encoder.encode(&noisy, true)
+                            } else {
+                                encoder.encode(vec, false)
+                            }
+                        }
+                        None => encoder.encode(vec, false),
+                    };
+                    (encoded, target)
+                })
+                .collect();
+            Sequence::new(steps)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -840,6 +906,20 @@ mod tests {
         assert_eq!(det.k(), 7);
         let result = std::panic::catch_unwind(move || det.set_k(0));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn a_vocabulary_outside_the_discretizer_is_rejected() {
+        // A class the one-hot encoder could not encode would panic when the
+        // detector builds its per-signature table.
+        let (disc, mut vocab, split) = setup(4_000, 10);
+        let mut foreign = *vocab.vector(0);
+        foreign[3] = 2; // command/response has two categories
+        vocab.insert(foreign);
+        assert!(matches!(
+            TimeSeriesDetector::train(&disc, &vocab, split.train(), &fast_config(1, false)),
+            Err(CoreError::InvalidTrainingData { .. })
+        ));
     }
 
     #[test]

@@ -151,6 +151,98 @@ fn swapped_bloom_section_is_rejected_as_inconsistent() {
     ));
 }
 
+/// A VOCB payload (section index 1) holding `entries` as `(key, count)`
+/// in class-id order, in `SignatureVocabulary::to_bytes`'s layout.
+fn vocabulary_payload(entries: &[(String, u64)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (key, count) in entries {
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+    }
+    out
+}
+
+/// The fixture's signature keys and counts, in class-id order.
+fn vocabulary_entries(detector: &CombinedDetector) -> Vec<(String, u64)> {
+    detector
+        .time_series_level()
+        .vocabulary()
+        .iter()
+        .map(|(_, vector, count)| {
+            let key = icsad_features::Signature::from_components(vector);
+            (key.as_str().to_string(), count)
+        })
+        .collect()
+}
+
+#[test]
+fn the_rebuilt_vocabulary_section_loads_unchanged() {
+    // The helper reproduces the VOCB payload byte for byte, so the cases
+    // below change exactly one key and nothing else.
+    let fx = fixture();
+    let payload = vocabulary_payload(&vocabulary_entries(&fx.detector));
+    let bytes = replace_section(&fx.artifact, 1, &payload);
+    assert_eq!(bytes, fx.artifact);
+}
+
+#[test]
+fn non_canonical_vocabulary_keys_are_corrupt_behind_a_valid_checksum() {
+    // Each key below names a class the artifact's writer could not have
+    // written. The vocabulary is indexed by discretized vector, so a key
+    // must parse back to one (13 components, no leading zeros) and fit
+    // the DISC section's cardinalities — one out of range would reach the
+    // one-hot encoder's assertion when the detector builds its table.
+    let fx = fixture();
+    let entries = vocabulary_entries(&fx.detector);
+    let cards = fx.detector.package_level().discretizer().cardinalities();
+    let first = &entries[0].0;
+    let components: Vec<&str> = first.split('~').collect();
+    assert_eq!(components.len(), icsad_features::FEATURE_COUNT);
+    let mut out_of_range: Vec<String> = components.iter().map(|c| c.to_string()).collect();
+    out_of_range[3] = cards[3].to_string(); // command/response: one past the last category
+    let crafted = [
+        ("leading zero", format!("0{first}")),
+        ("12 components", components[..12].join("~")),
+        ("out of cardinality", out_of_range.join("~")),
+    ];
+    for (what, key) in crafted {
+        let mut tampered = entries.clone();
+        tampered[0].0 = key;
+        let bytes = replace_section(&fx.artifact, 1, &vocabulary_payload(&tampered));
+        let result = CombinedDetector::from_bytes(&bytes);
+        assert!(
+            matches!(
+                result,
+                Err(ArtifactError::SectionCorrupt { section: "VOCB" })
+            ),
+            "{what}: {result:?}"
+        );
+    }
+}
+
+#[test]
+fn a_bloom_section_over_other_signatures_is_inconsistent() {
+    // The right insertion count, over the wrong signatures: the package
+    // level answers a known signature from the vocabulary without probing
+    // the filter, which is only sound if the filter holds every one of
+    // them.
+    let fx = fixture();
+    let vocab = fx.detector.time_series_level().vocabulary();
+    let mut foreign = icsad_bloom::BloomFilter::with_capacity(vocab.len(), 0.001).unwrap();
+    for i in 0..vocab.len() {
+        foreign.insert(format!("other-{i}"));
+    }
+    assert_eq!(foreign.len(), vocab.len() as u64);
+    let bytes = replace_section(&fx.artifact, 2, &foreign.to_bytes());
+    let result = CombinedDetector::from_bytes(&bytes);
+    assert!(
+        matches!(result, Err(ArtifactError::Inconsistent { .. })),
+        "{result:?}"
+    );
+}
+
 #[test]
 fn unbounded_bloom_hash_count_is_corrupt_behind_a_valid_checksum() {
     let fx = fixture();
@@ -189,11 +281,16 @@ fn round_trip_decisions_are_bit_identical_on_a_multi_plc_capture() {
     assert_eq!(restored.k(), fx.detector.k());
     assert_eq!(restored.memory_bytes(), fx.detector.memory_bytes());
     // Both ways of obtaining a detector — commissioning and loading —
-    // hand it over with the inference panels already built, so an engine
-    // shard never packs (or allocates for it) inside a round.
+    // hand it over with the inference panels and the per-signature table
+    // (|S| rows of 4 x 16 f32) already built, so an engine shard never
+    // packs (or allocates for it) inside a round.
     let panels = |d: &CombinedDetector| d.time_series_level().model().packed_bytes();
     assert!(panels(&restored) > 0);
     assert_eq!(panels(&restored), panels(&fx.detector));
+    let table = |d: &CombinedDetector| d.time_series_level().signature_table_bytes();
+    let classes = restored.time_series_level().vocabulary().len();
+    assert_eq!(table(&restored), classes * 4 * 16 * 4);
+    assert_eq!(table(&fx.detector), table(&restored));
 
     // Every stream, in lockstep.
     let views: Vec<&[Record]> = fx.streams.iter().map(|s| s.as_slice()).collect();
@@ -217,12 +314,13 @@ fn round_trip_decisions_are_bit_identical_on_a_multi_plc_capture() {
 #[should_panic(expected = "share one discretizer")]
 fn serializing_mismatched_discretizers_panics_instead_of_lossy_encoding() {
     use icsad_core::PackageLevelDetector;
-    use icsad_features::{DiscretizationConfig, Discretizer, SignatureVocabulary};
+    use icsad_features::{DiscretizationConfig, Discretizer};
 
     let fx = fixture();
     // A package level fitted with a *different* granularity than the
     // fixture's time-series level: storing only one discretizer would
-    // silently change the reloaded detector's decisions.
+    // silently change the reloaded detector's decisions. Its filter holds
+    // the time-series vocabulary, as `CombinedDetector::new` requires.
     let data = GasPipelineDataset::generate(&DatasetConfig {
         total_packages: 2_000,
         seed: 5,
@@ -234,8 +332,8 @@ fn serializing_mismatched_discretizers_panics_instead_of_lossy_encoding() {
         ..DiscretizationConfig::paper_defaults()
     };
     let disc = Discretizer::fit(&config, data.records()).unwrap();
-    let vocab = SignatureVocabulary::build(&disc, data.records());
-    let package = PackageLevelDetector::train(&disc, &vocab, 0.001).unwrap();
+    let vocab = fx.detector.time_series_level().vocabulary();
+    let package = PackageLevelDetector::train(&disc, vocab, 0.001).unwrap();
     let franken = CombinedDetector::new(package, fx.detector.time_series_level().clone());
     let _ = franken.to_bytes();
 }

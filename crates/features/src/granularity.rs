@@ -48,7 +48,7 @@ pub fn validation_error(
     }
     let misses = validation
         .iter()
-        .filter(|r| vocab.id_of(&disc.signature(r)).is_none())
+        .filter(|r| vocab.id_of_vector(&disc.discretize(r)).is_none())
         .count();
     Ok((misses as f64 / validation.len() as f64, vocab.len()))
 }

@@ -1,12 +1,11 @@
 //! Package signatures and the signature database.
 
-use std::borrow::Borrow;
 use std::fmt;
 
 use icsad_dataset::Record;
 
 use crate::codec::{put_u32, put_u64, put_usize, Reader};
-use crate::discretizer::Discretizer;
+use crate::discretizer::{DiscreteVector, Discretizer, FEATURE_COUNT};
 
 /// A package signature: the unique encoding of a discretized feature vector.
 ///
@@ -42,15 +41,6 @@ impl AsRef<[u8]> for Signature {
     }
 }
 
-/// A [`Signature`] borrows as its key string, so hash maps keyed by
-/// signatures can be probed with a scratch `&str` and no allocation
-/// ([`SignatureVocabulary::id_of_key`]).
-impl Borrow<str> for Signature {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
 /// Writes the signature encoding of `components` into `buf` (cleared
 /// first), without allocating beyond the buffer's existing capacity.
 ///
@@ -81,21 +71,76 @@ pub fn write_signature(components: &[u16], buf: &mut String) {
     }
 }
 
+/// Parses a signature key back into the discretized vector it was
+/// formatted from: the inverse of [`write_signature`] on its canonical
+/// output. Returns `None` unless `key` is exactly [`FEATURE_COUNT`]
+/// `~`-separated decimal components, each without a sign or leading zero
+/// and at most `u16::MAX`, so every key the vocabulary accepts formats
+/// back to itself.
+fn parse_signature(key: &str) -> Option<DiscreteVector> {
+    let mut vector = [0u16; FEATURE_COUNT];
+    let mut bytes = key.bytes();
+    for (i, slot) in vector.iter_mut().enumerate() {
+        let last = i + 1 == FEATURE_COUNT;
+        let (mut value, mut digits) = (0u32, 0);
+        loop {
+            match bytes.next() {
+                // A digit after a leading 0.
+                Some(b'0'..=b'9') if digits > 0 && value == 0 => return None,
+                Some(b @ b'0'..=b'9') => {
+                    value = 10 * value + u32::from(b - b'0');
+                    if value > u32::from(u16::MAX) {
+                        return None;
+                    }
+                    digits += 1;
+                }
+                Some(b'~') if !last && digits > 0 => break,
+                None if last && digits > 0 => break,
+                _ => return None,
+            }
+        }
+        *slot = value as u16;
+    }
+    Some(vector)
+}
+
 /// The signature database: all distinct signatures observed in normal
 /// training traffic, with dense class ids and occurrence counts.
 ///
 /// Class ids index the LSTM softmax output; occurrence counts drive the
 /// probabilistic-noise selection rule `p = λ / (λ + #s)` (paper §V-3).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Signatures are held as the [`DiscreteVector`]s they are formatted from,
+/// and looked up by vector ([`SignatureVocabulary::id_of_vector`]): one
+/// hash of 13 integers and, on a hit, one 26-byte compare, with no string
+/// formatted.
+#[derive(Debug, Clone, Default)]
 pub struct SignatureVocabulary {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "lookup-only map; ids are assigned in insertion order and all iteration \
-                  happens over `sigs`/`counts`, so replay is deterministic"
-    )]
-    ids: std::collections::HashMap<Signature, usize>,
-    sigs: Vec<Signature>,
+    /// Open-addressing index over `vectors`: `id + 1` per occupied slot,
+    /// 0 for an empty one; a power of two at most half full (or empty).
+    slots: Vec<usize>,
+    vectors: Vec<DiscreteVector>,
     counts: Vec<u64>,
+}
+
+/// Two vocabularies are equal when they hold the same signatures under the
+/// same ids with the same counts (the index is derived from those).
+impl PartialEq for SignatureVocabulary {
+    fn eq(&self, other: &Self) -> bool {
+        self.vectors == other.vectors && self.counts == other.counts
+    }
+}
+
+/// Multiplicative hash of a discretized vector, four components to a word;
+/// the index reads its top bits.
+fn vector_hash(vector: &DiscreteVector) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    vector.chunks(4).fold(0u64, |h, chunk| {
+        let word = chunk
+            .iter()
+            .rev()
+            .fold(0u64, |w, &c| (w << 16) | u64::from(c));
+        (h.rotate_left(26) ^ word).wrapping_mul(K)
+    })
 }
 
 impl SignatureVocabulary {
@@ -103,38 +148,87 @@ impl SignatureVocabulary {
     pub fn build(disc: &Discretizer, records: &[Record]) -> Self {
         let mut vocab = SignatureVocabulary::default();
         for r in records {
-            vocab.insert(disc.signature(r));
+            vocab.insert(disc.discretize(r));
         }
         vocab
     }
 
-    /// Inserts one signature occurrence, creating a new class if needed.
-    /// Returns the class id.
-    pub fn insert(&mut self, sig: Signature) -> usize {
-        match self.ids.get(&sig) {
-            Some(&id) => {
-                self.counts[id] += 1;
-                id
+    /// Inserts one occurrence of the signature of `vector`, creating a new
+    /// class if needed. Returns the class id.
+    pub fn insert(&mut self, vector: DiscreteVector) -> usize {
+        if let Some(id) = self.id_of_vector(&vector) {
+            self.counts[id] += 1;
+            return id;
+        }
+        let id = self.vectors.len();
+        self.vectors.push(vector);
+        self.counts.push(1);
+        if 2 * self.vectors.len() > self.slots.len() {
+            self.slots = vec![0; (4 * self.vectors.len()).next_power_of_two().max(16)];
+            for id in 0..self.vectors.len() {
+                let at = self.free_slot(&self.vectors[id]);
+                self.slots[at] = id + 1;
             }
-            None => {
-                let id = self.sigs.len();
-                self.ids.insert(sig.clone(), id);
-                self.sigs.push(sig);
-                self.counts.push(1);
-                id
+        } else {
+            let at = self.free_slot(&vector);
+            self.slots[at] = id + 1;
+        }
+        id
+    }
+
+    /// The slot `vector` hashes to, as the first step of a linear probe.
+    fn home_slot(&self, vector: &DiscreteVector) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (vector_hash(vector) >> (64 - bits)) as usize
+    }
+
+    /// The first empty slot of `vector`'s probe (the index is never full).
+    fn free_slot(&self, vector: &DiscreteVector) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home_slot(vector);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Class id of a discretized package's signature, or `None` if it is
+    /// not in the database — the lookup every package takes.
+    pub fn id_of_vector(&self, vector: &DiscreteVector) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home_slot(vector);
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                slot if self.vectors[slot - 1] == *vector => return Some(slot - 1),
+                _ => at = (at + 1) & mask,
             }
         }
     }
 
     /// Class id of a signature, or `None` if it is not in the database.
     pub fn id_of(&self, sig: &Signature) -> Option<usize> {
-        self.ids.get(sig).copied()
+        self.id_of_key(sig.as_str())
     }
 
-    /// Class id lookup by raw signature key (see [`write_signature`]),
-    /// avoiding the `Signature` allocation on the streaming hot path.
+    /// Class id lookup by raw signature key (see [`write_signature`]): the
+    /// key is parsed back into its vector, so a key that is not canonical
+    /// (exactly [`FEATURE_COUNT`] decimal components without leading zeros)
+    /// names no class.
     pub fn id_of_key(&self, key: &str) -> Option<usize> {
-        self.ids.get(key).copied()
+        self.id_of_vector(&parse_signature(key)?)
+    }
+
+    /// The discretized vector of class `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.len()`.
+    pub fn vector(&self, id: usize) -> &DiscreteVector {
+        &self.vectors[id]
     }
 
     /// The signature with the given class id.
@@ -142,8 +236,8 @@ impl SignatureVocabulary {
     /// # Panics
     ///
     /// Panics if `id >= self.len()`.
-    pub fn signature(&self, id: usize) -> &Signature {
-        &self.sigs[id]
+    pub fn signature(&self, id: usize) -> Signature {
+        Signature::from_components(&self.vectors[id])
     }
 
     /// Number of training occurrences of class `id` (the `#s` of §V-3).
@@ -157,20 +251,33 @@ impl SignatureVocabulary {
 
     /// Number of distinct signatures (`|S|`).
     pub fn len(&self) -> usize {
-        self.sigs.len()
+        self.vectors.len()
     }
 
     /// Returns `true` if the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
+        self.vectors.is_empty()
     }
 
-    /// Iterates over `(id, signature, count)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Signature, u64)> {
-        self.sigs
+    /// Iterates over `(id, vector, count)` in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &DiscreteVector, u64)> {
+        self.vectors
             .iter()
+            .zip(&self.counts)
             .enumerate()
-            .map(move |(i, s)| (i, s, self.counts[i]))
+            .map(|(i, (v, &c))| (i, v, c))
+    }
+
+    /// Whether every component of every signature is below its feature's
+    /// cardinality ([`Discretizer::cardinalities`]), as the one-hot encoder
+    /// requires of what it encodes.
+    pub fn fits_cardinalities(&self, cardinalities: &[usize; FEATURE_COUNT]) -> bool {
+        self.vectors.iter().all(|vector| {
+            vector
+                .iter()
+                .zip(cardinalities)
+                .all(|(&c, &card)| usize::from(c) < card)
+        })
     }
 
     /// Total number of occurrences inserted.
@@ -178,15 +285,16 @@ impl SignatureVocabulary {
         self.counts.iter().sum()
     }
 
-    /// Serializes the database: every signature in class-id order with its
-    /// occurrence count.
+    /// Serializes the database: every signature key in class-id order with
+    /// its occurrence count.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_usize(&mut out, self.sigs.len());
-        for (_, sig, count) in self.iter() {
-            let key = sig.as_str().as_bytes();
+        let mut key = String::new();
+        put_usize(&mut out, self.len());
+        for (_, vector, count) in self.iter() {
+            write_signature(vector, &mut key);
             put_u32(&mut out, key.len() as u32);
-            out.extend_from_slice(key);
+            out.extend_from_slice(key.as_bytes());
             put_u64(&mut out, count);
         }
         out
@@ -197,24 +305,22 @@ impl SignatureVocabulary {
     /// assignment.
     ///
     /// Returns `None` if the buffer is malformed (truncated, trailing
-    /// bytes, invalid UTF-8, a zero count, or duplicate signatures).
+    /// bytes, a key that is not a canonical signature — exactly
+    /// [`FEATURE_COUNT`] decimal components, none above `u16::MAX` or with
+    /// a leading zero — a zero count, or duplicate signatures).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let n = r.usize_()?;
         let mut vocab = SignatureVocabulary::default();
-        for id in 0..n {
+        for _ in 0..n {
             let len = r.u32()? as usize;
-            let key = std::str::from_utf8(r.take(len)?).ok()?;
+            let vector = parse_signature(std::str::from_utf8(r.take(len)?).ok()?)?;
             let count = r.u64()?;
-            if count == 0 {
+            if count == 0 || vocab.id_of_vector(&vector).is_some() {
                 return None;
             }
-            let sig = Signature(key.to_string());
-            if vocab.ids.insert(sig.clone(), id).is_some() {
-                return None; // duplicate signature
-            }
-            vocab.sigs.push(sig);
-            vocab.counts.push(count);
+            let id = vocab.insert(vector);
+            vocab.counts[id] = count;
         }
         r.finish()?;
         Some(vocab)
@@ -244,36 +350,64 @@ mod tests {
         assert_eq!(sig.as_str(), "");
     }
 
+    /// A full-width vector whose first components are `head`, the rest 0.
+    fn vector(head: &[u16]) -> DiscreteVector {
+        let mut v = [0u16; FEATURE_COUNT];
+        v[..head.len()].copy_from_slice(head);
+        v
+    }
+
     #[test]
     fn vocabulary_assigns_dense_ids() {
         let mut v = SignatureVocabulary::default();
-        let a = Signature::from_components(&[1]);
-        let b = Signature::from_components(&[2]);
-        assert_eq!(v.insert(a.clone()), 0);
-        assert_eq!(v.insert(b.clone()), 1);
-        assert_eq!(v.insert(a.clone()), 0);
+        let (a, b) = (vector(&[1]), vector(&[2]));
+        assert_eq!(v.insert(a), 0);
+        assert_eq!(v.insert(b), 1);
+        assert_eq!(v.insert(a), 0);
         assert_eq!(v.len(), 2);
         assert_eq!(v.count(0), 2);
         assert_eq!(v.count(1), 1);
-        assert_eq!(v.id_of(&a), Some(0));
-        assert_eq!(v.id_of(&Signature::from_components(&[9])), None);
+        assert_eq!(v.id_of_vector(&a), Some(0));
+        assert_eq!(v.id_of(&Signature::from_components(&a)), Some(0));
+        assert_eq!(v.id_of_vector(&vector(&[9])), None);
         assert_eq!(v.total_count(), 3);
     }
 
     #[test]
     fn vocabulary_iterates_in_id_order() {
         let mut v = SignatureVocabulary::default();
-        v.insert(Signature::from_components(&[5]));
-        v.insert(Signature::from_components(&[7]));
-        v.insert(Signature::from_components(&[5]));
+        v.insert(vector(&[5]));
+        v.insert(vector(&[7]));
+        v.insert(vector(&[5]));
         let items: Vec<(usize, String, u64)> = v
             .iter()
-            .map(|(i, s, c)| (i, s.as_str().to_string(), c))
+            .map(|(i, s, c)| (i, Signature::from_components(s).as_str().to_string(), c))
             .collect();
         assert_eq!(
             items,
-            vec![(0, "5".to_string(), 2), (1, "7".to_string(), 1)]
+            vec![
+                (0, "5~0~0~0~0~0~0~0~0~0~0~0~0".to_string(), 2),
+                (1, "7~0~0~0~0~0~0~0~0~0~0~0~0".to_string(), 1)
+            ]
         );
+        assert_eq!(v.signature(1).as_str(), items[1].1);
+    }
+
+    #[test]
+    fn index_survives_growth_and_colliding_neighbours() {
+        // Enough classes to rebuild the index several times, all differing
+        // in one component so their words hash close together.
+        let mut v = SignatureVocabulary::default();
+        for c in 0..1_000u16 {
+            assert_eq!(v.insert(vector(&[0, 0, 0, 0, c])), usize::from(c));
+        }
+        for c in 0..1_000u16 {
+            assert_eq!(
+                v.id_of_vector(&vector(&[0, 0, 0, 0, c])),
+                Some(usize::from(c))
+            );
+            assert_eq!(v.id_of_vector(&vector(&[0, 0, 0, 1, c])), None);
+        }
     }
 
     #[test]
@@ -310,14 +444,14 @@ mod tests {
     #[test]
     fn vocabulary_serialization_round_trip() {
         let mut v = SignatureVocabulary::default();
-        for components in [vec![1, 2], vec![3], vec![1, 2], vec![65_535, 0]] {
-            v.insert(Signature::from_components(&components));
+        for head in [vec![1, 2], vec![3], vec![1, 2], vec![65_535, 0]] {
+            v.insert(vector(&head));
         }
         let back = SignatureVocabulary::from_bytes(&v.to_bytes()).unwrap();
         assert_eq!(back, v);
         // Ids, counts and lookups all survive.
-        for (id, sig, count) in v.iter() {
-            assert_eq!(back.id_of(sig), Some(id));
+        for (id, vector, count) in v.iter() {
+            assert_eq!(back.id_of_vector(vector), Some(id));
             assert_eq!(back.count(id), count);
         }
         // Empty database round trips too.
@@ -332,7 +466,7 @@ mod tests {
     fn vocabulary_deserialization_rejects_garbage() {
         assert!(SignatureVocabulary::from_bytes(&[]).is_none());
         let mut v = SignatureVocabulary::default();
-        v.insert(Signature::from_components(&[4, 2]));
+        v.insert(vector(&[4, 2]));
         let bytes = v.to_bytes();
         for cut in 0..bytes.len() {
             assert!(
@@ -350,12 +484,67 @@ mod tests {
         assert!(SignatureVocabulary::from_bytes(&zero_count).is_none());
     }
 
+    /// A serialized database holding `keys`, each with count 1.
+    fn payload(keys: &[&str]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_usize(&mut out, keys.len());
+        for key in keys {
+            put_u32(&mut out, key.len() as u32);
+            out.extend_from_slice(key.as_bytes());
+            put_u64(&mut out, 1);
+        }
+        out
+    }
+
     #[test]
-    fn id_of_key_matches_id_of() {
+    fn vocabulary_deserialization_accepts_canonical_keys_only() {
+        let canonical = "0~1~22~333~4444~65535~6~7~8~9~10~11~12";
+        let back = SignatureVocabulary::from_bytes(&payload(&[canonical])).unwrap();
+        assert_eq!(back.signature(0).as_str(), canonical);
+        for key in [
+            "01~1~22~333~4444~65535~6~7~8~9~10~11~12",  // leading zero
+            "0~1~22~333~4444~65535~6~7~8~9~10~11",      // 12 components
+            "0~1~22~333~4444~65535~6~7~8~9~10~11~12~0", // 14 components
+            "0~1~22~333~4444~65536~6~7~8~9~10~11~12",   // above u16
+            "0~+1~22~333~4444~65535~6~7~8~9~10~11~12",  // sign
+            "0~~22~333~4444~65535~6~7~8~9~10~11~12",    // empty component
+            "0~1~22~333~4444~65535~6~7~8~9~10~11~12~",  // trailing separator
+            " 0~1~22~333~4444~65535~6~7~8~9~10~11~12",  // whitespace
+            "",
+        ] {
+            assert_eq!(parse_signature(key), None, "{key:?}");
+            assert!(
+                SignatureVocabulary::from_bytes(&payload(&[key])).is_none(),
+                "{key:?}"
+            );
+        }
+        // The same signature twice is a duplicate class.
+        assert!(SignatureVocabulary::from_bytes(&payload(&[canonical, canonical])).is_none());
+    }
+
+    #[test]
+    fn parse_inverts_write() {
+        let mut key = String::new();
+        for head in [
+            vec![],
+            vec![7, 0, 65_535, 123, 9],
+            vec![10, 100, 1000, 10_000],
+        ] {
+            let v = vector(&head);
+            write_signature(&v, &mut key);
+            assert_eq!(parse_signature(&key), Some(v));
+        }
+    }
+
+    #[test]
+    fn id_of_key_matches_id_of_vector() {
         let mut v = SignatureVocabulary::default();
-        let a = Signature::from_components(&[3, 14, 15]);
-        v.insert(a.clone());
-        assert_eq!(v.id_of_key(a.as_str()), v.id_of(&a));
+        let a = vector(&[3, 14, 15]);
+        v.insert(a);
+        assert_eq!(
+            v.id_of_key(Signature::from_components(&a).as_str()),
+            Some(0)
+        );
         assert_eq!(v.id_of_key("9~9"), None);
     }
 }

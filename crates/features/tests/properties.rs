@@ -3,8 +3,51 @@
 use icsad_features::category::CategoryMap;
 use icsad_features::interval::IntervalPartition;
 use icsad_features::kmeans::KMeans;
-use icsad_features::Signature;
+use icsad_features::{
+    write_signature, DiscreteVector, DiscretizationConfig, Discretizer, Signature,
+    SignatureVocabulary, FEATURE_COUNT,
+};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// A vocabulary built from a clean capture, with its discretizer.
+fn vocabulary() -> &'static (Discretizer, SignatureVocabulary) {
+    static VOCAB: OnceLock<(Discretizer, SignatureVocabulary)> = OnceLock::new();
+    VOCAB.get_or_init(|| {
+        let data = icsad_dataset::GasPipelineDataset::generate(&icsad_dataset::DatasetConfig {
+            total_packages: 4_000,
+            seed: 11,
+            attack_probability: 0.0,
+            ..icsad_dataset::DatasetConfig::default()
+        });
+        let disc =
+            Discretizer::fit(&DiscretizationConfig::paper_defaults(), data.records()).unwrap();
+        let vocab = SignatureVocabulary::build(&disc, data.records());
+        (disc, vocab)
+    })
+}
+
+/// The string lookup: the id of the vocabulary entry whose signature key
+/// equals `key`, by a linear scan over the formatted keys.
+fn id_by_string(vocab: &SignatureVocabulary, key: &str) -> Option<usize> {
+    vocab
+        .iter()
+        .find(|(_, vector, _)| Signature::from_components(*vector).as_str() == key)
+        .map(|(id, _, _)| id)
+}
+
+#[test]
+fn vector_lookup_agrees_with_string_lookup_on_every_entry() {
+    let (_, vocab) = vocabulary();
+    assert!(vocab.len() > 10);
+    let mut key = String::new();
+    for (id, vector, _) in vocab.iter() {
+        write_signature(vector, &mut key);
+        assert_eq!(vocab.id_of_vector(vector), Some(id));
+        assert_eq!(id_by_string(vocab, &key), Some(id));
+        assert_eq!(vocab.id_of_key(&key), Some(id));
+    }
+}
 
 proptest! {
     /// Every k-means training point assigns in range, and assignment is the
@@ -70,6 +113,32 @@ proptest! {
         let sa = Signature::from_components(&a);
         let sb = Signature::from_components(&b);
         prop_assert_eq!(sa == sb, a == b);
+    }
+
+    /// On random vectors — mostly unknown, some one component away from a
+    /// vocabulary entry — the vector lookup finds exactly what the string
+    /// lookup finds.
+    #[test]
+    fn vector_lookup_agrees_with_string_lookup_on_random_vectors(
+        entry in any::<usize>(),
+        component in 0usize..FEATURE_COUNT,
+        noise in proptest::collection::vec(0u16..40, FEATURE_COUNT),
+        perturb in any::<bool>(),
+    ) {
+        let (disc, vocab) = vocabulary();
+        let cards = disc.cardinalities();
+        let vector: DiscreteVector = if perturb {
+            let mut v = *vocab.vector(entry % vocab.len());
+            v[component] = noise[component] % cards[component] as u16;
+            v
+        } else {
+            std::array::from_fn(|i| noise[i] % cards[i] as u16)
+        };
+        let mut key = String::new();
+        write_signature(&vector, &mut key);
+        let expected = id_by_string(vocab, &key);
+        prop_assert_eq!(vocab.id_of_vector(&vector), expected);
+        prop_assert_eq!(vocab.id_of_key(&key), expected);
     }
 
     /// The allocation-free signature writer produces exactly the encoding

@@ -298,24 +298,56 @@ impl LstmLayer {
         sparse_input: bool,
         init: Option<(&[f32], &[f32])>,
     ) {
+        debug_assert_eq!(x_cat.len(), sched.total * self.input_dim);
+        let z = self.gate_rows(tape, sched.total);
+        self.project_input(x_cat, z, sparse_input);
+        self.forward_projected(sched, tape, init);
+    }
+
+    /// The tape's gate block sized for `total` rows (`total x 4H`), grown
+    /// if needed: where the input projection lands.
+    pub(crate) fn gate_rows<'t>(&self, tape: &'t mut LayerTape, total: usize) -> &'t mut [f32] {
+        let len = total * 4 * self.hidden_dim;
+        grow(&mut tape.z, len);
+        &mut tape.z[..len]
+    }
+
+    /// Bias rows plus the input projection, `z[r] = b + x[r]ᵀ W`, for every
+    /// row of `x_cat` at once — the first half of
+    /// [`LstmLayer::forward_schedule`].
+    pub(crate) fn project_input(&self, x_cat: &[f32], z: &mut [f32], sparse_input: bool) {
+        let rows = z.len() / (4 * self.hidden_dim);
+        for row in z.chunks_exact_mut(4 * self.hidden_dim) {
+            row.copy_from_slice(&self.b);
+        }
+        if sparse_input {
+            gemm_acc(rows, x_cat, &self.w, z);
+        } else {
+            gemm_panels_acc(rows, x_cat, &self.w, z);
+        }
+    }
+
+    /// Row `k` of the input weights: what an input entry of exactly 1.0 at
+    /// index `k` adds to a gate row.
+    pub(crate) fn input_row(&self, k: usize) -> &[f32] {
+        self.w.row(k)
+    }
+
+    /// The recurrent half of [`LstmLayer::forward_schedule`], over a tape
+    /// whose gate rows (`sched.total x 4H`, [`LstmLayer::gate_rows`])
+    /// already hold `b + Wx`.
+    pub(crate) fn forward_projected(
+        &self,
+        sched: &LaneSchedule,
+        tape: &mut LayerTape,
+        init: Option<(&[f32], &[f32])>,
+    ) {
         let hd = self.hidden_dim;
         let total = sched.total;
-        debug_assert_eq!(x_cat.len(), total * self.input_dim);
-        grow(&mut tape.z, total * 4 * hd);
         grow(&mut tape.tc, total * hd);
         grow(&mut tape.c, total * hd);
         grow(&mut tape.out, total * hd);
         let z = &mut tape.z[..total * 4 * hd];
-
-        // Bias rows, then the input projection for every timestep at once.
-        for row in z.chunks_exact_mut(4 * hd) {
-            row.copy_from_slice(&self.b);
-        }
-        if sparse_input {
-            gemm_acc(total, x_cat, &self.w, z);
-        } else {
-            gemm_panels_acc(total, x_cat, &self.w, z);
-        }
 
         // Recurrent half: U h_{t-1} (from a zero state, h_prev ≡ 0 at
         // t = 0, so the product is skipped there), gate nonlinearities,

@@ -395,10 +395,9 @@ impl LstmClassifier {
 
     /// One engine round: advances the `batch` lanes gathered into rows
     /// `0..batch` ([`LstmClassifier::gather_lane`]) by one timestep and
-    /// writes their raw logits (no softmax). The round is a one-timestep
-    /// [`LstmClassifier::forward_schedule`] whose lanes start from the
-    /// gathered rows — the same layer pass, not a second batched step —
-    /// with the head writing straight into `logits`.
+    /// writes their raw logits (no softmax). The bottom layer's gate rows
+    /// come from the one-hot product ([`LstmClassifier::input_preactivations`])
+    /// and the rest is [`LstmClassifier::forward_batch_gathered_rows`].
     ///
     /// `xs` is the row-major `batch x input_dim` input block and `logits`
     /// the row-major `batch x num_classes` output block; row `i` belongs to
@@ -423,6 +422,82 @@ impl LstmClassifier {
             batch * self.config.input_dim,
             "batch input mismatch"
         );
+        let rows = self.round_input_rows(scratch, batch);
+        self.input_preactivations(xs, rows);
+        self.forward_batch_gathered_rows(scratch, batch, logits);
+    }
+
+    /// The bottom layer's gate pre-activations `b + xᵀW` (`4 H₀` wide) of
+    /// each row of the one-hot block `xs` (`rows x input_dim`), written to
+    /// `out` (`rows x 4 H₀`) through the zero-skipping product every round
+    /// runs. Rows are independent, so a row computed once here — a
+    /// detector's per-signature table — equals the row a round computes
+    /// from the same input, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` do not hold the same number of rows.
+    pub fn input_preactivations(&self, xs: &[f32], out: &mut [f32]) {
+        let bottom = &self.layers[0];
+        let rows = out.len() / (4 * bottom.hidden_dim());
+        assert_eq!(
+            xs.len(),
+            rows * self.config.input_dim,
+            "input rows mismatch"
+        );
+        assert_eq!(
+            out.len(),
+            rows * 4 * bottom.hidden_dim(),
+            "gate rows mismatch"
+        );
+        bottom.project_input(xs, out, true);
+    }
+
+    /// Row `k` of the bottom layer's input weights (`4 H₀` wide): what an
+    /// input entry of exactly 1.0 at index `k` adds to a row of
+    /// [`LstmClassifier::input_preactivations`]. The zero-skipping product
+    /// adds it last when `k` is the last input, with one plain add per
+    /// element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= input_dim`.
+    pub fn input_weights_row(&self, k: usize) -> &[f32] {
+        self.layers[0].input_row(k)
+    }
+
+    /// The bottom layer's gate rows of the next round on `scratch`, `batch
+    /// x 4 H₀`, grown if needed: fill row `i` with lane `i`'s
+    /// pre-activations, then run [`LstmClassifier::forward_batch_gathered_rows`].
+    pub fn round_input_rows<'s>(
+        &self,
+        scratch: &'s mut ForwardScratch,
+        batch: usize,
+    ) -> &'s mut [f32] {
+        scratch
+            .tapes
+            .resize_with(self.layers.len(), LayerTape::default);
+        self.layers[0].gate_rows(&mut scratch.tapes[0], batch)
+    }
+
+    /// One engine round from bottom-layer pre-activations: advances the
+    /// `batch` gathered lanes by one timestep, starting layer 0 from the
+    /// rows [`LstmClassifier::round_input_rows`] returned, and writes their
+    /// raw logits. The round is a one-timestep
+    /// [`LstmClassifier::forward_schedule`] whose lanes start from the
+    /// gathered rows — the same layer pass, not a second batched step —
+    /// with the head writing straight into `logits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits` is not `batch x num_classes` or fewer than
+    /// `batch` rows were ever gathered.
+    pub fn forward_batch_gathered_rows(
+        &self,
+        scratch: &mut ForwardScratch,
+        batch: usize,
+        logits: &mut [f32],
+    ) {
         assert_eq!(
             logits.len(),
             batch * self.config.num_classes,
@@ -438,7 +513,7 @@ impl LstmClassifier {
             ..
         } = scratch;
         round.rebuild_one_step(batch);
-        self.forward_stack(round, xs, tapes, Some(carry));
+        self.forward_stack(round, None, tapes, Some(carry));
         scratch.last_step = Some((0, batch));
         scratch.rows = scratch.rows.max(batch);
         let top_hd = self.layers[self.layers.len() - 1].hidden_dim();
@@ -508,7 +583,7 @@ impl LstmClassifier {
             }
         }
         let init = resume.then_some(&scratch.carry[..]);
-        self.forward_stack(sched, x_cat, &mut scratch.tapes, init);
+        self.forward_stack(sched, Some(x_cat), &mut scratch.tapes, init);
         scratch.last_step = sched
             .steps()
             .checked_sub(1)
@@ -526,12 +601,13 @@ impl LstmClassifier {
 
     /// The stack half of [`LstmClassifier::forward_schedule`]: tapes every
     /// layer over `sched`, each layer reading the tape of the one below.
-    /// Lanes start from the zero state, or from the per-layer `(h, c)`
-    /// rows of `init`.
+    /// Layer 0 projects the one-hot block `x_cat`, or with `None` starts
+    /// from the gate rows its tape already holds. Lanes start from the zero
+    /// state, or from the per-layer `(h, c)` rows of `init`.
     fn forward_stack(
         &self,
         sched: &LaneSchedule,
-        x_cat: &[f32],
+        x_cat: Option<&[f32]>,
         tapes: &mut Vec<LayerTape>,
         init: Option<&[(Vec<f32>, Vec<f32>)]>,
     ) {
@@ -539,15 +615,17 @@ impl LstmClassifier {
         tapes.resize_with(self.layers.len(), LayerTape::default);
         for (l, layer) in self.layers.iter().enumerate() {
             let (below, at) = tapes.split_at_mut(l);
-            let x_block: &[f32] = if l == 0 {
-                x_cat
-            } else {
-                &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
-            };
             let init = init.map(|carry| (&carry[l].0[..], &carry[l].1[..]));
-            // Only the stack input is one-hot; higher layers consume dense
-            // activations.
-            layer.forward_schedule(sched, x_block, &mut at[0], l == 0, init);
+            match (l, x_cat) {
+                // Only the stack input is one-hot; higher layers consume
+                // dense activations.
+                (0, Some(x_cat)) => layer.forward_schedule(sched, x_cat, &mut at[0], true, init),
+                (0, None) => layer.forward_projected(sched, &mut at[0], init),
+                _ => {
+                    let x_block = &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()];
+                    layer.forward_schedule(sched, x_block, &mut at[0], false, init);
+                }
+            }
         }
     }
 
@@ -1353,5 +1431,71 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let mut scratch = model.batch_scratch();
         model.forward_batch_gathered_logits(&mut scratch, 0, &[], &mut []);
+    }
+
+    #[test]
+    fn a_stored_row_plus_the_last_input_row_is_the_one_hot_product() {
+        // Wide enough for a 64-entry block boundary inside the input; the
+        // last input is the flag a detector sets on noisy packages.
+        let model = LstmClassifier::new(&ModelConfig {
+            input_dim: 70,
+            hidden_dims: vec![9, 5],
+            num_classes: 7,
+            seed: 11,
+        });
+        let (dims, width) = (70, 4 * 9);
+        let one_hot = |ks: &[usize]| {
+            let mut x = vec![0.0f32; dims];
+            for &k in ks {
+                x[k] = 1.0;
+            }
+            x
+        };
+        let inputs = [
+            one_hot(&[0, 13, 63, 64]),
+            one_hot(&[0, 13, 63, 64, dims - 1]),
+            one_hot(&[2, 40, 68]),
+        ];
+        let xs: Vec<f32> = inputs.concat();
+        let mut direct = vec![0.0f32; 3 * width];
+        model.input_preactivations(&xs, &mut direct);
+
+        // Row 1 is row 0's input plus the last one: one plain add per
+        // element on top of row 0 gives the same bits.
+        let mut stored = direct[..width].to_vec();
+        for (z, w) in stored.iter_mut().zip(model.input_weights_row(dims - 1)) {
+            *z += w;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&stored), bits(&direct[width..2 * width]));
+
+        // A round started from those rows equals the one-hot round: logits
+        // and the states it leaves behind.
+        let nc = model.num_classes();
+        let run = |from_rows: bool| {
+            let mut states: Vec<StreamState> = (0..3).map(|_| model.new_state()).collect();
+            let mut scratch = model.batch_scratch();
+            let mut logits = vec![0.0f32; 3 * nc];
+            for (i, state) in states.iter().enumerate() {
+                model.gather_lane(&mut scratch, i, state);
+            }
+            if from_rows {
+                model
+                    .round_input_rows(&mut scratch, 3)
+                    .copy_from_slice(&direct);
+                model.forward_batch_gathered_rows(&mut scratch, 3, &mut logits);
+            } else {
+                model.forward_batch_gathered_logits(&mut scratch, 3, &xs, &mut logits);
+            }
+            let mut out = bits(&logits);
+            for (i, state) in states.iter_mut().enumerate() {
+                model.scatter_lane(&scratch, i, state);
+                for layer in state.layer_states() {
+                    out.extend(bits(&layer.h).iter().chain(&bits(&layer.c)));
+                }
+            }
+            out
+        };
+        assert_eq!(run(true), run(false));
     }
 }
