@@ -58,7 +58,7 @@ pub struct CombinedState {
 /// framework together.
 ///
 /// Lanes are added with [`CombinedDetector::add_lane`]; each lane carries
-/// one stream's LSTM state and rolling prediction. All per-package scratch
+/// one stream's LSTM state and whether it has been stepped. All per-package scratch
 /// (discretized vectors, signature string, gate rows, LSTM state
 /// blocks) is owned here and reused across flushes, so steady-state batched
 /// classification allocates nothing.
@@ -84,7 +84,8 @@ impl CombinedBatch {
     /// The signature ranks behind the last
     /// [`CombinedDetector::classify_batch`] call, one per entry in entry
     /// order: the 1-based position of the package's signature in its lane's
-    /// rolling prediction, `None` for a Bloom-level anomaly, a signature
+    /// prediction (the head's logits for the lane's state before the
+    /// package), `None` for a Bloom-level anomaly, a signature
     /// outside the database or a stream's first package. This is what
     /// [`crate::dynamic_k::DynamicKController::redecide`] consumes.
     pub fn ranks(&self) -> &[Option<usize>] {

@@ -201,8 +201,9 @@ pub trait StreamingSession: Send {
     }
 
     /// Hot-reload: installs a newly commissioned [`CombinedDetector`],
-    /// resetting every lane to a fresh stream state (LSTM state, rolling
-    /// prediction and dynamic-k controller all restart — the swap point is
+    /// resetting every lane to a fresh stream state (LSTM state and
+    /// dynamic-k controller restart, and the next package is the stream's
+    /// first, unranked — the swap point is
     /// a per-stream re-commissioning boundary). Lane indices remain valid.
     ///
     /// Contract for implementers that accept the swap: no decision may be
@@ -656,6 +657,80 @@ mod tests {
 
         // Cold reference: fresh state *and* fresh dynamic-k controller.
         assert_eq!(recycled, adaptive_oracle(&detector, config, second));
+    }
+
+    /// The packages of `records` whose signature has a class id in
+    /// `detector`'s database: ranked whenever their lane has a history.
+    fn known(detector: &CombinedDetector, records: &[Record]) -> Vec<Record> {
+        records
+            .iter()
+            .filter(|r| {
+                let vector = detector.package_level().discretizer().discretize(r);
+                let vocabulary = detector.time_series_level().vocabulary();
+                vocabulary.id_of_vector(&vector).is_some()
+            })
+            .take(16)
+            .cloned()
+            .collect()
+    }
+
+    /// The cold-start rule on every path that resets a lane: a fresh lane,
+    /// a retired-and-reused lane and every lane after a hot swap take their
+    /// first package unranked and with no alarm, in a round they share with
+    /// a warm lane that is ranked — and from there decide as a brand-new
+    /// stream does.
+    #[test]
+    fn every_lane_reset_path_takes_its_first_package_cold() {
+        let (detector_a, records) = small_detector(57);
+        let (detector_b, _) = small_detector(58);
+        let (known_a, known_b) = (known(&detector_a, &records), known(&detector_b, &records));
+        assert!(known_a.len() == 16 && known_b.len() == 16);
+        let round = |session: &mut CombinedSession, lanes: &[usize], r: &Record| {
+            let mut out = Vec::new();
+            let records = vec![r.clone(); lanes.len()];
+            session.classify_batch(lanes, &records, &mut out);
+            let alarms: Vec<bool> = out.iter().map(|d| d.anomalous).collect();
+            (alarms, session.batch.ranks().to_vec())
+        };
+        let brand_new = |detector: &CombinedDetector, stream: &[Record]| -> Vec<bool> {
+            let mut state = detector.begin();
+            let levels = stream.iter().map(|r| detector.classify(&mut state, r));
+            levels.map(DetectionLevel::is_anomalous).collect()
+        };
+
+        let mut session = CombinedSession::new(Arc::clone(&detector_a), None);
+        let (warm, retired) = (session.add_lane(), session.add_lane());
+        for r in &known_a[..4] {
+            round(&mut session, &[warm, retired], r);
+        }
+        assert!(session.retire_lane(retired));
+        let fresh = session.add_lane();
+        let (alarms, ranks) = round(&mut session, &[fresh, warm, retired], &known_a[4]);
+        assert!(ranks[1].is_some(), "the warm lane is ranked");
+        assert_eq!((ranks[0], ranks[2]), (None, None));
+        assert_eq!((alarms[0], alarms[2]), (false, false));
+        let (mut fresh_alarms, mut retired_alarms) = (vec![alarms[0]], vec![alarms[2]]);
+        for r in &known_a[5..] {
+            let (alarms, ranks) = round(&mut session, &[retired, fresh], r);
+            assert!(ranks.iter().all(Option::is_some));
+            retired_alarms.push(alarms[0]);
+            fresh_alarms.push(alarms[1]);
+        }
+        let cold = brand_new(&detector_a, &known_a[4..]);
+        assert_eq!((&fresh_alarms, &retired_alarms), (&cold, &cold));
+
+        session.swap_combined(Arc::clone(&detector_b)).unwrap();
+        let lanes = [warm, retired, fresh];
+        let mut swapped: Vec<Vec<bool>> = vec![Vec::new(); 3];
+        for (t, r) in known_b.iter().enumerate() {
+            let (alarms, ranks) = round(&mut session, &lanes, r);
+            assert!(ranks.iter().all(|rank| rank.is_some() == (t > 0)), "t {t}");
+            for (lane, alarm) in swapped.iter_mut().zip(alarms) {
+                lane.push(alarm);
+            }
+        }
+        assert_eq!(swapped, vec![brand_new(&detector_b, &known_b); 3]);
+        assert!(swapped.iter().all(|alarms| !alarms[0]));
     }
 
     #[test]

@@ -120,35 +120,42 @@ pub struct TimeSeriesDetector {
     signature_rows: Vec<f32>,
 }
 
-/// Streaming detection state of one stream: the LSTM state plus the
-/// rolling prediction for the *next* package.
+/// Streaming detection state of one stream: the LSTM's per-layer `(h, c)`
+/// and whether the stream has been stepped yet. No prediction is kept: the
+/// next package is ranked against the logits the head gives the top
+/// layer's `h` ([`TimeSeriesDetector::process_batch`]), which are the
+/// logits the last step would have written.
 #[derive(Debug, Clone)]
 pub struct TsState {
     stream: StreamState,
-    /// Prediction scores for the next package's signature (raw logits —
-    /// softmax is strictly monotone, so the top-`k` rank is the same and
-    /// the hot path skips `|S|` exponentials per package); empty until
-    /// the first package has been observed.
-    prediction: Vec<f32>,
+    /// Whether a package has been observed since the cold start: a stream's
+    /// first package has no history to be ranked against.
+    stepped: bool,
 }
 
 impl TsState {
     /// Returns the stream to the cold start [`TimeSeriesDetector::begin`]
-    /// builds, in place: zero `(h, c)`, no prediction.
+    /// builds, in place: zero `(h, c)`, not stepped.
     pub(crate) fn reset(&mut self) {
         self.stream.reset();
-        self.prediction.clear();
+        self.stepped = false;
     }
 }
 
 /// Reusable buffers for [`TimeSeriesDetector::process_batch`]: the LSTM
-/// forward's (gathered state rows and tapes), one one-hot row for a
-/// signature outside the database, and the logits block, grown on demand.
+/// round's (gathered state rows and tapes), one one-hot row for a
+/// signature outside the database, and the round's gather order with the
+/// targets and ranks of its ranked rows, grown on demand.
 #[derive(Debug, Clone)]
 pub struct TsBatchScratch {
     nn: ForwardScratch,
     x: Vec<f32>,
-    logits: Vec<f32>,
+    /// Gather row `r` holds entry `order[r]`; the ranked entries come first.
+    order: Vec<usize>,
+    /// The class id of each ranked row.
+    targets: Vec<usize>,
+    /// The rank of each ranked row.
+    ranks: Vec<u32>,
 }
 
 /// Pooled buffers of one validation pass, sized to one block
@@ -510,21 +517,7 @@ impl TimeSeriesDetector {
     pub fn begin(&self) -> TsState {
         TsState {
             stream: self.model.new_state(),
-            prediction: Vec::new(),
-        }
-    }
-
-    /// The top-`k` rule on a lane's rolling prediction: `F_t` for a package
-    /// with class id `signature_id`, plus the 1-based rank of its signature
-    /// (`None` for the first package of a stream or an unknown signature).
-    fn decide(&self, state: &TsState, signature_id: Option<usize>) -> (bool, Option<usize>) {
-        match signature_id {
-            None => (true, None),
-            Some(_) if state.prediction.is_empty() => (false, None),
-            Some(id) => {
-                let rank = loss::rank_of(&state.prediction, id);
-                (rank > self.k, Some(rank))
-            }
+            stepped: false,
         }
     }
 
@@ -533,17 +526,18 @@ impl TimeSeriesDetector {
         TsBatchScratch {
             nn: self.model.batch_scratch(),
             x: vec![0.0; self.encoder.dims()],
-            logits: Vec::new(),
+            order: Vec::new(),
+            targets: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
     /// Processes one package on each of `lanes.len()` independent streams:
-    /// the time-series level's one step. Every lane is decided on its
-    /// rolling prediction, then all of them step through the LSTM together
-    /// as one gathered [`LstmClassifier::forward_batch_gathered_rows`]
-    /// round — a one-lane batch included, so every engine round, every
-    /// offline `detect_stream` call and every
-    /// [`crate::CombinedDetector::classify`] call runs the same step.
+    /// the time-series level's one step. A round runs gather → rank →
+    /// decide and fill layer-0 rows → stack step → scatter, and every
+    /// engine round, every offline `detect_stream` call and every
+    /// [`crate::CombinedDetector::classify`] call (a one-lane batch) runs
+    /// the same round.
     ///
     /// Entry `i` of `vectors` / `signature_ids` / `flag_noisy` belongs to
     /// stream `states[lanes[i]]`; lane indices must be distinct. `vectors`
@@ -554,6 +548,17 @@ impl TimeSeriesDetector {
     /// feeds Bloom-level detections back this way, §VI), and `None` feeds
     /// the package back with its own verdict (§V-3).
     ///
+    /// The lanes are gathered with the entries to rank first: a package
+    /// with a class id on a stream that has been stepped. Those rows are
+    /// ranked in one fused head-and-rank pass over their top-layer `h`
+    /// ([`LstmClassifier::rank_gathered`]): the head's logits for that
+    /// state are the ones the stream's previous step would have written,
+    /// computed by the same operations, so each rank is that of the
+    /// previous step's prediction, and no head runs for a stream's last
+    /// package. The rows then step through the LSTM together as one
+    /// [`LstmClassifier::forward_batch_gathered_rows`] round; rows are
+    /// independent, so the gather order moves no bit.
+    ///
     /// A package with a class id starts layer 0 from its signature's row of
     /// the detector's table, plus the noise bit's weight row if it is fed
     /// back noisy — the same adds, in the same order, as the one-hot
@@ -561,12 +566,13 @@ impl TimeSeriesDetector {
     /// database is one-hot encoded and projected on its own.
     ///
     /// One `F_t` bool per entry (`true` = anomalous) is appended to `out`
-    /// and the 1-based rank of its signature in the pre-step prediction to
+    /// and the 1-based rank of its signature in the stream's prediction to
     /// `ranks` (what the dynamic-`k` controller of [`crate::dynamic_k`]
-    /// consumes), in order. The very first package of a stream cannot be
-    /// classified (no history): it passes unless its signature is unknown,
-    /// and has no rank — nor has an unknown signature. Every lane's state
-    /// ends up bit-identical to processing it alone.
+    /// consumes), in entry order. The first package of a stream — after
+    /// [`TimeSeriesDetector::begin`] or a reset — cannot be classified (no
+    /// history): it passes unless its signature is unknown, and has no
+    /// rank — nor has an unknown signature. Every lane's state ends up
+    /// bit-identical to processing it alone.
     ///
     /// # Panics
     ///
@@ -591,20 +597,49 @@ impl TimeSeriesDetector {
         if batch == 0 {
             return;
         }
-        let nc = self.model.num_classes();
-        if scratch.logits.len() < batch * nc {
-            scratch.logits.resize(batch * nc, 0.0);
+        let TsBatchScratch {
+            nn,
+            x,
+            order,
+            targets,
+            ranks: ranked,
+        } = scratch;
+
+        // Gather: the entries with a history and a class id first.
+        let target = |i: usize| signature_ids[i].filter(|_| states[lanes[i]].stepped);
+        order.clear();
+        targets.clear();
+        for i in 0..batch {
+            if let Some(id) = target(i) {
+                order.push(i);
+                targets.push(id);
+            }
+        }
+        let ranked_rows = order.len();
+        order.extend((0..batch).filter(|&i| target(i).is_none()));
+        for (r, &i) in order.iter().enumerate() {
+            self.model.gather_lane(nn, r, &states[lanes[i]].stream);
         }
 
-        // Per-lane decision from the rolling prediction, then the batched
-        // feedback step, each package fed back with its anomaly bit.
+        // Rank, then decide each entry and fill its layer-0 row, feeding
+        // the package back with its anomaly bit.
+        ranked.resize(ranked_rows, 0);
+        self.model.rank_gathered(nn, ranked_rows, targets, ranked);
+        let base = out.len();
+        out.resize(base + batch, false);
+        ranks.resize(base + batch, None);
         let width = 4 * self.model.config().hidden_dims[0];
         let noise_row = self.model.input_weights_row(self.encoder.dims() - 1);
-        let rows = self.model.round_input_rows(&mut scratch.nn, batch);
-        for (i, row) in rows.chunks_exact_mut(width).enumerate() {
-            let (anomalous, rank) = self.decide(&states[lanes[i]], signature_ids[i]);
-            out.push(anomalous);
-            ranks.push(rank);
+        let rows = self.model.round_input_rows(nn, batch);
+        for (r, (row, &i)) in rows.chunks_exact_mut(width).zip(order.iter()).enumerate() {
+            let rank = ranked.get(r).map(|&rank| rank as usize);
+            let anomalous = match (signature_ids[i], rank) {
+                (None, _) => true,
+                (Some(_), None) => false,
+                (Some(_), Some(rank)) => rank > self.k,
+            };
+            out[base + i] = anomalous;
+            ranks[base + i] = rank;
             let noisy = flag_noisy[i].unwrap_or(anomalous);
             match signature_ids[i] {
                 Some(id) => {
@@ -616,29 +651,18 @@ impl TimeSeriesDetector {
                     }
                 }
                 None => {
-                    self.encoder.encode_into(&vectors[i], noisy, &mut scratch.x);
-                    self.model.input_preactivations(&scratch.x, row);
+                    self.encoder.encode_into(&vectors[i], noisy, x);
+                    self.model.input_preactivations(x, row);
                 }
             }
         }
-        for (i, &lane) in lanes.iter().enumerate() {
-            self.model
-                .gather_lane(&mut scratch.nn, i, &states[lane].stream);
-        }
 
-        self.model.forward_batch_gathered_rows(
-            &mut scratch.nn,
-            batch,
-            &mut scratch.logits[..batch * nc],
-        );
-
-        for (i, &lane) in lanes.iter().enumerate() {
-            let state = &mut states[lane];
-            self.model.scatter_lane(&scratch.nn, i, &mut state.stream);
-            state.prediction.clear();
-            state
-                .prediction
-                .extend_from_slice(&scratch.logits[i * nc..(i + 1) * nc]);
+        // Step the stack and scatter the new `(h, c)` back.
+        self.model.forward_batch_gathered_rows(nn, batch);
+        for (r, &i) in order.iter().enumerate() {
+            let state = &mut states[lanes[i]];
+            self.model.scatter_lane(nn, r, &mut state.stream);
+            state.stepped = true;
         }
     }
 }

@@ -40,7 +40,10 @@ pub const DEFAULT_CRC_WINDOW: usize = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamExtractor {
+    /// Whether each of the last `crc_window` packages failed its CRC.
     window: VecDeque<bool>,
+    /// The `true` entries of `window`, kept beside it.
+    bad: usize,
     crc_window: usize,
     /// Latest timestamp seen so far (monotone).
     prev_time: Option<f64>,
@@ -57,6 +60,7 @@ impl StreamExtractor {
         assert!(crc_window > 0, "crc window must be positive");
         StreamExtractor {
             window: VecDeque::with_capacity(crc_window),
+            bad: 0,
             crc_window,
             prev_time: None,
             clock_regressions: 0,
@@ -87,12 +91,12 @@ impl StreamExtractor {
         let decoded = FrameView::decode_lenient(wire).ok();
         let crc_ok = decoded.as_ref().is_some_and(|(_, ok)| *ok);
 
-        if self.window.len() == self.crc_window {
-            self.window.pop_front();
+        if self.window.len() == self.crc_window && self.window.pop_front() == Some(true) {
+            self.bad -= 1;
         }
         self.window.push_back(!crc_ok);
-        let crc_rate =
-            self.window.iter().filter(|&&bad| bad).count() as f64 / self.window.len() as f64;
+        self.bad += usize::from(!crc_ok);
+        let crc_rate = self.bad as f64 / self.window.len() as f64;
 
         let prev = self.prev_time.unwrap_or(time);
         if time < prev {
@@ -288,6 +292,41 @@ mod tests {
         assert!(records[65].crc_rate > 0.9);
         // Early records far from the corruption see none of it.
         assert!(records[30].crc_rate < 0.2);
+    }
+
+    /// The running bad count gives the rate a rescan of the window gives,
+    /// bit for bit, on pseudo-random good/bad sequences for every width
+    /// from 1 to 40 — while the window fills and once it slides.
+    #[test]
+    fn crc_rate_equals_a_rescan_of_the_window() {
+        // Read holding registers, slave 1, with its valid CRC.
+        let good = [0x01u8, 0x03, 0x00, 0x00, 0x00, 0x01, 0x84, 0x0A];
+        let mut bad = good;
+        bad[7] ^= 0xFF;
+        let mut state = 0x2545_F491u32;
+        for width in 1..=40 {
+            let mut extractor = StreamExtractor::new(width);
+            let mut reference: VecDeque<bool> = VecDeque::new();
+            for step in 0..3 * width + 20 {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                let is_bad = state.is_multiple_of(3);
+                let record =
+                    extractor.push(step as f64, if is_bad { &bad } else { &good }, true, None);
+                if reference.len() == width {
+                    reference.pop_front();
+                }
+                reference.push_back(is_bad);
+                let rate = reference.iter().filter(|&&b| b).count() as f64 / reference.len() as f64;
+                assert_eq!(record.crc_ok, !is_bad);
+                assert_eq!(
+                    record.crc_rate.to_bits(),
+                    rate.to_bits(),
+                    "width {width} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl Engine {
     /// ingested frames travel ahead of the swap message, the shard drains
     /// its whole backlog through the outgoing detector, then exchanges the
     /// detector `Arc` inside its session and resets each stream lane — the
-    /// LSTM state, rolling prediction, dynamic-`k` controller *and*
+    /// LSTM state, its first-package bit, dynamic-`k` controller *and*
     /// feature extractor all restart, making the swap point a per-stream
     /// re-commissioning boundary. Frames ingested after `swap_artifact`
     /// returns are therefore classified exactly as a cold-started engine

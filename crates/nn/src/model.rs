@@ -1,6 +1,6 @@
 //! The stacked LSTM softmax classifier (paper Fig. 2).
 
-use icsad_simd::PanelsF32;
+use icsad_simd::{rank_panels_f32, PanelsF32};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -393,11 +393,12 @@ impl LstmClassifier {
         }
     }
 
-    /// One engine round: advances the `batch` lanes gathered into rows
+    /// One round with logits: advances the `batch` lanes gathered into rows
     /// `0..batch` ([`LstmClassifier::gather_lane`]) by one timestep and
     /// writes their raw logits (no softmax). The bottom layer's gate rows
-    /// come from the one-hot product ([`LstmClassifier::input_preactivations`])
-    /// and the rest is [`LstmClassifier::forward_batch_gathered_rows`].
+    /// come from the one-hot product ([`LstmClassifier::input_preactivations`]),
+    /// the stack steps as [`LstmClassifier::forward_batch_gathered_rows`]
+    /// and the head runs on the new top-layer rows.
     ///
     /// `xs` is the row-major `batch x input_dim` input block and `logits`
     /// the row-major `batch x num_classes` output block; row `i` belongs to
@@ -424,7 +425,10 @@ impl LstmClassifier {
         );
         let rows = self.round_input_rows(scratch, batch);
         self.input_preactivations(xs, rows);
-        self.forward_batch_gathered_rows(scratch, batch, logits);
+        self.forward_batch_gathered_rows(scratch, batch);
+        let top = self.layers.len() - 1;
+        let top_out = &scratch.tapes[top].out[..batch * self.layers[top].hidden_dim()];
+        self.dense.forward_batch(batch, top_out, logits);
     }
 
     /// The bottom layer's gate pre-activations `b + xᵀW` (`4 H₀` wide) of
@@ -482,27 +486,17 @@ impl LstmClassifier {
 
     /// One engine round from bottom-layer pre-activations: advances the
     /// `batch` gathered lanes by one timestep, starting layer 0 from the
-    /// rows [`LstmClassifier::round_input_rows`] returned, and writes their
-    /// raw logits. The round is a one-timestep
+    /// rows [`LstmClassifier::round_input_rows`] returned. The stack only:
+    /// no head runs, so a round that decides from the lanes' states
+    /// before it ([`LstmClassifier::rank_gathered`]) computes no logits
+    /// it would not read. The round is a one-timestep
     /// [`LstmClassifier::forward_schedule`] whose lanes start from the
-    /// gathered rows — the same layer pass, not a second batched step —
-    /// with the head writing straight into `logits`.
+    /// gathered rows — the same layer pass, not a second batched step.
     ///
     /// # Panics
     ///
-    /// Panics if `logits` is not `batch x num_classes` or fewer than
-    /// `batch` rows were ever gathered.
-    pub fn forward_batch_gathered_rows(
-        &self,
-        scratch: &mut ForwardScratch,
-        batch: usize,
-        logits: &mut [f32],
-    ) {
-        assert_eq!(
-            logits.len(),
-            batch * self.config.num_classes,
-            "batch logits mismatch"
-        );
+    /// Panics if fewer than `batch` rows were ever gathered.
+    pub fn forward_batch_gathered_rows(&self, scratch: &mut ForwardScratch, batch: usize) {
         if batch == 0 {
             return;
         }
@@ -516,9 +510,35 @@ impl LstmClassifier {
         self.forward_stack(round, None, tapes, Some(carry));
         scratch.last_step = Some((0, batch));
         scratch.rows = scratch.rows.max(batch);
-        let top_hd = self.layers[self.layers.len() - 1].hidden_dim();
-        let top_out = &scratch.tapes[self.layers.len() - 1].out[..batch * top_hd];
-        self.dense.forward_batch(batch, top_out, logits);
+    }
+
+    /// Ranks each of the `batch` lanes gathered into rows `0..batch`
+    /// ([`LstmClassifier::gather_lane`]) against its target class from the
+    /// state it was gathered with: `ranks[i]` becomes
+    /// [`crate::loss::rank_of`] of `targets[i]` in the logits the head
+    /// gives lane `i`'s top-layer hidden row — the logits the step that
+    /// left the lane in that state wrote, bit for bit: one fused
+    /// head-and-rank pass ([`icsad_simd::rank_panels_f32`]) runs the head
+    /// gemm's op sequence per logit and writes no logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets` or `ranks` do not hold `batch` entries, a
+    /// target is not a class, or fewer than `batch` rows were gathered.
+    pub fn rank_gathered(
+        &self,
+        scratch: &ForwardScratch,
+        batch: usize,
+        targets: &[usize],
+        ranks: &mut [u32],
+    ) {
+        if batch == 0 {
+            return;
+        }
+        let top = self.layers.len() - 1;
+        let top_h = &scratch.carry[top].0[..batch * self.layers[top].hidden_dim()];
+        let head = &self.dense;
+        rank_panels_f32(batch, top_h, head.w.panels(), &head.b, targets, ranks);
     }
 
     /// The one batched forward: runs every lane of `sched` through the
@@ -894,6 +914,7 @@ impl LstmClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::rank_of;
 
     fn small_config() -> ModelConfig {
         ModelConfig {
@@ -1426,6 +1447,48 @@ mod tests {
         assert_eq!(scratch.rows(), sched.total());
     }
 
+    /// Ranking lanes from the states a round left them in gives, for every
+    /// class, `rank_of` over the logits that round wrote — also when the
+    /// lanes are gathered back in another order.
+    #[test]
+    fn rank_gathered_is_the_rank_of_the_logits_that_left_the_lanes() {
+        let model = LstmClassifier::new(&ModelConfig {
+            input_dim: 6,
+            hidden_dims: vec![8, 5],
+            num_classes: 37,
+            seed: 13,
+        });
+        let (dim, nc, lanes) = (6, 37, 5);
+        let xs: Vec<f32> = (0..lanes * dim).map(|i| (i as f32 * 0.61).sin()).collect();
+        let mut states: Vec<StreamState> = (0..lanes).map(|_| model.new_state()).collect();
+        let mut scratch = model.batch_scratch();
+        let mut logits = vec![0.0f32; lanes * nc];
+        for (i, state) in states.iter().enumerate() {
+            model.gather_lane(&mut scratch, i, state);
+        }
+        model.forward_batch_gathered_logits(&mut scratch, lanes, &xs, &mut logits);
+        for (i, state) in states.iter_mut().enumerate() {
+            model.scatter_lane(&scratch, i, state);
+        }
+        let order = [3usize, 0, 4, 1, 2];
+        for (row, &lane) in order.iter().enumerate() {
+            model.gather_lane(&mut scratch, row, &states[lane]);
+        }
+        for t in 0..nc {
+            let targets = [t, (t + 1) % nc, t, (t + 7) % nc, nc - 1 - t];
+            let mut ranks = [0u32; 5];
+            model.rank_gathered(&scratch, lanes, &targets, &mut ranks);
+            for (row, &lane) in order.iter().enumerate() {
+                let want = rank_of(&logits[lane * nc..(lane + 1) * nc], targets[row]);
+                assert_eq!(
+                    ranks[row] as usize, want,
+                    "lane {lane} target {}",
+                    targets[row]
+                );
+            }
+        }
+    }
+
     #[test]
     fn empty_batch_is_a_noop() {
         let model = LstmClassifier::new(&small_config());
@@ -1483,7 +1546,9 @@ mod tests {
                 model
                     .round_input_rows(&mut scratch, 3)
                     .copy_from_slice(&direct);
-                model.forward_batch_gathered_rows(&mut scratch, 3, &mut logits);
+                model.forward_batch_gathered_rows(&mut scratch, 3);
+                let top_out = &scratch.tapes[1].out[..3 * 5];
+                model.dense.forward_batch(3, top_out, &mut logits);
             } else {
                 model.forward_batch_gathered_logits(&mut scratch, 3, &xs, &mut logits);
             }

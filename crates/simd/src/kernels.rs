@@ -553,6 +553,299 @@ fn panel_tile_scalar<L: Lanes>(
     }
 }
 
+/// Rows per block of [`rank_panels_f32`]: a block's target logits live in
+/// a stack array while every panel passes over the block's rows, so up to
+/// this many rows stream the weights once.
+const RANK_BLOCK: usize = 128;
+
+/// The 1-based rank of each row's target column among the logits of a
+/// dense head, without storing the logits: row `b`'s logits are `l =
+/// bias + x[b]ᵀ·W` (`W` panel-major, `n` columns) and, for `t =
+/// targets[b]`, `ranks[b]` becomes `1 + #{j : l_j > l_t} + #{j < t : l_j
+/// == l_t}` under ordered compares — the rank a scan of the written logits
+/// gives, ties broken by lower column.
+///
+/// Per block of up to [`RANK_BLOCK`] rows, each row's `l_t` comes first
+/// ([`target_logits`]): one element chain, `L::fmac_e` from `bias[t]` in
+/// ascending `k` — the operation sequence every lane of the gemm runs for
+/// its column, so `l_t` has the bits the tile computes for column `t`.
+/// Then every panel runs the register tiles of [`panel_tile`] (8, 4, then
+/// 1 rows) with two changes ([`rank_panel`]): the accumulators start from
+/// the bias instead of a loaded `y` block, and the tile ends in a
+/// compare-and-popcount epilogue that masks off the padding columns
+/// instead of a store. Per logit the op sequence is the gemm's, so the
+/// count equals ranking [`gemm_panels_f32`]'s output started from the bias.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a head's shape and operands")]
+pub(crate) fn rank_panels_f32<L: Lanes>(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    n: usize,
+    panels: &[f32],
+    bias: &[f32],
+    targets: &[usize],
+    ranks: &mut [u32],
+) {
+    debug_assert!(k_dim > 0 && x.len() == batch * k_dim);
+    debug_assert_eq!(panels.len(), panels_len(k_dim, n));
+    debug_assert!(bias.len() == n && targets.len() == batch && ranks.len() == batch);
+    let mut lt = [0.0; RANK_BLOCK];
+    let mut b0 = 0;
+    while b0 < batch {
+        let rows = RANK_BLOCK.min(batch - b0);
+        let x = &x[b0 * k_dim..(b0 + rows) * k_dim];
+        let targets = &targets[b0..b0 + rows];
+        let ranks = &mut ranks[b0..b0 + rows];
+        let lt = &mut lt[..rows];
+        target_logits::<L>(x, k_dim, panels, bias, targets, lt);
+        ranks.fill(1);
+        for (p, panel) in panels.chunks_exact(k_dim * PANEL).enumerate() {
+            let j0 = p * PANEL;
+            let valid = PANEL.min(n - j0);
+            rank_panel::<L>(x, j0, valid, panel, bias, lt, targets, ranks);
+        }
+        b0 += rows;
+    }
+}
+
+/// Each row's target logit `l_t = bias[t] + x·W[.., t]`, read from the
+/// target's panel column with a stride of one panel row. Rows go in tiles
+/// of 8, 4 and 1, whose chains run interleaved ([`target_chains`]).
+#[inline(always)]
+fn target_logits<L: Lanes>(
+    x: &[f32],
+    k_dim: usize,
+    panels: &[f32],
+    bias: &[f32],
+    targets: &[usize],
+    out: &mut [f32],
+) {
+    let rows = targets.len();
+    let mut b0 = 0;
+    while b0 + WIDE_TILE <= rows {
+        target_chains::<L, WIDE_TILE>(b0, x, k_dim, panels, bias, targets, out);
+        b0 += WIDE_TILE;
+    }
+    if b0 + LANE_TILE <= rows {
+        target_chains::<L, LANE_TILE>(b0, x, k_dim, panels, bias, targets, out);
+        b0 += LANE_TILE;
+    }
+    for b in b0..rows {
+        target_chains::<L, 1>(b, x, k_dim, panels, bias, targets, out);
+    }
+}
+
+/// The target-logit chains of rows `b0 .. b0 + R`, advanced together one
+/// `k` at a time so their latencies overlap.
+#[inline(always)]
+fn target_chains<L: Lanes, const R: usize>(
+    b0: usize,
+    x: &[f32],
+    k_dim: usize,
+    panels: &[f32],
+    bias: &[f32],
+    targets: &[usize],
+    out: &mut [f32],
+) {
+    let targets = &targets[b0..b0 + R];
+    let xs: [&[f32]; R] = core::array::from_fn(|r| &x[(b0 + r) * k_dim..][..k_dim]);
+    // Column `t` of the weights: element `k` sits `k` panel rows in.
+    let ws: [&[f32]; R] = core::array::from_fn(|r| {
+        let t = targets[r];
+        &panels[(t / PANEL) * k_dim * PANEL + t % PANEL..][..(k_dim - 1) * PANEL + 1]
+    });
+    let mut acc: [f32; R] = core::array::from_fn(|r| bias[targets[r]]);
+    for k in 0..k_dim {
+        for ((a, xr), wr) in acc.iter_mut().zip(xs).zip(ws) {
+            *a = L::fmac_e(*a, xr[k], wr[k * PANEL]);
+        }
+    }
+    out[b0..b0 + R].copy_from_slice(&acc);
+}
+
+/// [`rank_panels_f32`]'s pass over one `k_dim × PANEL` panel: adds to
+/// each row's rank the valid columns `j0 .. j0 + valid` that rank above
+/// its target. The tile walk of [`panel_tile`]: 2-vector sub-tiles, each
+/// down the rows in tiles of 8 (AVX-512), 4 and 1.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn rank_panel<L: Lanes>(
+    x: &[f32],
+    j0: usize,
+    valid: usize,
+    panel: &[f32],
+    bias: &[f32],
+    lt: &[f32],
+    targets: &[usize],
+    ranks: &mut [u32],
+) {
+    debug_assert!(0 < valid && valid <= PANEL && j0 + valid <= bias.len());
+    let rows = targets.len();
+    if L::WIDTH == 1 {
+        let tile = ScalarRankTile {
+            panel,
+            j0,
+            valid,
+            bias,
+            lt,
+            targets,
+        };
+        let mut b0 = 0;
+        while b0 + LANE_TILE <= rows {
+            tile.run::<L, LANE_TILE>(b0, x, ranks);
+            b0 += LANE_TILE;
+        }
+        for b in b0..rows {
+            tile.run::<L, 1>(b, x, ranks);
+        }
+        return;
+    }
+    let sub = 2 * L::WIDTH;
+    let mut s = 0;
+    // Sub-tiles that lie wholly in the padding are skipped.
+    while s < valid {
+        let cols = sub.min(valid - s);
+        let col = j0 + s;
+        let [start] = load_rows::<L, 1>(&bias[col..], 0, cols);
+        let tile = RankTile {
+            panel,
+            s,
+            start,
+            col,
+            cols,
+            lt,
+            targets,
+        };
+        let mut b0 = 0;
+        // Only AVX-512 (16 lanes) has the 32 registers an 8-row tile needs.
+        while L::WIDTH == 16 && b0 + WIDE_TILE <= rows {
+            tile.run::<WIDE_TILE>(b0, x, ranks);
+            b0 += WIDE_TILE;
+        }
+        while b0 + LANE_TILE <= rows {
+            tile.run::<LANE_TILE>(b0, x, ranks);
+            b0 += LANE_TILE;
+        }
+        for b in b0..rows {
+            tile.run::<1>(b, x, ranks);
+        }
+        s += sub;
+    }
+}
+
+/// One 2-vector sub-tile of a panel as [`rank_panel`] runs it: columns
+/// `s .. s + cols` of `panel`, which are head columns `col .. col + cols`,
+/// with the bias of those columns in `start`, for rows whose target
+/// columns and logits are `targets` and `lt`.
+struct RankTile<'a, L: Lanes> {
+    panel: &'a [f32],
+    s: usize,
+    start: [L; 2],
+    col: usize,
+    cols: usize,
+    lt: &'a [f32],
+    targets: &'a [usize],
+}
+
+impl<L: Lanes> RankTile<'_, L> {
+    /// Rows `b0 .. b0 + R` of `x` (each `k_dim` long, read in place)
+    /// through the sub-tile: the `2·R` accumulators start from the bias
+    /// and run [`row_tile`]'s ascending-`k` `fmac` chains, then each row
+    /// adds to its rank the popcount of the valid columns above its target
+    /// logit plus the tied ones left of its target.
+    #[inline(always)]
+    fn run<const R: usize>(&self, b0: usize, x: &[f32], ranks: &mut [u32]) {
+        let sub = 2 * L::WIDTH;
+        // Hoists the per-`k` slice checks out of the loop below.
+        assert!(self.s + sub <= PANEL, "register tile wider than a panel");
+        let k_dim = self.panel.len() / PANEL;
+        let xs: [&[f32]; R] = core::array::from_fn(|r| &x[(b0 + r) * k_dim..][..k_dim]);
+        let mut acc = [self.start; R];
+        for (k, wr) in self.panel.chunks_exact(PANEL).enumerate() {
+            let wr = &wr[self.s..self.s + sub];
+            let w0 = L::load(wr);
+            let w1 = L::load(&wr[L::WIDTH..]);
+            for (a, xr) in acc.iter_mut().zip(xs) {
+                let v = L::splat(xr[k]);
+                a[0] = a[0].fmac(v, w0);
+                a[1] = a[1].fmac(v, w1);
+            }
+        }
+        let valid = low_bits(self.cols);
+        let rows = b0..b0 + R;
+        let (lt, targets) = (&self.lt[rows.clone()], &self.targets[rows.clone()]);
+        for (((rank, [a0, a1]), &lt), &t) in ranks[rows].iter_mut().zip(acc).zip(lt).zip(targets) {
+            let lt = L::splat(lt);
+            let above = a0.gt_mask(lt) | a1.gt_mask(lt) << L::WIDTH;
+            let tied = a0.eq_mask(lt) | a1.eq_mask(lt) << L::WIDTH;
+            // Columns `col + c` left of the target: `c < t - col`.
+            let left = low_bits(t.saturating_sub(self.col));
+            *rank += (above & valid).count_ones() + (tied & valid & left).count_ones();
+        }
+    }
+}
+
+/// A mask of the low `m` bits (all 32 from `m = 32` on).
+#[inline(always)]
+fn low_bits(m: usize) -> u32 {
+    if m >= 32 {
+        u32::MAX
+    } else {
+        (1 << m) - 1
+    }
+}
+
+/// [`RankTile`] for the scalar backend, over a whole panel: columns `j0 ..
+/// j0 + valid` of the head, in [`PANEL`]-wide element-array accumulators
+/// as [`panel_tile_scalar`] runs them.
+struct ScalarRankTile<'a> {
+    panel: &'a [f32],
+    j0: usize,
+    valid: usize,
+    bias: &'a [f32],
+    lt: &'a [f32],
+    targets: &'a [usize],
+}
+
+impl ScalarRankTile<'_> {
+    /// Rows `b0 .. b0 + R` of `x` through the panel: the accumulators
+    /// start from the bias and run the ascending-`k` element chains, then
+    /// each valid column is compared with the row's target logit.
+    #[inline(always)]
+    fn run<L: Lanes, const R: usize>(&self, b0: usize, x: &[f32], ranks: &mut [u32]) {
+        let k_dim = self.panel.len() / PANEL;
+        let xs: [&[f32]; R] = core::array::from_fn(|r| &x[(b0 + r) * k_dim..][..k_dim]);
+        // Padding columns start at zero and are never counted.
+        let mut start = [0.0; PANEL];
+        start[..self.valid].copy_from_slice(&self.bias[self.j0..self.j0 + self.valid]);
+        let mut acc = [start; R];
+        for (k, wr) in self.panel.chunks_exact(PANEL).enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "`chunks_exact(PANEL)` yields slices of exactly PANEL elements"
+            )]
+            let ws: &[f32; PANEL] = wr.try_into().expect("weight panel row");
+            for (a, xr) in acc.iter_mut().zip(xs) {
+                let xv = xr[k];
+                for (aj, &wj) in a.iter_mut().zip(ws.iter()) {
+                    *aj = L::fmac_e(*aj, xv, wj);
+                }
+            }
+        }
+        let rows = b0..b0 + R;
+        let (lt, targets) = (&self.lt[rows.clone()], &self.targets[rows.clone()]);
+        for (((rank, a), &lt), &t) in ranks[rows].iter_mut().zip(&acc).zip(lt).zip(targets) {
+            let count = a[..self.valid]
+                .iter()
+                .enumerate()
+                .filter(|&(c, &l)| l > lt || (l == lt && self.j0 + c < t))
+                .count();
+            *rank += count as u32;
+        }
+    }
+}
+
 /// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` — the batched outer-product gradient
 /// accumulation `dW += Xᵀ·dY` (with `batch == 1` it is the rank-1
 /// `outer_acc` the scalar backward used per timestep). Implemented by
@@ -802,6 +1095,24 @@ pub(crate) mod x86_entries {
                     panels: &[f32],
                 ) {
                     super::super::gemm_panels_f32::<$f32ty>(batch, x, k_dim, n, y, panels)
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                #[allow(clippy::too_many_arguments, reason = "mirrors `rank_panels_f32_with`")]
+                pub(crate) unsafe fn rank_panels_f32(
+                    batch: usize,
+                    x: &[f32],
+                    k_dim: usize,
+                    n: usize,
+                    panels: &[f32],
+                    bias: &[f32],
+                    targets: &[usize],
+                    ranks: &mut [u32],
+                ) {
+                    super::super::rank_panels_f32::<$f32ty>(
+                        batch, x, k_dim, n, panels, bias, targets, ranks,
+                    )
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

@@ -91,6 +91,14 @@ pub trait Lanes: Copy {
     /// under an unordered compare (`NEQ_UQ`): NaN sets its bit, `±0`
     /// clears it — exactly the entries `x != 0.0` keeps.
     fn ne_zero_mask(self) -> u32;
+    /// Bit `l` of the result is set where lane `l` of `self` is greater
+    /// than lane `l` of `o` under an ordered compare (`GT_OQ`): a NaN on
+    /// either side clears its bit — exactly `self > o`.
+    fn gt_mask(self, o: Self) -> u32;
+    /// Bit `l` of the result is set where lane `l` of `self` equals lane
+    /// `l` of `o` under an ordered compare (`EQ_OQ`): a NaN on either side
+    /// clears its bit and `+0 == -0` sets it — exactly `self == o`.
+    fn eq_mask(self, o: Self) -> u32;
     /// Replaces lanes of `self` with the corresponding lane of `src`
     /// wherever `src` is NaN (payload preserved): NaN propagation for the
     /// math functions, whose clamps would otherwise sanitize NaN inputs.
@@ -173,6 +181,14 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
     #[inline(always)]
     fn ne_zero_mask(self) -> u32 {
         u32::from(self.0 != 0.0)
+    }
+    #[inline(always)]
+    fn gt_mask(self, o: Self) -> u32 {
+        u32::from(self.0 > o.0)
+    }
+    #[inline(always)]
+    fn eq_mask(self, o: Self) -> u32 {
+        u32::from(self.0 == o.0)
     }
     #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {

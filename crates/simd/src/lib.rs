@@ -50,7 +50,9 @@
 //! is new every call: the gate gradients `dZ` of the dense weight-gradient
 //! product `dW += Xᵀ·dZ`. Same tile, same ascending-`k` chain per output
 //! element: the two entries are bitwise equal to each other and to the
-//! scalar backend.
+//! scalar backend. [`rank_panels_f32`] runs the same tiles over a head's
+//! panels, started from its bias, and ends them in a compare-and-popcount
+//! instead of a store: each row's rank among logits it never writes.
 //!
 //! # FMA policy
 //!
@@ -626,6 +628,70 @@ pub fn gemm_panels_acc_f32_with(
     assert_eq!(y.len(), batch * n, "gemm_panels_acc: output block mismatch");
     let panels = w.data.as_slice();
     dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, n, y, panels))
+}
+
+/// The 1-based rank of each row's target among the logits of a dense head,
+/// computed in one pass that never writes the logits: row `b`'s logits are
+/// `l = bias + x[b]ᵀ·W` (`x` is `batch × k_dim`, `W` packed with
+/// [`PanelsF32::pack`], `bias` one entry per column) and, for `t =
+/// targets[b]`, `ranks[b]` becomes
+/// `1 + #{j : l_j > l_t} + #{j < t : l_j == l_t}` under ordered compares.
+/// That is the rank a scan of the logits [`gemm_panels_acc_f32`] writes
+/// into a block started from the bias gives: higher logits first, ties
+/// broken by lower column, and a NaN target logit ranks 1.
+///
+/// The register tiles are the panel gemm's, with accumulators started from
+/// the bias and a compare-and-popcount epilogue that masks off the padding
+/// columns in place of the store; each row's `l_t` comes from the same
+/// element chain, `bias[t]` then ascending `k`. Every logit is therefore
+/// computed by the same op sequence as in the gemm, on every backend.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch, if `W` has no rows (`k_dim == 0`) or a
+/// target is not a column of `W`.
+pub fn rank_panels_f32(
+    batch: usize,
+    x: &[f32],
+    w: &PanelsF32,
+    bias: &[f32],
+    targets: &[usize],
+    ranks: &mut [u32],
+) {
+    rank_panels_f32_with(current(), batch, x, w, bias, targets, ranks)
+}
+
+/// [`rank_panels_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`rank_panels_f32`], or if the selection is unsupported.
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
+pub fn rank_panels_f32_with(
+    sel: Selection,
+    batch: usize,
+    x: &[f32],
+    w: &PanelsF32,
+    bias: &[f32],
+    targets: &[usize],
+    ranks: &mut [u32],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    let (k_dim, n) = (w.k_dim, w.n);
+    assert!(k_dim > 0, "rank_panels: the head has no inputs");
+    assert_eq!(x.len(), batch * k_dim, "rank_panels: input block mismatch");
+    assert_eq!(bias.len(), n, "rank_panels: bias width mismatch");
+    assert_eq!(targets.len(), batch, "rank_panels: target count mismatch");
+    assert_eq!(ranks.len(), batch, "rank_panels: rank count mismatch");
+    assert!(
+        targets.iter().all(|&t| t < n),
+        "rank_panels: target column out of range"
+    );
+    let panels = w.data.as_slice();
+    dispatch_f32!(
+        sel,
+        rank_panels_f32(batch, x, k_dim, n, panels, bias, targets, ranks)
+    )
 }
 
 /// Batched outer-product gradient accumulation

@@ -19,6 +19,8 @@
 //!   `self` yields `o` — which the scalar lanes mirror exactly,
 //! * `select_lt` compares ordered (NaN → false) and blends,
 //! * `ne_zero_mask` compares unordered (NaN → set), `cmpneq`/`NEQ_UQ`,
+//! * `gt_mask`/`eq_mask` compare ordered (NaN → clear), `GT_OQ`/`EQ_OQ`
+//!   (`cmpgt`/`cmpeq` on SSE2),
 //! * `exp2i` builds `2^n` by integer exponent-field arithmetic.
 #![allow(
     unsafe_code,
@@ -139,6 +141,16 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
         unsafe { _mm_movemask_ps(_mm_cmpneq_ps(self.0, _mm_setzero_ps())) as u32 }
     }
     #[inline(always)]
+    fn gt_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { _mm_movemask_ps(_mm_cmpgt_ps(self.0, o.0)) as u32 }
+    }
+    #[inline(always)]
+    fn eq_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { _mm_movemask_ps(_mm_cmpeq_ps(self.0, o.0)) as u32 }
+    }
+    #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe {
@@ -254,6 +266,16 @@ impl Lanes for Avx2F32 {
         }
     }
     #[inline(always)]
+    fn gt_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, o.0)) as u32 }
+    }
+    #[inline(always)]
+    fn eq_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, o.0)) as u32 }
+    }
+    #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe {
@@ -360,6 +382,16 @@ impl Lanes for Avx512F32 {
     fn ne_zero_mask(self) -> u32 {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         u32::from(unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, _mm512_setzero_ps()) })
+    }
+    #[inline(always)]
+    fn gt_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        u32::from(unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, o.0) })
+    }
+    #[inline(always)]
+    fn eq_mask(self, o: Self) -> u32 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        u32::from(unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, o.0) })
     }
     #[inline(always)]
     fn merge_nan(self, src: Self) -> Self {

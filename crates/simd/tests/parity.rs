@@ -12,7 +12,7 @@ use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
     axpy_f32_with, gemm_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
     gemm_panels_acc_f32_with, lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with,
-    supported_selections, Backend, PanelsF32, Selection,
+    rank_panels_f32_with, supported_selections, Backend, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -861,6 +861,101 @@ fn sparse_product_matches_the_per_k_oracle_bitwise() {
                     assert_bits_eq(&got, want, &format!("outer {what}"));
                 }
             }
+        }
+    }
+}
+
+/// Largest depth, head width and batch the fused-rank property draws:
+/// depths past the paper's 256, widths past the ledger's 379-class head
+/// with every ragged last panel, and batches that mix 8-row (AVX-512),
+/// 4-row and single-row tiles. Interpreted runs keep small shapes.
+#[cfg(not(miri))]
+const RANK_MAX: (usize, usize, usize) = (300, 400, 20);
+#[cfg(miri)]
+const RANK_MAX: (usize, usize, usize) = (9, 40, 13);
+
+/// The rank a scan of written logits gives target `t`: `1 +` the columns
+/// with a higher logit, plus the tied ones at a lower column.
+fn scan_rank(logits: &[f32], t: usize) -> u32 {
+    let lt = logits[t];
+    let above = logits
+        .iter()
+        .enumerate()
+        .filter(|&(j, &l)| l > lt || (l == lt && j < t))
+        .count();
+    1 + above as u32
+}
+
+/// [`operand`]'s values with `-0.0` in place of every exact zero at an
+/// odd index and, when `nan_every > 0`, a NaN at every `nan_every`-th.
+fn signed_operand(len: usize, salt: u32, nan_every: usize) -> Vec<f32> {
+    let mut v = operand(len, salt);
+    for (i, e) in v.iter_mut().enumerate() {
+        if nan_every > 0 && i % nan_every == nan_every - 1 {
+            *e = f32::NAN;
+        } else if *e == 0.0 && i % 2 == 1 {
+            *e = -0.0;
+        }
+    }
+    v
+}
+
+proptest! {
+    /// The fused head-and-rank pass equals ranking the logits the panel
+    /// gemm writes into a block started from the bias, on every supported
+    /// selection. Ties are forced: the tie column's weights and bias are
+    /// copied into a column on each side of it, and every third row
+    /// targets it; an all-zero column with a `+0` bias and one with a `-0`
+    /// bias tie each other. NaNs sit in the weights (a NaN logit column
+    /// never counts), in the bias, and in one row of `x` on some cases (a
+    /// NaN target logit ranks 1).
+    #[test]
+    fn fused_rank_equals_the_rank_of_the_gemm_logits(
+        k_dim in 1usize..=RANK_MAX.0,
+        n in 1usize..=RANK_MAX.1,
+        batch in 1usize..=RANK_MAX.2,
+        salt in 0u32..=u32::MAX,
+        tie in 0usize..=RANK_MAX.1,
+    ) {
+        let mut w = signed_operand(k_dim * n, salt, 997);
+        let mut bias = signed_operand(n, salt ^ 1, 61);
+        let x_nan = if salt % 4 == 0 { k_dim * batch } else { 0 };
+        let x = signed_operand(batch * k_dim, salt ^ 2, x_nan);
+        let column = |w: &mut [f32], from: usize, to: usize| {
+            for k in 0..k_dim {
+                w[k * n + to] = w[k * n + from];
+            }
+        };
+        for (z, sign) in [(0, 0.0), (n - 1, -0.0)] {
+            for k in 0..k_dim {
+                w[k * n + z] = 0.0;
+            }
+            bias[z] = sign;
+        }
+        let c = tie % n;
+        for j in [c / 2, (c + n) / 2] {
+            column(&mut w, c, j);
+            bias[j] = bias[c];
+        }
+        let targets: Vec<usize> = (0..batch)
+            .map(|b| match b % 3 {
+                0 => c,
+                1 => (salt as usize).wrapping_add(b * 7919) % n,
+                _ => [0, n - 1][b % 2],
+            })
+            .collect();
+        let panels = PanelsF32::pack(&w, k_dim, n);
+        for sel in supported_selections() {
+            let mut logits: Vec<f32> = (0..batch).flat_map(|_| bias.iter().copied()).collect();
+            gemm_panels_acc_f32_with(sel, batch, &x, &panels, &mut logits);
+            let want: Vec<u32> = logits
+                .chunks_exact(n)
+                .zip(&targets)
+                .map(|(row, &t)| scan_rank(row, t))
+                .collect();
+            let mut got = vec![0u32; batch];
+            rank_panels_f32_with(sel, batch, &x, &panels, &bias, &targets, &mut got);
+            prop_assert_eq!(got, want, "{} {}x{}x{} tie {}", sel.label(), batch, k_dim, n, c);
         }
     }
 }
