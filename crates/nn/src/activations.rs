@@ -40,7 +40,10 @@ pub fn tanh_deriv_from_output(t: f32) -> f32 {
 /// In-place numerically stable softmax.
 ///
 /// Subtracts the maximum logit before exponentiation; an all-`-inf` or empty
-/// input is left untouched.
+/// input is left untouched. The exponential is [`icsad_simd::math::expf`],
+/// glibc's `expf` bit for bit, the one the training loss kernel
+/// ([`icsad_simd::softmax_xent_f32`]) runs, so this function and that
+/// kernel give the same probabilities on every host.
 pub fn softmax_in_place(logits: &mut [f32]) {
     if logits.is_empty() {
         return;
@@ -51,7 +54,7 @@ pub fn softmax_in_place(logits: &mut [f32]) {
     }
     let mut sum = 0.0f32;
     for x in logits.iter_mut() {
-        *x = (*x - max).exp();
+        *x = icsad_simd::math::expf(*x - max);
         sum += *x;
     }
     if sum > 0.0 {

@@ -1,4 +1,9 @@
 //! Softmax cross-entropy loss and top-k utilities (paper §V-1/V-2).
+//!
+//! Training takes the loss, the top-1 bit and the logits gradient of a
+//! whole minibatch in one pass of [`icsad_simd::softmax_xent_f32`];
+//! [`softmax_cross_entropy`] is the one-row loss with the same
+//! probabilities.
 
 use crate::activations::softmax_in_place;
 
@@ -15,23 +20,6 @@ pub fn softmax_cross_entropy(logits: &mut [f32], target: usize) -> f32 {
     assert!(target < logits.len(), "target class out of range");
     softmax_in_place(logits);
     -(logits[target].max(1e-12)).ln()
-}
-
-/// Gradient of the softmax cross-entropy with respect to the logits:
-/// `p - onehot(target)`, scaled by `scale` (use `1/n` for mean reduction).
-///
-/// `probs` must be the softmax output from [`softmax_cross_entropy`].
-///
-/// # Panics
-///
-/// Panics if `target` is out of range or lengths differ.
-pub fn softmax_cross_entropy_grad(probs: &[f32], target: usize, scale: f32, dlogits: &mut [f32]) {
-    assert!(target < probs.len(), "target class out of range");
-    assert_eq!(probs.len(), dlogits.len(), "gradient length mismatch");
-    for (d, &p) in dlogits.iter_mut().zip(probs.iter()) {
-        *d = p * scale;
-    }
-    dlogits[target] -= scale;
 }
 
 /// Returns the indices of the `k` highest-probability classes in descending
@@ -100,12 +88,26 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-6);
     }
 
+    /// The gradient the training loss kernel writes for one row of
+    /// `logits` (`scale` 1): `p − onehot(target)`.
+    fn kernel_grad(logits: &[f32], target: usize) -> Vec<f32> {
+        let mut grad = vec![0.0f32; logits.len()];
+        let n = logits.len();
+        icsad_simd::softmax_xent_f32(
+            n,
+            logits,
+            &[target],
+            1.0,
+            &mut grad,
+            &mut [0.0],
+            &mut [false],
+        );
+        grad
+    }
+
     #[test]
     fn gradient_sums_to_zero() {
-        let mut logits = vec![1.0f32, 2.0, 3.0];
-        softmax_cross_entropy(&mut logits, 1);
-        let mut grad = vec![0.0f32; 3];
-        softmax_cross_entropy_grad(&logits, 1, 1.0, &mut grad);
+        let grad = kernel_grad(&[1.0, 2.0, 3.0], 1);
         let sum: f32 = grad.iter().sum();
         assert!(sum.abs() < 1e-6);
         assert!(grad[1] < 0.0, "target gradient must be negative");
@@ -115,10 +117,7 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let logits = vec![0.5f32, -0.3, 1.2, 0.0];
         let target = 2;
-        let mut probs = logits.clone();
-        softmax_cross_entropy(&mut probs, target);
-        let mut grad = vec![0.0f32; 4];
-        softmax_cross_entropy_grad(&probs, target, 1.0, &mut grad);
+        let grad = kernel_grad(&logits, target);
         let eps = 1e-3f32;
         for i in 0..4 {
             let mut lp = logits.clone();

@@ -1,11 +1,10 @@
 //! The stacked LSTM softmax classifier (paper Fig. 2).
 
-use icsad_simd::{rank_panels_f32, PanelsF32};
+use icsad_simd::{rank_panels_f32, softmax_xent_f32, PanelsF32};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::dense::{Dense, DenseGrad};
-use crate::loss::{in_top_k, softmax_cross_entropy, softmax_cross_entropy_grad};
 use crate::lstm::{BpttScratch, LaneSchedule, LayerTape, LstmLayer, LstmState};
 use crate::tensor::{grow, Tensor2};
 
@@ -200,8 +199,8 @@ impl ForwardScratch {
 }
 
 /// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
-/// the concatenated input block, the forward pass's tapes and logits, the
-/// logits gradient and the backward scratch. Grows to the largest
+/// the concatenated input block and targets, the forward pass's tapes and
+/// logits, the loss outputs and the backward scratch. Grows to the largest
 /// minibatch seen and is reused across chunks, so steady-state training
 /// does no allocation.
 #[derive(Debug, Clone, Default)]
@@ -216,8 +215,13 @@ pub struct TrainScratch {
     x_cat: Vec<f32>,
     /// Tapes and logits of the forward pass.
     fwd: ForwardScratch,
+    /// Each row's target class, in row order.
+    targets: Vec<usize>,
     /// Concatenated logits gradient, `total x num_classes`.
     dlogits: Vec<f32>,
+    /// Each row's target probability and top-1 bit.
+    p_target: Vec<f32>,
+    top1: Vec<bool>,
     /// Hidden-gradient ping-pong buffers, `total x max_dim`.
     d_a: Vec<f32>,
     d_b: Vec<f32>,
@@ -662,8 +666,11 @@ impl LstmClassifier {
     /// `pack` must hold the transposed panels of the **current** weights
     /// (a new [`BackwardPack`] after every optimizer step); the forward
     /// products read [`crate::tensor::Weights::panels`], packing here only
-    /// if the caller has not ([`LstmClassifier::pack_panels`]). `scratch`
-    /// is reusable across calls and grows to the largest minibatch seen.
+    /// if the caller has not ([`LstmClassifier::pack_panels`]). The loss
+    /// of all rows is one [`icsad_simd::softmax_xent_f32`] pass over the
+    /// logits block, which gives the bits of a per-row softmax through
+    /// libm's `expf` on a glibc FMA host, on every host. `scratch` is
+    /// reusable across calls and grows to the largest minibatch seen.
     ///
     /// # Panics
     ///
@@ -677,6 +684,40 @@ impl LstmClassifier {
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
+        let total = self.forward_chunks(chunks, scratch);
+        if total == 0 {
+            return (0.0, 0);
+        }
+        // Loss, top-1 hits and the logits gradient of every row in one
+        // pass; the loss sums in row order, which is the schedule's.
+        let nc = self.config.num_classes;
+        grow(&mut scratch.dlogits, total * nc);
+        grow(&mut scratch.p_target, total);
+        scratch.top1.resize(total, false);
+        let p_target = &mut scratch.p_target[..total];
+        let top1 = &mut scratch.top1[..total];
+        softmax_xent_f32(
+            nc,
+            &scratch.fwd.logits[..total * nc],
+            &scratch.targets[..total],
+            scale,
+            &mut scratch.dlogits[..total * nc],
+            p_target,
+            top1,
+        );
+        let mut loss = 0.0f32;
+        for &p in p_target.iter() {
+            loss += -(p.max(1e-12)).ln();
+        }
+        let correct = top1.iter().filter(|&&hit| hit).count();
+        self.backward_chunks(pack, scratch, grads, total);
+        (loss, correct)
+    }
+
+    /// The forward half of [`LstmClassifier::train_batch`]: schedules the
+    /// lanes longest-first, gathers their inputs and targets into row
+    /// order and runs the taped forward pass; returns the row count.
+    fn forward_chunks(&self, chunks: &[&[(Vec<f32>, usize)]], scratch: &mut TrainScratch) -> usize {
         // Schedule lanes longest-first. The sort is stable and keys only on
         // the data, so the schedule — and with it every accumulation
         // order below — is a pure function of the chunk set.
@@ -690,51 +731,46 @@ impl LstmClassifier {
         let sched = &scratch.sched;
         let total = sched.total();
         if total == 0 {
-            return (0.0, 0);
+            return 0;
         }
-        let num_layers = self.layers.len();
         let in_dim = self.config.input_dim;
-        let nc = self.config.num_classes;
 
         // Gather inputs into the concatenated time-major block.
         grow(&mut scratch.x_cat, total * in_dim);
+        scratch.targets.resize(total, 0);
         let x_cat = &mut scratch.x_cat[..total * in_dim];
         for t in 0..sched.steps() {
             for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
-                let (x, _) = &chunks[lane][t];
+                let (x, target) = &chunks[lane][t];
                 assert_eq!(x.len(), in_dim, "input dim mismatch");
                 let r = sched.row(t, i);
                 x_cat[r * in_dim..(r + 1) * in_dim].copy_from_slice(x);
-            }
-        }
-        let x_cat: &[f32] = x_cat;
-
-        // Forward through the stack (taping every layer) and the head, then
-        // loss, accuracy and the logits gradient row by row in schedule
-        // order.
-        let logits = self.forward_schedule(sched, x_cat, &mut scratch.fwd, false);
-        grow(&mut scratch.dlogits, total * nc);
-        let dlogits = &mut scratch.dlogits[..total * nc];
-        let mut loss = 0.0f32;
-        let mut correct = 0usize;
-        for t in 0..sched.steps() {
-            for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
-                let r = sched.row(t, i);
-                let (_, target) = chunks[lane][t];
-                let row = &mut logits[r * nc..(r + 1) * nc];
-                loss += softmax_cross_entropy(row, target);
-                // `row` now holds probabilities.
-                if in_top_k(row, target, 1) {
-                    correct += 1;
-                }
-                softmax_cross_entropy_grad(row, target, scale, &mut dlogits[r * nc..(r + 1) * nc]);
+                scratch.targets[r] = *target;
             }
         }
 
-        // Backward: dense head, then BPTT down the stack. The two hidden-
-        // gradient buffers ping-pong between consuming a layer's d_out and
-        // producing its d_inputs; the bottom layer produces none (its pack
-        // entry is `None`) — nothing would read it.
+        // Forward through the stack (taping every layer) and the head.
+        self.forward_schedule(sched, x_cat, &mut scratch.fwd, false);
+        total
+    }
+
+    /// The backward half of [`LstmClassifier::train_batch`]: from the
+    /// logits gradient of the `total` rows in `scratch.dlogits`, the dense
+    /// head, then BPTT down the stack, accumulating into `grads`.
+    fn backward_chunks(
+        &self,
+        pack: &BackwardPack,
+        scratch: &mut TrainScratch,
+        grads: &mut Gradients,
+        total: usize,
+    ) {
+        // The two hidden-gradient buffers ping-pong between consuming a
+        // layer's d_out and producing its d_inputs; the bottom layer
+        // produces none (its pack entry is `None`) — nothing would read it.
+        let num_layers = self.layers.len();
+        let sched = &scratch.sched;
+        let x_cat = &scratch.x_cat[..total * self.config.input_dim];
+        let dlogits = &scratch.dlogits[..total * self.config.num_classes];
         let tapes = &scratch.fwd.tapes;
         let top_hd = self.layers[num_layers - 1].hidden_dim();
         let top_out = &tapes[num_layers - 1].out[..total * top_hd];
@@ -777,8 +813,6 @@ impl LstmClassifier {
             );
             std::mem::swap(&mut d_out_buf, &mut d_in_buf);
         }
-
-        (loss, correct)
     }
 
     /// Pairs every parameter slice with its gradient slice, in a stable
@@ -914,7 +948,7 @@ impl LstmClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::rank_of;
+    use crate::loss::{rank_of, softmax_cross_entropy};
 
     fn small_config() -> ModelConfig {
         ModelConfig {
@@ -1562,5 +1596,138 @@ mod tests {
             out
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// [`LstmClassifier::train_batch`] with the loss loop it ran before the
+    /// softmax kernel: per row in schedule order, a softmax through libm's
+    /// `f32::exp`, the cross-entropy, the top-1 scan and the gradient.
+    #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the loop it reproduces walks the schedule timestep by timestep"
+    )]
+    fn train_batch_libm(
+        model: &LstmClassifier,
+        pack: &BackwardPack,
+        chunks: &[&[(Vec<f32>, usize)]],
+        scratch: &mut TrainScratch,
+        grads: &mut Gradients,
+        scale: f32,
+    ) -> (f32, usize) {
+        use crate::loss::in_top_k;
+        let total = model.forward_chunks(chunks, scratch);
+        let nc = model.num_classes();
+        grow(&mut scratch.dlogits, total * nc);
+        let (mut loss, mut correct) = (0.0f32, 0);
+        let sched = &scratch.sched;
+        for t in 0..sched.steps() {
+            for (i, &lane) in scratch.order[..sched.lanes_at(t)].iter().enumerate() {
+                let r = sched.row(t, i);
+                let target = chunks[lane][t].1;
+                let row = &mut scratch.fwd.logits[r * nc..(r + 1) * nc];
+                let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+                if max.is_finite() {
+                    let mut sum = 0.0f32;
+                    for x in row.iter_mut() {
+                        *x = (*x - max).exp();
+                        sum += *x;
+                    }
+                    if sum > 0.0 {
+                        for x in row.iter_mut() {
+                            *x /= sum;
+                        }
+                    }
+                }
+                loss += -(row[target].max(1e-12)).ln();
+                if in_top_k(row, target, 1) {
+                    correct += 1;
+                }
+                let d = &mut scratch.dlogits[r * nc..(r + 1) * nc];
+                for (dj, &pj) in d.iter_mut().zip(row.iter()) {
+                    *dj = pj * scale;
+                }
+                d[target] -= scale;
+            }
+        }
+        model.backward_chunks(pack, scratch, grads, total);
+        (loss, correct)
+    }
+
+    /// The softmax kernel leaves training where libm's `expf` left it: a
+    /// two-layer model with a widened head (logits tens apart, so `exp`
+    /// spans its range and underflows), ragged lanes and one-hot rows with
+    /// noise on some of them gives the same summed loss, correct count and
+    /// gradients, bit for bit, as the per-row loop through `f32::exp`.
+    /// glibc's FMA build of `expf` is the one the port reproduces; glibc
+    /// runs it where the CPU has FMA and AVX2, whatever this crate was
+    /// compiled for, so the test checks the CPU at run time.
+    #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn train_batch_equals_the_libm_loss_loop_bitwise() {
+        if !(std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("avx2"))
+        {
+            eprintln!("skipped: glibc runs its SSE2 expf on this CPU, not the FMA build");
+            return;
+        }
+        let config = ModelConfig {
+            input_dim: 12,
+            hidden_dims: vec![10, 7],
+            num_classes: 37,
+            seed: 5,
+        };
+        let mut model = LstmClassifier::new(&config);
+        for w in model.dense.w.as_mut_slice() {
+            *w *= 30.0;
+        }
+        let lens = [9usize, 5, 17, 1, 12, 3, 16, 16];
+        let lanes: Vec<Vec<(Vec<f32>, usize)>> = lens
+            .iter()
+            .enumerate()
+            .map(|(l, &len)| {
+                (0..len)
+                    .map(|t| {
+                        let h = (l * 131 + t * 29 + 7) % 97;
+                        let mut x = vec![0.0f32; 12];
+                        x[h % 12] = 1.0;
+                        if h % 3 == 0 {
+                            x[(h + 5) % 12] += (h as f32 * 0.37).sin();
+                        }
+                        (x, (h * 7) % 37)
+                    })
+                    .collect()
+            })
+            .collect();
+        let chunks: Vec<&[(Vec<f32>, usize)]> = lanes.iter().map(Vec::as_slice).collect();
+        let pack = BackwardPack::new(&model);
+        let run = |libm: bool| {
+            let mut grads = model.zero_gradients();
+            let mut scratch = TrainScratch::default();
+            let (loss, correct) = if libm {
+                train_batch_libm(&model, &pack, &chunks, &mut scratch, &mut grads, 0.05)
+            } else {
+                model.train_batch(&pack, &chunks, &mut scratch, &mut grads, 0.05)
+            };
+            let mut bits = vec![loss.to_bits(), correct as u32];
+            for g in &grads.layers {
+                bits.extend(
+                    g.w.as_slice()
+                        .iter()
+                        .chain(g.u.as_slice())
+                        .chain(&g.b)
+                        .map(|v| v.to_bits()),
+                );
+            }
+            let dense = grads.dense.w.as_slice().iter().chain(&grads.dense.b);
+            bits.extend(dense.map(|v| v.to_bits()));
+            bits
+        };
+        let (kernel, libm) = (run(false), run(true));
+        let rows: usize = lens.iter().sum();
+        assert!(
+            0 < kernel[1] && (kernel[1] as usize) < rows,
+            "top-1 hits and misses both occur"
+        );
+        assert_eq!(kernel, libm);
     }
 }

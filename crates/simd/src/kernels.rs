@@ -17,7 +17,7 @@
 //! gemm has no remainder path at all — it reads zero-padded weight panels
 //! ([`PANEL`]) and runs full vector chains everywhere.
 
-use crate::lanes::Lanes;
+use crate::lanes::{Lanes, ScalarLane};
 use crate::math;
 
 /// Batch rows per register tile of the dense gemm on SSE2 and AVX2, and
@@ -1038,6 +1038,213 @@ fn cell_vectors<V: Lanes>(
     j
 }
 
+/// Most lanes of any backend (AVX-512's 16): the size of the stack arrays
+/// that hold one value per lane.
+const MAX_LANES: usize = 16;
+
+/// Softmax cross-entropy and its logits gradient for every row of a logits
+/// block — the loss of a training minibatch in one pass. Row `r` holds the
+/// `n` logits `x` of target `t = targets[r]`; with `m` their maximum
+/// (NaN entries skipped), `e_j = expf(x_j − m)` ([`math::expf`], glibc's
+/// bits), `s = Σ e_j` and `p_j = e_j / s`, the row writes
+///
+/// * `dlogits`: `p_j·scale`, and `p_t·scale − scale` at the target;
+/// * `p_target[r] = p_t`;
+/// * `top1[r]`: whether no column beats `p_t` — none has `p_j > p_t`, none
+///   left of `t` has `p_j == p_t` (ordered compares).
+///
+/// The edge cases are those of the per-row loop this replaced: a row whose
+/// maximum is not finite (an `+inf` entry, or every entry `−inf` or NaN)
+/// takes its logits as `p`; a sum that is not `> 0` (a NaN entry) leaves
+/// `p = e` undivided.
+///
+/// Per element, every op is the one that loop ran: `x_j − m`, the `expf`
+/// port, one divide, one product. The max is exact in any order. Each
+/// row's sum is one chain in ascending `j` from `0.0`; the chains of
+/// `WIDTH` rows run in the lanes of one vector, fed by strided loads of
+/// the `e` the rows wrote, then `Half`-width groups and single rows take
+/// what is left. So every backend, and every grouping of rows, gives the
+/// same bits.
+#[inline(always)]
+pub(crate) fn softmax_xent_f32<L: Lanes>(
+    n: usize,
+    logits: &[f32],
+    targets: &[usize],
+    scale: f32,
+    dlogits: &mut [f32],
+    p_target: &mut [f32],
+    top1: &mut [bool],
+) {
+    debug_assert_eq!(logits.len(), targets.len() * n);
+    debug_assert!(dlogits.len() == logits.len() && p_target.len() == targets.len());
+    let out = XentRows {
+        n,
+        scale,
+        logits,
+        targets,
+    };
+    let r = out.groups::<L, L>(0, dlogits, p_target, top1);
+    let r = out.groups::<L, L::Half>(r, dlogits, p_target, top1);
+    out.groups::<L, ScalarLane<false>>(r, dlogits, p_target, top1);
+}
+
+/// The inputs of [`softmax_xent_f32`].
+struct XentRows<'a> {
+    n: usize,
+    scale: f32,
+    logits: &'a [f32],
+    targets: &'a [usize],
+}
+
+impl XentRows<'_> {
+    /// Rows `r0 ..` in groups of `G::WIDTH` while whole groups remain;
+    /// returns the first row left. Rows run `L` lanes along their columns,
+    /// the group's sum chains `G` lanes across its rows.
+    #[inline(always)]
+    fn groups<L: Lanes, G: Lanes>(
+        &self,
+        mut r0: usize,
+        dlogits: &mut [f32],
+        p_target: &mut [f32],
+        top1: &mut [bool],
+    ) -> usize {
+        debug_assert!(G::WIDTH <= MAX_LANES);
+        let (n, rows) = (self.n, self.targets.len());
+        while r0 + G::WIDTH <= rows {
+            let block = r0 * n..(r0 + G::WIDTH) * n;
+            let (x, d) = (&self.logits[block.clone()], &mut dlogits[block]);
+            let mut finite = [false; MAX_LANES];
+            for ((xr, dr), f) in x
+                .chunks_exact(n)
+                .zip(d.chunks_exact_mut(n))
+                .zip(&mut finite)
+            {
+                let m = row_max::<L>(xr);
+                *f = m.is_finite();
+                if *f {
+                    exp_row::<L>(xr, m, dr);
+                } else {
+                    dr.copy_from_slice(xr);
+                }
+            }
+            // One ascending chain per row, `G::WIDTH` rows at once.
+            let mut acc = G::splat(0.0);
+            for j in 0..n {
+                acc = acc.add(G::load_strided(&d[j..], n));
+            }
+            let mut sums = [0.0; MAX_LANES];
+            acc.store(&mut sums);
+            for (i, dr) in d.chunks_exact_mut(n).enumerate() {
+                let (r, t) = (r0 + i, self.targets[r0 + i]);
+                let (p, hit) = if finite[i] && sums[i] > 0.0 {
+                    finish_row::<L, true>(dr, t, sums[i], self.scale)
+                } else {
+                    finish_row::<L, false>(dr, t, 1.0, self.scale)
+                };
+                p_target[r] = p;
+                top1[r] = hit;
+            }
+            r0 += G::WIDTH;
+        }
+        r0
+    }
+}
+
+/// The largest non-NaN entry of `xs` (`−inf` if there is none).
+#[inline(always)]
+fn row_max<L: Lanes>(xs: &[f32]) -> f32 {
+    let (j, m) = max_vectors::<L>(xs, 0, f32::NEG_INFINITY);
+    let (j, m) = max_vectors::<L::Half>(xs, j, m);
+    xs[j..].iter().fold(m, |m, &v| if v > m { v } else { m })
+}
+
+/// [`row_max`] over the whole `V` vectors from `j` on, starting from `m`;
+/// returns where the vectors end and the new maximum.
+#[inline(always)]
+fn max_vectors<V: Lanes>(xs: &[f32], mut j: usize, m: f32) -> (usize, f32) {
+    let mut acc = V::splat(m);
+    while j + V::WIDTH <= xs.len() {
+        // `max` keeps `acc` where the loaded entry is NaN.
+        acc = V::load(&xs[j..]).max(acc);
+        j += V::WIDTH;
+    }
+    let mut lanes = [0.0; MAX_LANES];
+    acc.store(&mut lanes);
+    let m = lanes[..V::WIDTH]
+        .iter()
+        .fold(m, |m, &v| if v > m { v } else { m });
+    (j, m)
+}
+
+/// `out_j = expf(xs_j − m)` for a row.
+#[inline(always)]
+fn exp_row<L: Lanes>(xs: &[f32], m: f32, out: &mut [f32]) {
+    let j = exp_vectors::<L>(xs, m, out, 0);
+    let j = exp_vectors::<L::Half>(xs, m, out, j);
+    for (o, &x) in out[j..].iter_mut().zip(&xs[j..]) {
+        *o = math::expf(x - m);
+    }
+}
+
+/// [`exp_row`] over the whole `V` vectors from `j` on.
+#[inline(always)]
+fn exp_vectors<V: Lanes>(xs: &[f32], m: f32, out: &mut [f32], mut j: usize) -> usize {
+    let mv = V::splat(m);
+    while j + V::WIDTH <= xs.len() {
+        math::expf_lanes::<V>(V::load(&xs[j..]).sub(mv)).store(&mut out[j..]);
+        j += V::WIDTH;
+    }
+    j
+}
+
+/// Turns a row of `e` (or, for `DIV = false`, of the values taken as `p`
+/// themselves) into its gradient: `p = e / sum`, `d = p·scale`, and
+/// `p_t·scale − scale` at target `t`. Returns `p_t` and whether `t` is
+/// top-1.
+#[inline(always)]
+fn finish_row<L: Lanes, const DIV: bool>(
+    d: &mut [f32],
+    t: usize,
+    sum: f32,
+    scale: f32,
+) -> (f32, bool) {
+    let p_t = if DIV { d[t] / sum } else { d[t] };
+    let (j, beaten) = finish_vectors::<L, DIV>(d, t, sum, scale, p_t, 0);
+    let (j, beaten_half) = finish_vectors::<L::Half, DIV>(d, t, sum, scale, p_t, j);
+    let mut beaten = beaten || beaten_half;
+    for (jj, dj) in d.iter_mut().enumerate().skip(j) {
+        let p = if DIV { *dj / sum } else { *dj };
+        beaten |= p > p_t || (p == p_t && jj < t);
+        *dj = p * scale;
+    }
+    d[t] = p_t * scale - scale;
+    (p_t, !beaten)
+}
+
+/// [`finish_row`] over the whole `V` vectors from `j` on; returns where
+/// they end and whether a column among them beats `p_t`.
+#[inline(always)]
+fn finish_vectors<V: Lanes, const DIV: bool>(
+    d: &mut [f32],
+    t: usize,
+    sum: f32,
+    scale: f32,
+    p_t: f32,
+    mut j: usize,
+) -> (usize, bool) {
+    let (sum_v, scale_v, p_tv) = (V::splat(sum), V::splat(scale), V::splat(p_t));
+    let mut beats = 0;
+    while j + V::WIDTH <= d.len() {
+        let e = V::load(&d[j..]);
+        let p = if DIV { e.div(sum_v) } else { e };
+        // Ties count only left of the target.
+        beats |= p.gt_mask(p_tv) | (p.eq_mask(p_tv) & low_bits(t.saturating_sub(j)));
+        p.mul(scale_v).store(&mut d[j..]);
+        j += V::WIDTH;
+    }
+    (j, beats != 0)
+}
+
 /// The x86 entry points: one module per backend, each compiled with that
 /// backend's target features so the intrinsics (and the generic kernels,
 /// which are `#[inline(always)]`) codegen with the right instruction set
@@ -1112,6 +1319,22 @@ pub(crate) mod x86_entries {
                 ) {
                     super::super::rank_panels_f32::<$f32ty>(
                         batch, x, k_dim, n, panels, bias, targets, ranks,
+                    )
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn softmax_xent_f32(
+                    n: usize,
+                    logits: &[f32],
+                    targets: &[usize],
+                    scale: f32,
+                    dlogits: &mut [f32],
+                    p_target: &mut [f32],
+                    top1: &mut [bool],
+                ) {
+                    super::super::softmax_xent_f32::<$f32ty>(
+                        n, logits, targets, scale, dlogits, p_target, top1,
                     )
                 }
 

@@ -17,6 +17,12 @@
 //! it lowers to a hardware FMA or to the libm soft implementation — so a
 //! binary compiled *without* `target-feature=+fma` still reproduces the FMA
 //! backends' results exactly.
+//!
+//! Each lane type also has `f64` lanes of the same count
+//! ([`Lanes::Wide`], a [`WideLanes`] type; two registers per x86 vector),
+//! for the one kernel step that needs `f64` — the port of glibc's `expf`
+//! in the training loss — and a strided load ([`Lanes::load_strided`]),
+//! which puts one element of each of `WIDTH` rows in the lanes.
 
 /// A fixed-width vector of `f32`: the interface every kernel and the
 /// activation math are generic over.
@@ -103,6 +109,81 @@ pub trait Lanes: Copy {
     /// wherever `src` is NaN (payload preserved): NaN propagation for the
     /// math functions, whose clamps would otherwise sanitize NaN inputs.
     fn merge_nan(self, src: Self) -> Self;
+
+    /// `f64` lanes, one per `f32` lane of `Self`: what [`crate::math::expf`]
+    /// evaluates in.
+    type Wide: WideLanes;
+    /// Every lane converted to `f64` (exact).
+    fn widen(self) -> Self::Wide;
+    /// Every lane of `w` rounded to `f32` (to nearest, ties to even).
+    fn narrow(w: Self::Wide) -> Self;
+    /// Loads `src[0]`, `src[stride]`, …, `src[(WIDTH - 1)·stride]`: lane
+    /// `l` is element `l` of a column, `WIDTH` rows of `stride` apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` ends before the last of those elements.
+    fn load_strided(src: &[f32], stride: usize) -> Self;
+}
+
+/// A fixed-width vector of `f64`, as wide in lanes as the [`Lanes`] type
+/// whose [`Lanes::Wide`] it is, with what the port of glibc's `expf`
+/// ([`crate::math::expf`]) needs. The scalar implementation and every
+/// vector one apply the same IEEE-754 operation per lane.
+pub trait WideLanes: Copy {
+    /// Broadcasts one element to every lane.
+    fn splat(v: f64) -> Self;
+    /// Lanewise addition.
+    fn add(self, o: Self) -> Self;
+    /// Lanewise subtraction.
+    fn sub(self, o: Self) -> Self;
+    /// Lanewise multiplication.
+    fn mul(self, o: Self) -> Self;
+    /// `self·b − c` rounded once, on every backend and under either FMA
+    /// policy: a hardware fused multiply-subtract, or [`f64::mul_add`]
+    /// (correctly rounded with or without FMA hardware) of `−c`.
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self;
+    /// glibc's `2^(k/32)` for the integer `k` that `self = k + 0x1.8p52`
+    /// holds in its low mantissa bits: the bits `T[k mod 32] + (k << 47)`
+    /// (wrapping), `T` being glibc's 32-entry table (`math::EXP2F_TABLE`).
+    fn exp2_k32(self) -> Self;
+}
+
+/// The scalar `f64` lane of [`ScalarLane`].
+#[derive(Clone, Copy, Debug)]
+pub struct ScalarF64(pub(crate) f64);
+
+/// [`WideLanes::exp2_k32`] of one lane, from the bits of `k + 0x1.8p52`.
+#[inline(always)]
+pub(crate) fn exp2_k32_bits(ki: u64) -> f64 {
+    f64::from_bits(crate::math::EXP2F_TABLE[(ki % 32) as usize].wrapping_add(ki << 47))
+}
+
+impl WideLanes for ScalarF64 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        ScalarF64(v)
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        ScalarF64(self.0 + o.0)
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        ScalarF64(self.0 - o.0)
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        ScalarF64(self.0 * o.0)
+    }
+    #[inline(always)]
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        ScalarF64(self.0.mul_add(b.0, -c.0))
+    }
+    #[inline(always)]
+    fn exp2_k32(self) -> Self {
+        ScalarF64(exp2_k32_bits(self.0.to_bits()))
+    }
 }
 
 /// The scalar fallback: one element per "vector", FMA policy in the type.
@@ -197,5 +278,19 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
         } else {
             self
         }
+    }
+
+    type Wide = ScalarF64;
+    #[inline(always)]
+    fn widen(self) -> ScalarF64 {
+        ScalarF64(f64::from(self.0))
+    }
+    #[inline(always)]
+    fn narrow(w: ScalarF64) -> Self {
+        ScalarLane(w.0 as f32)
+    }
+    #[inline(always)]
+    fn load_strided(src: &[f32], _stride: usize) -> Self {
+        ScalarLane(src[0])
     }
 }

@@ -54,6 +54,17 @@
 //! panels, started from its bias, and ends them in a compare-and-popcount
 //! instead of a store: each row's rank among logits it never writes.
 //!
+//! # Softmax cross-entropy
+//!
+//! [`softmax_xent_f32`] is the training loss over a whole logits block:
+//! per row the max, `expf(x − max)`, the sum, a divide per entry, the
+//! target's top-1 test and the gradient, in one dispatched pass. Its
+//! exponential is [`math::expf`], a port of glibc's `expf` that returns
+//! libm's bits (see [`math`]), evaluated in `f64` lanes
+//! ([`lanes::WideLanes`]). Each row's sum must stay one ascending chain,
+//! so that is the one step that vectorizes across rows: the chains of
+//! `WIDTH` rows run in the lanes of one vector, fed by strided loads.
+//!
 //! # FMA policy
 //!
 //! Whether `acc + x·w` contracts to a fused multiply-add used to be decided
@@ -691,6 +702,93 @@ pub fn rank_panels_f32_with(
     dispatch_f32!(
         sel,
         rank_panels_f32(batch, x, k_dim, n, panels, bias, targets, ranks)
+    )
+}
+
+/// Softmax cross-entropy over a block of logits rows, with its gradient:
+/// the loss step of a training minibatch in one pass. `logits` holds one
+/// row of `n` logits per entry of `targets`; row `r` writes its gradient
+/// `p·scale − onehot(t)·scale` to the same row of `dlogits`, its target
+/// probability `p_t` to `p_target[r]` and whether `t` is the top-1 class
+/// (no `p_j > p_t`, no `p_j == p_t` at `j < t`) to `top1[r]`.
+///
+/// Bit for bit, this is the per-row loop of a softmax through libm's
+/// `expf` on a glibc FMA host: max (NaN skipped), `expf(x − max)` by the
+/// port [`math::expf`], one ascending sum chain from `0.0`, one divide per
+/// entry — with that loop's edge cases: a row whose maximum is not finite
+/// takes its logits as the probabilities, a NaN sum leaves them undivided.
+/// Every backend gives the same bits, under either FMA policy: the one
+/// fused op, inside `expf`, is fused on all of them.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch or a target that is not a column.
+pub fn softmax_xent_f32(
+    n: usize,
+    logits: &[f32],
+    targets: &[usize],
+    scale: f32,
+    dlogits: &mut [f32],
+    p_target: &mut [f32],
+    top1: &mut [bool],
+) {
+    softmax_xent_f32_with(
+        current(),
+        n,
+        logits,
+        targets,
+        scale,
+        dlogits,
+        p_target,
+        top1,
+    )
+}
+
+/// [`softmax_xent_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`softmax_xent_f32`], or if the selection is unsupported.
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "the block, its targets and three outputs; see the `dispatch` module's SAFETY note"
+)]
+pub fn softmax_xent_f32_with(
+    sel: Selection,
+    n: usize,
+    logits: &[f32],
+    targets: &[usize],
+    scale: f32,
+    dlogits: &mut [f32],
+    p_target: &mut [f32],
+    top1: &mut [bool],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    let rows = targets.len();
+    assert_eq!(
+        logits.len(),
+        rows * n,
+        "softmax_xent: logits block mismatch"
+    );
+    assert_eq!(
+        dlogits.len(),
+        rows * n,
+        "softmax_xent: gradient block mismatch"
+    );
+    assert_eq!(
+        p_target.len(),
+        rows,
+        "softmax_xent: p_target length mismatch"
+    );
+    assert_eq!(top1.len(), rows, "softmax_xent: top1 length mismatch");
+    assert!(
+        targets.iter().all(|&t| t < n),
+        "softmax_xent: target class out of range"
+    );
+    dispatch_f32!(
+        sel,
+        softmax_xent_f32(n, logits, targets, scale, dlogits, p_target, top1)
     )
 }
 

@@ -1,8 +1,7 @@
-//! Portable elementwise `exp` / `sigmoid` / `tanh`, generic over the lane
-//! abstraction.
+//! Portable elementwise `exp` / `sigmoid` / `tanh` and a port of glibc's
+//! `expf`, generic over the lane abstraction.
 //!
-//! libm's `expf`/`tanhf` cannot be vectorized bit-compatibly, so the gate
-//! nonlinearities are implemented here once, generically over
+//! The gate nonlinearities are implemented here once, generically over
 //! [`Lanes`]: the scalar instantiation (`ScalarLane<_>`) and every
 //! vector instantiation execute the *same sequence of IEEE-754 operations*
 //! per element, which makes SIMD ≡ scalar a bitwise identity — the same
@@ -36,8 +35,29 @@
 //! replace): a NaN produced upstream — e.g. by a corrupted artifact or an
 //! `inf - inf` in the gate pre-activation — stays visible instead of
 //! being silently clamped into a confident finite activation.
+//!
+//! The softmax of the training loss needs more than a few ulps: its
+//! exponential feeds every trained weight, which used to come from libm's
+//! `f32::exp`. [`expf`] is glibc's `expf` — the build x86-64 glibc runs on
+//! FMA/AVX2 hardware, checked against glibc 2.36 — ported operation for
+//! operation, so it returns libm's bits on such a host — on every input,
+//! which the exhaustive test below checks — and the same bits on every
+//! other host and kernel backend. It evaluates in `f64` lanes
+//! ([`WideLanes`]):
+//!
+//! * `z = InvLn2N·x` with `N = 32`, rounded to the integer `k` by the
+//!   `0x1.8p52` shift, and `r = fma(InvLn2N, x, −k)` — the one fused op,
+//!   fused on every backend and under either FMA policy (glibc's FMA build
+//!   contracts this subtraction; without it, `expf(0xc27c65d9)` is an ulp
+//!   off);
+//! * `2^(k/32)` from a 32-entry table (`EXP2F_TABLE`), with `k/32`'s
+//!   integer part added to the exponent field;
+//! * `(C0·r + C1)·r² + (C2·r + 1)` unfused, times the scale, rounded once
+//!   to `f32`;
+//! * above `ln(2^128)` the result is `+inf`, below `ln(2^-150)` it is
+//!   `+0`, a NaN comes back unchanged.
 
-use crate::lanes::{Lanes, ScalarLane};
+use crate::lanes::{Lanes, ScalarLane, WideLanes};
 
 /// Below this, `exp` flushes to exactly `0.0` (the result would be below
 /// the smallest normal `f32`).
@@ -130,6 +150,104 @@ pub(crate) fn tanh_lanes<L: Lanes>(x: L) -> L {
     // |x| < 2^-12: tanh(x) rounds to x — return the magnitude exactly.
     let t = L::select_lt(a, L::splat(TANH_TINY), a, t);
     t.copysign(x)
+}
+
+/// glibc's `2^(i/32)` table, stored as `bits(2^(i/32)) − (i << 47)` so
+/// that adding `k << 47` to entry `k mod 32` yields `2^(k/32)` for any
+/// integer `k` whose result is a normal `f64`.
+pub(crate) static EXP2F_TABLE: [u64; 32] = [
+    0x3ff0_0000_0000_0000,
+    0x3fef_d9b0_d315_8574,
+    0x3fef_b558_6cf9_890f,
+    0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b,
+    0x3fef_5487_3168_b9aa,
+    0x3fef_387a_6e75_6238,
+    0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715,
+    0x3fee_f1a7_373a_a9cb,
+    0x3fee_dea6_4c12_3422,
+    0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27,
+    0x3fee_b42b_569d_4f82,
+    0x3fee_ab07_dd48_5429,
+    0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd,
+    0x3fee_9f75_e8ec_5f74,
+    0x3fee_a114_73eb_0187,
+    0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db,
+    0x3fee_b737_b0cd_c5e5,
+    0x3fee_c491_82a3_f090,
+    0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad,
+    0x3fee_ff76_f2fb_5e47,
+    0x3fef_199b_dd85_529c,
+    0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487,
+    0x3fef_7c97_337b_9b5f,
+    0x3fef_a4af_a2a4_90da,
+    0x3fef_d076_5b6e_4540,
+];
+
+/// `32/ln 2` (`0x1.71547652b82fep+5`).
+const EXPF_INV_LN2_N: u64 = 0x4047_1547_652b_82fe;
+/// `0x1.8p52`: adding and subtracting rounds an `|z| < 2^51` to an integer
+/// (ties to even), which the sum also holds in its low mantissa bits.
+const EXPF_SHIFT: u64 = 0x4338_0000_0000_0000;
+/// The polynomial `C0·r³ + C1·r² + C2·r + 1` ≈ `2^(r/32)`:
+/// `0x1.c6af84b912394p-20`, `0x1.ebfce50fac4f3p-13`,
+/// `0x1.62e42ff0c52d6p-6`.
+const EXPF_POLY: [u64; 3] = [
+    0x3ebc_6af8_4b91_2394,
+    0x3f2e_bfce_50fa_c4f3,
+    0x3f96_2e42_ff0c_52d6,
+];
+/// Above this (`0x1.62e42ep6`, ≈ 88.72 = `ln 2^128`) `expf` overflows to
+/// `+inf`.
+const EXPF_OVERFLOW: u32 = 0x42b1_7217;
+/// Below this (`-0x1.9fe368p6`, ≈ −103.97 = `ln 2^-150`) `expf` is `+0`.
+const EXPF_UNDERFLOW: u32 = 0xc2cf_f1b4;
+
+/// Lanewise port of glibc's `expf` (see the module docs): the one
+/// exponential of the training loss.
+#[inline(always)]
+pub(crate) fn expf_lanes<L: Lanes>(x: L) -> L {
+    type W<L> = <L as Lanes>::Wide;
+    let c = |bits: u64| W::<L>::splat(f64::from_bits(bits));
+    let (inv_ln2_n, shift) = (c(EXPF_INV_LN2_N), c(EXPF_SHIFT));
+    let xd = x.widen();
+    let shifted = inv_ln2_n.mul(xd).add(shift);
+    let kd = shifted.sub(shift);
+    let r = inv_ln2_n.mul_sub_fused(xd, kd);
+    let s = shifted.exp2_k32();
+    let [c0, c1, c2] = EXPF_POLY.map(c);
+    let z = c0.mul(r).add(c1);
+    let y = c2.mul(r).add(W::<L>::splat(1.0));
+    let y = z.mul(r.mul(r)).add(y);
+    let v = L::narrow(y.mul(s));
+    let v = L::select_lt(
+        L::splat(f32::from_bits(EXPF_OVERFLOW)),
+        x,
+        L::splat(f32::INFINITY),
+        v,
+    );
+    L::select_lt(
+        x,
+        L::splat(f32::from_bits(EXPF_UNDERFLOW)),
+        L::splat(0.0),
+        v,
+    )
+    .merge_nan(x)
+}
+
+/// glibc's `expf`, bit for bit (see the module docs) — the scalar form of
+/// the exponential of the vectorized softmax kernel, and the one the
+/// `nn` crate's softmax functions call. [`exp`] is the cheaper gate
+/// exponential, a few ulps from the true value.
+#[inline]
+pub fn expf(x: f32) -> f32 {
+    expf_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0
 }
 
 /// Scalar `exp` — the exact per-element function of the vectorized kernels
@@ -254,6 +372,102 @@ mod tests {
         }
     }
 
+    /// `expf` against the `f64` reference, and its edges: glibc's
+    /// thresholds, the infinities and NaN.
+    #[test]
+    fn expf_tracks_f64_reference_and_its_edges() {
+        for x in sweep().chain([0.0, -0.0, 1.0, -1.0, 10.0, -10.0, 88.0, -87.0]) {
+            if !(-87.0..=88.0).contains(&x) {
+                // Subnormal or overflowing results: pinned below.
+                continue;
+            }
+            let want = f64::from(x).exp();
+            let got = f64::from(expf(x));
+            assert!(
+                ((got - want) / want).abs() < f64::from(f32::EPSILON),
+                "expf({x}): got {got}, want {want}"
+            );
+        }
+        assert_eq!(expf(0.0).to_bits(), 1f32.to_bits());
+        assert_eq!(expf(-0.0).to_bits(), 1f32.to_bits());
+        assert_eq!(expf(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(expf(f32::INFINITY), f32::INFINITY);
+        assert!(expf(f32::from_bits(EXPF_OVERFLOW)) > 3.4e38);
+        assert_eq!(expf(f32::from_bits(EXPF_OVERFLOW + 1)), f32::INFINITY);
+        assert_eq!(expf(f32::from_bits(EXPF_UNDERFLOW)).to_bits(), 1, "2^-149");
+        assert_eq!(expf(f32::from_bits(EXPF_UNDERFLOW + 1)).to_bits(), 0);
+        assert_eq!(expf(-1000.0).to_bits(), 0);
+        assert!(expf(f32::NAN).is_nan());
+        // The two inputs that tell the fused `r` from an unfused one.
+        assert_eq!(expf(f32::from_bits(0x4202_422f)).to_bits(), 0x56fc_9f1c);
+        assert_eq!(expf(f32::from_bits(0xc27c_65d9)).to_bits(), 0x11fa_2993);
+    }
+
+    /// Whether glibc's `expf` runs its FMA build on this CPU. glibc picks the
+    /// variant at load time from the CPU (FMA and AVX2 usable), not from the
+    /// flags this crate was compiled with, so the check is a runtime one.
+    #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
+    fn glibc_runs_fma_expf() -> bool {
+        let fma = std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("avx2");
+        if !fma {
+            eprintln!("skipped: glibc runs its SSE2 expf on this CPU, not the FMA build");
+        }
+        fma
+    }
+
+    /// The port against glibc's `expf` — what `f32::exp` calls on a glibc
+    /// host, the FMA variant on an FMA/AVX2 CPU — on a sweep of the loss's
+    /// domain (`x − max ≤ 0`) and beyond. Both sides go through
+    /// `black_box`: LLVM folds `f32::exp` of a constant to its own value,
+    /// which is not always glibc's.
+    #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn expf_matches_glibc_on_a_sweep() {
+        use std::hint::black_box;
+        if !glibc_runs_fma_expf() {
+            return;
+        }
+        let step = 9_973;
+        for bits in (0..=u32::MAX).step_by(step) {
+            let x = f32::from_bits(bits);
+            let (got, want) = (expf(black_box(x)), black_box(x).exp());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "expf({bits:#010x}): port {:#010x}, libm {:#010x}",
+                got.to_bits(),
+                want.to_bits()
+            );
+        }
+    }
+
+    /// The same comparison over every `f32` bit pattern (NaN matches NaN):
+    /// about a minute in release, so it runs on request,
+    /// `cargo test --release -p icsad-simd -- --ignored`.
+    #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
+    #[test]
+    #[ignore = "exhaustive: 2^32 inputs, run in release with --ignored"]
+    fn expf_matches_glibc_on_every_input() {
+        use std::hint::black_box;
+        if !glibc_runs_fma_expf() {
+            return;
+        }
+        let mut mismatches = Vec::new();
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            let (got, want) = (expf(black_box(x)), black_box(x).exp());
+            if got.to_bits() != want.to_bits() && !(got.is_nan() && want.is_nan()) {
+                mismatches.push((bits, got.to_bits(), want.to_bits()));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "{} inputs differ (input, port, libm): {:#x?}",
+            mismatches.len(),
+            &mismatches[..mismatches.len().min(8)]
+        );
+    }
+
     #[test]
     fn fma_policy_does_not_affect_math() {
         // The math uses no fmac: both scalar policies are the same function.
@@ -263,6 +477,10 @@ mod tests {
             assert_eq!(plain.to_bits(), fused.to_bits());
             let plain = sigmoid_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0;
             let fused = sigmoid_lanes::<ScalarLane<true>>(ScalarLane::splat(x)).0;
+            assert_eq!(plain.to_bits(), fused.to_bits());
+            // `expf`'s one fused op is fused under both policies.
+            let plain = expf_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0;
+            let fused = expf_lanes::<ScalarLane<true>>(ScalarLane::splat(x)).0;
             assert_eq!(plain.to_bits(), fused.to_bits());
         }
     }

@@ -32,7 +32,8 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use crate::lanes::{Lanes, ScalarLane};
+use crate::lanes::{exp2_k32_bits, Lanes, ScalarLane, WideLanes};
+use crate::math::EXP2F_TABLE;
 
 /// 4 × `f32` SSE2 lanes; the FMA policy is a type parameter (`FUSED = true`
 /// uses `vfmadd` on 128-bit registers and is only dispatched on FMA
@@ -157,6 +158,100 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
             let m = _mm_cmpunord_ps(src.0, src.0);
             Sse2F32(_mm_or_ps(_mm_and_ps(m, src.0), _mm_andnot_ps(m, self.0)))
         }
+    }
+
+    type Wide = Sse2F64<FUSED>;
+    #[inline(always)]
+    fn widen(self) -> Sse2F64<FUSED> {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            Sse2F64([
+                _mm_cvtps_pd(self.0),
+                _mm_cvtps_pd(_mm_movehl_ps(self.0, self.0)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn narrow(w: Sse2F64<FUSED>) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe { Sse2F32(_mm_movelh_ps(_mm_cvtpd_ps(w.0[0]), _mm_cvtpd_ps(w.0[1]))) }
+    }
+    #[inline(always)]
+    fn load_strided(src: &[f32], stride: usize) -> Self {
+        assert!(3 * stride < src.len(), "sse2 strided load out of bounds");
+        let [a, b, c, d] = [0, 1, 2, 3].map(|l| src[l * stride]);
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        Sse2F32(unsafe { _mm_setr_ps(a, b, c, d) })
+    }
+}
+
+/// The `f64` lanes of [`Sse2F32`]: two 2 × `f64` registers. The fused
+/// multiply-subtract is `vfmsub` on FMA hardware (`FUSED = true`, the
+/// policy only dispatched there) and [`f64::mul_add`] per lane otherwise.
+#[derive(Clone, Copy, Debug)]
+pub struct Sse2F64<const FUSED: bool>([__m128d; 2]);
+
+impl<const FUSED: bool> Sse2F64<FUSED> {
+    #[inline(always)]
+    fn map2(self, o: Self, f: impl Fn(__m128d, __m128d) -> __m128d) -> Self {
+        Sse2F64([f(self.0[0], o.0[0]), f(self.0[1], o.0[1])])
+    }
+
+    /// The lanes as plain values, for the per-lane steps SSE2 has no
+    /// instruction for.
+    #[inline(always)]
+    fn to_array(self) -> [f64; 4] {
+        // SAFETY: two `__m128d` are four `f64`, bit for bit; no memory is read.
+        unsafe { std::mem::transmute::<[__m128d; 2], [f64; 4]>(self.0) }
+    }
+
+    #[inline(always)]
+    fn from_array(v: [f64; 4]) -> Self {
+        // SAFETY: four `f64` are two `__m128d`, bit for bit.
+        Sse2F64(unsafe { std::mem::transmute::<[f64; 4], [__m128d; 2]>(v) })
+    }
+}
+
+impl<const FUSED: bool> WideLanes for Sse2F64<FUSED> {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        let v = unsafe { _mm_set1_pd(v) };
+        Sse2F64([v, v])
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm_add_pd(a, b) })
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm_sub_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm_mul_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        if FUSED {
+            // SAFETY: `FUSED` SSE2 lanes are only dispatched on FMA CPUs.
+            unsafe {
+                Sse2F64([
+                    _mm_fmsub_pd(self.0[0], b.0[0], c.0[0]),
+                    _mm_fmsub_pd(self.0[1], b.0[1], c.0[1]),
+                ])
+            }
+        } else {
+            let (a, b, c) = (self.to_array(), b.to_array(), c.to_array());
+            Self::from_array(std::array::from_fn(|l| a[l].mul_add(b[l], -c[l])))
+        }
+    }
+    #[inline(always)]
+    fn exp2_k32(self) -> Self {
+        Self::from_array(self.to_array().map(|v| exp2_k32_bits(v.to_bits())))
     }
 }
 
@@ -283,6 +378,104 @@ impl Lanes for Avx2F32 {
             Avx2F32(_mm256_blendv_ps(self.0, src.0, m))
         }
     }
+
+    type Wide = Avx2F64;
+    #[inline(always)]
+    fn widen(self) -> Avx2F64 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            Avx2F64([
+                _mm256_cvtps_pd(_mm256_castps256_ps128(self.0)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(self.0)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn narrow(w: Avx2F64) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            Avx2F32(_mm256_set_m128(
+                _mm256_cvtpd_ps(w.0[1]),
+                _mm256_cvtpd_ps(w.0[0]),
+            ))
+        }
+    }
+    #[inline(always)]
+    fn load_strided(src: &[f32], stride: usize) -> Self {
+        let last = 7 * stride;
+        assert!(last < src.len(), "avx2 strided load out of bounds");
+        assert!(
+            i32::try_from(last).is_ok(),
+            "avx2 strided load: stride too long"
+        );
+        // SAFETY: every offset `l·stride` (l < 8) is at most `last`, which
+        // is in bounds and fits the gather's `i32` offsets (both checked
+        // above); the CPU feature is guaranteed per the module contract.
+        unsafe {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let offsets = _mm256_mullo_epi32(lane, _mm256_set1_epi32(stride as i32));
+            Avx2F32(_mm256_i32gather_ps::<4>(src.as_ptr(), offsets))
+        }
+    }
+}
+
+/// The `f64` lanes of [`Avx2F32`]: two 4 × `f64` registers.
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2F64([__m256d; 2]);
+
+impl Avx2F64 {
+    #[inline(always)]
+    fn map2(self, o: Self, f: impl Fn(__m256d, __m256d) -> __m256d) -> Self {
+        Avx2F64([f(self.0[0], o.0[0]), f(self.0[1], o.0[1])])
+    }
+}
+
+impl WideLanes for Avx2F64 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        let v = unsafe { _mm256_set1_pd(v) };
+        Avx2F64([v, v])
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm256_add_pd(a, b) })
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm256_sub_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm256_mul_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            Avx2F64([
+                _mm256_fmsub_pd(self.0[0], b.0[0], c.0[0]),
+                _mm256_fmsub_pd(self.0[1], b.0[1], c.0[1]),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn exp2_k32(self) -> Self {
+        Avx2F64(self.0.map(|h| {
+            // SAFETY: the gather reads `EXP2F_TABLE[ki & 31]`, always one of
+            // its 32 entries; the CPU feature is guaranteed per the module
+            // contract above.
+            unsafe {
+                let ki = _mm256_castpd_si256(h);
+                let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+                let t = _mm256_i64gather_epi64::<8>(EXP2F_TABLE.as_ptr().cast(), idx);
+                _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)))
+            }
+        }))
+    }
 }
 
 /// 16 × `f32` AVX-512 lanes, always fused.
@@ -399,6 +592,111 @@ impl Lanes for Avx512F32 {
         unsafe {
             let m = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(src.0, src.0);
             Avx512F32(_mm512_mask_blend_ps(m, self.0, src.0))
+        }
+    }
+
+    type Wide = Avx512F64;
+    #[inline(always)]
+    fn widen(self) -> Avx512F64 {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self.0));
+            Avx512F64([
+                _mm512_cvtps_pd(_mm512_castps512_ps256(self.0)),
+                _mm512_cvtps_pd(_mm256_castpd_ps(hi)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn narrow(w: Avx512F64) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(w.0[0])));
+            let hi = _mm256_castps_pd(_mm512_cvtpd_ps(w.0[1]));
+            Avx512F32(_mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi)))
+        }
+    }
+    #[inline(always)]
+    fn load_strided(src: &[f32], stride: usize) -> Self {
+        let last = 15 * stride;
+        assert!(last < src.len(), "avx512 strided load out of bounds");
+        assert!(
+            i32::try_from(last).is_ok(),
+            "avx512 strided load: stride too long"
+        );
+        // SAFETY: every offset `l·stride` (l < 16) is at most `last`, which
+        // is in bounds and fits the gather's `i32` offsets (both checked
+        // above); the CPU feature is guaranteed per the module contract.
+        unsafe {
+            let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let offsets = _mm512_mullo_epi32(lane, _mm512_set1_epi32(stride as i32));
+            Avx512F32(_mm512_i32gather_ps::<4>(offsets, src.as_ptr()))
+        }
+    }
+}
+
+/// The `f64` lanes of [`Avx512F32`]: two 8 × `f64` registers.
+#[derive(Clone, Copy, Debug)]
+pub struct Avx512F64([__m512d; 2]);
+
+impl Avx512F64 {
+    #[inline(always)]
+    fn map2(self, o: Self, f: impl Fn(__m512d, __m512d) -> __m512d) -> Self {
+        Avx512F64([f(self.0[0], o.0[0]), f(self.0[1], o.0[1])])
+    }
+}
+
+impl WideLanes for Avx512F64 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        let v = unsafe { _mm512_set1_pd(v) };
+        Avx512F64([v, v])
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm512_add_pd(a, b) })
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm512_sub_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        self.map2(o, |a, b| unsafe { _mm512_mul_pd(a, b) })
+    }
+    #[inline(always)]
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            Avx512F64([
+                _mm512_fmsub_pd(self.0[0], b.0[0], c.0[0]),
+                _mm512_fmsub_pd(self.0[1], b.0[1], c.0[1]),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn exp2_k32(self) -> Self {
+        // The 32-entry table as four registers: two two-source permutes
+        // pick entry `ki mod 16` of each half (they read only the index's
+        // low 4 bits) and bit 4 chooses between them — no gather.
+        // SAFETY: the loads read the 32 entries of `EXP2F_TABLE` in four
+        // whole 8-entry rows; the rest is register-only, and the CPU
+        // feature is guaranteed per the module contract above.
+        unsafe {
+            let tab = EXP2F_TABLE.as_ptr();
+            let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|o| _mm512_loadu_si512(tab.add(o).cast()));
+            Avx512F64(self.0.map(|h| {
+                let ki = _mm512_castpd_si512(h);
+                let lo = _mm512_permutex2var_epi64(t0, ki, t1);
+                let hi = _mm512_permutex2var_epi64(t2, ki, t3);
+                let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+                let t = _mm512_mask_blend_epi64(upper, lo, hi);
+                _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)))
+            }))
         }
     }
 }

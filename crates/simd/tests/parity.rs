@@ -12,7 +12,8 @@ use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
     axpy_f32_with, gemm_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
     gemm_panels_acc_f32_with, lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with,
-    rank_panels_f32_with, supported_selections, Backend, PanelsF32, Selection,
+    rank_panels_f32_with, softmax_xent_f32_with, supported_selections, Backend, PanelsF32,
+    Selection,
 };
 use proptest::prelude::*;
 
@@ -956,6 +957,174 @@ proptest! {
             let mut got = vec![0u32; batch];
             rank_panels_f32_with(sel, batch, &x, &panels, &bias, &targets, &mut got);
             prop_assert_eq!(got, want, "{} {}x{}x{} tie {}", sel.label(), batch, k_dim, n, c);
+        }
+    }
+}
+
+/// The per-row loss loop the softmax kernel replaces, sharing no code with
+/// it: max by `f32::max`, `expf(x − max)` summed left to right, a divide
+/// per entry (rows with a non-finite max, or a NaN sum, keep what they
+/// hold), the target's rank scan, then `p·scale` and `− scale` at the
+/// target. Returns the gradient row, `p_t` and the top-1 bit.
+fn reference_xent(logits: &[f32], t: usize, scale: f32) -> (Vec<f32>, f32, bool) {
+    let mut p = logits.to_vec();
+    let max = p.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    if max.is_finite() {
+        let mut sum = 0.0f32;
+        for x in p.iter_mut() {
+            *x = icsad_simd::math::expf(*x - max);
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in p.iter_mut() {
+                *x /= sum;
+            }
+        }
+    }
+    let pt = p[t];
+    let top1 = !p
+        .iter()
+        .enumerate()
+        .any(|(j, &pj)| pj > pt || (pj == pt && j < t));
+    let mut d: Vec<f32> = p.iter().map(|&pj| pj * scale).collect();
+    d[t] -= scale;
+    (d, pt, top1)
+}
+
+/// Row widths for the softmax kernel: every remainder class around one,
+/// two and three vectors of each backend, and the ledger workloads' and
+/// the paper's heads (169, 379, 878). Interpreted runs keep a few.
+#[cfg(not(miri))]
+const XENT_WIDTHS: &[usize] = &[
+    1, 2, 7, 8, 15, 16, 17, 31, 32, 33, 47, 48, 49, 169, 379, 878,
+];
+#[cfg(miri)]
+const XENT_WIDTHS: &[usize] = &[1, 2, 7, 17];
+
+/// Rows per block: 16-row (AVX-512), 8-row and single-row sum groups in
+/// one call, every row kind below at several positions.
+#[cfg(not(miri))]
+const XENT_ROWS: usize = 16 + 8 + 16 + 3;
+#[cfg(miri)]
+const XENT_ROWS: usize = 13;
+
+/// A block of `rows` logits rows of width `n` and one target per row, by
+/// row kind (`r % 12`): ordinary rows with the target at a drawn column,
+/// at 0 and at the last column; tied maxima with the target on the right
+/// (not top-1) and on the left of the tie; a row of `+0`/`−0` only; a row
+/// whose other entries sit more than 104 below its maximum (their `exp`
+/// is `+0`, and the target is one of them); a NaN entry; an all-`−inf`
+/// row; an `+inf` entry; NaN and `−inf` only; a row spanning the whole
+/// `expf` domain below its maximum of `0`.
+fn xent_block(n: usize, rows: usize, salt: u32) -> (Vec<f32>, Vec<usize>) {
+    let mut logits = Vec::with_capacity(rows * n);
+    let mut targets = Vec::with_capacity(rows);
+    for r in 0..rows {
+        let raw = operand(n, salt ^ (r as u32).wrapping_mul(0x85eb_ca6b));
+        let drawn = (salt as usize).wrapping_add(r * 7919) % n;
+        let mut row: Vec<f32> = raw.iter().map(|&v| v * 7.5).collect();
+        let (a, b) = (drawn / 2, (drawn + n) / 2);
+        let t = match r % 12 {
+            0 => drawn,
+            1 => 0,
+            2 => n - 1,
+            3 | 4 => {
+                row[a] = 40.0;
+                row[b] = 40.0;
+                if r % 12 == 3 {
+                    b
+                } else {
+                    a
+                }
+            }
+            5 => {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = if j % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                drawn
+            }
+            6 => {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = -60.0 - j as f32;
+                }
+                row[a] = 50.0;
+                if drawn == a {
+                    n - 1
+                } else {
+                    drawn
+                }
+            }
+            7 => {
+                row[drawn] = f32::NAN;
+                a
+            }
+            8 => {
+                row.fill(f32::NEG_INFINITY);
+                drawn
+            }
+            9 => {
+                row[b] = f32::INFINITY;
+                drawn
+            }
+            10 => {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = if j % 3 == 0 {
+                        f32::NAN
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                }
+                drawn
+            }
+            _ => {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = -110.0 * j as f32 / n as f32;
+                }
+                drawn
+            }
+        };
+        logits.extend_from_slice(&row);
+        targets.push(t);
+    }
+    (logits, targets)
+}
+
+/// The softmax cross-entropy kernel on every supported selection equals
+/// the per-row loop ([`reference_xent`]) bitwise: gradient rows, `p_t`
+/// and the top-1 bit, for every row kind of [`xent_block`] at every width
+/// of [`XENT_WIDTHS`], in blocks that mix every sum-group height, and one
+/// row at a time.
+#[test]
+fn softmax_xent_matches_the_per_row_loop_bitwise() {
+    let scale = 0.1f32;
+    // An empty block is a no-op, whatever its width.
+    for sel in supported_selections() {
+        for n in [0, 5] {
+            softmax_xent_f32_with(sel, n, &[], &[], scale, &mut [], &mut [], &mut []);
+        }
+    }
+    for &n in XENT_WIDTHS {
+        for (rows, salt) in [(XENT_ROWS, 7u32), (1, 11)] {
+            let (logits, targets) = xent_block(n, rows, salt);
+            let mut want_d = Vec::with_capacity(rows * n);
+            let mut want_p = Vec::with_capacity(rows);
+            let mut want_top1 = Vec::with_capacity(rows);
+            for (row, &t) in logits.chunks_exact(n).zip(&targets) {
+                let (d, p, top1) = reference_xent(row, t, scale);
+                want_d.extend_from_slice(&d);
+                want_p.push(p);
+                want_top1.push(top1);
+            }
+            for sel in supported_selections() {
+                let what = format!("softmax_xent {} n {n} rows {rows}", sel.label());
+                let mut d = vec![f32::NAN; rows * n];
+                let mut p = vec![f32::NAN; rows];
+                let mut top1 = vec![false; rows];
+                softmax_xent_f32_with(sel, n, &logits, &targets, scale, &mut d, &mut p, &mut top1);
+                assert_bits_eq(&d, &want_d, &what);
+                assert_bits_eq(&p, &want_p, &what);
+                assert_eq!(top1, want_top1, "{what}");
+            }
         }
     }
 }
