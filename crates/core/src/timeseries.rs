@@ -5,7 +5,7 @@ use icsad_dataset::{Fragments, Record};
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
 use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
 use icsad_nn::{
-    loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, Sequence,
+    loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, SequenceBlock,
     StreamState, Trainer, TrainingConfig,
 };
 use rand_chacha::rand_core::SeedableRng;
@@ -253,19 +253,14 @@ impl TimeSeriesDetector {
         })?;
         let mut noise_rng = ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15);
         let mut stats = Vec::with_capacity(config.epochs);
-        let sequences = |lambda, rng: &mut ChaCha12Rng| {
-            build_sequences(&encoder, vocabulary, &prepared, lambda, rng)
-        };
-        let clean: Option<Vec<Sequence>> = if config.noise_lambda.is_none() {
-            Some(sequences(None, &mut noise_rng))
-        } else {
-            None
-        };
+        // One block serves every epoch: refilled each epoch with noise,
+        // built once and lent to every epoch without it.
+        let mut sequences = SequenceBlock::new(encoder.dims());
         for epoch in 0..config.epochs {
-            let sequences = match (&clean, config.noise_lambda) {
-                (Some(seqs), _) => seqs.clone(),
-                (None, lambda) => sequences(lambda, &mut noise_rng),
-            };
+            if epoch == 0 || config.noise_lambda.is_some() {
+                let (lambda, rng) = (config.noise_lambda, &mut noise_rng);
+                build_sequences(&encoder, vocabulary, &prepared, lambda, rng, &mut sequences);
+            }
             stats.push(trainer.fit_epoch(&mut model, &sequences, epoch));
         }
         let detector = TimeSeriesDetector::assemble(
@@ -667,49 +662,44 @@ impl TimeSeriesDetector {
     }
 }
 
-/// The training sequences of one epoch: each fragment's packages one-hot
-/// encoded, each step targeting the next package's class id. With
-/// `noise_lambda`, a package whose signature occurs `#s` times is replaced
-/// with probability `λ/(λ+#s)` by a mutated vector with its noise bit set
-/// (§V-3).
+/// Fills `block` with the training sequences of one epoch: each
+/// fragment's packages one-hot encoded, each step targeting the next
+/// package's class id. With `noise_lambda`, a package whose signature
+/// occurs `#s` times is replaced with probability `λ/(λ+#s)` by a mutated
+/// vector with its noise bit set (§V-3).
 fn build_sequences(
     encoder: &OneHotEncoder,
     vocabulary: &SignatureVocabulary,
     prepared: &[(Vec<DiscreteVector>, Vec<usize>)],
     noise_lambda: Option<f64>,
     rng: &mut ChaCha12Rng,
-) -> Vec<Sequence> {
+    block: &mut SequenceBlock,
+) {
     use rand::Rng;
     let cards = encoder.cardinalities();
-    prepared
-        .iter()
-        .map(|(vectors, targets)| {
-            let steps: Vec<(Vec<f32>, usize)> = vectors[..vectors.len() - 1]
-                .iter()
-                .zip(targets.iter())
-                .map(|(vec, &target)| {
-                    let encoded = match noise_lambda {
-                        Some(lambda) => {
-                            let count = vocabulary
-                                .id_of_vector(vec)
-                                .map_or(0, |id| vocabulary.count(id));
-                            let p = lambda / (lambda + count as f64);
-                            if rng.gen::<f64>() < p {
-                                let mut noisy = *vec;
-                                mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
-                                encoder.encode(&noisy, true)
-                            } else {
-                                encoder.encode(vec, false)
-                            }
-                        }
-                        None => encoder.encode(vec, false),
-                    };
-                    (encoded, target)
-                })
-                .collect();
-            Sequence::new(steps)
-        })
-        .collect()
+    block.clear();
+    for (vectors, targets) in prepared {
+        block.begin_sequence();
+        for (vec, &target) in vectors[..vectors.len() - 1].iter().zip(targets) {
+            let row = block.push_step(target);
+            match noise_lambda {
+                Some(lambda) => {
+                    let count = vocabulary
+                        .id_of_vector(vec)
+                        .map_or(0, |id| vocabulary.count(id));
+                    let p = lambda / (lambda + count as f64);
+                    if rng.gen::<f64>() < p {
+                        let mut noisy = *vec;
+                        mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
+                        encoder.encode_into(&noisy, true, row);
+                    } else {
+                        encoder.encode_into(vec, false, row);
+                    }
+                }
+                None => encoder.encode_into(vec, false, row),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
+use icsad_simd::{col_sum_acc_f32, gemm_panels_acc_f32, gemm_panels_bias_f32, PanelsF32};
 
-use crate::tensor::{axpy, gemm_panels_acc, outer_dense_acc, Tensor2, Weights};
+use crate::tensor::{outer_dense_acc, Tensor2, Weights};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,9 +69,9 @@ impl Dense {
     /// a `batch x input_dim` block into a `batch x output_dim` block, as one
     /// register-blocked matrix–matrix product (the projection input is a
     /// dense hidden activation) over the weights' panel-major copy
-    /// ([`crate::tensor::Weights::panels`], packed on first use). It is the
-    /// head's one forward: inference and the training forward pass both
-    /// call it.
+    /// ([`crate::tensor::Weights::panels`], packed on first use), its
+    /// accumulators started from the bias. It is the head's one forward:
+    /// inference and the training forward pass both call it.
     ///
     /// # Panics
     ///
@@ -79,10 +79,7 @@ impl Dense {
     pub fn forward_batch(&self, batch: usize, x: &[f32], out: &mut [f32]) {
         let n = self.b.len();
         assert_eq!(out.len(), batch * n, "dense batch output mismatch");
-        for row in out.chunks_exact_mut(n) {
-            row.copy_from_slice(&self.b);
-        }
-        gemm_panels_acc(batch, x, &self.w, out);
+        gemm_panels_bias_f32(batch, x, self.w.panels(), &self.b, out);
     }
 
     /// Accumulates parameter gradients and writes the input gradient for a
@@ -94,7 +91,7 @@ impl Dense {
     /// receives `dY Wᵀ` (overwritten, not accumulated). Parameter
     /// gradients run as single batched kernels — `dW += Xᵀ dY` (dense: `x`
     /// is a hidden activation, transposed into the pooled `xt`) and the
-    /// bias row-sum — streaming the weight matrix once per batch.
+    /// bias column sum — streaming the weight matrix once per batch.
     #[allow(clippy::too_many_arguments, reason = "operands, sinks and scratch")]
     pub(crate) fn backward_batch(
         &self,
@@ -107,10 +104,7 @@ impl Dense {
         xt: &mut Vec<f32>,
     ) {
         outer_dense_acc(batch, x, dy, &mut grad.w, xt);
-        // a = 1.0 keeps fused and plain accumulation bitwise identical.
-        for row in dy.chunks_exact(self.b.len()) {
-            axpy(1.0, row, &mut grad.b);
-        }
+        col_sum_acc_f32(dy, &mut grad.b);
         dx.fill(0.0);
         gemm_panels_acc_f32(batch, dy, wt, dx);
     }

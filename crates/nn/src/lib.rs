@@ -14,14 +14,16 @@
 //!   needs,
 //! * [`LstmLayer`] — one LSTM layer with full backpropagation through time,
 //! * [`Dense`] — the projection onto signature logits,
-//! * [`loss`] — numerically stable softmax cross-entropy and top-k ranks,
+//! * [`loss`] — top-k ranks (the softmax cross-entropy itself is one
+//!   dispatched kernel, [`icsad_simd::softmax_xent_f32`]),
 //! * [`LstmClassifier`] — the stacked network and its one batched forward,
 //!   which steps any number of streams (stateful, one package each) for
 //!   online detection and whole minibatches for training, plus
 //!   (de)serialization,
 //! * [`Trainer`] — truncated-BPTT training with Adam over variable-length
-//!   sequences, with deterministic data-parallel gradient accumulation on
-//!   scoped threads (bit-identical weights for any worker count).
+//!   sequences held in one flat [`SequenceBlock`], with deterministic
+//!   data-parallel gradient accumulation on scoped threads (bit-identical
+//!   weights for any worker count).
 //!
 //! # Examples
 //!
@@ -92,4 +94,6 @@ pub use lstm::{LaneSchedule, LstmLayer, LstmState};
 pub use model::{
     BackwardPack, ForwardScratch, Gradients, LstmClassifier, ModelConfig, StreamState, TrainScratch,
 };
-pub use trainer::{EpochStats, Sequence, Trainer, TrainerConfigError, TrainingConfig};
+pub use trainer::{
+    EpochStats, Sequence, SequenceBlock, Trainer, TrainerConfigError, TrainingConfig,
+};

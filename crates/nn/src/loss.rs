@@ -1,26 +1,8 @@
-//! Softmax cross-entropy loss and top-k utilities (paper §V-1/V-2).
+//! Top-k utilities over a prediction (paper §V-1/V-2).
 //!
-//! Training takes the loss, the top-1 bit and the logits gradient of a
-//! whole minibatch in one pass of [`icsad_simd::softmax_xent_f32`];
-//! [`softmax_cross_entropy`] is the one-row loss with the same
-//! probabilities.
-
-use crate::activations::softmax_in_place;
-
-/// Computes softmax probabilities in place from logits and returns the
-/// cross-entropy loss `-ln p[target]`.
-///
-/// On return `logits` holds the probability vector. The probability is
-/// floored at `1e-12` to keep the loss finite.
-///
-/// # Panics
-///
-/// Panics if `target` is out of range.
-pub fn softmax_cross_entropy(logits: &mut [f32], target: usize) -> f32 {
-    assert!(target < logits.len(), "target class out of range");
-    softmax_in_place(logits);
-    -(logits[target].max(1e-12)).ln()
-}
+//! The softmax cross-entropy itself — the loss, the top-1 bit and the
+//! logits gradient of a whole minibatch — is one pass of
+//! [`icsad_simd::softmax_xent_f32`]; a single row is a one-row call.
 
 /// Returns the indices of the `k` highest-probability classes in descending
 /// order (ties broken by lower index).
@@ -64,50 +46,58 @@ pub fn rank_of(probs: &[f32], target: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// One row through the training loss kernel (`scale` 1): the
+    /// probabilities, the cross-entropy `−ln p_target` and the gradient
+    /// `p − onehot(target)`.
+    fn xent_row(logits: &[f32], target: usize) -> (Vec<f32>, f32, Vec<f32>) {
+        let n = logits.len();
+        let (mut grad, mut p_t) = (vec![0.0f32; n], [0.0f32]);
+        icsad_simd::softmax_xent_f32(n, logits, &[target], 1.0, &mut grad, &mut p_t, &mut [false]);
+        let mut probs = grad.clone();
+        probs[target] = p_t[0];
+        (probs, -(p_t[0].max(1e-12)).ln(), grad)
+    }
+
     #[test]
     fn loss_decreases_with_correct_confidence() {
-        let mut low = vec![0.0f32, 0.0];
-        let l_low = softmax_cross_entropy(&mut low, 0);
-        let mut high = vec![5.0f32, 0.0];
-        let l_high = softmax_cross_entropy(&mut high, 0);
+        let (_, l_low, _) = xent_row(&[0.0, 0.0], 0);
+        let (_, l_high, _) = xent_row(&[5.0, 0.0], 0);
         assert!(l_high < l_low);
     }
 
     #[test]
     fn loss_is_ln2_for_uniform_binary() {
-        let mut logits = vec![1.0f32, 1.0];
-        let loss = softmax_cross_entropy(&mut logits, 1);
+        let (_, loss, _) = xent_row(&[1.0, 1.0], 1);
         assert!((loss - std::f32::consts::LN_2).abs() < 1e-6);
     }
 
     #[test]
-    fn probs_replace_logits() {
-        let mut logits = vec![2.0f32, 0.0, -1.0];
-        softmax_cross_entropy(&mut logits, 0);
-        let sum: f32 = logits.iter().sum();
+    fn probabilities_sum_to_one_in_logit_order() {
+        let (p, _, _) = xent_row(&[1.0, 2.0, 3.0], 0);
+        let sum: f32 = p.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6);
+        assert!(p[2] > p[1] && p[1] > p[0]);
+    }
+
+    #[test]
+    fn softmax_stable_for_large_logits() {
+        let (p, _, _) = xent_row(&[1000.0, 1001.0, 999.0], 2);
+        assert!(p.iter().all(|x| x.is_finite()));
+        let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
     }
 
-    /// The gradient the training loss kernel writes for one row of
-    /// `logits` (`scale` 1): `p − onehot(target)`.
-    fn kernel_grad(logits: &[f32], target: usize) -> Vec<f32> {
-        let mut grad = vec![0.0f32; logits.len()];
-        let n = logits.len();
-        icsad_simd::softmax_xent_f32(
-            n,
-            logits,
-            &[target],
-            1.0,
-            &mut grad,
-            &mut [0.0],
-            &mut [false],
-        );
-        grad
+    #[test]
+    fn softmax_uniform_for_equal_logits() {
+        let (p, _, _) = xent_row(&[5.0; 4], 3);
+        for x in p {
+            assert!((x - 0.25).abs() < 1e-6);
+        }
     }
 
     #[test]
     fn gradient_sums_to_zero() {
-        let grad = kernel_grad(&[1.0, 2.0, 3.0], 1);
+        let (_, _, grad) = xent_row(&[1.0, 2.0, 3.0], 1);
         let sum: f32 = grad.iter().sum();
         assert!(sum.abs() < 1e-6);
         assert!(grad[1] < 0.0, "target gradient must be negative");
@@ -117,16 +107,14 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let logits = vec![0.5f32, -0.3, 1.2, 0.0];
         let target = 2;
-        let grad = kernel_grad(&logits, target);
+        let (_, _, grad) = xent_row(&logits, target);
         let eps = 1e-3f32;
         for i in 0..4 {
             let mut lp = logits.clone();
             lp[i] += eps;
             let mut lm = logits.clone();
             lm[i] -= eps;
-            let fp = softmax_cross_entropy(&mut lp, target);
-            let fm = softmax_cross_entropy(&mut lm, target);
-            let numeric = (fp - fm) / (2.0 * eps);
+            let numeric = (xent_row(&lp, target).1 - xent_row(&lm, target).1) / (2.0 * eps);
             assert!(
                 (numeric - grad[i]).abs() < 1e-2,
                 "grad[{i}]: {numeric} vs {}",
@@ -180,7 +168,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_target_panics() {
-        let mut logits = vec![0.0f32; 2];
-        softmax_cross_entropy(&mut logits, 5);
+        xent_row(&[0.0; 2], 5);
     }
 }

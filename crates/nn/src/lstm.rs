@@ -14,14 +14,14 @@
 //! The four gate blocks are fused into single `W (in × 4H)`, `U (H × 4H)`
 //! and `b (4H)` parameters in `[i, f, o, g]` order.
 
-use icsad_simd::{gemm_panels_acc_f32, PanelsF32};
+use icsad_simd::{
+    col_sum_acc_f32, gemm_bias_f32, gemm_panels_acc_f32, gemm_panels_bias_f32,
+    lstm_backward_rows_f32, PanelsF32,
+};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::activations::{sigmoid_deriv_from_output, tanh_deriv_from_output};
-use crate::tensor::{
-    axpy, gemm_acc, gemm_panels_acc, grow, outer_acc, outer_dense_acc, Tensor2, Weights,
-};
+use crate::tensor::{gemm_panels_acc, grow, outer_acc, outer_dense_acc, Tensor2, Weights};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,16 +314,15 @@ impl LstmLayer {
 
     /// Bias rows plus the input projection, `z[r] = b + x[r]ᵀ W`, for every
     /// row of `x_cat` at once — the first half of
-    /// [`LstmLayer::forward_schedule`].
+    /// [`LstmLayer::forward_schedule`]. The products start their
+    /// accumulators from the bias, so no pass copies it into `z` first.
     pub(crate) fn project_input(&self, x_cat: &[f32], z: &mut [f32], sparse_input: bool) {
         let rows = z.len() / (4 * self.hidden_dim);
-        for row in z.chunks_exact_mut(4 * self.hidden_dim) {
-            row.copy_from_slice(&self.b);
-        }
         if sparse_input {
-            gemm_acc(rows, x_cat, &self.w, z);
+            let (k_dim, n) = (self.w.rows(), self.w.cols());
+            gemm_bias_f32(rows, x_cat, k_dim, self.w.as_slice(), n, &self.b, z);
         } else {
-            gemm_panels_acc(rows, x_cat, &self.w, z);
+            gemm_panels_bias_f32(rows, x_cat, self.w.panels(), &self.b, z);
         }
     }
 
@@ -396,13 +395,15 @@ impl LstmLayer {
     /// pass's flag: a one-hot input keeps the zero-skipping [`outer_acc`]
     /// for `dW`, a dense one takes [`outer_dense_acc`].
     ///
-    /// Only the per-element gate calculus and the recurrent `dz Uᵀ`
-    /// product walk time; the parameter gradients `dW += Xᵀ dZ`,
-    /// `dU += H_prevᵀ dZ` and the input gradient `dX = dZ Wᵀ` each run as
-    /// one batched kernel over all `total` rows, streaming every weight
-    /// matrix once per chunk instead of once per timestep. Contraction
-    /// order per element is the concatenation order, fixed by the
-    /// schedule — independent of SIMD backend and worker count.
+    /// Only the per-element gate calculus (one dispatched kernel per
+    /// timestep, [`icsad_simd::lstm_backward_rows_f32`]) and the recurrent
+    /// `dz Uᵀ` product walk time; the parameter gradients `dW += Xᵀ dZ`,
+    /// `dU += H_prevᵀ dZ`, the bias column sum and the input gradient
+    /// `dX = dZ Wᵀ` each run as one batched kernel over all `total` rows,
+    /// streaming every weight matrix once per chunk instead of once per
+    /// timestep. Contraction order per element is the concatenation order,
+    /// fixed by the schedule — independent of SIMD backend and worker
+    /// count.
     #[allow(clippy::too_many_arguments, reason = "the BPTT operands and sinks")]
     pub(crate) fn backward_batch(
         &self,
@@ -436,35 +437,23 @@ impl LstmLayer {
         for t in (0..sched.steps()).rev() {
             let n = sched.counts[t];
             let r0 = sched.offsets[t];
-            for i in 0..n {
-                let r = r0 + i;
-                let gates = &tape.z[r * 4 * hd..(r + 1) * 4 * hd];
-                let (i_gate, rest) = gates.split_at(hd);
-                let (f_gate, rest) = rest.split_at(hd);
-                let (o_gate, g_gate) = rest.split_at(hd);
-                let tc = &tape.tc[r * hd..(r + 1) * hd];
-                let d_out_r = &d_out[r * hd..(r + 1) * hd];
-                let dzr = &mut dz[r * 4 * hd..(r + 1) * 4 * hd];
-                let dh_r = &dh_next[i * hd..(i + 1) * hd];
-                let dc_r = &mut dc_next[i * hd..(i + 1) * hd];
-                let c_prev = (t > 0).then(|| {
-                    let p = (sched.offsets[t - 1] + i) * hd;
-                    &tape.c[p..p + hd]
-                });
-                for j in 0..hd {
-                    let dh = d_out_r[j] + dh_r[j];
-                    let d_o = dh * tc[j];
-                    let dc = dh * o_gate[j] * tanh_deriv_from_output(tc[j]) + dc_r[j];
-                    let d_i = dc * g_gate[j];
-                    let d_g = dc * i_gate[j];
-                    let d_f = dc * c_prev.map_or(0.0, |c| c[j]);
-                    dzr[j] = d_i * sigmoid_deriv_from_output(i_gate[j]);
-                    dzr[hd + j] = d_f * sigmoid_deriv_from_output(f_gate[j]);
-                    dzr[2 * hd + j] = d_o * sigmoid_deriv_from_output(o_gate[j]);
-                    dzr[3 * hd + j] = d_g * tanh_deriv_from_output(g_gate[j]);
-                    dc_r[j] = dc * f_gate[j];
-                }
-            }
+            let rows = r0 * hd..(r0 + n) * hd;
+            let gates = r0 * 4 * hd..(r0 + n) * 4 * hd;
+            // The lanes active at `t` are a prefix of those at `t - 1`.
+            let c_prev = (t > 0).then(|| {
+                let p0 = sched.offsets[t - 1];
+                &tape.c[p0 * hd..(p0 + n) * hd]
+            });
+            lstm_backward_rows_f32(
+                hd,
+                &tape.z[gates.clone()],
+                &tape.tc[rows.clone()],
+                c_prev,
+                &d_out[rows],
+                &dh_next[..n * hd],
+                &mut dc_next[..n * hd],
+                &mut dz[gates],
+            );
             // Hidden gradient for t-1: overwrite the prefix active at `t`.
             // Rows beyond it belong to lanes that end before `t`; every
             // later (higher-t) write was at most this wide, so they are
@@ -497,11 +486,7 @@ impl LstmLayer {
             }
         }
         outer_dense_acc(total, h_prev, dz, &mut grad.u, &mut scratch.xt);
-        // a = 1.0 makes fused and plain accumulation identical, so the bias
-        // gradient is FMA-policy independent like the plain adds it replaces.
-        for row in dz.chunks_exact(4 * hd) {
-            axpy(1.0, row, &mut grad.b);
-        }
+        col_sum_acc_f32(dz, &mut grad.b);
         if let Some(wt) = wt {
             d_inputs.fill(0.0);
             gemm_panels_acc_f32(total, dz, wt, d_inputs);
@@ -537,8 +522,8 @@ impl LstmLayer {
     /// batched step cannot hide on both sides of the comparison.
     pub(crate) fn forward(&self, x: &[f32], state: &mut LstmState, out_h: &mut [f32]) {
         let mut z = self.b.clone();
-        gemm_acc(1, x, &self.w, &mut z);
-        gemm_acc(1, &state.h, &self.u, &mut z);
+        crate::tensor::gemm_acc(1, x, &self.w, &mut z);
+        crate::tensor::gemm_acc(1, &state.h, &self.u, &mut z);
         icsad_simd::lstm_rows_f32(self.hidden_dim, &mut z, &mut state.c, &mut state.h, None);
         out_h.copy_from_slice(&state.h);
     }

@@ -333,9 +333,8 @@ impl LstmClassifier {
     /// state and writing the raw class logits into `out` (no softmax).
     /// Softmax is strictly monotone, so top-`k` membership and ranks
     /// computed on logits equal those computed on probabilities — detection
-    /// skips `num_classes` exponentials per package, and a caller that wants
-    /// the distribution applies [`crate::activations::softmax_in_place`]
-    /// itself.
+    /// skips `num_classes` exponentials per package; the softmax itself is
+    /// [`icsad_simd::softmax_xent_f32`], the training loss's kernel.
     ///
     /// This is a one-lane round of the gathered step
     /// ([`LstmClassifier::forward_batch_gathered_logits`]) on buffers the
@@ -653,11 +652,14 @@ impl LstmClassifier {
         }
     }
 
-    /// Runs truncated BPTT over a minibatch of chunks (lanes) at once:
-    /// within each lane `chunk[t].0` predicts class `chunk[t].1`.
+    /// Runs truncated BPTT over a minibatch of chunks (lanes) at once: a
+    /// lane is its row-major inputs (one `input_dim` row per step) and one
+    /// target class per step, and step `t`'s input predicts its target.
     /// Accumulates parameter gradients scaled by `scale` into `grads` and
     /// returns the summed cross-entropy loss and the number of
-    /// top-1-correct predictions.
+    /// top-1-correct predictions. A row whose target probability is NaN (a
+    /// diverged model) makes the loss NaN; the loss floors every other
+    /// probability at `1e-12`.
     ///
     /// Lanes may be ragged; they are scheduled longest-first (a stable,
     /// data-only order) and processed time-major, so per-lane activations
@@ -674,17 +676,17 @@ impl LstmClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if an input row's length differs from `input_dim` or a
-    /// target is out of range.
+    /// Panics if a lane's inputs are not one `input_dim` row per target or
+    /// a target is out of range.
     pub fn train_batch(
         &self,
         pack: &BackwardPack,
-        chunks: &[&[(Vec<f32>, usize)]],
+        lanes: &[(&[f32], &[usize])],
         scratch: &mut TrainScratch,
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
-        let total = self.forward_chunks(chunks, scratch);
+        let total = self.forward_chunks(lanes, scratch);
         if total == 0 {
             return (0.0, 0);
         }
@@ -707,7 +709,7 @@ impl LstmClassifier {
         );
         let mut loss = 0.0f32;
         for &p in p_target.iter() {
-            loss += -(p.max(1e-12)).ln();
+            loss += -loss_floor(p).ln();
         }
         let correct = top1.iter().filter(|&&hit| hit).count();
         self.backward_chunks(pack, scratch, grads, total);
@@ -717,23 +719,26 @@ impl LstmClassifier {
     /// The forward half of [`LstmClassifier::train_batch`]: schedules the
     /// lanes longest-first, gathers their inputs and targets into row
     /// order and runs the taped forward pass; returns the row count.
-    fn forward_chunks(&self, chunks: &[&[(Vec<f32>, usize)]], scratch: &mut TrainScratch) -> usize {
+    fn forward_chunks(&self, lanes: &[(&[f32], &[usize])], scratch: &mut TrainScratch) -> usize {
+        let in_dim = self.config.input_dim;
+        for (x, targets) in lanes {
+            assert_eq!(x.len(), targets.len() * in_dim, "input dim mismatch");
+        }
         // Schedule lanes longest-first. The sort is stable and keys only on
         // the data, so the schedule — and with it every accumulation
         // order below — is a pure function of the chunk set.
         let order = &mut scratch.order;
         order.clear();
-        order.extend(0..chunks.len());
-        order.sort_by(|&a, &b| chunks[b].len().cmp(&chunks[a].len()));
+        order.extend(0..lanes.len());
+        order.sort_by(|&a, &b| lanes[b].1.len().cmp(&lanes[a].1.len()));
         scratch.lens.clear();
-        scratch.lens.extend(order.iter().map(|&i| chunks[i].len()));
+        scratch.lens.extend(order.iter().map(|&i| lanes[i].1.len()));
         scratch.sched.rebuild(&scratch.lens);
         let sched = &scratch.sched;
         let total = sched.total();
         if total == 0 {
             return 0;
         }
-        let in_dim = self.config.input_dim;
 
         // Gather inputs into the concatenated time-major block.
         grow(&mut scratch.x_cat, total * in_dim);
@@ -741,11 +746,11 @@ impl LstmClassifier {
         let x_cat = &mut scratch.x_cat[..total * in_dim];
         for t in 0..sched.steps() {
             for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
-                let (x, target) = &chunks[lane][t];
-                assert_eq!(x.len(), in_dim, "input dim mismatch");
+                let (x, targets) = lanes[lane];
                 let r = sched.row(t, i);
-                x_cat[r * in_dim..(r + 1) * in_dim].copy_from_slice(x);
-                scratch.targets[r] = *target;
+                x_cat[r * in_dim..(r + 1) * in_dim]
+                    .copy_from_slice(&x[t * in_dim..(t + 1) * in_dim]);
+                scratch.targets[r] = targets[t];
             }
         }
 
@@ -945,10 +950,21 @@ impl LstmClassifier {
     }
 }
 
+/// A target probability as the loss takes it: floored at `1e-12`, so a
+/// confident miss costs at most `−ln 1e-12`, but NaN stays NaN — the floor
+/// must not hide a diverged row behind a finite loss.
+fn loss_floor(p: f32) -> f32 {
+    if p < 1e-12 {
+        1e-12
+    } else {
+        p
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{rank_of, softmax_cross_entropy};
+    use crate::loss::rank_of;
 
     fn small_config() -> ModelConfig {
         ModelConfig {
@@ -972,16 +988,35 @@ mod tests {
         model.dense.forward(&input, out);
     }
 
-    /// Summed cross-entropy of a cold-start pass over `lane`.
+    /// Summed cross-entropy of a cold-start pass over `lane`: each step's
+    /// target probability from a one-row call of the loss kernel.
     fn lane_loss(model: &LstmClassifier, lane: &[(Vec<f32>, usize)]) -> f32 {
+        let nc = model.num_classes();
         let mut state = model.new_state();
-        let mut logits = vec![0.0; model.num_classes()];
+        let (mut logits, mut grad) = (vec![0.0; nc], vec![0.0; nc]);
         lane.iter()
             .map(|(x, target)| {
                 reference_step(model, &mut state, x, &mut logits);
-                softmax_cross_entropy(&mut logits, *target)
+                let mut p = [0.0];
+                softmax_xent_f32(
+                    nc,
+                    &logits,
+                    &[*target],
+                    1.0,
+                    &mut grad,
+                    &mut p,
+                    &mut [false],
+                );
+                -loss_floor(p[0]).ln()
             })
             .sum()
+    }
+
+    /// A lane of [`LstmClassifier::train_batch`] — row-major inputs and
+    /// targets — from `(input, target)` steps.
+    fn flat(steps: &[(Vec<f32>, usize)]) -> (Vec<f32>, Vec<usize>) {
+        let inputs = steps.iter().flat_map(|(x, _)| x.iter().copied()).collect();
+        (inputs, steps.iter().map(|&(_, t)| t).collect())
     }
 
     #[test]
@@ -1012,6 +1047,7 @@ mod tests {
             v
         };
         let steps: Vec<(Vec<f32>, usize)> = (0..40).map(|t| (onehot(t % 4), (t + 1) % 4)).collect();
+        let (x, targets) = flat(&steps);
 
         let mut grads = model.zero_gradients();
         let mut pack = BackwardPack::new(&model);
@@ -1020,8 +1056,8 @@ mod tests {
         let mut last_loss = 0.0;
         for _ in 0..150 {
             grads.zero();
-            let (loss, _) =
-                model.train_batch(&pack, &[&steps], &mut scratch, &mut grads, 1.0 / 40.0);
+            let lanes = [(&x[..], &targets[..])];
+            let (loss, _) = model.train_batch(&pack, &lanes, &mut scratch, &mut grads, 1.0 / 40.0);
             // Plain SGD for this test.
             for (p, g) in model.params_with_grads(&grads) {
                 for (pv, gv) in p.iter_mut().zip(g.iter()) {
@@ -1058,9 +1094,10 @@ mod tests {
             .collect();
 
         let mut grads = model.zero_gradients();
+        let (x, targets) = flat(&steps);
         model.train_batch(
             &BackwardPack::new(&model),
-            &[&steps],
+            &[(&x, &targets)],
             &mut TrainScratch::default(),
             &mut grads,
             1.0,
@@ -1186,11 +1223,12 @@ mod tests {
                 )
             })
             .collect();
+        let (x, targets) = flat(&steps);
         let gradients = |model: &LstmClassifier, pack: &BackwardPack| {
             let mut grads = model.zero_gradients();
             model.train_batch(
                 pack,
-                &[&steps],
+                &[(&x, &targets)],
                 &mut TrainScratch::default(),
                 &mut grads,
                 1.0,
@@ -1292,10 +1330,9 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let mut grads = model.zero_gradients();
         assert_eq!(grads.global_norm(), 0.0);
-        let steps = vec![(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1)];
         model.train_batch(
             &BackwardPack::new(&model),
-            &[&steps],
+            &[(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], &[1])],
             &mut TrainScratch::default(),
             &mut grads,
             1.0,
@@ -1602,20 +1639,16 @@ mod tests {
     /// softmax kernel: per row in schedule order, a softmax through libm's
     /// `f32::exp`, the cross-entropy, the top-1 scan and the gradient.
     #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
-    #[expect(
-        clippy::needless_range_loop,
-        reason = "the loop it reproduces walks the schedule timestep by timestep"
-    )]
     fn train_batch_libm(
         model: &LstmClassifier,
         pack: &BackwardPack,
-        chunks: &[&[(Vec<f32>, usize)]],
+        lanes: &[(&[f32], &[usize])],
         scratch: &mut TrainScratch,
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
         use crate::loss::in_top_k;
-        let total = model.forward_chunks(chunks, scratch);
+        let total = model.forward_chunks(lanes, scratch);
         let nc = model.num_classes();
         grow(&mut scratch.dlogits, total * nc);
         let (mut loss, mut correct) = (0.0f32, 0);
@@ -1623,7 +1656,7 @@ mod tests {
         for t in 0..sched.steps() {
             for (i, &lane) in scratch.order[..sched.lanes_at(t)].iter().enumerate() {
                 let r = sched.row(t, i);
-                let target = chunks[lane][t].1;
+                let target = lanes[lane].1[t];
                 let row = &mut scratch.fwd.logits[r * nc..(r + 1) * nc];
                 let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
                 if max.is_finite() {
@@ -1638,7 +1671,9 @@ mod tests {
                         }
                     }
                 }
-                loss += -(row[target].max(1e-12)).ln();
+                // The floor keeps a NaN probability NaN.
+                let p = row[target];
+                loss += -(if p.is_nan() { p } else { p.max(1e-12) }).ln();
                 if in_top_k(row, target, 1) {
                     correct += 1;
                 }
@@ -1681,7 +1716,7 @@ mod tests {
             *w *= 30.0;
         }
         let lens = [9usize, 5, 17, 1, 12, 3, 16, 16];
-        let lanes: Vec<Vec<(Vec<f32>, usize)>> = lens
+        let steps: Vec<Vec<(Vec<f32>, usize)>> = lens
             .iter()
             .enumerate()
             .map(|(l, &len)| {
@@ -1698,15 +1733,16 @@ mod tests {
                     .collect()
             })
             .collect();
-        let chunks: Vec<&[(Vec<f32>, usize)]> = lanes.iter().map(Vec::as_slice).collect();
+        let flats: Vec<(Vec<f32>, Vec<usize>)> = steps.iter().map(|s| flat(s)).collect();
+        let lanes: Vec<(&[f32], &[usize])> = flats.iter().map(|(x, t)| (&x[..], &t[..])).collect();
         let pack = BackwardPack::new(&model);
         let run = |libm: bool| {
             let mut grads = model.zero_gradients();
             let mut scratch = TrainScratch::default();
             let (loss, correct) = if libm {
-                train_batch_libm(&model, &pack, &chunks, &mut scratch, &mut grads, 0.05)
+                train_batch_libm(&model, &pack, &lanes, &mut scratch, &mut grads, 0.05)
             } else {
-                model.train_batch(&pack, &chunks, &mut scratch, &mut grads, 0.05)
+                model.train_batch(&pack, &lanes, &mut scratch, &mut grads, 0.05)
             };
             let mut bits = vec![loss.to_bits(), correct as u32];
             for g in &grads.layers {
@@ -1729,5 +1765,42 @@ mod tests {
             "top-1 hits and misses both occur"
         );
         assert_eq!(kernel, libm);
+    }
+
+    /// A diverged model shows: one NaN head weight makes its class's logit
+    /// NaN on every row, so a row targeting that class has a NaN target
+    /// probability, and the loss — of the minibatch and of the epoch — is
+    /// NaN instead of `−ln 1e-12` per such row.
+    #[test]
+    fn a_nan_target_probability_makes_the_loss_nan() {
+        let mut model = LstmClassifier::new(&small_config());
+        let steps: Vec<(Vec<f32>, usize)> = (0..6)
+            .map(|t| {
+                let mut x = vec![0.0f32; 6];
+                x[t % 6] = 1.0;
+                (x, t % 4)
+            })
+            .collect();
+        let (x, targets) = flat(&steps);
+        let loss = |model: &LstmClassifier| {
+            let mut grads = model.zero_gradients();
+            let lanes = [(&x[..], &targets[..])];
+            let pack = BackwardPack::new(model);
+            model
+                .train_batch(&pack, &lanes, &mut TrainScratch::default(), &mut grads, 1.0)
+                .0
+        };
+        assert!(loss(&model).is_finite());
+        // Head column 2 is class 2, the target of step 2.
+        let nc = model.num_classes();
+        model.dense.w.as_mut_slice()[3 * nc + 2] = f32::NAN;
+        assert!(loss(&model).is_nan());
+
+        let mut trainer = crate::Trainer::new(crate::TrainingConfig {
+            num_threads: 1,
+            ..crate::TrainingConfig::default()
+        });
+        let block = crate::SequenceBlock::from(&[crate::Sequence::new(steps)][..]);
+        assert!(trainer.fit_epoch(&mut model, &block, 0).mean_loss.is_nan());
     }
 }

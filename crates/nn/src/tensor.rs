@@ -1,6 +1,6 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
-//! The forward kernels — [`gemm_acc`], [`gemm_panels_acc`], [`axpy`] — are
+//! The forward kernels — [`gemm_acc`], [`gemm_panels_acc`] — are
 //! thin shape-checked fronts over the
 //! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
 //! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
@@ -17,8 +17,11 @@
 //! panel-major copy of it for the batched gemm, built once per value of
 //! the weights and dropped by the only `&mut` door to the data. So there
 //! is one forward product over dense inputs, for inference and training
-//! alike: [`gemm_panels_acc`] over the panels (one-hot stack inputs keep
-//! the zero-skipping [`gemm_acc`] over the rows). Weights move once per
+//! alike: the panel gemm over the panels (one-hot stack inputs keep
+//! the zero-skipping product over the rows). A layer's input projection
+//! and the head start those products from their bias
+//! ([`icsad_simd::gemm_panels_bias_f32`], [`icsad_simd::gemm_bias_f32`]),
+//! so no pass copies the bias into the output first. Weights move once per
 //! optimizer step and are read by
 //! every timestep of every gradient task in between, so the trainer packs
 //! right after the step and no product packs per call.
@@ -29,10 +32,13 @@
 //! ([`PanelsF32::pack_transposed`], held by [`crate::BackwardPack`] and
 //! rebuilt once per optimizer step). The weight gradient `dW += Xᵀ·dY`
 //! comes in two flavours, like the forward input product: [`outer_acc`]
-//! with the sparse kernel's zero-skip for the one-hot stack input, and
+//! with the sparse kernel's zero-skip for the one-hot stack input (each
+//! input feature's nonzero rows bucketed, no transpose), and
 //! [`outer_dense_acc`] — the register-tiled gemm over `Xᵀ`, with `dY` as
 //! the one operand that really is new on every call and is therefore
-//! packed per call — for dense activations. All keep the
+//! packed per call (or, for a layer narrow enough that `Xᵀ` fits one
+//! register tile, read in place) — for dense activations. Bias gradients are one column
+//! sum ([`icsad_simd::col_sum_acc_f32`]). All keep the
 //! ascending-contraction order, so SIMD ≡ scalar stays bitwise for
 //! training too.
 
@@ -214,7 +220,9 @@ impl std::fmt::Debug for Weights {
 ///
 /// Skips zero entries of `x` — the gradient of a one-hot input touches a
 /// single row per batch entry — and accumulates each element's batch
-/// contributions in ascending order on every backend.
+/// contributions in ascending order on every backend: the kernel
+/// ([`icsad_simd::outer_acc_f32`]) buckets each input feature's nonzero
+/// rows and adds every bucket into its `dw` row in registers.
 ///
 /// # Panics
 ///
@@ -240,7 +248,9 @@ pub fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
 /// the whole batch instead of being loaded and stored once per batch row.
 /// `x` is transposed into the pooled buffer `xt` (grown, never shrunk);
 /// `dY` is new on every call, so this is the one product that packs its
-/// operand per call.
+/// operand per call — unless `x` is at most one register tile wide, when
+/// the kernel reads `dY`'s full panels in place
+/// ([`icsad_simd::gemm_dense_acc_f32`]).
 ///
 /// Per element the batch contributions still accumulate in ascending
 /// order, and the terms [`outer_acc`] skips or plain-adds (`x == 0`,
@@ -305,7 +315,9 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// vector is loaded once per tile and output stores happen once per tile
 /// instead of once per `k`. The panels come from [`Weights::panels`] —
 /// packed once per value of the weights, not per call — so inference and
-/// the training forward pass share this one batched product.
+/// the training forward pass share this one batched product (the
+/// recurrent `U h`; input projections and the head run its bias-started
+/// twin, [`icsad_simd::gemm_panels_bias_f32`]).
 ///
 /// Per output element the `k` contributions are still accumulated in one
 /// ascending chain, so results compare equal (`f32 ==`) to per-row
@@ -317,15 +329,6 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// Panics on dimension mismatch.
 pub fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
     icsad_simd::gemm_panels_acc_f32(batch, x, w.panels(), y);
-}
-
-/// `y += a * x` over slices (under the dispatched FMA policy).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    icsad_simd::axpy_f32(a, x, y);
 }
 
 /// Grows a pooled scratch buffer to at least `n` elements (never shrinks,
@@ -455,13 +458,6 @@ mod tests {
         b.as_mut_slice()[3] = 5.0;
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[3.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn axpy_works() {
-        let mut y = vec![1.0, 2.0];
-        axpy(3.0, &[10.0, 20.0], &mut y);
-        assert_eq!(y, vec![31.0, 62.0]);
     }
 
     #[test]

@@ -33,7 +33,8 @@ const GRAD_CLIP: f32 = 5.0;
 
 /// One training sequence: per step, an input vector and the target class
 /// the model should predict *at* that step (i.e. the next package's
-/// signature given packages up to and including this one).
+/// signature given packages up to and including this one). [`Trainer::fit`]
+/// copies its steps into a [`SequenceBlock`] once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sequence {
     steps: Vec<(Vec<f32>, usize)>,
@@ -58,6 +59,111 @@ impl Sequence {
     /// The steps.
     pub fn steps(&self) -> &[(Vec<f32>, usize)] {
         &self.steps
+    }
+}
+
+/// Training sequences in one flat block: the input rows of every step of
+/// every sequence back to back (`input_dim` each), a target per step, and
+/// where each sequence ends. [`Trainer::fit_epoch`] reads it. A pipeline
+/// that builds new inputs every epoch refills one block
+/// ([`SequenceBlock::clear`] keeps its buffers), so an epoch allocates
+/// nothing per step.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SequenceBlock {
+    input_dim: usize,
+    inputs: Vec<f32>,
+    targets: Vec<usize>,
+    /// Steps before the end of each sequence.
+    ends: Vec<usize>,
+}
+
+impl SequenceBlock {
+    /// An empty block of `input_dim`-wide rows.
+    pub fn new(input_dim: usize) -> Self {
+        SequenceBlock {
+            input_dim,
+            ..SequenceBlock::default()
+        }
+    }
+
+    /// Drops every sequence, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.inputs.clear();
+        self.targets.clear();
+        self.ends.clear();
+    }
+
+    /// Starts a new, empty sequence; [`SequenceBlock::push_step`] extends
+    /// it.
+    pub fn begin_sequence(&mut self) {
+        self.ends.push(self.targets.len());
+    }
+
+    /// Appends a step targeting class `target` to the last sequence (a new
+    /// one if there is none) and returns its zeroed input row to fill.
+    pub fn push_step(&mut self, target: usize) -> &mut [f32] {
+        if self.ends.is_empty() {
+            self.begin_sequence();
+        }
+        self.targets.push(target);
+        if let Some(end) = self.ends.last_mut() {
+            *end += 1;
+        }
+        let at = self.inputs.len();
+        self.inputs.resize(at + self.input_dim, 0.0);
+        &mut self.inputs[at..]
+    }
+
+    /// Number of sequences.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Returns `true` if the block holds no sequence.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Steps `range` of sequence `seq`: their input rows, row-major, and
+    /// their targets.
+    fn steps(&self, seq: usize, range: std::ops::Range<usize>) -> (&[f32], &[usize]) {
+        let first = if seq == 0 { 0 } else { self.ends[seq - 1] };
+        let rows = first + range.start..first + range.end;
+        let inputs = &self.inputs[rows.start * self.input_dim..rows.end * self.input_dim];
+        (inputs, &self.targets[rows])
+    }
+
+    /// The number of steps in each sequence, in order.
+    fn lens(&self) -> impl Iterator<Item = usize> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.ends
+            .iter()
+            .zip(starts)
+            .map(|(&end, start)| end - start)
+    }
+}
+
+impl From<&[Sequence]> for SequenceBlock {
+    /// Copies the steps of `sequences` into one block, whose row width is
+    /// the first step's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two input rows differ in length.
+    fn from(sequences: &[Sequence]) -> Self {
+        let input_dim = sequences
+            .iter()
+            .find_map(|s| s.steps.first())
+            .map_or(0, |(x, _)| x.len());
+        let mut block = SequenceBlock::new(input_dim);
+        for seq in sequences {
+            block.begin_sequence();
+            for (x, target) in &seq.steps {
+                assert_eq!(x.len(), input_dim, "input dim mismatch");
+                block.push_step(*target).copy_from_slice(x);
+            }
+        }
+        block
     }
 }
 
@@ -160,6 +266,10 @@ pub struct EpochStats {
 pub struct Trainer {
     config: TrainingConfig,
     adam: Adam,
+    /// One forward/backward scratch per worker group, grown to the largest
+    /// minibatch and kept across epochs: a group's partitions run one
+    /// after another through the same buffers, which stay in cache.
+    scratch: Vec<TrainScratch>,
 }
 
 /// A chunk reference: sequence index plus step range.
@@ -175,7 +285,11 @@ impl Trainer {
     pub fn try_new(config: TrainingConfig) -> Result<Self, TrainerConfigError> {
         config.validate()?;
         let adam = Adam::new(config.learning_rate);
-        Ok(Trainer { config, adam })
+        Ok(Trainer {
+            config,
+            adam,
+            scratch: Vec::new(),
+        })
     }
 
     /// Creates a trainer.
@@ -199,9 +313,10 @@ impl Trainer {
     /// Trains for `config.epochs` passes over `sequences`, returning
     /// per-epoch statistics.
     pub fn fit(&mut self, model: &mut LstmClassifier, sequences: &[Sequence]) -> Vec<EpochStats> {
+        let block = SequenceBlock::from(sequences);
         let mut stats = Vec::with_capacity(self.config.epochs);
         for epoch in 0..self.config.epochs {
-            stats.push(self.fit_epoch(model, sequences, epoch));
+            stats.push(self.fit_epoch(model, &block, epoch));
         }
         stats
     }
@@ -219,7 +334,7 @@ impl Trainer {
     pub fn fit_epoch(
         &mut self,
         model: &mut LstmClassifier,
-        sequences: &[Sequence],
+        sequences: &SequenceBlock,
         epoch: usize,
     ) -> EpochStats {
         let chunks = self.epoch_chunks(sequences, epoch);
@@ -230,9 +345,9 @@ impl Trainer {
         let mut total_targets = 0usize;
         let mut grads = model.zero_gradients();
         model.pack_panels();
-        // Partition-private (gradients, scratch) buffers, recycled across
-        // minibatches; partitions zero the gradients before accumulating.
-        let mut pool: Vec<(Gradients, TrainScratch)> = Vec::new();
+        // Partition-private gradients, recycled across minibatches;
+        // partitions zero them before accumulating.
+        let mut locals: Vec<Gradients> = Vec::new();
 
         for batch in chunks.chunks(self.config.batch_chunks) {
             let targets_in_batch: usize = batch.iter().map(|c| c.len).sum();
@@ -245,7 +360,15 @@ impl Trainer {
             // end of the step: two generations never coexist.
             let pack = BackwardPack::new(model);
             let (loss, correct) = accumulate_batch(
-                model, &pack, sequences, batch, scale, threads, &mut grads, &mut pool,
+                model,
+                &pack,
+                sequences,
+                batch,
+                scale,
+                threads,
+                &mut grads,
+                &mut locals,
+                &mut self.scratch,
             );
             total_loss += f64::from(loss);
             total_correct += correct;
@@ -277,12 +400,12 @@ impl Trainer {
 
     /// The epoch's chunks in training order: every sequence cut into
     /// `chunk_len`-step pieces, shuffled by `shuffle_seed` and `epoch`.
-    fn epoch_chunks(&self, sequences: &[Sequence], epoch: usize) -> Vec<ChunkRef> {
+    fn epoch_chunks(&self, sequences: &SequenceBlock, epoch: usize) -> Vec<ChunkRef> {
         let mut out = Vec::new();
-        for (si, seq) in sequences.iter().enumerate() {
+        for (si, seq_len) in sequences.lens().enumerate() {
             let mut start = 0;
-            while start < seq.len() {
-                let len = self.config.chunk_len.min(seq.len() - start);
+            while start < seq_len {
+                let len = self.config.chunk_len.min(seq_len - start);
                 out.push(ChunkRef {
                     seq: si,
                     start,
@@ -303,43 +426,53 @@ impl Trainer {
 /// bit-identical for every `threads` value: the partition and all merge
 /// orders depend only on `batch`.
 ///
-/// Partition `i` zeroes and fills its own recycled `pool[i]` and reports
-/// its own `(loss, correct)`. The partitions split into at most `threads`
-/// contiguous groups of equal size (the last may be short): the first runs
-/// on the calling thread, every other on a scoped thread, so one thread
-/// spawns nothing. A panic re-raises the payload of the first panicking
+/// Partition `i` zeroes and fills its own recycled `locals[i]` and
+/// reports its own `(loss, correct)`. The partitions split into at most
+/// `threads` contiguous groups of equal size (the last may be short): the
+/// first runs on the calling thread, every other on a scoped thread, so one
+/// thread spawns nothing. Group `g` runs its partitions through
+/// `scratch[g]`. A panic re-raises the payload of the first panicking
 /// partition in partition order, after every thread has been joined.
-#[allow(clippy::too_many_arguments, reason = "model, batch and grad sinks")]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "model, batch, grad sinks and scratch"
+)]
 fn accumulate_batch(
     model: &LstmClassifier,
     pack: &BackwardPack,
-    sequences: &[Sequence],
+    sequences: &SequenceBlock,
     batch: &[ChunkRef],
     scale: f32,
     threads: usize,
     grads: &mut Gradients,
-    pool: &mut Vec<(Gradients, TrainScratch)>,
+    locals: &mut Vec<Gradients>,
+    scratch: &mut Vec<TrainScratch>,
 ) -> (f32, usize) {
     let parts = partition(batch, batch.len().div_ceil(GRAD_TASK_LANES));
-    while pool.len() < parts.len() {
-        pool.push((model.zero_gradients(), TrainScratch::default()));
+    while locals.len() < parts.len() {
+        locals.push(model.zero_gradients());
     }
-    let locals = &mut pool[..parts.len()];
+    let locals = &mut locals[..parts.len()];
     let mut sums = vec![(0.0f32, 0usize); parts.len()];
 
     let group = parts.len().div_ceil(threads.clamp(1, parts.len()));
+    scratch.resize_with(
+        scratch.len().max(parts.len().div_ceil(group)),
+        Default::default,
+    );
     let first_panic = std::thread::scope(|scope| {
         let mut groups = parts
             .chunks(group)
             .zip(locals.chunks_mut(group))
             .zip(sums.chunks_mut(group))
-            .map(|((parts, locals), sums)| {
+            .zip(scratch.iter_mut())
+            .map(|(((parts, locals), sums), scratch)| {
                 move || {
-                    for ((chunks, (g, scratch)), sum) in parts.iter().zip(locals).zip(sums) {
+                    for ((chunks, g), sum) in parts.iter().zip(locals).zip(sums) {
                         g.zero();
-                        let lanes: Vec<&[(Vec<f32>, usize)]> = chunks
+                        let lanes: Vec<(&[f32], &[usize])> = chunks
                             .iter()
-                            .map(|c| &sequences[c.seq].steps()[c.start..c.start + c.len])
+                            .map(|c| sequences.steps(c.seq, c.start..c.start + c.len))
                             .collect();
                         *sum = model.train_batch(pack, &lanes, scratch, g, scale);
                     }
@@ -376,12 +509,12 @@ fn accumulate_batch(
         let mut i = 0;
         while i + gap < locals.len() {
             let (left, right) = locals.split_at_mut(i + gap);
-            left[i].0.add_assign(&right[0].0);
+            left[i].add_assign(&right[0]);
             i += gap * 2;
         }
         gap *= 2;
     }
-    grads.add_assign(&locals[0].0);
+    grads.add_assign(&locals[0]);
     (loss, correct)
 }
 
@@ -412,6 +545,10 @@ mod tests {
         let mut v = vec![0.0f32; dim];
         v[c] = 1.0;
         v
+    }
+
+    fn block(sequences: &[Sequence]) -> SequenceBlock {
+        SequenceBlock::from(sequences)
     }
 
     /// A periodic symbol task the LSTM must learn.
@@ -531,9 +668,39 @@ mod tests {
             num_threads: 2,
             ..TrainingConfig::default()
         });
-        let third = trainer.epoch_chunks(&sequences, 0)[2 * GRAD_TASK_LANES].seq;
+        let third = trainer.epoch_chunks(&block(&sequences), 0)[2 * GRAD_TASK_LANES].seq;
         sequences[third] = Sequence::new(vec![(onehot(4, 0), 4)]);
-        trainer.fit_epoch(&mut model, &sequences, 0);
+        trainer.fit_epoch(&mut model, &block(&sequences), 0);
+    }
+
+    #[test]
+    fn a_block_built_step_by_step_equals_the_converted_sequences() {
+        let seqs = cyclic_sequences(3, 5, 4);
+        let mut built = SequenceBlock::new(4);
+        for seq in &seqs {
+            built.begin_sequence();
+            for (x, target) in seq.steps() {
+                built.push_step(*target).copy_from_slice(x);
+            }
+        }
+        // An empty sequence holds no step and yields no chunk.
+        built.begin_sequence();
+        let mut converted = block(&seqs);
+        converted.begin_sequence();
+        assert_eq!(built, converted);
+        assert_eq!(built.len(), 4);
+        assert_eq!(built.lens().collect::<Vec<_>>(), [5, 5, 5, 0]);
+        let (x, targets) = built.steps(1, 2..4);
+        assert_eq!(
+            x,
+            [seqs[1].steps()[2].0.clone(), seqs[1].steps()[3].0.clone()].concat()
+        );
+        assert_eq!(targets, [seqs[1].steps()[2].1, seqs[1].steps()[3].1]);
+        // Cleared, the block refills from its own buffers.
+        built.clear();
+        assert!(built.is_empty());
+        built.push_step(3)[1] = 1.0;
+        assert_eq!(built.steps(0, 0..1), (&[0.0, 1.0, 0.0, 0.0][..], &[3][..]));
     }
 
     #[test]
@@ -543,7 +710,7 @@ mod tests {
             ..TrainingConfig::default()
         });
         let seqs = cyclic_sequences(3, 20, 4);
-        let chunks = trainer.epoch_chunks(&seqs, 0);
+        let chunks = trainer.epoch_chunks(&block(&seqs), 0);
         let total: usize = chunks.iter().map(|c| c.len).sum();
         assert_eq!(total, 60);
         assert!(chunks.iter().all(|c| c.len <= 7 && c.len > 0));
@@ -583,6 +750,7 @@ mod tests {
             num_threads: 1,
             ..TrainingConfig::default()
         });
+        let sequences = block(&sequences);
         let mut losses = Vec::new();
         for e in 0..15 {
             losses.push(trainer.fit_epoch(&mut model, &sequences, e).mean_loss);

@@ -1,16 +1,33 @@
 //! Property-based tests for the neural-network substrate.
 
-use icsad_nn::activations::{sigmoid, softmax_in_place};
-use icsad_nn::loss::{in_top_k, softmax_cross_entropy, top_k};
+use icsad_nn::activations::sigmoid;
+use icsad_nn::loss::{in_top_k, top_k};
 use icsad_nn::{LstmClassifier, ModelConfig};
 use proptest::prelude::*;
+
+/// One row of logits through the training loss kernel: the softmax
+/// probabilities and the target's.
+fn softmax_row(logits: &[f32], target: usize) -> (Vec<f32>, f32) {
+    let n = logits.len();
+    let (mut probs, mut p_t) = (vec![0.0f32; n], [0.0f32]);
+    icsad_simd::softmax_xent_f32(
+        n,
+        logits,
+        &[target],
+        1.0,
+        &mut probs,
+        &mut p_t,
+        &mut [false],
+    );
+    probs[target] = p_t[0];
+    (probs, p_t[0])
+}
 
 proptest! {
     /// Softmax output is always a probability distribution.
     #[test]
     fn softmax_is_distribution(logits in proptest::collection::vec(-50f32..50.0, 1..64)) {
-        let mut v = logits;
-        softmax_in_place(&mut v);
+        let (v, _) = softmax_row(&logits, 0);
         let sum: f32 = v.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4, "sum {sum}");
         prop_assert!(v.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -59,10 +76,14 @@ proptest! {
         target_raw in any::<usize>(),
     ) {
         let target = target_raw % logits.len();
-        let mut probs = logits;
-        let loss = softmax_cross_entropy(&mut probs, target);
+        let (probs, p_t) = softmax_row(&logits, target);
+        let loss = -(p_t.max(1e-12)).ln();
         prop_assert!(loss >= -1e-6);
-        prop_assert!((loss + probs[target].max(1e-12).ln()).abs() < 1e-4);
+        // The target's probability is the softmax of its logit.
+        let max = logits.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        let sum: f64 = logits.iter().map(|&l| f64::from(l - max).exp()).sum();
+        let want = f64::from(logits[target] - max).exp() / sum;
+        prop_assert!((f64::from(probs[target]) - want).abs() < 1e-5, "{} vs {want}", probs[target]);
     }
 
     /// Model serialization round-trips for arbitrary architectures.

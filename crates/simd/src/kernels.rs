@@ -42,7 +42,9 @@ const K_BLOCK: usize = 64;
 /// (and taking an exact plain-add path for ones, which rounds identically
 /// under both FMA policies). This is the one-hot / sparse kernel: the
 /// LSTM's input product over the one-hot stack input, every row of a batch
-/// independent of the others.
+/// independent of the others. With `bias`, every row starts from it
+/// instead of from `y`: `y[b] = bias + x[b]ᵀ·W`, the chain a copy of the
+/// bias into `y` followed by the accumulating product runs.
 ///
 /// The `k` loop is blocked ([`K_BLOCK`]) so a block of weight rows stays
 /// cache-resident across all batch rows. Per batch row and block, one
@@ -59,24 +61,34 @@ pub(crate) fn gemm_sparse_f32<L: Lanes>(
     k_dim: usize,
     w: &[f32],
     n: usize,
+    bias: Option<&[f32]>,
     y: &mut [f32],
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(w.len(), k_dim * n);
     debug_assert_eq!(y.len(), batch * n);
+    debug_assert!(bias.is_none_or(|b| b.len() == n));
     if n == 0 {
         return;
+    }
+    if let (Some(bias), 0) = (bias, k_dim) {
+        y.chunks_exact_mut(n)
+            .for_each(|row| row.copy_from_slice(bias));
     }
     let mut live = [0; K_BLOCK];
     let mut kb = 0;
     while kb < k_dim {
         let kend = (kb + K_BLOCK).min(k_dim);
         let w_block = &w[kb * n..kend * n];
+        // Only the first block starts from the bias.
+        let start = bias.filter(|_| kb == 0);
         for (x_row, y_row) in x.chunks_exact(k_dim).zip(y.chunks_exact_mut(n)) {
             let xs = &x_row[kb..kend];
             let live = live_entries::<L>(xs, &mut live);
-            if !live.is_empty() {
-                accumulate_live::<L>(xs, live, w_block, y_row);
+            match (live.is_empty(), start) {
+                (false, _) => accumulate_live::<L>(live, |_, k| xs[k], w_block, start, y_row),
+                (true, Some(bias)) => y_row.copy_from_slice(bias),
+                (true, None) => {}
             }
         }
         kb = kend;
@@ -85,65 +97,76 @@ pub(crate) fn gemm_sparse_f32<L: Lanes>(
 
 /// The ascending indices of the entries of `xs` (at most [`K_BLOCK`])
 /// that are not `±0` — NaN included, as `x != 0.0` would keep it —
-/// written to the front of `out`: one [`Lanes::ne_zero_mask`] per `L`
-/// vector, then per `L::Half` vector, then one compare per element.
+/// written to the front of `out`.
 #[inline(always)]
 fn live_entries<'a, L: Lanes>(xs: &[f32], out: &'a mut [usize; K_BLOCK]) -> &'a [usize] {
     debug_assert!(xs.len() <= K_BLOCK);
-    let (k, count) = live_vectors::<L>(xs, out, 0, 0);
-    let (k, mut count) = live_vectors::<L::Half>(xs, out, k, count);
-    for (k, &xk) in xs.iter().enumerate().skip(k) {
-        if xk != 0.0 {
-            out[count] = k;
-            count += 1;
-        }
-    }
+    let mut count = 0;
+    each_live::<L>(xs, |k| {
+        out[count] = k;
+        count += 1;
+    });
     &out[..count]
 }
 
-/// [`live_entries`] over the whole `V` vectors of `xs` from `k` on, after
-/// `count` entries found; returns where the vectors end and the new count.
+/// Calls `f` with the index of every entry of `xs` that is not `±0` (NaN
+/// included), in ascending order: one [`Lanes::ne_zero_mask`] per `L`
+/// vector, then per `L::Half` vector, then one compare per element.
 #[inline(always)]
-fn live_vectors<V: Lanes>(
-    xs: &[f32],
-    out: &mut [usize; K_BLOCK],
-    mut k: usize,
-    mut count: usize,
-) -> (usize, usize) {
+fn each_live<L: Lanes>(xs: &[f32], mut f: impl FnMut(usize)) {
+    let k = live_vectors::<L>(xs, 0, &mut f);
+    let k = live_vectors::<L::Half>(xs, k, &mut f);
+    for (k, &xk) in xs.iter().enumerate().skip(k) {
+        if xk != 0.0 {
+            f(k);
+        }
+    }
+}
+
+/// [`each_live`] over the whole `V` vectors of `xs` from `k` on; returns
+/// where the vectors end.
+#[inline(always)]
+fn live_vectors<V: Lanes>(xs: &[f32], mut k: usize, f: &mut impl FnMut(usize)) -> usize {
     while k + V::WIDTH <= xs.len() {
         let mut mask = V::load(&xs[k..]).ne_zero_mask();
         while mask != 0 {
-            out[count] = k + mask.trailing_zeros() as usize;
-            count += 1;
+            f(k + mask.trailing_zeros() as usize);
             mask &= mask - 1;
         }
         k += V::WIDTH;
     }
-    (k, count)
+    k
 }
 
-/// `y += Σ xs[k]·w[k]` over the listed entries `live` (ascending) of one
-/// block, for a row `y` of `n` columns and the block's `xs.len() × n`
-/// weight rows `w`. Column chunks of 4, 2 and 1 vectors each hold their
-/// outputs in registers across the whole list; the columns left after
-/// them run element by element.
+/// `y = start + Σ_p x_p·w[rows[p]]` over a list of weight rows `rows`
+/// (ascending) with coefficients `x_p = x_at(p, rows[p])`, for a row `y`
+/// of `n` columns and row-major weights `w` of `n` columns; without
+/// `start` the chains start from `y` itself. Column chunks of 4, 2 and 1
+/// vectors each hold their outputs in registers across the whole list; the
+/// columns left after them run element by element.
 #[inline(always)]
-fn accumulate_live<L: Lanes>(xs: &[f32], live: &[usize], w: &[f32], y: &mut [f32]) {
+fn accumulate_live<L: Lanes>(
+    rows: &[usize],
+    x_at: impl Fn(usize, usize) -> f32 + Copy,
+    w: &[f32],
+    start: Option<&[f32]>,
+    y: &mut [f32],
+) {
     let n = y.len();
     let mut j = 0;
     while j + 4 * L::WIDTH <= n {
-        j = live_chunk::<L, 4>(xs, live, w, y, j);
+        j = live_chunk::<L, 4>(rows, x_at, w, start, y, j);
     }
     if j + 2 * L::WIDTH <= n {
-        j = live_chunk::<L, 2>(xs, live, w, y, j);
+        j = live_chunk::<L, 2>(rows, x_at, w, start, y, j);
     }
     if j + L::WIDTH <= n {
-        j = live_chunk::<L, 1>(xs, live, w, y, j);
+        j = live_chunk::<L, 1>(rows, x_at, w, start, y, j);
     }
     for (jj, yj) in y.iter_mut().enumerate().skip(j) {
-        let mut acc = *yj;
-        for &k in live {
-            let (xk, wkj) = (xs[k], w[k * n + jj]);
+        let mut acc = start.map_or(*yj, |s| s[jj]);
+        for (p, &k) in rows.iter().enumerate() {
+            let (xk, wkj) = (x_at(p, k), w[k * n + jj]);
             acc = if xk == 1.0 {
                 acc + wkj
             } else {
@@ -155,14 +178,15 @@ fn accumulate_live<L: Lanes>(xs: &[f32], live: &[usize], w: &[f32], y: &mut [f32
 }
 
 /// Columns `j .. j + C·WIDTH` of [`accumulate_live`]: `C` accumulators
-/// loaded from `y` once, one plain add (for an exact `1.0`, which the
-/// `fmac` would round identically) or one `fmac` per listed entry, one
-/// store; returns the next column.
+/// loaded once (from `start`, or else from `y`), one plain add (for an
+/// exact `1.0`, which the `fmac` would round identically) or one `fmac` per
+/// listed row, one store; returns the next column.
 #[inline(always)]
 fn live_chunk<L: Lanes, const C: usize>(
-    xs: &[f32],
-    live: &[usize],
+    rows: &[usize],
+    x_at: impl Fn(usize, usize) -> f32,
     w: &[f32],
+    start: Option<&[f32]>,
     y: &mut [f32],
     j: usize,
 ) -> usize {
@@ -170,10 +194,16 @@ fn live_chunk<L: Lanes, const C: usize>(
     let width = C * L::WIDTH;
     let mut acc = [L::splat(0.0); C];
     for (c, a) in acc.iter_mut().enumerate() {
-        *a = L::load(&y[j + c * L::WIDTH..]);
+        let at = j + c * L::WIDTH;
+        // A branch, not a select of the source slice: the select cost
+        // the inference product ≈ 7 % in an in-process A/B.
+        *a = match start {
+            Some(start) => L::load(&start[at..]),
+            None => L::load(&y[at..]),
+        };
     }
-    for &k in live {
-        let xk = xs[k];
+    for (p, &k) in rows.iter().enumerate() {
+        let xk = x_at(p, k);
         let wr = &w[k * n + j..k * n + j + width];
         if xk == 1.0 {
             for (c, a) in acc.iter_mut().enumerate() {
@@ -286,34 +316,43 @@ pub(crate) fn pack_panels_transposed_f32(rows: usize, w: &[f32], cols: usize) ->
 /// Dense gemm over pre-packed panels: `y[b] += x[b]ᵀ·W` without the zero
 /// skip, `W` given panel-major (see [`PANEL`]). The entry for weights: they
 /// were packed once, so a call streams them straight from the panels and
-/// copies nothing.
+/// copies nothing. With `bias`, the accumulators start from it instead of
+/// from `y`: `y[b] = bias + x[b]ᵀ·W`.
 #[inline(always)]
 pub(crate) fn gemm_panels_f32<L: Lanes>(
     batch: usize,
     x: &[f32],
     k_dim: usize,
     n: usize,
+    bias: Option<&[f32]>,
     y: &mut [f32],
     panels: &[f32],
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(y.len(), batch * n);
     debug_assert_eq!(panels.len(), panels_len(k_dim, n));
+    debug_assert!(bias.is_none_or(|b| b.len() == n));
     if k_dim == 0 {
+        if let (Some(bias), true) = (bias, n > 0) {
+            y.chunks_exact_mut(n)
+                .for_each(|row| row.copy_from_slice(bias));
+        }
         return;
     }
     for (p, panel) in panels.chunks_exact(k_dim * PANEL).enumerate() {
         let j0 = p * PANEL;
-        panel_tile::<L>(batch, x, k_dim, n, y, j0, PANEL.min(n - j0), panel);
+        panel_tile::<L>(batch, x, k_dim, n, bias, y, j0, PANEL.min(n - j0), panel);
     }
 }
 
-/// Dense gemm that packs per call: `y[b] += x[b]ᵀ·W` for a row-major
-/// operand that is new on every call (the gate gradients of the dense
-/// weight-gradient product). Each panel is packed into the thread's
-/// reusable `pack` buffer — streaming the weights once per call — and
-/// handed to the same [`panel_tile`] the pre-packed entry runs, so the two
-/// entries cannot drift apart.
+/// Dense gemm over a row-major operand that is new on every call: `y[b] +=
+/// x[b]ᵀ·W` (the gate gradients of the dense weight-gradient product).
+/// When the `batch` rows fit one register tile on a vector backend, every
+/// full panel is read in place, its row `k` being the [`PANEL`] columns of
+/// `W[k]` from `j0` on; otherwise, and for the ragged last panel, each
+/// panel is packed into the thread's reusable `pack` buffer first. Both
+/// run the same tiles as the pre-packed entry ([`panel_tile_rows`]), so
+/// the entries cannot drift apart.
 #[inline(always)]
 pub(crate) fn gemm_dense_f32<L: Lanes>(
     batch: usize,
@@ -327,53 +366,77 @@ pub(crate) fn gemm_dense_f32<L: Lanes>(
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(w.len(), k_dim * n);
     debug_assert_eq!(y.len(), batch * n);
+    if k_dim == 0 {
+        return;
+    }
     let w_tile = row_major_tile(w, n);
     if pack.len() < k_dim * PANEL {
         pack.resize(k_dim * PANEL, 0.0);
     }
     let panel = &mut pack[..k_dim * PANEL];
+    // Rows that fit one register tile stream each panel once, so packing
+    // it would copy it to read it once; more rows re-read the panel per
+    // tile, from the pack's contiguous rows rather than at a stride of `n`.
+    let in_place = L::WIDTH > 1 && batch <= if L::WIDTH == 16 { WIDE_TILE } else { LANE_TILE };
     let mut j0 = 0;
     while j0 < n {
         let valid = PANEL.min(n - j0);
-        fill_panel(panel, j0, valid, &w_tile);
-        panel_tile::<L>(batch, x, k_dim, n, y, j0, valid, panel);
+        if valid == PANEL && in_place {
+            // A full panel is read in place: row `k` is `W[k][j0 ..]`.
+            let rows = w[j0..].chunks(n).map(|row| &row[..PANEL]);
+            panel_tile_rows::<L, _>(batch, x, k_dim, n, None, y, j0, valid, rows);
+        } else {
+            fill_panel(panel, j0, valid, &w_tile);
+            panel_tile::<L>(batch, x, k_dim, n, None, y, j0, valid, panel);
+        }
         j0 += PANEL;
     }
 }
 
-/// Loads the two-vector accumulator pairs of `R` output rows, `n` apart
-/// in `y`. A ragged sub-tile (`cols < 2·WIDTH`) is staged through a
+/// Loads the `V`-vector accumulators of `R` output rows, `n` apart in
+/// `y`. A ragged sub-tile (`cols < V·WIDTH`) is staged through a
 /// zero-padded stack buffer, so the padding lanes start at zero and never
 /// read `y`; every row is copied in before the first accumulator is
 /// loaded, so the copies spill no live register.
 #[inline(always)]
-fn load_rows<L: Lanes, const R: usize>(y: &[f32], n: usize, cols: usize) -> [[L; 2]; R] {
-    if cols == 2 * L::WIDTH {
-        core::array::from_fn(|r| [L::load(&y[r * n..]), L::load(&y[r * n + L::WIDTH..])])
+fn load_rows<L: Lanes, const R: usize, const V: usize>(
+    y: &[f32],
+    n: usize,
+    cols: usize,
+) -> [[L; V]; R] {
+    if cols == V * L::WIDTH {
+        core::array::from_fn(|r| core::array::from_fn(|v| L::load(&y[r * n + v * L::WIDTH..])))
     } else {
         let mut buf = [[0.0; PANEL]; R];
         for (r, row) in buf.iter_mut().enumerate() {
             row[..cols].copy_from_slice(&y[r * n..r * n + cols]);
         }
-        core::array::from_fn(|r| [L::load(&buf[r]), L::load(&buf[r][L::WIDTH..])])
+        core::array::from_fn(|r| core::array::from_fn(|v| L::load(&buf[r][v * L::WIDTH..])))
     }
 }
 
-/// Stores `R` rows of accumulator pairs back to `y`, only their `cols`
-/// valid columns: the padding lanes of a ragged sub-tile die in a stack
-/// buffer, which takes every row before the first copy out.
+/// Stores `R` rows of `V`-vector accumulators back to `y`, only their
+/// `cols` valid columns: the padding lanes of a ragged sub-tile die in a
+/// stack buffer, which takes every row before the first copy out.
 #[inline(always)]
-fn store_rows<L: Lanes, const R: usize>(acc: [[L; 2]; R], y: &mut [f32], n: usize, cols: usize) {
-    if cols == 2 * L::WIDTH {
-        for (r, [a0, a1]) in acc.into_iter().enumerate() {
-            a0.store(&mut y[r * n..]);
-            a1.store(&mut y[r * n + L::WIDTH..]);
+fn store_rows<L: Lanes, const R: usize, const V: usize>(
+    acc: [[L; V]; R],
+    y: &mut [f32],
+    n: usize,
+    cols: usize,
+) {
+    if cols == V * L::WIDTH {
+        for (r, a) in acc.into_iter().enumerate() {
+            for (v, av) in a.into_iter().enumerate() {
+                av.store(&mut y[r * n + v * L::WIDTH..]);
+            }
         }
     } else {
         let mut buf = [[0.0; PANEL]; R];
-        for (row, [a0, a1]) in buf.iter_mut().zip(acc) {
-            a0.store(row);
-            a1.store(&mut row[L::WIDTH..]);
+        for (row, a) in buf.iter_mut().zip(acc) {
+            for (v, av) in a.into_iter().enumerate() {
+                av.store(&mut row[v * L::WIDTH..]);
+            }
         }
         for (r, row) in buf.iter().enumerate() {
             y[r * n..r * n + cols].copy_from_slice(&row[..cols]);
@@ -382,16 +445,19 @@ fn store_rows<L: Lanes, const R: usize>(acc: [[L; 2]; R], y: &mut [f32], n: usiz
 }
 
 /// The one dense-gemm tile routine: accumulates columns
-/// `j0 .. j0 + valid` of `y` over one `k_dim × PANEL` weight panel.
+/// `j0 .. j0 + valid` of `y` over one `k_dim × PANEL` weight panel, the
+/// accumulators started from `bias` (its entries for those columns) if
+/// given, else loaded from `y`.
 ///
-/// Each 2-vector sub-tile of the panel runs [`row_tile`]s down the batch:
-/// [`WIDE_TILE`] rows at a time on AVX-512 (the only backend with 32
-/// vector registers), then [`LANE_TILE`] rows, then single rows. A ragged
-/// panel (`valid < PANEL`) runs the *same* vector chains over its
-/// zero-padded rows and stores only the valid columns — there is no
-/// per-element tail. Per output element the op sequence is therefore
-/// always "ascending `k`, this lane type's `fmac`", whatever the tile
-/// height, which keeps SIMD ≡ scalar and batched ≡ per-record bitwise.
+/// Each 2-vector sub-tile of the panel runs [`row_tile`]s down the batch
+/// ([`sub_tile`]); a ragged one that one vector covers — the 8 gate
+/// columns of a 1×8 model's `dX = dZ·Wᵀ` on AVX-512 — runs 1-vector
+/// tiles, half the `fmac`s. A ragged panel (`valid < PANEL`) runs the
+/// *same* vector chains over its zero-padded rows and stores only the
+/// valid columns — there is no per-element tail. Per output element the op sequence is therefore
+/// always "start value, then ascending `k`, this lane type's `fmac`",
+/// whatever the tile height, which keeps SIMD ≡ scalar and batched ≡
+/// per-record bitwise.
 ///
 /// History of the row count, on the 2-vCPU `avx512+fma` reference host.
 /// An earlier 12-row × 2-vector tile over a *transposed `x` pack* gave
@@ -409,6 +475,7 @@ fn panel_tile<L: Lanes>(
     x: &[f32],
     k_dim: usize,
     n: usize,
+    bias: Option<&[f32]>,
     y: &mut [f32],
     j0: usize,
     valid: usize,
@@ -417,73 +484,145 @@ fn panel_tile<L: Lanes>(
     debug_assert_eq!(panel.len(), k_dim * PANEL);
     debug_assert!(0 < valid && valid <= PANEL && j0 + valid <= n);
     if L::WIDTH == 1 {
-        return panel_tile_scalar::<L>(batch, x, k_dim, n, y, j0, valid, panel);
+        return panel_tile_scalar::<L>(batch, x, k_dim, n, bias, y, j0, valid, panel);
     }
+    let rows = panel.chunks_exact(PANEL);
+    panel_tile_rows::<L, _>(batch, x, k_dim, n, bias, y, j0, valid, rows);
+}
+
+/// [`panel_tile`] on a vector backend, over a panel given as its `k_dim`
+/// weight rows, each at least [`PANEL`] wide: the rows of a packed panel,
+/// or the panel's columns of a row-major operand read in place.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn panel_tile_rows<'a, L: Lanes, I: Iterator<Item = &'a [f32]> + Clone>(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    y: &mut [f32],
+    j0: usize,
+    valid: usize,
+    rows: I,
+) {
     let sub = 2 * L::WIDTH;
     let mut s = 0;
     // Sub-tiles that lie wholly in the padding are skipped.
     while s < valid {
-        let cols = sub.min(valid - s);
-        let at = j0 + s;
-        let mut b0 = 0;
-        // Only AVX-512 (16 lanes) has the 32 registers an 8-row tile needs.
-        while L::WIDTH == 16 && b0 + WIDE_TILE <= batch {
-            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
-            row_tile::<L, WIDE_TILE>(xs, ys, n, cols, panel, s);
-            b0 += WIDE_TILE;
-        }
-        while b0 + LANE_TILE <= batch {
-            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
-            row_tile::<L, LANE_TILE>(xs, ys, n, cols, panel, s);
-            b0 += LANE_TILE;
-        }
-        for b in b0..batch {
-            row_tile::<L, 1>(&x[b * k_dim..], &mut y[b * n + at..], n, cols, panel, s);
+        let tile = SubTile {
+            k_dim,
+            n,
+            at: j0 + s,
+            cols: sub.min(valid - s),
+            rows: rows.clone(),
+            s,
+        };
+        if tile.cols <= L::WIDTH {
+            tile.run::<L, 1>(batch, x, bias, y);
+        } else {
+            tile.run::<L, 2>(batch, x, bias, y);
         }
         s += sub;
     }
 }
 
-/// `R` batch rows × 2 vectors of the dense gemm: columns `s .. s + cols`
-/// of one `k_dim × PANEL` panel for the first `R` rows of `x` (each
-/// `k_dim` long, read in place), whose outputs start at `y[0]` with a row
-/// stride of `n`. The `2·R` accumulators are loaded from `y` once, run one
-/// ascending-`k` `fmac` chain each — every loaded weight vector serves all
-/// `R` rows — and are stored once.
+/// Columns `s .. s + cols` of one `k_dim × PANEL` weight panel, given as
+/// its weight rows, which are columns `at .. at + cols` of an `n`-column
+/// product.
+struct SubTile<I> {
+    k_dim: usize,
+    n: usize,
+    at: usize,
+    cols: usize,
+    rows: I,
+    s: usize,
+}
+
+impl<'a, I: Iterator<Item = &'a [f32]> + Clone> SubTile<I> {
+    /// Runs [`row_tile`]s of `V` vectors down the batch: [`WIDE_TILE`]
+    /// rows at a time on AVX-512 (the only backend with 32 vector
+    /// registers), then [`LANE_TILE`] rows, then single rows.
+    #[inline(always)]
+    fn run<L: Lanes, const V: usize>(
+        &self,
+        batch: usize,
+        x: &[f32],
+        bias: Option<&[f32]>,
+        y: &mut [f32],
+    ) {
+        let (k_dim, n, at, cols) = (self.k_dim, self.n, self.at, self.cols);
+        let start = bias.map(|b| load_rows::<L, 1, V>(&b[at..], 0, cols)[0]);
+        let (rows, s) = (&self.rows, self.s);
+        let mut b0 = 0;
+        // Only AVX-512 (16 lanes) has the 32 registers an 8-row tile needs.
+        while L::WIDTH == 16 && b0 + WIDE_TILE <= batch {
+            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
+            row_tile::<L, WIDE_TILE, V>(xs, k_dim, ys, n, cols, rows.clone(), s, start);
+            b0 += WIDE_TILE;
+        }
+        while b0 + LANE_TILE <= batch {
+            let (xs, ys) = (&x[b0 * k_dim..], &mut y[b0 * n + at..]);
+            row_tile::<L, LANE_TILE, V>(xs, k_dim, ys, n, cols, rows.clone(), s, start);
+            b0 += LANE_TILE;
+        }
+        for b in b0..batch {
+            let (xs, ys) = (&x[b * k_dim..], &mut y[b * n + at..]);
+            row_tile::<L, 1, V>(xs, k_dim, ys, n, cols, rows.clone(), s, start);
+        }
+    }
+}
+
+/// `R` batch rows × `V` vectors of the dense gemm: columns `s .. s +
+/// cols` of one `k_dim × PANEL` panel, given as its `k_dim` weight rows,
+/// for the first `R` rows of `x` (each `k_dim` long, read in place), whose
+/// outputs start at `y[0]` with a row stride of `n`. The `V·R` accumulators start from `start` (the bias of
+/// those columns) or else are loaded from `y` once, run one ascending-`k`
+/// `fmac` chain each — every loaded weight vector serves all `R` rows —
+/// and are stored once.
 #[inline(always)]
-fn row_tile<L: Lanes, const R: usize>(
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn row_tile<'a, L: Lanes, const R: usize, const V: usize>(
     x: &[f32],
+    k_dim: usize,
     y: &mut [f32],
     n: usize,
     cols: usize,
-    panel: &[f32],
+    rows: impl Iterator<Item = &'a [f32]>,
     s: usize,
+    start: Option<[L; V]>,
 ) {
-    let sub = 2 * L::WIDTH;
+    let sub = V * L::WIDTH;
     // Hoists the per-`k` slice checks out of the loop below.
     assert!(s + sub <= PANEL, "register tile wider than a panel");
-    let k_dim = panel.len() / PANEL;
     let xs: [&[f32]; R] = core::array::from_fn(|r| &x[r * k_dim..][..k_dim]);
-    let mut acc = load_rows::<L, R>(y, n, cols);
-    for (k, wr) in panel.chunks_exact(PANEL).enumerate() {
+    let mut acc = match start {
+        Some(start) => [start; R],
+        None => load_rows::<L, R, V>(y, n, cols),
+    };
+    for (k, wr) in rows.enumerate() {
         let wr = &wr[s..s + sub];
-        let w0 = L::load(wr);
-        let w1 = L::load(&wr[L::WIDTH..]);
+        let mut w = [L::splat(0.0); V];
+        for (v, wv) in w.iter_mut().enumerate() {
+            *wv = L::load(&wr[v * L::WIDTH..]);
+        }
         for (a, xr) in acc.iter_mut().zip(xs) {
-            let v = L::splat(xr[k]);
-            a[0] = a[0].fmac(v, w0);
-            a[1] = a[1].fmac(v, w1);
+            let xv = L::splat(xr[k]);
+            for (av, &wv) in a.iter_mut().zip(&w) {
+                *av = av.fmac(xv, wv);
+            }
         }
     }
-    store_rows::<L, R>(acc, y, n, cols);
+    store_rows::<L, R, V>(acc, y, n, cols);
 }
 
 /// [`panel_tile`] for the scalar backend: [`PANEL`]-wide element-array
 /// accumulators instead of two one-element "vectors". Per output element
-/// the `k` order and `fmac` policy are identical to the vector tiles, so
-/// results stay bitwise equal — this shape exists so non-SIMD targets (and
-/// the force-scalar CI job) amortize the `x` re-streaming across a whole
-/// panel and hand LLVM's auto-vectorizer a fixed-width inner loop.
+/// the start value, `k` order and `fmac` policy are identical to the
+/// vector tiles, so results stay bitwise equal — this shape exists so
+/// non-SIMD targets (and the force-scalar CI job) amortize the `x`
+/// re-streaming across a whole panel and hand LLVM's auto-vectorizer a
+/// fixed-width inner loop.
 #[inline(always)]
 #[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
 fn panel_tile_scalar<L: Lanes>(
@@ -491,6 +630,7 @@ fn panel_tile_scalar<L: Lanes>(
     x: &[f32],
     k_dim: usize,
     n: usize,
+    bias: Option<&[f32]>,
     y: &mut [f32],
     j0: usize,
     valid: usize,
@@ -506,7 +646,7 @@ fn panel_tile_scalar<L: Lanes>(
         let mut acc = [[0.0; PANEL]; LT];
         for (bi, row) in acc.iter_mut().enumerate() {
             let at = (b0 + bi) * n + j0;
-            row[..valid].copy_from_slice(&y[at..at + valid]);
+            row[..valid].copy_from_slice(bias.map_or(&y[at..at + valid], |b| &b[j0..j0 + valid]));
         }
         let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
         for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(panel.chunks_exact(PANEL)) {
@@ -538,7 +678,7 @@ fn panel_tile_scalar<L: Lanes>(
         let x_row = &x[b * k_dim..(b + 1) * k_dim];
         let at = b * n + j0;
         let mut acc = [0.0; PANEL];
-        acc[..valid].copy_from_slice(&y[at..at + valid]);
+        acc[..valid].copy_from_slice(bias.map_or(&y[at..at + valid], |b| &b[j0..j0 + valid]));
         for (&xv, wr) in x_row.iter().zip(panel.chunks_exact(PANEL)) {
             #[expect(
                 clippy::expect_used,
@@ -707,7 +847,7 @@ fn rank_panel<L: Lanes>(
     while s < valid {
         let cols = sub.min(valid - s);
         let col = j0 + s;
-        let [start] = load_rows::<L, 1>(&bias[col..], 0, cols);
+        let [start] = load_rows::<L, 1, 2>(&bias[col..], 0, cols);
         let tile = RankTile {
             panel,
             s,
@@ -846,14 +986,31 @@ impl ScalarRankTile<'_> {
     }
 }
 
+/// The reusable buffers of [`outer_acc_f32`]'s counting sort: per input
+/// feature, where its bucket ends (`k_dim + 1` entries), and per nonzero
+/// entry of `x`, its batch row and value in bucket order.
+#[derive(Default)]
+pub(crate) struct Buckets {
+    ends: Vec<usize>,
+    rows: Vec<usize>,
+    vals: Vec<f32>,
+}
+
 /// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` — the batched outer-product gradient
 /// accumulation `dW += Xᵀ·dY` (with `batch == 1` it is the rank-1
-/// `outer_acc` the scalar backward used per timestep). Implemented by
-/// packing the transpose of `x` and running [`gemm_sparse_f32`] over it:
-/// per output element the `b` contributions accumulate in ascending order,
-/// zero entries of `x` are skipped and exact ones take the plain-add path,
-/// so SIMD ≡ scalar stays bitwise per FMA policy under exactly the sparse
-/// gemm's contract — and one-hot training inputs stay nearly free.
+/// `outer_acc` the scalar backward used per timestep) for a sparse `x`:
+/// zero entries of `x` are skipped and exact ones take the plain-add path.
+///
+/// A counting sort puts every nonzero entry of `x` into its feature's
+/// bucket: one pass over the rows counts the entries per feature, a
+/// second writes each entry's row and value at its bucket's cursor, so
+/// every bucket lists its rows in ascending `b`. Then each feature's `dW`
+/// row accumulates its bucket in registers ([`accumulate_live`], the sparse
+/// gemm's column chunks over `dY`'s rows), loaded and stored once. Per
+/// output element the `b` contributions therefore run in ascending order —
+/// the sparse gemm over `Xᵀ` with its exact contract, so SIMD ≡ scalar
+/// stays bitwise per FMA policy — and one-hot training inputs cost one
+/// pass over `dY` per active feature, with no transpose of `x`.
 #[inline(always)]
 pub(crate) fn outer_acc_f32<L: Lanes>(
     batch: usize,
@@ -862,21 +1019,198 @@ pub(crate) fn outer_acc_f32<L: Lanes>(
     dy: &[f32],
     n: usize,
     dw: &mut [f32],
-    pack: &mut Vec<f32>,
+    buckets: &mut Buckets,
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(dy.len(), batch * n);
     debug_assert_eq!(dw.len(), k_dim * n);
-    if pack.len() < k_dim * batch {
-        pack.resize(k_dim * batch, 0.0);
+    if k_dim == 0 || n == 0 {
+        return;
     }
-    let xt = &mut pack[..k_dim * batch];
+    let Buckets { ends, rows, vals } = buckets;
+    // Counts land one slot up, so the prefix sum leaves `ends[i]` at the
+    // start of bucket `i`; the placement pass then walks it to its end.
+    ends.clear();
+    ends.resize(k_dim + 1, 0);
+    for x_row in x.chunks_exact(k_dim) {
+        each_live::<L>(x_row, |i| ends[i + 1] += 1);
+    }
+    for i in 0..k_dim {
+        ends[i + 1] += ends[i];
+    }
+    let nonzero = ends[k_dim];
+    if rows.len() < nonzero {
+        rows.resize(nonzero, 0);
+        vals.resize(nonzero, 0.0);
+    }
     for (b, x_row) in x.chunks_exact(k_dim).enumerate() {
-        for (i, &xi) in x_row.iter().enumerate() {
-            xt[i * batch + b] = xi;
+        each_live::<L>(x_row, |i| {
+            let at = ends[i];
+            rows[at] = b;
+            vals[at] = x_row[i];
+            ends[i] = at + 1;
+        });
+    }
+    let mut begin = 0;
+    for (&end, dw_row) in ends[..k_dim].iter().zip(dw.chunks_exact_mut(n)) {
+        if begin < end {
+            let vals = &vals[begin..end];
+            accumulate_live::<L>(&rows[begin..end], |p, _| vals[p], dy, None, dw_row);
+        }
+        begin = end;
+    }
+}
+
+/// `out[j] += Σ_r x[r][j]` over the rows of a row-major block of `out.len()`
+/// columns — a bias gradient. Per column the rows add in ascending order,
+/// one plain add each: the chain of one `axpy` with `a = 1.0` per row,
+/// which rounds identically fused or not. Column chunks of 4, 2 and 1
+/// vectors, then one `Half` vector, then single columns, each hold their
+/// sums in registers across all rows and store once.
+#[inline(always)]
+pub(crate) fn col_sum_f32<L: Lanes>(x: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    debug_assert!(n > 0 && x.len().is_multiple_of(n));
+    let mut j = 0;
+    while j + 4 * L::WIDTH <= n {
+        j = col_chunk::<L, 4>(x, out, j);
+    }
+    if j + 2 * L::WIDTH <= n {
+        j = col_chunk::<L, 2>(x, out, j);
+    }
+    if j + L::WIDTH <= n {
+        j = col_chunk::<L, 1>(x, out, j);
+    }
+    if j + L::Half::WIDTH <= n {
+        j = col_chunk::<L::Half, 1>(x, out, j);
+    }
+    while j < n {
+        j = col_chunk::<ScalarLane<false>, 1>(x, out, j);
+    }
+}
+
+/// Columns `j .. j + C·V::WIDTH` of [`col_sum_f32`]; returns the next
+/// column.
+#[inline(always)]
+fn col_chunk<V: Lanes, const C: usize>(x: &[f32], out: &mut [f32], j: usize) -> usize {
+    let n = out.len();
+    let mut acc = [V::splat(0.0); C];
+    for (c, a) in acc.iter_mut().enumerate() {
+        *a = V::load(&out[j + c * V::WIDTH..]);
+    }
+    for row in x.chunks_exact(n) {
+        for (c, a) in acc.iter_mut().enumerate() {
+            *a = a.add(V::load(&row[j + c * V::WIDTH..]));
         }
     }
-    gemm_sparse_f32::<L>(k_dim, xt, batch, dy, n, dw)
+    for (c, a) in acc.iter().enumerate() {
+        a.store(&mut out[j + c * V::WIDTH..]);
+    }
+    j + C * V::WIDTH
+}
+
+/// The per-element gate calculus of one BPTT timestep, for a block of
+/// rows: row `r` of the activated gates `z` (`[i, f, o, g]`, `4hd` wide),
+/// of `tanh(c_t)` in `tc`, of the previous cell `c_prev` (zero at `t = 0`,
+/// `None`), of the loss gradient `d_out` and of the recurrent gradient
+/// `dh`, all `hd` wide, give per element
+///
+/// ```text
+/// dh' = d_out + dh          dc' = dh'·o·(1 − tc·tc) + dc
+/// dz  = [dc'·g·i(1 − i), dc'·c_prev·f(1 − f), dh'·tc·o(1 − o), dc'·i·(1 − g·g)]
+/// dc  = dc'·f
+/// ```
+///
+/// written to row `r` of `dz` and, in place, of `dc`. Each product and sum
+/// is one plain IEEE op in the order written, left to right, never fused,
+/// on every backend and under either FMA policy — the scalar loop's ops.
+#[inline(always)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the taped operands and two sinks"
+)]
+pub(crate) fn lstm_backward_rows_f32<L: Lanes>(
+    hd: usize,
+    z: &[f32],
+    tc: &[f32],
+    c_prev: Option<&[f32]>,
+    d_out: &[f32],
+    dh: &[f32],
+    dc: &mut [f32],
+    dz: &mut [f32],
+) {
+    debug_assert!(hd > 0 && tc.len().is_multiple_of(hd));
+    debug_assert!(z.len() == 4 * tc.len() && dz.len() == z.len());
+    debug_assert!(d_out.len() == tc.len() && dh.len() == tc.len() && dc.len() == tc.len());
+    let rows = z
+        .chunks_exact(4 * hd)
+        .zip(dz.chunks_exact_mut(4 * hd))
+        .zip(dc.chunks_exact_mut(hd))
+        .enumerate();
+    for (r, ((zr, dzr), dcr)) in rows {
+        let row = r * hd..(r + 1) * hd;
+        let grad = GateGrad {
+            z: zr,
+            tc: &tc[row.clone()],
+            c_prev: c_prev.map(|c| &c[row.clone()]),
+            d_out: &d_out[row.clone()],
+            dh: &dh[row],
+        };
+        let j = grad.vectors::<L>(dcr, dzr, 0);
+        let j = grad.vectors::<L::Half>(dcr, dzr, j);
+        grad.vectors::<ScalarLane<false>>(dcr, dzr, j);
+    }
+}
+
+/// One row's operands of [`lstm_backward_rows_f32`].
+struct GateGrad<'a> {
+    z: &'a [f32],
+    tc: &'a [f32],
+    c_prev: Option<&'a [f32]>,
+    d_out: &'a [f32],
+    dh: &'a [f32],
+}
+
+impl GateGrad<'_> {
+    /// The row's elements over the whole `V` vectors from `j` on; returns
+    /// where they end.
+    #[inline(always)]
+    fn vectors<V: Lanes>(&self, dc: &mut [f32], dz: &mut [f32], mut j: usize) -> usize {
+        let hd = self.tc.len();
+        let z = self.z;
+        while j + V::WIDTH <= hd {
+            let (i, f) = (V::load(&z[j..]), V::load(&z[hd + j..]));
+            let (o, g) = (V::load(&z[2 * hd + j..]), V::load(&z[3 * hd + j..]));
+            let tc = V::load(&self.tc[j..]);
+            let c_prev = match self.c_prev {
+                Some(c) => V::load(&c[j..]),
+                None => V::splat(0.0),
+            };
+            let dh = V::load(&self.d_out[j..]).add(V::load(&self.dh[j..]));
+            let d_o = dh.mul(tc);
+            let dcv = dh.mul(o).mul(tanh_deriv(tc)).add(V::load(&dc[j..]));
+            let (d_i, d_g, d_f) = (dcv.mul(g), dcv.mul(i), dcv.mul(c_prev));
+            d_i.mul(sigmoid_deriv(i)).store(&mut dz[j..]);
+            d_f.mul(sigmoid_deriv(f)).store(&mut dz[hd + j..]);
+            d_o.mul(sigmoid_deriv(o)).store(&mut dz[2 * hd + j..]);
+            d_g.mul(tanh_deriv(g)).store(&mut dz[3 * hd + j..]);
+            dcv.mul(f).store(&mut dc[j..]);
+            j += V::WIDTH;
+        }
+        j
+    }
+}
+
+/// The sigmoid's derivative through its output `s`: `s·(1 − s)`.
+#[inline(always)]
+fn sigmoid_deriv<V: Lanes>(s: V) -> V {
+    s.mul(V::splat(1.0).sub(s))
+}
+
+/// tanh's derivative through its output `t`: `1 − t·t`.
+#[inline(always)]
+fn tanh_deriv<V: Lanes>(t: V) -> V {
+    V::splat(1.0).sub(t.mul(t))
 }
 
 /// `y += a * x` under the lane type's FMA policy.
@@ -1257,6 +1591,7 @@ pub(crate) mod x86_entries {
     // target features; the dispatcher in `lib.rs` only routes here after
     // `is_x86_feature_detected!` confirmed them.
 
+    use super::Buckets;
     use crate::x86::*;
 
     macro_rules! backend_entries {
@@ -1272,9 +1607,10 @@ pub(crate) mod x86_entries {
                     k_dim: usize,
                     w: &[f32],
                     n: usize,
+                    bias: Option<&[f32]>,
                     y: &mut [f32],
                 ) {
-                    super::super::gemm_sparse_f32::<$f32ty>(batch, x, k_dim, w, n, y)
+                    super::super::gemm_sparse_f32::<$f32ty>(batch, x, k_dim, w, n, bias, y)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
@@ -1293,15 +1629,17 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
+                #[allow(clippy::too_many_arguments, reason = "mirrors `gemm_panels_f32`")]
                 pub(crate) unsafe fn gemm_panels_f32(
                     batch: usize,
                     x: &[f32],
                     k_dim: usize,
                     n: usize,
+                    bias: Option<&[f32]>,
                     y: &mut [f32],
                     panels: &[f32],
                 ) {
-                    super::super::gemm_panels_f32::<$f32ty>(batch, x, k_dim, n, y, panels)
+                    super::super::gemm_panels_f32::<$f32ty>(batch, x, k_dim, n, bias, y, panels)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
@@ -1340,6 +1678,7 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
+                #[allow(clippy::too_many_arguments, reason = "mirrors `outer_acc_f32`")]
                 pub(crate) unsafe fn outer_acc_f32(
                     batch: usize,
                     x: &[f32],
@@ -1347,9 +1686,36 @@ pub(crate) mod x86_entries {
                     dy: &[f32],
                     n: usize,
                     dw: &mut [f32],
-                    pack: &mut Vec<f32>,
+                    buckets: &mut Buckets,
                 ) {
-                    super::super::outer_acc_f32::<$f32ty>(batch, x, k_dim, dy, n, dw, pack)
+                    super::super::outer_acc_f32::<$f32ty>(batch, x, k_dim, dy, n, dw, buckets)
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn col_sum_f32(x: &[f32], out: &mut [f32]) {
+                    super::super::col_sum_f32::<$f32ty>(x, out)
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                #[allow(
+                    clippy::too_many_arguments,
+                    reason = "mirrors `lstm_backward_rows_f32`"
+                )]
+                pub(crate) unsafe fn lstm_backward_rows_f32(
+                    hd: usize,
+                    z: &[f32],
+                    tc: &[f32],
+                    c_prev: Option<&[f32]>,
+                    d_out: &[f32],
+                    dh: &[f32],
+                    dc: &mut [f32],
+                    dz: &mut [f32],
+                ) {
+                    super::super::lstm_backward_rows_f32::<$f32ty>(
+                        hd, z, tc, c_prev, d_out, dh, dc, dz,
+                    )
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

@@ -45,14 +45,30 @@
 //! which change at most once per optimizer step and are read many times
 //! in between: inference, the training forward pass, and the backward
 //! data gradient `dX += dY·Wᵀ` over panels of the transposed matrix
-//! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] packs one
-//! thread-local panel at a time on every call — for an operand that really
-//! is new every call: the gate gradients `dZ` of the dense weight-gradient
-//! product `dW += Xᵀ·dZ`. Same tile, same ascending-`k` chain per output
-//! element: the two entries are bitwise equal to each other and to the
-//! scalar backend. [`rank_panels_f32`] runs the same tiles over a head's
-//! panels, started from its bias, and ends them in a compare-and-popcount
-//! instead of a store: each row's rank among logits it never writes.
+//! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] takes an
+//! operand that really is new every call — the gate gradients `dZ` of the
+//! dense weight-gradient product `dW += Xᵀ·dZ` — and packs one
+//! thread-local panel at a time, or, when its rows fit one register tile
+//! and each panel is streamed once, reads the full panels in place. Same
+//! tile, same ascending-`k` chain per output element: the two entries are
+//! bitwise equal to each other and to the scalar backend. A sub-tile that
+//! one vector covers runs 1-vector register tiles, the same chains. [`gemm_panels_bias_f32`] (and [`gemm_bias_f32`], its
+//! sparse twin) starts the accumulators from a bias instead of from `y`:
+//! the chain of copying the bias into `y` and accumulating, without the
+//! copy. [`rank_panels_f32`] runs the same tiles over a head's panels,
+//! started from its bias, and ends them in a compare-and-popcount instead
+//! of a store: each row's rank among logits it never writes.
+//!
+//! # Training kernels
+//!
+//! Backpropagation adds three passes that only combine data already in
+//! memory, each one dispatched kernel: [`outer_acc_f32`], the one-hot
+//! weight gradient, buckets each input feature's nonzero rows with a
+//! counting sort and adds every bucket into its gradient row in
+//! registers; [`col_sum_acc_f32`] sums a bias gradient's columns in
+//! registers; [`lstm_backward_rows_f32`] is one BPTT timestep's
+//! per-element gate calculus. Each runs the operations of the loop it
+//! replaced, in the same order, so trained weights keep their bits.
 //!
 //! # Softmax cross-entropy
 //!
@@ -400,6 +416,9 @@ thread_local! {
     /// One-panel pack buffer for the per-call-pack dense gemm
     /// (steady-state allocation-free).
     static PACK_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The counting sort of the sparse weight gradient, grown to the
+    /// largest one seen.
+    static BUCKETS: RefCell<kernels::Buckets> = RefCell::new(kernels::Buckets::default());
 }
 
 // Dispatch plumbing: on non-x86 every selection resolves to the scalar
@@ -491,7 +510,56 @@ pub fn gemm_acc_f32_with(
     assert_eq!(x.len(), batch * k_dim, "gemm_acc: input block mismatch");
     assert_eq!(w.len(), k_dim * n, "gemm_acc: weight block mismatch");
     assert_eq!(y.len(), batch * n, "gemm_acc: output block mismatch");
-    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, y))
+    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, None, y))
+}
+
+/// [`gemm_acc_f32`] started from a bias: `y[b] = bias + x[b]ᵀ·W`, every
+/// output row overwritten. Per element the chain is the one a copy of
+/// `bias` into `y` followed by [`gemm_acc_f32`] runs — the same bits —
+/// but the accumulators load `bias` instead of a copy of it, so the copy
+/// pass over the output block is gone.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch.
+pub fn gemm_bias_f32(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    bias: &[f32],
+    y: &mut [f32],
+) {
+    gemm_bias_f32_with(current(), batch, x, k_dim, w, n, bias, y)
+}
+
+/// [`gemm_bias_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch or an unsupported selection.
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "the product's operands and its bias; see the `dispatch` module's SAFETY note"
+)]
+pub fn gemm_bias_f32_with(
+    sel: Selection,
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    bias: &[f32],
+    y: &mut [f32],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    assert_eq!(x.len(), batch * k_dim, "gemm_bias: input block mismatch");
+    assert_eq!(w.len(), k_dim * n, "gemm_bias: weight block mismatch");
+    assert_eq!(bias.len(), n, "gemm_bias: bias width mismatch");
+    assert_eq!(y.len(), batch * n, "gemm_bias: output block mismatch");
+    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, Some(bias), y))
 }
 
 /// Register-tiled dense `y[b] += x[b]ᵀ·W` (no zero skip; right for dense
@@ -500,9 +568,11 @@ pub fn gemm_acc_f32_with(
 ///
 /// Packs `W` into panels on every call — right when the operand is new on
 /// every call, like the gate gradients `dZ` in the weight-gradient product
-/// `dW += Xᵀ·dZ` (`x` = `Xᵀ`, `w` = `dZ`). An operand that is read more
-/// than once between changes — any weight matrix, in inference and in
-/// training — should be packed once ([`PanelsF32`]) and go through
+/// `dW += Xᵀ·dZ` (`x` = `Xᵀ`, `w` = `dZ`) — except that when the `batch`
+/// rows fit one register tile, which streams each panel once, the full
+/// panels are read in place instead. An operand that is read more than
+/// once between changes — any weight matrix, in inference and in training
+/// — should be packed once ([`PanelsF32`]) and go through
 /// [`gemm_panels_acc_f32`].
 ///
 /// # Panics
@@ -638,7 +708,54 @@ pub fn gemm_panels_acc_f32_with(
     );
     assert_eq!(y.len(), batch * n, "gemm_panels_acc: output block mismatch");
     let panels = w.data.as_slice();
-    dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, n, y, panels))
+    dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, n, None, y, panels))
+}
+
+/// [`gemm_panels_acc_f32`] started from a bias: `y[b] = bias + x[b]ᵀ·W`,
+/// every output row overwritten. The register tiles start from `bias`, as
+/// [`rank_panels_f32`]'s do, instead of loading a copy of it from `y`: the
+/// same chain per element, so the same bits as a copy followed by
+/// [`gemm_panels_acc_f32`], without the copy pass over the output block.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch.
+pub fn gemm_panels_bias_f32(batch: usize, x: &[f32], w: &PanelsF32, bias: &[f32], y: &mut [f32]) {
+    gemm_panels_bias_f32_with(current(), batch, x, w, bias, y)
+}
+
+/// [`gemm_panels_bias_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// Panics on block-size mismatch or an unsupported selection.
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
+pub fn gemm_panels_bias_f32_with(
+    sel: Selection,
+    batch: usize,
+    x: &[f32],
+    w: &PanelsF32,
+    bias: &[f32],
+    y: &mut [f32],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    let (k_dim, n) = (w.k_dim, w.n);
+    assert_eq!(
+        x.len(),
+        batch * k_dim,
+        "gemm_panels_bias: input block mismatch"
+    );
+    assert_eq!(bias.len(), n, "gemm_panels_bias: bias width mismatch");
+    assert_eq!(
+        y.len(),
+        batch * n,
+        "gemm_panels_bias: output block mismatch"
+    );
+    let panels = w.data.as_slice();
+    dispatch_f32!(
+        sel,
+        gemm_panels_f32(batch, x, k_dim, n, Some(bias), y, panels)
+    )
 }
 
 /// The 1-based rank of each row's target among the logits of a dense head,
@@ -802,6 +919,12 @@ pub fn softmax_xent_f32_with(
 /// SIMD ≡ scalar is bitwise per FMA policy. With `batch == 1` this is the
 /// per-timestep rank-1 update the scalar backward used.
 ///
+/// Nothing is transposed: a counting sort lists each input feature's
+/// nonzero entries (a thread-local bucket buffer, grown to the largest
+/// call), and each feature's `dW` row then accumulates its bucket with the
+/// accumulators held in registers. The result is bitwise that of
+/// [`gemm_acc_f32`] over `Xᵀ`.
+///
 /// # Panics
 ///
 /// Panics on block-size mismatch.
@@ -828,10 +951,121 @@ pub fn outer_acc_f32_with(
     assert_eq!(x.len(), batch * k_dim, "outer_acc: input block mismatch");
     assert_eq!(dy.len(), batch * n, "outer_acc: gradient block mismatch");
     assert_eq!(dw.len(), k_dim * n, "outer_acc: weight block mismatch");
-    PACK_F32.with(|cell| {
-        let pack = &mut cell.borrow_mut();
-        dispatch_f32!(sel, outer_acc_f32(batch, x, k_dim, dy, n, dw, pack))
+    BUCKETS.with(|cell| {
+        let buckets = &mut cell.borrow_mut();
+        dispatch_f32!(sel, outer_acc_f32(batch, x, k_dim, dy, n, dw, buckets))
     })
+}
+
+/// `out[j] += Σ_r x[r][j]`: the column sums of a row-major block of
+/// `out.len()` columns (a bias gradient) added to `out`. Per column the
+/// rows add in ascending order, one plain add each — bit for bit one
+/// [`axpy_f32`] with `a = 1.0` per row, under either FMA policy — with the
+/// sums held in registers across the rows instead of stored after each.
+///
+/// # Panics
+///
+/// Panics if `out` is empty or `x` is not whole rows of it.
+pub fn col_sum_acc_f32(x: &[f32], out: &mut [f32]) {
+    col_sum_acc_f32_with(current(), x, out)
+}
+
+/// [`col_sum_acc_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`col_sum_acc_f32`], or if the selection is unsupported.
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
+pub fn col_sum_acc_f32_with(sel: Selection, x: &[f32], out: &mut [f32]) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    assert!(
+        !out.is_empty() && x.len().is_multiple_of(out.len()),
+        "col_sum: block is not whole rows"
+    );
+    dispatch_f32!(sel, col_sum_f32(x, out))
+}
+
+/// The per-element gate calculus of one LSTM backpropagation-through-time
+/// step, for a block of rows: from the taped activated gates `z` (`rows ×
+/// 4hd`, `[i, f, o, g]`), `tc = tanh(c_t)`, the previous cells `c_prev`
+/// (`None` at `t = 0`, where they are zero), the loss gradient `d_out` and
+/// the recurrent gradient `dh` of the next timestep (each `rows × hd`),
+/// writes the gate pre-activation gradients to `dz` (`rows × 4hd`) and
+/// carries the cell gradient `dc` (`rows × hd`) back one step, in place:
+///
+/// ```text
+/// dh' = d_out + dh          dc' = dh'·o·(1 − tc·tc) + dc
+/// dz  = [dc'·g·i(1 − i), dc'·c_prev·f(1 − f), dh'·tc·o(1 − o), dc'·i·(1 − g·g)]
+/// dc  = dc'·f
+/// ```
+///
+/// Every product and sum is one plain IEEE op, left to right as written,
+/// never fused: every backend under either FMA policy gives the bits of
+/// the per-element scalar loop.
+///
+/// # Panics
+///
+/// Panics if `hd == 0`, if the blocks' sizes disagree or the selection is
+/// unsupported.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the taped operands and two sinks"
+)]
+pub fn lstm_backward_rows_f32(
+    hd: usize,
+    z: &[f32],
+    tc: &[f32],
+    c_prev: Option<&[f32]>,
+    d_out: &[f32],
+    dh: &[f32],
+    dc: &mut [f32],
+    dz: &mut [f32],
+) {
+    lstm_backward_rows_f32_with(current(), hd, z, tc, c_prev, d_out, dh, dc, dz)
+}
+
+/// [`lstm_backward_rows_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`lstm_backward_rows_f32`].
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "the taped operands and two sinks; see the `dispatch` module's SAFETY note"
+)]
+pub fn lstm_backward_rows_f32_with(
+    sel: Selection,
+    hd: usize,
+    z: &[f32],
+    tc: &[f32],
+    c_prev: Option<&[f32]>,
+    d_out: &[f32],
+    dh: &[f32],
+    dc: &mut [f32],
+    dz: &mut [f32],
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    assert!(
+        hd > 0 && tc.len().is_multiple_of(hd),
+        "lstm_backward: cell block is not whole rows"
+    );
+    let len = tc.len();
+    assert!(
+        z.len() == 4 * len && dz.len() == 4 * len,
+        "lstm_backward: gate block mismatch"
+    );
+    assert!(
+        d_out.len() == len && dh.len() == len && dc.len() == len,
+        "lstm_backward: row block mismatch"
+    );
+    if let Some(c) = c_prev {
+        assert_eq!(c.len(), len, "lstm_backward: c_prev block mismatch");
+    }
+    dispatch_f32!(
+        sel,
+        lstm_backward_rows_f32(hd, z, tc, c_prev, d_out, dh, dc, dz)
+    )
 }
 
 /// `y += a·x` under the dispatched FMA policy.

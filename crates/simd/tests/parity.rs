@@ -10,10 +10,11 @@
 
 use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
-    axpy_f32_with, gemm_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
-    gemm_panels_acc_f32_with, lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with,
-    rank_panels_f32_with, softmax_xent_f32_with, supported_selections, Backend, PanelsF32,
-    Selection,
+    axpy_f32_with, col_sum_acc_f32_with, gemm_acc_f32_with, gemm_bias_f32_with,
+    gemm_dense_acc_f32_with, gemm_panels_acc_f32, gemm_panels_acc_f32_with,
+    gemm_panels_bias_f32_with, lstm_backward_rows_f32_with, lstm_cell_f32_with, lstm_rows_f32_with,
+    outer_acc_f32_with, rank_panels_f32_with, softmax_xent_f32_with, supported_selections, Backend,
+    PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -1125,6 +1126,236 @@ fn softmax_xent_matches_the_per_row_loop_bitwise() {
                 assert_bits_eq(&p, &want_p, &what);
                 assert_eq!(top1, want_top1, "{what}");
             }
+        }
+    }
+}
+
+/// Shapes for the one-hot weight gradient: input widths inside one vector,
+/// across the 64-entry block and the ledger's 74-wide input; gradient
+/// widths that are not a multiple of 16 (plus one that is) around every
+/// column chunk and the ledger models' 379-class head; batches from one row
+/// to a whole 8-lane × 32-step gradient task.
+#[cfg(not(miri))]
+const BUCKET_GRID: (&[usize], &[usize], &[usize]) = (
+    &[1, 5, 17, 74],
+    &[1, 7, 15, 17, 32, 33, 63, 65, 379],
+    &[1, 3, 13, 256],
+);
+#[cfg(miri)]
+const BUCKET_GRID: (&[usize], &[usize], &[usize]) = (&[1, 17], &[7, 33], &[1, 3]);
+
+/// The bucketed one-hot weight gradient (`outer_acc_f32`: a counting sort
+/// of `x`'s nonzero entries by feature, each bucket added into its `dW` row
+/// in registers) equals the product it replaces — `x` transposed, then
+/// the zero-skipping gemm over `Xᵀ` — bitwise on every selection. `x`
+/// holds exact ones (plain adds), other values (the `fmac` path), NaN
+/// (kept) and `−0` (skipped, like `+0`); feature 0 is set in every row and
+/// the last feature in none.
+#[test]
+fn bucketed_outer_product_matches_the_transposed_sparse_gemm_bitwise() {
+    let (ks, ns, batches) = BUCKET_GRID;
+    for &k_dim in ks {
+        for &n in ns {
+            let dw0 = operand(k_dim * n, 21);
+            for &batch in batches {
+                let mut x = sparse_x(batch * k_dim, k_dim + batch);
+                for row in x.chunks_exact_mut(k_dim) {
+                    row[0] = 1.0;
+                    if k_dim > 1 {
+                        row[k_dim - 1] = if batch % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let xt = transposed(&x, batch, k_dim);
+                let dy = operand(batch * n, 22);
+                for sel in supported_selections() {
+                    let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
+                    let mut want = dw0.clone();
+                    gemm_acc_f32_with(sel, k_dim, &xt, batch, &dy, n, &mut want);
+                    let mut got = dw0.clone();
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
+                    assert_bits_eq(&got, &want, &format!("bucketed {what}"));
+                }
+            }
+        }
+    }
+}
+
+/// The per-element gate calculus of one BPTT timestep as the layer's
+/// backward ran it before the kernel, verbatim: per row and element, one
+/// plain op at a time, `c_prev` taken as `0.0` at `t = 0`.
+#[allow(clippy::too_many_arguments, reason = "the kernel's operands")]
+fn reference_gate_grad(
+    hd: usize,
+    z: &[f32],
+    tc: &[f32],
+    c_prev: Option<&[f32]>,
+    d_out: &[f32],
+    dh: &[f32],
+    dc: &mut [f32],
+    dz: &mut [f32],
+) {
+    let sig_d = |s: f32| s * (1.0 - s);
+    let tanh_d = |t: f32| 1.0 - t * t;
+    for r in 0..tc.len() / hd {
+        let gates = &z[r * 4 * hd..(r + 1) * 4 * hd];
+        let (i_gate, rest) = gates.split_at(hd);
+        let (f_gate, rest) = rest.split_at(hd);
+        let (o_gate, g_gate) = rest.split_at(hd);
+        let row = r * hd..(r + 1) * hd;
+        let (tc, d_out_r, dh_r) = (&tc[row.clone()], &d_out[row.clone()], &dh[row.clone()]);
+        let c_prev = c_prev.map(|c| &c[row.clone()]);
+        let dc_r = &mut dc[row];
+        let dzr = &mut dz[r * 4 * hd..(r + 1) * 4 * hd];
+        for j in 0..hd {
+            let dh = d_out_r[j] + dh_r[j];
+            let d_o = dh * tc[j];
+            let dc = dh * o_gate[j] * tanh_d(tc[j]) + dc_r[j];
+            let d_i = dc * g_gate[j];
+            let d_g = dc * i_gate[j];
+            let d_f = dc * c_prev.map_or(0.0, |c| c[j]);
+            dzr[j] = d_i * sig_d(i_gate[j]);
+            dzr[hd + j] = d_f * sig_d(f_gate[j]);
+            dzr[2 * hd + j] = d_o * sig_d(o_gate[j]);
+            dzr[3 * hd + j] = d_g * tanh_d(g_gate[j]);
+            dc_r[j] = dc * f_gate[j];
+        }
+    }
+}
+
+/// The dispatched gate-gradient kernel equals the scalar loop it replaces
+/// ([`reference_gate_grad`]) bitwise — `dz` and the carried `dc` — on
+/// every selection, under both FMA policies (the kernel fuses nothing), at
+/// hidden widths around each backend's vector and half vector and the
+/// paper's 256, for one and several rows, with and without `c_prev` (`t =
+/// 0`), on operands that include NaN, ±inf, ±0 and subnormals.
+#[test]
+fn gate_gradient_kernel_matches_the_scalar_loop_bitwise() {
+    #[cfg(not(miri))]
+    let (hds, rows_max): (&[usize], usize) = (&[1, 7, 8, 15, 16, 17, 33, 256], 3);
+    #[cfg(miri)]
+    let (hds, rows_max): (&[usize], usize) = (&[1, 17], 2);
+    for &hd in hds {
+        for rows in 1..=rows_max {
+            let len = rows * hd;
+            let z = sweep(4 * len, 31 + hd);
+            let (tc, c_prev, d_out) = (sweep(len, 32), sweep(len, 33), sweep(len, 34));
+            let (dh, dc0) = (sweep(len, 35), sweep(len, 36));
+            for c_prev in [None, Some(&c_prev[..])] {
+                let mut want_dc = dc0.clone();
+                let mut want_dz = vec![f32::NAN; 4 * len];
+                reference_gate_grad(hd, &z, &tc, c_prev, &d_out, &dh, &mut want_dc, &mut want_dz);
+                for sel in supported_selections() {
+                    let t0 = if c_prev.is_some() { "t > 0" } else { "t = 0" };
+                    let what = format!("gate grad {} hd {hd} rows {rows} {t0}", sel.label());
+                    let mut dc = dc0.clone();
+                    let mut dz = vec![0.0f32; 4 * len];
+                    lstm_backward_rows_f32_with(
+                        sel, hd, &z, &tc, c_prev, &d_out, &dh, &mut dc, &mut dz,
+                    );
+                    assert_bits_eq(&dz, &want_dz, &format!("dz {what}"));
+                    assert_bits_eq(&dc, &want_dc, &format!("dc {what}"));
+                }
+            }
+        }
+    }
+}
+
+/// Both bias-started products equal copying the bias into every output
+/// row and then accumulating, bitwise, on every selection — and overwrite
+/// whatever the output held. The sparse one runs over `x` whose row 0 has
+/// no live entry in its first 64-entry block (or anywhere), so that row is
+/// the bias copied through; the panel one over the gemm grid, and with no
+/// input at all (`k_dim = 0`).
+#[test]
+fn bias_started_gemms_equal_copy_then_accumulate_bitwise() {
+    let copied = |bias: &[f32], batch: usize| -> Vec<f32> {
+        (0..batch).flat_map(|_| bias.iter().copied()).collect()
+    };
+    let (ks, ns, batch_max) = SPARSE_GRID;
+    for &k_dim in ks {
+        for &n in ns {
+            let w = operand(k_dim * n, 41);
+            let bias = sweep(n, 42);
+            let batch = batch_max;
+            let mut x = sparse_x(batch * k_dim, k_dim + 3);
+            x[..k_dim.min(64)].fill(0.0);
+            for sel in supported_selections() {
+                let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
+                let mut want = copied(&bias, batch);
+                gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut want);
+                let mut got = vec![f32::NAN; batch * n];
+                gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
+                assert_bits_eq(&got, &want, &format!("sparse {what}"));
+            }
+        }
+    }
+    let (ns, batches, ks) = GRID;
+    for &n in ns {
+        let bias = sweep(n, 43);
+        for k_dim in ks.iter().copied().chain([0]) {
+            let w = operand(k_dim * n, 44);
+            let panels = PanelsF32::pack(&w, k_dim, n);
+            for &batch in batches {
+                let x = operand(batch * k_dim, 45);
+                for sel in supported_selections() {
+                    let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
+                    let mut want = copied(&bias, batch);
+                    gemm_panels_acc_f32_with(sel, batch, &x, &panels, &mut want);
+                    let mut got = vec![f32::NAN; batch * n];
+                    gemm_panels_bias_f32_with(sel, batch, &x, &panels, &bias, &mut got);
+                    assert_bits_eq(&got, &want, &format!("panels {what}"));
+                }
+            }
+        }
+    }
+}
+
+/// The bias-gradient column sum equals one `axpy` with `a = 1.0` per row,
+/// bitwise, on every selection: widths through every column chunk, half
+/// vector and single-column tail, and the ledger models' heads; blocks of
+/// zero to many rows; values that include the specials.
+#[test]
+fn column_sum_equals_per_row_axpy_bitwise() {
+    #[cfg(not(miri))]
+    let (ns, rows_set): (Vec<usize>, &[usize]) = (
+        (1..=70).chain([169, 379, 1024]).collect(),
+        &[0, 1, 2, 5, 31],
+    );
+    #[cfg(miri)]
+    let (ns, rows_set): (Vec<usize>, &[usize]) = (vec![1, 7, 17, 33], &[0, 3]);
+    for &n in &ns {
+        let out0 = sweep(n, 51);
+        for &rows in rows_set {
+            let x = sweep(rows * n, 52 + n);
+            for sel in supported_selections() {
+                let mut want = out0.clone();
+                for row in x.chunks_exact(n) {
+                    axpy_f32_with(sel, 1.0, row, &mut want);
+                }
+                let mut got = out0.clone();
+                col_sum_acc_f32_with(sel, &x, &mut got);
+                let what = format!("col_sum {} n {n} rows {rows}", sel.label());
+                assert_bits_eq(&got, &want, &what);
+            }
+        }
+    }
+}
+
+/// Every dense and bias-started entry is a no-op on an empty batch, at
+/// widths past one panel and past one sub-tile of every backend.
+#[test]
+fn empty_batches_are_no_ops_at_every_width() {
+    let k_dim = 3;
+    for n in [1usize, 17, 33, 65, 379] {
+        let w = operand(k_dim * n, 61);
+        let panels = PanelsF32::pack(&w, k_dim, n);
+        let bias = operand(n, 62);
+        for sel in supported_selections() {
+            gemm_panels_acc_f32_with(sel, 0, &[], &panels, &mut []);
+            gemm_panels_bias_f32_with(sel, 0, &[], &panels, &bias, &mut []);
+            gemm_dense_acc_f32_with(sel, 0, &[], k_dim, &w, n, &mut []);
+            gemm_acc_f32_with(sel, 0, &[], k_dim, &w, n, &mut []);
+            gemm_bias_f32_with(sel, 0, &[], k_dim, &w, n, &bias, &mut []);
         }
     }
 }
