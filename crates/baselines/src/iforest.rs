@@ -107,11 +107,6 @@ impl IsolationForest {
         let c = c_factor(self.subsample).max(1e-12);
         2f64.powf(-mean_path / c)
     }
-
-    /// Number of trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 fn build_tree(
@@ -259,7 +254,7 @@ mod tests {
     fn forest_shape() {
         let train = blob(100, 5);
         let forest = IsolationForest::fit_vectors(&train).unwrap();
-        assert_eq!(forest.tree_count(), TREES);
+        assert_eq!(forest.trees.len(), TREES);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl PcaSvd {
         }
         (norm2 - proj2).max(0.0)
     }
-
-    /// Number of principal components kept.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
 }
 
 impl WindowDetector for PcaSvd {
@@ -133,7 +128,7 @@ mod tests {
         let data = line_data(300, 1);
         let pca = PcaSvd::fit_vectors(&data).unwrap();
         // One component explains essentially everything.
-        assert_eq!(pca.component_count(), 1);
+        assert_eq!(pca.components.len(), 1);
         // On-line points reconstruct well; off-line points do not.
         let on = pca.reconstruction_error(&[5.0, 10.0, -5.0]);
         let off = pca.reconstruction_error(&[5.0, -10.0, 5.0]);

@@ -175,11 +175,6 @@ impl Svdd {
         // K(x,x) = 1 for RBF.
         1.0 - 2.0 * cross + self.center_norm
     }
-
-    /// Number of support vectors kept.
-    pub fn support_count(&self) -> usize {
-        self.support.len()
-    }
 }
 
 impl WindowDetector for Svdd {
@@ -234,7 +229,7 @@ mod tests {
         let total: f64 = model.alphas.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "Σα = {total}");
         assert!(model.alphas.iter().all(|&a| a >= 0.0));
-        assert!(model.support_count() > 0);
+        assert!(!model.support.is_empty());
     }
 
     #[test]
@@ -251,7 +246,7 @@ mod tests {
     fn subsampling_respected() {
         let train = blob(0.0, MAX_SAMPLES + 300, 4);
         let model = Svdd::fit_vectors(&train).unwrap();
-        assert!(model.support_count() <= MAX_SAMPLES);
+        assert!(model.support.len() <= MAX_SAMPLES);
     }
 
     #[test]

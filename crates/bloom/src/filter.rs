@@ -151,30 +151,6 @@ impl BloomFilter {
         self.items == 0
     }
 
-    /// Number of bits in the filter.
-    pub fn bit_len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Number of hash functions.
-    pub fn hash_count(&self) -> u32 {
-        self.k
-    }
-
-    /// Fraction of bits currently set.
-    pub fn fill_ratio(&self) -> f64 {
-        if self.bits.is_empty() {
-            return 0.0;
-        }
-        self.bits.count_ones() as f64 / self.bits.len() as f64
-    }
-
-    /// Estimated false positive rate given the current fill:
-    /// `(ones / m)^k`.
-    pub fn estimated_fpr(&self) -> f64 {
-        self.fill_ratio().powi(self.k as i32)
-    }
-
     /// Heap memory used by the filter, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.bits.memory_bytes()
@@ -239,21 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn estimated_fpr_tracks_observed() {
-        let mut f = BloomFilter::with_capacity(500, 0.02).unwrap();
-        for i in 0..500 {
-            f.insert(format!("x{i}"));
-        }
-        let est = f.estimated_fpr();
-        assert!(est > 0.0 && est < 0.1, "estimate {est} implausible");
-    }
-
-    #[test]
     fn sizing_formula_sane() {
         let f = BloomFilter::with_capacity(613, 0.001).unwrap();
         // ~14.4 bits per element at 0.1% fpr.
-        assert!(f.bit_len() > 613 * 12 && f.bit_len() < 613 * 18);
-        assert!(f.hash_count() >= 7 && f.hash_count() <= 14);
+        assert!(f.bits.len() > 613 * 12 && f.bits.len() < 613 * 18);
+        assert!(f.k >= 7 && f.k <= 14);
     }
 
     #[test]
@@ -269,8 +235,7 @@ mod tests {
         let f = BloomFilter::with_capacity(100, 0.01).unwrap();
         assert!(f.is_empty());
         assert!(!f.contains("anything"));
-        assert_eq!(f.fill_ratio(), 0.0);
-        assert_eq!(f.estimated_fpr(), 0.0);
+        assert_eq!(f.bits.count_ones(), 0);
     }
 
     #[test]

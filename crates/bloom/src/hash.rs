@@ -39,24 +39,12 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Produces the `i`-th double-hashed index in `[0, m)`.
+/// The double-hashed probe sequence `(h1 + i·(h2 | 1)) mod m` for `i = 0,
+/// 1, 2, …`, an exact arithmetic progression mod `m`. `h2` is forced odd
+/// so that for power-of-two and most composite `m` the sequence does not
+/// collapse onto a short cycle.
 ///
-/// `h2` is forced odd so that for power-of-two and most composite `m` the
-/// probe sequence does not collapse onto a short cycle.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn double_hash(h1: u64, h2: u64, i: u64, m: u64) -> u64 {
-    assert!(m > 0, "modulus must be positive");
-    let h2 = u128::from(h2 | 1);
-    // u128 arithmetic keeps the probe sequence an exact arithmetic
-    // progression mod m (u64 wrapping would corrupt it for large i * h2).
-    ((u128::from(h1) + u128::from(i) * h2) % u128::from(m)) as u64
-}
-
-/// The probe sequence `double_hash(h1, h2, i, m)` for `i = 0, 1, 2, …`,
-/// walked without a division per probe: it starts at `h1 mod m` and steps
+/// The walk takes no division per probe: it starts at `h1 mod m` and steps
 /// by `(h2 | 1) mod m`, subtracting `m` when a step passes it. Both terms
 /// are below `m`, so the walk never overflows and yields the same indices
 /// as the `u128` remainders.
@@ -106,32 +94,26 @@ mod tests {
     }
 
     #[test]
-    fn double_hash_covers_range() {
+    fn probes_cover_range() {
         let h1 = fnv1a(b"x");
         let h2 = mix64(b"x");
-        for i in 0..100 {
-            let idx = double_hash(h1, h2, i, 97);
-            assert!(idx < 97);
-        }
+        assert!(probes(h1, h2, 97).take(100).all(|idx| idx < 97));
     }
 
     #[test]
-    fn double_hash_probe_sequence_spreads() {
-        // With odd h2 and prime m the probe sequence must visit many cells.
+    fn probe_sequence_spreads() {
+        // With odd h2 and prime m the probe sequence must visit every cell.
         let m = 101u64;
         let h1 = fnv1a(b"spread");
         let h2 = mix64(b"spread");
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..m {
-            seen.insert(double_hash(h1, h2, i, m));
-        }
+        let seen: std::collections::HashSet<u64> = probes(h1, h2, m).take(m as usize).collect();
         assert_eq!(seen.len() as u64, m);
     }
 
     #[test]
     #[should_panic(expected = "modulus must be positive")]
-    fn double_hash_zero_modulus_panics() {
-        double_hash(1, 2, 3, 0);
+    fn probes_zero_modulus_panics() {
+        let _ = probes(1, 2, 0);
     }
 
     #[test]

@@ -183,16 +183,6 @@ impl AlarmLatency {
         self.detected
     }
 
-    /// Fraction of episodes with at least one alarm, or `None` before any
-    /// episode was recorded.
-    pub fn detection_rate(&self) -> Option<f64> {
-        if self.episodes == 0 {
-            None
-        } else {
-            Some(self.detected as f64 / self.episodes as f64)
-        }
-    }
-
     /// Mean packages-into-episode of the first alarm, over detected
     /// episodes only; `None` when nothing was detected.
     pub fn mean_latency(&self) -> Option<f64> {
@@ -332,14 +322,12 @@ mod tests {
     #[test]
     fn alarm_latency_accumulates_per_episode() {
         let mut lat = AlarmLatency::default();
-        assert_eq!(lat.detection_rate(), None);
         assert_eq!(lat.mean_latency(), None);
         lat.record_episode(Some(0)); // alarm on the first package
         lat.record_episode(Some(4));
         lat.record_episode(None); // missed episode
         assert_eq!(lat.episodes(), 3);
         assert_eq!(lat.detected(), 2);
-        assert!((lat.detection_rate().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((lat.mean_latency().unwrap() - 2.0).abs() < 1e-12);
 
         let mut other = AlarmLatency::default();

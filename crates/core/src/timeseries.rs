@@ -853,7 +853,7 @@ mod tests {
         assert_eq!(step(&det, &mut state, &v, None), (true, None));
         // Known signature right after: ranked on the prediction the first
         // package left behind.
-        let id = vocab.id_of(&disc.signature(r));
+        let id = vocab.id_of_vector(&v);
         let (_, rank) = step(&det, &mut state, &v, id);
         assert!(rank.is_some_and(|r| (1..=vocab.len()).contains(&r)));
         // A reset lane is a cold start again: no history, no rank.
@@ -870,7 +870,7 @@ mod tests {
         let mut state = det.begin();
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
-        let id = vocab.id_of(&disc.signature(r));
+        let id = vocab.id_of_vector(&v);
         assert_eq!(step(&det, &mut state, &v, id), (false, None));
     }
 
@@ -887,7 +887,7 @@ mod tests {
             .validation()
             .records()
             .iter()
-            .filter(|r| vocab.id_of(&disc.signature(r)).is_none())
+            .filter(|r| vocab.id_of_vector(&disc.discretize(r)).is_none())
             .count() as f64
             / split.validation().len() as f64;
         let (det, _) =

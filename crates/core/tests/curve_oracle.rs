@@ -37,7 +37,7 @@ fn reference_curve(det: &TimeSeriesDetector, fragments: &Fragments, max_k: usize
             total += 1;
             let missed_below = det
                 .vocabulary()
-                .id_of(&disc.signature(next))
+                .id_of_vector(&disc.discretize(next))
                 .map_or(max_k, |t| (rank_of(&logits, t) - 1).min(max_k));
             for miss in &mut misses[..missed_below] {
                 *miss += 1;

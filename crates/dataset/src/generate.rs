@@ -179,11 +179,6 @@ impl Fragments {
         &self.records
     }
 
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.starts.len()
-    }
-
     /// Total number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -296,7 +291,7 @@ mod tests {
             assert!(frag.len() >= Split::MIN_FRAGMENT_LEN);
         }
         assert!(
-            split.train().fragment_count() > 1,
+            split.train().iter().count() > 1,
             "attacks should fragment the data"
         );
     }
@@ -324,7 +319,7 @@ mod tests {
     fn clean_capture_yields_single_fragment() {
         let d = dataset(9, 2_000, 0.0);
         let split = d.split_chronological(0.6, 0.2);
-        assert_eq!(split.train().fragment_count(), 1);
+        assert_eq!(split.train().iter().count(), 1);
         assert_eq!(split.train().len(), 1_200);
     }
 
@@ -340,7 +335,7 @@ mod tests {
             records.push(r);
         }
         let frags = Fragments::from_labelled(&records, 10);
-        assert_eq!(frags.fragment_count(), 1);
+        assert_eq!(frags.iter().count(), 1);
         assert_eq!(frags.len(), 12);
     }
 

@@ -141,7 +141,7 @@ fn every_interleaving_yields_identical_decisions() {
                 .map(|records| {
                     let inbox = Arc::new(IngestQueue::bounded(RECORDS_PER_STREAM));
                     for r in records {
-                        inbox.try_push(r.clone()).unwrap();
+                        inbox.push(r.clone()).unwrap();
                     }
                     inbox.close();
                     StreamTask {

@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use crate::codec::{put_u32, put_usize, Reader};
 
 /// A mapping from observed raw values to dense category indices
-/// `0..observed()`, with unseen values mapping to the index `observed()`.
+/// `0..unknown_index()`, with unseen values mapping to the index
+/// [`CategoryMap::unknown_index`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CategoryMap {
     map: BTreeMap<u32, u16>,
@@ -32,11 +33,6 @@ impl CategoryMap {
             .map(|(i, v)| (v, i as u16))
             .collect();
         CategoryMap { map }
-    }
-
-    /// Number of distinct observed values.
-    pub fn observed(&self) -> usize {
-        self.map.len()
     }
 
     /// Total number of categories including the unknown sentinel.
@@ -102,7 +98,7 @@ mod tests {
     #[test]
     fn indices_are_dense_and_ordered() {
         let m = CategoryMap::fit(vec![16, 3, 3, 17, 3]);
-        assert_eq!(m.observed(), 3);
+        assert_eq!(m.map.len(), 3);
         assert_eq!(m.cardinality(), 4);
         assert_eq!(m.index_of(3), 0);
         assert_eq!(m.index_of(16), 1);
@@ -121,7 +117,7 @@ mod tests {
     #[test]
     fn empty_map_sends_everything_to_unknown() {
         let m = CategoryMap::fit(std::iter::empty());
-        assert_eq!(m.observed(), 0);
+        assert!(m.map.is_empty());
         assert_eq!(m.cardinality(), 1);
         assert_eq!(m.index_of(0), 0);
     }

@@ -209,11 +209,6 @@ impl KMeans {
         self.centroids[0].len()
     }
 
-    /// The fitted centroids.
-    pub fn centroids(&self) -> &[Vec<f64>] {
-        &self.centroids
-    }
-
     /// Assigns a point to its nearest cluster.
     ///
     /// # Panics
@@ -310,6 +305,32 @@ impl KMeans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Every k-means training point assigns in range, and assignment is
+        /// the nearest centroid.
+        #[test]
+        fn kmeans_training_points_in_range(
+            values in proptest::collection::vec(-1e3f64..1e3, 2..120),
+            k in 1usize..8,
+            seed in any::<u64>(),
+        ) {
+            let km = KMeans::fit_1d(&values, k, 50, seed).unwrap();
+            for &v in &values {
+                let a = km.assign_1d(v);
+                prop_assert!(a.in_range, "training value {v} out of range");
+                // Nearest-centroid property.
+                for (j, c) in km.centroids.iter().enumerate() {
+                    let d = (v - c[0]).abs();
+                    prop_assert!(
+                        d + 1e-9 >= a.distance,
+                        "centroid {j} closer than assigned"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn separates_two_obvious_clusters() {
@@ -324,7 +345,7 @@ mod tests {
         let b = km.assign_1d(5.02).cluster;
         assert_ne!(a, b);
         // Centroids near 0.125 and 5.025.
-        let mut cs: Vec<f64> = km.centroids().iter().map(|c| c[0]).collect();
+        let mut cs: Vec<f64> = km.centroids.iter().map(|c| c[0]).collect();
         cs.sort_by(|x, y| x.partial_cmp(y).unwrap());
         assert!((cs[0] - 0.125).abs() < 0.05);
         assert!((cs[1] - 5.025).abs() < 0.05);

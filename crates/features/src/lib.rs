@@ -39,8 +39,8 @@
 //! let vocab = SignatureVocabulary::build(&disc, data.records());
 //! assert!(vocab.len() > 10);
 //! // Every training package's signature is in the vocabulary.
-//! let sig = disc.signature(&data.records()[0]);
-//! assert!(vocab.id_of(&sig).is_some());
+//! let vector = disc.discretize(&data.records()[0]);
+//! assert!(vocab.id_of_vector(&vector).is_some());
 //! # Ok::<(), icsad_features::FeatureError>(())
 //! ```
 

@@ -209,11 +209,6 @@ impl SignatureVocabulary {
         }
     }
 
-    /// Class id of a signature, or `None` if it is not in the database.
-    pub fn id_of(&self, sig: &Signature) -> Option<usize> {
-        self.id_of_key(sig.as_str())
-    }
-
     /// Class id lookup by raw signature key (see [`write_signature`]): the
     /// key is parsed back into its vector, so a key that is not canonical
     /// (exactly [`FEATURE_COUNT`] decimal components without leading zeros)
@@ -278,11 +273,6 @@ impl SignatureVocabulary {
                 .zip(cardinalities)
                 .all(|(&c, &card)| usize::from(c) < card)
         })
-    }
-
-    /// Total number of occurrences inserted.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Serializes the database: every signature key in class-id order with
@@ -368,9 +358,11 @@ mod tests {
         assert_eq!(v.count(0), 2);
         assert_eq!(v.count(1), 1);
         assert_eq!(v.id_of_vector(&a), Some(0));
-        assert_eq!(v.id_of(&Signature::from_components(&a)), Some(0));
+        assert_eq!(
+            v.id_of_key(Signature::from_components(&a).as_str()),
+            Some(0)
+        );
         assert_eq!(v.id_of_vector(&vector(&[9])), None);
-        assert_eq!(v.total_count(), 3);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use icsad_features::category::CategoryMap;
 use icsad_features::interval::IntervalPartition;
-use icsad_features::kmeans::KMeans;
 use icsad_features::{
     write_signature, DiscreteVector, DiscretizationConfig, Discretizer, Signature,
     SignatureVocabulary, FEATURE_COUNT,
@@ -50,29 +49,6 @@ fn vector_lookup_agrees_with_string_lookup_on_every_entry() {
 }
 
 proptest! {
-    /// Every k-means training point assigns in range, and assignment is the
-    /// nearest centroid.
-    #[test]
-    fn kmeans_training_points_in_range(
-        values in proptest::collection::vec(-1e3f64..1e3, 2..120),
-        k in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let km = KMeans::fit_1d(&values, k, 50, seed).unwrap();
-        for &v in &values {
-            let a = km.assign_1d(v);
-            prop_assert!(a.in_range, "training value {v} out of range");
-            // Nearest-centroid property.
-            for (j, c) in km.centroids().iter().enumerate() {
-                let d = (v - c[0]).abs();
-                prop_assert!(
-                    d + 1e-9 >= a.distance,
-                    "centroid {j} closer than assigned"
-                );
-            }
-        }
-    }
-
     /// Interval partition assigns all fitted values into valid bins and the
     /// bin ordering follows the value ordering.
     #[test]
@@ -101,7 +77,7 @@ proptest! {
             prop_assert!(idx < map.unknown_index());
             seen.insert(idx);
         }
-        prop_assert_eq!(seen.len(), map.observed());
+        prop_assert_eq!(seen.len(), usize::from(map.unknown_index()));
     }
 
     /// Signature encoding is injective over component vectors.

@@ -83,21 +83,6 @@ pub fn append_crc(mut data: Vec<u8>) -> Vec<u8> {
     data
 }
 
-/// Verifies that the last two bytes of `buf` are the little-endian CRC of the
-/// preceding bytes. Returns the payload (without CRC) on success.
-pub fn verify_crc(buf: &[u8]) -> Option<&[u8]> {
-    if buf.len() < 2 {
-        return None;
-    }
-    let (payload, crc_bytes) = buf.split_at(buf.len() - 2);
-    let expected = u16::from_le_bytes([crc_bytes[0], crc_bytes[1]]);
-    if crc16(payload) == expected {
-        Some(payload)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,18 +135,26 @@ mod tests {
         assert_eq!(crc16(&frame), u16::from_le_bytes([0x84, 0x0A]));
     }
 
+    /// Whether the last two bytes of `buf` (at least two long) are the
+    /// little-endian CRC of the bytes before them.
+    fn crc_matches(buf: &[u8]) -> bool {
+        let (payload, crc) = buf.split_at(buf.len() - 2);
+        crc16(payload).to_le_bytes() == crc
+    }
+
     #[test]
     fn append_and_verify_round_trip() {
         let buf = append_crc(vec![0x11, 0x22, 0x33]);
         assert_eq!(buf.len(), 5);
-        assert_eq!(verify_crc(&buf), Some(&[0x11, 0x22, 0x33][..]));
+        assert_eq!(&buf[..3], &[0x11, 0x22, 0x33]);
+        assert!(crc_matches(&buf));
     }
 
     #[test]
     fn verify_detects_corruption() {
         let mut buf = append_crc(vec![0x11, 0x22, 0x33]);
         buf[1] ^= 0x01;
-        assert_eq!(verify_crc(&buf), None);
+        assert!(!crc_matches(&buf));
     }
 
     #[test]
@@ -169,13 +162,7 @@ mod tests {
         let mut buf = append_crc(vec![0x11, 0x22, 0x33]);
         let last = buf.len() - 1;
         buf[last] ^= 0x80;
-        assert_eq!(verify_crc(&buf), None);
-    }
-
-    #[test]
-    fn verify_rejects_short_buffers() {
-        assert_eq!(verify_crc(&[]), None);
-        assert_eq!(verify_crc(&[0x01]), None);
+        assert!(!crc_matches(&buf));
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Frame {
     }
 
     /// Total encoded length in bytes (address + function + payload + CRC).
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         self.payload.len() + 4
     }
 
@@ -204,11 +204,6 @@ impl<'a> FrameView<'a> {
     /// borrowed from the wire buffer.
     pub fn payload(&self) -> &'a [u8] {
         self.payload
-    }
-
-    /// Total encoded length in bytes (address + function + payload + CRC).
-    pub fn encoded_len(&self) -> usize {
-        self.payload.len() + 4
     }
 
     /// Copies the view into an owned [`Frame`].
@@ -335,7 +330,6 @@ mod tests {
             assert_eq!(view.address(), owned.address());
             assert_eq!(view.function(), owned.function());
             assert_eq!(view.payload(), owned.payload());
-            assert_eq!(view.encoded_len(), owned.encoded_len());
         }
         assert!(matches!(
             FrameView::decode_lenient(&[1, 2, 3]),

@@ -58,17 +58,6 @@ impl FunctionCode {
             FunctionCode::Other(c) => c,
         }
     }
-
-    /// Returns `true` if this code is one of the publicly assigned Modbus
-    /// function codes modelled by this crate.
-    pub fn is_standard(self) -> bool {
-        !matches!(self, FunctionCode::Other(_))
-    }
-
-    /// Returns `true` for codes with the exception-response bit (0x80) set.
-    pub fn is_exception_response(self) -> bool {
-        self.code() & 0x80 != 0
-    }
 }
 
 impl From<u8> for FunctionCode {
@@ -165,7 +154,7 @@ mod tests {
         ] {
             let fc = FunctionCode::from(raw);
             assert_eq!(fc.code(), raw);
-            assert!(fc.is_standard());
+            assert!(!matches!(fc, FunctionCode::Other(_)));
         }
     }
 
@@ -175,14 +164,7 @@ mod tests {
             let fc = FunctionCode::from(raw);
             assert_eq!(fc, FunctionCode::Other(raw));
             assert_eq!(fc.code(), raw);
-            assert!(!fc.is_standard());
         }
-    }
-
-    #[test]
-    fn exception_bit_detection() {
-        assert!(FunctionCode::Other(0x83).is_exception_response());
-        assert!(!FunctionCode::ReadHoldingRegisters.is_exception_response());
     }
 
     #[test]

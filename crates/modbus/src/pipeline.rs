@@ -29,8 +29,6 @@ use crate::function::FunctionCode;
 
 /// Number of holding registers in the pipeline register bank.
 pub const REGISTER_COUNT: u16 = 11;
-/// Register address of the pressure measurement.
-pub const PRESSURE_REGISTER: u16 = 10;
 /// Fixed-point scaling factor for continuous values.
 pub const SCALE: f64 = 100.0;
 
@@ -422,13 +420,15 @@ mod tests {
 
     #[test]
     fn fixed_point_clamps_out_of_range() {
+        // The pressure's register address (the module table's last row).
+        const PRESSURE_REGISTER: usize = 10;
         let mut state = sample_state();
         state.pressure = -5.0;
         let regs = state_to_registers(&state);
-        assert_eq!(regs[PRESSURE_REGISTER as usize], 0);
+        assert_eq!(regs[PRESSURE_REGISTER], 0);
         state.pressure = 1e9;
         let regs = state_to_registers(&state);
-        assert_eq!(regs[PRESSURE_REGISTER as usize], u16::MAX);
+        assert_eq!(regs[PRESSURE_REGISTER], u16::MAX);
     }
 
     #[test]

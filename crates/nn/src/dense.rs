@@ -9,14 +9,14 @@ use crate::tensor::{outer_dense_acc, Tensor2, Weights};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Dense {
+pub(crate) struct Dense {
     pub(crate) w: Weights,
     pub(crate) b: Vec<f32>,
 }
 
 /// Gradients mirroring a [`Dense`] layer.
 #[derive(Debug, Clone)]
-pub struct DenseGrad {
+pub(crate) struct DenseGrad {
     pub(crate) w: Tensor2,
     pub(crate) b: Vec<f32>,
 }
@@ -27,7 +27,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(input_dim: usize, output_dim: usize, rng: &mut ChaCha12Rng) -> Self {
+    pub(crate) fn new(input_dim: usize, output_dim: usize, rng: &mut ChaCha12Rng) -> Self {
         assert!(
             input_dim > 0 && output_dim > 0,
             "dense dims must be positive"
@@ -42,18 +42,8 @@ impl Dense {
         }
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols()
-    }
-
     /// Number of learnable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
     }
 
@@ -76,7 +66,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn forward_batch(&self, batch: usize, x: &[f32], out: &mut [f32]) {
+    pub(crate) fn forward_batch(&self, batch: usize, x: &[f32], out: &mut [f32]) {
         let n = self.b.len();
         assert_eq!(out.len(), batch * n, "dense batch output mismatch");
         gemm_panels_bias_f32(batch, x, self.w.panels(), &self.b, out);
@@ -127,12 +117,12 @@ impl DenseGrad {
 #[cfg(test)]
 impl Dense {
     /// The head's per-record reference: `out = W x + b` for one row, over
-    /// the row-major weights through the zero-skipping kernel — not the
-    /// panel product [`Dense::forward_batch`] runs, so the two check each
-    /// other.
+    /// the row-major weights through the zero-skipping kernel started from
+    /// the bias — not the panel product [`Dense::forward_batch`] runs, so
+    /// the two check each other.
     pub(crate) fn forward(&self, x: &[f32], out: &mut [f32]) {
-        out.copy_from_slice(&self.b);
-        crate::tensor::gemm_acc(1, x, &self.w, out);
+        let (k_dim, n) = (self.w.rows(), self.w.cols());
+        icsad_simd::gemm_bias_f32(1, x, k_dim, self.w.as_slice(), n, &self.b, out);
     }
 }
 
@@ -215,7 +205,10 @@ mod tests {
 
     #[test]
     fn forward_batch_matches_per_lane_forward_bitwise() {
-        let d = Dense::new(37, 11, &mut rng());
+        let mut d = Dense::new(37, 11, &mut rng());
+        // A bias that is not zero, and an output block that is not zero,
+        // so a product that drops the bias shows.
+        d.b = (0..11).map(|j| j as f32 * 0.25 - 1.0).collect();
         let lanes = 5usize;
         let xs: Vec<f32> = (0..lanes * 37)
             .map(|i| match i % 3 {
@@ -224,7 +217,7 @@ mod tests {
                 _ => ((i * 31 % 97) as f32 - 48.0) / 11.0,
             })
             .collect();
-        let mut batched = vec![0.0f32; lanes * 11];
+        let mut batched = vec![f32::NAN; lanes * 11];
         d.forward_batch(lanes, &xs, &mut batched);
         let mut single = vec![0.0f32; 11];
         for lane in 0..lanes {

@@ -10,12 +10,14 @@
 //! (ARCHITECTURE.md, "Offline vendoring"), so this crate implements the
 //! whole stack:
 //!
-//! * [`tensor`] — a minimal `f32` matrix plus the batched kernels an LSTM
-//!   needs,
-//! * [`LstmLayer`] — one LSTM layer with full backpropagation through time,
-//! * [`Dense`] — the projection onto signature logits,
-//! * [`loss`] — top-k ranks (the softmax cross-entropy itself is one
-//!   dispatched kernel, [`icsad_simd::softmax_xent_f32`]),
+//! * `tensor` — a minimal `f32` matrix, a layer's weights with their
+//!   panel-major copy, and the shape-checked fronts over the
+//!   [`icsad_simd`] kernels an LSTM needs,
+//! * `lstm` — one LSTM layer with full backpropagation through time,
+//! * `dense` — the projection onto signature logits,
+//! * [`loss`] — the rank of a target among the logits (the softmax
+//!   cross-entropy itself is one dispatched kernel,
+//!   [`icsad_simd::softmax_xent_f32`]),
 //! * [`LstmClassifier`] — the stacked network and its one batched forward,
 //!   which steps any number of streams (stateful, one package each) for
 //!   online detection and whole minibatches for training, plus
@@ -80,20 +82,16 @@
     )
 )]
 
-pub mod activations;
 mod adam;
 mod dense;
 pub mod loss;
 mod lstm;
 mod model;
-pub mod tensor;
+mod tensor;
 mod trainer;
 
-pub use dense::Dense;
-pub use lstm::{LaneSchedule, LstmLayer, LstmState};
-pub use model::{
-    BackwardPack, ForwardScratch, Gradients, LstmClassifier, ModelConfig, StreamState, TrainScratch,
-};
+pub use lstm::LaneSchedule;
+pub use model::{ForwardScratch, LstmClassifier, ModelConfig, StreamState};
 pub use trainer::{
     EpochStats, Sequence, SequenceBlock, Trainer, TrainerConfigError, TrainingConfig,
 };

@@ -1,33 +1,13 @@
-//! Top-k utilities over a prediction (paper §V-1/V-2).
+//! The rank of a target in a prediction (paper §V-1/V-2): the detector's
+//! top-k rule flags a package whose signature ranks past `k`.
 //!
 //! The softmax cross-entropy itself — the loss, the top-1 bit and the
 //! logits gradient of a whole minibatch — is one pass of
 //! [`icsad_simd::softmax_xent_f32`]; a single row is a one-row call.
 
-/// Returns the indices of the `k` highest-probability classes in descending
-/// order (ties broken by lower index).
-pub fn top_k(probs: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..probs.len()).collect();
-    idx.sort_by(|&i, &j| {
-        probs[j]
-            .partial_cmp(&probs[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(i.cmp(&j))
-    });
-    idx.truncate(k);
-    idx
-}
-
-/// Returns `true` if `target` is among the `k` highest-probability classes:
-/// its [`rank_of`] is at most `k`. Ranks are 1-based, so `k == 0` admits
-/// nothing; an out-of-range `target` is never a member.
-pub fn in_top_k(probs: &[f32], target: usize, k: usize) -> bool {
-    target < probs.len() && rank_of(probs, target) <= k
-}
-
 /// The 1-based rank of `target` in the prediction: `1 +` the number of
-/// classes with strictly higher probability (ties broken by lower index,
-/// consistently with [`top_k`]).
+/// classes with strictly higher probability, ties broken by lower index.
+/// "`target` is in the top `k`" is `rank_of(probs, target) <= k`.
 ///
 /// Returns `probs.len() + 1` if `target` is out of range.
 pub fn rank_of(probs: &[f32], target: usize) -> usize {
@@ -124,44 +104,21 @@ mod tests {
     }
 
     #[test]
-    fn top_k_ordering() {
-        let probs = vec![0.1f32, 0.5, 0.15, 0.25];
-        assert_eq!(top_k(&probs, 2), vec![1, 3]);
-        assert_eq!(top_k(&probs, 10), vec![1, 3, 2, 0]);
+    fn rank_of_breaks_ties_by_index() {
+        // Class 0 wins the single top slot over its equal.
+        assert_eq!(rank_of(&[0.5, 0.5], 0), 1);
+        assert_eq!(rank_of(&[0.5, 0.5], 1), 2);
+        // An out-of-range target ranks below every class.
+        assert_eq!(rank_of(&[0.5, 0.5], 7), 3);
     }
 
     #[test]
-    fn in_top_k_consistent_with_top_k() {
-        let probs = vec![0.1f32, 0.5, 0.15, 0.25];
-        for k in 0..=4 {
-            let set = top_k(&probs, k);
-            for t in 0..4 {
-                assert_eq!(in_top_k(&probs, t, k), set.contains(&t), "k={k} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn in_top_k_edge_cases() {
-        assert!(!in_top_k(&[0.5, 0.5], 0, 0));
-        assert!(!in_top_k(&[0.5, 0.5], 7, 1));
-        // Ties broken by index: class 0 wins the single slot.
-        assert!(in_top_k(&[0.5, 0.5], 0, 1));
-        assert!(!in_top_k(&[0.5, 0.5], 1, 1));
-    }
-
-    #[test]
-    fn rank_of_matches_in_top_k() {
+    fn rank_of_orders_by_descending_probability() {
         let probs = vec![0.1f32, 0.5, 0.15, 0.25];
         assert_eq!(rank_of(&probs, 1), 1);
         assert_eq!(rank_of(&probs, 3), 2);
         assert_eq!(rank_of(&probs, 2), 3);
         assert_eq!(rank_of(&probs, 0), 4);
-        for t in 0..4 {
-            for k in 1..=4 {
-                assert_eq!(in_top_k(&probs, t, k), rank_of(&probs, t) <= k);
-            }
-        }
         assert_eq!(rank_of(&probs, 9), 5);
     }
 

@@ -25,7 +25,7 @@ use crate::tensor::{gemm_panels_acc, grow, outer_acc, outer_dense_acc, Tensor2, 
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LstmLayer {
+pub(crate) struct LstmLayer {
     pub(crate) w: Weights,
     pub(crate) u: Weights,
     pub(crate) b: Vec<f32>,
@@ -35,7 +35,7 @@ pub struct LstmLayer {
 
 /// Gradients mirroring an [`LstmLayer`].
 #[derive(Debug, Clone)]
-pub struct LstmGrad {
+pub(crate) struct LstmGrad {
     pub(crate) w: Tensor2,
     pub(crate) u: Tensor2,
     pub(crate) b: Vec<f32>,
@@ -43,16 +43,16 @@ pub struct LstmGrad {
 
 /// The recurrent state `(h, c)` of one layer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LstmState {
+pub(crate) struct LstmState {
     /// Hidden output vector.
-    pub h: Vec<f32>,
+    pub(crate) h: Vec<f32>,
     /// Cell state vector.
-    pub c: Vec<f32>,
+    pub(crate) c: Vec<f32>,
 }
 
 impl LstmState {
     /// Zero state for a layer of the given width.
-    pub fn zeros(hidden_dim: usize) -> Self {
+    pub(crate) fn zeros(hidden_dim: usize) -> Self {
         LstmState {
             h: vec![0.0; hidden_dim],
             c: vec![0.0; hidden_dim],
@@ -196,7 +196,7 @@ impl LstmLayer {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut ChaCha12Rng) -> Self {
+    pub(crate) fn new(input_dim: usize, hidden_dim: usize, rng: &mut ChaCha12Rng) -> Self {
         assert!(
             input_dim > 0 && hidden_dim > 0,
             "lstm dims must be positive"
@@ -226,17 +226,17 @@ impl LstmLayer {
     }
 
     /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.input_dim
     }
 
     /// Hidden (memory cell) dimensionality.
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.hidden_dim
     }
 
     /// Number of learnable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.w.len() + self.u.len() + self.b.len()
     }
 
@@ -517,14 +517,17 @@ impl LstmLayer {
     /// The per-record reference step the batched forward is tested
     /// against: advances `state` by one timestep and writes `h_t` into
     /// `out_h`. Both products run through the zero-skipping row-major
-    /// kernel one row at a time — not the panel product
+    /// kernel one row at a time, `x W` started from the bias and `h U`
+    /// from that sum — not the panel product
     /// [`LstmLayer::forward_schedule`] runs for `U h` — so a bug in the
     /// batched step cannot hide on both sides of the comparison.
     pub(crate) fn forward(&self, x: &[f32], state: &mut LstmState, out_h: &mut [f32]) {
-        let mut z = self.b.clone();
-        crate::tensor::gemm_acc(1, x, &self.w, &mut z);
-        crate::tensor::gemm_acc(1, &state.h, &self.u, &mut z);
-        icsad_simd::lstm_rows_f32(self.hidden_dim, &mut z, &mut state.c, &mut state.h, None);
+        let (hd, n) = (self.hidden_dim, 4 * self.hidden_dim);
+        let mut xw = vec![0.0; n];
+        gemm_bias_f32(1, x, self.input_dim, self.w.as_slice(), n, &self.b, &mut xw);
+        let mut z = vec![0.0; n];
+        gemm_bias_f32(1, &state.h, hd, self.u.as_slice(), n, &xw, &mut z);
+        icsad_simd::lstm_rows_f32(hd, &mut z, &mut state.c, &mut state.h, None);
         out_h.copy_from_slice(&state.h);
     }
 }

@@ -34,14 +34,14 @@ pub struct LstmClassifier {
 
 /// Gradients for every parameter of an [`LstmClassifier`].
 #[derive(Debug, Clone)]
-pub struct Gradients {
+pub(crate) struct Gradients {
     pub(crate) layers: Vec<crate::lstm::LstmGrad>,
     pub(crate) dense: DenseGrad,
 }
 
 impl Gradients {
     /// Merges gradients computed by a parallel worker.
-    pub fn add_assign(&mut self, other: &Gradients) {
+    pub(crate) fn add_assign(&mut self, other: &Gradients) {
         for (a, b) in self.layers.iter_mut().zip(other.layers.iter()) {
             a.add_assign(b);
         }
@@ -49,7 +49,7 @@ impl Gradients {
     }
 
     /// Resets all gradients to zero.
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         for l in &mut self.layers {
             l.zero();
         }
@@ -57,7 +57,7 @@ impl Gradients {
     }
 
     /// Global L2 norm over all gradient entries.
-    pub fn global_norm(&self) -> f32 {
+    pub(crate) fn global_norm(&self) -> f32 {
         let mut acc = 0.0f64;
         self.visit(|slice| {
             for &g in slice {
@@ -68,7 +68,7 @@ impl Gradients {
     }
 
     /// Scales all gradients by `s`.
-    pub fn scale(&mut self, s: f32) {
+    pub(crate) fn scale(&mut self, s: f32) {
         self.visit_mut(|slice| {
             for g in slice {
                 *g *= s;
@@ -109,11 +109,6 @@ pub struct StreamState {
 }
 
 impl StreamState {
-    /// The per-layer recurrent `(h, c)` states, bottom layer first.
-    pub fn layer_states(&self) -> &[LstmState] {
-        &self.layers
-    }
-
     /// Zeroes every layer's `(h, c)` in place: the cold-start state
     /// [`LstmClassifier::new_state`] builds, without allocating.
     pub fn reset(&mut self) {
@@ -134,7 +129,7 @@ impl StreamState {
 /// only training reads it. It is derived data: build a new one with
 /// [`BackwardPack::new`] after every optimizer step.
 #[derive(Debug, Clone)]
-pub struct BackwardPack {
+pub(crate) struct BackwardPack {
     layers: Vec<LayerPack>,
     dense_wt: PanelsF32,
 }
@@ -150,7 +145,7 @@ struct LayerPack {
 
 impl BackwardPack {
     /// Packs the transposes of `model`'s current weights.
-    pub fn new(model: &LstmClassifier) -> Self {
+    pub(crate) fn new(model: &LstmClassifier) -> Self {
         let transposed = |w: &Tensor2| PanelsF32::pack_transposed(w.as_slice(), w.rows(), w.cols());
         BackwardPack {
             layers: model
@@ -204,7 +199,7 @@ impl ForwardScratch {
 /// minibatch seen and is reused across chunks, so steady-state training
 /// does no allocation.
 #[derive(Debug, Clone, Default)]
-pub struct TrainScratch {
+pub(crate) struct TrainScratch {
     /// Lane indices sorted longest-first.
     order: Vec<usize>,
     /// Lane lengths in `order`.
@@ -309,7 +304,7 @@ impl LstmClassifier {
     }
 
     /// Zero gradients shaped like this model.
-    pub fn zero_gradients(&self) -> Gradients {
+    pub(crate) fn zero_gradients(&self) -> Gradients {
         Gradients {
             layers: self.layers.iter().map(|l| l.zero_grad()).collect(),
             dense: self.dense.zero_grad(),
@@ -547,7 +542,7 @@ impl LstmClassifier {
     /// The one batched forward: runs every lane of `sched` through the
     /// stack and the head and returns the raw logits, `total x num_classes`
     /// in schedule order (row [`LaneSchedule::row`]`(t, i)` is lane `i`'s
-    /// prediction after its `t`-th input). Training ([`LstmClassifier::train_batch`]), the
+    /// prediction after its `t`-th input). Training ([`crate::Trainer::fit`]), the
     /// validation top-`k` curve and, one timestep at a time, every engine
     /// round and every [`LstmClassifier::step_logits`]
     /// ([`LstmClassifier::forward_batch_gathered_logits`]) run it.
@@ -678,7 +673,7 @@ impl LstmClassifier {
     ///
     /// Panics if a lane's inputs are not one `input_dim` row per target or
     /// a target is out of range.
-    pub fn train_batch(
+    pub(crate) fn train_batch(
         &self,
         pack: &BackwardPack,
         lanes: &[(&[f32], &[usize])],
@@ -965,6 +960,7 @@ fn loss_floor(p: f32) -> f32 {
 mod tests {
     use super::*;
     use crate::loss::rank_of;
+    use proptest::prelude::*;
 
     fn small_config() -> ModelConfig {
         ModelConfig {
@@ -1626,13 +1622,76 @@ mod tests {
             let mut out = bits(&logits);
             for (i, state) in states.iter_mut().enumerate() {
                 model.scatter_lane(&scratch, i, state);
-                for layer in state.layer_states() {
+                for layer in &state.layers {
                     out.extend(bits(&layer.h).iter().chain(&bits(&layer.c)));
                 }
             }
             out
         };
         assert_eq!(run(true), run(false));
+    }
+
+    proptest! {
+        /// Batched stepping is bit-identical to per-lane streaming steps:
+        /// random architectures, random lane counts (1–17: 8-row, 4-row and
+        /// single-row gemm tiles, alone and mixed in one round), random
+        /// (partly sparse) inputs, several timesteps deep.
+        #[test]
+        fn gathered_batch_bitwise_equals_streaming_steps(
+            h1 in 1usize..10,
+            h2 in 0usize..10,
+            input_dim in 1usize..12,
+            classes in 1usize..12,
+            lanes in 1usize..=17,
+            steps in 1usize..6,
+            raw in proptest::collection::vec(-4f32..4.0, 17 * 12 * 6),
+            sparsity in proptest::collection::vec(proptest::bool::ANY, 17 * 12 * 6),
+            seed in any::<u64>(),
+        ) {
+            let hidden_dims = if h2 == 0 { vec![h1] } else { vec![h1, h2] };
+            let model = LstmClassifier::new(&ModelConfig {
+                input_dim,
+                hidden_dims,
+                num_classes: classes,
+                seed,
+            });
+            let mut batch_states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();
+            let mut ref_states = batch_states.clone();
+            let mut scratch = model.batch_scratch();
+            let mut logits = vec![0.0f32; lanes * classes];
+            let mut single = vec![0.0f32; classes];
+
+            for t in 0..steps {
+                let xs: Vec<f32> = (0..lanes * input_dim)
+                    .map(|i| {
+                        let j = (t * lanes * input_dim + i) % raw.len();
+                        if sparsity[j] { 0.0 } else { raw[j] }
+                    })
+                    .collect();
+                for (i, state) in batch_states.iter().enumerate() {
+                    model.gather_lane(&mut scratch, i, state);
+                }
+                model.forward_batch_gathered_logits(&mut scratch, lanes, &xs, &mut logits);
+                for (i, state) in batch_states.iter_mut().enumerate() {
+                    model.scatter_lane(&scratch, i, state);
+                }
+                for lane in 0..lanes {
+                    model.step_logits(
+                        &mut ref_states[lane],
+                        &xs[lane * input_dim..(lane + 1) * input_dim],
+                        &mut single,
+                    );
+                    prop_assert_eq!(
+                        &logits[lane * classes..(lane + 1) * classes],
+                        single.as_slice(),
+                        "lane {} step {}", lane, t
+                    );
+                }
+            }
+            for (a, b) in batch_states.iter().zip(ref_states.iter()) {
+                prop_assert_eq!(&a.layers, &b.layers);
+            }
+        }
     }
 
     /// [`LstmClassifier::train_batch`] with the loss loop it ran before the
@@ -1647,7 +1706,6 @@ mod tests {
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
-        use crate::loss::in_top_k;
         let total = model.forward_chunks(lanes, scratch);
         let nc = model.num_classes();
         grow(&mut scratch.dlogits, total * nc);
@@ -1674,7 +1732,7 @@ mod tests {
                 // The floor keeps a NaN probability NaN.
                 let p = row[target];
                 loss += -(if p.is_nan() { p } else { p.max(1e-12) }).ln();
-                if in_top_k(row, target, 1) {
+                if rank_of(row, target) <= 1 {
                     correct += 1;
                 }
                 let d = &mut scratch.dlogits[r * nc..(r + 1) * nc];

@@ -1,7 +1,7 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
-//! The forward kernels — [`gemm_acc`], [`gemm_panels_acc`] — are
-//! thin shape-checked fronts over the
+//! The kernels here — [`gemm_panels_acc`], [`outer_acc`],
+//! [`outer_dense_acc`] — are thin shape-checked fronts over the
 //! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
 //! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
 //! detection, and every backend produces bitwise-identical results under
@@ -48,7 +48,7 @@ use icsad_simd::PanelsF32;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor2 {
+pub(crate) struct Tensor2 {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
@@ -56,7 +56,7 @@ pub struct Tensor2 {
 
 impl Tensor2 {
     /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Tensor2 {
             rows,
             cols,
@@ -69,38 +69,33 @@ impl Tensor2 {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "tensor data length mismatch");
         Tensor2 { rows, cols, data }
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Total number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// Returns `true` for a 0-element tensor.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Flat row-major data.
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable flat row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -109,21 +104,12 @@ impl Tensor2 {
     /// # Panics
     ///
     /// Panics if `r >= rows`.
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub(crate) fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r` as a mutable slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Sets every element to zero.
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -132,7 +118,7 @@ impl Tensor2 {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor2) {
+    pub(crate) fn add_assign(&mut self, other: &Tensor2) {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -154,14 +140,14 @@ impl Tensor2 {
 /// stale pack cannot be observed: the next [`Weights::panels`] repacks
 /// from the updated rows.
 #[derive(Clone)]
-pub struct Weights {
+pub(crate) struct Weights {
     tensor: Tensor2,
     panels: OnceLock<PanelsF32>,
 }
 
 impl Weights {
     /// Wraps a row-major matrix; nothing is packed yet.
-    pub fn new(tensor: Tensor2) -> Self {
+    pub(crate) fn new(tensor: Tensor2) -> Self {
         Weights {
             tensor,
             panels: OnceLock::new(),
@@ -170,14 +156,14 @@ impl Weights {
 
     /// Mutable flat row-major data. Drops the panel-major copy: whatever
     /// the caller writes, the next batched product repacks.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         self.panels.take();
         self.tensor.as_mut_slice()
     }
 
     /// The panel-major copy, packed on first use (≈ 0.1 ms for a
     /// 256 × 1024 matrix) and shared by every later call.
-    pub fn panels(&self) -> &PanelsF32 {
+    pub(crate) fn panels(&self) -> &PanelsF32 {
         self.panels.get_or_init(|| {
             PanelsF32::pack(
                 self.tensor.as_slice(),
@@ -188,7 +174,7 @@ impl Weights {
     }
 
     /// Heap bytes the panel-major copy holds right now (0 until packed).
-    pub fn packed_bytes(&self) -> usize {
+    pub(crate) fn packed_bytes(&self) -> usize {
         self.panels.get().map_or(0, PanelsF32::bytes)
     }
 }
@@ -227,7 +213,7 @@ impl std::fmt::Debug for Weights {
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
+pub(crate) fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
     assert_eq!(
         x.len(),
         batch * dw.rows(),
@@ -260,7 +246,13 @@ pub fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn outer_dense_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2, xt: &mut Vec<f32>) {
+pub(crate) fn outer_dense_acc(
+    batch: usize,
+    x: &[f32],
+    dy: &[f32],
+    dw: &mut Tensor2,
+    xt: &mut Vec<f32>,
+) {
     let (rows, cols) = (dw.rows(), dw.cols());
     assert_eq!(
         x.len(),
@@ -277,32 +269,12 @@ pub fn outer_dense_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2, xt
     icsad_simd::gemm_dense_acc_f32(rows, xt, batch, dy, cols, dw.as_mut_slice());
 }
 
-/// `y[b] += x[b]ᵀ · w` for every row `b` of a `batch × w.rows()` input
-/// block, accumulating into a `batch × w.cols()` output block (both
-/// row-major slices).
-///
-/// Skips zero entries of `x`, which makes one-hot inputs nearly free: this
-/// is the product over the one-hot stack input. Per output element the `k`
-/// contributions are accumulated in ascending order, so results are
-/// bit-identical to `B` separate `gemm_acc(1, …)` calls — on every SIMD
-/// backend, which vectorizes along the output columns only.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
-    let k_dim = w.rows();
-    let n = w.cols();
-    assert_eq!(x.len(), batch * k_dim, "gemm_acc: input block mismatch");
-    assert_eq!(y.len(), batch * n, "gemm_acc: output block mismatch");
-    icsad_simd::gemm_acc_f32(batch, x, k_dim, w.as_slice(), n, y);
-}
-
 /// Register-blocked batched product for *dense* inputs:
-/// `y[b] += x[b]ᵀ · w` like [`gemm_acc`], but without the zero-skip and
-/// with the output tile held in registers across the whole `k` loop.
+/// `y[b] += x[b]ᵀ · w`, without the zero-skip of the one-hot input's
+/// product ([`icsad_simd::gemm_bias_f32`]) and with the output tile held
+/// in registers across the whole `k` loop.
 ///
-/// The sparse kernel of [`gemm_acc`] first lists the
+/// The sparse kernel first lists the
 /// nonzero entries of each input row and then walks that list once per
 /// column chunk — right for one-hot inputs, where the list is a few
 /// entries long, but a wasted compare-and-list pass for dense inputs
@@ -320,14 +292,14 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 /// twin, [`icsad_simd::gemm_panels_bias_f32`]).
 ///
 /// Per output element the `k` contributions are still accumulated in one
-/// ascending chain, so results compare equal (`f32 ==`) to per-row
-/// [`gemm_acc`]; including `xi == 0` terms can only flip the sign of a
+/// ascending chain, so results compare equal (`f32 ==`) to the per-row
+/// sparse product; including `xi == 0` terms can only flip the sign of a
 /// zero, which `==` and every downstream consumer treat identically.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
+pub(crate) fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
     icsad_simd::gemm_panels_acc_f32(batch, x, w.panels(), y);
 }
 
@@ -348,34 +320,6 @@ mod tests {
     fn w23() -> Tensor2 {
         // 2x3: rows are inputs.
         Tensor2::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    }
-
-    #[test]
-    fn gemm_row_matches_manual() {
-        let w = w23();
-        let mut y = vec![0.0; 3];
-        gemm_acc(1, &[10.0, 100.0], &w, &mut y);
-        assert_eq!(y, vec![410.0, 520.0, 630.0]);
-    }
-
-    #[test]
-    fn gemm_row_accumulates() {
-        let w = w23();
-        let mut y = vec![1.0; 3];
-        gemm_acc(1, &[1.0, 0.0], &w, &mut y);
-        assert_eq!(y, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn gemm_row_skips_zeros_correctly() {
-        let w = w23();
-        let mut a = vec![0.0; 3];
-        let mut b = vec![0.0; 3];
-        gemm_acc(1, &[0.0, 2.5], &w, &mut a);
-        gemm_acc(1, &[1e-30, 2.5], &w, &mut b);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-3);
-        }
     }
 
     #[test]
@@ -441,7 +385,7 @@ mod tests {
         let x = [0.3f32, -1.2];
         let y = [2.0f32, -0.5, 0.25];
         let mut wx = vec![0.0; 3];
-        gemm_acc(1, &x, &w, &mut wx);
+        icsad_simd::gemm_bias_f32(1, &x, 2, w.as_slice(), 3, &[0.0; 3], &mut wx);
         let mut wty = vec![0.0; 2];
         icsad_simd::gemm_panels_acc_f32(1, &y, &wt, &mut wty);
         let lhs: f32 = wx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
@@ -458,40 +402,6 @@ mod tests {
         b.as_mut_slice()[3] = 5.0;
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[3.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn dimension_mismatch_panics() {
-        let w = w23();
-        let mut y = vec![0.0; 2];
-        gemm_acc(1, &[1.0, 2.0], &w, &mut y);
-    }
-
-    #[test]
-    fn gemm_matches_per_row_gemm_bitwise() {
-        // 80 input rows > the internal k block, 7 lanes, mixed zeros/ones.
-        let w = Tensor2::from_vec(
-            80,
-            5,
-            (0..400)
-                .map(|i| ((i * 37 % 101) as f32 - 50.0) / 13.0)
-                .collect(),
-        );
-        let x: Vec<f32> = (0..7 * 80)
-            .map(|i| match i % 5 {
-                0 => 0.0,
-                1 => 1.0,
-                _ => ((i * 29 % 83) as f32 - 41.0) / 7.0,
-            })
-            .collect();
-        let mut batched = vec![0.25f32; 7 * 5];
-        gemm_acc(7, &x, &w, &mut batched);
-        for b in 0..7 {
-            let mut single = vec![0.25f32; 5];
-            gemm_acc(1, &x[b * 80..(b + 1) * 80], &w, &mut single);
-            assert_eq!(&batched[b * 5..(b + 1) * 5], single.as_slice(), "lane {b}");
-        }
     }
 
     #[test]
@@ -517,8 +427,9 @@ mod tests {
             let mut batched = reference.clone();
             gemm_panels_acc(6, &x, w, &mut batched);
             for b in 0..6 {
-                let mut single = reference[b * 37..(b + 1) * 37].to_vec();
-                gemm_acc(1, &x[b * 70..(b + 1) * 70], w, &mut single);
+                let mut single = vec![0.0; 37];
+                let (x_row, start) = (&x[b * 70..(b + 1) * 70], &reference[b * 37..(b + 1) * 37]);
+                icsad_simd::gemm_bias_f32(1, x_row, 70, w.as_slice(), 37, start, &mut single);
                 assert_eq!(
                     &batched[b * 37..(b + 1) * 37],
                     single.as_slice(),
@@ -552,28 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn gemm_empty_batch_is_noop() {
-        let w = w23();
-        let mut y: Vec<f32> = vec![];
-        gemm_acc(0, &[], &w, &mut y);
-        assert!(y.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "gemm_acc")]
-    fn gemm_rejects_bad_block() {
-        let w = w23();
-        let mut y = vec![0.0; 3];
-        gemm_acc(2, &[1.0, 2.0, 3.0], &w, &mut y);
-    }
-
-    #[test]
     fn zero_and_from_vec() {
         let mut t = Tensor2::from_vec(1, 2, vec![1.0, 2.0]);
         t.zero();
         assert_eq!(t.as_slice(), &[0.0, 0.0]);
         assert_eq!(t.rows(), 1);
         assert_eq!(t.cols(), 2);
-        assert!(!t.is_empty());
     }
 }

@@ -328,7 +328,7 @@ impl Trainer {
     /// timestep of every gradient partition in between, so the epoch packs
     /// them here, on the calling thread: the forward panels
     /// ([`LstmClassifier::pack_panels`]) before the first minibatch and
-    /// after each step, the transposed ones ([`BackwardPack`]) at the top
+    /// after each step, the transposed ones (for the backward products) at the top
     /// of each step. No gradient partition packs, and the model always
     /// comes back packed and ready to serve.
     pub fn fit_epoch(

@@ -1,8 +1,8 @@
 //! Property-based tests for the neural-network substrate.
 
-use icsad_nn::activations::sigmoid;
-use icsad_nn::loss::{in_top_k, top_k};
+use icsad_nn::loss::rank_of;
 use icsad_nn::{LstmClassifier, ModelConfig};
+use icsad_simd::math::sigmoid;
 use proptest::prelude::*;
 
 /// One row of logits through the training loss kernel: the softmax
@@ -44,28 +44,29 @@ proptest! {
         prop_assert!((sigmoid(-a) - (1.0 - sa)).abs() < 1e-5);
     }
 
-    /// Membership in top-k is monotone in k, and k = len admits everything.
+    /// A class's rank is its 1-based place in the classes sorted by
+    /// descending probability, ties by index — so it lies in `1..=len`,
+    /// and k = len admits everything.
     #[test]
-    fn top_k_monotone(probs in proptest::collection::vec(0f32..1.0, 1..32), target_raw in any::<usize>()) {
+    fn rank_is_the_place_in_the_sorted_classes(probs in proptest::collection::vec(0f32..1.0, 1..40), target_raw in any::<usize>()) {
         let target = target_raw % probs.len();
-        let mut was_in = false;
-        for k in 1..=probs.len() {
-            let now_in = in_top_k(&probs, target, k);
-            prop_assert!(!was_in || now_in, "membership must be monotone in k");
-            was_in = now_in;
-        }
-        prop_assert!(in_top_k(&probs, target, probs.len()));
+        let rank = rank_of(&probs, target);
+        prop_assert!((1..=probs.len()).contains(&rank), "rank {rank} of {}", probs.len());
+        let mut sorted: Vec<usize> = (0..probs.len()).collect();
+        sorted.sort_by(|&i, &j| probs[j].partial_cmp(&probs[i]).unwrap().then(i.cmp(&j)));
+        let place = sorted.iter().position(|&i| i == target);
+        prop_assert_eq!(place.map(|p| p + 1), Some(rank));
     }
 
-    /// `top_k` returns distinct indices sorted by descending probability.
+    /// "rank ≤ k" (membership in the top k) is monotone in k.
     #[test]
-    fn top_k_sorted_and_distinct(probs in proptest::collection::vec(0f32..1.0, 1..40), k in 1usize..40) {
-        let idx = top_k(&probs, k);
-        prop_assert_eq!(idx.len(), k.min(probs.len()));
-        let set: std::collections::HashSet<_> = idx.iter().collect();
-        prop_assert_eq!(set.len(), idx.len());
-        for w in idx.windows(2) {
-            prop_assert!(probs[w[0]] >= probs[w[1]]);
+    fn top_k_membership_is_monotone(probs in proptest::collection::vec(0f32..1.0, 1..32), target_raw in any::<usize>()) {
+        let rank = rank_of(&probs, target_raw % probs.len());
+        let mut was_in = false;
+        for k in 1..=probs.len() {
+            let now_in = rank <= k;
+            prop_assert!(!was_in || now_in, "membership must be monotone in k");
+            was_in = now_in;
         }
     }
 
@@ -120,66 +121,5 @@ proptest! {
         let mut logits = vec![0.0f32; 4];
         model.step_logits(&mut state, &inputs, &mut logits);
         prop_assert!(logits.iter().all(|l| l.is_finite()));
-    }
-
-    /// Batched stepping is bit-identical to per-lane streaming steps:
-    /// random architectures, random lane counts (1–17: 8-row, 4-row and
-    /// single-row gemm tiles, alone and mixed in one round), random
-    /// (partly sparse) inputs, several timesteps deep.
-    #[test]
-    fn gathered_batch_bitwise_equals_streaming_steps(
-        h1 in 1usize..10,
-        h2 in 0usize..10,
-        input_dim in 1usize..12,
-        classes in 1usize..12,
-        lanes in 1usize..=17,
-        steps in 1usize..6,
-        raw in proptest::collection::vec(-4f32..4.0, 17 * 12 * 6),
-        sparsity in proptest::collection::vec(proptest::bool::ANY, 17 * 12 * 6),
-        seed in any::<u64>(),
-    ) {
-        let hidden_dims = if h2 == 0 { vec![h1] } else { vec![h1, h2] };
-        let model = LstmClassifier::new(&ModelConfig {
-            input_dim,
-            hidden_dims,
-            num_classes: classes,
-            seed,
-        });
-        let mut batch_states: Vec<_> = (0..lanes).map(|_| model.new_state()).collect();
-        let mut ref_states = batch_states.clone();
-        let mut scratch = model.batch_scratch();
-        let mut logits = vec![0.0f32; lanes * classes];
-        let mut single = vec![0.0f32; classes];
-
-        for t in 0..steps {
-            let xs: Vec<f32> = (0..lanes * input_dim)
-                .map(|i| {
-                    let j = (t * lanes * input_dim + i) % raw.len();
-                    if sparsity[j] { 0.0 } else { raw[j] }
-                })
-                .collect();
-            for (i, state) in batch_states.iter().enumerate() {
-                model.gather_lane(&mut scratch, i, state);
-            }
-            model.forward_batch_gathered_logits(&mut scratch, lanes, &xs, &mut logits);
-            for (i, state) in batch_states.iter_mut().enumerate() {
-                model.scatter_lane(&scratch, i, state);
-            }
-            for lane in 0..lanes {
-                model.step_logits(
-                    &mut ref_states[lane],
-                    &xs[lane * input_dim..(lane + 1) * input_dim],
-                    &mut single,
-                );
-                prop_assert_eq!(
-                    &logits[lane * classes..(lane + 1) * classes],
-                    single.as_slice(),
-                    "lane {} step {}", lane, t
-                );
-            }
-        }
-        for (a, b) in batch_states.iter().zip(ref_states.iter()) {
-            prop_assert_eq!(a.layer_states(), b.layer_states());
-        }
     }
 }

@@ -422,8 +422,8 @@ mod tests {
 
     /// A source feeding `items` one at a time into a task's inbox (notify
     /// after every push), then closing it — the close is the final step
-    /// (returns Done). Uses try_push so a full queue reports Blocked
-    /// instead of blocking the single-threaded simulation.
+    /// (returns Done). A full queue reports Blocked instead of blocking the
+    /// single-threaded simulation.
     fn feeding_source(
         queue: Arc<IngestQueue<u64>>,
         task: usize,
@@ -432,9 +432,10 @@ mod tests {
         let mut next = 0usize;
         let step: Source<'static> = Box::new(move |notify| {
             if next < items.len() {
-                if queue.try_push(items[next]).is_err() {
+                if queue.len() == queue.capacity() {
                     return SourceStep::Blocked;
                 }
+                queue.push(items[next]).unwrap();
                 next += 1;
                 notify(task);
                 SourceStep::Ran
@@ -479,7 +480,7 @@ mod tests {
             .map(|items| {
                 let q = Arc::new(IngestQueue::bounded(items.len() + 1));
                 for &v in items.iter() {
-                    q.try_push(v).unwrap();
+                    q.push(v).unwrap();
                 }
                 q.close();
                 SumTask::new(q)

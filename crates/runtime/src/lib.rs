@@ -56,7 +56,7 @@ mod test_tasks;
 
 pub use executor::{ExecStats, Executor, Poll, Task, POOL_POLL_BUDGET};
 pub use explore::{explore, ExploreConfig, ExploreReport, Source, SourceStep, Trial, TrialSource};
-pub use queue::{Drain, IngestQueue, PushClosed, TryPushError};
+pub use queue::{Drain, IngestQueue, PushClosed};
 pub use recycle::RecycleRing;
 
 use std::sync::LockResult;

@@ -37,15 +37,6 @@ use crate::unpoisoned;
 #[derive(Debug)]
 pub struct PushClosed<T>(pub T);
 
-/// Why [`IngestQueue::try_push`] failed; the rejected item is handed back.
-#[derive(Debug)]
-pub enum TryPushError<T> {
-    /// The ring is at capacity; a blocking [`IngestQueue::push`] would wait.
-    Full(T),
-    /// The queue is closed (consumer finished or was torn down).
-    Closed(T),
-}
-
 /// One [`IngestQueue::drain_into`] outcome.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Drain {
@@ -95,19 +86,6 @@ impl<T> IngestQueue<T> {
             capacity,
             blocked_pushes: AtomicU64::new(0),
         }
-    }
-
-    /// Appends without blocking, or reports why it cannot.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut state = unpoisoned(self.state.lock());
-        if state.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        state.items.push_back(item);
-        Ok(())
     }
 
     /// Appends, blocking while the ring is full (backpressure). A push that
@@ -233,10 +211,9 @@ mod tests {
     #[test]
     fn fifo_order_and_capacity() {
         let q = IngestQueue::bounded(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert!(matches!(q.try_push(3), Err(TryPushError::Full(3))));
-        assert_eq!(q.len(), 2);
+        q.push(1).unwrap();
+        q.push(2).unwrap();
+        assert_eq!(q.len(), q.capacity());
         let mut buf = Vec::new();
         assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
         assert_eq!(q.drain_into(&mut buf, 1), Drain::Items(1));
@@ -249,7 +226,6 @@ mod tests {
         let q = IngestQueue::bounded(4);
         q.push(7).unwrap();
         q.close();
-        assert!(matches!(q.try_push(8), Err(TryPushError::Closed(8))));
         assert!(matches!(q.push(9), Err(PushClosed(9))));
         // The item pushed before the close still drains.
         let mut buf = Vec::new();
@@ -348,7 +324,7 @@ mod tests {
     fn drain_into_appends_up_to_max() {
         let q = IngestQueue::bounded(8);
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            q.push(i).unwrap();
         }
         let mut buf = vec![99];
         assert_eq!(q.drain_into(&mut buf, 3), Drain::Items(3));

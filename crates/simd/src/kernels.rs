@@ -38,13 +38,13 @@ const WIDE_TILE: usize = 8;
 /// Also the length of the stack array that lists a block's live entries.
 const K_BLOCK: usize = 64;
 
-/// `y[b] += x[b]ᵀ·W` for every batch row, skipping zero entries of `x`
-/// (and taking an exact plain-add path for ones, which rounds identically
-/// under both FMA policies). This is the one-hot / sparse kernel: the
-/// LSTM's input product over the one-hot stack input, every row of a batch
-/// independent of the others. With `bias`, every row starts from it
-/// instead of from `y`: `y[b] = bias + x[b]ᵀ·W`, the chain a copy of the
-/// bias into `y` followed by the accumulating product runs.
+/// `y[b] = bias + x[b]ᵀ·W` for every batch row, skipping zero entries of
+/// `x` (and taking an exact plain-add path for ones, which rounds
+/// identically under both FMA policies). This is the one-hot / sparse
+/// kernel: the LSTM's input product over the one-hot stack input, every
+/// row of a batch independent of the others. Every row starts from `bias`,
+/// not from `y`: the chain a copy of the bias into `y` followed by the
+/// accumulating product runs.
 ///
 /// The `k` loop is blocked ([`K_BLOCK`]) so a block of weight rows stays
 /// cache-resident across all batch rows. Per batch row and block, one
@@ -61,17 +61,17 @@ pub(crate) fn gemm_sparse_f32<L: Lanes>(
     k_dim: usize,
     w: &[f32],
     n: usize,
-    bias: Option<&[f32]>,
+    bias: &[f32],
     y: &mut [f32],
 ) {
     debug_assert_eq!(x.len(), batch * k_dim);
     debug_assert_eq!(w.len(), k_dim * n);
     debug_assert_eq!(y.len(), batch * n);
-    debug_assert!(bias.is_none_or(|b| b.len() == n));
+    debug_assert_eq!(bias.len(), n);
     if n == 0 {
         return;
     }
-    if let (Some(bias), 0) = (bias, k_dim) {
+    if k_dim == 0 {
         y.chunks_exact_mut(n)
             .for_each(|row| row.copy_from_slice(bias));
     }
@@ -81,7 +81,7 @@ pub(crate) fn gemm_sparse_f32<L: Lanes>(
         let kend = (kb + K_BLOCK).min(k_dim);
         let w_block = &w[kb * n..kend * n];
         // Only the first block starts from the bias.
-        let start = bias.filter(|_| kb == 0);
+        let start = (kb == 0).then_some(bias);
         for (x_row, y_row) in x.chunks_exact(k_dim).zip(y.chunks_exact_mut(n)) {
             let xs = &x_row[kb..kend];
             let live = live_entries::<L>(xs, &mut live);
@@ -1063,8 +1063,8 @@ pub(crate) fn outer_acc_f32<L: Lanes>(
 
 /// `out[j] += Σ_r x[r][j]` over the rows of a row-major block of `out.len()`
 /// columns — a bias gradient. Per column the rows add in ascending order,
-/// one plain add each: the chain of one `axpy` with `a = 1.0` per row,
-/// which rounds identically fused or not. Column chunks of 4, 2 and 1
+/// one plain add each (`out[j] + x[r][j]`), which rounds identically fused
+/// or not. Column chunks of 4, 2 and 1
 /// vectors, then one `Half` vector, then single columns, each hold their
 /// sums in registers across all rows and store once.
 #[inline(always)]
@@ -1213,33 +1213,6 @@ fn tanh_deriv<V: Lanes>(t: V) -> V {
     V::splat(1.0).sub(t.mul(t))
 }
 
-/// `y += a * x` under the lane type's FMA policy.
-#[inline(always)]
-pub(crate) fn axpy_f32<L: Lanes>(a: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let j = axpy_vectors::<L>(a, x, y, 0);
-    let j = axpy_vectors::<L::Half>(a, x, y, j);
-    for (yj, &xj) in y[j..].iter_mut().zip(&x[j..]) {
-        *yj = L::fmac_e(*yj, a, xj);
-    }
-}
-
-/// [`axpy_f32`] over the whole `V` vectors from `j` on; returns where
-/// they end. Every streaming kernel runs its body like this twice — `L`,
-/// then at most one `L::Half` vector — and only what is left after that
-/// runs element by element.
-#[inline(always)]
-fn axpy_vectors<V: Lanes>(a: f32, x: &[f32], y: &mut [f32], mut j: usize) -> usize {
-    let av = V::splat(a);
-    while j + V::WIDTH <= y.len() {
-        V::load(&y[j..])
-            .fmac(av, V::load(&x[j..]))
-            .store(&mut y[j..]);
-        j += V::WIDTH;
-    }
-    j
-}
-
 /// In-place lanewise sigmoid. Every lane type runs the same operations
 /// per element, so the half vector and the scalar remainder are bitwise
 /// what a full vector would give.
@@ -1252,7 +1225,10 @@ pub(crate) fn sigmoid_f32<L: Lanes>(xs: &mut [f32]) {
     }
 }
 
-/// [`sigmoid_f32`] over the whole `V` vectors from `j` on.
+/// [`sigmoid_f32`] over the whole `V` vectors from `j` on; returns where
+/// they end. Every streaming kernel runs its body like this twice — `L`,
+/// then at most one `L::Half` vector — and only what is left after that
+/// runs element by element.
 #[inline(always)]
 fn sigmoid_vectors<V: Lanes>(xs: &mut [f32], mut j: usize) -> usize {
     while j + V::WIDTH <= xs.len() {
@@ -1607,7 +1583,7 @@ pub(crate) mod x86_entries {
                     k_dim: usize,
                     w: &[f32],
                     n: usize,
-                    bias: Option<&[f32]>,
+                    bias: &[f32],
                     y: &mut [f32],
                 ) {
                     super::super::gemm_sparse_f32::<$f32ty>(batch, x, k_dim, w, n, bias, y)
@@ -1716,12 +1692,6 @@ pub(crate) mod x86_entries {
                     super::super::lstm_backward_rows_f32::<$f32ty>(
                         hd, z, tc, c_prev, d_out, dh, dc, dz,
                     )
-                }
-
-                // SAFETY: module contract — `$feat` confirmed before dispatch.
-                #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-                    super::super::axpy_f32::<$f32ty>(a, x, y)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

@@ -471,53 +471,20 @@ mod dispatch {
 
 use dispatch::dispatch_f32;
 
-/// `y[b] += x[b]ᵀ·W` for `batch` row-major lanes over a `k_dim × n`
-/// row-major weight matrix, skipping zero entries of `x` (one-hot inputs
-/// are nearly free). Rows are independent: per output element the `k`
+/// `y[b] = bias + x[b]ᵀ·W` for `batch` row-major lanes over a `k_dim × n`
+/// row-major weight matrix, every output row overwritten, skipping zero
+/// entries of `x` (one-hot inputs are nearly free). Rows are independent:
+/// per output element the chain starts from `bias` and the `k`
 /// contributions accumulate in ascending order on every backend, so a row
-/// gives the same bits in a batch of any size.
+/// gives the same bits in a batch of any size. The chain is the one a copy
+/// of `bias` into `y` followed by the accumulating product runs, but the
+/// accumulators load `bias` instead of a copy of it.
 ///
 /// Per batch row and block of 64 `k`, one vector compare per vector of
 /// `x` lists the entries that are not `±0` (NaN is kept), and each column
 /// chunk of `y` accumulates over that list in registers, loaded and
 /// stored once — not once per nonzero entry. An exact `1.0` is a plain
 /// add, any other entry one `fmac`.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch.
-pub fn gemm_acc_f32(batch: usize, x: &[f32], k_dim: usize, w: &[f32], n: usize, y: &mut [f32]) {
-    gemm_acc_f32_with(current(), batch, x, k_dim, w, n, y)
-}
-
-/// [`gemm_acc_f32`] with an explicit backend selection (parity tests and
-/// benches). The selection must be [`supported`].
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or an unsupported selection.
-#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
-pub fn gemm_acc_f32_with(
-    sel: Selection,
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(x.len(), batch * k_dim, "gemm_acc: input block mismatch");
-    assert_eq!(w.len(), k_dim * n, "gemm_acc: weight block mismatch");
-    assert_eq!(y.len(), batch * n, "gemm_acc: output block mismatch");
-    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, None, y))
-}
-
-/// [`gemm_acc_f32`] started from a bias: `y[b] = bias + x[b]ᵀ·W`, every
-/// output row overwritten. Per element the chain is the one a copy of
-/// `bias` into `y` followed by [`gemm_acc_f32`] runs — the same bits —
-/// but the accumulators load `bias` instead of a copy of it, so the copy
-/// pass over the output block is gone.
 ///
 /// # Panics
 ///
@@ -559,12 +526,13 @@ pub fn gemm_bias_f32_with(
     assert_eq!(w.len(), k_dim * n, "gemm_bias: weight block mismatch");
     assert_eq!(bias.len(), n, "gemm_bias: bias width mismatch");
     assert_eq!(y.len(), batch * n, "gemm_bias: output block mismatch");
-    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, Some(bias), y))
+    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, bias, y))
 }
 
 /// Register-tiled dense `y[b] += x[b]ᵀ·W` (no zero skip; right for dense
-/// activations). Accumulation order and rounding match [`gemm_acc_f32`]
-/// except that zero entries contribute an exact `+±0`.
+/// activations). Accumulation order and rounding match the zero-skipping
+/// [`gemm_bias_f32`] with `y` as its bias, except that zero entries
+/// contribute an exact `+±0`.
 ///
 /// Packs `W` into panels on every call — right when the operand is new on
 /// every call, like the gate gradients `dZ` in the weight-gradient product
@@ -915,15 +883,15 @@ pub fn softmax_xent_f32_with(
 /// row-major `k_dim × n` weight gradient. Contributions per output element
 /// accumulate in ascending `b`; zero entries of `x` are skipped and exact
 /// ones take the plain-add path (both bitwise-neutral, matching
-/// [`gemm_acc_f32`]'s contract), so one-hot inputs stay nearly free and
+/// [`gemm_bias_f32`]'s contract), so one-hot inputs stay nearly free and
 /// SIMD ≡ scalar is bitwise per FMA policy. With `batch == 1` this is the
 /// per-timestep rank-1 update the scalar backward used.
 ///
 /// Nothing is transposed: a counting sort lists each input feature's
 /// nonzero entries (a thread-local bucket buffer, grown to the largest
 /// call), and each feature's `dW` row then accumulates its bucket with the
-/// accumulators held in registers. The result is bitwise that of
-/// [`gemm_acc_f32`] over `Xᵀ`.
+/// accumulators held in registers. The result is bitwise that of the
+/// sparse product over `Xᵀ` accumulated into `dw`.
 ///
 /// # Panics
 ///
@@ -959,9 +927,9 @@ pub fn outer_acc_f32_with(
 
 /// `out[j] += Σ_r x[r][j]`: the column sums of a row-major block of
 /// `out.len()` columns (a bias gradient) added to `out`. Per column the
-/// rows add in ascending order, one plain add each — bit for bit one
-/// [`axpy_f32`] with `a = 1.0` per row, under either FMA policy — with the
-/// sums held in registers across the rows instead of stored after each.
+/// rows add in ascending order, one plain add each (`out[j] + x[r][j]`,
+/// which rounds identically under either FMA policy), with the sums held
+/// in registers across the rows instead of stored after each.
 ///
 /// # Panics
 ///
@@ -1066,27 +1034,6 @@ pub fn lstm_backward_rows_f32_with(
         sel,
         lstm_backward_rows_f32(hd, z, tc, c_prev, d_out, dh, dc, dz)
     )
-}
-
-/// `y += a·x` under the dispatched FMA policy.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-    axpy_f32_with(current(), a, x, y)
-}
-
-/// [`axpy_f32`] with an explicit backend selection.
-///
-/// # Panics
-///
-/// Panics if lengths differ or the selection is unsupported.
-#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
-pub fn axpy_f32_with(sel: Selection, a: f32, x: &[f32], y: &mut [f32]) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    dispatch_f32!(sel, axpy_f32(a, x, y))
 }
 
 /// One LSTM timestep for a block of rows, in one call: for each row `r`,

@@ -39,7 +39,7 @@ use crate::math::EXP2F_TABLE;
 /// uses `vfmadd` on 128-bit registers and is only dispatched on FMA
 /// hardware).
 #[derive(Clone, Copy, Debug)]
-pub struct Sse2F32<const FUSED: bool>(__m128);
+pub(crate) struct Sse2F32<const FUSED: bool>(__m128);
 
 impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
     const WIDTH: usize = 4;
@@ -189,7 +189,7 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
 /// multiply-subtract is `vfmsub` on FMA hardware (`FUSED = true`, the
 /// policy only dispatched there) and [`f64::mul_add`] per lane otherwise.
 #[derive(Clone, Copy, Debug)]
-pub struct Sse2F64<const FUSED: bool>([__m128d; 2]);
+pub(crate) struct Sse2F64<const FUSED: bool>([__m128d; 2]);
 
 impl<const FUSED: bool> Sse2F64<FUSED> {
     #[inline(always)]
@@ -258,7 +258,7 @@ impl<const FUSED: bool> WideLanes for Sse2F64<FUSED> {
 /// 8 × `f32` AVX2 lanes, always fused (the backend is only selected on
 /// AVX2 *and* FMA hardware).
 #[derive(Clone, Copy, Debug)]
-pub struct Avx2F32(__m256);
+pub(crate) struct Avx2F32(__m256);
 
 impl Lanes for Avx2F32 {
     const WIDTH: usize = 8;
@@ -421,7 +421,7 @@ impl Lanes for Avx2F32 {
 
 /// The `f64` lanes of [`Avx2F32`]: two 4 × `f64` registers.
 #[derive(Clone, Copy, Debug)]
-pub struct Avx2F64([__m256d; 2]);
+pub(crate) struct Avx2F64([__m256d; 2]);
 
 impl Avx2F64 {
     #[inline(always)]
@@ -480,7 +480,7 @@ impl WideLanes for Avx2F64 {
 
 /// 16 × `f32` AVX-512 lanes, always fused.
 #[derive(Clone, Copy, Debug)]
-pub struct Avx512F32(__m512);
+pub(crate) struct Avx512F32(__m512);
 
 impl Lanes for Avx512F32 {
     const WIDTH: usize = 16;
@@ -637,7 +637,7 @@ impl Lanes for Avx512F32 {
 
 /// The `f64` lanes of [`Avx512F32`]: two 8 × `f64` registers.
 #[derive(Clone, Copy, Debug)]
-pub struct Avx512F64([__m512d; 2]);
+pub(crate) struct Avx512F64([__m512d; 2]);
 
 impl Avx512F64 {
     #[inline(always)]

@@ -10,11 +10,10 @@
 
 use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
-    axpy_f32_with, col_sum_acc_f32_with, gemm_acc_f32_with, gemm_bias_f32_with,
-    gemm_dense_acc_f32_with, gemm_panels_acc_f32, gemm_panels_acc_f32_with,
-    gemm_panels_bias_f32_with, lstm_backward_rows_f32_with, lstm_cell_f32_with, lstm_rows_f32_with,
-    outer_acc_f32_with, rank_panels_f32_with, softmax_xent_f32_with, supported_selections, Backend,
-    PanelsF32, Selection,
+    col_sum_acc_f32_with, gemm_bias_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
+    gemm_panels_acc_f32_with, gemm_panels_bias_f32_with, lstm_backward_rows_f32_with,
+    lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with, rank_panels_f32_with,
+    softmax_xent_f32_with, supported_selections, Backend, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -82,7 +81,7 @@ fn gate_rows(sel: Selection, hd: usize, z: &[f32], c0: &[f32]) -> [Vec<f32>; 4] 
 
 proptest! {
     #[test]
-    fn gemm_acc_matches_scalar_bitwise(
+    fn gemm_bias_matches_scalar_bitwise(
         batch in 1usize..=13,
         k_dim in 1usize..=49,
         n in 1usize..=49,
@@ -90,15 +89,15 @@ proptest! {
         rx in proptest::collection::vec(-8f32..8.0, batch * k_dim),
         sw in proptest::collection::vec(0u8..=255, k_dim * n),
         rw in proptest::collection::vec(-8f32..8.0, k_dim * n),
-        y0 in proptest::collection::vec(-4f32..4.0, batch * n),
+        bias in proptest::collection::vec(-4f32..4.0, n),
     ) {
         let x = mix(&sx, &rx);
         let w = mix(&sw, &rw);
         for (sel, scalar) in pairs() {
-            let mut got = y0.clone();
-            gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
-            let mut want = y0.clone();
-            gemm_acc_f32_with(scalar, batch, &x, k_dim, &w, n, &mut want);
+            let mut got = vec![0.0; batch * n];
+            gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
+            let mut want = vec![0.0; batch * n];
+            gemm_bias_f32_with(scalar, batch, &x, k_dim, &w, n, &bias, &mut want);
             assert_bits_eq(&got, &want, sel.label());
         }
     }
@@ -142,8 +141,8 @@ proptest! {
         for sel in supported_selections() {
             let mut dense = vec![0.25f32; batch * n];
             gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut dense);
-            let mut sparse = vec![0.25f32; batch * n];
-            gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut sparse);
+            let mut sparse = vec![0.0f32; batch * n];
+            gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &vec![0.25; n], &mut sparse);
             assert_bits_eq(&dense, &sparse, sel.label());
         }
     }
@@ -205,22 +204,6 @@ proptest! {
                     }
                 }
             }
-            assert_bits_eq(&got, &want, sel.label());
-        }
-    }
-
-    #[test]
-    fn axpy_matches_scalar_bitwise(
-        n in 1usize..=49,
-        a in -8f32..8.0,
-        x in proptest::collection::vec(-8f32..8.0, n),
-        y0 in proptest::collection::vec(-8f32..8.0, n),
-    ) {
-        for (sel, scalar) in pairs() {
-            let mut got = y0.clone();
-            axpy_f32_with(sel, a, &x, &mut got);
-            let mut want = y0.clone();
-            axpy_f32_with(scalar, a, &x, &mut want);
             assert_bits_eq(&got, &want, sel.label());
         }
     }
@@ -313,24 +296,30 @@ fn fma_policy_is_explicit_and_scalar_reproduces_it() {
         backend: Backend::Scalar,
         fma: true,
     };
-    let mut plain = [acc0];
-    axpy_f32_with(scalar_plain, x[0], &x, &mut plain);
-    let mut fused = [acc0];
-    axpy_f32_with(scalar_fused, x[0], &x, &mut fused);
+    // One `fmac` step of the sparse product: `acc0 + x·x`.
+    let step = |sel| {
+        let mut y = [0.0];
+        gemm_bias_f32_with(sel, 1, &x, 1, &x, 1, &[acc0], &mut y);
+        y[0]
+    };
+    let (plain, fused) = (step(scalar_plain), step(scalar_fused));
+    assert_eq!(plain.to_bits(), (acc0 + x[0] * x[0]).to_bits());
+    assert_eq!(fused.to_bits(), x[0].mul_add(x[0], acc0).to_bits());
     assert_ne!(
-        plain[0].to_bits(),
-        fused[0].to_bits(),
+        plain.to_bits(),
+        fused.to_bits(),
         "the two FMA policies must be distinguishable on this input"
     );
 
     // Every supported backend agrees with the scalar run of its policy —
     // in particular avx2+fma / avx512+fma against mul_add-based scalar.
     for (sel, scalar) in pairs() {
-        let mut got = [acc0];
-        axpy_f32_with(sel, x[0], &x, &mut got);
-        let mut want = [acc0];
-        axpy_f32_with(scalar, x[0], &x, &mut want);
-        assert_eq!(got[0].to_bits(), want[0].to_bits(), "{}", sel.label());
+        assert_eq!(
+            step(sel).to_bits(),
+            step(scalar).to_bits(),
+            "{}",
+            sel.label()
+        );
     }
 }
 
@@ -615,7 +604,7 @@ fn sweep(len: usize, salt: usize) -> Vec<f32> {
 }
 
 /// Every remainder class of every backend, with no randomness: lengths
-/// 1..=48 for `axpy_f32` and `lstm_cell_f32`, and the gate-and-cell
+/// 1..=48 for `lstm_cell_f32`, and the gate-and-cell
 /// kernel at hidden 1..=40 over 1..=5 rows, bitwise against the scalar
 /// lane of the same FMA policy on every supported selection. The scalar
 /// gate kernel is in turn the composition it claims to be: per-element
@@ -628,14 +617,6 @@ fn every_tail_length_matches_scalar_bitwise() {
     let (lens, hds, rows_max) = (1..=9, 1..=9, 2);
     for (sel, scalar) in pairs() {
         for len in lens.clone() {
-            let x = sweep(len, 1);
-            let y0 = sweep(len, 2);
-            let mut got = y0.clone();
-            axpy_f32_with(sel, 1.5, &x, &mut got);
-            let mut want = y0.clone();
-            axpy_f32_with(scalar, 1.5, &x, &mut want);
-            assert_bits_eq(&got, &want, &format!("axpy {} len {len}", sel.label()));
-
             let gates = sweep(4 * len, 3);
             let g: Vec<&[f32]> = gates.chunks_exact(len).collect();
             let c0 = sweep(len, 4);
@@ -834,8 +815,9 @@ const SPARSE_GRID: (&[usize], &[usize], usize) = (
 #[cfg(miri)]
 const SPARSE_GRID: (&[usize], &[usize], usize) = (&[1, 17, 65], &[7, 33], 2);
 
-/// `gemm_acc_f32` and `outer_acc_f32` (which runs the same kernel over
-/// `Xᵀ`) equal the oracle bitwise on every supported selection.
+/// `gemm_bias_f32` (the oracle started from the bias copied into every
+/// row) and `outer_acc_f32` (which runs the same kernel over `Xᵀ`) equal
+/// the oracle bitwise on every supported selection.
 #[test]
 fn sparse_product_matches_the_per_k_oracle_bitwise() {
     let (ks, ns, batch_max) = SPARSE_GRID;
@@ -845,7 +827,8 @@ fn sparse_product_matches_the_per_k_oracle_bitwise() {
             let dw0 = operand(k_dim * n, 14);
             for batch in 1..=batch_max {
                 let x = sparse_x(batch * k_dim, k_dim + batch);
-                let y0 = operand(batch * n, 15);
+                let bias = operand(n, 15);
+                let y0: Vec<f32> = (0..batch).flat_map(|_| bias.iter().copied()).collect();
                 let want =
                     [false, true].map(|fma| sparse_oracle(fma, batch, &x, k_dim, &w, n, &y0));
                 let xt = transposed(&x, batch, k_dim);
@@ -854,8 +837,8 @@ fn sparse_product_matches_the_per_k_oracle_bitwise() {
                     [false, true].map(|fma| sparse_oracle(fma, k_dim, &xt, batch, &dy, n, &dw0));
                 for sel in supported_selections() {
                     let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
-                    let mut got = y0.clone();
-                    gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
+                    let mut got = vec![f32::NAN; batch * n];
+                    gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
                     assert_bits_eq(&got, &want[usize::from(sel.fma)], &format!("gemm {what}"));
                     let mut got = dw0.clone();
                     outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
@@ -1169,8 +1152,7 @@ fn bucketed_outer_product_matches_the_transposed_sparse_gemm_bitwise() {
                 let dy = operand(batch * n, 22);
                 for sel in supported_selections() {
                     let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
-                    let mut want = dw0.clone();
-                    gemm_acc_f32_with(sel, k_dim, &xt, batch, &dy, n, &mut want);
+                    let want = sparse_oracle(sel.fma, k_dim, &xt, batch, &dy, n, &dw0);
                     let mut got = dw0.clone();
                     outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
                     assert_bits_eq(&got, &want, &format!("bucketed {what}"));
@@ -1262,7 +1244,8 @@ fn gate_gradient_kernel_matches_the_scalar_loop_bitwise() {
 
 /// Both bias-started products equal copying the bias into every output
 /// row and then accumulating, bitwise, on every selection — and overwrite
-/// whatever the output held. The sparse one runs over `x` whose row 0 has
+/// whatever the output held. The sparse one, against the per-`k` oracle
+/// from the copied bias, runs over `x` whose row 0 has
 /// no live entry in its first 64-entry block (or anywhere), so that row is
 /// the bias copied through; the panel one over the gemm grid, and with no
 /// input at all (`k_dim = 0`).
@@ -1281,8 +1264,7 @@ fn bias_started_gemms_equal_copy_then_accumulate_bitwise() {
             x[..k_dim.min(64)].fill(0.0);
             for sel in supported_selections() {
                 let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
-                let mut want = copied(&bias, batch);
-                gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut want);
+                let want = sparse_oracle(sel.fma, batch, &x, k_dim, &w, n, &copied(&bias, batch));
                 let mut got = vec![f32::NAN; batch * n];
                 gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
                 assert_bits_eq(&got, &want, &format!("sparse {what}"));
@@ -1310,12 +1292,13 @@ fn bias_started_gemms_equal_copy_then_accumulate_bitwise() {
     }
 }
 
-/// The bias-gradient column sum equals one `axpy` with `a = 1.0` per row,
-/// bitwise, on every selection: widths through every column chunk, half
-/// vector and single-column tail, and the ledger models' heads; blocks of
-/// zero to many rows; values that include the specials.
+/// The bias-gradient column sum equals adding the rows into `out` one
+/// after another, one plain add per element, bitwise, on every selection:
+/// widths through every column chunk, half vector and single-column tail,
+/// and the ledger models' heads; blocks of zero to many rows; values that
+/// include the specials.
 #[test]
-fn column_sum_equals_per_row_axpy_bitwise() {
+fn column_sum_equals_the_per_row_add_loop_bitwise() {
     #[cfg(not(miri))]
     let (ns, rows_set): (Vec<usize>, &[usize]) = (
         (1..=70).chain([169, 379, 1024]).collect(),
@@ -1327,11 +1310,13 @@ fn column_sum_equals_per_row_axpy_bitwise() {
         let out0 = sweep(n, 51);
         for &rows in rows_set {
             let x = sweep(rows * n, 52 + n);
-            for sel in supported_selections() {
-                let mut want = out0.clone();
-                for row in x.chunks_exact(n) {
-                    axpy_f32_with(sel, 1.0, row, &mut want);
+            let mut want = out0.clone();
+            for row in x.chunks_exact(n) {
+                for (o, &v) in want.iter_mut().zip(row) {
+                    *o += v;
                 }
+            }
+            for sel in supported_selections() {
                 let mut got = out0.clone();
                 col_sum_acc_f32_with(sel, &x, &mut got);
                 let what = format!("col_sum {} n {n} rows {rows}", sel.label());
@@ -1354,7 +1339,6 @@ fn empty_batches_are_no_ops_at_every_width() {
             gemm_panels_acc_f32_with(sel, 0, &[], &panels, &mut []);
             gemm_panels_bias_f32_with(sel, 0, &[], &panels, &bias, &mut []);
             gemm_dense_acc_f32_with(sel, 0, &[], k_dim, &w, n, &mut []);
-            gemm_acc_f32_with(sel, 0, &[], k_dim, &w, n, &mut []);
             gemm_bias_f32_with(sel, 0, &[], k_dim, &w, n, &bias, &mut []);
         }
     }

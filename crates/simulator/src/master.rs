@@ -126,11 +126,6 @@ impl ScadaMaster {
         &self.command
     }
 
-    /// Returns `true` while a manual-control episode is running.
-    pub fn in_manual_episode(&self) -> bool {
-        self.manual_cycles_left > 0
-    }
-
     /// Starts a new polling cycle: runs the operator model and returns the
     /// write-command frame.
     pub fn begin_cycle(&mut self, rng: &mut ChaCha12Rng) -> Frame {
@@ -287,7 +282,7 @@ mod tests {
         let mut saw_auto_after = false;
         for _ in 0..500 {
             let _ = m.begin_cycle(&mut r);
-            if m.in_manual_episode() {
+            if m.manual_cycles_left > 0 {
                 saw_manual = true;
                 assert_eq!(m.command_state().mode, SystemMode::Manual);
             } else if saw_manual && m.command_state().mode == SystemMode::Auto {
@@ -309,7 +304,7 @@ mod tests {
         let mut m = ScadaMaster::new(4, cfg);
         let mut r = rng();
         // Enter manual episode.
-        while !m.in_manual_episode() {
+        while m.manual_cycles_left == 0 {
             let _ = m.begin_cycle(&mut r);
         }
         m.observe_pressure(0.0); // far below setpoint

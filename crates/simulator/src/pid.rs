@@ -39,11 +39,6 @@ impl PidController {
         }
     }
 
-    /// Current settings.
-    pub fn settings(&self) -> &PidSettings {
-        &self.settings
-    }
-
     /// Replaces the settings (an operator or attacker wrote new parameters)
     /// and resets the internal state.
     pub fn reconfigure(&mut self, settings: PidSettings) {

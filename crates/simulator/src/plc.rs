@@ -103,13 +103,6 @@ impl PipelinePlc {
         }
     }
 
-    /// Handles raw wire bytes; silently ignores undecodable or bad-CRC
-    /// requests (a real RTU slave treats them as line noise).
-    pub fn handle_wire(&mut self, wire: &[u8]) -> Option<Vec<u8>> {
-        let frame = Frame::decode(wire).ok()?;
-        self.handle_frame(&frame).map(|f| f.encode())
-    }
-
     fn apply_command(&mut self, commanded: &PipelineState) {
         let pid_changed = commanded.pid != self.state.pid;
         self.state.pid = commanded.pid;
@@ -238,7 +231,7 @@ mod tests {
         let mut p = plc();
         let req = Frame::new(4, FunctionCode::Diagnostics, vec![0, 0]);
         let resp = p.handle_frame(&req).unwrap();
-        assert!(resp.function().is_exception_response());
+        assert!(resp.function().code() & 0x80 != 0, "exception bit");
         assert_eq!(resp.payload(), &[ExceptionCode::IllegalFunction.code()]);
     }
 
@@ -254,17 +247,10 @@ mod tests {
     #[test]
     fn wire_level_round_trip() {
         let mut p = plc();
-        let wire = encode_read_command(4).encode();
-        let resp_wire = p.handle_wire(&wire).unwrap();
+        let request = Frame::decode(&encode_read_command(4).encode()).unwrap();
+        let resp_wire = p.handle_frame(&request).unwrap().encode();
         let resp = Frame::decode(&resp_wire).unwrap();
         assert!(pipeline::decode_read_response(&resp).is_ok());
-    }
-
-    #[test]
-    fn bad_crc_request_is_ignored() {
-        let mut p = plc();
-        let wire = encode_read_command(4).encode_with_bad_crc();
-        assert!(p.handle_wire(&wire).is_none());
     }
 
     #[test]
@@ -272,7 +258,7 @@ mod tests {
         let mut p = plc();
         let req = Frame::new(4, FunctionCode::WriteMultipleRegisters, vec![1, 2, 3]);
         let resp = p.handle_frame(&req).unwrap();
-        assert!(resp.function().is_exception_response());
+        assert!(resp.function().code() & 0x80 != 0, "exception bit");
         assert_eq!(resp.payload(), &[ExceptionCode::IllegalDataValue.code()]);
     }
 }

@@ -35,7 +35,7 @@ proptest! {
             prop_assert!(p.time > last);
             last = p.time;
             let (frame, _) = Frame::decode_lenient(&p.wire).expect("decodable");
-            prop_assert!(frame.encoded_len() == p.wire.len());
+            prop_assert!(frame.encode().len() == p.wire.len());
         }
     }
 

@@ -5,13 +5,13 @@
 
 #![allow(dead_code)] // each test binary uses a subset
 
-use icsad_modbus::crc::verify_crc;
+use icsad_modbus::Frame;
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 use icsad_wire::fixture::CaptureBuilder;
 
 /// The committed capture fixture, regenerable via
 /// `ICSAD_WRITE_FIXTURE=1 cargo test -p icsad-wire --test equivalence`.
-pub const FIXTURE_PATH: &str = concat!(
+pub(crate) const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/modbus_tcp.pcap"
 );
@@ -20,7 +20,7 @@ pub const FIXTURE_PATH: &str = concat!(
 /// with **exactly** the arithmetic [`CaptureBuilder`] uses to encode and
 /// `PcapReader` uses to decode, so a quantized time survives the capture
 /// round trip bit-identically.
-pub fn pcap_time(time: f64) -> f64 {
+pub(crate) fn pcap_time(time: f64) -> f64 {
     let secs = time as u32;
     let micros = ((time - f64::from(secs)) * 1e6).round() as u32;
     f64::from(secs) + f64::from(micros) / 1e6
@@ -29,7 +29,7 @@ pub fn pcap_time(time: f64) -> f64 {
 /// Three clean (attack-free) polling sessions to units 3, 7, and 11,
 /// merged chronologically — the traffic one master connection to a
 /// multi-drop gateway would show — with pcap-quantized timestamps.
-pub fn fixture_traffic() -> Vec<Packet> {
+pub(crate) fn fixture_traffic() -> Vec<Packet> {
     let mut capture: Vec<Packet> = Vec::new();
     for (i, slave) in [3u8, 7, 11].into_iter().enumerate() {
         let mut generator = TrafficGenerator::new(TrafficConfig {
@@ -49,7 +49,7 @@ pub fn fixture_traffic() -> Vec<Packet> {
         p.time = pcap_time(p.time);
         assert!(p.label.is_none(), "clean traffic must be unlabeled");
         assert!(
-            verify_crc(&p.wire).is_some(),
+            Frame::decode(&p.wire).is_ok(),
             "fixture traffic must carry valid CRCs (MBAP re-encapsulation \
              recomputes them, so a bad CRC could not round-trip)"
         );
@@ -58,7 +58,7 @@ pub fn fixture_traffic() -> Vec<Packet> {
 }
 
 /// The fixture traffic as a single-connection Modbus-TCP capture image.
-pub fn fixture_image(packets: &[Packet]) -> Vec<u8> {
+pub(crate) fn fixture_image(packets: &[Packet]) -> Vec<u8> {
     let mut builder = CaptureBuilder::new();
     for p in packets {
         builder.modbus(p.time, &p.wire, p.is_command);
