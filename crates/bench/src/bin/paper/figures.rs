@@ -80,7 +80,7 @@ pub fn fig5(setup: &Setup, report: &mut Report) {
     let (n, m) = (train.len(), validation.len());
     println!("train {n} / validation {m} packages\n");
     let config = DiscretizationConfig::paper_defaults();
-    let points = sweep(&config, train, validation, &PRESSURE_GRID, &SETPOINT_GRID);
+    let points = sweep(train, validation, &PRESSURE_GRID, &SETPOINT_GRID);
     let points = points.expect("granularity sweep");
     assert_eq!(points.len(), PRESSURE_GRID.len() * SETPOINT_GRID.len());
 

@@ -3,7 +3,9 @@
 use icsad_dataset::arff::{to_arff_string, ATTRIBUTES};
 use icsad_dataset::DatasetStats;
 use icsad_features::granularity::validation_error;
-use icsad_features::DiscretizationConfig;
+use icsad_features::{
+    DiscretizationConfig, CRC_RATE_CLUSTERS, PID_CLUSTERS, TIME_INTERVAL_CLUSTERS,
+};
 use icsad_simulator::AttackType;
 
 use crate::report::{attack_key, banner, print_table, quality_cells, Report};
@@ -78,14 +80,18 @@ pub fn table3(setup: &Setup, report: &mut Report) {
         rows.push(format!("{feature}\t{method}\t{paper}+1\t{}", cards[index]));
     };
     let (kmeans, even) = ("Kmeans clustering", "Even interval partition");
-    let clusters = config.time_interval_clusters;
-    feature("time interval", "time_interval", kmeans, clusters, 4);
-    feature("crc rate", "crc_rate", kmeans, config.crc_rate_clusters, 5);
+    feature(
+        "time interval",
+        "time_interval",
+        kmeans,
+        TIME_INTERVAL_CLUSTERS,
+        4,
+    );
+    feature("crc rate", "crc_rate", kmeans, CRC_RATE_CLUSTERS, 5);
     let bins = config.pressure_bins;
     feature("pressure measurement", "pressure", even, bins, 7);
     feature("setpoint", "setpoint", even, config.setpoint_bins, 6);
-    let clusters = config.pid_clusters;
-    feature("PID parameters (5 jointly)", "pid", kmeans, clusters, 8);
+    feature("PID parameters (5 jointly)", "pid", kmeans, PID_CLUSTERS, 8);
     print_table(
         "feature\tdiscretization method\tvalue no. (paper)\tachieved cardinality*",
         &rows,

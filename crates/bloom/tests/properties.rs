@@ -66,8 +66,9 @@ proptest! {
         }
     }
 
-    /// BitVec set/get agree and count_ones matches the number of distinct
-    /// set positions.
+    /// BitVec set/get agree, and the bits set across the backing words
+    /// (read from `to_bytes`, so a stray bit past `len` counts too) match
+    /// the number of distinct set positions.
     #[test]
     fn bitvec_set_get_count(
         len in 1usize..500,
@@ -82,7 +83,8 @@ proptest! {
         for p in 0..len {
             prop_assert_eq!(bv.get(p), distinct.contains(&p));
         }
-        prop_assert_eq!(bv.count_ones(), distinct.len());
+        let ones: usize = bv.to_bytes()[8..].iter().map(|b| b.count_ones() as usize).sum();
+        prop_assert_eq!(ones, distinct.len());
     }
 
     /// BitVec serialization round-trips exactly.

@@ -115,8 +115,8 @@ pub struct TimeSeriesDetector {
     /// Layer-0 gate pre-activations of every vocabulary signature with its
     /// noise bit clear, `|S| x 4 H₀` in class-id order: the bias plus the
     /// one-hot product, computed once from the weights when the detector
-    /// is built ([`TimeSeriesDetector::signature_table_bytes`]). Derived
-    /// data, never serialized.
+    /// is built. Derived data, never serialized, and (like the model's
+    /// packed panels) not part of [`TimeSeriesDetector::memory_bytes`].
     signature_rows: Vec<f32>,
 }
 
@@ -205,7 +205,7 @@ impl TimeSeriesDetector {
         }
         let encoder = OneHotEncoder::new(discretizer);
 
-        // Precompute per-fragment discretized vectors and targets.
+        // Precompute per-fragment discretized vectors and their class ids.
         let prepared: Vec<(Vec<DiscreteVector>, Vec<usize>)> = fragments
             .iter()
             .filter(|frag| frag.len() >= 2)
@@ -214,10 +214,10 @@ impl TimeSeriesDetector {
                     frag.iter().map(|r| discretizer.discretize(r)).collect();
                 #[expect(
                     clippy::expect_used,
-                    reason = "the vocabulary was built from this very training set a few \
-                              lines up, so every record's signature has an id"
+                    reason = "the vocabulary is built from the training set these fragments \
+                              come from, so every record's signature has an id"
                 )]
-                let targets: Vec<usize> = vectors[1..]
+                let ids: Vec<usize> = vectors
                     .iter()
                     .map(|v| {
                         vocabulary
@@ -225,7 +225,7 @@ impl TimeSeriesDetector {
                             .expect("training records are in the vocabulary")
                     })
                     .collect();
-                (vectors, targets)
+                (vectors, ids)
             })
             .collect();
         if prepared.is_empty() {
@@ -374,15 +374,6 @@ impl TimeSeriesDetector {
     /// Model memory in bytes (LSTM + dense parameters).
     pub fn memory_bytes(&self) -> usize {
         self.model.memory_bytes()
-    }
-
-    /// Heap bytes of the per-signature table of layer-0 pre-activations
-    /// (`|S| x 4 H₀` `f32`). Like the model's
-    /// [`LstmClassifier::packed_bytes`] it is derived from the parameters,
-    /// so it is not part of [`TimeSeriesDetector::memory_bytes`]; resident
-    /// memory is the sum of the three.
-    pub fn signature_table_bytes(&self) -> usize {
-        self.signature_rows.len() * std::mem::size_of::<f32>()
     }
 
     /// The underlying classifier (for serialization or inspection).
@@ -664,9 +655,10 @@ impl TimeSeriesDetector {
 
 /// Fills `block` with the training sequences of one epoch: each
 /// fragment's packages one-hot encoded, each step targeting the next
-/// package's class id. With `noise_lambda`, a package whose signature
-/// occurs `#s` times is replaced with probability `λ/(λ+#s)` by a mutated
-/// vector with its noise bit set (§V-3).
+/// package's class id (`prepared` pairs every package with its id). With
+/// `noise_lambda`, a package whose signature occurs `#s` times is replaced
+/// with probability `λ/(λ+#s)` by a mutated vector with its noise bit set
+/// (§V-3).
 fn build_sequences(
     encoder: &OneHotEncoder,
     vocabulary: &SignatureVocabulary,
@@ -678,16 +670,13 @@ fn build_sequences(
     use rand::Rng;
     let cards = encoder.cardinalities();
     block.clear();
-    for (vectors, targets) in prepared {
+    for (vectors, ids) in prepared {
         block.begin_sequence();
-        for (vec, &target) in vectors[..vectors.len() - 1].iter().zip(targets) {
-            let row = block.push_step(target);
+        for (vec, step) in vectors.iter().zip(ids.windows(2)) {
+            let row = block.push_step(step[1]);
             match noise_lambda {
                 Some(lambda) => {
-                    let count = vocabulary
-                        .id_of_vector(vec)
-                        .map_or(0, |id| vocabulary.count(id));
-                    let p = lambda / (lambda + count as f64);
+                    let p = lambda / (lambda + vocabulary.count(step[0]) as f64);
                     if rng.gen::<f64>() < p {
                         let mut noisy = *vec;
                         mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);

@@ -260,6 +260,32 @@ fn unbounded_bloom_hash_count_is_corrupt_behind_a_valid_checksum() {
 }
 
 #[test]
+fn fixed_granularities_other_than_table_iii_are_corrupt_behind_a_valid_checksum() {
+    let fx = fixture();
+    // The DISC payload (index 0) opens with the discretization settings as
+    // u64s: time-interval clusters, CRC-rate clusters, pressure bins, set
+    // point bins, PID clusters, k-means iterations, k-means seed. Only the
+    // two bin counts are settings; a detector fitted with other values of
+    // the five fixed ones is not one this build commissions.
+    let boundaries = section_boundaries(&fx.artifact);
+    let disc = &fx.artifact[boundaries[0]..boundaries[1]];
+    for (offset, value) in [(0, 3u64), (8, 4), (32, 16), (40, 50), (48, 1)] {
+        let mut tampered = disc.to_vec();
+        tampered[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        let bytes = replace_section(&fx.artifact, 0, &tampered);
+        let result = CombinedDetector::from_bytes(&bytes);
+        assert!(
+            matches!(
+                result,
+                Err(ArtifactError::SectionCorrupt { section: "DISC" })
+            ),
+            "offset {offset}: {result:?}"
+        );
+    }
+    assert_eq!(replace_section(&fx.artifact, 0, disc), fx.artifact);
+}
+
+#[test]
 fn implausible_section_count_is_rejected_before_any_table_walk() {
     // Magic and version intact, count = u16::MAX: rejected by the section
     // cap (no quadratic duplicate scan, no checksum pass over the body).
@@ -281,16 +307,11 @@ fn round_trip_decisions_are_bit_identical_on_a_multi_plc_capture() {
     assert_eq!(restored.k(), fx.detector.k());
     assert_eq!(restored.memory_bytes(), fx.detector.memory_bytes());
     // Both ways of obtaining a detector — commissioning and loading —
-    // hand it over with the inference panels and the per-signature table
-    // (|S| rows of 4 x 16 f32) already built, so an engine shard never
-    // packs (or allocates for it) inside a round.
+    // hand it over with the inference panels already built, so an engine
+    // shard never packs inside a round.
     let panels = |d: &CombinedDetector| d.time_series_level().model().packed_bytes();
     assert!(panels(&restored) > 0);
     assert_eq!(panels(&restored), panels(&fx.detector));
-    let table = |d: &CombinedDetector| d.time_series_level().signature_table_bytes();
-    let classes = restored.time_series_level().vocabulary().len();
-    assert_eq!(table(&restored), classes * 4 * 16 * 4);
-    assert_eq!(table(&fx.detector), table(&restored));
 
     // Every stream, in lockstep.
     let views: Vec<&[Record]> = fx.streams.iter().map(|s| s.as_slice()).collect();

@@ -2,7 +2,6 @@
 //! sizing knobs and their up-front validation.
 
 use icsad_core::dynamic_k::DynamicKConfig;
-use icsad_dataset::extract::DEFAULT_CRC_WINDOW;
 
 // Intra-doc link targets only.
 #[cfg(doc)]
@@ -65,9 +64,6 @@ pub enum EngineConfigError {
     /// and the chunk free-list are preallocated in proportion to it, so a
     /// huge value would abort the process at startup.
     ChannelCapacityTooLarge,
-    /// `crc_window` was zero: the per-stream CRC feature needs at least one
-    /// frame of history.
-    ZeroCrcWindow,
     /// A zero [`EngineConfig::lane_idle_frames`] (use `None` to disable
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
@@ -94,7 +90,6 @@ impl std::fmt::Display for EngineConfigError {
                     "channel_capacity must be at most {MAX_CHANNEL_CAPACITY} frames per shard"
                 )
             }
-            EngineConfigError::ZeroCrcWindow => write!(f, "crc_window must be positive"),
             EngineConfigError::ZeroLaneIdleFrames => {
                 write!(
                     f,
@@ -139,8 +134,6 @@ pub struct EngineConfig {
     /// whole chunks (at least one — up to ~`channel_capacity + 63` frames
     /// may be in flight). At most [`MAX_CHANNEL_CAPACITY`].
     pub channel_capacity: usize,
-    /// CRC sliding-window width for feature extraction (per stream).
-    pub crc_window: usize,
     /// Top-`k` mode for the combined backends started through
     /// [`Engine::try_start`]. [`Engine::try_start_backend`], whose backend
     /// already fixes its own decision rule, does not apply it; both
@@ -162,9 +155,9 @@ pub struct EngineConfig {
     /// frames were all classified before the eviction; a stream that
     /// later rejoins classifies bit-identically to a cold start). `None`
     /// (the default) disables idle eviction; explicit retirement via
-    /// [`Engine::retire_link`] / [`Engine::retire_stream`] works either
-    /// way. Ignored by backends that cannot recycle lanes (the window
-    /// baselines), whose lanes stay resident.
+    /// [`Engine::retire_link`] works either way. Ignored by backends that
+    /// cannot recycle lanes (the window baselines), whose lanes stay
+    /// resident.
     pub lane_idle_frames: Option<u64>,
 }
 
@@ -180,7 +173,6 @@ impl Default for EngineConfig {
                 .min(8),
             batch_size: 64,
             channel_capacity: 1024,
-            crc_window: DEFAULT_CRC_WINDOW,
             mode: EngineMode::FixedK,
             ingest: IngestMode::default(),
             lane_idle_frames: None,
@@ -208,9 +200,6 @@ impl EngineConfig {
         }
         if self.channel_capacity > MAX_CHANNEL_CAPACITY {
             return Err(EngineConfigError::ChannelCapacityTooLarge);
-        }
-        if self.crc_window == 0 {
-            return Err(EngineConfigError::ZeroCrcWindow);
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);

@@ -389,37 +389,9 @@ impl Engine {
                           coverage; fail loudly"
             )]
             driver
-                .send(shard, ShardMsg::Retire { link, unit: None })
+                .send(shard, ShardMsg::Retire { link })
                 .unwrap_or_else(|_| panic!("shard worker terminated"));
         }
-    }
-
-    /// Retires the single stream `(link, unit)` — one device leaving a
-    /// multi-drop link. Semantics exactly as [`Engine::retire_link`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target shard worker has terminated.
-    pub fn retire_stream(&mut self, link: u32, unit: u8) {
-        self.flush_ingest();
-        let shard = self.shard_of_stream(link, unit);
-        #[expect(
-            clippy::expect_used,
-            clippy::panic,
-            reason = "as in `swap_artifact`: `driver` is present on every live engine, and \
-                      a dead shard already lost detection coverage"
-        )]
-        self.driver
-            .as_ref()
-            .expect("engine finished")
-            .send(
-                shard,
-                ShardMsg::Retire {
-                    link,
-                    unit: Some(unit),
-                },
-            )
-            .unwrap_or_else(|_| panic!("shard worker terminated"));
     }
 
     /// Plays an adversarial scenario built by
@@ -466,11 +438,6 @@ impl Engine {
     /// (resolved once at startup), e.g. `"avx512+fma"` or `"scalar"`.
     pub fn kernel_backend(&self) -> &'static str {
         self.kernel_backend
-    }
-
-    /// Successful hot-reloads dispatched so far.
-    pub fn reloads(&self) -> u64 {
-        self.reloads
     }
 
     /// Number of shards.

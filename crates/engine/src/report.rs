@@ -69,8 +69,8 @@ pub struct ShardReport {
     /// signal under topology churn.
     pub peak_resident_lanes: usize,
     /// Lanes retired over the shard's lifetime (explicit
-    /// [`Engine::retire_link`]/[`Engine::retire_stream`] plus
-    /// [`EngineConfig::lane_idle_frames`] evictions).
+    /// [`Engine::retire_link`] plus [`EngineConfig::lane_idle_frames`]
+    /// evictions).
     pub retired_lanes: u64,
     /// Packages stamped earlier than one their stream had already
     /// delivered (capture reordering). Each got `time_interval` 0 and left

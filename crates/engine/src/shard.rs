@@ -23,7 +23,7 @@ use std::sync::Arc;
 use icsad_core::combined::CombinedDetector;
 use icsad_core::metrics::ClassificationReport;
 use icsad_core::streaming::{LaneDecision, StreamingSession};
-use icsad_dataset::extract::StreamExtractor;
+use icsad_dataset::extract::{StreamExtractor, DEFAULT_CRC_WINDOW};
 use icsad_dataset::Record;
 use icsad_runtime::{Drain, IngestQueue, Poll, RecycleRing, Task};
 use icsad_simulator::AttackType;
@@ -36,13 +36,11 @@ use crate::{EngineConfig, RawFrame, ShardReport};
 pub(crate) enum ShardMsg {
     Frames(Vec<RawFrame>),
     Swap(Arc<CombinedDetector>),
-    /// Retire every lane of `link` (`unit: None`), or just the one stream
-    /// `(link, unit)`. Ordered through the same FIFO as frames, so a
-    /// retirement takes effect exactly between the frames that preceded it
-    /// and any that follow — under every schedule.
+    /// Retire every lane of `link`. Ordered through the same FIFO as
+    /// frames, so a retirement takes effect exactly between the frames that
+    /// preceded it and any that follow — under every schedule.
     Retire {
         link: u32,
-        unit: Option<u8>,
     },
 }
 
@@ -195,7 +193,7 @@ impl ShardCore {
                     None => {
                         let lane = self.session.add_lane();
                         self.extractors
-                            .push(StreamExtractor::new(self.config.crc_window));
+                            .push(StreamExtractor::new(DEFAULT_CRC_WINDOW));
                         self.queues.push(VecDeque::new());
                         self.pending_labels.push(VecDeque::new());
                         self.lane_keys.push(None);
@@ -313,20 +311,17 @@ impl ShardCore {
     /// clock-regression count for the report.
     fn reset_extractor(&mut self, lane: usize) {
         self.clock_regressions += self.extractors[lane].clock_regressions();
-        self.extractors[lane] = StreamExtractor::new(self.config.crc_window);
+        self.extractors[lane] = StreamExtractor::new(DEFAULT_CRC_WINDOW);
     }
 
-    /// Explicit stream retirement (a device or TCP link left): retires the
-    /// single stream `(link, unit)`, or every lane of `link`.
-    fn apply_retire(&mut self, link: u32, unit: Option<u8>) {
+    /// Explicit link retirement (a device or TCP link left): retires every
+    /// lane of `link`.
+    fn apply_retire(&mut self, link: u32) {
         // Sweep the reverse map in lane (assignment) order — deterministic,
         // unlike iterating the HashMap.
         for lane in 0..self.lane_keys.len() {
-            match self.lane_keys[lane] {
-                Some((l, u)) if l == link && unit.is_none_or(|target| target == u) => {
-                    self.retire_lane(lane);
-                }
-                _ => {}
+            if matches!(self.lane_keys[lane], Some((l, _)) if l == link) {
+                self.retire_lane(lane);
             }
         }
     }
@@ -462,7 +457,7 @@ impl ShardCore {
         match msg {
             ShardMsg::Frames(chunk) => self.enqueue_chunk(chunk),
             ShardMsg::Swap(detector) => self.apply_swap(detector),
-            ShardMsg::Retire { link, unit } => self.apply_retire(link, unit),
+            ShardMsg::Retire { link } => self.apply_retire(link),
         }
     }
 

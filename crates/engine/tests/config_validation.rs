@@ -113,13 +113,6 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
         ),
         (
             EngineConfig {
-                crc_window: 0,
-                ..base()
-            },
-            EngineConfigError::ZeroCrcWindow,
-        ),
-        (
-            EngineConfig {
                 lane_idle_frames: Some(0),
                 ..base()
             },
@@ -221,7 +214,6 @@ fn errors_name_the_offending_field() {
             EngineConfigError::ChannelCapacityTooLarge,
             "channel_capacity",
         ),
-        (EngineConfigError::ZeroCrcWindow, "crc_window"),
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
         (
             EngineConfigError::InvalidDynamicK {

@@ -143,8 +143,8 @@ fn rejoin_across_swap_artifact_matches_cold_start_with_new_detector() {
 }
 
 #[test]
-fn retire_stream_only_resets_the_named_unit() {
-    // Two PLCs on distinct links; retiring one stream leaves the other's
+fn retire_link_leaves_other_links_warm() {
+    // Two PLCs on distinct links; retiring one link leaves the other's
     // warm state untouched, so its decisions keep matching the
     // uninterrupted run.
     let a = capture(85, 400);
@@ -169,8 +169,7 @@ fn retire_stream_only_resets_the_named_unit() {
     let mut engine = Engine::try_start(detector_a(), config()).unwrap();
     ingest(&mut engine, a1, 0);
     ingest(&mut engine, &b[..b.len() / 2], 1);
-    // Retire exactly link 0's PLC stream (slave address 4).
-    engine.retire_stream(0, 4);
+    engine.retire_link(0);
     ingest(&mut engine, a2, 0);
     ingest(&mut engine, &b[b.len() / 2..], 1);
     let report = engine.finish();

@@ -3,7 +3,23 @@
 use crate::codec::{put_u64, put_usize, Reader};
 use crate::error::FeatureError;
 
-/// Granularity settings for the continuous-feature discretization.
+/// K-means cluster count for the inter-package time interval (Table III:
+/// 2+1).
+pub const TIME_INTERVAL_CLUSTERS: usize = 2;
+/// K-means cluster count for the CRC rate (Table III: 2+1).
+pub const CRC_RATE_CLUSTERS: usize = 2;
+/// K-means cluster count for the joint 5-dimensional PID vector (Table
+/// III: 32+1).
+pub const PID_CLUSTERS: usize = 32;
+/// Maximum Lloyd iterations for every k-means fit.
+pub(crate) const KMEANS_ITERS: usize = 100;
+/// Seed of the k-means initializations (each feature XORs its own salt).
+pub(crate) const KMEANS_SEED: u64 = 0;
+
+/// Granularity settings for the continuous-feature discretization: the two
+/// even-interval features the paper sweeps in Fig. 5
+/// ([`crate::granularity::sweep`]). The k-means features are fixed
+/// ([`TIME_INTERVAL_CLUSTERS`], [`CRC_RATE_CLUSTERS`], [`PID_CLUSTERS`]).
 ///
 /// The defaults reproduce Table III of the paper:
 ///
@@ -16,33 +32,18 @@ use crate::error::FeatureError;
 /// | PID parameters (5, jointly) | k-means | 32+1 |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscretizationConfig {
-    /// K-means cluster count for the inter-package time interval.
-    pub time_interval_clusters: usize,
-    /// K-means cluster count for the CRC rate.
-    pub crc_rate_clusters: usize,
     /// Even-interval bin count for the pressure measurement.
     pub pressure_bins: usize,
     /// Even-interval bin count for the set point.
     pub setpoint_bins: usize,
-    /// K-means cluster count for the joint 5-dimensional PID vector.
-    pub pid_clusters: usize,
-    /// Maximum Lloyd iterations for every k-means fit.
-    pub kmeans_iters: usize,
-    /// Seed for the k-means initializations.
-    pub seed: u64,
 }
 
 impl DiscretizationConfig {
     /// The granularities chosen in the paper (Table III).
     pub fn paper_defaults() -> Self {
         DiscretizationConfig {
-            time_interval_clusters: 2,
-            crc_rate_clusters: 2,
             pressure_bins: 20,
             setpoint_bins: 10,
-            pid_clusters: 32,
-            kmeans_iters: 100,
-            seed: 0,
         }
     }
 
@@ -59,11 +60,8 @@ impl DiscretizationConfig {
         // Leave room for the out-of-range and absent sentinels.
         let max_granularity = usize::from(u16::MAX) - 1;
         let granularities = [
-            ("time_interval_clusters", self.time_interval_clusters),
-            ("crc_rate_clusters", self.crc_rate_clusters),
             ("pressure_bins", self.pressure_bins),
             ("setpoint_bins", self.setpoint_bins),
-            ("pid_clusters", self.pid_clusters),
         ];
         for (name, value) in granularities {
             if value == 0 {
@@ -77,38 +75,37 @@ impl DiscretizationConfig {
                 });
             }
         }
-        if self.kmeans_iters == 0 {
-            return Err(FeatureError::InvalidConfig {
-                reason: "kmeans_iters must be positive".into(),
-            });
-        }
         Ok(())
     }
 
-    /// Appends the configuration.
+    /// Appends the configuration, the fixed k-means settings in their
+    /// places among the two free granularities.
     pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.time_interval_clusters);
-        put_usize(out, self.crc_rate_clusters);
+        put_usize(out, TIME_INTERVAL_CLUSTERS);
+        put_usize(out, CRC_RATE_CLUSTERS);
         put_usize(out, self.pressure_bins);
         put_usize(out, self.setpoint_bins);
-        put_usize(out, self.pid_clusters);
-        put_usize(out, self.kmeans_iters);
-        put_u64(out, self.seed);
+        put_usize(out, PID_CLUSTERS);
+        put_usize(out, KMEANS_ITERS);
+        put_u64(out, KMEANS_SEED);
     }
 
     /// Reads a configuration written by
-    /// [`DiscretizationConfig::write_into`]; `None` if the bytes run out or
-    /// the configuration fails [`DiscretizationConfig::validate`].
+    /// [`DiscretizationConfig::write_into`]; `None` if the bytes run out,
+    /// a fixed k-means setting differs from its constant (the section was
+    /// not fitted by this recipe), or the configuration fails
+    /// [`DiscretizationConfig::validate`].
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Option<Self> {
+        let fixed = |r: &mut Reader<'_>, value: usize| (r.usize_()? == value).then_some(());
+        fixed(r, TIME_INTERVAL_CLUSTERS)?;
+        fixed(r, CRC_RATE_CLUSTERS)?;
         let config = DiscretizationConfig {
-            time_interval_clusters: r.usize_()?,
-            crc_rate_clusters: r.usize_()?,
             pressure_bins: r.usize_()?,
             setpoint_bins: r.usize_()?,
-            pid_clusters: r.usize_()?,
-            kmeans_iters: r.usize_()?,
-            seed: r.u64()?,
         };
+        fixed(r, PID_CLUSTERS)?;
+        fixed(r, KMEANS_ITERS)?;
+        (r.u64()? == KMEANS_SEED).then_some(())?;
         config.validate().ok()?;
         Some(config)
     }
@@ -127,19 +124,19 @@ mod tests {
     #[test]
     fn paper_defaults_match_table_iii() {
         let c = DiscretizationConfig::paper_defaults();
-        assert_eq!(c.time_interval_clusters, 2);
-        assert_eq!(c.crc_rate_clusters, 2);
+        assert_eq!(TIME_INTERVAL_CLUSTERS, 2);
+        assert_eq!(CRC_RATE_CLUSTERS, 2);
         assert_eq!(c.pressure_bins, 20);
         assert_eq!(c.setpoint_bins, 10);
-        assert_eq!(c.pid_clusters, 32);
+        assert_eq!(PID_CLUSTERS, 32);
         assert!(c.validate().is_ok());
     }
 
     #[test]
     fn serialization_round_trip_and_rejection() {
         let c = DiscretizationConfig {
-            seed: 0xFEED,
-            ..DiscretizationConfig::paper_defaults()
+            pressure_bins: 7,
+            setpoint_bins: 3,
         };
         let to_bytes = |c: &DiscretizationConfig| {
             let mut out = Vec::new();
@@ -167,10 +164,7 @@ mod tests {
         c.pressure_bins = 0;
         assert!(c.validate().is_err());
         let mut c = DiscretizationConfig::paper_defaults();
-        c.pid_clusters = 0;
-        assert!(c.validate().is_err());
-        let mut c = DiscretizationConfig::paper_defaults();
-        c.kmeans_iters = 0;
+        c.setpoint_bins = 0;
         assert!(c.validate().is_err());
     }
 
@@ -183,11 +177,14 @@ mod tests {
         c.pressure_bins = usize::from(u16::MAX);
         assert!(c.validate().is_err());
         let mut c = DiscretizationConfig::paper_defaults();
-        c.pid_clusters = usize::MAX;
+        c.setpoint_bins = usize::MAX;
         assert!(c.validate().is_err());
         // The widest legal granularity still validates.
         let mut c = DiscretizationConfig::paper_defaults();
         c.setpoint_bins = usize::from(u16::MAX) - 1;
+        assert!(c.validate().is_ok());
+        let mut c = DiscretizationConfig::paper_defaults();
+        c.pressure_bins = usize::from(u16::MAX) - 1;
         assert!(c.validate().is_ok());
     }
 }

@@ -4,7 +4,10 @@ use icsad_dataset::Record;
 
 use crate::category::CategoryMap;
 use crate::codec::Reader;
-use crate::config::DiscretizationConfig;
+use crate::config::{
+    DiscretizationConfig, CRC_RATE_CLUSTERS, KMEANS_ITERS, KMEANS_SEED, PID_CLUSTERS,
+    TIME_INTERVAL_CLUSTERS,
+};
 use crate::error::FeatureError;
 use crate::interval::IntervalPartition;
 use crate::kmeans::KMeans;
@@ -64,17 +67,17 @@ impl Discretizer {
         let intervals: Vec<f64> = records.iter().map(|r| r.time_interval).collect();
         let time_interval_km = KMeans::fit_1d(
             &intervals,
-            config.time_interval_clusters,
-            config.kmeans_iters,
-            config.seed ^ 0x71,
+            TIME_INTERVAL_CLUSTERS,
+            KMEANS_ITERS,
+            KMEANS_SEED ^ 0x71,
         )?;
 
         let crc_rates: Vec<f64> = records.iter().map(|r| r.crc_rate).collect();
         let crc_rate_km = KMeans::fit_1d(
             &crc_rates,
-            config.crc_rate_clusters,
-            config.kmeans_iters,
-            config.seed ^ 0x72,
+            CRC_RATE_CLUSTERS,
+            KMEANS_ITERS,
+            KMEANS_SEED ^ 0x72,
         )?;
 
         let setpoints: Vec<f64> = records.iter().filter_map(|r| r.setpoint).collect();
@@ -108,12 +111,7 @@ impl Discretizer {
                 required: 1,
             });
         }
-        let pid_km = KMeans::fit(
-            &pid_vectors,
-            config.pid_clusters,
-            config.kmeans_iters,
-            config.seed ^ 0x73,
-        )?;
+        let pid_km = KMeans::fit(&pid_vectors, PID_CLUSTERS, KMEANS_ITERS, KMEANS_SEED ^ 0x73)?;
 
         Ok(Discretizer {
             config: config.clone(),
@@ -126,11 +124,6 @@ impl Discretizer {
             pressure_part,
             pid_km,
         })
-    }
-
-    /// The configuration this discretizer was fitted with.
-    pub fn config(&self) -> &DiscretizationConfig {
-        &self.config
     }
 
     /// Per-feature category counts, in [`DiscreteVector`] component order.

@@ -54,14 +54,13 @@ pub fn validation_error(
 }
 
 /// Evaluates the validation error over a grid of (pressure, set point)
-/// granularities — the two features the paper sweeps in Fig. 5; all other
-/// granularities are taken from `base`.
+/// granularities — the two features the paper sweeps in Fig. 5; the
+/// k-means features keep their fixed Table III cluster counts.
 ///
 /// # Errors
 ///
 /// Propagates discretizer fitting failures.
 pub fn sweep(
-    base: &DiscretizationConfig,
     train: &[Record],
     validation: &[Record],
     pressure_grid: &[usize],
@@ -73,7 +72,6 @@ pub fn sweep(
             let config = DiscretizationConfig {
                 pressure_bins,
                 setpoint_bins,
-                ..base.clone()
             };
             let (error, signatures) = validation_error(&config, train, validation)?;
             points.push(GranularityPoint {
@@ -149,12 +147,10 @@ mod tests {
         let coarse = DiscretizationConfig {
             pressure_bins: 4,
             setpoint_bins: 2,
-            ..DiscretizationConfig::paper_defaults()
         };
         let fine = DiscretizationConfig {
             pressure_bins: 100,
             setpoint_bins: 50,
-            ..DiscretizationConfig::paper_defaults()
         };
         let (err_coarse, sig_coarse) = validation_error(&coarse, &train, &val).unwrap();
         let (err_fine, sig_fine) = validation_error(&fine, &train, &val).unwrap();
@@ -168,14 +164,7 @@ mod tests {
     #[test]
     fn sweep_covers_grid() {
         let (train, val) = train_val();
-        let points = sweep(
-            &DiscretizationConfig::paper_defaults(),
-            &train,
-            &val,
-            &[5, 20],
-            &[5, 10],
-        )
-        .unwrap();
+        let points = sweep(&train, &val, &[5, 20], &[5, 10]).unwrap();
         assert_eq!(points.len(), 4);
     }
 

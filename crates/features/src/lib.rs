@@ -69,7 +69,7 @@ pub mod interval;
 pub mod kmeans;
 mod signature;
 
-pub use config::DiscretizationConfig;
+pub use config::{DiscretizationConfig, CRC_RATE_CLUSTERS, PID_CLUSTERS, TIME_INTERVAL_CLUSTERS};
 pub use discretizer::{DiscreteVector, Discretizer, FEATURE_COUNT};
 pub use error::FeatureError;
 pub use signature::{write_signature, Signature, SignatureVocabulary};

@@ -88,7 +88,8 @@
 //! silently diverge from runtime-dispatched FMA backends in portable
 //! builds. The policy is now part of the dispatched [`Selection`]: the AVX2
 //! and AVX-512 backends are fused by definition, SSE2 and scalar follow the
-//! detected `fma` CPU flag. A fused *scalar* `fmac` uses [`f32::mul_add`],
+//! detected `fma` CPU flag, and an aarch64 build is fused (its base ISA has
+//! `fmadd`). A fused *scalar* `fmac` uses [`f32::mul_add`],
 //! which rounds identically to the hardware instruction whether or not the
 //! binary was compiled with `+fma` — so forcing the scalar backend on an
 //! FMA machine reproduces the SIMD results bit-for-bit.
@@ -247,10 +248,12 @@ fn hw_caps() -> HwCaps {
                 sse2: false,
                 avx2: false,
                 avx512: false,
-                // Non-x86 targets with native fused ops (e.g. aarch64
-                // NEON) still only get the fused policy when compiled for
-                // it — `mul_add` is correctly rounded either way.
-                fma: cfg!(target_feature = "fma"),
+                // aarch64's base ISA has a fused multiply-add (`f32::
+                // mul_add` is one `fmadd`), but no aarch64 target sets
+                // `target_feature = "fma"`, so it is named here. Other
+                // targets get the fused policy only when compiled for it;
+                // `mul_add` is correctly rounded either way.
+                fma: cfg!(any(target_arch = "aarch64", target_feature = "fma")),
             }
         }
     })
