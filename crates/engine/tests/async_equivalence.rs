@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use icsad_core::combined::CombinedDetector;
@@ -53,8 +54,6 @@ fn train(seed: u64) -> CombinedDetector {
 struct Fixture {
     detector_a: Arc<CombinedDetector>,
     detector_b: Arc<CombinedDetector>,
-    /// Detector B saved as an artifact, for `swap_artifact`.
-    artifact_b: PathBuf,
     capture: Vec<Packet>,
     /// Per-record references keyed by swap frame index (`capture.len()`
     /// means "no swap"): computed lazily, shared across proptest cases.
@@ -83,11 +82,6 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let detector_a = Arc::new(train(61));
         let detector_b = Arc::new(train(62));
-        let artifact_b = std::env::temp_dir().join(format!(
-            "icsad-async-equivalence-b-{}.icsa",
-            std::process::id()
-        ));
-        detector_b.save(&artifact_b).unwrap();
         let mut capture: Vec<Packet> = Vec::new();
         for (i, slave) in [3u8, 7, 11].into_iter().enumerate() {
             let mut generator = TrafficGenerator::new(TrafficConfig {
@@ -102,7 +96,6 @@ fn fixture() -> &'static Fixture {
         Fixture {
             detector_a,
             detector_b,
-            artifact_b,
             capture,
             references: Mutex::new(HashMap::new()),
         }
@@ -159,6 +152,30 @@ fn reference_at(fx: &Fixture, swap_at: usize) -> Reference {
         .clone()
 }
 
+/// A detector saved as an artifact file for one `swap_artifact` call,
+/// deleted when dropped: every test that swaps writes its own file and
+/// leaves none behind.
+struct TempArtifact(PathBuf);
+
+impl TempArtifact {
+    fn save(detector: &CombinedDetector) -> TempArtifact {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "icsad-async-equivalence-b-{}-{}.icsa",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        detector.save(&path).unwrap();
+        TempArtifact(path)
+    }
+}
+
+impl Drop for TempArtifact {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// Runs an engine over the capture with an optional mid-run swap.
 fn run_engine(fx: &Fixture, config: EngineConfig, swap_at: Option<usize>) -> EngineReport {
     let mut engine = Engine::try_start(Arc::clone(&fx.detector_a), config).unwrap();
@@ -166,7 +183,8 @@ fn run_engine(fx: &Fixture, config: EngineConfig, swap_at: Option<usize>) -> Eng
         None => engine.ingest_packets(&fx.capture),
         Some(at) => {
             engine.ingest_packets(&fx.capture[..at]);
-            engine.swap_artifact(&fx.artifact_b).unwrap();
+            let artifact_b = TempArtifact::save(&fx.detector_b);
+            engine.swap_artifact(&artifact_b.0).unwrap();
             engine.ingest_packets(&fx.capture[at..]);
         }
     }

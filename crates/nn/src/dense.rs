@@ -3,9 +3,9 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use icsad_simd::{col_sum_acc_f32, gemm_panels_acc_f32, gemm_panels_bias_f32, PanelsF32};
+use icsad_simd::gemm_panels_bias_f32;
 
-use crate::tensor::{outer_dense_acc, Tensor2, Weights};
+use crate::tensor::{Tensor2, Weights};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +60,9 @@ impl Dense {
     /// register-blocked matrix–matrix product (the projection input is a
     /// dense hidden activation) over the weights' panel-major copy
     /// ([`crate::tensor::Weights::panels`], packed on first use), its
-    /// accumulators started from the bias. It is the head's one forward:
-    /// inference and the training forward pass both call it.
+    /// accumulators started from the bias. Inference calls it; training's
+    /// head is one fused pass ([`icsad_simd::softmax_head_f32`]) whose
+    /// logits run the same chain — the bias, then ascending `k`.
     ///
     /// # Panics
     ///
@@ -70,33 +71,6 @@ impl Dense {
         let n = self.b.len();
         assert_eq!(out.len(), batch * n, "dense batch output mismatch");
         gemm_panels_bias_f32(batch, x, self.w.panels(), &self.b, out);
-    }
-
-    /// Accumulates parameter gradients and writes the input gradient for a
-    /// whole batch of rows at once.
-    ///
-    /// `x` is the `batch x input_dim` activation block, `dy` the
-    /// `batch x output_dim` logits-gradient block, `wt` the panels of
-    /// `self.w` transposed (see [`crate::model::BackwardPack`]), and `dx`
-    /// receives `dY Wᵀ` (overwritten, not accumulated). Parameter
-    /// gradients run as single batched kernels — `dW += Xᵀ dY` (dense: `x`
-    /// is a hidden activation, transposed into the pooled `xt`) and the
-    /// bias column sum — streaming the weight matrix once per batch.
-    #[allow(clippy::too_many_arguments, reason = "operands, sinks and scratch")]
-    pub(crate) fn backward_batch(
-        &self,
-        batch: usize,
-        x: &[f32],
-        dy: &[f32],
-        wt: &PanelsF32,
-        grad: &mut DenseGrad,
-        dx: &mut [f32],
-        xt: &mut Vec<f32>,
-    ) {
-        outer_dense_acc(batch, x, dy, &mut grad.w, xt);
-        col_sum_acc_f32(dy, &mut grad.b);
-        dx.fill(0.0);
-        gemm_panels_acc_f32(batch, dy, wt, dx);
     }
 }
 
@@ -143,58 +117,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         d.forward(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![9.5, 12.5, 15.5]);
-    }
-
-    #[test]
-    fn gradient_check() {
-        let mut d = Dense::new(3, 2, &mut rng());
-        let x = vec![0.3f32, -0.7, 1.1];
-        // Loss = 0.5 |y|^2  =>  dy = y.
-        let loss = |d: &Dense| {
-            let mut y = vec![0.0; 2];
-            d.forward(&x, &mut y);
-            0.5 * y.iter().map(|v| v * v).sum::<f32>()
-        };
-        let mut y = vec![0.0; 2];
-        d.forward(&x, &mut y);
-        let mut grad = d.zero_grad();
-        let mut dx = vec![0.0; 3];
-        let wt = PanelsF32::pack_transposed(d.w.as_slice(), 3, 2);
-        d.backward_batch(1, &x, &y, &wt, &mut grad, &mut dx, &mut Vec::new());
-
-        let eps = 1e-2f32;
-        for idx in 0..d.w.len() {
-            let orig = d.w.as_slice()[idx];
-            d.w.as_mut_slice()[idx] = orig + eps;
-            let lp = loss(&d);
-            d.w.as_mut_slice()[idx] = orig - eps;
-            let lm = loss(&d);
-            d.w.as_mut_slice()[idx] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = grad.w.as_slice()[idx];
-            assert!(
-                (numeric - analytic).abs() < 1e-2 * (1.0 + numeric.abs()),
-                "w[{idx}]: {numeric} vs {analytic}"
-            );
-        }
-        // Input gradient by finite differences.
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp[i] += eps;
-            let mut xm = x.clone();
-            xm[i] -= eps;
-            let lossx = |xv: &[f32]| {
-                let mut y = vec![0.0; 2];
-                d.forward(xv, &mut y);
-                0.5 * y.iter().map(|v| v * v).sum::<f32>()
-            };
-            let numeric = (lossx(&xp) - lossx(&xm)) / (2.0 * eps);
-            assert!(
-                (numeric - dx[i]).abs() < 1e-2 * (1.0 + numeric.abs()),
-                "dx[{i}]: {numeric} vs {}",
-                dx[i]
-            );
-        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * `lstm` — one LSTM layer with full backpropagation through time,
 //! * `dense` — the projection onto signature logits,
 //! * [`loss`] — the rank of a target among the logits (the softmax
-//!   cross-entropy itself is one dispatched kernel,
-//!   [`icsad_simd::softmax_xent_f32`]),
+//!   cross-entropy itself runs only in training, fused with the head and
+//!   its gradients in one dispatched kernel,
+//!   [`icsad_simd::softmax_head_f32`]),
 //! * [`LstmClassifier`] — the stacked network and its one batched forward,
 //!   which steps any number of streams (stateful, one package each) for
 //!   online detection and whole minibatches for training, plus

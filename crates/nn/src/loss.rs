@@ -1,9 +1,9 @@
 //! The rank of a target in a prediction (paper §V-1/V-2): the detector's
 //! top-k rule flags a package whose signature ranks past `k`.
 //!
-//! The softmax cross-entropy itself — the loss, the top-1 bit and the
-//! logits gradient of a whole minibatch — is one pass of
-//! [`icsad_simd::softmax_xent_f32`]; a single row is a one-row call.
+//! The softmax cross-entropy itself runs only in training, fused with the
+//! head that computes its logits and with the head's gradients: one pass
+//! of [`icsad_simd::softmax_head_f32`] per minibatch.
 
 /// The 1-based rank of `target` in the prediction: `1 +` the number of
 /// classes with strictly higher probability, ties broken by lower index.
@@ -25,14 +25,34 @@ pub fn rank_of(probs: &[f32], target: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icsad_simd::{softmax_head_f32, HeadGrads, HeadScratch};
 
-    /// One row through the training loss kernel (`scale` 1): the
+    /// One row of logits through the training head (`scale` 1): a head
+    /// of zero weights over the input `1` has its bias as its logits, and
+    /// its bias gradient from zero is the loss gradient. Returns the
     /// probabilities, the cross-entropy `−ln p_target` and the gradient
     /// `p − onehot(target)`.
     fn xent_row(logits: &[f32], target: usize) -> (Vec<f32>, f32, Vec<f32>) {
         let n = logits.len();
         let (mut grad, mut p_t) = (vec![0.0f32; n], [0.0f32]);
-        icsad_simd::softmax_xent_f32(n, logits, &[target], 1.0, &mut grad, &mut p_t, &mut [false]);
+        let out = HeadGrads {
+            dh: &mut [0.0],
+            dw: &mut vec![0.0; n],
+            db: &mut grad,
+            p_target: &mut p_t,
+            top1: &mut [false],
+        };
+        let (h, w) = ([1.0], vec![0.0; n]);
+        softmax_head_f32(
+            &h,
+            1,
+            &w,
+            logits,
+            &[target],
+            1.0,
+            out,
+            &mut HeadScratch::default(),
+        );
         let mut probs = grad.clone();
         probs[target] = p_t[0];
         (probs, -(p_t[0].max(1e-12)).ln(), grad)

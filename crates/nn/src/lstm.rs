@@ -184,9 +184,8 @@ pub(crate) struct BpttScratch {
     /// Gathered previous-hidden rows for the `dU` product, `total x H`.
     h_prev: Vec<f32>,
     /// The transposed lanes of a dense weight-gradient product
-    /// ([`outer_dense_acc`]), `max(in, H) x total`. The dense head
-    /// borrows it for its own `dW`.
-    pub(crate) xt: Vec<f32>,
+    /// ([`outer_dense_acc`]), `max(in, H) x total`.
+    xt: Vec<f32>,
 }
 
 impl LstmLayer {

@@ -1,6 +1,6 @@
 //! The stacked LSTM softmax classifier (paper Fig. 2).
 
-use icsad_simd::{rank_panels_f32, softmax_xent_f32, PanelsF32};
+use icsad_simd::{rank_panels_f32, softmax_head_f32, HeadGrads, HeadScratch, PanelsF32};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -119,11 +119,12 @@ impl StreamState {
     }
 }
 
-/// Panel-major copies of the **transposed** weight matrices, consumed by
-/// the backward products (`dX = dY Wᵀ` contracts over weight *columns*;
-/// over `Wᵀ`'s panels it is the same register-tiled gemm the forward pass
-/// runs). Each is packed straight from the row-major weights
+/// Panel-major copies of the LSTM layers' **transposed** weight matrices,
+/// consumed by the BPTT products (`dX = dY Wᵀ` contracts over weight
+/// *columns*; over `Wᵀ`'s panels it is the same register-tiled gemm the
+/// forward pass runs). Each is packed straight from the row-major weights
 /// ([`PanelsF32::pack_transposed`]); no transposed matrix is ever stored.
+/// The head needs none: [`softmax_head_f32`] reads its row-major weights.
 ///
 /// The pack is intentionally **not** stored inside [`LstmClassifier`]:
 /// only training reads it. It is derived data: build a new one with
@@ -131,7 +132,6 @@ impl StreamState {
 #[derive(Debug, Clone)]
 pub(crate) struct BackwardPack {
     layers: Vec<LayerPack>,
-    dense_wt: PanelsF32,
 }
 
 #[derive(Debug, Clone)]
@@ -157,7 +157,6 @@ impl BackwardPack {
                     ut: transposed(&layer.u),
                 })
                 .collect(),
-            dense_wt: transposed(&model.dense.w),
         }
     }
 }
@@ -194,10 +193,12 @@ impl ForwardScratch {
 }
 
 /// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
-/// the concatenated input block and targets, the forward pass's tapes and
-/// logits, the loss outputs and the backward scratch. Grows to the largest
-/// minibatch seen and is reused across chunks, so steady-state training
-/// does no allocation.
+/// the concatenated input block and targets, the forward pass's tapes, the
+/// head's tile and the loss outputs, and the backward scratch. No buffer
+/// holds a row per class: the head's logits live one row group at a time
+/// in `head`. Every buffer grows to the largest minibatch seen and is
+/// reused across chunks, so once grown a `train_batch` call allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TrainScratch {
     /// Lane indices sorted longest-first.
@@ -208,12 +209,12 @@ pub(crate) struct TrainScratch {
     sched: LaneSchedule,
     /// Concatenated inputs, `total x input_dim`.
     x_cat: Vec<f32>,
-    /// Tapes and logits of the forward pass.
-    fwd: ForwardScratch,
+    /// One forward tape per layer.
+    tapes: Vec<LayerTape>,
     /// Each row's target class, in row order.
     targets: Vec<usize>,
-    /// Concatenated logits gradient, `total x num_classes`.
-    dlogits: Vec<f32>,
+    /// The fused head pass's tile and transposed gradients.
+    head: HeadScratch,
     /// Each row's target probability and top-1 bit.
     p_target: Vec<f32>,
     top1: Vec<bool>,
@@ -328,8 +329,8 @@ impl LstmClassifier {
     /// state and writing the raw class logits into `out` (no softmax).
     /// Softmax is strictly monotone, so top-`k` membership and ranks
     /// computed on logits equal those computed on probabilities — detection
-    /// skips `num_classes` exponentials per package; the softmax itself is
-    /// [`icsad_simd::softmax_xent_f32`], the training loss's kernel.
+    /// skips `num_classes` exponentials per package; the softmax itself runs
+    /// only in training, in [`icsad_simd::softmax_head_f32`].
     ///
     /// This is a one-lane round of the gathered step
     /// ([`LstmClassifier::forward_batch_gathered_logits`]) on buffers the
@@ -663,11 +664,16 @@ impl LstmClassifier {
     /// `pack` must hold the transposed panels of the **current** weights
     /// (a new [`BackwardPack`] after every optimizer step); the forward
     /// products read [`crate::tensor::Weights::panels`], packing here only
-    /// if the caller has not ([`LstmClassifier::pack_panels`]). The loss
-    /// of all rows is one [`icsad_simd::softmax_xent_f32`] pass over the
-    /// logits block, which gives the bits of a per-row softmax through
-    /// libm's `expf` on a glibc FMA host, on every host. `scratch` is
-    /// reusable across calls and grows to the largest minibatch seen.
+    /// if the caller has not ([`LstmClassifier::pack_panels`]).
+    ///
+    /// The forward pass runs the stack only. The head — logits, loss,
+    /// top-1, the head's gradients and the top layer's output gradient —
+    /// is one [`icsad_simd::softmax_head_f32`] pass over the top tape,
+    /// which writes no logits block and gives the bits of the head gemm, a
+    /// per-row softmax through libm's `expf` on a glibc FMA host and the
+    /// head's backward products, on every host. BPTT starts from the `dh`
+    /// it writes. `scratch` is reusable across calls and grows to the
+    /// largest minibatch seen.
     ///
     /// # Panics
     ///
@@ -685,35 +691,40 @@ impl LstmClassifier {
         if total == 0 {
             return (0.0, 0);
         }
-        // Loss, top-1 hits and the logits gradient of every row in one
-        // pass; the loss sums in row order, which is the schedule's.
-        let nc = self.config.num_classes;
-        grow(&mut scratch.dlogits, total * nc);
+        // The head, forward and backward, over every row in one pass; the
+        // loss sums in row order, which is the schedule's.
+        let top_hd = self.layers[self.layers.len() - 1].hidden_dim();
         grow(&mut scratch.p_target, total);
         scratch.top1.resize(total, false);
-        let p_target = &mut scratch.p_target[..total];
-        let top1 = &mut scratch.top1[..total];
-        softmax_xent_f32(
-            nc,
-            &scratch.fwd.logits[..total * nc],
+        self.grow_hidden_grads(scratch, total);
+        softmax_head_f32(
+            self.top_out(&scratch.tapes, total),
+            top_hd,
+            self.dense.w.as_slice(),
+            &self.dense.b,
             &scratch.targets[..total],
             scale,
-            &mut scratch.dlogits[..total * nc],
-            p_target,
-            top1,
+            HeadGrads {
+                dh: &mut scratch.d_a[..total * top_hd],
+                dw: grads.dense.w.as_mut_slice(),
+                db: &mut grads.dense.b,
+                p_target: &mut scratch.p_target[..total],
+                top1: &mut scratch.top1[..total],
+            },
+            &mut scratch.head,
         );
         let mut loss = 0.0f32;
-        for &p in p_target.iter() {
+        for &p in &scratch.p_target[..total] {
             loss += -loss_floor(p).ln();
         }
-        let correct = top1.iter().filter(|&&hit| hit).count();
-        self.backward_chunks(pack, scratch, grads, total);
+        let correct = scratch.top1[..total].iter().filter(|&&hit| hit).count();
+        self.backward_stack(pack, scratch, grads, total);
         (loss, correct)
     }
 
     /// The forward half of [`LstmClassifier::train_batch`]: schedules the
     /// lanes longest-first, gathers their inputs and targets into row
-    /// order and runs the taped forward pass; returns the row count.
+    /// order and tapes the stack (no head); returns the row count.
     fn forward_chunks(&self, lanes: &[(&[f32], &[usize])], scratch: &mut TrainScratch) -> usize {
         let in_dim = self.config.input_dim;
         for (x, targets) in lanes {
@@ -749,15 +760,35 @@ impl LstmClassifier {
             }
         }
 
-        // Forward through the stack (taping every layer) and the head.
-        self.forward_schedule(sched, x_cat, &mut scratch.fwd, false);
+        // Forward through the stack, taping every layer.
+        self.forward_stack(sched, Some(x_cat), &mut scratch.tapes, None);
         total
     }
 
-    /// The backward half of [`LstmClassifier::train_batch`]: from the
-    /// logits gradient of the `total` rows in `scratch.dlogits`, the dense
-    /// head, then BPTT down the stack, accumulating into `grads`.
-    fn backward_chunks(
+    /// The top layer's tape output for `total` rows: the head's input.
+    fn top_out<'t>(&self, tapes: &'t [LayerTape], total: usize) -> &'t [f32] {
+        let top = self.layers.len() - 1;
+        &tapes[top].out[..total * self.layers[top].hidden_dim()]
+    }
+
+    /// Sizes the two hidden-gradient buffers for `total` rows of the widest
+    /// layer. The first starts as the top layer's output gradient, which the
+    /// head writes and [`LstmClassifier::backward_stack`] starts from.
+    fn grow_hidden_grads(&self, scratch: &mut TrainScratch, total: usize) {
+        let max_dim = self
+            .layers
+            .iter()
+            .map(|l| l.input_dim().max(l.hidden_dim()))
+            .max()
+            .unwrap_or(0);
+        grow(&mut scratch.d_a, total * max_dim);
+        grow(&mut scratch.d_b, total * max_dim);
+    }
+
+    /// The backward half of [`LstmClassifier::train_batch`]: BPTT down the
+    /// stack from the top layer's output gradient in `scratch.d_a`,
+    /// accumulating into `grads`.
+    fn backward_stack(
         &self,
         pack: &BackwardPack,
         scratch: &mut TrainScratch,
@@ -767,32 +798,11 @@ impl LstmClassifier {
         // The two hidden-gradient buffers ping-pong between consuming a
         // layer's d_out and producing its d_inputs; the bottom layer
         // produces none (its pack entry is `None`) — nothing would read it.
-        let num_layers = self.layers.len();
         let sched = &scratch.sched;
         let x_cat = &scratch.x_cat[..total * self.config.input_dim];
-        let dlogits = &scratch.dlogits[..total * self.config.num_classes];
-        let tapes = &scratch.fwd.tapes;
-        let top_hd = self.layers[num_layers - 1].hidden_dim();
-        let top_out = &tapes[num_layers - 1].out[..total * top_hd];
-        let max_dim = self
-            .layers
-            .iter()
-            .map(|l| l.input_dim().max(l.hidden_dim()))
-            .max()
-            .unwrap_or(0);
-        grow(&mut scratch.d_a, total * max_dim);
-        grow(&mut scratch.d_b, total * max_dim);
+        let tapes = &scratch.tapes;
         let (mut d_out_buf, mut d_in_buf) = (&mut scratch.d_a, &mut scratch.d_b);
-        self.dense.backward_batch(
-            total,
-            top_out,
-            dlogits,
-            &pack.dense_wt,
-            &mut grads.dense,
-            &mut d_out_buf[..total * top_hd],
-            &mut scratch.bptt.xt,
-        );
-        for l in (0..num_layers).rev() {
+        for l in (0..self.layers.len()).rev() {
             let x_block: &[f32] = if l == 0 {
                 x_cat
             } else {
@@ -984,26 +994,37 @@ mod tests {
         model.dense.forward(&input, out);
     }
 
+    /// The per-row softmax loop the fused head is held to, in place: the
+    /// max (NaN skipped), `exp(x − max)` through libm summed left to right,
+    /// then a divide per entry; a row whose max is not finite, or whose sum
+    /// is not `> 0`, keeps what it holds.
+    fn softmax_row(row: &mut [f32]) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        if max.is_finite() {
+            let mut sum = 0.0f32;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            if sum > 0.0 {
+                for x in row.iter_mut() {
+                    *x /= sum;
+                }
+            }
+        }
+    }
+
     /// Summed cross-entropy of a cold-start pass over `lane`: each step's
-    /// target probability from a one-row call of the loss kernel.
+    /// target probability from the per-row softmax loop.
     fn lane_loss(model: &LstmClassifier, lane: &[(Vec<f32>, usize)]) -> f32 {
         let nc = model.num_classes();
         let mut state = model.new_state();
-        let (mut logits, mut grad) = (vec![0.0; nc], vec![0.0; nc]);
+        let mut logits = vec![0.0; nc];
         lane.iter()
             .map(|(x, target)| {
                 reference_step(model, &mut state, x, &mut logits);
-                let mut p = [0.0];
-                softmax_xent_f32(
-                    nc,
-                    &logits,
-                    &[*target],
-                    1.0,
-                    &mut grad,
-                    &mut p,
-                    &mut [false],
-                );
-                -loss_floor(p[0]).ln()
+                softmax_row(&mut logits);
+                -loss_floor(logits[*target]).ln()
             })
             .sum()
     }
@@ -1694,9 +1715,12 @@ mod tests {
         }
     }
 
-    /// [`LstmClassifier::train_batch`] with the loss loop it ran before the
-    /// softmax kernel: per row in schedule order, a softmax through libm's
-    /// `f32::exp`, the cross-entropy, the top-1 scan and the gradient.
+    /// [`LstmClassifier::train_batch`] with the unfused head it ran before
+    /// the fused pass: the head gemm's logits block; per row in schedule
+    /// order a softmax through libm's `f32::exp` ([`softmax_row`]), the
+    /// cross-entropy, the top-1 scan and the gradient; then `dW` by the
+    /// dense outer product, `db` by the column sum and `dh` by the gemm over
+    /// the head's transposed panels from zero.
     #[cfg(all(target_env = "gnu", target_arch = "x86_64", not(miri)))]
     fn train_batch_libm(
         model: &LstmClassifier,
@@ -1708,45 +1732,37 @@ mod tests {
     ) -> (f32, usize) {
         let total = model.forward_chunks(lanes, scratch);
         let nc = model.num_classes();
-        grow(&mut scratch.dlogits, total * nc);
+        let top_hd = model.layers[model.layers.len() - 1].hidden_dim();
+        let top_out = model.top_out(&scratch.tapes, total).to_vec();
+        let mut probs = vec![0.0f32; total * nc];
+        model.dense.forward_batch(total, &top_out, &mut probs);
+        let mut dlogits = vec![0.0f32; total * nc];
         let (mut loss, mut correct) = (0.0f32, 0);
-        let sched = &scratch.sched;
-        for t in 0..sched.steps() {
-            for (i, &lane) in scratch.order[..sched.lanes_at(t)].iter().enumerate() {
-                let r = sched.row(t, i);
-                let target = lanes[lane].1[t];
-                let row = &mut scratch.fwd.logits[r * nc..(r + 1) * nc];
-                let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                if max.is_finite() {
-                    let mut sum = 0.0f32;
-                    for x in row.iter_mut() {
-                        *x = (*x - max).exp();
-                        sum += *x;
-                    }
-                    if sum > 0.0 {
-                        for x in row.iter_mut() {
-                            *x /= sum;
-                        }
-                    }
-                }
-                // The floor keeps a NaN probability NaN.
-                let p = row[target];
-                loss += -(if p.is_nan() { p } else { p.max(1e-12) }).ln();
-                if rank_of(row, target) <= 1 {
-                    correct += 1;
-                }
-                let d = &mut scratch.dlogits[r * nc..(r + 1) * nc];
-                for (dj, &pj) in d.iter_mut().zip(row.iter()) {
-                    *dj = pj * scale;
-                }
-                d[target] -= scale;
+        let rows = probs.chunks_exact_mut(nc).zip(dlogits.chunks_exact_mut(nc));
+        for ((row, d), &target) in rows.zip(&scratch.targets[..total]) {
+            softmax_row(row);
+            loss += -loss_floor(row[target]).ln();
+            if rank_of(row, target) <= 1 {
+                correct += 1;
             }
+            for (dj, &pj) in d.iter_mut().zip(row.iter()) {
+                *dj = pj * scale;
+            }
+            d[target] -= scale;
         }
-        model.backward_chunks(pack, scratch, grads, total);
+        let dense = &mut grads.dense;
+        crate::tensor::outer_dense_acc(total, &top_out, &dlogits, &mut dense.w, &mut Vec::new());
+        icsad_simd::col_sum_acc_f32(&dlogits, &mut dense.b);
+        model.grow_hidden_grads(scratch, total);
+        let wt = PanelsF32::pack_transposed(model.dense.w.as_slice(), top_hd, nc);
+        let dh = &mut scratch.d_a[..total * top_hd];
+        dh.fill(0.0);
+        icsad_simd::gemm_panels_acc_f32(total, &dlogits, &wt, dh);
+        model.backward_stack(pack, scratch, grads, total);
         (loss, correct)
     }
 
-    /// The softmax kernel leaves training where libm's `expf` left it: a
+    /// The fused head leaves training where libm's `expf` left it: a
     /// two-layer model with a widened head (logits tens apart, so `exp`
     /// spans its range and underflows), ragged lanes and one-hot rows with
     /// noise on some of them gives the same summed loss, correct count and

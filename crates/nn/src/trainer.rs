@@ -272,6 +272,15 @@ pub struct Trainer {
     scratch: Vec<TrainScratch>,
 }
 
+/// One gradient partition's results, recycled across minibatches: its
+/// private gradient, summed loss and top-1 hits.
+#[derive(Debug)]
+struct Partial {
+    grads: Gradients,
+    loss: f32,
+    correct: usize,
+}
+
 /// A chunk reference: sequence index plus step range.
 #[derive(Debug, Clone, Copy)]
 struct ChunkRef {
@@ -345,9 +354,9 @@ impl Trainer {
         let mut total_targets = 0usize;
         let mut grads = model.zero_gradients();
         model.pack_panels();
-        // Partition-private gradients, recycled across minibatches;
-        // partitions zero them before accumulating.
-        let mut locals: Vec<Gradients> = Vec::new();
+        // Partition-private gradients and sums, recycled across
+        // minibatches; partitions zero them before accumulating.
+        let mut locals: Vec<Partial> = Vec::new();
 
         for batch in chunks.chunks(self.config.batch_chunks) {
             let targets_in_batch: usize = batch.iter().map(|c| c.len).sum();
@@ -426,13 +435,17 @@ impl Trainer {
 /// bit-identical for every `threads` value: the partition and all merge
 /// orders depend only on `batch`.
 ///
-/// Partition `i` zeroes and fills its own recycled `locals[i]` and
-/// reports its own `(loss, correct)`. The partitions split into at most
+/// Partition `i` zeroes and fills its own recycled `locals[i]`: its
+/// gradient, loss and hit count. The partitions split into at most
 /// `threads` contiguous groups of equal size (the last may be short): the
 /// first runs on the calling thread, every other on a scoped thread, so one
 /// thread spawns nothing. Group `g` runs its partitions through
 /// `scratch[g]`. A panic re-raises the payload of the first panicking
 /// partition in partition order, after every thread has been joined.
+///
+/// Once `locals` and `scratch` have grown, what a minibatch allocates is
+/// the partition list and, with more than one group, the scoped threads:
+/// their spawns, their join handles and each new thread's kernel buffers.
 #[allow(
     clippy::too_many_arguments,
     reason = "model, batch, grad sinks and scratch"
@@ -445,15 +458,18 @@ fn accumulate_batch(
     scale: f32,
     threads: usize,
     grads: &mut Gradients,
-    locals: &mut Vec<Gradients>,
+    locals: &mut Vec<Partial>,
     scratch: &mut Vec<TrainScratch>,
 ) -> (f32, usize) {
     let parts = partition(batch, batch.len().div_ceil(GRAD_TASK_LANES));
     while locals.len() < parts.len() {
-        locals.push(model.zero_gradients());
+        locals.push(Partial {
+            grads: model.zero_gradients(),
+            loss: 0.0,
+            correct: 0,
+        });
     }
     let locals = &mut locals[..parts.len()];
-    let mut sums = vec![(0.0f32, 0usize); parts.len()];
 
     let group = parts.len().div_ceil(threads.clamp(1, parts.len()));
     scratch.resize_with(
@@ -464,17 +480,22 @@ fn accumulate_batch(
         let mut groups = parts
             .chunks(group)
             .zip(locals.chunks_mut(group))
-            .zip(sums.chunks_mut(group))
             .zip(scratch.iter_mut())
-            .map(|(((parts, locals), sums), scratch)| {
+            .map(|((parts, locals), scratch)| {
                 move || {
-                    for ((chunks, g), sum) in parts.iter().zip(locals).zip(sums) {
-                        g.zero();
-                        let lanes: Vec<(&[f32], &[usize])> = chunks
-                            .iter()
-                            .map(|c| sequences.steps(c.seq, c.start..c.start + c.len))
-                            .collect();
-                        *sum = model.train_batch(pack, &lanes, scratch, g, scale);
+                    for (chunks, part) in parts.iter().zip(locals) {
+                        part.grads.zero();
+                        // `partition` keeps every part to GRAD_TASK_LANES
+                        // chunks, so the lanes fit on the stack.
+                        assert!(chunks.len() <= GRAD_TASK_LANES, "oversized partition");
+                        let mut lanes: [(&[f32], &[usize]); GRAD_TASK_LANES] =
+                            [(&[], &[]); GRAD_TASK_LANES];
+                        for (lane, c) in lanes.iter_mut().zip(chunks.iter()) {
+                            *lane = sequences.steps(c.seq, c.start..c.start + c.len);
+                        }
+                        let lanes = &lanes[..chunks.len()];
+                        (part.loss, part.correct) =
+                            model.train_batch(pack, lanes, scratch, &mut part.grads, scale);
                     }
                 }
             });
@@ -497,9 +518,9 @@ fn accumulate_batch(
 
     let mut loss = 0.0f32;
     let mut correct = 0usize;
-    for &(l, c) in &sums {
-        loss += l;
-        correct += c;
+    for part in locals.iter() {
+        loss += part.loss;
+        correct += part.correct;
     }
 
     // Pairwise tree reduction with a fixed stride order, so the merge does
@@ -509,12 +530,12 @@ fn accumulate_batch(
         let mut i = 0;
         while i + gap < locals.len() {
             let (left, right) = locals.split_at_mut(i + gap);
-            left[i].add_assign(&right[0]);
+            left[i].grads.add_assign(&right[0].grads);
             i += gap * 2;
         }
         gap *= 2;
     }
-    grads.add_assign(&locals[0]);
+    grads.add_assign(&locals[0].grads);
     (loss, correct)
 }
 

@@ -3,21 +3,33 @@
 use icsad_nn::loss::rank_of;
 use icsad_nn::{LstmClassifier, ModelConfig};
 use icsad_simd::math::sigmoid;
+use icsad_simd::{softmax_head_f32, HeadGrads, HeadScratch};
 use proptest::prelude::*;
 
-/// One row of logits through the training loss kernel: the softmax
+/// One row of logits through the training head: a head of zero weights
+/// over the input `1` has its bias as its logits, and its bias gradient
+/// from zero (`scale` 1) is `p` off the target. Returns the softmax
 /// probabilities and the target's.
 fn softmax_row(logits: &[f32], target: usize) -> (Vec<f32>, f32) {
     let n = logits.len();
     let (mut probs, mut p_t) = (vec![0.0f32; n], [0.0f32]);
-    icsad_simd::softmax_xent_f32(
-        n,
+    let out = HeadGrads {
+        dh: &mut [0.0],
+        dw: &mut vec![0.0; n],
+        db: &mut probs,
+        p_target: &mut p_t,
+        top1: &mut [false],
+    };
+    let (h, w) = ([1.0], vec![0.0; n]);
+    softmax_head_f32(
+        &h,
+        1,
+        &w,
         logits,
         &[target],
         1.0,
-        &mut probs,
-        &mut p_t,
-        &mut [false],
+        out,
+        &mut HeadScratch::default(),
     );
     probs[target] = p_t[0];
     (probs, p_t[0])

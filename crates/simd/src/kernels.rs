@@ -17,8 +17,8 @@
 //! gemm has no remainder path at all — it reads zero-padded weight panels
 //! ([`PANEL`]) and runs full vector chains everywhere.
 
-use crate::lanes::{Lanes, ScalarLane};
-use crate::math;
+use crate::lanes::{Lanes, Pair, ScalarLane};
+use crate::{math, HeadGrads, HeadScratch};
 
 /// Batch rows per register tile of the dense gemm on SSE2 and AVX2, and
 /// per element-array tile on scalar: 4 output rows share each loaded weight
@@ -1348,211 +1348,380 @@ fn cell_vectors<V: Lanes>(
     j
 }
 
-/// Most lanes of any backend (AVX-512's 16): the size of the stack arrays
-/// that hold one value per lane.
-const MAX_LANES: usize = 16;
+/// Rows in a group of [`softmax_head_f32`] on the widest backend, a
+/// [`Pair`] of AVX-512's 16 lanes: the size of the stack arrays that hold
+/// one value per row of a group.
+const MAX_GROUP: usize = 32;
 
-/// Softmax cross-entropy and its logits gradient for every row of a logits
-/// block — the loss of a training minibatch in one pass. Row `r` holds the
-/// `n` logits `x` of target `t = targets[r]`; with `m` their maximum
-/// (NaN entries skipped), `e_j = expf(x_j − m)` ([`math::expf`], glibc's
-/// bits), `s = Σ e_j` and `p_j = e_j / s`, the row writes
+/// The softmax head of a training minibatch in one pass, with its
+/// gradients. Row `r` of `h` (`k_dim` wide) has target `t = targets[r]`,
+/// logits `x_j = bias[j] + Σ_k h[r][k]·w[k][j]` (`w` row-major,
+/// `k_dim × n`), softmax `p` and loss gradient `d_j = p_j·scale`, `d_t =
+/// p_t·scale − scale`. The pass writes `p_target[r] = p_t`, `top1[r]` (no
+/// `p_j > p_t`, no `p_j == p_t` left of `t`) and `dh[r][k] = Σ_j
+/// d_j·w[k][j]`, and adds `h[r][k]·d_j` to `dw[k][j]` and `d_j` to `db[j]`.
 ///
-/// * `dlogits`: `p_j·scale`, and `p_t·scale − scale` at the target;
-/// * `p_target[r] = p_t`;
-/// * `top1[r]`: whether no column beats `p_t` — none has `p_j > p_t`, none
-///   left of `t` has `p_j == p_t` (ordered compares).
+/// Rows go in groups of one [`Pair`] of `L`, a row per lane; the spare
+/// lanes of a short last group run zero rows and keep nothing. A group's
+/// logits, then `e`, then `d` live in `tile` a column per `Pair`, so each
+/// per-row chain runs down the lanes, and every broadcast weight feeds two
+/// vectors:
 ///
-/// The edge cases are those of the per-row loop this replaced: a row whose
-/// maximum is not finite (an `+inf` entry, or every entry `−inf` or NaN)
-/// takes its logits as `p`; a sum that is not `> 0` (a NaN entry) leaves
-/// `p = e` undivided.
+/// 1. column `j`'s logits start from `bias[j]` and take one `fmac` per `k`,
+///    ascending, over `h` transposed into `ht` ([`logit_block`]); the row
+///    maximum (NaN skipped) is a lanewise [`Lanes::max`];
+/// 2. `e = expf(x − m)` ([`math::expf_lanes`]) joins the row's sum, one
+///    ascending chain from `0.0`; a row whose maximum is not finite keeps
+///    its logits as `e`;
+/// 3. `p = e / s` is a true divide — by `1.0`, which is exact, where the
+///    maximum is not finite or the sum is not `> 0`;
+/// 4. `dh[r][k]` is one ascending-`j` chain from `0.0` over row `k` of
+///    `w` ([`dh_block`]);
+/// 5. `dw` and `db` accumulate in `grad`: `dw` transposed, each column `j`
+///    followed by `db[j]` — the weight of a constant-`1` input, whose
+///    `fmac` rounds as the plain add — in `L` vectors along `k`, each
+///    element one chain over the rows in ascending order, continued across
+///    groups ([`grad_block`]).
 ///
-/// Per element, every op is the one that loop ran: `x_j − m`, the `expf`
-/// port, one divide, one product. The max is exact in any order. Each
-/// row's sum is one chain in ascending `j` from `0.0`; the chains of
-/// `WIDTH` rows run in the lanes of one vector, fed by strided loads of
-/// the `e` the rows wrote, then `Half`-width groups and single rows take
-/// what is left. So every backend, and every grouping of rows, gives the
-/// same bits.
+/// Every output element runs the op sequence of the unfused passes —
+/// the panel gemm started from the bias, the per-row loss loop, `dX +=
+/// dY·Wᵀ` from zero, `dW += Xᵀ·dY` and the column sum — on every backend.
 #[inline(always)]
-pub(crate) fn softmax_xent_f32<L: Lanes>(
-    n: usize,
-    logits: &[f32],
+#[allow(clippy::too_many_arguments, reason = "mirrors `softmax_head_f32_with`")]
+pub(crate) fn softmax_head_f32<L: Lanes>(
+    h: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    bias: &[f32],
     targets: &[usize],
     scale: f32,
-    dlogits: &mut [f32],
-    p_target: &mut [f32],
-    top1: &mut [bool],
+    out: HeadGrads<'_>,
+    scratch: &mut HeadScratch,
 ) {
-    debug_assert_eq!(logits.len(), targets.len() * n);
-    debug_assert!(dlogits.len() == logits.len() && p_target.len() == targets.len());
-    let out = XentRows {
-        n,
-        scale,
-        logits,
-        targets,
-    };
-    let r = out.groups::<L, L>(0, dlogits, p_target, top1);
-    let r = out.groups::<L, L::Half>(r, dlogits, p_target, top1);
-    out.groups::<L, ScalarLane<false>>(r, dlogits, p_target, top1);
-}
-
-/// The inputs of [`softmax_xent_f32`].
-struct XentRows<'a> {
-    n: usize,
-    scale: f32,
-    logits: &'a [f32],
-    targets: &'a [usize],
-}
-
-impl XentRows<'_> {
-    /// Rows `r0 ..` in groups of `G::WIDTH` while whole groups remain;
-    /// returns the first row left. Rows run `L` lanes along their columns,
-    /// the group's sum chains `G` lanes across its rows.
-    #[inline(always)]
-    fn groups<L: Lanes, G: Lanes>(
-        &self,
-        mut r0: usize,
-        dlogits: &mut [f32],
-        p_target: &mut [f32],
-        top1: &mut [bool],
-    ) -> usize {
-        debug_assert!(G::WIDTH <= MAX_LANES);
-        let (n, rows) = (self.n, self.targets.len());
-        while r0 + G::WIDTH <= rows {
-            let block = r0 * n..(r0 + G::WIDTH) * n;
-            let (x, d) = (&self.logits[block.clone()], &mut dlogits[block]);
-            let mut finite = [false; MAX_LANES];
-            for ((xr, dr), f) in x
-                .chunks_exact(n)
-                .zip(d.chunks_exact_mut(n))
-                .zip(&mut finite)
-            {
-                let m = row_max::<L>(xr);
-                *f = m.is_finite();
-                if *f {
-                    exp_row::<L>(xr, m, dr);
-                } else {
-                    dr.copy_from_slice(xr);
-                }
-            }
-            // One ascending chain per row, `G::WIDTH` rows at once.
-            let mut acc = G::splat(0.0);
-            for j in 0..n {
-                acc = acc.add(G::load_strided(&d[j..], n));
-            }
-            let mut sums = [0.0; MAX_LANES];
-            acc.store(&mut sums);
-            for (i, dr) in d.chunks_exact_mut(n).enumerate() {
-                let (r, t) = (r0 + i, self.targets[r0 + i]);
-                let (p, hit) = if finite[i] && sums[i] > 0.0 {
-                    finish_row::<L, true>(dr, t, sums[i], self.scale)
-                } else {
-                    finish_row::<L, false>(dr, t, 1.0, self.scale)
-                };
-                p_target[r] = p;
-                top1[r] = hit;
-            }
-            r0 += G::WIDTH;
+    let (n, rows, g) = (bias.len(), targets.len(), Pair::<L>::WIDTH);
+    debug_assert!(g <= MAX_GROUP && k_dim > 0 && h.len() == rows * k_dim);
+    debug_assert_eq!(w.len(), k_dim * n);
+    if rows == 0 {
+        return;
+    }
+    let HeadGrads {
+        dh,
+        dw,
+        db,
+        p_target,
+        top1,
+    } = out;
+    // A gradient row: `dW`'s column, `db`, zeros up to whole vectors.
+    let kp = (k_dim + 1).next_multiple_of(L::WIDTH);
+    let HeadScratch { tile, ht, hp, grad } = scratch;
+    let tile = sized(tile, n * g);
+    let ht = sized(ht, k_dim * g);
+    let hp = sized(hp, g * kp);
+    let grad = sized(grad, n * kp);
+    transpose(dw, n, k_dim, n, grad, kp);
+    for (row, &b) in grad.chunks_exact_mut(kp).zip(db.iter()) {
+        row[k_dim] = b;
+        row[k_dim + 1..].fill(0.0);
+    }
+    let mut r0 = 0;
+    while r0 < rows {
+        let live = g.min(rows - r0);
+        let hs = &h[r0 * k_dim..(r0 + live) * k_dim];
+        if live < g {
+            ht.fill(0.0);
         }
-        r0
+        transpose(hs, k_dim, live, k_dim, ht, g);
+        for (hp_row, h_row) in hp.chunks_exact_mut(kp).zip(hs.chunks_exact(k_dim)) {
+            hp_row[..k_dim].copy_from_slice(h_row);
+            hp_row[k_dim] = 1.0;
+            hp_row[k_dim + 1..].fill(0.0);
+        }
+        let targets = &targets[r0..r0 + live];
+        let m = logits::<L>(ht, w, bias, tile);
+        let (p_t, hits) = softmax_rows::<Pair<L>>(m, targets, scale, tile);
+        p_target[r0..r0 + live].copy_from_slice(&p_t[..live]);
+        for (l, hit) in top1[r0..r0 + live].iter_mut().enumerate() {
+            *hit = hits & (1 << l) != 0;
+        }
+        let dh_rows_out = &mut dh[r0 * k_dim..(r0 + live) * k_dim];
+        dh_rows::<L>(tile, w, k_dim, live, dh_rows_out);
+        grad_rows::<L>(tile, hp, kp, live, grad);
+        r0 += live;
+    }
+    transpose(grad, kp, n, k_dim, dw, n);
+    for (b, row) in db.iter_mut().zip(grad.chunks_exact(kp)) {
+        *b = row[k_dim];
     }
 }
 
-/// The largest non-NaN entry of `xs` (`−inf` if there is none).
-#[inline(always)]
-fn row_max<L: Lanes>(xs: &[f32]) -> f32 {
-    let (j, m) = max_vectors::<L>(xs, 0, f32::NEG_INFINITY);
-    let (j, m) = max_vectors::<L::Half>(xs, j, m);
-    xs[j..].iter().fold(m, |m, &v| if v > m { v } else { m })
-}
-
-/// [`row_max`] over the whole `V` vectors from `j` on, starting from `m`;
-/// returns where the vectors end and the new maximum.
-#[inline(always)]
-fn max_vectors<V: Lanes>(xs: &[f32], mut j: usize, m: f32) -> (usize, f32) {
-    let mut acc = V::splat(m);
-    while j + V::WIDTH <= xs.len() {
-        // `max` keeps `acc` where the loaded entry is NaN.
-        acc = V::load(&xs[j..]).max(acc);
-        j += V::WIDTH;
+/// The front `len` elements of `buf`, grown (never shrunk) to hold them.
+fn sized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    let mut lanes = [0.0; MAX_LANES];
-    acc.store(&mut lanes);
-    let m = lanes[..V::WIDTH]
-        .iter()
-        .fold(m, |m, &v| if v > m { v } else { m });
-    (j, m)
+    &mut buf[..len]
 }
 
-/// `out_j = expf(xs_j − m)` for a row.
-#[inline(always)]
-fn exp_row<L: Lanes>(xs: &[f32], m: f32, out: &mut [f32]) {
-    let j = exp_vectors::<L>(xs, m, out, 0);
-    let j = exp_vectors::<L::Half>(xs, m, out, j);
-    for (o, &x) in out[j..].iter_mut().zip(&xs[j..]) {
-        *o = math::expf(x - m);
+/// `dst[c·dst_stride + r] = src[r·src_stride + c]` for `r < rows`, `c <
+/// cols`: a transpose, eight source rows at a time, so it reads eight
+/// sequential streams and writes runs of eight.
+fn transpose(
+    src: &[f32],
+    src_stride: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    let mut r0 = 0;
+    while r0 < rows {
+        let r1 = rows.min(r0 + 8);
+        let srcs: [&[f32]; 8] = core::array::from_fn(|i| {
+            let r = (r0 + i).min(r1 - 1);
+            &src[r * src_stride..r * src_stride + cols]
+        });
+        for (c, d) in dst.chunks_mut(dst_stride).take(cols).enumerate() {
+            for (d, s) in d[r0..r1].iter_mut().zip(srcs) {
+                *d = s[c];
+            }
+        }
+        r0 = r1;
     }
 }
 
-/// [`exp_row`] over the whole `V` vectors from `j` on.
-#[inline(always)]
-fn exp_vectors<V: Lanes>(xs: &[f32], m: f32, out: &mut [f32], mut j: usize) -> usize {
-    let mv = V::splat(m);
-    while j + V::WIDTH <= xs.len() {
-        math::expf_lanes::<V>(V::load(&xs[j..]).sub(mv)).store(&mut out[j..]);
-        j += V::WIDTH;
+/// Columns per register block of [`logit_block`] and [`dh_block`]: 8
+/// accumulator [`Pair`]s fill half of AVX-512's 32 registers; the other
+/// backends have 16 and take 4.
+fn pair_block<L: Lanes>() -> usize {
+    if L::WIDTH == 16 {
+        8
+    } else {
+        4
     }
-    j
 }
 
-/// Turns a row of `e` (or, for `DIV = false`, of the values taken as `p`
-/// themselves) into its gradient: `p = e / sum`, `d = p·scale`, and
-/// `p_t·scale − scale` at target `t`. Returns `p_t` and whether `t` is
-/// top-1.
+/// Step 1 of [`softmax_head_f32`]: every column of the group's logits into
+/// `tile`, in blocks of [`pair_block`] columns, then 2 and 1; returns the
+/// lanewise maximum (NaN skipped, `−inf` if there is none).
 #[inline(always)]
-fn finish_row<L: Lanes, const DIV: bool>(
-    d: &mut [f32],
-    t: usize,
-    sum: f32,
+fn logits<L: Lanes>(ht: &[f32], w: &[f32], bias: &[f32], tile: &mut [f32]) -> Pair<L> {
+    let n = bias.len();
+    let mut m = Pair::<L>::splat(f32::NEG_INFINITY);
+    let mut j = 0;
+    while pair_block::<L>() == 8 && j + 8 <= n {
+        j = logit_block::<L, 8>(ht, w, bias, tile, j, &mut m);
+    }
+    while j + 4 <= n {
+        j = logit_block::<L, 4>(ht, w, bias, tile, j, &mut m);
+    }
+    if j + 2 <= n {
+        j = logit_block::<L, 2>(ht, w, bias, tile, j, &mut m);
+    }
+    if j < n {
+        logit_block::<L, 1>(ht, w, bias, tile, j, &mut m);
+    }
+    m
+}
+
+/// Columns `j .. j + C` of [`logits`]: each accumulator starts from its
+/// bias and takes one `fmac` per row of `ht` (a `k` of every lane's row),
+/// ascending; returns the next column.
+#[inline(always)]
+fn logit_block<L: Lanes, const C: usize>(
+    ht: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    tile: &mut [f32],
+    j: usize,
+    m: &mut Pair<L>,
+) -> usize {
+    let (n, g) = (bias.len(), Pair::<L>::WIDTH);
+    let mut acc: [Pair<L>; C] = core::array::from_fn(|c| Pair::splat(bias[j + c]));
+    for (k, hk) in ht.chunks_exact(g).enumerate() {
+        let hk = Pair::<L>::load(hk);
+        let wk = &w[k * n + j..k * n + j + C];
+        for (a, &wkj) in acc.iter_mut().zip(wk) {
+            *a = a.fmac(hk, Pair::splat(wkj));
+        }
+    }
+    for (c, a) in acc.into_iter().enumerate() {
+        a.store(&mut tile[(j + c) * g..]);
+        // `max` keeps `m` where the logit is NaN.
+        *m = a.max(*m);
+    }
+    j + C
+}
+
+/// Steps 2 and 3 of [`softmax_head_f32`]: turns the group's logits in
+/// `tile` into the gradient `d`, given the lanewise maxima `m` and the
+/// live lanes' `targets`. Returns each live lane's `p_t` and a mask of the
+/// lanes whose target is top-1.
+#[inline(always)]
+fn softmax_rows<V: Lanes>(
+    m: V,
+    targets: &[usize],
     scale: f32,
-) -> (f32, bool) {
-    let p_t = if DIV { d[t] / sum } else { d[t] };
-    let (j, beaten) = finish_vectors::<L, DIV>(d, t, sum, scale, p_t, 0);
-    let (j, beaten_half) = finish_vectors::<L::Half, DIV>(d, t, sum, scale, p_t, j);
-    let mut beaten = beaten || beaten_half;
-    for (jj, dj) in d.iter_mut().enumerate().skip(j) {
-        let p = if DIV { *dj / sum } else { *dj };
-        beaten |= p > p_t || (p == p_t && jj < t);
-        *dj = p * scale;
+    tile: &mut [f32],
+) -> ([f32; MAX_GROUP], u32) {
+    let g = V::WIDTH;
+    let (zero, one, inf) = (V::splat(0.0), V::splat(1.0), V::splat(f32::INFINITY));
+    let magnitude = m.abs();
+    let mut s = zero;
+    for col in tile.chunks_exact_mut(g) {
+        let x = V::load(col);
+        let e = V::select_lt(magnitude, inf, math::expf_lanes::<V>(x.sub(m)), x);
+        s = s.add(e);
+        e.store(col);
     }
-    d[t] = p_t * scale - scale;
+    let div = V::select_lt(magnitude, inf, V::select_lt(zero, s, s, one), one);
+    let (mut divs, mut p_t, mut t_at) = ([0.0; MAX_GROUP], [0.0; MAX_GROUP], [0.0; MAX_GROUP]);
+    div.store(&mut divs);
+    for (l, &t) in targets.iter().enumerate() {
+        p_t[l] = tile[t * g + l] / divs[l];
+        // Exact: the entry point keeps `n` below 2^24.
+        t_at[l] = t as f32;
+    }
+    let (p_tv, t_v, scale_v) = (V::load(&p_t), V::load(&t_at), V::splat(scale));
+    let (mut j_v, mut beaten) = (zero, 0u32);
+    for col in tile.chunks_exact_mut(g) {
+        let p = V::load(col).div(div);
+        // Ties count only left of the target: lanes with `t > j`.
+        beaten |= p.gt_mask(p_tv) | (p.eq_mask(p_tv) & t_v.gt_mask(j_v));
+        p.mul(scale_v).store(col);
+        j_v = j_v.add(one);
+    }
+    for (l, &t) in targets.iter().enumerate() {
+        tile[t * g + l] = p_t[l] * scale - scale;
+    }
     (p_t, !beaten)
 }
 
-/// [`finish_row`] over the whole `V` vectors from `j` on; returns where
-/// they end and whether a column among them beats `p_t`.
+/// Step 4 of [`softmax_head_f32`]: the live rows of `dh`, in blocks of
+/// [`pair_block`] of its columns `k`, then 2 and 1.
 #[inline(always)]
-fn finish_vectors<V: Lanes, const DIV: bool>(
-    d: &mut [f32],
-    t: usize,
-    sum: f32,
-    scale: f32,
-    p_t: f32,
-    mut j: usize,
-) -> (usize, bool) {
-    let (sum_v, scale_v, p_tv) = (V::splat(sum), V::splat(scale), V::splat(p_t));
-    let mut beats = 0;
-    while j + V::WIDTH <= d.len() {
-        let e = V::load(&d[j..]);
-        let p = if DIV { e.div(sum_v) } else { e };
-        // Ties count only left of the target.
-        beats |= p.gt_mask(p_tv) | (p.eq_mask(p_tv) & low_bits(t.saturating_sub(j)));
-        p.mul(scale_v).store(&mut d[j..]);
-        j += V::WIDTH;
+fn dh_rows<L: Lanes>(tile: &[f32], w: &[f32], k_dim: usize, live: usize, dh: &mut [f32]) {
+    let mut k = 0;
+    while pair_block::<L>() == 8 && k + 8 <= k_dim {
+        k = dh_block::<L, 8>(tile, w, k_dim, live, dh, k);
     }
-    (j, beats != 0)
+    while k + 4 <= k_dim {
+        k = dh_block::<L, 4>(tile, w, k_dim, live, dh, k);
+    }
+    if k + 2 <= k_dim {
+        k = dh_block::<L, 2>(tile, w, k_dim, live, dh, k);
+    }
+    if k < k_dim {
+        dh_block::<L, 1>(tile, w, k_dim, live, dh, k);
+    }
+}
+
+/// Columns `k .. k + C` of [`dh_rows`]: per column one accumulator from
+/// `0.0`, one `fmac` per gradient column `j` of `tile` with `w[k][j]`,
+/// ascending; then each live lane's value goes to its row. Returns the
+/// next column.
+#[inline(always)]
+fn dh_block<L: Lanes, const C: usize>(
+    tile: &[f32],
+    w: &[f32],
+    k_dim: usize,
+    live: usize,
+    dh: &mut [f32],
+    k: usize,
+) -> usize {
+    let g = Pair::<L>::WIDTH;
+    let n = tile.len() / g;
+    let ws: [&[f32]; C] = core::array::from_fn(|c| &w[(k + c) * n..(k + c + 1) * n]);
+    let mut acc = [Pair::<L>::splat(0.0); C];
+    for (j, col) in tile.chunks_exact(g).enumerate() {
+        let d = Pair::<L>::load(col);
+        for (a, wc) in acc.iter_mut().zip(ws) {
+            *a = a.fmac(d, Pair::splat(wc[j]));
+        }
+    }
+    let mut lanes = [0.0; MAX_GROUP];
+    for (c, a) in acc.into_iter().enumerate() {
+        a.store(&mut lanes);
+        for (row, &v) in dh.chunks_exact_mut(k_dim).zip(&lanes[..live]) {
+            row[k + c] = v;
+        }
+    }
+    k + C
+}
+
+/// Step 5 of [`softmax_head_f32`]: the live rows' contributions to every
+/// gradient row of `grad` (`kp` wide), a [`Pair`] of `L` vectors of `k`
+/// at a time while two remain — each broadcast `d_j` then feeds both —
+/// and a single `L` vector for the last.
+#[inline(always)]
+fn grad_rows<L: Lanes>(tile: &[f32], hp: &[f32], kp: usize, live: usize, grad: &mut [f32]) {
+    let mut kv = 0;
+    while kv + Pair::<L>::WIDTH <= kp {
+        if pair_block::<L>() == 8 {
+            grad_columns::<L, Pair<L>, 8>(tile, hp, kp, live, grad, kv);
+        } else {
+            grad_columns::<L, Pair<L>, 4>(tile, hp, kp, live, grad, kv);
+        }
+        kv += Pair::<L>::WIDTH;
+    }
+    if kv < kp {
+        grad_columns::<L, L, 8>(tile, hp, kp, live, grad, kv);
+    }
+}
+
+/// The `V` vector of `k` from `kv` on of every gradient row, in blocks of
+/// `C` rows, then 4, 2 and 1.
+#[inline(always)]
+fn grad_columns<L: Lanes, V: Lanes, const C: usize>(
+    tile: &[f32],
+    hp: &[f32],
+    kp: usize,
+    live: usize,
+    grad: &mut [f32],
+    kv: usize,
+) {
+    let n = tile.len() / Pair::<L>::WIDTH;
+    let mut j = 0;
+    while j + C <= n {
+        j = grad_block::<L, V, C>(tile, hp, kp, live, grad, j, kv);
+    }
+    if C > 4 && j + 4 <= n {
+        j = grad_block::<L, V, 4>(tile, hp, kp, live, grad, j, kv);
+    }
+    if j + 2 <= n {
+        j = grad_block::<L, V, 2>(tile, hp, kp, live, grad, j, kv);
+    }
+    if j < n {
+        grad_block::<L, V, 1>(tile, hp, kp, live, grad, j, kv);
+    }
+}
+
+/// Gradient rows `j .. j + C` of [`grad_columns`]: `C` accumulators
+/// loaded from `grad`, one `fmac` of lane row `l`'s augmented input
+/// (`hp`) with its `d_j` per live row, ascending, one store. Returns the
+/// next row.
+#[inline(always)]
+fn grad_block<L: Lanes, V: Lanes, const C: usize>(
+    tile: &[f32],
+    hp: &[f32],
+    kp: usize,
+    live: usize,
+    grad: &mut [f32],
+    j: usize,
+    kv: usize,
+) -> usize {
+    let g = Pair::<L>::WIDTH;
+    let ds: [&[f32]; C] = core::array::from_fn(|c| &tile[(j + c) * g..(j + c) * g + live]);
+    let mut acc: [V; C] = core::array::from_fn(|c| V::load(&grad[(j + c) * kp + kv..]));
+    for (l, h_row) in hp.chunks_exact(kp).take(live).enumerate() {
+        let hv = V::load(&h_row[kv..]);
+        for (a, d) in acc.iter_mut().zip(ds) {
+            *a = a.fmac(hv, V::splat(d[l]));
+        }
+    }
+    for (c, a) in acc.into_iter().enumerate() {
+        a.store(&mut grad[(j + c) * kp + kv..]);
+    }
+    j + C
 }
 
 /// The x86 entry points: one module per backend, each compiled with that
@@ -1569,6 +1738,7 @@ pub(crate) mod x86_entries {
 
     use super::Buckets;
     use crate::x86::*;
+    use crate::{HeadGrads, HeadScratch};
 
     macro_rules! backend_entries {
         ($mod_name:ident, $feat:literal, $f32ty:ty) => {
@@ -1638,17 +1808,19 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn softmax_xent_f32(
-                    n: usize,
-                    logits: &[f32],
+                #[allow(clippy::too_many_arguments, reason = "mirrors `softmax_head_f32_with`")]
+                pub(crate) unsafe fn softmax_head_f32(
+                    h: &[f32],
+                    k_dim: usize,
+                    w: &[f32],
+                    bias: &[f32],
                     targets: &[usize],
                     scale: f32,
-                    dlogits: &mut [f32],
-                    p_target: &mut [f32],
-                    top1: &mut [bool],
+                    out: HeadGrads<'_>,
+                    scratch: &mut HeadScratch,
                 ) {
-                    super::super::softmax_xent_f32::<$f32ty>(
-                        n, logits, targets, scale, dlogits, p_target, top1,
+                    super::super::softmax_head_f32::<$f32ty>(
+                        h, k_dim, w, bias, targets, scale, out, scratch,
                     )
                 }
 

@@ -21,8 +21,7 @@
 //! Each lane type also has `f64` lanes of the same count
 //! ([`Lanes::Wide`], a [`WideLanes`] type; two registers per x86 vector),
 //! for the one kernel step that needs `f64` — the port of glibc's `expf`
-//! in the training loss — and a strided load ([`Lanes::load_strided`]),
-//! which puts one element of each of `WIDTH` rows in the lanes.
+//! in the training loss.
 
 /// A fixed-width vector of `f32`: the interface every kernel and the
 /// activation math are generic over.
@@ -117,13 +116,6 @@ pub trait Lanes: Copy {
     fn widen(self) -> Self::Wide;
     /// Every lane of `w` rounded to `f32` (to nearest, ties to even).
     fn narrow(w: Self::Wide) -> Self;
-    /// Loads `src[0]`, `src[stride]`, …, `src[(WIDTH - 1)·stride]`: lane
-    /// `l` is element `l` of a column, `WIDTH` rows of `stride` apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` ends before the last of those elements.
-    fn load_strided(src: &[f32], stride: usize) -> Self;
 }
 
 /// A fixed-width vector of `f64`, as wide in lanes as the [`Lanes`] type
@@ -289,8 +281,148 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
     fn narrow(w: ScalarF64) -> Self {
         ScalarLane(w.0 as f32)
     }
+}
+
+/// Two vectors of `L` as one of twice the width: every op applies `L`'s op
+/// to each half, so per element it is `L`'s op sequence. Mask bit `l` is
+/// lane `l` of the low half, bit `L::WIDTH + l` lane `l` of the high one.
+/// A kernel that broadcasts one value into both halves loads it once and
+/// feeds two vectors, where a lone `L` would spend a load per vector.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pair<L>(L, L);
+
+impl<L: Lanes> Pair<L> {
     #[inline(always)]
-    fn load_strided(src: &[f32], _stride: usize) -> Self {
-        ScalarLane(src[0])
+    fn map(self, f: impl Fn(L) -> L) -> Self {
+        Pair(f(self.0), f(self.1))
+    }
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(L, L) -> L) -> Self {
+        Pair(f(self.0, o.0), f(self.1, o.1))
+    }
+}
+
+impl<L: Lanes> Lanes for Pair<L> {
+    const WIDTH: usize = 2 * L::WIDTH;
+    const FUSED: bool = L::FUSED;
+    type Half = L;
+
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        let v = L::splat(v);
+        Pair(v, v)
+    }
+    #[inline(always)]
+    fn load(src: &[f32]) -> Self {
+        Pair(L::load(src), L::load(&src[L::WIDTH..]))
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        self.0.store(dst);
+        self.1.store(&mut dst[L::WIDTH..]);
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.zip(o, L::add)
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self.zip(o, L::mul)
+    }
+    #[inline(always)]
+    fn fmac(self, x: Self, w: Self) -> Self {
+        Pair(self.0.fmac(x.0, w.0), self.1.fmac(x.1, w.1))
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, L::sub)
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        self.zip(o, L::div)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.map(L::abs)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        self.zip(o, L::max)
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        self.zip(o, L::min)
+    }
+    #[inline(always)]
+    fn select_lt(a: Self, b: Self, t: Self, f: Self) -> Self {
+        Pair(
+            L::select_lt(a.0, b.0, t.0, f.0),
+            L::select_lt(a.1, b.1, t.1, f.1),
+        )
+    }
+    #[inline(always)]
+    fn exp2i(n: Self) -> Self {
+        n.map(L::exp2i)
+    }
+    #[inline(always)]
+    fn copysign(self, src: Self) -> Self {
+        self.zip(src, L::copysign)
+    }
+    #[inline(always)]
+    fn ne_zero_mask(self) -> u32 {
+        self.0.ne_zero_mask() | self.1.ne_zero_mask() << L::WIDTH
+    }
+    #[inline(always)]
+    fn gt_mask(self, o: Self) -> u32 {
+        self.0.gt_mask(o.0) | self.1.gt_mask(o.1) << L::WIDTH
+    }
+    #[inline(always)]
+    fn eq_mask(self, o: Self) -> u32 {
+        self.0.eq_mask(o.0) | self.1.eq_mask(o.1) << L::WIDTH
+    }
+    #[inline(always)]
+    fn merge_nan(self, src: Self) -> Self {
+        self.zip(src, L::merge_nan)
+    }
+
+    type Wide = Pair<L::Wide>;
+    #[inline(always)]
+    fn widen(self) -> Pair<L::Wide> {
+        Pair(self.0.widen(), self.1.widen())
+    }
+    #[inline(always)]
+    fn narrow(w: Pair<L::Wide>) -> Self {
+        Pair(L::narrow(w.0), L::narrow(w.1))
+    }
+}
+
+impl<W: WideLanes> WideLanes for Pair<W> {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        let v = W::splat(v);
+        Pair(v, v)
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Pair(self.0.add(o.0), self.1.add(o.1))
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        Pair(self.0.sub(o.0), self.1.sub(o.1))
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        Pair(self.0.mul(o.0), self.1.mul(o.1))
+    }
+    #[inline(always)]
+    fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        Pair(
+            self.0.mul_sub_fused(b.0, c.0),
+            self.1.mul_sub_fused(b.1, c.1),
+        )
+    }
+    #[inline(always)]
+    fn exp2_k32(self) -> Self {
+        Pair(self.0.exp2_k32(), self.1.exp2_k32())
     }
 }

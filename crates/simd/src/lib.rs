@@ -70,16 +70,20 @@
 //! per-element gate calculus. Each runs the operations of the loop it
 //! replaced, in the same order, so trained weights keep their bits.
 //!
-//! # Softmax cross-entropy
+//! # Softmax head
 //!
-//! [`softmax_xent_f32`] is the training loss over a whole logits block:
-//! per row the max, `expf(x − max)`, the sum, a divide per entry, the
-//! target's top-1 test and the gradient, in one dispatched pass. Its
+//! [`softmax_head_f32`] is the whole softmax head of a training minibatch
+//! in one pass: the logits, the loss (each row's target probability and
+//! top-1 bit), the gradient of the head's input `dh = d·Wᵀ` and the head's
+//! own `dW += hᵀ·d` and `db += Σ d`. Rows run in groups of two vectors'
+//! lanes, a row per lane, over a tile of one group's columns that stays in
+//! L1, so no logits block is written and each row's max, sum chain, divide
+//! and top-1 test are one vector op per column. Its
 //! exponential is [`math::expf`], a port of glibc's `expf` that returns
 //! libm's bits (see [`math`]), evaluated in `f64` lanes
-//! ([`lanes::WideLanes`]). Each row's sum must stay one ascending chain,
-//! so that is the one step that vectorizes across rows: the chains of
-//! `WIDTH` rows run in the lanes of one vector, fed by strided loads.
+//! ([`lanes::WideLanes`]). Every output element keeps the op sequence of
+//! the unfused passes — the panel gemm, the per-row loss loop and the
+//! backward products — so trained weights keep their bits.
 //!
 //! # FMA policy
 //!
@@ -793,90 +797,128 @@ pub fn rank_panels_f32_with(
     )
 }
 
-/// Softmax cross-entropy over a block of logits rows, with its gradient:
-/// the loss step of a training minibatch in one pass. `logits` holds one
-/// row of `n` logits per entry of `targets`; row `r` writes its gradient
-/// `p·scale − onehot(t)·scale` to the same row of `dlogits`, its target
-/// probability `p_t` to `p_target[r]` and whether `t` is the top-1 class
-/// (no `p_j > p_t`, no `p_j == p_t` at `j < t`) to `top1[r]`.
-///
-/// Bit for bit, this is the per-row loop of a softmax through libm's
-/// `expf` on a glibc FMA host: max (NaN skipped), `expf(x − max)` by the
-/// port [`math::expf`], one ascending sum chain from `0.0`, one divide per
-/// entry — with that loop's edge cases: a row whose maximum is not finite
-/// takes its logits as the probabilities, a NaN sum leaves them undivided.
-/// Every backend gives the same bits, under either FMA policy: the one
-/// fused op, inside `expf`, is fused on all of them.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or a target that is not a column.
-pub fn softmax_xent_f32(
-    n: usize,
-    logits: &[f32],
-    targets: &[usize],
-    scale: f32,
-    dlogits: &mut [f32],
-    p_target: &mut [f32],
-    top1: &mut [bool],
-) {
-    softmax_xent_f32_with(
-        current(),
-        n,
-        logits,
-        targets,
-        scale,
-        dlogits,
-        p_target,
-        top1,
-    )
+/// The reusable buffers of [`softmax_head_f32`]: one group's logits tile,
+/// its inputs transposed and augmented, and the head's gradients
+/// transposed. They grow to the largest call and are kept, so a caller that
+/// keeps one per worker trains without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct HeadScratch {
+    pub(crate) tile: Vec<f32>,
+    pub(crate) ht: Vec<f32>,
+    pub(crate) hp: Vec<f32>,
+    pub(crate) grad: Vec<f32>,
 }
 
-/// [`softmax_xent_f32`] with an explicit backend selection.
+/// Where [`softmax_head_f32`] writes: per row the target probability and
+/// the top-1 bit, the gradient of the head's input (overwritten) and of
+/// its weights and bias (accumulated).
+#[derive(Debug)]
+pub struct HeadGrads<'a> {
+    /// `rows × k_dim`: `dh = d·Wᵀ`, overwritten.
+    pub dh: &'a mut [f32],
+    /// `k_dim × n`, row-major: `dW += hᵀ·d`.
+    pub dw: &'a mut [f32],
+    /// `n`: `db += Σ_r d[r]`.
+    pub db: &'a mut [f32],
+    /// One per row: the target's softmax probability `p_t`.
+    pub p_target: &'a mut [f32],
+    /// One per row: whether the target is top-1 — no `p_j > p_t` and no
+    /// `p_j == p_t` left of the target.
+    pub top1: &'a mut [bool],
+}
+
+/// The softmax head of a training minibatch, forward and backward, in one
+/// pass that writes no logits block. Row `r` of `h` (`rows × k_dim`, one
+/// row per entry of `targets`) has logits `x = bias + h[r]ᵀ·W` (`W`
+/// row-major `k_dim × n`, `n = bias.len()`), softmax `p` and loss gradient
+/// `d = p·scale − onehot(t)·scale` for its target `t`; the pass writes
+/// `p_t`, the top-1 bit and `dh[r] = W·d`, and adds `h[r]·dᵀ` to `dW` and
+/// `d` to `db` (see [`HeadGrads`]).
+///
+/// Bit for bit, each output is what the unfused passes give: the logits
+/// of [`gemm_panels_bias_f32`] (the bias, then an ascending-`k` `fmac`
+/// chain); the per-row loop of a softmax through libm's `expf` on a glibc
+/// FMA host — max (NaN skipped), `expf(x − max)` by the port
+/// [`math::expf`], one ascending sum chain from `0.0`, one true divide per
+/// entry, with its edge cases: a row whose maximum is not finite takes its
+/// logits as `p`, a sum that is not `> 0` leaves `p = e` undivided; `dh`
+/// as [`gemm_panels_acc_f32`] over `Wᵀ` from zero; `dW` as the dense gemm
+/// over `hᵀ` (one ascending-row `fmac` chain per element, continued from
+/// its value); `db` as [`col_sum_acc_f32`]. So every backend gives the same
+/// bits under a given FMA policy.
+///
+/// Rows run in groups of one vector's lanes, a row per lane, over a tile
+/// of `n` vectors in `scratch`: each row's sum chain, divide and top-1
+/// test are one vector op per column, with no gather.
 ///
 /// # Panics
 ///
-/// As [`softmax_xent_f32`], or if the selection is unsupported.
+/// Panics on block-size mismatch, if the head has no inputs (`k_dim ==
+/// 0`), a target is not a column or the head has `2^24` columns or more.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the head's input, weights and targets, its sinks and its scratch"
+)]
+pub fn softmax_head_f32(
+    h: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    bias: &[f32],
+    targets: &[usize],
+    scale: f32,
+    out: HeadGrads<'_>,
+    scratch: &mut HeadScratch,
+) {
+    softmax_head_f32_with(current(), h, k_dim, w, bias, targets, scale, out, scratch)
+}
+
+/// [`softmax_head_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`softmax_head_f32`], or if the selection is unsupported.
 #[allow(
     clippy::too_many_arguments,
     unsafe_code,
-    reason = "the block, its targets and three outputs; see the `dispatch` module's SAFETY note"
+    reason = "the head's operands, sinks and scratch; see the `dispatch` module's SAFETY note"
 )]
-pub fn softmax_xent_f32_with(
+pub fn softmax_head_f32_with(
     sel: Selection,
-    n: usize,
-    logits: &[f32],
+    h: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    bias: &[f32],
     targets: &[usize],
     scale: f32,
-    dlogits: &mut [f32],
-    p_target: &mut [f32],
-    top1: &mut [bool],
+    out: HeadGrads<'_>,
+    scratch: &mut HeadScratch,
 ) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    let rows = targets.len();
+    let (n, rows) = (bias.len(), targets.len());
+    assert!(k_dim > 0, "softmax_head: the head has no inputs");
+    assert!(n < 1 << 24, "softmax_head: head too wide");
+    assert_eq!(h.len(), rows * k_dim, "softmax_head: input block mismatch");
+    assert_eq!(w.len(), k_dim * n, "softmax_head: weight block mismatch");
     assert_eq!(
-        logits.len(),
-        rows * n,
-        "softmax_xent: logits block mismatch"
+        out.dh.len(),
+        rows * k_dim,
+        "softmax_head: dh block mismatch"
     );
+    assert_eq!(out.dw.len(), k_dim * n, "softmax_head: dw block mismatch");
+    assert_eq!(out.db.len(), n, "softmax_head: db width mismatch");
     assert_eq!(
-        dlogits.len(),
-        rows * n,
-        "softmax_xent: gradient block mismatch"
-    );
-    assert_eq!(
-        p_target.len(),
+        out.p_target.len(),
         rows,
-        "softmax_xent: p_target length mismatch"
+        "softmax_head: p_target length mismatch"
     );
-    assert_eq!(top1.len(), rows, "softmax_xent: top1 length mismatch");
+    assert_eq!(out.top1.len(), rows, "softmax_head: top1 length mismatch");
     assert!(
         targets.iter().all(|&t| t < n),
-        "softmax_xent: target class out of range"
+        "softmax_head: target class out of range"
     );
     dispatch_f32!(
         sel,
-        softmax_xent_f32(n, logits, targets, scale, dlogits, p_target, top1)
+        softmax_head_f32(h, k_dim, w, bias, targets, scale, out, scratch)
     )
 }
 

@@ -242,9 +242,9 @@ pub(crate) fn expf_lanes<L: Lanes>(x: L) -> L {
 }
 
 /// glibc's `expf`, bit for bit (see the module docs) — the scalar form of
-/// the exponential of the vectorized softmax kernel, and the one the
-/// `nn` crate's softmax functions call. [`exp`] is the cheaper gate
-/// exponential, a few ulps from the true value.
+/// the exponential of the softmax head kernel, and the one its parity
+/// tests' per-row loop calls. [`exp`] is the cheaper gate exponential, a
+/// few ulps from the true value.
 #[inline]
 pub fn expf(x: f32) -> f32 {
     expf_lanes::<ScalarLane<false>>(ScalarLane::splat(x)).0

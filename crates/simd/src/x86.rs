@@ -176,13 +176,6 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe { Sse2F32(_mm_movelh_ps(_mm_cvtpd_ps(w.0[0]), _mm_cvtpd_ps(w.0[1]))) }
     }
-    #[inline(always)]
-    fn load_strided(src: &[f32], stride: usize) -> Self {
-        assert!(3 * stride < src.len(), "sse2 strided load out of bounds");
-        let [a, b, c, d] = [0, 1, 2, 3].map(|l| src[l * stride]);
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        Sse2F32(unsafe { _mm_setr_ps(a, b, c, d) })
-    }
 }
 
 /// The `f64` lanes of [`Sse2F32`]: two 2 × `f64` registers. The fused
@@ -400,23 +393,6 @@ impl Lanes for Avx2F32 {
             ))
         }
     }
-    #[inline(always)]
-    fn load_strided(src: &[f32], stride: usize) -> Self {
-        let last = 7 * stride;
-        assert!(last < src.len(), "avx2 strided load out of bounds");
-        assert!(
-            i32::try_from(last).is_ok(),
-            "avx2 strided load: stride too long"
-        );
-        // SAFETY: every offset `l·stride` (l < 8) is at most `last`, which
-        // is in bounds and fits the gather's `i32` offsets (both checked
-        // above); the CPU feature is guaranteed per the module contract.
-        unsafe {
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let offsets = _mm256_mullo_epi32(lane, _mm256_set1_epi32(stride as i32));
-            Avx2F32(_mm256_i32gather_ps::<4>(src.as_ptr(), offsets))
-        }
-    }
 }
 
 /// The `f64` lanes of [`Avx2F32`]: two 4 × `f64` registers.
@@ -614,23 +590,6 @@ impl Lanes for Avx512F32 {
             let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(w.0[0])));
             let hi = _mm256_castps_pd(_mm512_cvtpd_ps(w.0[1]));
             Avx512F32(_mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi)))
-        }
-    }
-    #[inline(always)]
-    fn load_strided(src: &[f32], stride: usize) -> Self {
-        let last = 15 * stride;
-        assert!(last < src.len(), "avx512 strided load out of bounds");
-        assert!(
-            i32::try_from(last).is_ok(),
-            "avx512 strided load: stride too long"
-        );
-        // SAFETY: every offset `l·stride` (l < 16) is at most `last`, which
-        // is in bounds and fits the gather's `i32` offsets (both checked
-        // above); the CPU feature is guaranteed per the module contract.
-        unsafe {
-            let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-            let offsets = _mm512_mullo_epi32(lane, _mm512_set1_epi32(stride as i32));
-            Avx512F32(_mm512_i32gather_ps::<4>(offsets, src.as_ptr()))
         }
     }
 }

@@ -13,7 +13,8 @@ use icsad_simd::{
     col_sum_acc_f32_with, gemm_bias_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
     gemm_panels_acc_f32_with, gemm_panels_bias_f32_with, lstm_backward_rows_f32_with,
     lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with, rank_panels_f32_with,
-    softmax_xent_f32_with, supported_selections, Backend, PanelsF32, Selection,
+    softmax_head_f32_with, supported_selections, Backend, HeadGrads, HeadScratch, PanelsF32,
+    Selection,
 };
 use proptest::prelude::*;
 
@@ -945,11 +946,11 @@ proptest! {
     }
 }
 
-/// The per-row loss loop the softmax kernel replaces, sharing no code with
-/// it: max by `f32::max`, `expf(x − max)` summed left to right, a divide
-/// per entry (rows with a non-finite max, or a NaN sum, keep what they
-/// hold), the target's rank scan, then `p·scale` and `− scale` at the
-/// target. Returns the gradient row, `p_t` and the top-1 bit.
+/// The per-row loss loop, sharing no code with the kernels: max by
+/// `f32::max`, `expf(x − max)` summed left to right, a divide per entry
+/// (rows with a non-finite max, or a NaN sum, keep what they hold), the
+/// target's rank scan, then `p·scale` and `− scale` at the target. Returns
+/// the gradient row, `p_t` and the top-1 bit.
 fn reference_xent(logits: &[f32], t: usize, scale: f32) -> (Vec<f32>, f32, bool) {
     let mut p = logits.to_vec();
     let max = p.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
@@ -975,141 +976,224 @@ fn reference_xent(logits: &[f32], t: usize, scale: f32) -> (Vec<f32>, f32, bool)
     (d, pt, top1)
 }
 
-/// Row widths for the softmax kernel: every remainder class around one,
-/// two and three vectors of each backend, and the ledger workloads' and
-/// the paper's heads (169, 379, 878). Interpreted runs keep a few.
-#[cfg(not(miri))]
-const XENT_WIDTHS: &[usize] = &[
-    1, 2, 7, 8, 15, 16, 17, 31, 32, 33, 47, 48, 49, 169, 379, 878,
-];
-#[cfg(miri)]
-const XENT_WIDTHS: &[usize] = &[1, 2, 7, 17];
-
-/// Rows per block: 16-row (AVX-512), 8-row and single-row sum groups in
-/// one call, every row kind below at several positions.
-#[cfg(not(miri))]
-const XENT_ROWS: usize = 16 + 8 + 16 + 3;
-#[cfg(miri)]
-const XENT_ROWS: usize = 13;
-
-/// A block of `rows` logits rows of width `n` and one target per row, by
-/// row kind (`r % 12`): ordinary rows with the target at a drawn column,
-/// at 0 and at the last column; tied maxima with the target on the right
-/// (not top-1) and on the left of the tie; a row of `+0`/`−0` only; a row
-/// whose other entries sit more than 104 below its maximum (their `exp`
-/// is `+0`, and the target is one of them); a NaN entry; an all-`−inf`
-/// row; an `+inf` entry; NaN and `−inf` only; a row spanning the whole
-/// `expf` domain below its maximum of `0`.
-fn xent_block(n: usize, rows: usize, salt: u32) -> (Vec<f32>, Vec<usize>) {
-    let mut logits = Vec::with_capacity(rows * n);
-    let mut targets = Vec::with_capacity(rows);
-    for r in 0..rows {
-        let raw = operand(n, salt ^ (r as u32).wrapping_mul(0x85eb_ca6b));
-        let drawn = (salt as usize).wrapping_add(r * 7919) % n;
-        let mut row: Vec<f32> = raw.iter().map(|&v| v * 7.5).collect();
-        let (a, b) = (drawn / 2, (drawn + n) / 2);
-        let t = match r % 12 {
-            0 => drawn,
-            1 => 0,
-            2 => n - 1,
-            3 | 4 => {
-                row[a] = 40.0;
-                row[b] = 40.0;
-                if r % 12 == 3 {
-                    b
-                } else {
-                    a
-                }
-            }
-            5 => {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = if j % 2 == 0 { 0.0 } else { -0.0 };
-                }
-                drawn
-            }
-            6 => {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = -60.0 - j as f32;
-                }
-                row[a] = 50.0;
-                if drawn == a {
-                    n - 1
-                } else {
-                    drawn
-                }
-            }
-            7 => {
-                row[drawn] = f32::NAN;
-                a
-            }
-            8 => {
-                row.fill(f32::NEG_INFINITY);
-                drawn
-            }
-            9 => {
-                row[b] = f32::INFINITY;
-                drawn
-            }
-            10 => {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = if j % 3 == 0 {
-                        f32::NAN
-                    } else {
-                        f32::NEG_INFINITY
-                    };
-                }
-                drawn
-            }
-            _ => {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = -110.0 * j as f32 / n as f32;
-                }
-                drawn
-            }
-        };
-        logits.extend_from_slice(&row);
-        targets.push(t);
-    }
-    (logits, targets)
+/// What a softmax head pass leaves: `dh`, `dW`, `db`, `p_t` and the top-1
+/// bits.
+#[derive(Debug)]
+struct HeadOut {
+    dh: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
+    p: Vec<f32>,
+    top1: Vec<bool>,
 }
 
-/// The softmax cross-entropy kernel on every supported selection equals
-/// the per-row loop ([`reference_xent`]) bitwise: gradient rows, `p_t`
-/// and the top-1 bit, for every row kind of [`xent_block`] at every width
-/// of [`XENT_WIDTHS`], in blocks that mix every sum-group height, and one
-/// row at a time.
-#[test]
-fn softmax_xent_matches_the_per_row_loop_bitwise() {
-    let scale = 0.1f32;
-    // An empty block is a no-op, whatever its width.
-    for sel in supported_selections() {
-        for n in [0, 5] {
-            softmax_xent_f32_with(sel, n, &[], &[], scale, &mut [], &mut [], &mut []);
+/// One softmax head's operands: `rows` inputs of `k_dim`, the `k_dim × n`
+/// weights and bias, a target per row, the loss scale and the gradients
+/// the pass adds to.
+struct HeadCase {
+    k_dim: usize,
+    h: Vec<f32>,
+    w: Vec<f32>,
+    bias: Vec<f32>,
+    targets: Vec<usize>,
+    scale: f32,
+    dw0: Vec<f32>,
+    db0: Vec<f32>,
+}
+
+impl HeadCase {
+    /// A case by `kind`. Weight row 0 is positive, so a row whose first
+    /// input is `±inf` has only `±inf` logits; columns `a` and `b` are
+    /// copies with a bias of 50, so every row ties there at the top. Row
+    /// `r` is, by `r % 6`: ordinary, targeting a drawn column; targeting
+    /// the right and the left of the tie (not top-1 and top-1); a NaN first
+    /// input (all logits NaN); `+inf` (the max is `+inf`); `−inf` (every
+    /// logit `−inf`). Kind 0 scales the weights so that the logits lie tens
+    /// apart (`exp` underflows) and starts from nonzero gradients; kind 1
+    /// puts a NaN in one column's bias (every row's sum is NaN), kind 2 a
+    /// `+inf`; both use `scale = 1` and start from zero.
+    fn new(k_dim: usize, n: usize, rows: usize, kind: u32) -> HeadCase {
+        let salt = kind * 7 + (k_dim * 31 + n * 17 + rows) as u32;
+        let mut w: Vec<f32> = operand(k_dim * n, salt).iter().map(|v| v * 8.0).collect();
+        for v in &mut w[..n] {
+            *v = 1.0 + v.abs();
+        }
+        let mut bias = operand(n, salt + 1);
+        let (a, b) = (n / 3, 2 * n / 3);
+        for row in w.chunks_exact_mut(n) {
+            row[b] = row[a];
+        }
+        bias[a] = 50.0;
+        bias[b] = 50.0;
+        match kind {
+            1 => bias[(a + 1) % n] = f32::NAN,
+            2 => bias[(b + 1) % n] = f32::INFINITY,
+            _ => {}
+        }
+        let mut h = operand(rows * k_dim, salt + 2);
+        let mut targets = Vec::with_capacity(rows);
+        for (r, x) in h.chunks_exact_mut(k_dim).enumerate() {
+            let drawn = (r * 7919 + salt as usize) % n;
+            let t = match r % 6 {
+                1 => b,
+                2 => a,
+                3 => {
+                    x[0] = f32::NAN;
+                    drawn
+                }
+                4 => {
+                    x[0] = f32::INFINITY;
+                    drawn
+                }
+                5 => {
+                    x[0] = f32::NEG_INFINITY;
+                    drawn
+                }
+                _ => drawn,
+            };
+            targets.push(t);
+        }
+        let (scale, dw0, db0) = if kind == 0 {
+            (0.1, operand(k_dim * n, salt + 3), operand(n, salt + 4))
+        } else {
+            (1.0, vec![0.0; k_dim * n], vec![0.0; n])
+        };
+        HeadCase {
+            k_dim,
+            h,
+            w,
+            bias,
+            targets,
+            scale,
+            dw0,
+            db0,
         }
     }
-    for &n in XENT_WIDTHS {
-        for (rows, salt) in [(XENT_ROWS, 7u32), (1, 11)] {
-            let (logits, targets) = xent_block(n, rows, salt);
-            let mut want_d = Vec::with_capacity(rows * n);
-            let mut want_p = Vec::with_capacity(rows);
-            let mut want_top1 = Vec::with_capacity(rows);
-            for (row, &t) in logits.chunks_exact(n).zip(&targets) {
-                let (d, p, top1) = reference_xent(row, t, scale);
-                want_d.extend_from_slice(&d);
-                want_p.push(p);
-                want_top1.push(top1);
-            }
-            for sel in supported_selections() {
-                let what = format!("softmax_xent {} n {n} rows {rows}", sel.label());
-                let mut d = vec![f32::NAN; rows * n];
-                let mut p = vec![f32::NAN; rows];
-                let mut top1 = vec![false; rows];
-                softmax_xent_f32_with(sel, n, &logits, &targets, scale, &mut d, &mut p, &mut top1);
-                assert_bits_eq(&d, &want_d, &what);
-                assert_bits_eq(&p, &want_p, &what);
-                assert_eq!(top1, want_top1, "{what}");
+
+    /// The unfused passes under `sel`: the panel gemm's logits from the
+    /// bias, the per-row loop ([`reference_xent`]), then `dW += hᵀ·d` by
+    /// the dense gemm over `hᵀ`, `db` by the column sum and `dh = d·Wᵀ` by
+    /// the gemm over `Wᵀ`'s panels from zero.
+    fn unfused(&self, sel: Selection) -> HeadOut {
+        let (k_dim, n, rows) = (self.k_dim, self.bias.len(), self.targets.len());
+        let mut logits = vec![0.0; rows * n];
+        let panels = PanelsF32::pack(&self.w, k_dim, n);
+        gemm_panels_bias_f32_with(sel, rows, &self.h, &panels, &self.bias, &mut logits);
+        let (mut d, mut p, mut top1) = (Vec::new(), Vec::new(), Vec::new());
+        for (row, &t) in logits.chunks_exact(n).zip(&self.targets) {
+            let (dr, pt, hit) = reference_xent(row, t, self.scale);
+            d.extend_from_slice(&dr);
+            p.push(pt);
+            top1.push(hit);
+        }
+        let mut dw = self.dw0.clone();
+        let ht = transposed(&self.h, rows, k_dim);
+        gemm_dense_acc_f32_with(sel, k_dim, &ht, rows, &d, n, &mut dw);
+        let mut db = self.db0.clone();
+        col_sum_acc_f32_with(sel, &d, &mut db);
+        let mut dh = vec![0.0; rows * k_dim];
+        let wt = PanelsF32::pack_transposed(&self.w, k_dim, n);
+        gemm_panels_acc_f32_with(sel, rows, &d, &wt, &mut dh);
+        HeadOut {
+            dh,
+            dw,
+            db,
+            p,
+            top1,
+        }
+    }
+
+    /// The fused pass under `sel`, through `scratch`.
+    fn fused(&self, sel: Selection, scratch: &mut HeadScratch) -> HeadOut {
+        let rows = self.targets.len();
+        let mut out = HeadOut {
+            dh: vec![f32::NAN; rows * self.k_dim],
+            dw: self.dw0.clone(),
+            db: self.db0.clone(),
+            p: vec![f32::NAN; rows],
+            top1: vec![false; rows],
+        };
+        let grads = HeadGrads {
+            dh: &mut out.dh,
+            dw: &mut out.dw,
+            db: &mut out.db,
+            p_target: &mut out.p,
+            top1: &mut out.top1,
+        };
+        softmax_head_f32_with(
+            sel,
+            &self.h,
+            self.k_dim,
+            &self.w,
+            &self.bias,
+            &self.targets,
+            self.scale,
+            grads,
+            scratch,
+        );
+        out
+    }
+}
+
+/// Shapes of the softmax head: head widths around one and two column
+/// blocks and the `wire-small` head (379), input widths from one `k` to
+/// the paper's 256 (13 leaves a remainder after every vector and block),
+/// and row counts that fill a group of 16 or 32 lanes, leave one over, or
+/// leave most lanes spare. Interpreted runs keep a few.
+#[cfg(not(miri))]
+const HEAD_GRID: (&[usize], &[usize], &[usize]) = (
+    &[1, 7, 16, 17, 33, 379],
+    &[1, 8, 13, 64, 256],
+    &[1, 3, 15, 16, 17, 40],
+);
+#[cfg(miri)]
+const HEAD_GRID: (&[usize], &[usize], &[usize]) = (&[1, 7], &[1, 3], &[1, 3]);
+
+/// The fused softmax head on every supported selection equals the unfused
+/// passes it replaces ([`HeadCase::unfused`], run under the scalar
+/// selection of the same FMA policy), bitwise: `dh`, `dW`, `db`, `p_t`
+/// and the top-1 bits, for every row kind of [`HeadCase::new`] over
+/// [`HEAD_GRID`], and its other case kinds at the narrower inputs. One scratch per selection serves
+/// every shape, so buffers left by a larger call are reused. An empty
+/// batch is a no-op.
+#[test]
+fn fused_softmax_head_equals_the_unfused_passes_bitwise() {
+    let (ns, ks, row_counts) = HEAD_GRID;
+    let sels = supported_selections();
+    let mut scratch: Vec<HeadScratch> = sels.iter().map(|_| HeadScratch::default()).collect();
+    for &n in ns {
+        for &k_dim in ks {
+            for &rows in row_counts {
+                // The NaN and `+inf` columns change no product: narrow
+                // inputs cover them.
+                let kinds = if k_dim <= 13 { 0..3 } else { 0..1 };
+                for kind in kinds {
+                    let case = HeadCase::new(k_dim, n, rows, kind);
+                    let want = [false, true].map(|fma| {
+                        case.unfused(Selection {
+                            backend: Backend::Scalar,
+                            fma,
+                        })
+                    });
+                    for (&sel, scratch) in sels.iter().zip(&mut scratch) {
+                        let what = format!("{} {rows}x{k_dim}x{n} kind {kind}", sel.label());
+                        let (got, want) = (case.fused(sel, scratch), &want[usize::from(sel.fma)]);
+                        assert_bits_eq(&got.dh, &want.dh, &format!("dh {what}"));
+                        assert_bits_eq(&got.dw, &want.dw, &format!("dw {what}"));
+                        assert_bits_eq(&got.db, &want.db, &format!("db {what}"));
+                        assert_bits_eq(&got.p, &want.p, &format!("p_t {what}"));
+                        assert_eq!(got.top1, want.top1, "top1 {what}");
+                    }
+                }
             }
         }
+    }
+    let mut empty = HeadCase::new(3, 5, 1, 0);
+    empty.h.clear();
+    empty.targets.clear();
+    for (&sel, scratch) in sels.iter().zip(&mut scratch) {
+        let out = empty.fused(sel, scratch);
+        assert_eq!((out.dw, out.db), (empty.dw0.clone(), empty.db0.clone()));
     }
 }
 
