@@ -5,7 +5,7 @@ use icsad_dataset::{Fragments, Record};
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
 use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
 use icsad_nn::{
-    loss, EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, SequenceBlock,
+    EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, SequenceBlock,
     StreamState, Trainer, TrainingConfig,
 };
 use rand_chacha::rand_core::SeedableRng;
@@ -167,8 +167,13 @@ struct CurveScratch {
     sched: LaneSchedule,
     /// One-hot inputs, `rows x dims` in schedule order.
     x_cat: Vec<f32>,
-    /// Each row's next-package class id (`None`: outside the database).
-    targets: Vec<Option<usize>>,
+    /// Each row's next-package class id (0 where it is outside the
+    /// database, which `known` records).
+    targets: Vec<usize>,
+    /// Whether each row's next package is in the database.
+    known: Vec<bool>,
+    /// Each row's rank from the fused head.
+    ranks: Vec<u32>,
     fwd: ForwardScratch,
 }
 
@@ -251,15 +256,21 @@ impl TimeSeriesDetector {
         .map_err(|e| CoreError::InvalidConfig {
             reason: e.to_string(),
         })?;
-        let mut noise_rng = ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15);
+        let mut noise = config.noise_lambda.map(|lambda| TrainingNoise {
+            // p = λ/(λ+#s) per class id, computed once.
+            p: (0..vocabulary.len())
+                .map(|id| lambda / (lambda + vocabulary.count(id) as f64))
+                .collect(),
+            rng: ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15),
+            noisy: Vec::new(),
+        });
         let mut stats = Vec::with_capacity(config.epochs);
-        // One block serves every epoch: refilled each epoch with noise,
-        // built once and lent to every epoch without it.
+        // One block serves every epoch: encoded clean once, with each
+        // epoch's noisy rows rewritten in place.
         let mut sequences = SequenceBlock::new(encoder.dims());
         for epoch in 0..config.epochs {
-            if epoch == 0 || config.noise_lambda.is_some() {
-                let (lambda, rng) = (config.noise_lambda, &mut noise_rng);
-                build_sequences(&encoder, vocabulary, &prepared, lambda, rng, &mut sequences);
+            if epoch == 0 || noise.is_some() {
+                build_sequences(&encoder, &prepared, noise.as_mut(), &mut sequences);
             }
             stats.push(trainer.fit_epoch(&mut model, &sequences, epoch));
         }
@@ -409,10 +420,12 @@ impl TimeSeriesDetector {
     /// uses ([`LstmClassifier::forward_schedule`]): up to
     /// [`Self::CURVE_BLOCK_LANES`] fragments at a time as ragged lanes,
     /// longest first, walked in blocks of [`Self::CURVE_BLOCK_STEPS`]
-    /// timesteps with the LSTM state carried from block to block. Every
-    /// rank equals that of stepping each fragment one package at a time
-    /// ([`LstmClassifier::step_logits`]), and memory is one block's
-    /// whatever the fragments' length.
+    /// timesteps with the LSTM state carried from block to block. Each
+    /// block's rows are ranked by the fused head an engine round ranks with
+    /// ([`LstmClassifier::rank_rows`]), which writes no logits. Every rank
+    /// equals that of scanning the logits of stepping each fragment one
+    /// package at a time ([`LstmClassifier::step_logits`]), and memory is
+    /// one block's, with no row per class, whatever the fragments' length.
     pub fn top_k_error_curve(&self, fragments: &Fragments, max_k: usize) -> Vec<f64> {
         let (misses, total) = self.top_k_misses(fragments, max_k, &mut CurveScratch::default());
         // (No targets, no misses: 0 / 1.)
@@ -430,7 +443,6 @@ impl TimeSeriesDetector {
         scratch: &mut CurveScratch,
     ) -> (Vec<usize>, usize) {
         let dims = self.encoder.dims();
-        let nc = self.model.num_classes();
         let mut misses = vec![0usize; max_k];
         let mut total = 0usize;
         // A fragment of `n` packages is a lane of `n - 1` (input, next)
@@ -450,7 +462,9 @@ impl TimeSeriesDetector {
                 scratch.sched.rebuild(&scratch.lens);
                 let rows = scratch.sched.total();
                 scratch.x_cat.resize(rows * dims, 0.0);
-                scratch.targets.resize(rows, None);
+                scratch.targets.resize(rows, 0);
+                scratch.known.resize(rows, false);
+                scratch.ranks.resize(rows, 0);
                 for (i, (frag, &len)) in group.iter().zip(&scratch.lens).enumerate() {
                     if len == 0 {
                         break; // and so are the shorter lanes after it
@@ -464,18 +478,27 @@ impl TimeSeriesDetector {
                             &mut scratch.x_cat[r * dims..(r + 1) * dims],
                         );
                         vector = self.discretizer.discretize(&frag[t0 + t + 1]);
-                        scratch.targets[r] = self.vocabulary.id_of_vector(&vector);
+                        let id = self.vocabulary.id_of_vector(&vector);
+                        scratch.targets[r] = id.unwrap_or(0);
+                        scratch.known[r] = id.is_some();
                     }
                 }
-                let logits = self.model.forward_schedule(
+                let top_h = self.model.forward_schedule(
                     &scratch.sched,
                     &scratch.x_cat,
                     &mut scratch.fwd,
                     t0 > 0,
                 );
-                for (row, target) in logits.chunks_exact(nc).zip(&scratch.targets) {
-                    let missed_below =
-                        target.map_or(max_k, |t| (loss::rank_of(row, t) - 1).min(max_k));
+                // A row outside the database is ranked against class 0 and
+                // the rank dropped: it misses at every `k`.
+                self.model
+                    .rank_rows(top_h, &scratch.targets, &mut scratch.ranks);
+                for (&rank, &known) in scratch.ranks.iter().zip(&scratch.known) {
+                    let missed_below = if known {
+                        (rank as usize - 1).min(max_k)
+                    } else {
+                        max_k
+                    };
                     for miss in &mut misses[..missed_below] {
                         *miss += 1;
                     }
@@ -653,40 +676,63 @@ impl TimeSeriesDetector {
     }
 }
 
-/// Fills `block` with the training sequences of one epoch: each
-/// fragment's packages one-hot encoded, each step targeting the next
-/// package's class id (`prepared` pairs every package with its id). With
-/// `noise_lambda`, a package whose signature occurs `#s` times is replaced
-/// with probability `λ/(λ+#s)` by a mutated vector with its noise bit set
-/// (§V-3).
+/// The §V-3 noise of the training sequences: each epoch, every step is
+/// replaced with probability `p = λ/(λ+#s)` by a mutated vector with its
+/// noise bit set, `#s` being the training count of the step's signature.
+struct TrainingNoise {
+    /// `p` per class id.
+    p: Vec<f64>,
+    rng: ChaCha12Rng,
+    /// The steps noisy in the block now, with their clean vectors'
+    /// fragment and position.
+    noisy: Vec<(usize, usize, usize)>,
+}
+
+/// Builds the training sequences of `prepared` (per fragment, its
+/// discretized vectors and their class ids): step `t` of a fragment is the
+/// one-hot encoding of vector `t`, targeting class `t + 1`.
+///
+/// An empty `block` is encoded clean first; the clean rows are kept from
+/// then on. With `noise`, the rows the previous call made noisy are
+/// encoded clean again, and then every step draws one `f64`: below its
+/// class's `p`, the step's vector is mutated ([`mutate_noise`], which
+/// draws only then) and its row rewritten with the noise bit set. The
+/// draws run in block order whatever was noisy before, so an epoch's noise
+/// depends on the seed and the epoch alone, and only its noisy rows are
+/// written.
 fn build_sequences(
     encoder: &OneHotEncoder,
-    vocabulary: &SignatureVocabulary,
     prepared: &[(Vec<DiscreteVector>, Vec<usize>)],
-    noise_lambda: Option<f64>,
-    rng: &mut ChaCha12Rng,
+    noise: Option<&mut TrainingNoise>,
     block: &mut SequenceBlock,
 ) {
     use rand::Rng;
-    let cards = encoder.cardinalities();
-    block.clear();
-    for (vectors, ids) in prepared {
-        block.begin_sequence();
-        for (vec, step) in vectors.iter().zip(ids.windows(2)) {
-            let row = block.push_step(step[1]);
-            match noise_lambda {
-                Some(lambda) => {
-                    let p = lambda / (lambda + vocabulary.count(step[0]) as f64);
-                    if rng.gen::<f64>() < p {
-                        let mut noisy = *vec;
-                        mutate_noise(&mut noisy, cards, NOISE_MAX_FEATURES, rng);
-                        encoder.encode_into(&noisy, true, row);
-                    } else {
-                        encoder.encode_into(vec, false, row);
-                    }
-                }
-                None => encoder.encode_into(vec, false, row),
+    if block.is_empty() {
+        for (vectors, ids) in prepared {
+            block.begin_sequence();
+            for (vec, step) in vectors.iter().zip(ids.windows(2)) {
+                encoder.encode_into(vec, false, block.push_step(step[1]));
             }
+        }
+    }
+    let Some(TrainingNoise { p, rng, noisy }) = noise else {
+        return;
+    };
+    for &(row, frag, t) in noisy.iter() {
+        encoder.encode_into(&prepared[frag].0[t], false, block.row_mut(row));
+    }
+    noisy.clear();
+    let cards = encoder.cardinalities();
+    let mut row = 0;
+    for (frag, (vectors, ids)) in prepared.iter().enumerate() {
+        for (t, (vec, step)) in vectors.iter().zip(ids.windows(2)).enumerate() {
+            if rng.gen::<f64>() < p[step[0]] {
+                let mut mutated = *vec;
+                mutate_noise(&mut mutated, cards, NOISE_MAX_FEATURES, rng);
+                encoder.encode_into(&mutated, true, block.row_mut(row));
+                noisy.push((row, frag, t));
+            }
+            row += 1;
         }
     }
 }

@@ -104,14 +104,17 @@ pub fn mutate_noise(
         "max_feats must be in [1, {FEATURE_COUNT}]"
     );
     let d = rng.gen_range(1..=max_feats);
-    let mutable: Vec<usize> = (0..FEATURE_COUNT)
-        .filter(|&i| cardinalities[i] > 1)
-        .collect();
-    if mutable.is_empty() {
+    let mut pool = [0usize; FEATURE_COUNT];
+    let mut mutable = 0;
+    for i in (0..FEATURE_COUNT).filter(|&i| cardinalities[i] > 1) {
+        pool[mutable] = i;
+        mutable += 1;
+    }
+    if mutable == 0 {
         return;
     }
     // Choose d distinct features (partial Fisher–Yates).
-    let mut pool = mutable;
+    let pool = &mut pool[..mutable];
     let d = d.min(pool.len());
     for step in 0..d {
         let pick = rng.gen_range(step..pool.len());

@@ -15,8 +15,8 @@
 //! and `b (4H)` parameters in `[i, f, o, g]` order.
 
 use icsad_simd::{
-    col_sum_acc_f32, gemm_bias_f32, gemm_panels_acc_f32, gemm_panels_bias_f32,
-    lstm_backward_rows_f32, PanelsF32,
+    col_sum_acc_f32, gemm_bias_f32, gemm_panels_bias_f32, lstm_backward_rows_f32, Buckets,
+    PanelsF32,
 };
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -66,8 +66,8 @@ impl LstmState {
 /// Lanes (independent sequences: training chunks, validation fragments,
 /// or the streams of one engine round, one timestep each) are sorted by
 /// length, longest first, so the lanes still active at any
-/// timestep `t` form a *prefix* of the lane order. The concatenated input,
-/// tape and logits blocks then lay out one block of
+/// timestep `t` form a *prefix* of the lane order. The concatenated input
+/// and tape blocks then lay out one block of
 /// [`LaneSchedule::lanes_at`]`(t)` rows per timestep, and row `i` of
 /// consecutive blocks is always the same lane — recurrent state flows
 /// between blocks with plain prefix slices, no per-lane gather.
@@ -153,6 +153,67 @@ impl LaneSchedule {
         debug_assert!(i < self.counts[t], "lane {i} is not active at t = {t}");
         self.offsets[t] + i
     }
+
+    /// For each row in schedule order, the same lane's row one timestep
+    /// earlier in `block` (`total x hd`, a tape block laid out by this
+    /// schedule), or `zero` for the rows of `t = 0`, whose lanes start from
+    /// the zero state: the previous hidden row each row's recurrent product
+    /// read.
+    pub(crate) fn previous_rows<'a>(
+        &'a self,
+        block: &'a [f32],
+        hd: usize,
+        zero: &'a [f32],
+    ) -> PreviousRows<'a> {
+        PreviousRows {
+            sched: self,
+            block,
+            zero,
+            hd,
+            zeros: self.max_lanes(),
+            t: 0,
+            rows: block[..0].chunks_exact(hd),
+        }
+    }
+}
+
+/// The iterator of [`LaneSchedule::previous_rows`]: the zero row for each
+/// row of `t = 0`, then each timestep's rows as the previous timestep's
+/// block of `block`, one row at a time. Between timesteps a row costs a
+/// count or a chunk step; the kernel walks it once per register tile.
+#[derive(Debug, Clone)]
+pub(crate) struct PreviousRows<'a> {
+    sched: &'a LaneSchedule,
+    block: &'a [f32],
+    zero: &'a [f32],
+    hd: usize,
+    /// Rows of `t = 0` not yet yielded.
+    zeros: usize,
+    /// The timestep whose rows `rows` yields.
+    t: usize,
+    /// The rest of timestep `t − 1`'s rows of `block`.
+    rows: std::slice::ChunksExact<'a, f32>,
+}
+
+impl<'a> Iterator for PreviousRows<'a> {
+    type Item = &'a [f32];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [f32]> {
+        if self.zeros > 0 {
+            self.zeros -= 1;
+            return Some(self.zero);
+        }
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Some(row);
+            }
+            self.t += 1;
+            let n = *self.sched.counts.get(self.t)?;
+            let p0 = self.sched.offsets[self.t - 1];
+            self.rows = self.block[p0 * self.hd..(p0 + n) * self.hd].chunks_exact(self.hd);
+        }
+    }
 }
 
 /// Concatenated forward activations of one layer over a scheduled
@@ -181,11 +242,15 @@ pub(crate) struct BpttScratch {
     dh_next: Vec<f32>,
     /// Cell gradient flowing to the previous timestep, `max_lanes x H`.
     dc_next: Vec<f32>,
-    /// Gathered previous-hidden rows for the `dU` product, `total x H`.
-    h_prev: Vec<f32>,
-    /// The transposed lanes of a dense weight-gradient product
-    /// ([`outer_dense_acc`]), `max(in, H) x total`.
-    xt: Vec<f32>,
+    /// `max(in, H)` zeros, never written: the previous hidden row of the
+    /// rows at `t = 0` in the `dU` product, and the start of the `dh` and
+    /// `dX` products.
+    zeros: Vec<f32>,
+    /// The panels of `dZ` the dense weight-gradient products
+    /// ([`outer_dense_acc`]) pack.
+    pack: Vec<f32>,
+    /// The counting sort of the one-hot weight gradient ([`outer_acc`]).
+    buckets: Buckets,
 }
 
 impl LstmLayer {
@@ -392,7 +457,7 @@ impl LstmLayer {
     /// stack passes `None`, because nothing consumes its input gradient,
     /// and `d_inputs` is left untouched. `sparse_input` is the forward
     /// pass's flag: a one-hot input keeps the zero-skipping [`outer_acc`]
-    /// for `dW`, a dense one takes [`outer_dense_acc`].
+    /// for `dW`, a dense one takes [`outer_dense_acc`] over `x_cat`'s rows.
     ///
     /// Only the per-element gate calculus (one dispatched kernel per
     /// timestep, [`icsad_simd::lstm_backward_rows_f32`]) and the recurrent
@@ -400,9 +465,11 @@ impl LstmLayer {
     /// `dU += H_prevᵀ dZ`, the bias column sum and the input gradient
     /// `dX = dZ Wᵀ` each run as one batched kernel over all `total` rows,
     /// streaming every weight matrix once per chunk instead of once per
-    /// timestep. Contraction order per element is the concatenation order,
-    /// fixed by the schedule — independent of SIMD backend and worker
-    /// count.
+    /// timestep. `dU` reads each row's previous hidden row where the tape
+    /// holds it ([`LaneSchedule::previous_rows`]), and `dh` and `dX` start
+    /// their tiles from zeros instead of clearing their outputs first.
+    /// Contraction order per element is the concatenation order, fixed by
+    /// the schedule — independent of SIMD backend and worker count.
     #[allow(clippy::too_many_arguments, reason = "the BPTT operands and sinks")]
     pub(crate) fn backward_batch(
         &self,
@@ -426,10 +493,18 @@ impl LstmLayer {
         grow(&mut scratch.dz, total * 4 * hd);
         grow(&mut scratch.dh_next, lanes * hd);
         grow(&mut scratch.dc_next, lanes * hd);
-        grow(&mut scratch.h_prev, total * hd);
-        let dz = &mut scratch.dz[..total * 4 * hd];
-        let dh_next = &mut scratch.dh_next[..lanes * hd];
-        let dc_next = &mut scratch.dc_next[..lanes * hd];
+        grow(&mut scratch.zeros, hd.max(self.input_dim));
+        let BpttScratch {
+            dz,
+            dh_next,
+            dc_next,
+            zeros,
+            pack,
+            buckets,
+        } = scratch;
+        let dz = &mut dz[..total * 4 * hd];
+        let dh_next = &mut dh_next[..lanes * hd];
+        let dc_next = &mut dc_next[..lanes * hd];
         dh_next.fill(0.0);
         dc_next.fill(0.0);
 
@@ -451,44 +526,27 @@ impl LstmLayer {
                 &d_out[rows],
                 &dh_next[..n * hd],
                 &mut dc_next[..n * hd],
-                &mut dz[gates],
+                &mut dz[gates.clone()],
             );
-            // Hidden gradient for t-1: overwrite the prefix active at `t`.
-            // Rows beyond it belong to lanes that end before `t`; every
-            // later (higher-t) write was at most this wide, so they are
-            // still zero from the initial fill — exactly the zero gradient
-            // those lanes must contribute.
-            dh_next[..n * hd].fill(0.0);
-            gemm_panels_acc_f32(
-                n,
-                &dz[r0 * 4 * hd..(r0 + n) * 4 * hd],
-                ut,
-                &mut dh_next[..n * hd],
-            );
+            // Hidden gradient for t-1: overwrite the prefix active at `t`,
+            // the tiles starting from zero. Rows beyond it belong to lanes
+            // that end before `t`; every later (higher-t) write was at most
+            // this wide, so they are still zero from the initial fill —
+            // exactly the zero gradient those lanes must contribute.
+            gemm_panels_bias_f32(n, &dz[gates], ut, &zeros[..hd], &mut dh_next[..n * hd]);
         }
 
         // Parameter gradients, each as one kernel over the whole chunk.
         if sparse_input {
-            outer_acc(total, x_cat, dz, &mut grad.w);
+            outer_acc(total, x_cat, dz, &mut grad.w, buckets);
         } else {
-            outer_dense_acc(total, x_cat, dz, &mut grad.w, &mut scratch.xt);
+            outer_dense_acc(x_cat.chunks_exact(self.input_dim), dz, &mut grad.w, pack);
         }
-        let h_prev = &mut scratch.h_prev[..total * hd];
-        for t in 0..sched.steps() {
-            let n = sched.counts[t];
-            let r0 = sched.offsets[t];
-            if t == 0 {
-                h_prev[r0 * hd..(r0 + n) * hd].fill(0.0);
-            } else {
-                let p0 = sched.offsets[t - 1];
-                h_prev[r0 * hd..(r0 + n) * hd].copy_from_slice(&tape.out[p0 * hd..(p0 + n) * hd]);
-            }
-        }
-        outer_dense_acc(total, h_prev, dz, &mut grad.u, &mut scratch.xt);
+        let h_prev = sched.previous_rows(&tape.out, hd, &zeros[..hd]);
+        outer_dense_acc(h_prev, dz, &mut grad.u, pack);
         col_sum_acc_f32(dz, &mut grad.b);
         if let Some(wt) = wt {
-            d_inputs.fill(0.0);
-            gemm_panels_acc_f32(total, dz, wt, d_inputs);
+            gemm_panels_bias_f32(total, dz, wt, &zeros[..self.input_dim], d_inputs);
         }
     }
 }
@@ -672,6 +730,69 @@ mod tests {
             h0.copy_from_slice(&tape.out[..hd]);
             c0.copy_from_slice(&tape.c[..hd]);
         }
+    }
+
+    /// The parameter gradients read the tape in place: `dU` equals the
+    /// dense product over an explicit gather of every row's previous
+    /// hidden row (zeros at `t = 0`), transposed, and `dW` of a dense input
+    /// the product over the transposed input block — bit for bit, on a
+    /// ragged three-lane schedule whose rows at `t = 0` would break the
+    /// gradient if they read anything but zeros.
+    #[test]
+    fn weight_gradients_equal_the_gathered_transposed_products() {
+        let (dim, hd) = (5, 9);
+        let layer = LstmLayer::new(dim, hd, &mut rng());
+        let sched = LaneSchedule::from_sorted_lens(&[4, 3, 1]);
+        let total = sched.total;
+        let x_cat: Vec<f32> = (0..total * dim)
+            .map(|i| ((i * 17 % 29) as f32 - 14.0) / 9.0)
+            .collect();
+        let mut tape = LayerTape::default();
+        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
+        let d_out: Vec<f32> = (0..total * hd)
+            .map(|i| ((i * 13 % 23) as f32 - 11.0) / 7.0)
+            .collect();
+        let ut = PanelsF32::pack_transposed(layer.u.as_slice(), hd, 4 * hd);
+        let mut grad = layer.zero_grad();
+        let mut d_inputs = vec![0.0f32; total * dim];
+        let mut scratch = BpttScratch::default();
+        layer.backward_batch(
+            &sched,
+            &x_cat,
+            &tape,
+            &d_out,
+            None,
+            &ut,
+            &mut grad,
+            &mut d_inputs,
+            &mut scratch,
+            false,
+        );
+
+        let mut h_prev = vec![0.0f32; total * hd];
+        for t in 1..sched.steps() {
+            for i in 0..sched.counts[t] {
+                let (r, p) = (sched.row(t, i), sched.row(t - 1, i));
+                h_prev[r * hd..(r + 1) * hd].copy_from_slice(&tape.out[p * hd..(p + 1) * hd]);
+            }
+        }
+        let zero = vec![0.0f32; hd];
+        let rows: Vec<&[f32]> = sched.previous_rows(&tape.out, hd, &zero).collect();
+        assert_eq!(rows.concat(), h_prev);
+        let transpose = |x: &[f32], cols: usize| -> Vec<f32> {
+            (0..cols * total)
+                .map(|j| x[(j % total) * cols + j / total])
+                .collect()
+        };
+        let dz = &scratch.dz[..total * 4 * hd];
+        let mut want_u = Tensor2::zeros(hd, 4 * hd);
+        let ht = transpose(&h_prev, hd);
+        icsad_simd::gemm_dense_acc_f32(hd, &ht, total, dz, 4 * hd, want_u.as_mut_slice());
+        assert_eq!(grad.u, want_u);
+        let mut want_w = Tensor2::zeros(dim, 4 * hd);
+        let xt = transpose(&x_cat, dim);
+        icsad_simd::gemm_dense_acc_f32(dim, &xt, total, dz, 4 * hd, want_w.as_mut_slice());
+        assert_eq!(grad.w, want_w);
     }
 
     /// Full numerical gradient check of a single layer through a ragged

@@ -163,15 +163,15 @@ impl BackwardPack {
 
 /// Pooled buffers for [`LstmClassifier::forward_schedule`] and the
 /// gathered step built on it
-/// ([`LstmClassifier::forward_batch_gathered_logits`]): one tape per layer
-/// and the logits block, grown to the largest schedule seen, plus the
-/// `(h, c)` rows a resumed call or a gathered step starts its lanes from.
+/// ([`LstmClassifier::forward_batch_gathered_logits`]): one tape per layer,
+/// grown to the largest schedule seen, plus the `(h, c)` rows a resumed
+/// call or a gathered step starts its lanes from. No buffer holds a row
+/// per class: a schedule is ranked by the fused head
+/// ([`LstmClassifier::rank_rows`]), which writes no logits.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// One forward tape per layer.
     tapes: Vec<LayerTape>,
-    /// Concatenated logits, `total x num_classes`.
-    logits: Vec<f32>,
     /// Per-layer hidden and cell rows the lanes start from, `lanes x H`
     /// each.
     carry: Vec<(Vec<f32>, Vec<f32>)>,
@@ -194,11 +194,14 @@ impl ForwardScratch {
 
 /// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
 /// the concatenated input block and targets, the forward pass's tapes, the
-/// head's tile and the loss outputs, and the backward scratch. No buffer
-/// holds a row per class: the head's logits live one row group at a time
-/// in `head`. Every buffer grows to the largest minibatch seen and is
-/// reused across chunks, so once grown a `train_batch` call allocates
-/// nothing.
+/// head's tile and the loss outputs, and the backward scratch with the
+/// kernels' own buffers (the dense weight gradients' panel pack and the
+/// one-hot weight gradient's counting sort). No buffer holds a row per
+/// class: the head's logits live one row group at a time in `head`; and
+/// none holds a copy of a tape: the weight gradients read the tapes in
+/// place. Every buffer grows to the largest minibatch seen and is reused
+/// across chunks, so once grown a `train_batch` call allocates nothing,
+/// on whatever thread it runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TrainScratch {
     /// Lane indices sorted longest-first.
@@ -513,12 +516,10 @@ impl LstmClassifier {
 
     /// Ranks each of the `batch` lanes gathered into rows `0..batch`
     /// ([`LstmClassifier::gather_lane`]) against its target class from the
-    /// state it was gathered with: `ranks[i]` becomes
-    /// [`crate::loss::rank_of`] of `targets[i]` in the logits the head
-    /// gives lane `i`'s top-layer hidden row — the logits the step that
-    /// left the lane in that state wrote, bit for bit: one fused
-    /// head-and-rank pass ([`icsad_simd::rank_panels_f32`]) runs the head
-    /// gemm's op sequence per logit and writes no logits.
+    /// state it was gathered with: [`LstmClassifier::rank_rows`] over the
+    /// gathered top-layer hidden rows, so `ranks[i]` is the rank of
+    /// `targets[i]` in the logits the step that left lane `i` in that
+    /// state wrote.
     ///
     /// # Panics
     ///
@@ -536,23 +537,46 @@ impl LstmClassifier {
         }
         let top = self.layers.len() - 1;
         let top_h = &scratch.carry[top].0[..batch * self.layers[top].hidden_dim()];
+        self.rank_rows(top_h, targets, ranks);
+    }
+
+    /// Ranks each top-layer hidden row of `top_h` (one per target, the
+    /// top layer's width each) against its target class: `ranks[r]`
+    /// becomes [`crate::loss::rank_of`] of `targets[r]` in the logits the
+    /// head gives row `r`, bit for bit. One fused head-and-rank pass
+    /// ([`icsad_simd::rank_panels_f32`]) runs the head gemm's op sequence
+    /// per logit and writes no logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_h` is not one top-layer row per target, `ranks` does
+    /// not hold one entry per target, or a target is not a class.
+    pub fn rank_rows(&self, top_h: &[f32], targets: &[usize], ranks: &mut [u32]) {
         let head = &self.dense;
-        rank_panels_f32(batch, top_h, head.w.panels(), &head.b, targets, ranks);
+        rank_panels_f32(
+            targets.len(),
+            top_h,
+            head.w.panels(),
+            &head.b,
+            targets,
+            ranks,
+        );
     }
 
     /// The one batched forward: runs every lane of `sched` through the
-    /// stack and the head and returns the raw logits, `total x num_classes`
-    /// in schedule order (row [`LaneSchedule::row`]`(t, i)` is lane `i`'s
-    /// prediction after its `t`-th input). Training ([`crate::Trainer::fit`]), the
+    /// stack and returns the top layer's hidden rows, `total x H` in
+    /// schedule order (row [`LaneSchedule::row`]`(t, i)` is lane `i`'s
+    /// state after its `t`-th input). Training ([`crate::Trainer::fit`]), the
     /// validation top-`k` curve and, one timestep at a time, every engine
     /// round and every [`LstmClassifier::step_logits`]
-    /// ([`LstmClassifier::forward_batch_gathered_logits`]) run it.
+    /// ([`LstmClassifier::forward_batch_gathered_logits`]) run it. No head
+    /// runs here: the validation curve ranks the rows it returns with the
+    /// fused head ([`LstmClassifier::rank_rows`]).
     ///
     /// `x_cat` is the concatenated `total x input_dim` input block in
     /// schedule order. Per layer the input projection runs as one gemm
-    /// over every row and only the recurrent half walks time; the head is
-    /// one gemm over every row. Each row compares equal to stepping its
-    /// lane alone, one timestep at a time.
+    /// over every row and only the recurrent half walks time. Each row
+    /// compares equal to stepping its lane alone, one timestep at a time.
     ///
     /// Lanes start from the zero state (`resume = false`), or from the
     /// state the previous call on `scratch` left them in (`resume =
@@ -572,10 +596,9 @@ impl LstmClassifier {
         x_cat: &[f32],
         scratch: &'s mut ForwardScratch,
         resume: bool,
-    ) -> &'s mut [f32] {
+    ) -> &'s [f32] {
         let total = sched.total();
         let num_layers = self.layers.len();
-        let nc = self.config.num_classes;
         assert_eq!(
             x_cat.len(),
             total * self.config.input_dim,
@@ -608,14 +631,7 @@ impl LstmClassifier {
             .checked_sub(1)
             .map(|t| (sched.row(t, 0), sched.lanes_at(t)));
         scratch.rows = scratch.rows.max(total);
-
-        // Dense head: logits for every (timestep, lane) row at once.
-        let top_hd = self.layers[num_layers - 1].hidden_dim();
-        let top_out = &scratch.tapes[num_layers - 1].out[..total * top_hd];
-        grow(&mut scratch.logits, total * nc);
-        let logits = &mut scratch.logits[..total * nc];
-        self.dense.forward_batch(total, top_out, logits);
-        logits
+        self.top_out(&scratch.tapes, total)
     }
 
     /// The stack half of [`LstmClassifier::forward_schedule`]: tapes every
@@ -1403,7 +1419,8 @@ mod tests {
     /// The time-batched forward, walked in three-step blocks with `(h, c)`
     /// carried from block to block, gives every row the logits of the
     /// reference step on its lane alone — before, at and after each block
-    /// boundary — in buffers the size of one block.
+    /// boundary — in buffers the size of one block; the fused head ranks
+    /// each row as a scan of those logits does.
     #[test]
     fn forward_schedule_equals_step_logits_across_blocks() {
         const BLOCK: usize = 3;
@@ -1442,7 +1459,13 @@ mod tests {
                         x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t0 + t));
                     }
                 }
-                let logits = model.forward_schedule(&sched, &x_cat, &mut scratch, t0 > 0);
+                let top = model.forward_schedule(&sched, &x_cat, &mut scratch, t0 > 0);
+                let total = sched.total();
+                let mut logits = vec![0.0f32; total * nc];
+                model.dense.forward_batch(total, top, &mut logits);
+                let targets: Vec<usize> = (0..total).map(|r| r * 7 % nc).collect();
+                let mut ranks = vec![0u32; total];
+                model.rank_rows(top, &targets, &mut ranks);
                 for t in 0..sched.steps() {
                     for (i, state) in states[..sched.lanes_at(t)].iter_mut().enumerate() {
                         reference_step(&model, state, &input(i, t0 + t), &mut single);
@@ -1453,6 +1476,8 @@ mod tests {
                             "lane {i} t {}",
                             t0 + t
                         );
+                        let want = rank_of(&single, targets[r]);
+                        assert_eq!(ranks[r] as usize, want, "rank lane {i} t {}", t0 + t);
                     }
                 }
             }
@@ -1751,7 +1776,8 @@ mod tests {
             d[target] -= scale;
         }
         let dense = &mut grads.dense;
-        crate::tensor::outer_dense_acc(total, &top_out, &dlogits, &mut dense.w, &mut Vec::new());
+        let top_rows = top_out.chunks_exact(top_hd);
+        crate::tensor::outer_dense_acc(top_rows, &dlogits, &mut dense.w, &mut Vec::new());
         icsad_simd::col_sum_acc_f32(&dlogits, &mut dense.b);
         model.grow_hidden_grads(scratch, total);
         let wt = PanelsF32::pack_transposed(model.dense.w.as_slice(), top_hd, nc);

@@ -27,24 +27,25 @@
 //! right after the step and no product packs per call.
 //!
 //! The backward (training) products ride the same panel gemm. The data
-//! gradient `dX += dY·Wᵀ` is [`gemm_panels_acc_f32`](icsad_simd::gemm_panels_acc_f32)
-//! over panels of the *transposed* matrix
+//! gradient `dX = dY·Wᵀ` is [`gemm_panels_bias_f32`](icsad_simd::gemm_panels_bias_f32)
+//! from a zero start over panels of the *transposed* matrix
 //! ([`PanelsF32::pack_transposed`], held by [`crate::BackwardPack`] and
 //! rebuilt once per optimizer step). The weight gradient `dW += Xᵀ·dY`
 //! comes in two flavours, like the forward input product: [`outer_acc`]
 //! with the sparse kernel's zero-skip for the one-hot stack input (each
 //! input feature's nonzero rows bucketed, no transpose), and
-//! [`outer_dense_acc`] — the register-tiled gemm over `Xᵀ`, with `dY` as
-//! the one operand that really is new on every call and is therefore
-//! packed per call (or, for a layer narrow enough that `Xᵀ` fits one
-//! register tile, read in place) — for dense activations. Bias gradients are one column
-//! sum ([`icsad_simd::col_sum_acc_f32`]). All keep the
-//! ascending-contraction order, so SIMD ≡ scalar stays bitwise for
-//! training too.
+//! [`outer_dense_acc`] — the gemm's register tiles with `X` read
+//! transposed where it lies and `dY`, the one operand that really is new
+//! on every call, packed per call into the caller's buffer (or, for a
+//! layer narrow enough that `dW` fits one register tile, read in place) —
+//! for dense activations. Both take their buffers from the caller. Bias
+//! gradients are one column sum ([`icsad_simd::col_sum_acc_f32`]). All
+//! keep the ascending-contraction order, so SIMD ≡ scalar stays bitwise
+//! for training too.
 
 use std::sync::OnceLock;
 
-use icsad_simd::PanelsF32;
+use icsad_simd::{Buckets, PanelsF32};
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,35 +209,30 @@ impl std::fmt::Debug for Weights {
 /// single row per batch entry — and accumulates each element's batch
 /// contributions in ascending order on every backend: the kernel
 /// ([`icsad_simd::outer_acc_f32`]) buckets each input feature's nonzero
-/// rows and adds every bucket into its `dw` row in registers.
+/// rows in the caller's `buckets` and adds every bucket into its `dw` row
+/// in registers.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub(crate) fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
-    assert_eq!(
-        x.len(),
-        batch * dw.rows(),
-        "outer_acc: input block mismatch"
-    );
-    assert_eq!(
-        dy.len(),
-        batch * dw.cols(),
-        "outer_acc: gradient block mismatch"
-    );
+pub(crate) fn outer_acc(
+    batch: usize,
+    x: &[f32],
+    dy: &[f32],
+    dw: &mut Tensor2,
+    buckets: &mut Buckets,
+) {
     let (rows, cols) = (dw.rows(), dw.cols());
-    icsad_simd::outer_acc_f32(batch, x, rows, dy, cols, dw.as_mut_slice());
+    icsad_simd::outer_acc_f32(batch, x, rows, dy, cols, dw.as_mut_slice(), buckets);
 }
 
 /// [`outer_acc`] for *dense* inputs (hidden activations): the same
-/// `dw += Xᵀ·dY`, run as the register-tiled gemm with `Xᵀ` as the lanes and
-/// `dY` as the weight operand, so each `dw` tile stays in registers across
-/// the whole batch instead of being loaded and stored once per batch row.
-/// `x` is transposed into the pooled buffer `xt` (grown, never shrunk);
-/// `dY` is new on every call, so this is the one product that packs its
-/// operand per call — unless `x` is at most one register tile wide, when
-/// the kernel reads `dY`'s full panels in place
-/// ([`icsad_simd::gemm_dense_acc_f32`]).
+/// `dw += Xᵀ·dY`, with `X` given as one row per row of `dY` and read in
+/// place — a block of the tape, or each timestep's previous hidden rows
+/// (see [`icsad_simd::outer_dense_acc_f32`]). It runs the register-tiled
+/// gemm's tiles, so each `dw` tile stays in registers across the whole
+/// batch; `dY` is read in panels, packed into the caller's `pack` unless
+/// `dw` has at most one register tile of rows.
 ///
 /// Per element the batch contributions still accumulate in ascending
 /// order, and the terms [`outer_acc`] skips or plain-adds (`x == 0`,
@@ -246,27 +242,14 @@ pub(crate) fn outer_acc(batch: usize, x: &[f32], dy: &[f32], dw: &mut Tensor2) {
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub(crate) fn outer_dense_acc(
-    batch: usize,
-    x: &[f32],
+pub(crate) fn outer_dense_acc<'a>(
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
     dy: &[f32],
     dw: &mut Tensor2,
-    xt: &mut Vec<f32>,
+    pack: &mut Vec<f32>,
 ) {
     let (rows, cols) = (dw.rows(), dw.cols());
-    assert_eq!(
-        x.len(),
-        batch * rows,
-        "outer_dense_acc: input block mismatch"
-    );
-    grow(xt, rows * batch);
-    let xt = &mut xt[..rows * batch];
-    for (b, x_row) in x.chunks_exact(rows).enumerate() {
-        for (i, &xi) in x_row.iter().enumerate() {
-            xt[i * batch + b] = xi;
-        }
-    }
-    icsad_simd::gemm_dense_acc_f32(rows, xt, batch, dy, cols, dw.as_mut_slice());
+    icsad_simd::outer_dense_acc_f32(x_rows, rows, dy, cols, dw.as_mut_slice(), pack);
 }
 
 /// Register-blocked batched product for *dense* inputs:
@@ -336,9 +319,10 @@ mod tests {
     #[test]
     fn outer_product_matches_manual() {
         let mut dw = Tensor2::zeros(2, 3);
-        outer_acc(1, &[2.0, 0.0], &[1.0, 2.0, 3.0], &mut dw);
+        let mut buckets = Buckets::default();
+        outer_acc(1, &[2.0, 0.0], &[1.0, 2.0, 3.0], &mut dw, &mut buckets);
         assert_eq!(dw.as_slice(), &[2.0, 4.0, 6.0, 0.0, 0.0, 0.0]);
-        outer_acc(1, &[1.0, 1.0], &[1.0, 1.0, 1.0], &mut dw);
+        outer_acc(1, &[1.0, 1.0], &[1.0, 1.0, 1.0], &mut dw, &mut buckets);
         assert_eq!(dw.as_slice(), &[3.0, 5.0, 7.0, 1.0, 1.0, 1.0]);
     }
 
@@ -350,14 +334,15 @@ mod tests {
             &[2.0, 0.0, 1.0, 1.0],
             &[1.0, 2.0, 3.0, 1.0, 1.0, 1.0],
             &mut batched,
+            &mut Buckets::default(),
         );
         assert_eq!(batched.as_slice(), &[3.0, 5.0, 7.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn outer_dense_matches_outer_acc() {
-        // 5 batch rows (one partial lane tile of the 7 transposed rows),
-        // 37 gradient columns (a ragged panel), zeros and ones mixed in.
+        // 5 batch rows, 7 gradient rows (one partial register tile), 37
+        // gradient columns (a ragged panel), zeros and ones mixed in.
         let x: Vec<f32> = (0..5 * 7)
             .map(|i| match i % 4 {
                 0 => 0.0,
@@ -369,11 +354,11 @@ mod tests {
             .map(|i| ((i * 41 % 173) as f32 - 86.0) / 23.0)
             .collect();
         let mut sparse = Tensor2::zeros(7, 37);
-        outer_acc(5, &x, &dy, &mut sparse);
+        outer_acc(5, &x, &dy, &mut sparse, &mut Buckets::default());
         let mut dense = Tensor2::zeros(7, 37);
-        // A dirty, oversized pool buffer must not leak into the product.
-        let mut xt = vec![f32::NAN; 100];
-        outer_dense_acc(5, &x, &dy, &mut dense, &mut xt);
+        // A dirty, oversized pack buffer must not leak into the product.
+        let mut pack = vec![f32::NAN; 1000];
+        outer_dense_acc(x.chunks_exact(7), &dy, &mut dense, &mut pack);
         assert_eq!(dense, sparse);
     }
 

@@ -14,6 +14,8 @@
 //! including the single-threaded run, which spawns no thread (pinned by
 //! the `training_parity` proptest suite).
 
+use std::ops::Range;
+
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -65,9 +67,9 @@ impl Sequence {
 /// Training sequences in one flat block: the input rows of every step of
 /// every sequence back to back (`input_dim` each), a target per step, and
 /// where each sequence ends. [`Trainer::fit_epoch`] reads it. A pipeline
-/// that builds new inputs every epoch refills one block
-/// ([`SequenceBlock::clear`] keeps its buffers), so an epoch allocates
-/// nothing per step.
+/// that changes some inputs between epochs rewrites just those rows in
+/// place ([`SequenceBlock::row_mut`]), so the steps it leaves alone are
+/// built once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SequenceBlock {
     input_dim: usize,
@@ -112,6 +114,18 @@ impl SequenceBlock {
         let at = self.inputs.len();
         self.inputs.resize(at + self.input_dim, 0.0);
         &mut self.inputs[at..]
+    }
+
+    /// The input row of step `step`, counting the steps of every sequence
+    /// in order (the `step`-th [`SequenceBlock::push_step`]), to rewrite in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block holds `step` steps or fewer.
+    pub fn row_mut(&mut self, step: usize) -> &mut [f32] {
+        let dim = self.input_dim;
+        &mut self.inputs[step * dim..(step + 1) * dim]
     }
 
     /// Number of sequences.
@@ -354,8 +368,10 @@ impl Trainer {
         let mut total_targets = 0usize;
         let mut grads = model.zero_gradients();
         model.pack_panels();
-        // Partition-private gradients and sums, recycled across
-        // minibatches; partitions zero them before accumulating.
+        // The partition list and the partition-private gradients and sums,
+        // recycled across minibatches; partitions zero them before
+        // accumulating.
+        let mut parts: Vec<Range<usize>> = Vec::new();
         let mut locals: Vec<Partial> = Vec::new();
 
         for batch in chunks.chunks(self.config.batch_chunks) {
@@ -376,6 +392,7 @@ impl Trainer {
                 scale,
                 threads,
                 &mut grads,
+                &mut parts,
                 &mut locals,
                 &mut self.scratch,
             );
@@ -435,17 +452,20 @@ impl Trainer {
 /// bit-identical for every `threads` value: the partition and all merge
 /// orders depend only on `batch`.
 ///
+/// The partitions' ranges of `batch` go into the recycled `parts`.
 /// Partition `i` zeroes and fills its own recycled `locals[i]`: its
 /// gradient, loss and hit count. The partitions split into at most
 /// `threads` contiguous groups of equal size (the last may be short): the
 /// first runs on the calling thread, every other on a scoped thread, so one
 /// thread spawns nothing. Group `g` runs its partitions through
-/// `scratch[g]`. A panic re-raises the payload of the first panicking
-/// partition in partition order, after every thread has been joined.
+/// `scratch[g]`, which also holds every buffer its kernels use. A panic
+/// re-raises the payload of the first panicking partition in partition
+/// order, after every thread has been joined.
 ///
-/// Once `locals` and `scratch` have grown, what a minibatch allocates is
-/// the partition list and, with more than one group, the scoped threads:
-/// their spawns, their join handles and each new thread's kernel buffers.
+/// Once `parts`, `locals` and `scratch` have grown, this allocates nothing
+/// on one thread; with more than one group it allocates the scoped
+/// threads: their spawns and their join handles. (The optimizer step
+/// around it packs the new weights.)
 #[allow(
     clippy::too_many_arguments,
     reason = "model, batch, grad sinks and scratch"
@@ -458,10 +478,12 @@ fn accumulate_batch(
     scale: f32,
     threads: usize,
     grads: &mut Gradients,
+    parts: &mut Vec<Range<usize>>,
     locals: &mut Vec<Partial>,
     scratch: &mut Vec<TrainScratch>,
 ) -> (f32, usize) {
-    let parts = partition(batch, batch.len().div_ceil(GRAD_TASK_LANES));
+    partition(batch.len(), batch.len().div_ceil(GRAD_TASK_LANES), parts);
+    let parts = &parts[..];
     while locals.len() < parts.len() {
         locals.push(Partial {
             grads: model.zero_gradients(),
@@ -483,7 +505,8 @@ fn accumulate_batch(
             .zip(scratch.iter_mut())
             .map(|((parts, locals), scratch)| {
                 move || {
-                    for (chunks, part) in parts.iter().zip(locals) {
+                    for (range, part) in parts.iter().zip(locals) {
+                        let chunks = &batch[range.clone()];
                         part.grads.zero();
                         // `partition` keeps every part to GRAD_TASK_LANES
                         // chunks, so the lanes fit on the stack.
@@ -539,22 +562,21 @@ fn accumulate_batch(
     (loss, correct)
 }
 
-/// Splits `items` into at most `parts` contiguous slices whose lengths
-/// differ by at most one (the first `len % parts` slices get the extra
-/// item). Purely data-dependent: never produces empty slices and never
-/// depends on worker count.
-fn partition<T>(items: &[T], parts: usize) -> Vec<&[T]> {
-    let parts = parts.clamp(1, items.len().max(1));
-    let base = items.len() / parts;
-    let extra = items.len() % parts;
-    let mut out = Vec::with_capacity(parts);
+/// Splits `0..len` into at most `parts` contiguous ranges whose lengths
+/// differ by at most one (the first `len % parts` ranges get the extra
+/// item), written over `out`. Purely data-dependent: never produces an
+/// empty range of a non-empty `len` and never depends on worker count.
+fn partition(len: usize, parts: usize, out: &mut Vec<Range<usize>>) {
+    let parts = parts.clamp(1, len.max(1));
+    let base = len / parts;
+    let extra = len % parts;
+    out.clear();
     let mut start = 0;
     for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(&items[start..start + len]);
-        start += len;
+        let size = base + usize::from(i < extra);
+        out.push(start..start + size);
+        start += size;
     }
-    out
 }
 
 #[cfg(test)]
@@ -816,8 +838,10 @@ mod tests {
     fn partition_is_balanced_over_ragged_sizes() {
         for len in 0..40usize {
             let items: Vec<u32> = (0..len as u32).collect();
+            let mut ranges = Vec::new();
             for parts in 1..10usize {
-                let split = partition(&items, parts);
+                partition(len, parts, &mut ranges);
+                let split: Vec<&[u32]> = ranges.iter().map(|r| &items[r.clone()]).collect();
                 // Contiguous cover, no empty slices, lengths within one.
                 let flat: Vec<u32> = split.iter().flat_map(|s| s.iter().copied()).collect();
                 assert_eq!(flat, items, "len {len} parts {parts}");

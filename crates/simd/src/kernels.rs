@@ -11,14 +11,15 @@
 //! instantiation of the same code. The streaming kernels finish their
 //! remainder (`n mod WIDTH`) with at most one half-width vector
 //! ([`Lanes::Half`]) and run only what is left after it as element-level
-//! ops of the *same* policy — on AVX-512 an 8-wide hidden layer is one
-//! AVX2 vector, not eight scalar `exp`s. The sparse gemm holds column
+//! ops of the *same* policy — on AVX-512 an 8-wide gradient row is one
+//! AVX2 vector, not eight scalar ops — and the gate-and-cell pass runs
+//! rows half a vector wide two to a full vector. The sparse gemm holds column
 //! chunks in registers across its list of nonzero `x` entries; the dense
 //! gemm has no remainder path at all — it reads zero-padded weight panels
 //! ([`PANEL`]) and runs full vector chains everywhere.
 
 use crate::lanes::{Lanes, Pair, ScalarLane};
-use crate::{math, HeadGrads, HeadScratch};
+use crate::{math, Buckets, HeadGrads, HeadScratch};
 
 /// Batch rows per register tile of the dense gemm on SSE2 and AVX2, and
 /// per element-array tile on scalar: 4 output rows share each loaded weight
@@ -391,6 +392,167 @@ pub(crate) fn gemm_dense_f32<L: Lanes>(
         }
         j0 += PANEL;
     }
+}
+
+/// `dw += Xᵀ·dY` for dense rows of `x` read in place: contraction row `b`
+/// of the product is `x_rows`' `b`-th row (`k_dim` wide) and row `b` of
+/// `dy` (`batch × n`), and `dw` is `k_dim × n`, row-major. Per element
+/// `dw[i][j]` the chain continues from its value and takes one `fmac` per
+/// row, ascending `b`, of `x_b[i]·dy[b][j]` — the chain of
+/// [`gemm_dense_f32`] over `Xᵀ` as its lanes and `dY` as its weights, with
+/// no transposed copy of `x`.
+///
+/// `dY` is new on every call, so it is the operand read in panels
+/// ([`PANEL`] columns): in place when `dw`'s rows fit one register tile,
+/// which then streams each panel once, else packed into `pack` (grown to
+/// `batch × PANEL`) and re-read by every tile of rows. The register tiles
+/// are those of the dense gemm — 8, 4, then 1 output rows × 1 or 2 vectors
+/// ([`outer_dense_tile`]), with a broadcast of `x_b[i]` where the gemm
+/// broadcasts `x[i][b]`.
+#[inline(always)]
+pub(crate) fn outer_dense_f32<'a, L: Lanes>(
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+    k_dim: usize,
+    dy: &[f32],
+    n: usize,
+    dw: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    let batch = dy.len() / n;
+    debug_assert_eq!(dw.len(), k_dim * n);
+    if batch == 0 || k_dim == 0 {
+        return;
+    }
+    let w_tile = row_major_tile(dy, n);
+    if pack.len() < batch * PANEL {
+        pack.resize(batch * PANEL, 0.0);
+    }
+    let panel = &mut pack[..batch * PANEL];
+    let in_place = L::WIDTH > 1 && k_dim <= if L::WIDTH == 16 { WIDE_TILE } else { LANE_TILE };
+    let mut j0 = 0;
+    while j0 < n {
+        let valid = PANEL.min(n - j0);
+        if valid == PANEL && in_place {
+            let rows = dy[j0..].chunks(n).map(|row| &row[..PANEL]);
+            outer_dense_panel::<L>(x_rows.clone(), k_dim, dw, n, j0, valid, rows);
+        } else {
+            fill_panel(panel, j0, valid, &w_tile);
+            let rows = panel.chunks_exact(PANEL);
+            outer_dense_panel::<L>(x_rows.clone(), k_dim, dw, n, j0, valid, rows);
+        }
+        j0 += PANEL;
+    }
+}
+
+/// Columns `j0 .. j0 + valid` of [`outer_dense_f32`] over one panel of
+/// `dY`, given as its `batch` rows. Vector backends run [`outer_dense_tile`]s
+/// of 2 vectors (1 where one covers a ragged sub-tile) down `dw`'s rows:
+/// [`WIDE_TILE`] at a time on AVX-512, then [`LANE_TILE`], then single rows.
+/// The scalar backend holds a [`PANEL`]-wide element array per row instead.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn outer_dense_panel<'a, 'w, L: Lanes>(
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+    k_dim: usize,
+    dw: &mut [f32],
+    n: usize,
+    j0: usize,
+    valid: usize,
+    rows: impl Iterator<Item = &'w [f32]> + Clone,
+) {
+    if L::WIDTH == 1 {
+        for i in 0..k_dim {
+            let at = i * n + j0;
+            let mut acc = [0.0; PANEL];
+            acc[..valid].copy_from_slice(&dw[at..at + valid]);
+            for (x, wr) in x_rows.clone().zip(rows.clone()) {
+                let xv = x[i];
+                for (a, &wj) in acc.iter_mut().zip(&wr[..PANEL]) {
+                    *a = L::fmac_e(*a, xv, wj);
+                }
+            }
+            dw[at..at + valid].copy_from_slice(&acc[..valid]);
+        }
+        return;
+    }
+    let sub = 2 * L::WIDTH;
+    let mut s = 0;
+    while s < valid {
+        let (at, cols) = (j0 + s, sub.min(valid - s));
+        let (x, rows) = (x_rows.clone(), rows.clone());
+        if cols <= L::WIDTH {
+            outer_dense_rows::<L, 1>(x, k_dim, dw, n, at, cols, rows, s);
+        } else {
+            outer_dense_rows::<L, 2>(x, k_dim, dw, n, at, cols, rows, s);
+        }
+        s += sub;
+    }
+}
+
+/// One sub-tile of [`outer_dense_panel`] (columns `at .. at + cols` of
+/// `dw`, `s ..` of the panel) down all `k_dim` rows of `dw`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn outer_dense_rows<'a, 'w, L: Lanes, const V: usize>(
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+    k_dim: usize,
+    dw: &mut [f32],
+    n: usize,
+    at: usize,
+    cols: usize,
+    rows: impl Iterator<Item = &'w [f32]> + Clone,
+    s: usize,
+) {
+    let mut i0 = 0;
+    // Only AVX-512 (16 lanes) has the 32 registers an 8-row tile needs.
+    while L::WIDTH == 16 && i0 + WIDE_TILE <= k_dim {
+        let (x, w, y) = (x_rows.clone(), rows.clone(), &mut dw[i0 * n + at..]);
+        outer_dense_tile::<L, WIDE_TILE, V>(x, i0, y, n, cols, w, s);
+        i0 += WIDE_TILE;
+    }
+    while i0 + LANE_TILE <= k_dim {
+        let (x, w, y) = (x_rows.clone(), rows.clone(), &mut dw[i0 * n + at..]);
+        outer_dense_tile::<L, LANE_TILE, V>(x, i0, y, n, cols, w, s);
+        i0 += LANE_TILE;
+    }
+    for i in i0..k_dim {
+        let (x, w, y) = (x_rows.clone(), rows.clone(), &mut dw[i * n + at..]);
+        outer_dense_tile::<L, 1, V>(x, i, y, n, cols, w, s);
+    }
+}
+
+/// `R` rows × `V` vectors of [`outer_dense_f32`]: rows `i0 .. i0 + R` of
+/// `dw` (from `y[0]`, `n` apart), columns `s .. s + cols` of the panel. The
+/// accumulators are loaded once, take one `fmac` per contraction row `b`
+/// — the weight vectors of `dY`'s row `b` against `x_b[i0 + r]` broadcast —
+/// and are stored once.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "a tile's shape and operands")]
+fn outer_dense_tile<'a, 'w, L: Lanes, const R: usize, const V: usize>(
+    x_rows: impl Iterator<Item = &'a [f32]>,
+    i0: usize,
+    y: &mut [f32],
+    n: usize,
+    cols: usize,
+    rows: impl Iterator<Item = &'w [f32]>,
+    s: usize,
+) {
+    let sub = V * L::WIDTH;
+    // Hoists the per-row slice checks out of the loop below.
+    assert!(s + sub <= PANEL, "register tile wider than a panel");
+    let mut acc = load_rows::<L, R, V>(y, n, cols);
+    for (x, wr) in x_rows.zip(rows) {
+        let xs = &x[i0..i0 + R];
+        let wr = &wr[s..s + sub];
+        let w: [L; V] = core::array::from_fn(|v| L::load(&wr[v * L::WIDTH..]));
+        for (a, &xi) in acc.iter_mut().zip(xs) {
+            let xv = L::splat(xi);
+            for (av, &wv) in a.iter_mut().zip(&w) {
+                *av = av.fmac(xv, wv);
+            }
+        }
+    }
+    store_rows::<L, R, V>(acc, y, n, cols);
 }
 
 /// Loads the `V`-vector accumulators of `R` output rows, `n` apart in
@@ -986,16 +1148,6 @@ impl ScalarRankTile<'_> {
     }
 }
 
-/// The reusable buffers of [`outer_acc_f32`]'s counting sort: per input
-/// feature, where its bucket ends (`k_dim + 1` entries), and per nonzero
-/// entry of `x`, its batch row and value in bucket order.
-#[derive(Default)]
-pub(crate) struct Buckets {
-    ends: Vec<usize>,
-    rows: Vec<usize>,
-    vals: Vec<f32>,
-}
-
 /// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` — the batched outer-product gradient
 /// accumulation `dW += Xᵀ·dY` (with `batch == 1` it is the rank-1
 /// `outer_acc` the scalar backward used per timestep) for a sparse `x`:
@@ -1213,51 +1365,6 @@ fn tanh_deriv<V: Lanes>(t: V) -> V {
     V::splat(1.0).sub(t.mul(t))
 }
 
-/// In-place lanewise sigmoid. Every lane type runs the same operations
-/// per element, so the half vector and the scalar remainder are bitwise
-/// what a full vector would give.
-#[inline(always)]
-pub(crate) fn sigmoid_f32<L: Lanes>(xs: &mut [f32]) {
-    let j = sigmoid_vectors::<L>(xs, 0);
-    let j = sigmoid_vectors::<L::Half>(xs, j);
-    for v in &mut xs[j..] {
-        *v = math::sigmoid(*v);
-    }
-}
-
-/// [`sigmoid_f32`] over the whole `V` vectors from `j` on; returns where
-/// they end. Every streaming kernel runs its body like this twice — `L`,
-/// then at most one `L::Half` vector — and only what is left after that
-/// runs element by element.
-#[inline(always)]
-fn sigmoid_vectors<V: Lanes>(xs: &mut [f32], mut j: usize) -> usize {
-    while j + V::WIDTH <= xs.len() {
-        math::sigmoid_lanes::<V>(V::load(&xs[j..])).store(&mut xs[j..]);
-        j += V::WIDTH;
-    }
-    j
-}
-
-/// In-place lanewise tanh.
-#[inline(always)]
-pub(crate) fn tanh_f32<L: Lanes>(xs: &mut [f32]) {
-    let j = tanh_vectors::<L>(xs, 0);
-    let j = tanh_vectors::<L::Half>(xs, j);
-    for v in &mut xs[j..] {
-        *v = math::tanh(*v);
-    }
-}
-
-/// [`tanh_f32`] over the whole `V` vectors from `j` on.
-#[inline(always)]
-fn tanh_vectors<V: Lanes>(xs: &mut [f32], mut j: usize) -> usize {
-    while j + V::WIDTH <= xs.len() {
-        math::tanh_lanes::<V>(V::load(&xs[j..])).store(&mut xs[j..]);
-        j += V::WIDTH;
-    }
-    j
-}
-
 /// The LSTM memory-cell update `c = f⊙c + i⊙g; h = o⊙tanh(c)`, with the
 /// cell products kept as plain mul/add (never contracted — matching the
 /// historical scalar cell loop). Optionally writes `tanh(c)` to `tc` (the
@@ -1281,24 +1388,25 @@ pub(crate) fn lstm_cell_f32<L: Lanes>(
     }
     let gates = [i_g, f_g, o_g, g_g];
     let j = cell_vectors::<L>(gates, c, h, &mut tc, 0);
-    let mut j = cell_vectors::<L::Half>(gates, c, h, &mut tc, j);
-    while j < hd {
-        let cv = f_g[j] * c[j] + i_g[j] * g_g[j];
-        c[j] = cv;
-        let t = math::tanh(cv);
-        if let Some(tc) = tc.as_deref_mut() {
-            tc[j] = t;
-        }
-        h[j] = o_g[j] * t;
-        j += 1;
-    }
+    let j = cell_vectors::<L::Half>(gates, c, h, &mut tc, j);
+    cell_vectors::<ScalarLane<false>>(gates, c, h, &mut tc, j);
 }
 
-/// One LSTM timestep's gates and cells for `n` rows: row `r` of the
-/// `n × 4hd` pre-activation block `z` is `[i, f, o, g]`; sigmoid activates
-/// `i`, `f` and `o` and tanh activates `g`, in place (the training tape
-/// keeps the activated gates), then the cell update advances row `r` of
-/// `c` and writes row `r` of `h` (and of `tc`, if given) — rows of `hd`.
+/// One LSTM timestep's gates and cells for `n` rows, in one pass: row `r`
+/// of the `n × 4hd` pre-activation block `z` is `[i, f, o, g]`; sigmoid
+/// activates `i`, `f` and `o` and tanh activates `g`, stored back to `z`
+/// (the training tape keeps the activated gates), then the cell update
+/// advances row `r` of `c` and writes row `r` of `h` (and of `tc`, if
+/// given) — rows of `hd`.
+///
+/// Where a row is half a vector wide (`hd == L::Half::WIDTH` on a backend
+/// whose vector is two halves, [`Lanes::JOINS`]: AVX-512 at `hd = 8`, AVX2
+/// at `hd = 4`), rows go two at a time ([`row_pair`]) and every
+/// transcendental runs on a full vector. Other rows run whole `L` vectors,
+/// then at most one `L::Half` vector, then single elements
+/// ([`CellRow::finish`]). An element runs the same ops whichever vector
+/// carries it, so the bits are the per-element scalar loop's on every
+/// backend.
 #[inline(always)]
 pub(crate) fn lstm_rows_f32<L: Lanes>(
     hd: usize,
@@ -1308,19 +1416,129 @@ pub(crate) fn lstm_rows_f32<L: Lanes>(
     mut tc: Option<&mut [f32]>,
 ) {
     debug_assert!(hd > 0 && z.len() == 4 * c.len() && h.len() == c.len());
-    let rows = z
-        .chunks_exact_mut(4 * hd)
-        .zip(c.chunks_exact_mut(hd))
-        .zip(h.chunks_exact_mut(hd));
-    for (r, ((zr, cr), hr)) in rows.enumerate() {
-        sigmoid_f32::<L>(&mut zr[..3 * hd]);
-        tanh_f32::<L>(&mut zr[3 * hd..]);
-        let (i_g, rest) = zr.split_at(hd);
-        let (f_g, rest) = rest.split_at(hd);
-        let (o_g, g_g) = rest.split_at(hd);
-        let tcr = tc.as_deref_mut().map(|tc| &mut tc[r * hd..(r + 1) * hd]);
-        lstm_cell_f32::<L>(i_g, f_g, o_g, g_g, cr, hr, tcr);
+    let mut paired = 0;
+    if L::JOINS && hd == L::Half::WIDTH {
+        let w = L::WIDTH;
+        let mut tcs = tc.as_deref_mut().map(|tc| tc.chunks_exact_mut(w));
+        let pairs = z
+            .chunks_exact_mut(4 * w)
+            .zip(c.chunks_exact_mut(w))
+            .zip(h.chunks_exact_mut(w));
+        for ((z, c), h) in pairs {
+            row_pair::<L>(z, c, h, tcs.as_mut().and_then(Iterator::next));
+            paired += 2;
+        }
     }
+    let mut tcs = tc.map(|tc| tc[paired * hd..].chunks_exact_mut(hd));
+    let rows = z[paired * 4 * hd..]
+        .chunks_exact_mut(4 * hd)
+        .zip(c[paired * hd..].chunks_exact_mut(hd))
+        .zip(h[paired * hd..].chunks_exact_mut(hd));
+    for ((z, c), h) in rows {
+        let tc = tcs.as_mut().and_then(Iterator::next);
+        CellRow { z, c, h, tc }.finish::<L>();
+    }
+}
+
+/// Two rows of [`lstm_rows_f32`] half a vector wide each: `z` holds their
+/// gate blocks, four vectors `[i₀ f₀] [o₀ g₀] [i₁ f₁] [o₁ g₁]`, and `c`,
+/// `h` and `tc` one vector `[row 0, row 1]` each. The `[i f]` vectors
+/// activate as they are; [`zip_halves`] regroups the rest in registers
+/// into `[o₀ o₁]` and `[g₀ g₁]`, then `[i₀ i₁]` and `[f₀ f₁]` for the cell
+/// update, which runs on the cell vector as it lies, and back into the
+/// gate layout for the stores.
+#[inline(always)]
+fn row_pair<L: Lanes>(z: &mut [f32], c: &mut [f32], h: &mut [f32], tc: Option<&mut [f32]>) {
+    let w = L::WIDTH;
+    let [if0, og0, if1, og1] = [0, 1, 2, 3].map(|k| L::load(&z[k * w..]));
+    let (if0, if1) = (math::sigmoid_lanes(if0), math::sigmoid_lanes(if1));
+    let (o, g) = zip_halves(og0, og1);
+    let (o, g) = (math::sigmoid_lanes(o), math::tanh_lanes(g));
+    let (i, f) = zip_halves(if0, if1);
+    let (cv, t, hv) = cell(i, f, o, g, L::load(c));
+    let (og0, og1) = zip_halves(o, g);
+    if0.store(z);
+    og0.store(&mut z[w..]);
+    if1.store(&mut z[2 * w..]);
+    og1.store(&mut z[3 * w..]);
+    cv.store(c);
+    if let Some(tc) = tc {
+        t.store(tc);
+    }
+    hv.store(h);
+}
+
+/// `([a_lo b_lo], [a_hi b_hi])` from the halves of `a` and `b`
+/// ([`Lanes::split`], [`Lanes::join`]); applied twice it gives `a` and `b`
+/// back.
+#[inline(always)]
+fn zip_halves<L: Lanes>(a: L, b: L) -> (L, L) {
+    let ((a_lo, a_hi), (b_lo, b_hi)) = (a.split(), b.split());
+    (L::join(a_lo, b_lo), L::join(a_hi, b_hi))
+}
+
+/// One row of [`lstm_rows_f32`]: its gate block (`4hd`, `[i, f, o, g]`)
+/// and its cell, hidden and (optional) `tanh(c)` rows (`hd` each).
+struct CellRow<'a> {
+    z: &'a mut [f32],
+    c: &'a mut [f32],
+    h: &'a mut [f32],
+    tc: Option<&'a mut [f32]>,
+}
+
+impl CellRow<'_> {
+    /// The whole `V` vectors of elements `j ..`, gates first and then
+    /// cells; returns where they end. One loop per vector's chain of three
+    /// sigmoids and a tanh, the cell and its tanh would be too long for
+    /// the scheduler to overlap the next vector's: over 8 and 16 rows at
+    /// `hd = 256` it ran ≈ 30 % slower than these two loops, whose chains
+    /// are one activation, or one cell and its tanh, long (AVX-512,
+    /// 2-vCPU Xeon).
+    #[inline(always)]
+    fn vectors<V: Lanes>(&mut self, j0: usize) -> usize {
+        let hd = self.c.len();
+        let mut j = j0;
+        while j + V::WIDTH <= hd {
+            let z = &mut self.z[j..];
+            let [zi, zf, zo, zg] = [0, 1, 2, 3].map(|g| V::load(&z[g * hd..]));
+            math::sigmoid_lanes::<V>(zi).store(z);
+            math::sigmoid_lanes::<V>(zf).store(&mut z[hd..]);
+            math::sigmoid_lanes::<V>(zo).store(&mut z[2 * hd..]);
+            math::tanh_lanes::<V>(zg).store(&mut z[3 * hd..]);
+            j += V::WIDTH;
+        }
+        let mut j = j0;
+        while j + V::WIDTH <= hd {
+            let z = &self.z[j..];
+            let [i, f, o, g] = [0, 1, 2, 3].map(|g| V::load(&z[g * hd..]));
+            let (c, t, h) = cell(i, f, o, g, V::load(&self.c[j..]));
+            c.store(&mut self.c[j..]);
+            if let Some(tc) = self.tc.as_deref_mut() {
+                t.store(&mut tc[j..]);
+            }
+            h.store(&mut self.h[j..]);
+            j += V::WIDTH;
+        }
+        j
+    }
+
+    /// The row: whole `L` vectors, at most one `L::Half` vector, then
+    /// single elements.
+    #[inline(always)]
+    fn finish<L: Lanes>(&mut self) {
+        let j = self.vectors::<L>(0);
+        let j = self.vectors::<L::Half>(j);
+        self.vectors::<ScalarLane<false>>(j);
+    }
+}
+
+/// The cell update from activated gates: `c' = f·c + i·g` (two products
+/// and an add, never fused), `t = tanh(c')` and `h = o·t`, as `(c', t, h)`.
+#[inline(always)]
+fn cell<V: Lanes>(i: V, f: V, o: V, g: V, c: V) -> (V, V, V) {
+    let c = f.mul(c).add(i.mul(g));
+    let t = math::tanh_lanes::<V>(c);
+    (c, t, o.mul(t))
 }
 
 /// [`lstm_cell_f32`] over the whole `V` vectors from `j` on; `gates` is
@@ -1334,15 +1552,13 @@ fn cell_vectors<V: Lanes>(
     mut j: usize,
 ) -> usize {
     while j + V::WIDTH <= c.len() {
-        let cv = V::load(&f_g[j..])
-            .mul(V::load(&c[j..]))
-            .add(V::load(&i_g[j..]).mul(V::load(&g_g[j..])));
+        let [i, f, o, g] = [i_g, f_g, o_g, g_g].map(|gate| V::load(&gate[j..]));
+        let (cv, t, hv) = cell(i, f, o, g, V::load(&c[j..]));
         cv.store(&mut c[j..]);
-        let t = math::tanh_lanes::<V>(cv);
         if let Some(tc) = tc.as_deref_mut() {
             t.store(&mut tc[j..]);
         }
-        V::load(&o_g[j..]).mul(t).store(&mut h[j..]);
+        hv.store(&mut h[j..]);
         j += V::WIDTH;
     }
     j
@@ -1736,9 +1952,8 @@ pub(crate) mod x86_entries {
     // target features; the dispatcher in `lib.rs` only routes here after
     // `is_x86_feature_detected!` confirmed them.
 
-    use super::Buckets;
     use crate::x86::*;
-    use crate::{HeadGrads, HeadScratch};
+    use crate::{Buckets, HeadGrads, HeadScratch};
 
     macro_rules! backend_entries {
         ($mod_name:ident, $feat:literal, $f32ty:ty) => {
@@ -1837,6 +2052,19 @@ pub(crate) mod x86_entries {
                     buckets: &mut Buckets,
                 ) {
                     super::super::outer_acc_f32::<$f32ty>(batch, x, k_dim, dy, n, dw, buckets)
+                }
+
+                // SAFETY: module contract — `$feat` confirmed before dispatch.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn outer_dense_f32<'a>(
+                    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+                    k_dim: usize,
+                    dy: &[f32],
+                    n: usize,
+                    dw: &mut [f32],
+                    pack: &mut Vec<f32>,
+                ) {
+                    super::super::outer_dense_f32::<$f32ty>(x_rows, k_dim, dy, n, dw, pack)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

@@ -87,6 +87,21 @@ pub trait Lanes: Copy {
     fn min(self, o: Self) -> Self;
     /// Lanewise `if a < b { t } else { f }` (NaN comparisons pick `f`).
     fn select_lt(a: Self, b: Self, t: Self, f: Self) -> Self;
+
+    /// Whether a vector is exactly two [`Lanes::Half`] vectors (`2 ·
+    /// Half::WIDTH == WIDTH`), so [`Lanes::join`] and [`Lanes::split`]
+    /// move every lane: true on AVX-512, on AVX2 and on a pair of vectors,
+    /// false on SSE2, whose half is one scalar lane, and on the scalar
+    /// lane, whose half is itself.
+    const JOINS: bool;
+    /// `lo` in the low half of the lanes and `hi` in the high half, in
+    /// registers. Where [`Lanes::JOINS`] is false no kernel calls it; there
+    /// it fills the vector from `lo` and drops `hi`.
+    fn join(lo: Self::Half, hi: Self::Half) -> Self;
+    /// The inverse of [`Lanes::join`]: the low and the high half of the
+    /// lanes. Where [`Lanes::JOINS`] is false no kernel calls it; there
+    /// both halves are the vector's first lanes.
+    fn split(self) -> (Self::Half, Self::Half);
     /// `2^n` for integer-valued lanes `n` in `[-126, 127]`, built by bit
     /// manipulation of the exponent field.
     fn exp2i(n: Self) -> Self;
@@ -240,6 +255,15 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
             f
         }
     }
+    const JOINS: bool = false;
+    #[inline(always)]
+    fn join(lo: Self, _hi: Self) -> Self {
+        lo
+    }
+    #[inline(always)]
+    fn split(self) -> (Self, Self) {
+        (self, self)
+    }
     #[inline(always)]
     fn exp2i(n: Self) -> Self {
         let i = n.0 as i32;
@@ -359,6 +383,15 @@ impl<L: Lanes> Lanes for Pair<L> {
             L::select_lt(a.0, b.0, t.0, f.0),
             L::select_lt(a.1, b.1, t.1, f.1),
         )
+    }
+    const JOINS: bool = true;
+    #[inline(always)]
+    fn join(lo: L, hi: L) -> Self {
+        Pair(lo, hi)
+    }
+    #[inline(always)]
+    fn split(self) -> (L, L) {
+        (self.0, self.1)
     }
     #[inline(always)]
     fn exp2i(n: Self) -> Self {

@@ -46,29 +46,57 @@
 //! in between: inference, the training forward pass, and the backward
 //! data gradient `dX += dY·Wᵀ` over panels of the transposed matrix
 //! ([`PanelsF32::pack_transposed`]). [`gemm_dense_acc_f32`] takes an
-//! operand that really is new every call — the gate gradients `dZ` of the
-//! dense weight-gradient product `dW += Xᵀ·dZ` — and packs one
-//! thread-local panel at a time, or, when its rows fit one register tile
-//! and each panel is streamed once, reads the full panels in place. Same
-//! tile, same ascending-`k` chain per output element: the two entries are
-//! bitwise equal to each other and to the scalar backend. A sub-tile that
-//! one vector covers runs 1-vector register tiles, the same chains. [`gemm_panels_bias_f32`] (and [`gemm_bias_f32`], its
+//! operand that really is new every call and packs one thread-local panel
+//! at a time, or, when its rows fit one register tile and each panel is
+//! streamed once, reads the full panels in place. Same tile, same
+//! ascending-`k` chain per output element: the two entries are bitwise
+//! equal to each other and to the scalar backend. The dense weight
+//! gradient [`outer_dense_acc_f32`] runs the same tiles over the new-every-
+//! call gate gradients `dZ`, packed into the caller's buffer, with its
+//! other operand read transposed in place. A sub-tile that one vector
+//! covers runs 1-vector register tiles, the same chains.
+//! [`gemm_panels_bias_f32`] (and [`gemm_bias_f32`], its
 //! sparse twin) starts the accumulators from a bias instead of from `y`:
 //! the chain of copying the bias into `y` and accumulating, without the
 //! copy. [`rank_panels_f32`] runs the same tiles over a head's panels,
 //! started from its bias, and ends them in a compare-and-popcount instead
 //! of a store: each row's rank among logits it never writes.
 //!
+//! # The gate-and-cell pass
+//!
+//! [`lstm_rows_f32`] is one LSTM timestep for a block of rows: it reads
+//! each row's four gate pre-activations once, activates them (sigmoid on
+//! `i`, `f`, `o`, tanh on `g`), stores the activated gates (the training
+//! tape keeps them) and runs the cell update into `c`, `h` and `tanh(c)`.
+//! A row's whole vectors activate their gates in one loop and update their
+//! cells in a second, while the gates are in L1. A row half a vector wide
+//! would run every transcendental on a half-empty vector, so where a
+//! vector is two half vectors ([`lanes::Lanes::JOINS`]: AVX-512 at a
+//! hidden width of 8, AVX2 at 4) rows go two at a time: each pair's gate
+//! blocks load as four full vectors and are regrouped in registers
+//! ([`lanes::Lanes::split`], [`lanes::Lanes::join`]) into one vector per
+//! gate, while its cell, hidden and `tanh(c)` rows are one vector each as
+//! they lie. Per element the ops are the same whichever vector carries
+//! it, so the pass keeps the bits of the per-element scalar loop on every
+//! backend.
+//!
 //! # Training kernels
 //!
-//! Backpropagation adds three passes that only combine data already in
-//! memory, each one dispatched kernel: [`outer_acc_f32`], the one-hot
-//! weight gradient, buckets each input feature's nonzero rows with a
-//! counting sort and adds every bucket into its gradient row in
-//! registers; [`col_sum_acc_f32`] sums a bias gradient's columns in
-//! registers; [`lstm_backward_rows_f32`] is one BPTT timestep's
-//! per-element gate calculus. Each runs the operations of the loop it
-//! replaced, in the same order, so trained weights keep their bits.
+//! Backpropagation adds passes that only combine data already in memory,
+//! each one dispatched kernel: [`outer_acc_f32`], the one-hot weight
+//! gradient, buckets each input feature's nonzero rows with a counting
+//! sort and adds every bucket into its gradient row in registers;
+//! [`outer_dense_acc_f32`], the dense weight gradient `dW += Xᵀ·dY`, reads
+//! `X` transposed where it lies — any row per contraction index, so the
+//! recurrent gradient reads each timestep's previous hidden rows from the
+//! tape and a zero row at `t = 0` — through the dense gemm's register
+//! tiles, with no transposed copy; [`col_sum_acc_f32`] sums a bias
+//! gradient's columns in registers; [`lstm_backward_rows_f32`] is one BPTT
+//! timestep's per-element gate calculus. The counting sort's [`Buckets`]
+//! and the dense product's panel pack come from the caller, so a trainer
+//! that keeps them per worker runs its minibatches without allocating.
+//! Each kernel runs the operations of the loop it replaced, in the same
+//! order, so trained weights keep their bits.
 //!
 //! # Softmax head
 //!
@@ -420,12 +448,9 @@ pub fn reset() {
 }
 
 thread_local! {
-    /// One-panel pack buffer for the per-call-pack dense gemm
-    /// (steady-state allocation-free).
+    /// One-panel pack buffer for [`gemm_dense_acc_f32`] (steady-state
+    /// allocation-free).
     static PACK_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// The counting sort of the sparse weight gradient, grown to the
-    /// largest one seen.
-    static BUCKETS: RefCell<kernels::Buckets> = RefCell::new(kernels::Buckets::default());
 }
 
 // Dispatch plumbing: on non-x86 every selection resolves to the scalar
@@ -541,14 +566,15 @@ pub fn gemm_bias_f32_with(
 /// [`gemm_bias_f32`] with `y` as its bias, except that zero entries
 /// contribute an exact `+±0`.
 ///
-/// Packs `W` into panels on every call — right when the operand is new on
-/// every call, like the gate gradients `dZ` in the weight-gradient product
-/// `dW += Xᵀ·dZ` (`x` = `Xᵀ`, `w` = `dZ`) — except that when the `batch`
+/// Packs `W` into panels on every call, into a thread-local buffer — right
+/// when the operand is new on every call — except that when the `batch`
 /// rows fit one register tile, which streams each panel once, the full
 /// panels are read in place instead. An operand that is read more than
 /// once between changes — any weight matrix, in inference and in training
 /// — should be packed once ([`PanelsF32`]) and go through
-/// [`gemm_panels_acc_f32`].
+/// [`gemm_panels_acc_f32`]; a weight gradient `dW += Xᵀ·dZ` goes through
+/// [`outer_dense_acc_f32`], which reads `X` in place and packs into the
+/// caller's buffer.
 ///
 /// # Panics
 ///
@@ -922,6 +948,18 @@ pub fn softmax_head_f32_with(
     )
 }
 
+/// The reusable buffers of [`outer_acc_f32`]'s counting sort: per input
+/// feature, where its bucket ends (`k_dim + 1` entries), and per nonzero
+/// entry of `x`, its batch row and value in bucket order. They grow to the
+/// largest call and are kept, so a caller that keeps one per worker
+/// accumulates without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct Buckets {
+    pub(crate) ends: Vec<usize>,
+    pub(crate) rows: Vec<usize>,
+    pub(crate) vals: Vec<f32>,
+}
+
 /// Batched outer-product gradient accumulation
 /// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` (`dW += Xᵀ·dY`) for row-major
 /// `batch × k_dim` inputs and `batch × n` output gradients into a
@@ -933,16 +971,24 @@ pub fn softmax_head_f32_with(
 /// per-timestep rank-1 update the scalar backward used.
 ///
 /// Nothing is transposed: a counting sort lists each input feature's
-/// nonzero entries (a thread-local bucket buffer, grown to the largest
-/// call), and each feature's `dW` row then accumulates its bucket with the
+/// nonzero entries (in the caller's `buckets`, grown to the largest call),
+/// and each feature's `dW` row then accumulates its bucket with the
 /// accumulators held in registers. The result is bitwise that of the
 /// sparse product over `Xᵀ` accumulated into `dw`.
 ///
 /// # Panics
 ///
 /// Panics on block-size mismatch.
-pub fn outer_acc_f32(batch: usize, x: &[f32], k_dim: usize, dy: &[f32], n: usize, dw: &mut [f32]) {
-    outer_acc_f32_with(current(), batch, x, k_dim, dy, n, dw)
+pub fn outer_acc_f32(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    dy: &[f32],
+    n: usize,
+    dw: &mut [f32],
+    buckets: &mut Buckets,
+) {
+    outer_acc_f32_with(current(), batch, x, k_dim, dy, n, dw, buckets)
 }
 
 /// [`outer_acc_f32`] with an explicit backend selection.
@@ -950,7 +996,11 @@ pub fn outer_acc_f32(batch: usize, x: &[f32], k_dim: usize, dy: &[f32], n: usize
 /// # Panics
 ///
 /// Panics on block-size mismatch or an unsupported selection.
-#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "the product's operands and its buckets; see the `dispatch` module's SAFETY note"
+)]
 pub fn outer_acc_f32_with(
     sel: Selection,
     batch: usize,
@@ -959,15 +1009,86 @@ pub fn outer_acc_f32_with(
     dy: &[f32],
     n: usize,
     dw: &mut [f32],
+    buckets: &mut Buckets,
 ) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
     assert_eq!(x.len(), batch * k_dim, "outer_acc: input block mismatch");
     assert_eq!(dy.len(), batch * n, "outer_acc: gradient block mismatch");
     assert_eq!(dw.len(), k_dim * n, "outer_acc: weight block mismatch");
-    BUCKETS.with(|cell| {
-        let buckets = &mut cell.borrow_mut();
-        dispatch_f32!(sel, outer_acc_f32(batch, x, k_dim, dy, n, dw, buckets))
-    })
+    dispatch_f32!(sel, outer_acc_f32(batch, x, k_dim, dy, n, dw, buckets))
+}
+
+/// The dense weight-gradient product `dw[i][j] += Σ_b x_b[i]·dy[b][j]`
+/// (`dW += Xᵀ·dY`) with `X`'s rows read in place: `x_rows` yields row `b`
+/// of `X` (`k_dim` wide) for each of the `batch` rows of `dy` (`batch ×
+/// n`), and `dw` is `k_dim × n`, row-major. The rows need not be one
+/// block: the recurrent gradient `dU` reads each timestep's previous
+/// hidden rows where the tape holds them, and a zero row where there are
+/// none, so no gathered or transposed copy of `X` is made.
+///
+/// Per element the chain continues from `dw`'s value and takes one
+/// `fmac` per row `b` in ascending order, zero entries included: the bits
+/// of [`gemm_dense_acc_f32`] over `Xᵀ` as its lanes and `dY` as its
+/// weights, on every backend. `dY` is read in 32-column panels, in place
+/// when `dw` has at most one register tile of rows, else packed into
+/// `pack` first (grown to `batch × 32` and kept, so a caller that keeps it
+/// allocates nothing).
+///
+/// # Panics
+///
+/// Panics on block-size mismatch, if `n == 0`, or if `x_rows` does not
+/// yield exactly one `k_dim`-wide row per row of `dy`.
+pub fn outer_dense_acc_f32<'a>(
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+    k_dim: usize,
+    dy: &[f32],
+    n: usize,
+    dw: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    outer_dense_acc_f32_with(current(), x_rows, k_dim, dy, n, dw, pack)
+}
+
+/// [`outer_dense_acc_f32`] with an explicit backend selection.
+///
+/// # Panics
+///
+/// As [`outer_dense_acc_f32`], or if the selection is unsupported.
+#[allow(
+    clippy::too_many_arguments,
+    unsafe_code,
+    reason = "the product's operands and its pack; see the `dispatch` module's SAFETY note"
+)]
+pub fn outer_dense_acc_f32_with<'a>(
+    sel: Selection,
+    x_rows: impl Iterator<Item = &'a [f32]> + Clone,
+    k_dim: usize,
+    dy: &[f32],
+    n: usize,
+    dw: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    assert!(
+        n > 0 && dy.len().is_multiple_of(n),
+        "outer_dense_acc: gradient block is not whole rows"
+    );
+    assert_eq!(
+        dw.len(),
+        k_dim * n,
+        "outer_dense_acc: weight block mismatch"
+    );
+    let mut rows = 0;
+    for row in x_rows.clone() {
+        assert_eq!(row.len(), k_dim, "outer_dense_acc: input row mismatch");
+        rows += 1;
+    }
+    assert_eq!(
+        rows * n,
+        dy.len(),
+        "outer_dense_acc: input row count mismatch"
+    );
+    dispatch_f32!(sel, outer_dense_f32(x_rows, k_dim, dy, n, dw, pack))
 }
 
 /// `out[j] += Σ_r x[r][j]`: the column sums of a row-major block of
@@ -1081,14 +1202,17 @@ pub fn lstm_backward_rows_f32_with(
     )
 }
 
-/// One LSTM timestep for a block of rows, in one call: for each row `r`,
-/// sigmoid on the `i`, `f` and `o` blocks and tanh on the `g` block of
-/// row `r` of `z` (`n × 4hd`, `[i, f, o, g]`, activated in place), then
+/// One LSTM timestep for a block of rows, in one pass (see the crate docs,
+/// "The gate-and-cell pass"): for each row `r`, sigmoid on the `i`, `f`
+/// and `o` blocks and tanh on the `g` block of row `r` of `z` (`n × 4hd`,
+/// `[i, f, o, g]`, activated in place), then the cell update of
 /// [`lstm_cell_f32`] on row `r` of `c`, `h` and `tc` (each `n × hd`). The
-/// one gate-and-cell kernel of the batched LSTM step (and of the tests'
-/// one-row reference step);
-/// per element it is [`math::sigmoid`]/[`math::tanh`] and the cell update
-/// on every backend.
+/// one gate-and-cell kernel of the batched LSTM step — training, the
+/// validation curve and every engine round — and of the tests' one-row
+/// reference step. Rows half a vector wide go two to a vector, regrouped
+/// in registers, where the backend's vector is two halves; per element it
+/// is [`math::sigmoid`]/[`math::tanh`] and the cell update on every
+/// backend.
 ///
 /// # Panics
 ///

@@ -116,6 +116,17 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
             Sse2F32(_mm_or_ps(_mm_and_ps(m, t.0), _mm_andnot_ps(m, f.0)))
         }
     }
+    const JOINS: bool = false;
+    #[inline(always)]
+    fn join(lo: ScalarLane<FUSED>, _hi: ScalarLane<FUSED>) -> Self {
+        Self::splat(lo.0)
+    }
+    #[inline(always)]
+    fn split(self) -> (ScalarLane<FUSED>, ScalarLane<FUSED>) {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        let first = ScalarLane(unsafe { _mm_cvtss_f32(self.0) });
+        (first, first)
+    }
     #[inline(always)]
     fn exp2i(n: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -325,6 +336,22 @@ impl Lanes for Avx2F32 {
             Avx2F32(_mm256_blendv_ps(f.0, t.0, m))
         }
     }
+    const JOINS: bool = true;
+    #[inline(always)]
+    fn join(lo: Sse2F32<true>, hi: Sse2F32<true>) -> Self {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        Avx2F32(unsafe { _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo.0), hi.0) })
+    }
+    #[inline(always)]
+    fn split(self) -> (Sse2F32<true>, Sse2F32<true>) {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            (
+                Sse2F32(_mm256_castps256_ps128(self.0)),
+                Sse2F32(_mm256_extractf128_ps::<1>(self.0)),
+            )
+        }
+    }
     #[inline(always)]
     fn exp2i(n: Self) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -526,6 +553,28 @@ impl Lanes for Avx512F32 {
         unsafe {
             let m = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a.0, b.0);
             Avx512F32(_mm512_mask_blend_ps(m, f.0, t.0))
+        }
+    }
+    const JOINS: bool = true;
+    #[inline(always)]
+    fn join(lo: Avx2F32, hi: Avx2F32) -> Self {
+        // AVX-512F moves 256-bit halves as `f64` lanes; the casts are free.
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo.0));
+            let hi = _mm256_castps_pd(hi.0);
+            Avx512F32(_mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi)))
+        }
+    }
+    #[inline(always)]
+    fn split(self) -> (Avx2F32, Avx2F32) {
+        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
+        unsafe {
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self.0));
+            (
+                Avx2F32(_mm512_castps512_ps256(self.0)),
+                Avx2F32(_mm256_castpd_ps(hi)),
+            )
         }
     }
     #[inline(always)]

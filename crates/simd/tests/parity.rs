@@ -12,9 +12,9 @@ use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
     col_sum_acc_f32_with, gemm_bias_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
     gemm_panels_acc_f32_with, gemm_panels_bias_f32_with, lstm_backward_rows_f32_with,
-    lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with, rank_panels_f32_with,
-    softmax_head_f32_with, supported_selections, Backend, HeadGrads, HeadScratch, PanelsF32,
-    Selection,
+    lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with, outer_dense_acc_f32_with,
+    rank_panels_f32_with, softmax_head_f32_with, supported_selections, Backend, Buckets, HeadGrads,
+    HeadScratch, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
@@ -165,9 +165,9 @@ proptest! {
         let dw0 = &dw0[..k_dim * n];
         for (sel, scalar) in pairs() {
             let mut got = dw0.to_vec();
-            outer_acc_f32_with(sel, batch, &x, k_dim, dy, n, &mut got);
+            outer_acc_f32_with(sel, batch, &x, k_dim, dy, n, &mut got, &mut Buckets::default());
             let mut want = dw0.to_vec();
-            outer_acc_f32_with(scalar, batch, &x, k_dim, dy, n, &mut want);
+            outer_acc_f32_with(scalar, batch, &x, k_dim, dy, n, &mut want, &mut Buckets::default());
             assert_bits_eq(&got, &want, sel.label());
         }
     }
@@ -189,7 +189,7 @@ proptest! {
         let dy = &dy[..n];
         for sel in supported_selections() {
             let mut got = dw0[..k_dim * n].to_vec();
-            outer_acc_f32_with(sel, 1, &x, k_dim, dy, n, &mut got);
+            outer_acc_f32_with(sel, 1, &x, k_dim, dy, n, &mut got, &mut Buckets::default());
             let mut want = dw0[..k_dim * n].to_vec();
             for (i, &xi) in x.iter().enumerate() {
                 for (j, &dyj) in dy.iter().enumerate() {
@@ -541,31 +541,75 @@ const OUTER_GRID: (&[usize], &[usize], &[usize]) = (
 #[cfg(miri)]
 const OUTER_GRID: (&[usize], &[usize], &[usize]) = (&[1, 5], &[8, 33], &[1, 3]);
 
-/// The BPTT weight gradient for dense activations — the dense gemm over
-/// `Xᵀ` with `dY` as its per-call-packed operand — equals the zero-skipping
-/// `outer_acc_f32` and an independent ascending-`b` chain, bitwise, on
-/// every selection: the terms the sparse kernel skips (`x == 0`) or
-/// plain-adds (`x == 1`) round identically through the `fmac`.
+/// The BPTT weight gradient for dense activations: `outer_dense_acc_f32`,
+/// reading `X`'s rows where they lie, equals the dense gemm over an
+/// explicit `Xᵀ` with `dY` as its per-call-packed operand, the
+/// zero-skipping `outer_acc_f32` and an independent ascending-`b` chain,
+/// bitwise, on every selection: the terms the sparse kernel skips (`x ==
+/// 0`) or plain-adds (`x == 1`) round identically through the `fmac`. The
+/// rows come once as one block, and once scattered through a larger block
+/// in reverse order with every third row a shared zero row — the shape of
+/// the recurrent gradient's previous hidden rows — each through a pack
+/// buffer left dirty by the call before.
 #[test]
 fn dense_outer_product_matches_sparse_and_reference_bitwise() {
     let (ks, ns, batches) = OUTER_GRID;
+    let mut buckets = Buckets::default();
+    let mut pack = vec![f32::NAN; 7];
     for &k_dim in ks {
+        let zero = vec![0.0f32; k_dim];
         for &n in ns {
             let dw0 = operand(k_dim * n, 10);
             for &batch in batches {
                 let x = operand(batch * k_dim, 11);
-                let xt = transposed(&x, batch, k_dim);
+                // Row `b` of `x` sits at row `batch - b` of `block`, and
+                // every third row is the zero row instead.
+                let block = operand((batch + 1) * k_dim, 11);
+                let rows = |b: usize| match b % 3 {
+                    2 => &zero[..],
+                    _ => &block[(batch - b) * k_dim..(batch - b + 1) * k_dim],
+                };
+                let scattered: Vec<f32> = (0..batch).flat_map(rows).copied().collect();
                 let dy = operand(batch * n, 12);
-                let want =
-                    [false, true].map(|fma| reference_gemm(fma, k_dim, &xt, batch, &dy, n, &dw0));
+                let reference = |x: &[f32]| {
+                    let xt = transposed(x, batch, k_dim);
+                    [false, true].map(|fma| reference_gemm(fma, k_dim, &xt, batch, &dy, n, &dw0))
+                };
+                let (want, want_scattered) = (reference(&x), reference(&scattered));
+                let xt = transposed(&x, batch, k_dim);
                 for sel in supported_selections() {
                     let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
                     let want = &want[usize::from(sel.fma)];
+                    let mut rows_in_place = dw0.clone();
+                    let x_rows = x.chunks_exact(k_dim);
+                    outer_dense_acc_f32_with(
+                        sel,
+                        x_rows,
+                        k_dim,
+                        &dy,
+                        n,
+                        &mut rows_in_place,
+                        &mut pack,
+                    );
+                    assert_bits_eq(&rows_in_place, want, &format!("rows {what}"));
+                    let mut from_block = dw0.clone();
+                    let x_rows = (0..batch).map(rows);
+                    outer_dense_acc_f32_with(
+                        sel,
+                        x_rows,
+                        k_dim,
+                        &dy,
+                        n,
+                        &mut from_block,
+                        &mut pack,
+                    );
+                    let want_scattered = &want_scattered[usize::from(sel.fma)];
+                    assert_bits_eq(&from_block, want_scattered, &format!("scattered {what}"));
                     let mut dense = dw0.clone();
                     gemm_dense_acc_f32_with(sel, k_dim, &xt, batch, &dy, n, &mut dense);
                     assert_bits_eq(&dense, want, &format!("dense {what}"));
                     let mut sparse = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut sparse);
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut sparse, &mut buckets);
                     assert_bits_eq(&sparse, want, &format!("sparse {what}"));
                 }
             }
@@ -605,18 +649,25 @@ fn sweep(len: usize, salt: usize) -> Vec<f32> {
 }
 
 /// Every remainder class of every backend, with no randomness: lengths
-/// 1..=48 for `lstm_cell_f32`, and the gate-and-cell
-/// kernel at hidden 1..=40 over 1..=5 rows, bitwise against the scalar
-/// lane of the same FMA policy on every supported selection. The scalar
-/// gate kernel is in turn the composition it claims to be: per-element
-/// `math::sigmoid`/`math::tanh`, then `lstm_cell_f32` row by row.
+/// 1..=48 for `lstm_cell_f32`, and the gate-and-cell kernel at hidden
+/// 1..=17 over 1..=40 rows — the widths whose rows go two to a vector (4
+/// on AVX2, 8 on AVX-512) among every other narrow one, with an odd last
+/// row left alone — and at hidden 18..=40 over 1..=5 rows, bitwise
+/// against the scalar lane of the same FMA policy on every supported
+/// selection, with NaN, ±inf, −0 and the `exp` clamps among the inputs. The scalar gate kernel is in turn the composition it claims to
+/// be: per-element `math::sigmoid`/`math::tanh`, then `lstm_cell_f32` row
+/// by row.
 #[test]
 fn every_tail_length_matches_scalar_bitwise() {
     #[cfg(not(miri))]
-    let (lens, hds, rows_max) = (1..=48, 1..=40, 5);
+    let (lens, hds, narrow_hd, narrow_rows, rows_max) = (1..=48, 1..=40, 17, 40, 5);
     #[cfg(miri)]
-    let (lens, hds, rows_max) = (1..=9, 1..=9, 2);
-    for (sel, scalar) in pairs() {
+    let (lens, hds, narrow_hd, narrow_rows, rows_max) = (1..=9, 1..=9, 9, 4, 2);
+    for sel in supported_selections() {
+        let scalar = Selection {
+            backend: Backend::Scalar,
+            fma: sel.fma,
+        };
         for len in lens.clone() {
             let gates = sweep(4 * len, 3);
             let g: Vec<&[f32]> = gates.chunks_exact(len).collect();
@@ -631,8 +682,13 @@ fn every_tail_length_matches_scalar_bitwise() {
             }
         }
         for hd in hds.clone() {
+            let rows_max = if hd <= narrow_hd {
+                narrow_rows
+            } else {
+                rows_max
+            };
             for rows in 1..=rows_max {
-                let z = sweep(rows * 4 * hd, 5 + hd);
+                let z = sweep(rows * 4 * hd, 5 + hd + rows);
                 let c0 = sweep(rows * hd, 6);
                 let got = gate_rows(sel, hd, &z, &c0);
                 let want = gate_rows(scalar, hd, &z, &c0);
@@ -822,6 +878,7 @@ const SPARSE_GRID: (&[usize], &[usize], usize) = (&[1, 17, 65], &[7, 33], 2);
 #[test]
 fn sparse_product_matches_the_per_k_oracle_bitwise() {
     let (ks, ns, batch_max) = SPARSE_GRID;
+    let mut buckets = Buckets::default();
     for &k_dim in ks {
         for &n in ns {
             let w = operand(k_dim * n, 13);
@@ -842,7 +899,7 @@ fn sparse_product_matches_the_per_k_oracle_bitwise() {
                     gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
                     assert_bits_eq(&got, &want[usize::from(sel.fma)], &format!("gemm {what}"));
                     let mut got = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got, &mut buckets);
                     let want = &want_dw[usize::from(sel.fma)];
                     assert_bits_eq(&got, want, &format!("outer {what}"));
                 }
@@ -1221,6 +1278,7 @@ const BUCKET_GRID: (&[usize], &[usize], &[usize]) = (&[1, 17], &[7, 33], &[1, 3]
 #[test]
 fn bucketed_outer_product_matches_the_transposed_sparse_gemm_bitwise() {
     let (ks, ns, batches) = BUCKET_GRID;
+    let mut buckets = Buckets::default();
     for &k_dim in ks {
         for &n in ns {
             let dw0 = operand(k_dim * n, 21);
@@ -1238,7 +1296,7 @@ fn bucketed_outer_product_matches_the_transposed_sparse_gemm_bitwise() {
                     let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
                     let want = sparse_oracle(sel.fma, k_dim, &xt, batch, &dy, n, &dw0);
                     let mut got = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got);
+                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got, &mut buckets);
                     assert_bits_eq(&got, &want, &format!("bucketed {what}"));
                 }
             }
