@@ -1400,9 +1400,9 @@ pub(crate) fn lstm_cell_f32<L: Lanes>(
 /// given) — rows of `hd`.
 ///
 /// Where a row is half a vector wide (`hd == L::Half::WIDTH` on a backend
-/// whose vector is two halves, [`Lanes::JOINS`]: AVX-512 at `hd = 8`, AVX2
-/// at `hd = 4`), rows go two at a time ([`row_pair`]) and every
-/// transcendental runs on a full vector. Other rows run whole `L` vectors,
+/// whose vector is two halves, `2 · Half::WIDTH == WIDTH`: AVX-512 at
+/// `hd = 8`, AVX2 at `hd = 4`), rows go two at a time ([`row_pair`]) and
+/// every transcendental runs on a full vector. Other rows run whole `L` vectors,
 /// then at most one `L::Half` vector, then single elements
 /// ([`CellRow::finish`]). An element runs the same ops whichever vector
 /// carries it, so the bits are the per-element scalar loop's on every
@@ -1417,7 +1417,7 @@ pub(crate) fn lstm_rows_f32<L: Lanes>(
 ) {
     debug_assert!(hd > 0 && z.len() == 4 * c.len() && h.len() == c.len());
     let mut paired = 0;
-    if L::JOINS && hd == L::Half::WIDTH {
+    if 2 * L::Half::WIDTH == L::WIDTH && hd == L::Half::WIDTH {
         let w = L::WIDTH;
         let mut tcs = tc.as_deref_mut().map(|tc| tc.chunks_exact_mut(w));
         let pairs = z

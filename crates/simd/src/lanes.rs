@@ -88,19 +88,16 @@ pub trait Lanes: Copy {
     /// Lanewise `if a < b { t } else { f }` (NaN comparisons pick `f`).
     fn select_lt(a: Self, b: Self, t: Self, f: Self) -> Self;
 
-    /// Whether a vector is exactly two [`Lanes::Half`] vectors (`2 ·
-    /// Half::WIDTH == WIDTH`), so [`Lanes::join`] and [`Lanes::split`]
-    /// move every lane: true on AVX-512, on AVX2 and on a pair of vectors,
-    /// false on SSE2, whose half is one scalar lane, and on the scalar
-    /// lane, whose half is itself.
-    const JOINS: bool;
     /// `lo` in the low half of the lanes and `hi` in the high half, in
-    /// registers. Where [`Lanes::JOINS`] is false no kernel calls it; there
-    /// it fills the vector from `lo` and drops `hi`.
+    /// registers, where a vector is exactly two [`Lanes::Half`] vectors
+    /// (`2 · Half::WIDTH == WIDTH`: AVX-512, AVX2 and a pair of vectors).
+    /// Elsewhere — SSE2, whose half is one scalar lane, and the scalar
+    /// lane, whose half is itself — no kernel calls it, and it fills the
+    /// vector from `lo` and drops `hi`.
     fn join(lo: Self::Half, hi: Self::Half) -> Self;
     /// The inverse of [`Lanes::join`]: the low and the high half of the
-    /// lanes. Where [`Lanes::JOINS`] is false no kernel calls it; there
-    /// both halves are the vector's first lanes.
+    /// lanes. Where a vector is not two halves no kernel calls it, and both
+    /// halves are the vector's first lanes.
     fn split(self) -> (Self::Half, Self::Half);
     /// `2^n` for integer-valued lanes `n` in `[-126, 127]`, built by bit
     /// manipulation of the exponent field.
@@ -255,7 +252,6 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
             f
         }
     }
-    const JOINS: bool = false;
     #[inline(always)]
     fn join(lo: Self, _hi: Self) -> Self {
         lo
@@ -384,7 +380,6 @@ impl<L: Lanes> Lanes for Pair<L> {
             L::select_lt(a.1, b.1, t.1, f.1),
         )
     }
-    const JOINS: bool = true;
     #[inline(always)]
     fn join(lo: L, hi: L) -> Self {
         Pair(lo, hi)

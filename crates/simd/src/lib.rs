@@ -71,8 +71,8 @@
 //! A row's whole vectors activate their gates in one loop and update their
 //! cells in a second, while the gates are in L1. A row half a vector wide
 //! would run every transcendental on a half-empty vector, so where a
-//! vector is two half vectors ([`lanes::Lanes::JOINS`]: AVX-512 at a
-//! hidden width of 8, AVX2 at 4) rows go two at a time: each pair's gate
+//! vector is two half vectors (AVX-512 at a hidden width of 8, AVX2 at
+//! 4) rows go two at a time: each pair's gate
 //! blocks load as four full vectors and are regrouped in registers
 //! ([`lanes::Lanes::split`], [`lanes::Lanes::join`]) into one vector per
 //! gate, while its cell, hidden and `tanh(c)` rows are one vector each as

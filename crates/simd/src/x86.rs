@@ -116,7 +116,6 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
             Sse2F32(_mm_or_ps(_mm_and_ps(m, t.0), _mm_andnot_ps(m, f.0)))
         }
     }
-    const JOINS: bool = false;
     #[inline(always)]
     fn join(lo: ScalarLane<FUSED>, _hi: ScalarLane<FUSED>) -> Self {
         Self::splat(lo.0)
@@ -336,7 +335,6 @@ impl Lanes for Avx2F32 {
             Avx2F32(_mm256_blendv_ps(f.0, t.0, m))
         }
     }
-    const JOINS: bool = true;
     #[inline(always)]
     fn join(lo: Sse2F32<true>, hi: Sse2F32<true>) -> Self {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
@@ -555,7 +553,6 @@ impl Lanes for Avx512F32 {
             Avx512F32(_mm512_mask_blend_ps(m, f.0, t.0))
         }
     }
-    const JOINS: bool = true;
     #[inline(always)]
     fn join(lo: Avx2F32, hi: Avx2F32) -> Self {
         // AVX-512F moves 256-bit halves as `f64` lanes; the casts are free.
