@@ -2,11 +2,11 @@
 //! softmax classifier over package signatures with a top-`k` decision rule.
 
 use icsad_dataset::{Fragments, Record};
-use icsad_features::encoding::{mutate_noise, OneHotEncoder};
+use icsad_features::encoding::{mutate_noise, OneHotEncoder, ONE_HOT_SLOT};
 use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
 use icsad_nn::{
-    EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, SequenceBlock,
-    StreamState, Trainer, TrainingConfig,
+    EpochStats, ForwardScratch, LaneSchedule, LstmClassifier, ModelConfig, OneHotRows,
+    SequenceBlock, StreamState, Trainer, TrainingConfig,
 };
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -149,7 +149,7 @@ impl TsState {
 #[derive(Debug, Clone)]
 pub struct TsBatchScratch {
     nn: ForwardScratch,
-    x: Vec<f32>,
+    x: OneHotRows,
     /// Gather row `r` holds entry `order[r]`; the ranked entries come first.
     order: Vec<usize>,
     /// The class id of each ranked row.
@@ -165,8 +165,8 @@ struct CurveScratch {
     /// Per-lane steps in the current block, longest first.
     lens: Vec<usize>,
     sched: LaneSchedule,
-    /// One-hot inputs, `rows x dims` in schedule order.
-    x_cat: Vec<f32>,
+    /// One-hot inputs, one row per schedule row.
+    inputs: OneHotRows,
     /// Each row's next-package class id (0 where it is outside the
     /// database, which `known` records).
     targets: Vec<usize>,
@@ -210,29 +210,7 @@ impl TimeSeriesDetector {
         }
         let encoder = OneHotEncoder::new(discretizer);
 
-        // Precompute per-fragment discretized vectors and their class ids.
-        let prepared: Vec<(Vec<DiscreteVector>, Vec<usize>)> = fragments
-            .iter()
-            .filter(|frag| frag.len() >= 2)
-            .map(|frag| {
-                let vectors: Vec<DiscreteVector> =
-                    frag.iter().map(|r| discretizer.discretize(r)).collect();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the vocabulary is built from the training set these fragments \
-                              come from, so every record's signature has an id"
-                )]
-                let ids: Vec<usize> = vectors
-                    .iter()
-                    .map(|v| {
-                        vocabulary
-                            .id_of_vector(v)
-                            .expect("training records are in the vocabulary")
-                    })
-                    .collect();
-                (vectors, ids)
-            })
-            .collect();
+        let prepared = prepare(discretizer, vocabulary, fragments);
         if prepared.is_empty() {
             return Err(CoreError::InvalidTrainingData {
                 reason: "no fragments with at least two packages".into(),
@@ -256,18 +234,13 @@ impl TimeSeriesDetector {
         .map_err(|e| CoreError::InvalidConfig {
             reason: e.to_string(),
         })?;
-        let mut noise = config.noise_lambda.map(|lambda| TrainingNoise {
-            // p = λ/(λ+#s) per class id, computed once.
-            p: (0..vocabulary.len())
-                .map(|id| lambda / (lambda + vocabulary.count(id) as f64))
-                .collect(),
-            rng: ChaCha12Rng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15),
-            noisy: Vec::new(),
-        });
+        let mut noise = config
+            .noise_lambda
+            .map(|lambda| TrainingNoise::new(lambda, vocabulary, config.seed ^ 0x9e3779b97f4a7c15));
         let mut stats = Vec::with_capacity(config.epochs);
         // One block serves every epoch: encoded clean once, with each
         // epoch's noisy rows rewritten in place.
-        let mut sequences = SequenceBlock::new(encoder.dims());
+        let mut sequences = SequenceBlock::new(encoder.dims(), ONE_HOT_SLOT);
         for epoch in 0..config.epochs {
             if epoch == 0 || noise.is_some() {
                 build_sequences(&encoder, &prepared, noise.as_mut(), &mut sequences);
@@ -294,10 +267,9 @@ impl TimeSeriesDetector {
         model: LstmClassifier,
         k: usize,
     ) -> Self {
-        let dims = encoder.dims();
-        let mut xs = vec![0.0; vocabulary.len() * dims];
-        for ((_, vector, _), x) in vocabulary.iter().zip(xs.chunks_exact_mut(dims)) {
-            encoder.encode_into(vector, false, x);
+        let mut xs = OneHotRows::new(encoder.dims(), ONE_HOT_SLOT);
+        for (_, vector, _) in vocabulary.iter() {
+            xs.push(encoder.indices(vector, false).as_slice());
         }
         let mut signature_rows = vec![0.0; vocabulary.len() * 4 * model.config().hidden_dims[0]];
         model.input_preactivations(&xs, &mut signature_rows);
@@ -427,10 +399,18 @@ impl TimeSeriesDetector {
     /// package at a time ([`LstmClassifier::step_logits`]), and memory is
     /// one block's, with no row per class, whatever the fragments' length.
     pub fn top_k_error_curve(&self, fragments: &Fragments, max_k: usize) -> Vec<f64> {
-        let (misses, total) = self.top_k_misses(fragments, max_k, &mut CurveScratch::default());
+        let (misses, total) = self.top_k_misses(fragments, max_k, &mut self.curve_scratch());
         // (No targets, no misses: 0 / 1.)
         let total = total.max(1) as f64;
         misses.iter().map(|&m| m as f64 / total).collect()
+    }
+
+    /// Empty buffers for [`TimeSeriesDetector::top_k_misses`].
+    fn curve_scratch(&self) -> CurveScratch {
+        CurveScratch {
+            inputs: OneHotRows::new(self.encoder.dims(), ONE_HOT_SLOT),
+            ..CurveScratch::default()
+        }
     }
 
     /// The miss count below every `k` in `1..=max_k`, and the number of
@@ -442,7 +422,6 @@ impl TimeSeriesDetector {
         max_k: usize,
         scratch: &mut CurveScratch,
     ) -> (Vec<usize>, usize) {
-        let dims = self.encoder.dims();
         let mut misses = vec![0usize; max_k];
         let mut total = 0usize;
         // A fragment of `n` packages is a lane of `n - 1` (input, next)
@@ -461,7 +440,7 @@ impl TimeSeriesDetector {
                 }));
                 scratch.sched.rebuild(&scratch.lens);
                 let rows = scratch.sched.total();
-                scratch.x_cat.resize(rows * dims, 0.0);
+                scratch.inputs.resize(rows);
                 scratch.targets.resize(rows, 0);
                 scratch.known.resize(rows, false);
                 scratch.ranks.resize(rows, 0);
@@ -472,11 +451,8 @@ impl TimeSeriesDetector {
                     let mut vector = self.discretizer.discretize(&frag[t0]);
                     for t in 0..len {
                         let r = scratch.sched.row(t, i);
-                        self.encoder.encode_into(
-                            &vector,
-                            false,
-                            &mut scratch.x_cat[r * dims..(r + 1) * dims],
-                        );
+                        let ones = self.encoder.indices(&vector, false);
+                        scratch.inputs.set(r, ones.as_slice());
                         vector = self.discretizer.discretize(&frag[t0 + t + 1]);
                         let id = self.vocabulary.id_of_vector(&vector);
                         scratch.targets[r] = id.unwrap_or(0);
@@ -485,7 +461,7 @@ impl TimeSeriesDetector {
                 }
                 let top_h = self.model.forward_schedule(
                     &scratch.sched,
-                    &scratch.x_cat,
+                    &scratch.inputs,
                     &mut scratch.fwd,
                     t0 > 0,
                 );
@@ -532,9 +508,11 @@ impl TimeSeriesDetector {
 
     /// Fresh (empty) scratch for [`TimeSeriesDetector::process_batch`].
     pub fn batch_scratch(&self) -> TsBatchScratch {
+        let mut x = OneHotRows::new(self.encoder.dims(), ONE_HOT_SLOT);
+        x.resize(1);
         TsBatchScratch {
             nn: self.model.batch_scratch(),
-            x: vec![0.0; self.encoder.dims()],
+            x,
             order: Vec::new(),
             targets: Vec::new(),
             ranks: Vec::new(),
@@ -572,7 +550,8 @@ impl TimeSeriesDetector {
     /// the detector's table, plus the noise bit's weight row if it is fed
     /// back noisy — the same adds, in the same order, as the one-hot
     /// product, whose last input is the noise bit. A package outside the
-    /// database is one-hot encoded and projected on its own.
+    /// database is encoded as the indices of its ones and projected on its
+    /// own.
     ///
     /// One `F_t` bool per entry (`true` = anomalous) is appended to `out`
     /// and the 1-based rank of its signature in the stream's prediction to
@@ -660,7 +639,7 @@ impl TimeSeriesDetector {
                     }
                 }
                 None => {
-                    self.encoder.encode_into(&vectors[i], noisy, x);
+                    x.set(0, self.encoder.indices(&vectors[i], noisy).as_slice());
                     self.model.input_preactivations(x, row);
                 }
             }
@@ -679,6 +658,7 @@ impl TimeSeriesDetector {
 /// The §V-3 noise of the training sequences: each epoch, every step is
 /// replaced with probability `p = λ/(λ+#s)` by a mutated vector with its
 /// noise bit set, `#s` being the training count of the step's signature.
+#[derive(Clone)]
 struct TrainingNoise {
     /// `p` per class id.
     p: Vec<f64>,
@@ -688,9 +668,55 @@ struct TrainingNoise {
     noisy: Vec<(usize, usize, usize)>,
 }
 
+impl TrainingNoise {
+    /// The noise of rate `lambda` over `vocabulary`'s training counts,
+    /// `p = λ/(λ+#s)` computed once per class id, drawn from `seed`.
+    fn new(lambda: f64, vocabulary: &SignatureVocabulary, seed: u64) -> Self {
+        TrainingNoise {
+            p: (0..vocabulary.len())
+                .map(|id| lambda / (lambda + vocabulary.count(id) as f64))
+                .collect(),
+            rng: ChaCha12Rng::seed_from_u64(seed),
+            noisy: Vec::new(),
+        }
+    }
+}
+
+/// Each training fragment of two packages or more, as its discretized
+/// vectors and their class ids, computed once before the first epoch.
+fn prepare(
+    discretizer: &Discretizer,
+    vocabulary: &SignatureVocabulary,
+    fragments: &Fragments,
+) -> Vec<(Vec<DiscreteVector>, Vec<usize>)> {
+    fragments
+        .iter()
+        .filter(|frag| frag.len() >= 2)
+        .map(|frag| {
+            let vectors: Vec<DiscreteVector> =
+                frag.iter().map(|r| discretizer.discretize(r)).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "the vocabulary is built from the training set these fragments \
+                          come from, so every record's signature has an id"
+            )]
+            let ids: Vec<usize> = vectors
+                .iter()
+                .map(|v| {
+                    vocabulary
+                        .id_of_vector(v)
+                        .expect("training records are in the vocabulary")
+                })
+                .collect();
+            (vectors, ids)
+        })
+        .collect()
+}
+
 /// Builds the training sequences of `prepared` (per fragment, its
 /// discretized vectors and their class ids): step `t` of a fragment is the
-/// one-hot encoding of vector `t`, targeting class `t + 1`.
+/// one-hot encoding of vector `t` ([`OneHotEncoder::indices`]), targeting
+/// class `t + 1`.
 ///
 /// An empty `block` is encoded clean first; the clean rows are kept from
 /// then on. With `noise`, the rows the previous call made noisy are
@@ -711,7 +737,7 @@ fn build_sequences(
         for (vectors, ids) in prepared {
             block.begin_sequence();
             for (vec, step) in vectors.iter().zip(ids.windows(2)) {
-                encoder.encode_into(vec, false, block.push_step(step[1]));
+                block.push_step(step[1], encoder.indices(vec, false).as_slice());
             }
         }
     }
@@ -719,7 +745,7 @@ fn build_sequences(
         return;
     };
     for &(row, frag, t) in noisy.iter() {
-        encoder.encode_into(&prepared[frag].0[t], false, block.row_mut(row));
+        block.set_row(row, encoder.indices(&prepared[frag].0[t], false).as_slice());
     }
     noisy.clear();
     let cards = encoder.cardinalities();
@@ -729,7 +755,7 @@ fn build_sequences(
             if rng.gen::<f64>() < p[step[0]] {
                 let mut mutated = *vec;
                 mutate_noise(&mut mutated, cards, NOISE_MAX_FEATURES, rng);
-                encoder.encode_into(&mutated, true, block.row_mut(row));
+                block.set_row(row, encoder.indices(&mutated, true).as_slice());
                 noisy.push((row, frag, t));
             }
             row += 1;
@@ -824,13 +850,50 @@ mod tests {
             .collect();
         for blocks in [2, 5] {
             let fragment = Fragments::from_labelled(&clean[..blocks * block + 1], 1);
-            let mut scratch = CurveScratch::default();
+            let mut scratch = det.curve_scratch();
             let (_, targets) = det.top_k_misses(&fragment, 4, &mut scratch);
             assert_eq!(targets, blocks * block);
             assert_eq!(scratch.fwd.rows(), block, "{blocks} blocks");
             assert_eq!(scratch.targets.len(), block);
-            assert_eq!(scratch.x_cat.len(), block * det.encoder.dims());
+            assert_eq!(scratch.inputs.len(), block);
         }
+    }
+
+    /// `build_sequences` rewrites in place only the rows noisy in this
+    /// epoch or the one before. After every noisy epoch the block equals,
+    /// row for row, one built from scratch from that epoch's draws: a row
+    /// that goes from noisy (14 ones) back to clean (13) keeps no noise
+    /// index in its slot.
+    #[test]
+    fn noisy_rows_rewritten_in_place_equal_a_block_built_from_scratch() {
+        let (disc, vocab, split) = setup(4_000, 13);
+        let encoder = OneHotEncoder::new(&disc);
+        let prepared = prepare(&disc, &vocab, split.train());
+        let steps: usize = prepared.iter().map(|(vectors, _)| vectors.len() - 1).sum();
+        let mut noise = TrainingNoise::new(10.0, &vocab, 5);
+        let mut block = SequenceBlock::new(encoder.dims(), ONE_HOT_SLOT);
+        let mut cleaned = 0;
+        for epoch in 0..4 {
+            let before: Vec<usize> = noise.noisy.iter().map(|&(row, ..)| row).collect();
+            // This epoch's draws, into a block that holds no noisy row yet.
+            let mut draws = noise.clone();
+            draws.noisy.clear();
+            build_sequences(&encoder, &prepared, Some(&mut noise), &mut block);
+            let mut fresh = SequenceBlock::new(encoder.dims(), ONE_HOT_SLOT);
+            build_sequences(&encoder, &prepared, Some(&mut draws), &mut fresh);
+            assert_eq!(noise.noisy, draws.noisy, "epoch {epoch} draws");
+            for step in 0..steps {
+                assert_eq!(
+                    block.row(step),
+                    fresh.row(step),
+                    "epoch {epoch} step {step}"
+                );
+            }
+            assert_eq!(block, fresh, "epoch {epoch}");
+            let now: Vec<usize> = noise.noisy.iter().map(|&(row, ..)| row).collect();
+            cleaned += before.iter().filter(|row| !now.contains(row)).count();
+        }
+        assert!(cleaned > 0, "some row went from noisy back to clean");
     }
 
     #[test]

@@ -124,7 +124,8 @@ fn forced_scalar_backend_reproduces_auto_dispatch_bitwise() {
     let run = || -> (Vec<Vec<DetectionLevel>>, Vec<Vec<f32>>) {
         let levels = detector.classify_streams(&views);
         // Also pin the raw logits of the underlying model on a
-        // deterministic synthetic stream: stronger than decisions alone.
+        // deterministic synthetic stream of 0/1 rows: stronger than
+        // decisions alone.
         let model = detector.time_series_level().model();
         let dim = model.config().input_dim;
         let nc = model.num_classes();
@@ -133,11 +134,7 @@ fn forced_scalar_backend_reproduces_auto_dispatch_bitwise() {
         let mut probs = Vec::new();
         for t in 0..50usize {
             let x: Vec<f32> = (0..dim)
-                .map(|i| match (i + t) % 7 {
-                    0 => 1.0,
-                    1 | 2 => 0.0,
-                    _ => (((i * 13 + t * 7) % 19) as f32 - 9.0) / 5.0,
-                })
+                .map(|i| f32::from(u8::from((i + t) % 7 == 0 || (i * 13 + t * 7) % 19 == 4)))
                 .collect();
             model.step_logits(&mut state, &x, &mut probs_t);
             probs.push(probs_t.clone());

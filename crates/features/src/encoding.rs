@@ -55,7 +55,36 @@ impl OneHotEncoder {
         &self.cardinalities
     }
 
-    /// Encodes into a caller-provided buffer (zeroed first).
+    /// The one index form of an encoded package: the ascending indices of
+    /// its ones — one per feature, then the noise flag `dims() − 1` when
+    /// `noisy` — which is what the LSTM's one-hot kernels read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any category index is out of range for its feature.
+    pub fn indices(&self, vector: &DiscreteVector, noisy: bool) -> OneHotIndices {
+        let mut out = OneHotIndices {
+            indices: [0; ONE_HOT_SLOT],
+            len: FEATURE_COUNT,
+        };
+        for (i, &cat) in vector.iter().enumerate() {
+            let cat = cat as usize;
+            assert!(
+                cat < self.cardinalities[i],
+                "feature {i}: category {cat} out of range ({})",
+                self.cardinalities[i]
+            );
+            out.indices[i] = (self.offsets[i] + cat) as u32;
+        }
+        if noisy {
+            out.indices[FEATURE_COUNT] = (self.dims - 1) as u32;
+            out.len += 1;
+        }
+        out
+    }
+
+    /// Encodes as a dense 0/1 vector into a caller-provided buffer: zeroed,
+    /// then a one at each of [`OneHotEncoder::indices`].
     ///
     /// # Panics
     ///
@@ -64,23 +93,36 @@ impl OneHotEncoder {
     pub fn encode_into(&self, vector: &DiscreteVector, noisy: bool, out: &mut [f32]) {
         assert_eq!(out.len(), self.dims, "output buffer has wrong length");
         out.fill(0.0);
-        for (i, &cat) in vector.iter().enumerate() {
-            let cat = cat as usize;
-            assert!(
-                cat < self.cardinalities[i],
-                "feature {i}: category {cat} out of range ({})",
-                self.cardinalities[i]
-            );
-            out[self.offsets[i] + cat] = 1.0;
+        for &k in self.indices(vector, noisy).as_slice() {
+            out[k as usize] = 1.0;
         }
-        out[self.dims - 1] = f32::from(noisy);
     }
 
-    /// Encodes into a fresh vector.
+    /// [`OneHotEncoder::encode_into`] a fresh vector.
     pub fn encode(&self, vector: &DiscreteVector, noisy: bool) -> Vec<f32> {
         let mut out = vec![0.0; self.dims];
         self.encode_into(vector, noisy, &mut out);
         out
+    }
+}
+
+/// The most ones an encoded package has: one per feature and the noise
+/// flag.
+pub const ONE_HOT_SLOT: usize = FEATURE_COUNT + 1;
+
+/// An encoded package as the ascending indices of its ones
+/// ([`OneHotEncoder::indices`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OneHotIndices {
+    indices: [u32; ONE_HOT_SLOT],
+    len: usize,
+}
+
+impl OneHotIndices {
+    /// The indices, ascending: [`FEATURE_COUNT`] of them, or one more with
+    /// the noise flag.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.indices[..self.len]
     }
 }
 
@@ -166,6 +208,10 @@ mod tests {
         assert_eq!(out[enc.dims() - 1], 1.0);
         let ones = out.iter().filter(|&&x| x == 1.0).count();
         assert_eq!(ones, FEATURE_COUNT + 1);
+        // The index form lists them ascending, the flag last.
+        let indices = enc.indices(&sample_vector(), true);
+        assert!(indices.as_slice().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(indices.as_slice().last(), Some(&(enc.dims() as u32 - 1)));
     }
 
     #[test]

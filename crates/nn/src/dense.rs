@@ -90,13 +90,12 @@ impl DenseGrad {
 
 #[cfg(test)]
 impl Dense {
-    /// The head's per-record reference: `out = W x + b` for one row, over
-    /// the row-major weights through the zero-skipping kernel started from
-    /// the bias — not the panel product [`Dense::forward_batch`] runs, so
-    /// the two check each other.
+    /// The head's per-record reference: `out = W x + b` for one row, by the
+    /// scalar loop [`crate::tensor::reference_row`] started from the bias —
+    /// not the panel product [`Dense::forward_batch`] runs, so the two
+    /// check each other.
     pub(crate) fn forward(&self, x: &[f32], out: &mut [f32]) {
-        let (k_dim, n) = (self.w.rows(), self.w.cols());
-        icsad_simd::gemm_bias_f32(1, x, k_dim, self.w.as_slice(), n, &self.b, out);
+        out.copy_from_slice(&crate::tensor::reference_row(x, &self.w, &self.b));
     }
 }
 

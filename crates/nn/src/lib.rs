@@ -13,7 +13,10 @@
 //! * `tensor` — a minimal `f32` matrix, a layer's weights with their
 //!   panel-major copy, and the shape-checked fronts over the
 //!   [`icsad_simd`] kernels an LSTM needs,
-//! * `lstm` — one LSTM layer with full backpropagation through time,
+//! * `lstm` — one LSTM layer with full backpropagation through time, over
+//!   dense inputs,
+//! * [`OneHotRows`] — one-hot input rows as the indices of their ones, the
+//!   stack input's one format,
 //! * `dense` — the projection onto signature logits,
 //! * [`loss`] — the rank of a target among the logits (the softmax
 //!   cross-entropy itself runs only in training, fused with the head and
@@ -22,7 +25,7 @@
 //! * [`LstmClassifier`] — the stacked network and its one batched forward,
 //!   which steps any number of streams (stateful, one package each) for
 //!   online detection and whole minibatches for training, plus
-//!   (de)serialization,
+//!   (de)serialization; it runs the bottom layer's one-hot products,
 //! * [`Trainer`] — truncated-BPTT training with Adam over variable-length
 //!   sequences held in one flat [`SequenceBlock`], with deterministic
 //!   data-parallel gradient accumulation on scoped threads (bit-identical
@@ -88,11 +91,13 @@ mod dense;
 pub mod loss;
 mod lstm;
 mod model;
+mod onehot;
 mod tensor;
 mod trainer;
 
 pub use lstm::LaneSchedule;
 pub use model::{ForwardScratch, LstmClassifier, ModelConfig, StreamState};
+pub use onehot::OneHotRows;
 pub use trainer::{
     EpochStats, Sequence, SequenceBlock, Trainer, TrainerConfigError, TrainingConfig,
 };

@@ -14,14 +14,11 @@
 //! The four gate blocks are fused into single `W (in × 4H)`, `U (H × 4H)`
 //! and `b (4H)` parameters in `[i, f, o, g]` order.
 
-use icsad_simd::{
-    col_sum_acc_f32, gemm_bias_f32, gemm_panels_bias_f32, lstm_backward_rows_f32, Buckets,
-    PanelsF32,
-};
+use icsad_simd::{col_sum_acc_f32, gemm_panels_bias_f32, lstm_backward_rows_f32, PanelsF32};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::tensor::{gemm_panels_acc, grow, outer_acc, outer_dense_acc, Tensor2, Weights};
+use crate::tensor::{gemm_panels_acc, grow, outer_dense_acc, Tensor2, Weights};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,7 +234,7 @@ pub(crate) struct LayerTape {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BpttScratch {
     /// Gate-preactivation gradients, `total x 4H`.
-    dz: Vec<f32>,
+    pub(crate) dz: Vec<f32>,
     /// Hidden gradient flowing to the previous timestep, `max_lanes x H`.
     dh_next: Vec<f32>,
     /// Cell gradient flowing to the previous timestep, `max_lanes x H`.
@@ -249,8 +246,6 @@ pub(crate) struct BpttScratch {
     /// The panels of `dZ` the dense weight-gradient products
     /// ([`outer_dense_acc`]) pack.
     pack: Vec<f32>,
-    /// The counting sort of the one-hot weight gradient ([`outer_acc`]).
-    buckets: Buckets,
 }
 
 impl LstmLayer {
@@ -304,15 +299,11 @@ impl LstmLayer {
         self.w.len() + self.u.len() + self.b.len()
     }
 
-    /// Builds the panel-major copies [`LstmLayer::forward_schedule`] reads —
-    /// `u` always, `w` only when the layer's input is dense (a one-hot
-    /// stack input goes through the zero-skipping row-major kernel).
-    /// Idempotent.
-    pub(crate) fn pack_panels(&self, sparse_input: bool) {
+    /// Builds the panel-major copies [`LstmLayer::forward_schedule`] reads,
+    /// of `w` and `u`. Idempotent.
+    pub(crate) fn pack_panels(&self) {
         self.u.panels();
-        if !sparse_input {
-            self.w.panels();
-        }
+        self.w.panels();
     }
 
     /// Heap bytes of the panel-major copies built so far.
@@ -335,36 +326,34 @@ impl LstmLayer {
     /// one-timestep schedule) run it through
     /// [`crate::LstmClassifier::forward_schedule`].
     ///
-    /// `x_cat` is the concatenated `total x input_dim` input block in
-    /// schedule order. The input projection `W x` runs as **one** matrix
-    /// product over every (timestep, lane) row at once; only the recurrent
-    /// half walks time. Per gate element every input-projection
-    /// contribution precedes every recurrent contribution, each in
-    /// ascending index order — exactly the order of stepping one timestep
-    /// at a time, so each lane's activations are bitwise those of stepping
-    /// that lane alone (the tests hold it to a per-record reference step).
+    /// `x` is the concatenated `total x input_dim` input block in schedule
+    /// order. The input projection `W x` runs as **one** matrix product
+    /// over every (timestep, lane) row at once; only the recurrent half
+    /// walks time. Per gate element every input-projection contribution
+    /// precedes every recurrent contribution, each in ascending index
+    /// order — exactly the order of stepping one timestep at a time, so
+    /// each lane's activations are bitwise those of stepping that lane
+    /// alone (the tests hold it to a per-record reference step).
     ///
     /// Lanes start from the zero state, or with `init = Some((h, c))` from
     /// the rows of `h` and `c` (`lanes x H`, at least `max_lanes()` rows)
     /// — the state a previous time block, or a gather of stream states,
     /// left them in.
     ///
-    /// `sparse_input` selects the zero-skipping kernel over the row-major
-    /// `W` (right for the one-hot stack input); dense inputs and `U h` read
-    /// the weights' panel-major copies ([`crate::tensor::Weights::panels`]),
-    /// packed on first use if [`LstmLayer::pack_panels`] has not run — the
-    /// trainer and the model loader pack up front, so nothing packs here.
+    /// Both products read the weights' panel-major copies
+    /// ([`crate::tensor::Weights::panels`]), packed on first use if
+    /// [`LstmLayer::pack_panels`] has not run — the trainer and the model
+    /// loader pack up front, so nothing packs here.
     pub(crate) fn forward_schedule(
         &self,
         sched: &LaneSchedule,
-        x_cat: &[f32],
+        x: &[f32],
         tape: &mut LayerTape,
-        sparse_input: bool,
         init: Option<(&[f32], &[f32])>,
     ) {
-        debug_assert_eq!(x_cat.len(), sched.total * self.input_dim);
+        debug_assert_eq!(x.len(), sched.total * self.input_dim);
         let z = self.gate_rows(tape, sched.total);
-        self.project_input(x_cat, z, sparse_input);
+        gemm_panels_bias_f32(sched.total, x, self.w.panels(), &self.b, z);
         self.forward_projected(sched, tape, init);
     }
 
@@ -374,26 +363,6 @@ impl LstmLayer {
         let len = total * 4 * self.hidden_dim;
         grow(&mut tape.z, len);
         &mut tape.z[..len]
-    }
-
-    /// Bias rows plus the input projection, `z[r] = b + x[r]ᵀ W`, for every
-    /// row of `x_cat` at once — the first half of
-    /// [`LstmLayer::forward_schedule`]. The products start their
-    /// accumulators from the bias, so no pass copies it into `z` first.
-    pub(crate) fn project_input(&self, x_cat: &[f32], z: &mut [f32], sparse_input: bool) {
-        let rows = z.len() / (4 * self.hidden_dim);
-        if sparse_input {
-            let (k_dim, n) = (self.w.rows(), self.w.cols());
-            gemm_bias_f32(rows, x_cat, k_dim, self.w.as_slice(), n, &self.b, z);
-        } else {
-            gemm_panels_bias_f32(rows, x_cat, self.w.panels(), &self.b, z);
-        }
-    }
-
-    /// Row `k` of the input weights: what an input entry of exactly 1.0 at
-    /// index `k` adds to a gate row.
-    pub(crate) fn input_row(&self, k: usize) -> &[f32] {
-        self.w.row(k)
     }
 
     /// The recurrent half of [`LstmLayer::forward_schedule`], over a tape
@@ -455,9 +424,11 @@ impl LstmLayer {
     /// `self.w` transposed — `∂L/∂x` is written (overwritten, not
     /// accumulated) into `d_inputs` in tape layout; the bottom layer of a
     /// stack passes `None`, because nothing consumes its input gradient,
-    /// and `d_inputs` is left untouched. `sparse_input` is the forward
-    /// pass's flag: a one-hot input keeps the zero-skipping [`outer_acc`]
-    /// for `dW`, a dense one takes [`outer_dense_acc`] over `x_cat`'s rows.
+    /// and `d_inputs` is left untouched. With `x = Some(..)`, the layer's
+    /// dense input block in tape layout, `dW` accumulates too; the bottom
+    /// layer passes `None` and its caller adds `dW` from the gate
+    /// gradients this leaves in `scratch.dz` (the stack input is one-hot,
+    /// which only the model knows).
     ///
     /// Only the per-element gate calculus (one dispatched kernel per
     /// timestep, [`icsad_simd::lstm_backward_rows_f32`]) and the recurrent
@@ -474,7 +445,7 @@ impl LstmLayer {
     pub(crate) fn backward_batch(
         &self,
         sched: &LaneSchedule,
-        x_cat: &[f32],
+        x: Option<&[f32]>,
         tape: &LayerTape,
         d_out: &[f32],
         wt: Option<&PanelsF32>,
@@ -482,12 +453,10 @@ impl LstmLayer {
         grad: &mut LstmGrad,
         d_inputs: &mut [f32],
         scratch: &mut BpttScratch,
-        sparse_input: bool,
     ) {
         let hd = self.hidden_dim;
         let total = sched.total;
         let lanes = sched.max_lanes();
-        debug_assert_eq!(x_cat.len(), total * self.input_dim);
         debug_assert_eq!(d_out.len(), total * hd);
         debug_assert_eq!(d_inputs.len(), total * self.input_dim);
         grow(&mut scratch.dz, total * 4 * hd);
@@ -500,7 +469,6 @@ impl LstmLayer {
             dc_next,
             zeros,
             pack,
-            buckets,
         } = scratch;
         let dz = &mut dz[..total * 4 * hd];
         let dh_next = &mut dh_next[..lanes * hd];
@@ -537,10 +505,9 @@ impl LstmLayer {
         }
 
         // Parameter gradients, each as one kernel over the whole chunk.
-        if sparse_input {
-            outer_acc(total, x_cat, dz, &mut grad.w, buckets);
-        } else {
-            outer_dense_acc(x_cat.chunks_exact(self.input_dim), dz, &mut grad.w, pack);
+        if let Some(x) = x {
+            debug_assert_eq!(x.len(), total * self.input_dim);
+            outer_dense_acc(x.chunks_exact(self.input_dim), dz, &mut grad.w, pack);
         }
         let h_prev = sched.previous_rows(&tape.out, hd, &zeros[..hd]);
         outer_dense_acc(h_prev, dz, &mut grad.u, pack);
@@ -572,19 +539,22 @@ impl LstmGrad {
 #[cfg(test)]
 impl LstmLayer {
     /// The per-record reference step the batched forward is tested
-    /// against: advances `state` by one timestep and writes `h_t` into
-    /// `out_h`. Both products run through the zero-skipping row-major
-    /// kernel one row at a time, `x W` started from the bias and `h U`
-    /// from that sum — not the panel product
-    /// [`LstmLayer::forward_schedule`] runs for `U h` — so a bug in the
-    /// batched step cannot hide on both sides of the comparison.
+    /// against, for a dense input: advances `state` by one timestep and
+    /// writes `h_t` into `out_h`, with `x W` started from the bias by the
+    /// scalar loop [`crate::tensor::reference_row`].
     pub(crate) fn forward(&self, x: &[f32], state: &mut LstmState, out_h: &mut [f32]) {
-        let (hd, n) = (self.hidden_dim, 4 * self.hidden_dim);
-        let mut xw = vec![0.0; n];
-        gemm_bias_f32(1, x, self.input_dim, self.w.as_slice(), n, &self.b, &mut xw);
-        let mut z = vec![0.0; n];
-        gemm_bias_f32(1, &state.h, hd, self.u.as_slice(), n, &xw, &mut z);
-        icsad_simd::lstm_rows_f32(hd, &mut z, &mut state.c, &mut state.h, None);
+        let xw = crate::tensor::reference_row(x, &self.w, &self.b);
+        self.step_from(xw, state, out_h);
+    }
+
+    /// The rest of the reference step from a gate row `xw = b + x W`: `h U`
+    /// continued from it by the scalar loop — not the panel product
+    /// [`LstmLayer::forward_schedule`] runs, so a bug in the batched step
+    /// cannot hide on both sides of the comparison — then the gates and
+    /// the cell.
+    pub(crate) fn step_from(&self, xw: Vec<f32>, state: &mut LstmState, out_h: &mut [f32]) {
+        let mut z = crate::tensor::reference_row(&state.h, &self.u, &xw);
+        icsad_simd::lstm_rows_f32(self.hidden_dim, &mut z, &mut state.c, &mut state.h, None);
         out_h.copy_from_slice(&state.h);
     }
 }
@@ -668,8 +638,8 @@ mod tests {
 
     /// Every lane of a ragged schedule, and the one-timestep rounds that
     /// carry a lane on from its `(h, c)` rows, equals the reference step
-    /// [`LstmLayer::forward`] on that lane alone — at a width past the
-    /// gemm's k block, on inputs mixing zeros, ones and reals.
+    /// [`LstmLayer::forward`] on that lane alone — at a hidden width past a
+    /// panel, on inputs mixing zeros, ones and reals.
     #[test]
     fn forward_schedule_matches_streaming_forward_bitwise() {
         let (dim, hd) = (5, 40);
@@ -685,15 +655,15 @@ mod tests {
         };
         // Two ragged lanes, lengths 5 and 3 (sorted descending).
         let sched = LaneSchedule::from_sorted_lens(&[5, 3]);
-        let mut x_cat = vec![0.0f32; sched.total * dim];
+        let mut x_block = vec![0.0f32; sched.total * dim];
         for t in 0..sched.steps() {
             for i in 0..sched.counts[t] {
                 let r = sched.offsets[t] + i;
-                x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t));
+                x_block[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t));
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
+        layer.forward_schedule(&sched, &x_block, &mut tape, None);
 
         let mut h = vec![0.0f32; hd];
         let mut states = [LstmState::zeros(hd), LstmState::zeros(hd)];
@@ -723,7 +693,7 @@ mod tests {
             tape.c[r * hd..(r + 1) * hd].to_vec(),
         );
         for t in 5..9 {
-            layer.forward_schedule(&round, &input(0, t), &mut tape, false, Some((&h0, &c0)));
+            layer.forward_schedule(&round, &input(0, t), &mut tape, Some((&h0, &c0)));
             layer.forward(&input(0, t), &mut states[0], &mut h);
             assert_eq!(&tape.out[..hd], h.as_slice(), "round t {t}");
             assert_eq!(&tape.c[..hd], states[0].c.as_slice(), "round cell t {t}");
@@ -744,11 +714,11 @@ mod tests {
         let layer = LstmLayer::new(dim, hd, &mut rng());
         let sched = LaneSchedule::from_sorted_lens(&[4, 3, 1]);
         let total = sched.total;
-        let x_cat: Vec<f32> = (0..total * dim)
+        let x_block: Vec<f32> = (0..total * dim)
             .map(|i| ((i * 17 % 29) as f32 - 14.0) / 9.0)
             .collect();
         let mut tape = LayerTape::default();
-        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
+        layer.forward_schedule(&sched, &x_block, &mut tape, None);
         let d_out: Vec<f32> = (0..total * hd)
             .map(|i| ((i * 13 % 23) as f32 - 11.0) / 7.0)
             .collect();
@@ -758,7 +728,7 @@ mod tests {
         let mut scratch = BpttScratch::default();
         layer.backward_batch(
             &sched,
-            &x_cat,
+            Some(&x_block),
             &tape,
             &d_out,
             None,
@@ -766,7 +736,6 @@ mod tests {
             &mut grad,
             &mut d_inputs,
             &mut scratch,
-            false,
         );
 
         let mut h_prev = vec![0.0f32; total * hd];
@@ -790,7 +759,7 @@ mod tests {
         icsad_simd::gemm_dense_acc_f32(hd, &ht, total, dz, 4 * hd, want_u.as_mut_slice());
         assert_eq!(grad.u, want_u);
         let mut want_w = Tensor2::zeros(dim, 4 * hd);
-        let xt = transpose(&x_cat, dim);
+        let xt = transpose(&x_block, dim);
         icsad_simd::gemm_dense_acc_f32(dim, &xt, total, dz, 4 * hd, want_w.as_mut_slice());
         assert_eq!(grad.w, want_w);
     }
@@ -831,15 +800,15 @@ mod tests {
 
         // Analytic gradients through the batched tape.
         let sched = LaneSchedule::from_sorted_lens(&lane_lens);
-        let mut x_cat = vec![0.0f32; sched.total * 3];
+        let mut x_block = vec![0.0f32; sched.total * 3];
         for (i, inputs) in lane_inputs.iter().enumerate() {
             for (t, x) in inputs.iter().enumerate() {
                 let r = sched.offsets[t] + i;
-                x_cat[r * 3..(r + 1) * 3].copy_from_slice(x);
+                x_block[r * 3..(r + 1) * 3].copy_from_slice(x);
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_schedule(&sched, &x_cat, &mut tape, false, None);
+        layer.forward_schedule(&sched, &x_block, &mut tape, None);
         let d_out = tape.out[..sched.total * 4].to_vec();
         let wt = PanelsF32::pack_transposed(layer.w.as_slice(), 3, 16);
         let ut = PanelsF32::pack_transposed(layer.u.as_slice(), 4, 16);
@@ -848,7 +817,7 @@ mod tests {
         let mut scratch = BpttScratch::default();
         layer.backward_batch(
             &sched,
-            &x_cat,
+            Some(&x_block),
             &tape,
             &d_out,
             Some(&wt),
@@ -856,17 +825,17 @@ mod tests {
             &mut grad,
             &mut d_inputs,
             &mut scratch,
-            false,
         );
 
-        // The bottom-of-stack flavour — zero-skipping `dW`, no input
-        // gradient — accumulates the same parameter gradients and leaves
-        // `d_inputs` alone.
+        // The bottom-of-stack flavour — no input gradient, and `dW` left to
+        // the caller — accumulates the same `dU` and `db`, leaves `dW` and
+        // `d_inputs` alone, and leaves the gate gradients whose `dW` the
+        // caller takes in `scratch.dz`.
         let mut bottom = layer.zero_grad();
         let mut untouched = vec![f32::NAN; sched.total * 3];
         layer.backward_batch(
             &sched,
-            &x_cat,
+            None,
             &tape,
             &d_out,
             None,
@@ -874,13 +843,14 @@ mod tests {
             &mut bottom,
             &mut untouched,
             &mut scratch,
-            true,
         );
-        assert_eq!(
-            (&bottom.w, &bottom.u, &bottom.b),
-            (&grad.w, &grad.u, &grad.b)
-        );
+        assert_eq!((&bottom.u, &bottom.b), (&grad.u, &grad.b));
+        assert!(bottom.w.as_slice().iter().all(|&g| g == 0.0));
         assert!(untouched.iter().all(|v| v.is_nan()));
+        let mut pack = Vec::new();
+        let dz = &scratch.dz[..sched.total * 16];
+        outer_dense_acc(x_block.chunks_exact(3), dz, &mut bottom.w, &mut pack);
+        assert_eq!(bottom.w, grad.w);
 
         // Numerical check on a sample of W, U, b entries.
         let eps = 1e-2f32;

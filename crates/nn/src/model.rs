@@ -1,12 +1,19 @@
 //! The stacked LSTM softmax classifier (paper Fig. 2).
 
-use icsad_simd::{rank_panels_f32, softmax_head_f32, HeadGrads, HeadScratch, PanelsF32};
+use std::ops::Range;
+
+use icsad_simd::{
+    onehot_bias_f32, onehot_outer_acc_f32, rank_panels_f32, softmax_head_f32, Buckets, HeadGrads,
+    HeadScratch, PanelsF32,
+};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::dense::{Dense, DenseGrad};
 use crate::lstm::{BpttScratch, LaneSchedule, LayerTape, LstmLayer, LstmState};
+use crate::onehot::OneHotRows;
 use crate::tensor::{grow, Tensor2};
+use crate::trainer::SequenceBlock;
 
 /// Architecture of the classifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +32,11 @@ pub struct ModelConfig {
 /// (one-hot) feature vectors of previous packages it outputs
 /// `Pr(s | c^{(t-1)}, c^{(t-2)}, …)` for every signature `s` in the
 /// database.
+///
+/// The model is the one place that knows the stack input is one-hot: it
+/// reads inputs as the indices of their ones ([`OneHotRows`]) and runs the
+/// bottom layer's input projection and weight gradient itself. The entries
+/// that take dense 0/1 rows convert them at the boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmClassifier {
     config: ModelConfig,
@@ -181,6 +193,8 @@ pub struct ForwardScratch {
     last_step: Option<(usize, usize)>,
     /// Largest schedule (`total` rows) run through these buffers.
     rows: usize,
+    /// The ones of the dense rows a gathered step with logits was given.
+    dense: OneHotRows,
 }
 
 impl ForwardScratch {
@@ -193,12 +207,13 @@ impl ForwardScratch {
 }
 
 /// Pooled buffers for [`LstmClassifier::train_batch`]: the lane schedule,
-/// the concatenated input block and targets, the forward pass's tapes, the
-/// head's tile and the loss outputs, and the backward scratch with the
-/// kernels' own buffers (the dense weight gradients' panel pack and the
-/// one-hot weight gradient's counting sort). No buffer holds a row per
-/// class: the head's logits live one row group at a time in `head`; and
-/// none holds a copy of a tape: the weight gradients read the tapes in
+/// each row's block step and target, the forward pass's tapes, the head's
+/// tile and the loss outputs, and the backward scratch with the kernels'
+/// own buffers (the dense weight gradients' panel pack and the one-hot
+/// weight gradient's counting sort). No buffer holds a row per class: the
+/// head's logits live one row group at a time in `head`; and none holds a
+/// copy of an input row or a tape: the one-hot products read the block's
+/// rows through the row map and the weight gradients read the tapes in
 /// place. Every buffer grows to the largest minibatch seen and is reused
 /// across chunks, so once grown a `train_batch` call allocates nothing,
 /// on whatever thread it runs.
@@ -210,8 +225,8 @@ pub(crate) struct TrainScratch {
     lens: Vec<usize>,
     /// The time-major schedule of those lanes.
     sched: LaneSchedule,
-    /// Concatenated inputs, `total x input_dim`.
-    x_cat: Vec<f32>,
+    /// The block step each row reads, in row order.
+    steps: Vec<usize>,
     /// One forward tape per layer.
     tapes: Vec<LayerTape>,
     /// Each row's target class, in row order.
@@ -226,6 +241,8 @@ pub(crate) struct TrainScratch {
     d_b: Vec<f32>,
     /// Per-layer backward scratch (shared, grown to the largest layer).
     bptt: BpttScratch,
+    /// The counting sort of the bottom layer's one-hot weight gradient.
+    buckets: Buckets,
 }
 
 impl LstmClassifier {
@@ -300,9 +317,11 @@ impl LstmClassifier {
     /// [`crate::Trainer::fit_epoch`] calls it after every optimizer step; a
     /// model assembled any other way packs lazily on first use.
     pub fn pack_panels(&self) {
-        for (l, layer) in self.layers.iter().enumerate() {
-            // Only the stack input is one-hot.
-            layer.pack_panels(l == 0);
+        // The one-hot product reads the bottom layer's input weights
+        // row-major, so only its recurrent weights have panels.
+        self.layers[0].u.panels();
+        for layer in &self.layers[1..] {
+            layer.pack_panels();
         }
         self.dense.w.panels();
     }
@@ -342,7 +361,8 @@ impl LstmClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != input_dim` or `out.len() != num_classes`.
+    /// Panics if `x.len() != input_dim`, `out.len() != num_classes` or an
+    /// entry of `x` is not exactly `0.0` or `1.0`.
     pub fn step_logits(&self, state: &mut StreamState, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.config.input_dim, "input dim mismatch");
         assert_eq!(out.len(), self.config.num_classes, "probs len mismatch");
@@ -402,17 +422,19 @@ impl LstmClassifier {
     /// the stack steps as [`LstmClassifier::forward_batch_gathered_rows`]
     /// and the head runs on the new top-layer rows.
     ///
-    /// `xs` is the row-major `batch x input_dim` input block and `logits`
-    /// the row-major `batch x num_classes` output block; row `i` belongs to
-    /// the lane gathered into row `i`. After
+    /// `xs` is the row-major `batch x input_dim` block of dense 0/1 input
+    /// rows, converted to their ones at this boundary, and `logits` the
+    /// row-major `batch x num_classes` output block; row `i` belongs to the
+    /// lane gathered into row `i`. After
     /// [`LstmClassifier::scatter_lane`] each lane's state and logits are
     /// bit-identical to stepping it alone, in a round of one
     /// ([`LstmClassifier::step_logits`]).
     ///
     /// # Panics
     ///
-    /// Panics if block sizes disagree with `batch` or fewer than `batch`
-    /// rows were ever gathered.
+    /// Panics if block sizes disagree with `batch`, an entry of `xs` is not
+    /// exactly `0.0` or `1.0`, or fewer than `batch` rows were ever
+    /// gathered.
     pub fn forward_batch_gathered_logits(
         &self,
         scratch: &mut ForwardScratch,
@@ -420,13 +442,11 @@ impl LstmClassifier {
         xs: &[f32],
         logits: &mut [f32],
     ) {
-        assert_eq!(
-            xs.len(),
-            batch * self.config.input_dim,
-            "batch input mismatch"
-        );
-        let rows = self.round_input_rows(scratch, batch);
-        self.input_preactivations(xs, rows);
+        let dim = self.config.input_dim;
+        assert_eq!(xs.len(), batch * dim, "batch input mismatch");
+        scratch.dense.fill_dense(dim, xs.chunks_exact(dim));
+        let rows = self.bottom_rows(&mut scratch.tapes, batch);
+        self.project_onehot(scratch.dense.rows(), rows);
         self.forward_batch_gathered_rows(scratch, batch);
         let top = self.layers.len() - 1;
         let top_out = &scratch.tapes[top].out[..batch * self.layers[top].hidden_dim()];
@@ -434,42 +454,49 @@ impl LstmClassifier {
     }
 
     /// The bottom layer's gate pre-activations `b + xᵀW` (`4 H₀` wide) of
-    /// each row of the one-hot block `xs` (`rows x input_dim`), written to
-    /// `out` (`rows x 4 H₀`) through the zero-skipping product every round
-    /// runs. Rows are independent, so a row computed once here — a
-    /// detector's per-signature table — equals the row a round computes
-    /// from the same input, bit for bit.
+    /// each one-hot row of `inputs`, written to `out` (`rows x 4 H₀`)
+    /// through the one-hot product every round runs. Rows are independent,
+    /// so a row computed once here — a detector's per-signature table —
+    /// equals the row a round computes from the same input, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` and `out` do not hold the same number of rows.
-    pub fn input_preactivations(&self, xs: &[f32], out: &mut [f32]) {
-        let bottom = &self.layers[0];
-        let rows = out.len() / (4 * bottom.hidden_dim());
+    /// Panics if `inputs` are not `input_dim` wide or `out` does not hold
+    /// one gate row per input row.
+    pub fn input_preactivations(&self, inputs: &OneHotRows, out: &mut [f32]) {
         assert_eq!(
-            xs.len(),
-            rows * self.config.input_dim,
-            "input rows mismatch"
+            inputs.input_dim(),
+            self.config.input_dim,
+            "input dim mismatch"
         );
-        assert_eq!(
-            out.len(),
-            rows * 4 * bottom.hidden_dim(),
-            "gate rows mismatch"
-        );
-        bottom.project_input(xs, out, true);
+        self.project_onehot(inputs.rows(), out);
     }
 
     /// Row `k` of the bottom layer's input weights (`4 H₀` wide): what an
-    /// input entry of exactly 1.0 at index `k` adds to a row of
-    /// [`LstmClassifier::input_preactivations`]. The zero-skipping product
-    /// adds it last when `k` is the last input, with one plain add per
-    /// element.
+    /// input one at index `k` adds to a row of
+    /// [`LstmClassifier::input_preactivations`]. The one-hot product adds
+    /// it last when `k` is the last input, with one plain add per element.
     ///
     /// # Panics
     ///
     /// Panics if `k >= input_dim`.
     pub fn input_weights_row(&self, k: usize) -> &[f32] {
-        self.layers[0].input_row(k)
+        self.layers[0].w.row(k)
+    }
+
+    /// The bottom layer's one-hot product: `z[r] = b + Σ_{k ∈ rows[r]} W[k]`
+    /// for each index row, the ones added in ascending order.
+    fn project_onehot<'a>(&self, rows: impl Iterator<Item = &'a [u32]> + Clone, z: &mut [f32]) {
+        let bottom = &self.layers[0];
+        onehot_bias_f32(rows, bottom.w.as_slice(), bottom.w.cols(), &bottom.b, z);
+    }
+
+    /// The bottom layer's gate rows of a call over `total` rows (`total x
+    /// 4 H₀`), grown if needed: where the one-hot product lands and
+    /// [`LstmClassifier::forward_stack`] starts.
+    fn bottom_rows<'t>(&self, tapes: &'t mut Vec<LayerTape>, total: usize) -> &'t mut [f32] {
+        tapes.resize_with(self.layers.len(), LayerTape::default);
+        self.layers[0].gate_rows(&mut tapes[0], total)
     }
 
     /// The bottom layer's gate rows of the next round on `scratch`, `batch
@@ -480,10 +507,7 @@ impl LstmClassifier {
         scratch: &'s mut ForwardScratch,
         batch: usize,
     ) -> &'s mut [f32] {
-        scratch
-            .tapes
-            .resize_with(self.layers.len(), LayerTape::default);
-        self.layers[0].gate_rows(&mut scratch.tapes[0], batch)
+        self.bottom_rows(&mut scratch.tapes, batch)
     }
 
     /// One engine round from bottom-layer pre-activations: advances the
@@ -509,7 +533,7 @@ impl LstmClassifier {
             ..
         } = scratch;
         round.rebuild_one_step(batch);
-        self.forward_stack(round, None, tapes, Some(carry));
+        self.forward_stack(round, tapes, Some(carry));
         scratch.last_step = Some((0, batch));
         scratch.rows = scratch.rows.max(batch);
     }
@@ -573,10 +597,10 @@ impl LstmClassifier {
     /// runs here: the validation curve ranks the rows it returns with the
     /// fused head ([`LstmClassifier::rank_rows`]).
     ///
-    /// `x_cat` is the concatenated `total x input_dim` input block in
-    /// schedule order. Per layer the input projection runs as one gemm
-    /// over every row and only the recurrent half walks time. Each row
-    /// compares equal to stepping its lane alone, one timestep at a time.
+    /// `inputs` holds one one-hot row per schedule row, in schedule order.
+    /// Per layer the input projection runs as one product over every row
+    /// and only the recurrent half walks time. Each row compares equal to
+    /// stepping its lane alone, one timestep at a time.
     ///
     /// Lanes start from the zero state (`resume = false`), or from the
     /// state the previous call on `scratch` left them in (`resume =
@@ -587,21 +611,21 @@ impl LstmClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `x_cat` is not `total x input_dim`, or if `resume` is set
-    /// and the schedule starts more lanes than the previous call ended
-    /// with.
+    /// Panics if `inputs` are not `input_dim` wide or not one row per
+    /// schedule row, or if `resume` is set and the schedule starts more
+    /// lanes than the previous call ended with.
     pub fn forward_schedule<'s>(
         &self,
         sched: &LaneSchedule,
-        x_cat: &[f32],
+        inputs: &OneHotRows,
         scratch: &'s mut ForwardScratch,
         resume: bool,
     ) -> &'s [f32] {
         let total = sched.total();
         let num_layers = self.layers.len();
         assert_eq!(
-            x_cat.len(),
-            total * self.config.input_dim,
+            inputs.input_dim(),
+            self.config.input_dim,
             "input dim mismatch"
         );
         if resume {
@@ -624,8 +648,10 @@ impl LstmClassifier {
                 c.extend_from_slice(&tape.c[rows]);
             }
         }
+        let rows = self.bottom_rows(&mut scratch.tapes, total);
+        self.project_onehot(inputs.rows(), rows);
         let init = resume.then_some(&scratch.carry[..]);
-        self.forward_stack(sched, Some(x_cat), &mut scratch.tapes, init);
+        self.forward_stack(sched, &mut scratch.tapes, init);
         scratch.last_step = sched
             .steps()
             .checked_sub(1)
@@ -636,13 +662,12 @@ impl LstmClassifier {
 
     /// The stack half of [`LstmClassifier::forward_schedule`]: tapes every
     /// layer over `sched`, each layer reading the tape of the one below.
-    /// Layer 0 projects the one-hot block `x_cat`, or with `None` starts
-    /// from the gate rows its tape already holds. Lanes start from the zero
-    /// state, or from the per-layer `(h, c)` rows of `init`.
+    /// Layer 0 starts from the gate rows its tape already holds
+    /// ([`LstmClassifier::bottom_rows`]). Lanes start from the zero state,
+    /// or from the per-layer `(h, c)` rows of `init`.
     fn forward_stack(
         &self,
         sched: &LaneSchedule,
-        x_cat: Option<&[f32]>,
         tapes: &mut Vec<LayerTape>,
         init: Option<&[(Vec<f32>, Vec<f32>)]>,
     ) {
@@ -651,22 +676,18 @@ impl LstmClassifier {
         for (l, layer) in self.layers.iter().enumerate() {
             let (below, at) = tapes.split_at_mut(l);
             let init = init.map(|carry| (&carry[l].0[..], &carry[l].1[..]));
-            match (l, x_cat) {
-                // Only the stack input is one-hot; higher layers consume
-                // dense activations.
-                (0, Some(x_cat)) => layer.forward_schedule(sched, x_cat, &mut at[0], true, init),
-                (0, None) => layer.forward_projected(sched, &mut at[0], init),
-                _ => {
-                    let x_block = &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()];
-                    layer.forward_schedule(sched, x_block, &mut at[0], false, init);
-                }
+            if l == 0 {
+                layer.forward_projected(sched, &mut at[0], init);
+            } else {
+                let x = &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()];
+                layer.forward_schedule(sched, x, &mut at[0], init);
             }
         }
     }
 
     /// Runs truncated BPTT over a minibatch of chunks (lanes) at once: a
-    /// lane is its row-major inputs (one `input_dim` row per step) and one
-    /// target class per step, and step `t`'s input predicts its target.
+    /// lane is a range of `block`'s steps, and step `t`'s input predicts its
+    /// target.
     /// Accumulates parameter gradients scaled by `scale` into `grads` and
     /// returns the summed cross-entropy loss and the number of
     /// top-1-correct predictions. A row whose target probability is NaN (a
@@ -693,17 +714,18 @@ impl LstmClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if a lane's inputs are not one `input_dim` row per target or
-    /// a target is out of range.
+    /// Panics if the block's rows are not `input_dim` wide, a lane is not
+    /// steps of the block or a target is out of range.
     pub(crate) fn train_batch(
         &self,
         pack: &BackwardPack,
-        lanes: &[(&[f32], &[usize])],
+        block: &SequenceBlock,
+        lanes: &[Range<usize>],
         scratch: &mut TrainScratch,
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
-        let total = self.forward_chunks(lanes, scratch);
+        let total = self.forward_chunks(block, lanes, scratch);
         if total == 0 {
             return (0.0, 0);
         }
@@ -734,27 +756,34 @@ impl LstmClassifier {
             loss += -loss_floor(p).ln();
         }
         let correct = scratch.top1[..total].iter().filter(|&&hit| hit).count();
-        self.backward_stack(pack, scratch, grads, total);
+        self.backward_stack(pack, block, scratch, grads, total);
         (loss, correct)
     }
 
     /// The forward half of [`LstmClassifier::train_batch`]: schedules the
-    /// lanes longest-first, gathers their inputs and targets into row
-    /// order and tapes the stack (no head); returns the row count.
-    fn forward_chunks(&self, lanes: &[(&[f32], &[usize])], scratch: &mut TrainScratch) -> usize {
-        let in_dim = self.config.input_dim;
-        for (x, targets) in lanes {
-            assert_eq!(x.len(), targets.len() * in_dim, "input dim mismatch");
-        }
+    /// lanes longest-first, maps each row to its block step, gathers the
+    /// targets into row order and tapes the stack (no head), the one-hot
+    /// product reading the block's rows in place; returns the row count.
+    fn forward_chunks(
+        &self,
+        block: &SequenceBlock,
+        lanes: &[Range<usize>],
+        scratch: &mut TrainScratch,
+    ) -> usize {
+        assert_eq!(
+            block.input_dim(),
+            self.config.input_dim,
+            "input dim mismatch"
+        );
         // Schedule lanes longest-first. The sort is stable and keys only on
         // the data, so the schedule — and with it every accumulation
         // order below — is a pure function of the chunk set.
         let order = &mut scratch.order;
         order.clear();
         order.extend(0..lanes.len());
-        order.sort_by(|&a, &b| lanes[b].1.len().cmp(&lanes[a].1.len()));
+        order.sort_by(|&a, &b| lanes[b].len().cmp(&lanes[a].len()));
         scratch.lens.clear();
-        scratch.lens.extend(order.iter().map(|&i| lanes[i].1.len()));
+        scratch.lens.extend(order.iter().map(|&i| lanes[i].len()));
         scratch.sched.rebuild(&scratch.lens);
         let sched = &scratch.sched;
         let total = sched.total();
@@ -762,22 +791,21 @@ impl LstmClassifier {
             return 0;
         }
 
-        // Gather inputs into the concatenated time-major block.
-        grow(&mut scratch.x_cat, total * in_dim);
+        // The row map: each row's block step, in time-major row order.
+        scratch.steps.resize(total, 0);
         scratch.targets.resize(total, 0);
-        let x_cat = &mut scratch.x_cat[..total * in_dim];
         for t in 0..sched.steps() {
             for (i, &lane) in order[..sched.lanes_at(t)].iter().enumerate() {
-                let (x, targets) = lanes[lane];
-                let r = sched.row(t, i);
-                x_cat[r * in_dim..(r + 1) * in_dim]
-                    .copy_from_slice(&x[t * in_dim..(t + 1) * in_dim]);
-                scratch.targets[r] = targets[t];
+                let (r, step) = (sched.row(t, i), lanes[lane].start + t);
+                scratch.steps[r] = step;
+                scratch.targets[r] = block.target(step);
             }
         }
 
         // Forward through the stack, taping every layer.
-        self.forward_stack(sched, Some(x_cat), &mut scratch.tapes, None);
+        let rows = self.bottom_rows(&mut scratch.tapes, total);
+        self.project_onehot(scratch.steps.iter().map(|&s| block.row(s)), rows);
+        self.forward_stack(sched, &mut scratch.tapes, None);
         total
     }
 
@@ -803,10 +831,13 @@ impl LstmClassifier {
 
     /// The backward half of [`LstmClassifier::train_batch`]: BPTT down the
     /// stack from the top layer's output gradient in `scratch.d_a`,
-    /// accumulating into `grads`.
+    /// accumulating into `grads`. The bottom layer's `dW` is the one-hot
+    /// weight gradient over the block's rows, from the gate gradients its
+    /// backward leaves.
     fn backward_stack(
         &self,
         pack: &BackwardPack,
+        block: &SequenceBlock,
         scratch: &mut TrainScratch,
         grads: &mut Gradients,
         total: usize,
@@ -815,18 +846,13 @@ impl LstmClassifier {
         // layer's d_out and producing its d_inputs; the bottom layer
         // produces none (its pack entry is `None`) — nothing would read it.
         let sched = &scratch.sched;
-        let x_cat = &scratch.x_cat[..total * self.config.input_dim];
         let tapes = &scratch.tapes;
         let (mut d_out_buf, mut d_in_buf) = (&mut scratch.d_a, &mut scratch.d_b);
         for l in (0..self.layers.len()).rev() {
-            let x_block: &[f32] = if l == 0 {
-                x_cat
-            } else {
-                &tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
-            };
+            let x = (l > 0).then(|| &tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]);
             self.layers[l].backward_batch(
                 sched,
-                x_block,
+                x,
                 &tapes[l],
                 &d_out_buf[..total * self.layers[l].hidden_dim()],
                 pack.layers[l].wt.as_ref(),
@@ -834,11 +860,19 @@ impl LstmClassifier {
                 &mut grads.layers[l],
                 &mut d_in_buf[..total * self.layers[l].input_dim()],
                 &mut scratch.bptt,
-                // Only the stack input is one-hot.
-                l == 0,
             );
             std::mem::swap(&mut d_out_buf, &mut d_in_buf);
         }
+        let dw = &mut grads.layers[0].w;
+        let (k_dim, n) = (dw.rows(), dw.cols());
+        onehot_outer_acc_f32(
+            scratch.steps[..total].iter().map(|&s| block.row(s)),
+            k_dim,
+            &scratch.bptt.dz[..total * n],
+            n,
+            dw.as_mut_slice(),
+            &mut scratch.buckets,
+        );
     }
 
     /// Pairs every parameter slice with its gradient slice, in a stable
@@ -997,17 +1031,55 @@ mod tests {
         }
     }
 
-    /// The per-record reference step every batched forward is held to: the
-    /// layers' and the head's one-row forwards
-    /// ([`LstmLayer::forward`], [`Dense::forward`]), chained.
+    /// The per-record reference step every batched forward is held to,
+    /// for a dense 0/1 input row `x`: the bottom layer's gate row by the
+    /// scalar loop of the one-hot product — the bias, then each weight row
+    /// of a one in ascending order, one plain add per element — then the
+    /// layers' and the head's one-row forwards ([`LstmLayer::step_from`],
+    /// [`LstmLayer::forward`], [`Dense::forward`]), chained.
     fn reference_step(model: &LstmClassifier, state: &mut StreamState, x: &[f32], out: &mut [f32]) {
-        let mut input = x.to_vec();
-        for (layer, lane) in model.layers.iter().zip(&mut state.layers) {
+        let bottom = &model.layers[0];
+        let mut xw = bottom.b.clone();
+        for (k, &xk) in x.iter().enumerate() {
+            assert!(xk == 0.0 || xk == 1.0, "the reference takes one-hot rows");
+            if xk == 1.0 {
+                for (z, &w) in xw.iter_mut().zip(bottom.w.row(k)) {
+                    *z += w;
+                }
+            }
+        }
+        let mut input = vec![0.0; bottom.hidden_dim()];
+        bottom.step_from(xw, &mut state.layers[0], &mut input);
+        for (layer, lane) in model.layers[1..].iter().zip(&mut state.layers[1..]) {
             let mut h = vec![0.0; layer.hidden_dim()];
             layer.forward(&input, lane, &mut h);
             input = h;
         }
         model.dense.forward(&input, out);
+    }
+
+    /// A dense one-hot row of `dim` entries with ones at `ones`.
+    fn one_hot(dim: usize, ones: &[usize]) -> Vec<f32> {
+        let mut x = vec![0.0f32; dim];
+        for &k in ones {
+            x[k] = 1.0;
+        }
+        x
+    }
+
+    /// A deterministic one-hot row of `dim` entries for `(lane, t)`: two
+    /// ones (one if they coincide), the last input — the noise flag a
+    /// detector sets — among them on some rows.
+    fn lane_input(dim: usize, lane: usize, t: usize) -> Vec<f32> {
+        let h = lane * 31 + t * 7 + 3;
+        one_hot(dim, &[h % dim, (h * 5 + 1) % dim])
+    }
+
+    /// One-hot rows of dense 0/1 rows, in order.
+    fn index_rows(dim: usize, rows: &[Vec<f32>]) -> OneHotRows {
+        let mut out = OneHotRows::default();
+        out.fill_dense(dim, rows.iter().map(|x| &x[..]));
+        out
     }
 
     /// The per-row softmax loop the fused head is held to, in place: the
@@ -1045,11 +1117,22 @@ mod tests {
             .sum()
     }
 
-    /// A lane of [`LstmClassifier::train_batch`] — row-major inputs and
-    /// targets — from `(input, target)` steps.
-    fn flat(steps: &[(Vec<f32>, usize)]) -> (Vec<f32>, Vec<usize>) {
-        let inputs = steps.iter().flat_map(|(x, _)| x.iter().copied()).collect();
-        (inputs, steps.iter().map(|&(_, t)| t).collect())
+    /// A block of [`LstmClassifier::train_batch`] and its lanes, one per
+    /// list of `(input, target)` steps.
+    fn block_of(lanes: &[Vec<(Vec<f32>, usize)>]) -> (SequenceBlock, Vec<Range<usize>>) {
+        let sequences: Vec<crate::Sequence> = lanes
+            .iter()
+            .map(|steps| crate::Sequence::new(steps.clone()))
+            .collect();
+        let mut start = 0;
+        let ranges = lanes
+            .iter()
+            .map(|steps| {
+                start += steps.len();
+                start - steps.len()..start
+            })
+            .collect();
+        (SequenceBlock::from(&sequences[..]), ranges)
     }
 
     #[test]
@@ -1074,13 +1157,10 @@ mod tests {
             seed: 5,
         };
         let mut model = LstmClassifier::new(&config);
-        let onehot = |c: usize| {
-            let mut v = vec![0.0f32; 4];
-            v[c] = 1.0;
-            v
-        };
-        let steps: Vec<(Vec<f32>, usize)> = (0..40).map(|t| (onehot(t % 4), (t + 1) % 4)).collect();
-        let (x, targets) = flat(&steps);
+        let steps: Vec<(Vec<f32>, usize)> = (0..40)
+            .map(|t| (one_hot(4, &[t % 4]), (t + 1) % 4))
+            .collect();
+        let (block, lanes) = block_of(&[steps]);
 
         let mut grads = model.zero_gradients();
         let mut pack = BackwardPack::new(&model);
@@ -1089,8 +1169,8 @@ mod tests {
         let mut last_loss = 0.0;
         for _ in 0..150 {
             grads.zero();
-            let lanes = [(&x[..], &targets[..])];
-            let (loss, _) = model.train_batch(&pack, &lanes, &mut scratch, &mut grads, 1.0 / 40.0);
+            let (loss, _) =
+                model.train_batch(&pack, &block, &lanes, &mut scratch, &mut grads, 1.0 / 40.0);
             // Plain SGD for this test.
             for (p, g) in model.params_with_grads(&grads) {
                 for (pv, gv) in p.iter_mut().zip(g.iter()) {
@@ -1117,20 +1197,19 @@ mod tests {
             seed: 7,
         };
         let mut model = LstmClassifier::new(&config);
-        let steps: Vec<(Vec<f32>, usize)> = [0usize, 2, 1, 0]
-            .into_iter()
-            .enumerate()
-            .map(|(t, target)| {
-                let x = (0..3).map(|i| ((t + i) as f32 * 0.9).cos()).collect();
-                (x, target)
-            })
-            .collect();
+        // One-hot inputs, the noise flag (the last input) on two steps.
+        let steps: Vec<(Vec<f32>, usize)> =
+            [(&[0][..], 0usize), (&[1, 2], 2), (&[2], 1), (&[0, 2], 0)]
+                .into_iter()
+                .map(|(ones, target)| (one_hot(3, ones), target))
+                .collect();
 
         let mut grads = model.zero_gradients();
-        let (x, targets) = flat(&steps);
+        let (block, lanes) = block_of(std::slice::from_ref(&steps));
         model.train_batch(
             &BackwardPack::new(&model),
-            &[(&x, &targets)],
+            &block,
+            &lanes,
             &mut TrainScratch::default(),
             &mut grads,
             1.0,
@@ -1215,7 +1294,7 @@ mod tests {
     fn assert_batched_equals_streaming(model: &LstmClassifier) {
         let dim = model.config().input_dim;
         let nc = model.num_classes();
-        let xs: Vec<f32> = (0..2 * dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let xs: Vec<f32> = [lane_input(dim, 0, 1), lane_input(dim, 1, 0)].concat();
         let mut states = [model.new_state(), model.new_state()];
         let mut scratch = model.batch_scratch();
         let mut logits = vec![0.0f32; 2 * nc];
@@ -1248,20 +1327,14 @@ mod tests {
 
         // Several steps, so the hidden gradient flows back through `Uᵀ`
         // and down through the upper layer's `Wᵀ`.
-        let steps: Vec<(Vec<f32>, usize)> = (0..5)
-            .map(|t| {
-                (
-                    (0..6).map(|i| ((t * 6 + i) as f32 * 0.9).cos()).collect(),
-                    t % 4,
-                )
-            })
-            .collect();
-        let (x, targets) = flat(&steps);
+        let steps: Vec<(Vec<f32>, usize)> = (0..5).map(|t| (lane_input(6, 0, t), t % 4)).collect();
+        let (block, lanes) = block_of(&[steps]);
         let gradients = |model: &LstmClassifier, pack: &BackwardPack| {
             let mut grads = model.zero_gradients();
             model.train_batch(
                 pack,
-                &[(&x, &targets)],
+                &block,
+                &lanes,
                 &mut TrainScratch::default(),
                 &mut grads,
                 1.0,
@@ -1363,9 +1436,11 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let mut grads = model.zero_gradients();
         assert_eq!(grads.global_norm(), 0.0);
+        let (block, lanes) = block_of(&[vec![(one_hot(6, &[0]), 1)]]);
         model.train_batch(
             &BackwardPack::new(&model),
-            &[(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], &[1])],
+            &block,
+            &lanes,
             &mut TrainScratch::default(),
             &mut grads,
             1.0,
@@ -1384,6 +1459,18 @@ mod tests {
         model.step_logits(&mut model.new_state(), &[1.0], &mut logits);
     }
 
+    /// The one-hot product reads a row as the indices of its ones, so an
+    /// entry that is neither 0 nor 1 would silently count as a one: the
+    /// dense entries refuse it.
+    #[test]
+    #[should_panic(expected = "neither 0 nor 1")]
+    fn step_rejects_an_input_that_is_not_one_hot() {
+        let model = LstmClassifier::new(&small_config());
+        let mut logits = vec![0.0; 4];
+        let x = [0.0, 0.5, 0.0, 0.0, 1.0, 0.0];
+        model.step_logits(&mut model.new_state(), &x, &mut logits);
+    }
+
     #[test]
     fn gathered_rows_map_onto_any_subset_of_states() {
         let model = LstmClassifier::new(&small_config());
@@ -1393,7 +1480,8 @@ mod tests {
         let mut scratch = model.batch_scratch();
 
         // Step lanes 3 and 1 only, in that order.
-        let xs = vec![0.5f32; 2 * dim];
+        let x = one_hot(dim, &[1, 4]);
+        let xs = [x.clone(), x.clone()].concat();
         let mut logits = vec![0.0f32; 2 * nc];
         model.gather_lane(&mut scratch, 0, &states[3]);
         model.gather_lane(&mut scratch, 1, &states[1]);
@@ -1407,7 +1495,7 @@ mod tests {
         assert_eq!(states[2].layers, model.new_state().layers);
         let mut reference = model.new_state();
         let mut single = vec![0.0f32; nc];
-        model.step_logits(&mut reference, &vec![0.5f32; dim], &mut single);
+        model.step_logits(&mut reference, &x, &mut single);
         // Only `step_logits` grows a state's own round buffers.
         assert_eq!((states[1].round.rows(), reference.round.rows()), (0, 1));
         assert_eq!(states[1].layers, reference.layers);
@@ -1426,14 +1514,7 @@ mod tests {
         const BLOCK: usize = 3;
         let lens = [8usize, 6, 6, 2, 0];
         let dim = 6;
-        let input = |lane: usize, t: usize| -> Vec<f32> {
-            (0..dim)
-                .map(|j| match (lane + t + j) % 3 {
-                    0 => 0.0,
-                    _ => ((lane * 31 + t * dim + j) as f32 * 0.53).sin(),
-                })
-                .collect()
-        };
+        let input = |lane: usize, t: usize| lane_input(dim, lane, t);
         for hidden_dims in [vec![8], vec![8, 5]] {
             let model = LstmClassifier::new(&ModelConfig {
                 input_dim: dim,
@@ -1452,14 +1533,14 @@ mod tests {
                     .map(|&l| l.saturating_sub(t0).min(BLOCK))
                     .collect();
                 sched.rebuild(&block);
-                let mut x_cat = vec![0.0f32; sched.total() * dim];
+                let mut rows = vec![Vec::new(); sched.total()];
                 for t in 0..sched.steps() {
                     for i in 0..sched.lanes_at(t) {
-                        let r = sched.row(t, i);
-                        x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t0 + t));
+                        rows[sched.row(t, i)] = input(i, t0 + t);
                     }
                 }
-                let top = model.forward_schedule(&sched, &x_cat, &mut scratch, t0 > 0);
+                let rows = index_rows(dim, &rows);
+                let top = model.forward_schedule(&sched, &rows, &mut scratch, t0 > 0);
                 let total = sched.total();
                 let mut logits = vec![0.0f32; total * nc];
                 model.dense.forward_batch(total, top, &mut logits);
@@ -1492,11 +1573,14 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let mut scratch = ForwardScratch::default();
         let dim = model.config().input_dim;
+        let x = one_hot(dim, &[2]);
         let first = LaneSchedule::from_sorted_lens(&[2, 1]);
-        model.forward_schedule(&first, &vec![0.5; 3 * dim], &mut scratch, false);
+        let rows = index_rows(dim, &[x.clone(), x.clone(), x.clone()]);
+        model.forward_schedule(&first, &rows, &mut scratch, false);
         // Lane 1 ended before the first block's last step.
         let second = LaneSchedule::from_sorted_lens(&[1, 1]);
-        model.forward_schedule(&second, &vec![0.5; 2 * dim], &mut scratch, true);
+        let rows = index_rows(dim, &[x.clone(), x]);
+        model.forward_schedule(&second, &rows, &mut scratch, true);
     }
 
     /// A round is a one-timestep schedule on the same buffers: lanes a
@@ -1508,21 +1592,16 @@ mod tests {
         let model = LstmClassifier::new(&small_config());
         let dim = model.config().input_dim;
         let nc = model.num_classes();
-        let input = |lane: usize, t: usize| -> Vec<f32> {
-            (0..dim)
-                .map(|j| ((lane * 13 + t * dim + j) as f32 * 0.41).cos())
-                .collect()
-        };
+        let input = |lane: usize, t: usize| lane_input(dim, lane, t);
         let mut scratch = model.batch_scratch();
         let sched = LaneSchedule::from_sorted_lens(&[3, 3, 2]);
-        let mut x_cat = vec![0.0f32; sched.total() * dim];
+        let mut rows = vec![Vec::new(); sched.total()];
         for t in 0..sched.steps() {
             for i in 0..sched.lanes_at(t) {
-                let r = sched.row(t, i);
-                x_cat[r * dim..(r + 1) * dim].copy_from_slice(&input(i, t));
+                rows[sched.row(t, i)] = input(i, t);
             }
         }
-        model.forward_schedule(&sched, &x_cat, &mut scratch, false);
+        model.forward_schedule(&sched, &index_rows(dim, &rows), &mut scratch, false);
         // Lanes 0 and 1 were active at the last timestep; lane 2 was not.
         let mut states = [model.new_state(), model.new_state()];
         let mut references = [model.new_state(), model.new_state()];
@@ -1572,7 +1651,7 @@ mod tests {
             seed: 13,
         });
         let (dim, nc, lanes) = (6, 37, 5);
-        let xs: Vec<f32> = (0..lanes * dim).map(|i| (i as f32 * 0.61).sin()).collect();
+        let xs: Vec<f32> = (0..lanes).flat_map(|i| lane_input(dim, i, 2)).collect();
         let mut states: Vec<StreamState> = (0..lanes).map(|_| model.new_state()).collect();
         let mut scratch = model.batch_scratch();
         let mut logits = vec![0.0f32; lanes * nc];
@@ -1611,8 +1690,8 @@ mod tests {
 
     #[test]
     fn a_stored_row_plus_the_last_input_row_is_the_one_hot_product() {
-        // Wide enough for a 64-entry block boundary inside the input; the
-        // last input is the flag a detector sets on noisy packages.
+        // Ones on both sides of 64 inputs; the last input is the flag a
+        // detector sets on noisy packages.
         let model = LstmClassifier::new(&ModelConfig {
             input_dim: 70,
             hidden_dims: vec![9, 5],
@@ -1620,21 +1699,14 @@ mod tests {
             seed: 11,
         });
         let (dims, width) = (70, 4 * 9);
-        let one_hot = |ks: &[usize]| {
-            let mut x = vec![0.0f32; dims];
-            for &k in ks {
-                x[k] = 1.0;
-            }
-            x
-        };
         let inputs = [
-            one_hot(&[0, 13, 63, 64]),
-            one_hot(&[0, 13, 63, 64, dims - 1]),
-            one_hot(&[2, 40, 68]),
+            one_hot(dims, &[0, 13, 63, 64]),
+            one_hot(dims, &[0, 13, 63, 64, dims - 1]),
+            one_hot(dims, &[2, 40, 68]),
         ];
         let xs: Vec<f32> = inputs.concat();
         let mut direct = vec![0.0f32; 3 * width];
-        model.input_preactivations(&xs, &mut direct);
+        model.input_preactivations(&index_rows(dims, &inputs), &mut direct);
 
         // Row 1 is row 0's input plus the last one: one plain add per
         // element on top of row 0 gives the same bits.
@@ -1681,7 +1753,7 @@ mod tests {
         /// Batched stepping is bit-identical to per-lane streaming steps:
         /// random architectures, random lane counts (1–17: 8-row, 4-row and
         /// single-row gemm tiles, alone and mixed in one round), random
-        /// (partly sparse) inputs, several timesteps deep.
+        /// one-hot inputs with any number of ones, several timesteps deep.
         #[test]
         fn gathered_batch_bitwise_equals_streaming_steps(
             h1 in 1usize..10,
@@ -1690,8 +1762,7 @@ mod tests {
             classes in 1usize..12,
             lanes in 1usize..=17,
             steps in 1usize..6,
-            raw in proptest::collection::vec(-4f32..4.0, 17 * 12 * 6),
-            sparsity in proptest::collection::vec(proptest::bool::ANY, 17 * 12 * 6),
+            ones in proptest::collection::vec(proptest::bool::ANY, 17 * 12 * 6),
             seed in any::<u64>(),
         ) {
             let hidden_dims = if h2 == 0 { vec![h1] } else { vec![h1, h2] };
@@ -1709,10 +1780,7 @@ mod tests {
 
             for t in 0..steps {
                 let xs: Vec<f32> = (0..lanes * input_dim)
-                    .map(|i| {
-                        let j = (t * lanes * input_dim + i) % raw.len();
-                        if sparsity[j] { 0.0 } else { raw[j] }
-                    })
+                    .map(|i| f32::from(u8::from(ones[(t * lanes * input_dim + i) % ones.len()])))
                     .collect();
                 for (i, state) in batch_states.iter().enumerate() {
                     model.gather_lane(&mut scratch, i, state);
@@ -1750,12 +1818,13 @@ mod tests {
     fn train_batch_libm(
         model: &LstmClassifier,
         pack: &BackwardPack,
-        lanes: &[(&[f32], &[usize])],
+        block: &SequenceBlock,
+        lanes: &[Range<usize>],
         scratch: &mut TrainScratch,
         grads: &mut Gradients,
         scale: f32,
     ) -> (f32, usize) {
-        let total = model.forward_chunks(lanes, scratch);
+        let total = model.forward_chunks(block, lanes, scratch);
         let nc = model.num_classes();
         let top_hd = model.layers[model.layers.len() - 1].hidden_dim();
         let top_out = model.top_out(&scratch.tapes, total).to_vec();
@@ -1784,14 +1853,14 @@ mod tests {
         let dh = &mut scratch.d_a[..total * top_hd];
         dh.fill(0.0);
         icsad_simd::gemm_panels_acc_f32(total, &dlogits, &wt, dh);
-        model.backward_stack(pack, scratch, grads, total);
+        model.backward_stack(pack, block, scratch, grads, total);
         (loss, correct)
     }
 
     /// The fused head leaves training where libm's `expf` left it: a
     /// two-layer model with a widened head (logits tens apart, so `exp`
-    /// spans its range and underflows), ragged lanes and one-hot rows with
-    /// noise on some of them gives the same summed loss, correct count and
+    /// spans its range and underflows), ragged lanes and one-hot rows, a
+    /// second one on some of them, gives the same summed loss, correct count and
     /// gradients, bit for bit, as the per-row loop through `f32::exp`.
     /// glibc's FMA build of `expf` is the one the port reproduces; glibc
     /// runs it where the CPU has FMA and AVX2, whatever this crate was
@@ -1826,23 +1895,30 @@ mod tests {
                         let mut x = vec![0.0f32; 12];
                         x[h % 12] = 1.0;
                         if h % 3 == 0 {
-                            x[(h + 5) % 12] += (h as f32 * 0.37).sin();
+                            x[(h + 5) % 12] = 1.0;
                         }
                         (x, (h * 7) % 37)
                     })
                     .collect()
             })
             .collect();
-        let flats: Vec<(Vec<f32>, Vec<usize>)> = steps.iter().map(|s| flat(s)).collect();
-        let lanes: Vec<(&[f32], &[usize])> = flats.iter().map(|(x, t)| (&x[..], &t[..])).collect();
+        let (block, lanes) = block_of(&steps);
         let pack = BackwardPack::new(&model);
         let run = |libm: bool| {
             let mut grads = model.zero_gradients();
             let mut scratch = TrainScratch::default();
             let (loss, correct) = if libm {
-                train_batch_libm(&model, &pack, &lanes, &mut scratch, &mut grads, 0.05)
+                train_batch_libm(
+                    &model,
+                    &pack,
+                    &block,
+                    &lanes,
+                    &mut scratch,
+                    &mut grads,
+                    0.05,
+                )
             } else {
-                model.train_batch(&pack, &lanes, &mut scratch, &mut grads, 0.05)
+                model.train_batch(&pack, &block, &lanes, &mut scratch, &mut grads, 0.05)
             };
             let mut bits = vec![loss.to_bits(), correct as u32];
             for g in &grads.layers {
@@ -1881,13 +1957,13 @@ mod tests {
                 (x, t % 4)
             })
             .collect();
-        let (x, targets) = flat(&steps);
+        let (block, lanes) = block_of(std::slice::from_ref(&steps));
         let loss = |model: &LstmClassifier| {
             let mut grads = model.zero_gradients();
-            let lanes = [(&x[..], &targets[..])];
             let pack = BackwardPack::new(model);
+            let mut scratch = TrainScratch::default();
             model
-                .train_batch(&pack, &lanes, &mut TrainScratch::default(), &mut grads, 1.0)
+                .train_batch(&pack, &block, &lanes, &mut scratch, &mut grads, 1.0)
                 .0
         };
         assert!(loss(&model).is_finite());

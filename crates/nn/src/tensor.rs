@@ -1,51 +1,47 @@
 //! A minimal `f32` matrix and the kernels an LSTM needs.
 //!
-//! The kernels here — [`gemm_panels_acc`], [`outer_acc`],
-//! [`outer_dense_acc`] — are thin shape-checked fronts over the
-//! runtime-dispatched SIMD kernel layer in [`icsad_simd`]: one backend
-//! (scalar / SSE2 / AVX2+FMA / AVX-512) is selected per process by CPU
-//! detection, and every backend produces bitwise-identical results under
-//! the dispatched FMA policy (pinned by `icsad-simd`'s parity proptests).
-//! Weights are stored row-major with the *input* dimension as rows, so
-//! `y += xᵀ·W` walks contiguous weight rows and vectorizes along the
-//! output columns only — every `y[j]` accumulates its `k` contributions in
-//! ascending order, which keeps a batch of rows bit-identical to each row
-//! run alone.
+//! The kernels here — [`gemm_panels_acc`], [`outer_dense_acc`] — are thin
+//! shape-checked fronts over the runtime-dispatched SIMD kernel layer in
+//! [`icsad_simd`]: one backend (scalar / SSE2 / AVX2+FMA / AVX-512) is
+//! selected per process by CPU detection, and every backend produces
+//! bitwise-identical results under the dispatched FMA policy (pinned by
+//! `icsad-simd`'s parity proptests). Weights are stored row-major with the
+//! *input* dimension as rows, so `y += xᵀ·W` walks contiguous weight rows
+//! and vectorizes along the output columns only — every `y[j]` accumulates
+//! its `k` contributions in ascending order, which keeps a batch of rows
+//! bit-identical to each row run alone.
 //!
 //! A layer's parameters are [`Weights`]: the row-major [`Tensor2`] (the
 //! master copy — what is trained, serialized and compared) plus a
 //! panel-major copy of it for the batched gemm, built once per value of
 //! the weights and dropped by the only `&mut` door to the data. So there
 //! is one forward product over dense inputs, for inference and training
-//! alike: the panel gemm over the panels (one-hot stack inputs keep
-//! the zero-skipping product over the rows). A layer's input projection
-//! and the head start those products from their bias
-//! ([`icsad_simd::gemm_panels_bias_f32`], [`icsad_simd::gemm_bias_f32`]),
-//! so no pass copies the bias into the output first. Weights move once per
-//! optimizer step and are read by
+//! alike: the panel gemm over the panels. A layer's input projection and
+//! the head start it from their bias
+//! ([`icsad_simd::gemm_panels_bias_f32`]), so no pass copies the bias into
+//! the output first. Weights move once per optimizer step and are read by
 //! every timestep of every gradient task in between, so the trainer packs
-//! right after the step and no product packs per call.
+//! right after the step and no product packs per call. (The stack's
+//! one-hot input reads its weight rows row-major, by index: the model
+//! runs [`icsad_simd::onehot_bias_f32`] and
+//! [`icsad_simd::onehot_outer_acc_f32`] itself.)
 //!
 //! The backward (training) products ride the same panel gemm. The data
 //! gradient `dX = dY·Wᵀ` is [`gemm_panels_bias_f32`](icsad_simd::gemm_panels_bias_f32)
 //! from a zero start over panels of the *transposed* matrix
 //! ([`PanelsF32::pack_transposed`], held by [`crate::BackwardPack`] and
-//! rebuilt once per optimizer step). The weight gradient `dW += Xᵀ·dY`
-//! comes in two flavours, like the forward input product: [`outer_acc`]
-//! with the sparse kernel's zero-skip for the one-hot stack input (each
-//! input feature's nonzero rows bucketed, no transpose), and
-//! [`outer_dense_acc`] — the gemm's register tiles with `X` read
-//! transposed where it lies and `dY`, the one operand that really is new
-//! on every call, packed per call into the caller's buffer (or, for a
-//! layer narrow enough that `dW` fits one register tile, read in place) —
-//! for dense activations. Both take their buffers from the caller. Bias
-//! gradients are one column sum ([`icsad_simd::col_sum_acc_f32`]). All
-//! keep the ascending-contraction order, so SIMD ≡ scalar stays bitwise
-//! for training too.
+//! rebuilt once per optimizer step). The weight gradient `dW += Xᵀ·dY` of
+//! a dense input is [`outer_dense_acc`] — the gemm's register tiles with
+//! `X` read transposed where it lies and `dY`, the one operand that really
+//! is new on every call, packed per call into the caller's buffer (or, for
+//! a layer narrow enough that `dW` fits one register tile, read in place).
+//! Bias gradients are one column sum ([`icsad_simd::col_sum_acc_f32`]).
+//! All keep the ascending-contraction order, so SIMD ≡ scalar stays
+//! bitwise for training too.
 
 use std::sync::OnceLock;
 
-use icsad_simd::{Buckets, PanelsF32};
+use icsad_simd::PanelsF32;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,33 +196,7 @@ impl std::fmt::Debug for Weights {
     }
 }
 
-/// Batched outer-product accumulate `dw += Xᵀ·dY`: `batch` row-major
-/// input rows (`batch × dw.rows()`) against `batch` gradient rows
-/// (`batch × dw.cols()`). With `batch == 1` this is the rank-1 update
-/// `dw += x ⊗ dy`.
-///
-/// Skips zero entries of `x` — the gradient of a one-hot input touches a
-/// single row per batch entry — and accumulates each element's batch
-/// contributions in ascending order on every backend: the kernel
-/// ([`icsad_simd::outer_acc_f32`]) buckets each input feature's nonzero
-/// rows in the caller's `buckets` and adds every bucket into its `dw` row
-/// in registers.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub(crate) fn outer_acc(
-    batch: usize,
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut Tensor2,
-    buckets: &mut Buckets,
-) {
-    let (rows, cols) = (dw.rows(), dw.cols());
-    icsad_simd::outer_acc_f32(batch, x, rows, dy, cols, dw.as_mut_slice(), buckets);
-}
-
-/// [`outer_acc`] for *dense* inputs (hidden activations): the same
+/// The weight gradient of a *dense* input (hidden activations),
 /// `dw += Xᵀ·dY`, with `X` given as one row per row of `dY` and read in
 /// place — a block of the tape, or each timestep's previous hidden rows
 /// (see [`icsad_simd::outer_dense_acc_f32`]). It runs the register-tiled
@@ -234,10 +204,7 @@ pub(crate) fn outer_acc(
 /// batch; `dY` is read in panels, packed into the caller's `pack` unless
 /// `dw` has at most one register tile of rows.
 ///
-/// Per element the batch contributions still accumulate in ascending
-/// order, and the terms [`outer_acc`] skips or plain-adds (`x == 0`,
-/// `x == 1`) round identically through the `fmac`, so the two compare
-/// equal on a gradient that starts from zero.
+/// Per element the batch contributions accumulate in ascending order.
 ///
 /// # Panics
 ///
@@ -253,16 +220,8 @@ pub(crate) fn outer_dense_acc<'a>(
 }
 
 /// Register-blocked batched product for *dense* inputs:
-/// `y[b] += x[b]ᵀ · w`, without the zero-skip of the one-hot input's
-/// product ([`icsad_simd::gemm_bias_f32`]) and with the output tile held
-/// in registers across the whole `k` loop.
-///
-/// The sparse kernel first lists the
-/// nonzero entries of each input row and then walks that list once per
-/// column chunk — right for one-hot inputs, where the list is a few
-/// entries long, but a wasted compare-and-list pass for dense inputs
-/// (recurrent state, hidden activations), where it holds every `k` and
-/// each weight vector is reused by one lane only. The dispatched kernel
+/// `y[b] += x[b]ᵀ · w`, with the output tile held in registers across the
+/// whole `k` loop. The dispatched kernel
 /// ([`icsad_simd::gemm_panels_acc_f32`]) holds a register tile of lanes ×
 /// two vectors over a 32-column weight panel — eight lanes on AVX-512,
 /// whose 32 vector registers hold the 16 accumulators, then four (the
@@ -272,18 +231,39 @@ pub(crate) fn outer_dense_acc<'a>(
 /// packed once per value of the weights, not per call — so inference and
 /// the training forward pass share this one batched product (the
 /// recurrent `U h`; input projections and the head run its bias-started
-/// twin, [`icsad_simd::gemm_panels_bias_f32`]).
-///
-/// Per output element the `k` contributions are still accumulated in one
-/// ascending chain, so results compare equal (`f32 ==`) to the per-row
-/// sparse product; including `xi == 0` terms can only flip the sign of a
-/// zero, which `==` and every downstream consumer treat identically.
+/// twin, [`icsad_simd::gemm_panels_bias_f32`]). Per output element the `k`
+/// contributions accumulate in one ascending chain.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
 pub(crate) fn gemm_panels_acc(batch: usize, x: &[f32], w: &Weights, y: &mut [f32]) {
     icsad_simd::gemm_panels_acc_f32(batch, x, w.panels(), y);
+}
+
+/// The scalar reference of a dense product row, for the tests' per-record
+/// steps: `y = start + xᵀ·W`, one ascending-`k` chain per element, each term
+/// a fused multiply-add or a multiply then an add as the dispatched FMA
+/// policy says. It shares no code with the kernels.
+#[cfg(test)]
+pub(crate) fn reference_row(x: &[f32], w: &Tensor2, start: &[f32]) -> Vec<f32> {
+    assert_eq!(
+        (x.len(), w.cols()),
+        (w.rows(), start.len()),
+        "reference shapes"
+    );
+    let fma = icsad_simd::current().fma;
+    let mut y = start.to_vec();
+    for (k, &xk) in x.iter().enumerate() {
+        for (yj, &wkj) in y.iter_mut().zip(w.row(k)) {
+            *yj = if fma {
+                xk.mul_add(wkj, *yj)
+            } else {
+                *yj + xk * wkj
+            };
+        }
+    }
+    y
 }
 
 /// Grows a pooled scratch buffer to at least `n` elements (never shrinks,
@@ -317,30 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn outer_product_matches_manual() {
+    fn outer_product_batch_sums_rank_one_updates() {
         let mut dw = Tensor2::zeros(2, 3);
-        let mut buckets = Buckets::default();
-        outer_acc(1, &[2.0, 0.0], &[1.0, 2.0, 3.0], &mut dw, &mut buckets);
-        assert_eq!(dw.as_slice(), &[2.0, 4.0, 6.0, 0.0, 0.0, 0.0]);
-        outer_acc(1, &[1.0, 1.0], &[1.0, 1.0, 1.0], &mut dw, &mut buckets);
+        let (x, dy) = ([2.0, 0.0, 1.0, 1.0], [1.0, 2.0, 3.0, 1.0, 1.0, 1.0]);
+        outer_dense_acc(x.chunks_exact(2), &dy, &mut dw, &mut Vec::new());
         assert_eq!(dw.as_slice(), &[3.0, 5.0, 7.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn outer_product_batch_sums_rank_one_updates() {
-        let mut batched = Tensor2::zeros(2, 3);
-        outer_acc(
-            2,
-            &[2.0, 0.0, 1.0, 1.0],
-            &[1.0, 2.0, 3.0, 1.0, 1.0, 1.0],
-            &mut batched,
-            &mut Buckets::default(),
-        );
-        assert_eq!(batched.as_slice(), &[3.0, 5.0, 7.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn outer_dense_matches_outer_acc() {
+    fn outer_dense_matches_the_scalar_reference() {
         // 5 batch rows, 7 gradient rows (one partial register tile), 37
         // gradient columns (a ragged panel), zeros and ones mixed in.
         let x: Vec<f32> = (0..5 * 7)
@@ -350,16 +315,21 @@ mod tests {
                 _ => ((i * 29 % 83) as f32 - 41.0) / 7.0,
             })
             .collect();
-        let dy: Vec<f32> = (0..5 * 37)
-            .map(|i| ((i * 41 % 173) as f32 - 86.0) / 23.0)
-            .collect();
-        let mut sparse = Tensor2::zeros(7, 37);
-        outer_acc(5, &x, &dy, &mut sparse, &mut Buckets::default());
+        let dy = Tensor2::from_vec(
+            5,
+            37,
+            (0..5 * 37)
+                .map(|i| ((i * 41 % 173) as f32 - 86.0) / 23.0)
+                .collect(),
+        );
         let mut dense = Tensor2::zeros(7, 37);
         // A dirty, oversized pack buffer must not leak into the product.
         let mut pack = vec![f32::NAN; 1000];
-        outer_dense_acc(x.chunks_exact(7), &dy, &mut dense, &mut pack);
-        assert_eq!(dense, sparse);
+        outer_dense_acc(x.chunks_exact(7), dy.as_slice(), &mut dense, &mut pack);
+        for k in 0..7 {
+            let xt: Vec<f32> = (0..5).map(|b| x[b * 7 + k]).collect();
+            assert_eq!(dense.row(k), reference_row(&xt, &dy, &[0.0; 37]), "row {k}");
+        }
     }
 
     #[test]
@@ -369,8 +339,7 @@ mod tests {
         let wt = PanelsF32::pack_transposed(w.as_slice(), 2, 3);
         let x = [0.3f32, -1.2];
         let y = [2.0f32, -0.5, 0.25];
-        let mut wx = vec![0.0; 3];
-        icsad_simd::gemm_bias_f32(1, &x, 2, w.as_slice(), 3, &[0.0; 3], &mut wx);
+        let wx = reference_row(&x, &w, &[0.0; 3]);
         let mut wty = vec![0.0; 2];
         icsad_simd::gemm_panels_acc_f32(1, &y, &wt, &mut wty);
         let lhs: f32 = wx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
@@ -412,9 +381,8 @@ mod tests {
             let mut batched = reference.clone();
             gemm_panels_acc(6, &x, w, &mut batched);
             for b in 0..6 {
-                let mut single = vec![0.0; 37];
                 let (x_row, start) = (&x[b * 70..(b + 1) * 70], &reference[b * 37..(b + 1) * 37]);
-                icsad_simd::gemm_bias_f32(1, x_row, 70, w.as_slice(), 37, start, &mut single);
+                let single = reference_row(x_row, w, start);
                 assert_eq!(
                     &batched[b * 37..(b + 1) * 37],
                     single.as_slice(),

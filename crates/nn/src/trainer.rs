@@ -22,6 +22,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::adam::Adam;
 use crate::model::{BackwardPack, Gradients, LstmClassifier, TrainScratch};
+use crate::onehot::OneHotRows;
 
 /// Chunks (BPTT lanes) in one gradient partition. Small enough that a
 /// default minibatch (32 chunks) still splits into several partitions for
@@ -33,10 +34,11 @@ const GRAD_TASK_LANES: usize = 8;
 /// scaled down to it before the optimizer step.
 const GRAD_CLIP: f32 = 5.0;
 
-/// One training sequence: per step, an input vector and the target class
-/// the model should predict *at* that step (i.e. the next package's
-/// signature given packages up to and including this one). [`Trainer::fit`]
-/// copies its steps into a [`SequenceBlock`] once.
+/// One training sequence: per step, a dense 0/1 input vector and the
+/// target class the model should predict *at* that step (i.e. the next
+/// package's signature given packages up to and including this one).
+/// [`Trainer::fit`] copies its steps into a [`SequenceBlock`] once, as the
+/// indices of their ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sequence {
     steps: Vec<(Vec<f32>, usize)>,
@@ -57,42 +59,31 @@ impl Sequence {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
-
-    /// The steps.
-    pub fn steps(&self) -> &[(Vec<f32>, usize)] {
-        &self.steps
-    }
 }
 
-/// Training sequences in one flat block: the input rows of every step of
-/// every sequence back to back (`input_dim` each), a target per step, and
-/// where each sequence ends. [`Trainer::fit_epoch`] reads it. A pipeline
-/// that changes some inputs between epochs rewrites just those rows in
-/// place ([`SequenceBlock::row_mut`]), so the steps it leaves alone are
-/// built once.
+/// Training sequences in one flat block: the one-hot input rows of every
+/// step of every sequence back to back, held as the indices of their ones
+/// ([`OneHotRows`]), a target per step, and where each sequence ends.
+/// [`Trainer::fit_epoch`] reads the rows in place. A pipeline that changes
+/// some inputs between epochs rewrites just those rows
+/// ([`SequenceBlock::set_row`]), so the steps it leaves alone are built
+/// once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SequenceBlock {
-    input_dim: usize,
-    inputs: Vec<f32>,
+    inputs: OneHotRows,
     targets: Vec<usize>,
     /// Steps before the end of each sequence.
     ends: Vec<usize>,
 }
 
 impl SequenceBlock {
-    /// An empty block of `input_dim`-wide rows.
-    pub fn new(input_dim: usize) -> Self {
+    /// An empty block of one-hot rows of `input_dim` features with at most
+    /// `slot` ones each.
+    pub fn new(input_dim: usize, slot: usize) -> Self {
         SequenceBlock {
-            input_dim,
+            inputs: OneHotRows::new(input_dim, slot),
             ..SequenceBlock::default()
         }
-    }
-
-    /// Drops every sequence, keeping the buffers.
-    pub fn clear(&mut self) {
-        self.inputs.clear();
-        self.targets.clear();
-        self.ends.clear();
     }
 
     /// Starts a new, empty sequence; [`SequenceBlock::push_step`] extends
@@ -101,36 +92,51 @@ impl SequenceBlock {
         self.ends.push(self.targets.len());
     }
 
-    /// Appends a step targeting class `target` to the last sequence (a new
-    /// one if there is none) and returns its zeroed input row to fill.
-    pub fn push_step(&mut self, target: usize) -> &mut [f32] {
+    /// Appends a step with ones at `ones`, targeting class `target`, to the
+    /// last sequence (a new one if there is none).
+    ///
+    /// # Panics
+    ///
+    /// As [`OneHotRows::set`].
+    pub fn push_step(&mut self, target: usize, ones: &[u32]) {
         if self.ends.is_empty() {
             self.begin_sequence();
         }
+        self.inputs.push(ones);
         self.targets.push(target);
         if let Some(end) = self.ends.last_mut() {
             *end += 1;
         }
-        let at = self.inputs.len();
-        self.inputs.resize(at + self.input_dim, 0.0);
-        &mut self.inputs[at..]
     }
 
-    /// The input row of step `step`, counting the steps of every sequence
-    /// in order (the `step`-th [`SequenceBlock::push_step`]), to rewrite in
-    /// place.
+    /// Rewrites the input row of step `step`, counting the steps of every
+    /// sequence in order (the `step`-th [`SequenceBlock::push_step`]), to
+    /// have ones at `ones`.
+    ///
+    /// # Panics
+    ///
+    /// As [`OneHotRows::set`].
+    pub fn set_row(&mut self, step: usize, ones: &[u32]) {
+        self.inputs.set(step, ones);
+    }
+
+    /// The ascending indices of the ones of step `step`'s input row.
     ///
     /// # Panics
     ///
     /// Panics if the block holds `step` steps or fewer.
-    pub fn row_mut(&mut self, step: usize) -> &mut [f32] {
-        let dim = self.input_dim;
-        &mut self.inputs[step * dim..(step + 1) * dim]
+    pub fn row(&self, step: usize) -> &[u32] {
+        self.inputs.row(step)
     }
 
-    /// Number of sequences.
-    pub fn len(&self) -> usize {
-        self.ends.len()
+    /// The target class of step `step`.
+    pub(crate) fn target(&self, step: usize) -> usize {
+        self.targets[step]
+    }
+
+    /// The width of the 0/1 rows the block's indices stand for.
+    pub(crate) fn input_dim(&self) -> usize {
+        self.inputs.input_dim()
     }
 
     /// Returns `true` if the block holds no sequence.
@@ -138,13 +144,10 @@ impl SequenceBlock {
         self.ends.is_empty()
     }
 
-    /// Steps `range` of sequence `seq`: their input rows, row-major, and
-    /// their targets.
-    fn steps(&self, seq: usize, range: std::ops::Range<usize>) -> (&[f32], &[usize]) {
+    /// The block's steps `range` of sequence `seq`.
+    fn steps(&self, seq: usize, range: Range<usize>) -> Range<usize> {
         let first = if seq == 0 { 0 } else { self.ends[seq - 1] };
-        let rows = first + range.start..first + range.end;
-        let inputs = &self.inputs[rows.start * self.input_dim..rows.end * self.input_dim];
-        (inputs, &self.targets[rows])
+        first + range.start..first + range.end
     }
 
     /// The number of steps in each sequence, in order.
@@ -159,23 +162,27 @@ impl SequenceBlock {
 
 impl From<&[Sequence]> for SequenceBlock {
     /// Copies the steps of `sequences` into one block, whose row width is
-    /// the first step's.
+    /// the first step's, converting each dense 0/1 input row to its ones.
     ///
     /// # Panics
     ///
-    /// Panics if two input rows differ in length.
+    /// Panics if two input rows differ in length or an input entry is not
+    /// exactly `0.0` or `1.0`.
     fn from(sequences: &[Sequence]) -> Self {
         let input_dim = sequences
             .iter()
             .find_map(|s| s.steps.first())
             .map_or(0, |(x, _)| x.len());
-        let mut block = SequenceBlock::new(input_dim);
+        let steps = sequences.iter().flat_map(|s| &s.steps);
+        let mut block = SequenceBlock::default();
+        block
+            .inputs
+            .fill_dense(input_dim, steps.clone().map(|(x, _)| &x[..]));
+        block.targets.extend(steps.map(|&(_, target)| target));
+        let mut end = 0;
         for seq in sequences {
-            block.begin_sequence();
-            for (x, target) in &seq.steps {
-                assert_eq!(x.len(), input_dim, "input dim mismatch");
-                block.push_step(*target).copy_from_slice(x);
-            }
+            end += seq.len();
+            block.ends.push(end);
         }
         block
     }
@@ -335,6 +342,11 @@ impl Trainer {
 
     /// Trains for `config.epochs` passes over `sequences`, returning
     /// per-epoch statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two input rows differ in length or an input entry is not
+    /// exactly `0.0` or `1.0`.
     pub fn fit(&mut self, model: &mut LstmClassifier, sequences: &[Sequence]) -> Vec<EpochStats> {
         let block = SequenceBlock::from(sequences);
         let mut stats = Vec::with_capacity(self.config.epochs);
@@ -511,14 +523,20 @@ fn accumulate_batch(
                         // `partition` keeps every part to GRAD_TASK_LANES
                         // chunks, so the lanes fit on the stack.
                         assert!(chunks.len() <= GRAD_TASK_LANES, "oversized partition");
-                        let mut lanes: [(&[f32], &[usize]); GRAD_TASK_LANES] =
-                            [(&[], &[]); GRAD_TASK_LANES];
+                        let mut lanes: [Range<usize>; GRAD_TASK_LANES] =
+                            std::array::from_fn(|_| 0..0);
                         for (lane, c) in lanes.iter_mut().zip(chunks.iter()) {
                             *lane = sequences.steps(c.seq, c.start..c.start + c.len);
                         }
                         let lanes = &lanes[..chunks.len()];
-                        (part.loss, part.correct) =
-                            model.train_batch(pack, lanes, scratch, &mut part.grads, scale);
+                        (part.loss, part.correct) = model.train_batch(
+                            pack,
+                            sequences,
+                            lanes,
+                            scratch,
+                            &mut part.grads,
+                            scale,
+                        );
                     }
                 }
             });
@@ -719,11 +737,11 @@ mod tests {
     #[test]
     fn a_block_built_step_by_step_equals_the_converted_sequences() {
         let seqs = cyclic_sequences(3, 5, 4);
-        let mut built = SequenceBlock::new(4);
-        for seq in &seqs {
+        let mut built = SequenceBlock::new(4, 4);
+        for (s, seq) in seqs.iter().enumerate() {
             built.begin_sequence();
-            for (x, target) in seq.steps() {
-                built.push_step(*target).copy_from_slice(x);
+            for (t, (_, target)) in seq.steps.iter().enumerate() {
+                built.push_step(*target, &[((s + t) % 4) as u32]);
             }
         }
         // An empty sequence holds no step and yields no chunk.
@@ -731,19 +749,13 @@ mod tests {
         let mut converted = block(&seqs);
         converted.begin_sequence();
         assert_eq!(built, converted);
-        assert_eq!(built.len(), 4);
         assert_eq!(built.lens().collect::<Vec<_>>(), [5, 5, 5, 0]);
-        let (x, targets) = built.steps(1, 2..4);
+        let steps = built.steps(1, 2..4);
+        assert_eq!(steps, 7..9);
         assert_eq!(
-            x,
-            [seqs[1].steps()[2].0.clone(), seqs[1].steps()[3].0.clone()].concat()
+            (built.row(7), built.target(7)),
+            (&[3][..], seqs[1].steps[2].1)
         );
-        assert_eq!(targets, [seqs[1].steps()[2].1, seqs[1].steps()[3].1]);
-        // Cleared, the block refills from its own buffers.
-        built.clear();
-        assert!(built.is_empty());
-        built.push_step(3)[1] = 1.0;
-        assert_eq!(built.steps(0, 0..1), (&[0.0, 1.0, 0.0, 0.0][..], &[3][..]));
     }
 
     #[test]

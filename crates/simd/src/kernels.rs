@@ -13,9 +13,9 @@
 //! ([`Lanes::Half`]) and run only what is left after it as element-level
 //! ops of the *same* policy — on AVX-512 an 8-wide gradient row is one
 //! AVX2 vector, not eight scalar ops — and the gate-and-cell pass runs
-//! rows half a vector wide two to a full vector. The sparse gemm holds column
-//! chunks in registers across its list of nonzero `x` entries; the dense
-//! gemm has no remainder path at all — it reads zero-padded weight panels
+//! rows half a vector wide two to a full vector. The one-hot kernels hold
+//! column chunks in registers across an index row's list of weight rows;
+//! the dense gemm has no remainder path at all — it reads zero-padded weight panels
 //! ([`PANEL`]) and runs full vector chains everywhere.
 
 use crate::lanes::{Lanes, Pair, ScalarLane};
@@ -33,159 +33,60 @@ const LANE_TILE: usize = 4;
 /// tiles first, then at most one [`LANE_TILE`], then single rows.
 const WIDE_TILE: usize = 8;
 
-/// Rows of the `k` dimension kept cache-resident per block of the sparse
-/// gemm: a `KB × n` weight block is re-walked by every batch row before
-/// the sweep moves on (the same blocking both scalar predecessors used).
-/// Also the length of the stack array that lists a block's live entries.
-const K_BLOCK: usize = 64;
-
-/// `y[b] = bias + x[b]ᵀ·W` for every batch row, skipping zero entries of
-/// `x` (and taking an exact plain-add path for ones, which rounds
-/// identically under both FMA policies). This is the one-hot / sparse
-/// kernel: the LSTM's input product over the one-hot stack input, every
-/// row of a batch independent of the others. Every row starts from `bias`,
-/// not from `y`: the chain a copy of the bias into `y` followed by the
-/// accumulating product runs.
-///
-/// The `k` loop is blocked ([`K_BLOCK`]) so a block of weight rows stays
-/// cache-resident across all batch rows. Per batch row and block, one
-/// vector compare per `WIDTH` entries of `x` lists the entries to apply
-/// ([`live_entries`]); each column chunk of `y` then accumulates in
-/// registers over that list ([`accumulate_live`]) and is stored once.
-/// Blocks ascend, and `k` ascends within each list, so every output
-/// element still sees one ascending-`k` chain, entry for entry the
-/// operation of the unblocked per-`k` axpy loop — bitwise identical to it.
+/// `z[r] = bias + Σ_{k ∈ rows[r]} W[k]` for every index row: the one-hot
+/// projection of the LSTM's stack input, each row given as the ascending
+/// indices of its ones, `W` row-major with `n` columns. Each row is
+/// [`add_rows`] started from the bias: one plain add per listed weight row
+/// and element, in the order the row lists them — the chain of the dense
+/// product over the row's ones, whose `1.0·w` rounds to `w` under either
+/// FMA policy, with its zeros left out.
 #[inline(always)]
-pub(crate) fn gemm_sparse_f32<L: Lanes>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
+pub(crate) fn onehot_bias_f32<'a, L: Lanes>(
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     w: &[f32],
     n: usize,
     bias: &[f32],
-    y: &mut [f32],
+    z: &mut [f32],
 ) {
-    debug_assert_eq!(x.len(), batch * k_dim);
-    debug_assert_eq!(w.len(), k_dim * n);
-    debug_assert_eq!(y.len(), batch * n);
     debug_assert_eq!(bias.len(), n);
-    if n == 0 {
-        return;
-    }
-    if k_dim == 0 {
-        y.chunks_exact_mut(n)
-            .for_each(|row| row.copy_from_slice(bias));
-    }
-    let mut live = [0; K_BLOCK];
-    let mut kb = 0;
-    while kb < k_dim {
-        let kend = (kb + K_BLOCK).min(k_dim);
-        let w_block = &w[kb * n..kend * n];
-        // Only the first block starts from the bias.
-        let start = (kb == 0).then_some(bias);
-        for (x_row, y_row) in x.chunks_exact(k_dim).zip(y.chunks_exact_mut(n)) {
-            let xs = &x_row[kb..kend];
-            let live = live_entries::<L>(xs, &mut live);
-            match (live.is_empty(), start) {
-                (false, _) => accumulate_live::<L>(live, |_, k| xs[k], w_block, start, y_row),
-                (true, Some(bias)) => y_row.copy_from_slice(bias),
-                (true, None) => {}
-            }
-        }
-        kb = kend;
+    for (ks, z_row) in rows.zip(z.chunks_exact_mut(n)) {
+        add_rows::<L>(ks, w, Some(bias), z_row);
     }
 }
 
-/// The ascending indices of the entries of `xs` (at most [`K_BLOCK`])
-/// that are not `±0` — NaN included, as `x != 0.0` would keep it —
-/// written to the front of `out`.
+/// `y = start + Σ_{k ∈ ks} w[k]` over rows `ks` of a row-major `w` of
+/// `y.len()` columns, one plain add per listed row and element in list
+/// order; without `start` the chains start from `y` itself. Column chunks
+/// of 4, 2 and 1 vectors each hold their outputs in registers across the
+/// whole list; the columns left after them run element by element.
 #[inline(always)]
-fn live_entries<'a, L: Lanes>(xs: &[f32], out: &'a mut [usize; K_BLOCK]) -> &'a [usize] {
-    debug_assert!(xs.len() <= K_BLOCK);
-    let mut count = 0;
-    each_live::<L>(xs, |k| {
-        out[count] = k;
-        count += 1;
-    });
-    &out[..count]
-}
-
-/// Calls `f` with the index of every entry of `xs` that is not `±0` (NaN
-/// included), in ascending order: one [`Lanes::ne_zero_mask`] per `L`
-/// vector, then per `L::Half` vector, then one compare per element.
-#[inline(always)]
-fn each_live<L: Lanes>(xs: &[f32], mut f: impl FnMut(usize)) {
-    let k = live_vectors::<L>(xs, 0, &mut f);
-    let k = live_vectors::<L::Half>(xs, k, &mut f);
-    for (k, &xk) in xs.iter().enumerate().skip(k) {
-        if xk != 0.0 {
-            f(k);
-        }
-    }
-}
-
-/// [`each_live`] over the whole `V` vectors of `xs` from `k` on; returns
-/// where the vectors end.
-#[inline(always)]
-fn live_vectors<V: Lanes>(xs: &[f32], mut k: usize, f: &mut impl FnMut(usize)) -> usize {
-    while k + V::WIDTH <= xs.len() {
-        let mut mask = V::load(&xs[k..]).ne_zero_mask();
-        while mask != 0 {
-            f(k + mask.trailing_zeros() as usize);
-            mask &= mask - 1;
-        }
-        k += V::WIDTH;
-    }
-    k
-}
-
-/// `y = start + Σ_p x_p·w[rows[p]]` over a list of weight rows `rows`
-/// (ascending) with coefficients `x_p = x_at(p, rows[p])`, for a row `y`
-/// of `n` columns and row-major weights `w` of `n` columns; without
-/// `start` the chains start from `y` itself. Column chunks of 4, 2 and 1
-/// vectors each hold their outputs in registers across the whole list; the
-/// columns left after them run element by element.
-#[inline(always)]
-fn accumulate_live<L: Lanes>(
-    rows: &[usize],
-    x_at: impl Fn(usize, usize) -> f32 + Copy,
-    w: &[f32],
-    start: Option<&[f32]>,
-    y: &mut [f32],
-) {
+fn add_rows<L: Lanes>(ks: &[u32], w: &[f32], start: Option<&[f32]>, y: &mut [f32]) {
     let n = y.len();
     let mut j = 0;
     while j + 4 * L::WIDTH <= n {
-        j = live_chunk::<L, 4>(rows, x_at, w, start, y, j);
+        j = add_rows_chunk::<L, 4>(ks, w, start, y, j);
     }
     if j + 2 * L::WIDTH <= n {
-        j = live_chunk::<L, 2>(rows, x_at, w, start, y, j);
+        j = add_rows_chunk::<L, 2>(ks, w, start, y, j);
     }
     if j + L::WIDTH <= n {
-        j = live_chunk::<L, 1>(rows, x_at, w, start, y, j);
+        j = add_rows_chunk::<L, 1>(ks, w, start, y, j);
     }
     for (jj, yj) in y.iter_mut().enumerate().skip(j) {
         let mut acc = start.map_or(*yj, |s| s[jj]);
-        for (p, &k) in rows.iter().enumerate() {
-            let (xk, wkj) = (x_at(p, k), w[k * n + jj]);
-            acc = if xk == 1.0 {
-                acc + wkj
-            } else {
-                L::fmac_e(acc, xk, wkj)
-            };
+        for &k in ks {
+            acc += w[k as usize * n + jj];
         }
         *yj = acc;
     }
 }
 
-/// Columns `j .. j + C·WIDTH` of [`accumulate_live`]: `C` accumulators
-/// loaded once (from `start`, or else from `y`), one plain add (for an
-/// exact `1.0`, which the `fmac` would round identically) or one `fmac` per
-/// listed row, one store; returns the next column.
+/// Columns `j .. j + C·WIDTH` of [`add_rows`]: `C` accumulators loaded
+/// once (from `start`, or else from `y`), one add per listed row, one
+/// store; returns the next column.
 #[inline(always)]
-fn live_chunk<L: Lanes, const C: usize>(
-    rows: &[usize],
-    x_at: impl Fn(usize, usize) -> f32,
+fn add_rows_chunk<L: Lanes, const C: usize>(
+    ks: &[u32],
     w: &[f32],
     start: Option<&[f32]>,
     y: &mut [f32],
@@ -203,18 +104,11 @@ fn live_chunk<L: Lanes, const C: usize>(
             None => L::load(&y[at..]),
         };
     }
-    for (p, &k) in rows.iter().enumerate() {
-        let xk = x_at(p, k);
-        let wr = &w[k * n + j..k * n + j + width];
-        if xk == 1.0 {
-            for (c, a) in acc.iter_mut().enumerate() {
-                *a = a.add(L::load(&wr[c * L::WIDTH..]));
-            }
-        } else {
-            let xv = L::splat(xk);
-            for (c, a) in acc.iter_mut().enumerate() {
-                *a = a.fmac(xv, L::load(&wr[c * L::WIDTH..]));
-            }
+    for &k in ks {
+        let at = k as usize * n + j;
+        let wr = &w[at..at + width];
+        for (c, a) in acc.iter_mut().enumerate() {
+            *a = a.add(L::load(&wr[c * L::WIDTH..]));
         }
     }
     for (c, a) in acc.iter().enumerate() {
@@ -1148,66 +1042,57 @@ impl ScalarRankTile<'_> {
     }
 }
 
-/// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` — the batched outer-product gradient
-/// accumulation `dW += Xᵀ·dY` (with `batch == 1` it is the rank-1
-/// `outer_acc` the scalar backward used per timestep) for a sparse `x`:
-/// zero entries of `x` are skipped and exact ones take the plain-add path.
+/// `dw[k] += Σ_{b : k ∈ rows[b]} dy[b]` — the weight gradient `dW += Xᵀ·dY`
+/// of a one-hot input given as index rows — for a row-major `dw` of `k_dim`
+/// rows and `n` columns.
 ///
-/// A counting sort puts every nonzero entry of `x` into its feature's
-/// bucket: one pass over the rows counts the entries per feature, a
-/// second writes each entry's row and value at its bucket's cursor, so
-/// every bucket lists its rows in ascending `b`. Then each feature's `dW`
-/// row accumulates its bucket in registers ([`accumulate_live`], the sparse
-/// gemm's column chunks over `dY`'s rows), loaded and stored once. Per
-/// output element the `b` contributions therefore run in ascending order —
-/// the sparse gemm over `Xᵀ` with its exact contract, so SIMD ≡ scalar
-/// stays bitwise per FMA policy — and one-hot training inputs cost one
-/// pass over `dY` per active feature, with no transpose of `x`.
+/// A counting sort puts every listed index into its input feature's
+/// bucket: one pass over the rows counts the entries per feature, a second
+/// writes each entry's row at its bucket's cursor, so every bucket lists
+/// its rows in ascending `b`. Then each feature's `dW` row adds its bucket
+/// of `dY` rows in registers ([`add_rows`]), loaded and stored once. Per
+/// output element the `b` contributions therefore run in ascending order,
+/// one plain add each — the dense product's chain over the ones of `X`,
+/// with its zeros left out — and a feature costs one pass over the `dY`
+/// rows that list it, with no transpose.
 #[inline(always)]
-pub(crate) fn outer_acc_f32<L: Lanes>(
-    batch: usize,
-    x: &[f32],
+pub(crate) fn onehot_outer_acc_f32<'a, L: Lanes>(
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     k_dim: usize,
     dy: &[f32],
     n: usize,
     dw: &mut [f32],
     buckets: &mut Buckets,
 ) {
-    debug_assert_eq!(x.len(), batch * k_dim);
-    debug_assert_eq!(dy.len(), batch * n);
     debug_assert_eq!(dw.len(), k_dim * n);
-    if k_dim == 0 || n == 0 {
-        return;
-    }
-    let Buckets { ends, rows, vals } = buckets;
-    // Counts land one slot up, so the prefix sum leaves `ends[i]` at the
-    // start of bucket `i`; the placement pass then walks it to its end.
+    let Buckets { ends, rows: listed } = buckets;
+    // Counts land one slot up, so the prefix sum leaves `ends[k]` at the
+    // start of bucket `k`; the placement pass then walks it to its end.
     ends.clear();
     ends.resize(k_dim + 1, 0);
-    for x_row in x.chunks_exact(k_dim) {
-        each_live::<L>(x_row, |i| ends[i + 1] += 1);
+    for ks in rows.clone() {
+        for &k in ks {
+            ends[k as usize + 1] += 1;
+        }
     }
-    for i in 0..k_dim {
-        ends[i + 1] += ends[i];
+    for k in 0..k_dim {
+        ends[k + 1] += ends[k];
     }
-    let nonzero = ends[k_dim];
-    if rows.len() < nonzero {
-        rows.resize(nonzero, 0);
-        vals.resize(nonzero, 0.0);
+    let entries = ends[k_dim];
+    if listed.len() < entries {
+        listed.resize(entries, 0);
     }
-    for (b, x_row) in x.chunks_exact(k_dim).enumerate() {
-        each_live::<L>(x_row, |i| {
-            let at = ends[i];
-            rows[at] = b;
-            vals[at] = x_row[i];
-            ends[i] = at + 1;
-        });
+    for (b, ks) in (0u32..).zip(rows) {
+        for &k in ks {
+            let at = ends[k as usize];
+            listed[at] = b;
+            ends[k as usize] = at + 1;
+        }
     }
     let mut begin = 0;
     for (&end, dw_row) in ends[..k_dim].iter().zip(dw.chunks_exact_mut(n)) {
         if begin < end {
-            let vals = &vals[begin..end];
-            accumulate_live::<L>(&rows[begin..end], |p, _| vals[p], dy, None, dw_row);
+            add_rows::<L>(&listed[begin..end], dy, None, dw_row);
         }
         begin = end;
     }
@@ -1962,16 +1847,14 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn gemm_sparse_f32(
-                    batch: usize,
-                    x: &[f32],
-                    k_dim: usize,
+                pub(crate) unsafe fn onehot_bias_f32<'a>(
+                    rows: impl Iterator<Item = &'a [u32]> + Clone,
                     w: &[f32],
                     n: usize,
                     bias: &[f32],
-                    y: &mut [f32],
+                    z: &mut [f32],
                 ) {
-                    super::super::gemm_sparse_f32::<$f32ty>(batch, x, k_dim, w, n, bias, y)
+                    super::super::onehot_bias_f32::<$f32ty>(rows, w, n, bias, z)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
@@ -2041,17 +1924,15 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments, reason = "mirrors `outer_acc_f32`")]
-                pub(crate) unsafe fn outer_acc_f32(
-                    batch: usize,
-                    x: &[f32],
+                pub(crate) unsafe fn onehot_outer_acc_f32<'a>(
+                    rows: impl Iterator<Item = &'a [u32]> + Clone,
                     k_dim: usize,
                     dy: &[f32],
                     n: usize,
                     dw: &mut [f32],
                     buckets: &mut Buckets,
                 ) {
-                    super::super::outer_acc_f32::<$f32ty>(batch, x, k_dim, dy, n, dw, buckets)
+                    super::super::onehot_outer_acc_f32::<$f32ty>(rows, k_dim, dy, n, dw, buckets)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

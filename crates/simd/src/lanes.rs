@@ -104,10 +104,6 @@ pub trait Lanes: Copy {
     fn exp2i(n: Self) -> Self;
     /// Magnitude of `self` with the sign of `src`.
     fn copysign(self, src: Self) -> Self;
-    /// Bit `l` of the result is set where lane `l` is not equal to zero
-    /// under an unordered compare (`NEQ_UQ`): NaN sets its bit, `±0`
-    /// clears it — exactly the entries `x != 0.0` keeps.
-    fn ne_zero_mask(self) -> u32;
     /// Bit `l` of the result is set where lane `l` of `self` is greater
     /// than lane `l` of `o` under an ordered compare (`GT_OQ`): a NaN on
     /// either side clears its bit — exactly `self > o`.
@@ -272,10 +268,6 @@ impl<const FUSED: bool> Lanes for ScalarLane<FUSED> {
         ))
     }
     #[inline(always)]
-    fn ne_zero_mask(self) -> u32 {
-        u32::from(self.0 != 0.0)
-    }
-    #[inline(always)]
     fn gt_mask(self, o: Self) -> u32 {
         u32::from(self.0 > o.0)
     }
@@ -395,10 +387,6 @@ impl<L: Lanes> Lanes for Pair<L> {
     #[inline(always)]
     fn copysign(self, src: Self) -> Self {
         self.zip(src, L::copysign)
-    }
-    #[inline(always)]
-    fn ne_zero_mask(self) -> u32 {
-        self.0.ne_zero_mask() | self.1.ne_zero_mask() << L::WIDTH
     }
     #[inline(always)]
     fn gt_mask(self, o: Self) -> u32 {

@@ -55,12 +55,20 @@
 //! call gate gradients `dZ`, packed into the caller's buffer, with its
 //! other operand read transposed in place. A sub-tile that one vector
 //! covers runs 1-vector register tiles, the same chains.
-//! [`gemm_panels_bias_f32`] (and [`gemm_bias_f32`], its
-//! sparse twin) starts the accumulators from a bias instead of from `y`:
-//! the chain of copying the bias into `y` and accumulating, without the
-//! copy. [`rank_panels_f32`] runs the same tiles over a head's panels,
+//! [`gemm_panels_bias_f32`] starts the accumulators from a bias instead of
+//! from `y`: the chain of copying the bias into `y` and accumulating,
+//! without the copy. [`rank_panels_f32`] runs the same tiles over a head's panels,
 //! started from its bias, and ends them in a compare-and-popcount instead
 //! of a store: each row's rank among logits it never writes.
+//!
+//! # One-hot inputs as index rows
+//!
+//! The LSTM's stack input is one-hot, and its kernels never see the zeros:
+//! a row comes as the ascending indices of its ones, read through an
+//! iterator (so rows may lie scattered), and [`onehot_bias_f32`] adds
+//! those rows of `W` onto the bias with one plain add per element — the
+//! dense chain over the 0/1 row, whose `1.0·w` rounds to `w` under either
+//! FMA policy.
 //!
 //! # The gate-and-cell pass
 //!
@@ -83,9 +91,9 @@
 //! # Training kernels
 //!
 //! Backpropagation adds passes that only combine data already in memory,
-//! each one dispatched kernel: [`outer_acc_f32`], the one-hot weight
-//! gradient, buckets each input feature's nonzero rows with a counting
-//! sort and adds every bucket into its gradient row in registers;
+//! each one dispatched kernel: [`onehot_outer_acc_f32`], the one-hot
+//! weight gradient, buckets each input feature's index rows with a
+//! counting sort and adds every bucket into its gradient row in registers;
 //! [`outer_dense_acc_f32`], the dense weight gradient `dW += Xᵀ·dY`, reads
 //! `X` transposed where it lies — any row per contraction index, so the
 //! recurrent gradient reads each timestep's previous hidden rows from the
@@ -503,68 +511,72 @@ mod dispatch {
 
 use dispatch::dispatch_f32;
 
-/// `y[b] = bias + x[b]ᵀ·W` for `batch` row-major lanes over a `k_dim × n`
-/// row-major weight matrix, every output row overwritten, skipping zero
-/// entries of `x` (one-hot inputs are nearly free). Rows are independent:
-/// per output element the chain starts from `bias` and the `k`
-/// contributions accumulate in ascending order on every backend, so a row
-/// gives the same bits in a batch of any size. The chain is the one a copy
-/// of `bias` into `y` followed by the accumulating product runs, but the
-/// accumulators load `bias` instead of a copy of it.
-///
-/// Per batch row and block of 64 `k`, one vector compare per vector of
-/// `x` lists the entries that are not `±0` (NaN is kept), and each column
-/// chunk of `y` accumulates over that list in registers, loaded and
-/// stored once — not once per nonzero entry. An exact `1.0` is a plain
-/// add, any other entry one `fmac`.
+/// The one-hot product started from a bias, over inputs given as index
+/// rows: `z[r] = bias + Σ_{k ∈ rows[r]} W[k]`, every output row
+/// overwritten, for `W` row-major with `n` columns (`w.len() / n` input
+/// features) and `z` one row of `n` per index row. Row `r` lists the
+/// features where the one-hot input is 1, and the product adds their
+/// weight rows in the order listed, one plain add per element: for
+/// ascending rows that is the ascending-`k` chain of the dense product over
+/// the 0/1 row, whose `1.0·w` terms round to `w` under either FMA policy and
+/// whose zero terms it leaves out. Rows are independent, so a row gives the
+/// same bits in a batch of any size and in any order.
 ///
 /// # Panics
 ///
-/// Panics on block-size mismatch.
-pub fn gemm_bias_f32(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
+/// Panics on block-size mismatch, if `n == 0`, or if an index is not a row
+/// of `W`.
+pub fn onehot_bias_f32<'a>(
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     w: &[f32],
     n: usize,
     bias: &[f32],
-    y: &mut [f32],
+    z: &mut [f32],
 ) {
-    gemm_bias_f32_with(current(), batch, x, k_dim, w, n, bias, y)
+    onehot_bias_f32_with(current(), rows, w, n, bias, z)
 }
 
-/// [`gemm_bias_f32`] with an explicit backend selection.
+/// [`onehot_bias_f32`] with an explicit backend selection.
 ///
 /// # Panics
 ///
-/// Panics on block-size mismatch or an unsupported selection.
-#[allow(
-    clippy::too_many_arguments,
-    unsafe_code,
-    reason = "the product's operands and its bias; see the `dispatch` module's SAFETY note"
-)]
-pub fn gemm_bias_f32_with(
+/// As [`onehot_bias_f32`], or if the selection is unsupported.
+#[allow(unsafe_code, reason = "see the `dispatch` module's SAFETY note")]
+pub fn onehot_bias_f32_with<'a>(
     sel: Selection,
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     w: &[f32],
     n: usize,
     bias: &[f32],
-    y: &mut [f32],
+    z: &mut [f32],
 ) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(x.len(), batch * k_dim, "gemm_bias: input block mismatch");
-    assert_eq!(w.len(), k_dim * n, "gemm_bias: weight block mismatch");
-    assert_eq!(bias.len(), n, "gemm_bias: bias width mismatch");
-    assert_eq!(y.len(), batch * n, "gemm_bias: output block mismatch");
-    dispatch_f32!(sel, gemm_sparse_f32(batch, x, k_dim, w, n, bias, y))
+    assert!(
+        n > 0 && w.len().is_multiple_of(n),
+        "onehot_bias: weight block is not whole rows"
+    );
+    assert_eq!(bias.len(), n, "onehot_bias: bias width mismatch");
+    let count = index_rows(rows.clone(), w.len() / n, "onehot_bias");
+    assert_eq!(count * n, z.len(), "onehot_bias: output block mismatch");
+    dispatch_f32!(sel, onehot_bias_f32(rows, w, n, bias, z))
 }
 
-/// Register-tiled dense `y[b] += x[b]ᵀ·W` (no zero skip; right for dense
-/// activations). Accumulation order and rounding match the zero-skipping
-/// [`gemm_bias_f32`] with `y` as its bias, except that zero entries
-/// contribute an exact `+±0`.
+/// Counts the index rows of a one-hot kernel call, checking that every
+/// index names one of the `k_dim` input features.
+fn index_rows<'a>(rows: impl Iterator<Item = &'a [u32]>, k_dim: usize, what: &str) -> usize {
+    let mut count = 0;
+    for ks in rows {
+        assert!(
+            ks.iter().all(|&k| (k as usize) < k_dim),
+            "{what}: index out of range"
+        );
+        count += 1;
+    }
+    count
+}
+
+/// Register-tiled dense `y[b] += x[b]ᵀ·W`: per output element one
+/// ascending-`k` `fmac` chain continued from `y`.
 ///
 /// Packs `W` into panels on every call, into a thread-local buffer — right
 /// when the operand is new on every call — except that when the `batch`
@@ -948,63 +960,57 @@ pub fn softmax_head_f32_with(
     )
 }
 
-/// The reusable buffers of [`outer_acc_f32`]'s counting sort: per input
-/// feature, where its bucket ends (`k_dim + 1` entries), and per nonzero
-/// entry of `x`, its batch row and value in bucket order. They grow to the
-/// largest call and are kept, so a caller that keeps one per worker
-/// accumulates without allocating.
+/// The reusable buffers of [`onehot_outer_acc_f32`]'s counting sort: per
+/// input feature, where its bucket ends (`k_dim + 1` entries), and per
+/// listed index, its row in bucket order. They grow to the largest call and
+/// are kept, so a caller that keeps one per worker accumulates without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct Buckets {
     pub(crate) ends: Vec<usize>,
-    pub(crate) rows: Vec<usize>,
-    pub(crate) vals: Vec<f32>,
+    pub(crate) rows: Vec<u32>,
 }
 
-/// Batched outer-product gradient accumulation
-/// `dw[i][j] += Σ_b x[b][i]·dy[b][j]` (`dW += Xᵀ·dY`) for row-major
-/// `batch × k_dim` inputs and `batch × n` output gradients into a
-/// row-major `k_dim × n` weight gradient. Contributions per output element
-/// accumulate in ascending `b`; zero entries of `x` are skipped and exact
-/// ones take the plain-add path (both bitwise-neutral, matching
-/// [`gemm_bias_f32`]'s contract), so one-hot inputs stay nearly free and
-/// SIMD ≡ scalar is bitwise per FMA policy. With `batch == 1` this is the
-/// per-timestep rank-1 update the scalar backward used.
+/// The weight gradient of the one-hot product, over inputs given as index
+/// rows: `dw[k] += Σ_{b : k ∈ rows[b]} dy[b]` (`dW += Xᵀ·dY` for the 0/1
+/// matrix `X` the rows list the ones of), with `dy` one row of `n` per
+/// index row and `dw` row-major `k_dim × n`. Per element the rows add in
+/// ascending `b`, one plain add each: the dense product's chain over `X`,
+/// whose `1.0·dy` terms round to `dy` under either FMA policy and whose
+/// zero terms it leaves out.
 ///
-/// Nothing is transposed: a counting sort lists each input feature's
-/// nonzero entries (in the caller's `buckets`, grown to the largest call),
-/// and each feature's `dW` row then accumulates its bucket with the
-/// accumulators held in registers. The result is bitwise that of the
-/// sparse product over `Xᵀ` accumulated into `dw`.
+/// Nothing is transposed: a counting sort lists each feature's rows (in
+/// the caller's `buckets`, grown to the largest call), and each feature's
+/// `dW` row then adds its bucket with the accumulators held in registers.
 ///
 /// # Panics
 ///
-/// Panics on block-size mismatch.
-pub fn outer_acc_f32(
-    batch: usize,
-    x: &[f32],
+/// Panics on block-size mismatch, if `n == 0`, if an index is not below
+/// `k_dim`, or if there are `2^32` rows or more.
+pub fn onehot_outer_acc_f32<'a>(
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     k_dim: usize,
     dy: &[f32],
     n: usize,
     dw: &mut [f32],
     buckets: &mut Buckets,
 ) {
-    outer_acc_f32_with(current(), batch, x, k_dim, dy, n, dw, buckets)
+    onehot_outer_acc_f32_with(current(), rows, k_dim, dy, n, dw, buckets)
 }
 
-/// [`outer_acc_f32`] with an explicit backend selection.
+/// [`onehot_outer_acc_f32`] with an explicit backend selection.
 ///
 /// # Panics
 ///
-/// Panics on block-size mismatch or an unsupported selection.
+/// As [`onehot_outer_acc_f32`], or if the selection is unsupported.
 #[allow(
     clippy::too_many_arguments,
     unsafe_code,
     reason = "the product's operands and its buckets; see the `dispatch` module's SAFETY note"
 )]
-pub fn outer_acc_f32_with(
+pub fn onehot_outer_acc_f32_with<'a>(
     sel: Selection,
-    batch: usize,
-    x: &[f32],
+    rows: impl Iterator<Item = &'a [u32]> + Clone,
     k_dim: usize,
     dy: &[f32],
     n: usize,
@@ -1012,10 +1018,22 @@ pub fn outer_acc_f32_with(
     buckets: &mut Buckets,
 ) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(x.len(), batch * k_dim, "outer_acc: input block mismatch");
-    assert_eq!(dy.len(), batch * n, "outer_acc: gradient block mismatch");
-    assert_eq!(dw.len(), k_dim * n, "outer_acc: weight block mismatch");
-    dispatch_f32!(sel, outer_acc_f32(batch, x, k_dim, dy, n, dw, buckets))
+    assert!(
+        n > 0 && dy.len().is_multiple_of(n),
+        "onehot_outer_acc: gradient block is not whole rows"
+    );
+    assert_eq!(
+        dw.len(),
+        k_dim * n,
+        "onehot_outer_acc: weight block mismatch"
+    );
+    let count = index_rows(rows.clone(), k_dim, "onehot_outer_acc");
+    assert_eq!(count * n, dy.len(), "onehot_outer_acc: row count mismatch");
+    assert!(
+        u32::try_from(count).is_ok(),
+        "onehot_outer_acc: too many rows"
+    );
+    dispatch_f32!(sel, onehot_outer_acc_f32(rows, k_dim, dy, n, dw, buckets))
 }
 
 /// The dense weight-gradient product `dw[i][j] += Σ_b x_b[i]·dy[b][j]`

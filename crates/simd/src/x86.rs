@@ -18,7 +18,6 @@
 //! * `max`/`min` follow the `maxps`/`minps` source-operand rule — a NaN in
 //!   `self` yields `o` — which the scalar lanes mirror exactly,
 //! * `select_lt` compares ordered (NaN → false) and blends,
-//! * `ne_zero_mask` compares unordered (NaN → set), `cmpneq`/`NEQ_UQ`,
 //! * `gt_mask`/`eq_mask` compare ordered (NaN → clear), `GT_OQ`/`EQ_OQ`
 //!   (`cmpgt`/`cmpeq` on SSE2),
 //! * `exp2i` builds `2^n` by integer exponent-field arithmetic.
@@ -145,11 +144,6 @@ impl<const FUSED: bool> Lanes for Sse2F32<FUSED> {
                 _mm_and_ps(sign, src.0),
             ))
         }
-    }
-    #[inline(always)]
-    fn ne_zero_mask(self) -> u32 {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        unsafe { _mm_movemask_ps(_mm_cmpneq_ps(self.0, _mm_setzero_ps())) as u32 }
     }
     #[inline(always)]
     fn gt_mask(self, o: Self) -> u32 {
@@ -371,14 +365,6 @@ impl Lanes for Avx2F32 {
         }
     }
     #[inline(always)]
-    fn ne_zero_mask(self) -> u32 {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        unsafe {
-            let m = _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, _mm256_setzero_ps());
-            _mm256_movemask_ps(m) as u32
-        }
-    }
-    #[inline(always)]
     fn gt_mask(self, o: Self) -> u32 {
         // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
         unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, o.0)) as u32 }
@@ -592,11 +578,6 @@ impl Lanes for Avx512F32 {
             let sgn = _mm512_and_si512(_mm512_castps_si512(src.0), sign);
             Avx512F32(_mm512_castsi512_ps(_mm512_or_si512(mag, sgn)))
         }
-    }
-    #[inline(always)]
-    fn ne_zero_mask(self) -> u32 {
-        // SAFETY: register-only intrinsic, no memory access; the CPU feature is guaranteed per the module contract above.
-        u32::from(unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, _mm512_setzero_ps()) })
     }
     #[inline(always)]
     fn gt_mask(self, o: Self) -> u32 {

@@ -8,18 +8,17 @@
 //! dispatcher may pick any backend at startup without changing a single
 //! decision bit.
 
-use icsad_simd::lanes::{Lanes, ScalarLane};
 use icsad_simd::{
-    col_sum_acc_f32_with, gemm_bias_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32,
-    gemm_panels_acc_f32_with, gemm_panels_bias_f32_with, lstm_backward_rows_f32_with,
-    lstm_cell_f32_with, lstm_rows_f32_with, outer_acc_f32_with, outer_dense_acc_f32_with,
+    col_sum_acc_f32_with, gemm_dense_acc_f32_with, gemm_panels_acc_f32, gemm_panels_acc_f32_with,
+    gemm_panels_bias_f32_with, lstm_backward_rows_f32_with, lstm_cell_f32_with, lstm_rows_f32_with,
+    onehot_bias_f32_with, onehot_outer_acc_f32_with, outer_dense_acc_f32_with,
     rank_panels_f32_with, softmax_head_f32_with, supported_selections, Backend, Buckets, HeadGrads,
     HeadScratch, PanelsF32, Selection,
 };
 use proptest::prelude::*;
 
 /// Interprets selector bytes as a value stream with exact zeros and ones
-/// mixed in (the sparse kernel branches on both).
+/// mixed in.
 fn mix(selectors: &[u8], raw: &[f32]) -> Vec<f32> {
     selectors
         .iter()
@@ -82,28 +81,6 @@ fn gate_rows(sel: Selection, hd: usize, z: &[f32], c0: &[f32]) -> [Vec<f32>; 4] 
 
 proptest! {
     #[test]
-    fn gemm_bias_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=49,
-        sx in proptest::collection::vec(0u8..=255, batch * k_dim),
-        rx in proptest::collection::vec(-8f32..8.0, batch * k_dim),
-        sw in proptest::collection::vec(0u8..=255, k_dim * n),
-        rw in proptest::collection::vec(-8f32..8.0, k_dim * n),
-        bias in proptest::collection::vec(-4f32..4.0, n),
-    ) {
-        let x = mix(&sx, &rx);
-        let w = mix(&sw, &rw);
-        for (sel, scalar) in pairs() {
-            let mut got = vec![0.0; batch * n];
-            gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
-            let mut want = vec![0.0; batch * n];
-            gemm_bias_f32_with(scalar, batch, &x, k_dim, &w, n, &bias, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
-        }
-    }
-
-    #[test]
     fn gemm_dense_acc_matches_scalar_bitwise(
         batch in 1usize..=13,
         k_dim in 1usize..=49,
@@ -121,90 +98,6 @@ proptest! {
             gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
             let mut want = y0.clone();
             gemm_dense_acc_f32_with(scalar, batch, &x, k_dim, &w, n, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
-        }
-    }
-
-    /// The zero-skip is bitwise-neutral (skipped terms only contribute ±0):
-    /// the layers rely on mixing the sparse and dense kernels freely.
-    #[test]
-    fn dense_equals_sparse_on_every_backend(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=49,
-        sx in proptest::collection::vec(0u8..=255, batch * k_dim),
-        rx in proptest::collection::vec(-8f32..8.0, batch * k_dim),
-        sw in proptest::collection::vec(0u8..=255, k_dim * n),
-        rw in proptest::collection::vec(-8f32..8.0, k_dim * n),
-    ) {
-        let x = mix(&sx, &rx);
-        let w = mix(&sw, &rw);
-        for sel in supported_selections() {
-            let mut dense = vec![0.25f32; batch * n];
-            gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut dense);
-            let mut sparse = vec![0.0f32; batch * n];
-            gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &vec![0.25; n], &mut sparse);
-            assert_bits_eq(&dense, &sparse, sel.label());
-        }
-    }
-
-    /// The BPTT weight-gradient kernel, with exact zeros and ones mixed
-    /// into `x` (the kernel branches on both).
-    #[test]
-    fn outer_acc_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=49,
-        sx in proptest::collection::vec(0u8..=255, 13 * 49),
-        rx in proptest::collection::vec(-8f32..8.0, 13 * 49),
-        dy in proptest::collection::vec(-8f32..8.0, 13 * 49),
-        dw0 in proptest::collection::vec(-4f32..4.0, 49 * 49),
-    ) {
-        let x = mix(&sx[..batch * k_dim], &rx[..batch * k_dim]);
-        let dy = &dy[..batch * n];
-        let dw0 = &dw0[..k_dim * n];
-        for (sel, scalar) in pairs() {
-            let mut got = dw0.to_vec();
-            outer_acc_f32_with(sel, batch, &x, k_dim, dy, n, &mut got, &mut Buckets::default());
-            let mut want = dw0.to_vec();
-            outer_acc_f32_with(scalar, batch, &x, k_dim, dy, n, &mut want, &mut Buckets::default());
-            assert_bits_eq(&got, &want, sel.label());
-        }
-    }
-
-    /// `outer_acc` with one batch row reproduces the rank-1 scalar update
-    /// the historical per-timestep backward applied: skip exact zeros,
-    /// plain add for exact ones, single fmac otherwise — element by
-    /// element under the same policy.
-    #[test]
-    fn outer_acc_batch_one_is_the_rank_one_update(
-        k_dim in 1usize..=33,
-        n in 1usize..=33,
-        sx in proptest::collection::vec(0u8..=255, 33),
-        rx in proptest::collection::vec(-8f32..8.0, 33),
-        dy in proptest::collection::vec(-8f32..8.0, 33),
-        dw0 in proptest::collection::vec(-4f32..4.0, 33 * 33),
-    ) {
-        let x = mix(&sx[..k_dim], &rx[..k_dim]);
-        let dy = &dy[..n];
-        for sel in supported_selections() {
-            let mut got = dw0[..k_dim * n].to_vec();
-            outer_acc_f32_with(sel, 1, &x, k_dim, dy, n, &mut got, &mut Buckets::default());
-            let mut want = dw0[..k_dim * n].to_vec();
-            for (i, &xi) in x.iter().enumerate() {
-                for (j, &dyj) in dy.iter().enumerate() {
-                    let acc = &mut want[i * n + j];
-                    if xi == 0.0 {
-                        continue;
-                    } else if xi == 1.0 {
-                        *acc += dyj;
-                    } else if sel.fma {
-                        *acc = xi.mul_add(dyj, *acc);
-                    } else {
-                        *acc += xi * dyj;
-                    }
-                }
-            }
             assert_bits_eq(&got, &want, sel.label());
         }
     }
@@ -297,10 +190,10 @@ fn fma_policy_is_explicit_and_scalar_reproduces_it() {
         backend: Backend::Scalar,
         fma: true,
     };
-    // One `fmac` step of the sparse product: `acc0 + x·x`.
-    let step = |sel| {
-        let mut y = [0.0];
-        gemm_bias_f32_with(sel, 1, &x, 1, &x, 1, &[acc0], &mut y);
+    // One `fmac` step of the dense product: `acc0 + x·x`.
+    let step = |sel| -> f32 {
+        let mut y = [acc0];
+        gemm_dense_acc_f32_with(sel, 1, &x, 1, &x, 1, &mut y);
         y[0]
     };
     let (plain, fused) = (step(scalar_plain), step(scalar_fused));
@@ -543,18 +436,15 @@ const OUTER_GRID: (&[usize], &[usize], &[usize]) = (&[1, 5], &[8, 33], &[1, 3]);
 
 /// The BPTT weight gradient for dense activations: `outer_dense_acc_f32`,
 /// reading `X`'s rows where they lie, equals the dense gemm over an
-/// explicit `Xᵀ` with `dY` as its per-call-packed operand, the
-/// zero-skipping `outer_acc_f32` and an independent ascending-`b` chain,
-/// bitwise, on every selection: the terms the sparse kernel skips (`x ==
-/// 0`) or plain-adds (`x == 1`) round identically through the `fmac`. The
+/// explicit `Xᵀ` with `dY` as its per-call-packed operand and an
+/// independent ascending-`b` chain, bitwise, on every selection. The
 /// rows come once as one block, and once scattered through a larger block
 /// in reverse order with every third row a shared zero row — the shape of
 /// the recurrent gradient's previous hidden rows — each through a pack
 /// buffer left dirty by the call before.
 #[test]
-fn dense_outer_product_matches_sparse_and_reference_bitwise() {
+fn dense_outer_product_matches_the_reference_bitwise() {
     let (ks, ns, batches) = OUTER_GRID;
-    let mut buckets = Buckets::default();
     let mut pack = vec![f32::NAN; 7];
     for &k_dim in ks {
         let zero = vec![0.0f32; k_dim];
@@ -608,9 +498,6 @@ fn dense_outer_product_matches_sparse_and_reference_bitwise() {
                     let mut dense = dw0.clone();
                     gemm_dense_acc_f32_with(sel, k_dim, &xt, batch, &dy, n, &mut dense);
                     assert_bits_eq(&dense, want, &format!("dense {what}"));
-                    let mut sparse = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut sparse, &mut buckets);
-                    assert_bits_eq(&sparse, want, &format!("sparse {what}"));
                 }
             }
         }
@@ -736,174 +623,6 @@ fn every_tail_length_matches_scalar_bitwise() {
             assert_bits_eq(&c, &want_c, &what);
             assert_bits_eq(&h, &want_h, &what);
             assert_bits_eq(&tc, &want_tc, &what);
-        }
-    }
-}
-
-/// The block of `k` the oracle below walks per batch row.
-const K_BLOCK: usize = 64;
-
-/// The oracle of the sparse product: `gemm_sparse_f32`'s per-`k` axpy body
-/// as it stood before the kernel switched to register accumulators over a
-/// list of live entries, verbatim. Run on the scalar lanes it is one
-/// ascending-`k` chain per element — skip `x == 0`, plain add for
-/// `x == 1`, `fmac` otherwise.
-#[inline(always)]
-fn oracle_gemm_sparse<L: Lanes>(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-) {
-    debug_assert_eq!(x.len(), batch * k_dim);
-    debug_assert_eq!(w.len(), k_dim * n);
-    debug_assert_eq!(y.len(), batch * n);
-    let mut kb = 0;
-    while kb < k_dim {
-        let kend = (kb + K_BLOCK).min(k_dim);
-        for b in 0..batch {
-            let x_row = &x[b * k_dim..(b + 1) * k_dim];
-            let y_row = &mut y[b * n..(b + 1) * n];
-            for (ko, &xi) in x_row[kb..kend].iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let k = kb + ko;
-                let w_row = &w[k * n..(k + 1) * n];
-                if xi == 1.0 {
-                    // 1.0 * w rounds to w exactly: the plain add equals the
-                    // fmac under either policy.
-                    let mut j = 0;
-                    while j + L::WIDTH <= n {
-                        L::load(&y_row[j..])
-                            .add(L::load(&w_row[j..]))
-                            .store(&mut y_row[j..]);
-                        j += L::WIDTH;
-                    }
-                    while j < n {
-                        // Read `y` before `w`, like the vector loop: `+=`
-                        // bounds-checks in the other order, which grew this
-                        // kernel's code and read ≈ 4 % lower on
-                        // `storm-churn` `pkg_s`.
-                        let yj = y_row[j];
-                        y_row[j] = yj + w_row[j];
-                        j += 1;
-                    }
-                } else {
-                    let xv = L::splat(xi);
-                    let mut j = 0;
-                    while j + L::WIDTH <= n {
-                        L::load(&y_row[j..])
-                            .fmac(xv, L::load(&w_row[j..]))
-                            .store(&mut y_row[j..]);
-                        j += L::WIDTH;
-                    }
-                    while j < n {
-                        y_row[j] = L::fmac_e(y_row[j], xi, w_row[j]);
-                        j += 1;
-                    }
-                }
-            }
-        }
-        kb = kend;
-    }
-}
-
-/// [`oracle_gemm_sparse`] on the scalar lane of the given FMA policy.
-fn sparse_oracle(
-    fma: bool,
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y0: &[f32],
-) -> Vec<f32> {
-    let mut y = y0.to_vec();
-    if fma {
-        oracle_gemm_sparse::<ScalarLane<true>>(batch, x, k_dim, w, n, &mut y);
-    } else {
-        oracle_gemm_sparse::<ScalarLane<false>>(batch, x, k_dim, w, n, &mut y);
-    }
-    y
-}
-
-/// Entries for the sparse product's `x`: both zeros (skipped), exact one
-/// (plain add), an ordinary scale, NaN (kept: `NaN != 0`), ±inf and
-/// subnormals (`fmac`).
-const SPARSE_X: [f32; 9] = [
-    0.0,
-    -0.0,
-    1.0,
-    0.5,
-    f32::NAN,
-    f32::INFINITY,
-    f32::NEG_INFINITY,
-    f32::from_bits(1),
-    -f32::from_bits(0x007f_ffff),
-];
-
-/// A sparse `x`: mostly exact zeros (of both signs), the rest cycling
-/// through [`SPARSE_X`] and ordinary values.
-fn sparse_x(len: usize, salt: usize) -> Vec<f32> {
-    let ordinary = operand(len, salt as u32);
-    (0..len)
-        .map(|i| match (i * 5 + salt) % 23 {
-            s if s < SPARSE_X.len() => SPARSE_X[s],
-            s if s % 2 == 0 => ordinary[i],
-            s if s % 3 == 0 => -0.0,
-            _ => 0.0,
-        })
-        .collect()
-}
-
-/// Depths on both sides of one vector (16 on AVX-512), of the 64-entry
-/// `k` block, the ledger's 74-wide one-hot input and two blocks; widths on
-/// both sides of each backend's vector and of the 4-vector column chunk,
-/// and the ledger models' 379-class head and 2×256 gate row.
-#[cfg(not(miri))]
-const SPARSE_GRID: (&[usize], &[usize], usize) = (
-    &[1, 15, 16, 17, 63, 64, 65, 74, 130],
-    &[1, 7, 16, 31, 32, 33, 64, 65, 379, 1024],
-    5,
-);
-#[cfg(miri)]
-const SPARSE_GRID: (&[usize], &[usize], usize) = (&[1, 17, 65], &[7, 33], 2);
-
-/// `gemm_bias_f32` (the oracle started from the bias copied into every
-/// row) and `outer_acc_f32` (which runs the same kernel over `Xᵀ`) equal
-/// the oracle bitwise on every supported selection.
-#[test]
-fn sparse_product_matches_the_per_k_oracle_bitwise() {
-    let (ks, ns, batch_max) = SPARSE_GRID;
-    let mut buckets = Buckets::default();
-    for &k_dim in ks {
-        for &n in ns {
-            let w = operand(k_dim * n, 13);
-            let dw0 = operand(k_dim * n, 14);
-            for batch in 1..=batch_max {
-                let x = sparse_x(batch * k_dim, k_dim + batch);
-                let bias = operand(n, 15);
-                let y0: Vec<f32> = (0..batch).flat_map(|_| bias.iter().copied()).collect();
-                let want =
-                    [false, true].map(|fma| sparse_oracle(fma, batch, &x, k_dim, &w, n, &y0));
-                let xt = transposed(&x, batch, k_dim);
-                let dy = operand(batch * n, 16);
-                let want_dw =
-                    [false, true].map(|fma| sparse_oracle(fma, k_dim, &xt, batch, &dy, n, &dw0));
-                for sel in supported_selections() {
-                    let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
-                    let mut got = vec![f32::NAN; batch * n];
-                    gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
-                    assert_bits_eq(&got, &want[usize::from(sel.fma)], &format!("gemm {what}"));
-                    let mut got = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got, &mut buckets);
-                    let want = &want_dw[usize::from(sel.fma)];
-                    assert_bits_eq(&got, want, &format!("outer {what}"));
-                }
-            }
         }
     }
 }
@@ -1254,56 +973,6 @@ fn fused_softmax_head_equals_the_unfused_passes_bitwise() {
     }
 }
 
-/// Shapes for the one-hot weight gradient: input widths inside one vector,
-/// across the 64-entry block and the ledger's 74-wide input; gradient
-/// widths that are not a multiple of 16 (plus one that is) around every
-/// column chunk and the ledger models' 379-class head; batches from one row
-/// to a whole 8-lane × 32-step gradient task.
-#[cfg(not(miri))]
-const BUCKET_GRID: (&[usize], &[usize], &[usize]) = (
-    &[1, 5, 17, 74],
-    &[1, 7, 15, 17, 32, 33, 63, 65, 379],
-    &[1, 3, 13, 256],
-);
-#[cfg(miri)]
-const BUCKET_GRID: (&[usize], &[usize], &[usize]) = (&[1, 17], &[7, 33], &[1, 3]);
-
-/// The bucketed one-hot weight gradient (`outer_acc_f32`: a counting sort
-/// of `x`'s nonzero entries by feature, each bucket added into its `dW` row
-/// in registers) equals the product it replaces — `x` transposed, then
-/// the zero-skipping gemm over `Xᵀ` — bitwise on every selection. `x`
-/// holds exact ones (plain adds), other values (the `fmac` path), NaN
-/// (kept) and `−0` (skipped, like `+0`); feature 0 is set in every row and
-/// the last feature in none.
-#[test]
-fn bucketed_outer_product_matches_the_transposed_sparse_gemm_bitwise() {
-    let (ks, ns, batches) = BUCKET_GRID;
-    let mut buckets = Buckets::default();
-    for &k_dim in ks {
-        for &n in ns {
-            let dw0 = operand(k_dim * n, 21);
-            for &batch in batches {
-                let mut x = sparse_x(batch * k_dim, k_dim + batch);
-                for row in x.chunks_exact_mut(k_dim) {
-                    row[0] = 1.0;
-                    if k_dim > 1 {
-                        row[k_dim - 1] = if batch % 2 == 0 { 0.0 } else { -0.0 };
-                    }
-                }
-                let xt = transposed(&x, batch, k_dim);
-                let dy = operand(batch * n, 22);
-                for sel in supported_selections() {
-                    let what = format!("{} {k_dim}x{n} over {batch}", sel.label());
-                    let want = sparse_oracle(sel.fma, k_dim, &xt, batch, &dy, n, &dw0);
-                    let mut got = dw0.clone();
-                    outer_acc_f32_with(sel, batch, &x, k_dim, &dy, n, &mut got, &mut buckets);
-                    assert_bits_eq(&got, &want, &format!("bucketed {what}"));
-                }
-            }
-        }
-    }
-}
-
 /// The per-element gate calculus of one BPTT timestep as the layer's
 /// backward ran it before the kernel, verbatim: per row and element, one
 /// plain op at a time, `c_prev` taken as `0.0` at `t = 0`.
@@ -1384,35 +1053,15 @@ fn gate_gradient_kernel_matches_the_scalar_loop_bitwise() {
     }
 }
 
-/// Both bias-started products equal copying the bias into every output
-/// row and then accumulating, bitwise, on every selection — and overwrite
-/// whatever the output held. The sparse one, against the per-`k` oracle
-/// from the copied bias, runs over `x` whose row 0 has
-/// no live entry in its first 64-entry block (or anywhere), so that row is
-/// the bias copied through; the panel one over the gemm grid, and with no
+/// The bias-started panel product equals copying the bias into every
+/// output row and then accumulating, bitwise, on every selection — and
+/// overwrites whatever the output held — over the gemm grid, and with no
 /// input at all (`k_dim = 0`).
 #[test]
-fn bias_started_gemms_equal_copy_then_accumulate_bitwise() {
+fn bias_started_gemm_equals_copy_then_accumulate_bitwise() {
     let copied = |bias: &[f32], batch: usize| -> Vec<f32> {
         (0..batch).flat_map(|_| bias.iter().copied()).collect()
     };
-    let (ks, ns, batch_max) = SPARSE_GRID;
-    for &k_dim in ks {
-        for &n in ns {
-            let w = operand(k_dim * n, 41);
-            let bias = sweep(n, 42);
-            let batch = batch_max;
-            let mut x = sparse_x(batch * k_dim, k_dim + 3);
-            x[..k_dim.min(64)].fill(0.0);
-            for sel in supported_selections() {
-                let what = format!("{} {batch}x{k_dim}x{n}", sel.label());
-                let want = sparse_oracle(sel.fma, batch, &x, k_dim, &w, n, &copied(&bias, batch));
-                let mut got = vec![f32::NAN; batch * n];
-                gemm_bias_f32_with(sel, batch, &x, k_dim, &w, n, &bias, &mut got);
-                assert_bits_eq(&got, &want, &format!("sparse {what}"));
-            }
-        }
-    }
     let (ns, batches, ks) = GRID;
     for &n in ns {
         let bias = sweep(n, 43);
@@ -1468,8 +1117,8 @@ fn column_sum_equals_the_per_row_add_loop_bitwise() {
     }
 }
 
-/// Every dense and bias-started entry is a no-op on an empty batch, at
-/// widths past one panel and past one sub-tile of every backend.
+/// Every dense, bias-started and one-hot entry is a no-op on an empty
+/// batch, at widths past one panel and past one sub-tile of every backend.
 #[test]
 fn empty_batches_are_no_ops_at_every_width() {
     let k_dim = 3;
@@ -1481,7 +1130,130 @@ fn empty_batches_are_no_ops_at_every_width() {
             gemm_panels_acc_f32_with(sel, 0, &[], &panels, &mut []);
             gemm_panels_bias_f32_with(sel, 0, &[], &panels, &bias, &mut []);
             gemm_dense_acc_f32_with(sel, 0, &[], k_dim, &w, n, &mut []);
-            gemm_bias_f32_with(sel, 0, &[], k_dim, &w, n, &bias, &mut []);
+            onehot_bias_f32_with(sel, std::iter::empty(), &w, n, &bias, &mut []);
+            let mut dw = w.clone();
+            let rows = std::iter::empty();
+            onehot_outer_acc_f32_with(sel, rows, k_dim, &[], n, &mut dw, &mut Buckets::default());
+            assert_bits_eq(&dw, &w, "an empty gradient adds nothing");
         }
     }
+}
+
+/// The one-hot projection's scalar reference: per index row, the bias,
+/// then each listed weight row in order, one plain add per element.
+fn reference_onehot_bias(rows: &[&[u32]], w: &[f32], n: usize, bias: &[f32]) -> Vec<f32> {
+    let mut z = Vec::new();
+    for ks in rows {
+        let mut row = bias.to_vec();
+        for &k in *ks {
+            for (zj, &wkj) in row.iter_mut().zip(&w[k as usize * n..]) {
+                *zj += wkj;
+            }
+        }
+        z.extend(row);
+    }
+    z
+}
+
+/// The one-hot weight gradient's scalar reference: `dw0`, then for each
+/// index row in order each listed row of `dw` plus that row of `dy`, one
+/// plain add per element.
+fn reference_onehot_outer(rows: &[&[u32]], dy: &[f32], n: usize, dw0: &[f32]) -> Vec<f32> {
+    let mut dw = dw0.to_vec();
+    for (ks, dy_row) in rows.iter().zip(dy.chunks_exact(n)) {
+        for &k in *ks {
+            for (dj, &g) in dw[k as usize * n..].iter_mut().zip(dy_row) {
+                *dj += g;
+            }
+        }
+    }
+    dw
+}
+
+/// Checks both one-hot kernels against their scalar references on every
+/// supported selection, reading `block`'s rows in the order `order` lists
+/// them — scattered, out of order and repeated, the way the trainer's row
+/// map reads a sequence block.
+fn check_onehot_kernels(block: &[Vec<u32>], order: &[usize], k_dim: usize, n: usize, salt: usize) {
+    let rows: Vec<&[u32]> = order.iter().map(|&r| &block[r][..]).collect();
+    let read = || order.iter().map(|&r| &block[r][..]);
+    let w = sweep(k_dim * n, salt);
+    let bias = sweep(n, salt + 1);
+    let dy = sweep(rows.len() * n, salt + 2);
+    let dw0 = sweep(k_dim * n, salt + 3);
+    let want_z = reference_onehot_bias(&rows, &w, n, &bias);
+    let want_dw = reference_onehot_outer(&rows, &dy, n, &dw0);
+    let mut buckets = Buckets::default();
+    for sel in supported_selections() {
+        let what = format!("{} {} rows of {k_dim} into {n}", sel.label(), rows.len());
+        let mut z = vec![f32::NAN; rows.len() * n];
+        onehot_bias_f32_with(sel, read(), &w, n, &bias, &mut z);
+        assert_bits_eq(&z, &want_z, &format!("projection {what}"));
+        let mut dw = dw0.clone();
+        onehot_outer_acc_f32_with(sel, read(), k_dim, &dy, n, &mut dw, &mut buckets);
+        assert_bits_eq(&dw, &want_dw, &format!("weight gradient {what}"));
+    }
+}
+
+/// Index rows of `k_dim` inputs with every count of ones from none to all
+/// of them, the last input alone and with others, the rest spread by a
+/// stride: the ascending rows a one-hot block holds.
+fn index_block(k_dim: usize) -> Vec<Vec<u32>> {
+    let k = k_dim as u32;
+    let mut block: Vec<Vec<u32>> = (0..=k)
+        .map(|count| {
+            (0..k)
+                .filter(|&i| (i * 7 + count) % (k + 1) < count)
+                .collect()
+        })
+        .collect();
+    block.push((0..k).collect());
+    block.push(vec![k - 1]);
+    block.push((0..k).step_by(3).chain([k - 1]).collect::<Vec<u32>>());
+    block.iter_mut().for_each(|row| row.dedup());
+    block
+}
+
+/// The one-hot projection and its weight gradient equal the scalar loops
+/// (the bias or `dw`, ascending index, plain add) bit for bit, on every
+/// supported selection and so under both FMA policies: output widths 1 to
+/// 49 — every 4-, 2- and 1-vector column chunk and scalar tail of every
+/// backend — inputs up to the ledger's 74-wide one-hot row, rows with 0 to
+/// `k_dim` ones including the last input, read scattered and out of order.
+#[test]
+fn onehot_kernels_match_the_scalar_reference_bitwise() {
+    #[cfg(not(miri))]
+    let (ks, ns): (&[usize], Vec<usize>) = (&[1, 2, 5, 17, 33, 74], (1..=49).collect());
+    #[cfg(miri)]
+    let (ks, ns): (&[usize], Vec<usize>) = (&[1, 5], vec![1, 7, 17, 33]);
+    for &k_dim in ks {
+        let block = index_block(k_dim);
+        let last = block.len() - 1;
+        // Every row, then backwards with each third one read twice.
+        let order: Vec<usize> = (0..=last)
+            .chain(
+                (0..=last)
+                    .rev()
+                    .flat_map(|r| std::iter::repeat_n(r, 1 + usize::from(r % 3 == 0))),
+            )
+            .collect();
+        for &n in &ns {
+            check_onehot_kernels(&block, &order, k_dim, n, k_dim * 64 + n);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "onehot_bias: index out of range")]
+fn an_index_past_the_weights_panics() {
+    let (w, bias) = (vec![0.0f32; 6], vec![0.0f32; 2]);
+    let rows = [&[0u32, 3][..]];
+    onehot_bias_f32_with(
+        supported_selections()[0],
+        rows.into_iter(),
+        &w,
+        2,
+        &bias,
+        &mut [0.0; 2],
+    );
 }
