@@ -190,11 +190,6 @@ impl BayesianNetwork {
         }
         nll
     }
-
-    /// The learned parent of each variable (`usize::MAX` = root).
-    pub fn parents(&self) -> &[usize] {
-        &self.parents
-    }
 }
 
 impl WindowDetector for BayesianNetwork {
@@ -244,7 +239,7 @@ mod tests {
     #[test]
     fn tree_structure_is_valid() {
         let (bn, _, _) = setup(6_000, 1);
-        let parents = bn.parents();
+        let parents = &bn.parents;
         // Exactly one root.
         assert_eq!(parents.iter().filter(|&&p| p == usize::MAX).count(), 1);
         // Acyclic: walking up from any node reaches the root.

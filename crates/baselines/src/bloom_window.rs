@@ -44,7 +44,7 @@ impl WindowBloomFilter {
     }
 
     /// The concatenated window signature used as the Bloom filter key.
-    pub fn window_key(&self, window: &[Record]) -> String {
+    fn window_key(&self, window: &[Record]) -> String {
         let mut key = String::new();
         for (i, r) in window.iter().enumerate() {
             if i > 0 {

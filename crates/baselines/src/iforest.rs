@@ -97,7 +97,7 @@ impl IsolationForest {
 
     /// The isolation score of a feature vector, in `(0, 1)`; higher means
     /// more anomalous (≈0.5 is average).
-    pub fn isolation_score(&self, features: &[f64]) -> f64 {
+    fn isolation_score(&self, features: &[f64]) -> f64 {
         let mean_path: f64 = self
             .trees
             .iter()

@@ -69,7 +69,7 @@ impl PcaSvd {
 
     /// Squared reconstruction error of a feature vector: the squared norm of
     /// its residual outside the principal subspace.
-    pub fn reconstruction_error(&self, features: &[f64]) -> f64 {
+    fn reconstruction_error(&self, features: &[f64]) -> f64 {
         let mut x = features.to_vec();
         self.standardizer.transform_in_place(&mut x);
         // Residual = |x|^2 - |proj|^2 (components are orthonormal).

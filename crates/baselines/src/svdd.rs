@@ -165,7 +165,7 @@ impl Svdd {
     }
 
     /// Squared kernel-space distance to the learned center.
-    pub fn distance2(&self, features: &[f64]) -> f64 {
+    fn distance2(&self, features: &[f64]) -> f64 {
         let mut x = features.to_vec();
         self.standardizer.transform_in_place(&mut x);
         let mut cross = 0.0;

@@ -5,7 +5,7 @@ use icsad_simulator::AttackType;
 
 /// Number of numeric features extracted per package by
 /// [`numeric_features`].
-pub const NUMERIC_FEATURES_PER_RECORD: usize = 18;
+const NUMERIC_FEATURES_PER_RECORD: usize = 18;
 
 /// Window width of the paper's baseline protocol (§VIII-C): four
 /// consecutive packages, one command–response cycle, form one sample.
@@ -79,7 +79,7 @@ pub fn window_label(window: &[Record]) -> Option<AttackType> {
 /// Numeric feature vector for one package: header features plus payload
 /// features with missing values encoded as `-1` (distinct from every real
 /// value in the dataset, which are all non-negative).
-pub fn numeric_features(r: &Record) -> [f64; NUMERIC_FEATURES_PER_RECORD] {
+fn numeric_features(r: &Record) -> [f64; NUMERIC_FEATURES_PER_RECORD] {
     let opt = |v: Option<f64>| v.unwrap_or(-1.0);
     let opt_u8 = |v: Option<u8>| v.map_or(-1.0, f64::from);
     [

@@ -86,8 +86,9 @@ impl CombinedBatch {
     /// order: the 1-based position of the package's signature in its lane's
     /// prediction (the head's logits for the lane's state before the
     /// package), `None` for a Bloom-level anomaly, a signature
-    /// outside the database or a stream's first package. This is what
-    /// [`crate::dynamic_k::DynamicKController::redecide`] consumes.
+    /// outside the database or a stream's first package. No verdict reads
+    /// them: they feed the offline dynamic-`k` ablation
+    /// ([`crate::dynamic_k::DynamicKController::redecide`]).
     pub fn ranks(&self) -> &[Option<usize>] {
         &self.ranks
     }

@@ -17,6 +17,11 @@
 //! which directly estimates the smallest `k` whose false-positive rate on
 //! recent normal-looking traffic is below θ — the same rule the static
 //! choice-of-`k` applies to the validation set, made rolling.
+//!
+//! It is an offline ablation, not a detection mode: the `paper` report's
+//! `dynamic-k` section replays a test capture's fixed-`k` levels and
+//! [`crate::CombinedBatch::ranks`] through a controller. Every verdict the
+//! engine emits is the fixed-`k` level the LSTM was fed.
 
 use std::collections::VecDeque;
 
@@ -38,7 +43,7 @@ pub struct DynamicKConfig {
 impl DynamicKConfig {
     /// Checks the controller's invariants: `min_k ≥ 1`, `min_k ≤ max_k`,
     /// `window > 0` and θ ∈ (0, 1). The error names the first one broken.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    fn validate(&self) -> Result<(), &'static str> {
         if self.min_k == 0 {
             return Err("min_k must be positive");
         }
@@ -79,7 +84,8 @@ impl DynamicKController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`DynamicKConfig::validate`].
+    /// Panics if the configuration breaks an invariant: `min_k ≥ 1`,
+    /// `min_k ≤ max_k`, `window > 0` and θ ∈ (0, 1).
     pub fn new(initial_k: usize, config: DynamicKConfig) -> Self {
         assert_eq!(config.validate(), Ok(()), "degenerate dynamic-k config");
         DynamicKController {
@@ -94,18 +100,6 @@ impl DynamicKController {
         self.current_k
     }
 
-    /// The largest `k` the controller may choose; ranks above this bound
-    /// are treated as anomalies and must not be fed to
-    /// [`DynamicKController::observe_rank`].
-    pub fn max_k(&self) -> usize {
-        self.config.max_k
-    }
-
-    /// Number of rank observations currently in the window.
-    pub fn observations(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// The dynamic-`k` decision rule — the one place it is written. Takes a
     /// package's fixed-`k` `level` and signature `rank` as
     /// [`crate::CombinedDetector::classify_batch`] left them
@@ -116,11 +110,13 @@ impl DynamicKController {
     /// without a rank (unknown signature, first of its stream) has nothing
     /// to re-decide: both keep their level and the controller never sees
     /// them. Otherwise the package is anomalous iff `rank > k()`, decided
-    /// *before* the rank is observed. Every rank within
-    /// [`DynamicKController::max_k`] is observed — not just packages
-    /// accepted at the current `k`, which would self-censor and pin `k` at
-    /// its floor. The LSTM feedback bit is not revisited: it stays the
-    /// fixed-`k` decision the detector already fed back.
+    /// *before* the rank is observed. Every rank within the config's
+    /// `max_k` is observed — not just packages accepted at the current `k`,
+    /// which would self-censor and pin `k` at its floor. A rank above
+    /// `max_k` is anomalous traffic and never enters the window, where it
+    /// would inflate the rolling quantile and pin `k` at `max_k`. The LSTM
+    /// feedback bit is not revisited: it stays the fixed-`k` decision the
+    /// detector already fed back.
     pub fn redecide(&mut self, level: DetectionLevel, rank: Option<usize>) -> DetectionLevel {
         let (DetectionLevel::Normal | DetectionLevel::TimeSeriesLevel, Some(rank)) = (level, rank)
         else {
@@ -128,7 +124,19 @@ impl DynamicKController {
         };
         let anomalous = rank > self.current_k;
         if rank <= self.config.max_k {
-            self.observe_rank(rank);
+            if self.ranks.len() == self.config.window {
+                self.ranks.pop_front();
+            }
+            self.ranks.push_back(rank.max(1));
+            // Re-estimate once enough evidence exists.
+            if self.ranks.len() >= self.config.window / 4 {
+                let mut sorted: Vec<usize> = self.ranks.iter().copied().collect();
+                sorted.sort_unstable();
+                let idx = (((sorted.len() as f64) * (1.0 - self.config.theta)).ceil() as usize)
+                    .min(sorted.len())
+                    .saturating_sub(1);
+                self.current_k = sorted[idx].clamp(self.config.min_k, self.config.max_k);
+            }
         }
         if anomalous {
             DetectionLevel::TimeSeriesLevel
@@ -136,46 +144,12 @@ impl DynamicKController {
             DetectionLevel::Normal
         }
     }
-
-    /// Records the rank (1-based position in the sorted prediction) of an
-    /// accepted package's true signature and returns the updated `k`.
-    ///
-    /// Ranks of packages *flagged* as anomalous must not be recorded —
-    /// they would teach the controller to tolerate attacks. A rank above
-    /// [`DynamicKController::max_k`] is by definition anomalous traffic, so
-    /// feeding one is a contract violation: it panics in debug builds
-    /// (`debug_assert`) and is ignored — the window and `k` stay unchanged
-    /// — in release builds, where it would otherwise inflate the rolling
-    /// quantile and pin `k` at `max_k`.
-    pub fn observe_rank(&mut self, rank: usize) -> usize {
-        debug_assert!(
-            rank <= self.config.max_k,
-            "rank {rank} exceeds max_k {}: anomalous ranks must not feed the controller",
-            self.config.max_k
-        );
-        if rank > self.config.max_k {
-            return self.current_k;
-        }
-        if self.ranks.len() == self.config.window {
-            self.ranks.pop_front();
-        }
-        self.ranks.push_back(rank.max(1));
-        // Re-estimate once enough evidence exists.
-        if self.ranks.len() >= self.config.window / 4 {
-            let mut sorted: Vec<usize> = self.ranks.iter().copied().collect();
-            sorted.sort_unstable();
-            let idx = (((sorted.len() as f64) * (1.0 - self.config.theta)).ceil() as usize)
-                .min(sorted.len())
-                .saturating_sub(1);
-            self.current_k = sorted[idx].clamp(self.config.min_k, self.config.max_k);
-        }
-        self.current_k
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DetectionLevel::Normal;
 
     fn controller(window: usize, theta: f64) -> DynamicKController {
         DynamicKController::new(
@@ -193,14 +167,14 @@ mod tests {
     fn starts_at_initial_k() {
         let c = controller(64, 0.05);
         assert_eq!(c.k(), 4);
-        assert_eq!(c.observations(), 0);
+        assert_eq!(c.ranks.len(), 0);
     }
 
     #[test]
     fn sharp_predictions_shrink_k() {
         let mut c = controller(64, 0.05);
         for _ in 0..64 {
-            c.observe_rank(1);
+            c.redecide(Normal, Some(1));
         }
         assert_eq!(c.k(), 1, "all-rank-1 history should drive k to 1");
     }
@@ -209,7 +183,7 @@ mod tests {
     fn diffuse_predictions_grow_k() {
         let mut c = controller(64, 0.05);
         for i in 0..64 {
-            c.observe_rank(1 + (i % 8));
+            c.redecide(Normal, Some(1 + (i % 8)));
         }
         assert!(
             c.k() >= 7,
@@ -230,61 +204,34 @@ mod tests {
             },
         );
         for _ in 0..32 {
-            c.observe_rank(1);
+            c.redecide(Normal, Some(1));
         }
         assert_eq!(c.k(), 3);
         // Diffuse-but-legal ranks (at the max_k bound) push k to its cap.
         for _ in 0..32 {
-            c.observe_rank(6);
+            c.redecide(Normal, Some(6));
         }
         assert_eq!(c.k(), 6);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "exceeds max_k")]
-    fn rank_above_max_k_panics_in_debug() {
-        // Regression: ranks above max_k used to be accepted silently,
-        // inflating the rolling quantile with traffic the controller's own
-        // contract excludes.
-        controller(64, 0.05).observe_rank(11);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn rank_above_max_k_is_ignored_in_release() {
-        // Regression twin of `rank_above_max_k_panics_in_debug` for
-        // release builds: the out-of-contract observation must leave the
-        // window and the current k untouched.
-        let mut c = controller(64, 0.05);
-        for _ in 0..64 {
-            c.observe_rank(1);
-        }
-        assert_eq!(c.k(), 1);
-        let before = c.observations();
-        assert_eq!(c.observe_rank(11), 1);
-        assert_eq!(c.k(), 1, "out-of-contract rank must not move k");
-        assert_eq!(c.observations(), before);
-    }
-
-    #[test]
     fn redecide_applies_the_current_k_then_observes_in_bound_ranks() {
-        use DetectionLevel::{Normal, PackageLevel, TimeSeriesLevel};
+        use DetectionLevel::{PackageLevel, TimeSeriesLevel};
         let mut c = controller(64, 0.05);
         // Levels the top-k rule never produced pass through unseen.
         assert_eq!(c.redecide(PackageLevel, None), PackageLevel);
         assert_eq!(c.redecide(PackageLevel, Some(1)), PackageLevel);
         assert_eq!(c.redecide(TimeSeriesLevel, None), TimeSeriesLevel);
         assert_eq!(c.redecide(Normal, None), Normal);
-        assert_eq!(c.observations(), 0);
+        assert_eq!(c.ranks.len(), 0);
         // Ranked packages are re-decided at the controller's k (4), whatever
         // the fixed-k level said.
         assert_eq!(c.redecide(TimeSeriesLevel, Some(4)), Normal);
         assert_eq!(c.redecide(Normal, Some(5)), TimeSeriesLevel);
-        assert_eq!(c.observations(), 2, "rank 5 <= max_k is still observed");
+        assert_eq!(c.ranks.len(), 2, "rank 5 <= max_k is still observed");
         // Ranks beyond max_k are anomalous and never feed the window.
         assert_eq!(c.redecide(Normal, Some(11)), TimeSeriesLevel);
-        assert_eq!(c.observations(), 2);
+        assert_eq!(c.ranks.len(), 2);
         // The decision uses k from *before* this package's rank lands: the
         // 16th observation (window / 4) re-estimates k from 4 down to 3, so
         // the package that triggers it is still judged at 4.
@@ -304,7 +251,7 @@ mod tests {
         let mut c = controller(100, 0.25);
         for i in 0..100 {
             // Ranks 1..=4 uniformly: 75th percentile = 3.
-            c.observe_rank(1 + (i % 4));
+            c.redecide(Normal, Some(1 + (i % 4)));
         }
         assert_eq!(c.k(), 3);
     }
@@ -313,12 +260,12 @@ mod tests {
     fn window_bounds_memory() {
         let mut c = controller(16, 0.05);
         for _ in 0..100 {
-            c.observe_rank(9);
+            c.redecide(Normal, Some(9));
         }
-        assert_eq!(c.observations(), 16);
+        assert_eq!(c.ranks.len(), 16);
         // Old high ranks age out once sharp predictions dominate the window.
         for _ in 0..16 {
-            c.observe_rank(1);
+            c.redecide(Normal, Some(1));
         }
         assert_eq!(c.k(), 1);
     }
@@ -327,7 +274,7 @@ mod tests {
     fn adapts_before_window_fills() {
         let mut c = controller(64, 0.05);
         for _ in 0..16 {
-            c.observe_rank(2);
+            c.redecide(Normal, Some(2));
         }
         // window/4 = 16 observations suffice for the first estimate.
         assert_eq!(c.k(), 2);

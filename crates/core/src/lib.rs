@@ -26,8 +26,8 @@
 //! * [`combined`] — the combined framework with anomaly-bit feedback
 //!   (paper §VI),
 //! * [`streaming`] — the one detector interface: the pluggable
-//!   streaming-backend abstraction the engine hosts (fixed-`k`, per-stream
-//!   dynamic-`k`, window baselines) with hot-reload support, and
+//!   streaming-backend abstraction the engine hosts (fixed-`k` combined
+//!   framework, window baselines) with hot-reload support, and
 //!   [`streaming::detect_stream`] to run any backend over a finished
 //!   capture,
 //! * [`metrics`] — precision/recall/accuracy/F1 and per-attack-type recall
@@ -93,11 +93,8 @@ pub mod timeseries;
 
 pub use artifact::{ArtifactError, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use combined::{CombinedBatch, CombinedDetector};
-pub use dynamic_k::{DynamicKConfig, DynamicKController};
 pub use error::CoreError;
 pub use metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall};
 pub use package::PackageLevelDetector;
-pub use streaming::{
-    detect_stream, AdaptiveCombined, LaneDecision, StreamingDetector, StreamingSession, SwapError,
-};
+pub use streaming::{detect_stream, LaneDecision, StreamingDetector, StreamingSession, SwapError};
 pub use timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig};

@@ -6,7 +6,7 @@
 //! things a one-shot "classify this finished capture" call cannot express:
 //!
 //! * **per-stream state** — each monitored PLC carries its own detector
-//!   state (LSTM state, dynamic-k controller, window buffer),
+//!   state (LSTM state, window buffer),
 //! * **batched stepping** — the engine advances many streams per round and
 //!   wants one matrix–matrix LSTM step, not one matrix–vector step per
 //!   stream,
@@ -17,13 +17,12 @@
 //! [`StreamingDetector`] + [`StreamingSession`] pin that contract down, and
 //! a new detector family implements these two traits and nothing else.
 //! Offline evaluation is the same path on one lane ([`detect_stream`]), so
-//! offline and online decisions agree by construction. Three backend
+//! offline and online decisions agree by construction. Two backend
 //! families implement the traits:
 //!
 //! | backend | built on | decisions |
 //! |---|---|---|
 //! | [`CombinedDetector`] | `classify_batch` | immediate, fixed top-`k` |
-//! | [`AdaptiveCombined`] | `classify_batch` + [`DynamicKController::redecide`] | immediate, per-stream dynamic `k` |
 //! | `icsad_baselines::stream::WindowedBackend` | §VIII-C window protocol | deferred per window |
 //!
 //! Sessions hosting a [`CombinedDetector`] additionally support
@@ -37,7 +36,6 @@ use std::sync::Arc;
 use icsad_dataset::Record;
 
 use crate::combined::{CombinedBatch, CombinedDetector, DetectionLevel};
-use crate::dynamic_k::{DynamicKConfig, DynamicKController};
 
 /// One resolved per-package decision, attributed to a session lane.
 ///
@@ -97,20 +95,6 @@ impl std::error::Error for SwapError {}
 /// benchmark PR removes that wrapper, then this type and both methods.
 pub enum RoundPartition {}
 
-/// Dynamic-`k` pass over one fixed-`k` round: entry `i` is re-decided by
-/// its lane's controller (`controllers[lanes[i]]`) from the rank
-/// `classify_batch` left behind.
-fn redecide_round(
-    levels: &mut [DetectionLevel],
-    ranks: &[Option<usize>],
-    lanes: &[usize],
-    controllers: &mut [DynamicKController],
-) {
-    for ((level, &rank), &lane) in levels.iter_mut().zip(ranks).zip(lanes) {
-        *level = controllers[lane].redecide(*level, rank);
-    }
-}
-
 /// Classifies a finished capture with any backend: opens a session, pushes
 /// `records` through it on one lane and calls
 /// [`StreamingSession::finish`]. Returns one decision per record
@@ -134,9 +118,8 @@ pub fn detect_stream<D: StreamingDetector + ?Sized>(
 /// [`StreamingSession`]s.
 ///
 /// A backend is immutable shared configuration (trained model, window
-/// width, dynamic-k bounds); all mutable per-stream state lives in the
-/// sessions it opens. One backend is typically shared by every shard of an
-/// engine via `Arc`.
+/// width); all mutable per-stream state lives in the sessions it opens.
+/// One backend is typically shared by every shard of an engine via `Arc`.
 pub trait StreamingDetector: Send + Sync {
     /// Short display name (as used in Tables IV and V).
     fn name(&self) -> &str;
@@ -201,10 +184,10 @@ pub trait StreamingSession: Send {
     }
 
     /// Hot-reload: installs a newly commissioned [`CombinedDetector`],
-    /// resetting every lane to a fresh stream state (LSTM state and
-    /// dynamic-k controller restart, and the next package is the stream's
-    /// first, unranked — the swap point is
-    /// a per-stream re-commissioning boundary). Lane indices remain valid.
+    /// resetting every lane to a fresh stream state (the LSTM state
+    /// restarts and the next package is the stream's first, unranked — the
+    /// swap point is a per-stream re-commissioning boundary). Lane indices
+    /// remain valid.
     ///
     /// Contract for implementers that accept the swap: no decision may be
     /// left deferred across it — the engine calls
@@ -238,22 +221,18 @@ pub trait StreamingSession: Send {
     }
 }
 
-/// Session shared by the two combined-framework backends: fixed top-`k`
-/// ([`CombinedDetector`]) and per-stream dynamic-`k` ([`AdaptiveCombined`]).
+/// Session of the combined framework ([`CombinedDetector`], fixed
+/// top-`k`).
 struct CombinedSession {
     detector: Arc<CombinedDetector>,
     batch: CombinedBatch,
-    /// `Some` in adaptive mode: the controller config plus one controller
-    /// per lane.
-    adaptive: Option<(DynamicKConfig, Vec<DynamicKController>)>,
     levels: Vec<DetectionLevel>,
 }
 
 impl CombinedSession {
-    fn new(detector: Arc<CombinedDetector>, adaptive: Option<DynamicKConfig>) -> Self {
+    fn new(detector: Arc<CombinedDetector>) -> Self {
         CombinedSession {
             batch: detector.begin_batch(),
-            adaptive: adaptive.map(|config| (config, Vec::new())),
             detector,
             levels: Vec::new(),
         }
@@ -262,12 +241,7 @@ impl CombinedSession {
 
 impl StreamingSession for CombinedSession {
     fn add_lane(&mut self) -> usize {
-        let lane = self.detector.add_lane(&mut self.batch);
-        if let Some((config, controllers)) = &mut self.adaptive {
-            controllers.push(DynamicKController::new(self.detector.k(), *config));
-            debug_assert_eq!(controllers.len(), lane + 1);
-        }
-        lane
+        self.detector.add_lane(&mut self.batch)
     }
 
     fn lanes(&self) -> usize {
@@ -298,9 +272,6 @@ impl StreamingSession for CombinedSession {
         self.levels.clear();
         self.detector
             .classify_batch(&mut self.batch, lanes, records, &mut self.levels);
-        if let Some((_, controllers)) = &mut self.adaptive {
-            redecide_round(&mut self.levels, self.batch.ranks(), lanes, controllers);
-        }
         out.extend(
             lanes
                 .iter()
@@ -329,9 +300,6 @@ impl StreamingSession for CombinedSession {
         // cold start. Decisions resolve at push time, so nothing can be
         // pending on the departing stream.
         self.detector.reset_lane(&mut self.batch, lane);
-        if let Some((config, controllers)) = &mut self.adaptive {
-            controllers[lane] = DynamicKController::new(self.detector.k(), *config);
-        }
         true
     }
 
@@ -340,11 +308,6 @@ impl StreamingSession for CombinedSession {
         let mut batch = detector.begin_batch();
         for _ in 0..lanes {
             detector.add_lane(&mut batch);
-        }
-        if let Some((config, controllers)) = &mut self.adaptive {
-            *controllers = (0..lanes)
-                .map(|_| DynamicKController::new(detector.k(), *config))
-                .collect();
         }
         self.batch = batch;
         self.detector = detector;
@@ -358,60 +321,7 @@ impl StreamingDetector for CombinedDetector {
     }
 
     fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
-        Box::new(CombinedSession::new(self, None))
-    }
-
-    fn supports_hot_swap(&self) -> bool {
-        true
-    }
-}
-
-/// The combined framework with per-stream dynamic-`k` controllers: every
-/// lane carries its own [`DynamicKController`] seeded at the detector's
-/// commissioned `k`, and every [`CombinedDetector::classify_batch`] decision
-/// is re-decided by its lane's [`DynamicKController::redecide`] — so a
-/// stream's decisions do not depend on which lanes share its rounds.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCombined {
-    detector: Arc<CombinedDetector>,
-    config: DynamicKConfig,
-}
-
-impl AdaptiveCombined {
-    /// Wraps a trained detector with a dynamic-k configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is degenerate (same contract as
-    /// [`DynamicKController::new`]).
-    pub fn new(detector: Arc<CombinedDetector>, config: DynamicKConfig) -> Self {
-        // Validate the config eagerly (the controller constructor holds the
-        // invariants) instead of at first add_lane inside a shard thread.
-        let _ = DynamicKController::new(detector.k(), config);
-        AdaptiveCombined { detector, config }
-    }
-
-    /// The wrapped detector.
-    pub fn detector(&self) -> &Arc<CombinedDetector> {
-        &self.detector
-    }
-
-    /// The controller configuration applied to every lane.
-    pub fn config(&self) -> DynamicKConfig {
-        self.config
-    }
-}
-
-impl StreamingDetector for AdaptiveCombined {
-    fn name(&self) -> &str {
-        "Combined (BF + LSTM, dynamic k)"
-    }
-
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
-        Box::new(CombinedSession::new(
-            Arc::clone(&self.detector),
-            Some(self.config),
-        ))
+        Box::new(CombinedSession::new(self))
     }
 
     fn supports_hot_swap(&self) -> bool {
@@ -482,29 +392,6 @@ mod tests {
         results
     }
 
-    /// The dynamic-`k` oracle: one stream alone on a one-lane batch with
-    /// its own controller.
-    fn adaptive_oracle(
-        detector: &CombinedDetector,
-        config: DynamicKConfig,
-        records: &[Record],
-    ) -> Vec<bool> {
-        let mut batch = detector.begin_batch();
-        let lane = detector.add_lane(&mut batch);
-        let mut controller = DynamicKController::new(detector.k(), config);
-        let mut level = Vec::with_capacity(1);
-        records
-            .iter()
-            .map(|r| {
-                level.clear();
-                detector.classify_batch(&mut batch, &[lane], std::slice::from_ref(r), &mut level);
-                controller
-                    .redecide(level[0], batch.ranks()[0])
-                    .is_anomalous()
-            })
-            .collect()
-    }
-
     #[test]
     fn combined_session_matches_per_record_classify() {
         let (detector, records) = small_detector(51);
@@ -525,33 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_matches_each_stream_alone() {
-        let (detector, records) = small_detector(52);
-        let third = records.len() / 3;
-        let streams: Vec<&[Record]> = vec![
-            &records[..third],
-            &records[third..2 * third + 5],
-            &records[2 * third + 5..],
-        ];
-        let config = DynamicKConfig {
-            window: 64,
-            ..DynamicKConfig::default()
-        };
-
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
-        assert!(backend.supports_hot_swap());
-        let mut session = Arc::clone(&backend).begin_session();
-        let sessions = drive(session.as_mut(), &streams);
-
-        for (stream, session_decisions) in streams.iter().zip(sessions.iter()) {
-            assert_eq!(
-                session_decisions,
-                &adaptive_oracle(&detector, config, stream)
-            );
-        }
-    }
-
-    #[test]
     fn detect_stream_is_the_online_path_on_one_lane() {
         let (detector, records) = small_detector(64);
         let mut state = detector.begin();
@@ -560,16 +420,6 @@ mod tests {
             .map(|r| detector.classify(&mut state, r).is_anomalous())
             .collect();
         assert_eq!(detect_stream(Arc::clone(&detector), &records), fixed);
-
-        let config = DynamicKConfig {
-            window: 32,
-            ..DynamicKConfig::default()
-        };
-        let adaptive = adaptive_oracle(&detector, config, &records);
-        assert_ne!(adaptive, fixed, "the controller must move some decision");
-        let backend: Arc<dyn StreamingDetector> =
-            Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
-        assert_eq!(detect_stream(backend, &records), adaptive);
     }
 
     /// The `LaneDecision` ordering contract's call-shape half: a repeated
@@ -632,33 +482,6 @@ mod tests {
         assert_eq!(recycled, reference);
     }
 
-    #[test]
-    fn retired_adaptive_lane_reused_matches_cold_start() {
-        let (detector, records) = small_detector(63);
-        let (first, second) = records.split_at(records.len() / 2);
-        let config = DynamicKConfig {
-            window: 32,
-            ..DynamicKConfig::default()
-        };
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
-
-        let mut session = Arc::clone(&backend).begin_session();
-        let lane = session.add_lane();
-        let mut out = Vec::new();
-        for r in first {
-            session.classify_batch(&[lane], std::slice::from_ref(r), &mut out);
-        }
-        assert!(session.retire_lane(lane));
-        out.clear();
-        for r in second {
-            session.classify_batch(&[lane], std::slice::from_ref(r), &mut out);
-        }
-        let recycled: Vec<bool> = out.iter().map(|d| d.anomalous).collect();
-
-        // Cold reference: fresh state *and* fresh dynamic-k controller.
-        assert_eq!(recycled, adaptive_oracle(&detector, config, second));
-    }
-
     /// The packages of `records` whose signature has a class id in
     /// `detector`'s database: ranked whenever their lane has a history.
     fn known(detector: &CombinedDetector, records: &[Record]) -> Vec<Record> {
@@ -698,7 +521,7 @@ mod tests {
             levels.map(DetectionLevel::is_anomalous).collect()
         };
 
-        let mut session = CombinedSession::new(Arc::clone(&detector_a), None);
+        let mut session = CombinedSession::new(Arc::clone(&detector_a));
         let (warm, retired) = (session.add_lane(), session.add_lane());
         for r in &known_a[..4] {
             round(&mut session, &[warm, retired], r);

@@ -555,12 +555,12 @@ impl TimeSeriesDetector {
     ///
     /// One `F_t` bool per entry (`true` = anomalous) is appended to `out`
     /// and the 1-based rank of its signature in the stream's prediction to
-    /// `ranks` (what the dynamic-`k` controller of [`crate::dynamic_k`]
-    /// consumes), in entry order. The first package of a stream — after
-    /// [`TimeSeriesDetector::begin`] or a reset — cannot be classified (no
-    /// history): it passes unless its signature is unknown, and has no
-    /// rank — nor has an unknown signature. Every lane's state ends up
-    /// bit-identical to processing it alone.
+    /// `ranks` (read only by the offline dynamic-`k` ablation of
+    /// [`crate::dynamic_k`]), in entry order. The first package of a
+    /// stream — after [`TimeSeriesDetector::begin`] or a reset — cannot be
+    /// classified (no history): it passes unless its signature is unknown,
+    /// and has no rank — nor has an unknown signature. Every lane's state
+    /// ends up bit-identical to processing it alone.
     ///
     /// # Panics
     ///

@@ -1,25 +1,22 @@
-//! Engine configuration: the top-`k` mode, the ingest pool size, the
-//! sizing knobs and their up-front validation.
-
-use icsad_core::dynamic_k::DynamicKConfig;
+//! Engine configuration: the ingest pool size, the sizing knobs and their
+//! up-front validation.
 
 // Intra-doc link targets only.
 #[cfg(doc)]
 use crate::{Engine, RuntimeStats};
 
-/// How a combined-framework engine applies the top-`k` rule
-/// (see [`EngineConfig::mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// The top-`k` rule of a combined-framework engine (see
+/// [`EngineConfig::mode`]). It has one value: every verdict is the
+/// commissioned fixed `k` of the artifact
+/// ([`icsad_core::CombinedDetector::classify_batch`]), the level the LSTM
+/// is fed. Kept only because the frozen perf ledger spells
+/// `mode: EngineMode::FixedK`; a benchmark PR removes that line, then this
+/// type and [`EngineConfig::mode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// The commissioned fixed `k` of the artifact
-    /// ([`icsad_core::CombinedDetector::classify_batch`]).
+    /// The commissioned fixed `k`.
     #[default]
     FixedK,
-    /// Per-stream dynamic-`k` controllers seeded at the commissioned `k`
-    /// (paper §VIII-D future work): every fixed-`k` decision is re-decided
-    /// by its lane's [`icsad_core::DynamicKController::redecide`]. Each
-    /// stream lane adapts its own `k` to its recent prediction ranks.
-    AdaptiveK(DynamicKConfig),
 }
 
 /// How shard workers are scheduled (see [`EngineConfig::ingest`]): one
@@ -68,12 +65,6 @@ pub enum EngineConfigError {
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
     ZeroLaneIdleFrames,
-    /// An [`EngineMode::AdaptiveK`] config failed
-    /// [`DynamicKConfig::validate`]: the controllers could not be built.
-    InvalidDynamicK {
-        /// The broken invariant, as [`DynamicKConfig::validate`] names it.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for EngineConfigError {
@@ -95,9 +86,6 @@ impl std::fmt::Display for EngineConfigError {
                     f,
                     "lane_idle_frames must be positive (None disables idle eviction)"
                 )
-            }
-            EngineConfigError::InvalidDynamicK { reason } => {
-                write!(f, "mode: invalid AdaptiveK config: {reason}")
             }
         }
     }
@@ -134,10 +122,8 @@ pub struct EngineConfig {
     /// whole chunks (at least one — up to ~`channel_capacity + 63` frames
     /// may be in flight). At most [`MAX_CHANNEL_CAPACITY`].
     pub channel_capacity: usize,
-    /// Top-`k` mode for the combined backends started through
-    /// [`Engine::try_start`]. [`Engine::try_start_backend`], whose backend
-    /// already fixes its own decision rule, does not apply it; both
-    /// constructors validate it ([`EngineConfigError::InvalidDynamicK`]).
+    /// Top-`k` rule; its one value is [`EngineMode::FixedK`] (kept for the
+    /// frozen perf ledger, see [`EngineMode`]).
     pub mode: EngineMode,
     /// How shard workers are scheduled; purely a throughput/footprint
     /// knob, never a decision change.
@@ -181,11 +167,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Checks every capacity/sizing field and the top-`k` mode up front, so
-    /// a bad configuration is a typed error at startup instead of a
-    /// deadlock (zero queue capacity), a dead engine (zero shards), an
-    /// allocation failure (oversized queue capacity), or a panic (a
-    /// degenerate [`EngineMode::AdaptiveK`] config).
+    /// Checks every capacity/sizing field up front, so a bad configuration
+    /// is a typed error at startup instead of a deadlock (zero queue
+    /// capacity), a dead engine (zero shards) or an allocation failure
+    /// (oversized queue capacity).
     /// [`Engine::try_start`]/[`Engine::try_start_backend`] run this before
     /// spawning anything.
     pub fn validate(&self) -> Result<(), EngineConfigError> {
@@ -203,11 +188,6 @@ impl EngineConfig {
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);
-        }
-        if let EngineMode::AdaptiveK(k_config) = self.mode {
-            k_config
-                .validate()
-                .map_err(|reason| EngineConfigError::InvalidDynamicK { reason })?;
         }
         Ok(())
     }

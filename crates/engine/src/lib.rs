@@ -27,12 +27,11 @@
 //!                     EngineReport (merged per-shard reports)
 //! ```
 //!
-//! Three backend families plug into the shard loop:
+//! Two backend families plug into the shard loop:
 //!
 //! | backend | entry point | decision rule |
 //! |---|---|---|
-//! | combined framework | [`Engine::try_start`] ([`EngineMode::FixedK`]) | fixed top-`k` |
-//! | combined + dynamic-`k` | [`Engine::try_start`] ([`EngineMode::AdaptiveK`]) | per-stream [`DynamicKController`](icsad_core::DynamicKController) |
+//! | combined framework | [`Engine::try_start`] | fixed top-`k` |
 //! | Table IV window baselines | [`Engine::try_start_backend`] + `icsad_baselines::WindowedBackend` | §VIII-C window protocol |
 //!
 //! The combined detector can come from an in-process training run or from
@@ -92,7 +91,7 @@ use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::streaming::{AdaptiveCombined, StreamingDetector};
+use icsad_core::streaming::StreamingDetector;
 use icsad_runtime::RecycleRing;
 use icsad_simulator::{AttackType, Packet};
 
@@ -181,9 +180,9 @@ impl From<Packet> for RawFrame {
 
 /// The running engine: a router handle over the shard workers.
 ///
-/// Create with [`Engine::try_start`] (combined framework, fixed or
-/// adaptive `k`; cold-start from a commissioning file by passing it a
-/// [`CombinedDetector::load`]ed detector) or [`Engine::try_start_backend`]
+/// Create with [`Engine::try_start`] (combined framework; cold-start from
+/// a commissioning file by passing it a [`CombinedDetector::load`]ed
+/// detector) or [`Engine::try_start_backend`]
 /// (any [`StreamingDetector`], e.g. a Table IV window baseline). Feed frames
 /// with [`Engine::ingest`] (or [`Engine::ingest_packets`] from the
 /// simulator), optionally hot-reload with [`Engine::swap_artifact`], then
@@ -218,8 +217,8 @@ const INGEST_CHUNK: usize = 64;
 
 impl Engine {
     /// Starts the shard tasks around the combined framework and returns
-    /// the ingest handle. [`EngineConfig::mode`] selects the top-`k` rule:
-    /// the commissioned fixed `k`, or per-stream dynamic-`k` controllers.
+    /// the ingest handle. Every verdict is the commissioned fixed-`k`
+    /// level the LSTM was fed.
     ///
     /// # Errors
     ///
@@ -229,21 +228,13 @@ impl Engine {
         detector: Arc<CombinedDetector>,
         config: EngineConfig,
     ) -> Result<Engine, EngineConfigError> {
-        config.validate()?;
-        let backend: Arc<dyn StreamingDetector> = match config.mode {
-            EngineMode::FixedK => detector,
-            EngineMode::AdaptiveK(k_config) => Arc::new(AdaptiveCombined::new(detector, k_config)),
-        };
-        Engine::try_start_backend(backend, config)
+        Engine::try_start_backend(detector, config)
     }
 
     /// Starts the shard tasks around an arbitrary streaming backend — the
-    /// combined framework, its dynamic-`k` wrapper, or one of the six
-    /// Table IV window baselines (`icsad_baselines::WindowedBackend`) for
-    /// apples-to-apples streaming comparisons.
-    ///
-    /// [`EngineConfig::mode`] is validated but not applied here: the
-    /// backend itself fixes the decision rule.
+    /// combined framework or one of the six Table IV window baselines
+    /// (`icsad_baselines::WindowedBackend`) for apples-to-apples streaming
+    /// comparisons.
     ///
     /// # Errors
     ///
@@ -301,9 +292,9 @@ impl Engine {
     /// ingested frames travel ahead of the swap message, the shard drains
     /// its whole backlog through the outgoing detector, then exchanges the
     /// detector `Arc` inside its session and resets each stream lane — the
-    /// LSTM state, its first-package bit, dynamic-`k` controller *and*
-    /// feature extractor all restart, making the swap point a per-stream
-    /// re-commissioning boundary. Frames ingested after `swap_artifact`
+    /// LSTM state, its first-package bit *and* feature extractor all
+    /// restart, making the swap point a per-stream re-commissioning
+    /// boundary. Frames ingested after `swap_artifact`
     /// returns are therefore classified exactly as a cold-started engine
     /// on the new artifact would classify them, while every frame ingested
     /// before is classified by the old detector (pinned by the engine's
@@ -353,7 +344,7 @@ impl Engine {
 
     /// Retires every stream of capture link `link`: the monitored device
     /// or TCP connection left the topology, so its per-stream state (LSTM
-    /// lane, dynamic-`k` controller, feature extractor, label FIFO slot)
+    /// lane, feature extractor, label FIFO slot)
     /// is reset and the lanes are freed for reuse by later streams.
     ///
     /// Pending ingest chunks are flushed first and the retirement travels

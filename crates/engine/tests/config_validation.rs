@@ -1,20 +1,17 @@
-//! Up-front `EngineConfig` validation: every capacity/sizing field and the
-//! top-`k` mode are checked before anything is built or spawns, with a
-//! typed [`EngineConfigError`] from the constructors — instead of
-//! deadlocking the chunked ingest on a zero-capacity queue or panicking in
-//! a dynamic-`k` controller or deep inside a worker.
+//! Up-front `EngineConfig` validation: every capacity/sizing field is
+//! checked before anything is built or spawns, with a typed
+//! [`EngineConfigError`] from the constructors — instead of deadlocking the
+//! chunked ingest on a zero-capacity queue or panicking deep inside a
+//! worker.
 
 use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
-use icsad_core::dynamic_k::DynamicKConfig;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
-use icsad_engine::{
-    Engine, EngineConfig, EngineConfigError, EngineMode, IngestMode, MAX_CHANNEL_CAPACITY,
-};
+use icsad_engine::{Engine, EngineConfig, EngineConfigError, IngestMode, MAX_CHANNEL_CAPACITY};
 
 /// A backend stub: config validation must reject before ever touching it.
 struct StubBackend;
@@ -118,28 +115,11 @@ fn every_zero_capacity_is_rejected_with_its_own_error() {
             },
             EngineConfigError::ZeroLaneIdleFrames,
         ),
-        // A degenerate dynamic-`k` config is refused before any controller
-        // is built.
-        (
-            EngineConfig {
-                mode: EngineMode::AdaptiveK(DynamicKConfig {
-                    min_k: 0,
-                    ..DynamicKConfig::default()
-                }),
-                ..base()
-            },
-            EngineConfigError::InvalidDynamicK {
-                reason: "min_k must be positive",
-            },
-        ),
-        // The first broken field wins, not a panic on a later one.
+        // The first broken field wins.
         (
             EngineConfig {
                 num_shards: 0,
-                mode: EngineMode::AdaptiveK(DynamicKConfig {
-                    theta: f64::NAN,
-                    ..DynamicKConfig::default()
-                }),
+                channel_capacity: 0,
                 ..base()
             },
             EngineConfigError::ZeroShards,
@@ -215,12 +195,6 @@ fn errors_name_the_offending_field() {
             "channel_capacity",
         ),
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
-        (
-            EngineConfigError::InvalidDynamicK {
-                reason: "window must be positive",
-            },
-            "window",
-        ),
     ] {
         let rendered = error.to_string();
         assert!(

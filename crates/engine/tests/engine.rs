@@ -11,13 +11,12 @@ use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::streaming::{detect_stream, AdaptiveCombined, StreamingDetector};
+use icsad_core::streaming::StreamingDetector;
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_core::DynamicKConfig;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
-use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
+use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 use icsad_engine::{
-    Engine, EngineConfig, EngineMode, EngineReport, FrameBytes, IngestMode, RawFrame, ReloadError,
+    Engine, EngineConfig, EngineReport, FrameBytes, IngestMode, RawFrame, ReloadError,
 };
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
@@ -124,131 +123,6 @@ fn engine_report_matches_sequential_reference() {
         "expected >= 3 streams, saw {stream_count}"
     );
     assert_eq!(stream_count, streams.len());
-}
-
-/// Engine-level dynamic-k: decisions must be bit-identical to every
-/// stream classified alone, one record at a time, with its own controller
-/// (`detect_stream`; core's tests hold that against the per-record oracle).
-#[test]
-fn adaptive_engine_matches_per_record_adaptive_reference() {
-    let detector = small_detector(41);
-    let packets = multi_plc_capture(&[2, 5, 9], 600, 41);
-    let k_config = DynamicKConfig {
-        window: 64,
-        ..DynamicKConfig::default()
-    };
-
-    let alone = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), k_config));
-    let mut reference = ClassificationReport::default();
-    let mut reference_alarms = 0u64;
-    for stream_packets in by_unit(&packets).values() {
-        let records = extract_records(stream_packets, DEFAULT_CRC_WINDOW);
-        let decisions = detect_stream(Arc::clone(&alone), &records);
-        for (r, &anomalous) in records.iter().zip(decisions.iter()) {
-            if anomalous {
-                reference_alarms += 1;
-            }
-            reference.record(r.label, anomalous);
-        }
-    }
-
-    let run = |shards: usize, batch: usize| {
-        let mut engine = Engine::try_start(
-            Arc::clone(&detector),
-            EngineConfig {
-                num_shards: shards,
-                batch_size: batch,
-                channel_capacity: 64,
-                mode: EngineMode::AdaptiveK(k_config),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(engine.backend_name().contains("dynamic k"));
-        engine.ingest_packets(&packets);
-        engine.finish()
-    };
-
-    let sharded = run(2, 8);
-    assert_eq!(sharded.total, reference);
-    assert_eq!(sharded.alarms(), reference_alarms);
-    // Shard count and batch size stay throughput knobs in adaptive
-    // mode too.
-    let single = run(1, 32);
-    assert_eq!(single.total, reference);
-}
-
-/// A detector commissioned on clean traffic from the *same* PLCs the
-/// engine will watch, so live signatures are mostly in-vocabulary and
-/// the top-k rule actually decides.
-fn stream_trained_detector(slaves: &[u8], seed: u64) -> Arc<CombinedDetector> {
-    let mut train_records: Vec<Record> = Vec::new();
-    for (i, &slave) in slaves.iter().enumerate() {
-        let mut generator = TrafficGenerator::new(TrafficConfig {
-            seed: seed + i as u64,
-            slave_address: slave,
-            attack_probability: 0.0,
-            ..TrafficConfig::default()
-        });
-        let packets = generator.generate(2_500);
-        train_records.extend(extract_records(&packets, DEFAULT_CRC_WINDOW));
-    }
-    train_records.sort_by(|a, b| a.time.total_cmp(&b.time));
-    let clean = GasPipelineDataset::from_records(train_records);
-    let split = clean.split_chronological(0.7, 0.2);
-    let trained = train_framework(
-        &split,
-        &ExperimentConfig {
-            timeseries: TimeSeriesTrainingConfig {
-                hidden_dims: vec![12],
-                epochs: 2,
-                seed,
-                ..TimeSeriesTrainingConfig::default()
-            },
-            ..ExperimentConfig::default()
-        },
-    )
-    .unwrap();
-    Arc::new(trained.detector)
-}
-
-/// The adaptive rule must actually differ from the fixed rule on some
-/// traffic — otherwise the mode is dead weight and the equivalence
-/// test above proves nothing.
-#[test]
-fn adaptive_mode_is_not_the_fixed_rule_in_disguise() {
-    let detector = stream_trained_detector(&[3, 8], 460);
-    let packets = multi_plc_capture(&[3, 8], 700, 46);
-    // Controller bounds pinned away from the commissioned k: every
-    // package whose rank falls between the two ks decides differently.
-    let k_config = DynamicKConfig {
-        min_k: detector.k() + 4,
-        max_k: detector.k() + 4,
-        window: 32,
-        theta: 0.05,
-    };
-    let run = |mode: EngineMode| {
-        let mut engine = Engine::try_start(
-            Arc::clone(&detector),
-            EngineConfig {
-                num_shards: 1,
-                batch_size: 8,
-                channel_capacity: 64,
-                mode,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        engine.ingest_packets(&packets);
-        engine.finish()
-    };
-    let fixed = run(EngineMode::FixedK);
-    let adaptive = run(EngineMode::AdaptiveK(k_config));
-    assert_eq!(fixed.frames(), adaptive.frames());
-    assert_ne!(
-        fixed.total, adaptive.total,
-        "dynamic k should change decisions under a tight theta"
-    );
 }
 
 #[test]
@@ -562,51 +436,6 @@ fn repeated_hot_reloads_accumulate_on_the_report() {
         assert_eq!(shard.swap_rounds.len(), 2);
         assert!(shard.swap_rounds[0] <= shard.swap_rounds[1]);
     }
-}
-
-/// Swapping in adaptive mode resets the per-stream controllers too:
-/// the swapped engine still matches a cold adaptive reference on the
-/// post-swap capture.
-#[test]
-fn hot_reload_in_adaptive_mode_resets_controllers() {
-    let detector_a = small_detector(47);
-    let detector_b = small_detector(48);
-    let capture_1 = multi_plc_capture(&[1, 5], 300, 47);
-    let capture_2 = multi_plc_capture(&[1, 5], 300, 49);
-    let k_config = DynamicKConfig {
-        window: 64,
-        ..DynamicKConfig::default()
-    };
-    let config = EngineConfig {
-        num_shards: 2,
-        batch_size: 8,
-        channel_capacity: 64,
-        mode: EngineMode::AdaptiveK(k_config),
-        ..EngineConfig::default()
-    };
-    let path_b = std::env::temp_dir().join(format!(
-        "icsad-hot-reload-adaptive-{}.icsa",
-        std::process::id()
-    ));
-    detector_b.save(&path_b).unwrap();
-
-    let mut live = Engine::try_start(Arc::clone(&detector_a), config.clone()).unwrap();
-    live.ingest_packets(&capture_1);
-    live.swap_artifact(&path_b).unwrap();
-    live.ingest_packets(&capture_2);
-    let live_report = live.finish();
-
-    let mut ref_a = Engine::try_start(Arc::clone(&detector_a), config.clone()).unwrap();
-    ref_a.ingest_packets(&capture_1);
-    let ref_a = ref_a.finish();
-    let mut ref_b = Engine::try_start(Arc::clone(&detector_b), config.clone()).unwrap();
-    ref_b.ingest_packets(&capture_2);
-    let ref_b = ref_b.finish();
-    std::fs::remove_file(&path_b).ok();
-
-    let mut expected = ref_a.total.clone();
-    expected.merge(&ref_b.total);
-    assert_eq!(live_report.total, expected);
 }
 
 /// Table IV live: a window baseline hosted by the engine reproduces

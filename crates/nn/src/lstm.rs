@@ -420,11 +420,11 @@ impl LstmLayer {
     /// `d_out` is `∂L/∂h` in tape layout (`total x H`, already including
     /// any direct loss contribution); `ut` holds the panels of `self.u`
     /// transposed (see [`crate::model::BackwardPack`]). Parameter gradients
-    /// accumulate into `grad`. With `wt = Some(..)` — the panels of
-    /// `self.w` transposed — `∂L/∂x` is written (overwritten, not
+    /// accumulate into `grad`. With `d_x = Some((wt, d_inputs))` — `wt` the
+    /// panels of `self.w` transposed — `∂L/∂x` is written (overwritten, not
     /// accumulated) into `d_inputs` in tape layout; the bottom layer of a
-    /// stack passes `None`, because nothing consumes its input gradient,
-    /// and `d_inputs` is left untouched. With `x = Some(..)`, the layer's
+    /// stack passes `None`, because nothing consumes its input gradient.
+    /// With `x = Some(..)`, the layer's
     /// dense input block in tape layout, `dW` accumulates too; the bottom
     /// layer passes `None` and its caller adds `dW` from the gate
     /// gradients this leaves in `scratch.dz` (the stack input is one-hot,
@@ -448,17 +448,15 @@ impl LstmLayer {
         x: Option<&[f32]>,
         tape: &LayerTape,
         d_out: &[f32],
-        wt: Option<&PanelsF32>,
+        d_x: Option<(&PanelsF32, &mut [f32])>,
         ut: &PanelsF32,
         grad: &mut LstmGrad,
-        d_inputs: &mut [f32],
         scratch: &mut BpttScratch,
     ) {
         let hd = self.hidden_dim;
         let total = sched.total;
         let lanes = sched.max_lanes();
         debug_assert_eq!(d_out.len(), total * hd);
-        debug_assert_eq!(d_inputs.len(), total * self.input_dim);
         grow(&mut scratch.dz, total * 4 * hd);
         grow(&mut scratch.dh_next, lanes * hd);
         grow(&mut scratch.dc_next, lanes * hd);
@@ -512,7 +510,8 @@ impl LstmLayer {
         let h_prev = sched.previous_rows(&tape.out, hd, &zeros[..hd]);
         outer_dense_acc(h_prev, dz, &mut grad.u, pack);
         col_sum_acc_f32(dz, &mut grad.b);
-        if let Some(wt) = wt {
+        if let Some((wt, d_inputs)) = d_x {
+            debug_assert_eq!(d_inputs.len(), total * self.input_dim);
             gemm_panels_bias_f32(total, dz, wt, &zeros[..self.input_dim], d_inputs);
         }
     }
@@ -724,7 +723,6 @@ mod tests {
             .collect();
         let ut = PanelsF32::pack_transposed(layer.u.as_slice(), hd, 4 * hd);
         let mut grad = layer.zero_grad();
-        let mut d_inputs = vec![0.0f32; total * dim];
         let mut scratch = BpttScratch::default();
         layer.backward_batch(
             &sched,
@@ -734,7 +732,6 @@ mod tests {
             None,
             &ut,
             &mut grad,
-            &mut d_inputs,
             &mut scratch,
         );
 
@@ -820,19 +817,17 @@ mod tests {
             Some(&x_block),
             &tape,
             &d_out,
-            Some(&wt),
+            Some((&wt, &mut d_inputs)),
             &ut,
             &mut grad,
-            &mut d_inputs,
             &mut scratch,
         );
 
         // The bottom-of-stack flavour — no input gradient, and `dW` left to
-        // the caller — accumulates the same `dU` and `db`, leaves `dW` and
-        // `d_inputs` alone, and leaves the gate gradients whose `dW` the
-        // caller takes in `scratch.dz`.
+        // the caller — accumulates the same `dU` and `db`, leaves `dW`
+        // alone, and leaves the gate gradients whose `dW` the caller takes
+        // in `scratch.dz`.
         let mut bottom = layer.zero_grad();
-        let mut untouched = vec![f32::NAN; sched.total * 3];
         layer.backward_batch(
             &sched,
             None,
@@ -841,12 +836,10 @@ mod tests {
             None,
             &ut,
             &mut bottom,
-            &mut untouched,
             &mut scratch,
         );
         assert_eq!((&bottom.u, &bottom.b), (&grad.u, &grad.b));
         assert!(bottom.w.as_slice().iter().all(|&g| g == 0.0));
-        assert!(untouched.iter().all(|v| v.is_nan()));
         let mut pack = Vec::new();
         let dz = &scratch.dz[..sched.total * 16];
         outer_dense_acc(x_block.chunks_exact(3), dz, &mut bottom.w, &mut pack);

@@ -236,7 +236,8 @@ pub(crate) struct TrainScratch {
     /// Each row's target probability and top-1 bit.
     p_target: Vec<f32>,
     top1: Vec<bool>,
-    /// Hidden-gradient ping-pong buffers, `total x max_dim`.
+    /// Hidden-gradient ping-pong buffers, `total x` the widest hidden
+    /// layer.
     d_a: Vec<f32>,
     d_b: Vec<f32>,
     /// Per-layer backward scratch (shared, grown to the largest layer).
@@ -816,13 +817,16 @@ impl LstmClassifier {
     }
 
     /// Sizes the two hidden-gradient buffers for `total` rows of the widest
-    /// layer. The first starts as the top layer's output gradient, which the
-    /// head writes and [`LstmClassifier::backward_stack`] starts from.
+    /// hidden layer: every gradient they carry is a layer's output, or the
+    /// input of a layer above the bottom one, which is the output of the
+    /// layer below. The first starts as the top layer's output gradient,
+    /// which the head writes and [`LstmClassifier::backward_stack`] starts
+    /// from.
     fn grow_hidden_grads(&self, scratch: &mut TrainScratch, total: usize) {
         let max_dim = self
             .layers
             .iter()
-            .map(|l| l.input_dim().max(l.hidden_dim()))
+            .map(LstmLayer::hidden_dim)
             .max()
             .unwrap_or(0);
         grow(&mut scratch.d_a, total * max_dim);
@@ -849,16 +853,20 @@ impl LstmClassifier {
         let tapes = &scratch.tapes;
         let (mut d_out_buf, mut d_in_buf) = (&mut scratch.d_a, &mut scratch.d_b);
         for l in (0..self.layers.len()).rev() {
+            let layer = &self.layers[l];
             let x = (l > 0).then(|| &tapes[l - 1].out[..total * self.layers[l - 1].hidden_dim()]);
-            self.layers[l].backward_batch(
+            let d_x = pack.layers[l]
+                .wt
+                .as_ref()
+                .map(|wt| (wt, &mut d_in_buf[..total * layer.input_dim()]));
+            layer.backward_batch(
                 sched,
                 x,
                 &tapes[l],
-                &d_out_buf[..total * self.layers[l].hidden_dim()],
-                pack.layers[l].wt.as_ref(),
+                &d_out_buf[..total * layer.hidden_dim()],
+                d_x,
                 &pack.layers[l].ut,
                 &mut grads.layers[l],
-                &mut d_in_buf[..total * self.layers[l].input_dim()],
                 &mut scratch.bptt,
             );
             std::mem::swap(&mut d_out_buf, &mut d_in_buf);

@@ -6,9 +6,8 @@
 //!    re-commissioning with a retuned top-`k`).
 //! 2. **Cold-start**: load the first artifact
 //!    ([`icsad::core::CombinedDetector::load`]) and spawn the sharded
-//!    streaming engine around it ([`icsad::engine::Engine::try_start`]) in
-//!    **adaptive-`k` mode** ([`icsad::engine::EngineMode::AdaptiveK`]):
-//!    every PLC stream carries its own dynamic-`k` controller.
+//!    streaming engine around it ([`icsad::engine::Engine::try_start`]):
+//!    every package is judged at the artifact's commissioned top-`k`.
 //! 3. **Monitor**: replay an attack-bearing multi-PLC capture as raw
 //!    Modbus frames; the engine demultiplexes streams by unit id and
 //!    batches in-flight streams through the LSTM together. Garbage frames
@@ -97,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(detector); // the monitor below only knows the artifact files
 
     // Go live: four PLCs on the same control network, attacker active.
-    println!("\ngoing live (4 PLCs, attacker active, dynamic-k mode)...\n");
+    println!("\ngoing live (4 PLCs, attacker active, k = {chosen_k})...\n");
     let mut packets: Vec<Packet> = Vec::new();
     for plc in 0..4u8 {
         let mut live = TrafficGenerator::new(TrafficConfig {
@@ -111,15 +110,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     packets.sort_by(|a, b| a.time.total_cmp(&b.time));
 
     // Cold-start the engine straight from the artifact, as a monitor
-    // process restarting in the field would — in adaptive-k mode, so each
-    // stream's k follows its own recent prediction ranks (paper §VIII-D).
+    // process restarting in the field would.
     let t_cold = std::time::Instant::now();
     let mut engine = Engine::try_start(
         Arc::new(CombinedDetector::load(&artifact_v1)?),
         EngineConfig {
             num_shards: 2,
             batch_size: 32,
-            mode: EngineMode::AdaptiveK(DynamicKConfig::default()),
             ..EngineConfig::default()
         },
     )?;

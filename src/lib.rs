@@ -75,17 +75,16 @@ pub mod prelude {
     pub use icsad_core::{
         artifact::ArtifactError,
         combined::{CombinedBatch, CombinedDetector, DetectionLevel},
-        dynamic_k::{DynamicKConfig, DynamicKController},
         experiment::{train_framework, ExperimentConfig, TrainedFramework},
         metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall},
         package::PackageLevelDetector,
-        streaming::{detect_stream, AdaptiveCombined, StreamingDetector, StreamingSession},
+        streaming::{detect_stream, StreamingDetector, StreamingSession},
         timeseries::{TimeSeriesDetector, TimeSeriesTrainingConfig},
     };
     pub use icsad_dataset::{DatasetConfig, Fragments, GasPipelineDataset, Record, Split};
     pub use icsad_engine::{
-        Engine, EngineConfig, EngineConfigError, EngineMode, EngineReport, IngestMode, RawFrame,
-        ReloadError, RuntimeStats,
+        Engine, EngineConfig, EngineConfigError, EngineReport, IngestMode, RawFrame, ReloadError,
+        RuntimeStats,
     };
     pub use icsad_features::{DiscretizationConfig, Discretizer, Signature, SignatureVocabulary};
     pub use icsad_simulator::{AttackType, Packet, TrafficConfig, TrafficGenerator};

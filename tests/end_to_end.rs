@@ -187,11 +187,8 @@ fn no_workspace_session_forks_a_round() {
     .unwrap();
     let train = icsad_baselines::window::Windows::over(split.train().records());
     let bloom = icsad_baselines::WindowBloomFilter::fit_windows(disc, &train);
-    let backends: [std::sync::Arc<dyn StreamingDetector>; 3] = [
-        detector.clone(),
-        std::sync::Arc::new(AdaptiveCombined::new(detector, DynamicKConfig::default())),
-        std::sync::Arc::new(WindowedBackend::new(bloom)),
-    ];
+    let backends: [std::sync::Arc<dyn StreamingDetector>; 2] =
+        [detector, std::sync::Arc::new(WindowedBackend::new(bloom))];
     let round = split.test()[..3].to_vec();
     for backend in backends {
         let name = backend.name().to_string();
